@@ -14,39 +14,36 @@
 // workload, and the sweep reports whether the survivors completed by
 // revoking and shrinking the communicator, plus the failure-detection and
 // recovery latencies and the adaptive-routing failover count. -topology
-// accepts a comma-separated list in this mode, one table section (and one
-// BENCH JSON entry) per topology; -shards runs the hard-fault cells on the
-// sharded engine, bit-identical at every shard count >= 1. -benchjson
-// records the recovery sweep's wall clock and completion rate.
+// accepts a comma-separated list in this mode, one table section per
+// topology; -shards runs the hard-fault cells on the sharded engine,
+// bit-identical at every shard count >= 1. The table is virtual-time only,
+// so its bytes are the recovery results of record: CI diffs them against
+// testdata/recover-<topology>.golden.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) while the sweep runs, and -flight retains a bounded
-// per-shard event history that is dumped to stderr (and the -benchjson
-// points) when a cell faults. Neither changes a byte of stdout. A SIGINT
-// flushes the completed portion of the sweep before exiting.
+// per-shard event history that is dumped to stderr when a cell faults.
+// Neither changes a byte of stdout. With -live, a SIGINT prints the sweep
+// progress and accumulated metrics to stderr before exiting.
 //
 // Usage:
 //
 //	uniconn-chaos                                # Perlmutter, inter-node, degrade ramp
 //	uniconn-chaos -machine LUMI -bytes 1048576
 //	uniconn-chaos -generate -seed 7 -severities 0,0.5,1
-//	uniconn-chaos -recover -ranks 8 -benchjson BENCH_recovery.json
+//	uniconn-chaos -recover -ranks 8
 //	uniconn-chaos -recover -topology fattree -shards 4
 //	uniconn-chaos -recover -topology flat,fattree,dragonfly:1,2,2
 //	uniconn-chaos -recover -live 127.0.0.1:9187 -flight 256
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -55,7 +52,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/telemetry"
 )
 
 func parseSeverities(s string) ([]float64, error) {
@@ -79,102 +75,35 @@ type backendChoice struct {
 	backend core.BackendID
 }
 
-// recoveryJSON is the -benchjson record of one recovery sweep: per-topology
-// survival curves, each holding the per-backend severity ramps.
-type recoveryJSON struct {
-	Description string                `json:"description"`
-	Host        recoveryHost          `json:"host"`
-	Machine     string                `json:"machine"`
-	Ranks       int                   `json:"ranks"`
-	Seed        uint64                `json:"seed"`
-	Shards      int                   `json:"shards"`
-	Severities  []float64             `json:"severities"`
-	Topologies  []recoveryTopologyRun `json:"topologies"`
-	Seconds     float64               `json:"total_seconds"`
-}
-
-type recoveryHost struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-type recoveryTopologyRun struct {
-	// Topology is the resolved description ("flat", "fattree(k=4)", ...).
-	Topology string               `json:"topology"`
-	Backends []recoveryBackendRun `json:"backends"`
-}
-
-type recoveryBackendRun struct {
-	Backend        string                `json:"backend"`
-	Seconds        float64               `json:"seconds"`
-	CompletionRate float64               `json:"completion_rate"`
-	Points         []bench.RecoveryPoint `json:"points"`
-}
-
-// recoveryMode runs the hard-fault severity sweep per topology and backend,
-// prints one table section per topology, and optionally records wall-clock +
-// completion-rate JSON. The printed table carries virtual-time quantities
-// only, so its bytes are identical at every -shards count >= 1 and with
-// -live on or off (the CI determinism gates compare them with cmp). With
-// -flight > 0 each faulted cell's flight-recorder post-mortem lands in the
-// JSON and on stderr; a SIGINT flushes the completed portion of the report.
-func recoveryMode(m *machine.Model, backends []backendChoice, severities []float64, ranks int, seed uint64, benchJSON string, topologies []fabric.TopologyConfig, shards, flightDepth int) error {
+// recoveryMode runs the hard-fault severity sweep per topology and backend
+// and prints one table section per topology. The printed table carries
+// virtual-time quantities only, so its bytes are identical at every -shards
+// count >= 1 and with -live on or off (CI compares them with cmp, and with
+// diff against the committed goldens). With -flight > 0 each faulted cell's
+// flight-recorder post-mortem lands on stderr.
+func recoveryMode(m *machine.Model, backends []backendChoice, severities []float64, ranks int, seed uint64, topologies []fabric.TopologyConfig, flightDepth int) error {
 	fmt.Printf("recovery sweep on %s, %d ranks, seed %d (crashes from severity 0.5, link/switch faults from 0.5-0.75)\n",
 		m.Name, ranks, seed)
-	report := recoveryJSON{
-		Description: "Recovery-aware chaos sweep (cmd/uniconn-chaos -recover): iterative allreduce under hard-fault plans; completion via communicator Revoke+Shrink, per-topology survival curves with adaptive-routing failovers.",
-		Host:        recoveryHost{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
-		Machine:     m.Name, Ranks: ranks, Seed: seed, Shards: shards, Severities: severities,
-	}
-	// The interrupt handler snapshots the report mid-sweep, so every append
-	// below happens under mu.
-	var mu sync.Mutex
-	telemetry.OnInterrupt(func() {
-		fmt.Fprintln(os.Stderr, "interrupted; flushing completed recovery results")
-		if live := bench.Progress(); live != nil {
-			live.WriteProgress(os.Stderr)
-			fmt.Fprint(os.Stderr, live.MetricsSnapshot().Render())
-		}
-		if benchJSON == "" {
-			return
-		}
-		mu.Lock()
-		partial := report
-		partial.Description += " [partial: interrupted by signal]"
-		data, err := json.MarshalIndent(partial, "", "  ")
-		mu.Unlock()
-		if err == nil && os.WriteFile(benchJSON, append(data, '\n'), 0o644) == nil {
-			fmt.Fprintf(os.Stderr, "wrote partial %s\n", benchJSON)
-		}
-	})
-	total := time.Now()
-	for ti, tc := range topologies {
-		// Clone the model so the sweep's generated plans and launched runs
-		// agree on the topology. Resolve auto-sized parameters up front so
-		// the section header names the actual fabric (fattree(k=4), not k=0).
-		mt := *m
-		mt.Topology = tc
+	for _, tc := range topologies {
+		// The sweep's generated plans and launched runs must agree on the
+		// topology. Resolve auto-sized parameters up front so the section
+		// header names the actual fabric (fattree(k=4), not k=0).
+		mt := spec.WithTopology(m, tc)
 		resolved := fabric.ResolveTopology(tc, m.NodesFor(ranks))
-		mu.Lock()
-		report.Topologies = append(report.Topologies, recoveryTopologyRun{Topology: resolved.Describe()})
-		mu.Unlock()
 		fmt.Printf("\ntopology %s\n", resolved.Describe())
 		fmt.Printf("%-10s%10s%9s%11s%11s%12s%11s%13s%14s%12s\n",
 			"backend", "severity", "crashes", "survivors", "completed", "recoveries", "failovers", "detect lat", "recovery lat", "end")
 		for _, b := range backends {
 			bench.SetProgressLabel("chaos-recover " + resolved.Describe() + " " + b.label)
-			start := time.Now()
-			points, err := bench.RecoverySweepOpts(&mt, b.backend, ranks, severities, seed,
+			points, err := bench.RecoverySweepOpts(mt, b.backend, ranks, severities, seed,
 				bench.RecoveryOpts{FlightDepth: flightDepth, Live: bench.Progress()})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", tc.Describe(), b.label, err)
 			}
-			completed := 0
 			for _, p := range points {
 				done := "no"
 				if p.Completed {
 					done = "yes"
-					completed++
 				}
 				if p.Err != "" {
 					done = "ERR"
@@ -192,28 +121,7 @@ func recoveryMode(m *machine.Model, backends []backendChoice, severities []float
 						resolved.Describe(), b.label, p.Severity, p.FlightDump)
 				}
 			}
-			mu.Lock()
-			report.Topologies[ti].Backends = append(report.Topologies[ti].Backends, recoveryBackendRun{
-				Backend:        b.label,
-				Seconds:        time.Since(start).Seconds(),
-				CompletionRate: float64(completed) / float64(len(points)),
-				Points:         points,
-			})
-			mu.Unlock()
 		}
-	}
-	mu.Lock()
-	report.Seconds = time.Since(total).Seconds()
-	mu.Unlock()
-	if benchJSON != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", benchJSON)
 	}
 	return nil
 }
@@ -230,16 +138,13 @@ func main() {
 		"recovery mode: hard-fault plans (rank crashes, dead links) under an iterative allreduce; "+
 			"reports completion and recovery latency per severity")
 	ranks := flag.Int("ranks", 8, "rank count of the recovery workload (with -recover)")
-	benchJSON := flag.String("benchjson", "",
-		"write recovery-sweep wall-clock and completion-rate JSON here (with -recover)")
 	showMetrics := flag.Bool("metrics", false,
 		"collect per-severity metrics and print the merged snapshot per backend (degrade/generate modes)")
 	profilePath := flag.String("profile", "",
 		"write a Chrome trace-event file of the profiled severity cells here (degrade/generate modes)")
 	topoFlag := spec.TopologyListFlag(flag.CommandLine, "flat")
 	flightDepth := flag.Int("flight", 0,
-		"retain the last N engine events per shard and dump them on faults (with -recover); "+
-			"post-mortems go to stderr and the -benchjson points")
+		"retain the last N engine events per shard and dump them to stderr on faults (with -recover)")
 	flag.Parse()
 
 	common.ApplyEnv()
@@ -288,7 +193,7 @@ func main() {
 			// and four dragonfly:1,2,2 groups with a Valiant escape.
 			*ranks = 32
 		}
-		if err := recoveryMode(m, backends, severities, *ranks, *seed, *benchJSON, topologies, *common.Shards, *flightDepth); err != nil {
+		if err := recoveryMode(m, backends, severities, *ranks, *seed, topologies, *flightDepth); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -296,13 +201,7 @@ func main() {
 	if len(topologies) != 1 {
 		log.Fatalf("topology lists are for -recover; pick one of %q", *topoFlag)
 	}
-	if tc := topologies[0]; tc.Kind != fabric.TopoFlat {
-		// Clone the model so the topology applies to every workload the tool
-		// launches on it.
-		m2 := *m
-		m2.Topology = tc
-		m = &m2
-	}
+	m = spec.WithTopology(m, topologies[0])
 
 	where, mode := "intra-node", "degrade ramp"
 	if *inter {
@@ -314,13 +213,6 @@ func main() {
 	} else {
 		bench.SetProgressLabel("chaos-degrade")
 	}
-	telemetry.OnInterrupt(func() {
-		fmt.Fprintln(os.Stderr, "interrupted mid-sweep")
-		if live != nil {
-			live.WriteProgress(os.Stderr)
-			fmt.Fprint(os.Stderr, live.MetricsSnapshot().Render())
-		}
-	})
 	fmt.Printf("chaos sweep on %s (%s), %d B, %s\n", m.Name, where, *bytes, mode)
 	fmt.Printf("%-10s%10s%14s%10s%14s%10s%12s\n",
 		"backend", "severity", "latency", "lat x", "bw GB/s", "bw frac", "transfers")

@@ -13,36 +13,17 @@
 //	uniconn-experiments -table 2         # only Table II
 //	uniconn-experiments -scale paper     # publication sizing (slow)
 //	uniconn-experiments -workers 1       # serial sweeps (debugging)
-//	uniconn-experiments -benchjson BENCH_sweeps.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"strconv"
-	"time"
 
 	"repro/internal/bench"
+	"repro/internal/spec"
 )
-
-// sectionTiming is one entry of the -benchjson report.
-type sectionTiming struct {
-	Section string  `json:"section"`
-	Seconds float64 `json:"seconds"`
-}
-
-type benchReport struct {
-	Scale      string          `json:"scale"`
-	Workers    int             `json:"workers"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Sections   []sectionTiming `json:"sections"`
-	TotalSec   float64         `json:"total_seconds"`
-}
 
 func main() {
 	fig := flag.Int("fig", 0, "regenerate only this figure (2..6); 0 = all")
@@ -51,8 +32,6 @@ func main() {
 	root := flag.String("root", ".", "repository root (for Table II SLOC counts)")
 	workers := flag.Int("workers", 0,
 		"sweep worker count; 0 = UNICONN_WORKERS env or GOMAXPROCS")
-	benchJSON := flag.String("benchjson", "",
-		"write per-section wall-clock timings to this JSON file")
 	flag.Parse()
 
 	scale := bench.Quick
@@ -62,24 +41,7 @@ func main() {
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
 
-	if *workers > 0 {
-		os.Setenv(bench.WorkersEnv, strconv.Itoa(*workers))
-	}
-
-	report := benchReport{
-		Scale:      *scaleName,
-		Workers:    bench.Workers(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	timed := func(section string, fn func()) {
-		start := time.Now()
-		fn()
-		report.Sections = append(report.Sections, sectionTiming{
-			Section: section,
-			Seconds: time.Since(start).Seconds(),
-		})
-	}
+	spec.ApplyWorkersEnv(*workers)
 
 	onlyFigs := *fig != 0 || *table == 0
 	onlyTables := *table != 0 || *fig == 0
@@ -94,48 +56,31 @@ func main() {
 	}
 
 	if onlyTables && (*table == 0 || *table == 1) {
-		timed("table1", func() { fmt.Println(bench.Table1()) })
+		fmt.Println(bench.Table1())
 	}
 	if onlyFigs {
 		if *fig == 0 || *fig == 2 {
-			timed("fig2", func() { emit(bench.RunFig2(scale)) })
+			emit(bench.RunFig2(scale))
 		}
 		if *fig == 0 || *fig == 3 {
-			timed("fig3", func() { emit(bench.RunFig34(scale, false)) })
+			emit(bench.RunFig34(scale, false))
 		}
 		if *fig == 0 || *fig == 4 {
-			timed("fig4", func() { emit(bench.RunFig34(scale, true)) })
+			emit(bench.RunFig34(scale, true))
 		}
 		if *fig == 0 || *fig == 5 {
-			timed("fig5", func() { emit(bench.RunFig5(scale)) })
+			emit(bench.RunFig5(scale))
 		}
 		if *fig == 0 || *fig == 6 {
-			timed("fig6", func() { emit(bench.RunFig6(scale)) })
+			emit(bench.RunFig6(scale))
 		}
 	}
 	if onlyTables && (*table == 0 || *table == 2) {
-		timed("table2", func() {
-			s, err := bench.Table2(*root)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "Table II unavailable (run from the repository root): %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(s)
-		})
-	}
-
-	if *benchJSON != "" {
-		for _, s := range report.Sections {
-			report.TotalSec += s.Seconds
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
+		s, err := bench.Table2(*root)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintf(os.Stderr, "Table II unavailable (run from the repository root): %v\n", err)
+			os.Exit(1)
 		}
-		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d sections, %.1fs total, %d workers)\n",
-			*benchJSON, len(report.Sections), report.TotalSec, report.Workers)
+		fmt.Println(s)
 	}
 }

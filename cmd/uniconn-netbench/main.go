@@ -8,7 +8,8 @@
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) while the sweep runs, without changing a byte of stdout;
-// a SIGINT prints the sweep progress and accumulated metrics to stderr.
+// with it a SIGINT prints the sweep progress and accumulated metrics to
+// stderr.
 //
 // Usage:
 //
@@ -31,7 +32,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -90,13 +90,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer closeLive()
-	telemetry.OnInterrupt(func() {
-		fmt.Fprintln(os.Stderr, "interrupted mid-sweep")
-		if live != nil {
-			live.WriteProgress(os.Stderr)
-			fmt.Fprint(os.Stderr, live.MetricsSnapshot().Render())
-		}
-	})
 
 	sizes := bench.Sizes(*minSize, *maxSize)
 	profiled := *showMetrics || *profilePath != ""

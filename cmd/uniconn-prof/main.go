@@ -20,7 +20,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"os"
@@ -33,7 +32,6 @@ import (
 	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
 	"repro/internal/spec"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -76,10 +74,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer closeLive()
-	telemetry.OnInterrupt(func() {
-		fmt.Fprintln(os.Stderr, "interrupted before the report was written")
-		live.WriteProgress(os.Stderr)
-	})
 
 	var prof *bench.RunProfile
 	switch *workload {

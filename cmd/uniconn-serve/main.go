@@ -11,22 +11,19 @@
 // SIGINT/SIGTERM shut down gracefully: the listener stops, in-flight
 // requests and queued batches drain, then the process exits.
 //
-// With -loadtest the tool instead starts an in-process service, drives the
-// three-phase load test (cold fill, hit timing, sustained warm load), and
-// writes the report to -benchjson.
+// The service's wall-clock record is the benchmark's serve-warm and
+// serve-churn workloads (benchmark/README.md).
 //
 // Usage:
 //
 //	uniconn-serve -addr 127.0.0.1:8080
 //	uniconn-serve -addr :8080 -cache-dir /var/cache/uniconn
-//	uniconn-serve -loadtest -benchjson BENCH_serve.json
 //	curl -s -X POST -d '{"workload":"allreduce","ranks":64,"bytes":1048576}' \
 //	    http://127.0.0.1:8080/query
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -55,12 +52,6 @@ func main() {
 	queueCap := flag.Int("queue-cap", serve.DefaultQueueCap, "queued-spec cap before load shedding (503)")
 	workers := flag.Int("workers", 0,
 		"sweep worker count per batch; 0 = UNICONN_WORKERS env or GOMAXPROCS")
-	loadtest := flag.Bool("loadtest", false,
-		"run the load-test harness against an in-process service and exit")
-	benchJSON := flag.String("benchjson", "BENCH_serve.json",
-		"write the load-test report here (with -loadtest)")
-	clients := flag.Int("clients", 8, "concurrent load-test clients (with -loadtest)")
-	duration := flag.Duration("duration", 2*time.Second, "sustained load-test phase length (with -loadtest)")
 	flag.Parse()
 
 	spec.ApplyWorkersEnv(*workers)
@@ -78,13 +69,6 @@ func main() {
 		QueueCap:    *queueCap,
 	})
 	handler := serve.NewHandler(svc, tsrv.Handler())
-
-	if *loadtest {
-		if err := runLoadTest(handler, svc, *clients, *duration, *benchJSON); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -110,41 +94,4 @@ func main() {
 	case err := <-errCh:
 		log.Fatal(err)
 	}
-}
-
-// runLoadTest serves the handler on a loopback port, drives the harness,
-// prints the headline numbers, and writes the report.
-func runLoadTest(handler http.Handler, svc *serve.Service, clients int, duration time.Duration, benchJSON string) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: handler}
-	go httpSrv.Serve(ln) //nolint:errcheck // Serve always returns on Close
-	defer func() {
-		httpSrv.Close()
-		svc.Close()
-	}()
-	rep, err := serve.LoadTest(serve.LoadTestConfig{
-		BaseURL:  "http://" + ln.Addr().String(),
-		Clients:  clients,
-		Duration: duration,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cold %v  hit %v  speedup %.0fx  (target >= %dx)\n",
-		time.Duration(rep.ColdNs), time.Duration(rep.HitNs), rep.Speedup, serve.TargetSpeedup)
-	fmt.Printf("sustained %.0f qps over %d clients, hit rate %.3f  (target >= %d qps)\n",
-		rep.SustainedQPS, rep.Clients, rep.HitRate, serve.TargetQPS)
-	fmt.Printf("targets met: %v\n", rep.TargetsMet)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchJSON, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", benchJSON)
-	return nil
 }

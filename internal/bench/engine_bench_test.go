@@ -3,9 +3,12 @@ package bench
 // Engine-level cell benchmarks: wall-clock cost of whole simulation cells
 // that are dominated by event-engine overhead rather than by the cost model
 // (many ranks, small messages, long dependency chains). BenchmarkCellLarge
-// is the acceptance benchmark of the engine overhaul (BENCH_engine.json):
-// a 64-rank allreduce cell at Fig 5/6 scale, where every collective round
-// funnels thousands of park/wake transfers through the scheduler.
+// is a 64-rank allreduce cell at Fig 5/6 scale, where every collective round
+// funnels thousands of park/wake transfers through the scheduler; the
+// benchmark of record for that shape is the coll-small-64r workload
+// (benchmark/README.md). These functions stay as the instrument for the
+// serial-vs-windowed engine decision (ROADMAP item 3): run them with
+// -cpu 1,2,... and compare CellLarge against CellLargeShards1/4.
 
 import (
 	"testing"
@@ -68,10 +71,9 @@ func BenchmarkCellMedium(b *testing.B) {
 }
 
 // BenchmarkCellLargeShards1/4 run the 64-rank cell on the windowed
-// parallel-in-virtual-time engine (BENCH_engine.json's shards column).
-// Shards1 isolates the windowing overhead against BenchmarkCellLarge;
-// Shards4 adds real parallelism on multi-core hosts (the 16 nodes are
-// spread over 4 worker goroutines).
+// parallel-in-virtual-time engine. Shards1 isolates the windowing overhead
+// against BenchmarkCellLarge; Shards4 adds real parallelism on multi-core
+// hosts (the 16 nodes are spread over 4 worker goroutines).
 func BenchmarkCellLargeShards1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -42,9 +43,11 @@ func SetProgressLabel(label string) {
 
 // StartLive is the sweep CLIs' one-call -live wiring: with a non-empty
 // addr it starts the telemetry HTTP server, installs its tracker as the
-// process progress sink under label, and returns the tracker plus a close
-// func for the CLI's defer. An empty addr (flag unset) returns a nil
-// tracker and a no-op close, so call sites need no branching.
+// process progress sink under label, arranges for a SIGINT/SIGTERM to print
+// the sweep progress and the metrics merged so far to stderr before exiting
+// 130, and returns the tracker plus a close func for the CLI's defer. An
+// empty addr (flag unset) returns a nil tracker and a no-op close, so call
+// sites need no branching.
 func StartLive(addr, label string) (*telemetry.Tracker, func(), error) {
 	if addr == "" {
 		return nil, func() {}, nil
@@ -55,6 +58,11 @@ func StartLive(addr, label string) (*telemetry.Tracker, func(), error) {
 	}
 	SetProgress(tracker)
 	SetProgressLabel(label)
+	telemetry.OnInterrupt(func() {
+		fmt.Fprintln(os.Stderr, "interrupted mid-sweep")
+		tracker.WriteProgress(os.Stderr)
+		fmt.Fprint(os.Stderr, tracker.MetricsSnapshot().Render())
+	})
 	return tracker, func() { srv.Close() }, nil
 }
 

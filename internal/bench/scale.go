@@ -15,9 +15,9 @@ import (
 
 // Rank-scaling benchmark: one allreduce cell at a configurable rank count,
 // topology, and algorithm, timed in virtual time. This is the driver behind
-// BENCH_scale.json (cmd/uniconn-scale): the 64->4096 rank curves comparing
-// flat vs fat-tree vs dragonfly networks and flat-ring vs hierarchical
-// allreduce.
+// cmd/uniconn-scale (the 64->4096 rank curves comparing flat vs fat-tree vs
+// dragonfly networks and flat-ring vs hierarchical allreduce) and behind the
+// benchmark's coll-* workloads.
 
 // ScaleConfig selects one rank-scaling cell.
 type ScaleConfig struct {

@@ -66,7 +66,7 @@ func TestHierarchicalBeatsRingOnFatTree(t *testing.T) {
 	}
 }
 
-// runScaleCellShards is the BENCH_scale smoke cell: a 1024-rank hierarchical
+// runScaleCellShards is the scale smoke cell: a 1024-rank hierarchical
 // allreduce on an auto-sized fat-tree, returning the finish time and every
 // rank's result vector for byte comparison across shard counts.
 func runScaleCellShards(t *testing.T, shards int) (sim.Time, [][]float64) {

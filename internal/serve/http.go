@@ -5,8 +5,9 @@ package serve
 //	POST /query    one spec as JSON → the canonical result document.
 //	               Response headers: X-Uniconn-Spec-Hash (the content
 //	               address) and X-Uniconn-Cache (hit|miss|coalesced).
-//	               400 on malformed/unrunnable specs, 503 under load shed
-//	               or shutdown, 500 on evaluation failure.
+//	               400 on malformed/unrunnable specs or bytes after the
+//	               document, 413 past maxQueryBytes, 503 under load shed or
+//	               shutdown, 500 on evaluation failure.
 //	GET  /stats    the service's operational snapshot (Stats).
 //
 // Everything else falls through to the telemetry plane's handler when one
@@ -17,10 +18,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/spec"
 )
+
+// maxQueryBytes caps a /query request body. A spec document is a few hundred
+// bytes; the cap only keeps a hostile client from making the decoder buffer
+// an unbounded body.
+const maxQueryBytes = 1 << 20
 
 // NewHandler routes the service's endpoints, with every unclaimed path
 // served by fallback (pass the telemetry server's Handler; nil serves 404).
@@ -41,12 +48,26 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Unknown fields are rejected rather than ignored: a misspelled field
-	// would silently address a different cell than the client meant.
-	dec := json.NewDecoder(req.Body)
+	// would silently address a different cell than the client meant. The
+	// body must be exactly one document: a second value is rejected too.
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxQueryBytes))
 	dec.DisallowUnknownFields()
 	var s spec.Spec
-	if err := dec.Decode(&s); err != nil {
-		http.Error(w, fmt.Sprintf("bad spec JSON: %v", err), http.StatusBadRequest)
+	err := dec.Decode(&s)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the spec document")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad spec JSON: %v", err), code)
 		return
 	}
 	if err := s.Validate(); err != nil {

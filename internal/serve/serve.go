@@ -138,10 +138,6 @@ func New(opts Options) *Service {
 	return sv
 }
 
-// Cache exposes the service's result cache (the loadtest harness warms and
-// inspects it).
-func (sv *Service) Cache() *cache.Cache { return sv.c }
-
 // Query answers one validated spec. The source return value reports how:
 // "hit" (served from the cache, fast path or filled while queued), "miss"
 // (this call's batch simulated it), or "coalesced" (joined another query's

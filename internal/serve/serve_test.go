@@ -188,8 +188,9 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // TestHTTPQueryEndpoint drives the full HTTP surface: miss then hit with
-// byte-identical bodies and the cache header, 400s for bad specs, 405 for
-// GET, and a working /stats.
+// byte-identical bodies and the cache header, 400s for bad specs and
+// trailing bytes, 413 for an oversized body, 405 for GET, and a working
+// /stats.
 func TestHTTPQueryEndpoint(t *testing.T) {
 	sv := New(Options{})
 	defer sv.Close()
@@ -232,6 +233,22 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	}
 	if resp, msg := post(`{"workload":"net-latency","bytes":4096,"typo":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field status = %d (%s), want 400", resp.StatusCode, msg)
+	}
+	for _, trailing := range []string{`{"workload":"nope"}`, `1`, `]`} {
+		if resp, msg := post(`{"workload":"net-latency","bytes":4096} ` + trailing); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trailing %q status = %d (%s), want 400", trailing, resp.StatusCode, msg)
+		}
+	}
+	if resp, _ := post(`{"workload":"net-latency","bytes":4096}` + "\n"); resp.Header.Get("X-Uniconn-Cache") != "hit" {
+		t.Errorf("trailing newline status = %d, want a 200 hit", resp.StatusCode)
+	}
+	for _, big := range []string{
+		`{"workload":"` + strings.Repeat("x", maxQueryBytes) + `"}`,
+		`{"workload":"net-latency","bytes":4096}` + strings.Repeat(" ", maxQueryBytes),
+	} {
+		if resp, msg := post(big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%d-byte body status = %d (%s), want 413", len(big), resp.StatusCode, msg)
+		}
 	}
 
 	getResp, err := http.Get(srv.URL + "/query")
