@@ -69,8 +69,8 @@ type Result struct {
 	Unit  string  `json:"unit"`
 	// EndNs is the virtual end time of the whole run; Topology the resolved
 	// fabric description (auto-sized parameters filled in).
-	EndNs    int64  `json:"end_ns"`
-	Topology string `json:"topology"`
+	EndNs    int64        `json:"end_ns"`
+	Topology string       `json:"topology"`
 	Critical CritSummary  `json:"critical_path"`
 	Comm     *CommSummary `json:"comm_matrix,omitempty"`
 }

@@ -140,10 +140,13 @@ func vmHWMBytes(t *testing.T) int64 {
 
 // TestScaleMemoryBudget runs the full 4096-rank modeled (Compute off)
 // hierarchical allreduce on a fat-tree and fails if the process's peak RSS
-// exceeds a generous fixed budget. This is the O(ranks + switches) state
-// audit in executable form: an accidental O(ranks^2) structure (per-pair
-// routing tables, eager all-pairs endpoint state) blows through 4 GiB at
-// this scale immediately.
+// exceeds a fixed budget. This is the O(ranks + switches) state audit in
+// executable form: an accidental O(ranks^2) structure (per-pair routing
+// tables, eager all-pairs endpoint state) blows through it at this scale
+// immediately. The budget is tight enough to guard the data path too: the
+// cell peaks near 550 MiB, and one vector-sized scratch buffer per rank in
+// the allreduce (the tmp clone the reduce-on-receive path removed) alone
+// takes it past 1 GiB.
 func TestScaleMemoryBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies RSS; run without -race")
@@ -154,7 +157,7 @@ func TestScaleMemoryBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-rank cell skipped in -short mode")
 	}
-	const budget = 4 << 30
+	const budget = 1 << 30
 	d, _, err := ScaleAllreduce(ScaleConfig{
 		Model:    machine.Perlmutter(),
 		Topology: fabric.TopologyConfig{Kind: fabric.TopoFatTree},
@@ -167,7 +170,9 @@ func TestScaleMemoryBudget(t *testing.T) {
 	if d <= 0 {
 		t.Fatalf("non-positive per-iteration time %v", d)
 	}
-	if hwm := vmHWMBytes(t); hwm > budget {
+	hwm := vmHWMBytes(t)
+	t.Logf("peak RSS %s of a %s budget", HumanBytes(hwm), HumanBytes(budget))
+	if hwm > budget {
 		t.Fatalf("peak RSS %s exceeds the %s budget for the 4096-rank modeled cell",
 			HumanBytes(hwm), HumanBytes(budget))
 	}

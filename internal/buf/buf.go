@@ -1,18 +1,24 @@
 // Package buf provides a pooled, size-classed slice arena for message
-// staging. The simulated data path copies payloads at several points — MPI
-// eager staging, rendezvous and RMA snapshots, collective scratch buffers,
-// failover host-staging — and those copies are pure throwaways: fully
+// staging. The simulated data path follows one rule — clone only for a
+// snapshot, scratch for overwrite-before-read, reduce on receive otherwise
+// (DESIGN.md §11) — and this arena backs the first two: snapshots whose
+// source may change before they are consumed (MPI eager staging, sharded
+// rendezvous departures, RMA puts, a rooted reduction's accumulator) and
+// scratch whose old contents are never read (the recursive-doubling
+// exchange buffer). Both are throwaways: fully
 // overwritten on acquisition and dead as soon as the payload lands. Without
-// pooling, every simulated message allocates its payload twice and the
-// garbage collector dominates large-cell wall-clock time (the 64-rank
-// allreduce cell spent ~70% of its allocated bytes in staging clones).
+// pooling every such message allocates its payload again and the garbage
+// collector dominates large-cell wall-clock time. Payloads that are merely
+// combined into a destination never come here: they are reduced straight
+// from where the protocol already holds them.
 //
 // A Pool[T] keeps per-size-class free lists of []T slices. Classes are
 // powers of two from MinClassLen up; Get rounds the request up to its class
 // so a released slice is reusable by any request of the same class. Slices
-// are returned with their previous contents (no zeroing): callers must
-// fully overwrite the requested length, which every staging site does by
-// construction (the acquisition is immediately followed by the copy).
+// are returned with their previous contents (no zeroing), so callers must
+// fully overwrite the requested length before reading it — a snapshot's
+// acquisition is immediately followed by the copy, and scratch is only ever
+// a receive target.
 //
 // Each gpu.Cluster owns its pools, so parallel sweep cells never share one
 // (the same ownership rule as trace logs and metrics registries, see

@@ -56,9 +56,11 @@ func Reduce[T gpu.Elem](c *Coordinator, op gpu.ReduceOp, send, recv Ptr[T], coun
 	default:
 		// GPUSHMEM has no rooted reduction team op here: emulate with an
 		// allreduce whose non-root results land in scratch (§V-A).
-		rv := send.View(count).Clone()
+		var rv gpu.View
 		if comm.GlobalRank() == root && !recv.IsNil() {
 			rv = recv.View(count)
+		} else {
+			rv = send.View(count).Scratch()
 		}
 		comm.team.AllReduceOnStream(env.p, c.stream, send.View(count), rv, op)
 	}

@@ -306,6 +306,11 @@ func TestReduceAndScatter(t *testing.T) {
 				env.StreamSynchronize(stream)
 				comm.Barrier(stream)
 				env.StreamSynchronize(stream)
+				for i, v := range s.Data() { // non-root results land in scratch, never in send
+					if v != float64(me+i) {
+						t.Errorf("rank %d: reduce wrote send[%d] = %v", me, i, v)
+					}
+				}
 				if me == 0 {
 					for i := 0; i < 3; i++ {
 						want := float64(0+1+2+3) + float64(n*i)

@@ -73,9 +73,9 @@ func TestFatTreeHops(t *testing.T) {
 	f := New(Config{Nodes: 16, GPUsPerNode: 1, NICsPerNode: 1,
 		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, HopLatency: 100}})
 	cases := []struct{ src, dst, want int }{
-		{0, 1, 1},  // same edge switch
-		{0, 2, 3},  // same pod, different edge
-		{0, 4, 5},  // different pod
+		{0, 1, 1}, // same edge switch
+		{0, 2, 3}, // same pod, different edge
+		{0, 4, 5}, // different pod
 		{5, 4, 1},
 		{15, 0, 5},
 	}

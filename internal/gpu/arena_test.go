@@ -127,3 +127,63 @@ func TestMemcpyAsyncStillWorks(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchIsArenaStorageWithoutTheCopy pins what separates Scratch from
+// Clone: same arena, same Release, no pass over the source.
+func TestScratchIsArenaStorageWithoutTheCopy(t *testing.T) {
+	c, _ := newTestCluster(t, 1)
+	b := AllocBuffer[float64](c.Devices[0], 100)
+	for i := range b.Data() {
+		b.Data()[i] = 42
+	}
+	cl := b.Whole().Clone()
+	for i := range cl.m.(*Buffer[float64]).data {
+		cl.m.(*Buffer[float64]).data[i] = -1
+	}
+	cl.Release()
+
+	s := b.View(10, 80).Scratch()
+	if s.Len() != 80 || s.Offset() != 0 || s.ElemSize() != 8 || s.DeviceID() != 0 {
+		t.Fatalf("scratch shape: len %d off %d elem %d dev %d", s.Len(), s.Offset(), s.ElemSize(), s.DeviceID())
+	}
+	if st := PoolStats[float64](c); st.Gets != 2 || st.Hits != 1 {
+		t.Fatalf("scratch did not reuse the released clone's storage: %+v", st)
+	}
+	// The recycled storage still holds what the clone left there: nothing
+	// copied the source over it.
+	if got := s.m.(*Buffer[float64]).data[0]; got != -1 {
+		t.Fatalf("scratch[0] = %v: Scratch touched its storage", got)
+	}
+	s.Release()
+	if st := PoolStats[float64](c); st.Puts != 2 || st.Gets != st.Puts+st.Drops {
+		t.Fatalf("after release: %+v", st)
+	}
+	if !(View{}).Scratch().IsZero() {
+		t.Fatal("Scratch of the zero view is not the zero view")
+	}
+}
+
+// TestBufferResolvesItsPoolOnce pins the lookup the data path no longer
+// repeats: a buffer finds its cluster's arena on its first clone, its clones
+// inherit it, and releasing them needs no lookup at all.
+func TestBufferResolvesItsPoolOnce(t *testing.T) {
+	c, _ := newTestCluster(t, 1)
+	b := AllocBuffer[float64](c.Devices[0], 16)
+	if b.pool != nil {
+		t.Fatal("pool resolved before first use")
+	}
+	cl := b.Whole().Clone()
+	if b.pool != poolFor[float64](c) || cl.m.(*Buffer[float64]).pool != b.pool {
+		t.Fatal("clone did not inherit the cluster's arena")
+	}
+	again := cl.Clone()
+	if again.m.(*Buffer[float64]).pool != b.pool {
+		t.Fatal("clone of a clone lost the arena")
+	}
+	again.Release()
+	cl.Release()
+
+	// A buffer outside any cluster still clones, through the heap.
+	loose := AllocBuffer[float64](nil, 4)
+	loose.Whole().Clone().Release()
+}

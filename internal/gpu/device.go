@@ -97,7 +97,9 @@ func (c *Cluster) UseCosts(cc *machine.CostCache) {
 }
 
 // poolFor returns the cluster's staging arena for element type T, creating
-// it on first use.
+// it on first use. It takes the cluster mutex and probes a type-keyed map,
+// so the data path resolves it once per buffer (Buffer.scratch) rather than
+// per clone and release.
 func poolFor[T Elem](c *Cluster) *buf.Pool[T] {
 	t := reflect.TypeFor[T]()
 	c.poolsMu.Lock()

@@ -355,3 +355,96 @@ func TestComputeFaultScalesComputeBytes(t *testing.T) {
 		t.Fatalf("faulted ComputeBytes took %v, want %v", dur, want)
 	}
 }
+
+func TestCombineMatchesCopyThenReduce(t *testing.T) {
+	a := []float64{3, -2, 5, 0, 7}
+	b := []float64{1, 4, -5, 2, 7}
+	for _, op := range []ReduceOp{ReduceSum, ReduceProd, ReduceMin, ReduceMax} {
+		av, bv := AllocBuffer[float64](nil, len(a)), AllocBuffer[float64](nil, len(b))
+		copy(av.Data(), a)
+		copy(bv.Data(), b)
+		want := AllocBuffer[float64](nil, len(a))
+		Copy(want.Whole(), av.Whole(), len(a))
+		Reduce(want.Whole(), bv.Whole(), len(a), op)
+
+		got := AllocBuffer[float64](nil, len(a))
+		Combine(got.Whole(), av.Whole(), bv.Whole(), len(a), op)
+		for i := range a {
+			if got.Data()[i] != want.Data()[i] {
+				t.Errorf("%v: combine[%d] = %v, copy+reduce = %v", op, i, got.Data()[i], want.Data()[i])
+			}
+			if av.Data()[i] != a[i] || bv.Data()[i] != b[i] {
+				t.Errorf("%v: combine wrote an operand at %d", op, i)
+			}
+		}
+		// dst may be the left operand itself: that is Reduce.
+		Combine(av.Whole(), av.Whole(), bv.Whole(), len(a), op)
+		for i := range a {
+			if av.Data()[i] != want.Data()[i] {
+				t.Errorf("%v: in-place combine[%d] = %v, want %v", op, i, av.Data()[i], want.Data()[i])
+			}
+		}
+	}
+}
+
+func TestViewOverlaps(t *testing.T) {
+	b := AllocBuffer[float64](nil, 10)
+	other := AllocBuffer[float64](nil, 10)
+	for _, tc := range []struct {
+		x, y View
+		want bool
+	}{
+		{b.View(0, 5), b.View(5, 5), false},
+		{b.View(0, 6), b.View(5, 5), true},
+		{b.View(2, 3), b.Whole(), true},
+		{b.View(4, 0), b.Whole(), false},
+		{b.Whole(), other.Whole(), false},
+		{View{}, View{}, false},
+	} {
+		if got := tc.x.Overlaps(tc.y); got != tc.want {
+			t.Errorf("[%d,+%d) overlaps [%d,+%d) = %v, want %v", tc.x.Offset(), tc.x.Len(), tc.y.Offset(), tc.y.Len(), got, tc.want)
+		}
+		if tc.x.Overlaps(tc.y) != tc.y.Overlaps(tc.x) {
+			t.Errorf("Overlaps is not symmetric for [%d,+%d), [%d,+%d)", tc.x.Offset(), tc.x.Len(), tc.y.Offset(), tc.y.Len())
+		}
+	}
+}
+
+// TestReduceAllAliasing folds the same sources into a fresh destination, into
+// the first source and into a later source (an in-place rooted reduce or
+// reduce-scatter at a rank other than 0): the fold order, and so the bits,
+// must not depend on where the result accumulates.
+func TestReduceAllAliasing(t *testing.T) {
+	c, _ := newTestCluster(t, 1)
+	const n = 4
+	mk := func() []View {
+		srcs := make([]View, 3)
+		for r := range srcs {
+			b := AllocBuffer[float64](c.Devices[0], n)
+			for i := range b.Data() {
+				b.Data()[i] = 0.1 * float64(1+r*n+i) // inexact: order-sensitive
+			}
+			srcs[r] = b.Whole()
+		}
+		return srcs
+	}
+	fresh := AllocBuffer[float64](c.Devices[0], n)
+	ReduceAll(fresh.Whole(), mk(), n, ReduceSum)
+	for alias := range 3 {
+		srcs := mk()
+		ReduceAll(srcs[alias], srcs, n, ReduceSum)
+		for i := 0; i < n; i++ {
+			if got := srcs[alias].m.(*Buffer[float64]).data[i]; got != fresh.Data()[i] {
+				t.Errorf("dst aliasing source %d: elem %d = %v, want %v", alias, i, got, fresh.Data()[i])
+			}
+		}
+		for r, s := range srcs {
+			if r != alias && s.m.(*Buffer[float64]).data[0] != 0.1*float64(1+r*n) {
+				t.Errorf("dst aliasing source %d: source %d was written", alias, r)
+			}
+		}
+	}
+	if st := PoolStats[float64](c); st.Gets != 2 || st.Gets != st.Puts+st.Drops {
+		t.Errorf("scratch should be drawn only when dst aliases a later source, and released: %+v", st)
+	}
+}

@@ -11,6 +11,8 @@ package gpu
 import (
 	"fmt"
 	"reflect"
+
+	"repro/internal/buf"
 )
 
 // Elem constrains the element types usable in device buffers, mirroring the
@@ -53,7 +55,9 @@ type mem interface {
 	deviceID() int
 	copyFrom(src mem, dstOff, srcOff, n int)
 	reduceFrom(src mem, dstOff, srcOff, n int, op ReduceOp)
+	combineFrom(a, b mem, dstOff, aOff, bOff, n int, op ReduceOp)
 	clone(off, n int) mem
+	scratch(n int) mem
 	recycle()
 }
 
@@ -61,6 +65,11 @@ type mem interface {
 type Buffer[T Elem] struct {
 	dev  *Device
 	data []T
+	// pool is the owning cluster's staging arena for T, resolved on the
+	// buffer's first scratch/clone and inherited by the buffers drawn from
+	// it, so the steady-state data path never revisits the cluster's
+	// type-keyed pool table. Nil for a buffer with no cluster.
+	pool *buf.Pool[T]
 }
 
 // AllocBuffer allocates n elements on the device.
@@ -106,29 +115,36 @@ func (b *Buffer[T]) copyFrom(src mem, dstOff, srcOff, n int) {
 	copy(b.data[dstOff:dstOff+n], s.data[srcOff:srcOff+n])
 }
 
-// clone copies [off, off+n) into a detached buffer. The storage comes from
-// the owning cluster's staging arena when one is available: staging clones
-// (eager sends, rendezvous snapshots, collective scratch) are throwaways, and
-// drawing them from a pool keeps the steady-state data path allocation-free.
-// The pool returns unzeroed storage, which is safe here because the copy
-// overwrites all n elements before anything reads the clone.
-func (b *Buffer[T]) clone(off, n int) mem {
-	var data []T
-	if b.dev != nil && b.dev.cluster != nil {
-		data = poolFor[T](b.dev.cluster).Get(n)
-	} else {
-		data = make([]T, n)
+// scratch returns a detached buffer of n elements on b's device with
+// unspecified contents. The storage comes from the owning cluster's staging
+// arena when one is available: staging buffers (eager sends, rendezvous
+// snapshots, exchange scratch) are throwaways, and drawing them from a pool
+// keeps the steady-state data path allocation-free. The pool returns
+// unzeroed storage, so the caller must overwrite all n elements before
+// reading any.
+func (b *Buffer[T]) scratch(n int) mem {
+	if b.pool == nil && b.dev != nil && b.dev.cluster != nil {
+		b.pool = poolFor[T](b.dev.cluster)
 	}
-	copy(data, b.data[off:off+n])
-	return &Buffer[T]{dev: b.dev, data: data}
+	if b.pool == nil {
+		return &Buffer[T]{dev: b.dev, data: make([]T, n)}
+	}
+	return &Buffer[T]{dev: b.dev, data: b.pool.Get(n), pool: b.pool}
 }
 
-// recycle returns the buffer's storage to the owning cluster's arena and
-// poisons the buffer. Only clones are recycled (via View.Release); the nil
-// data acts as a use-after-release trap.
+// clone copies [off, off+n) into a detached scratch buffer.
+func (b *Buffer[T]) clone(off, n int) mem {
+	c := b.scratch(n).(*Buffer[T])
+	copy(c.data, b.data[off:off+n])
+	return c
+}
+
+// recycle returns the buffer's storage to the arena it was drawn from and
+// poisons the buffer. Only scratch buffers and clones are recycled (via
+// View.Release); the nil data acts as a use-after-release trap.
 func (b *Buffer[T]) recycle() {
-	if b.dev != nil && b.dev.cluster != nil && b.data != nil {
-		poolFor[T](b.dev.cluster).Put(b.data)
+	if b.pool != nil && b.data != nil {
+		b.pool.Put(b.data)
 	}
 	b.data = nil
 }
@@ -158,6 +174,44 @@ func (b *Buffer[T]) reduceFrom(src mem, dstOff, srcOff, n int, op ReduceOp) {
 		for i := range d {
 			if v[i] > d[i] {
 				d[i] = v[i]
+			}
+		}
+	default:
+		panic("gpu: unknown reduce op")
+	}
+}
+
+func (b *Buffer[T]) combineFrom(a, v mem, dstOff, aOff, vOff, n int, op ReduceOp) {
+	ab, aok := a.(*Buffer[T])
+	vb, vok := v.(*Buffer[T])
+	if !aok || !vok {
+		panic(fmt.Sprintf("gpu: combine between mismatched element types (%T, %T, %T)", b, a, v))
+	}
+	d := b.data[dstOff : dstOff+n]
+	x, y := ab.data[aOff:aOff+n], vb.data[vOff:vOff+n]
+	switch op {
+	case ReduceSum:
+		for i := range d {
+			d[i] = x[i] + y[i]
+		}
+	case ReduceProd:
+		for i := range d {
+			d[i] = x[i] * y[i]
+		}
+	case ReduceMin:
+		for i := range d {
+			if y[i] < x[i] {
+				d[i] = y[i]
+			} else {
+				d[i] = x[i]
+			}
+		}
+	case ReduceMax:
+		for i := range d {
+			if y[i] > x[i] {
+				d[i] = y[i]
+			} else {
+				d[i] = x[i]
 			}
 		}
 	default:
@@ -209,11 +263,16 @@ func (v View) DeviceID() int {
 	return v.m.deviceID()
 }
 
-// Clone copies the viewed elements into a detached buffer of the same
-// element type (used e.g. to stage eager-protocol messages). Cloning the
-// zero view returns the zero view. A clone's storage comes from its
-// cluster's staging arena; callers that know the clone is dead should hand
-// the storage back with Release.
+// Clone snapshots the viewed elements into a detached buffer of the same
+// element type. Use it only where a snapshot is semantically required — the
+// source may change before the copy is consumed (eager sends, sharded
+// rendezvous departures, RMA puts, a reduction's seeded accumulator). Where
+// the contents would be overwritten before being read, Scratch gives the
+// same storage without the copy; where a payload is only combined into a
+// destination, Reduce/Combine straight from the source need no staging at
+// all. Cloning the zero view returns the zero view. A clone's storage comes
+// from its cluster's staging arena; callers that know the clone is dead
+// should hand the storage back with Release.
 func (v View) Clone() View {
 	if v.m == nil {
 		return View{}
@@ -221,7 +280,19 @@ func (v View) Clone() View {
 	return View{m: v.m.clone(v.off, v.n), off: 0, n: v.n}
 }
 
-// Release returns a staging clone's storage to its cluster's arena and
+// Scratch returns a detached buffer of the view's length and element type
+// with unspecified contents: arena storage like a Clone's, minus the copy.
+// The caller must overwrite every element before reading any, and should
+// Release the buffer once it is dead. Scratch of the zero view is the zero
+// view.
+func (v View) Scratch() View {
+	if v.m == nil {
+		return View{}
+	}
+	return View{m: v.m.scratch(v.n), off: 0, n: v.n}
+}
+
+// Release returns a Clone's or Scratch's storage to its cluster's arena and
 // poisons the underlying buffer; later access through any view of it will
 // fault. Only whole-buffer views may be released — a partial view cannot
 // prove the rest of the buffer is dead — and releasing the zero view is a
@@ -250,14 +321,22 @@ func (v View) Slice(off, n int) View {
 // SameBuffer reports whether two views alias the same underlying buffer.
 func (v View) SameBuffer(o View) bool { return v.m == o.m }
 
+// Overlaps reports whether two views share at least one element.
+func (v View) Overlaps(o View) bool {
+	return v.m != nil && v.m == o.m && v.n > 0 && o.n > 0 && v.off < o.off+o.n && o.off < v.off+v.n
+}
+
 // Copy copies n elements from src to dst (dst[i] = src[i]). Views must have
-// the same element type.
+// the same element type. Copying a window onto itself is a no-op.
 func Copy(dst, src View, n int) {
 	if n == 0 {
 		return
 	}
 	if n > dst.n || n > src.n {
 		panic(fmt.Sprintf("gpu: copy of %d elements exceeds views (%d, %d)", n, dst.n, src.n))
+	}
+	if dst.m == src.m && dst.off == src.off {
+		return
 	}
 	dst.m.copyFrom(src.m, dst.off, src.off, n)
 }
@@ -271,4 +350,42 @@ func Reduce(dst, src View, n int, op ReduceOp) {
 		panic(fmt.Sprintf("gpu: reduce of %d elements exceeds views (%d, %d)", n, dst.n, src.n))
 	}
 	dst.m.reduceFrom(src.m, dst.off, src.off, n, op)
+}
+
+// Combine writes dst[i] = op(a[i], b[i]) elementwise for n elements: a
+// reduction whose left operand is read from a instead of dst, so seeding dst
+// with a copy of a and reducing b into it collapse into one pass. dst may be
+// exactly a or exactly b, but must not partially overlap either.
+func Combine(dst, a, b View, n int, op ReduceOp) {
+	if n == 0 {
+		return
+	}
+	if n > dst.n || n > a.n || n > b.n {
+		panic(fmt.Sprintf("gpu: combine of %d elements exceeds views (%d, %d, %d)", n, dst.n, a.n, b.n))
+	}
+	dst.m.combineFrom(a.m, b.m, dst.off, a.off, b.off, n, op)
+}
+
+// ReduceAll writes dst = op(…op(op(srcs[0], srcs[1]), srcs[2])…, srcs[k-1])
+// elementwise for n elements, folding in slice order so floating-point
+// results do not depend on where they accumulate. It accumulates in dst
+// itself, so dst may alias srcs[0]; when dst aliases a later source — which
+// would be overwritten before it is consumed — the fold runs in scratch
+// instead.
+func ReduceAll(dst View, srcs []View, n int, op ReduceOp) {
+	acc := dst
+	for _, s := range srcs[1:] {
+		if dst.Overlaps(s) {
+			acc = dst.Slice(0, n).Scratch()
+			break
+		}
+	}
+	Copy(acc, srcs[0], n)
+	for _, s := range srcs[1:] {
+		Reduce(acc, s, n, op)
+	}
+	if !acc.SameBuffer(dst) {
+		Copy(dst, acc, n)
+		acc.Release()
+	}
 }

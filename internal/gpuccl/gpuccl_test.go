@@ -95,22 +95,27 @@ func TestBroadcast(t *testing.T) {
 }
 
 func TestReduceToRoot(t *testing.T) {
-	runRanks(t, machine.Perlmutter(), 5, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-		send := gpu.AllocBuffer[int64](c.Device(), 3)
-		for i := range send.Data() {
-			send.Data()[i] = int64(c.Rank() + 1)
-		}
-		recv := gpu.AllocBuffer[int64](c.Device(), 3)
-		c.Reduce(p, s, send.Whole(), recv.Whole(), gpu.ReduceSum, 2)
-		s.Synchronize(p)
-		if c.Rank() == 2 {
-			for _, v := range recv.Data() {
-				if v != 15 {
-					t.Fatalf("reduce at root = %v", recv.Data())
+	for _, inPlace := range []bool{false, true} {
+		runRanks(t, machine.Perlmutter(), 5, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
+			send := gpu.AllocBuffer[int64](c.Device(), 3)
+			for i := range send.Data() {
+				send.Data()[i] = int64(c.Rank() + 1)
+			}
+			recv := gpu.AllocBuffer[int64](c.Device(), 3)
+			if inPlace { // the root's send buffer doubles as its result buffer
+				recv = send
+			}
+			c.Reduce(p, s, send.Whole(), recv.Whole(), gpu.ReduceSum, 2)
+			s.Synchronize(p)
+			if c.Rank() == 2 {
+				for _, v := range recv.Data() {
+					if v != 15 {
+						t.Fatalf("reduce at root (in place %v) = %v", inPlace, recv.Data())
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestAllGather(t *testing.T) {
@@ -135,24 +140,31 @@ func TestAllGather(t *testing.T) {
 
 func TestReduceScatter(t *testing.T) {
 	const n, count = 4, 3
-	runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-		send := gpu.AllocBuffer[float64](c.Device(), n*count)
-		for i := range send.Data() {
-			send.Data()[i] = float64(c.Rank()*n*count + i)
-		}
-		recv := gpu.AllocBuffer[float64](c.Device(), count)
-		c.ReduceScatter(p, s, send.Whole(), recv.Whole(), gpu.ReduceSum)
-		s.Synchronize(p)
-		for i := 0; i < count; i++ {
-			want := 0.0
-			for r := 0; r < n; r++ {
-				want += float64(r*n*count + c.Rank()*count + i)
+	for _, inPlace := range []bool{false, true} {
+		runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
+			send := gpu.AllocBuffer[float64](c.Device(), n*count)
+			for i := range send.Data() {
+				send.Data()[i] = float64(c.Rank()*n*count + i)
 			}
-			if recv.Data()[i] != want {
-				t.Errorf("rank %d recv[%d] = %v, want %v", c.Rank(), i, recv.Data()[i], want)
+			recv := gpu.AllocBuffer[float64](c.Device(), count).Whole()
+			if inPlace { // rank r's result overwrites chunk r of its own send buffer
+				recv = send.View(c.Rank()*count, count)
 			}
-		}
-	})
+			c.ReduceScatter(p, s, send.Whole(), recv, gpu.ReduceSum)
+			s.Synchronize(p)
+			got := gpu.AllocBuffer[float64](c.Device(), count)
+			gpu.Copy(got.Whole(), recv, count)
+			for i := 0; i < count; i++ {
+				want := 0.0
+				for r := 0; r < n; r++ {
+					want += float64(r*n*count + c.Rank()*count + i)
+				}
+				if got.Data()[i] != want {
+					t.Errorf("rank %d (in place %v) recv[%d] = %v, want %v", c.Rank(), inPlace, i, got.Data()[i], want)
+				}
+			}
+		})
+	}
 }
 
 func TestGroupedSendRecvExchange(t *testing.T) {

@@ -22,14 +22,13 @@ func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, 
 	c.submit(p, s, op{label: "allreduce", run: func(sp *sim.Proc) {
 		inst := c.instanceFor(key)
 		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
-			acc := inst.sends[0].Clone()
+			// Accumulate in rank 0's destination and fan out from it. Every
+			// send is consumed before any other destination — which may be
+			// its rank's send buffer — is overwritten.
+			gpu.ReduceAll(inst.recvs[0], inst.sends, count, opr)
 			for r := 1; r < n; r++ {
-				gpu.Reduce(acc, inst.sends[r], count, opr)
+				gpu.Copy(inst.recvs[r], inst.recvs[0], count)
 			}
-			for r := 0; r < n; r++ {
-				gpu.Copy(inst.recvs[r], acc, count)
-			}
-			acc.Release()
 		})
 		if sendBuf.Bytes() <= allReduceTreeMax {
 			// Latency-bound: recursive-doubling exchange (the library's
@@ -57,19 +56,13 @@ func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, 
 // toward the root).
 func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp, root int) {
 	key := c.opKey("reduce")
-	n := c.Size()
 	count := sendBuf.Len()
 	c.submit(p, s, op{label: "reduce", run: func(sp *sim.Proc) {
 		inst := c.instanceFor(key)
 		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
-			acc := inst.sends[0].Clone()
-			for r := 1; r < n; r++ {
-				gpu.Reduce(acc, inst.sends[r], count, opr)
-			}
 			if !inst.recvs[root].IsZero() {
-				gpu.Copy(inst.recvs[root], acc, count)
+				gpu.ReduceAll(inst.recvs[root], inst.sends, count, opr)
 			}
-			acc.Release()
 		})
 		c.runRing(sp, inst, c.pipelinePlan(sendBuf.Bytes(), root, false))
 	}})
@@ -126,13 +119,12 @@ func (c *Comm) ReduceScatter(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.Vi
 	c.submit(p, s, op{label: "reducescatter", run: func(sp *sim.Proc) {
 		inst := c.instanceFor(key)
 		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
+			chunks := make([]gpu.View, n)
 			for r := 0; r < n; r++ {
-				acc := inst.sends[0].Slice(r*count, count).Clone()
-				for src := 1; src < n; src++ {
-					gpu.Reduce(acc, inst.sends[src].Slice(r*count, count), count, opr)
+				for src := range chunks {
+					chunks[src] = inst.sends[src].Slice(r*count, count)
 				}
-				gpu.Copy(inst.recvs[r], acc, count)
-				acc.Release()
+				gpu.ReduceAll(inst.recvs[r], chunks, count, opr)
 			}
 		})
 		plan := make([]ringStep, n-1)

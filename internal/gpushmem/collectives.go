@@ -116,14 +116,13 @@ func (pe *PE) allReduceBody(p *sim.Proc, key instKey, send, recv gpu.View, opr g
 	count := send.Len()
 	n := pe.Size()
 	inst.arrive(p, pe, send, recv, key, func(inst *collInst) {
-		acc := inst.sends[0].Clone()
+		// Accumulate in rank 0's destination and fan out from it. Every
+		// send is consumed before any other destination — which may be
+		// its rank's send buffer — is overwritten.
+		gpu.ReduceAll(inst.recvs[0], inst.sends, count, opr)
 		for r := 1; r < n; r++ {
-			gpu.Reduce(acc, inst.sends[r], count, opr)
+			gpu.Copy(inst.recvs[r], inst.recvs[0], count)
 		}
-		for r := 0; r < n; r++ {
-			gpu.Copy(inst.recvs[r], acc, count)
-		}
-		acc.Release()
 	})
 	bytes := send.Bytes()
 	pe.exchangeRounds(p, inst, api, log2Ceil(n),

@@ -236,14 +236,13 @@ func (t *Team) AllReduceOnStream(p *sim.Proc, s *gpu.Stream, send, recv gpu.View
 		count := send.Len()
 		n := t.Size()
 		inst.arriveTeam(sp, t, send, recv, key, func(inst *collInst) {
-			acc := inst.sends[0].Clone()
+			// Accumulate in rank 0's destination and fan out from it. Every
+			// send is consumed before any other destination — which may be
+			// its rank's send buffer — is overwritten.
+			gpu.ReduceAll(inst.recvs[0], inst.sends, count, opr)
 			for r := 1; r < n; r++ {
-				gpu.Reduce(acc, inst.sends[r], count, opr)
+				gpu.Copy(inst.recvs[r], inst.recvs[0], count)
 			}
-			for r := 0; r < n; r++ {
-				gpu.Copy(inst.recvs[r], acc, count)
-			}
-			acc.Release()
 		})
 		bytes := send.Bytes()
 		t.exchangeRounds(sp, inst, log2Ceil(n),

@@ -116,6 +116,8 @@ func (c *Comm) Reduce(p *sim.Proc, sendBuf, recvBuf gpu.View, op gpu.ReduceOp, r
 	c.enterColl()
 	n := c.Size()
 	count := sendBuf.Len()
+	// The accumulator is a genuine snapshot: interior ranks have no result
+	// buffer to accumulate in, and sendBuf must stay untouched.
 	acc := sendBuf.Clone()
 	if n > 1 {
 		vrank := (c.rank - root + n) % n
@@ -128,10 +130,7 @@ func (c *Comm) Reduce(p *sim.Proc, sendBuf, recvBuf gpu.View, op gpu.ReduceOp, r
 			}
 			peer := vrank | mask
 			if peer < n {
-				tmp := acc.Clone()
-				c.Recv(p, tmp, (peer+root)%n, c.collTag(bitsOf(mask)))
-				gpu.Reduce(acc, tmp, count, op)
-				tmp.Release()
+				c.recvReduce(p, acc, acc, (peer+root)%n, c.collTag(bitsOf(mask)), op)
 			}
 			mask <<= 1
 		}
@@ -208,53 +207,67 @@ func (c *Comm) AllreduceAlg(p *sim.Proc, sendBuf, recvBuf gpu.View, op gpu.Reduc
 	c.enterColl()
 	n := c.Size()
 	count := sendBuf.Len()
-	if !sendBuf.SameBuffer(recvBuf) || sendBuf.Offset() != recvBuf.Offset() {
-		gpu.Copy(recvBuf, sendBuf, count)
-	}
 	if n == 1 {
+		gpu.Copy(recvBuf, sendBuf, count)
 		return
 	}
+	var hl hierLayout
 	switch alg {
 	case AlgRecursiveDoubling:
-		c.allreduceRecursiveDoubling(p, recvBuf, op)
-		return
 	case AlgRing:
 		if count < n {
 			panic(fmt.Sprintf("mpi: ring allreduce needs count >= size (%d < %d)", count, n))
 		}
-		c.allreduceRing(p, recvBuf, op)
-		return
 	case AlgHierarchical:
-		hl := c.hierLayout()
+		hl = c.hierLayout()
 		if !hl.ok {
 			panic("mpi: hierarchical allreduce requires a regular node-block layout (equal-size contiguous node blocks)")
 		}
 		if count < hl.local {
 			panic(fmt.Sprintf("mpi: hierarchical allreduce needs count >= ranks per node (%d < %d)", count, hl.local))
 		}
-		c.allreduceHierarchical(p, recvBuf, op, hl)
-		return
-	}
-	// AlgAuto, MPICH-style: the SMP-aware hierarchical algorithm for large
-	// vectors on multi-node communicators whose ranks pack regularly onto
-	// nodes (it needs real node locality to exploit: one rank per node
-	// degenerates to a plain tree, which the ring beats at these sizes),
-	// then ring for large vectors, recursive doubling for the rest.
-	if sendBuf.Bytes() >= allreduceHierMin {
-		if hl := c.hierLayout(); hl.ok && hl.local > 1 && count >= hl.local {
-			c.allreduceHierarchical(p, recvBuf, op, hl)
-			return
+	default:
+		// AlgAuto, MPICH-style: the SMP-aware hierarchical algorithm for large
+		// vectors on multi-node communicators whose ranks pack regularly
+		// onto nodes (it needs real node locality to exploit: one rank per
+		// node degenerates to a plain tree, which the ring beats at these
+		// sizes), then ring for large vectors, recursive doubling for the
+		// rest.
+		alg = AlgRecursiveDoubling
+		if sendBuf.Bytes() >= allreduceRingMin && count >= n {
+			alg = AlgRing
+		}
+		if sendBuf.Bytes() >= allreduceHierMin {
+			if hl = c.hierLayout(); hl.ok && hl.local > 1 && count >= hl.local {
+				alg = AlgHierarchical
+			}
 		}
 	}
-	if sendBuf.Bytes() >= allreduceRingMin && count >= n {
-		c.allreduceRing(p, recvBuf, op)
-		return
+	// The chunked algorithms read this rank's contribution from src and
+	// build the result in recvBuf, so an out-of-place call needs no seed
+	// copy: every chunk's first touch combines src with the incoming
+	// partial. Only a disjoint sendBuf can be read while recvBuf fills;
+	// anything else is seeded by copy and runs in place, like the
+	// whole-vector exchange of recursive doubling.
+	src := sendBuf
+	if alg == AlgRecursiveDoubling || sendBuf.SameBuffer(recvBuf) {
+		gpu.Copy(recvBuf, sendBuf, count)
+		src = recvBuf
 	}
-	c.allreduceRecursiveDoubling(p, recvBuf, op)
+	switch alg {
+	case AlgRing:
+		c.allreduceRing(p, src, recvBuf, op)
+	case AlgHierarchical:
+		c.allreduceHierarchical(p, src, recvBuf, op, hl)
+	default:
+		c.allreduceRecursiveDoubling(p, recvBuf, op)
+	}
 }
 
 // allreduceRecursiveDoubling handles any rank count by folding the ranks
-// beyond the largest power of two into their lower partners first.
+// beyond the largest power of two into their lower partners first. Partners
+// exchange whole vectors, so each round lands in scratch and is reduced from
+// there: reducing on receive would let a peer read a half-updated buf.
 func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.ReduceOp) {
 	n := c.Size()
 	count := buf.Len()
@@ -264,7 +277,6 @@ func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.Redu
 	}
 	rem := n - pof2
 	me := c.rank
-	tmp := buf.Clone()
 
 	// Fold phase: ranks >= pof2 send to (rank - rem) and sit out.
 	newRank := -1
@@ -272,14 +284,14 @@ func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.Redu
 	case me < rem*2 && me%2 != 0: // odd ranks in the doubled region send
 		c.Send(p, buf, me-1, c.collTag(200))
 	case me < rem*2: // even ranks in the doubled region absorb
-		c.Recv(p, tmp, me+1, c.collTag(200))
-		gpu.Reduce(buf, tmp, count, op)
+		c.recvReduce(p, buf, buf, me+1, c.collTag(200), op)
 		newRank = me / 2
 	default:
 		newRank = me - rem
 	}
 
 	if newRank >= 0 {
+		tmp := buf.Scratch()
 		for round, mask := 0, 1; mask < pof2; round, mask = round+1, mask*2 {
 			peerNew := newRank ^ mask
 			var peer int
@@ -292,6 +304,7 @@ func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.Redu
 				tmp, peer, c.collTag(round))
 			gpu.Reduce(buf, tmp, count, op)
 		}
+		tmp.Release()
 	}
 
 	// Unfold: results back to the odd ranks that sat out.
@@ -302,28 +315,30 @@ func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.Redu
 			c.Recv(p, buf, me-1, c.collTag(201))
 		}
 	}
-	tmp.Release()
+}
+
+// ringChunks splits count elements into k near-equal contiguous chunks and
+// returns the selector of chunk i (taken modulo k) of any count-element view.
+func ringChunks(count, k int) func(v gpu.View, i int) gpu.View {
+	starts := make([]int, k+1)
+	for i := range starts {
+		starts[i] = i * count / k
+	}
+	return func(v gpu.View, i int) gpu.View {
+		i = (i%k + k) % k
+		return v.Slice(starts[i], starts[i+1]-starts[i])
+	}
 }
 
 // allreduceRing implements reduce-scatter + allgather over a ring; it needs
-// count >= n.
-func (c *Comm) allreduceRing(p *sim.Proc, buf gpu.View, op gpu.ReduceOp) {
+// count >= n. This rank's contribution is read from src and the result built
+// in buf (src is buf itself for an in-place call).
+func (c *Comm) allreduceRing(p *sim.Proc, src, buf gpu.View, op gpu.ReduceOp) {
 	n := c.Size()
-	count := buf.Len()
 	me := c.rank
 	right := (me + 1) % n
 	left := (me - 1 + n) % n
-
-	// Chunk boundaries: chunk i is [starts[i], starts[i+1]).
-	starts := make([]int, n+1)
-	for i := 0; i <= n; i++ {
-		starts[i] = i * count / n
-	}
-	chunk := func(i int) gpu.View {
-		i = (i%n + n) % n
-		return buf.Slice(starts[i], starts[i+1]-starts[i])
-	}
-	tmp := buf.Clone()
+	chunk := ringChunks(buf.Len(), n)
 
 	// One tag per phase, not per step: each neighbour pair exchanges
 	// exactly one message per step and per-pair sequence admission keeps
@@ -332,30 +347,26 @@ func (c *Comm) allreduceRing(p *sim.Proc, buf gpu.View, op gpu.ReduceOp) {
 	// ranks.
 	//
 	// Reduce-scatter: after n-1 steps rank r holds the full reduction of
-	// chunk (r+1) mod n.
+	// chunk (r+1) mod n. Every step reduces on receive, and receives a chunk
+	// buf has not held before, so the incoming partial is combined with src's
+	// chunk; the first step forwards src's own chunk, later steps the
+	// partial the previous one left in buf.
+	out := chunk(src, me)
 	for step := 0; step < n-1; step++ {
-		sendIdx := me - step
-		recvIdx := me - step - 1
-		rv := chunk(recvIdx)
-		tmpChunk := tmpSlice(tmp, buf, rv)
-		c.Sendrecv(p, chunk(sendIdx), right, c.collTag(0),
-			tmpChunk, left, c.collTag(0))
-		gpu.Reduce(rv, tmpChunk, rv.Len(), op)
+		in := me - step - 1
+		c.sendrecvReduce(p, out, right, c.collTag(0),
+			chunk(buf, in), chunk(src, in), left, c.collTag(0), op)
+		out = chunk(buf, in)
 	}
-	// Allgather: circulate the finished chunks.
+	// Allgather: circulate the finished chunks. It overwrites every chunk
+	// but the one this rank finished — including chunk me, which the
+	// reduce-scatter never wrote.
 	for step := 0; step < n-1; step++ {
 		sendIdx := me + 1 - step
 		recvIdx := me - step
-		c.Sendrecv(p, chunk(sendIdx), right, c.collTag(1),
-			chunk(recvIdx), left, c.collTag(1))
+		c.Sendrecv(p, chunk(buf, sendIdx), right, c.collTag(1),
+			chunk(buf, recvIdx), left, c.collTag(1))
 	}
-	tmp.Release()
-}
-
-// tmpSlice returns the window of tmp that corresponds to the window rv of
-// buf (tmp is a clone of buf, so offsets align relative to the view starts).
-func tmpSlice(tmp, buf, rv gpu.View) gpu.View {
-	return tmp.Slice(rv.Offset()-buf.Offset(), rv.Len())
 }
 
 // hierMaxLocal caps the detected ranks-per-node block size so the intra-node
@@ -418,41 +429,36 @@ func (c *Comm) computeHierLayout() hierLayout {
 //
 // Tag layout (all < collRounds=1024): reduce-scatter 300+step (L <= 128),
 // tree reduce 600+level, tree broadcast 680, allgather 700+step.
-func (c *Comm) allreduceHierarchical(p *sim.Proc, buf gpu.View, op gpu.ReduceOp, hl hierLayout) {
-	count := buf.Len()
+func (c *Comm) allreduceHierarchical(p *sim.Proc, src, buf gpu.View, op gpu.ReduceOp, hl hierLayout) {
 	L, N := hl.local, hl.nodes
-	l := c.rank % L       // local index within the node block
-	b := c.rank / L       // node block index
-	base := b * L         // comm rank of the block's first member
+	l := c.rank % L // local index within the node block
+	b := c.rank / L // node block index
+	base := b * L   // comm rank of the block's first member
 	right := base + (l+1)%L
 	left := base + (l-1+L)%L
-
-	// Chunk boundaries over the local block: chunk i is [starts[i], starts[i+1]).
-	starts := make([]int, L+1)
-	for i := 0; i <= L; i++ {
-		starts[i] = i * count / L
-	}
-	chunk := func(i int) gpu.View {
-		i = (i%L + L) % L
-		return buf.Slice(starts[i], starts[i+1]-starts[i])
-	}
-	tmp := buf.Clone()
+	chunk := ringChunks(buf.Len(), L)
 
 	// Phase 1 — intra-node ring reduce-scatter: after L-1 steps local rank l
-	// holds the node-local reduction of chunk (l+1) mod L.
+	// holds the node-local reduction of chunk (l+1) mod L. As in
+	// allreduceRing, this rank's contribution is read from src (buf itself
+	// for an in-place call) and every receive is a reducing first touch of
+	// its chunk of buf.
+	out := chunk(src, l)
 	for step := 0; step < L-1; step++ {
-		sendIdx := l - step
-		recvIdx := l - step - 1
-		rv := chunk(recvIdx)
-		tmpChunk := tmpSlice(tmp, buf, rv)
-		c.Sendrecv(p, chunk(sendIdx), right, c.collTag(300+step),
-			tmpChunk, left, c.collTag(300+step))
-		gpu.Reduce(rv, tmpChunk, rv.Len(), op)
+		in := l - step - 1
+		c.sendrecvReduce(p, out, right, c.collTag(300+step),
+			chunk(buf, in), chunk(src, in), left, c.collTag(300+step), op)
+		out = chunk(buf, in)
 	}
 
 	// Phase 2 — inter-node binomial tree per chunk, among the N co-local
 	// peers {b'*L + l}: reduce toward block 0, then broadcast back down.
-	cv := chunk(l + 1)
+	// With one rank per node phase 1 never ran, and the whole vector still
+	// has to be seeded from src.
+	cv := chunk(buf, l+1)
+	if L == 1 {
+		gpu.Copy(cv, src, cv.Len())
+	}
 	mask := 1
 	for mask < N {
 		if b&mask != 0 {
@@ -462,9 +468,7 @@ func (c *Comm) allreduceHierarchical(p *sim.Proc, buf gpu.View, op gpu.ReduceOp,
 		}
 		peer := b | mask
 		if peer < N {
-			tmpChunk := tmpSlice(tmp, buf, cv)
-			c.Recv(p, tmpChunk, peer*L+l, c.collTag(600+bitsOf(mask)))
-			gpu.Reduce(cv, tmpChunk, cv.Len(), op)
+			c.recvReduce(p, cv, cv, peer*L+l, c.collTag(600+bitsOf(mask)), op)
 		}
 		mask <<= 1
 	}
@@ -495,10 +499,9 @@ func (c *Comm) allreduceHierarchical(p *sim.Proc, buf gpu.View, op gpu.ReduceOp,
 	for step := 0; step < L-1; step++ {
 		sendIdx := l + 1 - step
 		recvIdx := l - step
-		c.Sendrecv(p, chunk(sendIdx), right, c.collTag(700+step),
-			chunk(recvIdx), left, c.collTag(700+step))
+		c.Sendrecv(p, chunk(buf, sendIdx), right, c.collTag(700+step),
+			chunk(buf, recvIdx), left, c.collTag(700+step))
 	}
-	tmp.Release()
 }
 
 // Gather collects equal-size contributions into recvBuf on root (recvBuf

@@ -217,10 +217,29 @@ type postedRecv struct {
 	count    int
 	src, tag int
 	ctx      int
+	// seed, when non-zero, makes the receive a reduction: the payload lands
+	// as buf = op(seed, payload) instead of being copied (recvReduce).
+	seed gpu.View
+	op   gpu.ReduceOp
 	// done and status are embedded for the same single-allocation reason as
 	// header.sGate; Request points into the envelope.
 	done   sim.Gate
 	status Status
+}
+
+// land moves n payload elements into the receive buffer, straight from
+// wherever the protocol holds them (the eager or sharded-rendezvous snapshot,
+// or the live sender buffer of a serial rendezvous): a copy for an ordinary
+// receive, a single combining pass for a reducing one.
+func (pr *postedRecv) land(payload gpu.View, n int) {
+	switch {
+	case pr.seed.IsZero():
+		gpu.Copy(pr.buf, payload, n)
+	case pr.seed.SameBuffer(pr.buf) && pr.seed.Offset() == pr.buf.Offset():
+		gpu.Reduce(pr.buf, payload, n, pr.op)
+	default:
+		gpu.Combine(pr.buf, pr.seed, payload, n, pr.op)
+	}
 }
 
 func (pr *postedRecv) matches(h *header) bool {
@@ -345,6 +364,12 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 // Irecv starts a non-blocking receive into buf from src (comm rank or
 // AnySource) with the given tag (or AnyTag).
 func (c *Comm) Irecv(p *sim.Proc, buf gpu.View, src, tag int) *Request {
+	return c.irecv(p, buf, src, tag, gpu.View{}, 0)
+}
+
+// irecv is Irecv with the landing mode explicit: a non-zero seed posts a
+// reducing receive (see recvReduce), the zero seed an ordinary one.
+func (c *Comm) irecv(p *sim.Proc, buf gpu.View, src, tag int, seed gpu.View, op gpu.ReduceOp) *Request {
 	prof := c.profile()
 	p.Advance(prof.CallOverhead)
 
@@ -357,6 +382,7 @@ func (c *Comm) Irecv(p *sim.Proc, buf gpu.View, src, tag int) *Request {
 	}
 	pr := &postedRecv{
 		buf: buf, count: buf.Len(), src: srcWorld, tag: tag, ctx: c.ctx,
+		seed: seed, op: op,
 	}
 	pr.done.SetLabel("gate recv")
 	// Try the unexpected queue first (arrival order), then post.
@@ -387,6 +413,38 @@ func (c *Comm) Recv(p *sim.Proc, buf gpu.View, src, tag int) Status {
 // exchange).
 func (c *Comm) Sendrecv(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf gpu.View, src, recvTag int) Status {
 	rr := c.Irecv(p, recvBuf, src, recvTag)
+	sr := c.Isend(p, sendBuf, dst, sendTag)
+	st := rr.Wait(p)
+	sr.Wait(p)
+	return st
+}
+
+// recvReduce is Recv with reduction as the landing mode: the matched
+// message's elements are combined into buf as buf[i] = op(seed[i], msg[i])
+// in the one pass that would otherwise copy them, with no staging buffer in
+// between. seed is buf itself to accumulate in place, or another buffer
+// holding this rank's own contribution, which makes the receive buf's first
+// touch (buf need not be initialised, and seed is only read). Protocol,
+// matching, virtual time and event counts are exactly Recv's. The payload is
+// read where the protocol already holds it stable: the eager or sharded
+// rendezvous snapshot, or — serial rendezvous — the live sender buffer at
+// completion time, while the sender is still parked on its send gate; the
+// sender must therefore not receive into the window it is sending from
+// (sendrecvReduce asserts it).
+func (c *Comm) recvReduce(p *sim.Proc, buf, seed gpu.View, src, tag int, op gpu.ReduceOp) Status {
+	return c.irecv(p, buf, src, tag, seed, op).Wait(p)
+}
+
+// sendrecvReduce is Sendrecv whose receive half is a recvReduce. The send
+// and receive windows must be disjoint: a peer's reducing receive reads
+// sendBuf live, so this rank's own incoming reduction must not be writing
+// it.
+func (c *Comm) sendrecvReduce(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf, seed gpu.View, src, recvTag int, op gpu.ReduceOp) Status {
+	if sendBuf.Overlaps(recvBuf) {
+		panic(fmt.Sprintf("mpi: sendrecvReduce with overlapping send [%d,%d) and receive [%d,%d) windows of one buffer",
+			sendBuf.Offset(), sendBuf.Offset()+sendBuf.Len(), recvBuf.Offset(), recvBuf.Offset()+recvBuf.Len()))
+	}
+	rr := c.irecv(p, recvBuf, src, recvTag, seed, op)
 	sr := c.Isend(p, sendBuf, dst, sendTag)
 	st := rr.Wait(p)
 	sr.Wait(p)
@@ -461,7 +519,7 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 	if h.eager {
 		// Payload already arrived with the envelope: unpack, hand the
 		// staging buffer back to the arena, and complete.
-		gpu.Copy(pr.buf, h.staged, h.count)
+		pr.land(h.staged, h.count)
 		h.staged.Release()
 		pr.done.Fire(eng)
 		return
@@ -498,7 +556,7 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 			return
 		}
 		eng.After(arrive.Sub(eng.Now()), func() {
-			gpu.Copy(pr.buf, h.srcBuf, h.count)
+			pr.land(h.srcBuf, h.count)
 			pr.done.Fire(eng)
 			h.sGate.Fire(eng)
 		})
@@ -546,7 +604,7 @@ func (ep *Endpoint) deliverRendezvousSharded(h *header, pr *postedRecv, cd *sim.
 			cd.Post(srcNode, dstNode, depart.Add(booked.Latency), func(dstEng *sim.Engine) {
 				arrive := fab.RecvInter(dstEng.Now(), h.src, h.dst, bytes, booked)
 				dstEng.After(arrive.Sub(dstEng.Now()), func() {
-					gpu.Copy(pr.buf, staged, h.count)
+					pr.land(staged, h.count)
 					staged.Release()
 					pr.done.Fire(dstEng)
 				})

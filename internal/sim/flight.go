@@ -67,8 +67,8 @@ type FlightEntry struct {
 	// Seq is the entry's position in the recorder's total history (the
 	// first recorded entry is 1); it survives ring wrap, so a dump shows
 	// how much history was discarded.
-	Seq uint64
-	At  Time
+	Seq  uint64
+	At   Time
 	Kind FlightKind
 	// Proc is the process the action concerns ("" for engine callbacks and
 	// run-level stop entries).

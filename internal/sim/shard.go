@@ -54,9 +54,9 @@ type message struct {
 // only arise from a lookahead smaller than the real minimum link latency.
 type Conduit struct {
 	engines   []*Engine
-	shardOf   []int    // node -> shard
+	shardOf   []int       // node -> shard
 	outbox    [][]message // per source shard
-	seqs      []uint64 // per source node
+	seqs      []uint64    // per source node
 	windowEnd Time
 }
 

@@ -176,12 +176,12 @@ type WorkerStatus struct {
 // RunStatus is the point-in-time progress of one sweep, as served by
 // /debug/runs.
 type RunStatus struct {
-	Label          string         `json:"label"`
-	Total          int            `json:"total"`
-	Done           int            `json:"done"`
-	Workers        int            `json:"workers"`
-	Ended          bool           `json:"ended"`
-	ElapsedSeconds float64        `json:"elapsed_seconds"`
+	Label          string  `json:"label"`
+	Total          int     `json:"total"`
+	Done           int     `json:"done"`
+	Workers        int     `json:"workers"`
+	Ended          bool    `json:"ended"`
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// ETASeconds extrapolates the remaining cells from the mean wall time
 	// of the completed ones; negative when no cell has finished yet (no
 	// basis for a rate).
