@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: telemetry.ReadHeaderTimeout}
 	fmt.Fprintf(os.Stderr, "uniconn-serve on http://%s  (/query /stats /metrics /healthz)\n",
 		ln.Addr())
 	errCh := make(chan error, 1)

@@ -8,6 +8,8 @@ package bench
 // legitimately time contended inter-node transfers differently).
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,6 +65,27 @@ func TestAllreduceCellShardsDeterministic(t *testing.T) {
 				t.Fatalf("rank %d elem %d diverged: shards=1 %v, shards=4 %v",
 					r, i, out1[r][i], out4[r][i])
 			}
+		}
+	}
+}
+
+// TestProcessorCountCannotChangeAnswer runs the serial 64-rank cell and its
+// Shards: 4 counterpart at GOMAXPROCS 1 and 4: the trampoline resumes every
+// rank on whichever thread runs the engine (for a shard, its worker), so how
+// many processors the host offers must not reach a virtual-time result.
+func TestProcessorCountCannotChangeAnswer(t *testing.T) {
+	const ranks, elems, iters = 64, 256, 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shards := range []int{0, 4} {
+		runtime.GOMAXPROCS(1)
+		end1, out1 := runAllreduceCellShards(t, shards, ranks, elems, iters)
+		runtime.GOMAXPROCS(4)
+		end4, out4 := runAllreduceCellShards(t, shards, ranks, elems, iters)
+		if end1 != end4 {
+			t.Fatalf("shards=%d: finish time diverged: GOMAXPROCS=1 %v, GOMAXPROCS=4 %v", shards, end1, end4)
+		}
+		if !reflect.DeepEqual(out1, out4) {
+			t.Fatalf("shards=%d: result vectors diverged between GOMAXPROCS 1 and 4", shards)
 		}
 	}
 }

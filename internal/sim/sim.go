@@ -3,23 +3,24 @@
 // cluster fabric, and communication backends execute.
 //
 // Every simulated activity (a rank's host program, a GPU stream, a NIC
-// progress engine) is a Proc: a goroutine that runs cooperatively under the
-// engine's scheduler. Exactly one Proc executes at any instant, and runnable
-// Procs are ordered by (virtual time, sequence number), so a simulation is
-// bit-for-bit deterministic across runs and platforms. Virtual time is kept
-// in integer nanoseconds.
+// progress engine) is a Proc: a runtime coroutine (iter.Pull) that runs
+// cooperatively under the engine's scheduler. Exactly one Proc executes at
+// any instant, and runnable Procs are ordered by (virtual time, sequence
+// number), so a simulation is bit-for-bit deterministic across runs and
+// platforms. Virtual time is kept in integer nanoseconds.
 //
-// Scheduling uses a direct handoff: the goroutine that holds the run token
-// (the "ball") pops the next event itself and either continues running (its
-// own wake — zero scheduler transfers), runs an engine callback inline, or
-// hands the ball straight to the next process with a single channel send.
-// The Run goroutine only parks until the simulation stops; it is not an
-// intermediary on the event path. See DESIGN.md §11 for the protocol and
-// its invariants.
+// Scheduling is a trampoline: whoever holds the run token (the "ball") pops
+// the next event itself and either continues running (its own wake — no
+// switch at all), runs an engine callback inline, or names the next process
+// in Engine.next and yields to Run, which switches straight into it. A
+// hand-off is two coroutine switches on one thread; it never passes through
+// a channel, the run queue or another OS thread. See DESIGN.md §11 for the
+// protocol and its invariants.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -98,22 +99,12 @@ type Engine struct {
 	live  int // non-daemon procs spawned and not yet finished
 	alive map[*Proc]bool
 
-	// Stop protocol. While processes run, the Run goroutine parks on driver;
-	// whichever goroutine ends the simulation (queue drained, watchdog,
-	// panic, abort) records stopErr and sends one token. stopLocal covers
-	// the case where Run's own dispatch call ends the simulation before any
-	// handoff happened, so no token is in flight. Both fields are only
-	// touched by the ball holder, and the driver channel send/receive orders
-	// stopErr between goroutines.
-	driver    chan struct{}
-	stopErr   error
-	stopLocal bool
-
-	// Teardown. dead is closed by Close to unwind parked goroutines; each
-	// acknowledges on exited without touching any other engine state.
-	dead   chan struct{}
-	exited chan struct{}
-	closed bool
+	// Hand-off. next is the process the trampoline in Run/RunWindow switches
+	// to once the current ball holder has yielded or finished; nil ends the
+	// run with stopErr as its outcome. Only the ball holder writes either.
+	next    *Proc
+	stopErr error
+	closed  bool
 
 	running  bool
 	trace    func(string)
@@ -131,28 +122,24 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		alive:  map[*Proc]bool{},
-		driver: make(chan struct{}),
-		dead:   make(chan struct{}),
-		exited: make(chan struct{}),
-	}
+	return &Engine{alive: map[*Proc]bool{}}
 }
 
-// Close terminates all remaining process goroutines (including daemons).
-// Call it once the simulation is finished; the engine is unusable afterward.
+// Close terminates all remaining processes (including daemons). Call it once
+// the simulation is finished, never from inside it; the engine is unusable
+// afterward.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	close(e.dead)
-	// Every remaining goroutine is parked in a select on its resume channel
-	// and e.dead; each unwinds via the killed sentinel and acknowledges
-	// here. The killed path mutates no engine state, so reading alive while
-	// they unwind is safe.
-	for n := len(e.alive); n > 0; n-- {
-		<-e.exited
+	// Each remaining coroutine is parked in yield or was never started.
+	// stop makes a parked yield report false, so the process unwinds via the
+	// killed sentinel on this goroutine, one at a time, and returns only
+	// once it is gone; an unstarted one exits without running its body. The
+	// killed path mutates no engine state, so the order is immaterial.
+	for p := range e.alive {
+		p.stop()
 	}
 	clear(e.alive)
 }
@@ -178,13 +165,19 @@ func (e *Engine) tracef(format string, args ...any) {
 	}
 }
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
+// Proc is a simulated process: a coroutine scheduled cooperatively by the
 // engine. All blocking methods (Advance, waits on conditions) must be called
-// from the process's own goroutine.
+// from the process's own body.
 type Proc struct {
-	eng         *Engine
-	name        string
-	resume      chan struct{}
+	eng  *Engine
+	name string
+
+	// The coroutine (iter.Pull). Run's trampoline calls next to switch in,
+	// the body calls yield to switch back out, Close calls stop.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
 	id          uint64
 	daemon      bool
 	wakePending bool
@@ -242,19 +235,18 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return e.spawnAt(t, name, fn, false)
 }
 
-// killed is the sentinel panic value used by Close to unwind daemon
-// goroutines.
+// killed is the sentinel panic value that unwinds a process parked when
+// Close stops it.
 type killed struct{}
 
 func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Proc {
+	if e.closed {
+		panic("sim: Spawn on closed engine")
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) in the past (now %v)", t, e.now))
 	}
-	// resume is buffered so a handoff to a goroutine that has not yet
-	// reached its first select (spawn start) deposits the token without
-	// blocking the sender. At most one token is ever outstanding
-	// (wakePending invariant).
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}, 1), id: e.seq, daemon: daemon}
+	p := &Proc{eng: e, name: name, id: e.seq, daemon: daemon}
 	if !daemon {
 		e.live++
 	}
@@ -265,21 +257,16 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 		e.fr.record(e.now, FlightSpawn, name, "", -1)
 	}
 	e.alive[p] = true
-	go func() {
+	// The body starts at the first next(), i.e. when the spawn event is
+	// dispatched; a process stopped before that never runs it.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			if _, ok := r.(killed); ok {
-				// Unwound by Close: the engine is being torn down
-				// concurrently, so only acknowledge — no state changes.
-				e.exited <- struct{}{}
-				return
-			}
-			// The goroutine still holds the ball here; procExit retires the
-			// process and continues dispatching on this stack.
-			switch v := r.(type) {
-			case nil:
-				e.procExit(p, nil, nil)
-			case crashedProc:
+			// Unless Close unwound it, the process still holds the ball here;
+			// procExit retires it and continues dispatching on this stack.
+			switch v := recover().(type) {
+			case killed: // unwound by Close: no state changes
+			case nil, crashedProc:
 				// A killed (crashed) process counts as a clean finish:
 				// the simulation keeps running on the survivors.
 				e.procExit(p, nil, nil)
@@ -289,16 +276,11 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 				e.procExit(p, v, nil)
 			}
 		}()
-		select {
-		case <-p.resume:
-		case <-e.dead:
-			panic(killed{})
-		}
 		if p.crashed {
 			panic(crashedProc{})
 		}
 		fn(p)
-	}()
+	})
 	e.schedule(t, p, nil, "spawn")
 	return p
 }
@@ -356,13 +338,13 @@ func (e *Engine) wake(p *Proc, t Time, why string) {
 	e.schedule(t, p, nil, why)
 }
 
-// dispatch runs the event loop on the calling goroutine until the ball is
-// handed to another process or the simulation stops. self identifies the
-// calling goroutine's process (nil for the Run goroutine). It returns true
-// when the next runnable event resumes self — the fast path: the caller
-// just keeps executing, with no scheduler transfer at all. Engine callbacks
-// (pure-delay timers, deferred deliveries) run inline on this stack, so
-// they never wake a goroutine either.
+// dispatch runs the event loop on the calling stack until the next event
+// belongs to another process (left in e.next for the trampoline) or the
+// simulation stops. self identifies the calling process (nil for Run
+// itself). It returns true when the next runnable event resumes self — the
+// fast path: the caller just keeps executing, with no switch at all. Engine
+// callbacks (pure-delay timers, deferred deliveries) run inline on this
+// stack, so they never switch either.
 func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 	for {
 		if e.limit != 0 {
@@ -372,16 +354,16 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			// so termination is decided by the group, not locally.
 			if next := e.q.peek(); next == nil || next.at >= e.limit {
 				e.paused = true
-				e.stop(self, nil)
+				e.stop(nil)
 				return false
 			}
 		}
 		ev := e.q.pop()
 		if ev == nil {
 			if e.live > 0 {
-				e.stop(self, &DeadlockError{At: e.now, Waiting: e.waitingList()})
+				e.stop(&DeadlockError{At: e.now, Waiting: e.waitingList()})
 			} else {
-				e.stop(self, nil)
+				e.stop(nil)
 			}
 			return false
 		}
@@ -391,7 +373,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		if e.deadline > 0 && ev.at > e.deadline {
 			// The event is dropped, not released: a canceled proc event may
 			// still be referenced as a pendingEv, and the engine is done.
-			e.stop(self, &TimeoutError{Deadline: e.deadline, At: ev.at, Waiting: e.waitingList()})
+			e.stop(&TimeoutError{Deadline: e.deadline, At: ev.at, Waiting: e.waitingList()})
 			return false
 		}
 		e.now = ev.at
@@ -414,7 +396,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 				e.fr.record(e.now, FlightCallback, "", "", -1)
 			}
 			if err := e.runCallback(fn); err != nil {
-				e.stop(self, err)
+				e.stop(err)
 				return false
 			}
 			continue
@@ -431,28 +413,23 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		if p == self {
 			return true
 		}
-		p.resume <- struct{}{}
+		e.next = p
 		return false
 	}
 }
 
-// stop ends the run: it records the outcome and wakes the Run goroutine.
-// When Run's own dispatch is the caller (self == nil) no token is needed —
-// the outcome is read directly.
-func (e *Engine) stop(self *Proc, err error) {
+// stop ends the run: it records the outcome and leaves the trampoline
+// nothing to switch to, so Run returns once the caller has yielded.
+func (e *Engine) stop(err error) {
 	if e.fr != nil && err != nil {
 		e.fr.record(e.now, FlightStop, "", err.Error(), -1)
 	}
 	e.stopErr = err
-	if self == nil {
-		e.stopLocal = true
-		return
-	}
-	e.driver <- struct{}{}
+	e.next = nil
 }
 
-// procExit retires a finished process while its goroutine still holds the
-// ball, then either continues dispatching on this stack or ends the run.
+// procExit retires a finished process while it still holds the ball, then
+// either continues dispatching on this stack or ends the run.
 func (e *Engine) procExit(p *Proc, panicked any, aborted error) {
 	if !p.daemon {
 		e.live--
@@ -468,19 +445,19 @@ func (e *Engine) procExit(p *Proc, panicked any, aborted error) {
 		e.tracef("finish %s", p.name)
 	}
 	if panicked != nil {
-		e.stop(p, &PanicError{Proc: p.name, Value: panicked})
+		e.stop(&PanicError{Proc: p.name, Value: panicked})
 		return
 	}
 	if aborted != nil {
 		// %w keeps errors.Is/As working on the typed failure
 		// (e.g. *RankFailedError) for callers of Run.
-		e.stop(p, fmt.Errorf("sim: process %q failed: %w", p.name, aborted))
+		e.stop(fmt.Errorf("sim: process %q failed: %w", p.name, aborted))
 		return
 	}
 	e.dispatch(p)
 }
 
-// park is called from a process goroutine: it hands off the ball and blocks
+// park is called from a process body: it hands off the ball and blocks
 // until resumed. why is reported in deadlock diagnostics; it must be a
 // static string (parkFor carries a duration detail without formatting).
 func (p *Proc) park(why string) { p.parkFor(why, -1) }
@@ -488,8 +465,8 @@ func (p *Proc) park(why string) { p.parkFor(why, -1) }
 // parkFor parks with a duration detail that deadlock/timeout diagnostics
 // format lazily, keeping fmt out of the park hot path. The process itself
 // dispatches the next events: if the first non-callback event is its own
-// wake it simply returns (no goroutine switch); otherwise it hands the ball
-// to the next process and blocks.
+// wake it simply returns (no switch); otherwise it yields to the trampoline,
+// which switches to the process dispatch named.
 func (p *Proc) parkFor(why string, d Duration) {
 	e := p.eng
 	p.parked = true
@@ -501,12 +478,8 @@ func (p *Proc) parkFor(why string, d Duration) {
 	if e.fr != nil {
 		e.fr.record(e.now, FlightPark, p.name, why, d)
 	}
-	if !e.dispatch(p) {
-		select {
-		case <-p.resume:
-		case <-e.dead:
-			panic(killed{})
-		}
+	if !e.dispatch(p) && !p.yield(struct{}{}) {
+		panic(killed{})
 	}
 	p.wakePending = false
 	p.parked = false
@@ -617,21 +590,30 @@ func (e *Engine) runCallback(fn func()) (err error) {
 // remain blocked forever, or a *PanicError if a process (or an engine
 // callback) panicked.
 //
-// Run's goroutine is not on the event path: it starts the dispatch chain and
-// then parks until some goroutine ends the simulation. All intermediate
-// transfers go process-to-process.
-func (e *Engine) Run() error {
+// Run's goroutine is the trampoline every hand-off bounces through: a
+// process that cannot continue yields here, and Run switches to the one
+// dispatch chose. runtime.Goexit in a process body therefore ends Run's
+// caller.
+func (e *Engine) Run() error { return e.run(0) }
+
+// run is Run (limit 0) and RunWindow.
+func (e *Engine) run(limit Time) error {
+	if e.closed {
+		panic("sim: Run on closed engine")
+	}
 	if e.running {
 		panic("sim: Engine.Run reentered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
-	e.stopErr, e.stopLocal = nil, false
+	defer func() { e.running, e.limit = false, 0 }()
+	e.limit = limit
+	e.stopErr, e.paused = nil, false
 	e.dispatch(nil)
-	if !e.stopLocal {
-		<-e.driver
+	for e.next != nil {
+		p := e.next
+		e.next = nil
+		p.next()
 	}
-	e.stopLocal = false
 	return e.stopErr
 }
 
@@ -641,25 +623,10 @@ func (e *Engine) Run() error {
 // Group to advance shards in conservative-lookahead rounds: an empty queue
 // pauses instead of deadlocking, because with multiple shards new events may
 // still arrive through the conduit between windows. Processes parked at the
-// boundary stay blocked on their resume channels and continue seamlessly in
-// the next window. Termination (clean finish or deadlock) is decided by the
-// group across all shards, never by one window.
-func (e *Engine) RunWindow(limit Time) error {
-	if e.running {
-		panic("sim: Engine.RunWindow reentered")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	e.limit = limit
-	e.stopErr, e.stopLocal, e.paused = nil, false, false
-	e.dispatch(nil)
-	if !e.stopLocal {
-		<-e.driver
-	}
-	e.stopLocal = false
-	e.limit = 0
-	return e.stopErr
-}
+// boundary stay suspended in yield and continue seamlessly in the next
+// window. Termination (clean finish or deadlock) is decided by the group
+// across all shards, never by one window.
+func (e *Engine) RunWindow(limit Time) error { return e.run(limit) }
 
 // InjectAt schedules a cross-shard callback at absolute time t. Only the
 // shard group calls it, between windows, to merge conduit messages into the

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func mustRun(t *testing.T, e *Engine) {
@@ -535,6 +534,11 @@ func TestEngineCallbackPanicBecomesError(t *testing.T) {
 	e.Close()
 }
 
+// TestCloseAfterFailedRunLeaksNoGoroutines covers every state Close can find
+// a process in after a run that failed: never started, parked mid-Advance,
+// parked on a primitive, a parked daemon, and already gone by its own panic.
+// Close unwinds each coroutine synchronously and returns only once the last
+// is gone, so the count is back at the baseline with no settling time.
 func TestCloseAfterFailedRunLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
@@ -549,21 +553,162 @@ func TestCloseAfterFailedRunLeaksNoGoroutines(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			e.Spawn("stuck", func(p *Proc) { g.Wait(p) })
 		}
-		if _, ok := e.Run().(*DeadlockError); !ok {
-			t.Fatal("expected deadlock")
+		e.Spawn("advancing", func(p *Proc) { p.Advance(1000) })
+		started := false
+		e.SpawnAt(500, "never-started", func(p *Proc) { started = true })
+		e.Spawn("boom", func(p *Proc) {
+			p.Advance(10)
+			panic("kablam")
+		})
+		if pe, ok := e.Run().(*PanicError); !ok || pe.Proc != "boom" {
+			t.Fatal("expected boom's PanicError")
 		}
 		e.Close()
-	}
-	// Termination is synchronous in Close, but give the runtime a few
-	// scheduling quanta to retire the unwound goroutines.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
+		if started {
+			t.Fatal("Close ran the body of a process that had never started")
 		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines: before %d, after %d", before, n)
+	}
+}
+
+// TestCloseRunsDeferredOnce pins the unwind: a process parked when Close
+// stops it runs its deferred functions exactly once, on Close's goroutine,
+// and Close is idempotent.
+func TestCloseRunsDeferredOnce(t *testing.T) {
+	e := NewEngine()
+	g := NewGate("never")
+	deferred := map[string]int{}
+	for _, name := range []string{"a", "b"} {
+		e.Spawn(name, func(p *Proc) {
+			defer func() { deferred[p.Name()]++ }()
+			g.Wait(p)
+			t.Error("a killed process continued past its park")
+		})
+	}
+	e.SpawnDaemon("d", func(p *Proc) {
+		defer func() { deferred["d"]++ }()
+		NewMailbox[int]("never").Get(p)
+	})
+	if _, ok := e.Run().(*DeadlockError); !ok {
+		t.Fatal("expected deadlock")
+	}
+	if len(deferred) != 0 {
+		t.Fatalf("deferred functions ran before Close: %v", deferred)
+	}
+	e.Close()
+	e.Close()
+	if len(deferred) != 3 || deferred["a"] != 1 || deferred["b"] != 1 || deferred["d"] != 1 {
+		t.Fatalf("deferred runs = %v, want each of a, b, d exactly once", deferred)
+	}
+}
+
+func wantPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestClosedEngineRefusesSpawnAndRun: a process spawned after Close could
+// never be started or stopped (it used to leak a goroutine forever), and a
+// run would find every process gone; both are caller bugs and panic.
+func TestClosedEngineRefusesSpawnAndRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) { p.Advance(1) })
+	mustRun(t, e)
+	body := func(p *Proc) { t.Error("process on a closed engine ran") }
+	wantPanic(t, "sim: Spawn on closed engine", func() { e.Spawn("late", body) })
+	wantPanic(t, "sim: Spawn on closed engine", func() { e.SpawnDaemon("late", body) })
+	wantPanic(t, "sim: Spawn on closed engine", func() { e.SpawnAt(5, "late", body) })
+	wantPanic(t, "sim: Run on closed engine", func() { e.Run() })
+	wantPanic(t, "sim: Run on closed engine", func() { e.RunWindow(10) })
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines: before %d, after %d", before, n)
+	}
+}
+
+// TestSpawnFromProcAndCallback: a process may be created by whoever holds
+// the ball — another process or an engine callback — and starts at its spawn
+// event like any other, in sequence order.
+func TestSpawnFromProcAndCallback(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	note := func(p *Proc) { log = append(log, fmt.Sprintf("%s@%v", p.Name(), p.Now())) }
+	e.Spawn("parent", func(p *Proc) {
+		e.Spawn("child", func(c *Proc) {
+			note(c)
+			c.Advance(5)
+			note(c)
+		})
+		e.After(3, func() { e.Spawn("from-callback", note) })
+		note(p)
+		p.Advance(4)
+		note(p)
+	})
+	mustRun(t, e)
+	want := "[parent@0ns child@0ns from-callback@3ns parent@4ns child@5ns]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// TestGoexitInProcEndsRunsCaller pins the documented consequence of running
+// processes as coroutines of Run: runtime.Goexit in a process body (what
+// t.FailNow does) unwinds the goroutine that called Run, and Close still
+// reclaims the rest.
+func TestGoexitInProcEndsRunsCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Spawn("other", func(p *Proc) { p.Advance(100) })
+		e.Spawn("exits", func(p *Proc) {
+			p.Advance(1)
+			runtime.Goexit()
+		})
+		e.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned although a process called runtime.Goexit")
+	}
+	e.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines: before %d, after %d", before, n)
+	}
+}
+
+// TestSpawnAllocationGuard pins what one process costs to create, run and
+// retire: the Proc, its body closure, its spawn event's share, and
+// iter.Pull's coroutine bookkeeping (about ten small objects). The
+// benchmark's rt.allocs_per_op moves with this number times the processes
+// per cell, so it must not creep.
+func TestSpawnAllocationGuard(t *testing.T) {
+	const procs = 500
+	avg := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for i := 0; i < procs; i++ {
+			e.Spawn("p", func(p *Proc) { p.Advance(Nanosecond) })
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+	})
+	if perProc := avg / procs; perProc > 15 {
+		t.Errorf("spawning a process allocates %.1f objects (%.0f per %d-process run), want <= 15",
+			perProc, avg, procs)
+	}
 }
 
 // TestAdvanceAllocationGuard pins the steady-state allocation cost of

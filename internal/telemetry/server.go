@@ -27,10 +27,16 @@ import (
 	"repro/internal/metrics"
 )
 
+// ReadHeaderTimeout is how long a connection may take to deliver its request
+// headers before this server and uniconn-serve drop it. Without a bound, every
+// client that stalls mid-header holds a connection and its goroutine forever.
+const ReadHeaderTimeout = 10 * time.Second
+
 // Server serves the live endpoints for one tracker.
 type Server struct {
-	t   *Tracker
-	mux *http.ServeMux
+	t             *Tracker
+	mux           *http.ServeMux
+	headerTimeout time.Duration // ReadHeaderTimeout; tests shorten it before Start
 
 	mu      sync.Mutex
 	prev    map[string]metrics.Snapshot // per-client-key delta baselines
@@ -41,7 +47,7 @@ type Server struct {
 // NewServer returns a server for t (which may be nil: the endpoints then
 // serve empty progress and metrics, still useful as a liveness check).
 func NewServer(t *Tracker) *Server {
-	s := &Server{t: t, prev: map[string]metrics.Snapshot{}}
+	s := &Server{t: t, prev: map[string]metrics.Snapshot{}, headerTimeout: ReadHeaderTimeout}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -61,7 +67,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: s.headerTimeout}
 	s.mu.Lock()
 	s.ln, s.httpSrv = ln, srv
 	s.mu.Unlock()

@@ -3,10 +3,12 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -226,5 +228,35 @@ func TestServerStartClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server still serving after Close")
+	}
+}
+
+// TestStalledHeadersAreDisconnected: a client that opens a connection and
+// never finishes its request headers is dropped once the header timeout
+// passes, instead of holding the connection for the life of the process.
+func TestStalledHeadersAreDisconnected(t *testing.T) {
+	s := NewServer(NewTracker())
+	if s.headerTimeout != ReadHeaderTimeout || ReadHeaderTimeout != 10*time.Second {
+		t.Fatalf("header timeout = %v (const %v), want 10s", s.headerTimeout, ReadHeaderTimeout)
+	}
+	s.headerTimeout = 50 * time.Millisecond
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The deadline only bounds the failure case: without ReadHeaderTimeout
+	// the server waits for the rest of the headers and this read times out.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rest, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept the stalled connection open (read %q, err %v)", rest, err)
 	}
 }
