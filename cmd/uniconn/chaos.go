@@ -1,0 +1,260 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+
+	"repro/internal/bench"
+	"repro/internal/fabric"
+	"repro/internal/faults"
+	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/spec"
+)
+
+func parseSeverities(s string) ([]float64, error) {
+	var out []float64
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad severity %q: %w", f, err)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("severity %g is negative", v)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// recoveryMode runs the hard-fault severity sweep per topology and backend
+// and prints one table section per topology. The printed table carries
+// virtual-time quantities only, so its bytes are identical at every -shards
+// count >= 1 and with -live on or off (the golden test and CI compare them).
+// With -flight > 0 each faulted cell's flight-recorder post-mortem lands on
+// stderr.
+func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.Lib, severities []float64, ranks int, seed uint64, topologies []fabric.TopologyConfig, flightDepth int) error {
+	fmt.Fprintf(stdout, "recovery sweep on %s, %d ranks, seed %d (crashes from severity 0.5, link/switch faults from 0.5-0.75)\n",
+		m.Name, ranks, seed)
+	for _, tc := range topologies {
+		// The sweep's generated plans and launched runs must agree on the
+		// topology. Resolve auto-sized parameters up front so the section
+		// header names the actual fabric (fattree(k=4), not k=0).
+		mt := spec.WithTopology(m, tc)
+		resolved := fabric.ResolveTopology(tc, m.NodesFor(ranks))
+		fmt.Fprintf(stdout, "\ntopology %s\n", resolved.Describe())
+		fmt.Fprintf(stdout, "%-10s%10s%9s%11s%11s%12s%11s%13s%14s%12s\n",
+			"backend", "severity", "crashes", "survivors", "completed", "recoveries", "failovers", "detect lat", "recovery lat", "end")
+		for _, b := range backends {
+			label := b.Backend.String()
+			bench.SetProgressLabel("chaos-recover " + resolved.Describe() + " " + label)
+			points, err := bench.RecoverySweep(mt, b.Backend, ranks, severities, seed, flightDepth)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", tc.Describe(), label, err)
+			}
+			for _, p := range points {
+				done := "no"
+				if p.Completed {
+					done = "yes"
+				}
+				if p.Err != "" {
+					done = "ERR"
+				}
+				fmt.Fprintf(stdout, "%-10s%10.2f%9d%11d%11s%12d%11d%13v%14v%12v\n",
+					label, p.Severity, p.Crashes, p.Survivors, done, p.Recoveries,
+					p.Failovers, p.DetectLatency, p.RecoveryLatency, sim.Duration(p.End))
+				if p.Err != "" {
+					fmt.Fprintf(stdout, "  %s severity %.2f error: %s\n", label, p.Severity, p.Err)
+				}
+				// Post-mortems are diagnostics, not results: stderr only,
+				// in deterministic point order.
+				if p.FlightDump != "" {
+					fmt.Fprintf(stderr, "post-mortem %s/%s severity %.2f:\n%s",
+						resolved.Describe(), label, p.Severity, p.FlightDump)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// chaos sweeps fault severity over the network microbenchmarks and prints
+// per-backend latency/bandwidth degradation curves. The injected plans come
+// from internal/faults: either a uniform degradation of the benchmarked path
+// (-degrade, the default) or a randomized but seed-deterministic plan of
+// link faults, NIC stall windows, and slow ranks (-generate). Backends and
+// severities fan out over the deterministic parallel runner; identical flags
+// always print identical numbers at any UNICONN_WORKERS setting.
+//
+// With -recover the tool switches to hard-fault mode: plans from
+// faults.GenerateHard additionally crash ranks (severity >= 0.5) and kill
+// links — and, on a switched -topology, an aggregation switch or global
+// channel (severity >= 0.5/0.75) — under an -ranks-GPU iterative allreduce
+// workload, and the sweep reports whether the survivors completed by
+// revoking and shrinking the communicator, plus the failure-detection and
+// recovery latencies and the adaptive-routing failover count. -topology
+// accepts a comma-separated list in this mode, one table section per
+// topology; -shards runs the hard-fault cells on the sharded engine,
+// bit-identical at every shard count >= 1. The table is virtual-time only,
+// so its bytes are the recovery results of record: the golden test diffs
+// them against testdata/recover-<topology>.golden.
+//
+// -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
+// /debug/flight) while the sweep runs, and -flight retains a bounded
+// per-shard event history that is dumped to stderr when a cell faults.
+// Neither changes a byte of stdout. With -live, a SIGINT prints the sweep
+// progress and accumulated metrics to stderr before exiting.
+//
+// Usage:
+//
+//	uniconn chaos                                # Perlmutter, inter-node, degrade ramp
+//	uniconn chaos -machine LUMI -bytes 1048576
+//	uniconn chaos -generate -seed 7 -severities 0,0.5,1
+//	uniconn chaos -recover -ranks 8
+//	uniconn chaos -recover -topology fattree -shards 4
+//	uniconn chaos -recover -topology flat,fattree,dragonfly:1,2,2
+//	uniconn chaos -recover -live 127.0.0.1:9187 -flight 256
+func chaos(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("chaos", stderr)
+	common := spec.Common(fs)
+	inter := fs.Bool("inter", true, "benchmark across two nodes")
+	bytes := fs.Int64("bytes", 8192, "message size (multiple of 8)")
+	sevFlag := fs.String("severities", "0,0.25,0.5,0.75,1", "comma-separated severity sweep")
+	generate := fs.Bool("generate", false,
+		"randomized seed-deterministic plans instead of uniform path degradation")
+	seed := fs.Uint64("seed", 42, "fault-plan seed (with -generate)")
+	recover := fs.Bool("recover", false,
+		"recovery mode: hard-fault plans (rank crashes, dead links) under an iterative allreduce; "+
+			"reports completion and recovery latency per severity")
+	ranks := fs.Int("ranks", 8, "rank count of the recovery workload (with -recover)")
+	showMetrics := fs.Bool("metrics", false,
+		"collect per-severity metrics and print the merged snapshot per backend (degrade/generate modes)")
+	profilePath := fs.String("profile", "",
+		"write a Chrome trace-event file of the profiled severity cells here (degrade/generate modes)")
+	common.TopologyList(fs, "flat")
+	flightDepth := fs.Int("flight", 0,
+		"retain the last N engine events per shard and dump them to stderr on faults (with -recover)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	m, err := common.Resolve()
+	if err != nil {
+		return err
+	}
+	topologies := common.Topologies
+	severities, err := parseSeverities(*sevFlag)
+	if err != nil {
+		return err
+	}
+	closeLive, err := bench.StartLive(common.Live, "chaos")
+	if err != nil {
+		return err
+	}
+	defer closeLive()
+
+	// One row per backend, through its host API.
+	var backends []bench.Lib
+	for _, l := range bench.Libs(m, false) {
+		if l.API == machine.APIHost {
+			backends = append(backends, l)
+		}
+	}
+
+	if *recover {
+		switched := false
+		for _, tc := range topologies {
+			if tc.Kind != fabric.TopoFlat {
+				switched = true
+			}
+		}
+		ranksSet := false
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "ranks" {
+				ranksSet = true
+			}
+		})
+		if switched && !ranksSet {
+			// The 8-rank default spans two nodes — too few for redundant
+			// fat-tree pods or >= 3 dragonfly groups. 32 ranks on a 4-GPU
+			// machine is 8 nodes: a k=4 fat-tree with spare aggregations,
+			// and four dragonfly:1,2,2 groups with a Valiant escape.
+			*ranks = 32
+		}
+		return recoveryMode(stdout, stderr, m, backends, severities, *ranks, *seed, topologies, *flightDepth)
+	}
+	if len(topologies) != 1 {
+		return fmt.Errorf("topology lists are for -recover; pick one of %q", fs.Lookup("topology").Value.String())
+	}
+	m = spec.WithTopology(m, topologies[0])
+
+	mode := "degrade ramp"
+	if *generate {
+		mode = fmt.Sprintf("generated plan (seed %d)", *seed)
+		bench.SetProgressLabel("chaos-generate")
+	} else {
+		bench.SetProgressLabel("chaos-degrade")
+	}
+	fmt.Fprintf(stdout, "chaos sweep on %s (%s), %d B, %s\n", m.Name, bench.Placement(*inter), *bytes, mode)
+	fmt.Fprintf(stdout, "%-10s%10s%14s%10s%14s%10s%12s\n",
+		"backend", "severity", "latency", "lat x", "bw GB/s", "bw frac", "transfers")
+
+	profiled := *showMetrics || *profilePath != ""
+	obs := bench.NewObserve(m, profiled)
+
+	// Each backend's severity ramp is an independent cell; the ramp itself
+	// fans out again inside ChaosSweep. Rendered blocks and the per-severity
+	// cell profiles are collected by backend index, so the output prints in
+	// the fixed backend order.
+	type backendOut struct {
+		block string
+		profs []bench.CellProfile
+	}
+	blocks, err := bench.Sweep(len(backends), func(i int) (backendOut, error) {
+		label := backends[i].Backend.String()
+		cfg := bench.Variant{Lib: backends[i], Native: true}.NetConfig(
+			bench.NetConfig{Model: m, Inter: *inter, Bytes: *bytes})
+		var planFor func(float64) *faults.Plan
+		if *generate {
+			planFor = cfg.GeneratedPlans(*seed)
+		}
+		points, profs, err := bench.ChaosSweep(cfg, severities, planFor, obs)
+		if err != nil {
+			return backendOut{}, fmt.Errorf("%s: %w", label, err)
+		}
+		for pi := range profs {
+			profs[pi].Label = label + "/" + profs[pi].Label
+		}
+		var baseLat sim.Duration
+		var baseBW float64
+		if len(points) > 0 {
+			baseLat, baseBW = points[0].Latency, points[0].Bandwidth
+		}
+		var sb strings.Builder
+		for _, p := range points {
+			fmt.Fprintf(&sb, "%-10s%10.2f%14v%9.2fx%14.2f%10.2f%12d\n",
+				label, p.Severity, p.Latency, p.LatencyFactor(baseLat),
+				p.Bandwidth/1e9, p.BandwidthFactor(baseBW), p.Transfers)
+		}
+		return backendOut{sb.String(), profs}, nil
+	})
+	if err != nil {
+		return err
+	}
+	rp := &bench.RunProfile{}
+	for _, b := range blocks {
+		fmt.Fprint(stdout, b.block)
+		rp.Cells = append(rp.Cells, b.profs...)
+	}
+	if *showMetrics {
+		for bi, b := range blocks {
+			brp := bench.RunProfile{Cells: b.profs}
+			fmt.Fprintf(stdout, "\n%s merged metrics (%d severities):\n%s",
+				backends[bi].Backend, len(b.profs), brp.Merged().Render())
+		}
+	}
+	return writeProfile(stdout, *profilePath, rp)
+}

@@ -1,0 +1,241 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+)
+
+// The stdout of record of every subcommand. The goldens were captured from
+// the ten uniconn-* programs this command replaced (at the commit before
+// they were folded), so a byte of difference is a behaviour change. To
+// refresh one after an intended change, from this directory:
+//
+//	go run . <args...> > testdata/<name>.golden
+//
+// (scale-64 additionally needs its wall-clock column masked as maskWall does.)
+var goldenCases = []struct {
+	name string
+	args []string
+}{
+	{"netbench-64k", []string{"netbench", "-max", "65536"}},
+	{"netbench-lumi-inter-bw", []string{"netbench", "-machine", "LUMI", "-inter", "-bw", "-max", "65536"}},
+	{"netbench-fattree-metrics", []string{"netbench", "-inter", "-topology", "fattree:8", "-max", "4096", "-metrics"}},
+	{"jacobi", []string{"jacobi"}},
+	{"jacobi-lumi16", []string{"jacobi", "-machine", "LUMI", "-gpus", "16", "-nx", "1024", "-ny", "1024", "-iters", "20"}},
+	{"jacobi-sweep", []string{"jacobi", "-sweep", "-nx", "512", "-ny", "512", "-iters", "10"}},
+	{"cg", []string{"cg"}},
+	{"cg-queen-noag-lumi", []string{"cg", "-matrix", "queen", "-no-allgatherv", "-machine", "LUMI"}},
+	{"advisor", []string{"advisor"}},
+	{"advisor-query", []string{"advisor", "-size", "32768", "-inter"}},
+	{"chaos", []string{"chaos"}},
+	{"chaos-generate", []string{"chaos", "-generate", "-seed", "7", "-severities", "0,0.5,1"}},
+	{"chaos-metrics", []string{"chaos", "-metrics", "-severities", "0,1"}},
+	{"prof-jacobi", []string{"prof", "-workload", "jacobi", "-ngpus", "8"}},
+	{"prof-cg", []string{"prof", "-workload", "cg"}},
+	{"prof-shmem-device", []string{"prof", "-backend", "GPUSHMEM", "-device", "-max", "64"}},
+	{"scale-64", []string{"scale", "-max-ranks", "64", "-ring-max-ranks", "64"}},
+	{"experiments-table1", []string{"experiments", "-table", "1"}},
+	{"experiments-table2", []string{"experiments", "-table", "2", "-root", "../.."}},
+	{"experiments-fig6", []string{"experiments", "-fig", "6"}},
+	{"sloc", []string{"sloc", "-root", "../.."}},
+	{"sloc-files", []string{"sloc", "../../internal/bench/net_mpi.go", "../../internal/sloc/sloc.go"}},
+}
+
+// fileCases write artifacts; each runs in a scratch directory with relative
+// paths (stdout's "wrote <path>" lines name them) and every file is compared
+// with testdata/files-<file>.golden — or, for the multi-megabyte -profile
+// traces, its SHA-256 with testdata/files-<file>.sha256.golden.
+var fileCases = []struct {
+	name  string
+	args  []string
+	files []string
+}{
+	{"files-prof", []string{"prof", "-workload", "cg", "-iters", "5", "-json", "prof.json", "-trace", "prof.trace"},
+		[]string{"prof.json", "prof.trace"}},
+	{"files-netbench", []string{"netbench", "-max", "64", "-profile", "netbench.trace"}, []string{"netbench.trace.sha256"}},
+	{"files-chaos", []string{"chaos", "-severities", "0,1", "-profile", "chaos.trace"}, []string{"chaos.trace.sha256"}},
+	{"files-jacobi", []string{"jacobi", "-gpus", "4", "-nx", "256", "-ny", "256", "-iters", "5", "-trace", "jacobi.trace"},
+		[]string{"jacobi.trace"}},
+}
+
+// invoke runs one subcommand in-process. -workers and -shards publish
+// environment variables, so both are pinned to the test first (t.Setenv
+// restores them; empty reads as unset).
+func invoke(t *testing.T, args ...string) (stdout, stderr string, status int) {
+	t.Helper()
+	t.Setenv(bench.WorkersEnv, os.Getenv(bench.WorkersEnv))
+	t.Setenv(core.ShardsEnv, os.Getenv(core.ShardsEnv))
+	var out, errb bytes.Buffer
+	status = run(args, &out, &errb)
+	return out.String(), errb.String(), status
+}
+
+// mustRun is invoke for invocations that must succeed.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	stdout, stderr, status := invoke(t, args...)
+	if status != 0 {
+		t.Fatalf("uniconn %s: exit %d\n%s", strings.Join(args, " "), status, stderr)
+	}
+	return stdout
+}
+
+func readGolden(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func compare(t *testing.T, what, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", what, got, want)
+	}
+}
+
+// maskWall blanks scale's "wall s" column, the one non-deterministic field
+// any subcommand prints: the last 12 characters of every row below the two
+// header lines.
+func maskWall(s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	for i := 2; i < len(lines); i++ {
+		lines[i] = wallColumn.ReplaceAllString(lines[i], "         *.*\n")
+	}
+	return strings.Join(lines, "")
+}
+
+var wallColumn = regexp.MustCompile(`.{12}\n$`)
+
+func TestGoldenStdout(t *testing.T) {
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			got := mustRun(t, c.args...)
+			if c.args[0] == "scale" {
+				got = maskWall(got)
+			}
+			compare(t, "stdout", got, readGolden(t, filepath.Join("testdata", c.name+".golden")))
+		})
+	}
+}
+
+func TestGoldenFiles(t *testing.T) {
+	testdata, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range fileCases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Chdir(t.TempDir())
+			compare(t, "stdout", mustRun(t, c.args...), readGolden(t, filepath.Join(testdata, c.name+".golden")))
+			for _, f := range c.files {
+				got, digest := strings.CutSuffix(f, ".sha256")
+				body := readGolden(t, got)
+				if digest {
+					sum := sha256.Sum256([]byte(body))
+					body = hex.EncodeToString(sum[:]) + "\n"
+				}
+				compare(t, f, body, readGolden(t, filepath.Join(testdata, "files-"+f+".golden")))
+			}
+		})
+	}
+}
+
+// TestRejectedInvocations pins the failing invocations: status, a one-line
+// diagnostic on stderr, and nothing on stdout — every one is refused before
+// any cell runs.
+func TestRejectedInvocations(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		status int
+		stderr string
+	}{
+		{nil, 2, "usage: uniconn <subcommand>"},
+		{[]string{"netbenchmark"}, 2, `unknown subcommand "netbenchmark"`},
+		{[]string{"netbench", "-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"experiments", "-fig", "9"}, 2, "-fig 9: the figures are 2..6"},
+		{[]string{"experiments", "-fig", "1"}, 2, "-fig 1: the figures are 2..6"},
+		{[]string{"experiments", "-table", "5"}, 2, "-table 5: the tables are 1..2"},
+		{[]string{"experiments", "-scale", "huge"}, 1, `unknown scale "huge"`},
+		{[]string{"netbench", "-min", "0"}, 1, "-min 0: smallest message must be at least 1 byte"},
+		{[]string{"prof", "-min", "0"}, 1, "-min 0: smallest message must be at least 1 byte"},
+		{[]string{"prof", "-min", "64", "-max", "8"}, 1, "-max 8 is smaller than -min 64"},
+		{[]string{"advisor", "-size", "-5"}, 1, "-size -5: message size must be at least 1 byte"},
+		{[]string{"jacobi", "-machine", "Summit"}, 1, `unknown machine "Summit"`},
+		{[]string{"cg", "-matrix", "dense"}, 1, `unknown matrix "dense"`},
+		{[]string{"scale", "-max-ranks", "8"}, 1, "need -max-ranks >= 64"},
+		{[]string{"chaos", "-topology", "flat,fattree"}, 1, "topology lists are for -recover"},
+		{[]string{"sloc", "-root", "/nonexistent"}, 1, "run from the repository root"},
+	} {
+		stdout, stderr, status := invoke(t, c.args...)
+		if status != c.status || !strings.Contains(stderr, c.stderr) || stdout != "" {
+			t.Errorf("uniconn %s: exit %d, stdout %q, stderr %q; want exit %d, empty stdout, stderr containing %q",
+				strings.Join(c.args, " "), status, stdout, stderr, c.status, c.stderr)
+		}
+	}
+	if _, stderr, status := invoke(t, "netbench", "-h"); status != 0 || !strings.Contains(stderr, "-machine") {
+		t.Errorf("netbench -h: exit %d, stderr %q; want exit 0 and the flag list", status, stderr)
+	}
+}
+
+// TestFailingCellKeepsSerialPrefix pins what a table printed cell by cell
+// shows when a cell fails (three GPUs cannot split the GPUSHMEM heap evenly):
+// everything up to the failing cell, as the serial loop the sweep replaced
+// printed, then a non-zero exit.
+func TestFailingCellKeepsSerialPrefix(t *testing.T) {
+	stdout, stderr, status := invoke(t, "jacobi", "-gpus", "3", "-nx", "100", "-ny", "100")
+	if status != 1 || !strings.Contains(stderr, "mismatched collective Malloc") {
+		t.Errorf("exit %d, stderr %q; want exit 1 and the GPUSHMEM allocation error", status, stderr)
+	}
+	compare(t, "stdout", stdout, readGolden(t, "testdata/jacobi-fails-midrow.golden"))
+}
+
+// TestProfWorkersInvariant is the prof smoke: the small Fig-2 cell report is
+// the committed golden (internal/bench pins the same file against
+// ProfileNet) at 1 worker and byte-identical at 8.
+func TestProfWorkersInvariant(t *testing.T) {
+	w1 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8", "-workers", "1")
+	w8 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8", "-workers", "8")
+	compare(t, "prof report", w1, readGolden(t, "../../internal/bench/testdata/prof_fig2_small.golden"))
+	compare(t, "prof report at 8 workers", w8, w1)
+}
+
+// TestFig6WorkersInvariant byte-compares the CG figure at 1 and 8 sweep
+// workers (its bytes are pinned by the experiments-fig6 golden).
+func TestFig6WorkersInvariant(t *testing.T) {
+	w1 := mustRun(t, "experiments", "-scale", "quick", "-fig", "6", "-workers", "1")
+	w8 := mustRun(t, "experiments", "-scale", "quick", "-fig", "6", "-workers", "8")
+	compare(t, "Fig 6 at 8 workers", w8, w1)
+}
+
+// TestRecoveryMatrix is the recovery results of record: the hard-fault
+// sweep's table prints only virtual-time quantities, so per topology its
+// -shards 1 stdout must equal the committed golden (a change to detector
+// latency, failover counts or recovery end times fails here; refresh with
+// `go run . chaos -recover -topology <topo> -severities 0,0.5,1 -shards 1 >
+// testdata/recover-<kind>.golden`), and -shards 4 must equal -shards 1
+// (DESIGN.md section 14).
+func TestRecoveryMatrix(t *testing.T) {
+	for _, topo := range []string{"flat", "fattree", "dragonfly:1,2,2"} {
+		t.Run(topo, func(t *testing.T) {
+			sweep := func(shards string) string {
+				return mustRun(t, "chaos", "-recover", "-topology", topo, "-severities", "0,0.5,1", "-shards", shards)
+			}
+			kind, _, _ := strings.Cut(topo, ":")
+			s1 := sweep("1")
+			compare(t, "recovery table", s1, readGolden(t, filepath.Join("testdata", "recover-"+kind+".golden")))
+			compare(t, "recovery table at 4 shards", sweep("4"), s1)
+		})
+	}
+}

@@ -1,0 +1,122 @@
+package main
+
+import (
+	"fmt"
+	"io"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/solver/cg"
+	"repro/internal/solver/jacobi"
+	"repro/internal/sparse"
+	"repro/internal/spec"
+)
+
+// prof profiles one simulated workload and prints a deterministic
+// performance report: per-cell critical path (longest dependency chain, with
+// compute / intra-node / inter-node / blocked attribution), per-rank time
+// breakdown, the rank-to-rank communication matrix, and the merged metrics
+// of every subsystem (scheduler, fabric, MPI protocol, collectives, faults).
+//
+// Every profiled cell owns a private metrics registry and span log, and the
+// cells fan out over the deterministic sweep runner, so the report — and the
+// optional metrics JSON and Chrome trace — are byte-identical at any
+// -workers setting.
+//
+// Usage:
+//
+//	uniconn prof                                    # net sweep, Perlmutter, MPI
+//	uniconn prof -workload net -backend GPUCCL -inter -min 8 -max 65536
+//	uniconn prof -workload jacobi -ngpus 8
+//	uniconn prof -workload cg -ngpus 8 -json metrics.json -trace trace.json
+//	uniconn prof -workload net -live 127.0.0.1:9187  # live progress endpoints
+func prof(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("prof", stderr)
+	workload := fs.String("workload", "net", "net|jacobi|cg")
+	common := spec.Common(fs)
+	backendName := fs.String("backend", "MPI", "MPI|GPUCCL|GPUSHMEM")
+	device := fs.Bool("device", false, "device-initiated API (net; requires GPUSHMEM)")
+	native := fs.Bool("native", false, "native library instead of UNICONN (net)")
+	inter := fs.Bool("inter", false, "run across two nodes (net)")
+	common.Sizes(fs, 4096, " of the net sweep")
+	ngpus := fs.Int("ngpus", 4, "rank count (jacobi, cg)")
+	iters := fs.Int("iters", 20, "timed iterations (jacobi, cg)")
+	jsonPath := fs.String("json", "", "write merged metrics JSON here")
+	tracePath := fs.String("trace", "", "write Chrome trace-event JSON here")
+	common.Topology(fs)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	m, err := common.Resolve()
+	if err != nil {
+		return err
+	}
+	backend, err := spec.ParseBackend(*backendName)
+	if err != nil {
+		return err
+	}
+	api := machine.APIHost
+	if *device {
+		api = machine.APIDevice
+	}
+	closeLive, err := bench.StartLive(common.Live, "prof-"+*workload)
+	if err != nil {
+		return err
+	}
+	defer closeLive()
+
+	var rp *bench.RunProfile
+	switch *workload {
+	case "net":
+		rp, err = bench.ProfileNet(bench.NetConfig{
+			Model: m, Backend: backend, API: api, Native: *native, Inter: *inter,
+		}, bench.Sizes(common.MinSize, common.MaxSize))
+	case "jacobi":
+		cfg := jacobi.Config{
+			Model: m, NGPUs: *ngpus, NX: 256, NY: 256, Iters: *iters, Warmup: 2,
+			Variant: jacobi.Uniconn, Backend: backend, Mode: core.PureHost,
+		}
+		rp, err = bench.ProfileRun(
+			fmt.Sprintf("jacobi %s %s %dx%d on %d GPUs", m.Name, cfg.Variant, cfg.NX, cfg.NY, cfg.NGPUs),
+			fmt.Sprintf("jacobi/%dgpu", cfg.NGPUs), cfg.Iters,
+			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
+				cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
+				res, err := jacobi.Run(cfg)
+				return res.PerIter, res.Total, res.End, err
+			})
+	case "cg":
+		cfg := cg.Config{
+			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Generate(0.01), Iters: *iters,
+			Variant: cg.Uniconn, Backend: backend, Mode: core.PureHost,
+		}
+		rp, err = bench.ProfileRun(
+			fmt.Sprintf("cg %s %s %d rows on %d GPUs", m.Name, cfg.Variant, cfg.Matrix.Rows, cfg.NGPUs),
+			fmt.Sprintf("cg/%dgpu", cfg.NGPUs), cfg.Iters,
+			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
+				cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
+				res, err := cg.Run(cfg)
+				return res.PerIter, res.Total, res.End, err
+			})
+	default:
+		return fmt.Errorf("unknown workload %q (net|jacobi|cg)", *workload)
+	}
+	if err != nil {
+		return err
+	}
+
+	if err := rp.WriteReport(stdout); err != nil {
+		return err
+	}
+	if *jsonPath != "" {
+		if err := writeFile(*jsonPath, rp.WriteMetricsJSON); err != nil {
+			return err
+		}
+	}
+	if *tracePath != "" {
+		return writeFile(*tracePath, rp.WriteChromeTrace)
+	}
+	return nil
+}

@@ -1,0 +1,120 @@
+package main
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"repro/internal/bench"
+	"repro/internal/fabric"
+	"repro/internal/mpi"
+	"repro/internal/spec"
+)
+
+// scale prints the rank-scaling curves: one allreduce cell per (topology,
+// algorithm, rank count), timed in virtual time, comparing the flat
+// single-hop network against fat-tree and dragonfly switch fabrics and the
+// flat-ring allreduce against the hierarchical (SMP-aware) algorithm. The
+// wall-clock column is informational; the wall-clock record of these cells
+// is the benchmark's coll-ring-256r workload (benchmark/README.md).
+//
+// The flat-ring curve is capped separately (-ring-max-ranks, default 1024):
+// the ring's 2(n-1) serialized steps make its wall-clock cost quadratic in
+// total messages at 4096 ranks, while its virtual-time trend is already
+// decided by 1024.
+//
+// -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
+// /debug/flight) — useful because the big cells take minutes of wall clock
+// and /debug/runs carries an ETA; with it a SIGINT prints the sweep progress
+// and accumulated metrics to stderr before exiting (every finished curve
+// point is already on stdout).
+//
+// Usage:
+//
+//	uniconn scale                                  # 64..4096
+//	uniconn scale -bytes 262144 -max-ranks 1024
+//	uniconn scale -live 127.0.0.1:9187
+func scale(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("scale", stderr)
+	common := spec.Common(fs)
+	bytes := fs.Int64("bytes", 64<<10, "allreduce vector size per rank (multiple of 8)")
+	iters := fs.Int("iters", 2, "timed iterations per cell")
+	maxRanks := fs.Int("max-ranks", 4096, "largest rank count of the sweep")
+	ringMax := fs.Int("ring-max-ranks", 1024, "largest rank count of the flat-ring curve")
+	common.TopologyList(fs, "flat,fattree,dragonfly")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	// The rank ramp starts at 64; a smaller cap would sweep nothing.
+	if *maxRanks < 64 || *ringMax < 64 || *iters < 1 {
+		return fmt.Errorf("need -max-ranks >= 64, -ring-max-ranks >= 64 and -iters >= 1 (got %d, %d, %d)",
+			*maxRanks, *ringMax, *iters)
+	}
+	m, err := common.Resolve()
+	if err != nil {
+		return err
+	}
+
+	var ranks []int
+	for r := 64; r <= *maxRanks; r *= 4 {
+		ranks = append(ranks, r)
+	}
+
+	// Hierarchical curves for every selected topology, then ring curves for
+	// the flat/fat-tree ones (the ring maps poorly onto dragonfly groups and
+	// its trend is already fixed by the cheaper fabrics). The default list
+	// reproduces the classic five-curve sweep.
+	var cells []bench.ScaleConfig
+	var labels []string
+	curve := func(tc fabric.TopologyConfig, alg mpi.AllreduceAlg, cap int) {
+		for _, r := range ranks {
+			if r <= cap {
+				cells = append(cells, bench.ScaleConfig{
+					Model: m, Topology: tc, Ranks: r, Bytes: *bytes,
+					Alg: alg, Iters: *iters, Warmup: 1, Shards: common.Shards,
+				})
+				labels = append(labels, fmt.Sprintf("%s/%s/%d", tc.Kind, alg, r))
+			}
+		}
+	}
+	for _, tc := range common.Topologies {
+		curve(tc, mpi.AlgHierarchical, *maxRanks)
+	}
+	for _, tc := range common.Topologies {
+		if tc.Kind != fabric.TopoDragonfly {
+			curve(tc, mpi.AlgRing, *ringMax)
+		}
+	}
+
+	// The scale sweep runs serially (one engine already saturates the host
+	// with -shards), so the live run is reported cell by cell by this loop
+	// rather than through the bench runner.
+	closeLive, err := bench.StartLive(common.Live, "scale")
+	if err != nil {
+		return err
+	}
+	defer closeLive()
+	obs := bench.NewObserve(m, false)
+	lr := bench.Progress().StartRun("scale", len(cells), 1)
+
+	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters, shards=%d\n",
+		m.Name, bench.HumanBytes(*bytes), *iters, common.Shards)
+	fmt.Fprintf(stdout, "%-11s%-14s%8s%8s%14s%12s\n", "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
+	for i, cfg := range cells {
+		lr.CellStart(0, i, labels[i])
+		col := obs.Cell(0)
+		cfg.Metrics, cfg.Costs = col.Metrics, col.Costs
+		start := time.Now()
+		d, run, err := bench.ScaleAllreduce(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", labels[i], err)
+		}
+		col.Finish(labels[i], run.End)
+		lr.CellDone(0, i)
+		fmt.Fprintf(stdout, "%-11s%-14s%8d%8d%14s%12.1f\n",
+			run.Topology.Describe(), cfg.Alg, cfg.Ranks, m.NodesFor(cfg.Ranks), d.String(), time.Since(start).Seconds())
+	}
+	lr.End()
+	return nil
+}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Candidate is one selectable communication configuration.
@@ -81,6 +82,12 @@ type Advisor struct {
 // probe sizes (nil selects a default 8B..4MiB power-of-four sweep) and
 // returns an Advisor. Calibration cost is the price of the probes — the
 // same trade the paper's related work (MCR-DL tuning suites) makes.
+//
+// The probes are canonical experiment specs evaluated as one batch
+// (bench.EvalSpecs): they fan out over the sweep runner, and — like every
+// spec — always run on the serial engine, so the advice cannot depend on
+// the calling process's UNICONN_SHARDS. Specs address machines by name, so
+// m must be a registered model (machine.ByName).
 func Calibrate(m *machine.Model, sizes []int64) (*Advisor, error) {
 	if len(sizes) == 0 {
 		for s := int64(8); s <= 4<<20; s *= 4 {
@@ -89,33 +96,44 @@ func Calibrate(m *machine.Model, sizes []int64) (*Advisor, error) {
 	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
 	a := &Advisor{model: m, sizes: sizes, tables: map[bool][]table{}}
-	cands := []Candidate{
-		{core.MPIBackend, machine.APIHost},
-		{core.GpucclBackend, machine.APIHost},
-	}
-	if m.HasGPUSHMEM {
-		cands = append(cands,
-			Candidate{core.GpushmemBackend, machine.APIHost},
-			Candidate{core.GpushmemBackend, machine.APIDevice})
-	}
+	libs := bench.Libs(m, false)
+	// Two specs per (placement, candidate, size), latency then bandwidth,
+	// in the order the tables are filled below.
+	var probes []spec.Spec
 	for _, inter := range []bool{false, true} {
-		for _, cand := range cands {
-			tb := table{cand: cand, probes: map[int64]probe{}}
+		for _, l := range libs {
 			for _, size := range sizes {
-				cfg := bench.NetConfig{
-					Model: m, Backend: cand.Backend, API: cand.API,
+				sp := spec.Spec{
+					Workload: spec.WorkloadNetLatency, Machine: m.Name,
+					Backend: l.Backend.String(), API: l.API.String(),
 					Native: true, Inter: inter, Bytes: size,
 					Iters: 20, Warmup: 2, Window: 16,
 				}
-				lat, err := bench.Latency(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("autosel: probing %v: %w", cand, err)
-				}
-				bw, err := bench.Bandwidth(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("autosel: probing %v: %w", cand, err)
-				}
-				tb.probes[size] = probe{latency: lat, bandwidth: bw}
+				probes = append(probes, sp)
+				sp.Workload = spec.WorkloadNetBandwidth
+				probes = append(probes, sp)
+			}
+		}
+	}
+	var values []float64
+	for _, ev := range bench.EvalSpecs(probes, nil) {
+		if ev.Err != nil {
+			return nil, fmt.Errorf("autosel: probing: %w", ev.Err)
+		}
+		res, err := bench.DecodeResult(ev.Body)
+		if err != nil {
+			return nil, fmt.Errorf("autosel: probing: %w", err)
+		}
+		values = append(values, res.Value)
+	}
+	for _, inter := range []bool{false, true} {
+		for _, l := range libs {
+			tb := table{cand: Candidate{l.Backend, l.API}, probes: map[int64]probe{}}
+			for _, size := range sizes {
+				// Latency is integral nanoseconds and bandwidth round-trips
+				// exactly through the result's JSON encoding.
+				tb.probes[size] = probe{latency: sim.Duration(values[0]), bandwidth: values[1]}
+				values = values[2:]
 			}
 			a.tables[inter] = append(a.tables[inter], tb)
 		}
@@ -191,11 +209,7 @@ func (a *Advisor) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Backend advisor for %s ==\n", a.model.Name)
 	for _, inter := range []bool{false, true} {
-		where := "intra-node"
-		if inter {
-			where = "inter-node"
-		}
-		fmt.Fprintf(&b, "%-12s %-22s %-22s\n", where, "best latency", "best bandwidth")
+		fmt.Fprintf(&b, "%-12s %-22s %-22s\n", bench.Placement(inter), "best latency", "best bandwidth")
 		for _, s := range a.sizes {
 			lw, lv := a.Recommend(s, inter, MinLatency)
 			bw, bv := a.Recommend(s, inter, MaxBandwidth)

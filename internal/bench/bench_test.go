@@ -148,11 +148,11 @@ func TestSizes(t *testing.T) {
 // machine.
 func allNetConfigs(m *machine.Model, bytes int64) []NetConfig {
 	var out []NetConfig
-	for _, lib := range libsOf(m, true) {
+	for _, lib := range Libs(m, false) {
 		for _, native := range []bool{true, false} {
 			for _, inter := range []bool{false, true} {
 				out = append(out, NetConfig{
-					Model: m, Backend: lib.backend, API: lib.api,
+					Model: m, Backend: lib.Backend, API: lib.API,
 					Native: native, Inter: inter, Bytes: bytes,
 					Iters: 20, Warmup: 2, Window: 8,
 				})
@@ -240,9 +240,9 @@ func TestUniconnNetOverheadBounds(t *testing.T) {
 	// §VI-B: host-API overhead bounded (~7% worst intra, small messages);
 	// device-API overhead near zero.
 	m := machine.Perlmutter()
-	for _, lib := range libsOf(m, true) {
+	for _, lib := range Libs(m, false) {
 		for _, bytes := range []int64{64, 1 << 20} {
-			cfg := NetConfig{Model: m, Backend: lib.backend, API: lib.api,
+			cfg := NetConfig{Model: m, Backend: lib.Backend, API: lib.API,
 				Bytes: bytes, Iters: 50, Warmup: 5}
 			cfg.Native = true
 			nat, err := Latency(cfg)
@@ -256,12 +256,12 @@ func TestUniconnNetOverheadBounds(t *testing.T) {
 			}
 			over := PercentDiff(uc, nat)
 			limit := 10.0
-			if lib.api == machine.APIDevice {
+			if lib.API == machine.APIDevice {
 				limit = 0.5
 			}
 			if over > limit || over < -limit {
 				t.Errorf("%s %dB: UNICONN latency overhead %.2f%% (limit %.1f%%)",
-					lib.label, bytes, over, limit)
+					lib.Net, bytes, over, limit)
 			}
 		}
 	}

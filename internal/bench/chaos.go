@@ -3,7 +3,7 @@ package bench
 // Chaos benchmarking: severity sweeps of the network microbenchmarks under
 // a fault plan, reporting how ping-pong latency and windowed bandwidth
 // degrade per backend as the injected fault severity grows. This is the
-// measurement core of cmd/uniconn-chaos.
+// measurement core of uniconn chaos.
 
 import (
 	"fmt"
@@ -53,53 +53,57 @@ func (cfg NetConfig) FaultedPath() fabric.Path {
 	return fabric.PathIntra
 }
 
+// GeneratedPlans is the randomized plan source of a chaos sweep (ChaosSweep's
+// planFor): per severity, the seed-deterministic plan of link faults, NIC
+// stall windows and slow ranks that faults.Generate draws over the run's
+// two-rank fabric view.
+func (cfg NetConfig) GeneratedPlans(seed uint64) func(severity float64) *faults.Plan {
+	fc := cfg.model().FabricConfig(2)
+	return func(s float64) *faults.Plan { return faults.Generate(seed, s, fc, sim.Second) }
+}
+
 // ChaosSweep measures the configuration once per severity, with the plan
 // produced by planFor injected into both the latency and the bandwidth run.
 // planFor(0) should return an empty plan so the first point of a [0, ...]
 // sweep is the healthy baseline. A nil planFor uses faults.Degrade on the
 // configuration's benchmarked path.
 //
-// Severities are independent cells, fanned out over the sweep runner: each
-// cell builds its own plan and trace log, so planFor must return a fresh
-// plan per call (both built-in plan sources do). Results are collected by
+// Severities are independent cells, fanned out over the observed sweep: each
+// cell builds its own plan and instruments, so planFor must return a fresh
+// plan per call (both built-in plan sources do). obs decides what the
+// latency run of each severity records beyond the span log the transfer
+// counts need (the bandwidth run reuses the plan but records nothing); the
+// cells' profiles come back alongside the points. Results are collected by
 // severity index and are bit-identical to serial execution; on failure the
-// points preceding the first failing severity are returned with the error,
-// exactly as a serial sweep would.
-func ChaosSweep(cfg NetConfig, severities []float64, planFor func(severity float64) *faults.Plan) ([]ChaosPoint, error) {
+// points and profiles preceding the first failing severity are returned with
+// the error, exactly as a serial sweep would.
+func ChaosSweep(cfg NetConfig, severities []float64, planFor func(severity float64) *faults.Plan, obs *Observe) ([]ChaosPoint, []CellProfile, error) {
 	if planFor == nil {
 		path := cfg.FaultedPath()
 		planFor = func(s float64) *faults.Plan { return faults.Degrade(path, s) }
 	}
-	type cellResult struct {
-		pt  ChaosPoint
-		err error
-	}
-	results, _ := Sweep(len(severities), func(i int) (cellResult, error) {
+	return SweepObserved(obs, len(severities), func(i int, col *Collector) (ChaosPoint, CellProfile, error) {
 		sev := severities[i]
 		run := cfg
 		run.Faults = planFor(sev)
-		run.Trace = trace.New()
-		lat, err := Latency(run)
+		run.Metrics, run.Trace, run.Costs = col.Metrics, col.Trace, col.Costs
+		if run.Trace == nil {
+			run.Trace = trace.New() // private: counted below, never frozen
+		}
+		lat, rep, err := LatencyRun(run)
 		if err != nil {
-			return cellResult{err: fmt.Errorf("chaos severity %g: latency: %w", sev, err)}, nil
+			return ChaosPoint{}, CellProfile{}, fmt.Errorf("chaos severity %g: latency: %w", sev, err)
 		}
 		pt := ChaosPoint{Severity: sev, Latency: lat}
 		for _, s := range run.Trace.Filter(trace.KindTransfer) {
 			pt.Transfers++
 			pt.TransferBytes += s.Bytes
 		}
-		run.Trace = nil // bandwidth run does not need spans
+		prof := col.Finish(fmt.Sprintf("severity/%g", sev), rep.End, fmt.Sprintf("one-way latency %s", lat))
+		run.Metrics, run.Trace = nil, nil
 		if pt.Bandwidth, err = Bandwidth(run); err != nil {
-			return cellResult{err: fmt.Errorf("chaos severity %g: bandwidth: %w", sev, err)}, nil
+			return pt, prof, fmt.Errorf("chaos severity %g: bandwidth: %w", sev, err)
 		}
-		return cellResult{pt: pt}, nil
+		return pt, prof, nil
 	})
-	points := make([]ChaosPoint, 0, len(severities))
-	for _, r := range results {
-		if r.err != nil {
-			return points, r.err
-		}
-		points = append(points, r.pt)
-	}
-	return points, nil
 }

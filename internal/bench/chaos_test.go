@@ -78,7 +78,7 @@ func TestChaosSeverityRampIsMonotone(t *testing.T) {
 	for _, b := range chaosBackends {
 		t.Run(b.name, func(t *testing.T) {
 			cfg := chaosConfig(b.backend)
-			points, err := ChaosSweep(cfg, severities, nil)
+			points, _, err := ChaosSweep(cfg, severities, nil, nil)
 			if err != nil {
 				t.Fatalf("ChaosSweep: %v", err)
 			}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faults"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -295,9 +294,9 @@ func commSummary(spans []trace.Span) *CommSummary {
 	return cs
 }
 
-// specPlan builds the spec's fault plan for a net workload, mirroring the
-// chaos CLI exactly: degrade ramps the benchmarked path; generate draws the
-// seed-deterministic randomized plan over the run's two-node fabric view.
+// specPlan builds the spec's fault plan for a net workload, from the same
+// sources as the chaos subcommand: degrade ramps the benchmarked path;
+// generate draws the seed-deterministic randomized plan.
 func specPlan(n spec.Spec, cfg NetConfig) (*faults.Plan, error) {
 	switch n.FaultMode {
 	case spec.FaultNone:
@@ -305,8 +304,7 @@ func specPlan(n spec.Spec, cfg NetConfig) (*faults.Plan, error) {
 	case spec.FaultDegrade:
 		return faults.Degrade(cfg.FaultedPath(), n.Severity), nil
 	case spec.FaultGenerate:
-		fc := cfg.model().FabricConfig(2)
-		return faults.Generate(n.Seed, n.Severity, fc, sim.Second), nil
+		return cfg.GeneratedPlans(n.Seed)(n.Severity), nil
 	default:
 		return nil, fmt.Errorf("bench: unknown fault mode %q", n.FaultMode)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -86,101 +85,99 @@ func netSizes(sc Scale) []int64 {
 	return Sizes(8, 4<<20)
 }
 
-// libConfigs enumerates the (backend, api) combinations available on a
-// machine, in the paper's plotting order.
-type libConfig struct {
-	label   string
-	backend core.BackendID
-	api     machine.API
+// netPanel is one latency/bandwidth figure pair of Figs. 2-4: the columns of
+// one machine and placement over the size sweep.
+type netPanel struct {
+	m     *machine.Model
+	inter bool
+	cols  []Variant
 }
 
-func libsOf(m *machine.Model, includeHostShmem bool) []libConfig {
-	libs := []libConfig{
-		{"MPI", core.MPIBackend, machine.APIHost},
-		{"GPUCCL", core.GpucclBackend, machine.APIHost},
-	}
-	if m.HasGPUSHMEM {
-		if includeHostShmem {
-			libs = append(libs, libConfig{"GPUSHMEM-Host", core.GpushmemBackend, machine.APIHost})
-		}
-		libs = append(libs, libConfig{"GPUSHMEM-Device", core.GpushmemBackend, machine.APIDevice})
-	}
-	return libs
+// netMeas is one measured point of a panel column.
+type netMeas struct {
+	lat sim.Duration
+	bw  float64
 }
 
-// RunFig2 reproduces the motivation benchmark (Fig. 2): native-library
-// latency and bandwidth, intra- and inter-node, on Perlmutter and LUMI.
-// Every (machine, path, library, size) cell is an independent simulation,
-// fanned out over the sweep runner and reassembled in serial order.
-func RunFig2(sc Scale) ([]Figure, error) {
-	machines := []*machine.Model{machine.Perlmutter(), machine.LUMI()}
-	sizes := netSizes(sc)
-	type cell struct {
-		m     *machine.Model
-		inter bool
-		lib   libConfig
-		size  int64
-	}
-	var cells []cell
-	for _, m := range machines {
-		for _, inter := range []bool{false, true} {
-			for _, lib := range libsOf(m, false) {
-				for _, size := range sizes {
-					cells = append(cells, cell{m, inter, lib, size})
-				}
+// sweepNet measures every column of every panel at every size. Each (panel,
+// column, size) point is a latency and a bandwidth cell, independent
+// simulations fanned out over the sweep runner in a single sweep and
+// reassembled as results[panel][column][size].
+func sweepNet(panels []netPanel, sizes []int64) ([][][]netMeas, error) {
+	var cells []NetCell
+	for _, p := range panels {
+		for _, v := range p.cols {
+			for _, size := range sizes {
+				cfg := v.NetConfig(NetConfig{Model: p.m, Inter: p.inter, Bytes: size})
+				cells = append(cells, NetCell{NetConfig: cfg}, NetCell{NetConfig: cfg, Bandwidth: true})
 			}
 		}
 	}
-	type meas struct {
-		lat sim.Duration
-		bw  float64
+	vals, _, err := SweepNet(nil, cells)
+	if err != nil {
+		return nil, err
 	}
-	results, err := Sweep(len(cells), func(i int) (meas, error) {
-		c := cells[i]
-		cfg := NetConfig{Model: c.m, Backend: c.lib.backend, API: c.lib.api,
-			Native: true, Inter: c.inter, Bytes: c.size}
-		l, err := Latency(cfg)
-		if err != nil {
-			return meas{}, err
+	out := make([][][]netMeas, len(panels))
+	for pi, p := range panels {
+		out[pi] = make([][]netMeas, len(p.cols))
+		for ci := range p.cols {
+			for range sizes {
+				out[pi][ci] = append(out[pi][ci], netMeas{sim.Duration(vals[0]), vals[1]})
+				vals = vals[2:]
+			}
 		}
-		b, err := Bandwidth(cfg)
-		if err != nil {
-			return meas{}, err
+	}
+	return out, nil
+}
+
+// netFigures starts a panel's latency and bandwidth figures.
+func netFigures(id, latTitle, bwTitle string, p netPanel) (lat, bw Figure) {
+	where := fmt.Sprintf(", %s, %s", p.m.Name, Placement(p.inter))
+	lat = Figure{ID: id, Title: latTitle + where, XLabel: "bytes", YLabel: "one-way latency (us)"}
+	bw = Figure{ID: id, Title: bwTitle + where, XLabel: "bytes", YLabel: "bandwidth (GB/s)"}
+	return lat, bw
+}
+
+// netSeries renders one column's points as its latency (us) and bandwidth
+// (GB/s) series.
+func netSeries(label string, sizes []int64, ms []netMeas) (lat, bw Series) {
+	lat.Label, bw.Label = label, label
+	for i, r := range ms {
+		x := float64(sizes[i])
+		lat.X, lat.Y = append(lat.X, x), append(lat.Y, r.lat.Micros())
+		bw.X, bw.Y = append(bw.X, x), append(bw.Y, r.bw/1e9)
+	}
+	return lat, bw
+}
+
+// RunFig2 reproduces the motivation benchmark (Fig. 2): native-library
+// latency and bandwidth, intra- and inter-node, on Perlmutter and LUMI, one
+// line per library (GPUSHMEM by its device API only).
+func RunFig2(sc Scale) ([]Figure, error) {
+	sizes := netSizes(sc)
+	var panels []netPanel
+	for _, m := range []*machine.Model{machine.Perlmutter(), machine.LUMI()} {
+		var cols []Variant
+		for _, l := range Libs(m, false) {
+			if l.Backend != core.GpushmemBackend || l.API == machine.APIDevice {
+				cols = append(cols, Variant{l, true})
+			}
 		}
-		return meas{l, b}, nil
-	})
+		panels = append(panels, netPanel{m, false, cols}, netPanel{m, true, cols})
+	}
+	results, err := sweepNet(panels, sizes)
 	if err != nil {
 		return nil, err
 	}
 	var figs []Figure
-	idx := 0
-	for _, m := range machines {
-		for _, inter := range []bool{false, true} {
-			where := map[bool]string{false: "intra-node", true: "inter-node"}[inter]
-			lat := Figure{
-				ID:     "Fig2", // panels a-d
-				Title:  fmt.Sprintf("Native latency, %s, %s", m.Name, where),
-				XLabel: "bytes", YLabel: "one-way latency (us)",
-			}
-			bw := Figure{
-				ID:     "Fig2",
-				Title:  fmt.Sprintf("Native bandwidth, %s, %s", m.Name, where),
-				XLabel: "bytes", YLabel: "bandwidth (GB/s)",
-			}
-			for _, lib := range libsOf(m, false) {
-				var lx, ly, bx, by []float64
-				for _, size := range sizes {
-					r := results[idx]
-					idx++
-					lx, ly = append(lx, float64(size)), append(ly, r.lat.Micros())
-					bx, by = append(bx, float64(size)), append(by, r.bw/1e9)
-				}
-				lat.Series = append(lat.Series, Series{Label: lib.label, X: lx, Y: ly})
-				bw.Series = append(bw.Series, Series{Label: lib.label, X: bx, Y: by})
-			}
-			lat.Notes = append(lat.Notes, crossoverNote(lat))
-			figs = append(figs, lat, bw)
+	for pi, p := range panels {
+		lat, bw := netFigures("Fig2", "Native latency", "Native bandwidth", p) // panels a-d
+		for ci, v := range p.cols {
+			l, b := netSeries(v.Net, sizes, results[pi][ci])
+			lat.Series, bw.Series = append(lat.Series, l), append(bw.Series, b)
 		}
+		lat.Notes = append(lat.Notes, crossoverNote(lat))
+		figs = append(figs, lat, bw)
 	}
 	return figs, nil
 }
@@ -213,91 +210,69 @@ func RunFig34(sc Scale, inter bool) ([]Figure, error) {
 	if inter {
 		id = "Fig4"
 	}
-	where := map[bool]string{false: "intra-node", true: "inter-node"}[inter]
-	machines := machine.All()
 	sizes := netSizes(sc)
-	type cell struct {
-		m    *machine.Model
-		lib  libConfig
-		size int64
+	var panels []netPanel
+	for _, m := range machine.All() {
+		panels = append(panels, netPanel{m, inter, Variants(Libs(m, false))})
 	}
-	var cells []cell
-	for _, m := range machines {
-		for _, lib := range libsOf(m, true) {
-			for _, size := range sizes {
-				cells = append(cells, cell{m, lib, size})
-			}
-		}
-	}
-	// One cell measures all four quantities of one point: native and
-	// UNICONN, latency and bandwidth.
-	type meas struct {
-		ln, lu sim.Duration
-		bn, bu float64
-	}
-	results, err := Sweep(len(cells), func(i int) (meas, error) {
-		c := cells[i]
-		cfg := NetConfig{Model: c.m, Backend: c.lib.backend, API: c.lib.api,
-			Inter: inter, Bytes: c.size}
-		var r meas
-		var err error
-		cfg.Native = true
-		if r.ln, err = Latency(cfg); err != nil {
-			return r, err
-		}
-		if r.bn, err = Bandwidth(cfg); err != nil {
-			return r, err
-		}
-		cfg.Native = false
-		if r.lu, err = Latency(cfg); err != nil {
-			return r, err
-		}
-		if r.bu, err = Bandwidth(cfg); err != nil {
-			return r, err
-		}
-		return r, nil
-	})
+	results, err := sweepNet(panels, sizes)
 	if err != nil {
 		return nil, err
 	}
 	var figs []Figure
-	idx := 0
-	for _, m := range machines {
-		lat := Figure{ID: id, Title: fmt.Sprintf("Latency native vs UNICONN, %s, %s", m.Name, where),
-			XLabel: "bytes", YLabel: "one-way latency (us)"}
-		bw := Figure{ID: id, Title: fmt.Sprintf("Bandwidth native vs UNICONN, %s, %s", m.Name, where),
-			XLabel: "bytes", YLabel: "bandwidth (GB/s)"}
-		for _, lib := range libsOf(m, true) {
-			var natL, ucL, natB, ucB Series
-			natL.Label, ucL.Label = lib.label+":Native", lib.label+":Uniconn"
-			natB.Label, ucB.Label = natL.Label, ucL.Label
-			var sumLat, sumBw float64
-			var cnt int
-			for _, size := range sizes {
-				r := results[idx]
-				idx++
-				x := float64(size)
-				natL.X, natL.Y = append(natL.X, x), append(natL.Y, r.ln.Micros())
-				ucL.X, ucL.Y = append(ucL.X, x), append(ucL.Y, r.lu.Micros())
-				natB.X, natB.Y = append(natB.X, x), append(natB.Y, r.bn/1e9)
-				ucB.X, ucB.Y = append(ucB.X, x), append(ucB.Y, r.bu/1e9)
-				sumLat += PercentDiff(r.lu, r.ln)
-				sumBw += (r.bn - r.bu) / r.bn * 100
-				cnt++
-			}
+	for pi, p := range panels {
+		lat, bw := netFigures(id, "Latency native vs UNICONN", "Bandwidth native vs UNICONN", p)
+		// Columns come in (native, UNICONN) pairs per library.
+		for ci := 0; ci < len(p.cols); ci += 2 {
+			lib := p.cols[ci].Net
+			nat, uc := results[pi][ci], results[pi][ci+1]
+			natL, natB := netSeries(lib+":Native", sizes, nat)
+			ucL, ucB := netSeries(lib+":Uniconn", sizes, uc)
 			lat.Series = append(lat.Series, natL, ucL)
 			bw.Series = append(bw.Series, natB, ucB)
+			var sumLat, sumBw float64
+			for i := range nat {
+				sumLat += PercentDiff(uc[i].lat, nat[i].lat)
+				sumBw += (nat[i].bw - uc[i].bw) / nat[i].bw * 100
+			}
 			// pct renders "n/a" when any point had a zero reference
 			// (which poisons the average with NaN/Inf) instead of a
 			// bogus "0.00%".
 			lat.Notes = append(lat.Notes, fmt.Sprintf("%s avg UNICONN latency overhead: %s",
-				lib.label, pct(sumLat/float64(cnt))))
+				lib, pct(sumLat/float64(len(nat)))))
 			bw.Notes = append(bw.Notes, fmt.Sprintf("%s avg UNICONN bandwidth loss: %s",
-				lib.label, pct(sumBw/float64(cnt))))
+				lib, pct(sumBw/float64(len(nat)))))
 		}
 		figs = append(figs, lat, bw)
 	}
 	return figs, nil
+}
+
+// JacobiCells lays out one Jacobi run of base per (GPU count, column),
+// count-major: the row-major order of the tables printed from the results.
+func JacobiCells(base jacobi.Config, counts []int, cols []Variant) []jacobi.Config {
+	cells := make([]jacobi.Config, 0, len(counts)*len(cols))
+	for _, n := range counts {
+		for _, v := range cols {
+			c := v.JacobiConfig(base)
+			c.NGPUs = n
+			cells = append(cells, c)
+		}
+	}
+	return cells
+}
+
+// SweepJacobi runs the cells over the sweep runner, results by cell index
+// (on failure, those before the failing cell: SweepPrefix).
+func SweepJacobi(cells []jacobi.Config) ([]jacobi.Result, error) {
+	return SweepPrefix(len(cells), func(_, i int) (jacobi.Result, error) { return jacobi.Run(cells[i]) })
+}
+
+// SweepCG runs the cells over the sweep runner, results by cell index (on
+// failure, those before the failing cell). Cells may share one matrix:
+// cg.Run only reads it.
+func SweepCG(cells []cg.Config) ([]cg.Result, error) {
+	return SweepPrefix(len(cells), func(_, i int) (cg.Result, error) { return cg.Run(cells[i]) })
 }
 
 // RunFig5 reproduces the Jacobi scaling study (Fig. 5): per-iteration time
@@ -310,53 +285,19 @@ func RunFig5(sc Scale) ([]Figure, error) {
 		iters, warmup = 1000, 100
 	}
 	gpuCounts := []int{4, 8, 16, 32, 64}
+	xs := make([]float64, len(gpuCounts))
+	for i, n := range gpuCounts {
+		xs[i] = float64(n)
+	}
 	machines := machine.All()
-	type vrt struct {
-		label string
-		cfg   jacobi.Config
-	}
-	variantsOf := func(m *machine.Model) []vrt {
-		base := jacobi.Config{Model: m, NX: ny, NY: ny, Iters: iters, Warmup: warmup, Compute: false}
-		mk := func(label string, v jacobi.Variant, b core.BackendID, mode core.LaunchMode) vrt {
-			c := base
-			c.Variant, c.Backend, c.Mode = v, b, mode
-			return vrt{label, c}
-		}
-		variants := []vrt{
-			mk("MPI:Native", jacobi.NativeMPI, 0, 0),
-			mk("MPI:Uniconn", jacobi.Uniconn, core.MPIBackend, core.PureHost),
-			mk("GPUCCL:Native", jacobi.NativeGPUCCL, 0, 0),
-			mk("GPUCCL:Uniconn", jacobi.Uniconn, core.GpucclBackend, core.PureHost),
-		}
-		if m.HasGPUSHMEM {
-			variants = append(variants,
-				mk("GPUSHMEM-H:Native", jacobi.NativeGPUSHMEMHost, 0, 0),
-				mk("GPUSHMEM-H:Uniconn", jacobi.Uniconn, core.GpushmemBackend, core.PureHost),
-				mk("GPUSHMEM-D:Native", jacobi.NativeGPUSHMEMDevice, 0, 0),
-				mk("GPUSHMEM-D:Uniconn", jacobi.Uniconn, core.GpushmemBackend, core.PureDevice),
-			)
-		}
-		return variants
-	}
-	perMachine := make([][]vrt, len(machines))
+	perMachine := make([][]Variant, len(machines))
 	var cells []jacobi.Config
 	for mi, m := range machines {
-		perMachine[mi] = variantsOf(m)
-		for _, n := range gpuCounts {
-			for _, v := range perMachine[mi] {
-				cfg := v.cfg
-				cfg.NGPUs = n
-				cells = append(cells, cfg)
-			}
-		}
+		perMachine[mi] = Variants(Libs(m, false))
+		base := jacobi.Config{Model: m, NX: ny, NY: ny, Iters: iters, Warmup: warmup}
+		cells = append(cells, JacobiCells(base, gpuCounts, perMachine[mi])...)
 	}
-	micros, err := Sweep(len(cells), func(i int) (float64, error) {
-		res, err := jacobi.Run(cells[i])
-		if err != nil {
-			return 0, err
-		}
-		return res.PerIter.Micros(), nil
-	})
+	results, err := SweepJacobi(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -365,34 +306,57 @@ func RunFig5(sc Scale) ([]Figure, error) {
 	for mi, m := range machines {
 		fig := Figure{ID: "Fig5", Title: fmt.Sprintf("Jacobi 2D, %s (grid %d x %d)", m.Name, ny, ny),
 			XLabel: "GPUs", YLabel: "time per iteration (us)"}
-		variants := perMachine[mi]
-		perVariant := map[string][]float64{}
+		cols := perMachine[mi]
+		ys := make([][]float64, len(cols))
 		for range gpuCounts {
-			for _, v := range variants {
-				perVariant[v.label] = append(perVariant[v.label], micros[idx])
+			for vi := range cols {
+				ys[vi] = append(ys[vi], results[idx].PerIter.Micros())
 				idx++
 			}
 		}
-		xs := make([]float64, len(gpuCounts))
-		for i, n := range gpuCounts {
-			xs[i] = float64(n)
-		}
-		for _, v := range variants {
-			fig.Series = append(fig.Series, Series{Label: v.label, X: xs, Y: perVariant[v.label]})
+		for vi, v := range cols {
+			fig.Series = append(fig.Series, Series{Label: v.App + v.Impl(), X: xs, Y: ys[vi]})
 		}
 		// Average native-vs-UNICONN difference per backend (§VI-C: <1%).
-		for i := 0; i+1 < len(variants); i += 2 {
-			nat, uc := perVariant[variants[i].label], perVariant[variants[i+1].label]
+		for i := 0; i+1 < len(cols); i += 2 {
+			nat, uc := ys[i], ys[i+1]
 			sum := 0.0
 			for j := range nat {
 				sum += (uc[j] - nat[j]) / nat[j] * 100
 			}
 			fig.Notes = append(fig.Notes, fmt.Sprintf("%s avg UNICONN diff: %s",
-				strings.Split(variants[i].label, ":")[0], pct(sum/float64(len(nat)))))
+				cols[i].App, pct(sum/float64(len(nat)))))
 		}
 		figs = append(figs, fig)
 	}
 	return figs, nil
+}
+
+// fig6Col is one bar of Fig. 6.
+type fig6Col struct {
+	label string
+	cfg   cg.Config
+}
+
+// fig6Cols lists the bars of one Fig. 6 panel: every column of the backend
+// table, with the §VI-D no-Allgatherv ablation of the host libraries' native
+// versions between the host-library and the GPUSHMEM bars.
+func fig6Cols(base cg.Config) []fig6Col {
+	var host, ablation, shmem []fig6Col
+	for _, v := range Variants(Libs(base.Model, false)) {
+		c := fig6Col{v.App + v.Impl(), v.CGConfig(base)}
+		if v.Backend == core.GpushmemBackend {
+			shmem = append(shmem, c)
+			continue
+		}
+		host = append(host, c)
+		if v.Native {
+			c.label += ":no-allgatherv"
+			c.cfg.DisableAllgatherv = true
+			ablation = append(ablation, c)
+		}
+	}
+	return append(append(host, ablation...), shmem...)
 }
 
 // RunFig6 reproduces the CG study (Fig. 6): total runtime on 8 GPUs / 2
@@ -414,58 +378,23 @@ func RunFig6(sc Scale) ([]Figure, error) {
 		mats[i] = spec.Generate(scale)
 	}
 	machines := []*machine.Model{machine.Perlmutter(), machine.LUMI()}
-	type vrt struct {
-		label string
-		cfg   cg.Config
-	}
-	variantsOf := func(m *machine.Model, mat *sparse.CSR) []vrt {
-		base := cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: iters, Compute: false}
-		mk := func(label string, v cg.Variant, b core.BackendID, mode core.LaunchMode, noAg bool) vrt {
-			c := base
-			c.Variant, c.Backend, c.Mode, c.DisableAllgatherv = v, b, mode, noAg
-			return vrt{label, c}
-		}
-		variants := []vrt{
-			mk("MPI:Native", cg.NativeMPI, 0, 0, false),
-			mk("MPI:Uniconn", cg.Uniconn, core.MPIBackend, core.PureHost, false),
-			mk("GPUCCL:Native", cg.NativeGPUCCL, 0, 0, false),
-			mk("GPUCCL:Uniconn", cg.Uniconn, core.GpucclBackend, core.PureHost, false),
-			mk("MPI:Native:no-allgatherv", cg.NativeMPI, 0, 0, true),
-			mk("GPUCCL:Native:no-allgatherv", cg.NativeGPUCCL, 0, 0, true),
-		}
-		if m.HasGPUSHMEM {
-			variants = append(variants,
-				mk("GPUSHMEM-H:Native", cg.NativeGPUSHMEMHost, 0, 0, false),
-				mk("GPUSHMEM-H:Uniconn", cg.Uniconn, core.GpushmemBackend, core.PureHost, false),
-				mk("GPUSHMEM-D:Native", cg.NativeGPUSHMEMDevice, 0, 0, false),
-				mk("GPUSHMEM-D:Uniconn", cg.Uniconn, core.GpushmemBackend, core.PureDevice, false),
-			)
-		}
-		return variants
-	}
-	var variantLists [][]vrt
+	var panels [][]fig6Col
 	var cells []cg.Config
 	for _, m := range machines {
-		for si := range specs {
-			vs := variantsOf(m, mats[si])
-			variantLists = append(variantLists, vs)
-			for _, v := range vs {
-				cells = append(cells, v.cfg)
+		for _, mat := range mats {
+			cols := fig6Cols(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: iters})
+			panels = append(panels, cols)
+			for _, c := range cols {
+				cells = append(cells, c.cfg)
 			}
 		}
 	}
-	totals, err := Sweep(len(cells), func(i int) (sim.Duration, error) {
-		res, err := cg.Run(cells[i])
-		if err != nil {
-			return 0, err
-		}
-		return res.Total, nil
-	})
+	runs, err := SweepCG(cells)
 	if err != nil {
 		return nil, err
 	}
 	var figs []Figure
-	idx, combo := 0, 0
+	idx, panel := 0, 0
 	for _, m := range machines {
 		for si, spec := range specs {
 			mat := mats[si]
@@ -475,26 +404,21 @@ func RunFig6(sc Scale) ([]Figure, error) {
 					m.Name, spec.Name, mat.Rows, mat.NNZ()),
 				XLabel: "variant", YLabel: "total time (ms)",
 			}
-			variants := variantLists[combo]
-			combo++
 			results := map[string]sim.Duration{}
-			for i, v := range variants {
-				total := totals[idx]
+			for i, c := range panels[panel] {
+				total := runs[idx].Total
 				idx++
-				results[v.label] = total
+				results[c.label] = total
 				fig.Series = append(fig.Series, Series{
-					Label: v.label, X: []float64{float64(i)},
+					Label: c.label, X: []float64{float64(i)},
 					Y: []float64{float64(total) / float64(sim.Millisecond)},
 				})
 			}
+			panel++
 			// Headline notes: UNICONN-vs-native diffs and the MPI anomaly.
-			for _, bk := range []string{"MPI", "GPUCCL", "GPUSHMEM-H", "GPUSHMEM-D"} {
-				nat, okN := results[bk+":Native"]
-				uc, okU := results[bk+":Uniconn"]
-				if okN && okU {
-					fig.Notes = append(fig.Notes, fmt.Sprintf("%s UNICONN diff: %s",
-						bk, pct(PercentDiff(uc, nat))))
-				}
+			for _, l := range Libs(m, false) {
+				fig.Notes = append(fig.Notes, fmt.Sprintf("%s UNICONN diff: %s",
+					l.App, pct(PercentDiff(results[l.App+":Uniconn"], results[l.App+":Native"]))))
 			}
 			fig.Notes = append(fig.Notes, fmt.Sprintf(
 				"MPI/GPUCCL runtime ratio: %.2fx with Allgatherv, %.2fx without",
@@ -523,77 +447,50 @@ func Table1() string {
 // Table2 recomputes the SLOC comparison (Table II) from this repository's
 // own benchmark and solver sources. root is the repository root.
 func Table2(root string) (string, error) {
-	j := func(parts ...string) string { return filepath.Join(append([]string{root}, parts...)...) }
-	type cell func() (int, error)
-	funcs := func(path string, names ...string) cell {
-		return func() (int, error) { return sloc.CountFuncs(path, names...) }
-	}
-	files := func(paths ...string) cell {
-		return func() (int, error) { return sloc.CountFiles(paths...) }
-	}
-	bench := j("internal", "bench")
-	jac := j("internal", "solver", "jacobi")
-	cgd := j("internal", "solver", "cg")
 	rows := []struct {
-		name  string
-		cells [4]cell // latency, bandwidth, jacobi, cg
+		name, net string
+		// bodies are the suffixes of the row's rank bodies in the net file:
+		// latency<suffix> and bandwidth<suffix>.
+		bodies []string
+		// solver is the row's file in both solver packages, counted whole
+		// unless run names the one function of it that is the row's.
+		solver, run string
 	}{
-		{"MPI", [4]cell{
-			funcs(filepath.Join(bench, "net_mpi.go"), "latencyNativeMPI"),
-			funcs(filepath.Join(bench, "net_mpi.go"), "bandwidthNativeMPI"),
-			files(filepath.Join(jac, "native_mpi.go")),
-			files(filepath.Join(cgd, "native_mpi.go")),
-		}},
-		{"GPUCCL", [4]cell{
-			funcs(filepath.Join(bench, "net_gpuccl.go"), "latencyNativeCCL"),
-			funcs(filepath.Join(bench, "net_gpuccl.go"), "bandwidthNativeCCL"),
-			files(filepath.Join(jac, "native_gpuccl.go")),
-			files(filepath.Join(cgd, "native_gpuccl.go")),
-		}},
-		{"GPUSHMEM_Host", [4]cell{
-			funcs(filepath.Join(bench, "net_gpushmem.go"), "latencyNativeShmemHost"),
-			funcs(filepath.Join(bench, "net_gpushmem.go"), "bandwidthNativeShmemHost"),
-			funcs(filepath.Join(jac, "native_gpushmem.go"), "runNativeShmemHost"),
-			funcs(filepath.Join(cgd, "native_gpushmem.go"), "runNativeShmemHost"),
-		}},
-		{"GPUSHMEM_Device", [4]cell{
-			funcs(filepath.Join(bench, "net_gpushmem.go"), "latencyNativeShmemDevice"),
-			funcs(filepath.Join(bench, "net_gpushmem.go"), "bandwidthNativeShmemDevice"),
-			funcs(filepath.Join(jac, "native_gpushmem.go"), "runNativeShmemDevice"),
-			funcs(filepath.Join(cgd, "native_gpushmem.go"), "runNativeShmemDevice"),
-		}},
-		{"Uniconn", [4]cell{
-			funcs(filepath.Join(bench, "net_uniconn.go"), "latencyUniconnHost", "latencyUniconnDevice"),
-			funcs(filepath.Join(bench, "net_uniconn.go"), "bandwidthUniconnHost", "bandwidthUniconnDevice"),
-			files(filepath.Join(jac, "uniconn.go")),
-			files(filepath.Join(cgd, "uniconn.go")),
-		}},
+		{"MPI", "net_mpi.go", []string{"NativeMPI"}, "native_mpi.go", ""},
+		{"GPUCCL", "net_gpuccl.go", []string{"NativeCCL"}, "native_gpuccl.go", ""},
+		{"GPUSHMEM_Host", "net_gpushmem.go", []string{"NativeShmemHost"}, "native_gpushmem.go", "runNativeShmemHost"},
+		{"GPUSHMEM_Device", "net_gpushmem.go", []string{"NativeShmemDevice"}, "native_gpushmem.go", "runNativeShmemDevice"},
+		{"Uniconn", "net_uniconn.go", []string{"UniconnHost", "UniconnDevice"}, "uniconn.go", ""},
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table II: SLOC per experiment (this repository) ==\n")
 	fmt.Fprintf(&b, "%-16s %9s %10s %9s %6s\n", "Library", "Latency", "Bandwidth", "Jacobi2D", "CG")
 	for _, r := range rows {
-		vals := make([]string, 4)
-		for i, c := range r.cells {
-			n, err := c()
+		var vals [4]int // latency, bandwidth, jacobi, cg
+		var err error
+		for i, kind := range []string{"latency", "bandwidth"} {
+			names := make([]string, len(r.bodies))
+			for j, suffix := range r.bodies {
+				names[j] = kind + suffix
+			}
+			if vals[i], err = sloc.CountFuncs(filepath.Join(root, "internal", "bench", r.net), names...); err != nil {
+				return "", err
+			}
+		}
+		for i, pkg := range []string{"jacobi", "cg"} {
+			path := filepath.Join(root, "internal", "solver", pkg, r.solver)
+			if r.run == "" {
+				vals[2+i], err = sloc.CountFiles(path)
+			} else {
+				vals[2+i], err = sloc.CountFuncs(path, r.run)
+			}
 			if err != nil {
 				return "", err
 			}
-			vals[i] = fmt.Sprint(n)
 		}
-		fmt.Fprintf(&b, "%-16s %9s %10s %9s %6s\n", r.name, vals[0], vals[1], vals[2], vals[3])
+		fmt.Fprintf(&b, "%-16s %9d %10d %9d %6d\n", r.name, vals[0], vals[1], vals[2], vals[3])
 	}
 	b.WriteString("(Uniconn rows include both host and device API variants in one codebase,\n" +
 		" mirroring the paper's observation that its SLOC is slightly higher.)\n")
 	return b.String(), nil
-}
-
-// SortFigures orders figures by ID then title, for stable reports.
-func SortFigures(figs []Figure) {
-	sort.Slice(figs, func(i, j int) bool {
-		if figs[i].ID != figs[j].ID {
-			return figs[i].ID < figs[j].ID
-		}
-		return figs[i].Title < figs[j].Title
-	})
 }

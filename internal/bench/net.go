@@ -119,6 +119,14 @@ func (cfg NetConfig) model() *machine.Model {
 	return &m
 }
 
+// Placement names where the two ranks of a microbenchmark sit.
+func Placement(inter bool) string {
+	if inter {
+		return "inter-node"
+	}
+	return "intra-node"
+}
+
 // Latency runs the ping-pong benchmark and returns the one-way latency.
 func Latency(cfg NetConfig) (sim.Duration, error) {
 	lat, _, err := LatencyRun(cfg)

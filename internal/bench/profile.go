@@ -1,9 +1,10 @@
 package bench
 
-// The profiling harness behind cmd/uniconn-prof: one Collector per sweep
-// cell, frozen into CellProfiles, reassembled in cell-index order into a
-// RunProfile whose rendered report, metrics JSON, and Chrome trace are
-// byte-identical at any sweep worker count.
+// The profiling harness behind uniconn prof and the -metrics/-profile/-live
+// flags of the sweep subcommands: one Collector per sweep cell, frozen into
+// CellProfiles, reassembled in cell-index order into a RunProfile whose
+// rendered report, metrics JSON, and Chrome trace are byte-identical at any
+// sweep worker count.
 //
 // Ownership rule (see also runner.go): a metrics.Registry and a trace.Log
 // are single-engine state. Every cell must allocate its own Collector inside
@@ -17,34 +18,91 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// Collector owns one cell's observability state: a private metrics registry
-// and span log to hand to that cell's run configuration.
+// Collector holds one cell's instruments: a private metrics registry and
+// span log to hand to that cell's run configuration, or — for a cell that
+// records nothing — its worker's pooled cost cache. Any of them may be nil.
 type Collector struct {
 	Metrics *metrics.Registry
 	Trace   *trace.Log
+	Costs   *machine.CostCache
+
+	live *telemetry.Tracker
 }
 
-// NewCollector allocates a fresh collector for one cell.
-func NewCollector() *Collector {
-	return &Collector{Metrics: metrics.New(), Trace: trace.New()}
-}
-
-// Finish freezes the collector into an immutable cell profile.
-func (c *Collector) Finish(label string, end sim.Time) CellProfile {
-	return CellProfile{
-		Label:   label,
-		End:     end,
-		Metrics: c.Metrics.Snapshot(),
-		Spans:   c.Trace.Sorted(),
+// Finish freezes the collector into an immutable cell profile (empty for a
+// cell that recorded nothing) and feeds the cell's metrics to the live
+// tracker, if any.
+func (c *Collector) Finish(label string, end sim.Time, notes ...string) CellProfile {
+	cp := CellProfile{Label: label, End: end, Notes: notes}
+	if c.Metrics != nil {
+		cp.Metrics = c.Metrics.Snapshot()
+		c.live.AddSnapshot(cp.Metrics) // nil-safe
 	}
+	if c.Trace != nil {
+		cp.Spans = c.Trace.Sorted()
+	}
+	return cp
+}
+
+// Observe is the one decision of what a sweep's cells record, taken once
+// per sweep from the shared observability flags: with profile set (-metrics,
+// -profile, -json, -trace, the prof subcommand) every cell owns a registry
+// and a span log; otherwise, with live telemetry on (-live), a bare registry
+// — /metrics wants per-cell counters but nobody asked for spans; otherwise
+// nothing, and the cells share one warmed cost cache per worker instead
+// (ModelPool: on one machine, per-cell cache rebuilds are pure waste, while
+// recording cells keep private caches because their machine.costcache.*
+// counters are part of the output). A nil *Observe records nothing.
+type Observe struct {
+	profile bool
+	live    *telemetry.Tracker
+	pool    *ModelPool
+}
+
+// NewObserve decides for a sweep on machine m. The live tracker is the one
+// StartLive installed, if any.
+func NewObserve(m *machine.Model, profile bool) *Observe {
+	o := &Observe{profile: profile, live: Progress()}
+	if !profile && o.live == nil {
+		o.pool = NewModelPool(m, 0)
+	}
+	return o
+}
+
+// Cell allocates the instruments of one cell executing on the given sweep
+// worker. Call it inside the cell function — the ownership rule above.
+func (o *Observe) Cell(worker int) *Collector {
+	switch {
+	case o == nil:
+		return &Collector{}
+	case o.profile:
+		return &Collector{Metrics: metrics.New(), Trace: trace.New(), live: o.live}
+	case o.live != nil:
+		return &Collector{Metrics: metrics.New(), live: o.live}
+	default:
+		return &Collector{Costs: o.pool.Costs(worker)}
+	}
+}
+
+// SweepObserved is the observed sweep every profiling tool shares: it runs n
+// cells over the sweep runner, hands each the instruments o decides on, and
+// collects the cells' values and frozen profiles by cell index, so whatever
+// is rendered from them is byte-identical at any worker count. On failure it
+// returns those of the cells preceding the first failing one (SweepPrefix).
+func SweepObserved[T any](o *Observe, n int, fn func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
+	profs := make([]CellProfile, n)
+	vals, err := SweepPrefix(n, func(k, i int) (v T, err error) {
+		v, profs[i], err = fn(i, o.Cell(k))
+		return v, err
+	})
+	return vals, profs[:len(vals)], err
 }
 
 // CellProfile is one cell's frozen observability record.
@@ -130,6 +188,30 @@ func (rp *RunProfile) WriteChromeTrace(w io.Writer) error {
 	return trace.WriteChromeCells(w, cells)
 }
 
+// NetCell is one microbenchmark run of a sweep: a configuration, which of
+// the two tests to run on it, and the label of the cell's profile.
+type NetCell struct {
+	NetConfig
+	Bandwidth bool
+	Label     string
+}
+
+// SweepNet runs the cells over the observed sweep and returns, per cell, the
+// one-way latency in nanoseconds or the bandwidth in bytes/second, and the
+// cell's profile with that measurement as its note.
+func SweepNet(obs *Observe, cells []NetCell) ([]float64, []CellProfile, error) {
+	return SweepObserved(obs, len(cells), func(i int, col *Collector) (float64, CellProfile, error) {
+		c := cells[i]
+		c.Metrics, c.Trace, c.Costs = col.Metrics, col.Trace, col.Costs
+		if c.Bandwidth {
+			bw, rep, err := BandwidthRun(c.NetConfig)
+			return bw, col.Finish(c.Label, rep.End, fmt.Sprintf("bandwidth %.4f GB/s", bw/1e9)), err
+		}
+		lat, rep, err := LatencyRun(c.NetConfig)
+		return float64(lat), col.Finish(c.Label, rep.End, fmt.Sprintf("one-way latency %s", lat)), err
+	})
+}
+
 // ProfileNet profiles the latency and bandwidth microbenchmarks of one
 // configuration over a size sweep: two cells per size (latency, bandwidth),
 // each with its own collector, fanned out over the sweep runner.
@@ -137,35 +219,16 @@ func ProfileNet(base NetConfig, sizes []int64) (*RunProfile, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("bench: ProfileNet needs at least one size")
 	}
-	profs, err := Sweep(2*len(sizes), func(i int) (CellProfile, error) {
-		size := sizes[i/2]
-		col := NewCollector()
+	var cells []NetCell
+	for _, size := range sizes {
 		cfg := base
 		cfg.Bytes = size
-		cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
-		if i%2 == 0 {
-			lat, rep, err := LatencyRun(cfg)
-			if err != nil {
-				return CellProfile{}, err
-			}
-			cp := col.Finish(fmt.Sprintf("latency/%dB", size), rep.End)
-			cp.Notes = append(cp.Notes, fmt.Sprintf("one-way latency %s", lat))
-			return cp, nil
-		}
-		bw, rep, err := BandwidthRun(cfg)
-		if err != nil {
-			return CellProfile{}, err
-		}
-		cp := col.Finish(fmt.Sprintf("bandwidth/%dB", size), rep.End)
-		cp.Notes = append(cp.Notes, fmt.Sprintf("bandwidth %.4f GB/s", bw/1e9))
-		return cp, nil
-	})
+		cells = append(cells, NetCell{cfg, false, fmt.Sprintf("latency/%dB", size)},
+			NetCell{cfg, true, fmt.Sprintf("bandwidth/%dB", size)})
+	}
+	_, profs, err := SweepNet(NewObserve(base.Model, true), cells)
 	if err != nil {
 		return nil, err
-	}
-	where := "intra-node"
-	if base.Inter {
-		where = "inter-node"
 	}
 	impl := "uniconn"
 	if base.Native {
@@ -173,94 +236,22 @@ func ProfileNet(base NetConfig, sizes []int64) (*RunProfile, error) {
 	}
 	return &RunProfile{
 		Title: fmt.Sprintf("net %s %s %s %s (%d sizes)",
-			base.Model.Name, base.Backend, impl, where, len(sizes)),
+			base.Model.Name, base.Backend, impl, Placement(base.Inter), len(sizes)),
 		Cells: profs,
 	}, nil
 }
 
-// ProfileJacobi profiles one Jacobi run as a single cell.
-func ProfileJacobi(cfg jacobi.Config) (*RunProfile, error) {
-	col := NewCollector()
-	cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
-	res, err := jacobi.Run(cfg)
+// ProfileRun profiles one application run (Jacobi, CG) as a single cell.
+// run executes it with the collector's registry and span log and reports the
+// per-iteration and total timed durations and the run's end time.
+func ProfileRun(title, label string, iters int,
+	run func(col *Collector) (perIter, total sim.Duration, end sim.Time, err error)) (*RunProfile, error) {
+	col := (&Observe{profile: true, live: Progress()}).Cell(0)
+	perIter, total, end, err := run(col)
 	if err != nil {
 		return nil, err
 	}
-	cp := col.Finish(fmt.Sprintf("jacobi/%dgpu", cfg.NGPUs), res.End)
-	cp.Notes = append(cp.Notes,
-		fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
-			res.PerIter, cfg.Iters, res.Total))
-	return &RunProfile{
-		Title: fmt.Sprintf("jacobi %s %s %dx%d on %d GPUs",
-			cfg.Model.Name, cfg.Variant, cfg.NX, cfg.NY, cfg.NGPUs),
-		Cells: []CellProfile{cp},
-	}, nil
-}
-
-// ProfileCG profiles one CG run as a single cell.
-func ProfileCG(cfg cg.Config) (*RunProfile, error) {
-	col := NewCollector()
-	cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
-	res, err := cg.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cp := col.Finish(fmt.Sprintf("cg/%dgpu", cfg.NGPUs), res.End)
-	cp.Notes = append(cp.Notes,
-		fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
-			res.PerIter, cfg.Iters, res.Total))
-	return &RunProfile{
-		Title: fmt.Sprintf("cg %s %s %d rows on %d GPUs",
-			cfg.Model.Name, cfg.Variant, cfg.Matrix.Rows, cfg.NGPUs),
-		Cells: []CellProfile{cp},
-	}, nil
-}
-
-// ChaosSweepProfiled is ChaosSweep with one Collector per severity cell,
-// returning the per-cell profiles alongside the points. The latency run of
-// each severity is profiled (the bandwidth run reuses the plan but records
-// nothing, as in ChaosSweep).
-func ChaosSweepProfiled(cfg NetConfig, severities []float64, planFor func(severity float64) *faults.Plan) ([]ChaosPoint, []CellProfile, error) {
-	if planFor == nil {
-		path := cfg.FaultedPath()
-		planFor = func(s float64) *faults.Plan { return faults.Degrade(path, s) }
-	}
-	type cellResult struct {
-		pt   ChaosPoint
-		prof CellProfile
-		err  error
-	}
-	results, _ := Sweep(len(severities), func(i int) (cellResult, error) {
-		sev := severities[i]
-		col := NewCollector()
-		run := cfg
-		run.Faults = planFor(sev)
-		run.Metrics, run.Trace = col.Metrics, col.Trace
-		lat, rep, err := LatencyRun(run)
-		if err != nil {
-			return cellResult{err: fmt.Errorf("chaos severity %g: latency: %w", sev, err)}, nil
-		}
-		pt := ChaosPoint{Severity: sev, Latency: lat}
-		for _, s := range run.Trace.Filter(trace.KindTransfer) {
-			pt.Transfers++
-			pt.TransferBytes += s.Bytes
-		}
-		prof := col.Finish(fmt.Sprintf("severity/%g", sev), rep.End)
-		prof.Notes = append(prof.Notes, fmt.Sprintf("one-way latency %s", lat))
-		run.Metrics, run.Trace = nil, nil // bandwidth run is unprofiled
-		if pt.Bandwidth, err = Bandwidth(run); err != nil {
-			return cellResult{err: fmt.Errorf("chaos severity %g: bandwidth: %w", sev, err)}, nil
-		}
-		return cellResult{pt: pt, prof: prof}, nil
-	})
-	points := make([]ChaosPoint, 0, len(severities))
-	profs := make([]CellProfile, 0, len(severities))
-	for _, r := range results {
-		if r.err != nil {
-			return points, profs, r.err
-		}
-		points = append(points, r.pt)
-		profs = append(profs, r.prof)
-	}
-	return points, profs, nil
+	cp := col.Finish(label, end, fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
+		perIter, iters, total))
+	return &RunProfile{Title: title, Cells: []CellProfile{cp}}, nil
 }

@@ -36,7 +36,7 @@ func profileOutputs(t *testing.T) (report, metricsJSON, chromeTrace string) {
 	return rep.String(), js.String(), tr.String()
 }
 
-// TestProfileDeterministicAcrossWorkers is the uniconn-prof acceptance test:
+// TestProfileDeterministicAcrossWorkers is the uniconn prof acceptance test:
 // every artifact is byte-identical at 1 and 8 sweep workers. Run under -race
 // it also proves the per-cell collector ownership rule holds (no shared
 // observability state between worker goroutines).
@@ -114,11 +114,11 @@ func TestProfileMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestProfileGoldenReport pins the small Fig-2 cell report that CI's
-// prof-smoke step diffs: `uniconn-prof -native -min 8 -max 8` must keep
-// producing exactly these bytes. Regenerate with:
+// TestProfileGoldenReport pins the small Fig-2 cell report that
+// `uniconn prof -native -min 8 -max 8` prints (cmd/uniconn's golden test
+// diffs the subcommand's stdout against the same file). Regenerate with:
 //
-//	go run ./cmd/uniconn-prof -native -min 8 -max 8 > internal/bench/testdata/prof_fig2_small.golden
+//	go run ./cmd/uniconn prof -native -min 8 -max 8 > internal/bench/testdata/prof_fig2_small.golden
 func TestProfileGoldenReport(t *testing.T) {
 	rp, err := ProfileNet(NetConfig{
 		Model: machine.Perlmutter(), Backend: core.MPIBackend,
@@ -137,17 +137,22 @@ func TestProfileGoldenReport(t *testing.T) {
 	}
 }
 
-// TestChaosSweepProfiled checks the profiled chaos sweep matches the plain
+// TestChaosSweepObserved checks the profiled chaos sweep matches the plain
 // one point-for-point and yields one frozen profile per severity.
-func TestChaosSweepProfiled(t *testing.T) {
+func TestChaosSweepObserved(t *testing.T) {
 	cfg := NetConfig{Model: machine.Perlmutter(), Backend: core.MPIBackend,
 		API: machine.APIHost, Native: true, Inter: true, Bytes: 8192}
 	sev := []float64{0, 0.5}
-	plain, err := ChaosSweep(cfg, sev, nil)
+	plain, empty, err := ChaosSweep(cfg, sev, nil, NewObserve(cfg.Model, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, profs, err := ChaosSweepProfiled(cfg, sev, nil)
+	for i, cp := range empty {
+		if len(cp.Spans) != 0 || !cp.Metrics.Empty() {
+			t.Errorf("severity %g: unobserved cell recorded a profile", sev[i])
+		}
+	}
+	points, profs, err := ChaosSweep(cfg, sev, nil, NewObserve(cfg.Model, true))
 	if err != nil {
 		t.Fatal(err)
 	}

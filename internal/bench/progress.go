@@ -1,6 +1,6 @@
 package bench
 
-// Live progress plumbing: the sweep CLIs install a telemetry.Tracker here
+// Live progress plumbing: the sweep subcommands install a telemetry.Tracker here
 // (once, before any sweep) and every Runner.Run reports run/cell progress to
 // it. Disabled by default — with no tracker installed the runner pays one
 // RLock per sweep and nothing per cell. Progress reporting never touches
@@ -41,20 +41,21 @@ func SetProgressLabel(label string) {
 	progMu.Unlock()
 }
 
-// StartLive is the sweep CLIs' one-call -live wiring: with a non-empty
-// addr it starts the telemetry HTTP server, installs its tracker as the
-// process progress sink under label, arranges for a SIGINT/SIGTERM to print
-// the sweep progress and the metrics merged so far to stderr before exiting
-// 130, and returns the tracker plus a close func for the CLI's defer. An
-// empty addr (flag unset) returns a nil tracker and a no-op close, so call
-// sites need no branching.
-func StartLive(addr, label string) (*telemetry.Tracker, func(), error) {
+// StartLive is the sweep subcommands' one-call -live wiring: with a
+// non-empty addr it starts the telemetry HTTP server, installs its tracker
+// as the process progress sink under label (Progress reports it; the
+// observed sweep feeds it), arranges for a SIGINT/SIGTERM to print the sweep
+// progress and the metrics merged so far to stderr before exiting 130, and
+// returns a close func for the caller's defer. An empty addr (flag unset)
+// installs nothing and returns a no-op close, so call sites need no
+// branching.
+func StartLive(addr, label string) (func(), error) {
 	if addr == "" {
-		return nil, func() {}, nil
+		return func() {}, nil
 	}
 	tracker, srv, err := telemetry.StartLive(addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	SetProgress(tracker)
 	SetProgressLabel(label)
@@ -63,7 +64,10 @@ func StartLive(addr, label string) (*telemetry.Tracker, func(), error) {
 		tracker.WriteProgress(os.Stderr)
 		fmt.Fprint(os.Stderr, tracker.MetricsSnapshot().Render())
 	})
-	return tracker, func() { srv.Close() }, nil
+	return func() {
+		SetProgress(nil) // subcommands are plain functions: leave nothing installed
+		srv.Close()
+	}, nil
 }
 
 // Progress reports the installed tracker (nil when live telemetry is off).

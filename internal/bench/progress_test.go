@@ -39,22 +39,23 @@ func TestRunnerReportsProgress(t *testing.T) {
 	}
 }
 
-// TestRecoverySweepOptsObservability checks the observability add-ons: a
+// TestRecoverySweepObservability checks the observability add-ons: a
 // positive FlightDepth captures the post-mortem of faulted cells into their
 // points, a live tracker accumulates per-cell metrics — and neither changes
-// the sweep's measurements relative to plain RecoverySweep.
-func TestRecoverySweepOptsObservability(t *testing.T) {
+// the sweep's measurements relative to a sweep without them.
+func TestRecoverySweepObservability(t *testing.T) {
 	m := machine.Perlmutter()
 	sevs := []float64{0, 0.75} // 0.75 generates a crash and a dead link
 	const seed = 7
 
-	plain, err := RecoverySweep(m, core.MPIBackend, 8, sevs, seed)
+	plain, err := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := telemetry.NewTracker()
-	live, err := RecoverySweepOpts(m, core.MPIBackend, 8, sevs, seed,
-		RecoveryOpts{FlightDepth: 64, Live: tr})
+	SetProgress(tr)
+	defer SetProgress(nil)
+	live, err := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

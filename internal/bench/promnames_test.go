@@ -8,6 +8,8 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/solver/cg"
+	"repro/internal/sparse"
 )
 
 // TestPrometheusNamesInjective runs real workloads over every backend (plus
@@ -32,8 +34,8 @@ func TestPrometheusNamesInjective(t *testing.T) {
 		}
 	}
 
-	// A latency (point-to-point protocol) and an allreduce (collective)
-	// cell per backend cover the protocol and collective instruments of
+	// A latency (point-to-point protocol) and a CG (collectives through the
+	// UNICONN API) cell per backend cover the protocol and collective instruments of
 	// each library plus the scheduler and fabric layers.
 	for _, b := range []core.BackendID{core.MPIBackend, core.GpucclBackend, core.GpushmemBackend} {
 		r := metrics.New()
@@ -45,7 +47,8 @@ func TestPrometheusNamesInjective(t *testing.T) {
 		collect(r)
 		r = metrics.New()
 		cfg.Metrics = r
-		if _, err := AllReduceLatency(cfg, 8); err != nil {
+		if _, err := cg.Run(cg.Config{Model: m, NGPUs: 8, Matrix: sparse.Laplace3D(8, 8, 8), Iters: 2,
+			Variant: cg.Uniconn, Backend: b, Mode: core.PureHost, Metrics: r}); err != nil {
 			t.Fatalf("%s allreduce cell: %v", b, err)
 		}
 		collect(r)

@@ -4,7 +4,7 @@ package bench
 // workload under a hard-fault plan (rank crashes, dead links) and measure
 // whether the survivors complete by revoking and shrinking the communicator,
 // and how long the recovery takes. This is the measurement core of
-// cmd/uniconn-chaos -recover.
+// uniconn chaos -recover.
 
 import (
 	"bytes"
@@ -18,7 +18,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // RecoveryConfig describes one recovery chaos run: an NGPUs-rank job that
@@ -291,44 +290,33 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 // RunRecovery. Cells fan out over the deterministic sweep runner; results
 // are bit-identical at any worker count. Broken cells are reported in their
 // point's Err field rather than aborting the sweep.
-func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64) ([]RecoveryPoint, error) {
-	return RecoverySweepOpts(m, backend, nGPUs, severities, seed, RecoveryOpts{})
-}
-
-// RecoveryOpts are the observability add-ons of a recovery sweep.
-type RecoveryOpts struct {
-	// FlightDepth, when positive, enables per-cell flight recording; a
-	// cell's post-mortem lands in its point's FlightDump.
-	FlightDepth int
-	// Live, when non-nil, attaches each cell's recorders to the tracker's
-	// flight board and feeds each cell's metrics snapshot into the live
-	// aggregate. Cells get a private registry each (the sweep ownership
-	// rule) and snapshots merge order-insensitively, so /metrics content is
-	// worker-count-independent — and the sweep's own results are untouched.
-	Live *telemetry.Tracker
-}
-
-// RecoverySweepOpts is RecoverySweep with live-telemetry and flight-recorder
-// options. Points are bit-identical to RecoverySweep's except for FlightDump
-// (populated only when opts.FlightDepth > 0).
-func RecoverySweepOpts(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, opts RecoveryOpts) ([]RecoveryPoint, error) {
+//
+// Observability never changes a point except for FlightDump: a positive
+// flightDepth enables per-cell flight recording, and a cell's post-mortem
+// lands there; with live telemetry on (StartLive) each cell's recorders are
+// attached to the tracker's flight board and its metrics snapshot — from a
+// private registry, the sweep ownership rule — is fed into the live
+// aggregate, which merges order-insensitively, so /metrics content is
+// worker-count-independent.
+func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) ([]RecoveryPoint, error) {
 	horizon := 4 * sim.Millisecond
 	fc := m.FabricConfig(m.NodesFor(nGPUs))
+	live := Progress()
 	return Sweep(len(severities), func(i int) (RecoveryPoint, error) {
 		sev := severities[i]
 		plan := faults.GenerateHard(seed, sev, fc, horizon)
 		rc := RecoveryConfig{
 			Model: m, Backend: backend, NGPUs: nGPUs, Plan: plan, Horizon: horizon,
-			FlightDepth: opts.FlightDepth,
+			FlightDepth: flightDepth,
 		}
-		if opts.Live != nil {
-			rc.FlightAttach = opts.Live.Flight().Attacher(
+		if live != nil {
+			rc.FlightAttach = live.Flight().Attacher(
 				fmt.Sprintf("%s sev=%.2f", backend, sev))
 			rc.Metrics = metrics.New()
 		}
 		pt, err := RunRecovery(rc)
-		if opts.Live != nil {
-			opts.Live.AddSnapshot(rc.Metrics.Snapshot())
+		if live != nil {
+			live.AddSnapshot(rc.Metrics.Snapshot())
 		}
 		if err != nil {
 			return pt, err

@@ -74,7 +74,7 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 				os.Unsetenv(WorkersEnv)
 			}
 		}()
-		pts, err := RecoverySweep(m, core.GpucclBackend, 8, severities, 7)
+		pts, err := RecoverySweep(m, core.GpucclBackend, 8, severities, 7, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

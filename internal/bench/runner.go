@@ -164,18 +164,34 @@ func Sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return SweepWith[T](NewRunner(0), n, fn)
 }
 
+// SweepPrefix is Sweep for results that are consumed cell by cell: on failure
+// it returns, with the error, the results preceding the first failing cell —
+// what a serial loop would have produced before stopping. (Cells below the
+// lowest failing index always complete; see Runner.Run.) The executing
+// worker's index is passed through, as in Runner.RunWorker.
+func SweepPrefix[T any](n int, fn func(worker, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	done := make([]bool, n)
+	err := NewRunner(0).RunWorker(n, func(k, i int) error {
+		v, err := fn(k, i)
+		out[i], done[i] = v, err == nil
+		return err
+	})
+	for i := 0; err != nil && i < n; i++ {
+		if !done[i] {
+			return out[:i], err
+		}
+	}
+	return out, err
+}
+
 // SweepWith is Sweep with an explicit runner.
 func SweepWith[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	return SweepWorkerWith[T](r, n, func(_, i int) (T, error) { return fn(i) })
 }
 
-// SweepWorker is Sweep with the executing worker's index passed through
-// (see Runner.RunWorker for what worker-keyed state may soundly do).
-func SweepWorker[T any](n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	return SweepWorkerWith[T](NewRunner(0), n, fn)
-}
-
-// SweepWorkerWith is SweepWorker with an explicit runner.
+// SweepWorkerWith is SweepWith with the executing worker's index passed
+// through (see Runner.RunWorker for what worker-keyed state may soundly do).
 func SweepWorkerWith[T any](r *Runner, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := r.RunWorker(n, func(k, i int) error {

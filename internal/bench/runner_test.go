@@ -162,7 +162,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	sweep := func(workers string) []ChaosPoint {
 		t.Setenv(WorkersEnv, workers)
-		pts, err := ChaosSweep(cfg, severities, nil)
+		pts, _, err := ChaosSweep(cfg, severities, nil, nil)
 		if err != nil {
 			t.Fatalf("ChaosSweep(workers=%s): %v", workers, err)
 		}
@@ -197,7 +197,8 @@ func TestChaosSweepParallelErrorMatchesSerial(t *testing.T) {
 	}
 	run := func(workers string) ([]ChaosPoint, error) {
 		t.Setenv(WorkersEnv, workers)
-		return ChaosSweep(cfg, severities, planFor)
+		pts, _, err := ChaosSweep(cfg, severities, planFor, nil)
+		return pts, err
 	}
 	sPts, sErr := run("1")
 	pPts, pErr := run("8")

@@ -15,7 +15,7 @@ import (
 
 // Rank-scaling benchmark: one allreduce cell at a configurable rank count,
 // topology, and algorithm, timed in virtual time. This is the driver behind
-// cmd/uniconn-scale (the 64->4096 rank curves comparing flat vs fat-tree vs
+// uniconn scale (the 64->4096 rank curves comparing flat vs fat-tree vs
 // dragonfly networks and flat-ring vs hierarchical allreduce) and behind the
 // benchmark's coll-* workloads.
 

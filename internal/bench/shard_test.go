@@ -147,7 +147,7 @@ func TestChaosSweepShardsDeterministic(t *testing.T) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	sweep := func(shards string) []ChaosPoint {
 		t.Setenv(core.ShardsEnv, shards)
-		pts, err := ChaosSweep(cfg, severities, nil)
+		pts, _, err := ChaosSweep(cfg, severities, nil, nil)
 		if err != nil {
 			t.Fatalf("ChaosSweep(shards=%s): %v", shards, err)
 		}

@@ -47,7 +47,7 @@ func BenchmarkSweepLatencyGrid(b *testing.B) {
 }
 
 // BenchmarkSweepChaos ramps fault severity over the chaos sweep, the shape
-// of cmd/uniconn-chaos.
+// of uniconn chaos.
 func BenchmarkSweepChaos(b *testing.B) {
 	cfg := NetConfig{
 		Model: machine.Perlmutter(), Backend: core.MPIBackend,
@@ -57,7 +57,7 @@ func BenchmarkSweepChaos(b *testing.B) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ChaosSweep(cfg, severities, nil); err != nil {
+		if _, _, err := ChaosSweep(cfg, severities, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

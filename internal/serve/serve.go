@@ -1,4 +1,4 @@
-// Package serve implements the what-if query service behind cmd/uniconn-serve:
+// Package serve implements the what-if query service behind uniconn serve:
 // an HTTP/JSON API answering "this workload, this machine, this backend →
 // predicted time, critical path, comm matrix" from the deterministic
 // simulator, made cheap by two layers of reuse.

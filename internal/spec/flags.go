@@ -1,12 +1,12 @@
 package spec
 
-// Shared CLI flag plumbing. Every sweep CLI (uniconn-netbench, -chaos,
-// -scale, -prof, -serve) used to register its own copies of -machine,
-// -workers, -shards, -live, and -topology, with hand-rolled parsing and —
-// inevitably — drifting defaults (uniconn-scale shipped -shards defaulting
-// to 1 while every other tool defaulted to the UNICONN_SHARDS environment).
+// Shared CLI flag plumbing. The subcommands of cmd/uniconn used to be ten
+// programs that each registered their own copies of -machine, -workers,
+// -shards, -live, -topology and -min/-max, with hand-rolled parsing and —
+// inevitably — drifting defaults and checks (one tool shipped -shards
+// defaulting to 1, another accepted -min 0 and crashed in the size sweep).
 // The helpers here are the single source of those flags: one usage string,
-// one default, one resolution rule, everywhere.
+// one default, one resolution and validation rule, everywhere.
 
 import (
 	"flag"
@@ -28,68 +28,117 @@ const WorkersEnv = "UNICONN_WORKERS"
 const TopologyUsage = "inter-node network: flat|fattree[:k]|dragonfly[:p,a,h] " +
 	"(fat-tree arity / dragonfly p,a,h auto-size when omitted)"
 
-// CommonFlags holds the flags every sweep CLI shares.
+// CommonFlags holds the flags the subcommands share and, after Resolve, what
+// they select. Only -machine is always registered.
 type CommonFlags struct {
-	Machine *string
-	Workers *int
-	Shards  *int
-	Live    *string
+	machine, topology   string
+	workers             int
+	topologyList, sized bool
+
+	// Shards and Live are the -shards and -live values.
+	Shards int
+	Live   string
+	// MinSize and MaxSize are the -min/-max bounds (Sizes).
+	MinSize, MaxSize int64
+	// Topologies is the parsed -topology list (TopologyList).
+	Topologies []fabric.TopologyConfig
+}
+
+// MachineOnly registers -machine alone, for the single-run subcommands
+// (jacobi, cg, advisor) that take no sweep knobs.
+func MachineOnly(fs *flag.FlagSet) *CommonFlags {
+	c := &CommonFlags{}
+	fs.StringVar(&c.machine, "machine", "Perlmutter", "Perlmutter|LUMI|MareNostrum5")
+	return c
 }
 
 // Common registers -machine, -workers, -shards, and -live on the flag set
-// with the canonical defaults and usage strings. Call before flag.Parse.
+// with the canonical defaults and usage strings. Call before Parse.
 func Common(fs *flag.FlagSet) *CommonFlags {
-	return &CommonFlags{
-		Machine: fs.String("machine", "Perlmutter", "Perlmutter|LUMI|MareNostrum5"),
-		Workers: fs.Int("workers", 0,
-			"sweep worker count; 0 = UNICONN_WORKERS env or GOMAXPROCS"),
-		Shards: fs.Int("shards", 0,
-			"engine shards per cell (parallel-in-virtual-time); 0 = UNICONN_SHARDS env or serial engine; "+
-				"results are bit-identical at every shard count >= 1"),
-		Live: fs.String("live", "",
-			"serve live telemetry HTTP on this address (host:port, :0 picks a port): "+
-				"/metrics /healthz /debug/runs /debug/flight; stdout stays byte-identical"),
-	}
+	c := MachineOnly(fs)
+	WorkersFlag(fs, &c.workers)
+	fs.IntVar(&c.Shards, "shards", 0,
+		"engine shards per cell (parallel-in-virtual-time); 0 = UNICONN_SHARDS env or serial engine; "+
+			"results are bit-identical at every shard count >= 1")
+	fs.StringVar(&c.Live, "live", "",
+		"serve live telemetry HTTP on this address (host:port, :0 picks a port): "+
+			"/metrics /healthz /debug/runs /debug/flight; stdout stays byte-identical")
+	return c
 }
 
-// Model resolves the -machine flag.
-func (c *CommonFlags) Model() (*machine.Model, error) {
-	m := machine.ByName(*c.Machine)
+// WorkersFlag registers -workers (on its own for experiments, which sweeps
+// but takes none of the other common flags).
+func WorkersFlag(fs *flag.FlagSet, n *int) {
+	fs.IntVar(n, "workers", 0, "sweep worker count; 0 = UNICONN_WORKERS env or GOMAXPROCS")
+}
+
+// Topology registers the single-topology -topology flag; Resolve applies it
+// to the model.
+func (c *CommonFlags) Topology(fs *flag.FlagSet) {
+	fs.StringVar(&c.topology, "topology", "flat", TopologyUsage)
+}
+
+// TopologyList registers a -topology flag that accepts a comma-separated
+// list, for subcommands that sweep topologies; Resolve parses it.
+func (c *CommonFlags) TopologyList(fs *flag.FlagSet, def string) {
+	fs.StringVar(&c.topology, "topology", def, TopologyUsage+"; accepts a comma-separated list")
+	c.topologyList = true
+}
+
+// Sizes registers the -min/-max bounds of a message-size sweep; of
+// qualifies the usage strings (" of the net sweep") where the sweep is one
+// mode among several.
+func (c *CommonFlags) Sizes(fs *flag.FlagSet, defMax int64, of string) {
+	fs.Int64Var(&c.MinSize, "min", 8, "smallest message"+of+" (bytes)")
+	fs.Int64Var(&c.MaxSize, "max", defMax, "largest message"+of+" (bytes)")
+	c.sized = true
+}
+
+// Resolve validates the parsed flags and returns the -machine model. A
+// single -topology is applied to it, clone-on-override, so the topology
+// reaches every workload launched on the shared model value; a list is
+// parsed into Topologies. A doubling size sweep needs a positive start and
+// an end at or above it. Positive -workers/-shards are then published into
+// the environment variables the runner and engine consult, the resolution
+// rule every subcommand shares: an explicit flag wins, otherwise the
+// environment, otherwise the built-in default (GOMAXPROCS workers, serial
+// engine).
+func (c *CommonFlags) Resolve() (*machine.Model, error) {
+	m := machine.ByName(c.machine)
 	if m == nil {
-		return nil, fmt.Errorf("unknown machine %q", *c.Machine)
+		return nil, fmt.Errorf("unknown machine %q", c.machine)
+	}
+	var err error
+	if c.topologyList {
+		c.Topologies, err = ParseTopologyList(c.topology)
+	} else {
+		var tc fabric.TopologyConfig // flat when -topology is not registered
+		tc, err = fabric.ParseTopology(c.topology)
+		m = WithTopology(m, tc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.sized && c.MinSize < 1 {
+		return nil, fmt.Errorf("-min %d: smallest message must be at least 1 byte", c.MinSize)
+	}
+	if c.sized && c.MaxSize < c.MinSize {
+		return nil, fmt.Errorf("-max %d is smaller than -min %d", c.MaxSize, c.MinSize)
+	}
+	ApplyWorkersEnv(c.workers)
+	if c.Shards > 0 {
+		os.Setenv(core.ShardsEnv, strconv.Itoa(c.Shards))
 	}
 	return m, nil
 }
 
-// ApplyEnv publishes positive -workers/-shards values into the environment
-// variables the runner and engine consult, the resolution rule every CLI
-// shares: an explicit flag wins, otherwise the environment, otherwise the
-// built-in default (GOMAXPROCS workers, serial engine).
-func (c *CommonFlags) ApplyEnv() {
-	ApplyWorkersEnv(*c.Workers)
-	if *c.Shards > 0 {
-		os.Setenv(core.ShardsEnv, strconv.Itoa(*c.Shards))
-	}
-}
-
 // ApplyWorkersEnv publishes a positive worker count into WorkersEnv (for
-// CLIs like uniconn-serve that register -workers without the full common
-// set); non-positive counts keep the environment as-is.
+// subcommands that register -workers without the full common set);
+// non-positive counts keep the environment as-is.
 func ApplyWorkersEnv(n int) {
 	if n > 0 {
 		os.Setenv(WorkersEnv, strconv.Itoa(n))
 	}
-}
-
-// TopologyFlag registers the shared single-topology -topology flag.
-func TopologyFlag(fs *flag.FlagSet) *string {
-	return fs.String("topology", "flat", TopologyUsage)
-}
-
-// TopologyListFlag registers a -topology flag that accepts a comma-separated
-// list (ParseTopologyList), for CLIs that sweep topologies.
-func TopologyListFlag(fs *flag.FlagSet, def string) *string {
-	return fs.String("topology", def, TopologyUsage+"; accepts a comma-separated list")
 }
 
 // ParseTopologyList splits a comma-separated topology list, keeping numeric

@@ -1,5 +1,5 @@
 // Package spec defines the canonical, serializable experiment specification
-// shared by every CLI and by the what-if service (cmd/uniconn-serve): one
+// shared by every CLI and by the what-if service (uniconn serve): one
 // value that pins a simulation cell completely — workload, machine, backend,
 // API flavour, topology, shard count, message size, seed, and fault plan —
 // together with a stable content hash.

@@ -28,7 +28,7 @@ import (
 )
 
 // ReadHeaderTimeout is how long a connection may take to deliver its request
-// headers before this server and uniconn-serve drop it. Without a bound, every
+// headers before this server and uniconn serve drop it. Without a bound, every
 // client that stalls mid-header holds a connection and its goroutine forever.
 const ReadHeaderTimeout = 10 * time.Second
 
