@@ -8,7 +8,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/solver/cg"
+	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -111,6 +114,28 @@ func TestProfileMetricsPopulated(t *testing.T) {
 		if !found {
 			t.Errorf("merged metrics missing (or zero) counter %s:\n%s", name, merged.Render())
 		}
+	}
+}
+
+// TestShmemTeamCollectivesObserved: Uniconn drives GPUSHMEM collectives
+// through a team handle and the native baseline through the PE; both are the
+// same collectives, so both must land in the same gpushmem.coll.h-*
+// histograms, the same number of times.
+func TestShmemTeamCollectivesObserved(t *testing.T) {
+	counts := map[cg.Variant]int64{}
+	for _, v := range []cg.Variant{cg.NativeGPUSHMEMHost, cg.Uniconn} {
+		reg := metrics.New()
+		_, err := cg.Run(cg.Config{
+			Model: machine.Perlmutter(), NGPUs: 4, Matrix: sparse.Laplace3D(6, 6, 4), Iters: 5,
+			Variant: v, Backend: core.GpushmemBackend, Mode: core.PureHost, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[v] = reg.Histogram("gpushmem.coll.h-allreduce").Count()
+	}
+	if n := counts[cg.Uniconn]; n == 0 || n != counts[cg.NativeGPUSHMEMHost] {
+		t.Fatalf("gpushmem.coll.h-allreduce observations: %v, want equal and non-zero", counts)
 	}
 }
 

@@ -282,89 +282,35 @@ func (j *Job) faultSummary() FaultSummary {
 // Launch runs main once per rank, each in its own simulated process, and
 // drives the simulation to completion. It is the moral equivalent of
 // mpirun/srun for the simulated cluster.
+//
+// The serial run is the one-engine case. A positive shard count (cfg.shards
+// has already excluded what the windowed protocol cannot express — models
+// without a latency floor — and clamped non-MPI backends to one shard; the
+// node-count clamp happens here, where the node count is known) is the
+// parallel-in-virtual-time variant: one engine per shard, ranks partitioned
+// by cluster node, windows driven by a sim.Group. Hard-fault plans run
+// windowed too: the failure timetable is static, so kills land on the
+// crashed rank's own engine and declarations are pre-armed on every engine
+// at the same virtual time (recovery.go).
 func Launch(cfg Config, main func(env *Env)) (Report, error) {
-	var rep Report
 	if err := cfg.Validate(); err != nil {
-		return rep, err
+		return Report{}, err
 	}
 	cfg.Model = cfg.effectiveModel()
-	if s := cfg.shards(); s > 0 {
-		return launchSharded(cfg, s, main)
-	}
-	eng := sim.NewEngine()
-	defer eng.Close()
-	flight := cfg.Flight.install([]*sim.Engine{eng})
-	job := &Job{cfg: cfg, eng: eng, cluster: gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)}
-	cfg.applyCosts(job.cluster)
-	if cfg.Trace != nil {
-		job.cluster.SetTrace(cfg.Trace)
-	}
-	// Metrics must be installed before the backend worlds are built: worlds
-	// resolve their instruments from cluster.Metrics at construction.
-	if cfg.Metrics != nil {
-		job.cluster.SetMetrics(cfg.Metrics)
-	}
-	if f := cfg.Faults; f != nil {
-		job.cluster.Fabric.LinkFault = f.LinkCostAt
-		f.ApplyStalls(job.cluster.Fabric)
-		f.ApplyHardFaults(job.cluster.Fabric)
-		job.cluster.ComputeFault = f.ComputeFactor
-		if f.Watchdog > 0 {
-			eng.SetWatchdog(sim.Time(f.Watchdog))
+	shards := cfg.shards()
+	var shardOf []int // node -> engine; nil (serial) puts every node on engines[0]
+	if shards > 0 {
+		nodes := cfg.Model.NodesFor(cfg.NGPUs)
+		shards = min(shards, nodes)
+		// Nodes map to shards round-robin; any deterministic map works (the
+		// protocol is partition-independent), round-robin balances uneven
+		// node counts.
+		shardOf = make([]int, nodes)
+		for n := range shardOf {
+			shardOf[n] = n % shards
 		}
 	}
-	// MPI is always available: the paper's GPUCCL and GPUSHMEM setups
-	// bootstrap over a CPU communication library (§IV-B).
-	job.mpiWorld = mpi.NewWorld(job.cluster)
-	switch cfg.Backend {
-	case GpucclBackend:
-		job.cclWorld = gpuccl.NewWorld(job.cluster)
-	case GpushmemBackend:
-		job.shmemWorld = gpushmem.NewWorld(job.cluster)
-	}
-	for r := 0; r < cfg.NGPUs; r++ {
-		r := r
-		job.rankProcs = append(job.rankProcs, eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			env := newEnv(job, r, p)
-			main(env)
-		}))
-	}
-	if f := cfg.Faults; f != nil && len(f.Crashes) > 0 {
-		job.sched = newFailureSchedule(f, cfg.NGPUs)
-		job.armHardFaults([]*sim.Engine{eng})
-	}
-	if err := eng.Run(); err != nil {
-		flight.dump(err.Error())
-		return rep, err
-	}
-	rep.End = eng.Now()
-	rep.Topology = job.cluster.Fabric.Topology()
-	rep.Faults = job.faultSummary()
-	if len(rep.Faults.CrashedRanks) > 0 {
-		flight.dump("recovered from hard fault")
-	}
-	if cfg.Metrics != nil {
-		job.cluster.Fabric.PublishOccupancy(cfg.Metrics, rep.End)
-	}
-	return rep, nil
-}
-
-// launchSharded is Launch's parallel-in-virtual-time variant: one engine
-// per shard, ranks partitioned by cluster node, windows driven by a
-// sim.Group with the machine's minimum inter-node alpha as lookahead.
-// cfg.shards() has already excluded what the windowed protocol cannot
-// express (models without a latency floor) and clamped non-MPI backends to
-// one shard; node-count clamping happens here, where the node count is
-// known. Hard-fault plans run windowed too: the failure timetable is static,
-// so kills land on the crashed rank's own engine and declarations are
-// pre-armed on every engine at the same virtual time (recovery.go).
-func launchSharded(cfg Config, shards int, main func(env *Env)) (Report, error) {
-	var rep Report
-	nodes := cfg.Model.NodesFor(cfg.NGPUs)
-	if shards > nodes {
-		shards = nodes
-	}
-	engines := make([]*sim.Engine, shards)
+	engines := make([]*sim.Engine, max(shards, 1))
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 	}
@@ -374,26 +320,25 @@ func launchSharded(cfg Config, shards int, main func(env *Env)) (Report, error) 
 		}
 	}()
 	flight := cfg.Flight.install(engines)
-	// Nodes map to shards round-robin; any deterministic map works (the
-	// protocol is partition-independent), round-robin balances uneven
-	// node counts.
-	shardOf := make([]int, nodes)
-	for n := range shardOf {
-		shardOf[n] = n % shards
-	}
 	cluster := gpu.NewClusterOn(engines, shardOf, cfg.Model, cfg.NGPUs)
 	cfg.applyCosts(cluster)
-	// The lookahead window is the guaranteed lower bound on cross-shard
-	// delivery delay: the machine's minimum inter-node alpha plus, on a
-	// switched topology, the minimal per-route switch latency (every
-	// conduit post — payload or control envelope — carries both).
-	lookahead := cfg.Model.MinInterAlpha() + cluster.Fabric.MinInterExtra()
-	group := sim.NewGroup(engines, shardOf, lookahead)
-	cluster.Conduit = group.Conduit()
+	run, end := engines[0].Run, engines[0].Now
+	if shards > 0 {
+		// The lookahead window is the guaranteed lower bound on cross-shard
+		// delivery delay: the machine's minimum inter-node alpha plus, on a
+		// switched topology, the minimal per-route switch latency (every
+		// conduit post — payload or control envelope — carries both).
+		lookahead := cfg.Model.MinInterAlpha() + cluster.Fabric.MinInterExtra()
+		group := sim.NewGroup(engines, shardOf, lookahead)
+		cluster.Conduit = group.Conduit()
+		run, end = group.Run, group.End
+	}
 	job := &Job{cfg: cfg, eng: engines[0], cluster: cluster}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)
 	}
+	// Metrics must be installed before the backend worlds are built: worlds
+	// resolve their instruments from cluster.Metrics at construction.
 	if cfg.Metrics != nil {
 		cluster.SetMetrics(cfg.Metrics)
 	}
@@ -408,6 +353,8 @@ func launchSharded(cfg Config, shards int, main func(env *Env)) (Report, error) 
 			}
 		}
 	}
+	// MPI is always available: the paper's GPUCCL and GPUSHMEM setups
+	// bootstrap over a CPU communication library (§IV-B).
 	job.mpiWorld = mpi.NewWorld(cluster)
 	switch cfg.Backend {
 	case GpucclBackend:
@@ -415,25 +362,19 @@ func launchSharded(cfg Config, shards int, main func(env *Env)) (Report, error) 
 	case GpushmemBackend:
 		job.shmemWorld = gpushmem.NewWorld(cluster)
 	}
-	for r := 0; r < cfg.NGPUs; r++ {
-		r := r
-		job.rankProcs = append(job.rankProcs, cluster.Devices[r].Engine().Spawn(
-			fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				env := newEnv(job, r, p)
-				main(env)
-			}))
+	for r, dev := range cluster.Devices {
+		job.rankProcs = append(job.rankProcs, dev.Engine().Spawn(
+			fmt.Sprintf("rank%d", r), func(p *sim.Proc) { main(newEnv(job, r, p)) }))
 	}
 	if f := cfg.Faults; f != nil && len(f.Crashes) > 0 {
 		job.sched = newFailureSchedule(f, cfg.NGPUs)
 		job.armHardFaults(engines)
 	}
-	if err := group.Run(); err != nil {
+	if err := run(); err != nil {
 		flight.dump(err.Error())
-		return rep, err
+		return Report{}, err
 	}
-	rep.End = group.End()
-	rep.Topology = cluster.Fabric.Topology()
-	rep.Faults = job.faultSummary()
+	rep := Report{End: end(), Topology: cluster.Fabric.Topology(), Faults: job.faultSummary()}
 	if len(rep.Faults.CrashedRanks) > 0 {
 		flight.dump("recovered from hard fault")
 	}

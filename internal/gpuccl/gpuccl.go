@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/lockstep"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -80,19 +81,16 @@ type pendingOp struct {
 	s *gpu.Stream
 }
 
-// shared is cross-rank matching state.
+// shared is cross-rank matching state. Collectives, splits and shrinks are
+// keyed by (communicator id, per-rank sequence, kind); the sequence is
+// identical across ranks because all ranks issue the same calls in the same
+// order (an NCCL usage requirement).
 type shared struct {
-	insts      map[instKey]*instance
+	insts      *lockstep.Table
 	pairs      map[pairKey]*pairFIFO
-	splits     map[instKey]*splitInst
-	shrinks    map[instKey]*shrinkInst
+	splits     map[lockstep.Key]*splitInst
+	shrinks    map[lockstep.Key]*shrinkInst
 	nextCommID uint64
-}
-
-type instKey struct {
-	comm uint64 // communicator identity (0 = world)
-	seq  uint64 // per-rank operation sequence (identical across ranks)
-	kind string
 }
 
 // pairKey scopes point-to-point matching to one communicator; src/dst are
@@ -109,14 +107,15 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	w := &World{
 		cluster: cluster,
 		shared: &shared{
-			insts:   map[instKey]*instance{},
+			insts:   lockstep.NewTable(cluster, machine.LibGPUCCL),
 			pairs:   map[pairKey]*pairFIFO{},
-			splits:  map[instKey]*splitInst{},
-			shrinks: map[instKey]*shrinkInst{},
+			splits:  map[lockstep.Key]*splitInst{},
+			shrinks: map[lockstep.Key]*shrinkInst{},
 		},
 	}
+	n := len(cluster.Devices)
 	for i, dev := range cluster.Devices {
-		w.comms = append(w.comms, &Comm{w: w, rank: i, dev: dev})
+		w.comms = append(w.comms, &Comm{w: w, dev: dev, g: lockstep.Group{Size: n, Rank: i}})
 		w.groups = append(w.groups, &groupCtx{})
 	}
 	if r := cluster.Metrics; r != nil {
@@ -136,41 +135,28 @@ func (w *World) Comm(r int) *Comm { return w.comms[r] }
 
 // Comm is one rank's communicator handle (an ncclComm_t). Sub-communicators
 // created by Split carry a member table translating communicator-local
-// ranks to world (device) ids.
+// ranks to world (device) ids; the world communicator's is nil (identity)
+// and its id 0.
 type Comm struct {
-	w      *World
-	rank   int // communicator-local rank
-	dev    *gpu.Device
-	commID uint64
-	// members maps communicator rank -> world rank; nil for the world
-	// communicator, where the mapping is the identity.
-	members []int
+	w   *World
+	dev *gpu.Device
+	g   lockstep.Group
 
 	opSeq    uint64
 	splitSeq uint64
 }
 
 // Rank reports the calling rank within the communicator.
-func (c *Comm) Rank() int { return c.rank }
+func (c *Comm) Rank() int { return c.g.Rank }
 
 // Size reports the communicator size.
-func (c *Comm) Size() int {
-	if c.members != nil {
-		return len(c.members)
-	}
-	return len(c.w.comms)
-}
+func (c *Comm) Size() int { return c.g.Size }
 
 // worldOf translates a communicator rank to a world (device) id.
-func (c *Comm) worldOf(r int) int {
-	if c.members != nil {
-		return c.members[r]
-	}
-	return r
-}
+func (c *Comm) worldOf(r int) int { return c.g.World(r) }
 
 // myWorld is the calling rank's world id.
-func (c *Comm) myWorld() int { return c.worldOf(c.rank) }
+func (c *Comm) myWorld() int { return c.g.World(c.g.Rank) }
 
 // Device reports the owning device.
 func (c *Comm) Device() *gpu.Device { return c.dev }
@@ -285,87 +271,30 @@ func (c *Comm) launch(p *sim.Proc, s *gpu.Stream, ops []op) {
 	})
 }
 
-// nextSeq advances this rank's operation sequence; all ranks of the
-// communicator must issue the same operations in the same order (an NCCL
-// usage requirement).
-func (c *Comm) nextSeq() uint64 {
+// opKey draws the cross-rank key of the rank's next collective call. All
+// ranks of the communicator must issue the same operations in the same order
+// (an NCCL usage requirement), which is what makes the sequence match.
+func (c *Comm) opKey(kind string) lockstep.Key {
 	c.opSeq++
-	return c.opSeq
+	return lockstep.Key{Group: c.g.ID, Seq: c.opSeq, Kind: kind}
 }
 
-// opKey builds the cross-rank instance key for one collective call.
-func (c *Comm) opKey(kind string) instKey {
-	return instKey{comm: c.commID, seq: c.nextSeq(), kind: kind}
+// collective is the body of every collective kernel (internal/lockstep):
+// once every rank's kernel is running the last arriver computes data, then
+// each rank charges time by walking rounds lockstep rounds of step.
+func (c *Comm) collective(sp *sim.Proc, key lockstep.Key, send, recv gpu.View,
+	data func(sends, recvs []gpu.View), rounds int, step func(round int) (peer int, bytes int64)) {
+	inst := c.w.shared.insts.Arrive(sp, key, &c.g, send, recv, data)
+	inst.Rounds(sp, &c.g, machine.APIHost, rounds, step)
 }
 
-// instance is the cross-rank state of one collective call.
-type instance struct {
-	arrived int
-	ready   *sim.Gate
-	stepRdv *sim.Rendezvous
-	sends   []gpu.View
-	recvs   []gpu.View
-}
-
-func (c *Comm) instanceFor(key instKey) *instance {
-	inst := c.w.shared.insts[key]
-	if inst == nil {
-		n := c.Size()
-		inst = &instance{
-			ready:   sim.NewGate(fmt.Sprintf("ccl-%s-%d", key.kind, key.seq)),
-			stepRdv: sim.NewRendezvous(fmt.Sprintf("ccl-step-%s-%d", key.kind, key.seq), n),
-			sends:   make([]gpu.View, n),
-			recvs:   make([]gpu.View, n),
-		}
-		c.w.shared.insts[key] = inst
-	}
-	return inst
-}
-
-// arrive registers this rank at the instance; the last arrival fires ready
-// (and is the rank on which dataFn runs, once, with all views registered).
-func (inst *instance) arrive(p *sim.Proc, c *Comm, send, recv gpu.View, key instKey, dataFn func(inst *instance)) {
-	inst.sends[c.rank] = send
-	inst.recvs[c.rank] = recv
-	inst.arrived++
-	if inst.arrived == c.Size() {
-		if dataFn != nil {
-			dataFn(inst)
-		}
-		delete(c.w.shared.insts, key) // instance complete once all run the steps
-		inst.ready.Fire(p.Engine())
-		return
-	}
-	inst.ready.Wait(p)
-}
-
-// ringStep describes what one rank sends to its right neighbour in one
-// lockstep ring step.
-type ringStep struct {
-	send  bool
-	bytes int64
-}
-
-// runRing executes a per-rank plan of lockstep ring steps. Every rank
-// participates in every step's rendezvous so the slowest transfer paces the
-// ring, as in a real bandwidth-bound NCCL ring.
-func (c *Comm) runRing(p *sim.Proc, inst *instance, plan []ringStep) {
-	n := c.Size()
-	me := c.myWorld()
-	right := c.worldOf((c.rank + 1) % n)
-	fab := c.w.cluster.Fabric
-	cl := c.w.cluster
-	for _, st := range plan {
-		inst.stepRdv.Arrive(p)
-		if st.send && st.bytes > 0 {
-			path := fab.PathBetween(me, right)
-			cost := cl.Cost(machine.LibGPUCCL, machine.APIHost, path, st.bytes)
-			end := fab.Transfer(p.Now(), me, right, st.bytes, cost)
-			p.AdvanceTo(end)
-		}
-	}
-	// Final rendezvous so no rank exits before the last step completes.
-	inst.stepRdv.Arrive(p)
+// ring is the step generator of the ring algorithms: in every step the rank
+// sends bytes(step) to its right neighbour (nothing when that is zero), and
+// because all ranks join every step's rendezvous the slowest transfer paces
+// the ring, as in a real bandwidth-bound NCCL ring.
+func (c *Comm) ring(bytes func(step int) int64) func(step int) (int, int64) {
+	right := (c.g.Rank + 1) % c.g.Size
+	return func(step int) (int, int64) { return right, bytes(step) }
 }
 
 // chunkSizes splits count elements into n contiguous chunks (standard ring
@@ -378,36 +307,7 @@ func chunkSizes(count, n int) []int {
 	return starts
 }
 
-// runExchange executes lockstep rounds where each rank sends to a derived
-// peer — the timing skeleton of the tree/recursive-doubling algorithms the
-// library uses for latency-bound (small) collectives.
-func (c *Comm) runExchange(p *sim.Proc, inst *instance, rounds int, peerOf func(r int) int, bytes int64) {
-	fab := c.w.cluster.Fabric
-	cl := c.w.cluster
-	me := c.myWorld()
-	for r := 0; r < rounds; r++ {
-		inst.stepRdv.Arrive(p)
-		peer := peerOf(r)
-		if peer >= 0 && peer != c.rank && peer < c.Size() {
-			dst := c.worldOf(peer)
-			path := fab.PathBetween(me, dst)
-			cost := cl.Cost(machine.LibGPUCCL, machine.APIHost, path, bytes)
-			end := fab.Transfer(p.Now(), me, dst, bytes, cost)
-			p.AdvanceTo(end)
-		}
-	}
-	inst.stepRdv.Arrive(p)
-}
-
 // allReduceTreeMax is the byte size up to which AllReduce uses the
 // low-latency recursive-doubling exchange instead of the bandwidth-optimal
 // ring (mirroring NCCL's LL/tree protocols for small messages).
 const allReduceTreeMax = 64 << 10
-
-func log2Ceil(n int) int {
-	r := 0
-	for v := 1; v < n; v <<= 1 {
-		r++
-	}
-	return r
-}

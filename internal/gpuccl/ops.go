@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/lockstep"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -13,42 +14,29 @@ import (
 // synchronizing the stream (or an event recorded after the op).
 
 // AllReduce reduces sendBuf elementwise across ranks into recvBuf on every
-// rank (in-place allowed). Ring algorithm: reduce-scatter then allgather,
-// 2(n-1) lockstep chunk steps.
+// rank (in-place allowed). Up to allReduceTreeMax: recursive-doubling exchange
+// (the library's LL/tree path), log2(n) full-size rounds. Above: ring,
+// reduce-scatter then allgather, 2(n-1) lockstep chunk steps.
 func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp) {
 	key := c.opKey("allreduce")
-	n := c.Size()
-	count := sendBuf.Len()
 	c.submit(p, s, op{label: "allreduce", run: func(sp *sim.Proc) {
-		inst := c.instanceFor(key)
-		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
-			// Accumulate in rank 0's destination and fan out from it. Every
-			// send is consumed before any other destination — which may be
-			// its rank's send buffer — is overwritten.
-			gpu.ReduceAll(inst.recvs[0], inst.sends, count, opr)
-			for r := 1; r < n; r++ {
-				gpu.Copy(inst.recvs[r], inst.recvs[0], count)
-			}
-		})
-		if sendBuf.Bytes() <= allReduceTreeMax {
-			// Latency-bound: recursive-doubling exchange (the library's
-			// LL/tree path), log2(n) full-size rounds.
-			c.runExchange(sp, inst, log2Ceil(n),
-				func(r int) int { return c.rank ^ (1 << r) }, sendBuf.Bytes())
+		n, count, bytes := c.Size(), sendBuf.Len(), sendBuf.Bytes()
+		data := lockstep.ReduceThenCopy(count, opr)
+		if bytes <= allReduceTreeMax {
+			c.collective(sp, key, sendBuf, recvBuf, data, lockstep.Log2Ceil(n),
+				func(r int) (int, int64) { return c.g.Rank ^ (1 << r), bytes })
 			return
 		}
 		starts := chunkSizes(count, n)
 		es := int64(sendBuf.ElemSize())
-		plan := make([]ringStep, 0, 2*(n-1))
-		for step := 0; step < n-1; step++ { // reduce-scatter
-			idx := ((c.rank-step)%n + n) % n
-			plan = append(plan, ringStep{send: true, bytes: int64(starts[idx+1]-starts[idx]) * es})
-		}
-		for step := 0; step < n-1; step++ { // allgather
-			idx := ((c.rank+1-step)%n + n) % n
-			plan = append(plan, ringStep{send: true, bytes: int64(starts[idx+1]-starts[idx]) * es})
-		}
-		c.runRing(sp, inst, plan)
+		c.collective(sp, key, sendBuf, recvBuf, data, 2*(n-1), c.ring(func(step int) int64 {
+			idx := c.g.Rank - step // reduce-scatter
+			if step >= n-1 {
+				idx = c.g.Rank + 1 - (step - (n - 1)) // allgather
+			}
+			idx = (idx%n + n) % n
+			return int64(starts[idx+1]-starts[idx]) * es
+		}))
 	}})
 }
 
@@ -56,15 +44,14 @@ func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, 
 // toward the root).
 func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp, root int) {
 	key := c.opKey("reduce")
-	count := sendBuf.Len()
 	c.submit(p, s, op{label: "reduce", run: func(sp *sim.Proc) {
-		inst := c.instanceFor(key)
-		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
-			if !inst.recvs[root].IsZero() {
-				gpu.ReduceAll(inst.recvs[root], inst.sends, count, opr)
+		count := sendBuf.Len()
+		plan := c.pipelinePlan(sendBuf.Bytes(), root, false)
+		c.collective(sp, key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
+			if !recvs[root].IsZero() {
+				gpu.ReduceAll(recvs[root], sends, count, opr)
 			}
-		})
-		c.runRing(sp, inst, c.pipelinePlan(sendBuf.Bytes(), root, false))
+		}, len(plan), c.ring(func(step int) int64 { return plan[step] }))
 	}})
 }
 
@@ -73,16 +60,9 @@ func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr
 func (c *Comm) Broadcast(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 	key := c.opKey("broadcast")
 	c.submit(p, s, op{label: "broadcast", run: func(sp *sim.Proc) {
-		inst := c.instanceFor(key)
-		inst.arrive(sp, c, buf, buf, key, func(inst *instance) {
-			src := inst.sends[root]
-			for r := range inst.recvs {
-				if r != root {
-					gpu.Copy(inst.recvs[r], src, src.Len())
-				}
-			}
-		})
-		c.runRing(sp, inst, c.pipelinePlan(buf.Bytes(), root, true))
+		plan := c.pipelinePlan(buf.Bytes(), root, true)
+		c.collective(sp, key, buf, buf, lockstep.CopyFrom(root),
+			len(plan), c.ring(func(step int) int64 { return plan[step] }))
 	}})
 }
 
@@ -90,58 +70,40 @@ func (c *Comm) Broadcast(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 // (recvBuf holds Size()*sendBuf.Len() elements; ring, n-1 steps).
 func (c *Comm) AllGather(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View) {
 	key := c.opKey("allgather")
-	n := c.Size()
-	count := sendBuf.Len()
 	c.submit(p, s, op{label: "allgather", run: func(sp *sim.Proc) {
-		inst := c.instanceFor(key)
-		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
-			for r := 0; r < n; r++ {
-				for dst := 0; dst < n; dst++ {
-					gpu.Copy(inst.recvs[dst].Slice(r*count, count), inst.sends[r], count)
-				}
-			}
-		})
-		plan := make([]ringStep, n-1)
-		bytes := sendBuf.Bytes()
-		for i := range plan {
-			plan[i] = ringStep{send: true, bytes: bytes}
-		}
-		c.runRing(sp, inst, plan)
+		count, bytes := sendBuf.Len(), sendBuf.Bytes()
+		c.collective(sp, key, sendBuf, recvBuf,
+			lockstep.Gather(func(r int) (int, int) { return r * count, count }),
+			c.Size()-1, c.ring(func(int) int64 { return bytes }))
 	}})
 }
 
 // ReduceScatter reduces across ranks and leaves rank r with chunk r of the
-// result in recvBuf (sendBuf holds Size()*recvBuf.Len() elements).
+// result in recvBuf (sendBuf holds Size()*recvBuf.Len() elements; ring, n-1
+// steps).
 func (c *Comm) ReduceScatter(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp) {
 	key := c.opKey("reducescatter")
-	n := c.Size()
-	count := recvBuf.Len()
 	c.submit(p, s, op{label: "reducescatter", run: func(sp *sim.Proc) {
-		inst := c.instanceFor(key)
-		inst.arrive(sp, c, sendBuf, recvBuf, key, func(inst *instance) {
-			chunks := make([]gpu.View, n)
-			for r := 0; r < n; r++ {
+		count, bytes := recvBuf.Len(), recvBuf.Bytes()
+		c.collective(sp, key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
+			chunks := make([]gpu.View, len(sends))
+			for r, dst := range recvs {
 				for src := range chunks {
-					chunks[src] = inst.sends[src].Slice(r*count, count)
+					chunks[src] = sends[src].Slice(r*count, count)
 				}
-				gpu.ReduceAll(inst.recvs[r], chunks, count, opr)
+				gpu.ReduceAll(dst, chunks, count, opr)
 			}
-		})
-		plan := make([]ringStep, n-1)
-		bytes := recvBuf.Bytes()
-		for i := range plan {
-			plan[i] = ringStep{send: true, bytes: bytes}
-		}
-		c.runRing(sp, inst, plan)
+		}, c.Size()-1, c.ring(func(int) int64 { return bytes }))
 	}})
 }
 
-// pipelinePlan builds the per-rank send plan of a chunked store-and-forward
-// ring rooted at root. Data flows root → root+1 → …; with k chunks the
-// pipeline takes (n-2)+k steps. For the reverse (reduce) direction the flow
-// is toward the root and the plan mirrors.
-func (c *Comm) pipelinePlan(totalBytes int64, root int, fromRoot bool) []ringStep {
-	n := c.Size()
+// pipelinePlan builds the per-rank send plan — bytes forwarded in each step,
+// zero for none — of a chunked store-and-forward ring rooted at root. Data
+// flows root → root+1 → …; with k chunks the pipeline takes (n-2)+k steps.
+// For the reverse (reduce) direction the flow is toward the root and the plan
+// mirrors.
+func (c *Comm) pipelinePlan(totalBytes int64, root int, fromRoot bool) []int64 {
+	n, rank := c.Size(), c.g.Rank
 	if n == 1 {
 		return nil
 	}
@@ -154,13 +116,13 @@ func (c *Comm) pipelinePlan(totalBytes int64, root int, fromRoot bool) []ringSte
 	}
 	chunk := (totalBytes + int64(k) - 1) / int64(k)
 	steps := (n - 2) + k
-	plan := make([]ringStep, steps)
+	plan := make([]int64, steps)
 	// Distance from the root along the flow direction.
 	var dist int
 	if fromRoot {
-		dist = ((c.rank-root)%n + n) % n
+		dist = ((rank-root)%n + n) % n
 	} else {
-		dist = ((root-c.rank)%n + n) % n
+		dist = ((root-rank)%n + n) % n
 		// For reduce, "sending" means forwarding the partial toward the
 		// root; a rank at distance d sends during steps [n-1-d … n-1-d+k).
 		dist = n - 1 - dist
@@ -171,11 +133,11 @@ func (c *Comm) pipelinePlan(totalBytes int64, root int, fromRoot bool) []ringSte
 			// Rank at distance d forwards chunk c at step d+c; the last
 			// rank in the ring receives but never forwards.
 			if dist < n-1 && chunkIdx >= 0 && chunkIdx < k {
-				plan[st] = ringStep{send: true, bytes: chunk}
+				plan[st] = chunk
 			}
 		} else {
-			if dist >= 0 && chunkIdx >= 0 && chunkIdx < k && c.rank != root {
-				plan[st] = ringStep{send: true, bytes: chunk}
+			if dist >= 0 && chunkIdx >= 0 && chunkIdx < k && rank != root {
+				plan[st] = chunk
 			}
 		}
 	}
@@ -225,11 +187,11 @@ func (f *pairFIFO) msg(seq uint64, src, dst int) *p2pMsg {
 // relative order (ncclSend). Deadlock-free only inside a group when
 // exchanging with mutual peers, exactly like NCCL.
 func (c *Comm) Send(p *sim.Proc, s *gpu.Stream, buf gpu.View, peer int) {
-	f := c.w.pairFIFO(c.commID, c.rank, peer)
+	f := c.w.pairFIFO(c.g.ID, c.g.Rank, peer)
 	seq := f.nextSend
 	f.nextSend++
 	c.submit(p, s, op{label: fmt.Sprintf("send->%d", peer), run: func(sp *sim.Proc) {
-		m := f.msg(seq, c.rank, peer)
+		m := f.msg(seq, c.g.Rank, peer)
 		m.srcView = buf
 		m.haveSrc = true
 		if m.haveDst {
@@ -254,11 +216,11 @@ func (c *Comm) Send(p *sim.Proc, s *gpu.Stream, buf gpu.View, peer int) {
 
 // Recv receives into buf from peer, matching the peer's Send (ncclRecv).
 func (c *Comm) Recv(p *sim.Proc, s *gpu.Stream, buf gpu.View, peer int) {
-	f := c.w.pairFIFO(c.commID, peer, c.rank)
+	f := c.w.pairFIFO(c.g.ID, peer, c.g.Rank)
 	seq := f.nextRecv
 	f.nextRecv++
 	c.submit(p, s, op{label: fmt.Sprintf("recv<-%d", peer), run: func(sp *sim.Proc) {
-		m := f.msg(seq, peer, c.rank)
+		m := f.msg(seq, peer, c.g.Rank)
 		m.dstView = buf
 		m.haveDst = true
 		if m.haveSrc {

@@ -61,10 +61,8 @@ func TestPipelinePlanConservation(t *testing.T) {
 					} else if steps != len(plan) {
 						t.Fatalf("n=%d: rank %d plan length %d != %d", n, r, len(plan), steps)
 					}
-					for _, st := range plan {
-						if st.send {
-							totalSent += st.bytes
-						}
+					for _, sent := range plan {
+						totalSent += sent
 					}
 				}
 				// Each of the n-1 forwarding positions sends the whole
@@ -94,10 +92,8 @@ func TestPipelinePlanReduceMirrors(t *testing.T) {
 		for r := 0; r < n; r++ {
 			plan := w.Comm(r).pipelinePlan(bytes, root, false)
 			var sent int64
-			for _, st := range plan {
-				if st.send {
-					sent += st.bytes
-				}
+			for _, b := range plan {
+				sent += b
 			}
 			if r == root && sent != 0 {
 				t.Fatalf("root %d sends %d bytes in reduce plan", root, sent)

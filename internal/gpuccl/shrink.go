@@ -9,6 +9,7 @@ package gpuccl
 import (
 	"fmt"
 
+	"repro/internal/lockstep"
 	"repro/internal/sim"
 )
 
@@ -22,44 +23,26 @@ type shrinkInst struct {
 // preserving relative rank order. All survivors must call it with the same
 // dead set and generation (gen is bumped once per failure epoch by the
 // caller); the call blocks until every survivor has arrived, like the
-// bootstrap phase of ncclCommInitRank. The parent communicator's matching
-// state is discarded (abort semantics): stale collectives of the old
-// communicator can never pair with new traffic.
+// bootstrap phase of ncclCommInitRank. The parent communicator is aborted:
+// its point-to-point matching state is discarded, and the child's fresh id
+// means stale collectives of the old communicator can never pair with new
+// traffic.
 func (c *Comm) Shrink(p *sim.Proc, dead map[int]bool, gen int) *Comm {
 	w := c.w
-	var members []int
-	myNew := -1
-	for r := 0; r < c.Size(); r++ {
-		wr := c.worldOf(r)
-		if dead[wr] {
-			continue
-		}
-		if r == c.rank {
-			myNew = len(members)
-		}
-		members = append(members, wr)
-	}
-	if myNew < 0 {
-		panic(fmt.Sprintf("gpuccl: rank %d shrinking a communicator it failed in", c.rank))
-	}
-	skey := instKey{comm: c.commID, seq: uint64(gen), kind: "comm-shrink"}
+	child := &Comm{w: w, dev: c.dev, g: c.g.Survivors(dead)}
+	skey := lockstep.Key{Group: c.g.ID, Seq: uint64(gen), Kind: "comm-shrink"}
 	si := w.shared.shrinks[skey]
 	if si == nil {
-		// First survivor in: abort the parent (drop its matching state) and
-		// allocate the child communicator identity.
-		for k := range w.shared.insts {
-			if k.comm == c.commID {
-				delete(w.shared.insts, k)
-			}
-		}
+		// First survivor in: abort the parent and allocate the child
+		// communicator identity.
 		for k := range w.shared.pairs {
-			if k.comm == c.commID {
+			if k.comm == c.g.ID {
 				delete(w.shared.pairs, k)
 			}
 		}
 		w.shared.nextCommID++
 		si = &shrinkInst{
-			rdv: sim.NewRendezvous(fmt.Sprintf("ccl-shrink-%d-%d", c.commID, gen), len(members)),
+			rdv: sim.NewRendezvous(fmt.Sprintf("ccl-shrink-%d-%d", c.g.ID, gen), child.Size()),
 			id:  w.shared.nextCommID,
 		}
 		w.shared.shrinks[skey] = si
@@ -68,5 +51,6 @@ func (c *Comm) Shrink(p *sim.Proc, dead map[int]bool, gen int) *Comm {
 	// before the child communicator is usable.
 	p.Advance(c.profile().CallOverhead * sim.Duration(8))
 	si.rdv.Arrive(p)
-	return &Comm{w: w, dev: c.dev, commID: si.id, members: members, rank: myNew}
+	child.g.ID = si.id
+	return child
 }

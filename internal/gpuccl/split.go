@@ -7,17 +7,17 @@ package gpuccl
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/lockstep"
 	"repro/internal/sim"
 )
 
 // splitInst coordinates one collective Split call across the parent's
 // ranks.
 type splitInst struct {
-	entries map[int][2]int // parent rank -> (color, key)
-	rdv     *sim.Rendezvous
-	ids     map[int]uint64 // color -> child commID
+	votes []lockstep.Vote // by parent rank
+	rdv   *sim.Rendezvous
+	ids   map[int]uint64 // color -> child communicator id
 }
 
 // Split partitions the communicator. Every rank of the parent must call it
@@ -25,17 +25,17 @@ type splitInst struct {
 func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	w := c.w
 	c.splitSeq++
-	skey := instKey{comm: c.commID, seq: c.splitSeq, kind: "comm-split"}
+	skey := lockstep.Key{Group: c.g.ID, Seq: c.splitSeq, Kind: "comm-split"}
 	si := w.shared.splits[skey]
 	if si == nil {
 		si = &splitInst{
-			entries: map[int][2]int{},
-			rdv:     sim.NewRendezvous(fmt.Sprintf("ccl-split-%d-%d", c.commID, c.splitSeq), c.Size()),
-			ids:     map[int]uint64{},
+			votes: make([]lockstep.Vote, c.Size()),
+			rdv:   sim.NewRendezvous(fmt.Sprintf("ccl-split-%d-%d", c.g.ID, c.splitSeq), c.Size()),
+			ids:   map[int]uint64{},
 		}
 		w.shared.splits[skey] = si
 	}
-	si.entries[c.rank] = [2]int{color, key}
+	si.votes[c.g.Rank] = lockstep.Vote{Colour: color, Key: key}
 	// The split performs a bootstrap exchange: charge a small host-side
 	// collective cost and synchronize all parent ranks.
 	p.Advance(c.profile().CallOverhead * sim.Duration(4))
@@ -43,33 +43,11 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	if color < 0 {
 		return nil
 	}
-	type ent struct{ parentRank, key int }
-	var group []ent
-	for r := 0; r < c.Size(); r++ {
-		e := si.entries[r]
-		if e[0] == color {
-			group = append(group, ent{parentRank: r, key: e[1]})
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].parentRank < group[j].parentRank
-	})
 	if _, ok := si.ids[color]; !ok {
 		w.shared.nextCommID++
 		si.ids[color] = w.shared.nextCommID
 	}
-	child := &Comm{w: w, dev: c.dev, commID: si.ids[color], rank: -1}
-	for i, e := range group {
-		child.members = append(child.members, c.worldOf(e.parentRank))
-		if e.parentRank == c.rank {
-			child.rank = i
-		}
-	}
-	if child.rank < 0 {
-		panic("gpuccl: split lost the calling rank")
-	}
+	child := &Comm{w: w, dev: c.dev, g: c.g.Partition(si.votes, color)}
+	child.g.ID = si.ids[color]
 	return child
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/lockstep"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -93,34 +94,19 @@ func (c Cmp) match(v, ref uint64) bool {
 
 // World is one GPUSHMEM job; every device hosts one PE.
 type World struct {
-	cluster    *gpu.Cluster
-	pes        []*PE
-	allocs     map[uint64]*allocRec
-	insts      map[instKey]*collInst
-	splits     map[instKey]*splitInst
-	shrinks    map[instKey]*shrinkInst
+	cluster *gpu.Cluster
+	pes     []*PE
+	allocs  map[uint64]*allocRec
+	// In-flight collectives (internal/lockstep), team splits and team
+	// shrinks, keyed by (team id, the team's call sequence, kind).
+	insts      *lockstep.Table
+	splits     map[lockstep.Key]*splitInst
+	shrinks    map[lockstep.Key]*shrinkInst
 	nextTeamID uint64
 
-	// mColl holds per-kind collective timing histograms
-	// ("gpushmem.coll.<kind>", in ns, kinds as in devKey/hostKey), resolved
-	// at construction; nil when metrics are disabled.
-	mColl map[string]*metrics.Histogram
-}
-
-// collKinds are the instKey kinds of the host- and device-initiated
-// collectives.
-var collKinds = []string{
-	"d-barrier", "d-allreduce", "d-broadcast", "d-allgatherv",
-	"h-barrier", "h-allreduce", "h-broadcast", "h-allgatherv",
-}
-
-// collHist resolves the timing histogram for one collective kind, nil when
-// metrics are disabled.
-func (w *World) collHist(kind string) *metrics.Histogram {
-	if w.mColl == nil {
-		return nil
-	}
-	return w.mColl[kind]
+	// mColl holds the per-kind collective timing histograms, all nil when
+	// metrics are disabled (collectives.go).
+	mColl [2][nKinds]*metrics.Histogram
 }
 
 // NewWorld initializes the library over the cluster. It panics if the
@@ -132,22 +118,22 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	w := &World{
 		cluster: cluster,
 		allocs:  map[uint64]*allocRec{},
-		insts:   map[instKey]*collInst{},
-		splits:  map[instKey]*splitInst{},
-		shrinks: map[instKey]*shrinkInst{},
+		insts:   lockstep.NewTable(cluster, machine.LibGPUSHMEM),
+		splits:  map[lockstep.Key]*splitInst{},
+		shrinks: map[lockstep.Key]*shrinkInst{},
 	}
+	n := len(cluster.Devices)
 	for i, dev := range cluster.Devices {
-		w.pes = append(w.pes, &PE{
+		pe := &PE{
 			w: w, rank: i, dev: dev,
 			issued:    sim.NewCounter(fmt.Sprintf("pe%d.issued", i), 0),
 			completed: sim.NewCounter(fmt.Sprintf("pe%d.completed", i), 0),
-		})
+		}
+		pe.world = &Team{pe: pe, g: lockstep.Group{Size: n, Rank: i}}
+		w.pes = append(w.pes, pe)
 	}
 	if r := cluster.Metrics; r != nil {
-		w.mColl = make(map[string]*metrics.Histogram, len(collKinds))
-		for _, kind := range collKinds {
-			w.mColl[kind] = r.Histogram("gpushmem.coll." + kind)
-		}
+		w.mColl = collHists(r)
 	}
 	return w
 }
@@ -163,14 +149,13 @@ func (w *World) Cluster() *gpu.Cluster { return w.cluster }
 
 // PE is one processing element (rank) of the job.
 type PE struct {
-	w    *World
-	rank int
-	dev  *gpu.Device
+	w     *World
+	rank  int
+	dev   *gpu.Device
+	world *Team // the all-PEs team, built once (team.go)
 
 	allocSeq  uint64
-	devOpSeq  uint64
 	launchSeq uint64
-	splitSeq  uint64
 
 	// NBI tracking for Quiet.
 	issued    *sim.Counter

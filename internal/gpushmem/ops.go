@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/lockstep"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -166,12 +167,11 @@ func (pe *PE) hostEnqueue(p *sim.Proc, s *gpu.Stream, label string, run func(sp 
 // the grid-wide cooperative-launch requirement.
 func (pe *PE) CollectiveLaunch(p *sim.Proc, s *gpu.Stream, k *gpu.Kernel, args any) {
 	pe.launchSeq++
-	key := instKey{seq: pe.launchSeq, kind: "coll-launch"}
+	key := lockstep.Key{Seq: pe.launchSeq, Kind: "coll-launch"}
 	inner := *k
 	body := inner.Body
 	inner.Body = func(kc *gpu.KernelCtx) {
-		inst := pe.instanceFor(key)
-		inst.arrive(kc.P, pe, gpu.View{}, gpu.View{}, key, nil)
+		pe.w.insts.Arrive(kc.P, key, &pe.world.g, gpu.View{}, gpu.View{}, nil)
 		if body != nil {
 			body(kc)
 		}

@@ -23,6 +23,28 @@ func TestWorldTeamShape(t *testing.T) {
 	})
 }
 
+// TestWorldTeamBuiltOnce: the world team is one handle per PE, built with the
+// world, and its membership is the nil identity table — a 4096-PE job holds
+// no per-PE copies of 0..4095 (it used to allocate one per WorldTeam call).
+func TestWorldTeamBuiltOnce(t *testing.T) {
+	const n = 4096
+	eng := sim.NewEngine()
+	defer eng.Close()
+	w := NewWorld(gpu.NewCluster(eng, machine.Perlmutter(), n))
+	for r := 0; r < n; r++ {
+		wt := w.PE(r).WorldTeam()
+		if wt != w.PE(r).WorldTeam() {
+			t.Fatalf("pe %d: WorldTeam returned two handles", r)
+		}
+		if wt.g.Members != nil {
+			t.Fatalf("pe %d: world team carries a private %d-entry member table", r, len(wt.g.Members))
+		}
+		if wt.Size() != n || wt.Rank() != r || wt.World(r) != r {
+			t.Fatalf("pe %d: world team %d/%d, World(%d) = %d", r, wt.Rank(), wt.Size(), r, wt.World(r))
+		}
+	}
+}
+
 func TestTeamSplitMembershipAndOrdering(t *testing.T) {
 	const n = 6
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {

@@ -1,0 +1,202 @@
+package lockstep
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/gpu"
+	"repro/internal/machine"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+)
+
+// harness runs body once per rank of an n-rank world group over one Table
+// (GPUSHMEM host costs on Perlmutter) and returns the fabric transfer count.
+func harness(t *testing.T, n int, body func(p *sim.Proc, tbl *Table, g *Group)) int64 {
+	t.Helper()
+	eng := sim.NewEngine()
+	defer eng.Close()
+	cl := gpu.NewCluster(eng, machine.Perlmutter(), n)
+	reg := metrics.New()
+	cl.SetMetrics(reg)
+	tbl := NewTable(cl, machine.LibGPUSHMEM)
+	for r := 0; r < n; r++ {
+		g := &Group{Size: n, Rank: r}
+		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) { body(p, tbl, g) })
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var transfers int64
+	for _, c := range reg.Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "fabric.") && strings.HasSuffix(c.Name, ".transfers") {
+			transfers += c.Value
+		}
+	}
+	return transfers
+}
+
+func TestArriveRunsDataOnceOnLastArriver(t *testing.T) {
+	const n = 5
+	runs, ranAt := 0, sim.Time(-1)
+	left := make([]sim.Time, n)
+	harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
+		p.Advance(sim.Duration(100 * (n - g.Rank))) // rank 0 arrives last
+		view := gpu.AllocBuffer[int64](tbl.cl.Devices[g.Rank], 1+g.Rank).Whole()
+		tbl.Arrive(p, Key{Kind: "once"}, g, view, view, func(sends, recvs []gpu.View) {
+			runs++
+			ranAt = p.Now()
+			if g.Rank != 0 {
+				t.Errorf("data ran on rank %d, not on the last arriver", g.Rank)
+			}
+			for r := range sends {
+				if sends[r].Len() != 1+r || recvs[r].Len() != 1+r {
+					t.Errorf("rank %d's views not registered when data ran", r)
+				}
+			}
+		})
+		left[g.Rank] = p.Now()
+	})
+	if runs != 1 {
+		t.Fatalf("data ran %d times", runs)
+	}
+	for r, at := range left {
+		if at != ranAt {
+			t.Errorf("rank %d released at %v, data ran at %v", r, at, ranAt)
+		}
+	}
+}
+
+func TestCompletedKeyIsReusable(t *testing.T) {
+	var first, second *Instance
+	harness(t, 2, func(p *sim.Proc, tbl *Table, g *Group) {
+		a := tbl.Arrive(p, Key{Seq: 7, Kind: "reuse"}, g, gpu.View{}, gpu.View{}, nil)
+		b := tbl.Arrive(p, Key{Seq: 7, Kind: "reuse"}, g, gpu.View{}, gpu.View{}, nil)
+		if g.Rank == 0 {
+			first, second = a, b
+		}
+		if len(tbl.insts) != 0 {
+			t.Errorf("completed instances left in the table: %d", len(tbl.insts))
+		}
+	})
+	if first == second {
+		t.Fatal("a completed key handed out its old instance again")
+	}
+}
+
+func TestRoundsSkipsWhatHasNothingToSend(t *testing.T) {
+	const n = 4
+	// Per round: no peer, the caller itself, past the group's end (the
+	// recursive-doubling partner of a non-power-of-two group), no payload.
+	steps := []struct {
+		peer  func(rank int) int
+		bytes int64
+	}{
+		{func(int) int { return -1 }, 64},
+		{func(rank int) int { return rank }, 64},
+		{func(rank int) int { return rank + n }, 64},
+		{func(rank int) int { return (rank + 1) % n }, 0},
+	}
+	transfers := harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
+		inst := tbl.Arrive(p, Key{Kind: "skip"}, g, gpu.View{}, gpu.View{}, nil)
+		inst.Rounds(p, g, machine.APIHost, len(steps), func(r int) (int, int64) {
+			return steps[r].peer(g.Rank), steps[r].bytes
+		})
+		inst.FanOut(p, g, machine.APIHost, 0, n, 0)
+		if p.Now() != 0 {
+			t.Errorf("rank %d: empty rounds advanced time to %v", g.Rank, p.Now())
+		}
+	})
+	if transfers != 0 {
+		t.Fatalf("empty steps booked %d transfers", transfers)
+	}
+}
+
+func TestRoundEndsAtSlowestTransfer(t *testing.T) {
+	const n = 3
+	left := make([]sim.Time, n)
+	var want sim.Time
+	transfers := harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
+		// A ring of distinct ports, so no transfer queues behind another:
+		// rank r sends (r+1) MiB and the 3 MiB one paces everybody.
+		bytes := int64(g.Rank+1) << 20
+		if g.Rank == n-1 {
+			cl := tbl.cl
+			cost := cl.Cost(tbl.lib, machine.APIHost, cl.Fabric.PathBetween(g.Rank, 0), bytes)
+			want = sim.Time(0).Add(cost.Duration(bytes) + cost.Latency)
+		}
+		inst := tbl.Arrive(p, Key{Kind: "pace"}, g, gpu.View{}, gpu.View{}, nil)
+		inst.Rounds(p, g, machine.APIHost, 1, func(int) (int, int64) { return (g.Rank + 1) % n, bytes })
+		left[g.Rank] = p.Now()
+	})
+	if transfers != n {
+		t.Fatalf("booked %d transfers, want %d", transfers, n)
+	}
+	for r, at := range left {
+		if at != want {
+			t.Errorf("rank %d left the round at %v, slowest transfer ends at %v", r, at, want)
+		}
+	}
+}
+
+func TestFanOutPostsInOrderAndSkipsSelf(t *testing.T) {
+	const n = 4
+	left := make([]sim.Time, n)
+	transfers := harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
+		inst := tbl.Arrive(p, Key{Kind: "fan"}, g, gpu.View{}, gpu.View{}, nil)
+		puts := 0
+		if g.Rank == 2 { // a broadcast root
+			puts = n
+		}
+		inst.FanOut(p, g, machine.APIHost, 0, puts, 4096)
+		left[g.Rank] = p.Now()
+	})
+	if transfers != n-1 {
+		t.Fatalf("root booked %d puts, want %d", transfers, n-1)
+	}
+	if left[0] == 0 || slices.Max(left) != slices.Min(left) {
+		t.Fatalf("members left the fan-out at %v", left)
+	}
+}
+
+func TestPartitionOrdersByKeyThenParentRank(t *testing.T) {
+	// A parent whose order is not world order: group ranks 0..4 are world
+	// ranks 9, 7, 5, 3, 1.
+	parent := &Group{Members: []int{9, 7, 5, 3, 1}, Size: 5, Rank: 3}
+	votes := []Vote{{0, 2}, {1, 0}, {0, 1}, {0, 1}, {-1, 0}}
+	child := parent.Partition(votes, 0)
+	if want := []int{5, 3, 9}; !slices.Equal(child.Members, want) || child.Size != 3 || child.Rank != 1 {
+		t.Fatalf("colour 0 child = %+v, want members %v rank 1", child, want)
+	}
+	if other := parent.Partition(votes, 1); other.Rank != -1 || !slices.Equal(other.Members, []int{7}) {
+		t.Fatalf("colour 1 child seen by a colour-0 voter = %+v, want members [7] rank -1", other)
+	}
+	world := &Group{Size: 3, Rank: 2}
+	if c := world.Partition([]Vote{{0, 5}, {0, 5}, {0, -1}}, 0); !slices.Equal(c.Members, []int{2, 0, 1}) || c.Rank != 0 {
+		t.Fatalf("identity parent child = %+v, want members [2 0 1] rank 0", c)
+	}
+}
+
+func TestSurvivorsKeepsOrderAndRejectsDeadCaller(t *testing.T) {
+	g := &Group{Members: []int{4, 2, 8, 6}, Size: 4, Rank: 2}
+	child := g.Survivors(map[int]bool{2: true, 5: true})
+	if want := []int{4, 8, 6}; !slices.Equal(child.Members, want) || child.Size != 3 || child.Rank != 1 {
+		t.Fatalf("survivors = %+v, want members %v rank 1", child, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a dead caller shrank its group")
+		}
+	}()
+	g.Survivors(map[int]bool{8: true})
+}
+
+func TestLog2Ceil(t *testing.T) {
+	for n, want := range map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 4096: 12} {
+		if got := Log2Ceil(n); got != want {
+			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

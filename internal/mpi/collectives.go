@@ -2,9 +2,9 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gpu"
+	"repro/internal/lockstep"
 	"repro/internal/sim"
 )
 
@@ -659,11 +659,6 @@ func prefixSums(counts []int) []int {
 	return d
 }
 
-// splitEntry is exchanged during Split.
-type splitEntry struct {
-	color, key, rank int
-}
-
 // Split partitions the communicator by color, ordering each new group by
 // (key, old rank), like MPI_Comm_split. Every member must call it. A
 // negative color returns nil (the rank joins no new communicator).
@@ -674,47 +669,26 @@ type splitEntry struct {
 // on all ranks.
 func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	n := c.Size()
-	entries := make([]splitEntry, n)
 	// Exchange the (color, key) pairs through int64 buffers.
 	send := gpu.AllocBuffer[int64](c.ep.dev, 2)
 	send.Data()[0], send.Data()[1] = int64(color), int64(key)
 	recv := gpu.AllocBuffer[int64](c.ep.dev, 2*n)
 	c.Allgather(p, send.Whole(), recv.Whole())
-	for r := 0; r < n; r++ {
-		entries[r] = splitEntry{
-			color: int(recv.Data()[2*r]),
-			key:   int(recv.Data()[2*r+1]),
-			rank:  r,
-		}
+	votes := make([]lockstep.Vote, n)
+	for r := range votes {
+		votes[r] = lockstep.Vote{Colour: int(recv.Data()[2*r]), Key: int(recv.Data()[2*r+1])}
 	}
 	newCtx := c.ctx*4096 + int(c.coll) + 1
 	if color < 0 {
 		return nil
 	}
-	var members []splitEntry
-	for _, e := range entries {
-		if e.color == color {
-			members = append(members, e)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
-	group := make([]int, len(members))
-	myNew := -1
-	for i, e := range members {
-		group[i] = c.group[e.rank]
-		if e.rank == c.rank {
-			myNew = i
-		}
-	}
-	if myNew < 0 {
-		panic(fmt.Sprintf("mpi: split lost rank %d", c.rank))
-	}
-	return &Comm{ep: c.ep, ctx: newCtx, group: group, rank: myNew}
+	child := c.asGroup().Partition(votes, color)
+	return &Comm{ep: c.ep, ctx: newCtx, group: child.Members, rank: child.Rank}
+}
+
+// asGroup views the communicator as the group arithmetic's input.
+func (c *Comm) asGroup() *lockstep.Group {
+	return &lockstep.Group{Members: c.group, Size: len(c.group), Rank: c.rank}
 }
 
 // Dup duplicates the communicator with a fresh context id.

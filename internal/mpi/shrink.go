@@ -12,6 +12,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/lockstep"
 	"repro/internal/sim"
 )
 
@@ -29,34 +30,16 @@ func (c *Comm) ShrinkExcluding(p *sim.Proc, dead map[int]bool, gen int) *Comm {
 	if gen < 1 || gen >= 4096 {
 		panic(fmt.Sprintf("mpi: ShrinkExcluding generation %d outside [1, 4096)", gen))
 	}
-	myWorld := c.group[c.rank]
-	if dead[myWorld] {
-		panic(fmt.Sprintf("mpi: rank %d (world %d) shrinking a communicator it failed in", c.rank, myWorld))
-	}
-	var group []int
-	myNew := -1
-	for _, wr := range c.group {
-		if dead[wr] {
-			continue
-		}
-		if wr == myWorld {
-			myNew = len(group)
-		}
-		group = append(group, wr)
-	}
+	group := c.asGroup().Survivors(dead)
 	base := c.ctx
 	if base < 0 {
 		base = -base
 	}
-	nc := &Comm{ep: c.ep, ctx: -(base*4096 + gen), group: group, rank: myNew}
+	nc := &Comm{ep: c.ep, ctx: -(base*4096 + gen), group: group.Members, rank: group.Rank}
 	// Agreement round: charge log2(n) call overheads for the survivor vote,
 	// then synchronize for real on the new context.
-	prof := c.profile()
-	rounds := 1
-	for 1<<rounds < len(group) {
-		rounds++
-	}
-	p.Advance(prof.CallOverhead * sim.Duration(2*rounds))
+	rounds := max(1, lockstep.Log2Ceil(group.Size))
+	p.Advance(c.profile().CallOverhead * sim.Duration(2*rounds))
 	nc.Barrier(p)
 	return nc
 }
