@@ -32,8 +32,8 @@ func parseSeverities(s string) ([]float64, error) {
 
 // recoveryMode runs the hard-fault severity sweep per topology and backend
 // and prints one table section per topology. The printed table carries
-// virtual-time quantities only, so its bytes are identical at every -shards
-// count >= 1 and with -live on or off (the golden test and CI compare them).
+// virtual-time quantities only, so its bytes are identical with -live on or
+// off (the golden test pins them).
 // With -flight > 0 each faulted cell's flight-recorder post-mortem lands on
 // stderr.
 func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.Lib, severities []float64, ranks int, seed uint64, topologies []fabric.TopologyConfig, flightDepth int) error {
@@ -97,14 +97,13 @@ func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.L
 // revoking and shrinking the communicator, plus the failure-detection and
 // recovery latencies and the adaptive-routing failover count. -topology
 // accepts a comma-separated list in this mode, one table section per
-// topology; -shards runs the hard-fault cells on the sharded engine,
-// bit-identical at every shard count >= 1. The table is virtual-time only,
-// so its bytes are the recovery results of record: the golden test diffs
-// them against testdata/recover-<topology>.golden.
+// topology. The table is virtual-time only, so its bytes are the recovery
+// results of record: the golden test diffs them against
+// testdata/recover-<topology>.golden.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) while the sweep runs, and -flight retains a bounded
-// per-shard event history that is dumped to stderr when a cell faults.
+// per-cell event history that is dumped to stderr when a cell faults.
 // Neither changes a byte of stdout. With -live, a SIGINT prints the sweep
 // progress and accumulated metrics to stderr before exiting.
 //
@@ -114,7 +113,7 @@ func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.L
 //	uniconn chaos -machine LUMI -bytes 1048576
 //	uniconn chaos -generate -seed 7 -severities 0,0.5,1
 //	uniconn chaos -recover -ranks 8
-//	uniconn chaos -recover -topology fattree -shards 4
+//	uniconn chaos -recover -topology fattree
 //	uniconn chaos -recover -topology flat,fattree,dragonfly:1,2,2
 //	uniconn chaos -recover -live 127.0.0.1:9187 -flight 256
 func chaos(args []string, stdout, stderr io.Writer) error {
@@ -136,7 +135,7 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 		"write a Chrome trace-event file of the profiled severity cells here (degrade/generate modes)")
 	common.TopologyList(fs, "flat")
 	flightDepth := fs.Int("flight", 0,
-		"retain the last N engine events per shard and dump them to stderr on faults (with -recover)")
+		"retain the last N engine events per cell and dump them to stderr on faults (with -recover)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/spec"
 )
 
 // The stdout of record of every subcommand. The goldens were captured from
@@ -67,13 +67,12 @@ var fileCases = []struct {
 		[]string{"jacobi.trace"}},
 }
 
-// invoke runs one subcommand in-process. -workers and -shards publish
-// environment variables, so both are pinned to the test first (t.Setenv
-// restores them; empty reads as unset).
+// invoke runs one subcommand in-process. -workers publishes an environment
+// variable, so it is pinned to the test first (t.Setenv restores it; empty
+// reads as unset).
 func invoke(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
 	t.Setenv(bench.WorkersEnv, os.Getenv(bench.WorkersEnv))
-	t.Setenv(core.ShardsEnv, os.Getenv(core.ShardsEnv))
 	var out, errb bytes.Buffer
 	status = run(args, &out, &errb)
 	return out.String(), errb.String(), status
@@ -221,21 +220,73 @@ func TestFig6WorkersInvariant(t *testing.T) {
 
 // TestRecoveryMatrix is the recovery results of record: the hard-fault
 // sweep's table prints only virtual-time quantities, so per topology its
-// -shards 1 stdout must equal the committed golden (a change to detector
-// latency, failover counts or recovery end times fails here; refresh with
-// `go run . chaos -recover -topology <topo> -severities 0,0.5,1 -shards 1 >
-// testdata/recover-<kind>.golden`), and -shards 4 must equal -shards 1
-// (DESIGN.md section 14).
+// stdout must equal the committed golden (a change to detector latency,
+// failover counts or recovery end times fails here; refresh with
+// `go run . chaos -recover -topology <topo> -severities 0,0.5,1 >
+// testdata/recover-<kind>.golden`).
 func TestRecoveryMatrix(t *testing.T) {
 	for _, topo := range []string{"flat", "fattree", "dragonfly:1,2,2"} {
 		t.Run(topo, func(t *testing.T) {
-			sweep := func(shards string) string {
-				return mustRun(t, "chaos", "-recover", "-topology", topo, "-severities", "0,0.5,1", "-shards", shards)
-			}
 			kind, _, _ := strings.Cut(topo, ":")
-			s1 := sweep("1")
-			compare(t, "recovery table", s1, readGolden(t, filepath.Join("testdata", "recover-"+kind+".golden")))
-			compare(t, "recovery table at 4 shards", sweep("4"), s1)
+			got := mustRun(t, "chaos", "-recover", "-topology", topo, "-severities", "0,0.5,1")
+			compare(t, "recovery table", got, readGolden(t, filepath.Join("testdata", "recover-"+kind+".golden")))
 		})
+	}
+}
+
+// removedShardsEnv selected the windowed engine until DESIGN.md section 12
+// removed it.
+const removedShardsEnv = "UNICONN_SHARDS"
+
+// TestOneAnswer: there is one engine, so nothing outside a spec or a command
+// line may change a result. With the removed engine selector set in the
+// environment, a spec evaluation and the scale and recovery tables must
+// produce the bytes they produce without it.
+func TestOneAnswer(t *testing.T) {
+	s := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 8, Bytes: 4096}
+	answers := func() map[string]string {
+		body, _, err := bench.EvalSpec(s, bench.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]string{
+			"EvalSpec":       string(body),
+			"scale":          maskWall(mustRun(t, "scale", "-max-ranks", "64", "-topology", "flat")),
+			"chaos -recover": mustRun(t, "chaos", "-recover", "-topology", "flat", "-severities", "0,1"),
+		}
+	}
+	clean := answers()
+	t.Setenv(removedShardsEnv, "4")
+	for what, got := range answers() {
+		compare(t, what+" with "+removedShardsEnv+"=4", got, clean[what])
+	}
+}
+
+// TestNoShardsKnob keeps the removed engine selector from drifting back
+// through a copy-pasted flag block or a doc: no subcommand defines -shards,
+// and README.md and DESIGN.md mention the flag and its environment variable
+// nowhere but DESIGN.md section 12, the record of the removal.
+func TestNoShardsKnob(t *testing.T) {
+	for _, c := range subcommands {
+		_, stderr, status := invoke(t, c.name, "-shards", "1")
+		if status != 2 || !strings.Contains(stderr, "flag provided but not defined: -shards") {
+			t.Errorf("uniconn %s -shards 1: exit %d, stderr %q; want the undefined-flag rejection", c.name, status, stderr)
+		}
+	}
+	design := readGolden(t, "../../DESIGN.md")
+	record := regexp.MustCompile(`(?ms)^## 12\. .*?^## 13\. `)
+	if !record.MatchString(design) {
+		t.Fatal("DESIGN.md sections 12 and 13 not found")
+	}
+	docs := map[string]string{
+		"README.md": readGolden(t, "../../README.md"),
+		"DESIGN.md": record.ReplaceAllString(design, ""),
+	}
+	for name, text := range docs {
+		for _, knob := range []string{"-shards", removedShardsEnv} {
+			if strings.Contains(text, knob) {
+				t.Errorf("%s mentions %s", name, knob)
+			}
+		}
 	}
 }

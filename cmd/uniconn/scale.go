@@ -72,7 +72,7 @@ func scale(args []string, stdout, stderr io.Writer) error {
 			if r <= cap {
 				cells = append(cells, bench.ScaleConfig{
 					Model: m, Topology: tc, Ranks: r, Bytes: *bytes,
-					Alg: alg, Iters: *iters, Warmup: 1, Shards: common.Shards,
+					Alg: alg, Iters: *iters, Warmup: 1,
 				})
 				labels = append(labels, fmt.Sprintf("%s/%s/%d", tc.Kind, alg, r))
 			}
@@ -87,9 +87,10 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The scale sweep runs serially (one engine already saturates the host
-	// with -shards), so the live run is reported cell by cell by this loop
-	// rather than through the bench runner.
+	// The scale sweep runs one cell at a time — each point is printed as it
+	// finishes, and a 4096-rank cell peaks near 550 MiB — so the live run is
+	// reported cell by cell by this loop rather than through the bench
+	// runner.
 	closeLive, err := bench.StartLive(common.Live, "scale")
 	if err != nil {
 		return err
@@ -98,8 +99,8 @@ func scale(args []string, stdout, stderr io.Writer) error {
 	obs := bench.NewObserve(m, false)
 	lr := bench.Progress().StartRun("scale", len(cells), 1)
 
-	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters, shards=%d\n",
-		m.Name, bench.HumanBytes(*bytes), *iters, common.Shards)
+	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters\n",
+		m.Name, bench.HumanBytes(*bytes), *iters)
 	fmt.Fprintf(stdout, "%-11s%-14s%8s%8s%14s%12s\n", "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
 	for i, cfg := range cells {
 		lr.CellStart(0, i, labels[i])

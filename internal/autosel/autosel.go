@@ -84,10 +84,8 @@ type Advisor struct {
 // same trade the paper's related work (MCR-DL tuning suites) makes.
 //
 // The probes are canonical experiment specs evaluated as one batch
-// (bench.EvalSpecs): they fan out over the sweep runner, and — like every
-// spec — always run on the serial engine, so the advice cannot depend on
-// the calling process's UNICONN_SHARDS. Specs address machines by name, so
-// m must be a registered model (machine.ByName).
+// (bench.EvalSpecs): they fan out over the sweep runner. Specs address
+// machines by name, so m must be a registered model (machine.ByName).
 func Calibrate(m *machine.Model, sizes []int64) (*Advisor, error) {
 	if len(sizes) == 0 {
 		for s := int64(8); s <= 4<<20; s *= 4 {

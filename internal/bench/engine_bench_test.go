@@ -1,29 +1,31 @@
 package bench
 
-// Engine-level cell benchmarks: wall-clock cost of whole simulation cells
-// that are dominated by event-engine overhead rather than by the cost model
-// (many ranks, small messages, long dependency chains). BenchmarkCellLarge
-// is a 64-rank allreduce cell at Fig 5/6 scale, where every collective round
+// Engine-level cells: wall-clock cost of whole simulation cells that are
+// dominated by event-engine overhead rather than by the cost model (many
+// ranks, small messages, long dependency chains). BenchmarkCellLarge is a
+// 64-rank allreduce cell at Fig 5/6 scale, where every collective round
 // funnels thousands of park/wake transfers through the scheduler; the
 // benchmark of record for that shape is the coll-small-64r workload
-// (benchmark/README.md). These functions stay as the instrument for the
-// serial-vs-windowed engine decision (ROADMAP item 3): run them with
-// -cpu 1,2,... and compare CellLarge against CellLargeShards1/4.
+// (benchmark/README.md), and these functions are the quick local instrument.
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // runAllreduceCell launches one simulation cell: ranks processes on
 // Perlmutter, each running iters MPI allreduces over elems float64 elements.
-// shards selects the engine shard count (0 = serial legacy engine).
-func runAllreduceCell(b *testing.B, ranks, elems, iters, shards int) {
-	b.Helper()
-	_, err := core.Launch(core.Config{Model: machine.Perlmutter(), NGPUs: ranks, Backend: core.MPIBackend, Shards: shards},
+// It returns the finish time and, when out is non-nil, leaves every rank's
+// result vector in out[rank].
+func runAllreduceCell(tb testing.TB, ranks, elems, iters int, out [][]float64) sim.Time {
+	tb.Helper()
+	rep, err := core.Launch(core.Config{Model: machine.Perlmutter(), NGPUs: ranks, Backend: core.MPIBackend},
 		func(env *core.Env) {
 			comm := env.MPIComm()
 			p := env.Proc()
@@ -35,9 +37,33 @@ func runAllreduceCell(b *testing.B, ranks, elems, iters, shards int) {
 			for it := 0; it < iters; it++ {
 				comm.Allreduce(p, send.Whole(), recv.Whole(), gpu.ReduceSum)
 			}
+			if out != nil {
+				out[env.WorldRank()] = append([]float64(nil), recv.Data()...)
+			}
 		})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	return rep.End
+}
+
+// TestProcessorCountCannotChangeAnswer runs the 64-rank cell at GOMAXPROCS 1
+// and 4: the trampoline resumes every rank on whichever thread runs the
+// engine, so how many processors the host offers must not reach a
+// virtual-time result.
+func TestProcessorCountCannotChangeAnswer(t *testing.T) {
+	const ranks, elems, iters = 64, 256, 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	out1, out4 := make([][]float64, ranks), make([][]float64, ranks)
+	runtime.GOMAXPROCS(1)
+	end1 := runAllreduceCell(t, ranks, elems, iters, out1)
+	runtime.GOMAXPROCS(4)
+	end4 := runAllreduceCell(t, ranks, elems, iters, out4)
+	if end1 != end4 {
+		t.Fatalf("finish time diverged: GOMAXPROCS=1 %v, GOMAXPROCS=4 %v", end1, end4)
+	}
+	if !reflect.DeepEqual(out1, out4) {
+		t.Fatal("result vectors diverged between GOMAXPROCS 1 and 4")
 	}
 }
 
@@ -48,7 +74,7 @@ func runAllreduceCell(b *testing.B, ranks, elems, iters, shards int) {
 func BenchmarkCellLarge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runAllreduceCell(b, 64, 256, 20, 0)
+		runAllreduceCell(b, 64, 256, 20, nil)
 	}
 }
 
@@ -58,7 +84,7 @@ func BenchmarkCellLarge(b *testing.B) {
 func BenchmarkCellLargeRing(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runAllreduceCell(b, 64, 16<<10, 4, 0)
+		runAllreduceCell(b, 64, 16<<10, 4, nil)
 	}
 }
 
@@ -66,24 +92,6 @@ func BenchmarkCellLargeRing(b *testing.B) {
 func BenchmarkCellMedium(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runAllreduceCell(b, 8, 256, 20, 0)
-	}
-}
-
-// BenchmarkCellLargeShards1/4 run the 64-rank cell on the windowed
-// parallel-in-virtual-time engine. Shards1 isolates the windowing overhead
-// against BenchmarkCellLarge; Shards4 adds real parallelism on multi-core
-// hosts (the 16 nodes are spread over 4 worker goroutines).
-func BenchmarkCellLargeShards1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runAllreduceCell(b, 64, 256, 20, 1)
-	}
-}
-
-func BenchmarkCellLargeShards4(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runAllreduceCell(b, 64, 256, 20, 4)
+		runAllreduceCell(b, 8, 256, 20, nil)
 	}
 }

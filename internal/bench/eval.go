@@ -181,17 +181,6 @@ func workerCosts(costs []map[string]*machine.CostCache, k int, s spec.Spec) *mac
 	return cc
 }
 
-// engineShards maps a spec shard count onto core.Config.Shards: positive
-// counts select the windowed protocol verbatim, and 0 becomes an explicit -1
-// (serial engine) so the evaluating process's UNICONN_SHARDS environment can
-// never change a content-addressed result.
-func engineShards(n int) int {
-	if n > 0 {
-		return n
-	}
-	return -1
-}
-
 // evalCold simulates the (normalized, validated) spec and assembles the
 // Result. The trace log is private to the cell per the runner's
 // observability ownership rule.
@@ -216,7 +205,7 @@ func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error
 			Model: m, Backend: backend, API: api,
 			Native: n.Native, Inter: n.Inter, Bytes: n.Bytes,
 			Iters: n.Iters, Warmup: n.Warmup, Window: n.Window,
-			Shards: engineShards(n.Shards), Trace: log, Costs: costs,
+			Trace: log, Costs: costs,
 		}
 		cfg.Faults, err = specPlan(n, cfg)
 		if err != nil {
@@ -246,8 +235,7 @@ func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error
 		}
 		cfg := ScaleConfig{
 			Model: m, Ranks: n.Ranks, Bytes: n.Bytes, Alg: alg,
-			Iters: n.Iters, Warmup: n.Warmup, Shards: engineShards(n.Shards),
-			Trace: log, Costs: costs,
+			Iters: n.Iters, Warmup: n.Warmup, Trace: log, Costs: costs,
 		}
 		per, rep, err := ScaleAllreduce(cfg)
 		if err != nil {

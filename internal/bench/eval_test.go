@@ -109,40 +109,6 @@ func TestEvalSpecReportsHitFlag(t *testing.T) {
 	}
 }
 
-// TestEvalSerialIgnoresShardsEnv pins the env-independence rule: a spec with
-// Shards 0 must evaluate on the serial engine even when the process has
-// UNICONN_SHARDS set (core.Config.Shards 0 would consult it; EvalSpec must
-// not, or the same content address would map to two different results).
-func TestEvalSerialIgnoresShardsEnv(t *testing.T) {
-	s := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 8, Bytes: 4096}
-	clean, _, err := EvalSpec(s, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("UNICONN_SHARDS", "4")
-	dirty, _, err := EvalSpec(s, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(clean, dirty) {
-		t.Fatal("UNICONN_SHARDS leaked into a content-addressed evaluation")
-	}
-	// And the windowed protocol is genuinely different — the reason shards
-	// participate in the hash as a bit.
-	sw := s
-	sw.Shards = 2
-	windowed, _, err := EvalSpec(sw, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(clean, windowed) {
-		t.Log("serial and windowed happen to agree for this cell (allowed, not guaranteed)")
-	}
-	if s.Hash() == sw.Hash() {
-		t.Fatal("serial and windowed specs must have distinct hashes")
-	}
-}
-
 // TestEvalSpecsPerItemErrors: one broken spec must not poison its batch.
 func TestEvalSpecsPerItemErrors(t *testing.T) {
 	specs := []spec.Spec{

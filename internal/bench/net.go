@@ -40,8 +40,7 @@ type NetConfig struct {
 	// (default 64, as in the paper).
 	Window int
 
-	// Shards selects the engine shard count of the run (0 = the
-	// UNICONN_SHARDS environment default; see core.Config.Shards).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
 
 	// Topology overrides the inter-node network of the run (flat, fat-tree,
@@ -143,7 +142,7 @@ func LatencyRun(cfg NetConfig) (sim.Duration, core.Report, error) {
 	iters, warmup, _ := cfg.counts(false)
 	var rt sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Shards: cfg.Shards, Topology: cfg.Topology, Costs: cfg.Costs,
+		Topology: cfg.Topology, Costs: cfg.Costs,
 		Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
 		func(env *core.Env) {
 			d := cfg.latencyRank(env, iters, warmup)
@@ -172,7 +171,7 @@ func BandwidthRun(cfg NetConfig) (float64, core.Report, error) {
 	iters, warmup, window := cfg.counts(true)
 	var total sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Shards: cfg.Shards, Topology: cfg.Topology, Costs: cfg.Costs,
+		Topology: cfg.Topology, Costs: cfg.Costs,
 		Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
 		func(env *core.Env) {
 			d := cfg.bandwidthRank(env, iters, warmup, window)

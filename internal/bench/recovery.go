@@ -46,23 +46,18 @@ type RecoveryConfig struct {
 	// Topology overrides the model's inter-node topology for this run
 	// (core.Config.Topology); the zero value keeps the model's own setting.
 	Topology fabric.TopologyConfig
-	// Shards selects parallel-in-virtual-time execution (core.Config.Shards):
-	// 0 consults UNICONN_SHARDS or runs serial; any positive count runs the
-	// windowed protocol, bit-identical at every shard count >= 1 — hard-fault
-	// plans included, since the failure timetable is shard-invariant.
-	Shards int
 	// Metrics, when non-nil, collects the run's counters (one registry per
 	// run — the sweep ownership rule of runner.go).
 	Metrics *metrics.Registry
 	// FlightDepth, when positive, installs a flight recorder of that depth
-	// on every engine and captures the post-mortem dump (written on abort,
+	// on the engine and captures the post-mortem dump (written on abort,
 	// watchdog timeout, or a hard fault) into RecoveryPoint.FlightDump.
 	FlightDepth int
-	// FlightAttach, when non-nil, receives each shard's recorder as the run
+	// FlightAttach, when non-nil, receives the run's recorder as it
 	// launches (core.FlightConfig.Attach) — live telemetry's /debug/flight
 	// hook. On its own it does not populate FlightDump, so enabling live
 	// observation never changes the sweep's recorded results.
-	FlightAttach func(shard int, fr *sim.FlightRecorder)
+	FlightAttach func(fr *sim.FlightRecorder)
 }
 
 // RecoveryPoint is one measurement of a recovery sweep.
@@ -230,8 +225,7 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 
 	rep, err := core.Launch(core.Config{
 		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.Backend, Faults: plan,
-		Topology: cfg.Topology, Shards: cfg.Shards,
-		Metrics: cfg.Metrics, Flight: flight,
+		Topology: cfg.Topology, Metrics: cfg.Metrics, Flight: flight,
 	}, main)
 	pt.FlightDump = flightBuf.String()
 	if err != nil {

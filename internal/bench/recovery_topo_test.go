@@ -1,11 +1,10 @@
 package bench
 
 // Topology-aware recovery tests: Shrink during a hierarchical-size allreduce
-// on every backend, and the shards 1-vs-N byte-compare for hard-fault runs
+// on every backend, and hard-fault recovery around dead switches and links
 // on switched topologies (run under -race in CI).
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -63,55 +62,38 @@ func TestShrinkDuringHierarchicalAllreduce(t *testing.T) {
 	}
 }
 
-// topoRecoveryPoint runs one hard-fault recovery cell on the given topology
-// and shard count and returns its point.
-func topoRecoveryPoint(t *testing.T, tc fabric.TopologyConfig, shards int) RecoveryPoint {
-	t.Helper()
-	const nGPUs = 32
-	m := machine.Perlmutter()
-	horizon := 4 * sim.Millisecond
-	mt := *m
-	mt.Topology = tc
-	fc := mt.FabricConfig(mt.NodesFor(nGPUs))
-	plan := faults.GenerateHard(11, 1, fc, horizon)
-	pt, err := RunRecovery(RecoveryConfig{
-		Model: &mt, Backend: core.MPIBackend, NGPUs: nGPUs,
-		Plan: plan, Horizon: horizon, Shards: shards,
-	})
-	if err != nil {
-		t.Fatalf("%s shards=%d: %v", tc.Describe(), shards, err)
-	}
-	if pt.Err != "" || !pt.Completed {
-		t.Fatalf("%s shards=%d did not complete: %+v", tc.Describe(), shards, pt)
-	}
-	return pt
-}
-
-// TestRecoveryShardDeterminismSwitchedTopologies is the sharded hard-fault
+// TestRecoverySwitchedTopologies is the switched-topology hard-fault
 // acceptance check (run under -race in CI): a 32-rank recovery cell with
 // crashes, a crashed aggregation switch / dead global channel, and a dead
-// intra-node route must produce bit-identical results at shards=1 and
-// shards=4 on both switched topologies — the failure timetable, detector
-// declarations, and liveness-aware route latencies are all pure functions of
-// virtual time, never of shard interleaving. The failover counter proves the
-// plan actually forced detours.
-func TestRecoveryShardDeterminismSwitchedTopologies(t *testing.T) {
+// intra-node route must complete on both switched topologies, with the
+// survivors recovered and the failover counter proving the plan actually
+// forced detours.
+func TestRecoverySwitchedTopologies(t *testing.T) {
 	topos := []fabric.TopologyConfig{
 		{Kind: fabric.TopoFatTree}, // 8 nodes -> k=4, spare aggregations
 		{Kind: fabric.TopoDragonfly, DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2}, // 4 groups
 	}
+	const nGPUs = 32
+	horizon := 4 * sim.Millisecond
 	for _, tc := range topos {
 		t.Run(tc.Kind.String(), func(t *testing.T) {
-			one := topoRecoveryPoint(t, tc, 1)
-			four := topoRecoveryPoint(t, tc, 4)
-			if !reflect.DeepEqual(one, four) {
-				t.Fatalf("hard-fault run diverged across shard counts:\nshards=1: %+v\nshards=4: %+v", one, four)
+			mt := *machine.Perlmutter()
+			mt.Topology = tc
+			plan := faults.GenerateHard(11, 1, mt.FabricConfig(mt.NodesFor(nGPUs)), horizon)
+			pt, err := RunRecovery(RecoveryConfig{
+				Model: &mt, Backend: core.MPIBackend, NGPUs: nGPUs, Plan: plan, Horizon: horizon,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if one.Failovers == 0 {
-				t.Fatalf("no failovers on %s despite injected switch/link faults: %+v", tc.Describe(), one)
+			if pt.Err != "" || !pt.Completed {
+				t.Fatalf("%s did not complete: %+v", tc.Describe(), pt)
 			}
-			if one.Crashes == 0 || one.Recoveries == 0 {
-				t.Fatalf("plan crashed no ranks or survivors never recovered: %+v", one)
+			if pt.Failovers == 0 {
+				t.Fatalf("no failovers on %s despite injected switch/link faults: %+v", tc.Describe(), pt)
+			}
+			if pt.Crashes == 0 || pt.Recoveries == 0 {
+				t.Fatalf("plan crashed no ranks or survivors never recovered: %+v", pt)
 			}
 		})
 	}

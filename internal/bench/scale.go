@@ -33,7 +33,7 @@ type ScaleConfig struct {
 	Alg mpi.AllreduceAlg
 	// Iters timed iterations after Warmup untimed ones (defaults 4 and 1).
 	Iters, Warmup int
-	// Shards selects the engine shard count (0 = environment default).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
 	// Compute additionally initializes the vectors with known values and
 	// verifies the reduction result on every rank. Off, the cell is a pure
@@ -81,7 +81,7 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 	var timed sim.Duration
 	rep, err := core.Launch(core.Config{
 		Model: cfg.Model, NGPUs: cfg.Ranks, Backend: core.MPIBackend,
-		Shards: cfg.Shards, Topology: cfg.Topology, Metrics: cfg.Metrics,
+		Topology: cfg.Topology, Metrics: cfg.Metrics,
 		Trace: cfg.Trace, Costs: cfg.Costs,
 	}, func(env *core.Env) {
 		comm := env.MPIComm()

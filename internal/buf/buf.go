@@ -2,10 +2,9 @@
 // staging. The simulated data path follows one rule — clone only for a
 // snapshot, scratch for overwrite-before-read, reduce on receive otherwise
 // (DESIGN.md §11) — and this arena backs the first two: snapshots whose
-// source may change before they are consumed (MPI eager staging, sharded
-// rendezvous departures, RMA puts, a rooted reduction's accumulator) and
-// scratch whose old contents are never read (the recursive-doubling
-// exchange buffer). Both are throwaways: fully
+// source may change before they are consumed (MPI eager staging, RMA puts, a
+// rooted reduction's accumulator) and scratch whose old contents are never
+// read (the recursive-doubling exchange buffer). Both are throwaways: fully
 // overwritten on acquisition and dead as soon as the payload lands. Without
 // pooling every such message allocates its payload again and the garbage
 // collector dominates large-cell wall-clock time. Payloads that are merely
@@ -22,11 +21,10 @@
 //
 // Each gpu.Cluster owns its pools, so parallel sweep cells never share one
 // (the same ownership rule as trace logs and metrics registries, see
-// internal/bench/runner.go). Within one cell, a sharded run
-// (core.Config.Shards) has several shard engines staging through the same
-// pools concurrently, so Get/Put are mutex-guarded. Pooling is invisible to
+// internal/bench/runner.go). Get/Put are mutex-guarded so Stats can be
+// sampled from another goroutine while a cell runs. Pooling is invisible to
 // virtual time and to numerics — storage identity never influences
-// simulation results, so which shard reuses which slice cannot either.
+// simulation results.
 package buf
 
 import (
@@ -83,8 +81,8 @@ type Stats struct {
 }
 
 // Pool is a size-classed free list of []T slices. The zero value is ready
-// to use. One pool belongs to one simulation cell; a mutex covers the
-// shard engines of a sharded run sharing it.
+// to use. One pool belongs to one simulation cell; a mutex lets Stats be
+// sampled beside it.
 type Pool[T any] struct {
 	mu    sync.Mutex
 	free  [NumClasses][][]T

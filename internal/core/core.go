@@ -26,9 +26,7 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -106,11 +104,11 @@ type Config struct {
 	// otherwise). The override is applied on a cloned model, so shared
 	// machine.Model values are never mutated.
 	Topology fabric.TopologyConfig
-	// Flight, when non-nil, installs a bounded flight recorder on every
-	// engine (one per shard) and dumps a deterministic post-mortem to
-	// Flight.Sink when the run errors or recovered from a hard fault (see
-	// flight.go). Disabled (nil) by default; recording is zero-allocation,
-	// so enabling it does not perturb the zero-alloc hot-path gates.
+	// Flight, when non-nil, installs a bounded flight recorder on the
+	// engine and dumps a deterministic post-mortem to Flight.Sink when the
+	// run errors or recovered from a hard fault (see flight.go). Disabled
+	// (nil) by default; recording is zero-allocation, so enabling it does
+	// not perturb the zero-alloc hot-path gates.
 	Flight *FlightConfig
 	// Costs, when non-nil, is a shared machine.CostCache the run's cluster
 	// uses instead of building (and re-warming) a private one — the sweep
@@ -120,52 +118,8 @@ type Config struct {
 	// mismatches are ignored. A shared cache never binds per-run metrics
 	// counters, so Metrics snapshots stay per-cell deterministic.
 	Costs *machine.CostCache
-	// Shards selects parallel-in-virtual-time execution: the cell's ranks
-	// are partitioned by cluster node across this many engines, advanced in
-	// conservative lookahead windows (sim.Group; DESIGN.md §12). 0 (the
-	// default) consults the UNICONN_SHARDS environment variable and falls
-	// back to the classic serial engine; a negative count forces the serial
-	// engine regardless of the environment (content-addressed evaluation
-	// needs env-independent results; see internal/bench.EvalSpec); any
-	// positive count (clamped to the node count) runs the windowed
-	// protocol, whose virtual-time results are bit-identical at every
-	// shard count >= 1. Hard-fault plans shard
-	// too: the failure timetable is precomputed at launch and pre-armed on
-	// every shard, so detector leases and interrupt delivery are shard-
-	// deterministic (DESIGN.md §14). Models without an inter-node latency
-	// floor fall back to serial regardless of the setting, and non-MPI
-	// backends clamp to one shard (their transfer paths couple engines
-	// directly).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
-}
-
-// ShardsEnv is the environment variable consulted when Config.Shards is 0,
-// mirroring the sweep runner's UNICONN_WORKERS: the CLIs' -shards flags set
-// it, and the CI determinism tests toggle it per run.
-const ShardsEnv = "UNICONN_SHARDS"
-
-// shards resolves the effective shard count: 0 for the serial engine, or a
-// positive windowed shard count (before node-count clamping).
-func (cfg Config) shards() int {
-	s := cfg.Shards
-	if s == 0 {
-		if v, err := strconv.Atoi(os.Getenv(ShardsEnv)); err == nil {
-			s = v
-		}
-	}
-	if s <= 0 {
-		return 0
-	}
-	if cfg.Model.MinInterAlpha() <= 0 {
-		return 0 // no latency floor, no lookahead window
-	}
-	if cfg.Backend != MPIBackend {
-		// GPUCCL/GPUSHMEM move data with direct cross-node Transfer calls
-		// (and RMA windows); until those learn the conduit they run whole
-		// on one windowed engine.
-		s = 1
-	}
-	return s
 }
 
 // effectiveModel resolves the machine to simulate: a Topology override
@@ -282,58 +236,17 @@ func (j *Job) faultSummary() FaultSummary {
 // Launch runs main once per rank, each in its own simulated process, and
 // drives the simulation to completion. It is the moral equivalent of
 // mpirun/srun for the simulated cluster.
-//
-// The serial run is the one-engine case. A positive shard count (cfg.shards
-// has already excluded what the windowed protocol cannot express — models
-// without a latency floor — and clamped non-MPI backends to one shard; the
-// node-count clamp happens here, where the node count is known) is the
-// parallel-in-virtual-time variant: one engine per shard, ranks partitioned
-// by cluster node, windows driven by a sim.Group. Hard-fault plans run
-// windowed too: the failure timetable is static, so kills land on the
-// crashed rank's own engine and declarations are pre-armed on every engine
-// at the same virtual time (recovery.go).
 func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Report{}, err
 	}
 	cfg.Model = cfg.effectiveModel()
-	shards := cfg.shards()
-	var shardOf []int // node -> engine; nil (serial) puts every node on engines[0]
-	if shards > 0 {
-		nodes := cfg.Model.NodesFor(cfg.NGPUs)
-		shards = min(shards, nodes)
-		// Nodes map to shards round-robin; any deterministic map works (the
-		// protocol is partition-independent), round-robin balances uneven
-		// node counts.
-		shardOf = make([]int, nodes)
-		for n := range shardOf {
-			shardOf[n] = n % shards
-		}
-	}
-	engines := make([]*sim.Engine, max(shards, 1))
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-	}
-	defer func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}()
-	flight := cfg.Flight.install(engines)
-	cluster := gpu.NewClusterOn(engines, shardOf, cfg.Model, cfg.NGPUs)
+	eng := sim.NewEngine()
+	defer eng.Close()
+	flight := cfg.Flight.install(eng)
+	cluster := gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)
 	cfg.applyCosts(cluster)
-	run, end := engines[0].Run, engines[0].Now
-	if shards > 0 {
-		// The lookahead window is the guaranteed lower bound on cross-shard
-		// delivery delay: the machine's minimum inter-node alpha plus, on a
-		// switched topology, the minimal per-route switch latency (every
-		// conduit post — payload or control envelope — carries both).
-		lookahead := cfg.Model.MinInterAlpha() + cluster.Fabric.MinInterExtra()
-		group := sim.NewGroup(engines, shardOf, lookahead)
-		cluster.Conduit = group.Conduit()
-		run, end = group.Run, group.End
-	}
-	job := &Job{cfg: cfg, eng: engines[0], cluster: cluster}
+	job := &Job{cfg: cfg, eng: eng, cluster: cluster}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)
 	}
@@ -348,9 +261,7 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 		f.ApplyHardFaults(cluster.Fabric)
 		cluster.ComputeFault = f.ComputeFactor
 		if f.Watchdog > 0 {
-			for _, e := range engines {
-				e.SetWatchdog(sim.Time(f.Watchdog))
-			}
+			eng.SetWatchdog(sim.Time(f.Watchdog))
 		}
 	}
 	// MPI is always available: the paper's GPUCCL and GPUSHMEM setups
@@ -362,19 +273,19 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	case GpushmemBackend:
 		job.shmemWorld = gpushmem.NewWorld(cluster)
 	}
-	for r, dev := range cluster.Devices {
-		job.rankProcs = append(job.rankProcs, dev.Engine().Spawn(
+	for r := range cluster.Devices {
+		job.rankProcs = append(job.rankProcs, eng.Spawn(
 			fmt.Sprintf("rank%d", r), func(p *sim.Proc) { main(newEnv(job, r, p)) }))
 	}
 	if f := cfg.Faults; f != nil && len(f.Crashes) > 0 {
 		job.sched = newFailureSchedule(f, cfg.NGPUs)
-		job.armHardFaults(engines)
+		job.armHardFaults()
 	}
-	if err := run(); err != nil {
+	if err := eng.Run(); err != nil {
 		flight.dump(err.Error())
 		return Report{}, err
 	}
-	rep := Report{End: end(), Topology: cluster.Fabric.Topology(), Faults: job.faultSummary()}
+	rep := Report{End: eng.Now(), Topology: cluster.Fabric.Topology(), Faults: job.faultSummary()}
 	if len(rep.Faults.CrashedRanks) > 0 {
 		flight.dump("recovered from hard fault")
 	}

@@ -1,13 +1,12 @@
 package core
 
 // Flight-recorder plumbing: Launch installs one bounded sim.FlightRecorder
-// per engine (per shard in a sharded run) and, when the run ends badly —
-// abort, watchdog timeout, deadlock — or survived a hard fault, writes a
-// deterministic post-mortem dump to the configured sink. Everything in the
-// dump derives from virtual time, so for a fixed configuration the bytes are
-// identical run to run and shard-count-independent only in the trivial sense
-// (each shard dumps its own schedule); chaos CLIs route the dump to stderr,
-// keeping stdout byte-identical with recording on or off.
+// on the run's engine and, when the run ends badly — abort, watchdog
+// timeout, deadlock — or survived a hard fault, writes a deterministic
+// post-mortem dump to the configured sink. Everything in the dump derives
+// from virtual time, so for a fixed configuration the bytes are identical
+// run to run; chaos CLIs route the dump to stderr, keeping stdout
+// byte-identical with recording on or off.
 
 import (
 	"fmt"
@@ -16,57 +15,46 @@ import (
 	"repro/internal/sim"
 )
 
-// FlightConfig enables per-engine flight recording for a run.
+// FlightConfig enables flight recording for a run.
 type FlightConfig struct {
-	// Depth is the per-engine ring capacity (sim.DefaultFlightDepth when
-	// <= 0).
+	// Depth is the ring capacity (sim.DefaultFlightDepth when <= 0).
 	Depth int
 	// Sink, when non-nil, receives the deterministic post-mortem dump when
 	// the run returns an error or recovered from a hard fault (crashed
 	// ranks in the report).
 	Sink io.Writer
-	// Attach, when non-nil, is called once per shard with the freshly
-	// installed recorder, before any rank is spawned. Live telemetry uses
-	// it to expose /debug/flight mid-run.
-	Attach func(shard int, fr *sim.FlightRecorder)
+	// Attach, when non-nil, is called with the freshly installed recorder,
+	// before any rank is spawned. Live telemetry uses it to expose
+	// /debug/flight mid-run.
+	Attach func(fr *sim.FlightRecorder)
 }
 
-// flightState tracks a run's installed recorders for the post-mortem dump.
+// flightState is a run's installed recorder and where its post-mortem goes.
 type flightState struct {
 	sink io.Writer
-	recs []*sim.FlightRecorder
+	rec  *sim.FlightRecorder
 }
 
-// install creates and installs one recorder per engine. Nil-safe: a nil
-// config installs nothing and returns nil (and flightState methods accept a
-// nil receiver), so Launch calls it unconditionally.
-func (fc *FlightConfig) install(engines []*sim.Engine) *flightState {
+// install creates the recorder and installs it on the engine. Nil-safe: a
+// nil config installs nothing and returns nil (and flightState methods accept
+// a nil receiver), so Launch calls it unconditionally.
+func (fc *FlightConfig) install(e *sim.Engine) *flightState {
 	if fc == nil {
 		return nil
 	}
-	st := &flightState{sink: fc.Sink}
-	for i, e := range engines {
-		fr := sim.NewFlightRecorder(fc.Depth)
-		e.SetFlightRecorder(fr)
-		st.recs = append(st.recs, fr)
-		if fc.Attach != nil {
-			fc.Attach(i, fr)
-		}
+	fr := sim.NewFlightRecorder(fc.Depth)
+	e.SetFlightRecorder(fr)
+	if fc.Attach != nil {
+		fc.Attach(fr)
 	}
-	return st
+	return &flightState{sink: fc.Sink, rec: fr}
 }
 
-// dump writes the post-mortem: an outcome header, then each shard's retained
-// entries in shard order.
+// dump writes the post-mortem: an outcome header, then the retained entries.
 func (st *flightState) dump(outcome string) {
 	if st == nil || st.sink == nil {
 		return
 	}
 	fmt.Fprintf(st.sink, "== flight recorder dump: %s ==\n", outcome)
-	for i, fr := range st.recs {
-		if len(st.recs) > 1 {
-			fmt.Fprintf(st.sink, "-- shard %d of %d --\n", i, len(st.recs))
-		}
-		fr.Dump(st.sink)
-	}
+	st.rec.Dump(st.sink)
 }

@@ -83,15 +83,15 @@ func TestFlightDumpOnRecoveredFault(t *testing.T) {
 }
 
 // TestFlightQuietOnCleanRun asserts a fault-free run writes nothing to the
-// sink, and that Attach still saw every shard's recorder.
+// sink, and that Attach still saw the run's recorder.
 func TestFlightQuietOnCleanRun(t *testing.T) {
 	var sink strings.Builder
-	attached := map[int]*sim.FlightRecorder{}
+	var attached []*sim.FlightRecorder
 	_, err := Launch(Config{
-		Model: machine.Perlmutter(), NGPUs: 8, Backend: MPIBackend, Shards: 2,
+		Model: machine.Perlmutter(), NGPUs: 8, Backend: MPIBackend,
 		Flight: &FlightConfig{
 			Sink:   &sink,
-			Attach: func(shard int, fr *sim.FlightRecorder) { attached[shard] = fr },
+			Attach: func(fr *sim.FlightRecorder) { attached = append(attached, fr) },
 		},
 	}, allreduceLoop)
 	if err != nil {
@@ -100,12 +100,10 @@ func TestFlightQuietOnCleanRun(t *testing.T) {
 	if sink.Len() != 0 {
 		t.Fatalf("clean run dumped:\n%s", sink.String())
 	}
-	if len(attached) != 2 {
-		t.Fatalf("attached %d recorders, want one per shard (2)", len(attached))
+	if len(attached) != 1 {
+		t.Fatalf("attached %d recorders, want the run's one", len(attached))
 	}
-	for shard, fr := range attached {
-		if fr.Total() == 0 {
-			t.Errorf("shard %d recorder saw no entries", shard)
-		}
+	if attached[0].Total() == 0 {
+		t.Error("the recorder saw no entries")
 	}
 }

@@ -24,10 +24,7 @@ package core
 // is a pure function of the fault plan, precomputed at launch into a
 // failureSchedule. That makes every failure-state query (epoch, failed set,
 // last failure) a pure function of (schedule, virtual time) with no shared
-// mutable state, which is what lets hard-fault runs execute on the sharded
-// engine: each shard pre-arms the same declarations at the same virtual
-// times and reads the same schedule, so interrupt delivery is shard-
-// deterministic (DESIGN.md §14).
+// mutable state (DESIGN.md §14).
 
 import (
 	"fmt"
@@ -61,11 +58,10 @@ type scheduledCrash struct {
 	err     *sim.RankFailedError
 }
 
-// failureSchedule is the static, shard-invariant hard-fault timetable of one
-// run, precomputed at launch from the fault plan: one entry per crashed rank
-// (the earliest crash wins when a plan lists a rank twice), ordered by
-// (detect time, rank). It is immutable once built, so concurrent shard
-// engines query it without synchronization.
+// failureSchedule is the static hard-fault timetable of one run, precomputed
+// at launch from the fault plan: one entry per crashed rank (the earliest
+// crash wins when a plan lists a rank twice), ordered by (detect time,
+// rank). It is immutable once built.
 type failureSchedule struct {
 	crashes []scheduledCrash
 }
@@ -157,38 +153,26 @@ func (j *Job) lastFailureAt(t sim.Time) *sim.RankFailedError {
 }
 
 // armHardFaults schedules the crash kills and the detector declarations onto
-// the engines (one engine for a serial run). Each rank's kill runs on the
-// engine owning its node — where the rank's process and GPU streams live —
-// and the declaration interrupts every engine at the same virtual detect
-// time. Fault events are pre-armed on each shard rather than routed through
-// the conduit: the timetable is known at launch, so no cross-shard message
-// (and no lookahead constraint) is involved, the detector being local to
-// every node. Only the owning engine observes the metrics, keeping counters
-// shard-invariant.
-func (j *Job) armHardFaults(engines []*sim.Engine) {
+// the engine: the timetable is known at launch, so both are plain timers. A
+// kill takes the rank's process and GPU streams; a declaration interrupts
+// every live process at the virtual detect time.
+func (j *Job) armHardFaults() {
 	for i := range j.sched.crashes {
 		sc := &j.sched.crashes[i]
 		rank := sc.rank
-		owner := j.cluster.Devices[rank].Engine()
-		owner.After(sim.Duration(sc.at), func() {
+		j.eng.After(sim.Duration(sc.at), func() {
 			j.cfg.Metrics.Counter("core.crashes").Inc()
 			j.rankProcs[rank].Kill()
 			j.cluster.Devices[rank].Crash()
 		})
 		latency, ferr := sc.latency, sc.err
-		for _, e := range engines {
-			e := e
-			isOwner := e == owner
-			e.After(sim.Duration(sc.detect), func() {
-				if isOwner {
-					if r := j.cfg.Metrics; r != nil {
-						r.Counter("core.failures").Inc()
-						r.Histogram("core.detect.latency_ns").Observe(int64(latency))
-					}
-				}
-				e.InterruptAll(ferr)
-			})
-		}
+		j.eng.After(sim.Duration(sc.detect), func() {
+			if r := j.cfg.Metrics; r != nil {
+				r.Counter("core.failures").Inc()
+				r.Histogram("core.detect.latency_ns").Observe(int64(latency))
+			}
+			j.eng.InterruptAll(ferr)
+		})
 	}
 }
 

@@ -107,8 +107,8 @@ type Fabric struct {
 
 	// Hard-fault state: permanently dead routes and the per-path fallback
 	// penalties applied to transfers redirected around them (failover.go).
-	// The failover counter is atomic because sharded runs book inter-node
-	// legs (SendInter) from concurrent shard engines.
+	// The failover counter is atomic so FailoverTransfers may be sampled
+	// from outside the engine's goroutine while a run is in flight.
 	downs         []downLink
 	failover      map[Path]Failover
 	failoverCount atomic.Int64
@@ -117,10 +117,8 @@ type Fabric struct {
 	// the flat hot path keeps its pair-of-ports fast route.
 	topo topology
 	// routeScratch is the reusable port slice of coupled inter-node
-	// transfers. Safe without locking: inter-node Transfer only ever runs
-	// on one engine goroutine (the serial engine, or the single shard of a
-	// clamped windowed run) — sharded MPI runs book inter-node traffic
-	// through SendInter/RecvInter, which never route through switches.
+	// transfers. Safe without locking: Transfer only ever runs on the
+	// engine's goroutine.
 	routeScratch []*sim.Timeline
 
 	// m holds pre-resolved metrics instruments (SetMetrics); nil disables.
@@ -187,8 +185,8 @@ func (f *Fabric) InterHops(src, dst int) int {
 
 // InterExtraLatency reports the deterministic minimal-route switch latency
 // between two GPUs' nodes (zero on the flat topology or within a node). The
-// MPI layer adds it to every cross-shard control envelope (rendezvous
-// RTS/CTS) so conduit posts clear the enlarged lookahead window.
+// MPI layer adds it to the wire time of every inter-node control envelope
+// (rendezvous RTS/CTS), which books no port and so sees no route.
 func (f *Fabric) InterExtraLatency(src, dst int) sim.Duration {
 	if f.topo == nil {
 		return 0
@@ -198,16 +196,6 @@ func (f *Fabric) InterExtraLatency(src, dst int) sim.Duration {
 		return 0
 	}
 	return f.topo.extra(sn, dn)
-}
-
-// MinInterExtra bounds InterExtraLatency from below over all node pairs:
-// the topology's contribution to the conservative lookahead window of
-// sharded runs (zero on the flat topology).
-func (f *Fabric) MinInterExtra() sim.Duration {
-	if f.topo == nil {
-		return 0
-	}
-	return f.topo.minExtra()
 }
 
 // NumGPUs reports the total GPU count.
@@ -378,99 +366,6 @@ func (f *Fabric) TryTransfer(at sim.Time, src, dst int, bytes int64, cost LinkCo
 		}
 	}
 	return f.Transfer(at, src, dst, bytes, cost), nil
-}
-
-// SendInter books only the source side of an inter-node message: the NIC
-// egress port serving src. It returns the departure time of the last byte
-// and the (possibly fault-rewritten) cost actually booked. The destination
-// side is booked separately by RecvInter, on the destination node's shard,
-// when the conduit delivers the message at depart + cost.Latency — this
-// split is what lets sharded runs (sim.Group) book each port from exactly
-// one shard. Relative to the coupled Transfer, the split model books the
-// two ports independently (pipelined store-and-forward) instead of finding
-// a common occupancy window, so contended inter-node timings differ between
-// the serial and windowed protocols; they are identical across windowed
-// shard counts, which is what the 1-vs-N byte-compares pin.
-//
-// Hard faults compose with the split model the same way they do with
-// Transfer, and every adjustment is a pure function of (at, src, dst) given
-// the run's static fault plan — the shard-determinism invariant: a dead
-// route (LinkDownAt) pays the path's failover penalty, a dead switch/link
-// folds the live-route detour latency into the booked cost, and a real
-// partition aborts the calling proc with the typed *UnreachableError.
-func (f *Fabric) SendInter(at sim.Time, src, dst int, bytes int64, cost LinkCost) (depart sim.Time, booked LinkCost) {
-	if f.LinkFault != nil {
-		healthy := cost
-		cost = f.LinkFault(at, src, dst, PathInter, cost)
-		if f.m != nil && cost != healthy {
-			f.m.faulted.Inc()
-		}
-	}
-	if len(f.downs) > 0 && f.LinkDownAt(at, src, dst, PathInter) {
-		cost = f.failover[PathInter].apply(cost)
-		f.noteFailover()
-	}
-	if f.topo != nil {
-		// Split path: the deterministic minimal live-route switch latency
-		// folds into the booked cost, so the conduit delivery time (depart +
-		// booked.Latency) carries the topology and stays >= the enlarged
-		// lookahead window (MinInterAlpha + MinInterExtra; a live route
-		// always holds at least one switch, so the detour never undercuts
-		// MinInterExtra).
-		extra, rerouted, err := f.topo.liveExtra(f.Node(src), f.Node(dst), at)
-		if err != nil {
-			sim.Abort(err)
-		}
-		if rerouted {
-			f.noteFailover()
-		}
-		cost.Latency += extra
-	}
-	start, end := f.nicOut[f.nic(src)].Reserve(at, cost.Duration(bytes))
-	if f.m != nil {
-		f.m.xfers[PathInter].Inc()
-		f.m.bytes[PathInter].Add(bytes)
-		f.m.wait[PathInter].Add(int64(start.Sub(at)))
-	}
-	return end, cost
-}
-
-// TrySendInter is SendInter, except that when the source NIC port is inside
-// a stall window at time at it books nothing and returns the stall so the
-// caller can retry with backoff (the rendezvous payload path). Destination-
-// side stalls are handled by RecvInter's booking, which pushes past them.
-func (f *Fabric) TrySendInter(at sim.Time, src, dst int, bytes int64, cost LinkCost) (depart sim.Time, booked LinkCost, stall *StallError) {
-	port := f.nicOut[f.nic(src)]
-	if until, stalled := port.StalledAt(at); stalled {
-		if f.m != nil {
-			f.m.stalls.Inc()
-		}
-		return 0, cost, &StallError{Port: port.Label(), Until: until}
-	}
-	depart, booked = f.SendInter(at, src, dst, bytes, cost)
-	return depart, booked, nil
-}
-
-// RecvInter books the destination side of an inter-node message whose last
-// byte reaches the destination NIC at deliver (= SendInter's depart plus
-// the booked latency), and returns when it clears the ingress port. The
-// booking is backdated by the occupancy duration so an uncontended receive
-// arrives at exactly deliver; a contended or stalled port pushes arrival
-// later. cost must be the booked cost returned by SendInter. The transfer's
-// trace span is recorded here, covering ingress occupancy through arrival.
-func (f *Fabric) RecvInter(deliver sim.Time, src, dst int, bytes int64, cost LinkCost) sim.Time {
-	dur := cost.Duration(bytes)
-	start, arrive := f.nicIn[f.nic(dst)].Reserve(deliver.Add(-dur), dur)
-	if f.Trace != nil {
-		f.Trace.Add(trace.Span{
-			Kind:  trace.KindTransfer,
-			Label: fmt.Sprintf("gpu%d->gpu%d", src, dst),
-			Track: PathInter.String(),
-			Rank:  src, Src: src, Dst: dst,
-			Start: start, End: arrive, Bytes: bytes,
-		})
-	}
-	return arrive
 }
 
 // StallNIC adds an admission blackout on one NIC port of a node, in both

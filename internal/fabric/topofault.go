@@ -4,9 +4,7 @@ package fabric
 //
 // Dead elements are installed before the run starts (faults.ApplyHardFaults)
 // and the tables are immutable afterwards, so the liveness checks on the
-// routing paths are pure reads — safe from concurrent shard engines and, by
-// construction, a pure function of (srcNode, dstNode, at), which keeps
-// sharded runs bit-identical at any shard count.
+// routing paths are pure reads and a pure function of (srcNode, dstNode, at).
 //
 // Switch ids (CrashSwitch, DownInterLink):
 //
@@ -115,22 +113,6 @@ func (f *Fabric) DownInterLink(a, b int, at sim.Time) {
 	f.topo.downInterLink(a, b, at)
 }
 
-// InterExtraLatencyAt is InterExtraLatency over live elements only: the
-// deterministic minimal-route switch latency avoiding dead switches and
-// links at time at, whether the route detours around a dead element, and a
-// non-nil *UnreachableError when the pair is partitioned. Identical to
-// (InterExtraLatency, false, nil) on a healthy fabric.
-func (f *Fabric) InterExtraLatencyAt(src, dst int, at sim.Time) (sim.Duration, bool, error) {
-	if f.topo == nil {
-		return 0, false, nil
-	}
-	sn, dn := f.Node(src), f.Node(dst)
-	if sn == dn {
-		return 0, false, nil
-	}
-	return f.topo.liveExtra(sn, dn, at)
-}
-
 // ResolveTopology resolves the auto-sized parameters of a topology config
 // for a cluster of the given node count without building any port state: the
 // same arithmetic New applies, exposed so fault generators (internal/faults)
@@ -171,10 +153,6 @@ func (t *fatTree) coreID(c int) int { return 2*t.numEdges() + c }
 func (t *fatTree) edgeLive(e int, at sim.Time) bool { return !deadAt(t.edgeDead, e, at) }
 func (t *fatTree) aggLive(g int, at sim.Time) bool  { return !deadAt(t.aggDead, g, at) }
 func (t *fatTree) coreLive(c int, at sim.Time) bool { return !deadAt(t.coreDead, c, at) }
-
-func (t *fatTree) faulty() bool {
-	return t.edgeDead != nil || t.aggDead != nil || t.coreDead != nil || t.deadLink != nil
-}
 
 func (t *fatTree) crashSwitch(sw int, at sim.Time) {
 	e := t.numEdges()
@@ -251,10 +229,6 @@ func (t *dragonfly) localDead(x, y int, at sim.Time) bool {
 
 func (t *dragonfly) globalDead(g1, g2 int, at sim.Time) bool {
 	return linkDeadAt(t.deadGlobal, g1, g2, at)
-}
-
-func (t *dragonfly) faulty() bool {
-	return t.routerDead != nil || t.deadLocal != nil || t.deadGlobal != nil
 }
 
 func (t *dragonfly) crashSwitch(sw int, at sim.Time) {

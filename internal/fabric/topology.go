@@ -4,20 +4,10 @@ package fabric
 // straight to NIC ingress) remains the default; fat-tree and dragonfly add
 // a switch fabric between the NICs.
 //
-// Two route models coexist deliberately:
-//
-//   - The coupled path (Fabric.Transfer, serial engine and single-shard
-//     windowed runs) books every switch output port on the adaptive route
-//     via sim.ReserveMulti, so switch contention shapes timing and the
-//     adaptive policies (least-loaded up-link on the fat-tree, UGAL-style
-//     minimal-vs-Valiant on the dragonfly) react to port occupancy.
-//   - The split path (SendInter/RecvInter, sharded runs) adds the
-//     deterministic minimal-route latency instead: switch ports are shared
-//     by every node pair, so booking them from concurrent shards would
-//     break the one-writer-per-timeline rule. The extra latency is a pure
-//     function of (srcNode, dstNode), which keeps results bit-identical at
-//     any shard count, and its minimum over all pairs extends the
-//     conservative lookahead window (Fabric.MinInterExtra).
+// Inter-node transfers (Fabric.Transfer) book every switch output port on
+// the adaptive route via sim.ReserveMulti, so switch contention shapes
+// timing and the adaptive policies (least-loaded up-link on the fat-tree,
+// UGAL-style minimal-vs-Valiant on the dragonfly) react to port occupancy.
 //
 // Per-topology state is O(switches x radix) port timelines — O(nodes) for
 // both topologies — never O(node pairs): routes are computed arithmetically
@@ -150,29 +140,16 @@ type topology interface {
 	// between two distinct nodes to ports and returns the route's switch
 	// latency, whether dead elements forced a detour, and a non-nil
 	// *UnreachableError when every live route is gone (a real partition).
-	// Coupled path only: it consults and mutates shared port state, so it
-	// must run on a single engine goroutine at a time (the serial engine,
-	// or the inter-node-free shards of a windowed run never reach it).
+	// It consults and mutates port state, so it runs on the engine's
+	// goroutine only.
 	route(ports []*sim.Timeline, at sim.Time, srcNode, dstNode int) ([]*sim.Timeline, sim.Duration, bool, error)
 	// extra is the deterministic minimal healthy-route switch latency
-	// between two distinct nodes: the split-path (sharded) latency model,
-	// also the control-envelope (rendezvous RTS/CTS) wire time.
+	// between two distinct nodes: the wire time a control envelope
+	// (rendezvous RTS/CTS) pays on top of the link latency.
 	extra(srcNode, dstNode int) sim.Duration
-	// liveExtra is extra over live elements only: the deterministic
-	// minimal-route latency avoiding switches/links dead at time at, plus
-	// whether the detour differs from a healthy route, or an
-	// *UnreachableError when the pair is partitioned. A pure function of
-	// (srcNode, dstNode, at) given the run's static fault plan, so sharded
-	// runs stay bit-identical; it never undercuts extra (dead elements only
-	// remove candidates of equal cost or force longer routes), which keeps
-	// the conservative lookahead window valid.
-	liveExtra(srcNode, dstNode int, at sim.Time) (sim.Duration, bool, error)
 	// minHops is the switch count of the minimal route between two
 	// distinct nodes.
 	minHops(srcNode, dstNode int) int
-	// minExtra bounds extra() from below over all node pairs — the
-	// topology's contribution to the conservative lookahead window.
-	minExtra() sim.Duration
 	// switches reports the switch count.
 	switches() int
 	// ports calls fn for every switch output-port timeline in a fixed
@@ -226,10 +203,9 @@ func leastLoaded(ports []*sim.Timeline) int {
 	return best
 }
 
-// routeHash mixes shard-invariant route inputs into a deterministic 64-bit
-// value (splitmix64 finalizer): the randomness source of Valiant routing
-// must be a pure function of (src, dst, time) so that serial runs replay
-// identically.
+// routeHash mixes the route inputs into a deterministic 64-bit value
+// (splitmix64 finalizer): the randomness source of Valiant routing must be a
+// pure function of (src, dst, time) so that runs replay identically.
 func routeHash(a, b, c uint64) uint64 {
 	x := a*0x9E3779B97F4A7C15 + b*0xC2B2AE3D27D4EB4F + c*0x165667B19E3779F9
 	x ^= x >> 30
@@ -258,8 +234,8 @@ type fatTree struct {
 	coreDown [][]*sim.Timeline // [core][pod]: core -> the pod's agg at position core/half
 
 	// Hard-fault state, installed before the run starts (ApplyHardFaults)
-	// and immutable afterwards, so concurrent shards may read it. Nil/empty
-	// means healthy; deadAt entries of aliveForever mean alive.
+	// and immutable afterwards. Nil/empty means healthy; deadAt entries of
+	// aliveForever mean alive.
 	edgeDead, aggDead, coreDead []sim.Time
 	deadLink                    map[[2]int]sim.Time // normalized (lo, hi) global switch-id pair
 }
@@ -332,8 +308,6 @@ func (t *fatTree) minHops(src, dst int) int {
 func (t *fatTree) extra(src, dst int) sim.Duration {
 	return sim.Duration(t.minHops(src, dst)) * t.hop
 }
-
-func (t *fatTree) minExtra() sim.Duration { return t.hop }
 
 func (t *fatTree) switches() int { return len(t.edgeUp) + len(t.aggUp) + len(t.coreDown) }
 
@@ -422,60 +396,6 @@ func (t *fatTree) route(ports []*sim.Timeline, at sim.Time, src, dst int) ([]*si
 	return ports, 5 * t.hop, rerouted, nil
 }
 
-// liveExtra mirrors route's feasibility scan without touching port state: a
-// reachable fat-tree pair keeps its minimal hop count (path diversity is in
-// the middle of the route), so the live latency equals the healthy one and
-// only the rerouted flag and reachability can change.
-func (t *fatTree) liveExtra(src, dst int, at sim.Time) (sim.Duration, bool, error) {
-	if !t.faulty() {
-		return t.extra(src, dst), false, nil
-	}
-	se, de := t.edge(src), t.edge(dst)
-	if !t.edgeLive(se, at) || !t.edgeLive(de, at) {
-		return 0, false, unreachableErr(src, dst, at)
-	}
-	if se == de {
-		return t.hop, false, nil
-	}
-	sp, dp := t.pod(src), t.pod(dst)
-	rerouted, reachable := false, false
-	if sp == dp {
-		for a := 0; a < t.half; a++ {
-			if t.podAggOK(se, de, sp, a, at) {
-				reachable = true
-			} else {
-				rerouted = true
-			}
-		}
-		if !reachable {
-			return 0, false, unreachableErr(src, dst, at)
-		}
-		return 3 * t.hop, rerouted, nil
-	}
-	for a := 0; a < t.half; a++ {
-		if !t.upOK(se, de, sp, dp, a, at) {
-			rerouted = true
-			continue
-		}
-		sa, da := sp*t.half+a, dp*t.half+a
-		feasible := false
-		for j := 0; j < t.half; j++ {
-			if t.coreOK(sa, da, a, j, at) {
-				feasible = true
-			} else {
-				rerouted = true
-			}
-		}
-		if feasible {
-			reachable = true
-		}
-	}
-	if !reachable {
-		return 0, false, unreachableErr(src, dst, at)
-	}
-	return 5 * t.hop, rerouted, nil
-}
-
 func (t *fatTree) ports(fn func(*sim.Timeline)) {
 	for _, group := range [][][]*sim.Timeline{t.edgeUp, t.aggUp, t.aggDown, t.coreDown} {
 		for _, ps := range group {
@@ -500,7 +420,7 @@ type dragonfly struct {
 	globalOut [][]*sim.Timeline // [router][h]
 
 	// Hard-fault state, installed before the run starts (ApplyHardFaults)
-	// and immutable afterwards, so concurrent shards may read it.
+	// and immutable afterwards.
 	routerDead []sim.Time
 	deadLocal  map[[2]int]sim.Time // normalized router pair within a group
 	deadGlobal map[[2]int]sim.Time // normalized group pair (the global channel)
@@ -588,8 +508,6 @@ func (t *dragonfly) minHops(src, dst int) int {
 func (t *dragonfly) extra(src, dst int) sim.Duration {
 	return sim.Duration(t.minHops(src, dst)) * t.hop
 }
-
-func (t *dragonfly) minExtra() sim.Duration { return t.hop }
 
 func (t *dragonfly) switches() int { return len(t.localOut) }
 
@@ -699,67 +617,6 @@ func (t *dragonfly) route(ports []*sim.Timeline, at sim.Time, src, dst int) ([]*
 		hops++
 	}
 	return ports, sim.Duration(hops) * t.hop, rerouted, nil
-}
-
-// liveExtra mirrors route's feasibility logic without touching port state.
-// Unlike the fat-tree, a forced Valiant detour is longer than the minimal
-// route it replaces, so the live latency can exceed the healthy extra; it
-// never drops below minExtra (every live route holds at least one switch),
-// which is the bound the conservative lookahead window relies on.
-func (t *dragonfly) liveExtra(src, dst int, at sim.Time) (sim.Duration, bool, error) {
-	if !t.faulty() {
-		return t.extra(src, dst), false, nil
-	}
-	rs, rd := t.router(src), t.router(dst)
-	if !t.routerLive(rs, at) || !t.routerLive(rd, at) {
-		return 0, false, unreachableErr(src, dst, at)
-	}
-	if rs == rd {
-		return t.hop, false, nil
-	}
-	gs, gd := t.group(rs), t.group(rd)
-	if gs == gd {
-		if !t.localDead(rs, rd, at) {
-			return 2 * t.hop, false, nil
-		}
-		for i := 0; i < t.a; i++ {
-			x := gs*t.a + i
-			if x != rs && x != rd && t.routerLive(x, at) &&
-				!t.localDead(rs, x, at) && !t.localDead(x, rd, at) {
-				return 3 * t.hop, true, nil
-			}
-		}
-		return 0, false, unreachableErr(src, dst, at)
-	}
-	if t.minimalOK(rs, rd, gd, at) {
-		return t.extra(src, dst), false, nil
-	}
-	via := t.feasibleVia(src, dst, at, gs, gd, rs, rd)
-	if via < 0 {
-		return 0, false, unreachableErr(src, dst, at)
-	}
-	return sim.Duration(t.valiantHops(rs, rd, via, gs, gd)) * t.hop, true, nil
-}
-
-// valiantHops counts the router traversals of the Valiant route rs -> via ->
-// gd -> rd, mirroring route's booking arithmetic hop for hop.
-func (t *dragonfly) valiantHops(rs, rd, via, gs, gd int) int {
-	hops := 1 // the source router
-	cur := rs
-	if gw, _ := t.gateway(gs, via); gw != cur {
-		hops++
-	}
-	hops++ // entry router of via
-	cur, _ = t.gateway(via, gs)
-	if gw, _ := t.gateway(via, gd); gw != cur {
-		hops++
-	}
-	hops++ // entry router of gd
-	cur, _ = t.gateway(gd, via)
-	if cur != rd {
-		hops++
-	}
-	return hops
 }
 
 // valiantGroup picks the deterministic intermediate group of a Valiant

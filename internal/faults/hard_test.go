@@ -175,6 +175,7 @@ func TestGeneratedPlansNeverPartition(t *testing.T) {
 			Topology: fabric.TopologyConfig{Kind: fabric.TopoDragonfly,
 				DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2}}, // 4 groups
 	}
+	cost := fabric.LinkCost{Latency: sim.Microsecond, BytesPerSec: 1e9}
 	for _, cfg := range cfgs {
 		detours := 0
 		for seed := uint64(0); seed < 24; seed++ {
@@ -189,16 +190,17 @@ func TestGeneratedPlansNeverPartition(t *testing.T) {
 							continue
 						}
 						for _, at := range times {
-							extra, rerouted, err := f.InterExtraLatencyAt(src, dst, at)
+							// A partitioned pair aborts the transfer with the
+							// typed *UnreachableError; a rerouted one counts a
+							// failover beyond any dead endpoint route's own.
+							before := f.FailoverTransfers()
+							err := sim.Protect(func() { f.Transfer(at, src, dst, 8, cost) })
 							if err != nil {
 								t.Fatalf("%s seed %d sev %g: pair %d->%d partitioned at %v: %v",
 									cfg.Topology.Kind, seed, sev, src, dst, at, err)
 							}
-							if healthy := f.InterExtraLatency(src, dst); extra < healthy && !rerouted {
-								t.Fatalf("%s seed %d sev %g: live extra %v under healthy %v without a detour",
-									cfg.Topology.Kind, seed, sev, extra, healthy)
-							}
-							if rerouted {
+							path := f.PathBetween(src, dst)
+							if f.FailoverTransfers() > before && !f.LinkDownAt(at, src, dst, path) {
 								detours++
 							}
 						}

@@ -14,20 +14,9 @@ import (
 )
 
 // Cluster is the full set of simulated devices of one job, sharing a
-// machine model and a fabric. A serial job runs every device on one engine;
-// a sharded job (core.Config.Shards, sim.Group) partitions devices across
-// per-node shard engines.
+// machine model, a fabric and the one engine every device runs on.
 type Cluster struct {
-	// Eng is the first (or only) engine — the legacy accessor every
-	// single-engine call site uses. Per-device code must use
-	// Device.Engine(), which resolves the owning shard.
-	Eng *sim.Engine
-	// Engines lists the shard engines; len 1 for a serial cluster.
-	Engines []*sim.Engine
-	// Conduit, when non-nil, is the cross-shard message channel of a
-	// sharded run. Communication layers route inter-node traffic through
-	// it instead of scheduling directly onto a remote shard's engine.
-	Conduit *sim.Conduit
+	Eng     *sim.Engine
 	Model   *machine.Model
 	Fabric  *fabric.Fabric
 	Devices []*Device
@@ -55,8 +44,8 @@ type Cluster struct {
 	// type (keyed by reflect.Type, resolved through poolFor). Like the trace
 	// log and metrics registry, pools belong to one cell: parallel sweep
 	// cells each build their own cluster and so never share an arena. The
-	// mutex covers concurrent first-use creation by shard engines; the
-	// pools themselves are internally synchronized.
+	// mutex keeps poolFor and PoolStats callable from outside the engine's
+	// goroutine; the pools themselves are internally synchronized.
 	poolsMu sync.Mutex
 	pools   map[reflect.Type]any
 
@@ -135,15 +124,11 @@ func (c *Cluster) SetTrace(l *trace.Log) {
 	c.Fabric.Trace = l
 }
 
-// SetMetrics installs a metrics registry on the cluster, its engines, its
-// fabric, and its cost cache; nil disables collection (the default). Shard
-// engines resolve the same instrument names, so their counts sum into one
-// set of totals (addition commutes — shard-count invariant).
+// SetMetrics installs a metrics registry on the cluster, its engine, its
+// fabric, and its cost cache; nil disables collection (the default).
 func (c *Cluster) SetMetrics(r *metrics.Registry) {
 	c.Metrics = r
-	for _, e := range c.Engines {
-		e.SetMetrics(r)
-	}
+	c.Eng.SetMetrics(r)
 	c.Fabric.SetMetrics(r)
 	if c.ownCosts {
 		c.costs.SetMetrics(r)
@@ -154,36 +139,21 @@ func (c *Cluster) SetMetrics(r *metrics.Registry) {
 }
 
 // NewCluster creates nGPUs devices packed onto nodes per the machine model,
-// all running on one engine.
+// all running (with their stream daemons, which spawn here) on eng.
 func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
-	return NewClusterOn([]*sim.Engine{eng}, nil, model, nGPUs)
-}
-
-// NewClusterOn creates nGPUs devices packed onto nodes per the machine
-// model, with each device (and its stream daemons) running on the engine of
-// the shard owning its node: shardOfNode maps node index to engine index
-// (nil assigns every node to engines[0]). The caller wires the matching
-// sim.Group conduit into Conduit afterwards; construction itself only needs
-// the engines, because stream daemons spawn here.
-func NewClusterOn(engines []*sim.Engine, shardOfNode []int, model *machine.Model, nGPUs int) *Cluster {
 	nodes := model.NodesFor(nGPUs)
 	fab := fabric.New(model.FabricConfig(nodes))
 	c := &Cluster{
-		Eng: engines[0], Engines: engines, Model: model, Fabric: fab,
+		Eng: eng, Model: model, Fabric: fab,
 		pools: make(map[reflect.Type]any),
 		costs: machine.NewCostCache(model), ownCosts: true,
 	}
 	for i := 0; i < nGPUs; i++ {
-		eng := engines[0]
-		if shardOfNode != nil {
-			eng = engines[shardOfNode[fab.Node(i)]]
-		}
 		d := &Device{
 			ID:      i,
 			Node:    fab.Node(i),
 			Local:   fab.Local(i),
 			cluster: c,
-			eng:     eng,
 		}
 		d.defaultStream = d.NewStream("default")
 		c.Devices = append(c.Devices, d)
@@ -198,7 +168,6 @@ type Device struct {
 	Local int
 
 	cluster       *Cluster
-	eng           *sim.Engine // the shard engine owning this device's node
 	streams       []*Stream
 	defaultStream *Stream
 }
@@ -206,9 +175,8 @@ type Device struct {
 // Cluster reports the owning cluster.
 func (d *Device) Cluster() *Cluster { return d.cluster }
 
-// Engine reports the shard engine the device (and its streams) runs on —
-// the cluster's only engine in a serial run.
-func (d *Device) Engine() *sim.Engine { return d.eng }
+// Engine reports the engine the device (and its streams) runs on.
+func (d *Device) Engine() *sim.Engine { return d.cluster.Eng }
 
 // Model reports the machine model.
 func (d *Device) Model() *machine.Model { return d.cluster.Model }
@@ -234,7 +202,7 @@ func (d *Device) NewStream(name string) *Stream {
 		completed: sim.NewCounter(fmt.Sprintf("gpu%d.%s.done", d.ID, name), 0),
 	}
 	s.ops = sim.NewMailbox[streamOp](s.name + ".ops")
-	s.proc = d.eng.SpawnDaemon(s.name, s.run)
+	s.proc = d.cluster.Eng.SpawnDaemon(s.name, s.run)
 	d.streams = append(d.streams, s)
 	return s
 }
@@ -303,7 +271,7 @@ func (s *Stream) TakeAborted() error {
 // operation runs on the stream process after all previously enqueued work.
 func (s *Stream) Enqueue(label string, run func(p *sim.Proc)) {
 	s.enqueued++
-	s.ops.Put(s.dev.eng, streamOp{label: label, run: run})
+	s.ops.Put(s.dev.cluster.Eng, streamOp{label: label, run: run})
 }
 
 // Pending reports the number of enqueued-but-incomplete operations.

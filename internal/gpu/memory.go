@@ -265,14 +265,14 @@ func (v View) DeviceID() int {
 
 // Clone snapshots the viewed elements into a detached buffer of the same
 // element type. Use it only where a snapshot is semantically required — the
-// source may change before the copy is consumed (eager sends, sharded
-// rendezvous departures, RMA puts, a reduction's seeded accumulator). Where
-// the contents would be overwritten before being read, Scratch gives the
-// same storage without the copy; where a payload is only combined into a
-// destination, Reduce/Combine straight from the source need no staging at
-// all. Cloning the zero view returns the zero view. A clone's storage comes
-// from its cluster's staging arena; callers that know the clone is dead
-// should hand the storage back with Release.
+// source may change before the copy is consumed (eager sends, RMA puts, a
+// reduction's seeded accumulator). Where the contents would be overwritten
+// before being read, Scratch gives the same storage without the copy; where
+// a payload is only combined into a destination, Reduce/Combine straight
+// from the source need no staging at all. Cloning the zero view returns the
+// zero view. A clone's storage comes from its cluster's staging arena;
+// callers that know the clone is dead should hand the storage back with
+// Release.
 func (v View) Clone() View {
 	if v.m == nil {
 		return View{}

@@ -28,10 +28,9 @@ const DefaultCostCacheCap = 4096
 // FIFO eviction: entries are evicted in insertion order, which is cheap,
 // allocation-free on the hit path, and — like every cache policy here —
 // invisible to virtual time, since an evicted entry is simply recomputed to
-// the identical value. Lookups are mutex-guarded so the shard engines of a
-// sharded run (core.Config.Shards) can share one cache; under sharding the
-// hit/miss split depends on shard interleaving, but the values returned
-// never do.
+// the identical value. Lookups are mutex-guarded so a cache a caller hands
+// to concurrent runs (core.Config.Costs) stays safe; the hit/miss split then
+// depends on their interleaving, but the values returned never do.
 //
 // The Model is shared across parallel sweep cells, which is exactly why the
 // cache does NOT live on the Model: each cell's gpu.Cluster carries its own

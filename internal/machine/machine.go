@@ -231,22 +231,6 @@ func (m *Model) NodesFor(nGPUs int) int {
 	return (nGPUs + m.GPUsPerNode - 1) / m.GPUsPerNode
 }
 
-// MinInterAlpha reports the smallest inter-node per-message latency across
-// every cost profile of the machine: the guaranteed lower bound on cross-
-// node delivery delay, and therefore the conservative lookahead window of
-// sharded execution (sim.Group). Zero when the machine has no profile with
-// a positive inter-node alpha (such a model cannot be sharded). The min is
-// order-free, so map iteration order cannot affect it.
-func (m *Model) MinInterAlpha() sim.Duration {
-	var min sim.Duration
-	for _, p := range m.profiles {
-		if a := p.Inter.Alpha; a > 0 && (min == 0 || a < min) {
-			min = a
-		}
-	}
-	return min
-}
-
 // StencilKernelTime models a memory-bound stencil update touching the given
 // number of bytes.
 func (m *Model) StencilKernelTime(bytes int64) sim.Duration {

@@ -35,9 +35,8 @@ import (
 )
 
 // Counter is a monotonically increasing int64. The nil counter discards
-// updates. Updates are atomic: in a sharded run (core.Config.Shards) the
-// shard engines update shared instruments concurrently, and addition
-// commutes, so totals stay deterministic at any shard count.
+// updates. Updates are atomic: the live telemetry server snapshots the
+// registry from its own goroutine while the run updates it.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
@@ -61,8 +60,7 @@ func (c *Counter) Value() int64 {
 }
 
 // Gauge is a last/extremum-valued float64. The nil gauge discards updates.
-// A mutex covers concurrent shard updates; Max is order-free, so extrema
-// stay deterministic at any shard count.
+// A mutex covers the telemetry server's mid-run reads.
 type Gauge struct {
 	mu  sync.Mutex
 	v   float64
@@ -109,9 +107,9 @@ const histBuckets = 65
 
 // Histogram accumulates non-negative int64 observations (virtual-time
 // nanoseconds by convention) into power-of-two buckets plus count/sum/
-// min/max. The nil histogram discards updates. A mutex covers concurrent
-// shard updates; all the aggregates are order-free functions of the
-// observation multiset, which is itself shard-count invariant.
+// min/max. The nil histogram discards updates. A mutex covers the telemetry
+// server's mid-run reads; all the aggregates are order-free functions of
+// the observation multiset.
 type Histogram struct {
 	mu       sync.Mutex
 	count    int64

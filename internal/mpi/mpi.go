@@ -12,7 +12,6 @@ package mpi
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -129,10 +128,8 @@ type Endpoint struct {
 	// sendSeqs assigns the per-(destination, context) send sequence numbers
 	// this endpoint stamps on outgoing headers. It lives on the sender (not
 	// in the destination's pairState) so a send touches only sender-side
-	// state — under sharding (gpu.Cluster.Conduit) the destination endpoint
-	// may belong to another shard, and only the conduit may cross shards.
-	// The numbering is identical either way: monotonically increasing from
-	// zero per (src, dst, ctx).
+	// state; the numbering is monotonically increasing from zero per
+	// (src, dst, ctx).
 	sendSeqs map[pairKey]uint64
 	winSeq   uint64
 }
@@ -228,9 +225,9 @@ type postedRecv struct {
 }
 
 // land moves n payload elements into the receive buffer, straight from
-// wherever the protocol holds them (the eager or sharded-rendezvous snapshot,
-// or the live sender buffer of a serial rendezvous): a copy for an ordinary
-// receive, a single combining pass for a reducing one.
+// wherever the protocol holds them (the eager snapshot, or the live sender
+// buffer of a rendezvous): a copy for an ordinary receive, a single combining
+// pass for a reducing one.
 func (pr *postedRecv) land(payload gpu.View, n int) {
 	switch {
 	case pr.seed.IsZero():
@@ -313,12 +310,6 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 	fab := w.cluster.Fabric
 	path := fab.PathBetween(srcWorld, dstWorld)
 	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
-	// Inter-node messages of a sharded run cross shards through the
-	// conduit; everything else (and every serial run) stays on the direct
-	// same-engine path. Same-node traffic always shares a shard, so only
-	// PathInter can cross.
-	cd := w.cluster.Conduit
-	sharded := cd != nil && path == fabric.PathInter
 
 	if bytes <= prof.EagerMax {
 		// Eager: snapshot the payload, inject, and complete locally once
@@ -326,19 +317,8 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 		w.mEager.Inc()
 		h.eager = true
 		h.staged = buf.Clone()
-		if sharded {
-			// Split booking: the source shard books its NIC egress now;
-			// the destination shard books ingress when the conduit
-			// delivers the envelope one wire latency after departure.
-			depart, booked := fab.SendInter(p.Now(), srcWorld, dstWorld, bytes, cost)
-			cd.Post(fab.Node(srcWorld), fab.Node(dstWorld), depart.Add(booked.Latency), func(dstEng *sim.Engine) {
-				arrive := fab.RecvInter(dstEng.Now(), srcWorld, dstWorld, bytes, booked)
-				dstEng.After(arrive.Sub(dstEng.Now()), func() { dstEp.admit(h) })
-			})
-		} else {
-			arrive := fab.Transfer(p.Now(), srcWorld, dstWorld, bytes, cost)
-			eng.After(arrive.Sub(eng.Now()), func() { dstEp.admit(h) })
-		}
+		arrive := fab.Transfer(p.Now(), srcWorld, dstWorld, bytes, cost)
+		eng.After(arrive.Sub(eng.Now()), func() { dstEp.admit(h) })
 		h.sGate.Fire(eng) // send buffer reusable immediately after staging
 		return &Request{done: &h.sGate}
 	}
@@ -346,18 +326,13 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 	// Rendezvous: ship the RTS envelope; the payload moves once the
 	// receiver matches and returns a CTS. The handshake costs the
 	// profile's rendezvous overhead split across RTS and CTS, plus — on a
-	// switched topology — the minimal-route switch latency, which keeps
-	// cross-shard envelope posts past the enlarged lookahead window.
+	// switched topology — the minimal-route switch latency the envelope
+	// crosses.
 	w.mRendezvous.Inc()
 	h.srcBuf = buf
 	half := prof.RendezvousOverhead / 2
 	rtsWire := half + cost.Latency + fab.InterExtraLatency(srcWorld, dstWorld)
-	if sharded {
-		cd.Post(fab.Node(srcWorld), fab.Node(dstWorld), p.Now().Add(rtsWire),
-			func(*sim.Engine) { dstEp.admit(h) })
-	} else {
-		eng.After(rtsWire, func() { dstEp.admit(h) })
-	}
+	eng.After(rtsWire, func() { dstEp.admit(h) })
 	return &Request{done: &h.sGate}
 }
 
@@ -426,11 +401,10 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf
 // holding this rank's own contribution, which makes the receive buf's first
 // touch (buf need not be initialised, and seed is only read). Protocol,
 // matching, virtual time and event counts are exactly Recv's. The payload is
-// read where the protocol already holds it stable: the eager or sharded
-// rendezvous snapshot, or — serial rendezvous — the live sender buffer at
-// completion time, while the sender is still parked on its send gate; the
-// sender must therefore not receive into the window it is sending from
-// (sendrecvReduce asserts it).
+// read where the protocol already holds it stable: the eager snapshot, or —
+// rendezvous — the live sender buffer at completion time, while the sender
+// is still parked on its send gate; the sender must therefore not receive
+// into the window it is sending from (sendrecvReduce asserts it).
 func (c *Comm) recvReduce(p *sim.Proc, buf, seed gpu.View, src, tag int, op gpu.ReduceOp) Status {
 	return c.irecv(p, buf, src, tag, seed, op).Wait(p)
 }
@@ -533,10 +507,6 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 	bytes := h.srcBuf.Bytes()
 	path := w.cluster.Fabric.PathBetween(h.src, h.dst)
 	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
-	if cd := w.cluster.Conduit; cd != nil && path == fabric.PathInter {
-		ep.deliverRendezvousSharded(h, pr, cd, cost, bytes, half)
-		return
-	}
 	var attempt func(backoff sim.Duration)
 	attempt = func(backoff sim.Duration) {
 		arrive, stall := w.cluster.Fabric.TryTransfer(eng.Now(), h.src, h.dst, bytes, cost)
@@ -562,56 +532,6 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 		})
 	}
 	eng.After(sim.Duration(half), func() { attempt(rendezvousBackoffBase) })
-}
-
-// deliverRendezvousSharded is the rendezvous payload path of a sharded run:
-// src and dst live on different shards, so every leg crosses through the
-// conduit. The CTS travels back to the source node (paying the other half
-// of the handshake overhead plus one wire latency — the serial protocol
-// folds the CTS wire time into the coupled transfer, so sharded rendezvous
-// timings differ from serial ones; they are identical across shard counts,
-// which is what the 1-vs-N byte-compares pin). At the source the payload is
-// booked with the stall/backoff retry loop against the local NIC egress,
-// snapshotted when it departs, and shipped; the destination books ingress
-// on its own shard and completes the receive.
-func (ep *Endpoint) deliverRendezvousSharded(h *header, pr *postedRecv, cd *sim.Conduit, cost fabric.LinkCost, bytes int64, half sim.Duration) {
-	w := ep.world
-	fab := w.cluster.Fabric
-	srcNode, dstNode := fab.Node(h.src), fab.Node(h.dst)
-	ctsWire := half + cost.Latency + fab.InterExtraLatency(h.dst, h.src)
-	cd.Post(dstNode, srcNode, ep.dev.Engine().Now().Add(ctsWire), func(srcEng *sim.Engine) {
-		var attempt func(backoff sim.Duration)
-		attempt = func(backoff sim.Duration) {
-			depart, booked, stall := fab.TrySendInter(srcEng.Now(), h.src, h.dst, bytes, cost)
-			if stall != nil {
-				w.mRetries.Inc()
-				wait := backoff
-				if d := stall.Until.Sub(srcEng.Now()); d > wait {
-					wait = d
-				}
-				next := backoff * 2
-				if next > rendezvousBackoffMax {
-					next = rendezvousBackoffMax
-				}
-				srcEng.After(wait, func() { attempt(next) })
-				return
-			}
-			// Snapshot the payload as it leaves the send buffer: the source
-			// completes at departure, so the application may reuse the
-			// buffer before the bytes reach the destination.
-			staged := h.srcBuf.Clone()
-			srcEng.After(depart.Sub(srcEng.Now()), func() { h.sGate.Fire(srcEng) })
-			cd.Post(srcNode, dstNode, depart.Add(booked.Latency), func(dstEng *sim.Engine) {
-				arrive := fab.RecvInter(dstEng.Now(), h.src, h.dst, bytes, booked)
-				dstEng.After(arrive.Sub(dstEng.Now()), func() {
-					pr.land(staged, h.count)
-					staged.Release()
-					pr.done.Fire(dstEng)
-				})
-			})
-		}
-		attempt(rendezvousBackoffBase)
-	})
 }
 
 // Rendezvous retry backoff bounds: the first retry after a rejected

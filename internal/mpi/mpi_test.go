@@ -11,11 +11,23 @@ import (
 	"repro/internal/sim"
 )
 
-// runRanks spawns one process per rank on the serial engine and runs the
-// simulation to completion, failing the test on deadlock or panic.
-func runRanks(t *testing.T, model *machine.Model, n int, body func(p *sim.Proc, c *Comm)) {
+// runRanks spawns one process per rank and runs the simulation to completion,
+// failing the test on deadlock or panic. It returns the cluster so callers
+// can audit its arena.
+func runRanks(t *testing.T, model *machine.Model, n int, body func(p *sim.Proc, c *Comm)) *gpu.Cluster {
 	t.Helper()
-	runCell(t, model, n, 0, body)
+	eng := sim.NewEngine()
+	defer eng.Close()
+	cl := gpu.NewCluster(eng, model, n)
+	w := NewWorld(cl)
+	for r := 0; r < n; r++ {
+		c := w.CommWorld(r)
+		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) { body(p, c) })
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return cl
 }
 
 func fbuf(c *Comm, vals ...float64) *gpu.Buffer[float64] {

@@ -13,44 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// runCell spawns one process per rank and runs the simulation to completion,
-// failing the test on deadlock or panic: shards == 0 on the serial engine,
-// shards > 0 on the windowed one with the cluster's nodes spread round-robin
-// over that many shard engines (the wiring core.Launch does). It returns the
-// cluster so callers can audit its arena.
-func runCell(t *testing.T, model *machine.Model, n, shards int, body func(p *sim.Proc, c *Comm)) *gpu.Cluster {
-	t.Helper()
-	nodes := model.NodesFor(n)
-	if shards > nodes {
-		shards = nodes
-	}
-	engines := make([]*sim.Engine, max(shards, 1))
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-		defer engines[i].Close()
-	}
-	shardOf := make([]int, nodes)
-	for i := range shardOf {
-		shardOf[i] = i % len(engines)
-	}
-	cl := gpu.NewClusterOn(engines, shardOf, model, n)
-	run := engines[0].Run
-	if shards > 0 {
-		group := sim.NewGroup(engines, shardOf, model.MinInterAlpha()+cl.Fabric.MinInterExtra())
-		cl.Conduit = group.Conduit()
-		run = group.Run
-	}
-	w := NewWorld(cl)
-	for r := 0; r < n; r++ {
-		c := w.CommWorld(r)
-		cl.Devices[r].Engine().Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) { body(p, c) })
-	}
-	if err := run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return cl
-}
-
 // foldRef is the serial reference of a reduction: op folded over the ranks'
 // vectors in rank order, with gpu.Reduce's exact operator definitions.
 func foldRef(inputs [][]float64, op gpu.ReduceOp) []float64 {
@@ -86,10 +48,9 @@ func firstDiff(got, want []float64) int {
 // four operators, on layouts that are non-powers-of-two, irregular, one rank
 // per node and multi-node, for counts that are odd, not divisible by the
 // rank count and on both sides of the eager threshold (for the whole vector
-// and for one ring chunk), on the serial and on the windowed engine, is
-// compared elementwise with a serial fold. Inputs are small integers, so
-// every operator is exact in float64 whatever order an algorithm combines
-// in. It also pins the two properties the fused seed copy must keep — an
+// and for one ring chunk), is compared elementwise with a serial fold.
+// Inputs are small integers, so every operator is exact in float64 whatever
+// order an algorithm combines in. It also pins the two properties the fused seed copy must keep — an
 // out-of-place call never writes sendBuf — and that no staging or scratch
 // buffer outlives the cell.
 func TestAllreduceDifferential(t *testing.T) {
@@ -118,69 +79,67 @@ func TestAllreduceDifferential(t *testing.T) {
 	for _, lay := range layouts {
 		n := lay.n
 		counts := []int{n, 4*n + 1, eagerElems - 1, eagerElems + 1, n*eagerElems + 7}
-		for _, shards := range []int{0, 4} {
-			for _, count := range counts {
-				name := fmt.Sprintf("%s/shards%d/count%d", lay.name, shards, count)
-				rng := rand.New(rand.NewSource(int64(n*1_000_003 + count*31 + shards)))
-				inputs := make([][]float64, n)
-				for r := range inputs {
-					inputs[r] = make([]float64, count)
-					for i := range inputs[r] {
-						inputs[r][i] = values[rng.Intn(len(values))]
-					}
+		for _, count := range counts {
+			name := fmt.Sprintf("%s/count%d", lay.name, count)
+			rng := rand.New(rand.NewSource(int64(n*1_000_003 + count*31)))
+			inputs := make([][]float64, n)
+			for r := range inputs {
+				inputs[r] = make([]float64, count)
+				for i := range inputs[r] {
+					inputs[r][i] = values[rng.Intn(len(values))]
 				}
-				root := rng.Intn(n)
-				want := map[gpu.ReduceOp][]float64{}
-				for _, op := range ops {
-					want[op] = foldRef(inputs, op)
-				}
+			}
+			root := rng.Intn(n)
+			want := map[gpu.ReduceOp][]float64{}
+			for _, op := range ops {
+				want[op] = foldRef(inputs, op)
+			}
 
-				cl := runCell(t, lay.model, n, shards, func(p *sim.Proc, c *Comm) {
-					mine := inputs[c.Rank()]
-					send := gpu.AllocBuffer[float64](c.Device(), count)
-					recv := gpu.AllocBuffer[float64](c.Device(), count)
-					check := func(what string, got []float64, op gpu.ReduceOp) {
-						if i := firstDiff(got, want[op]); i >= 0 {
-							t.Errorf("%s: %s %v rank %d: elem %d = %v, want %v",
-								name, what, op, c.Rank(), i, got[i], want[op][i])
-						}
+			cl := runRanks(t, lay.model, n, func(p *sim.Proc, c *Comm) {
+				mine := inputs[c.Rank()]
+				send := gpu.AllocBuffer[float64](c.Device(), count)
+				recv := gpu.AllocBuffer[float64](c.Device(), count)
+				check := func(what string, got []float64, op gpu.ReduceOp) {
+					if i := firstDiff(got, want[op]); i >= 0 {
+						t.Errorf("%s: %s %v rank %d: elem %d = %v, want %v",
+							name, what, op, c.Rank(), i, got[i], want[op][i])
 					}
-					for _, alg := range algs {
-						if alg == AlgHierarchical && !c.hierLayout().ok {
-							continue
-						}
-						for _, op := range ops {
-							copy(send.Data(), mine)
-							for i := range recv.Data() {
-								recv.Data()[i] = math.NaN() // the result must not depend on recv's old contents
-							}
-							c.AllreduceAlg(p, send.Whole(), recv.Whole(), op, alg)
-							check(alg.String()+" out-of-place", recv.Data(), op)
-							if i := firstDiff(send.Data(), mine); i >= 0 {
-								t.Errorf("%s: %v %v rank %d: out-of-place call wrote sendBuf[%d]",
-									name, alg, op, c.Rank(), i)
-							}
-							c.AllreduceAlg(p, send.Whole(), send.Whole(), op, alg)
-							check(alg.String()+" in-place", send.Data(), op)
-						}
+				}
+				for _, alg := range algs {
+					if alg == AlgHierarchical && !c.hierLayout().ok {
+						continue
 					}
 					for _, op := range ops {
 						copy(send.Data(), mine)
-						c.Reduce(p, send.Whole(), recv.Whole(), op, root)
-						if c.Rank() == root {
-							check("rooted reduce", recv.Data(), op)
+						for i := range recv.Data() {
+							recv.Data()[i] = math.NaN() // the result must not depend on recv's old contents
 						}
+						c.AllreduceAlg(p, send.Whole(), recv.Whole(), op, alg)
+						check(alg.String()+" out-of-place", recv.Data(), op)
 						if i := firstDiff(send.Data(), mine); i >= 0 {
-							t.Errorf("%s: reduce %v rank %d wrote sendBuf[%d]", name, op, c.Rank(), i)
+							t.Errorf("%s: %v %v rank %d: out-of-place call wrote sendBuf[%d]",
+								name, alg, op, c.Rank(), i)
 						}
+						c.AllreduceAlg(p, send.Whole(), send.Whole(), op, alg)
+						check(alg.String()+" in-place", send.Data(), op)
 					}
-				})
-				if st := gpu.PoolStats[float64](cl); st.Gets != st.Puts+st.Drops {
-					t.Errorf("%s: leaked staging buffers: %+v", name, st)
 				}
-				if t.Failed() {
-					return
+				for _, op := range ops {
+					copy(send.Data(), mine)
+					c.Reduce(p, send.Whole(), recv.Whole(), op, root)
+					if c.Rank() == root {
+						check("rooted reduce", recv.Data(), op)
+					}
+					if i := firstDiff(send.Data(), mine); i >= 0 {
+						t.Errorf("%s: reduce %v rank %d wrote sendBuf[%d]", name, op, c.Rank(), i)
+					}
 				}
+			})
+			if st := gpu.PoolStats[float64](cl); st.Gets != st.Puts+st.Drops {
+				t.Errorf("%s: leaked staging buffers: %+v", name, st)
+			}
+			if t.Failed() {
+				return
 			}
 		}
 	}

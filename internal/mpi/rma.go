@@ -96,12 +96,6 @@ func (win *Win) rmaTransfer(p *sim.Proc, origin, srcRank, dstRank int, bytes int
 	p.Advance(prof.CallOverhead)
 	w := c.ep.world
 	eng := w.cluster.Eng
-	if cd := w.cluster.Conduit; cd != nil && cd.Shards() > 1 {
-		// One-sided windows couple origin and target timelines directly
-		// (Transfer + a shared epoch gate list); no split protocol exists
-		// for them yet, and core clamps RMA-using backends to one shard.
-		panic("mpi: RMA transfers are not supported across engine shards")
-	}
 	srcW, dstW := c.group[srcRank], c.group[dstRank]
 	path := w.cluster.Fabric.PathBetween(srcW, dstW)
 	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)

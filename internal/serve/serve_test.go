@@ -231,8 +231,12 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	if resp, msg := post(`{"workload":"nope","bytes":8}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown workload status = %d (%s), want 400", resp.StatusCode, msg)
 	}
-	if resp, msg := post(`{"workload":"net-latency","bytes":4096,"typo":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field status = %d (%s), want 400", resp.StatusCode, msg)
+	// Unknown fields are refused, the removed engine selector "shards" like
+	// any other: not silently run on the one engine there is.
+	for _, field := range []string{`"typo":1`, `"shards":4`} {
+		if resp, msg := post(`{"workload":"net-latency","bytes":4096,` + field + `}`); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field %s status = %d (%s), want 400", field, resp.StatusCode, msg)
+		}
 	}
 	for _, trailing := range []string{`{"workload":"nope"}`, `1`, `]`} {
 		if resp, msg := post(`{"workload":"net-latency","bytes":4096} ` + trailing); resp.StatusCode != http.StatusBadRequest {

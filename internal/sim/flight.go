@@ -3,9 +3,9 @@ package sim
 // Flight recorder: a bounded ring of the engine's most recent scheduler
 // actions (event dispatches, parks, interrupts, kills, stop), kept so a
 // chaos post-mortem can see the last moments of a failed run without paying
-// for a full Chrome trace. One recorder serves one engine — per shard in a
-// sharded run — and records nothing unless installed (SetFlightRecorder),
-// so the disabled cost on the dispatch/park hot path is a single nil check.
+// for a full Chrome trace. One recorder serves one engine and records
+// nothing unless installed (SetFlightRecorder), so the disabled cost on the
+// dispatch/park hot path is a single nil check.
 //
 // Recording is zero-allocation: entries live in a fixed preallocated ring,
 // and the strings stored (process names, park reasons) are the static
@@ -16,9 +16,9 @@ package sim
 // engine's ball at a time.
 //
 // Determinism: every recorded quantity derives from virtual time and the
-// engine's deterministic schedule. For a fixed configuration (including the
-// shard count), the ring contents at any virtual time — and therefore the
-// post-mortem dump — are bit-identical run to run.
+// engine's deterministic schedule. For a fixed configuration the ring
+// contents at any virtual time — and therefore the post-mortem dump — are
+// bit-identical run to run.
 
 import (
 	"fmt"

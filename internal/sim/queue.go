@@ -76,24 +76,6 @@ func (q *eventQueue) pushHeap(ev *event) {
 	h[i] = ev
 }
 
-// peek returns the next event in (at, seq) order without removing it, or
-// nil if the queue is empty. It mirrors pop's ordering exactly (same-time
-// heap entries come before ring entries), so windowed dispatch can decide
-// whether the next event crosses the window boundary before committing to
-// popping it.
-func (q *eventQueue) peek() *event {
-	if q.head < len(q.nowQ) {
-		if len(q.heap) > 0 && q.heap[0].at <= q.nowQ[q.head].at {
-			return q.heap[0]
-		}
-		return q.nowQ[q.head]
-	}
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
 // pop removes and returns the next event in (at, seq) order, or nil if the
 // queue is empty. Canceled events are returned like any other; the caller
 // discards them (they still advance the clock, matching the old engine's

@@ -99,7 +99,7 @@ type Engine struct {
 	live  int // non-daemon procs spawned and not yet finished
 	alive map[*Proc]bool
 
-	// Hand-off. next is the process the trampoline in Run/RunWindow switches
+	// Hand-off. next is the process the trampoline in Run switches
 	// to once the current ball holder has yielded or finished; nil ends the
 	// run with stopErr as its outcome. Only the ball holder writes either.
 	next    *Proc
@@ -111,13 +111,6 @@ type Engine struct {
 	deadline Time            // virtual-time watchdog; 0 disables
 	m        *engineMetrics  // nil when metrics are disabled (see metrics.go)
 	fr       *FlightRecorder // nil when flight recording is disabled (see flight.go)
-
-	// Windowed execution (see shard.go). limit, when nonzero, is the
-	// exclusive upper bound on event times the current RunWindow call may
-	// dispatch; paused records that the window ended with events (or live
-	// procs) remaining rather than the simulation finishing.
-	limit  Time
-	paused bool
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -347,17 +340,6 @@ func (e *Engine) wake(p *Proc, t Time, why string) {
 // stack, so they never switch either.
 func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 	for {
-		if e.limit != 0 {
-			// Windowed mode: never pop past the window boundary. An empty
-			// queue pauses rather than deadlocks — with multiple shards,
-			// events for our procs may still arrive through the conduit,
-			// so termination is decided by the group, not locally.
-			if next := e.q.peek(); next == nil || next.at >= e.limit {
-				e.paused = true
-				e.stop(nil)
-				return false
-			}
-		}
 		ev := e.q.pop()
 		if ev == nil {
 			if e.live > 0 {
@@ -594,10 +576,7 @@ func (e *Engine) runCallback(fn func()) (err error) {
 // process that cannot continue yields here, and Run switches to the one
 // dispatch chose. runtime.Goexit in a process body therefore ends Run's
 // caller.
-func (e *Engine) Run() error { return e.run(0) }
-
-// run is Run (limit 0) and RunWindow.
-func (e *Engine) run(limit Time) error {
+func (e *Engine) Run() error {
 	if e.closed {
 		panic("sim: Run on closed engine")
 	}
@@ -605,9 +584,8 @@ func (e *Engine) run(limit Time) error {
 		panic("sim: Engine.Run reentered")
 	}
 	e.running = true
-	defer func() { e.running, e.limit = false, 0 }()
-	e.limit = limit
-	e.stopErr, e.paused = nil, false
+	defer func() { e.running = false }()
+	e.stopErr = nil
 	e.dispatch(nil)
 	for e.next != nil {
 		p := e.next
@@ -615,23 +593,4 @@ func (e *Engine) run(limit Time) error {
 		p.next()
 	}
 	return e.stopErr
-}
-
-// RunWindow executes the simulation until every remaining event lies at or
-// beyond limit (exclusive), or until it stops for a terminal reason
-// (watchdog, panic, abort). It is the windowed counterpart of Run used by
-// Group to advance shards in conservative-lookahead rounds: an empty queue
-// pauses instead of deadlocking, because with multiple shards new events may
-// still arrive through the conduit between windows. Processes parked at the
-// boundary stay suspended in yield and continue seamlessly in the next
-// window. Termination (clean finish or deadlock) is decided by the group
-// across all shards, never by one window.
-func (e *Engine) RunWindow(limit Time) error { return e.run(limit) }
-
-// InjectAt schedules a cross-shard callback at absolute time t. Only the
-// shard group calls it, between windows, to merge conduit messages into the
-// destination shard's queue; t must not be in the past (guaranteed by the
-// conduit's window-boundary check).
-func (e *Engine) InjectAt(t Time, fn func()) {
-	e.schedule(t, nil, fn, "conduit")
 }

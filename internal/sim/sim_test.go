@@ -628,7 +628,6 @@ func TestClosedEngineRefusesSpawnAndRun(t *testing.T) {
 	wantPanic(t, "sim: Spawn on closed engine", func() { e.SpawnDaemon("late", body) })
 	wantPanic(t, "sim: Spawn on closed engine", func() { e.SpawnAt(5, "late", body) })
 	wantPanic(t, "sim: Run on closed engine", func() { e.Run() })
-	wantPanic(t, "sim: Run on closed engine", func() { e.RunWindow(10) })
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutines: before %d, after %d", before, n)
 	}

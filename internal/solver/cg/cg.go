@@ -70,8 +70,7 @@ type Config struct {
 	Backend core.BackendID
 	Mode    core.LaunchMode
 
-	// Shards selects the engine shard count (0 = the UNICONN_SHARDS
-	// environment default; see core.Config.Shards).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
 
 	// Trace, when non-nil, records the run's execution spans.
@@ -115,7 +114,7 @@ func Run(cfg Config) (Result, error) {
 	perRank := make([]rankResult, cfg.NGPUs)
 	rep, err := core.Launch(core.Config{
 		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.backendOf(), Trace: cfg.Trace,
-		Metrics: cfg.Metrics, Shards: cfg.Shards,
+		Metrics: cfg.Metrics,
 	}, func(env *core.Env) {
 		var rr rankResult
 		switch cfg.Variant {

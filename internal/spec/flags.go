@@ -2,11 +2,10 @@ package spec
 
 // Shared CLI flag plumbing. The subcommands of cmd/uniconn used to be ten
 // programs that each registered their own copies of -machine, -workers,
-// -shards, -live, -topology and -min/-max, with hand-rolled parsing and —
-// inevitably — drifting defaults and checks (one tool shipped -shards
-// defaulting to 1, another accepted -min 0 and crashed in the size sweep).
-// The helpers here are the single source of those flags: one usage string,
-// one default, one resolution and validation rule, everywhere.
+// -live, -topology and -min/-max, with hand-rolled parsing and — inevitably —
+// drifting defaults and checks (one tool accepted -min 0 and crashed in the
+// size sweep). The helpers here are the single source of those flags: one
+// usage string, one default, one resolution and validation rule, everywhere.
 
 import (
 	"flag"
@@ -15,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/machine"
 )
@@ -35,9 +33,8 @@ type CommonFlags struct {
 	workers             int
 	topologyList, sized bool
 
-	// Shards and Live are the -shards and -live values.
-	Shards int
-	Live   string
+	// Live is the -live value.
+	Live string
 	// MinSize and MaxSize are the -min/-max bounds (Sizes).
 	MinSize, MaxSize int64
 	// Topologies is the parsed -topology list (TopologyList).
@@ -52,14 +49,11 @@ func MachineOnly(fs *flag.FlagSet) *CommonFlags {
 	return c
 }
 
-// Common registers -machine, -workers, -shards, and -live on the flag set
-// with the canonical defaults and usage strings. Call before Parse.
+// Common registers -machine, -workers, and -live on the flag set with the
+// canonical defaults and usage strings. Call before Parse.
 func Common(fs *flag.FlagSet) *CommonFlags {
 	c := MachineOnly(fs)
 	WorkersFlag(fs, &c.workers)
-	fs.IntVar(&c.Shards, "shards", 0,
-		"engine shards per cell (parallel-in-virtual-time); 0 = UNICONN_SHARDS env or serial engine; "+
-			"results are bit-identical at every shard count >= 1")
 	fs.StringVar(&c.Live, "live", "",
 		"serve live telemetry HTTP on this address (host:port, :0 picks a port): "+
 			"/metrics /healthz /debug/runs /debug/flight; stdout stays byte-identical")
@@ -98,11 +92,10 @@ func (c *CommonFlags) Sizes(fs *flag.FlagSet, defMax int64, of string) {
 // single -topology is applied to it, clone-on-override, so the topology
 // reaches every workload launched on the shared model value; a list is
 // parsed into Topologies. A doubling size sweep needs a positive start and
-// an end at or above it. Positive -workers/-shards are then published into
-// the environment variables the runner and engine consult, the resolution
-// rule every subcommand shares: an explicit flag wins, otherwise the
-// environment, otherwise the built-in default (GOMAXPROCS workers, serial
-// engine).
+// an end at or above it. A positive -workers is then published into the
+// environment variable the runner consults, the resolution rule every
+// subcommand shares: an explicit flag wins, otherwise the environment,
+// otherwise GOMAXPROCS workers.
 func (c *CommonFlags) Resolve() (*machine.Model, error) {
 	m := machine.ByName(c.machine)
 	if m == nil {
@@ -126,9 +119,6 @@ func (c *CommonFlags) Resolve() (*machine.Model, error) {
 		return nil, fmt.Errorf("-max %d is smaller than -min %d", c.MaxSize, c.MinSize)
 	}
 	ApplyWorkersEnv(c.workers)
-	if c.Shards > 0 {
-		os.Setenv(core.ShardsEnv, strconv.Itoa(c.Shards))
-	}
 	return m, nil
 }
 

@@ -1,12 +1,12 @@
 // Package spec defines the canonical, serializable experiment specification
 // shared by every CLI and by the what-if service (uniconn serve): one
 // value that pins a simulation cell completely — workload, machine, backend,
-// API flavour, topology, shard count, message size, seed, and fault plan —
+// API flavour, topology, message size, seed, and fault plan —
 // together with a stable content hash.
 //
 // The hash is the content address of the cell's result: two specs with the
 // same hash always describe the same deterministic simulation (the engine is
-// bit-reproducible, see DESIGN.md §8/§12), so a result cached under the hash
+// bit-reproducible, see DESIGN.md §8), so a result cached under the hash
 // can be served for every later occurrence of the spec without re-simulating.
 // Injectivity is the load-bearing property — distinct specs must never
 // collide — so the hash covers every field explicitly through a versioned,
@@ -94,14 +94,6 @@ type Spec struct {
 	// Topology is the inter-node network spec, in the CLI -topology syntax:
 	// flat | fattree[:k] | dragonfly[:p,a,h]. Default flat.
 	Topology string `json:"topology,omitempty"`
-	// Shards is the engine shard count: 0 selects the classic serial
-	// engine, any positive count the windowed (parallel-in-virtual-time)
-	// protocol. Windowed results are bit-identical at every count >= 1, so
-	// only the serial/windowed bit participates in the hash; the count
-	// itself is an execution hint (see Hash). Unlike core.Config.Shards,
-	// 0 here never consults the UNICONN_SHARDS environment — a spec's
-	// result must not depend on the evaluating process's env.
-	Shards int `json:"shards,omitempty"`
 	// Seed is the fault-plan seed (FaultGenerate).
 	Seed uint64 `json:"seed,omitempty"`
 	// FaultMode selects the injected plan: "" | degrade | generate.
@@ -211,8 +203,8 @@ func (s Spec) Validate() error {
 	if s.Bytes < 8 || s.Bytes%8 != 0 {
 		return fmt.Errorf("spec: bytes must be a positive multiple of 8 (got %d)", s.Bytes)
 	}
-	if s.Iters < 0 || s.Warmup < 0 || s.Window < 0 || s.Shards < 0 {
-		return fmt.Errorf("spec: iters/warmup/window/shards must be >= 0")
+	if s.Iters < 0 || s.Warmup < 0 || s.Window < 0 {
+		return fmt.Errorf("spec: iters/warmup/window must be >= 0")
 	}
 	switch s.FaultMode {
 	case FaultNone, FaultDegrade, FaultGenerate:
@@ -233,13 +225,16 @@ func (s Spec) Validate() error {
 // a spec the new code would run differently.
 const hashVersion = "uniconn-spec/v1"
 
+// legacyWindowed is the value of v1's "windowed" line, which recorded whether
+// a spec chose the since-removed windowed engine (DESIGN.md §12). Every v1
+// address, disk-cache entry and serve golden digest was computed with the
+// line present, so it is emitted as a constant; drop it with the next
+// hashVersion bump.
+const legacyWindowed = "false"
+
 // hashPayload is the canonical pre-image of the content hash: every field,
 // normalized, in fixed order, with exact encodings (hex floats, decimal
-// ints). The shard count itself is deliberately reduced to the windowed
-// bit — sharded execution is bit-identical at every shard count >= 1
-// (DESIGN.md §12), so specs that differ only in positive Shards address
-// the same result; the serial engine (Shards 0) is a different protocol
-// with different virtual times and hashes separately.
+// ints).
 func (s Spec) hashPayload() string {
 	n := s.Normalize()
 	var b strings.Builder
@@ -264,7 +259,7 @@ func (s Spec) hashPayload() string {
 	field("window", strconv.Itoa(n.Window))
 	field("alg", n.Alg)
 	field("topology", n.Topology)
-	field("windowed", strconv.FormatBool(n.Shards > 0))
+	field("windowed", legacyWindowed)
 	field("seed", strconv.FormatUint(n.Seed, 10))
 	field("fault_mode", n.FaultMode)
 	// Hex float formatting is exact: every distinct float64 has a distinct
@@ -274,9 +269,8 @@ func (s Spec) hashPayload() string {
 }
 
 // Hash returns the spec's content address: the hex SHA-256 of the canonical
-// encoding. Equal-by-meaning specs (Normalize-equal, any positive Shards)
-// share a hash; distinct specs never collide (injectivity of hashPayload
-// plus SHA-256).
+// encoding. Equal-by-meaning specs (Normalize-equal) share a hash; distinct
+// specs never collide (injectivity of hashPayload plus SHA-256).
 func (s Spec) Hash() string {
 	sum := sha256.Sum256([]byte(s.hashPayload()))
 	return hex.EncodeToString(sum[:])

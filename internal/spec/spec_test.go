@@ -54,7 +54,6 @@ func TestHashInjectivityGrid(t *testing.T) {
 		{Workload: WorkloadNetLatency, Bytes: 4096, API: "Device"},
 		{Workload: WorkloadNetLatency, Bytes: 4096, Iters: 10},
 		{Workload: WorkloadNetLatency, Bytes: 4096, Warmup: 3},
-		{Workload: WorkloadNetLatency, Bytes: 4096, Shards: 2},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 0.5},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 0.25},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultGenerate, Severity: 0.5},
@@ -70,10 +69,8 @@ func TestHashInjectivityGrid(t *testing.T) {
 	t.Logf("%d distinct specs, %d distinct hashes", len(seen), len(seen))
 }
 
-// TestHashEquivalences pins the deliberate hash-equivalence classes:
-// Normalize-equal spellings share an address, and so do windowed runs at
-// different positive shard counts (bit-identical results, DESIGN.md §12).
-// The serial engine is a different protocol and must NOT share.
+// TestHashEquivalences pins the deliberate hash-equivalence class:
+// Normalize-equal spellings share an address.
 func TestHashEquivalences(t *testing.T) {
 	base := Spec{Workload: WorkloadNetLatency, Bytes: 4096}
 	same := []Spec{
@@ -88,18 +85,6 @@ func TestHashEquivalences(t *testing.T) {
 	}
 	if h := (Spec{Workload: WorkloadNetLatency, Bytes: 4096, Topology: "fat-tree:4"}).Hash(); h != (Spec{Workload: WorkloadNetLatency, Bytes: 4096, Topology: "fattree:4"}).Hash() {
 		t.Error("fat-tree:4 and fattree:4 should share a hash")
-	}
-
-	w1 := Spec{Workload: WorkloadAllreduce, Ranks: 64, Bytes: 4096, Shards: 1}
-	w4 := w1
-	w4.Shards = 4
-	if w1.Hash() != w4.Hash() {
-		t.Error("windowed runs at shards 1 and 4 are bit-identical and must share a hash")
-	}
-	serial := w1
-	serial.Shards = 0
-	if serial.Hash() == w1.Hash() {
-		t.Error("the serial engine (shards 0) has different virtual times than the windowed protocol and must hash separately")
 	}
 }
 
@@ -116,8 +101,6 @@ func TestHashGolden(t *testing.T) {
 			"f46786a8ff02001f39907e7b177a510d9277ae82d5ee9ed9496123df33397b68"},
 		{Spec{Workload: WorkloadNetBandwidth, Bytes: 1 << 20, Inter: true, Backend: "GPUCCL"},
 			"97ac85df0419ac2f25dc07931a2debadc49ce7ef3e86fd000941b8ccd7df6f5f"},
-		{Spec{Workload: WorkloadAllreduce, Ranks: 64, Bytes: 1 << 20, Topology: "fattree:8", Shards: 2},
-			"c33fc07efee231717f962df5814bd4458ca6ecb22f202445c07dab81a0b417f7"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8192, FaultMode: FaultGenerate, Severity: 0.75, Seed: 42},
 			"8fcf72d4921e91e7dbed9db6d31a5b131d1561a94cf9f7c257e4b0af0a4a9e86"},
 	}
@@ -146,7 +129,6 @@ func randSpec(r *rand.Rand) Spec {
 		Window:    r.Intn(128),
 		Alg:       pick("", "auto", "rd", "ring", "hierarchical"),
 		Topology:  pick("", "flat", "fattree", "fattree:4", "dragonfly", "dragonfly:2,4,2"),
-		Shards:    r.Intn(8),
 		Seed:      r.Uint64(),
 		FaultMode: pick(FaultNone, FaultDegrade, FaultGenerate),
 	}
@@ -185,7 +167,7 @@ func TestValidate(t *testing.T) {
 		{Workload: WorkloadNetLatency, Bytes: 4096},
 		{Workload: WorkloadNetBandwidth, Bytes: 1 << 20, Inter: true, Window: 32},
 		{Workload: WorkloadNetLatency, Bytes: 8, Backend: "GPUSHMEM", API: "Device"},
-		{Workload: WorkloadAllreduce, Ranks: 8, Bytes: 4096, Alg: "ring", Shards: 4},
+		{Workload: WorkloadAllreduce, Ranks: 8, Bytes: 4096, Alg: "ring"},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 1.5},
 	}
 	for _, s := range ok {
@@ -212,7 +194,7 @@ func TestValidate(t *testing.T) {
 		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, FaultMode: FaultDegrade, Severity: 0.5}, "net workloads only"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, FaultMode: "meteor"}, "unknown fault mode"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Severity: 0.5}, "without a fault mode"},
-		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Shards: -1}, ">= 0"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Iters: -1}, ">= 0"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Topology: "torus"}, "fabric"},
 	}
 	for _, c := range bad {

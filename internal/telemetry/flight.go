@@ -1,11 +1,11 @@
 package telemetry
 
 // FlightBoard: the live side of the flight recorders. A sweep cell's
-// core.FlightConfig.Attach hook registers each shard's recorder here as the
+// core.FlightConfig.Attach hook registers the cell's recorder here as the
 // cell launches, and /debug/flight renders the most recent registrations
 // mid-run. The board is bounded (a chaos sweep attaches one recorder per
-// cell per shard) and keeps the newest entries, which are the ones a live
-// observer cares about.
+// cell) and keeps the newest entries, which are the ones a live observer
+// cares about.
 
 import (
 	"fmt"
@@ -23,7 +23,6 @@ const DefaultBoardDepth = 64
 // boardSlot is one registered recorder.
 type boardSlot struct {
 	label string
-	shard int
 	fr    *sim.FlightRecorder
 }
 
@@ -44,15 +43,15 @@ func NewFlightBoard(depth int) *FlightBoard {
 }
 
 // Attacher returns a core.FlightConfig.Attach-shaped hook registering the
-// labelled cell's recorders on the board. Nil-safe: a nil board returns a
+// labelled cell's recorder on the board. Nil-safe: a nil board returns a
 // nil hook (which core treats as no live attachment).
-func (b *FlightBoard) Attacher(label string) func(shard int, fr *sim.FlightRecorder) {
+func (b *FlightBoard) Attacher(label string) func(fr *sim.FlightRecorder) {
 	if b == nil {
 		return nil
 	}
-	return func(shard int, fr *sim.FlightRecorder) {
+	return func(fr *sim.FlightRecorder) {
 		b.mu.Lock()
-		b.buf[b.n%uint64(len(b.buf))] = boardSlot{label: label, shard: shard, fr: fr}
+		b.buf[b.n%uint64(len(b.buf))] = boardSlot{label: label, fr: fr}
 		b.n++
 		b.mu.Unlock()
 	}
@@ -87,7 +86,7 @@ func (b *FlightBoard) Dump(w io.Writer) error {
 		sb.WriteString("no flight recorders attached\n")
 	}
 	for _, s := range slots {
-		fmt.Fprintf(&sb, "== %s shard %d ==\n", s.label, s.shard)
+		fmt.Fprintf(&sb, "== %s ==\n", s.label)
 		s.fr.Dump(&sb)
 	}
 	_, err := io.WriteString(w, sb.String())

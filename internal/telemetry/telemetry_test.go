@@ -170,13 +170,13 @@ func TestFlightEndpoint(t *testing.T) {
 	defer e.Close()
 	fr := sim.NewFlightRecorder(16)
 	e.SetFlightRecorder(fr)
-	attach(0, fr)
+	attach(fr)
 	e.Spawn("p", func(p *sim.Proc) { p.Advance(5) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	_, body = get(t, srv, "/debug/flight")
-	for _, want := range []string{"== cell[0] shard 0 ==", "flight recorder:", "spawn"} {
+	for _, want := range []string{"== cell[0] ==", "flight recorder:", "spawn"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/debug/flight missing %q:\n%s", want, body)
 		}

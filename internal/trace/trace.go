@@ -109,10 +109,9 @@ func SortSpans(spans []Span) {
 }
 
 // Log collects spans. The zero value is ready to use; a nil *Log discards
-// everything. Appends are mutex-guarded so the shard engines of a sharded
-// run (core.Config.Shards) can share one log; every consumer that needs a
-// stable order sorts (Sorted/SortSpans), so producer interleaving never
-// reaches output bytes.
+// everything. Appends are mutex-guarded, so a log may be read from another
+// goroutine while its run appends; every consumer that needs a stable order
+// sorts (Sorted/SortSpans).
 type Log struct {
 	mu    sync.Mutex
 	spans []Span
