@@ -98,8 +98,10 @@ type Fabric struct {
 	nicOut []*sim.Timeline
 	nicIn  []*sim.Timeline
 
-	// Trace, when non-nil, records every transfer as a span.
-	Trace *trace.Log
+	// Trace, when non-nil, records every transfer as a span; xferLabels holds
+	// the span label of each (src, dst) pair seen, formatted on first use.
+	Trace      *trace.Log
+	xferLabels map[[2]int]string
 
 	// LinkFault, when non-nil, rewrites each transfer's link cost before
 	// booking (fault injection; see internal/faults).
@@ -326,11 +328,17 @@ func (f *Fabric) Transfer(at sim.Time, src, dst int, bytes int64, cost LinkCost)
 		f.m.wait[path].Add(int64(start.Sub(at)))
 	}
 	if f.Trace != nil {
-		// Label formatting is guarded: with tracing off (every benchmark and
-		// sweep cell) the hot path must not pay the Sprintf.
+		label, ok := f.xferLabels[[2]int{src, dst}]
+		if !ok {
+			if f.xferLabels == nil {
+				f.xferLabels = map[[2]int]string{}
+			}
+			label = fmt.Sprintf("gpu%d->gpu%d", src, dst)
+			f.xferLabels[[2]int{src, dst}] = label
+		}
 		f.Trace.Add(trace.Span{
 			Kind:  trace.KindTransfer,
-			Label: fmt.Sprintf("gpu%d->gpu%d", src, dst),
+			Label: label,
 			Track: track,
 			Rank:  src, Src: src, Dst: dst,
 			Start: start, End: arrive, Bytes: bytes,

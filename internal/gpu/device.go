@@ -207,6 +207,25 @@ func (d *Device) NewStream(name string) *Stream {
 	return s
 }
 
+// OpLabels memoizes the labels of one family of stream operations, indexed by
+// a peer rank ("send->3") or an op count ("ccl-kernel[64]"), so enqueueing an
+// operation formats nothing after the first use of its index.
+type OpLabels struct {
+	Format string // with one %d verb
+	names  []string
+}
+
+// For returns the label of index i >= 0.
+func (l *OpLabels) For(i int) string {
+	if i >= len(l.names) {
+		l.names = append(l.names, make([]string, i+1-len(l.names))...)
+	}
+	if l.names[i] == "" {
+		l.names[i] = fmt.Sprintf(l.Format, i)
+	}
+	return l.names[i]
+}
+
 // streamOp is one enqueued stream operation.
 type streamOp struct {
 	label string

@@ -18,8 +18,6 @@
 package gpuccl
 
 import (
-	"fmt"
-
 	"repro/internal/gpu"
 	"repro/internal/lockstep"
 	"repro/internal/machine"
@@ -42,43 +40,20 @@ type World struct {
 	// ("gpuccl.coll.<class>", in ns), resolved at construction from the
 	// cluster's registry; nil (disabled) when no registry is installed.
 	mColl map[string]*metrics.Histogram
+
+	// Stream-op labels by peer rank and by fused op count, formatted once.
+	sendLabels, recvLabels, kernelLabels gpu.OpLabels
 }
 
-// opClasses are the known operation labels, reduced to their leading
-// letters ("send->3" and "recv<-1" class as "send"/"recv").
+// opClasses are the operation classes timed in mColl.
 var opClasses = []string{
 	"allreduce", "reduce", "broadcast", "allgather", "reducescatter", "send", "recv",
-}
-
-// opClass reduces an op label to its class: the leading lowercase-letter run.
-func opClass(label string) string {
-	for i := 0; i < len(label); i++ {
-		if label[i] < 'a' || label[i] > 'z' {
-			return label[:i]
-		}
-	}
-	return label
-}
-
-// collHist resolves the timing histogram for one op label, nil when metrics
-// are disabled (or the class is unknown).
-func (w *World) collHist(label string) *metrics.Histogram {
-	if w.mColl == nil {
-		return nil
-	}
-	return w.mColl[opClass(label)]
 }
 
 // groupCtx is one rank's group-aggregation state.
 type groupCtx struct {
 	depth   int
-	pending []pendingOp
-}
-
-// pendingOp is an aggregated operation together with the stream it targets.
-type pendingOp struct {
-	o op
-	s *gpu.Stream
+	pending []op
 }
 
 // shared is cross-rank matching state. Collectives, splits and shrinks are
@@ -105,7 +80,10 @@ type pairKey struct {
 // charged by the UNICONN Environment).
 func NewWorld(cluster *gpu.Cluster) *World {
 	w := &World{
-		cluster: cluster,
+		cluster:      cluster,
+		sendLabels:   gpu.OpLabels{Format: "send->%d"},
+		recvLabels:   gpu.OpLabels{Format: "recv<-%d"},
+		kernelLabels: gpu.OpLabels{Format: "ccl-kernel[%d]"},
 		shared: &shared{
 			insts:   lockstep.NewTable(cluster, machine.LibGPUCCL),
 			pairs:   map[pairKey]*pairFIFO{},
@@ -167,11 +145,27 @@ func (c *Comm) profile() machine.LibProfile {
 	return c.model().Profile(machine.LibGPUCCL, machine.APIHost)
 }
 
-// op is one queued operation; run executes it on the stream process inside
-// the (possibly fused) kernel.
+// op is one queued operation of a (possibly fused) kernel. A collective
+// blocks, so it carries the body to run on a process. A point-to-point op
+// (run == nil) never blocks: it carries its side of a p2pMsg — the pair's
+// FIFO, its sequence number there, its buffer — for the kernel to start.
 type op struct {
-	label string
-	run   func(p *sim.Proc)
+	label  string
+	stream *gpu.Stream
+	hist   *metrics.Histogram // times the op; nil when metrics are off
+	run    func(p *sim.Proc)
+
+	f    *pairFIFO
+	seq  uint64
+	view gpu.View
+	send bool
+}
+
+// exec runs a collective op to completion on p.
+func (o *op) exec(p *sim.Proc) {
+	start := p.Now()
+	o.run(p)
+	o.hist.Observe(int64(p.Now().Sub(start)))
 }
 
 // group returns the calling rank's aggregation context (group scope is per
@@ -195,80 +189,106 @@ func (c *Comm) GroupEnd(p *sim.Proc, s *gpu.Stream) {
 	if g.depth > 0 {
 		return
 	}
+	// Fuse per stream, preserving submission order; the group keeps its
+	// (cleared) queue for the next round.
 	pend := g.pending
-	g.pending = nil
-	// Fuse per stream, preserving submission order.
 	for len(pend) > 0 {
-		stream := pend[0].s
-		var ops []op
-		var rest []pendingOp
-		for _, po := range pend {
-			if po.s == stream {
-				ops = append(ops, po.o)
+		stream := pend[0].stream
+		ops := make([]op, 0, len(pend))
+		rest := pend[:0]
+		for _, o := range pend {
+			if o.stream == stream {
+				ops = append(ops, o)
 			} else {
-				rest = append(rest, po)
+				rest = append(rest, o)
 			}
 		}
-		c.launch(p, stream, ops)
+		c.launch(stream, ops)
 		pend = rest
 	}
+	clear(g.pending)
+	g.pending = g.pending[:0]
 }
 
 // submit runs one op immediately (implicit group of one) or defers it to
 // GroupEnd.
 func (c *Comm) submit(p *sim.Proc, s *gpu.Stream, o op) {
 	p.Advance(c.profile().CallOverhead)
-	if h := c.w.collHist(o.label); h != nil {
-		run := o.run
-		o.run = func(sp *sim.Proc) {
-			start := sp.Now()
-			run(sp)
-			h.Observe(int64(sp.Now().Sub(start)))
-		}
-	}
+	o.stream = s
 	if g := c.group(); g.depth > 0 {
-		g.pending = append(g.pending, pendingOp{o: o, s: s})
+		g.pending = append(g.pending, o)
 		return
 	}
-	c.launch(p, s, []op{o})
+	c.launch(s, []op{o})
 }
 
-// launch enqueues one fused communication kernel executing ops. The
-// individual ops run concurrently: each op gets its own sub-process and the
-// kernel completes when all have finished, mirroring how a fused NCCL
-// kernel drives all its channels in parallel.
-func (c *Comm) launch(p *sim.Proc, s *gpu.Stream, ops []op) {
-	if len(ops) == 0 {
+// kernel is one launched communication kernel: the join its stream process
+// waits on while the ops run concurrently, mirroring how a fused NCCL kernel
+// drives all its channels in parallel.
+type kernel struct {
+	ops     []op
+	pending int      // ops not yet complete
+	done    sim.Gate // fired when pending reaches zero
+	aborted error    // first failure of an op
+}
+
+// opDone completes one op, keeping its failure if it is the kernel's first.
+func (k *kernel) opDone(eng *sim.Engine, err error) {
+	if err != nil && k.aborted == nil {
+		k.aborted = err
+	}
+	if k.pending--; k.pending == 0 {
+		k.done.Fire(eng)
+	}
+}
+
+// launch enqueues one fused communication kernel executing ops.
+func (c *Comm) launch(s *gpu.Stream, ops []op) {
+	launch := c.profile().LaunchOverhead
+	k := &kernel{ops: ops}
+	s.Enqueue(c.w.kernelLabels.For(len(ops)), func(sp *sim.Proc) {
+		sp.Advance(launch)
+		k.run(sp)
+	})
+}
+
+// run executes the kernel on its stream process: it starts every op and
+// waits for all of them. A lone collective runs right here. Otherwise a
+// point-to-point op is a state machine started in place, and a collective gets
+// a sub-process that catches its own abort (a rank failure poisoning one
+// channel), so a revoked kernel still completes bookkeeping; the first failure
+// is re-raised after the join, where Stream.run records it. If the stream
+// process itself is revoked or killed while it waits, its outstanding
+// point-to-point ops are withdrawn from their messages on the way out.
+func (k *kernel) run(sp *sim.Proc) {
+	if len(k.ops) == 1 && k.ops[0].run != nil {
+		k.ops[0].exec(sp)
 		return
 	}
-	prof := c.profile()
-	s.Enqueue(fmt.Sprintf("ccl-kernel[%d]", len(ops)), func(sp *sim.Proc) {
-		sp.Advance(prof.LaunchOverhead)
-		if len(ops) == 1 {
-			ops[0].run(sp)
-			return
+	eng := sp.Engine()
+	k.pending = len(k.ops)
+	k.done.SetLabel("gate ccl-kernel")
+	defer func() {
+		for i := range k.ops {
+			if o := &k.ops[i]; k.pending > 0 && o.run == nil {
+				o.revoke(k)
+			}
 		}
-		eng := sp.Engine()
-		done := sim.NewCounter("ccl-fused", 0)
-		// Sub-processes catch their own aborts (a rank failure poisoning one
-		// channel) so a revoked fused kernel still completes bookkeeping; the
-		// first failure is re-raised on the stream process after the join,
-		// where Stream.run records it.
-		var aborted error
-		for _, o := range ops {
-			o := o
-			eng.Spawn(fmt.Sprintf("%s.%s", s.Name(), o.label), func(op *sim.Proc) {
-				if err := sim.Protect(func() { o.run(op) }); err != nil && aborted == nil {
-					aborted = err
-				}
-				done.Add(eng, 1)
-			})
+	}()
+	for i := range k.ops {
+		o := &k.ops[i]
+		if o.run == nil {
+			o.start(eng, k)
+			continue
 		}
-		done.WaitGE(sp, uint64(len(ops)))
-		if aborted != nil {
-			sim.Abort(aborted)
-		}
-	})
+		eng.Spawn(o.stream.Name()+"."+o.label, func(cp *sim.Proc) {
+			k.opDone(eng, sim.Protect(func() { o.exec(cp) }))
+		})
+	}
+	k.done.Wait(sp)
+	if k.aborted != nil {
+		sim.Abort(k.aborted)
+	}
 }
 
 // opKey draws the cross-rank key of the rank's next collective call. All

@@ -1,7 +1,9 @@
 package gpuccl
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gpu"
@@ -295,8 +297,133 @@ func TestUngroupedBidirectionalDeadlocks(t *testing.T) {
 		})
 	}
 	err := eng.Run()
-	if _, ok := err.(*sim.DeadlockError); !ok {
+	dl, ok := err.(*sim.DeadlockError)
+	if !ok {
 		t.Fatalf("expected DeadlockError, got %v", err)
+	}
+	// Each host is reported parked on the stream its stuck send kernel holds.
+	for r := 0; r < 2; r++ {
+		want := fmt.Sprintf("rank%d: counter gpu%d.default.done", r, r)
+		if !strings.Contains(strings.Join(dl.Waiting, "; "), want) {
+			t.Errorf("deadlock report %q does not name %q", dl.Waiting, want)
+		}
+	}
+}
+
+// TestRevokeWithOutstandingMessages kills rank 2 and then revokes everything
+// (InterruptAll, the failure detector's delivery) while the survivors' fused
+// kernels hold point-to-point state machines in every state: a matched
+// message whose transfer is in flight (0→1, and 2→0 from the dead rank), a
+// message only the dead rank's torn-down kernel had started (its receive
+// from 1), and a send and a receive whose peer never shows up (0→2, 2→1).
+// The survivors must see the typed error on host and stream, their streams
+// must keep serving — a second exchange on the same pair, started while the
+// revoked transfer is still in flight, delivers its own payload, so no stale
+// callback fired into a recycled message — and once the run drains no message
+// is left in any FIFO.
+func TestRevokeWithOutstandingMessages(t *testing.T) {
+	const big = 1 << 19 // 4 MiB of float64: in flight across both faults
+	m := *machine.Perlmutter()
+	m.GPUsPerNode, m.NICsPerNode = 1, 1 // three nodes: transfers take the NICs
+	eng := sim.NewEngine()
+	defer eng.Close()
+	cl := gpu.NewCluster(eng, &m, 3)
+	w := NewWorld(cl)
+
+	fill := func(b *gpu.Buffer[float64], v float64) *gpu.Buffer[float64] {
+		for i := range b.Data() {
+			b.Data()[i] = v
+		}
+		return b
+	}
+	procs := make([]*sim.Proc, 3)
+	second := make([]float64, 2) // what each survivor received in the second exchange
+	var revokedAt sim.Time
+	for r := 0; r < 3; r++ {
+		c := w.Comm(r)
+		procs[r] = eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+			s, dev := c.Device().DefaultStream(), c.Device()
+			out := fill(gpu.AllocBuffer[float64](dev, big), float64(r+1))
+			in := gpu.AllocBuffer[float64](dev, big)
+			small := gpu.AllocBuffer[float64](dev, 8)
+			c.GroupStart()
+			switch r {
+			case 0:
+				c.Send(p, s, out.Whole(), 1)   // matched, in flight at the revoke
+				c.Send(p, s, small.Whole(), 2) // rank 2 never receives
+				c.Recv(p, s, in.Whole(), 2)    // matched, its sender dies mid-flight
+			case 1:
+				c.Recv(p, s, in.Whole(), 0)
+				c.Recv(p, s, small.Whole(), 2) // rank 2 never sends
+			case 2:
+				c.Send(p, s, out.Whole(), 0)
+				c.Recv(p, s, small.Whole(), 1) // rank 1 never sends
+			}
+			c.GroupEnd(p, s)
+			err := sim.Protect(func() { s.Synchronize(p) })
+			var rf *sim.RankFailedError
+			if !errors.As(err, &rf) || rf.Rank != 2 {
+				t.Errorf("rank %d: Synchronize returned %v, want rank 2 failed", r, err)
+			}
+			if r == 2 {
+				t.Error("the killed rank kept running")
+			}
+			revokedAt = p.Now()
+			s.Synchronize(p) // the stream drains its revoked kernel and records the abort
+			if err := s.TakeAborted(); !errors.As(err, &rf) {
+				t.Errorf("rank %d: stream recorded %v, want the rank failure", r, err)
+			}
+			if r == 1 && in.Data()[0] != 0 {
+				t.Error("rank 1: the 4 MiB payload landed before the revoke; nothing was in flight")
+			}
+			// Second exchange between the survivors, same pair FIFOs.
+			peer := 1 - r
+			again := fill(gpu.AllocBuffer[float64](dev, 8), float64(10*(r+1)))
+			got := gpu.AllocBuffer[float64](dev, 8)
+			c.GroupStart()
+			c.Send(p, s, again.Whole(), peer)
+			c.Recv(p, s, got.Whole(), peer)
+			c.GroupEnd(p, s)
+			s.Synchronize(p)
+			if err := s.TakeAborted(); err != nil {
+				t.Errorf("rank %d: second exchange aborted: %v", r, err)
+			}
+			second[r] = got.Data()[7]
+			// The pair's ports serve transfers in order, so the second message
+			// arrives behind the revoked one, whose payload still lands: had the
+			// first arrival completed the second exchange, it would not have.
+			if r == 1 && in.Data()[0] != 1 {
+				t.Error("rank 1: second exchange completed before the revoked 4 MiB transfer landed")
+			}
+		})
+	}
+	eng.After(30*sim.Microsecond, func() {
+		procs[2].Kill()
+		cl.Devices[2].Crash()
+	})
+	eng.After(60*sim.Microsecond, func() {
+		eng.InterruptAll(&sim.RankFailedError{Rank: 2, At: eng.Now()})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if revokedAt != sim.Time(60*sim.Microsecond) {
+		t.Errorf("survivors resumed at %v, want the revoke instant", revokedAt)
+	}
+	if second[0] != 20 || second[1] != 10 {
+		t.Errorf("second exchange delivered %v, want [20 10]", second)
+	}
+	for k, f := range w.shared.pairs {
+		if len(f.msgs) != 0 {
+			t.Errorf("pair %d->%d still holds %d message(s)", k.src, k.dst, len(f.msgs))
+		}
+		seen := map[*p2pMsg]bool{}
+		for _, m := range f.free {
+			if seen[m] {
+				t.Errorf("pair %d->%d recycled one message twice", k.src, k.dst)
+			}
+			seen[m] = true
+		}
 	}
 }
 

@@ -1,11 +1,10 @@
 package gpuccl
 
 import (
-	"fmt"
-
 	"repro/internal/gpu"
 	"repro/internal/lockstep"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -19,7 +18,7 @@ import (
 // reduce-scatter then allgather, 2(n-1) lockstep chunk steps.
 func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp) {
 	key := c.opKey("allreduce")
-	c.submit(p, s, op{label: "allreduce", run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "allreduce", hist: c.w.mColl["allreduce"], run: func(sp *sim.Proc) {
 		n, count, bytes := c.Size(), sendBuf.Len(), sendBuf.Bytes()
 		data := lockstep.ReduceThenCopy(count, opr)
 		if bytes <= allReduceTreeMax {
@@ -44,7 +43,7 @@ func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, 
 // toward the root).
 func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp, root int) {
 	key := c.opKey("reduce")
-	c.submit(p, s, op{label: "reduce", run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "reduce", hist: c.w.mColl["reduce"], run: func(sp *sim.Proc) {
 		count := sendBuf.Len()
 		plan := c.pipelinePlan(sendBuf.Bytes(), root, false)
 		c.collective(sp, key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
@@ -59,7 +58,7 @@ func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr
 // root).
 func (c *Comm) Broadcast(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 	key := c.opKey("broadcast")
-	c.submit(p, s, op{label: "broadcast", run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "broadcast", hist: c.w.mColl["broadcast"], run: func(sp *sim.Proc) {
 		plan := c.pipelinePlan(buf.Bytes(), root, true)
 		c.collective(sp, key, buf, buf, lockstep.CopyFrom(root),
 			len(plan), c.ring(func(step int) int64 { return plan[step] }))
@@ -70,7 +69,7 @@ func (c *Comm) Broadcast(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 // (recvBuf holds Size()*sendBuf.Len() elements; ring, n-1 steps).
 func (c *Comm) AllGather(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View) {
 	key := c.opKey("allgather")
-	c.submit(p, s, op{label: "allgather", run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "allgather", hist: c.w.mColl["allgather"], run: func(sp *sim.Proc) {
 		count, bytes := sendBuf.Len(), sendBuf.Bytes()
 		c.collective(sp, key, sendBuf, recvBuf,
 			lockstep.Gather(func(r int) (int, int) { return r * count, count }),
@@ -83,7 +82,7 @@ func (c *Comm) AllGather(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View) 
 // steps).
 func (c *Comm) ReduceScatter(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp) {
 	key := c.opKey("reducescatter")
-	c.submit(p, s, op{label: "reducescatter", run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "reducescatter", hist: c.w.mColl["reducescatter"], run: func(sp *sim.Proc) {
 		count, bytes := recvBuf.Len(), recvBuf.Bytes()
 		c.collective(sp, key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
 			chunks := make([]gpu.View, len(sends))
@@ -146,86 +145,176 @@ func (c *Comm) pipelinePlan(totalBytes int64, root int, fromRoot bool) []int64 {
 
 // pairFIFO matches Send and Recv calls per (src, dst) pair in issue order.
 type pairFIFO struct {
+	w                  *World
+	srcW, dstW         int // world ranks of the pair
 	nextSend, nextRecv uint64
 	msgs               map[uint64]*p2pMsg
+	free               []*p2pMsg // completed messages, recycled by msg
 }
 
+// p2pSide is one end of a message: the Send or the Recv op once its kernel
+// has started it.
+type p2pSide struct {
+	started bool
+	k       *kernel // the kernel to notify; nil once notified or revoked
+	view    gpu.View
+	hist    *metrics.Histogram
+	at      sim.Time // when the op started, for hist
+}
+
+// done completes the side's op, if its kernel still waits for it.
+func (sd *p2pSide) done(eng *sim.Engine) {
+	if sd.k != nil {
+		sd.hist.Observe(int64(eng.Now().Sub(sd.at)))
+		sd.k.opDone(eng, nil)
+		sd.k = nil
+	}
+}
+
+// p2pMsg is one Send/Recv pair: a run-to-completion state machine driven by
+// the two kernels that start its sides and by engine callbacks; no process
+// blocks on it. Once both sides have started, book reserves the fabric — at
+// once when the sender is the later side, through a zero-delay callback when
+// the receiver is, which is the instant and the event order in which a woken
+// sender process used to book — and deliver, at arrival, copies the payload
+// and completes both ops. State and callbacks are embedded and bound once, so
+// a recycled message allocates nothing.
 type p2pMsg struct {
-	src, dst  int
-	srcView   gpu.View
-	dstView   gpu.View
-	haveSrc   bool
-	haveDst   bool
-	bothReady *sim.Gate
-	delivered *sim.Gate
+	f          *pairFIFO
+	seq        uint64
+	send, recv p2pSide
+	// inFlight is set while an engine callback holds the message: it must not
+	// be recycled until that callback has run.
+	inFlight          bool
+	bookFn, deliverFn func()
 }
 
-func (w *World) pairFIFO(comm uint64, src, dst int) *pairFIFO {
-	k := pairKey{comm, src, dst}
+func (w *World) pairFIFO(c *Comm, src, dst int) *pairFIFO {
+	k := pairKey{c.g.ID, src, dst}
 	f := w.shared.pairs[k]
 	if f == nil {
-		f = &pairFIFO{msgs: map[uint64]*p2pMsg{}}
+		f = &pairFIFO{w: w, srcW: c.worldOf(src), dstW: c.worldOf(dst), msgs: map[uint64]*p2pMsg{}}
 		w.shared.pairs[k] = f
 	}
 	return f
 }
 
-func (f *pairFIFO) msg(seq uint64, src, dst int) *p2pMsg {
+// msg returns the message with sequence number seq, creating it on the first
+// side to ask.
+func (f *pairFIFO) msg(seq uint64) *p2pMsg {
 	m := f.msgs[seq]
 	if m == nil {
-		m = &p2pMsg{
-			src: src, dst: dst,
-			bothReady: sim.NewGate(fmt.Sprintf("ccl-p2p-ready-%d-%d-%d", src, dst, seq)),
-			delivered: sim.NewGate(fmt.Sprintf("ccl-p2p-done-%d-%d-%d", src, dst, seq)),
+		if n := len(f.free); n > 0 {
+			m, f.free = f.free[n-1], f.free[:n-1]
+		} else {
+			m = &p2pMsg{f: f}
+			m.bookFn, m.deliverFn = m.book, m.deliver
 		}
+		m.seq = seq
 		f.msgs[seq] = m
 	}
 	return m
+}
+
+// release retires a message no kernel and no callback refers to any more.
+func (m *p2pMsg) release() {
+	delete(m.f.msgs, m.seq)
+	m.send, m.recv = p2pSide{}, p2pSide{}
+	m.f.free = append(m.f.free, m)
+}
+
+// start begins o, one side of a point-to-point message, inside kernel k.
+func (o *op) start(eng *sim.Engine, k *kernel) {
+	m := o.f.msg(o.seq)
+	side := p2pSide{started: true, k: k, view: o.view, hist: o.hist, at: eng.Now()}
+	if o.send {
+		m.send = side
+		if m.recv.started {
+			m.book()
+		}
+		return
+	}
+	m.recv = side
+	if m.send.started {
+		m.inFlight = true
+		eng.After(0, m.bookFn)
+	}
+}
+
+// revoke withdraws kernel k from o's message when k is torn down with the op
+// still outstanding: a later callback then completes only the other side.
+func (o *op) revoke(k *kernel) {
+	m := o.f.msgs[o.seq]
+	if m == nil {
+		return // already delivered
+	}
+	side := &m.recv
+	if o.send {
+		side = &m.send
+	}
+	if side.k == k {
+		side.k = nil
+		m.revoked()
+	}
+}
+
+// book runs once both kernels are running: it moves the bytes.
+func (m *p2pMsg) book() {
+	m.inFlight = false
+	if m.send.k == nil { // the sender was revoked before the receiver reached it
+		m.revoked()
+		return
+	}
+	cl := m.f.w.cluster
+	eng, bytes := cl.Eng, m.send.view.Bytes()
+	var arrive sim.Time
+	// A partitioned fabric aborts the booking; that fails the sender's op,
+	// and the receiver keeps waiting for a delivery that never comes.
+	if err := sim.Protect(func() {
+		cost := cl.Cost(machine.LibGPUCCL, machine.APIHost, cl.Fabric.PathBetween(m.f.srcW, m.f.dstW), bytes)
+		arrive = cl.Fabric.Transfer(eng.Now(), m.f.srcW, m.f.dstW, bytes, cost)
+	}); err != nil {
+		m.send.k.opDone(eng, err)
+		m.send.k = nil
+		m.revoked()
+		return
+	}
+	m.inFlight = true
+	eng.After(arrive.Sub(eng.Now()), m.deliverFn)
+}
+
+// deliver is the arrival callback: the payload lands and both ops complete,
+// the receiver's first.
+func (m *p2pMsg) deliver() {
+	eng := m.f.w.cluster.Eng
+	gpu.Copy(m.recv.view, m.send.view, m.send.view.Len())
+	m.recv.done(eng)
+	m.send.done(eng)
+	m.release()
+}
+
+// revoked retires the message if neither kernel waits on it any longer and
+// no callback is still due.
+func (m *p2pMsg) revoked() {
+	if !m.inFlight && m.send.k == nil && m.recv.k == nil {
+		m.release()
+	}
 }
 
 // Send transmits buf to peer, matching the peer's Recv issued in the same
 // relative order (ncclSend). Deadlock-free only inside a group when
 // exchanging with mutual peers, exactly like NCCL.
 func (c *Comm) Send(p *sim.Proc, s *gpu.Stream, buf gpu.View, peer int) {
-	f := c.w.pairFIFO(c.g.ID, c.g.Rank, peer)
-	seq := f.nextSend
+	f := c.w.pairFIFO(c, c.g.Rank, peer)
 	f.nextSend++
-	c.submit(p, s, op{label: fmt.Sprintf("send->%d", peer), run: func(sp *sim.Proc) {
-		m := f.msg(seq, c.g.Rank, peer)
-		m.srcView = buf
-		m.haveSrc = true
-		if m.haveDst {
-			m.bothReady.Fire(sp.Engine())
-		}
-		m.bothReady.Wait(sp)
-		// Both kernels running: move the bytes.
-		fab := c.w.cluster.Fabric
-		bytes := buf.Bytes()
-		srcW, dstW := c.myWorld(), c.worldOf(peer)
-		cost := c.w.cluster.Cost(machine.LibGPUCCL, machine.APIHost, fab.PathBetween(srcW, dstW), bytes)
-		end := fab.Transfer(sp.Now(), srcW, dstW, bytes, cost)
-		eng := sp.Engine()
-		eng.After(end.Sub(eng.Now()), func() {
-			gpu.Copy(m.dstView, m.srcView, m.srcView.Len())
-			m.delivered.Fire(eng)
-		})
-		m.delivered.Wait(sp)
-		delete(f.msgs, seq)
-	}})
+	c.submit(p, s, op{label: c.w.sendLabels.For(peer), hist: c.w.mColl["send"],
+		f: f, seq: f.nextSend, view: buf, send: true})
 }
 
 // Recv receives into buf from peer, matching the peer's Send (ncclRecv).
 func (c *Comm) Recv(p *sim.Proc, s *gpu.Stream, buf gpu.View, peer int) {
-	f := c.w.pairFIFO(c.g.ID, peer, c.g.Rank)
-	seq := f.nextRecv
+	f := c.w.pairFIFO(c, peer, c.g.Rank)
 	f.nextRecv++
-	c.submit(p, s, op{label: fmt.Sprintf("recv<-%d", peer), run: func(sp *sim.Proc) {
-		m := f.msg(seq, peer, c.g.Rank)
-		m.dstView = buf
-		m.haveDst = true
-		if m.haveSrc {
-			m.bothReady.Fire(sp.Engine())
-		}
-		m.delivered.Wait(sp)
-	}})
+	c.submit(p, s, op{label: c.w.recvLabels.For(peer), hist: c.w.mColl["recv"],
+		f: f, seq: f.nextRecv, view: buf})
 }

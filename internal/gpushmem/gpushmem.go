@@ -107,6 +107,9 @@ type World struct {
 	// mColl holds the per-kind collective timing histograms, all nil when
 	// metrics are disabled (collectives.go).
 	mColl [2][nKinds]*metrics.Histogram
+
+	// Stream-op labels of the host-side puts by target PE, formatted once.
+	putLabels, putSignalLabels gpu.OpLabels
 }
 
 // NewWorld initializes the library over the cluster. It panics if the
@@ -116,11 +119,13 @@ func NewWorld(cluster *gpu.Cluster) *World {
 		panic(fmt.Sprintf("gpushmem: %s has no GPUSHMEM implementation", cluster.Model.Name))
 	}
 	w := &World{
-		cluster: cluster,
-		allocs:  map[uint64]*allocRec{},
-		insts:   lockstep.NewTable(cluster, machine.LibGPUSHMEM),
-		splits:  map[lockstep.Key]*splitInst{},
-		shrinks: map[lockstep.Key]*shrinkInst{},
+		cluster:         cluster,
+		putLabels:       gpu.OpLabels{Format: "put->%d"},
+		putSignalLabels: gpu.OpLabels{Format: "put-signal->%d"},
+		allocs:          map[uint64]*allocRec{},
+		insts:           lockstep.NewTable(cluster, machine.LibGPUSHMEM),
+		splits:          map[lockstep.Key]*splitInst{},
+		shrinks:         map[lockstep.Key]*shrinkInst{},
 	}
 	n := len(cluster.Devices)
 	for i, dev := range cluster.Devices {
@@ -160,6 +165,8 @@ type PE struct {
 	// NBI tracking for Quiet.
 	issued    *sim.Counter
 	completed *sim.Counter
+
+	freePuts []*put // delivered puts, recycled by transferRaw
 }
 
 // Rank reports the PE id (nvshmem_my_pe).

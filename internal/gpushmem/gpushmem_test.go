@@ -1,6 +1,7 @@
 package gpushmem
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -77,6 +78,55 @@ func TestHostPutSignalAndWait(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRevokedPutIsNotRecycledInFlight revokes a blocking stream put whose
+// payload is still on the wire and issues the next put at once: the stream
+// must record the typed error and keep serving, the second put must take a
+// put record of its own (the first is recycled only when it lands, and it
+// still lands), and both must count as completed for Quiet.
+func TestRevokedPutIsNotRecycledInFlight(t *testing.T) {
+	const big = 1 << 19 // 4 MiB of float64
+	eng := sim.NewEngine()
+	defer eng.Close()
+	w := NewWorld(gpu.NewCluster(eng, machine.Perlmutter(), 2))
+	pe := w.PE(0)
+	eng.Spawn("pe0", func(p *sim.Proc) {
+		data, sig := Malloc[float64](pe, big), Malloc[uint64](pe, 1)
+		s := pe.Device().DefaultStream()
+		first, second := gpu.AllocBuffer[float64](pe.Device(), big), gpu.AllocBuffer[float64](pe.Device(), 8)
+		first.Data()[big-1], second.Data()[0] = 1, 2
+		pe.PutOnStream(p, s, data.WholeRef(), first.Whole(), big, 1)
+		err := sim.Protect(func() { s.Synchronize(p) })
+		var rf *sim.RankFailedError
+		if !errors.As(err, &rf) {
+			t.Errorf("Synchronize returned %v, want the revoke", err)
+		}
+		s.Synchronize(p)
+		if err := s.TakeAborted(); !errors.As(err, &rf) {
+			t.Errorf("stream recorded %v, want the revoke", err)
+		}
+		if got := data.Local(1).Data()[big-1]; got != 0 {
+			t.Fatalf("first payload landed before the revoke (%v): nothing was in flight", got)
+		}
+		pe.PutSignalOnStream(p, s, data.WholeRef(), second.Whole(), 8, sig.SigRef(0), 1, SignalSet, 1)
+		pe.QuietOnStream(p, s)
+		s.Synchronize(p)
+		got := data.Local(1).Data()
+		if got[0] != 2 || got[big-1] != 1 || sig.SigRef(0).Read(1) != 1 {
+			t.Errorf("after both puts: data[0]=%v data[last]=%v signal=%d, want 2 1 1", got[0], got[big-1], sig.SigRef(0).Read(1))
+		}
+	})
+	eng.After(30*sim.Microsecond, func() { eng.InterruptAll(&sim.RankFailedError{Rank: 1, At: eng.Now()}) })
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if pe.issued.Value() != 2 || pe.completed.Value() != 2 {
+		t.Errorf("issued %d, completed %d puts, want 2 and 2", pe.issued.Value(), pe.completed.Value())
+	}
+	if len(pe.freePuts) != 2 || pe.freePuts[0] == pe.freePuts[1] {
+		t.Errorf("free list %v, want the two distinct put records", pe.freePuts)
+	}
 }
 
 func TestDevicePutSignalJacobiPattern(t *testing.T) {

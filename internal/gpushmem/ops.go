@@ -1,8 +1,6 @@
 package gpushmem
 
 import (
-	"fmt"
-
 	"repro/internal/gpu"
 	"repro/internal/lockstep"
 	"repro/internal/machine"
@@ -14,11 +12,42 @@ import (
 // (XxxOnStream) enqueue the operation on a stream, like the nvshmemx
 // *_on_stream API. Both funnel into the same transfer core.
 
+// put is one in-flight one-sided transfer: the payload, the optional signal
+// applied at delivery, and the gate a blocking caller waits on. The gate is
+// embedded and deliverFn bound once, and a delivered put returns to its PE's free
+// list, so a put in steady state allocates nothing.
+type put struct {
+	pe        *PE
+	dst, src  gpu.View
+	n         int
+	sig       SigRef // the zero SigRef: no signal
+	sigRank   int
+	sigOp     SignalOp
+	sigVal    uint64
+	done      sim.Gate
+	deliverFn func()
+}
+
+// deliver is the arrival callback: the payload lands, the signal (if any)
+// fires, and the put completes for Quiet and for a blocked caller.
+func (t *put) deliver() {
+	pe, eng := t.pe, t.pe.w.cluster.Eng
+	gpu.Copy(t.dst, t.src, t.n)
+	if t.sig != (SigRef{}) {
+		t.sig.apply(eng, t.sigRank, t.sigOp, t.sigVal)
+	}
+	pe.completed.Add(eng, 1)
+	t.done.Fire(eng)
+	*t = put{pe: pe, deliverFn: t.deliverFn}
+	pe.freePuts = append(pe.freePuts, t)
+}
+
 // transfer moves the payload of one put (issuer pe, data pe→target) and
-// applies the optional signal at delivery. It returns the delivery gate.
+// applies the optional signal at delivery; with wait set it blocks that
+// process until then.
 func (pe *PE) transfer(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.View, n int,
-	target int, api machine.API, gran ThreadGroup, sig *SigRef, sigOp SignalOp, sigVal uint64) *sim.Gate {
-	return pe.transferRaw(eng, at, dst, src, n, pe.rank, target, target, api, gran, sig, sigOp, sigVal)
+	target int, api machine.API, gran ThreadGroup, sig SigRef, sigOp SignalOp, sigVal uint64, wait *sim.Proc) {
+	pe.transferRaw(eng, at, dst, src, n, pe.rank, target, target, api, gran, sig, sigOp, sigVal, wait)
 }
 
 // transferRaw is the data-movement core: n elements flow srcRank→dstRank,
@@ -26,7 +55,7 @@ func (pe *PE) transfer(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.View,
 // issuing PE's NBI accounting.
 func (pe *PE) transferRaw(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.View, n int,
 	srcRank, dstRank, sigRank int, api machine.API, gran ThreadGroup,
-	sig *SigRef, sigOp SignalOp, sigVal uint64) *sim.Gate {
+	sig SigRef, sigOp SignalOp, sigVal uint64, wait *sim.Proc) {
 
 	fab := pe.w.cluster.Fabric
 	bytes := int64(n) * int64(src.ElemSize())
@@ -36,17 +65,21 @@ func (pe *PE) transferRaw(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.Vi
 		cost.BytesPerSec *= gran.granEff()
 	}
 	arrive := fab.Transfer(at, srcRank, dstRank, bytes, cost)
-	done := sim.NewGate(fmt.Sprintf("put pe%d->pe%d", srcRank, dstRank))
+	var t *put
+	if k := len(pe.freePuts); k > 0 {
+		t, pe.freePuts = pe.freePuts[k-1], pe.freePuts[:k-1]
+	} else {
+		t = &put{pe: pe}
+		t.deliverFn = t.deliver
+	}
+	t.dst, t.src, t.n = dst, src, n
+	t.sig, t.sigRank, t.sigOp, t.sigVal = sig, sigRank, sigOp, sigVal
+	t.done.SetLabel("gate put")
 	pe.issued.Add(eng, 1)
-	eng.After(arrive.Sub(eng.Now()), func() {
-		gpu.Copy(dst, src, n)
-		if sig != nil {
-			sig.apply(eng, sigRank, sigOp, sigVal)
-		}
-		pe.completed.Add(eng, 1)
-		done.Fire(eng)
-	})
-	return done
+	eng.After(arrive.Sub(eng.Now()), t.deliverFn)
+	if wait != nil {
+		t.done.Wait(wait)
+	}
 }
 
 // callCost charges the per-call overhead of the API flavour.
@@ -61,7 +94,7 @@ func (pe *PE) callCost(p *sim.Proc, api machine.API) {
 func (pe *PE) DevPutNBI(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.View, n, target int) {
 	pe.callCost(k.P, machine.APIDevice)
 	pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
-		target, machine.APIDevice, g, nil, SignalSet, 0)
+		target, machine.APIDevice, g, SigRef{}, SignalSet, 0, nil)
 }
 
 // DevPutSignalNBI is nvshmemx_put_signal_nbi: like DevPutNBI but updates the
@@ -70,15 +103,14 @@ func (pe *PE) DevPutSignalNBI(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src 
 	sig SigRef, sigVal uint64, sigOp SignalOp, target int) {
 	pe.callCost(k.P, machine.APIDevice)
 	pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
-		target, machine.APIDevice, g, &sig, sigOp, sigVal)
+		target, machine.APIDevice, g, sig, sigOp, sigVal, nil)
 }
 
 // DevPut is the blocking variant: it returns when the payload is delivered.
 func (pe *PE) DevPut(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.View, n, target int) {
 	pe.callCost(k.P, machine.APIDevice)
-	done := pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
-		target, machine.APIDevice, g, nil, SignalSet, 0)
-	done.Wait(k.P)
+	pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
+		target, machine.APIDevice, g, SigRef{}, SignalSet, 0, k.P)
 }
 
 // DevGet is a blocking one-sided read of n elements of src on the target PE
@@ -89,9 +121,8 @@ func (pe *PE) DevGet(k *gpu.KernelCtx, g ThreadGroup, dst gpu.View, src SymRef, 
 	path := pe.w.cluster.Fabric.PathBetween(pe.rank, target)
 	req := pe.w.cluster.Cost(machine.LibGPUSHMEM, machine.APIDevice, path, 0).Latency
 	k.P.Advance(req) // request flight
-	done := pe.transferRaw(k.P.Engine(), k.P.Now(), dst, src.On(target).Slice(0, n), n,
-		target, pe.rank, pe.rank, machine.APIDevice, g, nil, SignalSet, 0)
-	done.Wait(k.P)
+	pe.transferRaw(k.P.Engine(), k.P.Now(), dst, src.On(target).Slice(0, n), n,
+		target, pe.rank, pe.rank, machine.APIDevice, g, SigRef{}, SignalSet, 0, k.P)
 }
 
 // DevSignalWaitUntil is nvshmem_signal_wait_until on the local PE.
@@ -118,19 +149,17 @@ func (pe *PE) DevFence(k *gpu.KernelCtx) { pe.callCost(k.P, machine.APIDevice) }
 // PutSignalOnStream enqueues a put-with-signal on the stream.
 func (pe *PE) PutSignalOnStream(p *sim.Proc, s *gpu.Stream, dest SymRef, src gpu.View, n int,
 	sig SigRef, sigVal uint64, sigOp SignalOp, target int) {
-	pe.hostEnqueue(p, s, fmt.Sprintf("put-signal->%d", target), func(sp *sim.Proc) {
-		done := pe.transfer(sp.Engine(), sp.Now(), dest.On(target).Slice(0, n), src, n,
-			target, machine.APIHost, Block, &sig, sigOp, sigVal)
-		done.Wait(sp)
+	pe.hostEnqueue(p, s, pe.w.putSignalLabels.For(target), func(sp *sim.Proc) {
+		pe.transfer(sp.Engine(), sp.Now(), dest.On(target).Slice(0, n), src, n,
+			target, machine.APIHost, Block, sig, sigOp, sigVal, sp)
 	})
 }
 
 // PutOnStream enqueues a put on the stream.
 func (pe *PE) PutOnStream(p *sim.Proc, s *gpu.Stream, dest SymRef, src gpu.View, n, target int) {
-	pe.hostEnqueue(p, s, fmt.Sprintf("put->%d", target), func(sp *sim.Proc) {
-		done := pe.transfer(sp.Engine(), sp.Now(), dest.On(target).Slice(0, n), src, n,
-			target, machine.APIHost, Block, nil, SignalSet, 0)
-		done.Wait(sp)
+	pe.hostEnqueue(p, s, pe.w.putLabels.For(target), func(sp *sim.Proc) {
+		pe.transfer(sp.Engine(), sp.Now(), dest.On(target).Slice(0, n), src, n,
+			target, machine.APIHost, Block, SigRef{}, SignalSet, 0, sp)
 	})
 }
 

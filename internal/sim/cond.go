@@ -190,7 +190,8 @@ func (c *Counter) WaitEQ(p *Proc, v uint64) {
 type Mailbox[T any] struct {
 	label   string
 	reason  string
-	items   []T
+	items   []T // queued items are items[head:]
+	head    int
 	waiters []*Proc
 }
 
@@ -200,14 +201,17 @@ func NewMailbox[T any](label string) *Mailbox[T] {
 }
 
 // Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
 // Put enqueues an item, waking the longest-waiting receiver if any.
 func (m *Mailbox[T]) Put(e *Engine, item T) {
 	m.items = append(m.items, item)
-	if len(m.waiters) > 0 {
+	if n := len(m.waiters); n > 0 {
 		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		// The usual single receiver leaves the slice empty at its base, so
+		// the next park appends without allocating.
+		copy(m.waiters, m.waiters[1:])
+		m.waiters = m.waiters[:n-1]
 		e.wake(w, e.now, m.reason)
 	}
 }
@@ -217,14 +221,24 @@ func (m *Mailbox[T]) Put(e *Engine, item T) {
 // must keep serving after a failure is declared — but a Kill still unwinds
 // it.
 func (m *Mailbox[T]) Get(p *Proc) T {
-	for len(m.items) == 0 {
+	for m.head == len(m.items) {
 		m.waiters = append(m.waiters, p)
 		p.parkOn(m.reason, m, false)
 	}
-	item := m.items[0]
-	// Shift rather than reslice forever so the backing array is reusable.
-	copy(m.items, m.items[1:])
-	m.items = m.items[:len(m.items)-1]
+	var zero T
+	item := m.items[m.head]
+	m.items[m.head] = zero
+	// Advance a head index instead of shifting the queue on every dequeue:
+	// a drained queue restarts its backing array, and one that never drains
+	// compacts once the consumed prefix is half of it (amortized O(1)).
+	switch m.head++; {
+	case m.head == len(m.items):
+		m.items, m.head = m.items[:0], 0
+	case m.head >= 32 && 2*m.head >= len(m.items):
+		n := copy(m.items, m.items[m.head:])
+		clear(m.items[n:])
+		m.items, m.head = m.items[:n], 0
+	}
 	return item
 }
 

@@ -162,6 +162,45 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
+// TestMailboxOrderUnderBacklog drives 10 000 items through a mailbox whose
+// producer runs in bursts ahead of a slower consumer, so the queue drains,
+// refills and (never empty for long stretches) compacts: every item must come
+// out once, in insertion order, and Len must track the backlog.
+func TestMailboxOrderUnderBacklog(t *testing.T) {
+	const total = 10000
+	e := NewEngine()
+	m := NewMailbox[int]("backlog")
+	next := 0
+	e.Spawn("recv", func(p *Proc) {
+		for next < total {
+			if v := m.Get(p); v != next {
+				t.Fatalf("item %d came out at position %d", v, next)
+			}
+			next++
+			p.Advance(3)
+		}
+		if m.Len() != 0 {
+			t.Errorf("Len = %d after the last item", m.Len())
+		}
+	})
+	e.Spawn("send", func(p *Proc) {
+		for i := 0; i < total; {
+			for burst := 0; burst < 1+i%97 && i < total; burst++ {
+				m.Put(e, i)
+				i++
+			}
+			if got, want := m.Len(), i-next; got != want {
+				t.Fatalf("Len = %d with %d put and %d taken", got, i, next)
+			}
+			p.Advance(100)
+		}
+	})
+	mustRun(t, e)
+	if next != total {
+		t.Fatalf("received %d of %d items", next, total)
+	}
+}
+
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore("s", 2)

@@ -7,36 +7,14 @@ package trace
 // output is byte-stable across runs and sweep worker counts.
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/sim"
 )
-
-// endHeap is a min-heap of span indices ordered by (End, index).
-type endHeap struct {
-	spans []Span
-	idx   []int
-}
-
-func (h *endHeap) Len() int { return len(h.idx) }
-func (h *endHeap) Less(i, j int) bool {
-	a, b := h.idx[i], h.idx[j]
-	if h.spans[a].End != h.spans[b].End {
-		return h.spans[a].End < h.spans[b].End
-	}
-	return a < b
-}
-func (h *endHeap) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *endHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *endHeap) Pop() any {
-	n := len(h.idx)
-	v := h.idx[n-1]
-	h.idx = h.idx[:n-1]
-	return v
-}
 
 // Class buckets a span for attribution purposes.
 type Class int
@@ -216,8 +194,7 @@ type CritPath struct {
 // the best committed predecessor it can see. Ties break toward the earlier
 // span in sorted order, keeping the result deterministic. O(n log n).
 func CriticalPath(spans []Span) CritPath {
-	srt := append([]Span(nil), spans...)
-	SortSpans(srt)
+	srt := sortedSpans(spans)
 	n := len(srt)
 	if n == 0 {
 		return CritPath{}
@@ -232,24 +209,32 @@ func CriticalPath(spans []Span) CritPath {
 	byTrack := map[string]best{}
 	byRank := map[int]best{}
 
-	// pending holds started-but-uncommitted span indices as a min-heap
-	// ordered by (End, index) — the index tie-break keeps commit order, and
-	// therefore table contents under equal chain values, deterministic.
-	pending := &endHeap{spans: srt}
-	commit := func(upTo sim.Time) {
-		for pending.Len() > 0 && srt[pending.idx[0]].End <= upTo {
-			i := heap.Pop(pending).(int)
+	// byEnd lists the span indices by (End, index); commit walks it with a
+	// cursor, stopping at the first span that ends too late or has not been
+	// visited yet (one that starts and ends at the current instant but sorts
+	// after it). The index tie-break keeps commit order, and therefore table
+	// contents under equal chain values, deterministic.
+	byEnd := make([]int, n)
+	for i := range byEnd {
+		byEnd[i] = i
+	}
+	slices.SortFunc(byEnd, func(a, b int) int {
+		return cmp.Or(cmp.Compare(srt[a].End, srt[b].End), cmp.Compare(a, b))
+	})
+	next := 0
+	commit := func(visited int, upTo sim.Time) {
+		for ; next < n && byEnd[next] < visited && srt[byEnd[next]].End <= upTo; next++ {
+			i := byEnd[next]
 			s := srt[i]
 			if b, ok := byTrack[s.Track]; !ok || chain[i] > b.len {
 				byTrack[s.Track] = best{len: chain[i], idx: i}
 			}
-			ranks := []int{s.Rank}
-			if s.Kind == KindTransfer && s.Dst != s.Rank {
-				ranks = append(ranks, s.Dst) // message edge: delivery to Dst
+			if b, ok := byRank[s.Rank]; !ok || chain[i] > b.len {
+				byRank[s.Rank] = best{len: chain[i], idx: i}
 			}
-			for _, r := range ranks {
-				if b, ok := byRank[r]; !ok || chain[i] > b.len {
-					byRank[r] = best{len: chain[i], idx: i}
+			if s.Kind == KindTransfer && s.Dst != s.Rank { // message edge: delivery to Dst
+				if b, ok := byRank[s.Dst]; !ok || chain[i] > b.len {
+					byRank[s.Dst] = best{len: chain[i], idx: i}
 				}
 			}
 		}
@@ -257,7 +242,7 @@ func CriticalPath(spans []Span) CritPath {
 
 	for i := 0; i < n; i++ {
 		s := srt[i]
-		commit(s.Start)
+		commit(i, s.Start)
 		p, plen := -1, sim.Duration(0)
 		if b, ok := byTrack[s.Track]; ok && b.len > plen {
 			p, plen = b.idx, b.len
@@ -267,7 +252,6 @@ func CriticalPath(spans []Span) CritPath {
 		}
 		chain[i] = plen + s.Dur()
 		pred[i] = p
-		heap.Push(pending, i)
 	}
 
 	// The critical path ends at the maximal chain value; ties go to the
@@ -280,12 +264,16 @@ func CriticalPath(spans []Span) CritPath {
 	}
 
 	cp := CritPath{Len: chain[tail], End: srt[tail].End}
+	// Walk the predecessors twice: once to size the chain, once to fill it
+	// back to front, which leaves it in time order.
+	links := 0
 	for i := tail; i >= 0; i = pred[i] {
-		cp.Chain = append(cp.Chain, srt[i])
+		links++
 	}
-	// Reverse into time order.
-	for l, r := 0, len(cp.Chain)-1; l < r; l, r = l+1, r-1 {
-		cp.Chain[l], cp.Chain[r] = cp.Chain[r], cp.Chain[l]
+	cp.Chain = make([]Span, links)
+	for i := tail; i >= 0; i = pred[i] {
+		links--
+		cp.Chain[links] = srt[i]
 	}
 	for _, s := range cp.Chain {
 		switch ClassOf(s) {

@@ -8,9 +8,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,35 +79,39 @@ func (s Span) Bandwidth() float64 {
 	return float64(s.Bytes) / d.Seconds()
 }
 
-// less is the deterministic span order: by start, then end, then track,
+// compare is the deterministic span order: by start, then end, then track,
 // kind, label, and endpoints, so logs with equal-timestamp spans sort the
 // same way on every run and at every sweep worker count.
-func (s Span) less(o Span) bool {
-	if s.Start != o.Start {
-		return s.Start < o.Start
+func (s Span) compare(o Span) int {
+	switch {
+	case s.Start != o.Start:
+		return cmp.Compare(s.Start, o.Start)
+	case s.End != o.End:
+		return cmp.Compare(s.End, o.End)
+	case s.Track != o.Track:
+		return strings.Compare(s.Track, o.Track)
+	case s.Kind != o.Kind:
+		return cmp.Compare(s.Kind, o.Kind)
+	case s.Label != o.Label:
+		return strings.Compare(s.Label, o.Label)
 	}
-	if s.End != o.End {
-		return s.End < o.End
-	}
-	if s.Track != o.Track {
-		return s.Track < o.Track
-	}
-	if s.Kind != o.Kind {
-		return s.Kind < o.Kind
-	}
-	if s.Label != o.Label {
-		return s.Label < o.Label
-	}
-	if s.Src != o.Src {
-		return s.Src < o.Src
-	}
-	return s.Dst < o.Dst
+	return cmp.Or(cmp.Compare(s.Src, o.Src), cmp.Compare(s.Dst, o.Dst))
 }
 
-// SortSpans orders spans deterministically (see Span.less) in place, using a
-// stable sort so fully identical spans keep their insertion order.
-func SortSpans(spans []Span) {
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].less(spans[j]) })
+// SortSpans orders spans deterministically (see Span.compare) in place, using
+// a stable sort so fully identical spans keep their insertion order.
+func SortSpans(spans []Span) { slices.SortStableFunc(spans, Span.compare) }
+
+// sortedSpans returns spans in SortSpans order: the slice itself when it is
+// already ordered (what Log.Sorted hands the analyses), a sorted copy
+// otherwise, so callers stay independent of their input's order.
+func sortedSpans(spans []Span) []Span {
+	if slices.IsSortedFunc(spans, Span.compare) {
+		return spans
+	}
+	srt := slices.Clone(spans)
+	SortSpans(srt)
+	return srt
 }
 
 // Log collects spans. The zero value is ready to use; a nil *Log discards
@@ -113,9 +119,15 @@ func SortSpans(spans []Span) {
 // goroutine while its run appends; every consumer that needs a stable order
 // sorts (Sorted/SortSpans).
 type Log struct {
-	mu    sync.Mutex
-	spans []Span
+	mu sync.Mutex
+	// Spans are appended into fixed-size chunks, so a growing log never
+	// re-copies (or re-zeroes) what it already holds.
+	chunks [][]Span
+	n      int
 }
+
+// logChunk is the span capacity of one chunk (about 50 KiB).
+const logChunk = 512
 
 // New returns an empty log.
 func New() *Log { return &Log{} }
@@ -127,18 +139,31 @@ func (l *Log) Add(s Span) {
 		return
 	}
 	l.mu.Lock()
-	l.spans = append(l.spans, s)
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == logChunk {
+		l.chunks = append(l.chunks, make([]Span, 0, logChunk))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], s)
+	l.n++
 	l.mu.Unlock()
 }
 
-// Spans returns the recorded spans in insertion order.
+// Spans returns a copy of the recorded spans in insertion order.
 func (l *Log) Spans() []Span {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.spans
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Len reports the span count.
@@ -148,14 +173,14 @@ func (l *Log) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.spans)
+	return l.n
 }
 
 // Sorted returns a copy of the spans in deterministic order (SortSpans).
 // Analysis and export paths use it so output bytes do not depend on
 // producer interleaving.
 func (l *Log) Sorted() []Span {
-	out := append([]Span(nil), l.Spans()...)
+	out := l.Spans()
 	SortSpans(out)
 	return out
 }
