@@ -218,6 +218,18 @@ func TestFig6WorkersInvariant(t *testing.T) {
 	compare(t, "Fig 6 at 8 workers", w8, w1)
 }
 
+// TestScaleWorkersInvariant: scale runs its cells over the sweep runner, so
+// -workers is honoured (it used to be accepted and ignored), and because a
+// row is printed only once every row above it is, the table is the scale-64
+// golden's at 1 worker and with every cell in flight at once.
+func TestScaleWorkersInvariant(t *testing.T) {
+	want := readGolden(t, filepath.Join("testdata", "scale-64.golden"))
+	for _, workers := range []string{"1", "8"} {
+		got := mustRun(t, "scale", "-max-ranks", "64", "-ring-max-ranks", "64", "-workers", workers)
+		compare(t, "scale at "+workers+" workers", maskWall(got), want)
+	}
+}
+
 // TestRecoveryMatrix is the recovery results of record: the hard-fault
 // sweep's table prints only virtual-time quantities, so per topology its
 // stdout must equal the committed golden (a change to detector latency,

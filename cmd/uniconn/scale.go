@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -22,6 +23,10 @@ import (
 // the ring's 2(n-1) serialized steps make its wall-clock cost quadratic in
 // total messages at 4096 ranks, while its virtual-time trend is already
 // decided by 1024.
+//
+// The cells run over the sweep runner, -workers at a time (a modelled cell's
+// vectors are phantom, so even a 4096-rank one is small), and rows print in
+// table order as they complete.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) — useful because the big cells take minutes of wall clock
@@ -87,24 +92,27 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The scale sweep runs one cell at a time — each point is printed as it
-	// finishes, and a 4096-rank cell peaks near 550 MiB — so the live run is
-	// reported cell by cell by this loop rather than through the bench
-	// runner.
 	closeLive, err := bench.StartLive(common.Live, "scale")
 	if err != nil {
 		return err
 	}
 	defer closeLive()
 	obs := bench.NewObserve(m, false)
-	lr := bench.Progress().StartRun("scale", len(cells), 1)
 
 	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters\n",
 		m.Name, bench.HumanBytes(*bytes), *iters)
 	fmt.Fprintf(stdout, "%-11s%-14s%8s%8s%14s%12s\n", "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
-	for i, cfg := range cells {
-		lr.CellStart(0, i, labels[i])
-		col := obs.Cell(0)
+	// The cells run over the sweep runner (-workers). The big ones take
+	// minutes, so a row is printed as soon as it and every row above it are
+	// done: stdout grows as a serial run's would and ends up the same at any
+	// worker count, the wall-clock column aside.
+	var (
+		mu   sync.Mutex
+		rows = make([]string, len(cells))
+		next int
+	)
+	return bench.NewRunner(0).RunWorker(len(cells), func(worker, i int) error {
+		cfg, col := cells[i], obs.Cell(worker)
 		cfg.Metrics, cfg.Costs = col.Metrics, col.Costs
 		start := time.Now()
 		d, run, err := bench.ScaleAllreduce(cfg)
@@ -112,10 +120,13 @@ func scale(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("%s: %w", labels[i], err)
 		}
 		col.Finish(labels[i], run.End)
-		lr.CellDone(0, i)
-		fmt.Fprintf(stdout, "%-11s%-14s%8d%8d%14s%12.1f\n",
+		mu.Lock()
+		defer mu.Unlock()
+		rows[i] = fmt.Sprintf("%-11s%-14s%8d%8d%14s%12.1f\n",
 			run.Topology.Describe(), cfg.Alg, cfg.Ranks, m.NodesFor(cfg.Ranks), d.String(), time.Since(start).Seconds())
-	}
-	lr.End()
-	return nil
+		for ; next < len(rows) && rows[next] != ""; next++ {
+			io.WriteString(stdout, rows[next])
+		}
+		return nil
+	})
 }

@@ -59,7 +59,16 @@ type NetConfig struct {
 	// Costs, when non-nil, is a shared per-worker cost cache (bench.ModelPool)
 	// the run reuses instead of warming a private one (see core.Config.Costs).
 	Costs *machine.CostCache
+
+	// functional gives the cell real message buffers instead of phantom
+	// ones. No figure reads a net cell's payload, so nothing outside this
+	// package's tests sets it: TestPhantomEqualsReal runs every cell both
+	// ways and demands the same answer.
+	functional bool
 }
+
+// payload is the cell's message-vector allocator (see payload).
+func (cfg NetConfig) payload() payload { return payload{cfg.functional} }
 
 // Validate reports configuration errors.
 func (cfg NetConfig) Validate() error {

@@ -16,7 +16,7 @@ func latencyNativeCCL(cfg NetConfig, env *core.Env, iters, warmup int) sim.Durat
 	p := env.Proc()
 	s := env.DefaultStream()
 	n := int(cfg.Bytes / 8)
-	buf := gpu.AllocBuffer[float64](env.Device(), n)
+	buf := cfg.payload().device(env, n)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
@@ -45,7 +45,7 @@ func bandwidthNativeCCL(cfg NetConfig, env *core.Env, iters, warmup, window int)
 	n := int(cfg.Bytes / 8)
 	bufs := make([]*gpu.Buffer[float64], window)
 	for i := range bufs {
-		bufs[i] = gpu.AllocBuffer[float64](env.Device(), n)
+		bufs[i] = cfg.payload().device(env, n)
 	}
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 

@@ -17,7 +17,7 @@ func latencyNativeShmemHost(cfg NetConfig, env *core.Env, iters, warmup int) sim
 	p := env.Proc()
 	s := env.DefaultStream()
 	n := int(cfg.Bytes / 8)
-	data := gpushmem.Malloc[float64](pe, n)
+	data := cfg.payload().symmetric(pe, n)
 	sig := gpushmem.Malloc[uint64](pe, 1)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
@@ -48,7 +48,7 @@ func bandwidthNativeShmemHost(cfg NetConfig, env *core.Env, iters, warmup, windo
 	p := env.Proc()
 	s := env.DefaultStream()
 	n := int(cfg.Bytes / 8)
-	data := gpushmem.Malloc[float64](pe, n*window)
+	data := cfg.payload().symmetric(pe, n*window)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
@@ -75,7 +75,7 @@ func latencyNativeShmemDevice(cfg NetConfig, env *core.Env, iters, warmup int) s
 	p := env.Proc()
 	s := env.DefaultStream()
 	n := int(cfg.Bytes / 8)
-	data := gpushmem.Malloc[float64](pe, n)
+	data := cfg.payload().symmetric(pe, n)
 	sig := gpushmem.Malloc[uint64](pe, 1)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
@@ -110,7 +110,7 @@ func bandwidthNativeShmemDevice(cfg NetConfig, env *core.Env, iters, warmup, win
 	p := env.Proc()
 	s := env.DefaultStream()
 	n := int(cfg.Bytes / 8)
-	data := gpushmem.Malloc[float64](pe, n*window)
+	data := cfg.payload().symmetric(pe, n*window)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var elapsed sim.Duration

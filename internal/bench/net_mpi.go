@@ -15,7 +15,7 @@ func latencyNativeMPI(cfg NetConfig, env *core.Env, iters, warmup int) sim.Durat
 	comm := env.MPIComm()
 	p := env.Proc()
 	n := int(cfg.Bytes / 8)
-	buf := gpu.AllocBuffer[float64](env.Device(), n)
+	buf := cfg.payload().device(env, n)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
@@ -41,7 +41,7 @@ func bandwidthNativeMPI(cfg NetConfig, env *core.Env, iters, warmup, window int)
 	n := int(cfg.Bytes / 8)
 	bufs := make([]*gpu.Buffer[float64], window)
 	for i := range bufs {
-		bufs[i] = gpu.AllocBuffer[float64](env.Device(), n)
+		bufs[i] = cfg.payload().device(env, n)
 	}
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 

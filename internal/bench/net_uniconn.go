@@ -17,7 +17,7 @@ func latencyUniconnHost(cfg NetConfig, env *core.Env, iters, warmup int) sim.Dur
 	coord := core.NewCoordinator(env, core.PureHost, s)
 	p := env.Proc()
 	n := int(cfg.Bytes / 8)
-	data := core.Alloc[float64](env, n)
+	data := cfg.payload().uniconn(env, n)
 	sync := core.Alloc[uint64](env, 2)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
@@ -47,7 +47,7 @@ func bandwidthUniconnHost(cfg NetConfig, env *core.Env, iters, warmup, window in
 	coord := core.NewCoordinator(env, core.PureHost, s)
 	p := env.Proc()
 	n := int(cfg.Bytes / 8)
-	data := core.Alloc[float64](env, n*window)
+	data := cfg.payload().uniconn(env, n*window)
 	sync := core.Alloc[uint64](env, 1)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
@@ -81,7 +81,7 @@ func latencyUniconnDevice(cfg NetConfig, env *core.Env, iters, warmup int) sim.D
 	coord := core.NewCoordinator(env, core.PureDevice, s)
 	dc := comm.ToDevice()
 	n := int(cfg.Bytes / 8)
-	data := core.Alloc[float64](env, n)
+	data := cfg.payload().uniconn(env, n)
 	sync := core.Alloc[uint64](env, 2)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
@@ -116,7 +116,7 @@ func bandwidthUniconnDevice(cfg NetConfig, env *core.Env, iters, warmup, window 
 	coord := core.NewCoordinator(env, core.PureDevice, s)
 	dc := comm.ToDevice()
 	n := int(cfg.Bytes / 8)
-	data := core.Alloc[float64](env, n*window)
+	data := cfg.payload().uniconn(env, n*window)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var elapsed sim.Duration

@@ -1,0 +1,216 @@
+package bench
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/metrics"
+	"sync"
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/solver/cg"
+	"repro/internal/solver/jacobi"
+	"repro/internal/sparse"
+	"repro/internal/trace"
+)
+
+// answer is everything a cell reports that a figure, a golden or a profile
+// can see: the headline value, the virtual time the run ended at, and every
+// span it recorded (compared span for span, which is what a span digest
+// stands for, without hashing a million of them).
+type answer struct {
+	value float64
+	end   sim.Time
+	spans []trace.Span
+}
+
+// differs describes the first difference between a cell's real and phantom
+// answers, "" when there is none.
+func (a answer) differs(b answer) string {
+	switch {
+	case a.value != b.value || a.end != b.end:
+		return fmt.Sprintf("real value=%v end=%d, phantom value=%v end=%d", a.value, a.end, b.value, b.end)
+	case len(a.spans) != len(b.spans):
+		return fmt.Sprintf("real %d spans, phantom %d", len(a.spans), len(b.spans))
+	}
+	for i := range a.spans {
+		if a.spans[i] != b.spans[i] {
+			return fmt.Sprintf("span %d: real %+v, phantom %+v", i, a.spans[i], b.spans[i])
+		}
+	}
+	return ""
+}
+
+// bothWays runs n cells over the sweep runner, each with real and then with
+// phantom payloads (run names the cell and answers for it), and fails the test
+// for every cell whose two answers differ.
+func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, error)) {
+	t.Helper()
+	diffs, err := Sweep(n, func(i int) (string, error) {
+		label, real, err := run(i, true)
+		if err != nil {
+			return "", fmt.Errorf("%s, real: %w", label, err)
+		}
+		_, phantom, err := run(i, false)
+		if err != nil {
+			return "", fmt.Errorf("%s, phantom: %w", label, err)
+		}
+		if d := real.differs(phantom); d != "" {
+			return label + ": " + d, nil
+		}
+		return "", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diffs {
+		if d != "" {
+			t.Error(d)
+		}
+	}
+}
+
+// TestPhantomEqualsReal is the oracle of the phantom-payload switch: every
+// quick-scale cell of Figs 2-6 answers the same — headline value, end of run,
+// every span — whether its payload vectors are real memory or phantoms.
+//
+// The net cells are every column of every machine at both placements over the
+// quick size ladder, latency and bandwidth (Fig 2's cells are a subset of
+// Figs 3 and 4's), each run once with NetConfig.functional and once without.
+// Cells of 512 KiB and more run 2 + 1 iterations instead of the default
+// 20 + 2 or 100 + 10 — the real side moves every byte of every repetition,
+// which is what made the figures slow, and the repetitions of a deterministic
+// cell add nothing; testdata/p2p_pins.golden holds the 1 MiB cells at the
+// default counts, captured with real buffers, and replays with phantom ones.
+//
+// The Jacobi and CG cells are the eight columns at the Fig 5 and Fig 6 quick
+// shapes, functional (real vectors, every element computed) against modelled
+// (phantom vectors); that a modelled run with real-but-unread vectors — the
+// code before the switch — answers the same too is again what the pins,
+// captured from it, replay.
+//
+// Under -short or the race detector the ladder is 8 B, 4 KiB and 64 KiB and
+// the Jacobi grid is 512 x 512 and the CG matrix a fifth the size; CI runs
+// the full test in its no-race step.
+func TestPhantomEqualsReal(t *testing.T) {
+	const largeCell = 512 << 10
+	sizes, nx, cgScale := netSizes(Quick), 1<<12, 0.05
+	if testing.Short() || raceEnabled {
+		sizes, nx, cgScale = []int64{8, 4 << 10, 64 << 10}, 1<<9, 0.01
+	}
+
+	var cells []NetCell
+	for _, m := range machine.All() {
+		for _, inter := range []bool{false, true} {
+			for _, v := range Variants(Libs(m, false)) {
+				for _, size := range sizes {
+					cfg := v.NetConfig(NetConfig{Model: m, Inter: inter, Bytes: size})
+					if size >= largeCell {
+						cfg.Iters, cfg.Warmup = 2, 1
+					}
+					label := fmt.Sprintf("%s/%s%s/%s/%d", m.Name, v.Net, v.Impl(), Placement(inter), size)
+					cells = append(cells,
+						NetCell{NetConfig: cfg, Label: "net-latency/" + label},
+						NetCell{NetConfig: cfg, Bandwidth: true, Label: "net-bandwidth/" + label})
+				}
+			}
+		}
+	}
+	// A real bandwidth cell at 4 MiB holds 512 MiB of message buffers: the
+	// sweep's workers take turns at the real side of the large cells, and
+	// collect each one's garbage before the next starts, so the test's
+	// footprint is one such cell and not two per worker.
+	var large sync.Mutex
+	bothWays(t, len(cells), func(i int, real bool) (string, answer, error) {
+		cfg := cells[i].NetConfig
+		cfg.functional, cfg.Trace = real, trace.New()
+		if real && cfg.Bytes >= largeCell {
+			large.Lock()
+			defer large.Unlock()
+			defer runtime.GC()
+		}
+		if cells[i].Bandwidth {
+			bw, rep, err := BandwidthRun(cfg)
+			return cells[i].Label, answer{bw, rep.End, cfg.Trace.Sorted()}, err
+		}
+		lat, rep, err := LatencyRun(cfg)
+		return cells[i].Label, answer{float64(lat), rep.End, cfg.Trace.Sorted()}, err
+	})
+	t.Logf("%d net cells, sizes to %s", len(cells), HumanBytes(sizes[len(sizes)-1]))
+
+	m := machine.Perlmutter()
+	mat := sparse.Serena().Generate(cgScale)
+	cols := Variants(Libs(m, false))
+	bothWays(t, 2*len(cols), func(i int, compute bool) (string, answer, error) {
+		v, log := cols[i/2], trace.New()
+		if i%2 == 0 {
+			r, err := jacobi.Run(v.JacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: nx, NY: nx,
+				Iters: 60, Warmup: 10, Compute: compute, Trace: log}))
+			return "jacobi/" + v.App + v.Impl(), answer{float64(r.PerIter), r.End, log.Sorted()}, err
+		}
+		r, err := cg.Run(v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 30, Compute: compute, Trace: log}))
+		return "cg/" + v.App + v.Impl(), answer{float64(r.Total), r.End, log.Sorted()}, err
+	})
+}
+
+// allocated reports the bytes the heap handed out while fn ran (everything
+// the garbage collector has since taken back included) and how many of the
+// allocations were larger than 32 KiB, the top of the runtime's
+// allocs-by-size histogram.
+func allocated(fn func()) (bytes, large uint64) {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs-by-size:bytes"}}
+	read := func() (bytes, large uint64) {
+		metrics.Read(sample)
+		h := sample[1].Value.Float64Histogram()
+		for i, n := range h.Counts {
+			if h.Buckets[i] > 32<<10 {
+				large += n
+			}
+		}
+		return sample[0].Value.Uint64(), large
+	}
+	b0, l0 := read()
+	fn()
+	b1, l1 := read()
+	return b1 - b0, l1 - l0
+}
+
+// TestPhantomAllocationBudget pins what phantom payloads are for. A modelled
+// 64-rank 4096 x 4096 Jacobi cell — the benchmark's apps-backends shape, whose
+// grids are 138 MB — allocates at most 10 MiB all told on every column (3.0 to
+// 8.4 MiB: message headers, posted receives, requests and kernel closures,
+// bookkeeping that no phantom removes). And a net-bandwidth cell at 4 MiB,
+// whose window of messages is 256 MiB a rank, makes no allocation above
+// 32 KiB, let alone a buffer of 1 MiB (it allocates 44 to 920 KiB all told).
+// A payload vector that turns real again fails here first.
+func TestPhantomAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates shadow state; run without -race")
+	}
+	m := machine.Perlmutter()
+	for _, v := range Variants(Libs(m, false)) {
+		cfg := v.JacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: 4096, NY: 4096, Iters: 60, Warmup: 10})
+		got, _ := allocated(func() {
+			if _, err := jacobi.Run(cfg); err != nil {
+				t.Fatalf("jacobi %s%s: %v", v.App, v.Impl(), err)
+			}
+		})
+		t.Logf("jacobi %s%s: %s allocated", v.App, v.Impl(), HumanBytes(int64(got)))
+		if got > 10<<20 {
+			t.Errorf("modelled jacobi %s%s allocated %s, budget 10MiB", v.App, v.Impl(), HumanBytes(int64(got)))
+		}
+
+		net := v.NetConfig(NetConfig{Model: m, Inter: true, Bytes: 4 << 20})
+		got, large := allocated(func() {
+			if _, err := Bandwidth(net); err != nil {
+				t.Fatalf("net-bandwidth %s%s: %v", v.Net, v.Impl(), err)
+			}
+		})
+		t.Logf("net-bandwidth %s%s at 4MiB: %s allocated", v.Net, v.Impl(), HumanBytes(int64(got)))
+		if large > 0 {
+			t.Errorf("phantom net-bandwidth %s%s at 4MiB made %d allocations above 32KiB (%s in all)",
+				v.Net, v.Impl(), large, HumanBytes(int64(got)))
+		}
+	}
+}

@@ -86,8 +86,8 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 	}, func(env *core.Env) {
 		comm := env.MPIComm()
 		p := env.Proc()
-		send := gpu.AllocBuffer[float64](env.Device(), elems)
-		recv := gpu.AllocBuffer[float64](env.Device(), elems)
+		send := payload{cfg.Compute}.device(env, elems)
+		recv := payload{cfg.Compute}.device(env, elems)
 		if cfg.Compute {
 			// Integer-valued floats: the sum over ranks is exact, so the
 			// verification below is an equality check, not a tolerance.

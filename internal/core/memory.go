@@ -24,13 +24,25 @@ type Mem[T gpu.Elem] struct {
 // Alloc allocates n elements through the backend. On GPUSHMEM it is a
 // collective call: every rank must allocate in the same order (the
 // symmetric-heap contract). It mirrors Memory<Backend>::Alloc<T>(n).
-func Alloc[T gpu.Elem](env *Env, n int) *Mem[T] {
+func Alloc[T gpu.Elem](env *Env, n int) *Mem[T] { return alloc[T](env, n, false) }
+
+// AllocPhantom is Alloc of phantom memory (gpu.AllocPhantom): the payload
+// vector of a modelled cell, which communication moves by length alone and
+// whose Data panics. The call costs the same virtual time as Alloc. Signal
+// arrays and values read back for control flow must come from Alloc.
+func AllocPhantom[T gpu.Elem](env *Env, n int) *Mem[T] { return alloc[T](env, n, true) }
+
+func alloc[T gpu.Elem](env *Env, n int, phantom bool) *Mem[T] {
 	env.dispatch()
+	symmetric, device := gpushmem.Malloc[T], gpu.AllocBuffer[T]
+	if phantom {
+		symmetric, device = gpushmem.MallocPhantom[T], gpu.AllocPhantom[T]
+	}
 	if env.Backend() == GpushmemBackend {
-		s := gpushmem.Malloc[T](env.job.shmemWorld.PE(env.rank), n)
+		s := symmetric(env.job.shmemWorld.PE(env.rank), n)
 		return &Mem[T]{env: env, buf: s.Local(env.rank), sym: s}
 	}
-	return &Mem[T]{env: env, buf: gpu.AllocBuffer[T](env.dev, n)}
+	return &Mem[T]{env: env, buf: device(env.dev, n)}
 }
 
 // Free releases the allocation (Memory<Backend>::Free). The simulation's

@@ -70,6 +70,9 @@ type Buffer[T Elem] struct {
 	// it, so the steady-state data path never revisits the cluster's
 	// type-keyed pool table. Nil for a buffer with no cluster.
 	pool *buf.Pool[T]
+	// ph, when non-nil, makes this a phantom allocation (AllocPhantom): data
+	// stays nil and every view of the buffer is a view of ph.
+	ph *phantom
 }
 
 // AllocBuffer allocates n elements on the device.
@@ -78,25 +81,54 @@ func AllocBuffer[T Elem](dev *Device, n int) *Buffer[T] {
 }
 
 // Data exposes the underlying storage (host-mapped view; in the simulation
-// host and device share an address space).
-func (b *Buffer[T]) Data() []T { return b.data }
+// host and device share an address space). A phantom has none: asking for it
+// panics.
+func (b *Buffer[T]) Data() []T {
+	if b.ph != nil {
+		panic(noData{b.ph})
+	}
+	return b.data
+}
 
 // Len reports the element count.
-func (b *Buffer[T]) Len() int { return len(b.data) }
+func (b *Buffer[T]) Len() int {
+	if b.ph != nil {
+		return b.ph.n
+	}
+	return len(b.data)
+}
 
 // Device reports the owning device.
 func (b *Buffer[T]) Device() *Device { return b.dev }
 
+// String names the allocation — element type, length, device, and whether it
+// is a phantom — for the panics of operations that cannot combine two buffers.
+func (b *Buffer[T]) String() string {
+	if b.ph != nil {
+		return b.ph.String()
+	}
+	var z T
+	return fmt.Sprintf("%T[%d] on gpu%d", z, len(b.data), b.deviceID())
+}
+
 // View selects [off, off+n) of the buffer for a communication operation.
 func (b *Buffer[T]) View(off, n int) View {
-	if off < 0 || n < 0 || off+n > len(b.data) {
-		panic(fmt.Sprintf("gpu: view [%d,%d) out of buffer of %d", off, off+n, len(b.data)))
+	if off < 0 || n < 0 || off+n > b.Len() {
+		panic(fmt.Sprintf("gpu: view [%d,%d) out of buffer of %d", off, off+n, b.Len()))
+	}
+	if b.ph != nil {
+		return View{m: b.ph, off: off, n: n}
 	}
 	return View{m: b, off: off, n: n}
 }
 
 // Whole views the entire buffer.
-func (b *Buffer[T]) Whole() View { return b.View(0, len(b.data)) }
+func (b *Buffer[T]) Whole() View {
+	if b.ph != nil {
+		return View{m: b.ph, n: b.ph.n}
+	}
+	return View{m: b, n: len(b.data)}
+}
 
 func (b *Buffer[T]) elemSize() int { var z T; return int(sizeOf(z)) }
 func (b *Buffer[T]) length() int   { return len(b.data) }
@@ -110,7 +142,7 @@ func (b *Buffer[T]) deviceID() int {
 func (b *Buffer[T]) copyFrom(src mem, dstOff, srcOff, n int) {
 	s, ok := src.(*Buffer[T])
 	if !ok {
-		panic(fmt.Sprintf("gpu: copy between mismatched element types (%T vs %T)", b, src))
+		panic(fmt.Sprintf("gpu: copy between mismatched buffers (%v vs %v)", b, src))
 	}
 	copy(b.data[dstOff:dstOff+n], s.data[srcOff:srcOff+n])
 }
@@ -152,7 +184,7 @@ func (b *Buffer[T]) recycle() {
 func (b *Buffer[T]) reduceFrom(src mem, dstOff, srcOff, n int, op ReduceOp) {
 	s, ok := src.(*Buffer[T])
 	if !ok {
-		panic(fmt.Sprintf("gpu: reduce between mismatched element types (%T vs %T)", b, src))
+		panic(fmt.Sprintf("gpu: reduce between mismatched buffers (%v vs %v)", b, src))
 	}
 	d, v := b.data[dstOff:dstOff+n], s.data[srcOff:srcOff+n]
 	switch op {
@@ -185,7 +217,7 @@ func (b *Buffer[T]) combineFrom(a, v mem, dstOff, aOff, vOff, n int, op ReduceOp
 	ab, aok := a.(*Buffer[T])
 	vb, vok := v.(*Buffer[T])
 	if !aok || !vok {
-		panic(fmt.Sprintf("gpu: combine between mismatched element types (%T, %T, %T)", b, a, v))
+		panic(fmt.Sprintf("gpu: combine between mismatched buffers (%v, %v, %v)", b, a, v))
 	}
 	d := b.data[dstOff : dstOff+n]
 	x, y := ab.data[aOff:aOff+n], vb.data[vOff:vOff+n]

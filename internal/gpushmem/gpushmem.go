@@ -199,16 +199,27 @@ type Sym[T gpu.Elem] struct {
 // is a collective: every PE must call it in the same order, and the
 // allocation ids are matched by call sequence. The caller's handle is
 // shared: the first PE to call creates the storage for all PEs.
-func Malloc[T gpu.Elem](pe *PE, n int) *Sym[T] {
+func Malloc[T gpu.Elem](pe *PE, n int) *Sym[T] { return malloc[T](pe, n, false) }
+
+// MallocPhantom is Malloc of phantom memory (gpu.AllocPhantom): a symmetric
+// payload that modelled cells put and get by length alone. Signal words and
+// anything else that is read back must come from Malloc.
+func MallocPhantom[T gpu.Elem](pe *PE, n int) *Sym[T] { return malloc[T](pe, n, true) }
+
+func malloc[T gpu.Elem](pe *PE, n int, phantom bool) *Sym[T] {
 	pe.allocSeq++
 	id := pe.allocSeq
 	rec := pe.w.allocs[id]
 	if rec == nil {
+		alloc := gpu.AllocBuffer[T]
+		if phantom {
+			alloc = gpu.AllocPhantom[T]
+		}
 		npes := pe.Size()
 		s := &Sym[T]{bufs: make([]*gpu.Buffer[T], npes)}
 		rec = &allocRec{id: id, bufs: make([]gpu.View, npes)}
 		for r := 0; r < npes; r++ {
-			s.bufs[r] = gpu.AllocBuffer[T](pe.w.cluster.Devices[r], n)
+			s.bufs[r] = alloc(pe.w.cluster.Devices[r], n)
 			rec.bufs[r] = s.bufs[r].Whole()
 		}
 		rec.sigs = make([][]*sim.Counter, npes)
@@ -218,7 +229,7 @@ func Malloc[T gpu.Elem](pe *PE, n int) *Sym[T] {
 		return s
 	}
 	s, ok := rec.typed.(*Sym[T])
-	if !ok || s.bufs[0].Len() != n {
+	if !ok || s.bufs[0].Len() != n || s.bufs[0].Phantom() != phantom {
 		panic("gpushmem: mismatched collective Malloc across PEs")
 	}
 	return s

@@ -191,11 +191,18 @@ func newState(cfg Config, env *core.Env) *state {
 			maxRows = c
 		}
 	}
-	st.x = core.Alloc[float64](env, maxRows)
-	st.r = core.Alloc[float64](env, maxRows)
-	st.p = core.Alloc[float64](env, maxRows)
-	st.ap = core.Alloc[float64](env, maxRows)
-	st.pFull = core.Alloc[float64](env, n)
+	// A modelled run never touches a vector element, so its vectors are
+	// phantom; dots holds the two scalars the host reads for control flow
+	// and stays real.
+	alloc := core.AllocPhantom[float64]
+	if cfg.Compute {
+		alloc = core.Alloc[float64]
+	}
+	st.x = alloc(env, maxRows)
+	st.r = alloc(env, maxRows)
+	st.p = alloc(env, maxRows)
+	st.ap = alloc(env, maxRows)
+	st.pFull = alloc(env, n)
 	st.dots = core.Alloc[float64](env, 2)
 
 	if cfg.Compute {
