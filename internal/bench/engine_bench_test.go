@@ -88,6 +88,35 @@ func BenchmarkCellLargeRing(b *testing.B) {
 	}
 }
 
+// TestCollectiveAllocBudget bounds what the two 64-rank cells above allocate,
+// in objects: the recursive-doubling cell of BenchmarkCellLarge (7 680 eager
+// exchanges) at most 24 k — it was 52 097 while every Sendrecv allocated its
+// envelope, arrival closure, two Requests and posted receive; what is left is
+// process spawn, the eager snapshot's buffer shell and one closure per
+// collective — and the hierarchical cell of BenchmarkCellLargeRing at most
+// 16 k (22 861). A blocking exchange that allocates per message again fails
+// here before it shows in the benchmark's rt.allocs_per_op.
+func TestCollectiveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state")
+	}
+	for _, c := range []struct {
+		name         string
+		elems, iters int
+		budget       float64
+	}{
+		{"recursive doubling, 64 ranks x 256 elements x 20", 256, 20, 24_000},
+		{"hierarchical, 64 ranks x 16 Ki elements x 4", 16 << 10, 4, 16_000},
+	} {
+		runAllreduceCell(t, 64, c.elems, c.iters, nil) // warm the model's caches
+		if got := testing.AllocsPerRun(3, func() { runAllreduceCell(t, 64, c.elems, c.iters, nil) }); got > c.budget {
+			t.Errorf("%s: %.0f objects per cell, budget %.0f", c.name, got, c.budget)
+		} else {
+			t.Logf("%s: %.0f objects per cell (budget %.0f)", c.name, got, c.budget)
+		}
+	}
+}
+
 // BenchmarkCellMedium is the 8-rank variant (2 nodes), the Fig 6 scale.
 func BenchmarkCellMedium(b *testing.B) {
 	b.ReportAllocs()

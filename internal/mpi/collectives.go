@@ -66,11 +66,14 @@ func (c *Comm) Barrier(p *sim.Proc) {
 		return
 	}
 	me := c.rank
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		dst := (me + dist) % n
-		src := (me - dist + n) % n
-		c.Sendrecv(p, gpu.View{}, dst, c.collTag(round), gpu.View{}, src, c.collTag(round))
-	}
+	c.exchangeLoop(p, func(round int) bool {
+		dist := 1 << round
+		if dist >= n {
+			return false
+		}
+		c.x.sendrecv(gpu.View{}, (me+dist)%n, c.collTag(round), gpu.View{}, (me-dist+n)%n, c.collTag(round))
+		return true
+	})
 }
 
 // Bcast broadcasts root's buf to every rank (binomial tree).
@@ -292,18 +295,23 @@ func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.Redu
 
 	if newRank >= 0 {
 		tmp := buf.Scratch()
-		for round, mask := 0, 1; mask < pof2; round, mask = round+1, mask*2 {
-			peerNew := newRank ^ mask
-			var peer int
-			if peerNew < rem {
-				peer = peerNew * 2
-			} else {
-				peer = peerNew + rem
+		c.exchangeLoop(p, func(round int) bool {
+			if round > 0 {
+				gpu.Reduce(buf, tmp, count, op) // what the round just completed brought
 			}
-			c.Sendrecv(p, buf, peer, c.collTag(round),
-				tmp, peer, c.collTag(round))
-			gpu.Reduce(buf, tmp, count, op)
-		}
+			mask := 1 << round
+			if mask >= pof2 {
+				return false
+			}
+			peer := newRank ^ mask
+			if peer < rem {
+				peer *= 2
+			} else {
+				peer += rem
+			}
+			c.x.sendrecv(buf, peer, c.collTag(round), tmp, peer, c.collTag(round))
+			return true
+		})
 		tmp.Release()
 	}
 
@@ -320,13 +328,15 @@ func (c *Comm) allreduceRecursiveDoubling(p *sim.Proc, buf gpu.View, op gpu.Redu
 // ringChunks splits count elements into k near-equal contiguous chunks and
 // returns the selector of chunk i (taken modulo k) of any count-element view.
 func ringChunks(count, k int) func(v gpu.View, i int) gpu.View {
-	starts := make([]int, k+1)
-	for i := range starts {
-		starts[i] = i * count / k
-	}
+	// Chunk i is [i*count/k, (i+1)*count/k), computed on the spot: a table of
+	// starts per rank and call would be 8 KiB at 1024 ranks, and across 1024
+	// ranks a cache miss per lookup.
 	return func(v gpu.View, i int) gpu.View {
-		i = (i%k + k) % k
-		return v.Slice(starts[i], starts[i+1]-starts[i])
+		if i %= k; i < 0 {
+			i += k
+		}
+		start := i * count / k
+		return v.Slice(start, (i+1)*count/k-start)
 	}
 }
 
@@ -351,22 +361,26 @@ func (c *Comm) allreduceRing(p *sim.Proc, src, buf gpu.View, op gpu.ReduceOp) {
 	// buf has not held before, so the incoming partial is combined with src's
 	// chunk; the first step forwards src's own chunk, later steps the
 	// partial the previous one left in buf.
-	out := chunk(src, me)
-	for step := 0; step < n-1; step++ {
-		in := me - step - 1
-		c.sendrecvReduce(p, out, right, c.collTag(0),
-			chunk(buf, in), chunk(src, in), left, c.collTag(0), op)
-		out = chunk(buf, in)
-	}
 	// Allgather: circulate the finished chunks. It overwrites every chunk
 	// but the one this rank finished — including chunk me, which the
-	// reduce-scatter never wrote.
-	for step := 0; step < n-1; step++ {
-		sendIdx := me + 1 - step
-		recvIdx := me - step
-		c.Sendrecv(p, chunk(buf, sendIdx), right, c.collTag(1),
-			chunk(buf, recvIdx), left, c.collTag(1))
-	}
+	// reduce-scatter never wrote. Both phases are one loop of 2(n-1) rounds.
+	out := chunk(src, me)
+	c.exchangeLoop(p, func(step int) bool {
+		switch {
+		case step < n-1:
+			in := me - step - 1
+			c.x.sendrecvReduce(out, right, c.collTag(0),
+				chunk(buf, in), chunk(src, in), left, c.collTag(0), op)
+			out = chunk(buf, in)
+		case step < 2*(n-1):
+			step -= n - 1
+			c.x.sendrecv(chunk(buf, me+1-step), right, c.collTag(1),
+				chunk(buf, me-step), left, c.collTag(1))
+		default:
+			return false
+		}
+		return true
+	})
 }
 
 // hierMaxLocal caps the detected ranks-per-node block size so the intra-node
@@ -444,12 +458,16 @@ func (c *Comm) allreduceHierarchical(p *sim.Proc, src, buf gpu.View, op gpu.Redu
 	// for an in-place call) and every receive is a reducing first touch of
 	// its chunk of buf.
 	out := chunk(src, l)
-	for step := 0; step < L-1; step++ {
+	c.exchangeLoop(p, func(step int) bool {
+		if step == L-1 {
+			return false
+		}
 		in := l - step - 1
-		c.sendrecvReduce(p, out, right, c.collTag(300+step),
+		c.x.sendrecvReduce(out, right, c.collTag(300+step),
 			chunk(buf, in), chunk(src, in), left, c.collTag(300+step), op)
 		out = chunk(buf, in)
-	}
+		return true
+	})
 
 	// Phase 2 — inter-node binomial tree per chunk, among the N co-local
 	// peers {b'*L + l}: reduce toward block 0, then broadcast back down.
@@ -496,12 +514,14 @@ func (c *Comm) allreduceHierarchical(p *sim.Proc, src, buf gpu.View, op gpu.Redu
 
 	// Phase 3 — intra-node ring allgather: circulate the finished chunks
 	// (rank l starts owning chunk (l+1) mod L, mirroring allreduceRing).
-	for step := 0; step < L-1; step++ {
-		sendIdx := l + 1 - step
-		recvIdx := l - step
-		c.Sendrecv(p, chunk(buf, sendIdx), right, c.collTag(700+step),
-			chunk(buf, recvIdx), left, c.collTag(700+step))
-	}
+	c.exchangeLoop(p, func(step int) bool {
+		if step == L-1 {
+			return false
+		}
+		c.x.sendrecv(chunk(buf, l+1-step), right, c.collTag(700+step),
+			chunk(buf, l-step), left, c.collTag(700+step))
+		return true
+	})
 }
 
 // Gather collects equal-size contributions into recvBuf on root (recvBuf
@@ -600,13 +620,17 @@ func (c *Comm) Allgatherv(p *sim.Proc, sendBuf, recvBuf gpu.View, counts, displs
 	left := (me - 1 + n) % n
 	// One tag for the whole ring: per-pair FIFO admission orders the steps
 	// (per-step tags overflowed the round space past 1024 ranks).
-	for step := 0; step < n-1; step++ {
+	c.exchangeLoop(p, func(step int) bool {
+		if step == n-1 {
+			return false
+		}
 		sendIdx := (me - step + n) % n
 		recvIdx := (me - step - 1 + n) % n
-		c.Sendrecv(p,
+		c.x.sendrecv(
 			recvBuf.Slice(displs[sendIdx], counts[sendIdx]), right, c.collTag(0),
 			recvBuf.Slice(displs[recvIdx], counts[recvIdx]), left, c.collTag(0))
-	}
+		return true
+	})
 }
 
 // Alltoall exchanges equal-size chunks between every rank pair (pairwise
@@ -620,13 +644,18 @@ func (c *Comm) Alltoall(p *sim.Proc, sendBuf, recvBuf gpu.View, count int) {
 	// One tag for every round: each ordered rank pair exchanges exactly one
 	// message per Alltoall, so round-distinct tags added nothing and
 	// overflowed the round space past 1024 ranks.
-	for round := 1; round < n; round++ {
+	c.exchangeLoop(p, func(i int) bool {
+		round := i + 1
+		if round == n {
+			return false
+		}
 		dst := (me + round) % n
 		src := (me - round + n) % n
-		c.Sendrecv(p,
+		c.x.sendrecv(
 			sendBuf.Slice(dst*count, count), dst, c.collTag(0),
 			recvBuf.Slice(src*count, count), src, c.collTag(0))
-	}
+		return true
+	})
 }
 
 // Alltoallv exchanges variable-size chunks between every rank pair
@@ -640,13 +669,18 @@ func (c *Comm) Alltoallv(p *sim.Proc, sendBuf, recvBuf gpu.View, sendCounts, sen
 	me := c.rank
 	gpu.Copy(recvBuf.Slice(recvDispls[me], recvCounts[me]),
 		sendBuf.Slice(sendDispls[me], sendCounts[me]), sendCounts[me])
-	for round := 1; round < n; round++ {
+	c.exchangeLoop(p, func(i int) bool {
+		round := i + 1
+		if round == n {
+			return false
+		}
 		dst := (me + round) % n
 		src := (me - round + n) % n
-		c.Sendrecv(p,
+		c.x.sendrecv(
 			sendBuf.Slice(sendDispls[dst], sendCounts[dst]), dst, c.collTag(0),
 			recvBuf.Slice(recvDispls[src], recvCounts[src]), src, c.collTag(0))
-	}
+		return true
+	})
 }
 
 func prefixSums(counts []int) []int {
@@ -683,7 +717,7 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 		return nil
 	}
 	child := c.asGroup().Partition(votes, color)
-	return &Comm{ep: c.ep, ctx: newCtx, group: child.Members, rank: child.Rank}
+	return newComm(c.ep, newCtx, child.Members, child.Rank)
 }
 
 // asGroup views the communicator as the group arithmetic's input.

@@ -11,6 +11,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/machine"
@@ -46,6 +47,12 @@ type World struct {
 	// point-to-point hot path consults it on every call and the underlying
 	// model map never changes.
 	prof machine.LibProfile
+
+	// free is the envelope free list (newHeader, retire). poisonRetired is
+	// set by tests: a retired envelope is then scrambled instead of reused,
+	// so any read of one fails loudly.
+	free          []*header
+	poisonRetired bool
 
 	// Per-collective virtual-time histograms ("mpi.coll.<kind>", in ns).
 	// Vector variants share their base collective's histogram.
@@ -91,16 +98,15 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	group := make([]int, len(cluster.Devices))
 	for i, dev := range cluster.Devices {
 		w.eps = append(w.eps, &Endpoint{
-			world:    w,
-			rank:     i,
-			dev:      dev,
-			pairs:    map[pairKey]*pairState{},
-			sendSeqs: map[pairKey]uint64{},
+			world: w,
+			rank:  i,
+			dev:   dev,
+			pairs: map[pairKey]*pairState{},
 		})
 		group[i] = i
 	}
 	for i := range w.eps {
-		w.worlds = append(w.worlds, &Comm{ep: w.eps[i], ctx: 0, group: group, rank: i})
+		w.worlds = append(w.worlds, newComm(w.eps[i], 0, group, i))
 	}
 	return w
 }
@@ -125,18 +131,11 @@ type Endpoint struct {
 	posted     []*postedRecv
 	unexpected []*header
 	pairs      map[pairKey]*pairState
-	// sendSeqs assigns the per-(destination, context) send sequence numbers
-	// this endpoint stamps on outgoing headers. It lives on the sender (not
-	// in the destination's pairState) so a send touches only sender-side
-	// state; the numbering is monotonically increasing from zero per
-	// (src, dst, ctx).
-	sendSeqs map[pairKey]uint64
-	winSeq   uint64
+	winSeq     uint64
 }
 
 // pairKey orders headers per (source rank, context) pair so that matching
-// preserves MPI's non-overtaking guarantee. The sender's sendSeqs map reuses
-// the type with src holding the destination rank.
+// preserves MPI's non-overtaking guarantee.
 type pairKey struct {
 	src int
 	ctx int
@@ -147,13 +146,33 @@ type pairState struct {
 	held     map[uint64]*header // lazily allocated: only out-of-order arrivals need it
 }
 
-// sendSeq returns and advances the next send sequence number for messages
-// from this endpoint to world rank dst in context ctx.
-func (ep *Endpoint) sendSeq(dst, ctx int) uint64 {
-	k := pairKey{src: dst, ctx: ctx}
-	s := ep.sendSeqs[k]
-	ep.sendSeqs[k] = s + 1
-	return s
+// link is the sender's end of one (this rank -> destination, context) message
+// stream: the next send sequence number, monotonically increasing from zero,
+// and the destination's ordering state for the stream, resolved once so that
+// neither a send nor an arrival hashes a pairKey. Links live on the handle
+// (one handle per rank and context, as Comm.coll already requires), so there
+// are as many as peers the handle has sent to, never ranks squared.
+type link struct {
+	seq uint64
+	ps  *pairState
+}
+
+// linkTo returns the link to comm rank dst. A ring talks to one neighbour for
+// a whole collective, which the one-entry memo in front of the map serves.
+func (c *Comm) linkTo(dst int) *link {
+	if c.lastLink != nil && c.lastDst == dst {
+		return c.lastLink
+	}
+	l := c.links[dst]
+	if l == nil {
+		if c.links == nil {
+			c.links = map[int]*link{}
+		}
+		l = &link{ps: c.ep.world.eps[c.group[dst]].pair(pairKey{src: c.group[c.rank], ctx: c.ctx})}
+		c.links[dst] = l
+	}
+	c.lastDst, c.lastLink = dst, l
+	return l
 }
 
 // Status describes a completed receive.
@@ -163,7 +182,9 @@ type Status struct {
 	Count  int
 }
 
-// Request is a handle for a non-blocking operation.
+// Request is a handle for a non-blocking operation. It is part of the
+// operation's envelope (header.req, postedRecv.req), which is therefore never
+// recycled once a caller holds it.
 type Request struct {
 	done   *sim.Gate
 	status *Status
@@ -199,14 +220,55 @@ type header struct {
 	ctx, tag int
 	seq      uint64
 	count    int
-	elemSize int
+	ps       *pairState // the destination's ordering state for (src, ctx)
 
 	eager  bool
 	staged gpu.View // eager: payload snapshot taken at send time
 	srcBuf gpu.View // rendezvous: live sender buffer
-	// sGate completes the send. Embedded by value (the Gate zero value is a
-	// valid unfired gate) so the envelope is a single allocation.
-	sGate sim.Gate
+	// sGate completes the send. It, the Request of a caller-held send and the
+	// bound arrival callback are all part of the envelope, so a message is
+	// one allocation, and none when the envelope is recycled.
+	sGate   sim.Gate
+	req     Request
+	admitFn func()
+	// lib marks the envelope of a blocking exchange, which the library owns
+	// and recycles (World.retire); one behind an Isend is the caller's.
+	lib bool
+}
+
+// hdrPoolCap bounds the envelope free list, for the reason sim's event pool
+// is bounded: a burst must not pin its high-water mark for the world's life.
+const hdrPoolCap = 4096
+
+// newHeader takes an envelope from the free list, or makes one.
+func (w *World) newHeader() *header {
+	if n := len(w.free); n > 0 {
+		h := w.free[n-1]
+		w.free[n-1] = nil
+		w.free = w.free[:n-1]
+		h.sGate = sim.Gate{}
+		return h
+	}
+	h := &header{}
+	h.req.done = &h.sGate
+	h.admitFn = func() { w.eps[h.dst].admit(h) }
+	return h
+}
+
+// retire recycles a library-owned envelope. The rule that makes it safe: an
+// eager envelope is retired by its receiver, in deliver, and its sender never
+// reads it after injection; a rendezvous envelope is retired by its sender,
+// once its send gate has fired, which is the last thing the receiving side
+// does with it. An envelope behind a caller-held Request is never retired.
+func (w *World) retire(h *header) {
+	switch {
+	case !h.lib:
+	case w.poisonRetired:
+		*h = header{src: -1, dst: -1, count: -1, eager: !h.eager}
+	case len(w.free) < hdrPoolCap:
+		h.staged, h.srcBuf = gpu.View{}, gpu.View{}
+		w.free = append(w.free, h)
+	}
 }
 
 type postedRecv struct {
@@ -218,10 +280,11 @@ type postedRecv struct {
 	// as buf = op(seed, payload) instead of being copied (recvReduce).
 	seed gpu.View
 	op   gpu.ReduceOp
-	// done and status are embedded for the same single-allocation reason as
-	// header.sGate; Request points into the envelope.
+	// done, status and the Request pointing at them are embedded for the same
+	// single-allocation reason as header.sGate.
 	done   sim.Gate
 	status Status
+	req    Request
 }
 
 // land moves n payload elements into the receive buffer, straight from
@@ -268,6 +331,21 @@ type Comm struct {
 	// hier caches the node-block layout detection (hierLayout); the group
 	// is immutable after construction so it never invalidates.
 	hier *hierLayout
+
+	// links holds the send streams of this handle by destination comm rank
+	// (linkTo); lastDst/lastLink memoise the most recent one.
+	links    map[int]*link
+	lastDst  int
+	lastLink *link
+
+	// x is the handle's one blocking exchange (exchange.go).
+	x exchange
+}
+
+func newComm(ep *Endpoint, ctx int, group []int, rank int) *Comm {
+	c := &Comm{ep: ep, ctx: ctx, group: group, rank: rank}
+	c.x.c, c.x.step, c.x.pr = c, c.x.run, &postedRecv{}
+	return c
 }
 
 // Rank reports the calling rank within the communicator.
@@ -286,41 +364,49 @@ func (c *Comm) model() *machine.Model { return c.ep.world.cluster.Model }
 
 func (c *Comm) profile() machine.LibProfile { return c.ep.world.prof }
 
-// Isend starts a non-blocking standard-mode send of buf to dst (comm rank)
-// with the given tag.
-func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
+func (c *Comm) checkDst(dst int) {
 	if dst < 0 || dst >= len(c.group) {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d (size %d)", dst, len(c.group)))
 	}
-	prof := c.profile()
-	p.Advance(prof.CallOverhead)
+}
 
+// Isend starts a non-blocking standard-mode send of buf to dst (comm rank)
+// with the given tag.
+func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
+	c.checkDst(dst)
+	p.Advance(c.ep.world.prof.CallOverhead)
+	return &c.inject(buf, dst, tag, false).req
+}
+
+// inject is the body of a send once its call overhead is charged; it needs
+// only the engine, so a process (Isend) and a script step (exchange) share
+// it. lib says who owns the envelope (header.lib).
+func (c *Comm) inject(buf gpu.View, dst, tag int, lib bool) *header {
 	w := c.ep.world
-	eng := p.Engine()
+	prof := &w.prof
+	eng := c.ep.dev.Engine()
 	srcWorld, dstWorld := c.group[c.rank], c.group[dst]
-	dstEp := w.eps[dstWorld]
+	l := c.linkTo(dst)
 
-	h := &header{
-		src: srcWorld, dst: dstWorld, ctx: c.ctx, tag: tag,
-		seq:   c.ep.sendSeq(dstWorld, c.ctx),
-		count: buf.Len(), elemSize: buf.ElemSize(),
-	}
+	h := w.newHeader()
+	h.src, h.dst, h.ctx, h.tag = srcWorld, dstWorld, c.ctx, tag
+	h.seq, h.ps, h.count, h.lib = l.seq, l.ps, buf.Len(), lib
+	l.seq++
 	h.sGate.SetLabel("gate send")
 	bytes := buf.Bytes()
 	fab := w.cluster.Fabric
 	path := fab.PathBetween(srcWorld, dstWorld)
 	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
 
-	if bytes <= prof.EagerMax {
+	if h.eager = bytes <= prof.EagerMax; h.eager {
 		// Eager: snapshot the payload, inject, and complete locally once
 		// the data has left the send buffer.
 		w.mEager.Inc()
-		h.eager = true
 		h.staged = buf.Clone()
-		arrive := fab.Transfer(p.Now(), srcWorld, dstWorld, bytes, cost)
-		eng.After(arrive.Sub(eng.Now()), func() { dstEp.admit(h) })
+		arrive := fab.Transfer(eng.Now(), srcWorld, dstWorld, bytes, cost)
+		eng.After(arrive.Sub(eng.Now()), h.admitFn)
 		h.sGate.Fire(eng) // send buffer reusable immediately after staging
-		return &Request{done: &h.sGate}
+		return h
 	}
 
 	// Rendezvous: ship the RTS envelope; the payload moves once the
@@ -332,22 +418,24 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 	h.srcBuf = buf
 	half := prof.RendezvousOverhead / 2
 	rtsWire := half + cost.Latency + fab.InterExtraLatency(srcWorld, dstWorld)
-	eng.After(rtsWire, func() { dstEp.admit(h) })
-	return &Request{done: &h.sGate}
+	eng.After(rtsWire, h.admitFn)
+	return h
 }
 
 // Irecv starts a non-blocking receive into buf from src (comm rank or
 // AnySource) with the given tag (or AnyTag).
 func (c *Comm) Irecv(p *sim.Proc, buf gpu.View, src, tag int) *Request {
-	return c.irecv(p, buf, src, tag, gpu.View{}, 0)
+	p.Advance(c.ep.world.prof.CallOverhead)
+	pr := &postedRecv{}
+	c.post(pr, buf, src, tag, gpu.View{}, 0)
+	return &pr.req
 }
 
-// irecv is Irecv with the landing mode explicit: a non-zero seed posts a
+// post is the body of a receive once its call overhead is charged, shared
+// like inject: it fills pr and matches it against the unexpected queue
+// (arrival order) or appends it to the posted queue. A non-zero seed posts a
 // reducing receive (see recvReduce), the zero seed an ordinary one.
-func (c *Comm) irecv(p *sim.Proc, buf gpu.View, src, tag int, seed gpu.View, op gpu.ReduceOp) *Request {
-	prof := c.profile()
-	p.Advance(prof.CallOverhead)
-
+func (c *Comm) post(pr *postedRecv, buf gpu.View, src, tag int, seed gpu.View, op gpu.ReduceOp) {
 	srcWorld := src
 	if src != AnySource {
 		if src < 0 || src >= len(c.group) {
@@ -355,43 +443,41 @@ func (c *Comm) irecv(p *sim.Proc, buf gpu.View, src, tag int, seed gpu.View, op 
 		}
 		srcWorld = c.group[src]
 	}
-	pr := &postedRecv{
+	*pr = postedRecv{
 		buf: buf, count: buf.Len(), src: srcWorld, tag: tag, ctx: c.ctx,
 		seed: seed, op: op,
 	}
+	pr.req = Request{done: &pr.done, status: &pr.status}
 	pr.done.SetLabel("gate recv")
-	// Try the unexpected queue first (arrival order), then post.
 	ep := c.ep
 	for i, h := range ep.unexpected {
 		if pr.matches(h) {
-			ep.unexpected = append(ep.unexpected[:i], ep.unexpected[i+1:]...)
+			ep.unexpected = slices.Delete(ep.unexpected, i, i+1)
 			ep.deliver(h, pr)
-			return &Request{done: &pr.done, status: &pr.status}
+			return
 		}
 	}
 	ep.posted = append(ep.posted, pr)
 	ep.noteQueueDepth()
-	return &Request{done: &pr.done, status: &pr.status}
 }
 
 // Send is the blocking standard-mode send.
 func (c *Comm) Send(p *sim.Proc, buf gpu.View, dst, tag int) {
-	c.Isend(p, buf, dst, tag).Wait(p)
+	c.x.send(buf, dst, tag)
+	c.exchange(p)
 }
 
 // Recv is the blocking receive; it returns the matched message's status.
 func (c *Comm) Recv(p *sim.Proc, buf gpu.View, src, tag int) Status {
-	return c.Irecv(p, buf, src, tag).Wait(p)
+	c.x.recv(buf, gpu.View{}, src, tag, 0)
+	return c.exchange(p)
 }
 
 // Sendrecv performs a simultaneous send and receive (deadlock-free pairwise
 // exchange).
 func (c *Comm) Sendrecv(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf gpu.View, src, recvTag int) Status {
-	rr := c.Irecv(p, recvBuf, src, recvTag)
-	sr := c.Isend(p, sendBuf, dst, sendTag)
-	st := rr.Wait(p)
-	sr.Wait(p)
-	return st
+	c.x.sendrecv(sendBuf, dst, sendTag, recvBuf, src, recvTag)
+	return c.exchange(p)
 }
 
 // recvReduce is Recv with reduction as the landing mode: the matched
@@ -403,10 +489,11 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf
 // matching, virtual time and event counts are exactly Recv's. The payload is
 // read where the protocol already holds it stable: the eager snapshot, or —
 // rendezvous — the live sender buffer at completion time, while the sender
-// is still parked on its send gate; the sender must therefore not receive
+// is still waiting on its send gate; the sender must therefore not receive
 // into the window it is sending from (sendrecvReduce asserts it).
 func (c *Comm) recvReduce(p *sim.Proc, buf, seed gpu.View, src, tag int, op gpu.ReduceOp) Status {
-	return c.irecv(p, buf, src, tag, seed, op).Wait(p)
+	c.x.recv(buf, seed, src, tag, op)
+	return c.exchange(p)
 }
 
 // sendrecvReduce is Sendrecv whose receive half is a recvReduce. The send
@@ -414,15 +501,8 @@ func (c *Comm) recvReduce(p *sim.Proc, buf, seed gpu.View, src, tag int, op gpu.
 // sendBuf live, so this rank's own incoming reduction must not be writing
 // it.
 func (c *Comm) sendrecvReduce(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf, seed gpu.View, src, recvTag int, op gpu.ReduceOp) Status {
-	if sendBuf.Overlaps(recvBuf) {
-		panic(fmt.Sprintf("mpi: sendrecvReduce with overlapping send [%d,%d) and receive [%d,%d) windows of one buffer",
-			sendBuf.Offset(), sendBuf.Offset()+sendBuf.Len(), recvBuf.Offset(), recvBuf.Offset()+recvBuf.Len()))
-	}
-	rr := c.irecv(p, recvBuf, src, recvTag, seed, op)
-	sr := c.Isend(p, sendBuf, dst, sendTag)
-	st := rr.Wait(p)
-	sr.Wait(p)
-	return st
+	c.x.sendrecvReduce(sendBuf, dst, sendTag, recvBuf, seed, src, recvTag, op)
+	return c.exchange(p)
 }
 
 func (ep *Endpoint) pair(pk pairKey) *pairState {
@@ -440,7 +520,7 @@ func (ep *Endpoint) pair(pk pairKey) *pairState {
 // — the overwhelmingly common case on a healthy fabric — bypasses the held
 // map entirely.
 func (ep *Endpoint) admit(h *header) {
-	ps := ep.pair(pairKey{src: h.src, ctx: h.ctx})
+	ps := h.ps
 	if h.seq == ps.nextRecv && len(ps.held) == 0 {
 		ps.nextRecv++
 		ep.match(h)
@@ -465,7 +545,7 @@ func (ep *Endpoint) admit(h *header) {
 func (ep *Endpoint) match(h *header) {
 	for i, pr := range ep.posted {
 		if pr.matches(h) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
+			ep.posted = slices.Delete(ep.posted, i, i+1)
 			ep.deliver(h, pr)
 			return
 		}
@@ -495,6 +575,7 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 		// staging buffer back to the arena, and complete.
 		pr.land(h.staged, h.count)
 		h.staged.Release()
+		w.retire(h)
 		pr.done.Fire(eng)
 		return
 	}

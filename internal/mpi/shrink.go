@@ -35,7 +35,7 @@ func (c *Comm) ShrinkExcluding(p *sim.Proc, dead map[int]bool, gen int) *Comm {
 	if base < 0 {
 		base = -base
 	}
-	nc := &Comm{ep: c.ep, ctx: -(base*4096 + gen), group: group.Members, rank: group.Rank}
+	nc := newComm(c.ep, -(base*4096 + gen), group.Members, group.Rank)
 	// Agreement round: charge log2(n) call overheads for the survivor vote,
 	// then synchronize for real on the new context.
 	rounds := max(1, lockstep.Log2Ceil(group.Size))

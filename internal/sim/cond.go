@@ -70,17 +70,39 @@ func (g *Gate) Fire(e *Engine) {
 // Wait blocks p until the gate fires. The wait is interruptible: a pending
 // or arriving Interrupt aborts it (see interrupt.go).
 func (g *Gate) Wait(p *Proc) {
-	p.checkInterrupt()
+	p.CheckInterrupt()
 	if g.fired {
 		return
 	}
+	g.add(p)
+	p.parkOn(g.why(), g, true)
+	p.CheckInterrupt()
+}
+
+// Enlist is Wait for a script step (Proc.AdvanceFn). It reports true when the
+// gate has already fired and the step may go on; otherwise p is registered as
+// a waiter and the step must answer StepEnlisted — the gate's wake then runs
+// the script's next step where Wait would have resumed the coroutine. Like
+// Wait it raises a pending interrupt first, and an Interrupt or Kill that
+// arrives while p is enlisted deregisters it.
+func (g *Gate) Enlist(p *Proc) (fired bool) {
+	p.CheckInterrupt()
+	if g.fired {
+		return true
+	}
+	g.add(p)
+	p.waitOn, p.interruptible = g, true
+	p.parkWhy, p.parkDur = g.why(), -1
+	return false
+}
+
+// add appends p to the FIFO of waiters.
+func (g *Gate) add(p *Proc) {
 	if g.w0 == nil && len(g.waiters) == 0 {
 		g.w0 = p
 	} else {
 		g.waiters = append(g.waiters, p)
 	}
-	p.parkOn(g.why(), g, true)
-	p.checkInterrupt()
 }
 
 func (g *Gate) drop(p *Proc) {
@@ -156,13 +178,13 @@ func (c *Counter) notify(e *Engine) {
 // WaitUntil blocks p until pred(value) is true. If it is already true the
 // call returns immediately. The wait is interruptible.
 func (c *Counter) WaitUntil(p *Proc, pred func(uint64) bool) {
-	p.checkInterrupt()
+	p.CheckInterrupt()
 	if pred(c.value) {
 		return
 	}
 	c.waiters = append(c.waiters, counterWaiter{p, pred})
 	p.parkOn(c.reason, c, true)
-	p.checkInterrupt()
+	p.CheckInterrupt()
 }
 
 func (c *Counter) drop(p *Proc) {
@@ -260,11 +282,11 @@ func NewSemaphore(label string, n int) *Semaphore {
 // Acquire takes one permit, blocking until available. The wait is
 // interruptible.
 func (s *Semaphore) Acquire(p *Proc) {
-	p.checkInterrupt()
+	p.CheckInterrupt()
 	for s.avail == 0 {
 		s.waiters = append(s.waiters, p)
 		p.parkOn(s.reason, s, true)
-		p.checkInterrupt()
+		p.CheckInterrupt()
 	}
 	s.avail--
 }
@@ -308,7 +330,7 @@ func (r *Rendezvous) Round() uint64 { return r.round }
 // interruptible; an interrupted or killed party is deregistered, so the
 // barrier then needs the remaining parties plus one replacement arrival.
 func (r *Rendezvous) Arrive(p *Proc) {
-	p.checkInterrupt()
+	p.CheckInterrupt()
 	if len(r.arrived)+1 == r.parties {
 		for _, w := range r.arrived {
 			p.eng.wake(w, p.eng.now, r.reason)
@@ -319,7 +341,7 @@ func (r *Rendezvous) Arrive(p *Proc) {
 	}
 	r.arrived = append(r.arrived, p)
 	p.parkOn(r.reason, r, true)
-	p.checkInterrupt()
+	p.CheckInterrupt()
 }
 
 func (r *Rendezvous) drop(p *Proc) { r.arrived = removeWaiter(r.arrived, p) }

@@ -34,7 +34,7 @@ type FlightKind uint8
 const (
 	FlightEvent     FlightKind = iota // a process resumed by the dispatcher
 	FlightCallback                    // an engine-context callback ran
-	FlightPark                        // a process parked (reason in Note)
+	FlightPark                        // a process parked, or a step of its script left it waiting (reason in Note)
 	FlightInterrupt                   // Interrupt poisoned a process
 	FlightKill                        // Kill crashed a process
 	FlightSpawn                       // a process was spawned

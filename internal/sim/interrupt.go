@@ -137,9 +137,12 @@ func (p *Proc) Interrupted() error { return p.pendingErr }
 // delivered while the process was busy does not abort post-recovery work.
 func (p *Proc) ClearInterrupt() { p.pendingErr = nil }
 
-// checkInterrupt raises a pending interrupt as an abort unwind. Called by
-// the interruptible primitives at wait entry and after resuming.
-func (p *Proc) checkInterrupt() {
+// CheckInterrupt raises a pending interrupt as an abort unwind. Called by
+// the interruptible primitives at wait entry and after resuming, and by
+// library code that completes a blocking operation without waiting on
+// anything (a script step whose send needs no gate) and must still be a
+// delivery point.
+func (p *Proc) CheckInterrupt() {
 	if p.pendingErr != nil {
 		err := p.pendingErr
 		p.pendingErr = nil

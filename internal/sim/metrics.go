@@ -14,7 +14,8 @@ import (
 // parkClasses are the known first words of park reasons (see cond.go and
 // the Advance/Yield parks). Reasons are classified by their first word so
 // per-label reasons like "gate send 0->1 tag 5" do not explode counter
-// cardinality.
+// cardinality. Only coroutine parks are counted: a script step (AdvanceFn)
+// that re-arms its timer or enlists on a gate is a sim.steps, not a park.
 var parkClasses = []string{
 	"advance", "yield", "gate", "counter", "mailbox", "semaphore", "rendezvous",
 }
@@ -24,6 +25,7 @@ var parkClasses = []string{
 type engineMetrics struct {
 	events     *metrics.Counter // every event dispatched by Run
 	callbacks  *metrics.Counter // the subset that were engine callbacks
+	steps      *metrics.Counter // the subset a script step took without resuming its coroutine
 	spawns     *metrics.Counter
 	interrupts *metrics.Counter
 	kills      *metrics.Counter
@@ -41,6 +43,7 @@ func (e *Engine) SetMetrics(r *metrics.Registry) {
 	m := &engineMetrics{
 		events:     r.Counter("sim.events"),
 		callbacks:  r.Counter("sim.callbacks"),
+		steps:      r.Counter("sim.steps"),
 		spawns:     r.Counter("sim.spawns"),
 		interrupts: r.Counter("sim.interrupts"),
 		kills:      r.Counter("sim.kills"),

@@ -11,8 +11,9 @@
 //
 // Scheduling is a trampoline: whoever holds the run token (the "ball") pops
 // the next event itself and either continues running (its own wake — no
-// switch at all), runs an engine callback inline, or names the next process
-// in Engine.next and yields to Run, which switches straight into it. A
+// switch at all), runs an engine callback or a step of a parked process's
+// script (AdvanceFn) inline, or names the next process in Engine.next and
+// yields to Run, which switches straight into it. A
 // hand-off is two coroutine switches on one thread; it never passes through
 // a channel, the run queue or another OS thread. See DESIGN.md §11 for the
 // protocol and its invariants.
@@ -198,6 +199,12 @@ type Proc struct {
 	interruptible bool
 	pendingErr    error
 	crashed       bool
+
+	// script, while set, is run in engine context by every wake that comes
+	// due for the process, in that wake's own event slot (AdvanceFn);
+	// stepPanic carries a panic raised inside a step to the owner's stack.
+	script    func() Duration
+	stepPanic any
 }
 
 // Name reports the name given at spawn time.
@@ -392,6 +399,16 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		if e.fr != nil {
 			e.fr.record(e.now, FlightEvent, p.name, "", -1)
 		}
+		if p.script != nil && e.runStep(p) {
+			// The step took the slot and left the process waiting again.
+			if e.m != nil {
+				e.m.steps.Inc()
+			}
+			if e.fr != nil {
+				e.fr.record(e.now, FlightPark, p.name, p.parkWhy, p.parkDur)
+			}
+			continue
+		}
 		if p == self {
 			return true
 		}
@@ -479,6 +496,84 @@ func (p *Proc) Advance(d Duration) {
 	e := p.eng
 	e.wake(p, e.now.Add(d), "advance")
 	p.parkFor("advance", d)
+}
+
+// Answers of a script step (AdvanceFn) other than "advance d more" (d > 0).
+const (
+	// StepResume ends the script: the coroutine resumes right here, in the
+	// slot of the wake that ran the step, with no event of its own.
+	StepResume Duration = 0
+	// StepEnlisted says the step registered the process on a primitive
+	// (Gate.Enlist); that primitive's wake runs the next step.
+	StepEnlisted Duration = -1
+)
+
+// AdvanceFn is Advance(d) followed by a run-to-completion script: the
+// coroutine parks once, and every wake that then comes due for the process —
+// the timed one, or the wake of a gate a step enlisted it on — runs step in
+// engine context, in that wake's own event slot, instead of switching to the
+// coroutine. step must not block. It answers d' > 0 (advance d' more, then
+// call me again), StepEnlisted, or StepResume, on which AdvanceFn returns in
+// the same slot. A step that would advance by zero just goes on, as
+// Advance(0) does; d <= 0 likewise runs the first step on the spot.
+//
+// The script stands in for its owner at every scheduling point. One event is
+// spent where the coroutine form spends one, so virtual times, event order
+// and counts are those of the same logic written with Advance and Wait. A
+// killed owner unwinds at its next slot without running the step; a panic
+// inside a step — a sim.Abort (fabric partition), an interrupt raised by
+// Enlist or CheckInterrupt, or a bug — is raised again on the owner's stack,
+// from this call, so Protect catches what it would have caught and a
+// PanicError names the owner.
+func (p *Proc) AdvanceFn(d Duration, step func() Duration) {
+	e := p.eng
+	p.script = step
+	if d > 0 {
+		e.wake(p, e.now.Add(d), "advance")
+		p.parkFor("advance", d)
+	} else if e.runStep(p) {
+		p.parkFor(p.parkWhy, p.parkDur) // the first step re-armed or enlisted the process
+	}
+	if v := p.stepPanic; v != nil {
+		p.stepPanic = nil
+		panic(v)
+	}
+}
+
+// runStep runs one step of p's script in the current event slot. It reports
+// true when the step left the process waiting (on a new timed wake or on a
+// primitive) and false when the coroutine is to resume here: the script
+// finished, the process was killed, or the step panicked.
+func (e *Engine) runStep(p *Proc) (waiting bool) {
+	p.wakePending = false
+	if p.crashed {
+		p.script = nil
+		return false
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if p.waitOn != nil { // it had just enlisted
+				p.waitOn.drop(p)
+				p.waitOn, p.interruptible = nil, false
+			}
+			p.script, p.stepPanic, waiting = nil, r, false
+		}
+	}()
+	if p.interruptible {
+		// The second half of the Wait the previous step enlisted for.
+		p.waitOn, p.interruptible = nil, false
+		p.CheckInterrupt()
+	}
+	d := p.script()
+	switch {
+	case d > 0:
+		e.wake(p, e.now.Add(d), "advance")
+		p.parkWhy, p.parkDur = "advance", d
+	case d == StepResume:
+		p.script = nil
+		return false
+	}
+	return true
 }
 
 // AdvanceTo moves the process forward to time t; if t is in the past it is a
