@@ -202,7 +202,7 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 		"backend", "severity", "latency", "lat x", "bw GB/s", "bw frac", "transfers")
 
 	profiled := *showMetrics || *profilePath != ""
-	obs := bench.NewObserve(m, profiled)
+	obs := bench.NewObserve(profiled)
 
 	// Each backend's severity ramp is an independent cell; the ramp itself
 	// fans out again inside ChaosSweep. Rendered blocks and the per-severity

@@ -67,7 +67,7 @@ func netbench(args []string, stdout, stderr io.Writer) error {
 				Bandwidth: *bw, Label: fmt.Sprintf("%s/%dB", c.CLI+c.Impl(), size)})
 		}
 	}
-	vals, profs, err := bench.SweepNet(bench.NewObserve(m, profiled), cells)
+	vals, profs, err := bench.SweepNet(bench.NewObserve(profiled), cells)
 	if err != nil {
 		return err
 	}

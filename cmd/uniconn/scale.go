@@ -97,7 +97,7 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeLive()
-	obs := bench.NewObserve(m, false)
+	obs := bench.NewObserve(false)
 
 	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters\n",
 		m.Name, bench.HumanBytes(*bytes), *iters)
@@ -111,9 +111,9 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		rows = make([]string, len(cells))
 		next int
 	)
-	return bench.NewRunner(0).RunWorker(len(cells), func(worker, i int) error {
-		cfg, col := cells[i], obs.Cell(worker)
-		cfg.Metrics, cfg.Costs = col.Metrics, col.Costs
+	return bench.NewRunner(0).Run(len(cells), func(i int) error {
+		cfg, col := cells[i], obs.Cell()
+		cfg.Metrics = col.Metrics
 		start := time.Now()
 		d, run, err := bench.ScaleAllreduce(cfg)
 		if err != nil {

@@ -86,7 +86,7 @@ func ChaosSweep(cfg NetConfig, severities []float64, planFor func(severity float
 		sev := severities[i]
 		run := cfg
 		run.Faults = planFor(sev)
-		run.Metrics, run.Trace, run.Costs = col.Metrics, col.Trace, col.Costs
+		run.Metrics, run.Trace = col.Metrics, col.Trace
 		if run.Trace == nil {
 			run.Trace = trace.New() // private: counted below, never frozen
 		}

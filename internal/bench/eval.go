@@ -5,7 +5,7 @@ package bench
 // the workload implementations in this package. EvalSpec answers the
 // what-if question one spec poses — predicted time, critical path, traffic
 // matrix — as a canonically encoded JSON document; EvalSpecs fans a batch
-// out over the sweep runner with per-worker cost caches.
+// out over the sweep runner.
 //
 // Caching contract: the cache stores the *encoded bytes* under the spec's
 // content hash, and a hit returns those bytes verbatim, so a cached answer
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -98,10 +97,6 @@ type EvalOptions struct {
 	// Cache, when non-nil, is consulted before simulating and filled after;
 	// nil always simulates.
 	Cache *cache.Cache
-	// Costs, when non-nil, is a shared per-worker cost cache (ModelPool)
-	// passed through to the run; a cache for a different machine than the
-	// spec's is ignored (core.Config.applyCosts).
-	Costs *machine.CostCache
 }
 
 // EvalSpec evaluates one spec, returning the canonical encoded Result and
@@ -116,7 +111,7 @@ func EvalSpec(s spec.Spec, opt EvalOptions) ([]byte, bool, error) {
 	if body, ok := opt.Cache.Get(h); ok {
 		return body, true, nil
 	}
-	res, err := evalCold(s.Normalize(), h, opt.Costs)
+	res, err := evalCold(s.Normalize(), h)
 	if err != nil {
 		return nil, false, err
 	}
@@ -139,17 +134,13 @@ type Evaluation struct {
 
 // EvalSpecs evaluates a batch over the sweep runner: cells fan out with the
 // usual determinism contract (index-ordered results), cache hits
-// short-circuit, and each worker reuses one warmed cost cache per machine
-// it encounters (the ModelPool discipline, keyed lazily because a batch may
-// mix machines). Duplicate specs within a batch may race to simulate; both
+// short-circuit. Duplicate specs within a batch may race to simulate; both
 // produce identical bytes, so the last Put is indistinguishable from the
 // first.
 func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
-	r := NewRunner(0)
-	costs := make([]map[string]*machine.CostCache, r.Workers())
-	out, _ := SweepWorkerWith(r, len(specs), func(k, i int) (Evaluation, error) {
+	out, _ := Sweep(len(specs), func(i int) (Evaluation, error) {
 		s := specs[i]
-		body, hit, err := EvalSpec(s, EvalOptions{Cache: c, Costs: workerCosts(costs, k, s)})
+		body, hit, err := EvalSpec(s, EvalOptions{Cache: c})
 		if err != nil {
 			return Evaluation{Err: fmt.Errorf("spec %s: %w", s, err)}, nil
 		}
@@ -158,33 +149,10 @@ func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
 	return out
 }
 
-// workerCosts resolves worker k's cost cache for the spec's machine,
-// creating it on first encounter. The maps are indexed by worker, so no two
-// goroutines ever touch the same map — worker-keyed state per RunWorker.
-func workerCosts(costs []map[string]*machine.CostCache, k int, s spec.Spec) *machine.CostCache {
-	if k < 0 || k >= len(costs) {
-		return nil
-	}
-	name := s.Normalize().Machine
-	if cc, ok := costs[k][name]; ok {
-		return cc
-	}
-	m := machine.ByName(name)
-	if m == nil {
-		return nil // Validate will report it
-	}
-	if costs[k] == nil {
-		costs[k] = make(map[string]*machine.CostCache)
-	}
-	cc := machine.NewCostCache(m)
-	costs[k][name] = cc
-	return cc
-}
-
 // evalCold simulates the (normalized, validated) spec and assembles the
 // Result. The trace log is private to the cell per the runner's
 // observability ownership rule.
-func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error) {
+func evalCold(n spec.Spec, hash string) (Result, error) {
 	m, err := n.Model()
 	if err != nil {
 		return Result{}, err
@@ -205,7 +173,7 @@ func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error
 			Model: m, Backend: backend, API: api,
 			Native: n.Native, Inter: n.Inter, Bytes: n.Bytes,
 			Iters: n.Iters, Warmup: n.Warmup, Window: n.Window,
-			Trace: log, Costs: costs,
+			Trace: log,
 		}
 		cfg.Faults, err = specPlan(n, cfg)
 		if err != nil {
@@ -235,7 +203,7 @@ func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error
 		}
 		cfg := ScaleConfig{
 			Model: m, Ranks: n.Ranks, Bytes: n.Bytes, Alg: alg,
-			Iters: n.Iters, Warmup: n.Warmup, Trace: log, Costs: costs,
+			Iters: n.Iters, Warmup: n.Warmup, Trace: log,
 		}
 		per, rep, err := ScaleAllreduce(cfg)
 		if err != nil {

@@ -265,14 +265,14 @@ func JacobiCells(base jacobi.Config, counts []int, cols []Variant) []jacobi.Conf
 // SweepJacobi runs the cells over the sweep runner, results by cell index
 // (on failure, those before the failing cell: SweepPrefix).
 func SweepJacobi(cells []jacobi.Config) ([]jacobi.Result, error) {
-	return SweepPrefix(len(cells), func(_, i int) (jacobi.Result, error) { return jacobi.Run(cells[i]) })
+	return SweepPrefix(len(cells), func(i int) (jacobi.Result, error) { return jacobi.Run(cells[i]) })
 }
 
 // SweepCG runs the cells over the sweep runner, results by cell index (on
 // failure, those before the failing cell). Cells may share one matrix:
 // cg.Run only reads it.
 func SweepCG(cells []cg.Config) ([]cg.Result, error) {
-	return SweepPrefix(len(cells), func(_, i int) (cg.Result, error) { return cg.Run(cells[i]) })
+	return SweepPrefix(len(cells), func(i int) (cg.Result, error) { return cg.Run(cells[i]) })
 }
 
 // RunFig5 reproduces the Jacobi scaling study (Fig. 5): per-iteration time

@@ -56,9 +56,6 @@ type NetConfig struct {
 	// Metrics, when non-nil, collects the run's counters (see
 	// internal/metrics; one registry per run, never shared across cells).
 	Metrics *metrics.Registry
-	// Costs, when non-nil, is a shared per-worker cost cache (bench.ModelPool)
-	// the run reuses instead of warming a private one (see core.Config.Costs).
-	Costs *machine.CostCache
 
 	// functional gives the cell real message buffers instead of phantom
 	// ones. No figure reads a net cell's payload, so nothing outside this
@@ -151,8 +148,7 @@ func LatencyRun(cfg NetConfig) (sim.Duration, core.Report, error) {
 	iters, warmup, _ := cfg.counts(false)
 	var rt sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Topology: cfg.Topology, Costs: cfg.Costs,
-		Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
+		Topology: cfg.Topology, Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
 		func(env *core.Env) {
 			d := cfg.latencyRank(env, iters, warmup)
 			if env.WorldRank() == 0 {
@@ -180,8 +176,7 @@ func BandwidthRun(cfg NetConfig) (float64, core.Report, error) {
 	iters, warmup, window := cfg.counts(true)
 	var total sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Topology: cfg.Topology, Costs: cfg.Costs,
-		Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
+		Topology: cfg.Topology, Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
 		func(env *core.Env) {
 			d := cfg.bandwidthRank(env, iters, warmup, window)
 			if env.WorldRank() == 0 {

@@ -18,7 +18,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -26,12 +25,10 @@ import (
 )
 
 // Collector holds one cell's instruments: a private metrics registry and
-// span log to hand to that cell's run configuration, or — for a cell that
-// records nothing — its worker's pooled cost cache. Any of them may be nil.
+// span log to hand to that cell's run configuration. Either may be nil.
 type Collector struct {
 	Metrics *metrics.Registry
 	Trace   *trace.Log
-	Costs   *machine.CostCache
 
 	live *telemetry.Tracker
 }
@@ -56,38 +53,28 @@ func (c *Collector) Finish(label string, end sim.Time, notes ...string) CellProf
 // -profile, -json, -trace, the prof subcommand) every cell owns a registry
 // and a span log; otherwise, with live telemetry on (-live), a bare registry
 // — /metrics wants per-cell counters but nobody asked for spans; otherwise
-// nothing, and the cells share one warmed cost cache per worker instead
-// (ModelPool: on one machine, per-cell cache rebuilds are pure waste, while
-// recording cells keep private caches because their machine.costcache.*
-// counters are part of the output). A nil *Observe records nothing.
+// nothing. A nil *Observe records nothing.
 type Observe struct {
 	profile bool
 	live    *telemetry.Tracker
-	pool    *ModelPool
 }
 
-// NewObserve decides for a sweep on machine m. The live tracker is the one
-// StartLive installed, if any.
-func NewObserve(m *machine.Model, profile bool) *Observe {
-	o := &Observe{profile: profile, live: Progress()}
-	if !profile && o.live == nil {
-		o.pool = NewModelPool(m, 0)
-	}
-	return o
+// NewObserve decides for a sweep. The live tracker is the one StartLive
+// installed, if any.
+func NewObserve(profile bool) *Observe {
+	return &Observe{profile: profile, live: Progress()}
 }
 
-// Cell allocates the instruments of one cell executing on the given sweep
-// worker. Call it inside the cell function — the ownership rule above.
-func (o *Observe) Cell(worker int) *Collector {
+// Cell allocates the instruments of one cell. Call it inside the cell
+// function — the ownership rule above.
+func (o *Observe) Cell() *Collector {
 	switch {
-	case o == nil:
-		return &Collector{}
-	case o.profile:
+	case o != nil && o.profile:
 		return &Collector{Metrics: metrics.New(), Trace: trace.New(), live: o.live}
-	case o.live != nil:
+	case o != nil && o.live != nil:
 		return &Collector{Metrics: metrics.New(), live: o.live}
 	default:
-		return &Collector{Costs: o.pool.Costs(worker)}
+		return &Collector{}
 	}
 }
 
@@ -98,8 +85,8 @@ func (o *Observe) Cell(worker int) *Collector {
 // returns those of the cells preceding the first failing one (SweepPrefix).
 func SweepObserved[T any](o *Observe, n int, fn func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
 	profs := make([]CellProfile, n)
-	vals, err := SweepPrefix(n, func(k, i int) (v T, err error) {
-		v, profs[i], err = fn(i, o.Cell(k))
+	vals, err := SweepPrefix(n, func(i int) (v T, err error) {
+		v, profs[i], err = fn(i, o.Cell())
 		return v, err
 	})
 	return vals, profs[:len(vals)], err
@@ -202,7 +189,7 @@ type NetCell struct {
 func SweepNet(obs *Observe, cells []NetCell) ([]float64, []CellProfile, error) {
 	return SweepObserved(obs, len(cells), func(i int, col *Collector) (float64, CellProfile, error) {
 		c := cells[i]
-		c.Metrics, c.Trace, c.Costs = col.Metrics, col.Trace, col.Costs
+		c.Metrics, c.Trace = col.Metrics, col.Trace
 		if c.Bandwidth {
 			bw, rep, err := BandwidthRun(c.NetConfig)
 			return bw, col.Finish(c.Label, rep.End, fmt.Sprintf("bandwidth %.4f GB/s", bw/1e9)), err
@@ -226,7 +213,7 @@ func ProfileNet(base NetConfig, sizes []int64) (*RunProfile, error) {
 		cells = append(cells, NetCell{cfg, false, fmt.Sprintf("latency/%dB", size)},
 			NetCell{cfg, true, fmt.Sprintf("bandwidth/%dB", size)})
 	}
-	_, profs, err := SweepNet(NewObserve(base.Model, true), cells)
+	_, profs, err := SweepNet(NewObserve(true), cells)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +233,7 @@ func ProfileNet(base NetConfig, sizes []int64) (*RunProfile, error) {
 // per-iteration and total timed durations and the run's end time.
 func ProfileRun(title, label string, iters int,
 	run func(col *Collector) (perIter, total sim.Duration, end sim.Time, err error)) (*RunProfile, error) {
-	col := (&Observe{profile: true, live: Progress()}).Cell(0)
+	col := NewObserve(true).Cell()
 	perIter, total, end, err := run(col)
 	if err != nil {
 		return nil, err

@@ -168,7 +168,7 @@ func TestChaosSweepObserved(t *testing.T) {
 	cfg := NetConfig{Model: machine.Perlmutter(), Backend: core.MPIBackend,
 		API: machine.APIHost, Native: true, Inter: true, Bytes: 8192}
 	sev := []float64{0, 0.5}
-	plain, empty, err := ChaosSweep(cfg, sev, nil, NewObserve(cfg.Model, false))
+	plain, empty, err := ChaosSweep(cfg, sev, nil, NewObserve(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestChaosSweepObserved(t *testing.T) {
 			t.Errorf("severity %g: unobserved cell recorded a profile", sev[i])
 		}
 	}
-	points, profs, err := ChaosSweep(cfg, sev, nil, NewObserve(cfg.Model, true))
+	points, profs, err := ChaosSweep(cfg, sev, nil, NewObserve(true))
 	if err != nil {
 		t.Fatal(err)
 	}

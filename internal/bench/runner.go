@@ -79,17 +79,6 @@ func (r *Runner) Workers() int { return r.workers }
 // lowest failing index (the same error serial execution returns); once any
 // cell fails, unclaimed cells are skipped.
 func (r *Runner) Run(n int, fn func(i int) error) error {
-	return r.RunWorker(n, func(_, i int) error { return fn(i) })
-}
-
-// RunWorker is Run with the executing worker's index passed to the cell
-// function (0 <= worker < Workers()). Cell-to-worker assignment is a race —
-// whichever worker's atomic claim lands first — so anything keyed on the
-// worker index must be invisible to cell results: its one sound use is
-// worker-local reuse of immutable or memoized state (a warmed ModelPool
-// entry, a scratch buffer), never per-cell observability. The determinism
-// contract is otherwise identical to Run's.
-func (r *Runner) RunWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -107,7 +96,7 @@ func (r *Runner) RunWorker(n int, fn func(worker, i int) error) error {
 			if lr != nil {
 				lr.CellStart(0, i, cellLabel(i))
 			}
-			err := fn(0, i)
+			err := fn(i)
 			lr.CellDone(0, i)
 			if err != nil {
 				return err
@@ -135,7 +124,7 @@ func (r *Runner) RunWorker(n int, fn func(worker, i int) error) error {
 				if lr != nil {
 					lr.CellStart(k, i, cellLabel(i))
 				}
-				err := fn(k, i)
+				err := fn(i)
 				lr.CellDone(k, i)
 				if err != nil {
 					errs[i] = err
@@ -167,13 +156,12 @@ func Sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // SweepPrefix is Sweep for results that are consumed cell by cell: on failure
 // it returns, with the error, the results preceding the first failing cell —
 // what a serial loop would have produced before stopping. (Cells below the
-// lowest failing index always complete; see Runner.Run.) The executing
-// worker's index is passed through, as in Runner.RunWorker.
-func SweepPrefix[T any](n int, fn func(worker, i int) (T, error)) ([]T, error) {
+// lowest failing index always complete; see Runner.Run.)
+func SweepPrefix[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	done := make([]bool, n)
-	err := NewRunner(0).RunWorker(n, func(k, i int) error {
-		v, err := fn(k, i)
+	err := NewRunner(0).Run(n, func(i int) error {
+		v, err := fn(i)
 		out[i], done[i] = v, err == nil
 		return err
 	})
@@ -187,15 +175,9 @@ func SweepPrefix[T any](n int, fn func(worker, i int) (T, error)) ([]T, error) {
 
 // SweepWith is Sweep with an explicit runner.
 func SweepWith[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
-	return SweepWorkerWith[T](r, n, func(_, i int) (T, error) { return fn(i) })
-}
-
-// SweepWorkerWith is SweepWith with the executing worker's index passed
-// through (see Runner.RunWorker for what worker-keyed state may soundly do).
-func SweepWorkerWith[T any](r *Runner, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := r.RunWorker(n, func(k, i int) error {
-		v, err := fn(k, i)
+	err := r.Run(n, func(i int) error {
+		v, err := fn(i)
 		if err != nil {
 			return err
 		}

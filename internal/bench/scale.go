@@ -44,9 +44,6 @@ type ScaleConfig struct {
 	// Trace, when non-nil, records the run's spans (critical-path and
 	// comm-matrix extraction; see internal/trace).
 	Trace *trace.Log
-	// Costs, when non-nil, is a shared per-worker cost cache (bench.ModelPool)
-	// the run reuses instead of warming a private one (see core.Config.Costs).
-	Costs *machine.CostCache
 }
 
 // Validate reports configuration errors.
@@ -82,7 +79,7 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 	rep, err := core.Launch(core.Config{
 		Model: cfg.Model, NGPUs: cfg.Ranks, Backend: core.MPIBackend,
 		Topology: cfg.Topology, Metrics: cfg.Metrics,
-		Trace: cfg.Trace, Costs: cfg.Costs,
+		Trace: cfg.Trace,
 	}, func(env *core.Env) {
 		comm := env.MPIComm()
 		p := env.Proc()

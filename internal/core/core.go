@@ -110,14 +110,6 @@ type Config struct {
 	// (nil) by default; recording is zero-allocation, so enabling it does
 	// not perturb the zero-alloc hot-path gates.
 	Flight *FlightConfig
-	// Costs, when non-nil, is a shared machine.CostCache the run's cluster
-	// uses instead of building (and re-warming) a private one — the sweep
-	// runner passes one per worker so cells sharing a machine skip repeated
-	// cost-curve evaluation (see gpu.Cluster.UseCosts for the soundness
-	// argument). It must be built from the same named machine as Model;
-	// mismatches are ignored. A shared cache never binds per-run metrics
-	// counters, so Metrics snapshots stay per-cell deterministic.
-	Costs *machine.CostCache
 	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
 }
@@ -132,15 +124,6 @@ func (cfg Config) effectiveModel() *machine.Model {
 	m := *cfg.Model
 	m.Topology = cfg.Topology
 	return &m
-}
-
-// applyCosts installs the shared cost cache, if one was provided for this
-// machine. A cache built for a different named machine is ignored rather
-// than rejected: the private per-cluster cache is always a correct fallback.
-func (cfg Config) applyCosts(c *gpu.Cluster) {
-	if cfg.Costs != nil && cfg.Costs.Model().Name == cfg.Model.Name {
-		c.UseCosts(cfg.Costs)
-	}
 }
 
 // Validate reports whether the configuration is runnable.
@@ -245,7 +228,6 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	defer eng.Close()
 	flight := cfg.Flight.install(eng)
 	cluster := gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)
-	cfg.applyCosts(cluster)
 	job := &Job{cfg: cfg, eng: eng, cluster: cluster}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)

@@ -107,12 +107,11 @@ type Fabric struct {
 	// booking (fault injection; see internal/faults).
 	LinkFault LinkFaultFn
 
-	// Hard-fault state: permanently dead routes and the per-path fallback
-	// penalties applied to transfers redirected around them (failover.go).
-	// The failover counter is atomic so FailoverTransfers may be sampled
-	// from outside the engine's goroutine while a run is in flight.
+	// Hard-fault state: permanently dead routes (their fallback penalties
+	// are the package's failovers table; failover.go). The failover counter
+	// is atomic so FailoverTransfers may be sampled from outside the
+	// engine's goroutine while a run is in flight.
 	downs         []downLink
-	failover      map[Path]Failover
 	failoverCount atomic.Int64
 
 	// topo is the inter-node switch fabric; nil on the flat topology, so
@@ -143,7 +142,7 @@ func New(cfg Config) *Fabric {
 	}
 	nGPU := cfg.Nodes * cfg.GPUsPerNode
 	nNIC := cfg.Nodes * cfg.NICsPerNode
-	f := &Fabric{cfg: cfg, failover: defaultFailovers()}
+	f := &Fabric{cfg: cfg}
 	f.topo = buildTopology(&f.cfg)
 	for i := 0; i < nGPU; i++ {
 		f.egress = append(f.egress, sim.NewTimeline(fmt.Sprintf("gpu%d.egress", i)))
@@ -289,7 +288,7 @@ func (f *Fabric) Transfer(at sim.Time, src, dst int, bytes int64, cost LinkCost)
 		// Dead route: redirect onto the path's fallback route instead of
 		// blocking. The same ports are occupied (the staged copy still moves
 		// through them) but the transfer pays the failover cost.
-		cost = f.failover[path].apply(cost)
+		cost = failovers[path].apply(cost)
 		f.noteFailover()
 		track = track + "+failover"
 	}

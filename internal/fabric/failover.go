@@ -49,21 +49,16 @@ func (fo Failover) apply(c LinkCost) LinkCost {
 	return c
 }
 
-// defaultFailovers is installed by New. The numbers model host-staged
-// copies (intra/self) and a secondary NIC route (inter).
-func defaultFailovers() map[Path]Failover {
-	return map[Path]Failover{
-		PathSelf:  {LatencyAdd: 2 * sim.Microsecond, LatencyFactor: 2, BandwidthFactor: 0.25},
-		PathIntra: {LatencyAdd: 1500 * sim.Nanosecond, LatencyFactor: 2, BandwidthFactor: 0.3},
-		PathInter: {LatencyAdd: 3 * sim.Microsecond, LatencyFactor: 1.5, BandwidthFactor: 0.5},
-	}
+// failovers are the fallback-route penalties, indexed by Path. The numbers
+// model host-staged copies (intra/self) and a secondary NIC route (inter).
+var failovers = [3]Failover{
+	PathSelf:  {LatencyAdd: 2 * sim.Microsecond, LatencyFactor: 2, BandwidthFactor: 0.25},
+	PathIntra: {LatencyAdd: 1500 * sim.Nanosecond, LatencyFactor: 2, BandwidthFactor: 0.3},
+	PathInter: {LatencyAdd: 3 * sim.Microsecond, LatencyFactor: 1.5, BandwidthFactor: 0.5},
 }
 
-// SetFailover overrides the fallback-route penalty for one path kind.
-func (f *Fabric) SetFailover(path Path, fo Failover) { f.failover[path] = fo }
-
 // FailoverFor reports the fallback-route penalty for one path kind.
-func (f *Fabric) FailoverFor(path Path) Failover { return f.failover[path] }
+func (f *Fabric) FailoverFor(path Path) Failover { return failovers[path] }
 
 // downLink records one permanently dead route. src/dst of -1 match any
 // endpoint (the whole path kind dies).

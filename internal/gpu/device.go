@@ -48,41 +48,6 @@ type Cluster struct {
 	// goroutine; the pools themselves are internally synchronized.
 	poolsMu sync.Mutex
 	pools   map[reflect.Type]any
-
-	// costs memoizes machine.Model.Cost per (lib, api, path, bytes). By
-	// default the cache lives here, on the per-cell cluster; a sweep worker
-	// may install a shared, pre-warmed cache with UseCosts instead.
-	costs *machine.CostCache
-	// ownCosts records whether costs is this cluster's private cache. Only a
-	// private cache may bind per-run metrics counters: a shared cache's
-	// hit/miss counts depend on which cell warmed it first, which would make
-	// per-cell metrics snapshots interleaving-dependent.
-	ownCosts bool
-}
-
-// Cost resolves a transfer cost through the cluster's memoizing cache.
-// Steady-state communication resolves the same few (path, size) pairs over
-// and over; the cache makes repeat lookups a single map probe.
-func (c *Cluster) Cost(lib machine.Lib, api machine.API, path fabric.Path, bytes int64) fabric.LinkCost {
-	return c.costs.Cost(lib, api, path, bytes)
-}
-
-// UseCosts replaces the cluster's private cost cache with a shared,
-// pre-warmed one (typically one per sweep worker, via bench.ModelPool).
-// Soundness: Model.Cost depends only on the cost
-// profiles and wire bandwidths — not on Topology, GPUsPerNode, or
-// NICsPerNode — so a cache warmed under one topology/inter-view clone of a
-// machine answers identically for every other clone of the same machine;
-// callers must pass a cache built from the same named machine. Memoization
-// is invisible to virtual time, so sharing cannot perturb results. A shared
-// cache never binds per-run metrics counters (see SetMetrics), keeping
-// per-cell metrics snapshots deterministic.
-func (c *Cluster) UseCosts(cc *machine.CostCache) {
-	if cc == nil {
-		return
-	}
-	c.costs = cc
-	c.ownCosts = false
 }
 
 // poolFor returns the cluster's staging arena for element type T, creating
@@ -124,15 +89,12 @@ func (c *Cluster) SetTrace(l *trace.Log) {
 	c.Fabric.Trace = l
 }
 
-// SetMetrics installs a metrics registry on the cluster, its engine, its
-// fabric, and its cost cache; nil disables collection (the default).
+// SetMetrics installs a metrics registry on the cluster, its engine and its
+// fabric; nil disables collection (the default).
 func (c *Cluster) SetMetrics(r *metrics.Registry) {
 	c.Metrics = r
 	c.Eng.SetMetrics(r)
 	c.Fabric.SetMetrics(r)
-	if c.ownCosts {
-		c.costs.SetMetrics(r)
-	}
 	c.mSlowed = r.Counter("gpu.kernels.slowed")
 	c.mKernels = r.Counter("gpu.kernels")
 	c.mStreamOp = r.Counter("gpu.stream_ops")
@@ -146,7 +108,6 @@ func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 	c := &Cluster{
 		Eng: eng, Model: model, Fabric: fab,
 		pools: make(map[reflect.Type]any),
-		costs: machine.NewCostCache(model), ownCosts: true,
 	}
 	for i := 0; i < nGPUs; i++ {
 		d := &Device{
@@ -406,7 +367,7 @@ func (s *Stream) Launch(host *sim.Proc, k *Kernel, args any) {
 func (s *Stream) MemcpyAsync(host *sim.Proc, dst, src View, n int) {
 	host.Advance(s.dev.Model().HostOp)
 	s.Enqueue("memcpy", func(p *sim.Proc) {
-		cost := s.dev.cluster.Cost(machine.LibMPI, machine.APIHost, fabric.PathSelf, dst.Slice(0, n).Bytes())
+		cost := s.dev.cluster.Model.Cost(machine.LibMPI, machine.APIHost, fabric.PathSelf, dst.Slice(0, n).Bytes())
 		end := s.dev.cluster.Fabric.Transfer(p.Now(), s.dev.ID, s.dev.ID, int64(n)*int64(dst.ElemSize()), cost)
 		Copy(dst, src, n)
 		p.AdvanceTo(end)

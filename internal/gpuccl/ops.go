@@ -271,7 +271,7 @@ func (m *p2pMsg) book() {
 	// A partitioned fabric aborts the booking; that fails the sender's op,
 	// and the receiver keeps waiting for a delivery that never comes.
 	if err := sim.Protect(func() {
-		cost := cl.Cost(machine.LibGPUCCL, machine.APIHost, cl.Fabric.PathBetween(m.f.srcW, m.f.dstW), bytes)
+		cost := cl.Model.Cost(machine.LibGPUCCL, machine.APIHost, cl.Fabric.PathBetween(m.f.srcW, m.f.dstW), bytes)
 		arrive = cl.Fabric.Transfer(eng.Now(), m.f.srcW, m.f.dstW, bytes, cost)
 	}); err != nil {
 		m.send.k.opDone(eng, err)

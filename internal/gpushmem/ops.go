@@ -60,7 +60,7 @@ func (pe *PE) transferRaw(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.Vi
 	fab := pe.w.cluster.Fabric
 	bytes := int64(n) * int64(src.ElemSize())
 	path := fab.PathBetween(srcRank, dstRank)
-	cost := pe.w.cluster.Cost(machine.LibGPUSHMEM, api, path, bytes)
+	cost := pe.w.cluster.Model.Cost(machine.LibGPUSHMEM, api, path, bytes)
 	if api == machine.APIDevice {
 		cost.BytesPerSec *= gran.granEff()
 	}
@@ -119,7 +119,7 @@ func (pe *PE) DevPut(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.View,
 func (pe *PE) DevGet(k *gpu.KernelCtx, g ThreadGroup, dst gpu.View, src SymRef, n, target int) {
 	pe.callCost(k.P, machine.APIDevice)
 	path := pe.w.cluster.Fabric.PathBetween(pe.rank, target)
-	req := pe.w.cluster.Cost(machine.LibGPUSHMEM, machine.APIDevice, path, 0).Latency
+	req := pe.w.cluster.Model.Cost(machine.LibGPUSHMEM, machine.APIDevice, path, 0).Latency
 	k.P.Advance(req) // request flight
 	pe.transferRaw(k.P.Engine(), k.P.Now(), dst, src.On(target).Slice(0, n), n,
 		target, pe.rank, pe.rank, machine.APIDevice, g, SigRef{}, SignalSet, 0, k.P)

@@ -86,7 +86,7 @@ func (inst *Instance) post(p *sim.Proc, g *Group, api machine.API, peer int, byt
 	}
 	cl := inst.t.cl
 	src, dst := g.World(g.Rank), g.World(peer)
-	cost := cl.Cost(inst.t.lib, api, cl.Fabric.PathBetween(src, dst), bytes)
+	cost := cl.Model.Cost(inst.t.lib, api, cl.Fabric.PathBetween(src, dst), bytes)
 	return cl.Fabric.Transfer(p.Now(), src, dst, bytes, cost)
 }
 

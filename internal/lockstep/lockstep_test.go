@@ -124,7 +124,7 @@ func TestRoundEndsAtSlowestTransfer(t *testing.T) {
 		bytes := int64(g.Rank+1) << 20
 		if g.Rank == n-1 {
 			cl := tbl.cl
-			cost := cl.Cost(tbl.lib, machine.APIHost, cl.Fabric.PathBetween(g.Rank, 0), bytes)
+			cost := cl.Model.Cost(tbl.lib, machine.APIHost, cl.Fabric.PathBetween(g.Rank, 0), bytes)
 			want = sim.Time(0).Add(cost.Duration(bytes) + cost.Latency)
 		}
 		inst := tbl.Arrive(p, Key{Kind: "pace"}, g, gpu.View{}, gpu.View{}, nil)

@@ -55,6 +55,7 @@ const (
 	APIHost API = iota
 	// APIDevice is device-initiated (GPU threads call the library).
 	APIDevice
+	numAPIs
 )
 
 func (a API) String() string {
@@ -158,34 +159,38 @@ type Model struct {
 	// this machine (rocSHMEM was not mature: LUMI has none — Table I).
 	HasGPUSHMEM bool
 
-	profiles map[profileKey]LibProfile
+	// profiles is the cost table, indexed [lib][api]; nil marks a
+	// combination the machine does not provide. The profiles are immutable
+	// once built, so a copied Model (a topology or inter-node clone) shares
+	// them, and concurrent sweep cells read one Model without a lock.
+	profiles [numLibs][numAPIs]*LibProfile
 }
 
-type profileKey struct {
-	lib Lib
-	api API
+// profile returns the table entry for a library+API, panicking with the
+// machine's name when the machine does not provide it.
+func (m *Model) profile(lib Lib, api API) *LibProfile {
+	if !m.Supports(lib, api) {
+		panic(fmt.Sprintf("machine %s: no profile for %v/%v", m.Name, lib, api))
+	}
+	return m.profiles[lib][api]
 }
 
 // Profile returns the cost profile for a library+API on this machine. It
 // panics for combinations the machine does not support (use Supports to
 // check).
 func (m *Model) Profile(lib Lib, api API) LibProfile {
-	p, ok := m.profiles[profileKey{lib, api}]
-	if !ok {
-		panic(fmt.Sprintf("machine %s: no profile for %v/%v", m.Name, lib, api))
-	}
-	return p
+	return *m.profile(lib, api)
 }
 
 // Supports reports whether the machine provides the library+API combination.
 func (m *Model) Supports(lib Lib, api API) bool {
-	_, ok := m.profiles[profileKey{lib, api}]
-	return ok
+	return uint(lib) < uint(numLibs) && uint(api) < uint(numAPIs) && m.profiles[lib][api] != nil
 }
 
-// Cost resolves the fabric.LinkCost for one message.
+// Cost resolves the fabric.LinkCost for one message: a table read and the
+// saturation curve, cheap enough that nothing memoizes it.
 func (m *Model) Cost(lib Lib, api API, path fabric.Path, bytes int64) fabric.LinkCost {
-	p := m.Profile(lib, api)
+	p := m.profile(lib, api)
 	var c Curve
 	switch path {
 	case fabric.PathInter:

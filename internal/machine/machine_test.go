@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -157,5 +160,154 @@ func TestStringers(t *testing.T) {
 	}
 	if APIHost.String() != "Host" || APIDevice.String() != "Device" {
 		t.Fatal("api names")
+	}
+}
+
+// paths are the three fabric path kinds Cost resolves.
+var paths = []fabric.Path{fabric.PathSelf, fabric.PathIntra, fabric.PathInter}
+
+// sizeLadder is 8 B, 16 B, ... 64 MiB.
+func sizeLadder() []int64 {
+	var out []int64
+	for s := int64(8); s <= 64<<20; s *= 2 {
+		out = append(out, s)
+	}
+	return out
+}
+
+// supported lists every (lib, api) the machine provides.
+func supported(m *Model) [][2]int {
+	var out [][2]int
+	for lib := Lib(0); lib < numLibs; lib++ {
+		for api := API(0); api < numAPIs; api++ {
+			if m.Supports(lib, api) {
+				out = append(out, [2]int{int(lib), int(api)})
+			}
+		}
+	}
+	return out
+}
+
+// curveCost is the closed form Cost must reproduce bit for bit: a device-
+// local copy at half a microsecond and the GPU's copy bandwidth, otherwise
+// the path's Alpha and wire * EffPeak * s / (s + HalfSize).
+func curveCost(m *Model, p LibProfile, path fabric.Path, bytes int64) fabric.LinkCost {
+	c, wire := p.Intra, m.IntraWireBW
+	switch path {
+	case fabric.PathSelf:
+		return fabric.LinkCost{Latency: sim.Microsecond / 2, BytesPerSec: m.GPU.LocalCopyBW}
+	case fabric.PathInter:
+		c, wire = p.Inter, m.NICWireBW
+	}
+	s := float64(bytes)
+	return fabric.LinkCost{Latency: c.Alpha, BytesPerSec: wire * (c.EffPeak * s / (s + c.HalfSize))}
+}
+
+// TestCostMatchesCurve: the profile table answers every machine x supported
+// (lib, api) x path x 8 B..64 MiB with exactly the closed-form curve, a
+// topology or inter-node clone answers identically, and an unsupported
+// combination panics naming the machine.
+func TestCostMatchesCurve(t *testing.T) {
+	for _, m := range All() {
+		clone := *m
+		clone.Topology = fabric.TopologyConfig{Kind: fabric.TopoFatTree}
+		clone.GPUsPerNode, clone.NICsPerNode = 1, 1
+		for _, la := range supported(m) {
+			lib, api := Lib(la[0]), API(la[1])
+			p := m.Profile(lib, api)
+			for _, path := range paths {
+				for _, size := range sizeLadder() {
+					want := curveCost(m, p, path, size)
+					if got := m.Cost(lib, api, path, size); got != want {
+						t.Fatalf("%s %v/%v %v %dB: Cost = %+v, curve = %+v", m.Name, lib, api, path, size, got, want)
+					}
+					if got := clone.Cost(lib, api, path, size); got != want {
+						t.Fatalf("%s %v/%v %v %dB: clone Cost = %+v, want %+v", m.Name, lib, api, path, size, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		m   *Model
+		lib Lib
+		api API
+	}{{LUMI(), LibGPUSHMEM, APIHost}, {Perlmutter(), LibMPI, APIDevice}, {MareNostrum5(), numLibs, APIHost}} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			tc.m.Cost(tc.lib, tc.api, fabric.PathInter, 8)
+			return ""
+		}()
+		if !strings.Contains(msg, "machine "+tc.m.Name+":") {
+			t.Errorf("%s %v/%v: Cost panicked with %q, want the machine named", tc.m.Name, tc.lib, tc.api, msg)
+		}
+	}
+}
+
+// TestCostAllocatesNothing guards the per-message lookup every transfer pays.
+func TestCostAllocatesNothing(t *testing.T) {
+	m := Perlmutter()
+	var sink fabric.LinkCost
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, path := range paths {
+			sink = m.Cost(LibGPUSHMEM, APIDevice, path, 4096)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Cost allocates %.1f objects per call round, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestModelConcurrentReaders: every sweep worker reads one shared Model with
+// no lock, so concurrent Cost/Profile/Supports must agree with a serial pass
+// (and, under -race, touch nothing mutable).
+func TestModelConcurrentReaders(t *testing.T) {
+	m := MareNostrum5()
+	sizes := sizeLadder()
+	type key struct {
+		lib  Lib
+		api  API
+		path fabric.Path
+		size int64
+	}
+	want := map[key]fabric.LinkCost{}
+	profiles := map[[2]int]LibProfile{}
+	for _, la := range supported(m) {
+		profiles[la] = m.Profile(Lib(la[0]), API(la[1]))
+		for _, path := range paths {
+			for _, size := range sizes {
+				k := key{Lib(la[0]), API(la[1]), path, size}
+				want[k] = m.Cost(k.lib, k.api, path, size)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, w := range want {
+				if !m.Supports(k.lib, k.api) || m.Profile(k.lib, k.api) != profiles[[2]int{int(k.lib), int(k.api)}] {
+					t.Errorf("%v/%v: concurrent Supports/Profile disagree with the serial pass", k.lib, k.api)
+					return
+				}
+				if got := m.Cost(k.lib, k.api, k.path, k.size); got != w {
+					t.Errorf("%+v: concurrent Cost = %+v, serial %+v", k, got, w)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkCost is the per-message link-cost lookup: a table read and the
+// saturation curve.
+func BenchmarkCost(b *testing.B) {
+	m := Perlmutter()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		m.Cost(LibMPI, APIHost, fabric.PathInter, int64(8+8*(i&1023)))
 	}
 }

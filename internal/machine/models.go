@@ -38,32 +38,31 @@ func Perlmutter() *Model {
 		HostOp:      sim.Nanos(180),
 		HasGPUSHMEM: true,
 		Uniconn:     defaultUniconnCosts(),
-		profiles: map[profileKey]LibProfile{
-			{LibMPI, APIHost}: {
+		profiles: [numLibs][numAPIs]*LibProfile{
+			LibMPI: {APIHost: {
 				Intra:              Curve{Alpha: sim.Micros(2.4), EffPeak: 0.68, HalfSize: 96 << 10},
 				Inter:              Curve{Alpha: sim.Micros(3.3), EffPeak: 0.90, HalfSize: 48 << 10},
 				CallOverhead:       sim.Nanos(380),
 				EagerMax:           8 << 10,
 				RendezvousOverhead: sim.Micros(2.8),
 				CollStagingBW:      12e9,
-			},
-			{LibGPUCCL, APIHost}: {
+			}},
+			LibGPUCCL: {APIHost: {
 				Intra:          Curve{Alpha: sim.Micros(1.4), EffPeak: 0.93, HalfSize: 192 << 10},
 				Inter:          Curve{Alpha: sim.Micros(4.2), EffPeak: 0.95, HalfSize: 96 << 10},
 				CallOverhead:   sim.Nanos(300),
 				LaunchOverhead: sim.Micros(8.7),
-			},
-			{LibGPUSHMEM, APIHost}: {
+			}},
+			LibGPUSHMEM: {APIHost: {
 				Intra:          Curve{Alpha: sim.Micros(2.0), EffPeak: 0.84, HalfSize: 128 << 10},
 				Inter:          Curve{Alpha: sim.Micros(3.0), EffPeak: 0.92, HalfSize: 64 << 10},
 				CallOverhead:   sim.Nanos(320),
 				LaunchOverhead: sim.Micros(6.0),
-			},
-			{LibGPUSHMEM, APIDevice}: {
+			}, APIDevice: {
 				Intra:        Curve{Alpha: sim.Micros(1.1), EffPeak: 0.76, HalfSize: 128 << 10},
 				Inter:        Curve{Alpha: sim.Micros(2.4), EffPeak: 0.88, HalfSize: 64 << 10},
 				CallOverhead: sim.Nanos(40), // device-side instruction cost
-			},
+			}},
 		},
 	}
 	return m
@@ -91,21 +90,21 @@ func LUMI() *Model {
 		HostOp:      sim.Nanos(200),
 		HasGPUSHMEM: false,
 		Uniconn:     defaultUniconnCosts(),
-		profiles: map[profileKey]LibProfile{
-			{LibMPI, APIHost}: {
+		profiles: [numLibs][numAPIs]*LibProfile{
+			LibMPI: {APIHost: {
 				Intra:              Curve{Alpha: sim.Micros(2.9), EffPeak: 0.62, HalfSize: 128 << 10},
 				Inter:              Curve{Alpha: sim.Micros(3.6), EffPeak: 0.88, HalfSize: 64 << 10},
 				CallOverhead:       sim.Nanos(420),
 				EagerMax:           8 << 10,
 				RendezvousOverhead: sim.Micros(3.4),
 				CollStagingBW:      10e9,
-			},
-			{LibGPUCCL, APIHost}: { // RCCL: weak small, strong large (paper §VII)
+			}},
+			LibGPUCCL: {APIHost: { // RCCL: weak small, strong large (paper §VII)
 				Intra:          Curve{Alpha: sim.Micros(2.3), EffPeak: 0.91, HalfSize: 256 << 10},
 				Inter:          Curve{Alpha: sim.Micros(6.5), EffPeak: 0.93, HalfSize: 128 << 10},
 				CallOverhead:   sim.Nanos(340),
 				LaunchOverhead: sim.Micros(11.0),
-			},
+			}},
 		},
 	}
 	return m
@@ -132,32 +131,31 @@ func MareNostrum5() *Model {
 		HostOp:      sim.Nanos(170),
 		HasGPUSHMEM: true,
 		Uniconn:     defaultUniconnCosts(),
-		profiles: map[profileKey]LibProfile{
-			{LibMPI, APIHost}: { // OpenMPI/UCX: good latency, weaker large intra
+		profiles: [numLibs][numAPIs]*LibProfile{
+			LibMPI: {APIHost: { // OpenMPI/UCX: good latency, weaker large intra
 				Intra:              Curve{Alpha: sim.Micros(2.1), EffPeak: 0.60, HalfSize: 128 << 10},
 				Inter:              Curve{Alpha: sim.Micros(2.9), EffPeak: 0.91, HalfSize: 48 << 10},
 				CallOverhead:       sim.Nanos(350),
 				EagerMax:           8 << 10,
 				RendezvousOverhead: sim.Micros(2.5),
 				CollStagingBW:      13e9,
-			},
-			{LibGPUCCL, APIHost}: {
+			}},
+			LibGPUCCL: {APIHost: {
 				Intra:          Curve{Alpha: sim.Micros(1.3), EffPeak: 0.94, HalfSize: 256 << 10},
 				Inter:          Curve{Alpha: sim.Micros(4.0), EffPeak: 0.95, HalfSize: 96 << 10},
 				CallOverhead:   sim.Nanos(290),
 				LaunchOverhead: sim.Micros(8.0),
-			},
-			{LibGPUSHMEM, APIHost}: {
+			}},
+			LibGPUSHMEM: {APIHost: {
 				Intra:          Curve{Alpha: sim.Micros(1.8), EffPeak: 0.82, HalfSize: 192 << 10},
 				Inter:          Curve{Alpha: sim.Micros(2.7), EffPeak: 0.93, HalfSize: 64 << 10},
 				CallOverhead:   sim.Nanos(310),
 				LaunchOverhead: sim.Micros(5.5),
-			},
-			{LibGPUSHMEM, APIDevice}: {
+			}, APIDevice: {
 				Intra:        Curve{Alpha: sim.Micros(1.0), EffPeak: 0.74, HalfSize: 192 << 10},
 				Inter:        Curve{Alpha: sim.Micros(2.2), EffPeak: 0.90, HalfSize: 64 << 10},
 				CallOverhead: sim.Nanos(40),
-			},
+			}},
 		},
 	}
 	return m

@@ -396,7 +396,7 @@ func (c *Comm) inject(buf gpu.View, dst, tag int, lib bool) *header {
 	bytes := buf.Bytes()
 	fab := w.cluster.Fabric
 	path := fab.PathBetween(srcWorld, dstWorld)
-	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
+	cost := w.cluster.Model.Cost(machine.LibMPI, machine.APIHost, path, bytes)
 
 	if h.eager = bytes <= prof.EagerMax; h.eager {
 		// Eager: snapshot the payload, inject, and complete locally once
@@ -587,7 +587,7 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 	half := w.prof.RendezvousOverhead / 2
 	bytes := h.srcBuf.Bytes()
 	path := w.cluster.Fabric.PathBetween(h.src, h.dst)
-	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
+	cost := w.cluster.Model.Cost(machine.LibMPI, machine.APIHost, path, bytes)
 	var attempt func(backoff sim.Duration)
 	attempt = func(backoff sim.Duration) {
 		arrive, stall := w.cluster.Fabric.TryTransfer(eng.Now(), h.src, h.dst, bytes, cost)

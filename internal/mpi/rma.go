@@ -98,7 +98,7 @@ func (win *Win) rmaTransfer(p *sim.Proc, origin, srcRank, dstRank int, bytes int
 	eng := w.cluster.Eng
 	srcW, dstW := c.group[srcRank], c.group[dstRank]
 	path := w.cluster.Fabric.PathBetween(srcW, dstW)
-	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
+	cost := w.cluster.Model.Cost(machine.LibMPI, machine.APIHost, path, bytes)
 	arrive := w.cluster.Fabric.Transfer(p.Now(), srcW, dstW, bytes, cost)
 	done := sim.NewGate(fmt.Sprintf("win%d rma %d->%d", win.obj.id, srcW, dstW))
 	eng.After(arrive.Sub(eng.Now()), func() {

@@ -13,9 +13,8 @@
 // pending call (one simulation, many waiters); distinct specs accumulate
 // until the batch window closes or the batch is full, then execute together
 // as one bench.EvalSpecs sweep — the same deterministic fan-out the CLIs
-// use, with per-worker warmed cost caches. A semaphore bounds concurrent
-// batch executions, and a queue cap sheds load (ErrOverloaded → 503) rather
-// than accepting unbounded work.
+// use. A semaphore bounds concurrent batch executions, and a queue cap
+// sheds load (ErrOverloaded → 503) rather than accepting unbounded work.
 //
 // Determinism note: coalescing and batching change *when* and *how often* a
 // cell is simulated, never *what* it returns — cell results are a pure

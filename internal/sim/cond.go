@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Synchronization primitives for simulated processes. All primitives operate
 // in virtual time and preserve the engine's determinism: waiters are released
@@ -108,11 +111,10 @@ func (g *Gate) add(p *Proc) {
 func (g *Gate) drop(p *Proc) {
 	if g.w0 == p {
 		// Promote the next overflow waiter so FIFO release order survives.
+		g.w0 = nil
 		if len(g.waiters) > 0 {
 			g.w0 = g.waiters[0]
-			g.waiters = g.waiters[1:]
-		} else {
-			g.w0 = nil
+			g.waiters = slices.Delete(g.waiters, 0, 1)
 		}
 		return
 	}
@@ -120,12 +122,12 @@ func (g *Gate) drop(p *Proc) {
 }
 
 // removeWaiter deletes p from a waiter slice, preserving FIFO order of the
-// remaining waiters. Used by the interrupt/kill cancelers.
+// remaining waiters and clearing the vacated tail slot, so a departed
+// process is not kept reachable from the backing array. Used by the
+// interrupt/kill cancelers.
 func removeWaiter(ws []*Proc, p *Proc) []*Proc {
-	for i, w := range ws {
-		if w == p {
-			return append(ws[:i], ws[i+1:]...)
-		}
+	if i := slices.Index(ws, p); i >= 0 {
+		return slices.Delete(ws, i, i+1)
 	}
 	return ws
 }
@@ -172,6 +174,7 @@ func (c *Counter) notify(e *Engine) {
 			kept = append(kept, w)
 		}
 	}
+	clear(c.waiters[len(kept):]) // released waiters and their predicates
 	c.waiters = kept
 }
 
@@ -188,11 +191,8 @@ func (c *Counter) WaitUntil(p *Proc, pred func(uint64) bool) {
 }
 
 func (c *Counter) drop(p *Proc) {
-	for i, w := range c.waiters {
-		if w.p == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
+	if i := slices.IndexFunc(c.waiters, func(w counterWaiter) bool { return w.p == p }); i >= 0 {
+		c.waiters = slices.Delete(c.waiters, i, i+1)
 	}
 }
 
@@ -228,12 +228,11 @@ func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 // Put enqueues an item, waking the longest-waiting receiver if any.
 func (m *Mailbox[T]) Put(e *Engine, item T) {
 	m.items = append(m.items, item)
-	if n := len(m.waiters); n > 0 {
+	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		// The usual single receiver leaves the slice empty at its base, so
 		// the next park appends without allocating.
-		copy(m.waiters, m.waiters[1:])
-		m.waiters = m.waiters[:n-1]
+		m.waiters = slices.Delete(m.waiters, 0, 1)
 		e.wake(w, e.now, m.reason)
 	}
 }
@@ -298,7 +297,7 @@ func (s *Semaphore) Release(e *Engine) {
 	s.avail++
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		s.waiters = slices.Delete(s.waiters, 0, 1)
 		e.wake(w, e.now, s.reason)
 	}
 }
@@ -335,6 +334,7 @@ func (r *Rendezvous) Arrive(p *Proc) {
 		for _, w := range r.arrived {
 			p.eng.wake(w, p.eng.now, r.reason)
 		}
+		clear(r.arrived)
 		r.arrived = r.arrived[:0]
 		r.round++
 		return

@@ -9,7 +9,7 @@ package sim
 //   - Interrupt(err) poisons a process: the error is raised (as an abort
 //     unwind, catchable with Protect) at the process's current or next
 //     interruptible park. Waits on Gate/Counter/Semaphore/Rendezvous are
-//     interruptible; Advance/Yield and Mailbox.Get (the stream-daemon idle
+//     interruptible; Advance and Mailbox.Get (the stream-daemon idle
 //     loop) are not, so a pending interrupt waits for a blocking
 //     synchronization point instead of tearing through timed compute.
 //   - Kill() crashes a process: it unwinds silently at its very next

@@ -584,13 +584,6 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-// Yield reschedules the process at the current time, letting other runnable
-// processes execute first.
-func (p *Proc) Yield() {
-	p.eng.wake(p, p.eng.now, "yield")
-	p.park("yield")
-}
-
 // DeadlockError is returned by Run when live processes remain but no events
 // are pending.
 type DeadlockError struct {
