@@ -27,20 +27,26 @@ var benchSizes = []int64{8, 8 << 10, 1 << 20}
 
 func mustLat(b *testing.B, cfg bench.NetConfig) sim.Duration {
 	b.Helper()
-	l, err := bench.Latency(cfg)
+	l, _, err := bench.LatencyRun(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return l
 }
 
+// overheadPct is (x-ref)/ref in percent, the quantity of the embedded
+// overhead plots in Figs. 3-4.
+func overheadPct(x, ref sim.Duration) float64 {
+	return (float64(x) - float64(ref)) / float64(ref) * 100
+}
+
 func mustBw(b *testing.B, cfg bench.NetConfig) float64 {
 	b.Helper()
-	v, err := bench.Bandwidth(cfg)
+	v, _, err := bench.SweepNet(nil, []bench.NetCell{{NetConfig: cfg, Bandwidth: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return v
+	return v[0]
 }
 
 // BenchmarkFig2_NativeComparison reproduces the motivation benchmark
@@ -113,7 +119,7 @@ func benchNativeVsUniconn(b *testing.B, inter bool) {
 						nat := mustLat(b, cfg)
 						cfg.Native = false
 						uc := mustLat(b, cfg)
-						sum += bench.PercentDiff(uc, nat)
+						sum += overheadPct(uc, nat)
 						n++
 					}
 					if avg := sum / float64(n); avg > worst {
@@ -160,7 +166,7 @@ func BenchmarkFig5_JacobiScaling(b *testing.B) {
 						b.Fatal(err)
 					}
 					if n == 64 {
-						diff64 = bench.PercentDiff(uc.PerIter, nat.PerIter)
+						diff64 = overheadPct(uc.PerIter, nat.PerIter)
 						perIter = uc.PerIter
 					}
 				}
@@ -194,7 +200,7 @@ func BenchmarkFig6_CG(b *testing.B) {
 					natCCL := run(cg.NativeGPUCCL, 0, 0)
 					ucCCL := run(cg.Uniconn, core.GpucclBackend, core.PureHost)
 					natMPI := run(cg.NativeMPI, 0, 0)
-					ucDiff = bench.PercentDiff(ucCCL, natCCL)
+					ucDiff = overheadPct(ucCCL, natCCL)
 					mpiRatio = float64(natMPI) / float64(natCCL)
 				}
 				b.ReportMetric(ucDiff, "uniconn-diff-%")

@@ -22,8 +22,8 @@ func parseSeverities(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad severity %q: %w", f, err)
 		}
-		if v < 0 {
-			return nil, fmt.Errorf("severity %g is negative", v)
+		if err := spec.CheckSeverity(v); err != nil {
+			return nil, err
 		}
 		out = append(out, v)
 	}

@@ -72,7 +72,7 @@ var fileCases = []struct {
 // reads as unset).
 func invoke(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
-	t.Setenv(bench.WorkersEnv, os.Getenv(bench.WorkersEnv))
+	t.Setenv(spec.WorkersEnv, os.Getenv(spec.WorkersEnv))
 	var out, errb bytes.Buffer
 	status = run(args, &out, &errb)
 	return out.String(), errb.String(), status
@@ -175,6 +175,8 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"cg", "-matrix", "dense"}, 1, `unknown matrix "dense"`},
 		{[]string{"scale", "-max-ranks", "8"}, 1, "need -max-ranks >= 64"},
 		{[]string{"chaos", "-topology", "flat,fattree"}, 1, "topology lists are for -recover"},
+		{[]string{"chaos", "-severities", "NaN,1"}, 1, "severity must be finite and >= 0 (got NaN)"},
+		{[]string{"chaos", "-severities", "0,+Inf"}, 1, "severity must be finite and >= 0 (got +Inf)"},
 		{[]string{"sloc", "-root", "/nonexistent"}, 1, "run from the repository root"},
 	} {
 		stdout, stderr, status := invoke(t, c.args...)
@@ -185,6 +187,24 @@ func TestRejectedInvocations(t *testing.T) {
 	}
 	if _, stderr, status := invoke(t, "netbench", "-h"); status != 0 || !strings.Contains(stderr, "-machine") {
 		t.Errorf("netbench -h: exit %d, stderr %q; want exit 0 and the flag list", status, stderr)
+	}
+}
+
+// TestNonPositiveItersRejected: a solver run without a timed iteration is
+// refused with an error naming the count, where it used to divide by zero in
+// a runner goroutine (or, for negative counts, print a table of zeros).
+func TestNonPositiveItersRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"jacobi", "-gpus", "2", "-iters", "0"},
+		{"jacobi", "-gpus", "2", "-iters", "-3"},
+		{"jacobi", "-gpus", "2", "-warmup", "-1"},
+		{"cg", "-gpus", "2", "-iters", "0"},
+		{"prof", "-workload", "jacobi", "-iters", "0"},
+	} {
+		_, stderr, status := invoke(t, args...)
+		if status != 1 || !strings.Contains(stderr, "need iters >= 1") || strings.Contains(stderr, "panic") {
+			t.Errorf("uniconn %s: exit %d, stderr %q; want exit 1 naming iters", strings.Join(args, " "), status, stderr)
+		}
 	}
 }
 

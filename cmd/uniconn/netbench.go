@@ -14,7 +14,7 @@ import (
 // UNICONN implementations of every supported (library, API) pair.
 //
 // The size × column grid is a set of independent simulations; it fans out
-// over the deterministic parallel runner (bench.SweepObserved), so the table
+// over the deterministic parallel runner (bench.sweepObserved), so the table
 // is bit-identical at any UNICONN_WORKERS setting.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs

@@ -27,15 +27,15 @@ import (
 
 // Candidate is one selectable communication configuration.
 type Candidate struct {
-	Backend core.BackendID
-	API     machine.API
+	backend core.BackendID
+	api     machine.API
 }
 
 func (c Candidate) String() string {
-	if c.API == machine.APIDevice {
-		return fmt.Sprintf("%v(device)", c.Backend)
+	if c.api == machine.APIDevice {
+		return fmt.Sprintf("%v(device)", c.backend)
 	}
-	return c.Backend.String()
+	return c.backend.String()
 }
 
 // Metric selects the optimization target.

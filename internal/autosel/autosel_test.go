@@ -29,12 +29,12 @@ func TestRecommendSmallMessagesPerlmutter(t *testing.T) {
 	// §II-C / Fig. 2: the device-initiated path has the lowest tiny-
 	// message latency on NVSHMEM-equipped machines.
 	c, v := a.Recommend(8, false, MinLatency)
-	if c.Backend != core.GpushmemBackend || c.API != machine.APIDevice {
+	if c.backend != core.GpushmemBackend || c.api != machine.APIDevice {
 		t.Fatalf("8B intra winner = %v (%.0fns)", c, v)
 	}
 	// Large intra-node bandwidth belongs to GPUCCL.
 	c, _ = a.Recommend(4<<20, false, MaxBandwidth)
-	if c.Backend != core.GpucclBackend {
+	if c.backend != core.GpucclBackend {
 		t.Fatalf("4MiB intra bandwidth winner = %v", c)
 	}
 }
@@ -44,14 +44,14 @@ func TestRecommendLUMIHasNoShmem(t *testing.T) {
 	for _, inter := range []bool{false, true} {
 		for _, size := range []int64{8, 4 << 20} {
 			c, _ := a.Recommend(size, inter, MinLatency)
-			if c.Backend == core.GpushmemBackend {
+			if c.backend == core.GpushmemBackend {
 				t.Fatalf("LUMI recommended GPUSHMEM (%v)", c)
 			}
 		}
 	}
 	// RCCL's launch overhead means MPI wins small messages on LUMI.
 	c, _ := a.Recommend(8, false, MinLatency)
-	if c.Backend != core.MPIBackend {
+	if c.backend != core.MPIBackend {
 		t.Fatalf("LUMI 8B winner = %v, want MPI", c)
 	}
 }

@@ -10,39 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestTrimmedMean(t *testing.T) {
-	xs := []sim.Duration{100, 1, 50, 60, 1000}
-	if got := TrimmedMean(xs); got != (100+50+60)/3 {
-		t.Fatalf("trimmed mean = %v", got)
-	}
-	if got := TrimmedMean([]sim.Duration{5, 7}); got != 6 {
-		t.Fatalf("two-sample mean = %v", got)
-	}
-	if TrimmedMean(nil) != 0 {
-		t.Fatal("empty mean not zero")
-	}
-}
-
-func TestTrimmedMeanRoundsHalfUp(t *testing.T) {
-	// Integer division used to truncate toward zero, biasing every mean
-	// low. The mean must round to nearest, half away from zero.
-	cases := []struct {
-		xs   []sim.Duration
-		want sim.Duration
-	}{
-		{[]sim.Duration{1, 2}, 2},        // 1.5 rounds up
-		{[]sim.Duration{1, 1, 2}, 1},     // 1.33 rounds down
-		{[]sim.Duration{1, 2, 2}, 2},     // 1.67 rounds up
-		{[]sim.Duration{-1, -2}, -2},     // -1.5 rounds away from zero
-		{[]sim.Duration{-1, -1, -2}, -1}, // -1.33 rounds toward zero
-	}
-	for _, c := range cases {
-		if got := TrimmedMean(c.xs); got != c.want {
-			t.Errorf("TrimmedMean(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
 func TestSizesRejectsNonPositiveMin(t *testing.T) {
 	// Sizes(0, max) used to loop forever (0*2 == 0) and a negative min
 	// spun through negative sizes; both must panic with a clear message.
@@ -71,17 +38,17 @@ func TestSizesStopsAtOverflow(t *testing.T) {
 }
 
 func TestPercentDiff(t *testing.T) {
-	if got := PercentDiff(102, 100); math.Abs(got-2) > 1e-12 {
+	if got := percentDiff(102, 100); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("diff = %v", got)
 	}
-	if got := PercentDiff(5, 0); !math.IsInf(got, 1) {
-		t.Fatalf("PercentDiff(5, 0) = %v, want +Inf", got)
+	if got := percentDiff(5, 0); !math.IsInf(got, 1) {
+		t.Fatalf("percentDiff(5, 0) = %v, want +Inf", got)
 	}
-	if got := PercentDiff(-5, 0); !math.IsInf(got, -1) {
-		t.Fatalf("PercentDiff(-5, 0) = %v, want -Inf", got)
+	if got := percentDiff(-5, 0); !math.IsInf(got, -1) {
+		t.Fatalf("percentDiff(-5, 0) = %v, want -Inf", got)
 	}
-	if got := PercentDiff(0, 0); !math.IsNaN(got) {
-		t.Fatalf("PercentDiff(0, 0) = %v, want NaN", got)
+	if got := percentDiff(0, 0); !math.IsNaN(got) {
+		t.Fatalf("percentDiff(0, 0) = %v, want NaN", got)
 	}
 }
 
@@ -154,7 +121,7 @@ func allNetConfigs(m *machine.Model, bytes int64) []NetConfig {
 				out = append(out, NetConfig{
 					Model: m, Backend: lib.Backend, API: lib.API,
 					Native: native, Inter: inter, Bytes: bytes,
-					Iters: 20, Warmup: 2, Window: 8,
+					Iters: 20, Warmup: 2, window: 8,
 				})
 			}
 		}
@@ -165,7 +132,7 @@ func allNetConfigs(m *machine.Model, bytes int64) []NetConfig {
 func TestLatencyAllConfigsPositive(t *testing.T) {
 	for _, m := range machine.All() {
 		for _, cfg := range allNetConfigs(m, 64) {
-			l, err := Latency(cfg)
+			l, _, err := LatencyRun(cfg)
 			if err != nil {
 				t.Fatalf("%s %v/%v native=%v inter=%v: %v",
 					m.Name, cfg.Backend, cfg.API, cfg.Native, cfg.Inter, err)
@@ -180,7 +147,7 @@ func TestLatencyAllConfigsPositive(t *testing.T) {
 func TestBandwidthAllConfigsPositive(t *testing.T) {
 	for _, m := range machine.All() {
 		for _, cfg := range allNetConfigs(m, 1<<20) {
-			bw, err := Bandwidth(cfg)
+			bw, _, err := bandwidthRun(cfg)
 			if err != nil {
 				t.Fatalf("%s %v/%v: %v", m.Name, cfg.Backend, cfg.API, err)
 			}
@@ -201,7 +168,7 @@ func TestPaperShapeSmallMessageLatencyOrdering(t *testing.T) {
 	// the host side, and GPUSHMEM device-initiated beats both.
 	m := machine.Perlmutter()
 	lat := func(b core.BackendID, api machine.API) sim.Duration {
-		l, err := Latency(NetConfig{Model: m, Backend: b, API: api, Native: true,
+		l, _, err := LatencyRun(NetConfig{Model: m, Backend: b, API: api, Native: true,
 			Bytes: 64, Iters: 50, Warmup: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -221,8 +188,8 @@ func TestPaperShapeLargeMessageBandwidthOrdering(t *testing.T) {
 	// bandwidth.
 	m := machine.Perlmutter()
 	bw := func(b core.BackendID, api machine.API) float64 {
-		v, err := Bandwidth(NetConfig{Model: m, Backend: b, API: api, Native: true,
-			Bytes: 4 << 20, Iters: 5, Warmup: 1, Window: 16})
+		v, _, err := bandwidthRun(NetConfig{Model: m, Backend: b, API: api, Native: true,
+			Bytes: 4 << 20, Iters: 5, Warmup: 1, window: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,23 +212,23 @@ func TestUniconnNetOverheadBounds(t *testing.T) {
 			cfg := NetConfig{Model: m, Backend: lib.Backend, API: lib.API,
 				Bytes: bytes, Iters: 50, Warmup: 5}
 			cfg.Native = true
-			nat, err := Latency(cfg)
+			nat, _, err := LatencyRun(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Native = false
-			uc, err := Latency(cfg)
+			uc, _, err := LatencyRun(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			over := PercentDiff(uc, nat)
+			over := percentDiff(uc, nat)
 			limit := 10.0
 			if lib.API == machine.APIDevice {
 				limit = 0.5
 			}
 			if over > limit || over < -limit {
 				t.Errorf("%s %dB: UNICONN latency overhead %.2f%% (limit %.1f%%)",
-					lib.Net, bytes, over, limit)
+					lib.net, bytes, over, limit)
 			}
 		}
 	}
@@ -272,7 +239,7 @@ func TestEagerKneeVisible(t *testing.T) {
 	// at 8 KiB (ablation A3).
 	m := machine.Perlmutter()
 	lat := func(bytes int64) sim.Duration {
-		l, err := Latency(NetConfig{Model: m, Backend: core.MPIBackend, API: machine.APIHost,
+		l, _, err := LatencyRun(NetConfig{Model: m, Backend: core.MPIBackend, API: machine.APIHost,
 			Native: true, Bytes: bytes, Iters: 50, Warmup: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -309,9 +276,9 @@ func TestTable2CountsThisRepo(t *testing.T) {
 }
 
 func TestFigureRender(t *testing.T) {
-	f := Figure{ID: "FigX", Title: "demo", XLabel: "bytes", YLabel: "us",
-		Series: []Series{{Label: "a", X: []float64{1, 2}, Y: []float64{3, 4}}},
-		Notes:  []string{"hello"}}
+	f := Figure{id: "FigX", title: "demo", xLabel: "bytes", yLabel: "us",
+		series: []series{{label: "a", x: []float64{1, 2}, y: []float64{3, 4}}},
+		notes:  []string{"hello"}}
 	out := f.Render()
 	for _, want := range []string{"FigX", "demo", "bytes", "hello", "3", "4"} {
 		if !strings.Contains(out, want) {

@@ -21,10 +21,10 @@ type ChaosPoint struct {
 	Latency sim.Duration
 	// Bandwidth is the windowed one-way bandwidth (bytes/s) under the plan.
 	Bandwidth float64
-	// Transfers and TransferBytes summarize the latency run's fabric
+	// Transfers and transferBytes summarize the latency run's fabric
 	// activity, from the trace log.
 	Transfers     int
-	TransferBytes int64
+	transferBytes int64
 }
 
 // LatencyFactor reports degradation relative to a baseline latency.
@@ -43,10 +43,10 @@ func (p ChaosPoint) BandwidthFactor(baseline float64) float64 {
 	return p.Bandwidth / baseline
 }
 
-// FaultedPath reports the path kind a chaos sweep of this configuration
+// faultedPath reports the path kind a chaos sweep of this configuration
 // stresses: the inter-node route when Inter is set, the intra-node route
 // otherwise.
-func (cfg NetConfig) FaultedPath() fabric.Path {
+func (cfg NetConfig) faultedPath() fabric.Path {
 	if cfg.Inter {
 		return fabric.PathInter
 	}
@@ -79,29 +79,29 @@ func (cfg NetConfig) GeneratedPlans(seed uint64) func(severity float64) *faults.
 // the error, exactly as a serial sweep would.
 func ChaosSweep(cfg NetConfig, severities []float64, planFor func(severity float64) *faults.Plan, obs *Observe) ([]ChaosPoint, []CellProfile, error) {
 	if planFor == nil {
-		path := cfg.FaultedPath()
+		path := cfg.faultedPath()
 		planFor = func(s float64) *faults.Plan { return faults.Degrade(path, s) }
 	}
-	return SweepObserved(obs, len(severities), func(i int, col *Collector) (ChaosPoint, CellProfile, error) {
+	return sweepObserved(obs, len(severities), func(i int, col *Collector) (ChaosPoint, CellProfile, error) {
 		sev := severities[i]
 		run := cfg
-		run.Faults = planFor(sev)
-		run.Metrics, run.Trace = col.Metrics, col.Trace
-		if run.Trace == nil {
-			run.Trace = trace.New() // private: counted below, never frozen
+		run.faults = planFor(sev)
+		run.metrics, run.trace = col.Metrics, col.Trace
+		if run.trace == nil {
+			run.trace = trace.New() // private: counted below, never frozen
 		}
 		lat, rep, err := LatencyRun(run)
 		if err != nil {
 			return ChaosPoint{}, CellProfile{}, fmt.Errorf("chaos severity %g: latency: %w", sev, err)
 		}
 		pt := ChaosPoint{Severity: sev, Latency: lat}
-		for _, s := range run.Trace.Filter(trace.KindTransfer) {
+		for _, s := range run.trace.Filter(trace.KindTransfer) {
 			pt.Transfers++
-			pt.TransferBytes += s.Bytes
+			pt.transferBytes += s.Bytes
 		}
 		prof := col.Finish(fmt.Sprintf("severity/%g", sev), rep.End, fmt.Sprintf("one-way latency %s", lat))
-		run.Metrics, run.Trace = nil, nil
-		if pt.Bandwidth, err = Bandwidth(run); err != nil {
+		run.metrics, run.trace = nil, nil
+		if pt.Bandwidth, _, err = bandwidthRun(run); err != nil {
 			return pt, prof, fmt.Errorf("chaos severity %g: bandwidth: %w", sev, err)
 		}
 		return pt, prof, nil

@@ -29,7 +29,7 @@ func chaosConfig(backend core.BackendID) NetConfig {
 	return NetConfig{
 		Model: machine.Perlmutter(), Backend: backend,
 		API: machine.APIHost, Native: true, Inter: true,
-		Bytes: 8 << 10, Iters: 20, Warmup: 2, Window: 8,
+		Bytes: 8 << 10, Iters: 20, Warmup: 2, window: 8,
 	}
 }
 
@@ -39,8 +39,8 @@ func TestChaosIdenticalSeedIsBitIdentical(t *testing.T) {
 			cfg := chaosConfig(b.backend)
 			run := func() sim.Duration {
 				c := cfg
-				c.Faults = faults.Generate(42, 0.5, cfg.model().FabricConfig(2), sim.Second)
-				lat, err := Latency(c)
+				c.faults = faults.Generate(42, 0.5, cfg.model().FabricConfig(2), sim.Second)
+				lat, _, err := LatencyRun(c)
 				if err != nil {
 					t.Fatalf("Latency: %v", err)
 				}
@@ -57,12 +57,12 @@ func TestChaosZeroSeverityMatchesBaseline(t *testing.T) {
 	for _, b := range chaosBackends {
 		t.Run(b.name, func(t *testing.T) {
 			cfg := chaosConfig(b.backend)
-			base, err := Latency(cfg)
+			base, _, err := LatencyRun(cfg)
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
-			cfg.Faults = faults.Generate(42, 0, cfg.model().FabricConfig(2), sim.Second)
-			faulted, err := Latency(cfg)
+			cfg.faults = faults.Generate(42, 0, cfg.model().FabricConfig(2), sim.Second)
+			faulted, _, err := LatencyRun(cfg)
 			if err != nil {
 				t.Fatalf("zero-severity: %v", err)
 			}
@@ -101,7 +101,7 @@ func TestChaosSeverityRampIsMonotone(t *testing.T) {
 				t.Fatalf("full-severity latency %v not above baseline %v",
 					points[len(points)-1].Latency, points[0].Latency)
 			}
-			if points[0].Transfers == 0 || points[0].TransferBytes == 0 {
+			if points[0].Transfers == 0 || points[0].transferBytes == 0 {
 				t.Fatalf("trace recorded no transfers: %+v", points[0])
 			}
 		})
@@ -112,11 +112,11 @@ func TestChaosWatchdogConvertsStallToTimeout(t *testing.T) {
 	// A plan whose NIC never recovers must surface as a structured
 	// TimeoutError through the watchdog rather than hanging the run.
 	cfg := chaosConfig(core.MPIBackend)
-	cfg.Faults = &faults.Plan{
-		Stalls:   []faults.PortStall{{Node: faults.Any, NIC: faults.Any, Window: faults.Always}},
+	cfg.faults = &faults.Plan{
+		Stalls:   []faults.PortStall{{Node: faults.Any, NIC: faults.Any, Window: faults.Window{End: faults.Forever}}},
 		Watchdog: sim.Second,
 	}
-	_, err := Latency(cfg)
+	_, _, err := LatencyRun(cfg)
 	terr, ok := err.(*sim.TimeoutError)
 	if !ok {
 		t.Fatalf("err = %v (%T), want *sim.TimeoutError", err, err)

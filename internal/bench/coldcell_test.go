@@ -12,7 +12,7 @@ import (
 // spec carries: both directions of every ping-pong, or every window slot.
 func coldCellMessages(s spec.Spec) int {
 	bandwidth := s.Workload == spec.WorkloadNetBandwidth
-	iters, warmup, window := NetConfig{Bytes: s.Bytes, Iters: s.Iters, Warmup: s.Warmup, Window: s.Window}.counts(bandwidth)
+	iters, warmup, window := NetConfig{Bytes: s.Bytes, Iters: s.Iters, Warmup: s.Warmup, window: s.Window}.counts(bandwidth)
 	if bandwidth {
 		return (iters + warmup) * window
 	}

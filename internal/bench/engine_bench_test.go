@@ -90,10 +90,10 @@ func BenchmarkCellLargeRing(b *testing.B) {
 
 // TestCollectiveAllocBudget bounds what the two 64-rank cells above allocate,
 // in objects: the recursive-doubling cell of BenchmarkCellLarge (7 680 eager
-// exchanges) at most 24 k — it was 52 097 while every Sendrecv allocated its
-// envelope, arrival closure, two Requests and posted receive; what is left is
-// process spawn, the eager snapshot's buffer shell and one closure per
-// collective — and the hierarchical cell of BenchmarkCellLargeRing at most
+// exchanges) at most 24 k — it was 52 097 while every pairwise exchange
+// allocated its envelope, arrival closure, two Requests and posted receive;
+// what is left is process spawn, the eager snapshot's buffer shell and one
+// closure per collective — and the hierarchical cell of BenchmarkCellLargeRing at most
 // 16 k (22 861). A blocking exchange that allocates per message again fails
 // here before it shows in the benchmark's rt.allocs_per_op.
 func TestCollectiveAllocBudget(t *testing.T) {

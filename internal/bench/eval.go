@@ -25,14 +25,14 @@ import (
 	"repro/internal/trace"
 )
 
-// MaxCommRanks caps the rank count above which Result omits the dense
+// maxCommRanks caps the rank count above which Result omits the dense
 // rank-to-rank matrices (totals stay): a 4096-rank sweep would otherwise
 // embed two 4096x4096 matrices in every response.
-const MaxCommRanks = 128
+const maxCommRanks = 128
 
-// CritSummary is the critical-path breakdown of a run, in nanoseconds of
+// critSummary is the critical-path breakdown of a run, in nanoseconds of
 // virtual time (trace.CriticalPath; Compute+Intra+Inter+Blocked == End).
-type CritSummary struct {
+type critSummary struct {
 	Spans     int   `json:"spans"`
 	LenNs     int64 `json:"len_ns"`
 	EndNs     int64 `json:"end_ns"`
@@ -42,9 +42,9 @@ type CritSummary struct {
 	BlockedNs int64 `json:"blocked_ns"`
 }
 
-// CommSummary is the rank-to-rank traffic of a run. The dense matrices are
-// omitted above MaxCommRanks; the totals always hold the full traffic.
-type CommSummary struct {
+// commMatrix is the rank-to-rank traffic of a run. The dense matrices are
+// omitted above maxCommRanks; the totals always hold the full traffic.
+type commMatrix struct {
 	Ranks      int       `json:"ranks"`
 	TotalBytes int64     `json:"total_bytes"`
 	Transfers  int64     `json:"transfers"`
@@ -67,10 +67,10 @@ type Result struct {
 	Unit  string  `json:"unit"`
 	// EndNs is the virtual end time of the whole run; Topology the resolved
 	// fabric description (auto-sized parameters filled in).
-	EndNs    int64        `json:"end_ns"`
-	Topology string       `json:"topology"`
-	Critical CritSummary  `json:"critical_path"`
-	Comm     *CommSummary `json:"comm_matrix,omitempty"`
+	EndNs    int64       `json:"end_ns"`
+	Topology string      `json:"topology"`
+	Critical critSummary `json:"critical_path"`
+	Comm     *commMatrix `json:"comm_matrix,omitempty"`
 }
 
 // Encode renders the canonical byte form of the result: compact JSON plus a
@@ -94,9 +94,9 @@ func DecodeResult(b []byte) (Result, error) {
 
 // EvalOptions configures spec evaluation.
 type EvalOptions struct {
-	// Cache, when non-nil, is consulted before simulating and filled after;
+	// cache, when non-nil, is consulted before simulating and filled after;
 	// nil always simulates.
-	Cache *cache.Cache
+	cache *cache.Cache
 }
 
 // EvalSpec evaluates one spec, returning the canonical encoded Result and
@@ -108,7 +108,7 @@ func EvalSpec(s spec.Spec, opt EvalOptions) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	h := s.Hash()
-	if body, ok := opt.Cache.Get(h); ok {
+	if body, ok := opt.cache.Get(h); ok {
 		return body, true, nil
 	}
 	res, err := evalCold(s.Normalize(), h)
@@ -119,7 +119,7 @@ func EvalSpec(s spec.Spec, opt EvalOptions) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	opt.Cache.Put(h, body)
+	opt.cache.Put(h, body)
 	return body, false, nil
 }
 
@@ -140,7 +140,7 @@ type Evaluation struct {
 func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
 	out, _ := Sweep(len(specs), func(i int) (Evaluation, error) {
 		s := specs[i]
-		body, hit, err := EvalSpec(s, EvalOptions{Cache: c})
+		body, hit, err := EvalSpec(s, EvalOptions{cache: c})
 		if err != nil {
 			return Evaluation{Err: fmt.Errorf("spec %s: %w", s, err)}, nil
 		}
@@ -172,10 +172,10 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 		cfg := NetConfig{
 			Model: m, Backend: backend, API: api,
 			Native: n.Native, Inter: n.Inter, Bytes: n.Bytes,
-			Iters: n.Iters, Warmup: n.Warmup, Window: n.Window,
-			Trace: log,
+			Iters: n.Iters, Warmup: n.Warmup, window: n.Window,
+			trace: log,
 		}
-		cfg.Faults, err = specPlan(n, cfg)
+		cfg.faults, err = specPlan(n, cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -188,7 +188,7 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 			res.EndNs = int64(rep.End)
 			res.Topology = rep.Topology.Describe()
 		} else {
-			bw, rep, err := BandwidthRun(cfg)
+			bw, rep, err := bandwidthRun(cfg)
 			if err != nil {
 				return Result{}, err
 			}
@@ -217,7 +217,7 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 	}
 	spans := log.Sorted()
 	cp := trace.CriticalPath(spans)
-	res.Critical = CritSummary{
+	res.Critical = critSummary{
 		Spans:     len(cp.Chain),
 		LenNs:     int64(cp.Len),
 		EndNs:     int64(cp.End),
@@ -231,20 +231,20 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 }
 
 // commSummary builds the traffic view, dropping the dense matrices above
-// MaxCommRanks.
-func commSummary(spans []trace.Span) *CommSummary {
+// maxCommRanks.
+func commSummary(spans []trace.Span) *commMatrix {
 	cm := trace.BuildCommMatrix(spans)
 	if cm.N == 0 {
 		return nil
 	}
-	cs := &CommSummary{Ranks: cm.N}
+	cs := &commMatrix{Ranks: cm.N}
 	for src := range cm.Bytes {
 		for dst := range cm.Bytes[src] {
 			cs.TotalBytes += cm.Bytes[src][dst]
 			cs.Transfers += cm.Count[src][dst]
 		}
 	}
-	if cm.N <= MaxCommRanks {
+	if cm.N <= maxCommRanks {
 		cs.Bytes, cs.Count = cm.Bytes, cm.Count
 	}
 	return cs
@@ -258,7 +258,7 @@ func specPlan(n spec.Spec, cfg NetConfig) (*faults.Plan, error) {
 	case spec.FaultNone:
 		return nil, nil
 	case spec.FaultDegrade:
-		return faults.Degrade(cfg.FaultedPath(), n.Severity), nil
+		return faults.Degrade(cfg.faultedPath(), n.Severity), nil
 	case spec.FaultGenerate:
 		return cfg.GeneratedPlans(n.Seed)(n.Severity), nil
 	default:

@@ -28,13 +28,13 @@ func evalTestSpecs() []spec.Spec {
 // evalAll evaluates the batch at a fixed worker count and returns the bodies.
 func evalAll(t *testing.T, specs []spec.Spec, c *cache.Cache, workers int) [][]byte {
 	t.Helper()
-	old, had := os.LookupEnv(WorkersEnv)
-	os.Setenv(WorkersEnv, strconv.Itoa(workers))
+	old, had := os.LookupEnv(spec.WorkersEnv)
+	os.Setenv(spec.WorkersEnv, strconv.Itoa(workers))
 	defer func() {
 		if had {
-			os.Setenv(WorkersEnv, old)
+			os.Setenv(spec.WorkersEnv, old)
 		} else {
-			os.Unsetenv(WorkersEnv)
+			os.Unsetenv(spec.WorkersEnv)
 		}
 	}()
 	evals := EvalSpecs(specs, c)
@@ -82,11 +82,11 @@ func TestEvalCacheHitByteIdentical(t *testing.T) {
 func TestEvalSpecReportsHitFlag(t *testing.T) {
 	c := cache.New(cache.Options{})
 	s := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 8, Bytes: 4096}
-	body1, hit1, err := EvalSpec(s, EvalOptions{Cache: c})
+	body1, hit1, err := EvalSpec(s, EvalOptions{cache: c})
 	if err != nil || hit1 {
 		t.Fatalf("first eval: hit=%v err=%v, want miss", hit1, err)
 	}
-	body2, hit2, err := EvalSpec(s, EvalOptions{Cache: c})
+	body2, hit2, err := EvalSpec(s, EvalOptions{cache: c})
 	if err != nil || !hit2 {
 		t.Fatalf("second eval: hit=%v err=%v, want hit", hit2, err)
 	}
@@ -128,7 +128,7 @@ func TestEvalSpecsPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestEvalCommMatrixCap: above MaxCommRanks the dense matrices are omitted
+// TestEvalCommMatrixCap: above maxCommRanks the dense matrices are omitted
 // but the totals stay.
 func TestEvalCommMatrixCap(t *testing.T) {
 	s := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 256, Bytes: 8, Iters: 1}
@@ -144,7 +144,7 @@ func TestEvalCommMatrixCap(t *testing.T) {
 		t.Fatalf("comm summary missing: %+v", res.Comm)
 	}
 	if res.Comm.Bytes != nil || res.Comm.Count != nil {
-		t.Error("dense matrices should be omitted above MaxCommRanks")
+		t.Error("dense matrices should be omitted above maxCommRanks")
 	}
 	if res.Comm.TotalBytes <= 0 || res.Comm.Transfers <= 0 {
 		t.Errorf("traffic totals should survive the cap: %+v", res.Comm)

@@ -32,46 +32,46 @@ const (
 
 // Figure is one reproduced plot.
 type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	YLabel string
-	Series []Series
-	Notes  []string
+	id     string
+	title  string
+	xLabel string
+	yLabel string
+	series []series
+	notes  []string
 }
 
-// Series is one line of a plot.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
+// series is one line of a plot.
+type series struct {
+	label string
+	x     []float64
+	y     []float64
 }
 
 // Render formats the figure as an aligned text table (x down, one column
 // per series).
 func (f Figure) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
-	if len(f.Series) > 0 {
-		fmt.Fprintf(&b, "%-12s", f.XLabel)
-		for _, s := range f.Series {
-			fmt.Fprintf(&b, "%22s", s.Label)
+	fmt.Fprintf(&b, "== %s: %s ==\n", f.id, f.title)
+	if len(f.series) > 0 {
+		fmt.Fprintf(&b, "%-12s", f.xLabel)
+		for _, s := range f.series {
+			fmt.Fprintf(&b, "%22s", s.label)
 		}
 		b.WriteString("\n")
-		for i := range f.Series[0].X {
-			fmt.Fprintf(&b, "%-12g", f.Series[0].X[i])
-			for _, s := range f.Series {
-				if i < len(s.Y) {
-					fmt.Fprintf(&b, "%22.4g", s.Y[i])
+		for i := range f.series[0].x {
+			fmt.Fprintf(&b, "%-12g", f.series[0].x[i])
+			for _, s := range f.series {
+				if i < len(s.y) {
+					fmt.Fprintf(&b, "%22.4g", s.y[i])
 				} else {
 					fmt.Fprintf(&b, "%22s", "-")
 				}
 			}
 			b.WriteString("\n")
 		}
-		fmt.Fprintf(&b, "(y: %s)\n", f.YLabel)
+		fmt.Fprintf(&b, "(y: %s)\n", f.yLabel)
 	}
-	for _, n := range f.Notes {
+	for _, n := range f.notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
@@ -133,19 +133,19 @@ func sweepNet(panels []netPanel, sizes []int64) ([][][]netMeas, error) {
 // netFigures starts a panel's latency and bandwidth figures.
 func netFigures(id, latTitle, bwTitle string, p netPanel) (lat, bw Figure) {
 	where := fmt.Sprintf(", %s, %s", p.m.Name, Placement(p.inter))
-	lat = Figure{ID: id, Title: latTitle + where, XLabel: "bytes", YLabel: "one-way latency (us)"}
-	bw = Figure{ID: id, Title: bwTitle + where, XLabel: "bytes", YLabel: "bandwidth (GB/s)"}
+	lat = Figure{id: id, title: latTitle + where, xLabel: "bytes", yLabel: "one-way latency (us)"}
+	bw = Figure{id: id, title: bwTitle + where, xLabel: "bytes", yLabel: "bandwidth (GB/s)"}
 	return lat, bw
 }
 
 // netSeries renders one column's points as its latency (us) and bandwidth
 // (GB/s) series.
-func netSeries(label string, sizes []int64, ms []netMeas) (lat, bw Series) {
-	lat.Label, bw.Label = label, label
+func netSeries(label string, sizes []int64, ms []netMeas) (lat, bw series) {
+	lat.label, bw.label = label, label
 	for i, r := range ms {
 		x := float64(sizes[i])
-		lat.X, lat.Y = append(lat.X, x), append(lat.Y, r.lat.Micros())
-		bw.X, bw.Y = append(bw.X, x), append(bw.Y, r.bw/1e9)
+		lat.x, lat.y = append(lat.x, x), append(lat.y, r.lat.Micros())
+		bw.x, bw.y = append(bw.x, x), append(bw.y, r.bw/1e9)
 	}
 	return lat, bw
 }
@@ -173,10 +173,10 @@ func RunFig2(sc Scale) ([]Figure, error) {
 	for pi, p := range panels {
 		lat, bw := netFigures("Fig2", "Native latency", "Native bandwidth", p) // panels a-d
 		for ci, v := range p.cols {
-			l, b := netSeries(v.Net, sizes, results[pi][ci])
-			lat.Series, bw.Series = append(lat.Series, l), append(bw.Series, b)
+			l, b := netSeries(v.net, sizes, results[pi][ci])
+			lat.series, bw.series = append(lat.series, l), append(bw.series, b)
 		}
-		lat.Notes = append(lat.Notes, crossoverNote(lat))
+		lat.notes = append(lat.notes, crossoverNote(lat))
 		figs = append(figs, lat, bw)
 	}
 	return figs, nil
@@ -185,21 +185,21 @@ func RunFig2(sc Scale) ([]Figure, error) {
 // crossoverNote summarises which library wins at the smallest and largest
 // sizes (the "no single library wins" observation of §II-C).
 func crossoverNote(f Figure) string {
-	if len(f.Series) < 2 || len(f.Series[0].Y) == 0 {
+	if len(f.series) < 2 || len(f.series[0].y) == 0 {
 		return ""
 	}
 	bestAt := func(i int) string {
-		best, lbl := f.Series[0].Y[i], f.Series[0].Label
-		for _, s := range f.Series[1:] {
-			if s.Y[i] < best {
-				best, lbl = s.Y[i], s.Label
+		best, lbl := f.series[0].y[i], f.series[0].label
+		for _, s := range f.series[1:] {
+			if s.y[i] < best {
+				best, lbl = s.y[i], s.label
 			}
 		}
 		return lbl
 	}
-	last := len(f.Series[0].Y) - 1
+	last := len(f.series[0].y) - 1
 	return fmt.Sprintf("lowest latency at %gB: %s; at %gB: %s",
-		f.Series[0].X[0], bestAt(0), f.Series[0].X[last], bestAt(last))
+		f.series[0].x[0], bestAt(0), f.series[0].x[last], bestAt(last))
 }
 
 // RunFig34 reproduces Figs. 3 (intra-node) and 4 (inter-node): native vs
@@ -224,23 +224,23 @@ func RunFig34(sc Scale, inter bool) ([]Figure, error) {
 		lat, bw := netFigures(id, "Latency native vs UNICONN", "Bandwidth native vs UNICONN", p)
 		// Columns come in (native, UNICONN) pairs per library.
 		for ci := 0; ci < len(p.cols); ci += 2 {
-			lib := p.cols[ci].Net
+			lib := p.cols[ci].net
 			nat, uc := results[pi][ci], results[pi][ci+1]
 			natL, natB := netSeries(lib+":Native", sizes, nat)
 			ucL, ucB := netSeries(lib+":Uniconn", sizes, uc)
-			lat.Series = append(lat.Series, natL, ucL)
-			bw.Series = append(bw.Series, natB, ucB)
+			lat.series = append(lat.series, natL, ucL)
+			bw.series = append(bw.series, natB, ucB)
 			var sumLat, sumBw float64
 			for i := range nat {
-				sumLat += PercentDiff(uc[i].lat, nat[i].lat)
+				sumLat += percentDiff(uc[i].lat, nat[i].lat)
 				sumBw += (nat[i].bw - uc[i].bw) / nat[i].bw * 100
 			}
 			// pct renders "n/a" when any point had a zero reference
 			// (which poisons the average with NaN/Inf) instead of a
 			// bogus "0.00%".
-			lat.Notes = append(lat.Notes, fmt.Sprintf("%s avg UNICONN latency overhead: %s",
+			lat.notes = append(lat.notes, fmt.Sprintf("%s avg UNICONN latency overhead: %s",
 				lib, pct(sumLat/float64(len(nat)))))
-			bw.Notes = append(bw.Notes, fmt.Sprintf("%s avg UNICONN bandwidth loss: %s",
+			bw.notes = append(bw.notes, fmt.Sprintf("%s avg UNICONN bandwidth loss: %s",
 				lib, pct(sumBw/float64(len(nat)))))
 		}
 		figs = append(figs, lat, bw)
@@ -254,7 +254,7 @@ func JacobiCells(base jacobi.Config, counts []int, cols []Variant) []jacobi.Conf
 	cells := make([]jacobi.Config, 0, len(counts)*len(cols))
 	for _, n := range counts {
 		for _, v := range cols {
-			c := v.JacobiConfig(base)
+			c := v.jacobiConfig(base)
 			c.NGPUs = n
 			cells = append(cells, c)
 		}
@@ -263,16 +263,16 @@ func JacobiCells(base jacobi.Config, counts []int, cols []Variant) []jacobi.Conf
 }
 
 // SweepJacobi runs the cells over the sweep runner, results by cell index
-// (on failure, those before the failing cell: SweepPrefix).
+// (on failure, those before the failing cell: sweepPrefix).
 func SweepJacobi(cells []jacobi.Config) ([]jacobi.Result, error) {
-	return SweepPrefix(len(cells), func(i int) (jacobi.Result, error) { return jacobi.Run(cells[i]) })
+	return sweepPrefix(len(cells), func(i int) (jacobi.Result, error) { return jacobi.Run(cells[i]) })
 }
 
 // SweepCG runs the cells over the sweep runner, results by cell index (on
 // failure, those before the failing cell). Cells may share one matrix:
 // cg.Run only reads it.
 func SweepCG(cells []cg.Config) ([]cg.Result, error) {
-	return SweepPrefix(len(cells), func(i int) (cg.Result, error) { return cg.Run(cells[i]) })
+	return sweepPrefix(len(cells), func(i int) (cg.Result, error) { return cg.Run(cells[i]) })
 }
 
 // RunFig5 reproduces the Jacobi scaling study (Fig. 5): per-iteration time
@@ -304,8 +304,8 @@ func RunFig5(sc Scale) ([]Figure, error) {
 	var figs []Figure
 	idx := 0
 	for mi, m := range machines {
-		fig := Figure{ID: "Fig5", Title: fmt.Sprintf("Jacobi 2D, %s (grid %d x %d)", m.Name, ny, ny),
-			XLabel: "GPUs", YLabel: "time per iteration (us)"}
+		fig := Figure{id: "Fig5", title: fmt.Sprintf("Jacobi 2D, %s (grid %d x %d)", m.Name, ny, ny),
+			xLabel: "GPUs", yLabel: "time per iteration (us)"}
 		cols := perMachine[mi]
 		ys := make([][]float64, len(cols))
 		for range gpuCounts {
@@ -315,7 +315,7 @@ func RunFig5(sc Scale) ([]Figure, error) {
 			}
 		}
 		for vi, v := range cols {
-			fig.Series = append(fig.Series, Series{Label: v.App + v.Impl(), X: xs, Y: ys[vi]})
+			fig.series = append(fig.series, series{label: v.app + v.Impl(), x: xs, y: ys[vi]})
 		}
 		// Average native-vs-UNICONN difference per backend (§VI-C: <1%).
 		for i := 0; i+1 < len(cols); i += 2 {
@@ -324,8 +324,8 @@ func RunFig5(sc Scale) ([]Figure, error) {
 			for j := range nat {
 				sum += (uc[j] - nat[j]) / nat[j] * 100
 			}
-			fig.Notes = append(fig.Notes, fmt.Sprintf("%s avg UNICONN diff: %s",
-				cols[i].App, pct(sum/float64(len(nat)))))
+			fig.notes = append(fig.notes, fmt.Sprintf("%s avg UNICONN diff: %s",
+				cols[i].app, pct(sum/float64(len(nat)))))
 		}
 		figs = append(figs, fig)
 	}
@@ -344,7 +344,7 @@ type fig6Col struct {
 func fig6Cols(base cg.Config) []fig6Col {
 	var host, ablation, shmem []fig6Col
 	for _, v := range Variants(Libs(base.Model, false)) {
-		c := fig6Col{v.App + v.Impl(), v.CGConfig(base)}
+		c := fig6Col{v.app + v.Impl(), v.CGConfig(base)}
 		if v.Backend == core.GpushmemBackend {
 			shmem = append(shmem, c)
 			continue
@@ -399,28 +399,28 @@ func RunFig6(sc Scale) ([]Figure, error) {
 		for si, spec := range specs {
 			mat := mats[si]
 			fig := Figure{
-				ID: "Fig6",
-				Title: fmt.Sprintf("CG on 8 GPUs, %s, %s (%d rows, %d nnz)",
+				id: "Fig6",
+				title: fmt.Sprintf("CG on 8 GPUs, %s, %s (%d rows, %d nnz)",
 					m.Name, spec.Name, mat.Rows, mat.NNZ()),
-				XLabel: "variant", YLabel: "total time (ms)",
+				xLabel: "variant", yLabel: "total time (ms)",
 			}
 			results := map[string]sim.Duration{}
 			for i, c := range panels[panel] {
 				total := runs[idx].Total
 				idx++
 				results[c.label] = total
-				fig.Series = append(fig.Series, Series{
-					Label: c.label, X: []float64{float64(i)},
-					Y: []float64{float64(total) / float64(sim.Millisecond)},
+				fig.series = append(fig.series, series{
+					label: c.label, x: []float64{float64(i)},
+					y: []float64{float64(total) / float64(sim.Millisecond)},
 				})
 			}
 			panel++
 			// Headline notes: UNICONN-vs-native diffs and the MPI anomaly.
 			for _, l := range Libs(m, false) {
-				fig.Notes = append(fig.Notes, fmt.Sprintf("%s UNICONN diff: %s",
-					l.App, pct(PercentDiff(results[l.App+":Uniconn"], results[l.App+":Native"]))))
+				fig.notes = append(fig.notes, fmt.Sprintf("%s UNICONN diff: %s",
+					l.app, pct(percentDiff(results[l.app+":Uniconn"], results[l.app+":Native"]))))
 			}
-			fig.Notes = append(fig.Notes, fmt.Sprintf(
+			fig.notes = append(fig.notes, fmt.Sprintf(
 				"MPI/GPUCCL runtime ratio: %.2fx with Allgatherv, %.2fx without",
 				float64(results["MPI:Native"])/float64(results["GPUCCL:Native"]),
 				float64(results["MPI:Native:no-allgatherv"])/float64(results["GPUCCL:Native:no-allgatherv"])))

@@ -18,11 +18,11 @@ import (
 type Lib struct {
 	Backend core.BackendID
 	API     machine.API
-	Mode    core.LaunchMode
+	mode    core.LaunchMode
 	// The three spellings the outputs of record use for the row: CLI tables
 	// abbreviate (SHMEM-D), the application figures keep the library name
 	// (GPUSHMEM-D), the network figures spell the API out (GPUSHMEM-Device).
-	CLI, App, Net string
+	CLI, app, net string
 
 	// The native implementations the row's UNICONN column is compared with.
 	jacobi jacobi.Variant
@@ -47,7 +47,7 @@ func Libs(m *machine.Model, partialDevice bool) []Lib {
 		if l.Backend == core.GpushmemBackend && !m.HasGPUSHMEM {
 			continue
 		}
-		if l.Mode == core.PartialDevice && !partialDevice {
+		if l.mode == core.PartialDevice && !partialDevice {
 			continue
 		}
 		out = append(out, l)
@@ -67,7 +67,7 @@ type Variant struct {
 func Variants(libs []Lib) []Variant {
 	var out []Variant
 	for _, l := range libs {
-		if l.Mode != core.PartialDevice {
+		if l.mode != core.PartialDevice {
 			out = append(out, Variant{l, true})
 		}
 		out = append(out, Variant{l, false})
@@ -89,12 +89,12 @@ func (v Variant) NetConfig(base NetConfig) NetConfig {
 	return base
 }
 
-// JacobiConfig returns base configured to run this column's Jacobi
+// jacobiConfig returns base configured to run this column's Jacobi
 // implementation.
-func (v Variant) JacobiConfig(base jacobi.Config) jacobi.Config {
+func (v Variant) jacobiConfig(base jacobi.Config) jacobi.Config {
 	base.Variant = v.jacobi
 	if !v.Native {
-		base.Variant, base.Backend, base.Mode = jacobi.Uniconn, v.Backend, v.Mode
+		base.Variant, base.Backend, base.Mode = jacobi.Uniconn, v.Backend, v.mode
 	}
 	return base
 }
@@ -103,7 +103,7 @@ func (v Variant) JacobiConfig(base jacobi.Config) jacobi.Config {
 func (v Variant) CGConfig(base cg.Config) cg.Config {
 	base.Variant = v.cg
 	if !v.Native {
-		base.Variant, base.Backend, base.Mode = cg.Uniconn, v.Backend, v.Mode
+		base.Variant, base.Backend, base.Mode = cg.Uniconn, v.Backend, v.mode
 	}
 	return base
 }

@@ -36,26 +36,26 @@ type NetConfig struct {
 	// the deterministic simulator where more repetitions add no
 	// information). Zero selects the defaults.
 	Iters, Warmup int
-	// Window is the number of in-flight messages of the bandwidth test
+	// window is the number of in-flight messages of the bandwidth test
 	// (default 64, as in the paper).
-	Window int
+	window int
 
 	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
 
-	// Topology overrides the inter-node network of the run (flat, fat-tree,
+	// topology overrides the inter-node network of the run (flat, fat-tree,
 	// dragonfly; see fabric.TopologyConfig). The zero value keeps the
 	// model's own topology.
-	Topology fabric.TopologyConfig
+	topology fabric.TopologyConfig
 
-	// Faults, when non-nil, injects a fault plan into the run (chaos
+	// faults, when non-nil, injects a fault plan into the run (chaos
 	// benchmarking; see internal/faults).
-	Faults *faults.Plan
-	// Trace, when non-nil, records the run's spans.
-	Trace *trace.Log
-	// Metrics, when non-nil, collects the run's counters (see
+	faults *faults.Plan
+	// trace, when non-nil, records the run's spans.
+	trace *trace.Log
+	// metrics, when non-nil, collects the run's counters (see
 	// internal/metrics; one registry per run, never shared across cells).
-	Metrics *metrics.Registry
+	metrics *metrics.Registry
 
 	// functional gives the cell real message buffers instead of phantom
 	// ones. No figure reads a net cell's payload, so nothing outside this
@@ -67,8 +67,8 @@ type NetConfig struct {
 // payload is the cell's message-vector allocator (see payload).
 func (cfg NetConfig) payload() payload { return payload{cfg.functional} }
 
-// Validate reports configuration errors.
-func (cfg NetConfig) Validate() error {
+// validate reports configuration errors.
+func (cfg NetConfig) validate() error {
 	if cfg.Model == nil {
 		return fmt.Errorf("bench: nil model")
 	}
@@ -105,7 +105,7 @@ func (cfg NetConfig) counts(bandwidth bool) (iters, warmup, window int) {
 			}
 		}
 	}
-	window = cfg.Window
+	window = cfg.window
 	if window == 0 {
 		window = 64
 	}
@@ -132,23 +132,18 @@ func Placement(inter bool) string {
 	return "intra-node"
 }
 
-// Latency runs the ping-pong benchmark and returns the one-way latency.
-func Latency(cfg NetConfig) (sim.Duration, error) {
-	lat, _, err := LatencyRun(cfg)
-	return lat, err
-}
-
-// LatencyRun is Latency plus the run report (the profiler needs the run's
-// end time as its attribution horizon).
+// LatencyRun runs the ping-pong benchmark and returns the one-way latency
+// and the run report (the profiler needs the run's end time as its
+// attribution horizon).
 func LatencyRun(cfg NetConfig) (sim.Duration, core.Report, error) {
 	var rep core.Report
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return 0, rep, err
 	}
 	iters, warmup, _ := cfg.counts(false)
 	var rt sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Topology: cfg.Topology, Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
+		Topology: cfg.topology, Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
 		func(env *core.Env) {
 			d := cfg.latencyRank(env, iters, warmup)
 			if env.WorldRank() == 0 {
@@ -161,22 +156,17 @@ func LatencyRun(cfg NetConfig) (sim.Duration, core.Report, error) {
 	return rt / sim.Duration(2*iters), rep, nil
 }
 
-// Bandwidth runs the windowed one-way benchmark and returns bytes/second.
-func Bandwidth(cfg NetConfig) (float64, error) {
-	bw, _, err := BandwidthRun(cfg)
-	return bw, err
-}
-
-// BandwidthRun is Bandwidth plus the run report.
-func BandwidthRun(cfg NetConfig) (float64, core.Report, error) {
+// bandwidthRun runs the windowed one-way benchmark and returns bytes/second
+// and the run report.
+func bandwidthRun(cfg NetConfig) (float64, core.Report, error) {
 	var rep core.Report
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return 0, rep, err
 	}
 	iters, warmup, window := cfg.counts(true)
 	var total sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Topology: cfg.Topology, Faults: cfg.Faults, Trace: cfg.Trace, Metrics: cfg.Metrics},
+		Topology: cfg.topology, Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
 		func(env *core.Env) {
 			d := cfg.bandwidthRank(env, iters, warmup, window)
 			if env.WorldRank() == 0 {

@@ -109,7 +109,7 @@ func TestPhantomEqualsReal(t *testing.T) {
 					if size >= largeCell {
 						cfg.Iters, cfg.Warmup = 2, 1
 					}
-					label := fmt.Sprintf("%s/%s%s/%s/%d", m.Name, v.Net, v.Impl(), Placement(inter), size)
+					label := fmt.Sprintf("%s/%s%s/%s/%d", m.Name, v.net, v.Impl(), Placement(inter), size)
 					cells = append(cells,
 						NetCell{NetConfig: cfg, Label: "net-latency/" + label},
 						NetCell{NetConfig: cfg, Bandwidth: true, Label: "net-bandwidth/" + label})
@@ -124,18 +124,18 @@ func TestPhantomEqualsReal(t *testing.T) {
 	var large sync.Mutex
 	bothWays(t, len(cells), func(i int, real bool) (string, answer, error) {
 		cfg := cells[i].NetConfig
-		cfg.functional, cfg.Trace = real, trace.New()
+		cfg.functional, cfg.trace = real, trace.New()
 		if real && cfg.Bytes >= largeCell {
 			large.Lock()
 			defer large.Unlock()
 			defer runtime.GC()
 		}
 		if cells[i].Bandwidth {
-			bw, rep, err := BandwidthRun(cfg)
-			return cells[i].Label, answer{bw, rep.End, cfg.Trace.Sorted()}, err
+			bw, rep, err := bandwidthRun(cfg)
+			return cells[i].Label, answer{bw, rep.End, cfg.trace.Sorted()}, err
 		}
 		lat, rep, err := LatencyRun(cfg)
-		return cells[i].Label, answer{float64(lat), rep.End, cfg.Trace.Sorted()}, err
+		return cells[i].Label, answer{float64(lat), rep.End, cfg.trace.Sorted()}, err
 	})
 	t.Logf("%d net cells, sizes to %s", len(cells), HumanBytes(sizes[len(sizes)-1]))
 
@@ -145,12 +145,12 @@ func TestPhantomEqualsReal(t *testing.T) {
 	bothWays(t, 2*len(cols), func(i int, compute bool) (string, answer, error) {
 		v, log := cols[i/2], trace.New()
 		if i%2 == 0 {
-			r, err := jacobi.Run(v.JacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: nx, NY: nx,
+			r, err := jacobi.Run(v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: nx, NY: nx,
 				Iters: 60, Warmup: 10, Compute: compute, Trace: log}))
-			return "jacobi/" + v.App + v.Impl(), answer{float64(r.PerIter), r.End, log.Sorted()}, err
+			return "jacobi/" + v.app + v.Impl(), answer{float64(r.PerIter), r.End, log.Sorted()}, err
 		}
 		r, err := cg.Run(v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 30, Compute: compute, Trace: log}))
-		return "cg/" + v.App + v.Impl(), answer{float64(r.Total), r.End, log.Sorted()}, err
+		return "cg/" + v.app + v.Impl(), answer{float64(r.Total), r.End, log.Sorted()}, err
 	})
 }
 
@@ -190,27 +190,27 @@ func TestPhantomAllocationBudget(t *testing.T) {
 	}
 	m := machine.Perlmutter()
 	for _, v := range Variants(Libs(m, false)) {
-		cfg := v.JacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: 4096, NY: 4096, Iters: 60, Warmup: 10})
+		cfg := v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: 4096, NY: 4096, Iters: 60, Warmup: 10})
 		got, _ := allocated(func() {
 			if _, err := jacobi.Run(cfg); err != nil {
-				t.Fatalf("jacobi %s%s: %v", v.App, v.Impl(), err)
+				t.Fatalf("jacobi %s%s: %v", v.app, v.Impl(), err)
 			}
 		})
-		t.Logf("jacobi %s%s: %s allocated", v.App, v.Impl(), HumanBytes(int64(got)))
+		t.Logf("jacobi %s%s: %s allocated", v.app, v.Impl(), HumanBytes(int64(got)))
 		if got > 10<<20 {
-			t.Errorf("modelled jacobi %s%s allocated %s, budget 10MiB", v.App, v.Impl(), HumanBytes(int64(got)))
+			t.Errorf("modelled jacobi %s%s allocated %s, budget 10MiB", v.app, v.Impl(), HumanBytes(int64(got)))
 		}
 
 		net := v.NetConfig(NetConfig{Model: m, Inter: true, Bytes: 4 << 20})
 		got, large := allocated(func() {
-			if _, err := Bandwidth(net); err != nil {
-				t.Fatalf("net-bandwidth %s%s: %v", v.Net, v.Impl(), err)
+			if _, _, err := bandwidthRun(net); err != nil {
+				t.Fatalf("net-bandwidth %s%s: %v", v.net, v.Impl(), err)
 			}
 		})
-		t.Logf("net-bandwidth %s%s at 4MiB: %s allocated", v.Net, v.Impl(), HumanBytes(int64(got)))
+		t.Logf("net-bandwidth %s%s at 4MiB: %s allocated", v.net, v.Impl(), HumanBytes(int64(got)))
 		if large > 0 {
 			t.Errorf("phantom net-bandwidth %s%s at 4MiB made %d allocations above 32KiB (%s in all)",
-				v.Net, v.Impl(), large, HumanBytes(int64(got)))
+				v.net, v.Impl(), large, HumanBytes(int64(got)))
 		}
 	}
 }

@@ -125,16 +125,16 @@ func pinnedAnswers(t *testing.T) []string {
 	mat := sparse.Serena().Generate(0.002)
 	for _, v := range Variants(Libs(m, false)) {
 		jl, cl := trace.New(), trace.New()
-		jr, err := jacobi.Run(v.JacobiConfig(jacobi.Config{Model: m, NGPUs: 8, NX: 256, NY: 256, Iters: 4, Warmup: 1, Trace: jl}))
+		jr, err := jacobi.Run(v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 8, NX: 256, NY: 256, Iters: 4, Warmup: 1, Trace: jl}))
 		if err != nil {
-			t.Fatalf("jacobi %s%s: %v", v.Net, v.Impl(), err)
+			t.Fatalf("jacobi %s%s: %v", v.net, v.Impl(), err)
 		}
-		lines = append(lines, fmt.Sprintf("jacobi/%s%s per_iter=%d total=%d end=%d %s", v.Net, v.Impl(), jr.PerIter, jr.Total, jr.End, spanDigest(jl)))
+		lines = append(lines, fmt.Sprintf("jacobi/%s%s per_iter=%d total=%d end=%d %s", v.net, v.Impl(), jr.PerIter, jr.Total, jr.End, spanDigest(jl)))
 		cr, err := cg.Run(v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 5, Trace: cl}))
 		if err != nil {
-			t.Fatalf("cg %s%s: %v", v.Net, v.Impl(), err)
+			t.Fatalf("cg %s%s: %v", v.net, v.Impl(), err)
 		}
-		lines = append(lines, fmt.Sprintf("cg/%s%s per_iter=%d total=%d end=%d %s", v.Net, v.Impl(), cr.PerIter, cr.Total, cr.End, spanDigest(cl)))
+		lines = append(lines, fmt.Sprintf("cg/%s%s per_iter=%d total=%d end=%d %s", v.net, v.Impl(), cr.PerIter, cr.Total, cr.End, spanDigest(cl)))
 	}
 	return append(lines, "gpuccl-mixed-group "+pinMixedGroup(t))
 }

@@ -37,13 +37,13 @@ type Collector struct {
 // cell that recorded nothing) and feeds the cell's metrics to the live
 // tracker, if any.
 func (c *Collector) Finish(label string, end sim.Time, notes ...string) CellProfile {
-	cp := CellProfile{Label: label, End: end, Notes: notes}
+	cp := CellProfile{Label: label, end: end, notes: notes}
 	if c.Metrics != nil {
-		cp.Metrics = c.Metrics.Snapshot()
-		c.live.AddSnapshot(cp.Metrics) // nil-safe
+		cp.metrics = c.Metrics.Snapshot()
+		c.live.AddSnapshot(cp.metrics) // nil-safe
 	}
 	if c.Trace != nil {
-		cp.Spans = c.Trace.Sorted()
+		cp.spans = c.Trace.Sorted()
 	}
 	return cp
 }
@@ -62,7 +62,7 @@ type Observe struct {
 // NewObserve decides for a sweep. The live tracker is the one StartLive
 // installed, if any.
 func NewObserve(profile bool) *Observe {
-	return &Observe{profile: profile, live: Progress()}
+	return &Observe{profile: profile, live: progress()}
 }
 
 // Cell allocates the instruments of one cell. Call it inside the cell
@@ -78,14 +78,14 @@ func (o *Observe) Cell() *Collector {
 	}
 }
 
-// SweepObserved is the observed sweep every profiling tool shares: it runs n
+// sweepObserved is the observed sweep every profiling tool shares: it runs n
 // cells over the sweep runner, hands each the instruments o decides on, and
 // collects the cells' values and frozen profiles by cell index, so whatever
 // is rendered from them is byte-identical at any worker count. On failure it
-// returns those of the cells preceding the first failing one (SweepPrefix).
-func SweepObserved[T any](o *Observe, n int, fn func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
+// returns those of the cells preceding the first failing one (sweepPrefix).
+func sweepObserved[T any](o *Observe, n int, fn func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
 	profs := make([]CellProfile, n)
-	vals, err := SweepPrefix(n, func(i int) (v T, err error) {
+	vals, err := sweepPrefix(n, func(i int) (v T, err error) {
 		v, profs[i], err = fn(i, o.Cell())
 		return v, err
 	})
@@ -95,18 +95,18 @@ func SweepObserved[T any](o *Observe, n int, fn func(i int, c *Collector) (T, Ce
 // CellProfile is one cell's frozen observability record.
 type CellProfile struct {
 	Label string
-	// End is the cell's final virtual time — the attribution horizon.
-	End sim.Time
-	// Notes carry the cell's headline measurements (latency, bandwidth,
+	// end is the cell's final virtual time — the attribution horizon.
+	end sim.Time
+	// notes carry the cell's headline measurements (latency, bandwidth,
 	// per-iteration time), rendered above the analysis tables.
-	Notes   []string
-	Metrics metrics.Snapshot
-	Spans   []trace.Span
+	notes   []string
+	metrics metrics.Snapshot
+	spans   []trace.Span
 }
 
 // RunProfile is a full profiling run: an ordered set of cell profiles.
 type RunProfile struct {
-	Title string
+	title string
 	Cells []CellProfile
 }
 
@@ -115,31 +115,31 @@ type RunProfile struct {
 func (rp *RunProfile) Merged() metrics.Snapshot {
 	snaps := make([]metrics.Snapshot, len(rp.Cells))
 	for i, c := range rp.Cells {
-		snaps[i] = c.Metrics
+		snaps[i] = c.metrics
 	}
 	return metrics.Merge(snaps...)
 }
 
-// Render formats the full text report: per cell the headline notes, the
+// render formats the full text report: per cell the headline notes, the
 // critical path, the per-rank time attribution, and the communication
 // matrix; then the merged metrics. Everything derives from virtual time and
 // name-sorted instruments, so the report is byte-stable.
-func (rp *RunProfile) Render() string {
+func (rp *RunProfile) render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "==== uniconn-prof: %s ====\n", rp.Title)
+	fmt.Fprintf(&b, "==== uniconn-prof: %s ====\n", rp.title)
 	for _, c := range rp.Cells {
-		fmt.Fprintf(&b, "\n== cell %s (end %s) ==\n", c.Label, sim.Duration(c.End))
-		for _, n := range c.Notes {
+		fmt.Fprintf(&b, "\n== cell %s (end %s) ==\n", c.Label, sim.Duration(c.end))
+		for _, n := range c.notes {
 			fmt.Fprintf(&b, "note: %s\n", n)
 		}
-		if len(c.Spans) == 0 {
+		if len(c.spans) == 0 {
 			b.WriteString("(no spans recorded)\n")
 			continue
 		}
-		b.WriteString(trace.CriticalPath(c.Spans).Render())
+		b.WriteString(trace.CriticalPath(c.spans).Render())
 		b.WriteString("per-rank attribution:\n")
-		b.WriteString(trace.RenderBreakdown(trace.Attribute(c.Spans, c.End)))
-		if m := trace.BuildCommMatrix(c.Spans); m.N > 0 {
+		b.WriteString(trace.RenderBreakdown(trace.Attribute(c.spans, c.end)))
+		if m := trace.BuildCommMatrix(c.spans); m.N > 0 {
 			b.WriteString("comm matrix (bytes(msgs), src row x dst col):\n")
 			b.WriteString(m.Render())
 		}
@@ -156,7 +156,7 @@ func (rp *RunProfile) Render() string {
 
 // WriteReport writes the text report.
 func (rp *RunProfile) WriteReport(w io.Writer) error {
-	_, err := io.WriteString(w, rp.Render())
+	_, err := io.WriteString(w, rp.render())
 	return err
 }
 
@@ -170,7 +170,7 @@ func (rp *RunProfile) WriteMetricsJSON(w io.Writer) error {
 func (rp *RunProfile) WriteChromeTrace(w io.Writer) error {
 	cells := make([]trace.ChromeCell, len(rp.Cells))
 	for i, c := range rp.Cells {
-		cells[i] = trace.ChromeCell{Name: c.Label, Spans: c.Spans}
+		cells[i] = trace.ChromeCell{Name: c.Label, Spans: c.spans}
 	}
 	return trace.WriteChromeCells(w, cells)
 }
@@ -187,11 +187,11 @@ type NetCell struct {
 // one-way latency in nanoseconds or the bandwidth in bytes/second, and the
 // cell's profile with that measurement as its note.
 func SweepNet(obs *Observe, cells []NetCell) ([]float64, []CellProfile, error) {
-	return SweepObserved(obs, len(cells), func(i int, col *Collector) (float64, CellProfile, error) {
+	return sweepObserved(obs, len(cells), func(i int, col *Collector) (float64, CellProfile, error) {
 		c := cells[i]
-		c.Metrics, c.Trace = col.Metrics, col.Trace
+		c.metrics, c.trace = col.Metrics, col.Trace
 		if c.Bandwidth {
-			bw, rep, err := BandwidthRun(c.NetConfig)
+			bw, rep, err := bandwidthRun(c.NetConfig)
 			return bw, col.Finish(c.Label, rep.End, fmt.Sprintf("bandwidth %.4f GB/s", bw/1e9)), err
 		}
 		lat, rep, err := LatencyRun(c.NetConfig)
@@ -222,7 +222,7 @@ func ProfileNet(base NetConfig, sizes []int64) (*RunProfile, error) {
 		impl = "native"
 	}
 	return &RunProfile{
-		Title: fmt.Sprintf("net %s %s %s %s (%d sizes)",
+		title: fmt.Sprintf("net %s %s %s %s (%d sizes)",
 			base.Model.Name, base.Backend, impl, Placement(base.Inter), len(sizes)),
 		Cells: profs,
 	}, nil
@@ -240,5 +240,5 @@ func ProfileRun(title, label string, iters int,
 	}
 	cp := col.Finish(label, end, fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
 		perIter, iters, total))
-	return &RunProfile{Title: title, Cells: []CellProfile{cp}}, nil
+	return &RunProfile{title: title, Cells: []CellProfile{cp}}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/solver/cg"
 	"repro/internal/sparse"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -44,9 +45,9 @@ func profileOutputs(t *testing.T) (report, metricsJSON, chromeTrace string) {
 // it also proves the per-cell collector ownership rule holds (no shared
 // observability state between worker goroutines).
 func TestProfileDeterministicAcrossWorkers(t *testing.T) {
-	t.Setenv(WorkersEnv, "1")
+	t.Setenv(spec.WorkersEnv, "1")
 	rep1, js1, tr1 := profileOutputs(t)
-	t.Setenv(WorkersEnv, "8")
+	t.Setenv(spec.WorkersEnv, "8")
 	rep8, js8, tr8 := profileOutputs(t)
 	if rep1 != rep8 {
 		t.Errorf("report differs between 1 and 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s", rep1, rep8)
@@ -74,7 +75,7 @@ func TestProfileAttributionSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cell := range rp.Cells {
-		rows := trace.Attribute(cell.Spans, cell.End)
+		rows := trace.Attribute(cell.spans, cell.end)
 		if len(rows) == 0 {
 			t.Fatalf("cell %s: no attribution rows", cell.Label)
 		}
@@ -84,9 +85,9 @@ func TestProfileAttributionSums(t *testing.T) {
 				t.Errorf("cell %s rank %d: attribution parts sum to %v, total %v",
 					cell.Label, r.Rank, sum, r.Total)
 			}
-			if r.Total != sim.Duration(cell.End) {
+			if r.Total != sim.Duration(cell.end) {
 				t.Errorf("cell %s rank %d: total %v != cell end %v",
-					cell.Label, r.Rank, r.Total, sim.Duration(cell.End))
+					cell.Label, r.Rank, r.Total, sim.Duration(cell.end))
 			}
 		}
 	}
@@ -132,7 +133,11 @@ func TestShmemTeamCollectivesObserved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[v] = reg.Histogram("gpushmem.coll.h-allreduce").Count()
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == "gpushmem.coll.h-allreduce" {
+				counts[v] = h.Count
+			}
+		}
 	}
 	if n := counts[cg.Uniconn]; n == 0 || n != counts[cg.NativeGPUSHMEMHost] {
 		t.Fatalf("gpushmem.coll.h-allreduce observations: %v, want equal and non-zero", counts)
@@ -156,7 +161,7 @@ func TestProfileGoldenReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rp.Render(); got != string(want) {
+	if got := rp.render(); got != string(want) {
 		t.Errorf("report drifted from golden (regenerate if intended):\n--- got ---\n%s\n--- want ---\n%s",
 			got, want)
 	}
@@ -173,7 +178,7 @@ func TestChaosSweepObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cp := range empty {
-		if len(cp.Spans) != 0 || !cp.Metrics.Empty() {
+		if len(cp.spans) != 0 || !cp.metrics.Empty() {
 			t.Errorf("severity %g: unobserved cell recorded a profile", sev[i])
 		}
 	}
@@ -188,9 +193,9 @@ func TestChaosSweepObserved(t *testing.T) {
 		if points[i] != plain[i] {
 			t.Errorf("severity %g: profiled point %+v != plain %+v", sev[i], points[i], plain[i])
 		}
-		if profs[i].End == 0 || len(profs[i].Spans) == 0 || profs[i].Metrics.Empty() {
+		if profs[i].end == 0 || len(profs[i].spans) == 0 || profs[i].metrics.Empty() {
 			t.Errorf("severity %g: profile not populated: end=%v spans=%d",
-				sev[i], profs[i].End, len(profs[i].Spans))
+				sev[i], profs[i].end, len(profs[i].spans))
 		}
 	}
 }

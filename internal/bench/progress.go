@@ -21,10 +21,10 @@ var (
 	progLabel = "sweep"
 )
 
-// SetProgress installs (or, with nil, removes) the process-wide live
+// setProgress installs (or, with nil, removes) the process-wide live
 // progress tracker. Call it from the CLI before running sweeps; mid-sweep
 // changes affect only subsequent Runner.Run calls.
-func SetProgress(t *telemetry.Tracker) {
+func setProgress(t *telemetry.Tracker) {
 	progMu.Lock()
 	progTr = t
 	progMu.Unlock()
@@ -43,7 +43,7 @@ func SetProgressLabel(label string) {
 
 // StartLive is the sweep subcommands' one-call -live wiring: with a
 // non-empty addr it starts the telemetry HTTP server, installs its tracker
-// as the process progress sink under label (Progress reports it; the
+// as the process progress sink under label (progress reports it; the
 // observed sweep feeds it), arranges for a SIGINT/SIGTERM to print the sweep
 // progress and the metrics merged so far to stderr before exiting 130, and
 // returns a close func for the caller's defer. An empty addr (flag unset)
@@ -57,7 +57,7 @@ func StartLive(addr, label string) (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	SetProgress(tracker)
+	setProgress(tracker)
 	SetProgressLabel(label)
 	telemetry.OnInterrupt(func() {
 		fmt.Fprintln(os.Stderr, "interrupted mid-sweep")
@@ -65,13 +65,13 @@ func StartLive(addr, label string) (func(), error) {
 		fmt.Fprint(os.Stderr, tracker.MetricsSnapshot().Render())
 	})
 	return func() {
-		SetProgress(nil) // subcommands are plain functions: leave nothing installed
+		setProgress(nil) // subcommands are plain functions: leave nothing installed
 		srv.Close()
 	}, nil
 }
 
-// Progress reports the installed tracker (nil when live telemetry is off).
-func Progress() *telemetry.Tracker {
+// progress reports the installed tracker (nil when live telemetry is off).
+func progress() *telemetry.Tracker {
 	progMu.RLock()
 	defer progMu.RUnlock()
 	return progTr

@@ -13,9 +13,9 @@ import (
 // execution paths (serial and pooled) report run and cell progress.
 func TestRunnerReportsProgress(t *testing.T) {
 	tr := telemetry.NewTracker()
-	SetProgress(tr)
+	setProgress(tr)
 	SetProgressLabel("progress-test")
-	defer SetProgress(nil)
+	defer setProgress(nil)
 
 	for _, workers := range []int{1, 4} {
 		if err := NewRunner(workers).Run(6, func(i int) error { return nil }); err != nil {
@@ -40,7 +40,7 @@ func TestRunnerReportsProgress(t *testing.T) {
 }
 
 // TestRecoverySweepObservability checks the observability add-ons: a
-// positive FlightDepth captures the post-mortem of faulted cells into their
+// positive flightDepth captures the post-mortem of faulted cells into their
 // points, a live tracker accumulates per-cell metrics — and neither changes
 // the sweep's measurements relative to a sweep without them.
 func TestRecoverySweepObservability(t *testing.T) {
@@ -53,8 +53,8 @@ func TestRecoverySweepObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := telemetry.NewTracker()
-	SetProgress(tr)
-	defer SetProgress(nil)
+	setProgress(tr)
+	defer setProgress(nil)
 	live, err := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 64)
 	if err != nil {
 		t.Fatal(err)

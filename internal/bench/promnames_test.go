@@ -40,13 +40,13 @@ func TestPrometheusNamesInjective(t *testing.T) {
 	for _, b := range []core.BackendID{core.MPIBackend, core.GpucclBackend, core.GpushmemBackend} {
 		r := metrics.New()
 		cfg := NetConfig{Model: m, Backend: b, API: machine.APIHost, Inter: true,
-			Bytes: 4 << 10, Metrics: r}
-		if _, err := Latency(cfg); err != nil {
+			Bytes: 4 << 10, metrics: r}
+		if _, _, err := LatencyRun(cfg); err != nil {
 			t.Fatalf("%s latency cell: %v", b, err)
 		}
 		collect(r)
 		r = metrics.New()
-		cfg.Metrics = r
+		cfg.metrics = r
 		if _, err := cg.Run(cg.Config{Model: m, NGPUs: 8, Matrix: sparse.Laplace3D(8, 8, 8), Iters: 2,
 			Variant: cg.Uniconn, Backend: b, Mode: core.PureHost, Metrics: r}); err != nil {
 			t.Fatalf("%s allreduce cell: %v", b, err)
@@ -71,8 +71,8 @@ func TestPrometheusNamesInjective(t *testing.T) {
 	// A recovery run under a crash plan registers the fault-path
 	// instruments (core.crashes, detector latency, fabric failover).
 	r = metrics.New()
-	pt, err := RunRecovery(RecoveryConfig{
-		Model: m, Backend: core.MPIBackend, Plan: crashPlan(), Metrics: r,
+	pt, err := runRecovery(recoveryConfig{
+		model: m, backend: core.MPIBackend, plan: crashPlan(), metrics: r,
 	})
 	if err != nil {
 		t.Fatal(err)

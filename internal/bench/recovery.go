@@ -20,53 +20,49 @@ import (
 	"repro/internal/sim"
 )
 
-// RecoveryConfig describes one recovery chaos run: an NGPUs-rank job that
+// recoveryConfig describes one recovery chaos run: an nGPUs-rank job that
 // iterates compute + allreduce under the plan, recovering from declared rank
 // failures with Revoke + Shrink.
-type RecoveryConfig struct {
-	Model   *machine.Model
-	Backend core.BackendID
-	// NGPUs is the rank count (default 8).
-	NGPUs int
-	// Plan is the injected fault scenario (typically faults.GenerateHard).
+type recoveryConfig struct {
+	model   *machine.Model
+	backend core.BackendID
+	// nGPUs is the rank count (default 8).
+	nGPUs int
+	// plan is the injected fault scenario (typically faults.GenerateHard).
 	// When its Watchdog is zero, a generous one is armed so a genuinely
 	// stuck run still fails with sim.TimeoutError instead of hanging.
-	Plan *faults.Plan
-	// Iters is the fixed iteration count every rank runs (default 48). The
+	plan *faults.Plan
+	// iters is the fixed iteration count every rank runs (default 48). The
 	// loop condition is an iteration count, never virtual time: survivors
 	// must agree on when the workload ends even after a recovery skews
 	// their clocks.
-	Iters int
-	// Count is the allreduce element count (default 1024 float64s = 8 KiB).
-	Count int
-	// Horizon paces the compute phase: each iteration advances
-	// Horizon/Iters before communicating (default 4 ms), which also scales
+	iters int
+	// count is the allreduce element count (default 1024 float64s = 8 KiB).
+	count int
+	// horizon paces the compute phase: each iteration advances
+	// horizon/iters before communicating (default 4 ms), which also scales
 	// the generated plan's fault windows.
-	Horizon sim.Duration
-	// Topology overrides the model's inter-node topology for this run
+	horizon sim.Duration
+	// topology overrides the model's inter-node topology for this run
 	// (core.Config.Topology); the zero value keeps the model's own setting.
-	Topology fabric.TopologyConfig
-	// Metrics, when non-nil, collects the run's counters (one registry per
+	topology fabric.TopologyConfig
+	// metrics, when non-nil, collects the run's counters (one registry per
 	// run — the sweep ownership rule of runner.go).
-	Metrics *metrics.Registry
-	// FlightDepth, when positive, installs a flight recorder of that depth
+	metrics *metrics.Registry
+	// flightDepth, when positive, installs a flight recorder of that depth
 	// on the engine and captures the post-mortem dump (written on abort,
 	// watchdog timeout, or a hard fault) into RecoveryPoint.FlightDump.
-	FlightDepth int
-	// FlightAttach, when non-nil, receives the run's recorder as it
+	flightDepth int
+	// flightAttach, when non-nil, receives the run's recorder as it
 	// launches (core.FlightConfig.Attach) — live telemetry's /debug/flight
 	// hook. On its own it does not populate FlightDump, so enabling live
 	// observation never changes the sweep's recorded results.
-	FlightAttach func(fr *sim.FlightRecorder)
+	flightAttach func(fr *sim.FlightRecorder)
 }
 
 // RecoveryPoint is one measurement of a recovery sweep.
 type RecoveryPoint struct {
-	Backend  string
 	Severity float64
-	// Topology is the run's resolved inter-node topology
-	// (fabric.TopologyConfig.Describe: "flat", "fattree(k=4)", ...).
-	Topology string
 	// Crashes is the number of distinct ranks the run declared failed;
 	// Survivors is the rest.
 	Crashes   int
@@ -89,14 +85,14 @@ type RecoveryPoint struct {
 	RecoveryLatency sim.Duration
 	// End is the virtual completion time of the run.
 	End sim.Time
-	// Checksum is the lowest-rank survivor's final allreduce result sum,
+	// checksum is the lowest-rank survivor's final allreduce result sum,
 	// the value the determinism tests compare across worker counts.
-	Checksum float64
+	checksum float64
 	// Err records a run-level failure (timeout, unexpected abort); empty
 	// on success.
 	Err string
 	// FlightDump is the flight recorder post-mortem (empty unless the run
-	// both enabled recording via RecoveryConfig.FlightDepth and hit a hard
+	// both enabled recording via recoveryConfig.flightDepth and hit a hard
 	// fault or run-level error). Deterministic: the dump derives entirely
 	// from virtual time.
 	FlightDump string `json:"flight_dump,omitempty"`
@@ -112,35 +108,35 @@ type recoveryRank struct {
 	err        error
 }
 
-// RunRecovery executes one recovery chaos run and reports what happened.
+// runRecovery executes one recovery chaos run and reports what happened.
 // Run-level failures are reported in the point's Err field, not the error
 // (so sweeps record broken cells instead of aborting); the error is reserved
 // for configuration mistakes.
-func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
-	if cfg.NGPUs <= 0 {
-		cfg.NGPUs = 8
+func runRecovery(cfg recoveryConfig) (RecoveryPoint, error) {
+	if cfg.nGPUs <= 0 {
+		cfg.nGPUs = 8
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 48
+	if cfg.iters <= 0 {
+		cfg.iters = 48
 	}
-	if cfg.Count <= 0 {
-		cfg.Count = 1024
+	if cfg.count <= 0 {
+		cfg.count = 1024
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 4 * sim.Millisecond
+	if cfg.horizon <= 0 {
+		cfg.horizon = 4 * sim.Millisecond
 	}
-	pt := RecoveryPoint{Backend: cfg.Backend.String()}
+	var pt RecoveryPoint
 
-	plan := cfg.Plan
+	plan := cfg.plan
 	if plan != nil && plan.Watchdog == 0 {
 		wp := *plan
-		wp.Watchdog = 200 * cfg.Horizon
+		wp.Watchdog = 200 * cfg.horizon
 		plan = &wp
 	}
 
-	ranks := make([]recoveryRank, cfg.NGPUs)
-	pace := cfg.Horizon / sim.Duration(cfg.Iters)
-	iters, count := cfg.Iters, cfg.Count
+	ranks := make([]recoveryRank, cfg.nGPUs)
+	pace := cfg.horizon / sim.Duration(cfg.iters)
+	iters, count := cfg.iters, cfg.count
 
 	main := func(env *core.Env) {
 		rank := env.WorldRank()
@@ -212,20 +208,20 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 		st.checksum = sum
 	}
 
-	// Flight recording: an explicit FlightDepth captures the post-mortem
+	// Flight recording: an explicit flightDepth captures the post-mortem
 	// into the point; a live Attach hook alone observes without recording,
 	// so -live never changes the sweep's results.
 	var flightBuf bytes.Buffer
 	var flight *core.FlightConfig
-	if cfg.FlightDepth > 0 {
-		flight = &core.FlightConfig{Depth: cfg.FlightDepth, Sink: &flightBuf, Attach: cfg.FlightAttach}
-	} else if cfg.FlightAttach != nil {
-		flight = &core.FlightConfig{Attach: cfg.FlightAttach}
+	if cfg.flightDepth > 0 {
+		flight = &core.FlightConfig{Depth: cfg.flightDepth, Sink: &flightBuf, Attach: cfg.flightAttach}
+	} else if cfg.flightAttach != nil {
+		flight = &core.FlightConfig{Attach: cfg.flightAttach}
 	}
 
 	rep, err := core.Launch(core.Config{
-		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.Backend, Faults: plan,
-		Topology: cfg.Topology, Metrics: cfg.Metrics, Flight: flight,
+		Model: cfg.model, NGPUs: cfg.nGPUs, Backend: cfg.backend, Faults: plan,
+		Topology: cfg.topology, Metrics: cfg.metrics, Flight: flight,
 	}, main)
 	pt.FlightDump = flightBuf.String()
 	if err != nil {
@@ -237,18 +233,17 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 	// Fault accounting comes from the report — the run's own record of who
 	// crashed, when the detector declared it, and how often the fabric
 	// rerouted — instead of re-deriving it from the plan.
-	pt.Topology = rep.Topology.Describe()
 	dead := map[int]bool{}
 	for _, r := range rep.Faults.CrashedRanks {
 		dead[r] = true
 	}
 	pt.Crashes = len(rep.Faults.CrashedRanks)
-	pt.Survivors = cfg.NGPUs - pt.Crashes
+	pt.Survivors = cfg.nGPUs - pt.Crashes
 	pt.DetectLatency = rep.Faults.FirstDetectLatency
 	pt.Failovers = rep.Faults.Failovers
 
 	completed := true
-	for r := 0; r < cfg.NGPUs; r++ {
+	for r := 0; r < cfg.nGPUs; r++ {
 		if dead[r] {
 			continue
 		}
@@ -256,7 +251,7 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 		if st.err != nil && pt.Err == "" {
 			pt.Err = fmt.Sprintf("rank %d: %v", r, st.err)
 		}
-		if st.iters < cfg.Iters {
+		if st.iters < cfg.iters {
 			completed = false
 		}
 		if st.recoveries > pt.Recoveries {
@@ -267,9 +262,9 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 		}
 	}
 	pt.Completed = completed && pt.Err == ""
-	for r := 0; r < cfg.NGPUs; r++ {
+	for r := 0; r < cfg.nGPUs; r++ {
 		if !dead[r] {
-			pt.Checksum = ranks[r].checksum
+			pt.checksum = ranks[r].checksum
 			break
 		}
 	}
@@ -281,7 +276,7 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 // (crashes appear from severity 0.5, a dead link from 0.75; on a switched
 // topology — carried by m.Topology — also a crashed aggregation switch or
 // dead global channel for adaptive routing to steer around) and runs
-// RunRecovery. Cells fan out over the deterministic sweep runner; results
+// runRecovery. Cells fan out over the deterministic sweep runner; results
 // are bit-identical at any worker count. Broken cells are reported in their
 // point's Err field rather than aborting the sweep.
 //
@@ -295,22 +290,22 @@ func RunRecovery(cfg RecoveryConfig) (RecoveryPoint, error) {
 func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) ([]RecoveryPoint, error) {
 	horizon := 4 * sim.Millisecond
 	fc := m.FabricConfig(m.NodesFor(nGPUs))
-	live := Progress()
+	live := progress()
 	return Sweep(len(severities), func(i int) (RecoveryPoint, error) {
 		sev := severities[i]
 		plan := faults.GenerateHard(seed, sev, fc, horizon)
-		rc := RecoveryConfig{
-			Model: m, Backend: backend, NGPUs: nGPUs, Plan: plan, Horizon: horizon,
-			FlightDepth: flightDepth,
+		rc := recoveryConfig{
+			model: m, backend: backend, nGPUs: nGPUs, plan: plan, horizon: horizon,
+			flightDepth: flightDepth,
 		}
 		if live != nil {
-			rc.FlightAttach = live.Flight().Attacher(
+			rc.flightAttach = live.Flight().Attacher(
 				fmt.Sprintf("%s sev=%.2f", backend, sev))
-			rc.Metrics = metrics.New()
+			rc.metrics = metrics.New()
 		}
-		pt, err := RunRecovery(rc)
+		pt, err := runRecovery(rc)
 		if live != nil {
-			live.AddSnapshot(rc.Metrics.Snapshot())
+			live.AddSnapshot(rc.metrics.Snapshot())
 		}
 		if err != nil {
 			return pt, err

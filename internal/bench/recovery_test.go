@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // crashPlan kills rank 3 of 8 one millisecond in, mid-allreduce, with a
@@ -28,8 +29,8 @@ func TestRecoveryCrashMidAllreduce(t *testing.T) {
 	m := machine.Perlmutter()
 	for _, backend := range []core.BackendID{core.MPIBackend, core.GpucclBackend, core.GpushmemBackend} {
 		t.Run(backend.String(), func(t *testing.T) {
-			pt, err := RunRecovery(RecoveryConfig{
-				Model: m, Backend: backend, NGPUs: 8, Plan: crashPlan(),
+			pt, err := runRecovery(recoveryConfig{
+				model: m, backend: backend, nGPUs: 8, plan: crashPlan(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -65,13 +66,13 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 	severities := []float64{0, 0.5, 0.75, 1}
 	run := func(workers string) []RecoveryPoint {
 		t.Helper()
-		old, had := os.LookupEnv(WorkersEnv)
-		os.Setenv(WorkersEnv, workers)
+		old, had := os.LookupEnv(spec.WorkersEnv)
+		os.Setenv(spec.WorkersEnv, workers)
 		defer func() {
 			if had {
-				os.Setenv(WorkersEnv, old)
+				os.Setenv(spec.WorkersEnv, old)
 			} else {
-				os.Unsetenv(WorkersEnv)
+				os.Unsetenv(spec.WorkersEnv)
 			}
 		}()
 		pts, err := RecoverySweep(m, core.GpucclBackend, 8, severities, 7, 0)
@@ -101,8 +102,8 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 // TestRecoveryHealthyRunUntouched checks severity-0 behaviour: no crashes,
 // no recoveries, full completion.
 func TestRecoveryHealthyRunUntouched(t *testing.T) {
-	pt, err := RunRecovery(RecoveryConfig{
-		Model: machine.Perlmutter(), Backend: core.MPIBackend, NGPUs: 4,
+	pt, err := runRecovery(recoveryConfig{
+		model: machine.Perlmutter(), backend: core.MPIBackend, nGPUs: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,8 +42,8 @@ func TestShrinkDuringHierarchicalAllreduce(t *testing.T) {
 	}
 	for _, backend := range []core.BackendID{core.MPIBackend, core.GpucclBackend, core.GpushmemBackend} {
 		t.Run(backend.String(), func(t *testing.T) {
-			pt, err := RunRecovery(RecoveryConfig{
-				Model: m, Backend: backend, NGPUs: nGPUs, Plan: plan, Count: elems,
+			pt, err := runRecovery(recoveryConfig{
+				model: m, backend: backend, nGPUs: nGPUs, plan: plan, count: elems,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -54,9 +54,9 @@ func TestShrinkDuringHierarchicalAllreduce(t *testing.T) {
 			if pt.Crashes != 1 || pt.Survivors != nGPUs-1 {
 				t.Fatalf("survivor accounting: %+v", pt)
 			}
-			if pt.Checksum != want {
+			if pt.checksum != want {
 				t.Fatalf("post-shrink checksum %v, want %v (reduction not over the 15 survivors)",
-					pt.Checksum, want)
+					pt.checksum, want)
 			}
 		})
 	}
@@ -80,8 +80,8 @@ func TestRecoverySwitchedTopologies(t *testing.T) {
 			mt := *machine.Perlmutter()
 			mt.Topology = tc
 			plan := faults.GenerateHard(11, 1, mt.FabricConfig(mt.NodesFor(nGPUs)), horizon)
-			pt, err := RunRecovery(RecoveryConfig{
-				Model: &mt, Backend: core.MPIBackend, NGPUs: nGPUs, Plan: plan, Horizon: horizon,
+			pt, err := runRecovery(recoveryConfig{
+				model: &mt, backend: core.MPIBackend, nGPUs: nGPUs, plan: plan, horizon: horizon,
 			})
 			if err != nil {
 				t.Fatal(err)

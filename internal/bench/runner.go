@@ -40,14 +40,10 @@ import (
 	"repro/internal/spec"
 )
 
-// WorkersEnv is the environment variable that overrides the sweep worker
-// count. Unset or invalid values fall back to GOMAXPROCS.
-const WorkersEnv = spec.WorkersEnv
-
-// Workers resolves the default sweep worker count: UNICONN_WORKERS when it
+// defaultWorkers resolves the default sweep worker count: UNICONN_WORKERS when it
 // is set to a positive integer, otherwise GOMAXPROCS.
-func Workers() int {
-	if s := os.Getenv(WorkersEnv); s != "" {
+func defaultWorkers() int {
+	if s := os.Getenv(spec.WorkersEnv); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
 			return n
 		}
@@ -64,13 +60,10 @@ type Runner struct {
 // selects the environment default (Workers()).
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
-		workers = Workers()
+		workers = defaultWorkers()
 	}
 	return &Runner{workers: workers}
 }
-
-// Workers reports the runner's worker count.
-func (r *Runner) Workers() int { return r.workers }
 
 // Run executes fn(i) for every i in [0, n). Cells must be independent: each
 // owns its private engine, trace log, and fault plan, and writes results
@@ -150,14 +143,14 @@ func (r *Runner) Run(n int, fn func(i int) error) error {
 // Sweep runs fn over n cells with the default runner and collects the
 // results by cell index.
 func Sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return SweepWith[T](NewRunner(0), n, fn)
+	return sweepWith[T](NewRunner(0), n, fn)
 }
 
-// SweepPrefix is Sweep for results that are consumed cell by cell: on failure
+// sweepPrefix is Sweep for results that are consumed cell by cell: on failure
 // it returns, with the error, the results preceding the first failing cell —
 // what a serial loop would have produced before stopping. (Cells below the
 // lowest failing index always complete; see Runner.Run.)
-func SweepPrefix[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+func sweepPrefix[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	done := make([]bool, n)
 	err := NewRunner(0).Run(n, func(i int) error {
@@ -173,8 +166,8 @@ func SweepPrefix[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, err
 }
 
-// SweepWith is Sweep with an explicit runner.
-func SweepWith[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
+// sweepWith is Sweep with an explicit runner.
+func sweepWith[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := r.Run(n, func(i int) error {
 		v, err := fn(i)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/spec"
 )
 
 func TestRunnerSerialOrder(t *testing.T) {
@@ -98,27 +99,27 @@ func TestRunnerEmptySweep(t *testing.T) {
 }
 
 func TestWorkersEnvResolution(t *testing.T) {
-	t.Setenv(WorkersEnv, "3")
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() with %s=3: %d", WorkersEnv, got)
+	t.Setenv(spec.WorkersEnv, "3")
+	if got := defaultWorkers(); got != 3 {
+		t.Fatalf("Workers() with %s=3: %d", spec.WorkersEnv, got)
 	}
-	if got := NewRunner(0).Workers(); got != 3 {
-		t.Fatalf("NewRunner(0) with %s=3: %d workers", WorkersEnv, got)
+	if got := NewRunner(0).workers; got != 3 {
+		t.Fatalf("NewRunner(0) with %s=3: %d workers", spec.WorkersEnv, got)
 	}
 	for _, bad := range []string{"0", "-2", "many"} {
-		t.Setenv(WorkersEnv, bad)
-		if got := Workers(); got < 1 {
-			t.Fatalf("Workers() with %s=%q: %d, want GOMAXPROCS fallback", WorkersEnv, bad, got)
+		t.Setenv(spec.WorkersEnv, bad)
+		if got := defaultWorkers(); got < 1 {
+			t.Fatalf("Workers() with %s=%q: %d, want GOMAXPROCS fallback", spec.WorkersEnv, bad, got)
 		}
 	}
 }
 
 func TestSweepCollectsByIndex(t *testing.T) {
-	got, err := SweepWith(NewRunner(8), 50, func(i int) (int, error) {
+	got, err := sweepWith(NewRunner(8), 50, func(i int) (int, error) {
 		return i * i, nil
 	})
 	if err != nil {
-		t.Fatalf("SweepWith: %v", err)
+		t.Fatalf("sweepWith: %v", err)
 	}
 	for i, v := range got {
 		if v != i*i {
@@ -136,7 +137,7 @@ func TestFigureSweepDeterministic(t *testing.T) {
 		t.Skip("multi-second figure sweep")
 	}
 	render := func(workers string) string {
-		t.Setenv(WorkersEnv, workers)
+		t.Setenv(spec.WorkersEnv, workers)
 		figs, err := RunFig6(Quick)
 		if err != nil {
 			t.Fatalf("RunFig6(workers=%s): %v", workers, err)
@@ -161,7 +162,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	cfg := chaosConfig(chaosBackends[0].backend)
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	sweep := func(workers string) []ChaosPoint {
-		t.Setenv(WorkersEnv, workers)
+		t.Setenv(spec.WorkersEnv, workers)
 		pts, _, err := ChaosSweep(cfg, severities, nil, nil)
 		if err != nil {
 			t.Fatalf("ChaosSweep(workers=%s): %v", workers, err)
@@ -187,7 +188,7 @@ func TestChaosSweepParallelErrorMatchesSerial(t *testing.T) {
 	cfg := chaosConfig(chaosBackends[0].backend)
 	severities := []float64{0, 0.5, 2.5, 3}
 	planFor := func(s float64) *faults.Plan {
-		p := faults.Degrade(cfg.FaultedPath(), s)
+		p := faults.Degrade(cfg.faultedPath(), s)
 		if s > 2 {
 			// Arm a 1ns virtual-time watchdog: the run trips it
 			// immediately, giving a deterministic mid-sweep failure.
@@ -196,7 +197,7 @@ func TestChaosSweepParallelErrorMatchesSerial(t *testing.T) {
 		return p
 	}
 	run := func(workers string) ([]ChaosPoint, error) {
-		t.Setenv(WorkersEnv, workers)
+		t.Setenv(spec.WorkersEnv, workers)
 		pts, _, err := ChaosSweep(cfg, severities, planFor, nil)
 		return pts, err
 	}

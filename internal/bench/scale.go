@@ -46,8 +46,8 @@ type ScaleConfig struct {
 	Trace *trace.Log
 }
 
-// Validate reports configuration errors.
-func (cfg ScaleConfig) Validate() error {
+// validate reports configuration errors.
+func (cfg ScaleConfig) validate() error {
 	if cfg.Model == nil {
 		return fmt.Errorf("bench: nil model")
 	}
@@ -64,7 +64,7 @@ func (cfg ScaleConfig) Validate() error {
 // time plus the run report.
 func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 	var rep core.Report
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return 0, rep, err
 	}
 	iters, warmup := cfg.Iters, cfg.Warmup

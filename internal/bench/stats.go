@@ -8,42 +8,16 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 )
 
-// TrimmedMean implements §VI-A2: repeat the measurement, drop the lowest
-// and highest samples, and average the rest. With fewer than three samples
-// it averages all of them.
-func TrimmedMean(xs []sim.Duration) sim.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]sim.Duration{}, xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if len(s) > 2 {
-		s = s[1 : len(s)-1]
-	}
-	var sum sim.Duration
-	for _, v := range s {
-		sum += v
-	}
-	// Round to nearest (half away from zero) instead of truncating toward
-	// zero, which systematically biased every reported mean low.
-	n := sim.Duration(len(s))
-	if sum >= 0 {
-		return (sum + n/2) / n
-	}
-	return (sum - n/2) / n
-}
-
-// PercentDiff reports (x-ref)/ref in percent — the quantity of the
+// percentDiff reports (x-ref)/ref in percent — the quantity of the
 // embedded overhead plots in Figs. 3-4. A zero reference makes the ratio
 // undefined: the result is NaN when x is also zero and ±Inf (matching the
 // sign of x) otherwise, never a silent 0% that would hide a real
 // difference. Plot paths render these as "n/a" (see pct).
-func PercentDiff(x, ref sim.Duration) float64 {
+func percentDiff(x, ref sim.Duration) float64 {
 	if ref == 0 {
 		if x == 0 {
 			return math.NaN()
@@ -61,7 +35,7 @@ func sign(d sim.Duration) sim.Duration {
 }
 
 // pct formats a percentage for report notes, rendering the undefined
-// values PercentDiff produces for zero references as "n/a".
+// values percentDiff produces for zero references as "n/a".
 func pct(v float64) string {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return "n/a"

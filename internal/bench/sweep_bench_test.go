@@ -37,7 +37,7 @@ func BenchmarkSweepLatencyGrid(b *testing.B) {
 				API: machine.APIHost, Native: true, Inter: true,
 				Bytes: cells[j].bytes, Iters: 10, Warmup: 2,
 			}
-			lat, err := Latency(cfg)
+			lat, _, err := LatencyRun(cfg)
 			return lat, err
 		})
 		if err != nil {
@@ -52,7 +52,7 @@ func BenchmarkSweepChaos(b *testing.B) {
 	cfg := NetConfig{
 		Model: machine.Perlmutter(), Backend: core.MPIBackend,
 		API: machine.APIHost, Native: true, Inter: true,
-		Bytes: 8 << 10, Iters: 10, Warmup: 2, Window: 4,
+		Bytes: 8 << 10, Iters: 10, Warmup: 2, window: 4,
 	}
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	b.ResetTimer()

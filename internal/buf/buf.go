@@ -2,8 +2,8 @@
 // staging. The simulated data path follows one rule — clone only for a
 // snapshot, scratch for overwrite-before-read, reduce on receive otherwise
 // (DESIGN.md §11) — and this arena backs the first two: snapshots whose
-// source may change before they are consumed (MPI eager staging, RMA puts, a
-// rooted reduction's accumulator) and scratch whose old contents are never
+// source may change before they are consumed (MPI eager staging, a rooted
+// reduction's accumulator) and scratch whose old contents are never
 // read (the recursive-doubling exchange buffer). Both are throwaways: fully
 // overwritten on acquisition and dead as soon as the payload lands. Without
 // pooling every such message allocates its payload again and the garbage
@@ -12,7 +12,7 @@
 // from where the protocol already holds them.
 //
 // A Pool[T] keeps per-size-class free lists of []T slices. Classes are
-// powers of two from MinClassLen up; Get rounds the request up to its class
+// powers of two from minClassLen up; Get rounds the request up to its class
 // so a released slice is reusable by any request of the same class. Slices
 // are returned with their previous contents (no zeroing), so callers must
 // fully overwrite the requested length before reading it — a snapshot's
@@ -33,14 +33,14 @@ import (
 )
 
 const (
-	// MinClassLen is the element count of the smallest size class; smaller
+	// minClassLen is the element count of the smallest size class; smaller
 	// requests are rounded up to it.
-	MinClassLen = 8
+	minClassLen = 8
 
-	// NumClasses bounds the class table: the largest pooled class holds
-	// MinClassLen << (NumClasses-1) elements (128 Mi elements); larger
+	// numClasses bounds the class table: the largest pooled class holds
+	// minClassLen << (numClasses-1) elements (128 Mi elements); larger
 	// requests bypass the pool entirely.
-	NumClasses = 25
+	numClasses = 25
 
 	// perClassCap bounds the free slices retained per class, so a burst of
 	// concurrent stagings (a wide fan-out) does not pin its high-water
@@ -51,24 +51,14 @@ const (
 // classFor returns the class index for a request of n elements, or -1 when
 // n exceeds the largest class.
 func classFor(n int) int {
-	if n <= MinClassLen {
+	if n <= minClassLen {
 		return 0
 	}
-	c := bits.Len(uint(n-1)) - 3 // log2 ceil(n) relative to MinClassLen = 2^3
-	if c >= NumClasses {
+	c := bits.Len(uint(n-1)) - 3 // log2 ceil(n) relative to minClassLen = 2^3
+	if c >= numClasses {
 		return -1
 	}
 	return c
-}
-
-// ClassSize reports the rounded capacity for a request of n elements
-// (n itself when the request bypasses the pool).
-func ClassSize(n int) int {
-	c := classFor(n)
-	if c < 0 {
-		return n
-	}
-	return MinClassLen << c
 }
 
 // Stats counts pool traffic, for tests and diagnostics.
@@ -85,7 +75,7 @@ type Stats struct {
 // sampled beside it.
 type Pool[T any] struct {
 	mu    sync.Mutex
-	free  [NumClasses][][]T
+	free  [numClasses][][]T
 	stats Stats
 }
 
@@ -107,7 +97,7 @@ func (p *Pool[T]) Get(n int) []T {
 		p.stats.Pooled--
 		return s[:n]
 	}
-	return make([]T, n, MinClassLen<<c)
+	return make([]T, n, minClassLen<<c)
 }
 
 // Put returns a slice obtained from Get to its free list. Slices whose
@@ -117,7 +107,7 @@ func (p *Pool[T]) Put(s []T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := classFor(cap(s))
-	if c < 0 || cap(s) != MinClassLen<<c || len(p.free[c]) >= perClassCap {
+	if c < 0 || cap(s) != minClassLen<<c || len(p.free[c]) >= perClassCap {
 		p.stats.Drops++
 		return
 	}

@@ -7,15 +7,16 @@ func TestClassRounding(t *testing.T) {
 		{0, 8}, {1, 8}, {8, 8}, {9, 16}, {16, 16}, {17, 32},
 		{255, 256}, {256, 256}, {257, 512}, {1 << 20, 1 << 20},
 	}
+	var p Pool[struct{}] // zero-size elements: capacity costs nothing
 	for _, c := range cases {
-		if got := ClassSize(c.n); got != c.size {
-			t.Errorf("ClassSize(%d) = %d, want %d", c.n, got, c.size)
+		if got := cap(p.Get(c.n)); got != c.size {
+			t.Errorf("cap(Get(%d)) = %d, want %d", c.n, got, c.size)
 		}
 	}
 	// Beyond the largest class the request passes through unrounded.
-	huge := (MinClassLen << (NumClasses - 1)) + 1
-	if got := ClassSize(huge); got != huge {
-		t.Errorf("ClassSize(%d) = %d, want pass-through", huge, got)
+	huge := (minClassLen << (numClasses - 1)) + 1
+	if got := cap(p.Get(huge)); got != huge {
+		t.Errorf("cap(Get(%d)) = %d, want pass-through", huge, got)
 	}
 }
 
@@ -39,7 +40,7 @@ func TestGetPutReuse(t *testing.T) {
 func TestPutDropsForeignAndOversize(t *testing.T) {
 	var p Pool[int32]
 	p.Put(make([]int32, 100)) // cap 100 is not a class size
-	huge := p.Get((MinClassLen << (NumClasses - 1)) + 1)
+	huge := p.Get((minClassLen << (numClasses - 1)) + 1)
 	p.Put(huge) // oversize: bypasses the pool both ways
 	st := p.Stats()
 	if st.Puts != 0 || st.Drops != 2 || st.Pooled != 0 {

@@ -31,17 +31,17 @@ import (
 // typical encoded result is a few KiB; 64 MiB holds tens of thousands),
 // small enough to never matter for a CLI sweep.
 const (
-	DefaultMaxEntries = 16384
-	DefaultMaxBytes   = 64 << 20
+	defaultMaxEntries = 16384
+	defaultMaxBytes   = 64 << 20
 )
 
 // Options configures a cache.
 type Options struct {
 	// MaxEntries bounds the number of in-memory entries (<= 0 selects
-	// DefaultMaxEntries).
+	// defaultMaxEntries).
 	MaxEntries int
 	// MaxBytes bounds the summed value sizes held in memory (<= 0 selects
-	// DefaultMaxBytes). A single value larger than the bound is stored
+	// defaultMaxBytes). A single value larger than the bound is stored
 	// alone (the cache never refuses a Put; it evicts instead).
 	MaxBytes int64
 	// Dir, when non-empty, persists entries to this directory (created on
@@ -83,10 +83,10 @@ type entry struct {
 // New creates a cache with the given options.
 func New(opts Options) *Cache {
 	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = DefaultMaxEntries
+		opts.MaxEntries = defaultMaxEntries
 	}
 	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = DefaultMaxBytes
+		opts.MaxBytes = defaultMaxBytes
 	}
 	return &Cache{
 		opts:    opts,

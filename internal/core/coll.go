@@ -66,12 +66,6 @@ func Reduce[T gpu.Elem](c *Coordinator, op gpu.ReduceOp, send, recv Ptr[T], coun
 	}
 }
 
-// ReduceInPlace reduces with root's send buffer doubling as the result
-// buffer.
-func ReduceInPlace[T gpu.Elem](c *Coordinator, op gpu.ReduceOp, buf Ptr[T], count int, root int, comm *Communicator) {
-	Reduce(c, op, buf, buf, count, root, comm)
-}
-
 // Broadcast sends count elements at buf from root to every rank.
 func Broadcast[T gpu.Elem](c *Coordinator, buf Ptr[T], count int, root int, comm *Communicator) {
 	env := c.env

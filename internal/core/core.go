@@ -64,18 +64,6 @@ func (b BackendID) String() string {
 	}
 }
 
-// Lib maps the backend to its machine-model library id.
-func (b BackendID) Lib() machine.Lib {
-	switch b {
-	case MPIBackend:
-		return machine.LibMPI
-	case GpucclBackend:
-		return machine.LibGPUCCL
-	default:
-		return machine.LibGPUSHMEM
-	}
-}
-
 // Config describes one simulated UNICONN job.
 type Config struct {
 	// Model is the machine to simulate (machine.Perlmutter() etc.).
@@ -140,8 +128,8 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Job is the shared state of one run.
-type Job struct {
+// job is the shared state of one run.
+type job struct {
 	cfg     Config
 	eng     *sim.Engine
 	cluster *gpu.Cluster
@@ -163,17 +151,9 @@ type Job struct {
 type FaultSummary struct {
 	// CrashedRanks are the world ranks the plan killed, in ascending order.
 	CrashedRanks []int
-	// DeadSwitches, DeadInterLinks, and DeadRoutes count the plan's crashed
-	// topology switches, downed inter-switch links, and downed endpoint
-	// routes (LinkDowns).
-	DeadSwitches   int
-	DeadInterLinks int
-	DeadRoutes     int
 	// FirstDetectLatency is the failure detector's crash-to-declaration
-	// delay for the earliest crash; MaxDetectLatency the largest such delay
-	// across all crashes. Both zero without crashes.
+	// delay for the earliest crash (zero without crashes).
 	FirstDetectLatency sim.Duration
-	MaxDetectLatency   sim.Duration
 	// Failovers counts transfers redirected onto fallback routes or steered
 	// around dead switches/links by adaptive routing.
 	Failovers int
@@ -191,20 +171,12 @@ type Report struct {
 }
 
 // faultSummary builds the report's hard-fault summary after a run completes.
-func (j *Job) faultSummary() FaultSummary {
+func (j *job) faultSummary() FaultSummary {
 	var fs FaultSummary
-	if f := j.cfg.Faults; f != nil {
-		fs.DeadSwitches = len(f.SwitchCrashes)
-		fs.DeadInterLinks = len(f.InterLinkDowns)
-		fs.DeadRoutes = len(f.LinkDowns)
-	}
 	if j.sched != nil && len(j.sched.crashes) > 0 {
 		earliest := 0
 		for i, sc := range j.sched.crashes {
 			fs.CrashedRanks = append(fs.CrashedRanks, sc.rank)
-			if sc.latency > fs.MaxDetectLatency {
-				fs.MaxDetectLatency = sc.latency
-			}
 			if sc.at < j.sched.crashes[earliest].at {
 				earliest = i
 			}
@@ -228,7 +200,7 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	defer eng.Close()
 	flight := cfg.Flight.install(eng)
 	cluster := gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)
-	job := &Job{cfg: cfg, eng: eng, cluster: cluster}
+	j := &job{cfg: cfg, eng: eng, cluster: cluster}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)
 	}
@@ -248,26 +220,26 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	}
 	// MPI is always available: the paper's GPUCCL and GPUSHMEM setups
 	// bootstrap over a CPU communication library (§IV-B).
-	job.mpiWorld = mpi.NewWorld(cluster)
+	j.mpiWorld = mpi.NewWorld(cluster)
 	switch cfg.Backend {
 	case GpucclBackend:
-		job.cclWorld = gpuccl.NewWorld(cluster)
+		j.cclWorld = gpuccl.NewWorld(cluster)
 	case GpushmemBackend:
-		job.shmemWorld = gpushmem.NewWorld(cluster)
+		j.shmemWorld = gpushmem.NewWorld(cluster)
 	}
 	for r := range cluster.Devices {
-		job.rankProcs = append(job.rankProcs, eng.Spawn(
-			fmt.Sprintf("rank%d", r), func(p *sim.Proc) { main(newEnv(job, r, p)) }))
+		j.rankProcs = append(j.rankProcs, eng.Spawn(
+			fmt.Sprintf("rank%d", r), func(p *sim.Proc) { main(newEnv(j, r, p)) }))
 	}
 	if f := cfg.Faults; f != nil && len(f.Crashes) > 0 {
-		job.sched = newFailureSchedule(f, cfg.NGPUs)
-		job.armHardFaults()
+		j.sched = newFailureSchedule(f, cfg.NGPUs)
+		j.armHardFaults()
 	}
 	if err := eng.Run(); err != nil {
 		flight.dump(err.Error())
 		return Report{}, err
 	}
-	rep := Report{End: eng.Now(), Topology: cluster.Fabric.Topology(), Faults: job.faultSummary()}
+	rep := Report{End: eng.Now(), Topology: cluster.Fabric.Topology(), Faults: j.faultSummary()}
 	if len(rep.Faults.CrashedRanks) > 0 {
 		flight.dump("recovered from hard fault")
 	}
@@ -280,19 +252,17 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 // Env is the per-rank Environment abstraction (paper §IV-B): it initializes
 // and finalizes the backend and owns device selection.
 type Env struct {
-	job  *Job
+	job  *job
 	rank int
 	p    *sim.Proc
 	dev  *gpu.Device
-
-	deviceSet bool
 }
 
-func newEnv(job *Job, rank int, p *sim.Proc) *Env {
-	env := &Env{job: job, rank: rank, p: p, dev: job.cluster.Devices[rank]}
+func newEnv(j *job, rank int, p *sim.Proc) *Env {
+	env := &Env{job: j, rank: rank, p: p, dev: j.cluster.Devices[rank]}
 	// Backend initialization cost: a few host operations plus, for the
 	// GPU-side libraries, their bootstrap exchange.
-	env.p.Advance(10 * job.cfg.Model.HostOp)
+	env.p.Advance(10 * j.cfg.Model.HostOp)
 	return env
 }
 
@@ -316,7 +286,6 @@ func (e *Env) SetDevice(local int) {
 		panic(fmt.Sprintf("core: SetDevice(%d) does not match the rank's device (local %d)",
 			local, e.dev.Local))
 	}
-	e.deviceSet = true
 }
 
 // Device exposes the selected simulated GPU.

@@ -17,7 +17,7 @@ import (
 
 // FlightConfig enables flight recording for a run.
 type FlightConfig struct {
-	// Depth is the ring capacity (sim.DefaultFlightDepth when <= 0).
+	// Depth is the ring capacity (sim.defaultFlightDepth when <= 0).
 	Depth int
 	// Sink, when non-nil, receives the deterministic post-mortem dump when
 	// the run returns an error or recovered from a hard fault (crashed

@@ -115,11 +115,3 @@ func Acknowledge[T gpu.Elem](c *Coordinator, recv Ptr[T], count int, sig Signal,
 		comm.pe.SignalWaitOnStream(env.p, c.stream, sig.sigRef(), gpushmem.CmpGE, sigVal)
 	}
 }
-
-// AcknowledgeInPlace is the +In-Place variant noted in Listing 7: the
-// payload lands directly in the application buffer named by recv during
-// Post, so only completion is observed. On two-sided backends it is
-// identical to Acknowledge.
-func AcknowledgeInPlace[T gpu.Elem](c *Coordinator, recv Ptr[T], count int, sig Signal, sigVal uint64, peer int, comm *Communicator) {
-	Acknowledge(c, recv, count, sig, sigVal, peer, comm)
-}

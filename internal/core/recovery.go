@@ -138,14 +138,14 @@ func (s *failureSchedule) failedAt(t sim.Time) []int {
 // epochAt, lastFailureAt: failure-state queries indexed by the caller's
 // virtual time. Communicators stamp the epoch they were built in and refuse
 // (abort) operations once it moves on.
-func (j *Job) epochAt(t sim.Time) int {
+func (j *job) epochAt(t sim.Time) int {
 	if j.sched == nil {
 		return 0
 	}
 	return j.sched.epochAt(t)
 }
 
-func (j *Job) lastFailureAt(t sim.Time) *sim.RankFailedError {
+func (j *job) lastFailureAt(t sim.Time) *sim.RankFailedError {
 	if j.sched == nil {
 		return nil
 	}
@@ -156,7 +156,7 @@ func (j *Job) lastFailureAt(t sim.Time) *sim.RankFailedError {
 // the engine: the timetable is known at launch, so both are plain timers. A
 // kill takes the rank's process and GPU streams; a declaration interrupts
 // every live process at the virtual detect time.
-func (j *Job) armHardFaults() {
+func (j *job) armHardFaults() {
 	for i := range j.sched.crashes {
 		sc := &j.sched.crashes[i]
 		rank := sc.rank

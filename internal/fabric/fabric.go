@@ -57,8 +57,7 @@ type LinkCost struct {
 // float→integer conversion used previously truncated, systematically
 // shaving up to 1ns off every transfer and biasing long serialized chains
 // (a ring allreduce books thousands of back-to-back reservations) low by
-// the accumulated truncation. Rounding matches the repo's other
-// float-to-virtual-time conversions (bench.TrimmedMean).
+// the accumulated truncation.
 func (c LinkCost) Duration(bytes int64) sim.Duration {
 	if bytes <= 0 || c.BytesPerSec <= 0 {
 		return 0
@@ -162,28 +161,6 @@ func (f *Fabric) Config() Config { return f.cfg }
 // Topology returns the resolved inter-node topology configuration.
 func (f *Fabric) Topology() TopologyConfig { return f.cfg.Topology }
 
-// NumSwitches reports the switch count of the inter-node topology (0 on the
-// flat network).
-func (f *Fabric) NumSwitches() int {
-	if f.topo == nil {
-		return 0
-	}
-	return f.topo.switches()
-}
-
-// InterHops reports the switch count of the minimal route between two GPUs'
-// nodes: 0 on the flat topology or within a node.
-func (f *Fabric) InterHops(src, dst int) int {
-	if f.topo == nil {
-		return 0
-	}
-	sn, dn := f.Node(src), f.Node(dst)
-	if sn == dn {
-		return 0
-	}
-	return f.topo.minHops(sn, dn)
-}
-
 // InterExtraLatency reports the deterministic minimal-route switch latency
 // between two GPUs' nodes (zero on the flat topology or within a node). The
 // MPI layer adds it to the wire time of every inter-node control envelope
@@ -207,9 +184,6 @@ func (f *Fabric) Node(gpu int) int { return gpu / f.cfg.GPUsPerNode }
 
 // Local reports the node-local index of a global GPU id.
 func (f *Fabric) Local(gpu int) int { return gpu % f.cfg.GPUsPerNode }
-
-// GlobalID composes a global GPU id from node and local indices.
-func (f *Fabric) GlobalID(node, local int) int { return node*f.cfg.GPUsPerNode + local }
 
 // nic returns the NIC port index serving a GPU.
 func (f *Fabric) nic(gpu int) int {
@@ -349,12 +323,12 @@ func (f *Fabric) Transfer(at sim.Time, src, dst int, bytes int64, cost LinkCost)
 // StallError reports a transfer rejected because a port on its route is
 // inside a stall window.
 type StallError struct {
-	Port  string   // label of the stalled port
+	port  string   // label of the stalled port
 	Until sim.Time // when admission reopens
 }
 
 func (e *StallError) Error() string {
-	return fmt.Sprintf("fabric: port %s stalled until %v", e.Port, e.Until)
+	return fmt.Sprintf("fabric: port %s stalled until %v", e.port, e.Until)
 }
 
 // TryTransfer is Transfer, except that when a port on the route is inside a
@@ -369,7 +343,7 @@ func (f *Fabric) TryTransfer(at sim.Time, src, dst int, bytes int64, cost LinkCo
 			if f.m != nil {
 				f.m.stalls.Inc()
 			}
-			return 0, &StallError{Port: tl.Label(), Until: until}
+			return 0, &StallError{port: tl.Label(), Until: until}
 		}
 	}
 	return f.Transfer(at, src, dst, bytes, cost), nil
@@ -387,40 +361,4 @@ func (f *Fabric) StallNIC(node, nic int, start, end sim.Time) {
 	idx := node*f.cfg.NICsPerNode + nic
 	f.nicOut[idx].AddStall(start, end)
 	f.nicIn[idx].AddStall(start, end)
-}
-
-// PortStats summarises cumulative port occupancy, for utilization reporting
-// and contention-sanity tests.
-type PortStats struct {
-	GPUEgressBusy  []sim.Duration
-	GPUIngressBusy []sim.Duration
-	NICOutBusy     []sim.Duration
-	NICInBusy      []sim.Duration
-	// SwitchBusy holds the busy time of every switch output port of the
-	// inter-node topology, in the topology's fixed port order (empty on
-	// the flat network).
-	SwitchBusy []sim.Duration
-}
-
-// Stats snapshots cumulative busy time on every port.
-func (f *Fabric) Stats() PortStats {
-	s := PortStats{}
-	for _, tl := range f.egress {
-		s.GPUEgressBusy = append(s.GPUEgressBusy, tl.BusySum())
-	}
-	for _, tl := range f.ingress {
-		s.GPUIngressBusy = append(s.GPUIngressBusy, tl.BusySum())
-	}
-	for _, tl := range f.nicOut {
-		s.NICOutBusy = append(s.NICOutBusy, tl.BusySum())
-	}
-	for _, tl := range f.nicIn {
-		s.NICInBusy = append(s.NICInBusy, tl.BusySum())
-	}
-	if f.topo != nil {
-		f.topo.ports(func(tl *sim.Timeline) {
-			s.SwitchBusy = append(s.SwitchBusy, tl.BusySum())
-		})
-	}
-	return s
 }

@@ -34,7 +34,7 @@ func TestPathClassification(t *testing.T) {
 func TestNodeLocalGlobal(t *testing.T) {
 	f := testFabric()
 	for g := 0; g < f.NumGPUs(); g++ {
-		if f.GlobalID(f.Node(g), f.Local(g)) != g {
+		if f.Node(g)*f.cfg.GPUsPerNode+f.Local(g) != g {
 			t.Fatalf("round trip failed for gpu %d", g)
 		}
 	}
@@ -115,12 +115,11 @@ func TestStatsAccumulate(t *testing.T) {
 	f := testFabric()
 	cost := LinkCost{Latency: 0, BytesPerSec: 1e9}
 	f.Transfer(0, 0, 1, 5000, cost)
-	s := f.Stats()
-	if s.GPUEgressBusy[0] != 5000 || s.GPUIngressBusy[1] != 5000 {
-		t.Fatalf("stats %v %v", s.GPUEgressBusy[0], s.GPUIngressBusy[1])
+	if f.egress[0].BusySum() != 5000 || f.ingress[1].BusySum() != 5000 {
+		t.Fatalf("stats %v %v", f.egress[0].BusySum(), f.ingress[1].BusySum())
 	}
-	if s.GPUEgressBusy[2] != 0 {
-		t.Fatalf("untouched port busy: %v", s.GPUEgressBusy[2])
+	if f.egress[2].BusySum() != 0 {
+		t.Fatalf("untouched port busy: %v", f.egress[2].BusySum())
 	}
 }
 
@@ -153,10 +152,9 @@ func TestSelfCopyOccupiesBothPorts(t *testing.T) {
 	if end1 != 1000 || end2 != 2000 {
 		t.Fatalf("local copies end at %v, %v; want 1000, 2000", end1, end2)
 	}
-	s := f.Stats()
-	if s.GPUEgressBusy[0] != 2000 || s.GPUIngressBusy[0] != 2000 {
+	if f.egress[0].BusySum() != 2000 || f.ingress[0].BusySum() != 2000 {
 		t.Fatalf("self-copy port busy egress=%v ingress=%v, want 2000 each",
-			s.GPUEgressBusy[0], s.GPUIngressBusy[0])
+			f.egress[0].BusySum(), f.ingress[0].BusySum())
 	}
 	// Incoming intra-node traffic into GPU 0 contends with the local
 	// copies on the ingress port.
@@ -293,7 +291,7 @@ func TestNICMappingBalanced(t *testing.T) {
 			// slip cannot hide behind node 0's zero offsets.
 			load := make(map[int]int)
 			for l := 0; l < gpus; l++ {
-				idx := f.nic(f.GlobalID(1, l))
+				idx := f.nic(1*gpus + l)
 				if idx < 1*nics || idx >= 2*nics {
 					t.Fatalf("G=%d N=%d: GPU %d mapped to NIC %d outside node 1's [%d, %d)",
 						gpus, nics, l, idx, nics, 2*nics)

@@ -26,39 +26,36 @@ import (
 	"repro/internal/sim"
 )
 
-// Failover describes the cost penalty of the fallback route used once a
+// failover describes the cost penalty of the fallback route used once a
 // link on a path is down. Zero-valued factors mean "unchanged".
-type Failover struct {
-	// LatencyAdd is the staging constant added to each message.
-	LatencyAdd sim.Duration
-	// LatencyFactor scales the healthy latency (alpha); <= 0 means 1.
-	LatencyFactor float64
-	// BandwidthFactor scales the healthy bandwidth (1/beta); <= 0 means 1.
-	BandwidthFactor float64
+type failover struct {
+	// latencyAdd is the staging constant added to each message.
+	latencyAdd sim.Duration
+	// latencyFactor scales the healthy latency (alpha); <= 0 means 1.
+	latencyFactor float64
+	// bandwidthFactor scales the healthy bandwidth (1/beta); <= 0 means 1.
+	bandwidthFactor float64
 }
 
 // apply maps a healthy link cost onto the fallback route's cost.
-func (fo Failover) apply(c LinkCost) LinkCost {
-	if fo.LatencyFactor > 0 {
-		c.Latency = sim.Duration(math.Round(float64(c.Latency) * fo.LatencyFactor))
+func (fo failover) apply(c LinkCost) LinkCost {
+	if fo.latencyFactor > 0 {
+		c.Latency = sim.Duration(math.Round(float64(c.Latency) * fo.latencyFactor))
 	}
-	c.Latency += fo.LatencyAdd
-	if fo.BandwidthFactor > 0 {
-		c.BytesPerSec *= fo.BandwidthFactor
+	c.Latency += fo.latencyAdd
+	if fo.bandwidthFactor > 0 {
+		c.BytesPerSec *= fo.bandwidthFactor
 	}
 	return c
 }
 
 // failovers are the fallback-route penalties, indexed by Path. The numbers
 // model host-staged copies (intra/self) and a secondary NIC route (inter).
-var failovers = [3]Failover{
-	PathSelf:  {LatencyAdd: 2 * sim.Microsecond, LatencyFactor: 2, BandwidthFactor: 0.25},
-	PathIntra: {LatencyAdd: 1500 * sim.Nanosecond, LatencyFactor: 2, BandwidthFactor: 0.3},
-	PathInter: {LatencyAdd: 3 * sim.Microsecond, LatencyFactor: 1.5, BandwidthFactor: 0.5},
+var failovers = [3]failover{
+	PathSelf:  {latencyAdd: 2 * sim.Microsecond, latencyFactor: 2, bandwidthFactor: 0.25},
+	PathIntra: {latencyAdd: 1500 * sim.Nanosecond, latencyFactor: 2, bandwidthFactor: 0.3},
+	PathInter: {latencyAdd: 3 * sim.Microsecond, latencyFactor: 1.5, bandwidthFactor: 0.5},
 }
-
-// FailoverFor reports the fallback-route penalty for one path kind.
-func (f *Fabric) FailoverFor(path Path) Failover { return failovers[path] }
 
 // downLink records one permanently dead route. src/dst of -1 match any
 // endpoint (the whole path kind dies).
@@ -71,7 +68,7 @@ type downLink struct {
 // DownLink marks the route src->dst on the given path as permanently dead
 // from virtual time at onward. src and/or dst may be -1 to match any
 // endpoint. Transfers booked on a dead route are not blocked; they are
-// redirected onto the path's failover route and pay its cost (see Failover).
+// redirected onto the path's failover route and pay its cost (see failover).
 func (f *Fabric) DownLink(src, dst int, path Path, at sim.Time) {
 	n := f.NumGPUs()
 	if src < -1 || src >= n || dst < -1 || dst >= n {

@@ -87,8 +87,8 @@ func TestFailoverComposesWithLinkFault(t *testing.T) {
 		return c
 	}
 	f.DownLink(0, 1, PathIntra, 0)
-	fo := f.FailoverFor(PathIntra)
-	wantLat := sim.Duration(float64(3*failoverCost.Latency)*fo.LatencyFactor) + fo.LatencyAdd
+	fo := failovers[PathIntra]
+	wantLat := sim.Duration(float64(3*failoverCost.Latency)*fo.latencyFactor) + fo.latencyAdd
 	arrive := f.Transfer(0, 0, 1, 0, failoverCost)
 	if arrive != sim.Time(wantLat) {
 		t.Fatalf("zero-byte arrival %v, want %v (degrade x failover)", arrive, sim.Time(wantLat))

@@ -33,17 +33,17 @@ import (
 // left in the switch fabric — a real partition, as opposed to a dead route
 // or switch that adaptive routing can steer around.
 type UnreachableError struct {
-	SrcNode, DstNode int
-	At               sim.Time
+	srcNode, dstNode int
+	at               sim.Time
 }
 
 func (e *UnreachableError) Error() string {
 	return fmt.Sprintf("fabric: no live route from node %d to node %d at %v (network partition)",
-		e.SrcNode, e.DstNode, e.At)
+		e.srcNode, e.dstNode, e.at)
 }
 
 func unreachableErr(srcNode, dstNode int, at sim.Time) error {
-	return &UnreachableError{SrcNode: srcNode, DstNode: dstNode, At: at}
+	return &UnreachableError{srcNode: srcNode, dstNode: dstNode, at: at}
 }
 
 // aliveForever marks a never-crashed element in the dead-time tables.
@@ -120,13 +120,13 @@ func (f *Fabric) DownInterLink(a, b int, at sim.Time) {
 func ResolveTopology(tc TopologyConfig, nodes int) TopologyConfig {
 	switch tc.Kind {
 	case TopoFatTree:
-		if tc.HopLatency <= 0 {
-			tc.HopLatency = DefaultHopLatency
+		if tc.hopLatency <= 0 {
+			tc.hopLatency = defaultHopLatency
 		}
 		tc.FatTreeArity = fatTreeArity(nodes, tc.FatTreeArity)
 	case TopoDragonfly:
-		if tc.HopLatency <= 0 {
-			tc.HopLatency = DefaultHopLatency
+		if tc.hopLatency <= 0 {
+			tc.hopLatency = defaultHopLatency
 		}
 		tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal, _ =
 			dragonflySize(nodes, tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal)

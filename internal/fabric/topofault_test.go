@@ -60,7 +60,7 @@ func scan2(s, format string, a, b *int) bool {
 func TestFatTreeRouteAvoidsDeadElements(t *testing.T) {
 	const nodes = 16
 	f := New(Config{Nodes: nodes, GPUsPerNode: 1, NICsPerNode: 1,
-		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, HopLatency: 100}})
+		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, hopLatency: 100}})
 	const crashAt, linkAt = sim.Time(1000), sim.Time(2000)
 	// Both faults sit at aggregation position 0: cross-pod routes climb
 	// through one position end to end, so pairs spanning the two faulty pods
@@ -112,7 +112,7 @@ func TestFatTreeRouteAvoidsDeadElements(t *testing.T) {
 func TestFatTreeRealPartitionIsTyped(t *testing.T) {
 	const nodes = 16
 	f := New(Config{Nodes: nodes, GPUsPerNode: 1, NICsPerNode: 1,
-		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, HopLatency: 100}})
+		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, hopLatency: 100}})
 	f.CrashSwitch(FatTreeAggSwitch(4, 0, 0), 0)
 	f.DownInterLink(4, FatTreeAggSwitch(4, 2, 1), 0) // edge 4 serves nodes 8, 9
 	ft := f.topo.(*fatTree)
@@ -144,7 +144,7 @@ func TestDragonflyRouteAvoidsDeadChannel(t *testing.T) {
 	const nodes = 8 // p=1, a=2 -> 4 groups of 2 routers
 	f := New(Config{Nodes: nodes, GPUsPerNode: 1, NICsPerNode: 1,
 		Topology: TopologyConfig{Kind: TopoDragonfly,
-			DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2, HopLatency: 100}})
+			DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2, hopLatency: 100}})
 	const downAt = sim.Time(1000)
 	f.DownInterLink(0, 2, downAt) // the group 0 <-> group 1 global channel
 	df := f.topo.(*dragonfly)
@@ -209,7 +209,7 @@ func TestDragonflyRouteAvoidsDeadChannel(t *testing.T) {
 	// for pairs touching it, everything else still routes.
 	f2 := New(Config{Nodes: nodes, GPUsPerNode: 1, NICsPerNode: 1,
 		Topology: TopologyConfig{Kind: TopoDragonfly,
-			DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2, HopLatency: 100}})
+			DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2, hopLatency: 100}})
 	f2.CrashSwitch(2, 0) // router 2 serves node 2
 	df2 := f2.topo.(*dragonfly)
 	for src := 0; src < nodes; src++ {
@@ -288,7 +288,7 @@ func TestTopologyFaultValidation(t *testing.T) {
 func TestUnreachableErrorMessage(t *testing.T) {
 	err := unreachableErr(3, 7, sim.Time(1000))
 	var ue *UnreachableError
-	if !errors.As(err, &ue) || ue.SrcNode != 3 || ue.DstNode != 7 {
+	if !errors.As(err, &ue) || ue.srcNode != 3 || ue.dstNode != 7 {
 		t.Fatalf("unreachableErr fields: %+v", err)
 	}
 	if !strings.Contains(err.Error(), "network partition") {

@@ -53,10 +53,10 @@ func (k TopologyKind) String() string {
 	}
 }
 
-// DefaultHopLatency is the per-switch traversal latency applied when a
-// TopologyConfig leaves HopLatency unset: the port-to-port latency class of
+// defaultHopLatency is the per-switch traversal latency applied when a
+// TopologyConfig leaves hopLatency unset: the port-to-port latency class of
 // a modern HPC switch (Slingshot / InfiniBand).
-const DefaultHopLatency = 200 * sim.Nanosecond
+const defaultHopLatency = 200 * sim.Nanosecond
 
 // TopologyConfig selects and sizes the inter-node topology. The zero value
 // is the flat single-hop network.
@@ -73,9 +73,9 @@ type TopologyConfig struct {
 	// configuration covering the cluster.
 	DragonflyHosts, DragonflyRouters, DragonflyGlobal int
 
-	// HopLatency is the per-switch traversal latency; 0 selects
-	// DefaultHopLatency.
-	HopLatency sim.Duration
+	// hopLatency is the per-switch traversal latency; 0 selects
+	// defaultHopLatency.
+	hopLatency sim.Duration
 }
 
 // Describe renders the resolved topology for reports and benchmark JSON:
@@ -147,11 +147,6 @@ type topology interface {
 	// between two distinct nodes: the wire time a control envelope
 	// (rendezvous RTS/CTS) pays on top of the link latency.
 	extra(srcNode, dstNode int) sim.Duration
-	// minHops is the switch count of the minimal route between two
-	// distinct nodes.
-	minHops(srcNode, dstNode int) int
-	// switches reports the switch count.
-	switches() int
 	// ports calls fn for every switch output-port timeline in a fixed
 	// deterministic order (stats and occupancy reporting).
 	ports(fn func(*sim.Timeline))
@@ -172,17 +167,17 @@ func buildTopology(cfg *Config) topology {
 	case TopoFlat:
 		return nil
 	case TopoFatTree:
-		if tc.HopLatency <= 0 {
-			tc.HopLatency = DefaultHopLatency
+		if tc.hopLatency <= 0 {
+			tc.hopLatency = defaultHopLatency
 		}
-		t := newFatTree(cfg.Nodes, tc.FatTreeArity, tc.HopLatency)
+		t := newFatTree(cfg.Nodes, tc.FatTreeArity, tc.hopLatency)
 		tc.FatTreeArity = t.k
 		return t
 	case TopoDragonfly:
-		if tc.HopLatency <= 0 {
-			tc.HopLatency = DefaultHopLatency
+		if tc.hopLatency <= 0 {
+			tc.hopLatency = defaultHopLatency
 		}
-		t := newDragonfly(cfg.Nodes, tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal, tc.HopLatency)
+		t := newDragonfly(cfg.Nodes, tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal, tc.hopLatency)
 		tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal = t.p, t.a, t.h
 		return t
 	default:
@@ -308,8 +303,6 @@ func (t *fatTree) minHops(src, dst int) int {
 func (t *fatTree) extra(src, dst int) sim.Duration {
 	return sim.Duration(t.minHops(src, dst)) * t.hop
 }
-
-func (t *fatTree) switches() int { return len(t.edgeUp) + len(t.aggUp) + len(t.coreDown) }
 
 // route books the adaptive up*/down* route. The up phase selects the
 // least-loaded edge->agg (and agg->core) port among candidates whose
@@ -508,8 +501,6 @@ func (t *dragonfly) minHops(src, dst int) int {
 func (t *dragonfly) extra(src, dst int) sim.Duration {
 	return sim.Duration(t.minHops(src, dst)) * t.hop
 }
-
-func (t *dragonfly) switches() int { return len(t.localOut) }
 
 // globalLeg routes from router cur out of its group toward group tg: an
 // optional local hop to the gateway, then the global channel. It returns

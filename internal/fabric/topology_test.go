@@ -67,11 +67,11 @@ func TestFatTreeAutoSize(t *testing.T) {
 
 // TestFatTreeHops pins the three hop classes of a k=4 fat-tree (2 nodes per
 // edge switch, 4 per pod): 1 hop under a shared edge switch, 3 within a pod,
-// 5 across pods — and that extra() is exactly hops*HopLatency, the wire time
+// 5 across pods — and that extra() is exactly hops*hopLatency, the wire time
 // a rendezvous control envelope pays.
 func TestFatTreeHops(t *testing.T) {
 	f := New(Config{Nodes: 16, GPUsPerNode: 1, NICsPerNode: 1,
-		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, HopLatency: 100}})
+		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4, hopLatency: 100}})
 	cases := []struct{ src, dst, want int }{
 		{0, 1, 1}, // same edge switch
 		{0, 2, 3}, // same pod, different edge
@@ -80,19 +80,16 @@ func TestFatTreeHops(t *testing.T) {
 		{15, 0, 5},
 	}
 	for _, tc := range cases {
-		if got := f.InterHops(tc.src, tc.dst); got != tc.want {
-			t.Errorf("InterHops(%d,%d) = %d, want %d", tc.src, tc.dst, got, tc.want)
-		}
 		want := sim.Duration(tc.want) * 100
 		if got := f.InterExtraLatency(tc.src, tc.dst); got != want {
 			t.Errorf("InterExtraLatency(%d,%d) = %d, want %d", tc.src, tc.dst, got, want)
 		}
 	}
-	if f.InterHops(3, 3) != 0 || f.InterExtraLatency(3, 3) != 0 {
-		t.Errorf("same-node InterHops/InterExtraLatency nonzero")
+	if f.InterExtraLatency(3, 3) != 0 {
+		t.Errorf("same-node InterExtraLatency nonzero")
 	}
-	if f.NumSwitches() != 8+8+4 {
-		t.Errorf("NumSwitches = %d, want 20", f.NumSwitches())
+	if ft := f.topo.(*fatTree); len(ft.edgeUp)+len(ft.aggUp)+len(ft.coreDown) != 8+8+4 {
+		t.Errorf("%d switches, want 20", len(ft.edgeUp)+len(ft.aggUp)+len(ft.coreDown))
 	}
 }
 
@@ -164,7 +161,7 @@ func TestFatTreeAdaptiveSpraying(t *testing.T) {
 	ft := newFatTree(16, 4, 100)
 	ports1, _, _, _ := ft.route(nil, 0, 0, 8)
 	for _, tl := range ports1 {
-		tl.Reserve(0, 1000)
+		sim.ReserveMulti(0, 1000, tl)
 	}
 	ports2, _, _, _ := ft.route(nil, 0, 0, 8)
 	if ports1[0] == ports2[0] {
@@ -255,7 +252,7 @@ func TestDragonflyValiantEscape(t *testing.T) {
 	df := newDragonfly(40, 2, 4, 2, 100)
 	src, dst := 0, 39 // group 0 -> group 4
 	gwMin, portMin := df.gateway(0, 4)
-	df.globalOut[gwMin][portMin].Reserve(0, sim.Duration(1)*sim.Millisecond)
+	sim.ReserveMulti(0, sim.Duration(1)*sim.Millisecond, df.globalOut[gwMin][portMin])
 
 	ports, extra, _, _ := df.route(nil, 0, src, dst)
 	if g := dfGlobals(ports); g != 2 {
@@ -293,21 +290,22 @@ func TestDragonflyValiantEscape(t *testing.T) {
 }
 
 // TestTopologyStatsSwitches checks that switch port busy time shows up in
-// PortStats.SwitchBusy after coupled transfers route through the fabric.
+// the topology's switch ports after coupled transfers route through the
+// fabric.
 func TestTopologyStatsSwitches(t *testing.T) {
 	f := New(Config{Nodes: 16, GPUsPerNode: 1, NICsPerNode: 1,
 		Topology: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 4}})
 	cost := LinkCost{Latency: 100, BytesPerSec: 1e9}
 	f.Transfer(0, 0, 8, 1<<20, cost) // inter-pod: books 4 switch ports
-	st := f.Stats()
-	if len(st.SwitchBusy) == 0 {
-		t.Fatalf("no switch busy entries")
-	}
-	busy := 0
-	for _, d := range st.SwitchBusy {
-		if d > 0 {
+	ports, busy := 0, 0
+	f.topo.ports(func(tl *sim.Timeline) {
+		ports++
+		if tl.BusySum() > 0 {
 			busy++
 		}
+	})
+	if ports == 0 {
+		t.Fatalf("no switch ports")
 	}
 	if busy != 4 {
 		t.Fatalf("%d switch ports busy after one inter-pod transfer, want 4", busy)

@@ -34,8 +34,8 @@ import (
 // Any matches every rank / node / NIC in a fault selector.
 const Any = -1
 
-// AnyPath matches every fabric path kind in a LinkFault.
-const AnyPath fabric.Path = -1
+// anyPath matches every fabric path kind in a LinkFault.
+const anyPath fabric.Path = -1
 
 // Forever is the open-ended end time for windows spanning the whole run.
 // It is far beyond any realistic virtual time (~73 years) but leaves
@@ -48,8 +48,8 @@ type Window struct {
 	Start, End sim.Time
 }
 
-// Always spans the whole simulation.
-var Always = Window{Start: 0, End: Forever}
+// always spans the whole simulation.
+var always = Window{Start: 0, End: Forever}
 
 // Contains reports whether t falls inside the window.
 func (w Window) Contains(t sim.Time) bool { return t >= w.Start && t < w.End }
@@ -60,7 +60,7 @@ func (w Window) Contains(t sim.Time) bool { return t >= w.Start && t < w.End }
 type LinkFault struct {
 	// Src and Dst select global GPU ids (Any for wildcards).
 	Src, Dst int
-	// Path restricts the fault to one route kind (AnyPath for all).
+	// Path restricts the fault to one route kind (anyPath for all).
 	Path fabric.Path
 	// Window is when the fault is active.
 	Window Window
@@ -79,7 +79,7 @@ func (lf LinkFault) matches(at sim.Time, src, dst int, path fabric.Path) bool {
 	if lf.Dst != Any && lf.Dst != dst {
 		return false
 	}
-	if lf.Path != AnyPath && lf.Path != path {
+	if lf.Path != anyPath && lf.Path != path {
 		return false
 	}
 	return lf.Window.Contains(at)
@@ -216,13 +216,6 @@ func (p *Plan) ApplyStalls(f *fabric.Fabric) {
 	}
 }
 
-// Empty reports whether the plan injects nothing (watchdog aside).
-func (p *Plan) Empty() bool {
-	return p == nil || (len(p.Links) == 0 && len(p.Stalls) == 0 && len(p.SlowRanks) == 0 &&
-		len(p.Crashes) == 0 && len(p.LinkDowns) == 0 &&
-		len(p.SwitchCrashes) == 0 && len(p.InterLinkDowns) == 0)
-}
-
 // ActiveLinks reports the indices (into p.Links) of the link faults matching
 // one transfer, in declaration order. It is the observability counterpart of
 // LinkCostAt: the cross-backend uniformity tests use it to assert that
@@ -253,7 +246,7 @@ func Degrade(path fabric.Path, severity float64) *Plan {
 	k := 1 + 4*severity
 	return &Plan{
 		Links: []LinkFault{{
-			Src: Any, Dst: Any, Path: path, Window: Always,
+			Src: Any, Dst: Any, Path: path, Window: always,
 			LatencyFactor:   k,
 			BandwidthFactor: 1 / k,
 		}},
@@ -278,12 +271,12 @@ func Generate(seed uint64, severity float64, cfg fabric.Config, horizon sim.Dura
 	// Link degradation: one fault per path kind, factors scaled by severity
 	// with a site-keyed jitter.
 	for _, path := range []fabric.Path{fabric.PathIntra, fabric.PathInter} {
-		r := NewRand(seed, "link/"+path.String())
-		k := 1 + 3*severity*r.Between(0.5, 1)
+		r := newRand(seed, "link/"+path.String())
+		k := 1 + 3*severity*r.between(0.5, 1)
 		p.Links = append(p.Links, LinkFault{
-			Src: Any, Dst: Any, Path: path, Window: Always,
+			Src: Any, Dst: Any, Path: path, Window: always,
 			LatencyFactor:   k,
-			BandwidthFactor: 1 / (1 + 4*severity*r.Between(0.5, 1)),
+			BandwidthFactor: 1 / (1 + 4*severity*r.between(0.5, 1)),
 		})
 	}
 
@@ -291,10 +284,10 @@ func Generate(seed uint64, severity float64, cfg fabric.Config, horizon sim.Dura
 	flaps := int(math.Ceil(severity * 3))
 	for node := 0; node < cfg.Nodes; node++ {
 		for nic := 0; nic < cfg.NICsPerNode; nic++ {
-			r := NewRand(seed, fmt.Sprintf("stall/node%d/nic%d", node, nic))
+			r := newRand(seed, fmt.Sprintf("stall/node%d/nic%d", node, nic))
 			for i := 0; i < flaps; i++ {
-				start := sim.Time(r.Between(0, 0.9) * float64(horizon))
-				dur := sim.Duration(severity * r.Between(0.01, 0.05) * float64(horizon))
+				start := sim.Time(r.between(0, 0.9) * float64(horizon))
+				dur := sim.Duration(severity * r.between(0.01, 0.05) * float64(horizon))
 				p.Stalls = append(p.Stalls, PortStall{
 					Node: node, NIC: nic,
 					Window: Window{Start: start, End: start.Add(dur)},
@@ -303,14 +296,14 @@ func Generate(seed uint64, severity float64, cfg fabric.Config, horizon sim.Dura
 		}
 	}
 
-	// One slow rank, chosen by the seed. Site bumped to /v2 when Intn
+	// One slow rank, chosen by the seed. Site bumped to /v2 when intn
 	// switched to unbiased (Lemire) sampling, so the plan change is explicit.
 	nGPUs := cfg.Nodes * cfg.GPUsPerNode
-	r := NewRand(seed, "slowrank/v2")
+	r := newRand(seed, "slowrank/v2")
 	p.SlowRanks = append(p.SlowRanks, SlowRank{
-		Rank:   r.Intn(nGPUs),
-		Factor: 1 + 2*severity*r.Between(0.5, 1),
-		Window: Always,
+		Rank:   r.intn(nGPUs),
+		Factor: 1 + 2*severity*r.between(0.5, 1),
+		Window: always,
 	})
 	return p
 }

@@ -44,8 +44,8 @@ type LinkDown struct {
 // topology's path diversity — e.g. an edge switch, which is its nodes' sole
 // uplink — partitions nodes, surfaced as fabric.UnreachableError.
 type SwitchCrash struct {
-	Switch int
-	At     sim.Time
+	switchID int
+	at       sim.Time
 }
 
 // InterLinkDown permanently fails the link between two adjacent switches of
@@ -53,8 +53,8 @@ type SwitchCrash struct {
 // aggregation-core pair, or two dragonfly routers (same group: their local
 // link; different groups: the single global channel between the groups).
 type InterLinkDown struct {
-	A, B int
-	At   sim.Time
+	a, b int
+	at   sim.Time
 }
 
 // DefaultLease is the failure detector's heartbeat lease when a plan leaves
@@ -75,17 +75,11 @@ func (p *Plan) ApplyHardFaults(f *fabric.Fabric) {
 		f.DownLink(ld.Src, ld.Dst, ld.Path, ld.At)
 	}
 	for _, sc := range p.SwitchCrashes {
-		f.CrashSwitch(sc.Switch, sc.At)
+		f.CrashSwitch(sc.switchID, sc.at)
 	}
 	for _, il := range p.InterLinkDowns {
-		f.DownInterLink(il.A, il.B, il.At)
+		f.DownInterLink(il.a, il.b, il.at)
 	}
-}
-
-// HasHardFaults reports whether the plan contains terminal faults.
-func (p *Plan) HasHardFaults() bool {
-	return p != nil && (len(p.Crashes) > 0 || len(p.LinkDowns) > 0 ||
-		len(p.SwitchCrashes) > 0 || len(p.InterLinkDowns) > 0)
 }
 
 // GenerateHard extends Generate with terminal faults for recovery-aware
@@ -124,27 +118,27 @@ func GenerateHard(seed uint64, severity float64, cfg fabric.Config, horizon sim.
 	}
 	nGPUs := cfg.Nodes * cfg.GPUsPerNode
 	if nGPUs >= 2 {
-		r := NewRand(seed, "crash/v1")
+		r := newRand(seed, "crash/v1")
 		n := int(math.Ceil(severity * float64(nGPUs) / 4))
 		if n > nGPUs-1 {
 			n = nGPUs - 1
 		}
 		picked := make(map[int]bool, n)
 		for len(picked) < n {
-			rank := r.Intn(nGPUs)
+			rank := r.intn(nGPUs)
 			if picked[rank] {
 				continue
 			}
 			picked[rank] = true
-			at := sim.Time(r.Between(0.1, 0.6) * float64(horizon))
+			at := sim.Time(r.between(0.1, 0.6) * float64(horizon))
 			p.Crashes = append(p.Crashes, RankCrash{Rank: rank, At: at})
 		}
 	}
 	if severity >= 0.75 && cfg.GPUsPerNode >= 2 {
-		r := NewRand(seed, "linkdown/v1")
-		node := r.Intn(cfg.Nodes)
-		a := r.Intn(cfg.GPUsPerNode)
-		b := r.Intn(cfg.GPUsPerNode - 1)
+		r := newRand(seed, "linkdown/v1")
+		node := r.intn(cfg.Nodes)
+		a := r.intn(cfg.GPUsPerNode)
+		b := r.intn(cfg.GPUsPerNode - 1)
 		if b >= a {
 			b++
 		}
@@ -152,7 +146,7 @@ func GenerateHard(seed uint64, severity float64, cfg fabric.Config, horizon sim.
 			Src:  node*cfg.GPUsPerNode + a,
 			Dst:  node*cfg.GPUsPerNode + b,
 			Path: fabric.PathIntra,
-			At:   sim.Time(r.Between(0.1, 0.5) * float64(horizon)),
+			At:   sim.Time(r.between(0.1, 0.5) * float64(horizon)),
 		})
 	}
 	generateTopologyFaults(p, seed, severity, cfg, horizon)
@@ -176,11 +170,11 @@ func generateTopologyFaults(p *Plan, seed uint64, severity float64, cfg fabric.C
 		}
 		half := k / 2
 		usedPods := (cfg.Nodes + half*half - 1) / (half * half)
-		r := NewRand(seed, "switchcrash/v1")
-		crashPod, crashPos := r.Intn(usedPods), r.Intn(half)
+		r := newRand(seed, "switchcrash/v1")
+		crashPod, crashPos := r.intn(usedPods), r.intn(half)
 		p.SwitchCrashes = append(p.SwitchCrashes, SwitchCrash{
-			Switch: fabric.FatTreeAggSwitch(k, crashPod, crashPos),
-			At:     sim.Time(r.Between(0.1, 0.5) * float64(horizon)),
+			switchID: fabric.FatTreeAggSwitch(k, crashPod, crashPos),
+			at:       sim.Time(r.between(0.1, 0.5) * float64(horizon)),
 		})
 		if severity >= 0.75 && usedPods >= 2 {
 			// Additionally kill one edge->aggregation link in a pod other
@@ -190,16 +184,16 @@ func generateTopologyFaults(p *Plan, seed uint64, severity float64, cfg fabric.C
 			// position y != x in another would block both of a k=4 tree's
 			// positions for pairs spanning them — a partition, not a detour.
 			// Reusing the position keeps every pair's diversity >= 1.
-			r2 := NewRand(seed, "interlink/v1")
+			r2 := newRand(seed, "interlink/v1")
 			usedEdges := (cfg.Nodes + half - 1) / half
-			edge := r2.Intn(usedEdges)
+			edge := r2.intn(usedEdges)
 			for edge/half == crashPod {
 				edge = (edge + 1) % usedEdges
 			}
 			p.InterLinkDowns = append(p.InterLinkDowns, InterLinkDown{
-				A:  edge,
-				B:  fabric.FatTreeAggSwitch(k, edge/half, crashPos),
-				At: sim.Time(r2.Between(0.1, 0.5) * float64(horizon)),
+				a:  edge,
+				b:  fabric.FatTreeAggSwitch(k, edge/half, crashPos),
+				at: sim.Time(r2.between(0.1, 0.5) * float64(horizon)),
 			})
 		}
 	case fabric.TopoDragonfly:
@@ -210,18 +204,18 @@ func generateTopologyFaults(p *Plan, seed uint64, severity float64, cfg fabric.C
 			// global channel needs a third group for the Valiant escape.
 			return
 		}
-		r := NewRand(seed, "interlink/v1")
-		g1 := r.Intn(groups)
-		g2 := r.Intn(groups - 1)
+		r := newRand(seed, "interlink/v1")
+		g1 := r.intn(groups)
+		g2 := r.intn(groups - 1)
 		if g2 >= g1 {
 			g2++
 		}
 		// The first router of each group names the groups; the fabric downs
 		// the single palmtree global channel between them.
 		p.InterLinkDowns = append(p.InterLinkDowns, InterLinkDown{
-			A:  g1 * a,
-			B:  g2 * a,
-			At: sim.Time(r.Between(0.1, 0.5) * float64(horizon)),
+			a:  g1 * a,
+			b:  g2 * a,
+			at: sim.Time(r.between(0.1, 0.5) * float64(horizon)),
 		})
 	}
 }

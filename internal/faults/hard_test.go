@@ -8,16 +8,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Intn must be unbiased: with the Lemire rejection sampler every residue of
+// intn must be unbiased: with the Lemire rejection sampler every residue of
 // a non-power-of-two bound is equally likely. A chi-square-style tolerance
 // check over many draws catches both the old modulo bias and a broken
 // rejection threshold.
 func TestIntnDistributionUniform(t *testing.T) {
 	const n, draws = 13, 13 * 20000
-	r := NewRand(7, "distribution")
+	r := newRand(7, "distribution")
 	var buckets [n]int
 	for i := 0; i < draws; i++ {
-		v := r.Intn(n)
+		v := r.intn(n)
 		if v < 0 || v >= n {
 			t.Fatalf("Intn(%d) = %d out of range", n, v)
 		}
@@ -31,15 +31,15 @@ func TestIntnDistributionUniform(t *testing.T) {
 	}
 }
 
-// Intn(1) must not loop or draw unbounded retries, and power-of-two bounds
+// intn(1) must not loop or draw unbounded retries, and power-of-two bounds
 // have no rejection fringe.
 func TestIntnEdgeBounds(t *testing.T) {
-	r := NewRand(1, "edges")
+	r := newRand(1, "edges")
 	for i := 0; i < 100; i++ {
-		if v := r.Intn(1); v != 0 {
+		if v := r.intn(1); v != 0 {
 			t.Fatalf("Intn(1) = %d", v)
 		}
-		if v := r.Intn(8); v < 0 || v >= 8 {
+		if v := r.intn(8); v < 0 || v >= 8 {
 			t.Fatalf("Intn(8) = %d", v)
 		}
 	}
@@ -120,7 +120,7 @@ func TestApplyHardFaults(t *testing.T) {
 	if f.LinkDownAt(99, 0, 1, fabric.PathIntra) {
 		t.Fatal("link down before its down time")
 	}
-	if !p.HasHardFaults() || p.Empty() {
+	if !injects(p) {
 		t.Fatal("hard-fault plan misreported as empty")
 	}
 }
@@ -220,7 +220,7 @@ func TestActiveLinks(t *testing.T) {
 	p := &Plan{Links: []LinkFault{
 		{Src: Any, Dst: Any, Path: fabric.PathIntra, Window: Window{Start: 0, End: 100}},
 		{Src: Any, Dst: Any, Path: fabric.PathIntra, Window: Window{Start: 200, End: 300}},
-		{Src: Any, Dst: Any, Path: fabric.PathInter, Window: Always},
+		{Src: Any, Dst: Any, Path: fabric.PathInter, Window: always},
 	}}
 	if got := p.ActiveLinks(50, 0, 1, fabric.PathIntra); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("at 50: %v, want [0]", got)

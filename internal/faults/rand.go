@@ -8,15 +8,15 @@ package faults
 
 import "math/bits"
 
-// Rand is a splitmix64 PRNG bound to one fault site.
-type Rand struct {
+// rand is a splitmix64 PRNG bound to one fault site.
+type rand struct {
 	state uint64
 }
 
-// NewRand returns the stream for one (seed, site) pair. The site string is
+// newRand returns the stream for one (seed, site) pair. The site string is
 // folded into the seed with an FNV-1a hash so distinct sites decorrelate
 // even under adjacent seeds.
-func NewRand(seed uint64, site string) *Rand {
+func newRand(seed uint64, site string) *rand {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
@@ -26,14 +26,14 @@ func NewRand(seed uint64, site string) *Rand {
 		h ^= uint64(site[i])
 		h *= fnvPrime
 	}
-	r := &Rand{state: seed ^ h}
+	r := &rand{state: seed ^ h}
 	// One warm-up step so seed 0 with short sites still mixes.
-	r.Uint64()
+	r.next()
 	return r
 }
 
-// Uint64 advances the stream (splitmix64 finalizer).
-func (r *Rand) Uint64() uint64 {
+// next advances the stream (splitmix64 finalizer).
+func (r *rand) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -41,38 +41,38 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 draws uniformly from [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+// unit draws uniformly from [0, 1).
+func (r *rand) unit() float64 {
+	return float64(r.next()>>11) / (1 << 53)
 }
 
-// Intn draws uniformly from [0, n). n must be positive.
+// intn draws uniformly from [0, n). n must be positive.
 //
 // Lemire's multiply-shift method with rejection: the raw 64-bit draw is
 // mapped onto [0, n) via the high word of a 128-bit product, and draws
 // landing in the biased low fringe (fewer than 2^64 mod n per residue) are
-// rejected and retried. Unlike the previous `Uint64() % n`, every residue is
+// rejected and retried. Unlike the previous `next() % n`, every residue is
 // exactly equally likely. Callers that depended on the old draw sequence
 // bump their site string (e.g. "slowrank" -> "slowrank/v2") so generated
 // plans stay version-stamped rather than silently shifting.
-func (r *Rand) Intn(n int) int {
+func (r *rand) intn(n int) int {
 	if n <= 0 {
 		panic("faults: Intn with non-positive bound")
 	}
 	un := uint64(n)
-	hi, lo := bits.Mul64(r.Uint64(), un)
+	hi, lo := bits.Mul64(r.next(), un)
 	if lo < un {
 		// threshold = 2^64 mod n; products with lo below it are the
 		// overrepresented fringe and must be redrawn.
 		threshold := -un % un
 		for lo < threshold {
-			hi, lo = bits.Mul64(r.Uint64(), un)
+			hi, lo = bits.Mul64(r.next(), un)
 		}
 	}
 	return int(hi)
 }
 
-// Between draws uniformly from [lo, hi).
-func (r *Rand) Between(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+// between draws uniformly from [lo, hi).
+func (r *rand) between(lo, hi float64) float64 {
+	return lo + (hi-lo)*r.unit()
 }

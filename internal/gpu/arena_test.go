@@ -6,6 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
+// deviceOf is the id of the device holding the view's buffer.
+func deviceOf(v View) int { return v.m.(interface{ deviceID() int }).deviceID() }
+
 // Tests for the staging arena behind View.Clone/Release: clones draw storage
 // from the owning cluster's buf.Pool, Release hands it back, and the
 // steady-state clone path allocates nothing but the envelope.
@@ -143,8 +146,8 @@ func TestScratchIsArenaStorageWithoutTheCopy(t *testing.T) {
 	cl.Release()
 
 	s := b.View(10, 80).Scratch()
-	if s.Len() != 80 || s.Offset() != 0 || s.ElemSize() != 8 || s.DeviceID() != 0 {
-		t.Fatalf("scratch shape: len %d off %d elem %d dev %d", s.Len(), s.Offset(), s.ElemSize(), s.DeviceID())
+	if s.Len() != 80 || s.Offset() != 0 || s.ElemSize() != 8 || deviceOf(s) != 0 {
+		t.Fatalf("scratch shape: len %d off %d elem %d dev %d", s.Len(), s.Offset(), s.ElemSize(), deviceOf(s))
 	}
 	if st := PoolStats[float64](c); st.Gets != 2 || st.Hits != 1 {
 		t.Fatalf("scratch did not reuse the released clone's storage: %+v", st)

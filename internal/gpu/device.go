@@ -21,9 +21,9 @@ type Cluster struct {
 	Fabric  *fabric.Fabric
 	Devices []*Device
 
-	// Trace, when non-nil, records kernel and stream-operation spans
+	// trace, when non-nil, records kernel and stream-operation spans
 	// (set it with SetTrace so the fabric is instrumented too).
-	Trace *trace.Log
+	trace *trace.Log
 
 	// ComputeFault, when non-nil, scales modeled kernel compute time for a
 	// rank's device at a virtual time (fault injection: slow ranks; see
@@ -85,7 +85,7 @@ func (c *Cluster) computeScale(at sim.Time, rank int) float64 {
 
 // SetTrace installs a span log on the cluster and its fabric.
 func (c *Cluster) SetTrace(l *trace.Log) {
-	c.Trace = l
+	c.trace = l
 	c.Fabric.Trace = l
 }
 
@@ -111,8 +111,7 @@ func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 	}
 	for i := 0; i < nGPUs; i++ {
 		d := &Device{
-			ID:      i,
-			Node:    fab.Node(i),
+			id:      i,
 			Local:   fab.Local(i),
 			cluster: c,
 		}
@@ -124,8 +123,7 @@ func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 
 // Device is one simulated GPU (or GCD).
 type Device struct {
-	ID    int // global id
-	Node  int
+	id    int // global id
 	Local int
 
 	cluster       *Cluster
@@ -158,9 +156,9 @@ func (d *Device) Crash() {
 func (d *Device) NewStream(name string) *Stream {
 	s := &Stream{
 		dev:       d,
-		name:      fmt.Sprintf("gpu%d.%s", d.ID, name),
+		name:      fmt.Sprintf("gpu%d.%s", d.id, name),
 		enqueued:  0,
-		completed: sim.NewCounter(fmt.Sprintf("gpu%d.%s.done", d.ID, name), 0),
+		completed: sim.NewCounter(fmt.Sprintf("gpu%d.%s.done", d.id, name), 0),
 	}
 	s.ops = sim.NewMailbox[streamOp](s.name + ".ops")
 	s.proc = d.cluster.Eng.SpawnDaemon(s.name, s.run)
@@ -229,9 +227,9 @@ func (s *Stream) run(p *sim.Proc) {
 			s.aborted = err
 		}
 		s.dev.cluster.mStreamOp.Inc()
-		s.dev.cluster.Trace.Add(trace.Span{
+		s.dev.cluster.trace.Add(trace.Span{
 			Kind: trace.KindStreamOp, Label: op.label, Track: s.name,
-			Rank: s.dev.ID, Src: s.dev.ID, Dst: s.dev.ID,
+			Rank: s.dev.id, Src: s.dev.id, Dst: s.dev.id,
 			Start: start, End: p.Now(),
 		})
 		s.completed.Add(p.Engine(), 1)
@@ -311,12 +309,8 @@ func Elapsed(start, end *Event) sim.Duration { return end.at.Sub(start.at) }
 // Either may be omitted.
 type Kernel struct {
 	Name string
-	// Blocks and ThreadsPerBlock describe the launch configuration; they
-	// are used by device-side collectives for cost modelling.
-	Blocks          int
-	ThreadsPerBlock int
-	Time            func(d *Device) sim.Duration
-	Body            func(k *KernelCtx)
+	Time func(d *Device) sim.Duration
+	Body func(k *KernelCtx)
 }
 
 // KernelCtx is the device-side execution context handed to kernel bodies.
@@ -339,7 +333,7 @@ func (k *KernelCtx) ComputeBytes(bytes int64) {
 // scaleCompute applies the cluster's slow-rank fault multiplier to one
 // modeled compute duration.
 func (d *Device) scaleCompute(at sim.Time, dur sim.Duration) sim.Duration {
-	f := d.cluster.computeScale(at, d.ID)
+	f := d.cluster.computeScale(at, d.id)
 	if f == 1 {
 		return dur
 	}
@@ -368,7 +362,7 @@ func (s *Stream) MemcpyAsync(host *sim.Proc, dst, src View, n int) {
 	host.Advance(s.dev.Model().HostOp)
 	s.Enqueue("memcpy", func(p *sim.Proc) {
 		cost := s.dev.cluster.Model.Cost(machine.LibMPI, machine.APIHost, fabric.PathSelf, dst.Slice(0, n).Bytes())
-		end := s.dev.cluster.Fabric.Transfer(p.Now(), s.dev.ID, s.dev.ID, int64(n)*int64(dst.ElemSize()), cost)
+		end := s.dev.cluster.Fabric.Transfer(p.Now(), s.dev.id, s.dev.id, int64(n)*int64(dst.ElemSize()), cost)
 		Copy(dst, src, n)
 		p.AdvanceTo(end)
 	})

@@ -31,8 +31,8 @@ func TestClusterShape(t *testing.T) {
 	}
 	// Perlmutter has 4 GPUs/node: GPU 5 is node 1, local 1.
 	d := c.Devices[5]
-	if d.Node != 1 || d.Local != 1 {
-		t.Fatalf("gpu5 at node %d local %d", d.Node, d.Local)
+	if n := c.Fabric.Node(d.id); n != 1 || d.Local != 1 {
+		t.Fatalf("gpu5 at node %d local %d", n, d.Local)
 	}
 	if c.Fabric.PathBetween(0, 1).String() != "intra" {
 		t.Fatalf("path(0,1) = %v", c.Fabric.PathBetween(0, 1))

@@ -52,7 +52,6 @@ func (o ReduceOp) String() string {
 type mem interface {
 	elemSize() int
 	length() int
-	deviceID() int
 	copyFrom(src mem, dstOff, srcOff, n int)
 	reduceFrom(src mem, dstOff, srcOff, n int, op ReduceOp)
 	combineFrom(a, b mem, dstOff, aOff, bOff, n int, op ReduceOp)
@@ -98,9 +97,6 @@ func (b *Buffer[T]) Len() int {
 	return len(b.data)
 }
 
-// Device reports the owning device.
-func (b *Buffer[T]) Device() *Device { return b.dev }
-
 // String names the allocation — element type, length, device, and whether it
 // is a phantom — for the panics of operations that cannot combine two buffers.
 func (b *Buffer[T]) String() string {
@@ -136,7 +132,7 @@ func (b *Buffer[T]) deviceID() int {
 	if b.dev == nil {
 		return -1
 	}
-	return b.dev.ID
+	return b.dev.id
 }
 
 func (b *Buffer[T]) copyFrom(src mem, dstOff, srcOff, n int) {
@@ -286,19 +282,10 @@ func (v View) Bytes() int64 {
 	return int64(v.n) * int64(v.m.elemSize())
 }
 
-// DeviceID reports the owning device of the underlying buffer (-1 for the
-// zero view).
-func (v View) DeviceID() int {
-	if v.m == nil {
-		return -1
-	}
-	return v.m.deviceID()
-}
-
 // Clone snapshots the viewed elements into a detached buffer of the same
 // element type. Use it only where a snapshot is semantically required — the
-// source may change before the copy is consumed (eager sends, RMA puts, a
-// reduction's seeded accumulator). Where the contents would be overwritten
+// source may change before the copy is consumed (eager sends, a reduction's
+// seeded accumulator). Where the contents would be overwritten
 // before being read, Scratch gives the same storage without the copy; where
 // a payload is only combined into a destination, Reduce/Combine straight
 // from the source need no staging at all. Cloning the zero view returns the

@@ -51,7 +51,7 @@ func (p *phantom) deviceID() int {
 	if p.dev == nil {
 		return -1
 	}
-	return p.dev.ID
+	return p.dev.id
 }
 
 // peer reports whether m is a phantom of p's element type: the only operand

@@ -80,13 +80,13 @@ func phantomMovesNothing[T Elem](t *testing.T) {
 	dev := c.Devices[1]
 	const n = 1 << 40 // terabytes nobody backs
 	a, b, d := AllocPhantom[T](dev, n), AllocPhantom[T](dev, n), AllocPhantom[T](dev, n)
-	if !a.Phantom() || a.Len() != n || a.Device() != dev {
-		t.Fatalf("phantom reports Phantom=%v Len=%d Device=%v", a.Phantom(), a.Len(), a.Device())
+	if !a.Phantom() || a.Len() != n || a.dev != dev {
+		t.Fatalf("phantom reports Phantom=%v Len=%d Device=%v", a.Phantom(), a.Len(), a.dev)
 	}
 	w := a.Whole()
 	var z T
-	if w.Len() != n || w.ElemSize() != sizeOf(z) || w.Bytes() != int64(n)*int64(sizeOf(z)) || w.DeviceID() != 1 {
-		t.Fatalf("whole view: len %d elem %d bytes %d device %d", w.Len(), w.ElemSize(), w.Bytes(), w.DeviceID())
+	if w.Len() != n || w.ElemSize() != sizeOf(z) || w.Bytes() != int64(n)*int64(sizeOf(z)) || deviceOf(w) != 1 {
+		t.Fatalf("whole view: len %d elem %d bytes %d device %d", w.Len(), w.ElemSize(), w.Bytes(), deviceOf(w))
 	}
 
 	Copy(a.Whole(), b.Whole(), n)
@@ -98,7 +98,7 @@ func phantomMovesNothing[T Elem](t *testing.T) {
 
 	cl := a.View(3, n-3).Clone()
 	sc := a.View(0, 5).Scratch()
-	if cl.Len() != n-3 || cl.Offset() != 0 || sc.Len() != 5 || cl.SameBuffer(a.Whole()) || cl.DeviceID() != 1 {
+	if cl.Len() != n-3 || cl.Offset() != 0 || sc.Len() != 5 || cl.SameBuffer(a.Whole()) || deviceOf(cl) != 1 {
 		t.Fatalf("clone len %d off %d, scratch len %d", cl.Len(), cl.Offset(), sc.Len())
 	}
 	Copy(cl, a.View(0, n-3), n-3) // a clone of a phantom is a phantom

@@ -47,7 +47,7 @@ type World struct {
 
 // opClasses are the operation classes timed in mColl.
 var opClasses = []string{
-	"allreduce", "reduce", "broadcast", "allgather", "reducescatter", "send", "recv",
+	"allreduce", "reduce", "broadcast", "send", "recv",
 }
 
 // groupCtx is one rank's group-aggregation state.
@@ -105,9 +105,6 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	return w
 }
 
-// Size reports the number of ranks.
-func (w *World) Size() int { return len(w.comms) }
-
 // Comm returns rank r's communicator handle.
 func (w *World) Comm(r int) *Comm { return w.comms[r] }
 
@@ -135,9 +132,6 @@ func (c *Comm) worldOf(r int) int { return c.g.World(r) }
 
 // myWorld is the calling rank's world id.
 func (c *Comm) myWorld() int { return c.g.World(c.g.Rank) }
-
-// Device reports the owning device.
-func (c *Comm) Device() *gpu.Device { return c.dev }
 
 func (c *Comm) model() *machine.Model { return c.w.cluster.Model }
 

@@ -22,7 +22,7 @@ func runRanks(t *testing.T, model *machine.Model, n int, body func(p *sim.Proc, 
 	for r := 0; r < n; r++ {
 		c := w.Comm(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			body(p, c, c.Device().DefaultStream())
+			body(p, c, c.dev.DefaultStream())
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -36,8 +36,8 @@ func TestAllReduceSum(t *testing.T) {
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
 				const count = 100
-				send := gpu.AllocBuffer[float64](c.Device(), count)
-				recv := gpu.AllocBuffer[float64](c.Device(), count)
+				send := gpu.AllocBuffer[float64](c.dev, count)
+				recv := gpu.AllocBuffer[float64](c.dev, count)
 				for i := range send.Data() {
 					send.Data()[i] = float64(c.Rank() + i)
 				}
@@ -59,7 +59,7 @@ func TestAllReduceSum(t *testing.T) {
 
 func TestAllReduceInPlace(t *testing.T) {
 	runRanks(t, machine.LUMI(), 4, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-		b := gpu.AllocBuffer[float64](c.Device(), 8)
+		b := gpu.AllocBuffer[float64](c.dev, 8)
 		for i := range b.Data() {
 			b.Data()[i] = float64(c.Rank())
 		}
@@ -78,7 +78,7 @@ func TestBroadcast(t *testing.T) {
 		root := root
 		t.Run(fmt.Sprintf("root%d", root), func(t *testing.T) {
 			runRanks(t, machine.Perlmutter(), 4, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-				b := gpu.AllocBuffer[float32](c.Device(), 16)
+				b := gpu.AllocBuffer[float32](c.dev, 16)
 				if c.Rank() == root {
 					for i := range b.Data() {
 						b.Data()[i] = float32(i) * 1.5
@@ -99,11 +99,11 @@ func TestBroadcast(t *testing.T) {
 func TestReduceToRoot(t *testing.T) {
 	for _, inPlace := range []bool{false, true} {
 		runRanks(t, machine.Perlmutter(), 5, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-			send := gpu.AllocBuffer[int64](c.Device(), 3)
+			send := gpu.AllocBuffer[int64](c.dev, 3)
 			for i := range send.Data() {
 				send.Data()[i] = int64(c.Rank() + 1)
 			}
-			recv := gpu.AllocBuffer[int64](c.Device(), 3)
+			recv := gpu.AllocBuffer[int64](c.dev, 3)
 			if inPlace { // the root's send buffer doubles as its result buffer
 				recv = send
 			}
@@ -120,66 +120,17 @@ func TestReduceToRoot(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	const n, count = 4, 5
-	runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-		send := gpu.AllocBuffer[float64](c.Device(), count)
-		for i := range send.Data() {
-			send.Data()[i] = float64(10*c.Rank() + i)
-		}
-		recv := gpu.AllocBuffer[float64](c.Device(), n*count)
-		c.AllGather(p, s, send.Whole(), recv.Whole())
-		s.Synchronize(p)
-		for r := 0; r < n; r++ {
-			for i := 0; i < count; i++ {
-				if got := recv.Data()[r*count+i]; got != float64(10*r+i) {
-					t.Errorf("rank %d recv[%d] = %v", c.Rank(), r*count+i, got)
-				}
-			}
-		}
-	})
-}
-
-func TestReduceScatter(t *testing.T) {
-	const n, count = 4, 3
-	for _, inPlace := range []bool{false, true} {
-		runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-			send := gpu.AllocBuffer[float64](c.Device(), n*count)
-			for i := range send.Data() {
-				send.Data()[i] = float64(c.Rank()*n*count + i)
-			}
-			recv := gpu.AllocBuffer[float64](c.Device(), count).Whole()
-			if inPlace { // rank r's result overwrites chunk r of its own send buffer
-				recv = send.View(c.Rank()*count, count)
-			}
-			c.ReduceScatter(p, s, send.Whole(), recv, gpu.ReduceSum)
-			s.Synchronize(p)
-			got := gpu.AllocBuffer[float64](c.Device(), count)
-			gpu.Copy(got.Whole(), recv, count)
-			for i := 0; i < count; i++ {
-				want := 0.0
-				for r := 0; r < n; r++ {
-					want += float64(r*n*count + c.Rank()*count + i)
-				}
-				if got.Data()[i] != want {
-					t.Errorf("rank %d (in place %v) recv[%d] = %v, want %v", c.Rank(), inPlace, i, got.Data()[i], want)
-				}
-			}
-		})
-	}
-}
-
 func TestGroupedSendRecvExchange(t *testing.T) {
 	// The Fig. 1 Listing 2 pattern: grouped send/recv halo exchange.
 	runRanks(t, machine.Perlmutter(), 4, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
 		n := c.Size()
 		right, left := (c.Rank()+1)%n, (c.Rank()-1+n)%n
-		send := gpu.AllocBuffer[float64](c.Device(), 4)
+		send := gpu.AllocBuffer[float64](c.dev, 4)
 		for i := range send.Data() {
 			send.Data()[i] = float64(100*c.Rank() + i)
 		}
-		fromLeft := gpu.AllocBuffer[float64](c.Device(), 4)
-		fromRight := gpu.AllocBuffer[float64](c.Device(), 4)
+		fromLeft := gpu.AllocBuffer[float64](c.dev, 4)
+		fromRight := gpu.AllocBuffer[float64](c.dev, 4)
 		c.GroupStart()
 		c.Send(p, s, send.Whole(), right)
 		c.Send(p, s, send.Whole(), left)
@@ -208,9 +159,9 @@ func TestGroupFusionAmortizesLaunch(t *testing.T) {
 		for r := 0; r < 2; r++ {
 			c := w.Comm(r)
 			eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				s := c.Device().DefaultStream()
-				a := gpu.AllocBuffer[float64](c.Device(), 8)
-				b := gpu.AllocBuffer[float64](c.Device(), 8)
+				s := c.dev.DefaultStream()
+				a := gpu.AllocBuffer[float64](c.dev, 8)
+				b := gpu.AllocBuffer[float64](c.dev, 8)
 				peer := 1 - c.Rank()
 				start := p.Now()
 				if grouped {
@@ -253,8 +204,8 @@ func TestSmallAllReduceDominatedByLaunch(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		c := w.Comm(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			s := c.Device().DefaultStream()
-			b := gpu.AllocBuffer[float64](c.Device(), 1)
+			s := c.dev.DefaultStream()
+			b := gpu.AllocBuffer[float64](c.dev, 1)
 			start := p.Now()
 			c.AllReduce(p, s, b.Whole(), b.Whole(), gpu.ReduceSum)
 			s.Synchronize(p)
@@ -288,8 +239,8 @@ func TestUngroupedBidirectionalDeadlocks(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		c := w.Comm(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			s := c.Device().DefaultStream()
-			buf := gpu.AllocBuffer[float64](c.Device(), 4)
+			s := c.dev.DefaultStream()
+			buf := gpu.AllocBuffer[float64](c.dev, 4)
 			peer := 1 - c.Rank()
 			c.Send(p, s, buf.Whole(), peer) // both send first: deadlock
 			c.Recv(p, s, buf.Whole(), peer)
@@ -304,8 +255,8 @@ func TestUngroupedBidirectionalDeadlocks(t *testing.T) {
 	// Each host is reported parked on the stream its stuck send kernel holds.
 	for r := 0; r < 2; r++ {
 		want := fmt.Sprintf("rank%d: counter gpu%d.default.done", r, r)
-		if !strings.Contains(strings.Join(dl.Waiting, "; "), want) {
-			t.Errorf("deadlock report %q does not name %q", dl.Waiting, want)
+		if !strings.Contains(dl.Error(), want) {
+			t.Errorf("deadlock report %q does not name %q", dl.Error(), want)
 		}
 	}
 }
@@ -342,7 +293,7 @@ func TestRevokeWithOutstandingMessages(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		c := w.Comm(r)
 		procs[r] = eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			s, dev := c.Device().DefaultStream(), c.Device()
+			s, dev := c.dev.DefaultStream(), c.dev
 			out := fill(gpu.AllocBuffer[float64](dev, big), float64(r+1))
 			in := gpu.AllocBuffer[float64](dev, big)
 			small := gpu.AllocBuffer[float64](dev, 8)
@@ -430,7 +381,7 @@ func TestRevokeWithOutstandingMessages(t *testing.T) {
 func TestStreamOrderingAcrossOps(t *testing.T) {
 	// A kernel enqueued after a collective must observe its results.
 	runRanks(t, machine.Perlmutter(), 2, func(p *sim.Proc, c *Comm, s *gpu.Stream) {
-		b := gpu.AllocBuffer[float64](c.Device(), 1)
+		b := gpu.AllocBuffer[float64](c.dev, 1)
 		b.Data()[0] = 1
 		c.AllReduce(p, s, b.Whole(), b.Whole(), gpu.ReduceSum)
 		var seen float64

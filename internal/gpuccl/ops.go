@@ -65,37 +65,6 @@ func (c *Comm) Broadcast(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 	}})
 }
 
-// AllGather concatenates every rank's sendBuf into recvBuf on all ranks
-// (recvBuf holds Size()*sendBuf.Len() elements; ring, n-1 steps).
-func (c *Comm) AllGather(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View) {
-	key := c.opKey("allgather")
-	c.submit(p, s, op{label: "allgather", hist: c.w.mColl["allgather"], run: func(sp *sim.Proc) {
-		count, bytes := sendBuf.Len(), sendBuf.Bytes()
-		c.collective(sp, key, sendBuf, recvBuf,
-			lockstep.Gather(func(r int) (int, int) { return r * count, count }),
-			c.Size()-1, c.ring(func(int) int64 { return bytes }))
-	}})
-}
-
-// ReduceScatter reduces across ranks and leaves rank r with chunk r of the
-// result in recvBuf (sendBuf holds Size()*recvBuf.Len() elements; ring, n-1
-// steps).
-func (c *Comm) ReduceScatter(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp) {
-	key := c.opKey("reducescatter")
-	c.submit(p, s, op{label: "reducescatter", hist: c.w.mColl["reducescatter"], run: func(sp *sim.Proc) {
-		count, bytes := recvBuf.Len(), recvBuf.Bytes()
-		c.collective(sp, key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
-			chunks := make([]gpu.View, len(sends))
-			for r, dst := range recvs {
-				for src := range chunks {
-					chunks[src] = sends[src].Slice(r*count, count)
-				}
-				gpu.ReduceAll(dst, chunks, count, opr)
-			}
-		}, c.Size()-1, c.ring(func(int) int64 { return bytes }))
-	}})
-}
-
 // pipelinePlan builds the per-rank send plan — bytes forwarded in each step,
 // zero for none — of a chunked store-and-forward ring rooted at root. Data
 // flows root → root+1 → …; with k chunks the pipeline takes (n-2)+k steps.

@@ -55,29 +55,17 @@ var pinOps = []struct {
 		c.Broadcast(p, s, buf.Whole(), 0)
 		return buf
 	}},
-	{"allgather-32KiB", func(p *sim.Proc, c *Comm, s *gpu.Stream) *gpu.Buffer[float64] {
-		send := pinBuf(c, 1<<12)
-		recv := gpu.AllocBuffer[float64](c.Device(), c.Size()<<12)
-		c.AllGather(p, s, send.Whole(), recv.Whole())
-		return recv
-	}},
-	{"reducescatter-32KiB", func(p *sim.Proc, c *Comm, s *gpu.Stream) *gpu.Buffer[float64] {
-		send := pinBuf(c, c.Size()<<12)
-		recv := gpu.AllocBuffer[float64](c.Device(), 1<<12)
-		c.ReduceScatter(p, s, send.Whole(), recv.Whole(), gpu.ReduceSum)
-		return recv
-	}},
 }
 
 func pinAllReduce(p *sim.Proc, c *Comm, s *gpu.Stream, bytes int) *gpu.Buffer[float64] {
-	send, recv := pinBuf(c, bytes/8), gpu.AllocBuffer[float64](c.Device(), bytes/8)
+	send, recv := pinBuf(c, bytes/8), gpu.AllocBuffer[float64](c.dev, bytes/8)
 	c.AllReduce(p, s, send.Whole(), recv.Whole(), gpu.ReduceSum)
 	return recv
 }
 
 // pinBuf allocates n elements filled with a rank- and index-dependent pattern.
 func pinBuf(c *Comm, n int) *gpu.Buffer[float64] {
-	b := gpu.AllocBuffer[float64](c.Device(), n)
+	b := gpu.AllocBuffer[float64](c.dev, n)
 	for i := range b.Data() {
 		b.Data()[i] = float64((c.myWorld()+1)*(i%7+1)) + 0.25
 	}
@@ -144,58 +132,46 @@ func TestPinnedVirtualTimes(t *testing.T) {
 // pinned holds the constants, keyed "<op>/n<ranks>/<world|split>". At n = 2
 // each Split child has one member, so only the launch overhead remains.
 var pinned = map[string]pin{
-	"allreduce-4KiB/n2/world":      {12939, 0x69ea62bd045c5469},
-	"allreduce-64KiB/n2/world":     {13716, 0xde4c795e8dc330d1},
-	"allreduce-64KiB+8/n2/world":   {17604, 0x339deb39a4391585},
-	"allreduce-1MiB/n2/world":      {30038, 0xabd769c5de94c3b9},
-	"reduce-1MiB/n2/world":         {30038, 0x2d06eeff02e0dd05},
-	"broadcast-256KiB/n2/world":    {16203, 0xf297239001fc6279},
-	"broadcast-4MiB/n2/world":      {93152, 0x894278c4a5ef3d2d},
-	"allgather-32KiB/n2/world":     {13302, 0xaabf457291f7071},
-	"reducescatter-32KiB/n2/world": {13302, 0x69f3db16c6f4b57f},
-	"allreduce-4KiB/n2/split":      {10200, 0x895e03c8b7b70ce5},
-	"allreduce-64KiB/n2/split":     {10200, 0xb4c5c0e0ec2f2f11},
-	"allreduce-64KiB+8/n2/split":   {10200, 0x37293d5af409f1be},
-	"allreduce-1MiB/n2/split":      {10200, 0x77aecb75e8055047},
-	"reduce-1MiB/n2/split":         {10200, 0x77aecb75e8055047},
-	"broadcast-256KiB/n2/split":    {10200, 0x282d7985a564dce5},
-	"broadcast-4MiB/n2/split":      {10200, 0x7799ae5b84502f11},
-	"allgather-32KiB/n2/split":     {10200, 0xd2828e3d6cca5ce5},
-	"reducescatter-32KiB/n2/split": {10200, 0xd2828e3d6cca5ce5},
-	"allreduce-4KiB/n5/world":      {25390, 0x7359ea3941cef7af},
-	"allreduce-64KiB/n5/world":     {29531, 0x3fa1621d187efd04},
-	"allreduce-64KiB+8/n5/world":   {80128, 0xc9cd95b6da2dc68b},
-	"allreduce-1MiB/n5/world":      {146352, 0x35d4923fc50258d8},
-	"reduce-1MiB/n5/world":         {101385, 0xe4fefd9cc604a5a5},
-	"broadcast-256KiB/n5/world":    {49986, 0xc3f75dd306e11342},
-	"broadcast-4MiB/n5/world":      {283869, 0xdc4e48e30b4983d3},
-	"allgather-32KiB/n5/world":     {47876, 0xa27b8ae30573c06a},
-	"reducescatter-32KiB/n5/world": {47876, 0x1719509abaff24e4},
-	"allreduce-4KiB/n5/split":      {27224, 0xd29f6a831ea51386},
-	"allreduce-64KiB/n5/split":     {32398, 0x4cac063e2ce73c3c},
-	"allreduce-64KiB+8/n5/split":   {47236, 0xf4bd8ac9d2ab9fc3},
-	"allreduce-1MiB/n5/split":      {102424, 0x13f00ffe9dda814c},
-	"reduce-1MiB/n5/split":         {81547, 0xc079d5d372cc6c1f},
-	"broadcast-256KiB/n5/split":    {48954, 0xb1c509ad7d9872f6},
-	"broadcast-4MiB/n5/split":      {264031, 0x29bced0001f5f682},
-	"allgather-32KiB/n5/split":     {29638, 0xfb982ee03fdbc778},
-	"reducescatter-32KiB/n5/split": {29638, 0xb20ba937c8a4ef29},
-	"allreduce-4KiB/n8/world":      {25390, 0x336e33ef4b842a95},
-	"allreduce-64KiB/n8/world":     {29531, 0xd9941107427c6ad5},
-	"allreduce-64KiB+8/n8/world":   {130576, 0x898180bb78f6e8d5},
-	"allreduce-1MiB/n8/world":      {203012, 0x1105a73fe1e692e5},
-	"reduce-1MiB/n8/world":         {132942, 0xa9c331bac970f5cb},
-	"broadcast-256KiB/n8/world":    {83769, 0xc8034126757f42e5},
-	"broadcast-4MiB/n8/world":      {315426, 0xed433c374d826d25},
-	"allgather-32KiB/n8/world":     {77033, 0x2d068afeeafbe9a5},
-	"reducescatter-32KiB/n8/world": {77033, 0xde1bfbafb050b304},
-	"allreduce-4KiB/n8/split":      {22651, 0x4b01795f889521a5},
-	"allreduce-64KiB/n8/split":     {26015, 0x2c25d56431d9a0d5},
-	"allreduce-64KiB+8/n8/split":   {64374, 0x651978407aefa175},
-	"allreduce-1MiB/n8/split":      {126462, 0xb793ec7538a11535},
-	"reduce-1MiB/n8/split":         {92066, 0x5e0e69db3bc357b3},
-	"broadcast-256KiB/n8/split":    {56157, 0x6381bbcd453385a5},
-	"broadcast-4MiB/n8/split":      {274550, 0xfe1be3d54ad1caa5},
-	"allgather-32KiB/n8/split":     {39357, 0x4112d0641ac5d635},
-	"reducescatter-32KiB/n8/split": {39357, 0x11dbd7fcbc0c1d9b},
+	"allreduce-4KiB/n2/world":    {12939, 0x69ea62bd045c5469},
+	"allreduce-64KiB/n2/world":   {13716, 0xde4c795e8dc330d1},
+	"allreduce-64KiB+8/n2/world": {17604, 0x339deb39a4391585},
+	"allreduce-1MiB/n2/world":    {30038, 0xabd769c5de94c3b9},
+	"reduce-1MiB/n2/world":       {30038, 0x2d06eeff02e0dd05},
+	"broadcast-256KiB/n2/world":  {16203, 0xf297239001fc6279},
+	"broadcast-4MiB/n2/world":    {93152, 0x894278c4a5ef3d2d},
+	"allreduce-4KiB/n2/split":    {10200, 0x895e03c8b7b70ce5},
+	"allreduce-64KiB/n2/split":   {10200, 0xb4c5c0e0ec2f2f11},
+	"allreduce-64KiB+8/n2/split": {10200, 0x37293d5af409f1be},
+	"allreduce-1MiB/n2/split":    {10200, 0x77aecb75e8055047},
+	"reduce-1MiB/n2/split":       {10200, 0x77aecb75e8055047},
+	"broadcast-256KiB/n2/split":  {10200, 0x282d7985a564dce5},
+	"broadcast-4MiB/n2/split":    {10200, 0x7799ae5b84502f11},
+	"allreduce-4KiB/n5/world":    {25390, 0x7359ea3941cef7af},
+	"allreduce-64KiB/n5/world":   {29531, 0x3fa1621d187efd04},
+	"allreduce-64KiB+8/n5/world": {80128, 0xc9cd95b6da2dc68b},
+	"allreduce-1MiB/n5/world":    {146352, 0x35d4923fc50258d8},
+	"reduce-1MiB/n5/world":       {101385, 0xe4fefd9cc604a5a5},
+	"broadcast-256KiB/n5/world":  {49986, 0xc3f75dd306e11342},
+	"broadcast-4MiB/n5/world":    {283869, 0xdc4e48e30b4983d3},
+	"allreduce-4KiB/n5/split":    {27224, 0xd29f6a831ea51386},
+	"allreduce-64KiB/n5/split":   {32398, 0x4cac063e2ce73c3c},
+	"allreduce-64KiB+8/n5/split": {47236, 0xf4bd8ac9d2ab9fc3},
+	"allreduce-1MiB/n5/split":    {102424, 0x13f00ffe9dda814c},
+	"reduce-1MiB/n5/split":       {81547, 0xc079d5d372cc6c1f},
+	"broadcast-256KiB/n5/split":  {48954, 0xb1c509ad7d9872f6},
+	"broadcast-4MiB/n5/split":    {264031, 0x29bced0001f5f682},
+	"allreduce-4KiB/n8/world":    {25390, 0x336e33ef4b842a95},
+	"allreduce-64KiB/n8/world":   {29531, 0xd9941107427c6ad5},
+	"allreduce-64KiB+8/n8/world": {130576, 0x898180bb78f6e8d5},
+	"allreduce-1MiB/n8/world":    {203012, 0x1105a73fe1e692e5},
+	"reduce-1MiB/n8/world":       {132942, 0xa9c331bac970f5cb},
+	"broadcast-256KiB/n8/world":  {83769, 0xc8034126757f42e5},
+	"broadcast-4MiB/n8/world":    {315426, 0xed433c374d826d25},
+	"allreduce-4KiB/n8/split":    {22651, 0x4b01795f889521a5},
+	"allreduce-64KiB/n8/split":   {26015, 0x2c25d56431d9a0d5},
+	"allreduce-64KiB+8/n8/split": {64374, 0x651978407aefa175},
+	"allreduce-1MiB/n8/split":    {126462, 0xb793ec7538a11535},
+	"reduce-1MiB/n8/split":       {92066, 0x5e0e69db3bc357b3},
+	"broadcast-256KiB/n8/split":  {56157, 0x6381bbcd453385a5},
+	"broadcast-4MiB/n8/split":    {274550, 0xfe1be3d54ad1caa5},
 }

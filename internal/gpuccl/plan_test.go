@@ -120,9 +120,9 @@ func TestSplitSubCommunicator(t *testing.T) {
 			if sub.Size() != 2 {
 				t.Errorf("sub size = %d", sub.Size())
 			}
-			buf := gpu.AllocBuffer[float64](c.Device(), 1)
+			buf := gpu.AllocBuffer[float64](c.dev, 1)
 			buf.Data()[0] = float64(c.Rank())
-			s := c.Device().DefaultStream()
+			s := c.dev.DefaultStream()
 			sub.AllReduce(p, s, buf.Whole(), buf.Whole(), gpu.ReduceSum)
 			s.Synchronize(p)
 			results[c.Rank()] = buf.Data()[0]
@@ -154,9 +154,9 @@ func TestGroupScopeSpansCommunicators(t *testing.T) {
 		c := w.Comm(r)
 		eng.Spawn("rank", func(p *sim.Proc) {
 			sub := c.Split(p, 0, c.Rank()) // sub == world membership
-			s := c.Device().DefaultStream()
-			a := gpu.AllocBuffer[float64](c.Device(), 8)
-			b := gpu.AllocBuffer[float64](c.Device(), 8)
+			s := c.dev.DefaultStream()
+			a := gpu.AllocBuffer[float64](c.dev, 8)
+			b := gpu.AllocBuffer[float64](c.dev, 8)
 			peer := 1 - sub.Rank()
 			// Bidirectional exchange grouped via the PARENT handle but
 			// submitted through the CHILD: must not deadlock.

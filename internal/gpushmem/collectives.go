@@ -138,19 +138,9 @@ func (pe *PE) DevAllGatherv(k *gpu.KernelCtx, send, recv gpu.View, counts, displ
 
 // --- Host-side stream-ordered collectives ---
 
-// BarrierAllOnStream enqueues a barrier_all on the stream.
-func (pe *PE) BarrierAllOnStream(p *sim.Proc, s *gpu.Stream) {
-	pe.world.onStream(p, s, "barrier-all", collective{kind: kBarrier})
-}
-
 // AllReduceOnStream enqueues an allreduce on the stream.
 func (pe *PE) AllReduceOnStream(p *sim.Proc, s *gpu.Stream, send, recv gpu.View, opr gpu.ReduceOp) {
 	pe.world.onStream(p, s, "allreduce", collective{kind: kAllReduce, send: send, recv: recv, opr: opr})
-}
-
-// BroadcastOnStream enqueues a broadcast on the stream.
-func (pe *PE) BroadcastOnStream(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
-	pe.world.onStream(p, s, "broadcast", collective{kind: kBroadcast, send: buf, recv: buf, root: root})
 }
 
 // AllGathervOnStream enqueues the emulated variable-size allgather on the

@@ -63,7 +63,7 @@ type SignalOp int
 // Signal update operations.
 const (
 	SignalSet SignalOp = iota
-	SignalAdd
+	signalAdd
 )
 
 // Cmp is a signal wait comparison.
@@ -71,21 +71,21 @@ type Cmp int
 
 // Signal wait comparisons.
 const (
-	CmpEQ Cmp = iota
-	CmpNE
+	cmpEQ Cmp = iota
+	cmpNE
 	CmpGE
-	CmpGT
+	cmpGT
 )
 
 func (c Cmp) match(v, ref uint64) bool {
 	switch c {
-	case CmpEQ:
+	case cmpEQ:
 		return v == ref
-	case CmpNE:
+	case cmpNE:
 		return v != ref
 	case CmpGE:
 		return v >= ref
-	case CmpGT:
+	case cmpGT:
 		return v > ref
 	default:
 		panic("gpushmem: unknown comparison")
@@ -128,9 +128,9 @@ func NewWorld(cluster *gpu.Cluster) *World {
 		shrinks:         map[lockstep.Key]*shrinkInst{},
 	}
 	n := len(cluster.Devices)
-	for i, dev := range cluster.Devices {
+	for i := range cluster.Devices {
 		pe := &PE{
-			w: w, rank: i, dev: dev,
+			w: w, rank: i,
 			issued:    sim.NewCounter(fmt.Sprintf("pe%d.issued", i), 0),
 			completed: sim.NewCounter(fmt.Sprintf("pe%d.completed", i), 0),
 		}
@@ -143,20 +143,13 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	return w
 }
 
-// Size reports the number of PEs.
-func (w *World) Size() int { return len(w.pes) }
-
 // PE returns processing element r.
 func (w *World) PE(r int) *PE { return w.pes[r] }
-
-// Cluster reports the underlying cluster.
-func (w *World) Cluster() *gpu.Cluster { return w.cluster }
 
 // PE is one processing element (rank) of the job.
 type PE struct {
 	w     *World
 	rank  int
-	dev   *gpu.Device
 	world *Team // the all-PEs team, built once (team.go)
 
 	allocSeq  uint64
@@ -166,24 +159,17 @@ type PE struct {
 	issued    *sim.Counter
 	completed *sim.Counter
 
-	freePuts []*put // delivered puts, recycled by transferRaw
+	freePuts []*put // delivered puts, recycled by transfer
 }
 
-// Rank reports the PE id (nvshmem_my_pe).
-func (pe *PE) Rank() int { return pe.rank }
-
-// Size reports the PE count (nvshmem_n_pes).
-func (pe *PE) Size() int { return len(pe.w.pes) }
-
-// Device reports the PE's device.
-func (pe *PE) Device() *gpu.Device { return pe.dev }
+// size reports the PE count (nvshmem_n_pes).
+func (pe *PE) size() int { return len(pe.w.pes) }
 
 func (pe *PE) model() *machine.Model { return pe.w.cluster.Model }
 
 // allocRec is one symmetric allocation: the same logical object on every
 // PE's heap.
 type allocRec struct {
-	id    uint64
 	bufs  []gpu.View // per PE, whole-buffer views
 	sigs  [][]*sim.Counter
 	typed any // the *Sym[T] that owns the storage
@@ -215,9 +201,9 @@ func malloc[T gpu.Elem](pe *PE, n int, phantom bool) *Sym[T] {
 		if phantom {
 			alloc = gpu.AllocPhantom[T]
 		}
-		npes := pe.Size()
+		npes := pe.size()
 		s := &Sym[T]{bufs: make([]*gpu.Buffer[T], npes)}
-		rec = &allocRec{id: id, bufs: make([]gpu.View, npes)}
+		rec = &allocRec{bufs: make([]gpu.View, npes)}
 		for r := 0; r < npes; r++ {
 			s.bufs[r] = alloc(pe.w.cluster.Devices[r], n)
 			rec.bufs[r] = s.bufs[r].Whole()
@@ -252,19 +238,8 @@ type SymRef struct {
 	n   int
 }
 
-// On resolves the reference on one PE.
-func (r SymRef) On(rank int) gpu.View { return r.rec.bufs[rank].Slice(r.off, r.n) }
-
-// Len reports the element count.
-func (r SymRef) Len() int { return r.n }
-
-// Slice narrows the reference.
-func (r SymRef) Slice(off, n int) SymRef {
-	return SymRef{rec: r.rec, off: r.off + off, n: n}
-}
-
-// Bytes reports the byte size on any PE.
-func (r SymRef) Bytes() int64 { return r.On(0).Slice(0, r.n).Bytes() }
+// on resolves the reference on one PE.
+func (r SymRef) on(rank int) gpu.View { return r.rec.bufs[rank].Slice(r.off, r.n) }
 
 // SigRef names one signal word: element idx of a symmetric uint64
 // allocation.
@@ -301,13 +276,9 @@ func (sr SigRef) apply(eng *sim.Engine, rank int, op SignalOp, val uint64) {
 	switch op {
 	case SignalSet:
 		c.Set(eng, val)
-	case SignalAdd:
+	case signalAdd:
 		c.Add(eng, val)
 	default:
 		panic("gpushmem: unknown signal op")
 	}
 }
-
-// Read returns the current value of the signal word on one PE
-// (nvshmem_signal_fetch).
-func (sr SigRef) Read(rank int) uint64 { return sr.counter(rank).Value() }

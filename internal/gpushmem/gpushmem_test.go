@@ -10,6 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
+// deviceOf is the device hosting pe.
+func deviceOf(pe *PE) *gpu.Device { return pe.w.cluster.Devices[pe.rank] }
+
 // launch builds a world of n PEs and runs body once per PE in its own
 // process.
 func launch(t *testing.T, model *machine.Model, n int, body func(p *sim.Proc, pe *PE)) {
@@ -47,11 +50,11 @@ func TestSymmetricMallocMatches(t *testing.T) {
 		if a.Local(0) == nil || b.Local(2) == nil {
 			t.Error("missing local buffers")
 		}
-		if a.Local(pe.Rank()).Len() != 10 {
-			t.Errorf("len = %d", a.Local(pe.Rank()).Len())
+		if a.Local(pe.rank).Len() != 10 {
+			t.Errorf("len = %d", a.Local(pe.rank).Len())
 		}
-		if a.WholeRef().On(1).Len() != 10 {
-			t.Errorf("ref len = %d", a.WholeRef().On(1).Len())
+		if a.WholeRef().on(1).Len() != 10 {
+			t.Errorf("ref len = %d", a.WholeRef().on(1).Len())
 		}
 	})
 }
@@ -60,9 +63,9 @@ func TestHostPutSignalAndWait(t *testing.T) {
 	launch(t, machine.Perlmutter(), 2, func(p *sim.Proc, pe *PE) {
 		data := Malloc[float64](pe, 8)
 		sig := Malloc[uint64](pe, 1)
-		s := pe.Device().DefaultStream()
-		if pe.Rank() == 0 {
-			local := gpu.AllocBuffer[float64](pe.Device(), 8)
+		s := deviceOf(pe).DefaultStream()
+		if pe.rank == 0 {
+			local := gpu.AllocBuffer[float64](deviceOf(pe), 8)
 			for i := range local.Data() {
 				local.Data()[i] = float64(i) + 0.25
 			}
@@ -70,7 +73,7 @@ func TestHostPutSignalAndWait(t *testing.T) {
 				sig.SigRef(0), 1, SignalSet, 1)
 			s.Synchronize(p)
 		} else {
-			pe.SignalWaitOnStream(p, s, sig.SigRef(0), CmpEQ, 1)
+			pe.SignalWaitOnStream(p, s, sig.SigRef(0), cmpEQ, 1)
 			s.Synchronize(p)
 			got := data.Local(1).Data()
 			if got[3] != 3.25 {
@@ -93,8 +96,8 @@ func TestRevokedPutIsNotRecycledInFlight(t *testing.T) {
 	pe := w.PE(0)
 	eng.Spawn("pe0", func(p *sim.Proc) {
 		data, sig := Malloc[float64](pe, big), Malloc[uint64](pe, 1)
-		s := pe.Device().DefaultStream()
-		first, second := gpu.AllocBuffer[float64](pe.Device(), big), gpu.AllocBuffer[float64](pe.Device(), 8)
+		s := deviceOf(pe).DefaultStream()
+		first, second := gpu.AllocBuffer[float64](deviceOf(pe), big), gpu.AllocBuffer[float64](deviceOf(pe), 8)
 		first.Data()[big-1], second.Data()[0] = 1, 2
 		pe.PutOnStream(p, s, data.WholeRef(), first.Whole(), big, 1)
 		err := sim.Protect(func() { s.Synchronize(p) })
@@ -113,8 +116,8 @@ func TestRevokedPutIsNotRecycledInFlight(t *testing.T) {
 		pe.QuietOnStream(p, s)
 		s.Synchronize(p)
 		got := data.Local(1).Data()
-		if got[0] != 2 || got[big-1] != 1 || sig.SigRef(0).Read(1) != 1 {
-			t.Errorf("after both puts: data[0]=%v data[last]=%v signal=%d, want 2 1 1", got[0], got[big-1], sig.SigRef(0).Read(1))
+		if got[0] != 2 || got[big-1] != 1 || sig.SigRef(0).counter(1).Value() != 1 {
+			t.Errorf("after both puts: data[0]=%v data[last]=%v signal=%d, want 2 1 1", got[0], got[big-1], sig.SigRef(0).counter(1).Value())
 		}
 	})
 	eng.After(30*sim.Microsecond, func() { eng.InterruptAll(&sim.RankFailedError{Rank: 1, At: eng.Now()}) })
@@ -137,19 +140,19 @@ func TestDevicePutSignalJacobiPattern(t *testing.T) {
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
 		buf := Malloc[float64](pe, 2)
 		sig := Malloc[uint64](pe, 2)
-		me := pe.Rank()
+		me := pe.rank
 		right := (me + 1) % n
-		s := pe.Device().DefaultStream()
+		s := deviceOf(pe).DefaultStream()
 		for iter := 1; iter <= iters; iter++ {
 			iter := iter
 			k := &gpu.Kernel{Name: "exchange", Body: func(kc *gpu.KernelCtx) {
-				local := gpu.AllocBuffer[float64](pe.Device(), 1)
+				local := gpu.AllocBuffer[float64](deviceOf(pe), 1)
 				local.Data()[0] = float64(100*me + iter)
 				// Send my value to the right neighbour's slot 0.
 				pe.DevPutSignalNBI(kc, Block, buf.Ref(0, 1), local.Whole(), 1,
 					sig.SigRef(0), uint64(iter), SignalSet, right)
 				// Wait for my left neighbour's value.
-				pe.DevSignalWaitUntil(kc, sig.SigRef(0), CmpEQ, uint64(iter))
+				pe.DevSignalWaitUntil(kc, sig.SigRef(0), cmpEQ, uint64(iter))
 			}}
 			pe.CollectiveLaunch(p, s, k, nil)
 			s.Synchronize(p)
@@ -161,40 +164,14 @@ func TestDevicePutSignalJacobiPattern(t *testing.T) {
 	})
 }
 
-func TestDevPutBlockingAndGet(t *testing.T) {
-	launch(t, machine.MareNostrum5(), 2, func(p *sim.Proc, pe *PE) {
-		sym := Malloc[int64](pe, 4)
-		s := pe.Device().DefaultStream()
-		if pe.Rank() == 0 {
-			k := &gpu.Kernel{Name: "putget", Body: func(kc *gpu.KernelCtx) {
-				local := gpu.AllocBuffer[int64](pe.Device(), 4)
-				for i := range local.Data() {
-					local.Data()[i] = int64(7 * (i + 1))
-				}
-				pe.DevPut(kc, Block, sym.WholeRef(), local.Whole(), 4, 1)
-				// Read it back with a get.
-				back := gpu.AllocBuffer[int64](pe.Device(), 4)
-				pe.DevGet(kc, Warp, back.Whole(), sym.WholeRef(), 4, 1)
-				if back.Data()[2] != 21 {
-					t.Errorf("get back = %v", back.Data())
-				}
-			}}
-			pe.CollectiveLaunch(p, s, k, nil)
-		} else {
-			pe.CollectiveLaunch(p, s, &gpu.Kernel{Name: "idle"}, nil)
-		}
-		s.Synchronize(p)
-	})
-}
-
 func TestQuietWaitsForNBI(t *testing.T) {
 	launch(t, machine.Perlmutter(), 2, func(p *sim.Proc, pe *PE) {
 		sym := Malloc[float64](pe, 1<<16)
-		s := pe.Device().DefaultStream()
-		if pe.Rank() == 0 {
+		s := deviceOf(pe).DefaultStream()
+		if pe.rank == 0 {
 			var afterPut, afterQuiet sim.Time
 			k := &gpu.Kernel{Name: "nbi", Body: func(kc *gpu.KernelCtx) {
-				local := gpu.AllocBuffer[float64](pe.Device(), 1<<16)
+				local := gpu.AllocBuffer[float64](deviceOf(pe), 1<<16)
 				pe.DevPutNBI(kc, Block, sym.WholeRef(), local.Whole(), 1<<16, 1)
 				afterPut = kc.P.Now()
 				pe.DevQuiet(kc)
@@ -224,12 +201,13 @@ func TestGranularityAffectsBandwidth(t *testing.T) {
 			pe := w.PE(r)
 			eng.Spawn(fmt.Sprintf("pe%d", r), func(p *sim.Proc) {
 				sym := Malloc[float64](pe, 1<<18)
-				s := pe.Device().DefaultStream()
-				if pe.Rank() == 0 {
+				s := deviceOf(pe).DefaultStream()
+				if pe.rank == 0 {
 					k := &gpu.Kernel{Name: "put", Body: func(kc *gpu.KernelCtx) {
-						local := gpu.AllocBuffer[float64](pe.Device(), 1<<18)
+						local := gpu.AllocBuffer[float64](deviceOf(pe), 1<<18)
 						start := kc.P.Now()
-						pe.DevPut(kc, g, sym.WholeRef(), local.Whole(), 1<<18, 1)
+						pe.DevPutNBI(kc, g, sym.WholeRef(), local.Whole(), 1<<18, 1)
+						pe.DevQuiet(kc)
 						d = kc.P.Now().Sub(start)
 					}}
 					pe.CollectiveLaunch(p, s, k, nil)
@@ -255,14 +233,14 @@ func TestDeviceAllReduceAndBarrier(t *testing.T) {
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
 		send := Malloc[float64](pe, 4)
 		recv := Malloc[float64](pe, 4)
-		s := pe.Device().DefaultStream()
+		s := deviceOf(pe).DefaultStream()
 		k := &gpu.Kernel{Name: "reduce", Body: func(kc *gpu.KernelCtx) {
-			local := send.Local(pe.Rank())
+			local := send.Local(pe.rank)
 			for i := range local.Data() {
-				local.Data()[i] = float64(pe.Rank() + i)
+				local.Data()[i] = float64(pe.rank + i)
 			}
 			pe.DevBarrierAll(kc)
-			pe.DevAllReduce(kc, local.Whole(), recv.Local(pe.Rank()).Whole(), gpu.ReduceSum)
+			pe.DevAllReduce(kc, local.Whole(), recv.Local(pe.rank).Whole(), gpu.ReduceSum)
 		}}
 		pe.CollectiveLaunch(p, s, k, nil)
 		s.Synchronize(p)
@@ -271,8 +249,8 @@ func TestDeviceAllReduceAndBarrier(t *testing.T) {
 			for r := 0; r < n; r++ {
 				want += float64(r + i)
 			}
-			if got := recv.Local(pe.Rank()).Data()[i]; got != want {
-				t.Errorf("pe %d recv[%d] = %v want %v", pe.Rank(), i, got, want)
+			if got := recv.Local(pe.rank).Data()[i]; got != want {
+				t.Errorf("pe %d recv[%d] = %v want %v", pe.rank, i, got, want)
 			}
 		}
 	})
@@ -281,14 +259,14 @@ func TestDeviceAllReduceAndBarrier(t *testing.T) {
 func TestHostAllReduceOnStream(t *testing.T) {
 	const n = 3
 	launch(t, machine.MareNostrum5(), n, func(p *sim.Proc, pe *PE) {
-		b := gpu.AllocBuffer[float64](pe.Device(), 2)
-		b.Data()[0] = float64(pe.Rank())
+		b := gpu.AllocBuffer[float64](deviceOf(pe), 2)
+		b.Data()[0] = float64(pe.rank)
 		b.Data()[1] = 1
-		s := pe.Device().DefaultStream()
+		s := deviceOf(pe).DefaultStream()
 		pe.AllReduceOnStream(p, s, b.Whole(), b.Whole(), gpu.ReduceSum)
 		s.Synchronize(p)
 		if b.Data()[0] != 3 || b.Data()[1] != 3 {
-			t.Errorf("pe %d allreduce = %v", pe.Rank(), b.Data())
+			t.Errorf("pe %d allreduce = %v", pe.rank, b.Data())
 		}
 	})
 }
@@ -299,13 +277,13 @@ func TestAllGathervEmulation(t *testing.T) {
 		counts := []int{1, 2, 3, 4}
 		displs := []int{0, 1, 3, 6}
 		total := 10
-		me := pe.Rank()
-		send := gpu.AllocBuffer[float64](pe.Device(), counts[me])
+		me := pe.rank
+		send := gpu.AllocBuffer[float64](deviceOf(pe), counts[me])
 		for i := range send.Data() {
 			send.Data()[i] = float64(10*me + i)
 		}
 		recv := Malloc[float64](pe, total)
-		s := pe.Device().DefaultStream()
+		s := deviceOf(pe).DefaultStream()
 		pe.AllGathervOnStream(p, s, send.Whole(), recv.Local(me).Whole(), counts, displs)
 		s.Synchronize(p)
 		for r := 0; r < n; r++ {
@@ -321,18 +299,18 @@ func TestAllGathervEmulation(t *testing.T) {
 func TestBroadcastHost(t *testing.T) {
 	const n = 4
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
-		b := gpu.AllocBuffer[float64](pe.Device(), 8)
-		if pe.Rank() == 1 {
+		b := gpu.AllocBuffer[float64](deviceOf(pe), 8)
+		if pe.rank == 1 {
 			for i := range b.Data() {
 				b.Data()[i] = float64(i * i)
 			}
 		}
-		s := pe.Device().DefaultStream()
-		pe.BroadcastOnStream(p, s, b.Whole(), 1)
+		s := deviceOf(pe).DefaultStream()
+		pe.world.BroadcastOnStream(p, s, b.Whole(), 1)
 		s.Synchronize(p)
 		for i, v := range b.Data() {
 			if v != float64(i*i) {
-				t.Errorf("pe %d b[%d] = %v", pe.Rank(), i, v)
+				t.Errorf("pe %d b[%d] = %v", pe.rank, i, v)
 			}
 		}
 	})
@@ -342,12 +320,12 @@ func TestSignalAddAccumulates(t *testing.T) {
 	launch(t, machine.Perlmutter(), 3, func(p *sim.Proc, pe *PE) {
 		data := Malloc[float64](pe, 2)
 		sig := Malloc[uint64](pe, 1)
-		s := pe.Device().DefaultStream()
-		if pe.Rank() != 0 {
-			local := gpu.AllocBuffer[float64](pe.Device(), 1)
-			local.Data()[0] = float64(pe.Rank())
-			pe.PutSignalOnStream(p, s, data.Ref(pe.Rank()-1, 1), local.Whole(), 1,
-				sig.SigRef(0), 1, SignalAdd, 0)
+		s := deviceOf(pe).DefaultStream()
+		if pe.rank != 0 {
+			local := gpu.AllocBuffer[float64](deviceOf(pe), 1)
+			local.Data()[0] = float64(pe.rank)
+			pe.PutSignalOnStream(p, s, data.Ref(pe.rank-1, 1), local.Whole(), 1,
+				sig.SigRef(0), 1, signalAdd, 0)
 			s.Synchronize(p)
 		} else {
 			pe.SignalWaitOnStream(p, s, sig.SigRef(0), CmpGE, 2)
@@ -356,7 +334,7 @@ func TestSignalAddAccumulates(t *testing.T) {
 			if d[0] != 1 || d[1] != 2 {
 				t.Errorf("accumulated data = %v", d)
 			}
-			if got := sig.SigRef(0).Read(0); got != 2 {
+			if got := sig.SigRef(0).counter(0).Value(); got != 2 {
 				t.Errorf("signal value = %d", got)
 			}
 		}
@@ -377,9 +355,9 @@ func TestDeviceLatencyBelowHost(t *testing.T) {
 			eng.Spawn(fmt.Sprintf("pe%d", r), func(p *sim.Proc) {
 				sym := Malloc[float64](pe, 1)
 				sig := Malloc[uint64](pe, 1)
-				s := pe.Device().DefaultStream()
-				local := gpu.AllocBuffer[float64](pe.Device(), 1)
-				if pe.Rank() == 0 {
+				s := deviceOf(pe).DefaultStream()
+				local := gpu.AllocBuffer[float64](deviceOf(pe), 1)
+				if pe.rank == 0 {
 					start := p.Now()
 					if dev {
 						k := &gpu.Kernel{Name: "put", Body: func(kc *gpu.KernelCtx) {

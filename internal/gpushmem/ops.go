@@ -42,29 +42,20 @@ func (t *put) deliver() {
 	pe.freePuts = append(pe.freePuts, t)
 }
 
-// transfer moves the payload of one put (issuer pe, data pe→target) and
-// applies the optional signal at delivery; with wait set it blocks that
-// process until then.
+// transfer moves the payload of one put (issuer pe, data pe→target),
+// applies the optional signal on the target at delivery, and charges
+// completion to the issuing PE's NBI accounting; with wait set it blocks
+// that process until then.
 func (pe *PE) transfer(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.View, n int,
 	target int, api machine.API, gran ThreadGroup, sig SigRef, sigOp SignalOp, sigVal uint64, wait *sim.Proc) {
-	pe.transferRaw(eng, at, dst, src, n, pe.rank, target, target, api, gran, sig, sigOp, sigVal, wait)
-}
-
-// transferRaw is the data-movement core: n elements flow srcRank→dstRank,
-// the signal (if any) fires on sigRank, and completion is charged to the
-// issuing PE's NBI accounting.
-func (pe *PE) transferRaw(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.View, n int,
-	srcRank, dstRank, sigRank int, api machine.API, gran ThreadGroup,
-	sig SigRef, sigOp SignalOp, sigVal uint64, wait *sim.Proc) {
-
 	fab := pe.w.cluster.Fabric
 	bytes := int64(n) * int64(src.ElemSize())
-	path := fab.PathBetween(srcRank, dstRank)
+	path := fab.PathBetween(pe.rank, target)
 	cost := pe.w.cluster.Model.Cost(machine.LibGPUSHMEM, api, path, bytes)
 	if api == machine.APIDevice {
 		cost.BytesPerSec *= gran.granEff()
 	}
-	arrive := fab.Transfer(at, srcRank, dstRank, bytes, cost)
+	arrive := fab.Transfer(at, pe.rank, target, bytes, cost)
 	var t *put
 	if k := len(pe.freePuts); k > 0 {
 		t, pe.freePuts = pe.freePuts[k-1], pe.freePuts[:k-1]
@@ -73,7 +64,7 @@ func (pe *PE) transferRaw(eng *sim.Engine, at sim.Time, dst gpu.View, src gpu.Vi
 		t.deliverFn = t.deliver
 	}
 	t.dst, t.src, t.n = dst, src, n
-	t.sig, t.sigRank, t.sigOp, t.sigVal = sig, sigRank, sigOp, sigVal
+	t.sig, t.sigRank, t.sigOp, t.sigVal = sig, target, sigOp, sigVal
 	t.done.SetLabel("gate put")
 	pe.issued.Add(eng, 1)
 	eng.After(arrive.Sub(eng.Now()), t.deliverFn)
@@ -93,7 +84,7 @@ func (pe *PE) callCost(p *sim.Proc, api machine.API) {
 // of src into dest on the target PE.
 func (pe *PE) DevPutNBI(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.View, n, target int) {
 	pe.callCost(k.P, machine.APIDevice)
-	pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
+	pe.transfer(k.P.Engine(), k.P.Now(), dest.on(target).Slice(0, n), src, n,
 		target, machine.APIDevice, g, SigRef{}, SignalSet, 0, nil)
 }
 
@@ -102,27 +93,8 @@ func (pe *PE) DevPutNBI(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.Vi
 func (pe *PE) DevPutSignalNBI(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.View, n int,
 	sig SigRef, sigVal uint64, sigOp SignalOp, target int) {
 	pe.callCost(k.P, machine.APIDevice)
-	pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
+	pe.transfer(k.P.Engine(), k.P.Now(), dest.on(target).Slice(0, n), src, n,
 		target, machine.APIDevice, g, sig, sigOp, sigVal, nil)
-}
-
-// DevPut is the blocking variant: it returns when the payload is delivered.
-func (pe *PE) DevPut(k *gpu.KernelCtx, g ThreadGroup, dest SymRef, src gpu.View, n, target int) {
-	pe.callCost(k.P, machine.APIDevice)
-	pe.transfer(k.P.Engine(), k.P.Now(), dest.On(target).Slice(0, n), src, n,
-		target, machine.APIDevice, g, SigRef{}, SignalSet, 0, k.P)
-}
-
-// DevGet is a blocking one-sided read of n elements of src on the target PE
-// into the local dst. The request adds one extra path latency before data
-// flows back.
-func (pe *PE) DevGet(k *gpu.KernelCtx, g ThreadGroup, dst gpu.View, src SymRef, n, target int) {
-	pe.callCost(k.P, machine.APIDevice)
-	path := pe.w.cluster.Fabric.PathBetween(pe.rank, target)
-	req := pe.w.cluster.Model.Cost(machine.LibGPUSHMEM, machine.APIDevice, path, 0).Latency
-	k.P.Advance(req) // request flight
-	pe.transferRaw(k.P.Engine(), k.P.Now(), dst, src.On(target).Slice(0, n), n,
-		target, pe.rank, pe.rank, machine.APIDevice, g, SigRef{}, SignalSet, 0, k.P)
 }
 
 // DevSignalWaitUntil is nvshmem_signal_wait_until on the local PE.
@@ -139,18 +111,13 @@ func (pe *PE) DevQuiet(k *gpu.KernelCtx) {
 	pe.completed.WaitGE(k.P, target)
 }
 
-// DevFence is nvshmem_fence: ordering between puts to the same PE. The
-// simulated fabric delivers same-pair messages in issue order, so the fence
-// costs only its instruction overhead.
-func (pe *PE) DevFence(k *gpu.KernelCtx) { pe.callCost(k.P, machine.APIDevice) }
-
 // --- Host-side stream-ordered API (nvshmemx *_on_stream) ---
 
 // PutSignalOnStream enqueues a put-with-signal on the stream.
 func (pe *PE) PutSignalOnStream(p *sim.Proc, s *gpu.Stream, dest SymRef, src gpu.View, n int,
 	sig SigRef, sigVal uint64, sigOp SignalOp, target int) {
 	pe.hostEnqueue(p, s, pe.w.putSignalLabels.For(target), func(sp *sim.Proc) {
-		pe.transfer(sp.Engine(), sp.Now(), dest.On(target).Slice(0, n), src, n,
+		pe.transfer(sp.Engine(), sp.Now(), dest.on(target).Slice(0, n), src, n,
 			target, machine.APIHost, Block, sig, sigOp, sigVal, sp)
 	})
 }
@@ -158,7 +125,7 @@ func (pe *PE) PutSignalOnStream(p *sim.Proc, s *gpu.Stream, dest SymRef, src gpu
 // PutOnStream enqueues a put on the stream.
 func (pe *PE) PutOnStream(p *sim.Proc, s *gpu.Stream, dest SymRef, src gpu.View, n, target int) {
 	pe.hostEnqueue(p, s, pe.w.putLabels.For(target), func(sp *sim.Proc) {
-		pe.transfer(sp.Engine(), sp.Now(), dest.On(target).Slice(0, n), src, n,
+		pe.transfer(sp.Engine(), sp.Now(), dest.on(target).Slice(0, n), src, n,
 			target, machine.APIHost, Block, SigRef{}, SignalSet, 0, sp)
 	})
 }

@@ -31,10 +31,10 @@ type pinColl struct {
 }
 
 func pinPE(pe *PE) pinColl {
-	return pinColl{pe.Rank(), pe.Size(), pe.BarrierAllOnStream,
+	return pinColl{pe.rank, pe.size(), pe.world.BarrierOnStream,
 		func(p *sim.Proc, s *gpu.Stream, send, recv gpu.View) {
 			pe.AllReduceOnStream(p, s, send, recv, gpu.ReduceSum)
-		}, pe.BroadcastOnStream, pe.AllGathervOnStream}
+		}, pe.world.BroadcastOnStream, pe.AllGathervOnStream}
 }
 
 func pinTeam(t *Team) pinColl {
@@ -47,7 +47,7 @@ func pinTeam(t *Team) pinColl {
 // pinDev runs the sequence from inside one collectively launched kernel; the
 // stream arguments are unused and every finish time is the kernel's clock.
 func pinDev(pe *PE, kc *gpu.KernelCtx) pinColl {
-	return pinColl{pe.Rank(), pe.Size(),
+	return pinColl{pe.rank, pe.size(),
 		func(*sim.Proc, *gpu.Stream) { pe.DevBarrierAll(kc) },
 		func(_ *sim.Proc, _ *gpu.Stream, send, recv gpu.View) {
 			pe.DevAllReduce(kc, send, recv, gpu.ReduceSum)
@@ -60,9 +60,9 @@ func pinDev(pe *PE, kc *gpu.KernelCtx) pinColl {
 
 // pinFill allocates n elements with a PE- and index-dependent pattern.
 func pinFill(pe *PE, n int) *gpu.Buffer[float64] {
-	b := gpu.AllocBuffer[float64](pe.Device(), n)
+	b := gpu.AllocBuffer[float64](deviceOf(pe), n)
 	for i := range b.Data() {
-		b.Data()[i] = float64((pe.Rank()+1)*(i%7+1)) + 0.25
+		b.Data()[i] = float64((pe.rank+1)*(i%7+1)) + 0.25
 	}
 	return b
 }
@@ -73,11 +73,11 @@ func pinFill(pe *PE, n int) *gpu.Buffer[float64] {
 func pinSequence(p *sim.Proc, pe *PE, c pinColl, elems int, sync func() sim.Time, ends *[4]sim.Time) []*gpu.Buffer[float64] {
 	var s *gpu.Stream
 	if p != nil {
-		s = pe.Device().DefaultStream()
+		s = deviceOf(pe).DefaultStream()
 	}
 	c.barrier(p, s)
 	ends[0] = sync()
-	red := gpu.AllocBuffer[float64](pe.Device(), elems)
+	red := gpu.AllocBuffer[float64](deviceOf(pe), elems)
 	c.allReduce(p, s, pinFill(pe, elems).Whole(), red.Whole())
 	ends[1] = sync()
 	bc := pinFill(pe, elems)
@@ -88,14 +88,15 @@ func pinSequence(p *sim.Proc, pe *PE, c pinColl, elems int, sync func() sim.Time
 		counts[r], displs[r] = elems+r, total
 		total += counts[r]
 	}
-	ag := gpu.AllocBuffer[float64](pe.Device(), total)
+	ag := gpu.AllocBuffer[float64](deviceOf(pe), total)
 	c.allGatherv(p, s, pinFill(pe, counts[c.rank]).Whole(), ag.Whole(), counts, displs)
 	ends[3] = sync()
 	return []*gpu.Buffer[float64]{red, bc, ag}
 }
 
 // runPin runs the sequence at one level on n Perlmutter PEs (4 per node):
-// "pe-host" through the PE's *OnStream methods, "pe-dev" through the Dev*
+// "pe-host" through the PE's *OnStream methods (the world team's for barrier
+// and broadcast, which have no PE-level form), "pe-dev" through the Dev*
 // methods under CollectiveLaunch, "world-team" through pe.WorldTeam(), and
 // "child" through a TeamSplit of six PEs into {2,1,0} (one node) and {5,4,3}
 // (two nodes) — keys are reversed so team order differs from world order.
@@ -104,8 +105,8 @@ func runPin(t *testing.T, level string, n, elems int) pin {
 	ends := make([][4]sim.Time, n)
 	results := make([][]*gpu.Buffer[float64], n)
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
-		r := pe.Rank()
-		s := pe.Device().DefaultStream()
+		r := pe.rank
+		s := deviceOf(pe).DefaultStream()
 		hostSync := func() sim.Time { s.Synchronize(p); return p.Now() }
 		switch level {
 		case "pe-host":

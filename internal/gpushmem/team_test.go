@@ -12,8 +12,8 @@ import (
 func TestWorldTeamShape(t *testing.T) {
 	launch(t, machine.Perlmutter(), 4, func(p *sim.Proc, pe *PE) {
 		wt := pe.WorldTeam()
-		if wt.Size() != 4 || wt.Rank() != pe.Rank() {
-			t.Errorf("world team %d/%d for pe %d", wt.Rank(), wt.Size(), pe.Rank())
+		if wt.Size() != 4 || wt.Rank() != pe.rank {
+			t.Errorf("world team %d/%d for pe %d", wt.Rank(), wt.Size(), pe.rank)
 		}
 		for r := 0; r < 4; r++ {
 			if wt.World(r) != r {
@@ -50,23 +50,23 @@ func TestTeamSplitMembershipAndOrdering(t *testing.T) {
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
 		wt := pe.WorldTeam()
 		// Reverse ordering by key within each parity class.
-		team := wt.TeamSplit(p, pe.Rank()%2, -pe.Rank())
+		team := wt.TeamSplit(p, pe.rank%2, -pe.rank)
 		if team.Size() != 3 {
 			t.Errorf("team size = %d", team.Size())
 		}
 		// Keys are -world: the highest world rank gets team rank 0.
-		wantRank := (n - 1 - pe.Rank()) / 2
+		wantRank := (n - 1 - pe.rank) / 2
 		if team.Rank() != wantRank {
-			t.Errorf("pe %d team rank = %d, want %d", pe.Rank(), team.Rank(), wantRank)
+			t.Errorf("pe %d team rank = %d, want %d", pe.rank, team.Rank(), wantRank)
 		}
 		// Membership covers exactly the parity class.
 		seen := map[int]bool{}
 		for r := 0; r < team.Size(); r++ {
 			seen[team.World(r)] = true
 		}
-		for wr := pe.Rank() % 2; wr < n; wr += 2 {
+		for wr := pe.rank % 2; wr < n; wr += 2 {
 			if !seen[wr] {
-				t.Errorf("pe %d team missing member %d", pe.Rank(), wr)
+				t.Errorf("pe %d team missing member %d", pe.rank, wr)
 			}
 		}
 	})
@@ -76,11 +76,11 @@ func TestTeamSplitNoColor(t *testing.T) {
 	launch(t, machine.Perlmutter(), 3, func(p *sim.Proc, pe *PE) {
 		wt := pe.WorldTeam()
 		color := 0
-		if pe.Rank() == 1 {
+		if pe.rank == 1 {
 			color = -1
 		}
-		team := wt.TeamSplit(p, color, pe.Rank())
-		if pe.Rank() == 1 {
+		team := wt.TeamSplit(p, color, pe.rank)
+		if pe.rank == 1 {
 			if team != nil {
 				t.Error("no-color PE received a team")
 			}
@@ -96,15 +96,15 @@ func TestTeamCollectivesIsolated(t *testing.T) {
 	// Two teams run allreduces concurrently; sums must not mix.
 	const n = 4
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
-		team := pe.WorldTeam().TeamSplit(p, pe.Rank()%2, pe.Rank())
-		s := pe.Device().DefaultStream()
-		buf := gpu.AllocBuffer[float64](pe.Device(), 1)
-		buf.Data()[0] = float64(pe.Rank() + 1)
+		team := pe.WorldTeam().TeamSplit(p, pe.rank%2, pe.rank)
+		s := deviceOf(pe).DefaultStream()
+		buf := gpu.AllocBuffer[float64](deviceOf(pe), 1)
+		buf.Data()[0] = float64(pe.rank + 1)
 		team.AllReduceOnStream(p, s, buf.Whole(), buf.Whole(), gpu.ReduceSum)
 		s.Synchronize(p)
-		want := map[int]float64{0: 1 + 3, 1: 2 + 4}[pe.Rank()%2]
+		want := map[int]float64{0: 1 + 3, 1: 2 + 4}[pe.rank%2]
 		if buf.Data()[0] != want {
-			t.Errorf("pe %d team allreduce = %v, want %v", pe.Rank(), buf.Data()[0], want)
+			t.Errorf("pe %d team allreduce = %v, want %v", pe.rank, buf.Data()[0], want)
 		}
 	})
 }
@@ -112,9 +112,9 @@ func TestTeamCollectivesIsolated(t *testing.T) {
 func TestTeamBroadcastAndBarrier(t *testing.T) {
 	const n = 4
 	launch(t, machine.MareNostrum5(), n, func(p *sim.Proc, pe *PE) {
-		team := pe.WorldTeam().TeamSplit(p, pe.Rank()/2, pe.Rank())
-		s := pe.Device().DefaultStream()
-		buf := gpu.AllocBuffer[int64](pe.Device(), 2)
+		team := pe.WorldTeam().TeamSplit(p, pe.rank/2, pe.rank)
+		s := deviceOf(pe).DefaultStream()
+		buf := gpu.AllocBuffer[int64](deviceOf(pe), 2)
 		if team.Rank() == 1 { // the higher world rank of the pair
 			buf.Data()[0], buf.Data()[1] = 7, 9
 		}
@@ -122,7 +122,7 @@ func TestTeamBroadcastAndBarrier(t *testing.T) {
 		team.BarrierOnStream(p, s)
 		s.Synchronize(p)
 		if buf.Data()[0] != 7 || buf.Data()[1] != 9 {
-			t.Errorf("pe %d broadcast = %v", pe.Rank(), buf.Data())
+			t.Errorf("pe %d broadcast = %v", pe.rank, buf.Data())
 		}
 	})
 }
@@ -130,22 +130,22 @@ func TestTeamBroadcastAndBarrier(t *testing.T) {
 func TestTeamAllGatherv(t *testing.T) {
 	const n = 4
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
-		team := pe.WorldTeam().TeamSplit(p, pe.Rank()%2, pe.Rank())
+		team := pe.WorldTeam().TeamSplit(p, pe.rank%2, pe.rank)
 		counts := []int{2, 2}
 		displs := []int{0, 2}
-		s := pe.Device().DefaultStream()
-		send := gpu.AllocBuffer[float64](pe.Device(), 2)
-		send.Data()[0] = float64(100 * pe.Rank())
-		send.Data()[1] = float64(100*pe.Rank() + 1)
-		recv := gpu.AllocBuffer[float64](pe.Device(), 4)
+		s := deviceOf(pe).DefaultStream()
+		send := gpu.AllocBuffer[float64](deviceOf(pe), 2)
+		send.Data()[0] = float64(100 * pe.rank)
+		send.Data()[1] = float64(100*pe.rank + 1)
+		recv := gpu.AllocBuffer[float64](deviceOf(pe), 4)
 		team.AllGathervOnStream(p, s, send.Whole(), recv.Whole(), counts, displs)
 		s.Synchronize(p)
 		// Team member 0 is the lower world rank of the parity class.
-		base := pe.Rank() % 2
+		base := pe.rank % 2
 		for tr := 0; tr < 2; tr++ {
 			wr := base + 2*tr
 			if recv.Data()[2*tr] != float64(100*wr) {
-				t.Errorf("pe %d recv[%d] = %v", pe.Rank(), 2*tr, recv.Data()[2*tr])
+				t.Errorf("pe %d recv[%d] = %v", pe.rank, 2*tr, recv.Data()[2*tr])
 			}
 		}
 	})
@@ -154,20 +154,20 @@ func TestTeamAllGatherv(t *testing.T) {
 func TestNestedTeamSplit(t *testing.T) {
 	const n = 8
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
-		half := pe.WorldTeam().TeamSplit(p, pe.Rank()/4, pe.Rank())
+		half := pe.WorldTeam().TeamSplit(p, pe.rank/4, pe.rank)
 		quarter := half.TeamSplit(p, half.Rank()/2, half.Rank())
 		if quarter.Size() != 2 {
 			t.Fatalf("quarter size = %d", quarter.Size())
 		}
-		s := pe.Device().DefaultStream()
-		buf := gpu.AllocBuffer[float64](pe.Device(), 1)
-		buf.Data()[0] = float64(pe.Rank())
+		s := deviceOf(pe).DefaultStream()
+		buf := gpu.AllocBuffer[float64](deviceOf(pe), 1)
+		buf.Data()[0] = float64(pe.rank)
 		quarter.AllReduceOnStream(p, s, buf.Whole(), buf.Whole(), gpu.ReduceSum)
 		s.Synchronize(p)
 		// Pairs are (0,1),(2,3),(4,5),(6,7): sum = 2*even + 1.
-		pair := pe.Rank() / 2 * 2
+		pair := pe.rank / 2 * 2
 		if want := float64(pair + pair + 1); buf.Data()[0] != want {
-			t.Errorf("pe %d nested allreduce = %v, want %v", pe.Rank(), buf.Data()[0], want)
+			t.Errorf("pe %d nested allreduce = %v, want %v", pe.rank, buf.Data()[0], want)
 		}
 	})
 }
@@ -177,8 +177,8 @@ func TestTeamSplitOrderingRequirement(t *testing.T) {
 	// different parents in the same program order do not cross-talk.
 	const n = 4
 	launch(t, machine.Perlmutter(), n, func(p *sim.Proc, pe *PE) {
-		a := pe.WorldTeam().TeamSplit(p, 0, pe.Rank())
-		b := a.TeamSplit(p, pe.Rank()%2, pe.Rank())
+		a := pe.WorldTeam().TeamSplit(p, 0, pe.rank)
+		b := a.TeamSplit(p, pe.rank%2, pe.rank)
 		if a.Size() != n || b.Size() != n/2 {
 			t.Errorf("sizes %d %d", a.Size(), b.Size())
 		}

@@ -65,19 +65,19 @@ func (a API) String() string {
 	return "Host"
 }
 
-// Curve is a latency/effective-bandwidth model for one (library, API, path)
-// combination: a message of size s bytes sees one-way latency Alpha and
-// streams at WireBW * EffPeak * s / (s + HalfSize).
-type Curve struct {
-	Alpha    sim.Duration // per-message one-way latency
-	EffPeak  float64      // fraction of the wire peak achievable at s→∞
-	HalfSize float64      // bytes at which half of the effective peak is reached
+// curve is a latency/effective-bandwidth model for one (library, API, path)
+// combination: a message of size s bytes sees one-way latency alpha and
+// streams at WireBW * effPeak * s / (s + halfSize).
+type curve struct {
+	alpha    sim.Duration // per-message one-way latency
+	effPeak  float64      // fraction of the wire peak achievable at s→∞
+	halfSize float64      // bytes at which half of the effective peak is reached
 }
 
 // LibProfile is the full cost profile of one library+API on one machine.
 type LibProfile struct {
-	Intra Curve
-	Inter Curve
+	intra curve
+	inter curve
 
 	// CallOverhead is the host CPU time consumed by each library call
 	// (argument marshalling, handle lookups).
@@ -102,16 +102,14 @@ type LibProfile struct {
 // GPUSpec captures the compute-side parameters of one GPU (or GCD).
 type GPUSpec struct {
 	Name string
-	// MemBW is the peak device-memory bandwidth in bytes/s; MemEff is the
+	// MemBW is the peak device-memory bandwidth in bytes/s; memEff is the
 	// fraction achievable by stencil-like kernels.
 	MemBW  float64
-	MemEff float64
-	// Flops is the peak single-precision rate, for compute-bound kernels.
-	Flops float64
+	memEff float64
 	// KernelLaunch is the host-side latency of launching one kernel.
 	KernelLaunch sim.Duration
-	// LocalCopyBW is device-local (intra-GPU) copy bandwidth.
-	LocalCopyBW float64
+	// localCopyBW is device-local (intra-GPU) copy bandwidth.
+	localCopyBW float64
 }
 
 // UniconnCosts models the host-side overhead that the UNICONN layer adds on
@@ -191,16 +189,16 @@ func (m *Model) Supports(lib Lib, api API) bool {
 // saturation curve, cheap enough that nothing memoizes it.
 func (m *Model) Cost(lib Lib, api API, path fabric.Path, bytes int64) fabric.LinkCost {
 	p := m.profile(lib, api)
-	var c Curve
+	var c curve
 	switch path {
 	case fabric.PathInter:
-		c = p.Inter
+		c = p.inter
 	case fabric.PathIntra:
-		c = p.Intra
+		c = p.intra
 	default: // device-local copy
 		return fabric.LinkCost{
 			Latency:     sim.Microsecond / 2,
-			BytesPerSec: m.GPU.LocalCopyBW,
+			BytesPerSec: m.GPU.localCopyBW,
 		}
 	}
 	wire := m.IntraWireBW
@@ -208,11 +206,11 @@ func (m *Model) Cost(lib Lib, api API, path fabric.Path, bytes int64) fabric.Lin
 		wire = m.NICWireBW
 	}
 	s := float64(bytes)
-	eff := c.EffPeak * s / (s + c.HalfSize)
+	eff := c.effPeak * s / (s + c.halfSize)
 	if eff <= 0 || math.IsNaN(eff) {
 		eff = 1e-9
 	}
-	return fabric.LinkCost{Latency: c.Alpha, BytesPerSec: wire * eff}
+	return fabric.LinkCost{Latency: c.alpha, BytesPerSec: wire * eff}
 }
 
 // FabricConfig returns the fabric configuration for a cluster of the given
@@ -239,7 +237,7 @@ func (m *Model) NodesFor(nGPUs int) int {
 // StencilKernelTime models a memory-bound stencil update touching the given
 // number of bytes.
 func (m *Model) StencilKernelTime(bytes int64) sim.Duration {
-	bw := m.GPU.MemBW * m.GPU.MemEff
+	bw := m.GPU.MemBW * m.GPU.memEff
 	return sim.Duration(float64(bytes) / bw * float64(sim.Second))
 }
 
@@ -248,6 +246,6 @@ func (m *Model) StencilKernelTime(bytes int64) sim.Duration {
 // (4 B), and an x-vector gather (8 B, partially cached).
 func (m *Model) SpMVKernelTime(nnz int64) sim.Duration {
 	const bytesPerNnz = 16.0
-	bw := m.GPU.MemBW * m.GPU.MemEff * 0.6 // irregular access penalty
+	bw := m.GPU.MemBW * m.GPU.memEff * 0.6 // irregular access penalty
 	return sim.Duration(float64(nnz) * bytesPerNnz / bw * float64(sim.Second))
 }

@@ -106,7 +106,7 @@ func TestDeviceAPILowerLatency(t *testing.T) {
 	for _, m := range []*Model{Perlmutter(), MareNostrum5()} {
 		host := m.Profile(LibGPUSHMEM, APIHost)
 		dev := m.Profile(LibGPUSHMEM, APIDevice)
-		if dev.Intra.Alpha >= host.Intra.Alpha || dev.Inter.Alpha >= host.Inter.Alpha {
+		if dev.intra.alpha >= host.intra.alpha || dev.inter.alpha >= host.inter.alpha {
 			t.Errorf("%s: device alpha not below host", m.Name)
 		}
 		if dev.LaunchOverhead != 0 {
@@ -190,17 +190,17 @@ func supported(m *Model) [][2]int {
 
 // curveCost is the closed form Cost must reproduce bit for bit: a device-
 // local copy at half a microsecond and the GPU's copy bandwidth, otherwise
-// the path's Alpha and wire * EffPeak * s / (s + HalfSize).
+// the path's alpha and wire * effPeak * s / (s + halfSize).
 func curveCost(m *Model, p LibProfile, path fabric.Path, bytes int64) fabric.LinkCost {
-	c, wire := p.Intra, m.IntraWireBW
+	c, wire := p.intra, m.IntraWireBW
 	switch path {
 	case fabric.PathSelf:
-		return fabric.LinkCost{Latency: sim.Microsecond / 2, BytesPerSec: m.GPU.LocalCopyBW}
+		return fabric.LinkCost{Latency: sim.Microsecond / 2, BytesPerSec: m.GPU.localCopyBW}
 	case fabric.PathInter:
-		c, wire = p.Inter, m.NICWireBW
+		c, wire = p.inter, m.NICWireBW
 	}
 	s := float64(bytes)
-	return fabric.LinkCost{Latency: c.Alpha, BytesPerSec: wire * (c.EffPeak * s / (s + c.HalfSize))}
+	return fabric.LinkCost{Latency: c.alpha, BytesPerSec: wire * (c.effPeak * s / (s + c.halfSize))}
 }
 
 // TestCostMatchesCurve: the profile table answers every machine x supported

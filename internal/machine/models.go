@@ -30,37 +30,36 @@ func Perlmutter() *Model {
 		GPU: GPUSpec{
 			Name:         "A100-40GB",
 			MemBW:        1555e9,
-			MemEff:       0.78,
-			Flops:        19.5e12,
+			memEff:       0.78,
 			KernelLaunch: sim.Micros(5.5),
-			LocalCopyBW:  1300e9,
+			localCopyBW:  1300e9,
 		},
 		HostOp:      sim.Nanos(180),
 		HasGPUSHMEM: true,
 		Uniconn:     defaultUniconnCosts(),
 		profiles: [numLibs][numAPIs]*LibProfile{
 			LibMPI: {APIHost: {
-				Intra:              Curve{Alpha: sim.Micros(2.4), EffPeak: 0.68, HalfSize: 96 << 10},
-				Inter:              Curve{Alpha: sim.Micros(3.3), EffPeak: 0.90, HalfSize: 48 << 10},
+				intra:              curve{alpha: sim.Micros(2.4), effPeak: 0.68, halfSize: 96 << 10},
+				inter:              curve{alpha: sim.Micros(3.3), effPeak: 0.90, halfSize: 48 << 10},
 				CallOverhead:       sim.Nanos(380),
 				EagerMax:           8 << 10,
 				RendezvousOverhead: sim.Micros(2.8),
 				CollStagingBW:      12e9,
 			}},
 			LibGPUCCL: {APIHost: {
-				Intra:          Curve{Alpha: sim.Micros(1.4), EffPeak: 0.93, HalfSize: 192 << 10},
-				Inter:          Curve{Alpha: sim.Micros(4.2), EffPeak: 0.95, HalfSize: 96 << 10},
+				intra:          curve{alpha: sim.Micros(1.4), effPeak: 0.93, halfSize: 192 << 10},
+				inter:          curve{alpha: sim.Micros(4.2), effPeak: 0.95, halfSize: 96 << 10},
 				CallOverhead:   sim.Nanos(300),
 				LaunchOverhead: sim.Micros(8.7),
 			}},
 			LibGPUSHMEM: {APIHost: {
-				Intra:          Curve{Alpha: sim.Micros(2.0), EffPeak: 0.84, HalfSize: 128 << 10},
-				Inter:          Curve{Alpha: sim.Micros(3.0), EffPeak: 0.92, HalfSize: 64 << 10},
+				intra:          curve{alpha: sim.Micros(2.0), effPeak: 0.84, halfSize: 128 << 10},
+				inter:          curve{alpha: sim.Micros(3.0), effPeak: 0.92, halfSize: 64 << 10},
 				CallOverhead:   sim.Nanos(320),
 				LaunchOverhead: sim.Micros(6.0),
 			}, APIDevice: {
-				Intra:        Curve{Alpha: sim.Micros(1.1), EffPeak: 0.76, HalfSize: 128 << 10},
-				Inter:        Curve{Alpha: sim.Micros(2.4), EffPeak: 0.88, HalfSize: 64 << 10},
+				intra:        curve{alpha: sim.Micros(1.1), effPeak: 0.76, halfSize: 128 << 10},
+				inter:        curve{alpha: sim.Micros(2.4), effPeak: 0.88, halfSize: 64 << 10},
 				CallOverhead: sim.Nanos(40), // device-side instruction cost
 			}},
 		},
@@ -82,26 +81,25 @@ func LUMI() *Model {
 		GPU: GPUSpec{
 			Name:         "MI250X-GCD",
 			MemBW:        1600e9,
-			MemEff:       0.72,
-			Flops:        23.9e12,
+			memEff:       0.72,
 			KernelLaunch: sim.Micros(6.5),
-			LocalCopyBW:  1200e9,
+			localCopyBW:  1200e9,
 		},
 		HostOp:      sim.Nanos(200),
 		HasGPUSHMEM: false,
 		Uniconn:     defaultUniconnCosts(),
 		profiles: [numLibs][numAPIs]*LibProfile{
 			LibMPI: {APIHost: {
-				Intra:              Curve{Alpha: sim.Micros(2.9), EffPeak: 0.62, HalfSize: 128 << 10},
-				Inter:              Curve{Alpha: sim.Micros(3.6), EffPeak: 0.88, HalfSize: 64 << 10},
+				intra:              curve{alpha: sim.Micros(2.9), effPeak: 0.62, halfSize: 128 << 10},
+				inter:              curve{alpha: sim.Micros(3.6), effPeak: 0.88, halfSize: 64 << 10},
 				CallOverhead:       sim.Nanos(420),
 				EagerMax:           8 << 10,
 				RendezvousOverhead: sim.Micros(3.4),
 				CollStagingBW:      10e9,
 			}},
 			LibGPUCCL: {APIHost: { // RCCL: weak small, strong large (paper §VII)
-				Intra:          Curve{Alpha: sim.Micros(2.3), EffPeak: 0.91, HalfSize: 256 << 10},
-				Inter:          Curve{Alpha: sim.Micros(6.5), EffPeak: 0.93, HalfSize: 128 << 10},
+				intra:          curve{alpha: sim.Micros(2.3), effPeak: 0.91, halfSize: 256 << 10},
+				inter:          curve{alpha: sim.Micros(6.5), effPeak: 0.93, halfSize: 128 << 10},
 				CallOverhead:   sim.Nanos(340),
 				LaunchOverhead: sim.Micros(11.0),
 			}},
@@ -123,37 +121,36 @@ func MareNostrum5() *Model {
 		GPU: GPUSpec{
 			Name:         "H100-64GB",
 			MemBW:        3350e9,
-			MemEff:       0.80,
-			Flops:        66.9e12,
+			memEff:       0.80,
 			KernelLaunch: sim.Micros(5.0),
-			LocalCopyBW:  2800e9,
+			localCopyBW:  2800e9,
 		},
 		HostOp:      sim.Nanos(170),
 		HasGPUSHMEM: true,
 		Uniconn:     defaultUniconnCosts(),
 		profiles: [numLibs][numAPIs]*LibProfile{
 			LibMPI: {APIHost: { // OpenMPI/UCX: good latency, weaker large intra
-				Intra:              Curve{Alpha: sim.Micros(2.1), EffPeak: 0.60, HalfSize: 128 << 10},
-				Inter:              Curve{Alpha: sim.Micros(2.9), EffPeak: 0.91, HalfSize: 48 << 10},
+				intra:              curve{alpha: sim.Micros(2.1), effPeak: 0.60, halfSize: 128 << 10},
+				inter:              curve{alpha: sim.Micros(2.9), effPeak: 0.91, halfSize: 48 << 10},
 				CallOverhead:       sim.Nanos(350),
 				EagerMax:           8 << 10,
 				RendezvousOverhead: sim.Micros(2.5),
 				CollStagingBW:      13e9,
 			}},
 			LibGPUCCL: {APIHost: {
-				Intra:          Curve{Alpha: sim.Micros(1.3), EffPeak: 0.94, HalfSize: 256 << 10},
-				Inter:          Curve{Alpha: sim.Micros(4.0), EffPeak: 0.95, HalfSize: 96 << 10},
+				intra:          curve{alpha: sim.Micros(1.3), effPeak: 0.94, halfSize: 256 << 10},
+				inter:          curve{alpha: sim.Micros(4.0), effPeak: 0.95, halfSize: 96 << 10},
 				CallOverhead:   sim.Nanos(290),
 				LaunchOverhead: sim.Micros(8.0),
 			}},
 			LibGPUSHMEM: {APIHost: {
-				Intra:          Curve{Alpha: sim.Micros(1.8), EffPeak: 0.82, HalfSize: 192 << 10},
-				Inter:          Curve{Alpha: sim.Micros(2.7), EffPeak: 0.93, HalfSize: 64 << 10},
+				intra:          curve{alpha: sim.Micros(1.8), effPeak: 0.82, halfSize: 192 << 10},
+				inter:          curve{alpha: sim.Micros(2.7), effPeak: 0.93, halfSize: 64 << 10},
 				CallOverhead:   sim.Nanos(310),
 				LaunchOverhead: sim.Micros(5.5),
 			}, APIDevice: {
-				Intra:        Curve{Alpha: sim.Micros(1.0), EffPeak: 0.74, HalfSize: 192 << 10},
-				Inter:        Curve{Alpha: sim.Micros(2.2), EffPeak: 0.90, HalfSize: 64 << 10},
+				intra:        curve{alpha: sim.Micros(1.0), effPeak: 0.74, halfSize: 192 << 10},
+				inter:        curve{alpha: sim.Micros(2.2), effPeak: 0.90, halfSize: 64 << 10},
 				CallOverhead: sim.Nanos(40),
 			}},
 		},

@@ -90,8 +90,8 @@ func (g *Gauge) Max(v float64) {
 	g.mu.Unlock()
 }
 
-// Value reports the gauge value and whether it was ever set.
-func (g *Gauge) Value() (float64, bool) {
+// value reports the gauge value and whether it was ever set.
+func (g *Gauge) value() (float64, bool) {
 	if g == nil {
 		return 0, false
 	}
@@ -137,26 +137,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 	h.buckets[bits.Len64(uint64(v))]++
 	h.mu.Unlock()
-}
-
-// Count reports the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum reports the total of all observations (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Registry resolves instruments by name. The nil registry is the disabled
@@ -251,33 +231,33 @@ type CounterValue struct {
 	Value int64  `json:"value"`
 }
 
-// GaugeValue is one set gauge in a snapshot (unset gauges are omitted).
-type GaugeValue struct {
+// gaugeValue is one set gauge in a snapshot (unset gauges are omitted).
+type gaugeValue struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 }
 
-// HistValue is one histogram in a snapshot. Buckets lists only the occupied
+// histValue is one histogram in a snapshot. Buckets lists only the occupied
 // power-of-two buckets as (upper-bound exponent, count) pairs, smallest
 // first.
-type HistValue struct {
+type histValue struct {
 	Name    string       `json:"name"`
 	Count   int64        `json:"count"`
 	Sum     int64        `json:"sum"`
 	Min     int64        `json:"min"`
 	Max     int64        `json:"max"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
+	Buckets []histBucket `json:"buckets,omitempty"`
 }
 
-// HistBucket is one occupied histogram bucket: Count observations v with
+// histBucket is one occupied histogram bucket: Count observations v with
 // bits.Len64(v) == Exp (so v < 2^Exp, and v >= 2^(Exp-1) for Exp > 0).
-type HistBucket struct {
+type histBucket struct {
 	Exp   int   `json:"exp"`
 	Count int64 `json:"count"`
 }
 
-// Mean reports the histogram's average observation (0 when empty).
-func (h HistValue) Mean() float64 {
+// mean reports the histogram's average observation (0 when empty).
+func (h histValue) mean() float64 {
 	if h.Count == 0 {
 		return 0
 	}
@@ -288,8 +268,8 @@ func (h HistValue) Mean() float64 {
 // instrument kind, so rendering and marshalling are deterministic.
 type Snapshot struct {
 	Counters   []CounterValue `json:"counters"`
-	Gauges     []GaugeValue   `json:"gauges"`
-	Histograms []HistValue    `json:"histograms"`
+	Gauges     []gaugeValue   `json:"gauges"`
+	Histograms []histValue    `json:"histograms"`
 }
 
 // Snapshot copies the registry's current state. A nil registry snapshots
@@ -308,8 +288,8 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
 	}
 	for name, g := range r.gauges {
-		if v, set := g.Value(); set {
-			s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: v})
+		if v, set := g.value(); set {
+			s.Gauges = append(s.Gauges, gaugeValue{Name: name, Value: v})
 		}
 	}
 	for name, h := range r.hists {
@@ -318,10 +298,10 @@ func (r *Registry) Snapshot() Snapshot {
 			h.mu.Unlock()
 			continue
 		}
-		hv := HistValue{Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+		hv := histValue{Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 		for exp, n := range h.buckets {
 			if n > 0 {
-				hv.Buckets = append(hv.Buckets, HistBucket{Exp: exp, Count: n})
+				hv.Buckets = append(hv.Buckets, histBucket{Exp: exp, Count: n})
 			}
 		}
 		h.mu.Unlock()
@@ -346,7 +326,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 	counters := map[string]int64{}
 	gauges := map[string]float64{}
 	gaugeSet := map[string]bool{}
-	hists := map[string]*HistValue{}
+	hists := map[string]*histValue{}
 	for _, s := range snaps {
 		for _, c := range s.Counters {
 			counters[c.Name] += c.Value
@@ -361,7 +341,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 			acc := hists[h.Name]
 			if acc == nil {
 				cp := h
-				cp.Buckets = append([]HistBucket(nil), h.Buckets...)
+				cp.Buckets = append([]histBucket(nil), h.Buckets...)
 				hists[h.Name] = &cp
 				continue
 			}
@@ -381,7 +361,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.Counters = append(out.Counters, CounterValue{Name: name, Value: v})
 	}
 	for name, v := range gauges {
-		out.Gauges = append(out.Gauges, GaugeValue{Name: name, Value: v})
+		out.Gauges = append(out.Gauges, gaugeValue{Name: name, Value: v})
 	}
 	for _, h := range hists {
 		out.Histograms = append(out.Histograms, *h)
@@ -391,7 +371,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 }
 
 // mergeBuckets sums two exponent-sorted bucket lists.
-func mergeBuckets(a, b []HistBucket) []HistBucket {
+func mergeBuckets(a, b []histBucket) []histBucket {
 	byExp := map[int]int64{}
 	for _, bk := range a {
 		byExp[bk.Exp] += bk.Count
@@ -399,9 +379,9 @@ func mergeBuckets(a, b []HistBucket) []HistBucket {
 	for _, bk := range b {
 		byExp[bk.Exp] += bk.Count
 	}
-	out := make([]HistBucket, 0, len(byExp))
+	out := make([]histBucket, 0, len(byExp))
 	for exp, n := range byExp {
-		out = append(out, HistBucket{Exp: exp, Count: n})
+		out = append(out, histBucket{Exp: exp, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Exp < out[j].Exp })
 	return out
@@ -422,7 +402,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	for _, c := range prev.Counters {
 		prevCounters[c.Name] = c.Value
 	}
-	prevHists := make(map[string]HistValue, len(prev.Histograms))
+	prevHists := make(map[string]histValue, len(prev.Histograms))
 	for _, h := range prev.Histograms {
 		prevHists[h.Name] = h
 	}
@@ -446,7 +426,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		if h.Count == p.Count {
 			continue
 		}
-		d := HistValue{Name: h.Name, Count: h.Count - p.Count, Sum: h.Sum - p.Sum,
+		d := histValue{Name: h.Name, Count: h.Count - p.Count, Sum: h.Sum - p.Sum,
 			Min: h.Min, Max: h.Max}
 		prevBuckets := make(map[int]int64, len(p.Buckets))
 		for _, bk := range p.Buckets {
@@ -454,32 +434,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		}
 		for _, bk := range h.Buckets {
 			if n := bk.Count - prevBuckets[bk.Exp]; n > 0 {
-				d.Buckets = append(d.Buckets, HistBucket{Exp: bk.Exp, Count: n})
+				d.Buckets = append(d.Buckets, histBucket{Exp: bk.Exp, Count: n})
 			}
 		}
 		out.Histograms = append(out.Histograms, d)
-	}
-	return out
-}
-
-// Filter returns the snapshot restricted to instruments whose name has the
-// given prefix.
-func (s Snapshot) Filter(prefix string) Snapshot {
-	var out Snapshot
-	for _, c := range s.Counters {
-		if strings.HasPrefix(c.Name, prefix) {
-			out.Counters = append(out.Counters, c)
-		}
-	}
-	for _, g := range s.Gauges {
-		if strings.HasPrefix(g.Name, prefix) {
-			out.Gauges = append(out.Gauges, g)
-		}
-	}
-	for _, h := range s.Histograms {
-		if strings.HasPrefix(h.Name, prefix) {
-			out.Histograms = append(out.Histograms, h)
-		}
 	}
 	return out
 }
@@ -505,7 +463,7 @@ func (s Snapshot) Render() string {
 	}
 	for _, h := range s.Histograms {
 		fmt.Fprintf(&b, "%-44s count=%-8d sum=%-14d min=%-10d max=%-12d mean=%.6g\n",
-			h.Name, h.Count, h.Sum, h.Min, h.Max, h.Mean())
+			h.Name, h.Count, h.Sum, h.Min, h.Max, h.mean())
 	}
 	return b.String()
 }

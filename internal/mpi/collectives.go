@@ -524,16 +524,6 @@ func (c *Comm) allreduceHierarchical(p *sim.Proc, src, buf gpu.View, op gpu.Redu
 	})
 }
 
-// Gather collects equal-size contributions into recvBuf on root (recvBuf
-// holds Size()*sendBuf.Len() elements there; ignored elsewhere).
-func (c *Comm) Gather(p *sim.Proc, sendBuf, recvBuf gpu.View, root int) {
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = sendBuf.Len()
-	}
-	c.Gatherv(p, sendBuf, recvBuf, counts, prefixSums(counts), root)
-}
-
 // Gatherv collects variable-size contributions into recvBuf on root at the
 // given displacements (linear algorithm, as used for moderate sizes). Like
 // Allgatherv it pays the device-buffer staging penalty at the root.
@@ -559,16 +549,6 @@ func (c *Comm) Gatherv(p *sim.Proc, sendBuf, recvBuf gpu.View, counts, displs []
 	c.Send(p, sendBuf, root, c.collTag(0))
 }
 
-// Scatter distributes equal-size chunks of sendBuf (significant at root)
-// into each rank's recvBuf.
-func (c *Comm) Scatter(p *sim.Proc, sendBuf, recvBuf gpu.View, root int) {
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = recvBuf.Len()
-	}
-	c.Scatterv(p, sendBuf, recvBuf, counts, prefixSums(counts), root)
-}
-
 // Scatterv distributes variable-size chunks from root.
 func (c *Comm) Scatterv(p *sim.Proc, sendBuf, recvBuf gpu.View, counts, displs []int, root int) {
 	defer timeColl(p, c.ep.world.mColl.scatter)()
@@ -589,8 +569,8 @@ func (c *Comm) Scatterv(p *sim.Proc, sendBuf, recvBuf gpu.View, counts, displs [
 	c.Recv(p, recvBuf, root, c.collTag(0))
 }
 
-// Allgather concatenates equal-size contributions on every rank.
-func (c *Comm) Allgather(p *sim.Proc, sendBuf, recvBuf gpu.View) {
+// allgather concatenates equal-size contributions on every rank.
+func (c *Comm) allgather(p *sim.Proc, sendBuf, recvBuf gpu.View) {
 	counts := make([]int, c.Size())
 	for i := range counts {
 		counts[i] = sendBuf.Len()
@@ -707,7 +687,7 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	send := gpu.AllocBuffer[int64](c.ep.dev, 2)
 	send.Data()[0], send.Data()[1] = int64(color), int64(key)
 	recv := gpu.AllocBuffer[int64](c.ep.dev, 2*n)
-	c.Allgather(p, send.Whole(), recv.Whole())
+	c.allgather(p, send.Whole(), recv.Whole())
 	votes := make([]lockstep.Vote, n)
 	for r := range votes {
 		votes[r] = lockstep.Vote{Colour: int(recv.Data()[2*r]), Key: int(recv.Data()[2*r+1])}
@@ -723,9 +703,4 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 // asGroup views the communicator as the group arithmetic's input.
 func (c *Comm) asGroup() *lockstep.Group {
 	return &lockstep.Group{Members: c.group, Size: len(c.group), Rank: c.rank}
-}
-
-// Dup duplicates the communicator with a fresh context id.
-func (c *Comm) Dup(p *sim.Proc) *Comm {
-	return c.Split(p, 0, c.rank)
 }

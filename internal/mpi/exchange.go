@@ -8,15 +8,15 @@ import (
 )
 
 // exchange is the one implementation of the blocking point-to-point forms —
-// Send, Recv, Sendrecv, recvReduce, sendrecvReduce and the exchange loops of
-// the collectives: a state machine kept on the handle and run as a script
-// (sim.Proc.AdvanceFn) in the caller's own wake slots, so the caller parks
-// once however many rounds it runs. From the call at t it does what the
-// coroutine form did, at the same instants and in the same event slots: post
-// the receive at t+CO (CO is the profile's call overhead), inject the send at
-// t+2·CO, enlist on the receive gate and then the send gate while either is
-// unfired, and otherwise go on — into the next round the loop hook loads, or
-// back into the coroutine. DESIGN.md §5.3.
+// Send, Recv, the pairwise sendrecv, recvReduce, sendrecvReduce and the
+// exchange loops of the collectives: a state machine kept on the handle and
+// run as a script (sim.Proc.AdvanceFn) in the caller's own wake slots, so the
+// caller parks once however many rounds it runs. From the call at t it does
+// what the coroutine form did, at the same instants and in the same event
+// slots: post the receive at t+CO (CO is the profile's call overhead), inject
+// the send at t+2·CO, enlist on the receive gate and then the send gate
+// while either is unfired, and otherwise go on — into the next round the loop
+// hook loads, or back into the coroutine. DESIGN.md §5.3.
 type exchange struct {
 	c *Comm
 	p *sim.Proc // the caller while an exchange is outstanding, else nil
@@ -93,7 +93,7 @@ func (c *Comm) exchange(p *sim.Proc) Status {
 // next(0) loads the first round with the loaders above; next(k), called in
 // the slot that completes round k-1, runs that round's epilogue (reduce what
 // arrived, pick the next peer and tag) and loads round k, or reports false
-// when no round is left — what the body of a for loop around Sendrecv did.
+// when no round is left — what the body of a for loop around a pairwise exchange did.
 func (c *Comm) exchangeLoop(p *sim.Proc, next func(round int) bool) {
 	if next(0) {
 		c.x.next = next

@@ -18,7 +18,7 @@ const (
 	stormRdv   = 1100 // elements: 8800 B, just over the 8 KiB eager limit
 )
 
-// runStorm is a four-rank ring storm of blocking exchanges — Sendrecv, Send
+// runStorm is a four-rank ring storm of blocking exchanges — sendrecv, Send
 // and Recv, mostly eager with every fifth round rendezvous — wrapped around
 // caller-held requests: two sends and two receives per rank that complete at
 // once and are then ignored while thousands of library envelopes are recycled
@@ -52,7 +52,7 @@ func runStorm(t *testing.T, rounds int, poison bool) *World {
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			me, right, left := c.Rank(), (c.Rank()+1)%n, (c.Rank()+n-1)%n
-			dev := c.Device()
+			dev := c.ep.dev
 			bufs := map[int][2]*gpu.Buffer[float64]{}
 			for _, size := range []int{stormEager, stormRdv} {
 				bufs[size] = [2]*gpu.Buffer[float64]{gpu.AllocBuffer[float64](dev, size), gpu.AllocBuffer[float64](dev, size)}
@@ -78,9 +78,9 @@ func runStorm(t *testing.T, rounds int, poison bool) *World {
 				out, in := bufs[size][0], bufs[size][1]
 				switch round % 3 {
 				case 0:
-					st := c.Sendrecv(p, fill(out, me, round), right, round, in.Whole(), left, round)
-					if st.Source != left || st.Tag != round || st.Count != size {
-						t.Errorf("rank %d round %d: Sendrecv status %+v", me, round, st)
+					st := sendrecv(p, c, fill(out, me, round), right, round, in.Whole(), left, round)
+					if st.source != left || st.tag != round || st.count != size {
+						t.Errorf("rank %d round %d: sendrecv status %+v", me, round, st)
 					}
 				case 1: // even ranks send first, odd ranks receive first
 					if me%2 == 0 {
@@ -91,19 +91,19 @@ func runStorm(t *testing.T, rounds int, poison bool) *World {
 						c.Send(p, fill(out, me, round), right, round)
 					}
 				default: // wildcards through the step path
-					st := c.Sendrecv(p, fill(out, me, round), right, round, in.Whole(), AnySource, AnyTag)
-					if st.Source != left || st.Tag != round {
+					st := sendrecv(p, c, fill(out, me, round), right, round, in.Whole(), anySource, anyTag)
+					if st.source != left || st.tag != round {
 						t.Errorf("rank %d round %d: wildcard status %+v", me, round, st)
 					}
 				}
 				check(me, "storm payload", in, left, round)
 				if round%97 == 0 {
 					for k := range heldSend {
-						if !heldSend[k].Done() || !heldRecv[k].Done() {
+						if !heldSend[k].done.Fired() || !heldRecv[k].done.Fired() {
 							t.Errorf("rank %d round %d: a completed held request reads as pending", me, round)
 						}
 					}
-					if lateReq.Done() {
+					if lateReq.done.Fired() {
 						t.Errorf("rank %d round %d: the unmatched held receive reads as done", me, round)
 					}
 				}
@@ -111,16 +111,16 @@ func runStorm(t *testing.T, rounds int, poison bool) *World {
 
 			// Long after: the held requests still say what they said.
 			for k, size := range []int{stormEager, stormRdv} {
-				if st := heldRecv[k].Wait(p); st.Source != left || st.Tag != heldTag || st.Count != size {
+				if st := heldRecv[k].wait(p); st.source != left || st.tag != heldTag || st.count != size {
 					t.Errorf("rank %d: held receive %d status %+v after the storm", me, k, st)
 				}
-				if st := heldSend[k].Wait(p); st != (Status{}) {
+				if st := heldSend[k].wait(p); st != (Status{}) {
 					t.Errorf("rank %d: held send %d status %+v", me, k, st)
 				}
 				check(me, "held payload", heldIn[k], left, -1-k)
 			}
 			c.Send(p, fill(bufs[stormEager][0], me, rounds), right, lateTag)
-			if st := lateReq.Wait(p); st.Source != left || st.Tag != lateTag || !lateReq.Done() {
+			if st := lateReq.wait(p); st.source != left || st.tag != lateTag || !lateReq.done.Fired() {
 				t.Errorf("rank %d: late receive status %+v", me, st)
 			}
 			check(me, "late payload", late, left, rounds)
@@ -164,10 +164,10 @@ func TestRetiredEnvelopeIsNeverRead(t *testing.T) {
 // unexpected queue must not leave its pointer in the vacated tail slot, where
 // it would keep a retired envelope or a finished receive reachable.
 func TestStaleQueueSlotsAreCleared(t *testing.T) {
-	var eps []*Endpoint
+	var eps []*endpoint
 	runRanks(t, machine.Perlmutter(), 2, func(p *sim.Proc, c *Comm) {
 		eps = c.ep.world.eps
-		b := gpu.AllocBuffer[float64](c.Device(), 4)
+		b := gpu.AllocBuffer[float64](c.ep.dev, 4)
 		for i := 0; i < 3; i++ {
 			if c.Rank() == 0 {
 				c.Send(p, b.Whole(), 1, i) // lands unexpected: rank 1 is late
@@ -219,16 +219,16 @@ func TestTruncationInsideStep(t *testing.T) {
 			c := w.CommWorld(r)
 			eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 				if c.Rank() == 0 {
-					c.Send(p, gpu.AllocBuffer[float64](c.Device(), 8).Whole(), 1, 0)
+					c.Send(p, gpu.AllocBuffer[float64](c.ep.dev, 8).Whole(), 1, 0)
 					return
 				}
 				p.Advance(tc.recvDelay)
-				c.Recv(p, gpu.AllocBuffer[float64](c.Device(), 4).Whole(), 0, 0)
+				c.Recv(p, gpu.AllocBuffer[float64](c.ep.dev, 4).Whole(), 0, 0)
 			})
 		}
 		var pe *sim.PanicError
-		if err := eng.Run(); !errors.As(err, &pe) || pe.Proc != tc.proc ||
-			!strings.Contains(fmt.Sprint(pe.Value), "message truncation: 8 elements into 4") {
+		if err := eng.Run(); !errors.As(err, &pe) || !strings.Contains(pe.Error(), fmt.Sprintf("process %q panicked", tc.proc)) ||
+			!strings.Contains(pe.Error(), "message truncation: 8 elements into 4") {
 			t.Errorf("%s: Run = %v, want the truncation PanicError of %s", tc.name, err, tc.proc)
 		}
 		eng.Close()
@@ -245,11 +245,11 @@ func TestOneBlockingExchangePerHandle(t *testing.T) {
 	c := w.CommWorld(0)
 	for _, name := range []string{"first", "second"} {
 		eng.Spawn(name, func(p *sim.Proc) {
-			c.Recv(p, gpu.AllocBuffer[float64](c.Device(), 1).Whole(), 1, 0)
+			c.Recv(p, gpu.AllocBuffer[float64](c.ep.dev, 1).Whole(), 1, 0)
 		})
 	}
 	var pe *sim.PanicError
-	if err := eng.Run(); !errors.As(err, &pe) || pe.Proc != "second" || !strings.Contains(fmt.Sprint(pe.Value), "first has one outstanding") {
+	if err := eng.Run(); !errors.As(err, &pe) || !strings.Contains(pe.Error(), `process "second" panicked`) || !strings.Contains(pe.Error(), "first has one outstanding") {
 		t.Fatalf("Run = %v, want second's panic naming first", err)
 	}
 }

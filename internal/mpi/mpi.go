@@ -21,8 +21,8 @@ import (
 
 // Wildcards for Recv matching.
 const (
-	AnySource = -1
-	AnyTag    = -1
+	anySource = -1
+	anyTag    = -1
 )
 
 // maxUserTag is the upper bound (exclusive) for application tags; tags at or
@@ -32,9 +32,8 @@ const maxUserTag = 1 << 20
 // World is the MPI job: one endpoint per rank on the simulated cluster.
 type World struct {
 	cluster *gpu.Cluster
-	eps     []*Endpoint
+	eps     []*endpoint
 	worlds  []*Comm
-	wins    *winShared
 
 	// Protocol metrics, resolved once from the cluster's registry at
 	// construction (nil instruments — no-ops — when metrics are disabled).
@@ -97,9 +96,8 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	w.mColl.alltoall = r.Histogram("mpi.coll.alltoall")
 	group := make([]int, len(cluster.Devices))
 	for i, dev := range cluster.Devices {
-		w.eps = append(w.eps, &Endpoint{
+		w.eps = append(w.eps, &endpoint{
 			world: w,
-			rank:  i,
 			dev:   dev,
 			pairs: map[pairKey]*pairState{},
 		})
@@ -111,27 +109,19 @@ func NewWorld(cluster *gpu.Cluster) *World {
 	return w
 }
 
-// Size reports the number of ranks.
-func (w *World) Size() int { return len(w.eps) }
-
-// Cluster reports the underlying simulated cluster.
-func (w *World) Cluster() *gpu.Cluster { return w.cluster }
-
 // CommWorld returns the world communicator handle of one rank. The handle
 // is cached: repeated calls return the same instance, so the internal
 // collective sequence advances consistently.
 func (w *World) CommWorld(rank int) *Comm { return w.worlds[rank] }
 
-// Endpoint is the per-rank library state.
-type Endpoint struct {
+// endpoint is the per-rank library state.
+type endpoint struct {
 	world *World
-	rank  int
 	dev   *gpu.Device
 
 	posted     []*postedRecv
 	unexpected []*header
 	pairs      map[pairKey]*pairState
-	winSeq     uint64
 }
 
 // pairKey orders headers per (source rank, context) pair so that matching
@@ -177,9 +167,9 @@ func (c *Comm) linkTo(dst int) *link {
 
 // Status describes a completed receive.
 type Status struct {
-	Source int
-	Tag    int
-	Count  int
+	source int
+	tag    int
+	count  int
 }
 
 // Request is a handle for a non-blocking operation. It is part of the
@@ -190,12 +180,9 @@ type Request struct {
 	status *Status
 }
 
-// Done reports whether the operation has completed.
-func (r *Request) Done() bool { return r.done.Fired() }
-
-// Wait blocks until the operation completes and returns the receive status
+// wait blocks until the operation completes and returns the receive status
 // (zero Status for sends).
-func (r *Request) Wait(p *sim.Proc) Status {
+func (r *Request) wait(p *sim.Proc) Status {
 	r.done.Wait(p)
 	if r.status != nil {
 		return *r.status
@@ -207,7 +194,7 @@ func (r *Request) Wait(p *sim.Proc) Status {
 func WaitAll(p *sim.Proc, reqs ...*Request) {
 	for _, r := range reqs {
 		if r != nil {
-			r.Wait(p)
+			r.wait(p)
 		}
 	}
 }
@@ -306,10 +293,10 @@ func (pr *postedRecv) matches(h *header) bool {
 	if pr.ctx != h.ctx {
 		return false
 	}
-	if pr.src != AnySource && pr.src != h.src {
+	if pr.src != anySource && pr.src != h.src {
 		return false
 	}
-	if pr.tag != AnyTag && pr.tag != h.tag {
+	if pr.tag != anyTag && pr.tag != h.tag {
 		return false
 	}
 	return true
@@ -318,7 +305,7 @@ func (pr *postedRecv) matches(h *header) bool {
 // Comm is a communicator handle owned by one rank, analogous to an
 // MPI_Comm value.
 type Comm struct {
-	ep    *Endpoint
+	ep    *endpoint
 	ctx   int
 	group []int // world ranks of the members, ordered by comm rank
 	rank  int   // this rank within the communicator
@@ -342,7 +329,7 @@ type Comm struct {
 	x exchange
 }
 
-func newComm(ep *Endpoint, ctx int, group []int, rank int) *Comm {
+func newComm(ep *endpoint, ctx int, group []int, rank int) *Comm {
 	c := &Comm{ep: ep, ctx: ctx, group: group, rank: rank}
 	c.x.c, c.x.step, c.x.pr = c, c.x.run, &postedRecv{}
 	return c
@@ -353,12 +340,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size reports the communicator size.
 func (c *Comm) Size() int { return len(c.group) }
-
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
-
-// Device reports the calling rank's device.
-func (c *Comm) Device() *gpu.Device { return c.ep.dev }
 
 func (c *Comm) model() *machine.Model { return c.ep.world.cluster.Model }
 
@@ -423,7 +404,7 @@ func (c *Comm) inject(buf gpu.View, dst, tag int, lib bool) *header {
 }
 
 // Irecv starts a non-blocking receive into buf from src (comm rank or
-// AnySource) with the given tag (or AnyTag).
+// anySource) with the given tag (or anyTag).
 func (c *Comm) Irecv(p *sim.Proc, buf gpu.View, src, tag int) *Request {
 	p.Advance(c.ep.world.prof.CallOverhead)
 	pr := &postedRecv{}
@@ -437,7 +418,7 @@ func (c *Comm) Irecv(p *sim.Proc, buf gpu.View, src, tag int) *Request {
 // reducing receive (see recvReduce), the zero seed an ordinary one.
 func (c *Comm) post(pr *postedRecv, buf gpu.View, src, tag int, seed gpu.View, op gpu.ReduceOp) {
 	srcWorld := src
-	if src != AnySource {
+	if src != anySource {
 		if src < 0 || src >= len(c.group) {
 			panic(fmt.Sprintf("mpi: Irecv from invalid rank %d (size %d)", src, len(c.group)))
 		}
@@ -473,13 +454,6 @@ func (c *Comm) Recv(p *sim.Proc, buf gpu.View, src, tag int) Status {
 	return c.exchange(p)
 }
 
-// Sendrecv performs a simultaneous send and receive (deadlock-free pairwise
-// exchange).
-func (c *Comm) Sendrecv(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, recvBuf gpu.View, src, recvTag int) Status {
-	c.x.sendrecv(sendBuf, dst, sendTag, recvBuf, src, recvTag)
-	return c.exchange(p)
-}
-
 // recvReduce is Recv with reduction as the landing mode: the matched
 // message's elements are combined into buf as buf[i] = op(seed[i], msg[i])
 // in the one pass that would otherwise copy them, with no staging buffer in
@@ -496,7 +470,7 @@ func (c *Comm) recvReduce(p *sim.Proc, buf, seed gpu.View, src, tag int, op gpu.
 	return c.exchange(p)
 }
 
-// sendrecvReduce is Sendrecv whose receive half is a recvReduce. The send
+// sendrecvReduce is a pairwise exchange whose receive half is a recvReduce. The send
 // and receive windows must be disjoint: a peer's reducing receive reads
 // sendBuf live, so this rank's own incoming reduction must not be writing
 // it.
@@ -505,7 +479,7 @@ func (c *Comm) sendrecvReduce(p *sim.Proc, sendBuf gpu.View, dst, sendTag int, r
 	return c.exchange(p)
 }
 
-func (ep *Endpoint) pair(pk pairKey) *pairState {
+func (ep *endpoint) pair(pk pairKey) *pairState {
 	ps := ep.pairs[pk]
 	if ps == nil {
 		ps = &pairState{}
@@ -519,7 +493,7 @@ func (ep *Endpoint) pair(pk pairKey) *pairState {
 // fabric delivered them out of order. In-order arrival with nothing buffered
 // — the overwhelmingly common case on a healthy fabric — bypasses the held
 // map entirely.
-func (ep *Endpoint) admit(h *header) {
+func (ep *endpoint) admit(h *header) {
 	ps := h.ps
 	if h.seq == ps.nextRecv && len(ps.held) == 0 {
 		ps.nextRecv++
@@ -542,7 +516,7 @@ func (ep *Endpoint) admit(h *header) {
 }
 
 // match pairs one admitted header against the posted-receive queue.
-func (ep *Endpoint) match(h *header) {
+func (ep *endpoint) match(h *header) {
 	for i, pr := range ep.posted {
 		if pr.matches(h) {
 			ep.posted = slices.Delete(ep.posted, i, i+1)
@@ -556,19 +530,19 @@ func (ep *Endpoint) match(h *header) {
 
 // noteQueueDepth records the tag-matching queue high-water mark (posted
 // plus unexpected messages of one endpoint).
-func (ep *Endpoint) noteQueueDepth() {
+func (ep *endpoint) noteQueueDepth() {
 	ep.world.mMatchDepth.Max(float64(len(ep.posted) + len(ep.unexpected)))
 }
 
 // deliver completes a matched (header, receive) pair.
-func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
+func (ep *endpoint) deliver(h *header, pr *postedRecv) {
 	if h.count > pr.count {
 		panic(fmt.Sprintf("mpi: message truncation: %d elements into %d (src %d tag %d)",
 			h.count, pr.count, h.src, h.tag))
 	}
 	w := ep.world
 	eng := ep.dev.Engine()
-	pr.status = Status{Source: h.src, Tag: h.tag, Count: h.count}
+	pr.status = Status{source: h.src, tag: h.tag, count: h.count}
 
 	if h.eager {
 		// Payload already arrived with the envelope: unpack, hand the

@@ -31,9 +31,25 @@ func runRanks(t *testing.T, model *machine.Model, n int, body func(p *sim.Proc, 
 }
 
 func fbuf(c *Comm, vals ...float64) *gpu.Buffer[float64] {
-	b := gpu.AllocBuffer[float64](c.Device(), len(vals))
+	b := gpu.AllocBuffer[float64](c.ep.dev, len(vals))
 	copy(b.Data(), vals)
 	return b
+}
+
+// sendrecv is the blocking pairwise exchange the collectives run on their
+// handle's one exchange.
+func sendrecv(p *sim.Proc, c *Comm, sendBuf gpu.View, dst, sendTag int, recvBuf gpu.View, src, recvTag int) Status {
+	c.x.sendrecv(sendBuf, dst, sendTag, recvBuf, src, recvTag)
+	return c.exchange(p)
+}
+
+// uniform is the counts and displacements of n equal chunks of k elements.
+func uniform(n, k int) (counts, displs []int) {
+	counts = make([]int, n)
+	for i := range counts {
+		counts[i] = k
+	}
+	return counts, prefixSums(counts)
 }
 
 func TestSendRecvEager(t *testing.T) {
@@ -44,9 +60,9 @@ func TestSendRecvEager(t *testing.T) {
 			// Eager: the send buffer is reusable immediately.
 			b.Data()[0] = 99
 		} else {
-			b := gpu.AllocBuffer[float64](c.Device(), 3)
+			b := gpu.AllocBuffer[float64](c.ep.dev, 3)
 			st := c.Recv(p, b.Whole(), 0, 7)
-			if st.Source != 0 || st.Tag != 7 || st.Count != 3 {
+			if st.source != 0 || st.tag != 7 || st.count != 3 {
 				t.Errorf("status = %+v", st)
 			}
 			if b.Data()[0] != 1 || b.Data()[2] != 3 {
@@ -60,13 +76,13 @@ func TestSendRecvRendezvous(t *testing.T) {
 	const n = 1 << 16 // 512 KiB of float64 > eager threshold
 	runRanks(t, machine.Perlmutter(), 2, func(p *sim.Proc, c *Comm) {
 		if c.Rank() == 0 {
-			b := gpu.AllocBuffer[float64](c.Device(), n)
+			b := gpu.AllocBuffer[float64](c.ep.dev, n)
 			for i := range b.Data() {
 				b.Data()[i] = float64(i)
 			}
 			c.Send(p, b.Whole(), 1, 0)
 		} else {
-			b := gpu.AllocBuffer[float64](c.Device(), n)
+			b := gpu.AllocBuffer[float64](c.ep.dev, n)
 			c.Recv(p, b.Whole(), 0, 0)
 			for _, i := range []int{0, 1, n/2 + 3, n - 1} {
 				if b.Data()[i] != float64(i) {
@@ -84,7 +100,7 @@ func TestRendezvousSlowerThanEagerPerByte(t *testing.T) {
 		var d sim.Duration
 		runRanks(t, machine.Perlmutter(), 2, func(p *sim.Proc, c *Comm) {
 			n := bytes / 8
-			b := gpu.AllocBuffer[float64](c.Device(), n)
+			b := gpu.AllocBuffer[float64](c.ep.dev, n)
 			if c.Rank() == 0 {
 				start := p.Now()
 				c.Send(p, b.Whole(), 1, 0)
@@ -113,9 +129,9 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 		} else {
 			// Delay posting so the message lands unexpected.
 			p.Advance(sim.Second)
-			b := gpu.AllocBuffer[float64](c.Device(), 1)
+			b := gpu.AllocBuffer[float64](c.ep.dev, 1)
 			st := c.Recv(p, b.Whole(), 0, 5)
-			if b.Data()[0] != 42 || st.Count != 1 {
+			if b.Data()[0] != 42 || st.count != 1 {
 				t.Errorf("data=%v status=%+v", b.Data(), st)
 			}
 		}
@@ -131,15 +147,15 @@ func TestAnySourceAnyTag(t *testing.T) {
 		case 0:
 			got := map[int]bool{}
 			for i := 0; i < 2; i++ {
-				b := gpu.AllocBuffer[float64](c.Device(), 1)
-				st := c.Recv(p, b.Whole(), AnySource, AnyTag)
-				if int(b.Data()[0]) != st.Source {
-					t.Errorf("payload %v from %d", b.Data()[0], st.Source)
+				b := gpu.AllocBuffer[float64](c.ep.dev, 1)
+				st := c.Recv(p, b.Whole(), anySource, anyTag)
+				if int(b.Data()[0]) != st.source {
+					t.Errorf("payload %v from %d", b.Data()[0], st.source)
 				}
-				if st.Tag != 10+st.Source {
-					t.Errorf("tag %d from %d", st.Tag, st.Source)
+				if st.tag != 10+st.source {
+					t.Errorf("tag %d from %d", st.tag, st.source)
 				}
-				got[st.Source] = true
+				got[st.source] = true
 			}
 			if !got[1] || !got[2] {
 				t.Errorf("sources seen: %v", got)
@@ -157,8 +173,8 @@ func TestNonOvertakingSameSourceTag(t *testing.T) {
 			c.Send(p, a.Whole(), 1, 3)
 			c.Send(p, b.Whole(), 1, 3)
 		} else {
-			first := gpu.AllocBuffer[float64](c.Device(), 1)
-			second := gpu.AllocBuffer[float64](c.Device(), 1)
+			first := gpu.AllocBuffer[float64](c.ep.dev, 1)
+			second := gpu.AllocBuffer[float64](c.ep.dev, 1)
 			r1 := c.Irecv(p, first.Whole(), 0, 3)
 			r2 := c.Irecv(p, second.Whole(), 0, 3)
 			WaitAll(p, r1, r2)
@@ -174,8 +190,8 @@ func TestSendrecvNoDeadlock(t *testing.T) {
 		n := c.Size()
 		right, left := (c.Rank()+1)%n, (c.Rank()-1+n)%n
 		s := fbuf(c, float64(c.Rank()))
-		r := gpu.AllocBuffer[float64](c.Device(), 1)
-		c.Sendrecv(p, s.Whole(), right, 0, r.Whole(), left, 0)
+		r := gpu.AllocBuffer[float64](c.ep.dev, 1)
+		sendrecv(p, c, s.Whole(), right, 0, r.Whole(), left, 0)
 		if int(r.Data()[0]) != left {
 			t.Errorf("rank %d got %v, want %d", c.Rank(), r.Data()[0], left)
 		}
@@ -203,7 +219,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 			n, root := n, root
 			t.Run(fmt.Sprintf("n%d_root%d", n, root), func(t *testing.T) {
 				runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm) {
-					b := gpu.AllocBuffer[float64](c.Device(), 4)
+					b := gpu.AllocBuffer[float64](c.ep.dev, 4)
 					if c.Rank() == root {
 						for i := range b.Data() {
 							b.Data()[i] = float64(100*root + i)
@@ -227,7 +243,7 @@ func TestReduceSum(t *testing.T) {
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			runRanks(t, machine.LUMI(), n, func(p *sim.Proc, c *Comm) {
 				s := fbuf(c, float64(c.Rank()+1), float64(10*(c.Rank()+1)))
-				r := gpu.AllocBuffer[float64](c.Device(), 2)
+				r := gpu.AllocBuffer[float64](c.ep.dev, 2)
 				c.Reduce(p, s.Whole(), r.Whole(), gpu.ReduceSum, 0)
 				if c.Rank() == 0 {
 					wantA := float64(n*(n+1)) / 2
@@ -246,8 +262,8 @@ func TestAllreduceSmallAndLarge(t *testing.T) {
 			count, n := count, n
 			t.Run(fmt.Sprintf("count%d_n%d", count, n), func(t *testing.T) {
 				runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm) {
-					s := gpu.AllocBuffer[float64](c.Device(), count)
-					r := gpu.AllocBuffer[float64](c.Device(), count)
+					s := gpu.AllocBuffer[float64](c.ep.dev, count)
+					r := gpu.AllocBuffer[float64](c.ep.dev, count)
 					for i := range s.Data() {
 						s.Data()[i] = float64(c.Rank()*count + i)
 					}
@@ -288,11 +304,12 @@ func TestGatherScatter(t *testing.T) {
 		send := fbuf(c, float64(c.Rank()), float64(c.Rank())+0.5)
 		var recv *gpu.Buffer[float64]
 		if c.Rank() == 2 {
-			recv = gpu.AllocBuffer[float64](c.Device(), 2*n)
+			recv = gpu.AllocBuffer[float64](c.ep.dev, 2*n)
 		} else {
-			recv = gpu.AllocBuffer[float64](c.Device(), 2*n) // unused
+			recv = gpu.AllocBuffer[float64](c.ep.dev, 2*n) // unused
 		}
-		c.Gather(p, send.Whole(), recv.Whole(), 2)
+		counts, displs := uniform(n, 2)
+		c.Gatherv(p, send.Whole(), recv.Whole(), counts, displs, 2)
 		if c.Rank() == 2 {
 			for r := 0; r < n; r++ {
 				if recv.Data()[2*r] != float64(r) || recv.Data()[2*r+1] != float64(r)+0.5 {
@@ -301,14 +318,14 @@ func TestGatherScatter(t *testing.T) {
 			}
 		}
 		// Scatter back from rank 1.
-		src := gpu.AllocBuffer[float64](c.Device(), 2*n)
+		src := gpu.AllocBuffer[float64](c.ep.dev, 2*n)
 		if c.Rank() == 1 {
 			for i := range src.Data() {
 				src.Data()[i] = float64(1000 + i)
 			}
 		}
-		dst := gpu.AllocBuffer[float64](c.Device(), 2)
-		c.Scatter(p, src.Whole(), dst.Whole(), 1)
+		dst := gpu.AllocBuffer[float64](c.ep.dev, 2)
+		c.Scatterv(p, src.Whole(), dst.Whole(), counts, displs, 1)
 		if dst.Data()[0] != float64(1000+2*c.Rank()) {
 			t.Errorf("scatter rank %d = %v", c.Rank(), dst.Data())
 		}
@@ -328,11 +345,11 @@ func TestAllgatherv(t *testing.T) {
 				}
 				displs := prefixSums(counts)
 				mine := counts[c.Rank()]
-				send := gpu.AllocBuffer[float64](c.Device(), mine)
+				send := gpu.AllocBuffer[float64](c.ep.dev, mine)
 				for i := range send.Data() {
 					send.Data()[i] = float64(100*c.Rank() + i)
 				}
-				recv := gpu.AllocBuffer[float64](c.Device(), total)
+				recv := gpu.AllocBuffer[float64](c.ep.dev, total)
 				c.Allgatherv(p, send.Whole(), recv.Whole(), counts, displs)
 				for r := 0; r < n; r++ {
 					for i := 0; i < counts[r]; i++ {
@@ -349,8 +366,8 @@ func TestAllgatherv(t *testing.T) {
 func TestAlltoall(t *testing.T) {
 	const n, count = 4, 3
 	runRanks(t, machine.Perlmutter(), n, func(p *sim.Proc, c *Comm) {
-		send := gpu.AllocBuffer[float64](c.Device(), n*count)
-		recv := gpu.AllocBuffer[float64](c.Device(), n*count)
+		send := gpu.AllocBuffer[float64](c.ep.dev, n*count)
+		recv := gpu.AllocBuffer[float64](c.ep.dev, n*count)
 		for dst := 0; dst < n; dst++ {
 			for i := 0; i < count; i++ {
 				send.Data()[dst*count+i] = float64(100*c.Rank() + 10*dst + i)
@@ -381,7 +398,7 @@ func TestCommSplit(t *testing.T) {
 		_ = wantRank
 		// Check communication stays within the split: sum world ranks.
 		s := fbuf(c, float64(c.Rank()))
-		r := gpu.AllocBuffer[float64](c.Device(), 1)
+		r := gpu.AllocBuffer[float64](c.ep.dev, 1)
 		sub.Allreduce(p, s.Whole(), r.Whole(), gpu.ReduceSum)
 		want := 0.0
 		for wr := color; wr < 6; wr += 2 {
@@ -415,7 +432,7 @@ func TestAllreducePropertyRandomVectors(t *testing.T) {
 		for r := 0; r < n; r++ {
 			c := w.CommWorld(r)
 			eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				b := gpu.AllocBuffer[float64](c.Device(), cnt)
+				b := gpu.AllocBuffer[float64](c.ep.dev, cnt)
 				copy(b.Data(), inputs[c.Rank()])
 				c.Allreduce(p, b.Whole(), b.Whole(), gpu.ReduceSum)
 				for i := range want {
@@ -447,7 +464,7 @@ func TestMessageLatencyIntraVsInter(t *testing.T) {
 			r := r
 			c := w.CommWorld(r)
 			eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				b := gpu.AllocBuffer[float64](c.Device(), 16)
+				b := gpu.AllocBuffer[float64](c.ep.dev, 16)
 				switch r {
 				case 0:
 					start := p.Now()
@@ -531,13 +548,13 @@ func runStalledRendezvous(t *testing.T, stallEnd sim.Time) sim.Time {
 	for r := 0; r < 2; r++ {
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			b := gpu.AllocBuffer[float64](c.Device(), n)
+			b := gpu.AllocBuffer[float64](c.ep.dev, n)
 			if c.Rank() == 0 {
 				c.Send(p, b.Whole(), 1, 1)
 			} else {
 				st := c.Recv(p, b.Whole(), 0, 1)
-				if st.Count != n {
-					t.Errorf("recv count = %d", st.Count)
+				if st.count != n {
+					t.Errorf("recv count = %d", st.count)
 				}
 				done = p.Now()
 			}
@@ -581,7 +598,7 @@ func TestEagerStagingReusesArena(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			b := gpu.AllocBuffer[float64](c.Device(), 64)
+			b := gpu.AllocBuffer[float64](c.ep.dev, 64)
 			// Ping-pong, so exactly one staging buffer is in flight at a
 			// time and rounds 2..N must all be arena hits.
 			for i := 0; i < rounds; i++ {

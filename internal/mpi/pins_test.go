@@ -55,7 +55,7 @@ type pinStep struct {
 	run  func(p *sim.Proc, c *Comm, elems int)
 }
 
-func pinVec(c *Comm, n int) gpu.View { return gpu.AllocPhantom[float64](c.Device(), n).Whole() }
+func pinVec(c *Comm, n int) gpu.View { return gpu.AllocPhantom[float64](c.ep.dev, n).Whole() }
 
 func pinAllreduce(alg AllreduceAlg) func(p *sim.Proc, c *Comm, elems int) {
 	return func(p *sim.Proc, c *Comm, elems int) {
@@ -89,21 +89,23 @@ func pinSequence() []pinStep {
 		}, pinAllreduce(AlgHierarchical)},
 		{"allreduce-auto", always, pinAllreduce(AlgAuto)},
 		{"gather", always, func(p *sim.Proc, c *Comm, elems int) {
-			c.Gather(p, pinVec(c, elems), pinVec(c, elems*c.Size()), 0)
+			counts, displs := uniform(c.Size(), elems)
+			c.Gatherv(p, pinVec(c, elems), pinVec(c, elems*c.Size()), counts, displs, 0)
 		}},
 		{"gatherv", always, func(p *sim.Proc, c *Comm, elems int) {
 			counts, displs := pinVarCounts(c.Size(), elems)
 			c.Gatherv(p, pinVec(c, counts[c.Rank()]), pinVec(c, displs[c.Size()-1]+counts[c.Size()-1]), counts, displs, 1%c.Size())
 		}},
 		{"scatter", always, func(p *sim.Proc, c *Comm, elems int) {
-			c.Scatter(p, pinVec(c, elems*c.Size()), pinVec(c, elems), 0)
+			counts, displs := uniform(c.Size(), elems)
+			c.Scatterv(p, pinVec(c, elems*c.Size()), pinVec(c, elems), counts, displs, 0)
 		}},
 		{"scatterv", always, func(p *sim.Proc, c *Comm, elems int) {
 			counts, displs := pinVarCounts(c.Size(), elems)
 			c.Scatterv(p, pinVec(c, displs[c.Size()-1]+counts[c.Size()-1]), pinVec(c, counts[c.Rank()]), counts, displs, c.Size()-1)
 		}},
 		{"allgather", always, func(p *sim.Proc, c *Comm, elems int) {
-			c.Allgather(p, pinVec(c, elems), pinVec(c, elems*c.Size()))
+			c.allgather(p, pinVec(c, elems), pinVec(c, elems*c.Size()))
 		}},
 		{"allgatherv", always, func(p *sim.Proc, c *Comm, elems int) {
 			counts, displs := pinVarCounts(c.Size(), elems)
@@ -238,7 +240,7 @@ func pinKilledRank(t *testing.T, tc fabric.TopologyConfig, elems int) string {
 		c := w.CommWorld(r)
 		procs[r] = eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			finish[c.Rank()] = -1
-			b := gpu.AllocBuffer[float64](c.Device(), elems)
+			b := gpu.AllocBuffer[float64](c.ep.dev, elems)
 			fill := func() {
 				for i := range b.Data() {
 					b.Data()[i] = float64(c.Rank() + 1)

@@ -32,7 +32,7 @@ func TestP2PContentIntegrityAcrossProtocolsProperty(t *testing.T) {
 		for r := 0; r < 2; r++ {
 			c := w.CommWorld(r)
 			eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				buf := gpu.AllocBuffer[float64](c.Device(), n)
+				buf := gpu.AllocBuffer[float64](c.ep.dev, n)
 				if c.Rank() == 0 {
 					copy(buf.Data(), payload)
 					c.Send(p, buf.Whole(), 1, 42)
@@ -69,10 +69,10 @@ func TestTruncationPanics(t *testing.T) {
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			if c.Rank() == 0 {
-				big := gpu.AllocBuffer[float64](c.Device(), 8)
+				big := gpu.AllocBuffer[float64](c.ep.dev, 8)
 				c.Send(p, big.Whole(), 1, 0)
 			} else {
-				small := gpu.AllocBuffer[float64](c.Device(), 4)
+				small := gpu.AllocBuffer[float64](c.ep.dev, 4)
 				c.Recv(p, small.Whole(), 0, 0) // 8 into 4: error
 			}
 		})
@@ -88,18 +88,18 @@ func TestRequestDoneAndStatus(t *testing.T) {
 		if c.Rank() == 0 {
 			b := fbuf(c, 1, 2)
 			req := c.Isend(p, b.Whole(), 1, 5)
-			req.Wait(p)
-			if !req.Done() {
+			req.wait(p)
+			if !req.done.Fired() {
 				t.Error("send request not done after Wait")
 			}
 		} else {
-			b := gpu.AllocBuffer[float64](c.Device(), 2)
+			b := gpu.AllocBuffer[float64](c.ep.dev, 2)
 			req := c.Irecv(p, b.Whole(), 0, 5)
-			st := req.Wait(p)
-			if st.Source != 0 || st.Tag != 5 || st.Count != 2 {
+			st := req.wait(p)
+			if st.source != 0 || st.tag != 5 || st.count != 2 {
 				t.Errorf("status %+v", st)
 			}
-			if !req.Done() {
+			if !req.done.Fired() {
 				t.Error("recv request not done")
 			}
 		}
@@ -108,14 +108,14 @@ func TestRequestDoneAndStatus(t *testing.T) {
 
 func TestCommDup(t *testing.T) {
 	runRanks(t, machine.Perlmutter(), 3, func(p *sim.Proc, c *Comm) {
-		dup := c.Dup(p)
+		dup := c.Split(p, 0, c.Rank())
 		if dup.Size() != c.Size() || dup.Rank() != c.Rank() {
 			t.Errorf("dup shape %d/%d", dup.Rank(), dup.Size())
 		}
 		// Traffic on the dup does not interfere with the parent: matching
 		// is per context.
 		b := fbuf(c, float64(c.Rank()))
-		r := gpu.AllocBuffer[float64](c.Device(), 1)
+		r := gpu.AllocBuffer[float64](c.ep.dev, 1)
 		dup.Allreduce(p, b.Whole(), r.Whole(), gpu.ReduceSum)
 		if r.Data()[0] != 3 {
 			t.Errorf("dup allreduce = %v", r.Data()[0])
@@ -143,12 +143,12 @@ func TestCollectivesPropertyAgainstSerial(t *testing.T) {
 		for r := 0; r < n; r++ {
 			c := w.CommWorld(r)
 			eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				b := gpu.AllocBuffer[float64](c.Device(), cnt)
+				b := gpu.AllocBuffer[float64](c.ep.dev, cnt)
 				if c.Rank() == root {
 					copy(b.Data(), payload)
 				}
 				c.Bcast(p, b.Whole(), root)
-				out := gpu.AllocBuffer[float64](c.Device(), cnt)
+				out := gpu.AllocBuffer[float64](c.ep.dev, cnt)
 				c.Reduce(p, b.Whole(), out.Whole(), gpu.ReduceSum, root)
 				if c.Rank() == root {
 					for i := range payload {

@@ -97,8 +97,8 @@ func TestAllreduceDifferential(t *testing.T) {
 
 			cl := runRanks(t, lay.model, n, func(p *sim.Proc, c *Comm) {
 				mine := inputs[c.Rank()]
-				send := gpu.AllocBuffer[float64](c.Device(), count)
-				recv := gpu.AllocBuffer[float64](c.Device(), count)
+				send := gpu.AllocBuffer[float64](c.ep.dev, count)
+				recv := gpu.AllocBuffer[float64](c.ep.dev, count)
 				check := func(what string, got []float64, op gpu.ReduceOp) {
 					if i := firstDiff(got, want[op]); i >= 0 {
 						t.Errorf("%s: %s %v rank %d: elem %d = %v, want %v",
@@ -148,7 +148,7 @@ func TestAllreduceDifferential(t *testing.T) {
 // TestRecvReduce drives the reducing receive through every way a payload can
 // land: eager and rendezvous, matched from the unexpected queue (the message
 // arrived first) and from the posted queue (the receive was first), with an
-// exact source and with AnySource, accumulating in place and as a first
+// exact source and with anySource, accumulating in place and as a first
 // touch seeded from another buffer — and a message shorter than the receive
 // buffer, of which only the delivered elements are combined.
 func TestRecvReduce(t *testing.T) {
@@ -176,7 +176,7 @@ func TestRecvReduce(t *testing.T) {
 					if tc.recvFirst {
 						p.Advance(sim.Millisecond)
 					}
-					b := gpu.AllocBuffer[float64](c.Device(), tc.elems)
+					b := gpu.AllocBuffer[float64](c.ep.dev, tc.elems)
 					for i := range b.Data() {
 						b.Data()[i] = float64(i)
 					}
@@ -189,10 +189,10 @@ func TestRecvReduce(t *testing.T) {
 						t.Errorf("expected the message in the unexpected queue, found %d", len(c.ep.unexpected))
 					}
 				}
-				dst := gpu.AllocBuffer[float64](c.Device(), tc.elems+slack)
+				dst := gpu.AllocBuffer[float64](c.ep.dev, tc.elems+slack)
 				seed := dst
 				if tc.firstTouch {
-					seed = gpu.AllocBuffer[float64](c.Device(), tc.elems+slack)
+					seed = gpu.AllocBuffer[float64](c.ep.dev, tc.elems+slack)
 					for i := range dst.Data() {
 						dst.Data()[i] = -7 // stale: a first touch must not read it
 					}
@@ -202,10 +202,10 @@ func TestRecvReduce(t *testing.T) {
 				}
 				src := 0
 				if tc.anySource {
-					src = AnySource
+					src = anySource
 				}
 				st := c.recvReduce(p, dst.Whole(), seed.Whole(), src, 9, gpu.ReduceSum)
-				if st.Source != 0 || st.Tag != 9 || st.Count != tc.elems {
+				if st.source != 0 || st.tag != 9 || st.count != tc.elems {
 					t.Errorf("status %+v", st)
 				}
 				untouched := 1000.0
@@ -251,7 +251,7 @@ func TestRecvReduceThroughNICStall(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			b := gpu.AllocBuffer[float64](c.Device(), n)
+			b := gpu.AllocBuffer[float64](c.ep.dev, n)
 			for i := range b.Data() {
 				b.Data()[i] = float64(1 + c.Rank())
 			}
@@ -289,7 +289,7 @@ func TestSendrecvReduceRejectsOverlap(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			b := gpu.AllocBuffer[float64](c.Device(), 8)
+			b := gpu.AllocBuffer[float64](c.ep.dev, 8)
 			peer := 1 - c.Rank()
 			// Disjoint halves are fine ...
 			c.sendrecvReduce(p, b.View(0, 4), peer, 0, b.View(4, 4), b.View(4, 4), peer, 0, gpu.ReduceSum)

@@ -40,7 +40,7 @@ func TestShrinkRebuildsHierLayout(t *testing.T) {
 			// The 64 KiB auto-selected allreduce must still reduce correctly
 			// over the survivors — re-checking the algorithm thresholds on
 			// the new layout instead of reusing the parent's cache.
-			b := gpu.AllocBuffer[float64](c.Device(), elems)
+			b := gpu.AllocBuffer[float64](c.ep.dev, elems)
 			for i := range b.Data() {
 				b.Data()[i] = float64(c.Rank() + i%5)
 			}
@@ -103,7 +103,7 @@ func TestShrinkForcedHierarchicalPanicsOnBrokenLayout(t *testing.T) {
 			return
 		}
 		sub := c.ShrinkExcluding(p, map[int]bool{1: true}, 1)
-		b := gpu.AllocBuffer[float64](c.Device(), 64)
+		b := gpu.AllocBuffer[float64](c.ep.dev, 64)
 		defer func() {
 			if recover() == nil {
 				t.Errorf("rank %d: forced hierarchical on a straddling shrink did not panic", c.Rank())

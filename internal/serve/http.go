@@ -77,7 +77,7 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 	body, source, err := sv.Query(s)
 	if err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed) {
+		if errors.Is(err, errOverloaded) || errors.Is(err, errClosed) {
 			code = http.StatusServiceUnavailable
 		}
 		http.Error(w, err.Error(), code)

@@ -14,7 +14,7 @@
 // until the batch window closes or the batch is full, then execute together
 // as one bench.EvalSpecs sweep — the same deterministic fan-out the CLIs
 // use. A semaphore bounds concurrent batch executions, and a queue cap
-// sheds load (ErrOverloaded → 503) rather than accepting unbounded work.
+// sheds load (errOverloaded → 503) rather than accepting unbounded work.
 //
 // Determinism note: coalescing and batching change *when* and *how often* a
 // cell is simulated, never *what* it returns — cell results are a pure
@@ -41,12 +41,12 @@ const (
 	DefaultQueueCap    = 1024
 )
 
-// ErrOverloaded reports a query rejected because the pending queue is full;
+// errOverloaded reports a query rejected because the pending queue is full;
 // the HTTP layer maps it to 503.
-var ErrOverloaded = errors.New("serve: pending queue full")
+var errOverloaded = errors.New("serve: pending queue full")
 
-// ErrClosed reports a query arriving after Close began; mapped to 503.
-var ErrClosed = errors.New("serve: shutting down")
+// errClosed reports a query arriving after Close began; mapped to 503.
+var errClosed = errors.New("serve: shutting down")
 
 // Options configures a Service.
 type Options struct {
@@ -65,7 +65,7 @@ type Options struct {
 	// MaxInflight caps concurrently executing batches (0 = DefaultMaxInflight).
 	MaxInflight int
 	// QueueCap caps queued-but-unstarted specs; beyond it queries are shed
-	// with ErrOverloaded (0 = DefaultQueueCap).
+	// with errOverloaded (0 = DefaultQueueCap).
 	QueueCap int
 }
 
@@ -141,7 +141,7 @@ func New(opts Options) *Service {
 // "hit" (served from the cache, fast path or filled while queued), "miss"
 // (this call's batch simulated it), or "coalesced" (joined another query's
 // in-flight call). Blocks until the answer is ready; under overload or
-// shutdown it fails fast with ErrOverloaded / ErrClosed.
+// shutdown it fails fast with errOverloaded / errClosed.
 func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
 	sv.mQueries.Inc()
 	h := s.Hash()
@@ -153,7 +153,7 @@ func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
 	if sv.closed {
 		sv.mu.Unlock()
 		sv.mRejected.Inc()
-		return nil, "", ErrClosed
+		return nil, "", errClosed
 	}
 	if c, ok := sv.pending[h]; ok {
 		sv.mu.Unlock()
@@ -167,7 +167,7 @@ func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
 	if len(sv.queue) >= sv.opts.QueueCap {
 		sv.mu.Unlock()
 		sv.mRejected.Inc()
-		return nil, "", ErrOverloaded
+		return nil, "", errOverloaded
 	}
 	c := &call{spec: s, hash: h, done: make(chan struct{})}
 	sv.pending[h] = c
@@ -245,7 +245,7 @@ func (sv *Service) runBatch(batch []*call) {
 	}
 }
 
-// Close drains the service: new queries are shed with ErrClosed, everything
+// Close drains the service: new queries are shed with errClosed, everything
 // already queued executes, and Close returns once the last batch resolved.
 func (sv *Service) Close() {
 	sv.mu.Lock()

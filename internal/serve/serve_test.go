@@ -125,7 +125,7 @@ func TestFullBatchFlushesEarly(t *testing.T) {
 	}
 }
 
-// TestOverloadSheds: a tiny queue cap rejects the excess with ErrOverloaded
+// TestOverloadSheds: a tiny queue cap rejects the excess with errOverloaded
 // while a batch slot is occupied.
 func TestOverloadSheds(t *testing.T) {
 	sv := New(Options{BatchWindow: time.Hour, MaxBatch: 64, QueueCap: 1})
@@ -147,8 +147,8 @@ func TestOverloadSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := sv.Query(latencySpec(2048)); err != ErrOverloaded {
-		t.Fatalf("over-cap query error = %v, want ErrOverloaded", err)
+	if _, _, err := sv.Query(latencySpec(2048)); err != errOverloaded {
+		t.Fatalf("over-cap query error = %v, want errOverloaded", err)
 	}
 	if st := sv.Stats(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
@@ -182,8 +182,8 @@ func TestCloseDrains(t *testing.T) {
 	if err != nil || len(body) == 0 {
 		t.Fatalf("queued query should resolve on Close: body=%d bytes, err=%v", len(body), err)
 	}
-	if _, _, err := sv.Query(latencySpec(8192)); err != ErrClosed {
-		t.Fatalf("post-Close query error = %v, want ErrClosed", err)
+	if _, _, err := sv.Query(latencySpec(8192)); err != errClosed {
+		t.Fatalf("post-Close query error = %v, want errClosed", err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 // such a gate without formatting cost.
 type Gate struct {
 	fired bool
-	at    Time
 	// w0 is the inline first-waiter slot. Almost every gate in the
 	// communication layers has exactly one waiter (the poster of the request),
 	// so the common case parks and fires without ever allocating the overflow
@@ -48,9 +47,6 @@ func (g *Gate) why() string {
 // Fired reports whether the gate has fired.
 func (g *Gate) Fired() bool { return g.fired }
 
-// FiredAt returns the virtual time the gate fired; valid only if Fired.
-func (g *Gate) FiredAt() Time { return g.at }
-
 // Fire releases all current and future waiters. Firing an already-fired gate
 // is a no-op. Must be called while holding the ball (from a process or an
 // engine callback).
@@ -59,7 +55,6 @@ func (g *Gate) Fire(e *Engine) {
 		return
 	}
 	g.fired = true
-	g.at = e.now
 	if w := g.w0; w != nil {
 		g.w0 = nil
 		e.wake(w, e.now, g.why())
@@ -138,7 +133,6 @@ func removeWaiter(ws []*Proc, p *Proc) []*Proc {
 // a waiter.
 type Counter struct {
 	value   uint64
-	label   string
 	reason  string
 	waiters []counterWaiter
 }
@@ -150,7 +144,7 @@ type counterWaiter struct {
 
 // NewCounter returns a counter with initial value v.
 func NewCounter(label string, v uint64) *Counter {
-	return &Counter{value: v, label: label, reason: "counter " + label}
+	return &Counter{value: v, reason: "counter " + label}
 }
 
 // Value reports the current value.
@@ -201,16 +195,10 @@ func (c *Counter) WaitGE(p *Proc, v uint64) {
 	c.WaitUntil(p, func(x uint64) bool { return x >= v })
 }
 
-// WaitEQ blocks p until value == v.
-func (c *Counter) WaitEQ(p *Proc, v uint64) {
-	c.WaitUntil(p, func(x uint64) bool { return x == v })
-}
-
 // Mailbox is an unbounded FIFO queue of items passed between processes.
 // Put never blocks; Get blocks until an item is available. Items are
 // delivered in insertion order.
 type Mailbox[T any] struct {
-	label   string
 	reason  string
 	items   []T // queued items are items[head:]
 	head    int
@@ -219,11 +207,8 @@ type Mailbox[T any] struct {
 
 // NewMailbox returns an empty mailbox.
 func NewMailbox[T any](label string) *Mailbox[T] {
-	return &Mailbox[T]{label: label, reason: "mailbox " + label}
+	return &Mailbox[T]{reason: "mailbox " + label}
 }
-
-// Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
 // Put enqueues an item, waking the longest-waiting receiver if any.
 func (m *Mailbox[T]) Put(e *Engine, item T) {
@@ -265,53 +250,14 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 
 func (m *Mailbox[T]) drop(p *Proc) { m.waiters = removeWaiter(m.waiters, p) }
 
-// Semaphore is a counting semaphore in virtual time.
-type Semaphore struct {
-	label   string
-	reason  string
-	avail   int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(label string, n int) *Semaphore {
-	return &Semaphore{label: label, reason: "semaphore " + label, avail: n}
-}
-
-// Acquire takes one permit, blocking until available. The wait is
-// interruptible.
-func (s *Semaphore) Acquire(p *Proc) {
-	p.CheckInterrupt()
-	for s.avail == 0 {
-		s.waiters = append(s.waiters, p)
-		p.parkOn(s.reason, s, true)
-		p.CheckInterrupt()
-	}
-	s.avail--
-}
-
-func (s *Semaphore) drop(p *Proc) { s.waiters = removeWaiter(s.waiters, p) }
-
-// Release returns one permit and wakes the longest waiter if any.
-func (s *Semaphore) Release(e *Engine) {
-	s.avail++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = slices.Delete(s.waiters, 0, 1)
-		e.wake(w, e.now, s.reason)
-	}
-}
-
 // Rendezvous is a reusable n-party barrier: the first n-1 arrivals block,
 // the n-th arrival releases everyone and resets the barrier for the next
 // round. It models the implicit synchronization of collective kernels that
 // require all participants to be running.
 type Rendezvous struct {
-	label   string
 	reason  string
 	parties int
 	arrived []*Proc
-	round   uint64
 }
 
 // NewRendezvous returns a barrier for the given number of parties.
@@ -319,11 +265,8 @@ func NewRendezvous(label string, parties int) *Rendezvous {
 	if parties < 1 {
 		panic("sim: rendezvous parties < 1")
 	}
-	return &Rendezvous{label: label, reason: "rendezvous " + label, parties: parties}
+	return &Rendezvous{reason: "rendezvous " + label, parties: parties}
 }
-
-// Round reports how many times the barrier has completed.
-func (r *Rendezvous) Round() uint64 { return r.round }
 
 // Arrive blocks p until all parties have arrived in this round. The wait is
 // interruptible; an interrupted or killed party is deregistered, so the
@@ -336,7 +279,6 @@ func (r *Rendezvous) Arrive(p *Proc) {
 		}
 		clear(r.arrived)
 		r.arrived = r.arrived[:0]
-		r.round++
 		return
 	}
 	r.arrived = append(r.arrived, p)
@@ -409,24 +351,6 @@ func (t *Timeline) admitAfter(at Time) Time {
 		}
 	}
 	return at
-}
-
-// Reserve books the resource for dur starting no earlier than at, after all
-// previously granted reservations and outside any stall window. It returns
-// the granted [start, end).
-func (t *Timeline) Reserve(at Time, dur Duration) (start, end Time) {
-	if dur < 0 {
-		dur = 0
-	}
-	start = at
-	if t.busyUntil > start {
-		start = t.busyUntil
-	}
-	start = t.admitAfter(start)
-	end = start.Add(dur)
-	t.busyUntil = end
-	t.busySum += dur
-	return start, end
 }
 
 // ReserveMulti books several timelines for the same transfer (e.g. source

@@ -29,7 +29,6 @@ func staleProcs(ws []*Proc) int {
 func TestStaleWaiterSlotsAreCleared(t *testing.T) {
 	g := NewGate("g")
 	c := NewCounter("c", 0)
-	s := NewSemaphore("s", 0)
 	m := NewMailbox[int]("m")
 	r := NewRendezvous("r", 5)
 	for _, tc := range []struct {
@@ -52,9 +51,6 @@ func TestStaleWaiterSlotsAreCleared(t *testing.T) {
 				}
 				return n
 			}},
-		{"semaphore", func(p *Proc, _ int) { s.Acquire(p) },
-			func(e *Engine) { s.Release(e) }, func(e *Engine) { s.Release(e) },
-			func() int { return staleProcs(s.waiters) }},
 		// Get is not interruptible: waiter 2 stays queued until a Put.
 		{"mailbox", func(p *Proc, _ int) { m.Get(p) },
 			func(e *Engine) { m.Put(e, 0) }, func(e *Engine) { m.Put(e, 0); m.Put(e, 0) },
@@ -84,7 +80,7 @@ func TestStaleWaiterSlotsAreCleared(t *testing.T) {
 			p.Advance(10)
 			ws[0].Kill()
 			check("kill")
-			ws[2].Interrupt(errors.New("revoked"))
+			ws[2].interrupt(errors.New("revoked"))
 			check("interrupt")
 			tc.release(p.Engine())
 			p.Advance(5)

@@ -27,77 +27,77 @@ import (
 	"sync"
 )
 
-// FlightKind classifies one flight-recorder entry.
-type FlightKind uint8
+// flightKind classifies one flight-recorder entry.
+type flightKind uint8
 
 // The recorded scheduler actions.
 const (
-	FlightEvent     FlightKind = iota // a process resumed by the dispatcher
-	FlightCallback                    // an engine-context callback ran
-	FlightPark                        // a process parked, or a step of its script left it waiting (reason in Note)
-	FlightInterrupt                   // Interrupt poisoned a process
-	FlightKill                        // Kill crashed a process
-	FlightSpawn                       // a process was spawned
-	FlightStop                        // the run ended with an error (Note)
+	flightEvent     flightKind = iota // a process resumed by the dispatcher
+	flightCallback                    // an engine-context callback ran
+	flightPark                        // a process parked, or a step of its script left it waiting (reason in note)
+	flightInterrupt                   // interrupt poisoned a process
+	flightKill                        // Kill crashed a process
+	flightSpawn                       // a process was spawned
+	flightStop                        // the run ended with an error (note)
 )
 
-func (k FlightKind) String() string {
+func (k flightKind) String() string {
 	switch k {
-	case FlightEvent:
+	case flightEvent:
 		return "event"
-	case FlightCallback:
+	case flightCallback:
 		return "callback"
-	case FlightPark:
+	case flightPark:
 		return "park"
-	case FlightInterrupt:
+	case flightInterrupt:
 		return "interrupt"
-	case FlightKill:
+	case flightKill:
 		return "kill"
-	case FlightSpawn:
+	case flightSpawn:
 		return "spawn"
-	case FlightStop:
+	case flightStop:
 		return "stop"
 	default:
-		return fmt.Sprintf("FlightKind(%d)", uint8(k))
+		return fmt.Sprintf("flightKind(%d)", uint8(k))
 	}
 }
 
-// FlightEntry is one recorded scheduler action.
-type FlightEntry struct {
-	// Seq is the entry's position in the recorder's total history (the
+// flightEntry is one recorded scheduler action.
+type flightEntry struct {
+	// seq is the entry's position in the recorder's total history (the
 	// first recorded entry is 1); it survives ring wrap, so a dump shows
 	// how much history was discarded.
-	Seq  uint64
-	At   Time
-	Kind FlightKind
-	// Proc is the process the action concerns ("" for engine callbacks and
+	seq  uint64
+	at   Time
+	kind flightKind
+	// proc is the process the action concerns ("" for engine callbacks and
 	// run-level stop entries).
-	Proc string
-	// Note carries the park reason, the interrupt/stop error text, or "".
-	Note string
-	// Dur is the park's duration detail (Advance length); negative when
+	proc string
+	// note carries the park reason, the interrupt/stop error text, or "".
+	note string
+	// dur is the park's duration detail (Advance length); negative when
 	// the action carries none.
-	Dur Duration
+	dur Duration
 }
 
-// DefaultFlightDepth is the ring capacity used when a non-positive depth is
+// defaultFlightDepth is the ring capacity used when a non-positive depth is
 // requested.
-const DefaultFlightDepth = 256
+const defaultFlightDepth = 256
 
 // FlightRecorder is a fixed-capacity ring of FlightEntries.
 type FlightRecorder struct {
 	mu  sync.Mutex
-	buf []FlightEntry
+	buf []flightEntry
 	n   uint64 // total entries ever recorded
 }
 
 // NewFlightRecorder returns a recorder holding the last depth entries
-// (DefaultFlightDepth when depth <= 0).
+// (defaultFlightDepth when depth <= 0).
 func NewFlightRecorder(depth int) *FlightRecorder {
 	if depth <= 0 {
-		depth = DefaultFlightDepth
+		depth = defaultFlightDepth
 	}
-	return &FlightRecorder{buf: make([]FlightEntry, depth)}
+	return &FlightRecorder{buf: make([]flightEntry, depth)}
 }
 
 // SetFlightRecorder installs (or, with nil, removes) the engine's flight
@@ -105,16 +105,13 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 // parks, interrupts, kills, and an error stop.
 func (e *Engine) SetFlightRecorder(fr *FlightRecorder) { e.fr = fr }
 
-// FlightRecorder reports the installed recorder (nil when disabled).
-func (e *Engine) FlightRecorder() *FlightRecorder { return e.fr }
-
 // record appends one entry, overwriting the oldest when the ring is full.
 // Strings must be static or already-allocated (process names, park reasons,
 // pre-built error text): the hot path stores string headers only.
-func (f *FlightRecorder) record(at Time, kind FlightKind, proc, note string, dur Duration) {
+func (f *FlightRecorder) record(at Time, kind flightKind, proc, note string, dur Duration) {
 	f.mu.Lock()
-	f.buf[f.n%uint64(len(f.buf))] = FlightEntry{
-		Seq: f.n + 1, At: at, Kind: kind, Proc: proc, Note: note, Dur: dur,
+	f.buf[f.n%uint64(len(f.buf))] = flightEntry{
+		seq: f.n + 1, at: at, kind: kind, proc: proc, note: note, dur: dur,
 	}
 	f.n++
 	f.mu.Unlock()
@@ -131,9 +128,9 @@ func (f *FlightRecorder) Total() uint64 {
 	return f.n
 }
 
-// Snapshot copies the retained entries, oldest first. Safe to call from any
+// snapshot copies the retained entries, oldest first. Safe to call from any
 // goroutine, including mid-run.
-func (f *FlightRecorder) Snapshot() []FlightEntry {
+func (f *FlightRecorder) snapshot() []flightEntry {
 	if f == nil {
 		return nil
 	}
@@ -144,7 +141,7 @@ func (f *FlightRecorder) Snapshot() []FlightEntry {
 	if count > depth {
 		count = depth
 	}
-	out := make([]FlightEntry, 0, count)
+	out := make([]flightEntry, 0, count)
 	for i := f.n - count; i < f.n; i++ {
 		out = append(out, f.buf[i%depth])
 	}
@@ -154,17 +151,17 @@ func (f *FlightRecorder) Snapshot() []FlightEntry {
 // Dump renders the retained entries as a deterministic text block,
 // oldest first: sequence number, virtual time, kind, process, detail.
 func (f *FlightRecorder) Dump(w io.Writer) error {
-	entries := f.Snapshot()
+	entries := f.snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "flight recorder: %d entries retained of %d recorded\n",
 		len(entries), f.Total())
 	for _, e := range entries {
-		fmt.Fprintf(&b, "  #%-8d %-12s %-9s %-12s", e.Seq, e.At, e.Kind, e.Proc)
-		if e.Note != "" {
-			b.WriteString(" " + e.Note)
+		fmt.Fprintf(&b, "  #%-8d %-12s %-9s %-12s", e.seq, e.at, e.kind, e.proc)
+		if e.note != "" {
+			b.WriteString(" " + e.note)
 		}
-		if e.Dur >= 0 && e.Kind == FlightPark {
-			b.WriteString(" " + e.Dur.String())
+		if e.dur >= 0 && e.kind == flightPark {
+			b.WriteString(" " + e.dur.String())
 		}
 		b.WriteByte('\n')
 	}

@@ -21,23 +21,23 @@ func TestFlightRecorderCapture(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	entries := fr.Snapshot()
+	entries := fr.snapshot()
 	if len(entries) == 0 {
 		t.Fatal("no entries recorded")
 	}
-	var kinds []FlightKind
+	var kinds []flightKind
 	last := Time(-1)
 	for i, en := range entries {
-		kinds = append(kinds, en.Kind)
-		if en.At < last {
-			t.Fatalf("entry %d time went backwards: %v after %v", i, en.At, last)
+		kinds = append(kinds, en.kind)
+		if en.at < last {
+			t.Fatalf("entry %d time went backwards: %v after %v", i, en.at, last)
 		}
-		last = en.At
-		if en.Seq != uint64(i+1) {
-			t.Fatalf("entry %d has seq %d, want %d", i, en.Seq, i+1)
+		last = en.at
+		if en.seq != uint64(i+1) {
+			t.Fatalf("entry %d has seq %d, want %d", i, en.seq, i+1)
 		}
 	}
-	want := []FlightKind{FlightSpawn, FlightEvent, FlightPark, FlightEvent, FlightPark, FlightCallback, FlightEvent}
+	want := []flightKind{flightSpawn, flightEvent, flightPark, flightEvent, flightPark, flightCallback, flightEvent}
 	if len(kinds) != len(want) {
 		t.Fatalf("recorded %v, want %v", kinds, want)
 	}
@@ -53,18 +53,18 @@ func TestFlightRecorderCapture(t *testing.T) {
 func TestFlightRecorderRing(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		fr.record(Time(i), FlightEvent, "p", "", -1)
+		fr.record(Time(i), flightEvent, "p", "", -1)
 	}
 	if fr.Total() != 10 {
 		t.Fatalf("total = %d, want 10", fr.Total())
 	}
-	entries := fr.Snapshot()
+	entries := fr.snapshot()
 	if len(entries) != 4 {
 		t.Fatalf("retained %d entries, want 4", len(entries))
 	}
 	for i, en := range entries {
-		if en.At != Time(6+i) || en.Seq != uint64(7+i) {
-			t.Fatalf("entry %d = {at %v seq %d}, want {at %v seq %d}", i, en.At, en.Seq, Time(6+i), 7+i)
+		if en.at != Time(6+i) || en.seq != uint64(7+i) {
+			t.Fatalf("entry %d = {at %v seq %d}, want {at %v seq %d}", i, en.at, en.seq, Time(6+i), 7+i)
 		}
 	}
 }
@@ -82,23 +82,23 @@ func TestFlightRecorderStopAndInterrupt(t *testing.T) {
 	})
 	e.Spawn("killer", func(p *Proc) {
 		p.Advance(10)
-		victim.Interrupt(errors.New("poisoned"))
+		victim.interrupt(errors.New("poisoned"))
 	})
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected the interrupted wait to abort the run")
 	}
 	var sawInterrupt, sawStop bool
-	for _, en := range fr.Snapshot() {
-		switch en.Kind {
-		case FlightInterrupt:
+	for _, en := range fr.snapshot() {
+		switch en.kind {
+		case flightInterrupt:
 			sawInterrupt = true
-			if en.Proc != "victim" || !strings.Contains(en.Note, "poisoned") {
+			if en.proc != "victim" || !strings.Contains(en.note, "poisoned") {
 				t.Fatalf("interrupt entry wrong: %+v", en)
 			}
-		case FlightStop:
+		case flightStop:
 			sawStop = true
-			if !strings.Contains(en.Note, "poisoned") {
+			if !strings.Contains(en.note, "poisoned") {
 				t.Fatalf("stop entry missing error text: %+v", en)
 			}
 		}

@@ -8,7 +8,7 @@ package sim
 //
 //   - Interrupt(err) poisons a process: the error is raised (as an abort
 //     unwind, catchable with Protect) at the process's current or next
-//     interruptible park. Waits on Gate/Counter/Semaphore/Rendezvous are
+//     interruptible park. Waits on Gate/Counter/Rendezvous are
 //     interruptible; Advance and Mailbox.Get (the stream-daemon idle
 //     loop) are not, so a pending interrupt waits for a blocking
 //     synchronization point instead of tearing through timed compute.
@@ -76,13 +76,13 @@ func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("sim: rank %d declared failed at %v", e.Rank, e.At)
 }
 
-// Interrupt poisons the process with err: if it is parked interruptibly the
+// interrupt poisons the process with err: if it is parked interruptibly the
 // wait is cancelled and the error raised there, now; otherwise the error is
 // raised at the process's next interruptible wait. Only the first interrupt
 // is kept until delivered (or cleared). Interrupting a finished or crashed
 // process is a no-op. Must be called while holding the ball (from another
 // process or an engine callback).
-func (p *Proc) Interrupt(err error) {
+func (p *Proc) interrupt(err error) {
 	if err == nil {
 		panic("sim: Interrupt with nil error")
 	}
@@ -93,7 +93,7 @@ func (p *Proc) Interrupt(err error) {
 		p.eng.m.interrupts.Inc()
 	}
 	if p.eng.fr != nil {
-		p.eng.fr.record(p.eng.now, FlightInterrupt, p.name, err.Error(), -1)
+		p.eng.fr.record(p.eng.now, flightInterrupt, p.name, err.Error(), -1)
 	}
 	p.pendingErr = err
 	if p.parked && p.interruptible && !p.wakePending {
@@ -117,7 +117,7 @@ func (p *Proc) Kill() {
 		p.eng.m.kills.Inc()
 	}
 	if p.eng.fr != nil {
-		p.eng.fr.record(p.eng.now, FlightKill, p.name, "", -1)
+		p.eng.fr.record(p.eng.now, flightKill, p.name, "", -1)
 	}
 	p.crashed = true
 	if p.parked && !p.wakePending {
@@ -128,9 +128,6 @@ func (p *Proc) Kill() {
 		p.eng.wake(p, p.eng.now, "crash")
 	}
 }
-
-// Interrupted reports the pending (undelivered) interrupt error, if any.
-func (p *Proc) Interrupted() error { return p.pendingErr }
 
 // ClearInterrupt discards a pending interrupt. Recovery paths call it after
 // consuming the failure (e.g. before rebuilding a communicator) so a poison
@@ -169,6 +166,6 @@ func (e *Engine) InterruptAll(err error) {
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
 	for _, p := range procs {
-		p.Interrupt(err)
+		p.interrupt(err)
 	}
 }

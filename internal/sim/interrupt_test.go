@@ -22,7 +22,7 @@ func TestInterruptCancelsGateWait(t *testing.T) {
 	})
 	eng.Spawn("killer", func(p *Proc) {
 		p.Advance(10)
-		victim.Interrupt(want)
+		victim.interrupt(want)
 		p.Advance(10)
 		g.Fire(p.eng) // no waiters left; must not double-wake
 	})
@@ -53,7 +53,7 @@ func TestInterruptDeferredPastAdvance(t *testing.T) {
 	})
 	eng.Spawn("poisoner", func(p *Proc) {
 		p.Advance(10)
-		victim.Interrupt(want)
+		victim.interrupt(want)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -73,7 +73,7 @@ func TestClearInterrupt(t *testing.T) {
 	g := NewGate("g")
 	victim := eng.Spawn("worker", func(p *Proc) {
 		p.Advance(50)
-		if p.Interrupted() == nil {
+		if p.pendingErr == nil {
 			t.Error("expected pending interrupt after Advance")
 		}
 		p.ClearInterrupt()
@@ -81,7 +81,7 @@ func TestClearInterrupt(t *testing.T) {
 	})
 	eng.Spawn("other", func(p *Proc) {
 		p.Advance(10)
-		victim.Interrupt(errors.New("stale"))
+		victim.interrupt(errors.New("stale"))
 		g.Fire(p.eng)
 	})
 	if err := eng.Run(); err != nil {
@@ -130,9 +130,9 @@ func TestKillDuringAdvanceAndBeforeStart(t *testing.T) {
 	eng.Spawn("killer", func(p *Proc) {
 		p.Advance(10)
 		victim.Kill()
-		neverRan = p.eng.SpawnAt(p.Now().Add(50), "unborn", func(q *Proc) {
+		neverRan = p.eng.spawnAt(p.Now().Add(50), "unborn", func(q *Proc) {
 			bodyRan = true
-		})
+		}, false)
 		neverRan.Kill()
 	})
 	if err := eng.Run(); err != nil {
@@ -244,7 +244,7 @@ func TestMailboxWaitNotInterruptible(t *testing.T) {
 	})
 	eng.Spawn("driver", func(p *Proc) {
 		p.Advance(10)
-		daemon.Interrupt(errors.New("revoked"))
+		daemon.interrupt(errors.New("revoked"))
 		p.Advance(10)
 		mb.Put(p.eng, 7)
 	})

@@ -116,9 +116,9 @@ func runProgram(t *testing.T, progs [][]sop, fireAt []Duration, scripted []bool)
 	if err := e.Run(); err != nil {
 		rec.err = err.Error()
 	}
-	for _, en := range fr.Snapshot() {
-		line := fmt.Sprintf("%d %s %s %s %d", en.At, en.Kind, en.Proc, en.Note, en.Dur)
-		if en.Kind == FlightPark {
+	for _, en := range fr.snapshot() {
+		line := fmt.Sprintf("%d %s %s %s %d", en.at, en.kind, en.proc, en.note, en.dur)
+		if en.kind == flightPark {
 			rec.parks = append(rec.parks, line)
 		} else {
 			rec.flight = append(rec.flight, line)
@@ -251,14 +251,14 @@ func victimLog(t *testing.T, scripted bool, at Duration, fault func(p *Proc)) re
 }
 
 // TestScriptImpersonatesOwner is the table of scheduling points at which a
-// script must behave as its owner would: Kill and Interrupt arriving before
+// script must behave as its owner would: Kill and interrupt arriving before
 // the first step, between steps and while enlisted unwind or raise in the
 // same slot, at the same stage, as in the coroutine form.
 func TestScriptImpersonatesOwner(t *testing.T) {
 	errPoison := errors.New("poison")
 	faults := map[string]func(p *Proc){
 		"kill":      func(p *Proc) { p.Kill() },
-		"interrupt": func(p *Proc) { p.Interrupt(errPoison) },
+		"interrupt": func(p *Proc) { p.interrupt(errPoison) },
 	}
 	for name, fault := range faults {
 		for _, at := range []Duration{5, 10, 15, 20, 50, 100, 102} {
@@ -326,7 +326,7 @@ func TestScriptPanicNamesOwner(t *testing.T) {
 		p.AdvanceFn(10, func() Duration { panic("truncated") })
 	})
 	var pe *PanicError
-	if err := e.Run(); !errors.As(err, &pe) || pe.Proc != "owner" || pe.Value != "truncated" {
+	if err := e.Run(); !errors.As(err, &pe) || pe.proc != "owner" || pe.value != "truncated" {
 		t.Fatalf("Run = %v, want a PanicError of owner with value truncated", err)
 	}
 	if !deferred {
@@ -351,7 +351,7 @@ func TestScriptDiagnostics(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("rank1", enlist)
 	var de *DeadlockError
-	if err := e.Run(); !errors.As(err, &de) || !reflect.DeepEqual(de.Waiting, []string{"rank1: gate recv"}) {
+	if err := e.Run(); !errors.As(err, &de) || !reflect.DeepEqual(de.waiting, []string{"rank1: gate recv"}) {
 		t.Fatalf("Run = %v, want a deadlock with rank1 waiting on gate recv", err)
 	}
 	e.Close()

@@ -229,12 +229,6 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawnAt(e.now, name, fn, true)
 }
 
-// SpawnAt creates a process that starts at time t (which must not be in the
-// past).
-func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(t, name, fn, false)
-}
-
 // killed is the sentinel panic value that unwinds a process parked when
 // Close stops it.
 type killed struct{}
@@ -244,7 +238,7 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 		panic("sim: Spawn on closed engine")
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("sim: SpawnAt(%v) in the past (now %v)", t, e.now))
+		panic(fmt.Sprintf("sim: spawn at %v is in the past (now %v)", t, e.now))
 	}
 	p := &Proc{eng: e, name: name, id: e.seq, daemon: daemon}
 	if !daemon {
@@ -254,7 +248,7 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 		e.m.spawns.Inc()
 	}
 	if e.fr != nil {
-		e.fr.record(e.now, FlightSpawn, name, "", -1)
+		e.fr.record(e.now, flightSpawn, name, "", -1)
 	}
 	e.alive[p] = true
 	// The body starts at the first next(), i.e. when the spawn event is
@@ -350,7 +344,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		ev := e.q.pop()
 		if ev == nil {
 			if e.live > 0 {
-				e.stop(&DeadlockError{At: e.now, Waiting: e.waitingList()})
+				e.stop(&DeadlockError{at: e.now, waiting: e.waitingList()})
 			} else {
 				e.stop(nil)
 			}
@@ -382,7 +376,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 				e.m.callbacks.Inc()
 			}
 			if e.fr != nil {
-				e.fr.record(e.now, FlightCallback, "", "", -1)
+				e.fr.record(e.now, flightCallback, "", "", -1)
 			}
 			if err := e.runCallback(fn); err != nil {
 				e.stop(err)
@@ -397,7 +391,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			e.tracef("resume %s", p.name)
 		}
 		if e.fr != nil {
-			e.fr.record(e.now, FlightEvent, p.name, "", -1)
+			e.fr.record(e.now, flightEvent, p.name, "", -1)
 		}
 		if p.script != nil && e.runStep(p) {
 			// The step took the slot and left the process waiting again.
@@ -405,7 +399,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 				e.m.steps.Inc()
 			}
 			if e.fr != nil {
-				e.fr.record(e.now, FlightPark, p.name, p.parkWhy, p.parkDur)
+				e.fr.record(e.now, flightPark, p.name, p.parkWhy, p.parkDur)
 			}
 			continue
 		}
@@ -421,7 +415,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 // nothing to switch to, so Run returns once the caller has yielded.
 func (e *Engine) stop(err error) {
 	if e.fr != nil && err != nil {
-		e.fr.record(e.now, FlightStop, "", err.Error(), -1)
+		e.fr.record(e.now, flightStop, "", err.Error(), -1)
 	}
 	e.stopErr = err
 	e.next = nil
@@ -444,7 +438,7 @@ func (e *Engine) procExit(p *Proc, panicked any, aborted error) {
 		e.tracef("finish %s", p.name)
 	}
 	if panicked != nil {
-		e.stop(&PanicError{Proc: p.name, Value: panicked})
+		e.stop(&PanicError{proc: p.name, value: panicked})
 		return
 	}
 	if aborted != nil {
@@ -475,7 +469,7 @@ func (p *Proc) parkFor(why string, d Duration) {
 		e.m.countPark(why)
 	}
 	if e.fr != nil {
-		e.fr.record(e.now, FlightPark, p.name, why, d)
+		e.fr.record(e.now, flightPark, p.name, why, d)
 	}
 	if !e.dispatch(p) && !p.yield(struct{}{}) {
 		panic(killed{})
@@ -587,13 +581,13 @@ func (p *Proc) AdvanceTo(t Time) {
 // DeadlockError is returned by Run when live processes remain but no events
 // are pending.
 type DeadlockError struct {
-	At      Time
-	Waiting []string // "name: reason" for each parked process
+	at      Time
+	waiting []string // "name: reason" for each parked process
 }
 
 func (d *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v; %d waiting: %s",
-		d.At, len(d.Waiting), strings.Join(d.Waiting, "; "))
+		d.at, len(d.waiting), strings.Join(d.waiting, "; "))
 }
 
 // TimeoutError is returned by Run when the virtual clock would advance past
@@ -633,12 +627,12 @@ func (e *Engine) waitingList() []string {
 
 // PanicError is returned by Run when a simulated process panicked.
 type PanicError struct {
-	Proc  string
-	Value any
+	proc  string
+	value any
 }
 
 func (p *PanicError) Error() string {
-	return fmt.Sprintf("sim: process %q panicked: %v", p.Proc, p.Value)
+	return fmt.Sprintf("sim: process %q panicked: %v", p.proc, p.value)
 }
 
 // runCallback executes an engine-context event callback, converting a panic
@@ -648,7 +642,7 @@ func (p *PanicError) Error() string {
 func (e *Engine) runCallback(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Proc: "engine-callback", Value: r}
+			err = &PanicError{proc: "engine-callback", value: r}
 		}
 	}()
 	fn()

@@ -98,7 +98,7 @@ func BenchmarkTimelineReserve(b *testing.B) {
 	tl := NewTimeline("port")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tl.Reserve(Time(i), Nanosecond)
+		ReserveMulti(Time(i), Nanosecond, tl)
 	}
 }
 

@@ -110,8 +110,8 @@ func TestGate(t *testing.T) {
 	if wakeTimes[3] != 200 {
 		t.Fatalf("late waiter woke at %v, want 200", wakeTimes[3])
 	}
-	if !g.Fired() || g.FiredAt() != 100 {
-		t.Fatalf("gate state fired=%v at=%v", g.Fired(), g.FiredAt())
+	if !g.Fired() {
+		t.Fatal("gate not fired")
 	}
 }
 
@@ -124,7 +124,7 @@ func TestCounterWaiters(t *testing.T) {
 		got = append(got, c.Value())
 	})
 	e.Spawn("w2", func(p *Proc) {
-		c.WaitEQ(p, 2)
+		c.WaitUntil(p, func(x uint64) bool { return x == 2 })
 		got = append(got, c.Value())
 	})
 	e.Spawn("setter", func(p *Proc) {
@@ -179,8 +179,8 @@ func TestMailboxOrderUnderBacklog(t *testing.T) {
 			next++
 			p.Advance(3)
 		}
-		if m.Len() != 0 {
-			t.Errorf("Len = %d after the last item", m.Len())
+		if n := len(m.items) - m.head; n != 0 {
+			t.Errorf("%d queued after the last item", n)
 		}
 	})
 	e.Spawn("send", func(p *Proc) {
@@ -189,8 +189,8 @@ func TestMailboxOrderUnderBacklog(t *testing.T) {
 				m.Put(e, i)
 				i++
 			}
-			if got, want := m.Len(), i-next; got != want {
-				t.Fatalf("Len = %d with %d put and %d taken", got, i, next)
+			if got, want := len(m.items)-m.head, i-next; got != want {
+				t.Fatalf("%d queued with %d put and %d taken", got, i, next)
 			}
 			p.Advance(100)
 		}
@@ -198,28 +198,6 @@ func TestMailboxOrderUnderBacklog(t *testing.T) {
 	mustRun(t, e)
 	if next != total {
 		t.Fatalf("received %d of %d items", next, total)
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore("s", 2)
-	inUse, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn("worker", func(p *Proc) {
-			s.Acquire(p)
-			inUse++
-			if inUse > peak {
-				peak = inUse
-			}
-			p.Advance(50)
-			inUse--
-			s.Release(e)
-		})
-	}
-	mustRun(t, e)
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
 	}
 }
 
@@ -252,24 +230,21 @@ func TestRendezvousRounds(t *testing.T) {
 			t.Fatalf("round 2 release at %v, want 90", ts)
 		}
 	}
-	if r.Round() != 2 {
-		t.Fatalf("rounds = %d, want 2", r.Round())
-	}
 }
 
 func TestTimelineReserve(t *testing.T) {
 	tl := NewTimeline("link")
-	s, e := tl.Reserve(100, 50)
+	s, e := ReserveMulti(100, 50, tl)
 	if s != 100 || e != 150 {
 		t.Fatalf("first reserve [%v,%v)", s, e)
 	}
 	// Overlapping request queues behind.
-	s, e = tl.Reserve(120, 30)
+	s, e = ReserveMulti(120, 30, tl)
 	if s != 150 || e != 180 {
 		t.Fatalf("second reserve [%v,%v), want [150,180)", s, e)
 	}
 	// Later request after idle gap starts on time.
-	s, e = tl.Reserve(500, 10)
+	s, e = ReserveMulti(500, 10, tl)
 	if s != 500 || e != 510 {
 		t.Fatalf("third reserve [%v,%v), want [500,510)", s, e)
 	}
@@ -280,7 +255,7 @@ func TestTimelineReserve(t *testing.T) {
 
 func TestReserveMulti(t *testing.T) {
 	a, b := NewTimeline("a"), NewTimeline("b")
-	a.Reserve(0, 100)
+	ReserveMulti(0, 100, a)
 	s, e := ReserveMulti(50, 20, a, b)
 	if s != 100 || e != 120 {
 		t.Fatalf("multi reserve [%v,%v), want [100,120)", s, e)
@@ -300,7 +275,7 @@ func TestTimelineMonotonicProperty(t *testing.T) {
 		tl := NewTimeline("p")
 		prevEnd := Time(0)
 		for _, r := range reqs {
-			s, e := tl.Reserve(Time(r.At), Duration(r.Dur))
+			s, e := ReserveMulti(Time(r.At), Duration(r.Dur), tl)
 			if s < prevEnd || e < s {
 				return false
 			}
@@ -322,8 +297,8 @@ func TestDeadlockDetection(t *testing.T) {
 	if !ok {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(de.Waiting) != 1 {
-		t.Fatalf("waiting = %v", de.Waiting)
+	if len(de.waiting) != 1 {
+		t.Fatalf("waiting = %v", de.waiting)
 	}
 	e.Close()
 }
@@ -354,7 +329,7 @@ func TestProcessPanicPropagates(t *testing.T) {
 	})
 	err := e.Run()
 	pe, ok := err.(*PanicError)
-	if !ok || pe.Proc != "boom" {
+	if !ok || pe.proc != "boom" {
 		t.Fatalf("err = %v, want PanicError from boom", err)
 	}
 	e.Close()
@@ -376,7 +351,7 @@ func TestAfterCallback(t *testing.T) {
 func TestSpawnAtFuture(t *testing.T) {
 	e := NewEngine()
 	var started Time
-	e.SpawnAt(77, "late", func(p *Proc) { started = p.Now() })
+	e.spawnAt(77, "late", func(p *Proc) { started = p.Now() }, false)
 	mustRun(t, e)
 	if started != 77 {
 		t.Fatalf("started at %v, want 77", started)
@@ -481,19 +456,19 @@ func TestTimelineStallShiftsAdmission(t *testing.T) {
 	tl := NewTimeline("port")
 	tl.AddStall(100, 200)
 	// A reservation starting inside the window is pushed to its end.
-	s, e := tl.Reserve(150, 10)
+	s, e := ReserveMulti(150, 10, tl)
 	if s != 200 || e != 210 {
 		t.Fatalf("stalled reserve [%v,%v), want [200,210)", s, e)
 	}
 	// A reservation before the window is admitted and may run through it.
 	tl2 := NewTimeline("port2")
 	tl2.AddStall(100, 200)
-	s, e = tl2.Reserve(50, 100)
+	s, e = ReserveMulti(50, 100, tl2)
 	if s != 50 || e != 150 {
 		t.Fatalf("pre-stall reserve [%v,%v), want [50,150)", s, e)
 	}
 	// Queued work whose grant lands in the window shifts too.
-	s, e = tl2.Reserve(60, 10)
+	s, e = ReserveMulti(60, 10, tl2)
 	if s != 200 || e != 210 {
 		t.Fatalf("queued-into-stall reserve [%v,%v), want [200,210)", s, e)
 	}
@@ -515,7 +490,7 @@ func TestTimelineStallChainsAndStalledAt(t *testing.T) {
 	if _, stalled := tl.StalledAt(99); stalled {
 		t.Fatal("StalledAt(99) should be admissible")
 	}
-	s, _ := tl.Reserve(120, 5)
+	s, _ := ReserveMulti(120, 5, tl)
 	if s != 400 {
 		t.Fatalf("reserve through chained stalls starts at %v, want 400", s)
 	}
@@ -548,12 +523,12 @@ func TestDeadlockWaitingExcludesDaemons(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
 	want := []string{"stuck-a: gate never", "stuck-b: gate never"}
-	if len(de.Waiting) != len(want) {
-		t.Fatalf("waiting = %v, want %v", de.Waiting, want)
+	if len(de.waiting) != len(want) {
+		t.Fatalf("waiting = %v, want %v", de.waiting, want)
 	}
 	for i := range want {
-		if de.Waiting[i] != want[i] {
-			t.Fatalf("waiting = %v, want %v", de.Waiting, want)
+		if de.waiting[i] != want[i] {
+			t.Fatalf("waiting = %v, want %v", de.waiting, want)
 		}
 	}
 	e.Close()
@@ -567,7 +542,7 @@ func TestEngineCallbackPanicBecomesError(t *testing.T) {
 	})
 	err := e.Run()
 	pe, ok := err.(*PanicError)
-	if !ok || pe.Proc != "engine-callback" || pe.Value != "callback boom" {
+	if !ok || pe.proc != "engine-callback" || pe.value != "callback boom" {
 		t.Fatalf("err = %v, want engine-callback PanicError", err)
 	}
 	e.Close()
@@ -594,12 +569,12 @@ func TestCloseAfterFailedRunLeaksNoGoroutines(t *testing.T) {
 		}
 		e.Spawn("advancing", func(p *Proc) { p.Advance(1000) })
 		started := false
-		e.SpawnAt(500, "never-started", func(p *Proc) { started = true })
+		e.spawnAt(500, "never-started", func(p *Proc) { started = true }, false)
 		e.Spawn("boom", func(p *Proc) {
 			p.Advance(10)
 			panic("kablam")
 		})
-		if pe, ok := e.Run().(*PanicError); !ok || pe.Proc != "boom" {
+		if pe, ok := e.Run().(*PanicError); !ok || pe.proc != "boom" {
 			t.Fatal("expected boom's PanicError")
 		}
 		e.Close()
@@ -665,7 +640,7 @@ func TestClosedEngineRefusesSpawnAndRun(t *testing.T) {
 	body := func(p *Proc) { t.Error("process on a closed engine ran") }
 	wantPanic(t, "sim: Spawn on closed engine", func() { e.Spawn("late", body) })
 	wantPanic(t, "sim: Spawn on closed engine", func() { e.SpawnDaemon("late", body) })
-	wantPanic(t, "sim: Spawn on closed engine", func() { e.SpawnAt(5, "late", body) })
+	wantPanic(t, "sim: Spawn on closed engine", func() { e.spawnAt(5, "late", body, false) })
 	wantPanic(t, "sim: Run on closed engine", func() { e.Run() })
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutines: before %d, after %d", before, n)
@@ -816,10 +791,10 @@ func TestTimelineReserveAllocationGuard(t *testing.T) {
 	tl := NewTimeline("port")
 	i := 0
 	avg := testing.AllocsPerRun(2000, func() {
-		tl.Reserve(Time(i), Nanosecond)
+		ReserveMulti(Time(i), Nanosecond, tl)
 		i++
 	})
 	if avg > 0.01 {
-		t.Fatalf("Timeline.Reserve allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("ReserveMulti allocates %.2f objects/op, want 0", avg)
 	}
 }

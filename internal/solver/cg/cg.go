@@ -84,7 +84,7 @@ type Config struct {
 type Result struct {
 	Total    sim.Duration
 	PerIter  sim.Duration
-	Residual float64 // final squared residual norm (functional runs)
+	residual float64 // final squared residual norm (functional runs)
 	// End is the virtual time at which the whole run finished — the
 	// profiler's attribution horizon.
 	End sim.Time
@@ -107,6 +107,9 @@ func (cfg Config) backendOf() core.BackendID {
 func Run(cfg Config) (Result, error) {
 	if cfg.Matrix == nil || cfg.NGPUs < 1 || cfg.Matrix.Rows < cfg.NGPUs {
 		return Result{}, fmt.Errorf("cg: invalid config")
+	}
+	if cfg.Iters < 1 {
+		return Result{}, fmt.Errorf("cg: iters %d: need iters >= 1", cfg.Iters)
 	}
 	if cfg.DisableAllgatherv && cfg.Compute {
 		return Result{}, fmt.Errorf("cg: the no-allgatherv ablation is timing-only (set Compute=false)")
@@ -141,7 +144,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	res.PerIter = res.Total / sim.Duration(cfg.Iters)
-	res.Residual = perRank[0].residual
+	res.residual = perRank[0].residual
 	return res, nil
 }
 
@@ -154,7 +157,6 @@ type rankResult struct {
 // distributed vectors, and the scalar staging buffers.
 type state struct {
 	cfg  Config
-	env  *core.Env
 	rank int
 
 	part   sparse.Partition
@@ -177,7 +179,7 @@ func newState(cfg Config, env *core.Env) *state {
 	part := sparse.PartitionRows(n, cfg.NGPUs)
 	lo, hi := part.Range(env.WorldRank())
 	st := &state{
-		cfg: cfg, env: env, rank: env.WorldRank(),
+		cfg: cfg, rank: env.WorldRank(),
 		part: part, lo: lo, hi: hi, myRows: hi - lo,
 		nnz:    cfg.Matrix.NNZRange(lo, hi),
 		stream: env.NewStream("cg"),

@@ -3,6 +3,7 @@ package cg
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -59,8 +60,8 @@ func TestAllVariantsMatchSerialResidual(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if rel := math.Abs(res.Residual-want) / (math.Abs(want) + 1e-30); rel > 1e-9 {
-						t.Fatalf("residual %v, want %v (rel %v)", res.Residual, want, rel)
+					if rel := math.Abs(res.residual-want) / (math.Abs(want) + 1e-30); rel > 1e-9 {
+						t.Fatalf("residual %v, want %v (rel %v)", res.residual, want, rel)
 					}
 					if res.PerIter <= 0 {
 						t.Fatal("no time elapsed")
@@ -88,8 +89,8 @@ func TestCGActuallyConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Residual > r1*1e-6 {
-		t.Fatalf("poor distributed convergence: r1=%v r40=%v", r1, res.Residual)
+	if res.residual > r1*1e-6 {
+		t.Fatalf("poor distributed convergence: r1=%v r40=%v", r1, res.residual)
 	}
 }
 
@@ -167,5 +168,11 @@ func TestInvalidConfig(t *testing.T) {
 		Compute: true, DisableAllgatherv: true,
 	}); err == nil {
 		t.Error("functional no-allgatherv run accepted")
+	}
+	for _, iters := range []int{0, -3} {
+		_, err := Run(Config{Model: machine.Perlmutter(), NGPUs: 2, Matrix: testMatrix(), Iters: iters})
+		if err == nil || !strings.Contains(err.Error(), "iters") {
+			t.Errorf("iters %d: err = %v, want the iteration count rejected", iters, err)
+		}
 	}
 }

@@ -85,9 +85,9 @@ type Result struct {
 	// End is the virtual time at which the whole run (including warmup and
 	// teardown) finished — the profiler's attribution horizon.
 	End sim.Time
-	// Checksum sums the final interior values (functional runs only);
+	// checksum sums the final interior values (functional runs only);
 	// used by tests to compare variants and the serial reference.
-	Checksum float64
+	checksum float64
 }
 
 // backendOf maps a native variant to the backend its Environment boots.
@@ -134,6 +134,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.NGPUs < 1 || cfg.NX < 3 || cfg.NY < cfg.NGPUs {
 		return Result{}, fmt.Errorf("jacobi: invalid config %+v", cfg)
 	}
+	if cfg.Iters < 1 || cfg.Warmup < 0 {
+		return Result{}, fmt.Errorf("jacobi: iters %d and warmup %d: need iters >= 1 and warmup >= 0", cfg.Iters, cfg.Warmup)
+	}
 	if cfg.Mode != core.PureHost && cfg.Variant == Uniconn && cfg.Backend != core.GpushmemBackend {
 		return Result{}, fmt.Errorf("jacobi: %v requires the GPUSHMEM backend", cfg.Mode)
 	}
@@ -165,7 +168,7 @@ func Run(cfg Config) (Result, error) {
 		if rr.elapsed > res.Total {
 			res.Total = rr.elapsed
 		}
-		res.Checksum += rr.checksum
+		res.checksum += rr.checksum
 	}
 	res.PerIter = res.Total / sim.Duration(cfg.Iters)
 	return res, nil

@@ -12,24 +12,24 @@ import (
 
 // CSR is a compressed-sparse-row matrix.
 type CSR struct {
-	Rows, Cols int
-	RowPtr     []int64
-	ColIdx     []int32
-	Vals       []float64
+	Rows, cols int
+	rowPtr     []int64
+	colIdx     []int32
+	vals       []float64
 }
 
 // NNZ reports the number of stored entries.
-func (m *CSR) NNZ() int64 { return int64(len(m.ColIdx)) }
+func (m *CSR) NNZ() int64 { return int64(len(m.colIdx)) }
 
 // NNZRange reports the stored entries in rows [lo, hi).
-func (m *CSR) NNZRange(lo, hi int) int64 { return m.RowPtr[hi] - m.RowPtr[lo] }
+func (m *CSR) NNZRange(lo, hi int) int64 { return m.rowPtr[hi] - m.rowPtr[lo] }
 
 // SpMV computes y = A x for the rows [lo, hi) (y indexed from lo).
 func (m *CSR) SpMV(y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		sum := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Vals[k] * x[m.ColIdx[k]]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			sum += m.vals[k] * x[m.colIdx[k]]
 		}
 		y[i-lo] = sum
 	}
@@ -43,20 +43,20 @@ type builder struct {
 func newBuilder(rows, cols int, nnzHint int64) *builder {
 	return &builder{m: &CSR{
 		Rows:   rows,
-		Cols:   cols,
-		RowPtr: append(make([]int64, 0, rows+1), 0),
-		ColIdx: make([]int32, 0, nnzHint),
-		Vals:   make([]float64, 0, nnzHint),
+		cols:   cols,
+		rowPtr: append(make([]int64, 0, rows+1), 0),
+		colIdx: make([]int32, 0, nnzHint),
+		vals:   make([]float64, 0, nnzHint),
 	}}
 }
 
 func (b *builder) add(col int, v float64) {
-	b.m.ColIdx = append(b.m.ColIdx, int32(col))
-	b.m.Vals = append(b.m.Vals, v)
+	b.m.colIdx = append(b.m.colIdx, int32(col))
+	b.m.vals = append(b.m.vals, v)
 }
 
 func (b *builder) endRow() {
-	b.m.RowPtr = append(b.m.RowPtr, int64(len(b.m.ColIdx)))
+	b.m.rowPtr = append(b.m.rowPtr, int64(len(b.m.colIdx)))
 }
 
 // Laplace3D builds the 7-point finite-difference Laplacian on an
@@ -100,24 +100,24 @@ func Laplace3D(nx, ny, nz int) *CSR {
 // depends on (rows, nnz/row, bandwidth profile).
 type SyntheticSPDSpec struct {
 	Name string
-	// Rows at scale 1.0.
-	FullRows int
-	// NNZPerRow is the average stored entries per row (diagonal included).
-	NNZPerRow int
-	// BandFraction of the off-diagonal entries fall within the near band;
+	// fullRows is the row count at scale 1.0.
+	fullRows int
+	// nnzPerRow is the average stored entries per row (diagonal included).
+	nnzPerRow int
+	// bandFraction of the off-diagonal entries fall within the near band;
 	// the rest scatter widely (driving the allgather footprint).
-	BandFraction float64
+	bandFraction float64
 	// Bandwidth of the near band as a fraction of the row count.
-	BandWidth float64
-	Seed      int64
+	bandWidth float64
+	seed      int64
 }
 
 // Serena mimics SuiteSparse Serena: 1,391,349 rows, ~46 nnz/row
 // (64,531,701 nnz), a structural-mechanics matrix with a strong band.
 func Serena() SyntheticSPDSpec {
 	return SyntheticSPDSpec{
-		Name: "Serena-like", FullRows: 1391349, NNZPerRow: 46,
-		BandFraction: 0.85, BandWidth: 0.002, Seed: 101,
+		Name: "Serena-like", fullRows: 1391349, nnzPerRow: 46,
+		bandFraction: 0.85, bandWidth: 0.002, seed: 101,
 	}
 }
 
@@ -125,14 +125,14 @@ func Serena() SyntheticSPDSpec {
 // (329,499,284 nnz), 3D structural problem.
 func Queen4147() SyntheticSPDSpec {
 	return SyntheticSPDSpec{
-		Name: "Queen_4147-like", FullRows: 4147110, NNZPerRow: 80,
-		BandFraction: 0.88, BandWidth: 0.0012, Seed: 202,
+		Name: "Queen_4147-like", fullRows: 4147110, nnzPerRow: 80,
+		bandFraction: 0.88, bandWidth: 0.0012, seed: 202,
 	}
 }
 
-// Rows returns the row count at a given scale in (0, 1].
-func (s SyntheticSPDSpec) Rows(scale float64) int {
-	r := int(float64(s.FullRows) * scale)
+// rows returns the row count at a given scale in (0, 1].
+func (s SyntheticSPDSpec) rows(scale float64) int {
+	r := int(float64(s.fullRows) * scale)
 	if r < 8 {
 		r = 8
 	}
@@ -140,15 +140,15 @@ func (s SyntheticSPDSpec) Rows(scale float64) int {
 }
 
 // Generate materializes the matrix at the given scale: a diagonally
-// dominant symmetric pattern with s.NNZPerRow entries per row.
+// dominant symmetric pattern with s.nnzPerRow entries per row.
 func (s SyntheticSPDSpec) Generate(scale float64) *CSR {
-	n := s.Rows(scale)
-	rng := rand.New(rand.NewSource(s.Seed))
-	band := int(float64(n) * s.BandWidth)
+	n := s.rows(scale)
+	rng := rand.New(rand.NewSource(s.seed))
+	band := int(float64(n) * s.bandWidth)
 	if band < 2 {
 		band = 2
 	}
-	perRowOff := s.NNZPerRow - 1
+	perRowOff := s.nnzPerRow - 1
 	if perRowOff < 2 {
 		perRowOff = 2
 	}
@@ -160,7 +160,7 @@ func (s SyntheticSPDSpec) Generate(scale float64) *CSR {
 	for i := 0; i < n; i++ {
 		for k := 0; k < halves; k++ {
 			var j int
-			if rng.Float64() < s.BandFraction {
+			if rng.Float64() < s.bandFraction {
 				j = i - 1 - rng.Intn(band)
 			} else {
 				j = rng.Intn(i + 1)
@@ -195,89 +195,54 @@ func (s SyntheticSPDSpec) Generate(scale float64) *CSR {
 
 // Partition assigns contiguous row blocks to ranks.
 type Partition struct {
-	Starts []int // rank r owns rows [Starts[r], Starts[r+1])
+	starts []int // rank r owns rows [starts[r], starts[r+1])
 }
 
 // PartitionRows splits rows equally in length across n ranks, as the paper
 // does ("without accounting for the number of nonzeros", §VI-D).
 func PartitionRows(rows, n int) Partition {
-	p := Partition{Starts: make([]int, n+1)}
+	p := Partition{starts: make([]int, n+1)}
 	for r := 0; r <= n; r++ {
-		p.Starts[r] = r * rows / n
+		p.starts[r] = r * rows / n
 	}
 	return p
 }
 
 // Range reports rank r's row interval.
-func (p Partition) Range(r int) (lo, hi int) { return p.Starts[r], p.Starts[r+1] }
+func (p Partition) Range(r int) (lo, hi int) { return p.starts[r], p.starts[r+1] }
 
 // Count reports rank r's row count.
-func (p Partition) Count(r int) int { return p.Starts[r+1] - p.Starts[r] }
+func (p Partition) Count(r int) int { return p.starts[r+1] - p.starts[r] }
 
 // Counts returns all per-rank row counts (the Allgatherv counts array).
 func (p Partition) Counts() []int {
-	c := make([]int, len(p.Starts)-1)
+	c := make([]int, len(p.starts)-1)
 	for r := range c {
 		c[r] = p.Count(r)
 	}
 	return c
 }
 
-// Displs returns the per-rank displacements (== Starts[:n]).
+// Displs returns the per-rank displacements (== starts[:n]).
 func (p Partition) Displs() []int {
-	return append([]int{}, p.Starts[:len(p.Starts)-1]...)
+	return append([]int{}, p.starts[:len(p.starts)-1]...)
 }
 
-// ColumnFootprint reports, for owner rank r, how many distinct x-vector
-// entries of each other rank's block its rows touch — the communication
-// volume a neighborhood exchange would need, used to validate that the
-// Allgatherv choice is justified for these matrices.
-func ColumnFootprint(m *CSR, p Partition, r int) []int {
-	n := len(p.Starts) - 1
-	lo, hi := p.Range(r)
-	seen := make(map[int32]struct{})
-	counts := make([]int, n)
-	for k := m.RowPtr[lo]; k < m.RowPtr[hi]; k++ {
-		c := m.ColIdx[k]
-		if _, dup := seen[c]; dup {
-			continue
-		}
-		seen[c] = struct{}{}
-		// Find the owning rank by binary search over Starts.
-		owner := ownerOf(p, int(c))
-		counts[owner]++
-	}
-	return counts
-}
-
-func ownerOf(p Partition, row int) int {
-	lo, hi := 0, len(p.Starts)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if p.Starts[mid] <= row {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Validate checks CSR invariants (sorted RowPtr, in-range columns).
+// Validate checks CSR invariants (sorted rowPtr, in-range columns).
 func (m *CSR) Validate() error {
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("sparse: RowPtr length %d for %d rows", len(m.RowPtr), m.Rows)
+	if len(m.rowPtr) != m.Rows+1 {
+		return fmt.Errorf("sparse: RowPtr length %d for %d rows", len(m.rowPtr), m.Rows)
 	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != m.NNZ() {
-		return fmt.Errorf("sparse: RowPtr endpoints %d..%d, nnz %d", m.RowPtr[0], m.RowPtr[m.Rows], m.NNZ())
+	if m.rowPtr[0] != 0 || m.rowPtr[m.Rows] != m.NNZ() {
+		return fmt.Errorf("sparse: RowPtr endpoints %d..%d, nnz %d", m.rowPtr[0], m.rowPtr[m.Rows], m.NNZ())
 	}
 	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
+		if m.rowPtr[i] > m.rowPtr[i+1] {
 			return fmt.Errorf("sparse: RowPtr decreases at %d", i)
 		}
 	}
-	for _, c := range m.ColIdx {
-		if c < 0 || int(c) >= m.Cols {
+	for _, c := range m.colIdx {
+		if c < 0 || int(c) >= m.cols {
 			return fmt.Errorf("sparse: column %d out of range", c)
 		}
 	}

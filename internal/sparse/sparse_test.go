@@ -8,22 +8,22 @@ import (
 
 func TestLaplace3DStructure(t *testing.T) {
 	m := Laplace3D(4, 3, 2)
-	if m.Rows != 24 || m.Cols != 24 {
-		t.Fatalf("dims %dx%d", m.Rows, m.Cols)
+	if m.Rows != 24 || m.cols != 24 {
+		t.Fatalf("dims %dx%d", m.Rows, m.cols)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Interior points have 7 entries; corners 4.
-	if got := m.RowPtr[1] - m.RowPtr[0]; got != 4 {
+	if got := m.rowPtr[1] - m.rowPtr[0]; got != 4 {
 		t.Errorf("corner row nnz = %d", got)
 	}
 	// Symmetry check: A[i][j] present iff A[j][i] present.
 	type pair struct{ i, j int32 }
 	entries := map[pair]float64{}
 	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			entries[pair{int32(i), m.ColIdx[k]}] = m.Vals[k]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			entries[pair{int32(i), m.colIdx[k]}] = m.vals[k]
 		}
 	}
 	for p, v := range entries {
@@ -39,14 +39,14 @@ func TestSyntheticSpecsValidateAndScale(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if m.Rows != spec.Rows(0.002) {
+		if m.Rows != spec.rows(0.002) {
 			t.Fatalf("%s rows = %d", spec.Name, m.Rows)
 		}
 		// Average nnz/row should be in the ballpark of the target (the
 		// band clipping near row 0 loses some).
 		avg := float64(m.NNZ()) / float64(m.Rows)
-		if avg < float64(spec.NNZPerRow)/3 || avg > float64(spec.NNZPerRow)*1.5 {
-			t.Errorf("%s avg nnz/row = %.1f, target %d", spec.Name, avg, spec.NNZPerRow)
+		if avg < float64(spec.nnzPerRow)/3 || avg > float64(spec.nnzPerRow)*1.5 {
+			t.Errorf("%s avg nnz/row = %.1f, target %d", spec.Name, avg, spec.nnzPerRow)
 		}
 	}
 }
@@ -57,12 +57,12 @@ func TestSyntheticSymmetricAndDominant(t *testing.T) {
 	seen := map[pair]bool{}
 	for i := 0; i < m.Rows; i++ {
 		var diag, off float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			j := m.colIdx[k]
 			if int(j) == i {
-				diag = m.Vals[k]
+				diag = m.vals[k]
 			} else {
-				off += math.Abs(m.Vals[k])
+				off += math.Abs(m.vals[k])
 				seen[pair{int32(i), j}] = true
 			}
 		}
@@ -87,8 +87,8 @@ func TestSpMVAgainstDense(t *testing.T) {
 	// Dense reference.
 	want := make([]float64, n)
 	for i := 0; i < n; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			want[i] += m.Vals[k] * x[m.ColIdx[k]]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			want[i] += m.vals[k] * x[m.colIdx[k]]
 		}
 	}
 	// Partitioned SpMV must agree.
@@ -110,7 +110,7 @@ func TestPartitionRowsProperty(t *testing.T) {
 		n := int(ranks)%16 + 1
 		r := int(rows)%5000 + n
 		p := PartitionRows(r, n)
-		if p.Starts[0] != 0 || p.Starts[n] != r {
+		if p.starts[0] != 0 || p.starts[n] != r {
 			return false
 		}
 		total := 0
@@ -131,37 +131,6 @@ func TestPartitionRowsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOwnerOf(t *testing.T) {
-	p := PartitionRows(100, 7)
-	for row := 0; row < 100; row++ {
-		o := ownerOf(p, row)
-		lo, hi := p.Range(o)
-		if row < lo || row >= hi {
-			t.Fatalf("owner(%d) = %d covering [%d,%d)", row, o, lo, hi)
-		}
-	}
-}
-
-func TestColumnFootprintBandedMatrix(t *testing.T) {
-	m := Serena().Generate(0.001)
-	p := PartitionRows(m.Rows, 4)
-	for r := 0; r < 4; r++ {
-		fp := ColumnFootprint(m, p, r)
-		// A banded matrix's footprint is dominated by the own block and
-		// its neighbours.
-		if fp[r] == 0 {
-			t.Errorf("rank %d has zero self footprint", r)
-		}
-		total := 0
-		for _, c := range fp {
-			total += c
-		}
-		if total > m.Rows {
-			t.Errorf("rank %d footprint %d exceeds matrix rows", r, total)
-		}
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // (bench.WorkersEnv aliases it; unset or invalid falls back to GOMAXPROCS).
 const WorkersEnv = "UNICONN_WORKERS"
 
-// TopologyUsage is the shared -topology usage string.
-const TopologyUsage = "inter-node network: flat|fattree[:k]|dragonfly[:p,a,h] " +
+// topologyUsage is the shared -topology usage string.
+const topologyUsage = "inter-node network: flat|fattree[:k]|dragonfly[:p,a,h] " +
 	"(fat-tree arity / dragonfly p,a,h auto-size when omitted)"
 
 // CommonFlags holds the flags the subcommands share and, after Resolve, what
@@ -69,13 +69,13 @@ func WorkersFlag(fs *flag.FlagSet, n *int) {
 // Topology registers the single-topology -topology flag; Resolve applies it
 // to the model.
 func (c *CommonFlags) Topology(fs *flag.FlagSet) {
-	fs.StringVar(&c.topology, "topology", "flat", TopologyUsage)
+	fs.StringVar(&c.topology, "topology", "flat", topologyUsage)
 }
 
 // TopologyList registers a -topology flag that accepts a comma-separated
 // list, for subcommands that sweep topologies; Resolve parses it.
 func (c *CommonFlags) TopologyList(fs *flag.FlagSet, def string) {
-	fs.StringVar(&c.topology, "topology", def, TopologyUsage+"; accepts a comma-separated list")
+	fs.StringVar(&c.topology, "topology", def, topologyUsage+"; accepts a comma-separated list")
 	c.topologyList = true
 }
 
@@ -103,7 +103,7 @@ func (c *CommonFlags) Resolve() (*machine.Model, error) {
 	}
 	var err error
 	if c.topologyList {
-		c.Topologies, err = ParseTopologyList(c.topology)
+		c.Topologies, err = parseTopologyList(c.topology)
 	} else {
 		var tc fabric.TopologyConfig // flat when -topology is not registered
 		tc, err = fabric.ParseTopology(c.topology)
@@ -131,11 +131,11 @@ func ApplyWorkersEnv(n int) {
 	}
 }
 
-// ParseTopologyList splits a comma-separated topology list, keeping numeric
+// parseTopologyList splits a comma-separated topology list, keeping numeric
 // dragonfly parameters attached to their spec: "flat,fattree:4,dragonfly:1,2,2"
 // is three topologies, not six. Topology names never start with a digit, so a
 // purely numeric segment always continues the previous spec.
-func ParseTopologyList(s string) ([]fabric.TopologyConfig, error) {
+func parseTopologyList(s string) ([]fabric.TopologyConfig, error) {
 	var specs []string
 	for _, seg := range strings.Split(s, ",") {
 		seg = strings.TrimSpace(seg)

@@ -29,14 +29,14 @@ import (
 	"repro/internal/mpi"
 )
 
-// The registered workloads. Workloads(), not iota constants, is the source
+// The registered workloads. workloads(), not iota constants, is the source
 // of truth the injectivity tests sweep.
 const (
 	// WorkloadNetLatency is the OSU-style ping-pong one-way latency cell
 	// (bench.LatencyRun); Value is the one-way latency in nanoseconds.
 	WorkloadNetLatency = "net-latency"
 	// WorkloadNetBandwidth is the windowed one-way bandwidth cell
-	// (bench.BandwidthRun); Value is bytes/second.
+	// (bench.bandwidthRun); Value is bytes/second.
 	WorkloadNetBandwidth = "net-bandwidth"
 	// WorkloadAllreduce is the rank-scaling allreduce cell
 	// (bench.ScaleAllreduce); Value is the per-iteration virtual time in
@@ -44,8 +44,8 @@ const (
 	WorkloadAllreduce = "allreduce"
 )
 
-// Workloads lists every registered workload name.
-func Workloads() []string {
+// workloads lists every registered workload name.
+func workloads() []string {
 	return []string{WorkloadNetLatency, WorkloadNetBandwidth, WorkloadAllreduce}
 }
 
@@ -68,7 +68,7 @@ const (
 // Specs are plain data: they marshal to/from JSON losslessly (round-trip
 // property test in spec_test.go) and hash stably (Hash).
 type Spec struct {
-	// Workload selects the cell kind; see Workloads().
+	// Workload selects the cell kind; see workloads().
 	Workload string `json:"workload"`
 	// Machine is the machine model name (machine.ByName); default Perlmutter.
 	Machine string `json:"machine,omitempty"`
@@ -125,15 +125,15 @@ func (s Spec) Normalize() Spec {
 	// Canonicalize topology spelling ("fat-tree:4" == "fattree:4") when it
 	// parses; Validate reports the error otherwise.
 	if tc, err := fabric.ParseTopology(s.Topology); err == nil {
-		s.Topology = CanonicalTopology(tc)
+		s.Topology = canonicalTopology(tc)
 	}
 	return s
 }
 
-// CanonicalTopology renders a TopologyConfig in the canonical unresolved
+// canonicalTopology renders a TopologyConfig in the canonical unresolved
 // spec syntax (auto-sized parameters stay 0, since resolution depends on the
 // node count): "flat", "fattree:4", "fattree", "dragonfly:1,2,2".
-func CanonicalTopology(tc fabric.TopologyConfig) string {
+func canonicalTopology(tc fabric.TopologyConfig) string {
 	switch tc.Kind {
 	case fabric.TopoFatTree:
 		if tc.FatTreeArity == 0 {
@@ -149,6 +149,14 @@ func CanonicalTopology(tc fabric.TopologyConfig) string {
 	default:
 		return "flat"
 	}
+}
+
+// CheckSeverity is Validate's rule for a fault severity: finite and >= 0.
+func CheckSeverity(v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("severity must be finite and >= 0 (got %g)", v)
+	}
+	return nil
 }
 
 // Validate reports whether the spec describes a runnable cell. It validates
@@ -177,7 +185,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("spec: fault modes apply to net workloads only (got %q)", s.FaultMode)
 		}
 	default:
-		return fmt.Errorf("spec: unknown workload %q (%s)", s.Workload, strings.Join(Workloads(), "|"))
+		return fmt.Errorf("spec: unknown workload %q (%s)", s.Workload, strings.Join(workloads(), "|"))
 	}
 	m, err := s.Model()
 	if err != nil {
@@ -211,8 +219,8 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("spec: unknown fault mode %q (degrade|generate)", s.FaultMode)
 	}
-	if s.Severity < 0 || math.IsNaN(s.Severity) || math.IsInf(s.Severity, 0) {
-		return fmt.Errorf("spec: severity must be finite and >= 0 (got %g)", s.Severity)
+	if err := CheckSeverity(s.Severity); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	if s.FaultMode == FaultNone && s.Severity != 0 {
 		return fmt.Errorf("spec: severity %g without a fault mode", s.Severity)
@@ -284,15 +292,15 @@ func (s Spec) Model() (*machine.Model, error) {
 	if m == nil {
 		return nil, fmt.Errorf("spec: unknown machine %q", n.Machine)
 	}
-	tc, err := s.TopologyConfig()
+	tc, err := s.topologyConfig()
 	if err != nil {
 		return nil, err
 	}
 	return WithTopology(m, tc), nil
 }
 
-// TopologyConfig parses the spec's topology field.
-func (s Spec) TopologyConfig() (fabric.TopologyConfig, error) {
+// topologyConfig parses the spec's topology field.
+func (s Spec) topologyConfig() (fabric.TopologyConfig, error) {
 	return fabric.ParseTopology(s.Normalize().Topology)
 }
 

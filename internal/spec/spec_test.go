@@ -31,7 +31,7 @@ func TestHashInjectivityGrid(t *testing.T) {
 		}
 		seen[h] = s
 	}
-	for _, w := range Workloads() {
+	for _, w := range workloads() {
 		for _, m := range machines {
 			for _, b := range backends {
 				for _, topo := range topologies {
@@ -116,7 +116,7 @@ func TestHashGolden(t *testing.T) {
 func randSpec(r *rand.Rand) Spec {
 	pick := func(ss ...string) string { return ss[r.Intn(len(ss))] }
 	s := Spec{
-		Workload:  pick(Workloads()...),
+		Workload:  pick(workloads()...),
 		Machine:   pick("", "Perlmutter", "LUMI", "MareNostrum5"),
 		Backend:   pick("", "MPI", "GPUCCL", "GPUSHMEM"),
 		API:       pick("", "Host", "Device"),
@@ -212,17 +212,17 @@ func TestValidate(t *testing.T) {
 // TestParseTopologyList pins the list-splitting rule the chaos and scale
 // CLIs share: numeric segments continue the previous dragonfly spec.
 func TestParseTopologyList(t *testing.T) {
-	tcs, err := ParseTopologyList("flat,fattree:4,dragonfly:1,2,2")
+	tcs, err := parseTopologyList("flat,fattree:4,dragonfly:1,2,2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tcs) != 3 {
 		t.Fatalf("got %d topologies, want 3 (dragonfly params must stay attached)", len(tcs))
 	}
-	if got := CanonicalTopology(tcs[2]); got != "dragonfly:1,2,2" {
+	if got := canonicalTopology(tcs[2]); got != "dragonfly:1,2,2" {
 		t.Errorf("third entry = %s, want dragonfly:1,2,2", got)
 	}
-	if _, err := ParseTopologyList("flat,torus"); err == nil {
+	if _, err := parseTopologyList("flat,torus"); err == nil {
 		t.Error("want an error for an unknown topology in the list")
 	}
 }

@@ -16,9 +16,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultBoardDepth is the registration capacity used when a non-positive
+// defaultBoardDepth is the registration capacity used when a non-positive
 // depth is requested.
-const DefaultBoardDepth = 64
+const defaultBoardDepth = 64
 
 // boardSlot is one registered recorder.
 type boardSlot struct {
@@ -33,11 +33,11 @@ type FlightBoard struct {
 	n   uint64
 }
 
-// NewFlightBoard returns a board retaining the last depth registrations
-// (DefaultBoardDepth when depth <= 0).
-func NewFlightBoard(depth int) *FlightBoard {
+// newFlightBoard returns a board retaining the last depth registrations
+// (defaultBoardDepth when depth <= 0).
+func newFlightBoard(depth int) *FlightBoard {
 	if depth <= 0 {
-		depth = DefaultBoardDepth
+		depth = defaultBoardDepth
 	}
 	return &FlightBoard{buf: make([]boardSlot, depth)}
 }

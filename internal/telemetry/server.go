@@ -36,11 +36,10 @@ const ReadHeaderTimeout = 10 * time.Second
 type Server struct {
 	t             *Tracker
 	mux           *http.ServeMux
-	headerTimeout time.Duration // ReadHeaderTimeout; tests shorten it before Start
+	headerTimeout time.Duration // ReadHeaderTimeout; tests shorten it before start
 
 	mu      sync.Mutex
 	prev    map[string]metrics.Snapshot // per-client-key delta baselines
-	ln      net.Listener
 	httpSrv *http.Server
 }
 
@@ -60,26 +59,26 @@ func NewServer(t *Tracker) *Server {
 // Handler exposes the endpoint mux (for httptest and for embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start listens on addr (host:port; :0 picks a free port) and serves in a
+// start listens on addr (host:port; :0 picks a free port) and serves in a
 // background goroutine until Close. It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
+func (s *Server) start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: s.headerTimeout}
 	s.mu.Lock()
-	s.ln, s.httpSrv = ln, srv
+	s.httpSrv = srv
 	s.mu.Unlock()
 	go srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener. Safe to call without Start.
+// Close stops the listener. Safe to call without start.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	srv := s.httpSrv
-	s.httpSrv, s.ln = nil, nil
+	s.httpSrv = nil
 	s.mu.Unlock()
 	if srv == nil {
 		return nil
@@ -124,21 +123,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\n  \"status\": \"ok\",\n  \"uptime_seconds\": %.3f,\n  \"runs_total\": %d,\n  \"runs_active\": %d\n}\n",
-		s.t.Uptime().Seconds(), len(runs), active)
+		s.t.uptime().Seconds(), len(runs), active)
 }
 
 // handleRuns serves the sweep progress document.
 func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 	runs := s.t.Runs()
 	if runs == nil {
-		runs = []RunStatus{}
+		runs = []runStatus{}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(struct {
 		SampledAt string      `json:"sampled_at"`
-		Runs      []RunStatus `json:"runs"`
+		Runs      []runStatus `json:"runs"`
 	}{time.Now().UTC().Format(time.RFC3339Nano), runs}) //nolint:errcheck
 }
 
@@ -155,7 +154,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
 func StartLive(addr string) (*Tracker, *Server, error) {
 	t := NewTracker()
 	s := NewServer(t)
-	bound, err := s.Start(addr)
+	bound, err := s.start(addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("telemetry: listen on %s: %w", addr, err)
 	}

@@ -29,7 +29,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 type runsDoc struct {
-	Runs []RunStatus `json:"runs"`
+	Runs []runStatus `json:"runs"`
 }
 
 func TestRunsEndpointTracksProgress(t *testing.T) {
@@ -211,7 +211,7 @@ func TestNilTrackerSafety(t *testing.T) {
 
 func TestServerStartClose(t *testing.T) {
 	s := NewServer(NewTracker())
-	addr, err := s.Start("127.0.0.1:0")
+	addr, err := s.start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestStalledHeadersAreDisconnected(t *testing.T) {
 		t.Fatalf("header timeout = %v (const %v), want 10s", s.headerTimeout, ReadHeaderTimeout)
 	}
 	s.headerTimeout = 50 * time.Millisecond
-	addr, err := s.Start("127.0.0.1:0")
+	addr, err := s.start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func NewTracker() *Tracker {
 	return &Tracker{
 		started: time.Now(),
 		reg:     metrics.New(),
-		board:   NewFlightBoard(0),
+		board:   newFlightBoard(0),
 	}
 }
 
@@ -165,17 +165,17 @@ func (r *LiveRun) End() {
 	r.t.reg.Counter("telemetry.runs.ended").Inc()
 }
 
-// WorkerStatus is one worker's in-flight cell in a RunStatus.
-type WorkerStatus struct {
+// workerStatus is one worker's in-flight cell in a runStatus.
+type workerStatus struct {
 	Worker         int     `json:"worker"`
 	Cell           int     `json:"cell"`
 	Label          string  `json:"label"`
 	RunningSeconds float64 `json:"running_seconds"`
 }
 
-// RunStatus is the point-in-time progress of one sweep, as served by
+// runStatus is the point-in-time progress of one sweep, as served by
 // /debug/runs.
-type RunStatus struct {
+type runStatus struct {
 	Label          string  `json:"label"`
 	Total          int     `json:"total"`
 	Done           int     `json:"done"`
@@ -186,14 +186,14 @@ type RunStatus struct {
 	// of the completed ones; negative when no cell has finished yet (no
 	// basis for a rate).
 	ETASeconds float64        `json:"eta_seconds"`
-	Current    []WorkerStatus `json:"current,omitempty"`
+	Current    []workerStatus `json:"current,omitempty"`
 }
 
 // status samples the run at wall-clock instant now.
-func (r *LiveRun) status(now time.Time) RunStatus {
+func (r *LiveRun) status(now time.Time) runStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RunStatus{
+	st := runStatus{
 		Label: r.label, Total: r.total, Done: r.done, Workers: r.workers,
 		Ended:          r.ended,
 		ElapsedSeconds: now.Sub(r.started).Seconds(),
@@ -206,7 +206,7 @@ func (r *LiveRun) status(now time.Time) RunStatus {
 		st.ETASeconds = float64(r.total-r.done) / rate
 	}
 	for w, ref := range r.current {
-		st.Current = append(st.Current, WorkerStatus{
+		st.Current = append(st.Current, workerStatus{
 			Worker: w, Cell: ref.cell, Label: ref.label,
 			RunningSeconds: now.Sub(ref.since).Seconds(),
 		})
@@ -217,7 +217,7 @@ func (r *LiveRun) status(now time.Time) RunStatus {
 
 // Runs samples every run the tracker has seen, oldest first. Empty on a nil
 // tracker.
-func (t *Tracker) Runs() []RunStatus {
+func (t *Tracker) Runs() []runStatus {
 	if t == nil {
 		return nil
 	}
@@ -225,15 +225,15 @@ func (t *Tracker) Runs() []RunStatus {
 	t.mu.Lock()
 	runs := append([]*LiveRun(nil), t.runs...)
 	t.mu.Unlock()
-	out := make([]RunStatus, 0, len(runs))
+	out := make([]runStatus, 0, len(runs))
 	for _, r := range runs {
 		out = append(out, r.status(now))
 	}
 	return out
 }
 
-// Uptime reports the wall time since the tracker was created (0 on nil).
-func (t *Tracker) Uptime() time.Duration {
+// uptime reports the wall time since the tracker was created (0 on nil).
+func (t *Tracker) uptime() time.Duration {
 	if t == nil {
 		return 0
 	}

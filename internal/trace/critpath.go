@@ -16,42 +16,42 @@ import (
 	"repro/internal/sim"
 )
 
-// Class buckets a span for attribution purposes.
-type Class int
+// spanClass buckets a span for attribution purposes.
+type spanClass int
 
 // Attribution classes, in ascending priority: when intervals of different
 // classes overlap on one rank, the higher class claims the overlap (waiting
 // on the network dominates locally overlapped compute).
 const (
-	ClassCompute Class = iota // kernels, stream ops, host work
-	ClassIntra                // intra-node transfers (incl. device-local)
-	ClassInter                // inter-node transfers
+	classCompute spanClass = iota // kernels, stream ops, host work
+	classIntra                    // intra-node transfers (incl. device-local)
+	classInter                    // inter-node transfers
 	numClasses
 )
 
-func (c Class) String() string {
+func (c spanClass) String() string {
 	switch c {
-	case ClassCompute:
+	case classCompute:
 		return "compute"
-	case ClassIntra:
+	case classIntra:
 		return "intra-node"
-	case ClassInter:
+	case classInter:
 		return "inter-node"
 	default:
-		return fmt.Sprintf("Class(%d)", int(c))
+		return fmt.Sprintf("spanClass(%d)", int(c))
 	}
 }
 
-// ClassOf buckets one span: transfers by their route's track (an inter-node
+// classOf buckets one span: transfers by their route's track (an inter-node
 // track is "inter" or "inter+failover"), everything else as compute.
-func ClassOf(s Span) Class {
+func classOf(s Span) spanClass {
 	if s.Kind != KindTransfer {
-		return ClassCompute
+		return classCompute
 	}
 	if strings.HasPrefix(s.Track, "inter") {
-		return ClassInter
+		return classInter
 	}
-	return ClassIntra
+	return classIntra
 }
 
 // RankBreakdown partitions one rank's run [0, Total] by activity class.
@@ -88,11 +88,11 @@ func Attribute(spans []Span, end sim.Time) []RankBreakdown {
 	// elementary segments claimed by the highest active class.
 	type edge struct {
 		at    sim.Time
-		class Class
+		class spanClass
 		delta int
 	}
 	perRank := make([][]edge, nRanks)
-	addIv := func(rank int, class Class, start, stop sim.Time) {
+	addIv := func(rank int, class spanClass, start, stop sim.Time) {
 		if rank < 0 || rank >= nRanks {
 			return
 		}
@@ -107,7 +107,7 @@ func Attribute(spans []Span, end sim.Time) []RankBreakdown {
 			edge{at: stop, class: class, delta: -1})
 	}
 	for _, s := range spans {
-		class := ClassOf(s)
+		class := classOf(s)
 		if s.Kind == KindTransfer {
 			addIv(s.Src, class, s.Start, s.End)
 			if s.Dst != s.Src {
@@ -132,7 +132,7 @@ func Attribute(spans []Span, end sim.Time) []RankBreakdown {
 		prev := sim.Time(0)
 		for _, e := range edges {
 			if e.at > prev {
-				for c := numClasses - 1; c >= ClassCompute; c-- {
+				for c := numClasses - 1; c >= classCompute; c-- {
 					if active[c] > 0 {
 						covered[c] += e.at.Sub(prev)
 						break
@@ -142,9 +142,9 @@ func Attribute(spans []Span, end sim.Time) []RankBreakdown {
 			}
 			active[e.class] += e.delta
 		}
-		b.Compute = covered[ClassCompute]
-		b.Intra = covered[ClassIntra]
-		b.Inter = covered[ClassInter]
+		b.Compute = covered[classCompute]
+		b.Intra = covered[classIntra]
+		b.Inter = covered[classInter]
 		b.Blocked = b.Total - b.Compute - b.Intra - b.Inter
 		out[rank] = b
 	}
@@ -250,7 +250,7 @@ func CriticalPath(spans []Span) CritPath {
 		if b, ok := byRank[s.Rank]; ok && b.len > plen {
 			p, plen = b.idx, b.len
 		}
-		chain[i] = plen + s.Dur()
+		chain[i] = plen + s.dur()
 		pred[i] = p
 	}
 
@@ -276,13 +276,13 @@ func CriticalPath(spans []Span) CritPath {
 		cp.Chain[links] = srt[i]
 	}
 	for _, s := range cp.Chain {
-		switch ClassOf(s) {
-		case ClassInter:
-			cp.Inter += s.Dur()
-		case ClassIntra:
-			cp.Intra += s.Dur()
+		switch classOf(s) {
+		case classInter:
+			cp.Inter += s.dur()
+		case classIntra:
+			cp.Intra += s.dur()
 		default:
-			cp.Compute += s.Dur()
+			cp.Compute += s.dur()
 		}
 	}
 	cp.Blocked = sim.Duration(cp.End) - cp.Len
@@ -312,7 +312,7 @@ func (cp CritPath) Render() string {
 			gap = 0
 		}
 		fmt.Fprintf(&b, "  %12s +%-10s wait %-10s %-10s %-20s %s\n",
-			s.Start, s.Dur(), gap, s.Kind, s.Track, s.Label)
+			s.Start, s.dur(), gap, s.Kind, s.Track, s.Label)
 		prev = s.End
 	}
 	return b.String()

@@ -10,9 +10,9 @@ import (
 
 func TestCriticalPathLinearChain(t *testing.T) {
 	spans := []Span{
-		{Kind: KindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
-		{Kind: KindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 100, End: 250},
-		{Kind: KindKernel, Label: "c", Track: "gpu0.s", Rank: 0, Start: 250, End: 300},
+		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 100, End: 250},
+		{Kind: kindKernel, Label: "c", Track: "gpu0.s", Rank: 0, Start: 250, End: 300},
 	}
 	cp := CriticalPath(spans)
 	if cp.Len != 300 || cp.End != 300 || len(cp.Chain) != 3 {
@@ -30,11 +30,11 @@ func TestCriticalPathLinearChain(t *testing.T) {
 //	rank1: kernel [0,80]                                        kernel [150,400]
 func TestCriticalPathMessageEdge(t *testing.T) {
 	spans := []Span{
-		{Kind: KindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
-		{Kind: KindKernel, Label: "k1a", Track: "gpu1.s", Rank: 1, Start: 0, End: 80},
+		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "k1a", Track: "gpu1.s", Rank: 1, Start: 0, End: 80},
 		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "intra", Rank: 0, Src: 0, Dst: 1,
 			Start: 100, End: 150, Bytes: 4096},
-		{Kind: KindKernel, Label: "k1b", Track: "gpu1.s", Rank: 1, Start: 150, End: 400},
+		{Kind: kindKernel, Label: "k1b", Track: "gpu1.s", Rank: 1, Start: 150, End: 400},
 	}
 	cp := CriticalPath(spans)
 	if cp.Len != 400 { // 100 + 50 + 250, beating 80 + 250 = 330
@@ -56,8 +56,8 @@ func TestCriticalPathMessageEdge(t *testing.T) {
 // must equal the chain's end.
 func TestCriticalPathGapIsBlocked(t *testing.T) {
 	spans := []Span{
-		{Kind: KindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
-		{Kind: KindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 300, End: 500},
+		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 300, End: 500},
 	}
 	cp := CriticalPath(spans)
 	if cp.Len != 300 || cp.End != 500 || cp.Blocked != 200 {
@@ -72,8 +72,8 @@ func TestCriticalPathGapIsBlocked(t *testing.T) {
 // kernels yield a path of just the longer one.
 func TestCriticalPathParallelNotChained(t *testing.T) {
 	spans := []Span{
-		{Kind: KindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
-		{Kind: KindKernel, Label: "b", Track: "gpu1.s", Rank: 1, Start: 0, End: 140},
+		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "b", Track: "gpu1.s", Rank: 1, Start: 0, End: 140},
 	}
 	cp := CriticalPath(spans)
 	if cp.Len != 140 || len(cp.Chain) != 1 || cp.Chain[0].Label != "b" {
@@ -83,10 +83,10 @@ func TestCriticalPathParallelNotChained(t *testing.T) {
 
 func TestCriticalPathInputOrderIndependent(t *testing.T) {
 	spans := []Span{
-		{Kind: KindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
 		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Rank: 0, Src: 0, Dst: 1,
 			Start: 100, End: 180, Bytes: 1 << 20},
-		{Kind: KindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: 180, End: 260},
+		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: 180, End: 260},
 	}
 	want := CriticalPath(spans).Render()
 	reversed := []Span{spans[2], spans[0], spans[1]}
@@ -101,7 +101,7 @@ func TestCriticalPathInputOrderIndependent(t *testing.T) {
 func TestAttributePartitionsExactly(t *testing.T) {
 	end := sim.Time(200)
 	spans := []Span{
-		{Kind: KindKernel, Label: "k", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "k", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
 		// Overlaps the kernel on rank 0 for [50,100]; inter has priority.
 		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Rank: 0, Src: 0, Dst: 1,
 			Start: 50, End: 150, Bytes: 4096},
@@ -128,7 +128,7 @@ func TestAttributePartitionsExactly(t *testing.T) {
 func TestAttributeClampsToHorizon(t *testing.T) {
 	// A span running past end must be clipped, not produce negative blocked.
 	rows := Attribute([]Span{
-		{Kind: KindKernel, Track: "gpu0.s", Rank: 0, Start: 50, End: 500},
+		{Kind: kindKernel, Track: "gpu0.s", Rank: 0, Start: 50, End: 500},
 	}, 100)
 	if rows[0].Compute != 50 || rows[0].Blocked != 50 {
 		t.Fatalf("rows[0] = %+v", rows[0])
@@ -140,7 +140,7 @@ func TestCommMatrix(t *testing.T) {
 		{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 100, Start: 0, End: 1},
 		{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 50, Start: 1, End: 2},
 		{Kind: KindTransfer, Src: 2, Dst: 0, Bytes: 7, Start: 0, End: 3},
-		{Kind: KindKernel, Rank: 5, Start: 0, End: 1}, // ignored
+		{Kind: kindKernel, Rank: 5, Start: 0, End: 1}, // ignored
 	})
 	if m.N != 3 {
 		t.Fatalf("N = %d", m.N)
@@ -156,13 +156,13 @@ func TestCommMatrix(t *testing.T) {
 
 func TestZeroDurationSpansAreSafe(t *testing.T) {
 	s := Span{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 4096, Start: 100, End: 100}
-	if bw := s.Bandwidth(); bw != 0 {
+	if bw := s.bandwidth(); bw != 0 {
 		t.Fatalf("zero-duration bandwidth = %v, want 0", bw)
 	}
 	l := New()
 	l.Add(s)
 	sum := l.Summarize()
-	if bw := sum.Rows[0].Bandwidth(); bw != 0 {
+	if bw := sum.rows[0].bandwidth(); bw != 0 {
 		t.Fatalf("summary bandwidth = %v, want 0", bw)
 	}
 	out := sum.Render()
@@ -180,12 +180,12 @@ func TestZeroDurationSpansAreSafe(t *testing.T) {
 
 func TestSortSpansStable(t *testing.T) {
 	// Equal-timestamp spans order by track/kind/label, not insertion order.
-	a := Span{Kind: KindKernel, Label: "x", Track: "b", Start: 10, End: 20}
-	b := Span{Kind: KindKernel, Label: "x", Track: "a", Start: 10, End: 20}
+	a := Span{Kind: kindKernel, Label: "x", Track: "b", Start: 10, End: 20}
+	b := Span{Kind: kindKernel, Label: "x", Track: "a", Start: 10, End: 20}
 	s1 := []Span{a, b}
 	s2 := []Span{b, a}
-	SortSpans(s1)
-	SortSpans(s2)
+	sortSpans(s1)
+	sortSpans(s2)
 	if s1[0] != s2[0] || s1[0].Track != "a" {
 		t.Fatalf("sort not canonical: %+v vs %+v", s1, s2)
 	}
@@ -193,7 +193,7 @@ func TestSortSpansStable(t *testing.T) {
 
 func TestWriteChromeCells(t *testing.T) {
 	cellA := ChromeCell{Name: "lat 8B", Spans: []Span{
-		{Kind: KindKernel, Label: "k", Track: "gpu0.s", Start: 0, End: 10},
+		{Kind: kindKernel, Label: "k", Track: "gpu0.s", Start: 0, End: 10},
 	}}
 	cellB := ChromeCell{Name: "bw 1MiB", Spans: []Span{
 		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Src: 0, Dst: 1,

@@ -25,21 +25,21 @@ type Kind int
 
 // Span kinds.
 const (
-	KindKernel Kind = iota
+	kindKernel Kind = iota
 	KindStreamOp
 	KindTransfer
-	KindHost
+	kindHost
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindKernel:
+	case kindKernel:
 		return "kernel"
 	case KindStreamOp:
 		return "stream-op"
 	case KindTransfer:
 		return "transfer"
-	case KindHost:
+	case kindHost:
 		return "host"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
@@ -66,13 +66,13 @@ type Span struct {
 	Src, Dst int
 }
 
-// Dur reports the span length.
-func (s Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
+// dur reports the span length.
+func (s Span) dur() sim.Duration { return s.End.Sub(s.Start) }
 
-// Bandwidth reports the span's payload rate in bytes per second of virtual
+// bandwidth reports the span's payload rate in bytes per second of virtual
 // time, guarding zero-duration and zero-byte spans (0, never ±Inf/NaN).
-func (s Span) Bandwidth() float64 {
-	d := s.Dur()
+func (s Span) bandwidth() float64 {
+	d := s.dur()
 	if s.Bytes <= 0 || d <= 0 {
 		return 0
 	}
@@ -98,11 +98,11 @@ func (s Span) compare(o Span) int {
 	return cmp.Or(cmp.Compare(s.Src, o.Src), cmp.Compare(s.Dst, o.Dst))
 }
 
-// SortSpans orders spans deterministically (see Span.compare) in place, using
+// sortSpans orders spans deterministically (see Span.compare) in place, using
 // a stable sort so fully identical spans keep their insertion order.
-func SortSpans(spans []Span) { slices.SortStableFunc(spans, Span.compare) }
+func sortSpans(spans []Span) { slices.SortStableFunc(spans, Span.compare) }
 
-// sortedSpans returns spans in SortSpans order: the slice itself when it is
+// sortedSpans returns spans in sortSpans order: the slice itself when it is
 // already ordered (what Log.Sorted hands the analyses), a sorted copy
 // otherwise, so callers stay independent of their input's order.
 func sortedSpans(spans []Span) []Span {
@@ -110,14 +110,14 @@ func sortedSpans(spans []Span) []Span {
 		return spans
 	}
 	srt := slices.Clone(spans)
-	SortSpans(srt)
+	sortSpans(srt)
 	return srt
 }
 
 // Log collects spans. The zero value is ready to use; a nil *Log discards
 // everything. Appends are mutex-guarded, so a log may be read from another
 // goroutine while its run appends; every consumer that needs a stable order
-// sorts (Sorted/SortSpans).
+// sorts (Sorted/sortSpans).
 type Log struct {
 	mu sync.Mutex
 	// Spans are appended into fixed-size chunks, so a growing log never
@@ -149,8 +149,8 @@ func (l *Log) Add(s Span) {
 	l.mu.Unlock()
 }
 
-// Spans returns a copy of the recorded spans in insertion order.
-func (l *Log) Spans() []Span {
+// spans returns a copy of the recorded spans in insertion order.
+func (l *Log) spans() []Span {
 	if l == nil {
 		return nil
 	}
@@ -176,19 +176,19 @@ func (l *Log) Len() int {
 	return l.n
 }
 
-// Sorted returns a copy of the spans in deterministic order (SortSpans).
+// Sorted returns a copy of the spans in deterministic order (sortSpans).
 // Analysis and export paths use it so output bytes do not depend on
 // producer interleaving.
 func (l *Log) Sorted() []Span {
-	out := l.Spans()
-	SortSpans(out)
+	out := l.spans()
+	sortSpans(out)
 	return out
 }
 
 // Filter returns the spans of one kind.
 func (l *Log) Filter(k Kind) []Span {
 	var out []Span
-	for _, s := range l.Spans() {
+	for _, s := range l.spans() {
 		if s.Kind == k {
 			out = append(out, s)
 		}
@@ -198,26 +198,26 @@ func (l *Log) Filter(k Kind) []Span {
 
 // Summary aggregates busy time and counts per (kind, track).
 type Summary struct {
-	Rows []SummaryRow
+	rows []summaryRow
 }
 
-// SummaryRow is one aggregate.
-type SummaryRow struct {
-	Kind  Kind
-	Track string
-	Count int
-	Busy  sim.Duration
-	Bytes int64
+// summaryRow is one aggregate.
+type summaryRow struct {
+	kind  Kind
+	track string
+	count int
+	busy  sim.Duration
+	bytes int64
 }
 
-// Bandwidth reports the row's aggregate payload rate in bytes per second,
+// bandwidth reports the row's aggregate payload rate in bytes per second,
 // guarding zero busy time (0, never ±Inf/NaN — a log of only instantaneous
 // transfers summarizes cleanly).
-func (r SummaryRow) Bandwidth() float64 {
-	if r.Bytes <= 0 || r.Busy <= 0 {
+func (r summaryRow) bandwidth() float64 {
+	if r.bytes <= 0 || r.busy <= 0 {
 		return 0
 	}
-	return float64(r.Bytes) / r.Busy.Seconds()
+	return float64(r.bytes) / r.busy.Seconds()
 }
 
 // Summarize aggregates the log per (kind, track), ordered by descending
@@ -227,43 +227,43 @@ func (l *Log) Summarize() Summary {
 		kind  Kind
 		track string
 	}
-	acc := map[key]*SummaryRow{}
-	for _, s := range l.Spans() {
+	acc := map[key]*summaryRow{}
+	for _, s := range l.spans() {
 		k := key{s.Kind, s.Track}
 		r := acc[k]
 		if r == nil {
-			r = &SummaryRow{Kind: s.Kind, Track: s.Track}
+			r = &summaryRow{kind: s.Kind, track: s.Track}
 			acc[k] = r
 		}
-		r.Count++
-		r.Busy += s.Dur()
-		r.Bytes += s.Bytes
+		r.count++
+		r.busy += s.dur()
+		r.bytes += s.Bytes
 	}
-	var rows []SummaryRow
+	var rows []summaryRow
 	for _, r := range acc {
 		rows = append(rows, *r)
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Busy != rows[j].Busy {
-			return rows[i].Busy > rows[j].Busy
+		if rows[i].busy != rows[j].busy {
+			return rows[i].busy > rows[j].busy
 		}
-		if rows[i].Track != rows[j].Track {
-			return rows[i].Track < rows[j].Track
+		if rows[i].track != rows[j].track {
+			return rows[i].track < rows[j].track
 		}
-		return rows[i].Kind < rows[j].Kind
+		return rows[i].kind < rows[j].kind
 	})
-	return Summary{Rows: rows}
+	return Summary{rows: rows}
 }
 
-// Render formats the summary as a text table. Bandwidth is per-row payload
+// Render formats the summary as a text table. bandwidth is per-row payload
 // over busy time, zero for byte-less or zero-duration rows.
 func (s Summary) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %-24s %8s %14s %12s %10s\n",
 		"kind", "track", "count", "busy", "bytes", "GB/s")
-	for _, r := range s.Rows {
+	for _, r := range s.rows {
 		fmt.Fprintf(&b, "%-10s %-24s %8d %14s %12d %10.2f\n",
-			r.Kind, r.Track, r.Count, r.Busy, r.Bytes, r.Bandwidth()/1e9)
+			r.kind, r.track, r.count, r.busy, r.bytes, r.bandwidth()/1e9)
 	}
 	return b.String()
 }
@@ -297,7 +297,7 @@ type ChromeCell struct {
 
 // WriteChromeCells exports several cells into one Chrome trace, giving cell
 // i process id i+1 plus a process_name metadata record. Span order within a
-// cell is deterministic (SortSpans), so the export is byte-stable. The
+// cell is deterministic (sortSpans), so the export is byte-stable. The
 // caller keeps cells in index order; see internal/bench/runner.go for the
 // collector ownership rule.
 func WriteChromeCells(w io.Writer, cells []ChromeCell) error {
@@ -309,7 +309,7 @@ func WriteChromeCells(w io.Writer, cells []ChromeCell) error {
 			Args: map[string]any{"name": c.Name},
 		})
 		spans := append([]Span(nil), c.Spans...)
-		SortSpans(spans)
+		sortSpans(spans)
 		events = appendChromeEvents(events, spans, pid)
 	}
 	return writeChromeEvents(w, events)
@@ -325,13 +325,13 @@ func appendChromeEvents(events []chromeEvent, spans []Span, pid int) []chromeEve
 			Cat:  s.Kind.String(),
 			Ph:   "X",
 			TS:   sim.Duration(s.Start).Micros(),
-			Dur:  s.Dur().Micros(),
+			Dur:  s.dur().Micros(),
 			PID:  pid,
 			TID:  s.Track,
 		}
 		if s.Bytes > 0 {
 			ev.Args = map[string]any{"bytes": s.Bytes}
-			if bw := s.Bandwidth(); bw > 0 {
+			if bw := s.bandwidth(); bw > 0 {
 				ev.Args["gbps"] = bw / 1e9
 			}
 		}

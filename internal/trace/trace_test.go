@@ -11,7 +11,7 @@ import (
 
 func sampleLog() *Log {
 	l := New()
-	l.Add(Span{Kind: KindKernel, Label: "jacobi", Track: "gpu0.s", Start: 0, End: 100})
+	l.Add(Span{Kind: kindKernel, Label: "jacobi", Track: "gpu0.s", Start: 0, End: 100})
 	l.Add(Span{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "intra", Start: 50, End: 150, Bytes: 4096})
 	l.Add(Span{Kind: KindTransfer, Label: "gpu1->gpu0", Track: "intra", Start: 60, End: 160, Bytes: 4096})
 	l.Add(Span{Kind: KindStreamOp, Label: "memcpy", Track: "gpu0.s", Start: 100, End: 110})
@@ -20,11 +20,11 @@ func sampleLog() *Log {
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	l.Add(Span{Kind: KindKernel})
-	if l.Len() != 0 || l.Spans() != nil {
+	l.Add(Span{Kind: kindKernel})
+	if l.Len() != 0 || l.spans() != nil {
 		t.Fatal("nil log not inert")
 	}
-	if got := l.Summarize(); len(got.Rows) != 0 {
+	if got := l.Summarize(); len(got.rows) != 0 {
 		t.Fatal("nil log summary not empty")
 	}
 }
@@ -35,21 +35,21 @@ func TestFilterAndDur(t *testing.T) {
 	if len(tr) != 2 {
 		t.Fatalf("transfers = %d", len(tr))
 	}
-	if tr[0].Dur() != 100 {
-		t.Fatalf("dur = %v", tr[0].Dur())
+	if tr[0].dur() != 100 {
+		t.Fatalf("dur = %v", tr[0].dur())
 	}
 }
 
 func TestSummarize(t *testing.T) {
 	l := sampleLog()
 	s := l.Summarize()
-	if len(s.Rows) != 3 {
-		t.Fatalf("rows = %d", len(s.Rows))
+	if len(s.rows) != 3 {
+		t.Fatalf("rows = %d", len(s.rows))
 	}
 	// Transfers dominate busy time: 200ns total on track "intra".
-	top := s.Rows[0]
-	if top.Kind != KindTransfer || top.Track != "intra" ||
-		top.Busy != 200 || top.Count != 2 || top.Bytes != 8192 {
+	top := s.rows[0]
+	if top.kind != KindTransfer || top.track != "intra" ||
+		top.busy != 200 || top.count != 2 || top.bytes != 8192 {
 		t.Fatalf("top row = %+v", top)
 	}
 	out := s.Render()
@@ -88,8 +88,8 @@ func TestChromeTraceExport(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindKernel: "kernel", KindStreamOp: "stream-op",
-		KindTransfer: "transfer", KindHost: "host",
+		kindKernel: "kernel", KindStreamOp: "stream-op",
+		KindTransfer: "transfer", kindHost: "host",
 	} {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %s", int(k), k)
