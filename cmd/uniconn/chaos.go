@@ -139,6 +139,9 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if *recover && *ranks < 2 {
+		return badUsage(fs, "-ranks %d: the recovery workload needs at least 2 ranks", *ranks)
+	}
 
 	m, err := common.Resolve()
 	if err != nil {

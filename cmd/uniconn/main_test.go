@@ -177,6 +177,8 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"chaos", "-topology", "flat,fattree"}, 1, "topology lists are for -recover"},
 		{[]string{"chaos", "-severities", "NaN,1"}, 1, "severity must be finite and >= 0 (got NaN)"},
 		{[]string{"chaos", "-severities", "0,+Inf"}, 1, "severity must be finite and >= 0 (got +Inf)"},
+		{[]string{"chaos", "-recover", "-ranks", "0"}, 2, "-ranks 0: the recovery workload needs at least 2 ranks"},
+		{[]string{"chaos", "-recover", "-ranks", "1"}, 2, "-ranks 1: the recovery workload needs at least 2 ranks"},
 		{[]string{"sloc", "-root", "/nonexistent"}, 1, "run from the repository root"},
 	} {
 		stdout, stderr, status := invoke(t, c.args...)
@@ -319,6 +321,17 @@ func TestNoShardsKnob(t *testing.T) {
 			if strings.Contains(text, knob) {
 				t.Errorf("%s mentions %s", name, knob)
 			}
+		}
+	}
+}
+
+// TestNoBatchWindowKnob: a serve miss runs as soon as a batch slot is free,
+// so there is no batch window or batch cap left to tune.
+func TestNoBatchWindowKnob(t *testing.T) {
+	for _, args := range [][]string{{"serve", "-batch-window", "1ms"}, {"serve", "-max-batch", "4"}} {
+		_, stderr, status := invoke(t, args...)
+		if status != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[1]) {
+			t.Errorf("uniconn %s: exit %d, stderr %q; want the undefined-flag rejection", strings.Join(args, " "), status, stderr)
 		}
 	}
 }

@@ -22,10 +22,12 @@ import (
 // backend → predicted time, critical path, comm matrix". Every answer is
 // content-addressed by its spec hash (internal/spec) and cached
 // (internal/cache), so repeated questions are O(1) and byte-identical;
-// concurrent misses coalesce and batch into deterministic sweep runs
-// (internal/serve). The telemetry plane's endpoints (/metrics /healthz
-// /debug/runs /debug/flight) are mounted alongside /query and /stats, with
-// the service's serve.* and cache.* counters on /metrics.
+// identical misses coalesce, a miss runs at once while one of -inflight
+// batch slots is free, and the misses that queue while all are busy run as
+// the next deterministic sweep (internal/serve). The telemetry plane's
+// endpoints (/metrics /healthz /debug/runs /debug/flight) are mounted
+// alongside /query and /stats, with the service's serve.* and cache.*
+// counters on /metrics.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops, in-flight
 // requests and queued batches drain, then the subcommand returns.
@@ -45,11 +47,8 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "persist cached results to this directory (survives restarts)")
 	cacheEntries := fs.Int("cache-entries", 0, "in-memory cache entry cap (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "in-memory cache byte cap (0 = default)")
-	batchWindow := fs.Duration("batch-window", serve.DefaultBatchWindow,
-		"how long the first miss of a batch waits to coalesce company before simulating")
-	maxBatch := fs.Int("max-batch", serve.DefaultMaxBatch, "max specs per batched sweep")
-	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "max concurrently executing batches")
-	queueCap := fs.Int("queue-cap", serve.DefaultQueueCap, "queued-spec cap before load shedding (503)")
+	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "batch slots; a miss runs at once while one is free")
+	queueCap := fs.Int("queue-cap", serve.DefaultQueueCap, "specs queued while every slot is busy, before 503")
 	workers := fs.Int("workers", 0,
 		"sweep worker count per batch; 0 = UNICONN_WORKERS env or GOMAXPROCS")
 	if err := parse(fs, args); err != nil {
@@ -64,8 +63,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 			MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, Dir: *cacheDir,
 		}),
 		Registry:    tracker.Registry(),
-		BatchWindow: *batchWindow,
-		MaxBatch:    *maxBatch,
 		MaxInflight: *inflight,
 		QueueCap:    *queueCap,
 	})

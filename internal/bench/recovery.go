@@ -293,7 +293,7 @@ func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severiti
 	live := progress()
 	return Sweep(len(severities), func(i int) (RecoveryPoint, error) {
 		sev := severities[i]
-		plan := faults.GenerateHard(seed, sev, fc, horizon)
+		plan := faults.GenerateHard(seed, sev, fc, nGPUs, horizon)
 		rc := recoveryConfig{
 			model: m, backend: backend, nGPUs: nGPUs, plan: plan, horizon: horizon,
 			flightDepth: flightDepth,

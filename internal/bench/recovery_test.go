@@ -99,6 +99,41 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRecoverySweepPartialNodes: a job that does not fill whole nodes draws
+// its hard faults over its own ranks, not over its nodes' GPU slots, so the
+// sweep completes where it used to crash a rank the job does not have.
+func TestRecoverySweepPartialNodes(t *testing.T) {
+	m := machine.Perlmutter()
+	severities := []float64{0.5, 0.75, 1}
+	for _, n := range []int{2, 3, 5, 6, 7} {
+		fc := m.FabricConfig(m.NodesFor(n))
+		for seed := uint64(0); seed < 16; seed++ {
+			for _, sev := range severities {
+				plan := faults.GenerateHard(seed, sev, fc, n, 4*sim.Millisecond)
+				for _, c := range plan.Crashes {
+					if c.Rank >= n {
+						t.Fatalf("%d ranks, seed %d, severity %g: crash of rank %d", n, seed, sev, c.Rank)
+					}
+				}
+				for _, ld := range plan.LinkDowns {
+					if ld.Src >= n || ld.Dst >= n {
+						t.Fatalf("%d ranks, seed %d, severity %g: link down %d->%d", n, seed, sev, ld.Src, ld.Dst)
+					}
+				}
+			}
+		}
+		pts, err := RecoverySweep(m, core.MPIBackend, n, severities, 42, 0)
+		if err != nil {
+			t.Fatalf("%d ranks: %v", n, err)
+		}
+		for _, pt := range pts {
+			if pt.Err != "" || !pt.Completed || pt.Crashes == 0 {
+				t.Errorf("%d ranks, severity %g: %+v; want a completed run with crashes", n, pt.Severity, pt)
+			}
+		}
+	}
+}
+
 // TestRecoveryHealthyRunUntouched checks severity-0 behaviour: no crashes,
 // no recoveries, full completion.
 func TestRecoveryHealthyRunUntouched(t *testing.T) {

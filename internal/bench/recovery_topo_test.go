@@ -79,7 +79,7 @@ func TestRecoverySwitchedTopologies(t *testing.T) {
 		t.Run(tc.Kind.String(), func(t *testing.T) {
 			mt := *machine.Perlmutter()
 			mt.Topology = tc
-			plan := faults.GenerateHard(11, 1, mt.FabricConfig(mt.NodesFor(nGPUs)), horizon)
+			plan := faults.GenerateHard(11, 1, mt.FabricConfig(mt.NodesFor(nGPUs)), nGPUs, horizon)
 			pt, err := runRecovery(recoveryConfig{
 				model: &mt, backend: core.MPIBackend, nGPUs: nGPUs, plan: plan, horizon: horizon,
 			})

@@ -110,9 +110,6 @@ type SlowRank struct {
 // Plan is one complete fault scenario. The zero value (and a nil *Plan)
 // injects nothing.
 type Plan struct {
-	// Seed identifies the scenario; Generate derives all randomness from it.
-	Seed uint64
-
 	Links     []LinkFault
 	Stalls    []PortStall
 	SlowRanks []SlowRank
@@ -260,7 +257,7 @@ func Degrade(path fabric.Path, severity float64) *Plan {
 // horizon) inputs yield identical plans; severity <= 0 yields an empty
 // plan.
 func Generate(seed uint64, severity float64, cfg fabric.Config, horizon sim.Duration) *Plan {
-	p := &Plan{Seed: seed}
+	p := &Plan{}
 	if severity <= 0 {
 		return p
 	}

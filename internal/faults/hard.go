@@ -85,11 +85,14 @@ func (p *Plan) ApplyHardFaults(f *fabric.Fabric) {
 // GenerateHard extends Generate with terminal faults for recovery-aware
 // chaos runs. Severity thresholds gate the hard-fault kinds:
 //
-//   - severity >= 0.5: rank crashes — ceil(severity * nGPUs / 4) distinct
+//   - severity >= 0.5: rank crashes — ceil(severity * ranks / 4) distinct
 //     ranks (always leaving at least one survivor) die at times drawn from
 //     [0.1, 0.6) of the horizon, mid-run so collectives are in flight.
 //   - severity >= 0.75: one intra-node route additionally goes down for
 //     good, exercising the failover path on the survivors.
+//
+// Crashes and the dead route are drawn over the job's ranks, packed onto
+// cfg's nodes, not over the GPU slots of a last node the job leaves part-empty.
 //
 // On a switched topology (cfg.Topology) the crash gate also kills one
 // redundant fabric element, so recovery always composes with rerouting:
@@ -107,7 +110,7 @@ func (p *Plan) ApplyHardFaults(f *fabric.Fabric) {
 // "interlink/v1"), so hard faults do not perturb the soft-fault scenario for
 // the same seed, and flat-topology plans are byte-identical to what this
 // function generated before topologies existed.
-func GenerateHard(seed uint64, severity float64, cfg fabric.Config, horizon sim.Duration) *Plan {
+func GenerateHard(seed uint64, severity float64, cfg fabric.Config, ranks int, horizon sim.Duration) *Plan {
 	p := Generate(seed, severity, cfg, horizon)
 	p.Lease = DefaultLease
 	if severity < 0.5 {
@@ -116,16 +119,15 @@ func GenerateHard(seed uint64, severity float64, cfg fabric.Config, horizon sim.
 	if severity > 1 {
 		severity = 1
 	}
-	nGPUs := cfg.Nodes * cfg.GPUsPerNode
-	if nGPUs >= 2 {
+	if ranks >= 2 {
 		r := newRand(seed, "crash/v1")
-		n := int(math.Ceil(severity * float64(nGPUs) / 4))
-		if n > nGPUs-1 {
-			n = nGPUs - 1
+		n := int(math.Ceil(severity * float64(ranks) / 4))
+		if n > ranks-1 {
+			n = ranks - 1
 		}
 		picked := make(map[int]bool, n)
 		for len(picked) < n {
-			rank := r.intn(nGPUs)
+			rank := r.intn(ranks)
 			if picked[rank] {
 				continue
 			}
@@ -134,11 +136,14 @@ func GenerateHard(seed uint64, severity float64, cfg fabric.Config, horizon sim.
 			p.Crashes = append(p.Crashes, RankCrash{Rank: rank, At: at})
 		}
 	}
-	if severity >= 0.75 && cfg.GPUsPerNode >= 2 {
+	if severity >= 0.75 && cfg.GPUsPerNode >= 2 && ranks >= 2 {
+		// Drawn among the nodes holding two or more ranks: every node of a
+		// whole-node job, whose draws the recover-*.golden tables pin.
 		r := newRand(seed, "linkdown/v1")
-		node := r.intn(cfg.Nodes)
-		a := r.intn(cfg.GPUsPerNode)
-		b := r.intn(cfg.GPUsPerNode - 1)
+		node := r.intn((ranks + cfg.GPUsPerNode - 2) / cfg.GPUsPerNode)
+		onNode := min(cfg.GPUsPerNode, ranks-node*cfg.GPUsPerNode)
+		a := r.intn(onNode)
+		b := r.intn(onNode - 1)
 		if b >= a {
 			b++
 		}

@@ -53,13 +53,13 @@ func TestGenerateHardThresholdsAndDeterminism(t *testing.T) {
 	cfg := hardCfg()
 	horizon := 10 * sim.Millisecond
 
-	a := GenerateHard(42, 1, cfg, horizon)
-	b := GenerateHard(42, 1, cfg, horizon)
+	a := GenerateHard(42, 1, cfg, 8, horizon)
+	b := GenerateHard(42, 1, cfg, 8, horizon)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("GenerateHard not deterministic for identical inputs")
 	}
 
-	soft := GenerateHard(42, 0.25, cfg, horizon)
+	soft := GenerateHard(42, 0.25, cfg, 8, horizon)
 	if len(soft.Crashes) != 0 || len(soft.LinkDowns) != 0 {
 		t.Fatalf("severity 0.25 has hard faults: %+v", soft)
 	}
@@ -67,7 +67,7 @@ func TestGenerateHardThresholdsAndDeterminism(t *testing.T) {
 		t.Fatalf("lease = %v, want DefaultLease", soft.Lease)
 	}
 
-	mid := GenerateHard(42, 0.5, cfg, horizon)
+	mid := GenerateHard(42, 0.5, cfg, 8, horizon)
 	if len(mid.Crashes) == 0 {
 		t.Fatal("severity 0.5 generated no crashes")
 	}
@@ -75,7 +75,7 @@ func TestGenerateHardThresholdsAndDeterminism(t *testing.T) {
 		t.Fatal("severity 0.5 generated link-downs below the 0.75 gate")
 	}
 
-	high := GenerateHard(42, 1, cfg, horizon)
+	high := GenerateHard(42, 1, cfg, 8, horizon)
 	if len(high.LinkDowns) != 1 {
 		t.Fatalf("severity 1 generated %d link-downs, want 1", len(high.LinkDowns))
 	}
@@ -137,21 +137,21 @@ func TestGeneratedTopologyFaultGates(t *testing.T) {
 		Topology: fabric.TopologyConfig{Kind: fabric.TopoDragonfly,
 			DragonflyHosts: 1, DragonflyRouters: 2, DragonflyGlobal: 2}}
 
-	flat := GenerateHard(42, 1, hardCfg(), horizon)
+	flat := GenerateHard(42, 1, hardCfg(), 8, horizon)
 	if len(flat.SwitchCrashes) != 0 || len(flat.InterLinkDowns) != 0 {
 		t.Fatalf("flat plan has topology faults: %+v", flat)
 	}
-	ft := GenerateHard(42, 0.5, ftCfg, horizon)
+	ft := GenerateHard(42, 0.5, ftCfg, 32, horizon)
 	if len(ft.SwitchCrashes) != 1 || len(ft.InterLinkDowns) != 0 {
 		t.Fatalf("fat-tree severity 0.5: %d switch crashes, %d inter-links; want 1, 0",
 			len(ft.SwitchCrashes), len(ft.InterLinkDowns))
 	}
-	ftHigh := GenerateHard(42, 1, ftCfg, horizon)
+	ftHigh := GenerateHard(42, 1, ftCfg, 32, horizon)
 	if len(ftHigh.SwitchCrashes) != 1 || len(ftHigh.InterLinkDowns) != 1 {
 		t.Fatalf("fat-tree severity 1: %d switch crashes, %d inter-links; want 1, 1",
 			len(ftHigh.SwitchCrashes), len(ftHigh.InterLinkDowns))
 	}
-	df := GenerateHard(42, 0.5, dfCfg, horizon)
+	df := GenerateHard(42, 0.5, dfCfg, 32, horizon)
 	if len(df.SwitchCrashes) != 0 || len(df.InterLinkDowns) != 1 {
 		t.Fatalf("dragonfly severity 0.5: %d switch crashes, %d inter-links; want 0, 1",
 			len(df.SwitchCrashes), len(df.InterLinkDowns))
@@ -180,10 +180,10 @@ func TestGeneratedPlansNeverPartition(t *testing.T) {
 		detours := 0
 		for seed := uint64(0); seed < 24; seed++ {
 			for _, sev := range []float64{0.5, 0.75, 1} {
-				plan := GenerateHard(seed, sev, cfg, horizon)
+				nGPUs := cfg.Nodes * cfg.GPUsPerNode
+				plan := GenerateHard(seed, sev, cfg, nGPUs, horizon)
 				f := fabric.New(cfg)
 				plan.ApplyHardFaults(f)
-				nGPUs := cfg.Nodes * cfg.GPUsPerNode
 				for src := 0; src < nGPUs; src++ {
 					for dst := 0; dst < nGPUs; dst++ {
 						if src == dst {

@@ -315,10 +315,8 @@ type Kernel struct {
 
 // KernelCtx is the device-side execution context handed to kernel bodies.
 type KernelCtx struct {
-	P      *sim.Proc
-	Dev    *Device
-	Stream *Stream
-	Kern   *Kernel
+	P   *sim.Proc
+	Dev *Device
 	// Args carries launch arguments bound by the caller (UNICONN's
 	// BindKernel stores them here).
 	Args any
@@ -347,7 +345,7 @@ func (s *Stream) Launch(host *sim.Proc, k *Kernel, args any) {
 	s.dev.cluster.mKernels.Inc()
 	host.Advance(s.dev.Model().GPU.KernelLaunch)
 	s.Enqueue("kernel "+k.Name, func(p *sim.Proc) {
-		ctx := &KernelCtx{P: p, Dev: s.dev, Stream: s, Kern: k, Args: args}
+		ctx := &KernelCtx{P: p, Dev: s.dev, Args: args}
 		if k.Body != nil {
 			k.Body(ctx)
 		}

@@ -37,19 +37,19 @@ var allowlist = map[string]string{
 
 const maxAllowlist = 20
 
-// A finding is an exported name under internal/ that no non-test file
-// outside its package references.
+// A finding is a name a rule flags, with what is wrong and what to do.
 type finding struct {
-	name string // "pkg.Name" or "pkg.Type.Member"
-	used bool   // referenced inside its own package: unexport it; else delete it
+	name    string // "pkg.Name" or "pkg.Type.Member"
+	problem string
 }
 
-func (f finding) String() string {
-	if f.used {
-		return f.name + ": used only inside its package; unexport it"
-	}
-	return f.name + ": no caller; delete it"
-}
+func (f finding) String() string { return f.name + ": " + f.problem }
+
+// The dead-code ratchet's two problems.
+const (
+	packageOnly = "used only inside its package; unexport it"
+	noCaller    = "no caller; delete it"
+)
 
 // A decl is one exported name under internal/ and where it is referenced.
 type decl struct {
@@ -111,7 +111,11 @@ func deadNames(m *module) []finding {
 		if d.outside || (d.owner != nil && facade[d.owner]) || exposed[obj] || satisfiesStd(d, obj, std) {
 			continue
 		}
-		out = append(out, finding{d.name, d.inside})
+		problem := noCaller
+		if d.inside {
+			problem = packageOnly
+		}
+		out = append(out, finding{d.name, problem})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
@@ -452,21 +456,28 @@ func vet(found []finding, allow map[string]string) []string {
 	return out
 }
 
-// TestDeadCode is the ratchet: every exported name under internal/ has a
-// caller outside its package in a non-test file of the root facade, cmd/,
-// examples/, internal/ or the frozen benchmark/, or an allowlist entry.
-func TestDeadCode(t *testing.T) {
-	if problems := vet(deadNames(repo(t)), allowlist); len(problems) > 0 {
-		t.Errorf("%d exported names without an outside caller:\n\t%s", len(problems), strings.Join(problems, "\n\t"))
+// ratchet fails t on every problem vet reports, on an allowlist longer than
+// its cap, and on an entry that gives no reason.
+func ratchet(t *testing.T, found []finding, allow map[string]string, max int) {
+	t.Helper()
+	if problems := vet(found, allow); len(problems) > 0 {
+		t.Errorf("%d problems:\n\t%s", len(problems), strings.Join(problems, "\n\t"))
 	}
-	if len(allowlist) > maxAllowlist {
-		t.Errorf("allowlist has %d entries, more than %d: it may only shrink", len(allowlist), maxAllowlist)
+	if len(allow) > max {
+		t.Errorf("allowlist has %d entries, more than %d: it may only shrink", len(allow), max)
 	}
-	for name, why := range allowlist {
+	for name, why := range allow {
 		if strings.TrimSpace(why) == "" {
 			t.Errorf("allowlist entry %s gives no reason", name)
 		}
 	}
+}
+
+// TestDeadCode is the ratchet: every exported name under internal/ has a
+// caller outside its package in a non-test file of the root facade, cmd/,
+// examples/, internal/ or the frozen benchmark/, or an allowlist entry.
+func TestDeadCode(t *testing.T) {
+	ratchet(t, deadNames(repo(t)), allowlist, maxAllowlist)
 }
 
 // TestRatchetFixture runs the ratchet over testdata/ratchet, a module with
@@ -482,7 +493,7 @@ func TestRatchetFixture(t *testing.T) {
 		t.Fatal(m.errs)
 	}
 	got := fmt.Sprint(deadNames(m))
-	want := fmt.Sprint([]finding{{"a.Local", true}, {"a.Unused", false}})
+	want := fmt.Sprint([]finding{{"a.Local", packageOnly}, {"a.Unused", noCaller}})
 	if got != want {
 		t.Errorf("findings = %s, want %s", got, want)
 	}

@@ -1,9 +1,10 @@
 // Package lint holds the repository's static checks, run as tier-1 tests
 // over one type-checked index of the source tree: the dead-code ratchet
 // (every exported name under internal/ has a caller outside its package),
-// the guard on the frozen benchmark module (every repro name it uses
-// resolves), and the doc-lint (every path and symbol the prose documents
-// cite exists). The package has no non-test code.
+// the write-only-field rule (every struct field there that code writes,
+// some file reads), the guard on the frozen benchmark module (every repro
+// name it uses resolves), and the doc-lint (every path and symbol the prose
+// documents cite exists). The package has no non-test code.
 package lint
 
 import (
@@ -19,6 +20,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,9 +41,13 @@ type module struct {
 	fset *token.FileSet
 	info *types.Info
 	pkgs map[string]*pkg      // by import path
-	file map[*token.File]*pkg // the package each parsed file belongs to
+	file map[*token.File]*pkg // the package each non-test file belongs to
 	std  types.Importer
 	errs []string // type errors, one line each
+
+	testOnce sync.Once
+	test     *types.Info // uses and types in the test files (testInfo)
+	testErrs []string
 }
 
 type pkg struct {
@@ -49,6 +55,10 @@ type pkg struct {
 	files    []*ast.File
 	types    *types.Package
 	checking bool
+	// tests and xtests are the package's own and its external test files
+	// (none for the frozen benchmark, whose tests are among files); only
+	// testInfo type-checks them.
+	tests, xtests []*ast.File
 }
 
 // load parses and type-checks the tree at root as module modPath. Standard
@@ -82,7 +92,7 @@ func load(root, modPath string) (*module, error) {
 	}
 	stdSet := map[string]bool{}
 	for _, p := range m.pkgs {
-		for _, f := range p.files {
+		for _, f := range slices.Concat(p.files, p.tests, p.xtests) {
 			for _, imp := range f.Imports {
 				if path := strings.Trim(imp.Path.Value, `"`); m.pkgs[path] == nil {
 					stdSet[path] = true
@@ -101,8 +111,9 @@ func load(root, modPath string) (*module, error) {
 	return m, nil
 }
 
-// parseDir parses the package in dir: its non-test files that match the
-// default build context, and in the frozen directory its test files too.
+// parseDir parses the package in dir, the files that match the default
+// build context: its non-test files, and apart from them its test files —
+// except in the frozen directory, whose test files count among its own.
 func (m *module) parseDir(dir string) error {
 	rel, err := filepath.Rel(m.root, dir)
 	if err != nil {
@@ -122,9 +133,6 @@ func (m *module) parseDir(dir string) error {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") && rel != frozen {
-			continue
-		}
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			if err != nil {
 				return err
@@ -135,11 +143,18 @@ func (m *module) parseDir(dir string) error {
 		if err != nil {
 			return err
 		}
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			continue // an external test package: not a caller of record
+		test := strings.HasSuffix(name, "_test.go") && rel != frozen
+		switch {
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			if test {
+				p.xtests = append(p.xtests, f) // not a caller of record
+			}
+		case test:
+			p.tests = append(p.tests, f)
+		default:
+			p.files = append(p.files, f)
+			m.file[m.fset.File(f.Pos())] = p
 		}
-		p.files = append(p.files, f)
-		m.file[m.fset.File(f.Pos())] = p
 	}
 	if len(p.files) > 0 {
 		m.pkgs[path] = p
@@ -203,6 +218,39 @@ func (m *module) check(p *pkg) *types.Package {
 	p.checking = false
 	return p.types
 }
+
+// testInfo type-checks every package's test files, once: the package again
+// with its own test files, then its external test package against that. It
+// records uses and expression types only, for rules that count what tests
+// read; a non-test file's objects keep their declaring positions across the
+// two checks.
+func (m *module) testInfo() (*types.Info, []string) {
+	m.testOnce.Do(func() {
+		m.test = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		for _, path := range m.sorted() {
+			p := m.pkgs[path]
+			conf := types.Config{Importer: m, Error: func(err error) { m.testErrs = append(m.testErrs, err.Error()) }}
+			own := p.types
+			if len(p.tests) > 0 {
+				own, _ = conf.Check(path, m.fset, slices.Concat(p.files, p.tests), m.test)
+			}
+			if len(p.xtests) > 0 {
+				conf.Importer = importerFunc(func(imp string) (*types.Package, error) {
+					if imp == path {
+						return own, nil
+					}
+					return m.Import(imp)
+				})
+				conf.Check(path+"_test", m.fset, p.xtests, m.test)
+			}
+		}
+	})
+	return m.test, m.testErrs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func (m *module) sorted() []string {
 	paths := make([]string, 0, len(m.pkgs))

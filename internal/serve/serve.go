@@ -8,13 +8,14 @@
 // cache key, and a hit returns the stored bytes verbatim — byte-identical
 // to a fresh simulation, at O(1) cost.
 //
-// Second, concurrent misses coalesce and batch. A miss does not simulate
-// inline: it enqueues the spec and waits. Identical specs join the same
-// pending call (one simulation, many waiters); distinct specs accumulate
-// until the batch window closes or the batch is full, then execute together
-// as one bench.EvalSpecs sweep — the same deterministic fan-out the CLIs
-// use. A semaphore bounds concurrent batch executions, and a queue cap
-// sheds load (errOverloaded → 503) rather than accepting unbounded work.
+// Second, concurrent misses coalesce and batch by group commit. Identical
+// specs join the same pending call (one simulation, many waiters). A miss
+// that finds one of MaxInflight execution slots free starts a batch at
+// once; misses arriving while every slot is busy queue, and the next slot
+// to free takes the whole queue as one bench.EvalSpecs sweep — the same
+// deterministic fan-out the CLIs use — until the queue is empty. Nothing
+// waits on a clock. A queue cap sheds load (errOverloaded → 503) rather
+// than accepting unbounded work.
 //
 // Determinism note: coalescing and batching change *when* and *how often* a
 // cell is simulated, never *what* it returns — cell results are a pure
@@ -25,7 +26,6 @@ package serve
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
@@ -35,8 +35,6 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultBatchWindow = 2 * time.Millisecond
-	DefaultMaxBatch    = 64
 	DefaultMaxInflight = 2
 	DefaultQueueCap    = 1024
 )
@@ -56,32 +54,24 @@ type Options struct {
 	// counters — pass the telemetry tracker's registry so they surface on
 	// /metrics. A private registry is used when nil (Stats still works).
 	Registry *metrics.Registry
-	// BatchWindow is how long the first miss of a batch waits for company
-	// before the batch executes (0 = DefaultBatchWindow).
-	BatchWindow time.Duration
-	// MaxBatch caps specs per batch; a full batch executes immediately
-	// (0 = DefaultMaxBatch).
-	MaxBatch int
 	// MaxInflight caps concurrently executing batches (0 = DefaultMaxInflight).
 	MaxInflight int
-	// QueueCap caps queued-but-unstarted specs; beyond it queries are shed
-	// with errOverloaded (0 = DefaultQueueCap).
+	// QueueCap caps the specs queued while every slot is busy; beyond it
+	// queries are shed with errOverloaded (0 = DefaultQueueCap).
 	QueueCap int
 }
 
 // Service coalesces and batches spec queries over the result cache.
 type Service struct {
 	opts Options
-	c    *cache.Cache
+	eval func([]spec.Spec, *cache.Cache) []bench.Evaluation // bench.EvalSpecs
 
 	mu      sync.Mutex
-	pending map[string]*call // spec hash → in-flight or queued call
-	queue   []*call          // queued calls in arrival order
-	timer   *time.Timer      // pending batch-window flush, nil when unarmed
+	pending map[string]*call // spec hash → running or queued call
+	queue   []*call          // calls waiting for a slot, in arrival order
+	running int              // busy execution slots, at most MaxInflight
 	closed  bool
-
-	sem chan struct{} // MaxInflight batch-execution slots
-	wg  sync.WaitGroup
+	wg      sync.WaitGroup // one per busy slot
 
 	mQueries, mFast, mCoalesced *metrics.Counter
 	mBatches, mBatched          *metrics.Counter
@@ -107,12 +97,6 @@ func New(opts Options) *Service {
 	if opts.Registry == nil {
 		opts.Registry = metrics.New()
 	}
-	if opts.BatchWindow <= 0 {
-		opts.BatchWindow = DefaultBatchWindow
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = DefaultMaxInflight
 	}
@@ -121,11 +105,10 @@ func New(opts Options) *Service {
 	}
 	sv := &Service{
 		opts:    opts,
-		c:       opts.Cache,
+		eval:    bench.EvalSpecs,
 		pending: make(map[string]*call),
-		sem:     make(chan struct{}, opts.MaxInflight),
 	}
-	sv.c.SetMetrics(opts.Registry)
+	opts.Cache.SetMetrics(opts.Registry)
 	r := opts.Registry
 	sv.mQueries = r.Counter("serve.queries")
 	sv.mFast = r.Counter("serve.fast_hits")
@@ -140,12 +123,12 @@ func New(opts Options) *Service {
 // Query answers one validated spec. The source return value reports how:
 // "hit" (served from the cache, fast path or filled while queued), "miss"
 // (this call's batch simulated it), or "coalesced" (joined another query's
-// in-flight call). Blocks until the answer is ready; under overload or
+// pending call). Blocks until the answer is ready; under overload or
 // shutdown it fails fast with errOverloaded / errClosed.
 func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
 	sv.mQueries.Inc()
 	h := s.Hash()
-	if body, ok := sv.c.Get(h); ok {
+	if body, ok := sv.opts.Cache.Get(h); ok {
 		sv.mFast.Inc()
 		return body, "hit", nil
 	}
@@ -164,18 +147,20 @@ func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
 		}
 		return c.body, "coalesced", nil
 	}
-	if len(sv.queue) >= sv.opts.QueueCap {
+	free := sv.running < sv.opts.MaxInflight
+	if !free && len(sv.queue) >= sv.opts.QueueCap {
 		sv.mu.Unlock()
 		sv.mRejected.Inc()
 		return nil, "", errOverloaded
 	}
 	c := &call{spec: s, hash: h, done: make(chan struct{})}
 	sv.pending[h] = c
-	sv.queue = append(sv.queue, c)
-	if len(sv.queue) >= sv.opts.MaxBatch {
-		sv.flushLocked()
-	} else if sv.timer == nil {
-		sv.timer = time.AfterFunc(sv.opts.BatchWindow, sv.flushOnTimer)
+	if free {
+		sv.running++
+		sv.wg.Add(1)
+		go sv.runSlot([]*call{c})
+	} else {
+		sv.queue = append(sv.queue, c)
 	}
 	sv.mu.Unlock()
 	<-c.done
@@ -190,72 +175,44 @@ func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
 	return c.body, source, nil
 }
 
-// flushOnTimer is the batch-window callback.
-func (sv *Service) flushOnTimer() {
-	sv.mu.Lock()
-	sv.timer = nil
-	sv.flushLocked()
-	sv.mu.Unlock()
-}
-
-// flushLocked drains the queue into MaxBatch-sized batches, each executing
-// on its own goroutine gated by the inflight semaphore. Called with the
-// mutex held.
-func (sv *Service) flushLocked() {
-	if sv.timer != nil {
-		sv.timer.Stop()
-		sv.timer = nil
-	}
-	for len(sv.queue) > 0 {
-		n := len(sv.queue)
-		if n > sv.opts.MaxBatch {
-			n = sv.opts.MaxBatch
-		}
-		batch := make([]*call, n)
-		copy(batch, sv.queue[:n])
-		sv.queue = sv.queue[n:]
-		sv.wg.Add(1)
-		go sv.runBatch(batch)
-	}
-	sv.queue = nil
-}
-
-// runBatch executes one batch as a single deterministic sweep and resolves
-// its calls. Pending-map entries survive until resolution so late identical
-// queries keep coalescing onto the executing call.
-func (sv *Service) runBatch(batch []*call) {
+// runSlot is one busy execution slot: it runs batch as a single
+// deterministic sweep, resolves its calls, then takes whatever queued
+// meanwhile as the next batch, and frees the slot when the queue is empty.
+// Pending-map entries survive until resolution so late identical queries
+// keep coalescing onto the executing call.
+func (sv *Service) runSlot(batch []*call) {
 	defer sv.wg.Done()
-	sv.sem <- struct{}{}
-	defer func() { <-sv.sem }()
-	specs := make([]spec.Spec, len(batch))
-	for i, c := range batch {
-		specs[i] = c.spec
-	}
-	evals := bench.EvalSpecs(specs, sv.c)
-	sv.mBatches.Inc()
-	sv.mBatched.Add(int64(len(batch)))
-	sv.mu.Lock()
-	for i, c := range batch {
-		c.body, c.hit, c.err = evals[i].Body, evals[i].Hit, evals[i].Err
-		delete(sv.pending, c.hash)
-	}
-	sv.mu.Unlock()
-	for _, c := range batch {
-		close(c.done)
+	for len(batch) > 0 {
+		specs := make([]spec.Spec, len(batch))
+		for i, c := range batch {
+			specs[i] = c.spec
+		}
+		evals := sv.eval(specs, sv.opts.Cache)
+		sv.mBatches.Inc()
+		sv.mBatched.Add(int64(len(batch)))
+		sv.mu.Lock()
+		for i, c := range batch {
+			c.body, c.hit, c.err = evals[i].Body, evals[i].Hit, evals[i].Err
+			delete(sv.pending, c.hash)
+		}
+		next := sv.queue
+		sv.queue = nil
+		if len(next) == 0 {
+			sv.running--
+		}
+		sv.mu.Unlock()
+		for _, c := range batch {
+			close(c.done)
+		}
+		batch = next
 	}
 }
 
 // Close drains the service: new queries are shed with errClosed, everything
-// already queued executes, and Close returns once the last batch resolved.
+// already queued executes, and Close returns once no slot is busy.
 func (sv *Service) Close() {
 	sv.mu.Lock()
-	if sv.closed {
-		sv.mu.Unlock()
-		sv.wg.Wait()
-		return
-	}
 	sv.closed = true
-	sv.flushLocked()
 	sv.mu.Unlock()
 	sv.wg.Wait()
 }
@@ -264,7 +221,7 @@ func (sv *Service) Close() {
 type Stats struct {
 	Cache cache.Stats `json:"cache"`
 	// Queries counts every Query; FastHits the cache fast path; Coalesced
-	// the queries that joined an in-flight call.
+	// the queries that joined a pending call.
 	Queries   int64 `json:"queries"`
 	FastHits  int64 `json:"fast_hits"`
 	Coalesced int64 `json:"coalesced"`
@@ -275,7 +232,7 @@ type Stats struct {
 	// evaluations.
 	Rejected int64 `json:"rejected"`
 	Errors   int64 `json:"errors"`
-	// Pending is the current in-flight + queued call count.
+	// Pending is the current running + queued call count.
 	Pending int `json:"pending"`
 }
 
@@ -285,7 +242,7 @@ func (sv *Service) Stats() Stats {
 	pending := len(sv.pending)
 	sv.mu.Unlock()
 	return Stats{
-		Cache:        sv.c.Stats(),
+		Cache:        sv.opts.Cache.Stats(),
 		Queries:      sv.mQueries.Value(),
 		FastHits:     sv.mFast.Value(),
 		Coalesced:    sv.mCoalesced.Value(),

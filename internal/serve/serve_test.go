@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/spec"
 )
@@ -41,149 +41,200 @@ func TestQueryHitByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalescingSingleSimulation: concurrent identical queries produce one
-// simulation (one miss in the cache) and identical bodies for every caller.
-func TestCoalescingSingleSimulation(t *testing.T) {
-	c := cache.New(cache.Options{})
-	// A wide batch window so all queries land in one pending call.
-	sv := New(Options{Cache: c, BatchWindow: 50 * time.Millisecond})
-	defer sv.Close()
+// gate holds every batch at the eval seam: each batch's specs arrive on
+// batches as the batch reaches eval, and it runs only when the test sends on
+// release. No test depends on a wall-clock window. At cleanup the gate opens
+// and the service closes, so a failed test does not leave a slot blocked.
+type gate struct {
+	batches chan []spec.Spec
+	release chan struct{}
+}
 
-	const clients = 8
-	bodies := make([][]byte, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, _, err := sv.Query(latencySpec(8192))
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			bodies[i] = body
-		}(i)
+func gated(t *testing.T, sv *Service) *gate {
+	g := &gate{batches: make(chan []spec.Spec, 16), release: make(chan struct{})}
+	sv.eval = func(specs []spec.Spec, c *cache.Cache) []bench.Evaluation {
+		g.batches <- specs
+		<-g.release
+		return bench.EvalSpecs(specs, c)
 	}
-	wg.Wait()
+	t.Cleanup(func() {
+		close(g.release)
+		sv.Close()
+	})
+	return g
+}
+
+// query runs one Query on its own goroutine; the result arrives on the
+// returned channel.
+func query(sv *Service, s spec.Spec) <-chan result {
+	out := make(chan result, 1)
+	go func() {
+		body, src, err := sv.Query(s)
+		out <- result{body, src, err}
+	}()
+	return out
+}
+
+type result struct {
+	body []byte
+	src  string
+	err  error
+}
+
+// awaitPending yields until the service holds n running or queued calls.
+func awaitPending(sv *Service, n int) {
+	for sv.Stats().Pending != n {
+		runtime.Gosched()
+	}
+}
+
+// TestLoneMissRunsAtOnce: with a slot free, a miss is handed to eval as a
+// batch of one without passing through the queue; nothing waits on a timer.
+func TestLoneMissRunsAtOnce(t *testing.T) {
+	sv := New(Options{})
+	g := gated(t, sv)
+	res := query(sv, latencySpec(4096))
+	if batch := <-g.batches; len(batch) != 1 || batch[0] != latencySpec(4096) {
+		t.Fatalf("eval got %v, want the lone miss", batch)
+	}
+	sv.mu.Lock()
+	queued, running := len(sv.queue), sv.running
+	sv.mu.Unlock()
+	if queued != 0 || running != 1 {
+		t.Errorf("while the miss runs: %d queued, %d slots busy; want 0 and 1", queued, running)
+	}
+	g.release <- struct{}{}
+	if r := <-res; r.err != nil || r.src != "miss" || len(r.body) == 0 {
+		t.Fatalf("lone miss = %q, %d bytes, %v; want a miss with a body", r.src, len(r.body), r.err)
+	}
+}
+
+// TestCoalescingSingleSimulation: identical queries arriving while the first
+// one's simulation runs join it: one simulation, identical bodies for every
+// caller.
+func TestCoalescingSingleSimulation(t *testing.T) {
+	sv := New(Options{})
+	g := gated(t, sv)
+	const clients = 8
+	results := []<-chan result{query(sv, latencySpec(8192))}
+	<-g.batches
 	for i := 1; i < clients; i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("client %d got a different body", i)
+		results = append(results, query(sv, latencySpec(8192)))
+	}
+	for sv.Stats().Coalesced != clients-1 {
+		runtime.Gosched()
+	}
+	g.release <- struct{}{}
+	var first []byte
+	for i, res := range results {
+		r := <-res
+		if r.err != nil {
+			t.Fatalf("client %d: %v", i, r.err)
+		}
+		if i == 0 {
+			first = r.body
+		} else if r.src != "coalesced" || !bytes.Equal(r.body, first) {
+			t.Fatalf("client %d: source %q, same body %v; want a coalesced copy of the first", i, r.src, bytes.Equal(r.body, first))
 		}
 	}
-	// Every client probes the cache (a counted miss each), but only ONE
-	// simulation may run: one batch containing one spec.
-	st := sv.Stats()
-	if st.Batches != 1 || st.BatchedSpecs != 1 {
+	if st := sv.Stats(); st.Batches != 1 || st.BatchedSpecs != 1 {
 		t.Errorf("stats = %+v, want one batch of one spec (coalesced clients must not re-simulate)", st)
 	}
-	if st.Coalesced == 0 {
-		t.Errorf("stats report no coalesced queries: %+v", st)
-	}
 }
 
-// TestBatchingDistinctSpecs: distinct specs inside one window execute as one
-// batch (one EvalSpecs sweep), not one sweep each.
+// TestBatchingDistinctSpecs: with the only slot busy, four distinct misses
+// queue and run as the next single batch (one EvalSpecs sweep).
 func TestBatchingDistinctSpecs(t *testing.T) {
-	sv := New(Options{BatchWindow: 50 * time.Millisecond, MaxBatch: 16})
-	defer sv.Close()
-	var wg sync.WaitGroup
-	for _, b := range []int64{1024, 2048, 4096, 8192} {
-		wg.Add(1)
-		go func(b int64) {
-			defer wg.Done()
-			if _, _, err := sv.Query(latencySpec(b)); err != nil {
-				t.Errorf("bytes=%d: %v", b, err)
-			}
-		}(b)
+	sv := New(Options{MaxInflight: 1})
+	g := gated(t, sv)
+	results := []<-chan result{query(sv, latencySpec(512))}
+	<-g.batches
+	sizes := []int64{1024, 2048, 4096, 8192}
+	for _, b := range sizes {
+		results = append(results, query(sv, latencySpec(b)))
 	}
-	wg.Wait()
-	st := sv.Stats()
-	if st.Batches != 1 || st.BatchedSpecs != 4 {
-		t.Errorf("stats = %+v, want one batch of 4 specs", st)
+	awaitPending(sv, 1+len(sizes))
+	g.release <- struct{}{}
+	if batch := <-g.batches; len(batch) != len(sizes) {
+		t.Fatalf("next batch has %d specs, want the %d queued", len(batch), len(sizes))
 	}
-}
-
-// TestFullBatchFlushesEarly: MaxBatch queued specs execute without waiting
-// for the window.
-func TestFullBatchFlushesEarly(t *testing.T) {
-	sv := New(Options{BatchWindow: time.Hour, MaxBatch: 2})
-	defer sv.Close()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, b := range []int64{1024, 2048} {
-		wg.Add(1)
-		go func(b int64) {
-			defer wg.Done()
-			if _, _, err := sv.Query(latencySpec(b)); err != nil {
-				t.Errorf("bytes=%d: %v", b, err)
-			}
-		}(b)
+	g.release <- struct{}{}
+	for i, res := range results {
+		if r := <-res; r.err != nil || r.src != "miss" {
+			t.Errorf("query %d: source %q, err %v; want a miss", i, r.src, r.err)
+		}
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("full batch waited %v; the hour-long window should not apply", elapsed)
+	if st := sv.Stats(); st.Batches != 2 || st.BatchedSpecs != 5 {
+		t.Errorf("stats = %+v, want a batch of 1 then a batch of 4", st)
 	}
 }
 
-// TestOverloadSheds: a tiny queue cap rejects the excess with errOverloaded
-// while a batch slot is occupied.
+// TestOverloadSheds: with the only slot busy and the queue at its cap, a
+// further miss is rejected with errOverloaded.
 func TestOverloadSheds(t *testing.T) {
-	sv := New(Options{BatchWindow: time.Hour, MaxBatch: 64, QueueCap: 1})
-	// Occupy the queue with one pending call (the window never fires
-	// on its own within the test).
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sv.Query(latencySpec(1024)) //nolint:errcheck
-	}()
-	// Wait until the first query is queued.
-	for i := 0; ; i++ {
-		if st := sv.Stats(); st.Pending == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("first query never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, err := sv.Query(latencySpec(2048)); err != errOverloaded {
+	sv := New(Options{MaxInflight: 1, QueueCap: 1})
+	g := gated(t, sv)
+	running := query(sv, latencySpec(1024))
+	<-g.batches
+	queued := query(sv, latencySpec(2048))
+	awaitPending(sv, 2)
+	if _, _, err := sv.Query(latencySpec(4096)); err != errOverloaded {
 		t.Fatalf("over-cap query error = %v, want errOverloaded", err)
 	}
 	if st := sv.Stats(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
 	}
-	sv.Close() // flushes the queued call
-	wg.Wait()
+	g.release <- struct{}{}
+	<-g.batches
+	g.release <- struct{}{}
+	for _, res := range []<-chan result{running, queued} {
+		if r := <-res; r.err != nil {
+			t.Errorf("admitted query failed: %v", r.err)
+		}
+	}
 }
 
-// TestCloseDrains: Close executes what is queued, then sheds new queries.
+// TestCloseDrains: Close stops intake at once, still runs what is queued, and
+// returns only when no slot is busy.
 func TestCloseDrains(t *testing.T) {
-	sv := New(Options{BatchWindow: time.Hour})
-	var body []byte
-	var err error
-	var wg sync.WaitGroup
-	wg.Add(1)
+	sv := New(Options{MaxInflight: 1})
+	g := gated(t, sv)
+	running := query(sv, latencySpec(4096))
+	<-g.batches
+	queued := query(sv, latencySpec(8192))
+	awaitPending(sv, 2)
+	closed := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		body, _, err = sv.Query(latencySpec(4096))
+		sv.Close()
+		close(closed)
 	}()
-	for i := 0; ; i++ {
-		if st := sv.Stats(); st.Pending == 1 {
+	for {
+		sv.mu.Lock()
+		shut := sv.closed
+		sv.mu.Unlock()
+		if shut {
 			break
 		}
-		if i > 1000 {
-			t.Fatal("query never queued")
+		runtime.Gosched()
+	}
+	if _, _, err := sv.Query(latencySpec(16384)); err != errClosed {
+		t.Fatalf("query after Close began: error = %v, want errClosed", err)
+	}
+	g.release <- struct{}{}
+	if batch := <-g.batches; len(batch) != 1 || batch[0] != latencySpec(8192) {
+		t.Fatalf("after Close began, eval got %v; want the queued call", batch)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a slot was busy")
+	default:
+	}
+	g.release <- struct{}{}
+	<-closed
+	for _, res := range []<-chan result{running, queued} {
+		if r := <-res; r.err != nil || len(r.body) == 0 {
+			t.Fatalf("admitted query should resolve on Close: %d bytes, err %v", len(r.body), r.err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	sv.Close()
-	wg.Wait()
-	if err != nil || len(body) == 0 {
-		t.Fatalf("queued query should resolve on Close: body=%d bytes, err=%v", len(body), err)
-	}
-	if _, _, err := sv.Query(latencySpec(8192)); err != errClosed {
-		t.Fatalf("post-Close query error = %v, want errClosed", err)
 	}
 }
 
@@ -230,6 +281,10 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 
 	if resp, msg := post(`{"workload":"nope","bytes":8}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown workload status = %d (%s), want 400", resp.StatusCode, msg)
+	}
+	// Unbounded work is refused at admission, before any rank is spawned.
+	if resp, msg := post(`{"workload":"allreduce","ranks":100000000,"bytes":8}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("10^8-rank allreduce status = %d (%s), want 400", resp.StatusCode, msg)
 	}
 	// Unknown fields are refused, the removed engine selector "shards" like
 	// any other: not silently run on the one engine there is.

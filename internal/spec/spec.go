@@ -159,9 +159,19 @@ func CheckSeverity(v float64) error {
 	return nil
 }
 
+// Admission bounds, each above every value a CLI, test, autosel probe or
+// benchmark spec uses: one spec may not pin a batch slot for hours or
+// overflow virtual time.
+const (
+	maxRanks  = 4096    // the largest cell uniconn scale runs
+	maxIters  = 100_000 // iters + warmup: the paper's largest OSU count
+	maxWindow = 1024
+	maxBytes  = 1 << 30
+)
+
 // Validate reports whether the spec describes a runnable cell. It validates
-// only what the spec layer owns (names parse, sizes are legal, the machine
-// supports the backend); the workload's own Validate still runs at launch.
+// only what the spec layer owns (names parse, sizes are legal and bounded, the
+// machine supports the backend); the workload's own Validate runs at launch.
 func (s Spec) Validate() error {
 	switch s.Workload {
 	case WorkloadNetLatency, WorkloadNetBandwidth:
@@ -172,8 +182,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("spec: alg %q is an allreduce field", a)
 		}
 	case WorkloadAllreduce:
-		if s.Ranks < 2 {
-			return fmt.Errorf("spec: allreduce needs ranks >= 2 (got %d)", s.Ranks)
+		if s.Ranks < 2 || s.Ranks > maxRanks {
+			return fmt.Errorf("spec: allreduce needs 2 <= ranks <= %d (got %d)", maxRanks, s.Ranks)
 		}
 		if s.Native || s.Inter {
 			return fmt.Errorf("spec: native/inter are net-workload fields")
@@ -208,11 +218,14 @@ func (s Spec) Validate() error {
 	if _, err := s.AllreduceAlg(); err != nil {
 		return err
 	}
-	if s.Bytes < 8 || s.Bytes%8 != 0 {
-		return fmt.Errorf("spec: bytes must be a positive multiple of 8 (got %d)", s.Bytes)
+	if s.Bytes < 8 || s.Bytes%8 != 0 || s.Bytes > maxBytes {
+		return fmt.Errorf("spec: bytes must be a positive multiple of 8 up to %d (got %d)", maxBytes, s.Bytes)
 	}
 	if s.Iters < 0 || s.Warmup < 0 || s.Window < 0 {
 		return fmt.Errorf("spec: iters/warmup/window must be >= 0")
+	}
+	if s.Iters > maxIters || s.Warmup > maxIters-s.Iters || s.Window > maxWindow {
+		return fmt.Errorf("spec: iters+warmup must be <= %d and window <= %d", maxIters, maxWindow)
 	}
 	switch s.FaultMode {
 	case FaultNone, FaultDegrade, FaultGenerate:

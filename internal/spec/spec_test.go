@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -169,6 +170,8 @@ func TestValidate(t *testing.T) {
 		{Workload: WorkloadNetLatency, Bytes: 8, Backend: "GPUSHMEM", API: "Device"},
 		{Workload: WorkloadAllreduce, Ranks: 8, Bytes: 4096, Alg: "ring"},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 1.5},
+		{Workload: WorkloadAllreduce, Ranks: 4096, Bytes: 1 << 30, Iters: 99_999, Warmup: 1},
+		{Workload: WorkloadNetBandwidth, Bytes: 8, Window: 1024},
 	}
 	for _, s := range ok {
 		if err := s.Validate(); err != nil {
@@ -188,13 +191,18 @@ func TestValidate(t *testing.T) {
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, API: "Device"}, "requires the GPUSHMEM"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Ranks: 4}, "not a net-workload field"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Alg: "ring"}, "allreduce field"},
-		{Spec{Workload: WorkloadAllreduce, Ranks: 1, Bytes: 8}, "ranks >= 2"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 1, Bytes: 8}, "2 <= ranks <= 4096"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Inter: true}, "net-workload fields"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Window: 8}, "net-bandwidth field"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, FaultMode: FaultDegrade, Severity: 0.5}, "net workloads only"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, FaultMode: "meteor"}, "unknown fault mode"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Severity: 0.5}, "without a fault mode"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Iters: -1}, ">= 0"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 100_000_000, Bytes: 8}, "2 <= ranks <= 4096"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 1<<30 + 8}, "multiple of 8 up to 1073741824"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Iters: 99_000, Warmup: 1_001}, "iters+warmup must be <= 100000"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Iters: math.MaxInt, Warmup: math.MaxInt}, "iters+warmup must be <= 100000"},
+		{Spec{Workload: WorkloadNetBandwidth, Bytes: 8, Window: 1025}, "window <= 1024"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Topology: "torus"}, "fabric"},
 	}
 	for _, c := range bad {
