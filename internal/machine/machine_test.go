@@ -152,6 +152,27 @@ func TestByName(t *testing.T) {
 	if ByName("Frontier") != nil {
 		t.Fatal("unknown machine resolved")
 	}
+	if known, _ := Lookup("Frontier"); known {
+		t.Fatal("Lookup knows an unknown machine")
+	}
+}
+
+// TestCatalogMatchesModels pins the catalog's name and GPUSHMEM flag
+// against the model each entry builds: Lookup answers from the catalog
+// without building one, so the two must never disagree.
+func TestCatalogMatchesModels(t *testing.T) {
+	if len(catalog) != len(All()) {
+		t.Fatalf("catalog has %d machines, All %d", len(catalog), len(All()))
+	}
+	for _, m := range All() {
+		known, shmem := Lookup(m.Name)
+		if !known || shmem != m.HasGPUSHMEM {
+			t.Errorf("Lookup(%q) = %v, %v; the model has HasGPUSHMEM %v", m.Name, known, shmem, m.HasGPUSHMEM)
+		}
+		if b := ByName(m.Name); b == nil || b.Name != m.Name {
+			t.Errorf("ByName(%q) built %v", m.Name, b)
+		}
+	}
 }
 
 func TestStringers(t *testing.T) {

@@ -173,12 +173,24 @@ func All() []*Model {
 	return []*Model{Perlmutter(), LUMI(), MareNostrum5()}
 }
 
-// ByName looks a machine up case-sensitively; it returns nil if unknown.
+// catalog maps each machine's name to its constructor and whether it has
+// GPUSHMEM, so checking a name builds no model (TestCatalogMatchesModels).
+var catalog = map[string]struct {
+	build func() *Model
+	shmem bool
+}{"Perlmutter": {Perlmutter, true}, "LUMI": {LUMI, false}, "MareNostrum5": {MareNostrum5, true}}
+
+// ByName builds the named machine (case-sensitive); it returns nil if unknown.
 func ByName(name string) *Model {
-	for _, m := range All() {
-		if m.Name == name {
-			return m
-		}
+	if c, ok := catalog[name]; ok {
+		return c.build()
 	}
 	return nil
+}
+
+// Lookup reports, without building a model, whether ByName knows name and
+// whether that machine has GPUSHMEM.
+func Lookup(name string) (known, hasGPUSHMEM bool) {
+	c, ok := catalog[name]
+	return ok, c.shmem
 }

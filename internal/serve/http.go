@@ -44,6 +44,7 @@ func NewHandler(sv *Service, fallback http.Handler) http.Handler {
 // handleQuery answers one spec.
 func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST a spec JSON document", http.StatusMethodNotAllowed)
 		return
 	}
@@ -74,7 +75,8 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, source, err := sv.Query(s)
+	h := s.Hash()
+	body, source, err := sv.query(s, h)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, errOverloaded) || errors.Is(err, errClosed) {
@@ -84,7 +86,7 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Uniconn-Spec-Hash", s.Hash())
+	w.Header().Set("X-Uniconn-Spec-Hash", h)
 	w.Header().Set("X-Uniconn-Cache", source)
 	w.Write(body) //nolint:errcheck // client went away
 }

@@ -126,8 +126,12 @@ func New(opts Options) *Service {
 // pending call). Blocks until the answer is ready; under overload or
 // shutdown it fails fast with errOverloaded / errClosed.
 func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
+	return sv.query(s, s.Hash())
+}
+
+// query is Query for a spec whose hash h the caller already holds.
+func (sv *Service) query(s spec.Spec, h string) (body []byte, source string, err error) {
 	sv.mQueries.Inc()
-	h := s.Hash()
 	if body, ok := sv.opts.Cache.Get(h); ok {
 		sv.mFast.Inc()
 		return body, "hit", nil

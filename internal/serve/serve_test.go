@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -318,6 +320,9 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query status = %d, want 405", getResp.StatusCode)
 	}
+	if got := getResp.Header.Get("Allow"); got != http.MethodPost {
+		t.Errorf("GET /query Allow = %q, want POST (RFC 9110 §15.5.6)", got)
+	}
 
 	stResp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -328,5 +333,73 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	stResp.Body.Close()
 	if stResp.StatusCode != http.StatusOK || !strings.Contains(buf.String(), `"queries"`) {
 		t.Errorf("/stats = %d %s", stResp.StatusCode, buf.String())
+	}
+}
+
+// memResponse is an in-memory http.ResponseWriter the alloc test reuses.
+type memResponse struct {
+	hdr  http.Header
+	code int
+	body []byte
+}
+
+func (w *memResponse) Header() http.Header  { return w.hdr }
+func (w *memResponse) WriteHeader(code int) { w.code = code }
+func (w *memResponse) Write(b []byte) (int, error) {
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+// memBody is a resettable request body.
+type memBody struct{ bytes.Reader }
+
+func (*memBody) Close() error { return nil }
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestWarmHitAllocs bounds the objects a cache hit allocates through the
+// handler, driven with one reused in-memory request and response (no
+// network, no per-query harness allocation): decode, one validate that
+// builds no machine model, one hash into a stack buffer, one cache get.
+func TestWarmHitAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates shadow state")
+	}
+	const budget = 18
+	sv := New(Options{})
+	defer sv.Close()
+	h := NewHandler(sv, nil)
+	doc := []byte(`{"workload":"net-latency","backend":"GPUSHMEM","api":"Device","bytes":4096}`)
+	var body memBody
+	resp := memResponse{hdr: http.Header{}}
+	req := http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/query"}, Header: http.Header{},
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Host: "test", Body: &body}
+	post := func() {
+		body.Reset(doc)
+		clear(resp.hdr)
+		resp.code, resp.body = http.StatusOK, resp.body[:0]
+		h.ServeHTTP(&resp, &req)
+	}
+	post() // the cold miss fills the cache
+	if resp.code != http.StatusOK || resp.hdr.Get("X-Uniconn-Cache") != "miss" {
+		t.Fatalf("cold query: %d %q: %s", resp.code, resp.hdr.Get("X-Uniconn-Cache"), resp.body)
+	}
+	allocs := testing.AllocsPerRun(200, post)
+	if resp.code != http.StatusOK || resp.hdr.Get("X-Uniconn-Cache") != "hit" {
+		t.Fatalf("warm query: %d %q: %s", resp.code, resp.hdr.Get("X-Uniconn-Cache"), resp.body)
+	}
+	t.Logf("%.1f allocations per warm hit (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a warm hit allocates %.1f objects, budget %d", allocs, budget)
 	}
 }

@@ -10,7 +10,7 @@
 // can be served for every later occurrence of the spec without re-simulating.
 // Injectivity is the load-bearing property — distinct specs must never
 // collide — so the hash covers every field explicitly through a versioned,
-// canonical encoding (hashPayload), never through map iteration or float
+// canonical encoding (appendPayload), never through map iteration or float
 // formatting that could drift between processes. Stability across process
 // restarts is pinned by golden tests in spec_test.go.
 package spec
@@ -107,6 +107,12 @@ type Spec struct {
 // {"machine":"Perlmutter"} address the same cell. Numeric zero values stay
 // zero — they mean "workload default" and are canonical as-is.
 func (s Spec) Normalize() Spec {
+	n, _ := s.normalize()
+	return n
+}
+
+// normalize is Normalize plus the topology's parse error, for Validate.
+func (s Spec) normalize() (Spec, error) {
 	if s.Machine == "" {
 		s.Machine = "Perlmutter"
 	}
@@ -124,10 +130,11 @@ func (s Spec) Normalize() Spec {
 	}
 	// Canonicalize topology spelling ("fat-tree:4" == "fattree:4") when it
 	// parses; Validate reports the error otherwise.
-	if tc, err := fabric.ParseTopology(s.Topology); err == nil {
+	tc, err := fabric.ParseTopology(s.Topology)
+	if err == nil {
 		s.Topology = canonicalTopology(tc)
 	}
-	return s
+	return s, err
 }
 
 // canonicalTopology renders a TopologyConfig in the canonical unresolved
@@ -172,71 +179,76 @@ const (
 // Validate reports whether the spec describes a runnable cell. It validates
 // only what the spec layer owns (names parse, sizes are legal and bounded, the
 // machine supports the backend); the workload's own Validate runs at launch.
+// It normalises once and builds no machine model.
 func (s Spec) Validate() error {
-	switch s.Workload {
+	n, topoErr := s.normalize()
+	switch n.Workload {
 	case WorkloadNetLatency, WorkloadNetBandwidth:
-		if s.Ranks != 0 {
-			return fmt.Errorf("spec: %s: ranks is not a net-workload field (always 2)", s.Workload)
+		if n.Ranks != 0 {
+			return fmt.Errorf("spec: %s: ranks is not a net-workload field (always 2)", n.Workload)
 		}
-		if a := s.Normalize().Alg; a != "auto" {
-			return fmt.Errorf("spec: alg %q is an allreduce field", a)
+		if n.Alg != "auto" {
+			return fmt.Errorf("spec: alg %q is an allreduce field", n.Alg)
 		}
 	case WorkloadAllreduce:
-		if s.Ranks < 2 || s.Ranks > maxRanks {
-			return fmt.Errorf("spec: allreduce needs 2 <= ranks <= %d (got %d)", maxRanks, s.Ranks)
+		if n.Ranks < 2 || n.Ranks > maxRanks {
+			return fmt.Errorf("spec: allreduce needs 2 <= ranks <= %d (got %d)", maxRanks, n.Ranks)
 		}
-		if s.Native || s.Inter {
+		if n.Native || n.Inter {
 			return fmt.Errorf("spec: native/inter are net-workload fields")
 		}
-		if s.Window != 0 {
+		if n.Window != 0 {
 			return fmt.Errorf("spec: window is a net-bandwidth field")
 		}
-		if s.FaultMode != FaultNone {
-			return fmt.Errorf("spec: fault modes apply to net workloads only (got %q)", s.FaultMode)
+		if n.FaultMode != FaultNone {
+			return fmt.Errorf("spec: fault modes apply to net workloads only (got %q)", n.FaultMode)
 		}
 	default:
-		return fmt.Errorf("spec: unknown workload %q (%s)", s.Workload, strings.Join(workloads(), "|"))
+		return fmt.Errorf("spec: unknown workload %q (%s)", n.Workload, strings.Join(workloads(), "|"))
 	}
-	m, err := s.Model()
+	known, hasShmem := machine.Lookup(n.Machine)
+	if !known {
+		return fmt.Errorf("spec: unknown machine %q", n.Machine)
+	}
+	if topoErr != nil {
+		return topoErr
+	}
+	backend, err := n.BackendID()
 	if err != nil {
 		return err
 	}
-	backend, err := s.BackendID()
+	api, err := n.APIKind()
 	if err != nil {
 		return err
 	}
-	api, err := s.APIKind()
-	if err != nil {
-		return err
-	}
-	if backend == core.GpushmemBackend && !m.HasGPUSHMEM {
-		return fmt.Errorf("spec: %s has no GPUSHMEM", m.Name)
+	if backend == core.GpushmemBackend && !hasShmem {
+		return fmt.Errorf("spec: %s has no GPUSHMEM", n.Machine)
 	}
 	if api == machine.APIDevice && backend != core.GpushmemBackend {
 		return fmt.Errorf("spec: the device API requires the GPUSHMEM backend")
 	}
-	if _, err := s.AllreduceAlg(); err != nil {
+	if _, err := n.AllreduceAlg(); err != nil {
 		return err
 	}
-	if s.Bytes < 8 || s.Bytes%8 != 0 || s.Bytes > maxBytes {
-		return fmt.Errorf("spec: bytes must be a positive multiple of 8 up to %d (got %d)", maxBytes, s.Bytes)
+	if n.Bytes < 8 || n.Bytes%8 != 0 || n.Bytes > maxBytes {
+		return fmt.Errorf("spec: bytes must be a positive multiple of 8 up to %d (got %d)", maxBytes, n.Bytes)
 	}
-	if s.Iters < 0 || s.Warmup < 0 || s.Window < 0 {
+	if n.Iters < 0 || n.Warmup < 0 || n.Window < 0 {
 		return fmt.Errorf("spec: iters/warmup/window must be >= 0")
 	}
-	if s.Iters > maxIters || s.Warmup > maxIters-s.Iters || s.Window > maxWindow {
+	if n.Iters > maxIters || n.Warmup > maxIters-n.Iters || n.Window > maxWindow {
 		return fmt.Errorf("spec: iters+warmup must be <= %d and window <= %d", maxIters, maxWindow)
 	}
-	switch s.FaultMode {
+	switch n.FaultMode {
 	case FaultNone, FaultDegrade, FaultGenerate:
 	default:
-		return fmt.Errorf("spec: unknown fault mode %q (degrade|generate)", s.FaultMode)
+		return fmt.Errorf("spec: unknown fault mode %q (degrade|generate)", n.FaultMode)
 	}
-	if err := CheckSeverity(s.Severity); err != nil {
+	if err := CheckSeverity(n.Severity); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if s.FaultMode == FaultNone && s.Severity != 0 {
-		return fmt.Errorf("spec: severity %g without a fault mode", s.Severity)
+	if n.FaultMode == FaultNone && n.Severity != 0 {
+		return fmt.Errorf("spec: severity %g without a fault mode", n.Severity)
 	}
 	return nil
 }
@@ -253,48 +265,42 @@ const hashVersion = "uniconn-spec/v1"
 // hashVersion bump.
 const legacyWindowed = "false"
 
-// hashPayload is the canonical pre-image of the content hash: every field,
-// normalized, in fixed order, with exact encodings (hex floats, decimal
-// ints).
-func (s Spec) hashPayload() string {
+// appendPayload appends the canonical pre-image of the content hash to b:
+// every field, normalized, in fixed order, with exact encodings (hex floats,
+// decimal ints). FuzzSpecHash checks it against a reference encoder.
+func (s Spec) appendPayload(b []byte) []byte {
 	n := s.Normalize()
-	var b strings.Builder
-	b.Grow(256)
-	b.WriteString(hashVersion)
-	field := func(name, val string) {
-		b.WriteByte('\n')
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	field("workload", n.Workload)
-	field("machine", n.Machine)
-	field("backend", n.Backend)
-	field("api", n.API)
-	field("native", strconv.FormatBool(n.Native))
-	field("inter", strconv.FormatBool(n.Inter))
-	field("ranks", strconv.Itoa(n.Ranks))
-	field("bytes", strconv.FormatInt(n.Bytes, 10))
-	field("iters", strconv.Itoa(n.Iters))
-	field("warmup", strconv.Itoa(n.Warmup))
-	field("window", strconv.Itoa(n.Window))
-	field("alg", n.Alg)
-	field("topology", n.Topology)
-	field("windowed", legacyWindowed)
-	field("seed", strconv.FormatUint(n.Seed, 10))
-	field("fault_mode", n.FaultMode)
+	field := func(b []byte, name string) []byte { return append(append(append(b, '\n'), name...), '=') }
+	b = append(b, hashVersion...)
+	b = append(field(b, "workload"), n.Workload...)
+	b = append(field(b, "machine"), n.Machine...)
+	b = append(field(b, "backend"), n.Backend...)
+	b = append(field(b, "api"), n.API...)
+	b = strconv.AppendBool(field(b, "native"), n.Native)
+	b = strconv.AppendBool(field(b, "inter"), n.Inter)
+	b = strconv.AppendInt(field(b, "ranks"), int64(n.Ranks), 10)
+	b = strconv.AppendInt(field(b, "bytes"), n.Bytes, 10)
+	b = strconv.AppendInt(field(b, "iters"), int64(n.Iters), 10)
+	b = strconv.AppendInt(field(b, "warmup"), int64(n.Warmup), 10)
+	b = strconv.AppendInt(field(b, "window"), int64(n.Window), 10)
+	b = append(field(b, "alg"), n.Alg...)
+	b = append(field(b, "topology"), n.Topology...)
+	b = append(field(b, "windowed"), legacyWindowed...)
+	b = strconv.AppendUint(field(b, "seed"), n.Seed, 10)
+	b = append(field(b, "fault_mode"), n.FaultMode...)
 	// Hex float formatting is exact: every distinct float64 has a distinct
 	// encoding, and the encoding never depends on locale or printf rounding.
-	field("severity", strconv.FormatFloat(n.Severity, 'x', -1, 64))
-	return b.String()
+	return strconv.AppendFloat(field(b, "severity"), n.Severity, 'x', -1, 64)
 }
 
 // Hash returns the spec's content address: the hex SHA-256 of the canonical
 // encoding. Equal-by-meaning specs (Normalize-equal) share a hash; distinct
-// specs never collide (injectivity of hashPayload plus SHA-256).
+// specs never collide (injectivity of the pre-image plus SHA-256). Both the
+// pre-image and the hex digits use one stack buffer.
 func (s Spec) Hash() string {
-	sum := sha256.Sum256([]byte(s.hashPayload()))
-	return hex.EncodeToString(sum[:])
+	var buf [256]byte
+	sum := sha256.Sum256(s.appendPayload(buf[:0]))
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
 // Model resolves the machine model with the spec's topology applied (on a
@@ -305,16 +311,11 @@ func (s Spec) Model() (*machine.Model, error) {
 	if m == nil {
 		return nil, fmt.Errorf("spec: unknown machine %q", n.Machine)
 	}
-	tc, err := s.topologyConfig()
+	tc, err := fabric.ParseTopology(n.Topology)
 	if err != nil {
 		return nil, err
 	}
 	return WithTopology(m, tc), nil
-}
-
-// topologyConfig parses the spec's topology field.
-func (s Spec) topologyConfig() (fabric.TopologyConfig, error) {
-	return fabric.ParseTopology(s.Normalize().Topology)
 }
 
 // BackendID parses the backend name.

@@ -1,10 +1,14 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -233,4 +237,110 @@ func TestParseTopologyList(t *testing.T) {
 	if _, err := parseTopologyList("flat,torus"); err == nil {
 		t.Error("want an error for an unknown topology in the list")
 	}
+}
+
+// refPayload is the reference encoding of the hash pre-image, written with
+// strings.Builder and one string per field; FuzzSpecHash holds appendPayload
+// to it byte for byte.
+func refPayload(s Spec) string {
+	n := s.Normalize()
+	var b strings.Builder
+	b.WriteString(hashVersion)
+	field := func(name, val string) {
+		b.WriteByte('\n')
+		b.WriteString(name)
+		b.WriteByte('=')
+		b.WriteString(val)
+	}
+	field("workload", n.Workload)
+	field("machine", n.Machine)
+	field("backend", n.Backend)
+	field("api", n.API)
+	field("native", strconv.FormatBool(n.Native))
+	field("inter", strconv.FormatBool(n.Inter))
+	field("ranks", strconv.Itoa(n.Ranks))
+	field("bytes", strconv.FormatInt(n.Bytes, 10))
+	field("iters", strconv.Itoa(n.Iters))
+	field("warmup", strconv.Itoa(n.Warmup))
+	field("window", strconv.Itoa(n.Window))
+	field("alg", n.Alg)
+	field("topology", n.Topology)
+	field("windowed", legacyWindowed)
+	field("seed", strconv.FormatUint(n.Seed, 10))
+	field("fault_mode", n.FaultMode)
+	field("severity", strconv.FormatFloat(n.Severity, 'x', -1, 64))
+	return b.String()
+}
+
+// decodeQuery decodes one spec document exactly as the serve /query handler
+// does: unknown fields rejected, nothing after the one document.
+func decodeQuery(data []byte) (Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
+		return s, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, errors.New("trailing data after the spec document")
+	}
+	return s, nil
+}
+
+// FuzzSpecHash feeds arbitrary bytes through the /query decoder and, for
+// every document that decodes, holds the content address to its contract:
+// the pre-image equals the reference encoder's, Normalize is idempotent and
+// hash-neutral, Validate agrees on a spec and its normal form, and a JSON
+// round trip keeps the hash. The seed corpus runs with the ordinary tests.
+func FuzzSpecHash(f *testing.F) {
+	for _, s := range []Spec{
+		{Workload: WorkloadNetLatency, Bytes: 4096},
+		{Workload: WorkloadNetBandwidth, Bytes: 1 << 20, Inter: true, Backend: "GPUCCL"},
+		{Workload: WorkloadNetLatency, Bytes: 8192, FaultMode: FaultGenerate, Severity: 0.75, Seed: 42},
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 32; i++ {
+		data, err := json.Marshal(randSpec(r))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decodeQuery(data)
+		if err != nil {
+			return
+		}
+		if got, want := string(s.appendPayload(nil)), refPayload(s); got != want {
+			t.Fatalf("pre-image drift for %s:\n got %q\nwant %q", data, got, want)
+		}
+		n := s.Normalize()
+		if nn := n.Normalize(); nn != n {
+			t.Fatalf("Normalize is not idempotent: %+v then %+v", n, nn)
+		}
+		h := s.Hash()
+		if hn := n.Hash(); hn != h {
+			t.Fatalf("Hash(s) = %s but Hash(s.Normalize()) = %s for %s", h, hn, data)
+		}
+		if e, en := s.Validate(), n.Validate(); (e == nil) != (en == nil) {
+			t.Fatalf("Validate disagrees on %s: %v on the spec, %v on its normal form", data, e, en)
+		}
+		back, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", s, err)
+		}
+		s2, err := decodeQuery(back)
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", back, err)
+		}
+		if s2.Hash() != h {
+			t.Fatalf("JSON round trip changed the hash: %s -> %s", data, back)
+		}
+	})
 }
