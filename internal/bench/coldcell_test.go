@@ -5,6 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/gpu"
+	"repro/internal/gpushmem"
+	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -58,10 +62,12 @@ func BenchmarkColdCell(b *testing.B) {
 
 // TestColdCellAllocsPerMessage holds the per-message allocation count of the
 // cold cells whose cost was per-message bookkeeping (54, 30 and 19 at
-// 4b4a797): a fused GPUCCL window, a GPUCCL ping-pong and UNICONN's GPUSHMEM
-// host put. Each ceiling sits about two allocations above the measured count,
-// so one formatted name, one coroutine or one heap gate per message — or a
-// trace log that boxes or re-copies per span — puts its cell back over.
+// 4b4a797; 0.2, 7.1 and 5.1 before stream operations became recycled step
+// machines, 0.1 each since): a fused GPUCCL window, a GPUCCL ping-pong and
+// UNICONN's GPUSHMEM host put. Each ceiling sits about two allocations above
+// the measured count, so one formatted name, one coroutine or one heap gate
+// per message — or a trace log that boxes or re-copies per span — puts its
+// cell back over.
 func TestColdCellAllocsPerMessage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -71,8 +77,8 @@ func TestColdCellAllocsPerMessage(t *testing.T) {
 		ceiling float64
 	}{
 		{spec.Spec{Workload: spec.WorkloadNetBandwidth, Backend: "GPUCCL", Native: true, Inter: true, Bytes: 2 << 10}, 2},
-		{spec.Spec{Workload: spec.WorkloadNetLatency, Backend: "GPUCCL", Native: true, Inter: true, Bytes: 2 << 10}, 9},
-		{spec.Spec{Workload: spec.WorkloadNetBandwidth, Backend: "GPUSHMEM", Inter: true, Bytes: 2 << 10}, 7},
+		{spec.Spec{Workload: spec.WorkloadNetLatency, Backend: "GPUCCL", Native: true, Inter: true, Bytes: 2 << 10}, 2},
+		{spec.Spec{Workload: spec.WorkloadNetBandwidth, Backend: "GPUSHMEM", Inter: true, Bytes: 2 << 10}, 2},
 	} {
 		perRun := testing.AllocsPerRun(2, func() {
 			if _, _, err := EvalSpec(c.s, EvalOptions{}); err != nil {
@@ -83,6 +89,63 @@ func TestColdCellAllocsPerMessage(t *testing.T) {
 		t.Logf("%s: %.1f allocations per message (ceiling %.0f)", coldCellName(c.s), got, c.ceiling)
 		if got > c.ceiling {
 			t.Errorf("%s: %.1f allocations per message, ceiling %.0f", coldCellName(c.s), got, c.ceiling)
+		}
+	}
+}
+
+// TestStreamOpAllocsPerOp holds the stream operations that run as steps of
+// their stream's daemon at zero allocations per operation in steady state: a
+// memcpy, an event record, a kernel whose payload cannot block (Compute) and a
+// GPUSHMEM host put each run on a record recycled through their stream or PE,
+// under a memoised label, with no closure. Each is issued n and 2n times, the
+// host synchronizing after every one so its record comes back; the difference
+// over n cancels the set-up.
+func TestStreamOpAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ops := map[string]func(p *sim.Proc, s *gpu.Stream, pe *gpushmem.PE) func(){
+		"memcpy": func(p *sim.Proc, s *gpu.Stream, _ *gpushmem.PE) func() {
+			a, b := gpu.AllocBuffer[float64](s.Device(), 64), gpu.AllocBuffer[float64](s.Device(), 64)
+			return func() { s.MemcpyAsync(p, b.Whole(), a.Whole(), 64) }
+		},
+		"event record": func(p *sim.Proc, s *gpu.Stream, _ *gpushmem.PE) func() {
+			e := gpu.NewEvent("e")
+			return func() { e.Record(s); e.Synchronize(p) }
+		},
+		"compute kernel": func(p *sim.Proc, s *gpu.Stream, _ *gpushmem.PE) func() {
+			sum := 0
+			k := &gpu.Kernel{Name: "k", Time: func(*gpu.Device) sim.Duration { return sim.Microsecond }, Compute: func() { sum++ }}
+			return func() { s.Launch(p, k, nil) }
+		},
+		"gpushmem host put": func(p *sim.Proc, s *gpu.Stream, pe *gpushmem.PE) func() {
+			sym := gpushmem.Malloc[float64](pe, 64)
+			return func() { pe.PutOnStream(p, s, sym.WholeRef(), sym.Local(0).Whole(), 64, 1) }
+		},
+	}
+	run := func(setup func(p *sim.Proc, s *gpu.Stream, pe *gpushmem.PE) func(), n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			eng := sim.NewEngine()
+			defer eng.Close()
+			cl := gpu.NewCluster(eng, machine.Perlmutter(), 2)
+			pe := gpushmem.NewWorld(cl).PE(0)
+			s := cl.Devices[0].DefaultStream()
+			eng.Spawn("host", func(p *sim.Proc) {
+				op := setup(p, s, pe)
+				for i := 0; i < n; i++ {
+					op()
+					s.Synchronize(p)
+				}
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 1000
+	for name, setup := range ops {
+		if perOp := (run(setup, 2*n) - run(setup, n)) / n; perOp > 0.01 {
+			t.Errorf("%s: %.3f allocations per operation, want 0", name, perOp)
 		}
 	}
 }

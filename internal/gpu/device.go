@@ -40,6 +40,8 @@ type Cluster struct {
 	mKernels  *metrics.Counter
 	mStreamOp *metrics.Counter
 
+	kernelLabels map[string]string // kernel name -> stream-op label (kernelLabel)
+
 	// pools holds the cluster's staging arenas, one buf.Pool[T] per element
 	// type (keyed by reflect.Type, resolved through poolFor). Like the trace
 	// log and metrics registry, pools belong to one cell: parallel sweep
@@ -107,7 +109,8 @@ func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 	fab := fabric.New(model.FabricConfig(nodes))
 	c := &Cluster{
 		Eng: eng, Model: model, Fabric: fab,
-		pools: make(map[reflect.Type]any),
+		pools:        make(map[reflect.Type]any),
+		kernelLabels: map[string]string{},
 	}
 	for i := 0; i < nGPUs; i++ {
 		d := &Device{
@@ -157,11 +160,12 @@ func (d *Device) NewStream(name string) *Stream {
 	s := &Stream{
 		dev:       d,
 		name:      fmt.Sprintf("gpu%d.%s", d.id, name),
-		enqueued:  0,
 		completed: sim.NewCounter(fmt.Sprintf("gpu%d.%s.done", d.id, name), 0),
 	}
 	s.ops = sim.NewMailbox[streamOp](s.name + ".ops")
+	s.serveFn = s.serve
 	s.proc = d.cluster.Eng.SpawnDaemon(s.name, s.run)
+	s.kc = KernelCtx{P: s.proc, Dev: d}
 	d.streams = append(d.streams, s)
 	return s
 }
@@ -185,20 +189,36 @@ func (l *OpLabels) For(i int) string {
 	return l.names[i]
 }
 
-// streamOp is one enqueued stream operation.
+// streamOp is one enqueued stream operation: a step machine (step, plus drop
+// if it must hear that it was torn down), or a body (run) for the daemon's
+// coroutine.
 type streamOp struct {
 	label string
+	step  func(p *sim.Proc) sim.Duration
+	drop  func()
 	run   func(p *sim.Proc)
 }
 
 // Stream is an in-order execution queue, served by a daemon process.
 // Operations run one at a time in enqueue order; the host synchronizes via
 // Synchronize or events.
+//
+// An operation is a step machine wherever it can be: the daemon serves it in
+// its own event slots through one long-lived script (sim.Proc.AdvanceFn), so
+// no coroutine is resumed for it. Only a body that may block — a kernel's
+// Body, which may communicate through its KernelCtx, or an Enqueue body — is
+// handed the daemon's coroutine (DESIGN.md §5.2).
 type Stream struct {
 	dev  *Device
 	name string
 	ops  *sim.Mailbox[streamOp]
 	proc *sim.Proc
+
+	cur     streamOp            // the operation in service; zero while idle
+	start   sim.Time            // when cur started
+	serveFn func() sim.Duration // serve, bound once
+	kc      KernelCtx           // handed to every blocking kernel body
+	free    []*op               // recycled records of Launch, MemcpyAsync and Record
 
 	enqueued  uint64
 	completed *sim.Counter
@@ -211,28 +231,75 @@ func (s *Stream) Device() *Device { return s.dev }
 // Name reports the stream's diagnostic name.
 func (s *Stream) Name() string { return s.name }
 
+// run is the daemon's body. serve runs operations in step form until one has
+// a body for the coroutine, which runs it here; a step that aborts — an
+// interrupt raised where its op waits, a partitioned fabric — unwinds to here
+// too. A poisoned op is dropped and recorded for TakeAborted, but still counts
+// as completed (the queue must drain so Synchronize returns), and the stream
+// keeps serving post-recovery work. Device.Crash unwinds the daemon for good.
 func (s *Stream) run(p *sim.Proc) {
+	defer s.drop()
 	for {
-		op := s.ops.Get(p)
-		// A revoke (InterruptAll) delivered while the stream sat idle refers
-		// to no operation of this stream; each op starts with a clean slate.
-		p.ClearInterrupt()
-		start := p.Now()
-		// A poisoned op (interrupted mid-collective after a rank failure)
-		// aborts here instead of wedging the daemon: the abort is recorded
-		// for TakeAborted, the op still counts as completed (the queue must
-		// drain so Synchronize returns), and the stream keeps serving
-		// post-recovery work.
-		if err := sim.Protect(func() { op.run(p) }); err != nil && s.aborted == nil {
-			s.aborted = err
+		if err := sim.Protect(func() {
+			p.AdvanceFn(0, s.serveFn)
+			s.cur.run(p)
+		}); err != nil {
+			s.drop()
+			if s.aborted == nil {
+				s.aborted = err
+			}
 		}
-		s.dev.cluster.mStreamOp.Inc()
-		s.dev.cluster.trace.Add(trace.Span{
-			Kind: trace.KindStreamOp, Label: op.label, Track: s.name,
-			Rank: s.dev.id, Src: s.dev.id, Dst: s.dev.id,
-			Start: start, End: p.Now(),
-		})
-		s.completed.Add(p.Engine(), 1)
+		s.finish()
+	}
+}
+
+// serve is the daemon's script step. Idle (no op in service; a body op is
+// finished by run before serve is entered again), it takes the next op from
+// the mailbox, or enlists there; it then drives the op's steps in this event
+// slot and, when one completes, finishes it and goes on to the next. It ends
+// the script for an op whose body the coroutine must run.
+func (s *Stream) serve() sim.Duration {
+	p := s.proc
+	for {
+		if s.cur.step == nil {
+			op, ok := s.ops.Enlist(p)
+			if !ok {
+				return sim.StepEnlisted
+			}
+			// A revoke (InterruptAll) delivered while the stream sat idle
+			// refers to no operation of this stream; each op starts with a
+			// clean slate.
+			p.ClearInterrupt()
+			s.cur, s.start = op, p.Now()
+			if op.run != nil {
+				return sim.StepResume
+			}
+		}
+		if d := s.cur.step(p); d != sim.StepResume {
+			return d
+		}
+		s.finish()
+	}
+}
+
+// finish completes the op in service.
+func (s *Stream) finish() {
+	c := s.dev.cluster
+	c.mStreamOp.Inc()
+	c.trace.Add(trace.Span{
+		Kind: trace.KindStreamOp, Label: s.cur.label, Track: s.name,
+		Rank: s.dev.id, Src: s.dev.id, Dst: s.dev.id,
+		Start: s.start, End: c.Eng.Now(),
+	})
+	s.cur = streamOp{}
+	s.completed.Add(c.Eng, 1)
+}
+
+// drop tells a step op in service that its remaining steps will not run.
+func (s *Stream) drop() {
+	if drop := s.cur.drop; drop != nil {
+		s.cur.drop = nil
+		drop()
 	}
 }
 
@@ -245,11 +312,29 @@ func (s *Stream) TakeAborted() error {
 	return err
 }
 
-// Enqueue places an operation on the stream without host-side cost. The
-// operation runs on the stream process after all previously enqueued work.
+// EnqueueStep places an operation in step form on the stream without
+// host-side cost. Once all previously enqueued work has completed, the daemon
+// calls step in its own event slots — on the op's start, then on every wake
+// the op asked for — until step answers sim.StepResume, which completes the
+// op. step must not block: it answers d > 0 to be called again d later, or
+// sim.StepEnlisted once it has enlisted p on a primitive (sim.Gate.Enlist and
+// its kin). drop, if non-nil, is called instead of the remaining steps when
+// the op is torn down mid-way: a step aborted, the daemon was revoked where
+// the op waits, or the device crashed.
+func (s *Stream) EnqueueStep(label string, step func(p *sim.Proc) sim.Duration, drop func()) {
+	s.put(streamOp{label: label, step: step, drop: drop})
+}
+
+// Enqueue places an operation whose body may block on the stream without
+// host-side cost. The daemon's coroutine runs it after all previously
+// enqueued work.
 func (s *Stream) Enqueue(label string, run func(p *sim.Proc)) {
+	s.put(streamOp{label: label, run: run})
+}
+
+func (s *Stream) put(op streamOp) {
 	s.enqueued++
-	s.ops.Put(s.dev.cluster.Eng, streamOp{label: label, run: run})
+	s.ops.Put(s.dev.cluster.Eng, op)
 }
 
 // Pending reports the number of enqueued-but-incomplete operations.
@@ -261,56 +346,162 @@ func (s *Stream) Synchronize(host *sim.Proc) {
 	s.completed.WaitGE(host, s.enqueued)
 }
 
-// Query reports whether the stream has pending work, mirroring
+// Query reports whether all work enqueued so far has completed, mirroring
 // cudaStreamQuery; the caller pays the query's host-side cost.
 func (s *Stream) Query(host *sim.Proc) bool {
 	host.Advance(s.dev.Model().Uniconn.StreamQuery)
 	return s.Pending() == 0
 }
 
-// Event is a CUDA/HIP-style timing and synchronization event.
+// op is the record of one of the stream's own operations — a kernel launch, a
+// memcpy or an event record — recycled through the stream, so enqueueing one
+// allocates nothing in steady state.
+type op struct {
+	s    *Stream
+	kind opKind
+	// charged is set once the op has done its work and asked for its time:
+	// the next step completes it.
+	charged  bool
+	k        *Kernel
+	args     any
+	dst, src View
+	n        int
+	ev       *Event
+	seq      uint64
+	stepFn   func(p *sim.Proc) sim.Duration // step, bound once
+	bodyFn   func(p *sim.Proc)              // runBody, bound on the record's first Body kernel
+}
+
+type opKind uint8
+
+const (
+	opKernel opKind = iota
+	opMemcpy
+	opRecord
+)
+
+func (s *Stream) newOp(kind opKind) *op {
+	var o *op
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		o = &op{s: s}
+		o.stepFn = o.step
+	}
+	o.kind = kind
+	return o
+}
+
+func (s *Stream) release(o *op) {
+	*o = op{s: s, stepFn: o.stepFn, bodyFn: o.bodyFn}
+	s.free = append(s.free, o)
+}
+
+// step is the op's step machine: its work and time in the first slot — a
+// kernel's Compute then its modelled duration, a memcpy's booking and copy
+// then its arrival, an event's completion — and its completion in the slot
+// that time ends.
+func (o *op) step(p *sim.Proc) sim.Duration {
+	if !o.charged {
+		o.charged = true
+		var d sim.Duration
+		switch s := o.s; o.kind {
+		case opKernel:
+			if o.k.Compute != nil {
+				o.k.Compute()
+			}
+			d = o.kernelTime(p)
+		case opMemcpy:
+			cl := s.dev.cluster
+			cost := cl.Model.Cost(machine.LibMPI, machine.APIHost, fabric.PathSelf, o.dst.Slice(0, o.n).Bytes())
+			end := cl.Fabric.Transfer(p.Now(), s.dev.id, s.dev.id, int64(o.n)*int64(o.dst.ElemSize()), cost)
+			Copy(o.dst, o.src, o.n)
+			d = end.Sub(p.Now())
+		case opRecord:
+			o.ev.complete(o.seq, p.Engine())
+		}
+		if d > 0 {
+			return d
+		}
+	}
+	o.s.release(o)
+	return sim.StepResume
+}
+
+// runBody runs a kernel whose Body may block, on the daemon's coroutine.
+func (o *op) runBody(p *sim.Proc) {
+	s := o.s
+	s.kc.Args = o.args
+	o.k.Body(&s.kc)
+	p.Advance(o.kernelTime(p))
+	s.release(o)
+}
+
+// kernelTime is the kernel's modelled compute duration from now, scaled by
+// any slow-rank fault.
+func (o *op) kernelTime(p *sim.Proc) sim.Duration {
+	if o.k.Time == nil {
+		return 0
+	}
+	return o.s.dev.scaleCompute(p.Now(), o.k.Time(o.s.dev))
+}
+
+// Event is a CUDA/HIP-style timing and synchronization event. Each Record
+// is numbered, and the event follows its latest one, as cudaEventRecord
+// does: Synchronize waits for it, and At reports when it completed.
 type Event struct {
-	name string
-	gate *sim.Gate
-	at   sim.Time
+	label    string       // "event <name>", the stream-op label
+	recorded uint64       // Records issued
+	done     *sim.Counter // the latest record completed so far
+	at       sim.Time
 }
 
 // NewEvent creates an unrecorded event.
 func NewEvent(name string) *Event {
-	return &Event{name: name, gate: sim.NewGate("event " + name)}
+	return &Event{label: "event " + name, done: sim.NewCounter("event "+name, 0)}
 }
 
-// Record enqueues the event on the stream: it fires (capturing the virtual
-// time) when the stream reaches it. Re-recording resets the event.
+// Record enqueues the event on the stream: it completes, capturing the
+// virtual time, when the stream reaches it. Re-recording supersedes a record
+// that has not completed yet: Synchronize waits for the new one, and the old
+// one, should another stream reach it later, changes nothing.
 func (e *Event) Record(s *Stream) {
-	if e.gate.Fired() {
-		e.gate = sim.NewGate("event " + e.name)
-	}
-	g := e.gate
-	s.Enqueue("event "+e.name, func(p *sim.Proc) {
-		e.at = p.Now()
-		g.Fire(p.Engine())
-	})
+	e.recorded++
+	o := s.newOp(opRecord)
+	o.ev, o.seq = e, e.recorded
+	s.EnqueueStep(e.label, o.stepFn, nil)
 }
 
-// Synchronize blocks the host until the event has fired.
-func (e *Event) Synchronize(host *sim.Proc) { e.gate.Wait(host) }
+// complete is record seq's arrival at its stream.
+func (e *Event) complete(seq uint64, eng *sim.Engine) {
+	if seq > e.done.Value() {
+		e.at = eng.Now()
+		e.done.Set(eng, seq)
+	}
+}
 
-// At reports the virtual time captured by the last completed Record.
+// Synchronize blocks the host until the latest record has completed.
+func (e *Event) Synchronize(host *sim.Proc) { e.done.WaitGE(host, e.recorded) }
+
+// At reports the virtual time captured by the latest completed Record.
 func (e *Event) At() sim.Time { return e.at }
 
 // Elapsed reports end.At() - start.At(), mirroring cudaEventElapsedTime.
 func Elapsed(start, end *Event) sim.Duration { return end.at.Sub(start.at) }
 
-// Kernel describes a launchable GPU kernel. Body is the functional payload
-// executed on the stream process (it may perform device-initiated
-// communication through the KernelCtx); Time is the modeled compute
-// duration, applied in addition to any time the body itself consumes.
-// Either may be omitted.
+// Kernel describes a launchable GPU kernel: Time, the modelled compute
+// duration, and a functional payload of one of two kinds, told apart by type.
+// Compute is handed nothing to communicate with, so it cannot block: the
+// stream runs it in its own event slot and then charges Time. Body is handed
+// the KernelCtx, through which it may perform device-initiated communication
+// and so block: it runs on the stream daemon's coroutine, and Time is charged
+// after whatever time the body consumes itself. A kernel sets at most one of
+// Compute and Body; any of the three may be omitted.
 type Kernel struct {
-	Name string
-	Time func(d *Device) sim.Duration
-	Body func(k *KernelCtx)
+	Name    string
+	Time    func(d *Device) sim.Duration
+	Compute func()
+	Body    func(k *KernelCtx)
 }
 
 // KernelCtx is the device-side execution context handed to kernel bodies.
@@ -342,26 +533,40 @@ func (d *Device) scaleCompute(at sim.Time, dur sim.Duration) sim.Duration {
 // Launch enqueues the kernel on the stream, charging the host the kernel
 // launch overhead. It returns immediately (asynchronous, like CUDA).
 func (s *Stream) Launch(host *sim.Proc, k *Kernel, args any) {
+	if k.Body != nil && k.Compute != nil {
+		panic(fmt.Sprintf("gpu: kernel %s sets both Body and Compute", k.Name))
+	}
 	s.dev.cluster.mKernels.Inc()
 	host.Advance(s.dev.Model().GPU.KernelLaunch)
-	s.Enqueue("kernel "+k.Name, func(p *sim.Proc) {
-		ctx := &KernelCtx{P: p, Dev: s.dev, Args: args}
-		if k.Body != nil {
-			k.Body(ctx)
-		}
-		if k.Time != nil {
-			p.Advance(s.dev.scaleCompute(p.Now(), k.Time(s.dev)))
-		}
-	})
+	label := s.dev.cluster.kernelLabel(k.Name)
+	o := s.newOp(opKernel)
+	o.k = k
+	if k.Body == nil {
+		s.EnqueueStep(label, o.stepFn, nil)
+		return
+	}
+	if o.bodyFn == nil {
+		o.bodyFn = o.runBody
+	}
+	o.args = args
+	s.Enqueue(label, o.bodyFn)
+}
+
+// kernelLabel is the stream-op label of kernels named name, formatted once
+// per cluster.
+func (c *Cluster) kernelLabel(name string) string {
+	l, ok := c.kernelLabels[name]
+	if !ok {
+		l = "kernel " + name
+		c.kernelLabels[name] = l
+	}
+	return l
 }
 
 // MemcpyAsync enqueues a device-local copy of n elements on the stream.
 func (s *Stream) MemcpyAsync(host *sim.Proc, dst, src View, n int) {
 	host.Advance(s.dev.Model().HostOp)
-	s.Enqueue("memcpy", func(p *sim.Proc) {
-		cost := s.dev.cluster.Model.Cost(machine.LibMPI, machine.APIHost, fabric.PathSelf, dst.Slice(0, n).Bytes())
-		end := s.dev.cluster.Fabric.Transfer(p.Now(), s.dev.id, s.dev.id, int64(n)*int64(dst.ElemSize()), cost)
-		Copy(dst, src, n)
-		p.AdvanceTo(end)
-	})
+	o := s.newOp(opMemcpy)
+	o.dst, o.src, o.n = dst, src, n
+	s.EnqueueStep("memcpy", o.stepFn, nil)
 }

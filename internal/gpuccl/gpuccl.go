@@ -43,6 +43,8 @@ type World struct {
 
 	// Stream-op labels by peer rank and by fused op count, formatted once.
 	sendLabels, recvLabels, kernelLabels gpu.OpLabels
+
+	freeKernels []*kernel // completed kernels, recycled by newKernel
 }
 
 // opClasses are the operation classes timed in mColl.
@@ -140,26 +142,19 @@ func (c *Comm) profile() machine.LibProfile {
 }
 
 // op is one queued operation of a (possibly fused) kernel. A collective
-// blocks, so it carries the body to run on a process. A point-to-point op
-// (run == nil) never blocks: it carries its side of a p2pMsg — the pair's
-// FIFO, its sequence number there, its buffer — for the kernel to start.
+// (coll set) is a lockstep walk, made when its kernel starts it. A
+// point-to-point op carries its side of a p2pMsg — the pair's FIFO, its
+// sequence number there, its buffer — for the kernel to start.
 type op struct {
 	label  string
 	stream *gpu.Stream
 	hist   *metrics.Histogram // times the op; nil when metrics are off
-	run    func(p *sim.Proc)
+	coll   func() *lockstep.Walk
 
 	f    *pairFIFO
 	seq  uint64
 	view gpu.View
 	send bool
-}
-
-// exec runs a collective op to completion on p.
-func (o *op) exec(p *sim.Proc) {
-	start := p.Now()
-	o.run(p)
-	o.hist.Observe(int64(p.Now().Sub(start)))
 }
 
 // group returns the calling rank's aggregation context (group scope is per
@@ -188,16 +183,16 @@ func (c *Comm) GroupEnd(p *sim.Proc, s *gpu.Stream) {
 	pend := g.pending
 	for len(pend) > 0 {
 		stream := pend[0].stream
-		ops := make([]op, 0, len(pend))
+		k := c.w.newKernel()
 		rest := pend[:0]
 		for _, o := range pend {
 			if o.stream == stream {
-				ops = append(ops, o)
+				k.ops = append(k.ops, o)
 			} else {
 				rest = append(rest, o)
 			}
 		}
-		c.launch(stream, ops)
+		c.launch(stream, k)
 		pend = rest
 	}
 	clear(g.pending)
@@ -213,17 +208,59 @@ func (c *Comm) submit(p *sim.Proc, s *gpu.Stream, o op) {
 		g.pending = append(g.pending, o)
 		return
 	}
-	c.launch(s, []op{o})
+	k := c.w.newKernel()
+	k.ops = append(k.ops, o)
+	c.launch(s, k)
 }
 
-// kernel is one launched communication kernel: the join its stream process
-// waits on while the ops run concurrently, mirroring how a fused NCCL kernel
-// drives all its channels in parallel.
+// kernel is one launched communication kernel, a step machine its stream
+// serves (gpu.Stream.EnqueueStep): the launch delay, then the ops, running
+// concurrently as a fused NCCL kernel drives all its channels in parallel,
+// and the join on their completion. Kernels are recycled through the world.
 type kernel struct {
+	w       *World
 	ops     []op
+	launch  sim.Duration
+	phase   kernelPhase
 	pending int      // ops not yet complete
 	done    sim.Gate // fired when pending reaches zero
 	aborted error    // first failure of an op
+
+	// A lone collective runs in the kernel's own steps: its walk, and when
+	// it started.
+	walk  *lockstep.Walk
+	start sim.Time
+
+	stepFn func(sp *sim.Proc) sim.Duration // step, bound once
+	dropFn func()                          // drop, bound once
+}
+
+type kernelPhase uint8
+
+const (
+	kernelLaunch kernelPhase = iota // charge the launch overhead
+	kernelStart                     // start the ops
+	kernelLone                      // walk the lone collective
+	kernelJoin                      // the ops are done
+)
+
+func (w *World) newKernel() *kernel {
+	if n := len(w.freeKernels); n > 0 {
+		k := w.freeKernels[n-1]
+		w.freeKernels = w.freeKernels[:n-1]
+		return k
+	}
+	k := &kernel{w: w}
+	k.stepFn, k.dropFn = k.step, k.drop
+	return k
+}
+
+// release recycles a kernel that completed cleanly: no message and no
+// sub-process refers to it any more.
+func (k *kernel) release() {
+	clear(k.ops)
+	*k = kernel{w: k.w, ops: k.ops[:0], stepFn: k.stepFn, dropFn: k.dropFn}
+	k.w.freeKernels = append(k.w.freeKernels, k)
 }
 
 // opDone completes one op, keeping its failure if it is the kernel's first.
@@ -236,53 +273,80 @@ func (k *kernel) opDone(eng *sim.Engine, err error) {
 	}
 }
 
-// launch enqueues one fused communication kernel executing ops.
-func (c *Comm) launch(s *gpu.Stream, ops []op) {
-	launch := c.profile().LaunchOverhead
-	k := &kernel{ops: ops}
-	s.Enqueue(c.w.kernelLabels.For(len(ops)), func(sp *sim.Proc) {
-		sp.Advance(launch)
-		k.run(sp)
-	})
+// launch enqueues one fused communication kernel executing k.ops.
+func (c *Comm) launch(s *gpu.Stream, k *kernel) {
+	k.launch = c.profile().LaunchOverhead
+	s.EnqueueStep(c.w.kernelLabels.For(len(k.ops)), k.stepFn, k.dropFn)
 }
 
-// run executes the kernel on its stream process: it starts every op and
-// waits for all of them. A lone collective runs right here. Otherwise a
-// point-to-point op is a state machine started in place, and a collective gets
-// a sub-process that catches its own abort (a rank failure poisoning one
-// channel), so a revoked kernel still completes bookkeeping; the first failure
-// is re-raised after the join, where Stream.run records it. If the stream
-// process itself is revoked or killed while it waits, its outstanding
-// point-to-point ops are withdrawn from their messages on the way out.
-func (k *kernel) run(sp *sim.Proc) {
-	if len(k.ops) == 1 && k.ops[0].run != nil {
-		k.ops[0].exec(sp)
-		return
-	}
-	eng := sp.Engine()
-	k.pending = len(k.ops)
-	k.done.SetLabel("gate ccl-kernel")
-	defer func() {
-		for i := range k.ops {
-			if o := &k.ops[i]; k.pending > 0 && o.run == nil {
-				o.revoke(k)
+// step is the kernel's step machine on its stream process sp. After the
+// launch delay it starts every op and waits for all of them. A lone
+// collective walks in the kernel's own steps. Otherwise a point-to-point op is
+// a state machine started in place, and a collective gets a sub-process that
+// catches its own abort (a rank failure poisoning one channel), so a revoked
+// kernel still completes bookkeeping; the first failure is raised after the
+// join, where the stream records it.
+func (k *kernel) step(sp *sim.Proc) sim.Duration {
+	for {
+		switch k.phase {
+		case kernelLaunch:
+			k.phase = kernelStart
+			if k.launch > 0 {
+				return k.launch
 			}
+		case kernelStart:
+			if o := &k.ops[0]; len(k.ops) == 1 && o.coll != nil {
+				k.phase, k.walk, k.start = kernelLone, o.coll(), sp.Now()
+				continue
+			}
+			eng := sp.Engine()
+			k.phase, k.pending = kernelJoin, len(k.ops)
+			k.done.SetLabel("gate ccl-kernel")
+			for i := range k.ops {
+				o := &k.ops[i]
+				if o.coll == nil {
+					o.start(eng, k)
+					continue
+				}
+				eng.Spawn(o.stream.Name()+"."+o.label, func(cp *sim.Proc) {
+					k.opDone(eng, sim.Protect(func() { o.exec(cp) }))
+				})
+			}
+			if !k.done.Enlist(sp) {
+				return sim.StepEnlisted
+			}
+		case kernelLone:
+			if d := k.walk.Step(sp); d != sim.StepResume {
+				return d
+			}
+			k.ops[0].hist.Observe(int64(sp.Now().Sub(k.start)))
+			k.phase = kernelJoin
+		case kernelJoin:
+			if k.aborted != nil {
+				sim.Abort(k.aborted)
+			}
+			k.release()
+			return sim.StepResume
 		}
-	}()
+	}
+}
+
+// drop is the kernel torn down mid-way — its stream process revoked or killed
+// while it waits: its outstanding point-to-point ops are withdrawn from their
+// messages.
+func (k *kernel) drop() {
 	for i := range k.ops {
-		o := &k.ops[i]
-		if o.run == nil {
-			o.start(eng, k)
-			continue
+		if o := &k.ops[i]; k.pending > 0 && o.coll == nil {
+			o.revoke(k)
 		}
-		eng.Spawn(o.stream.Name()+"."+o.label, func(cp *sim.Proc) {
-			k.opDone(eng, sim.Protect(func() { o.exec(cp) }))
-		})
 	}
-	k.done.Wait(sp)
-	if k.aborted != nil {
-		sim.Abort(k.aborted)
-	}
+}
+
+// exec walks a fused collective op to completion on its sub-process p.
+func (o *op) exec(p *sim.Proc) {
+	start := p.Now()
+	o.coll().Run(p)
+	o.hist.Observe(int64(p.Now().Sub(start)))
 }
 
 // opKey draws the cross-rank key of the rank's next collective call. All
@@ -293,13 +357,12 @@ func (c *Comm) opKey(kind string) lockstep.Key {
 	return lockstep.Key{Group: c.g.ID, Seq: c.opSeq, Kind: kind}
 }
 
-// collective is the body of every collective kernel (internal/lockstep):
+// collective is the walk of every collective kernel (internal/lockstep):
 // once every rank's kernel is running the last arriver computes data, then
 // each rank charges time by walking rounds lockstep rounds of step.
-func (c *Comm) collective(sp *sim.Proc, key lockstep.Key, send, recv gpu.View,
-	data func(sends, recvs []gpu.View), rounds int, step func(round int) (peer int, bytes int64)) {
-	inst := c.w.shared.insts.Arrive(sp, key, &c.g, send, recv, data)
-	inst.Rounds(sp, &c.g, machine.APIHost, rounds, step)
+func (c *Comm) collective(key lockstep.Key, send, recv gpu.View,
+	data func(sends, recvs []gpu.View), rounds int, step func(round int) (peer int, bytes int64)) *lockstep.Walk {
+	return c.w.shared.insts.Join(key, &c.g, machine.APIHost, send, recv, data).Rounds(rounds, step)
 }
 
 // ring is the step generator of the ring algorithms: in every step the rank

@@ -18,17 +18,16 @@ import (
 // reduce-scatter then allgather, 2(n-1) lockstep chunk steps.
 func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp) {
 	key := c.opKey("allreduce")
-	c.submit(p, s, op{label: "allreduce", hist: c.w.mColl["allreduce"], run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "allreduce", hist: c.w.mColl["allreduce"], coll: func() *lockstep.Walk {
 		n, count, bytes := c.Size(), sendBuf.Len(), sendBuf.Bytes()
 		data := lockstep.ReduceThenCopy(count, opr)
 		if bytes <= allReduceTreeMax {
-			c.collective(sp, key, sendBuf, recvBuf, data, lockstep.Log2Ceil(n),
+			return c.collective(key, sendBuf, recvBuf, data, lockstep.Log2Ceil(n),
 				func(r int) (int, int64) { return c.g.Rank ^ (1 << r), bytes })
-			return
 		}
 		starts := chunkSizes(count, n)
 		es := int64(sendBuf.ElemSize())
-		c.collective(sp, key, sendBuf, recvBuf, data, 2*(n-1), c.ring(func(step int) int64 {
+		return c.collective(key, sendBuf, recvBuf, data, 2*(n-1), c.ring(func(step int) int64 {
 			idx := c.g.Rank - step // reduce-scatter
 			if step >= n-1 {
 				idx = c.g.Rank + 1 - (step - (n - 1)) // allgather
@@ -43,10 +42,10 @@ func (c *Comm) AllReduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, 
 // toward the root).
 func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr gpu.ReduceOp, root int) {
 	key := c.opKey("reduce")
-	c.submit(p, s, op{label: "reduce", hist: c.w.mColl["reduce"], run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "reduce", hist: c.w.mColl["reduce"], coll: func() *lockstep.Walk {
 		count := sendBuf.Len()
 		plan := c.pipelinePlan(sendBuf.Bytes(), root, false)
-		c.collective(sp, key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
+		return c.collective(key, sendBuf, recvBuf, func(sends, recvs []gpu.View) {
 			if !recvs[root].IsZero() {
 				gpu.ReduceAll(recvs[root], sends, count, opr)
 			}
@@ -58,9 +57,9 @@ func (c *Comm) Reduce(p *sim.Proc, s *gpu.Stream, sendBuf, recvBuf gpu.View, opr
 // root).
 func (c *Comm) Broadcast(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 	key := c.opKey("broadcast")
-	c.submit(p, s, op{label: "broadcast", hist: c.w.mColl["broadcast"], run: func(sp *sim.Proc) {
+	c.submit(p, s, op{label: "broadcast", hist: c.w.mColl["broadcast"], coll: func() *lockstep.Walk {
 		plan := c.pipelinePlan(buf.Bytes(), root, true)
-		c.collective(sp, key, buf, buf, lockstep.CopyFrom(root),
+		return c.collective(key, buf, buf, lockstep.CopyFrom(root),
 			len(plan), c.ring(func(step int) int64 { return plan[step] }))
 	}})
 }

@@ -64,26 +64,21 @@ func (t *Team) key(api machine.API, kind int) lockstep.Key {
 	return lockstep.Key{Group: t.g.ID, Seq: t.opSeq, Kind: collKinds[api][kind]}
 }
 
-// run executes c on p under api's costs — arrive (the last member computes
-// the data), then the kind's schedule — and observes its duration in the
-// kind's histogram.
-func (t *Team) run(p *sim.Proc, api machine.API, key lockstep.Key, c collective) {
-	if h := t.pe.w.mColl[api][c.kind]; h != nil {
-		start := p.Now()
-		defer func() { h.Observe(int64(p.Now().Sub(start))) }()
-	}
-	g, n, insts := &t.g, t.g.Size, t.pe.w.insts
+// walk readies the caller's walk through c under api's costs: arrive (the
+// last member computes the data), then the kind's schedule.
+func (t *Team) walk(api machine.API, key lockstep.Key, c collective) *lockstep.Walk {
+	g, n := &t.g, t.g.Size
 	switch c.kind {
 	case kBarrier:
 		// A dissemination exchange of 8-byte flags.
-		insts.Arrive(p, key, g, c.send, c.recv, nil).Rounds(p, g, api, lockstep.Log2Ceil(n),
+		return t.pe.w.insts.Join(key, g, api, c.send, c.recv, nil).Rounds(lockstep.Log2Ceil(n),
 			func(r int) (int, int64) { return (g.Rank + (1 << r)) % n, 8 })
 	case kAllReduce:
 		// Recursive-doubling timing (partners past the team's end are
 		// skipped), deterministic rank-ordered data.
 		bytes := c.send.Bytes()
-		insts.Arrive(p, key, g, c.send, c.recv, lockstep.ReduceThenCopy(c.send.Len(), c.opr)).
-			Rounds(p, g, api, lockstep.Log2Ceil(n), func(r int) (int, int64) { return g.Rank ^ (1 << r), bytes })
+		return t.pe.w.insts.Join(key, g, api, c.send, c.recv, lockstep.ReduceThenCopy(c.send.Len(), c.opr)).
+			Rounds(lockstep.Log2Ceil(n), func(r int) (int, int64) { return g.Rank ^ (1 << r), bytes })
 	case kBroadcast:
 		// The root puts to every member in team-rank order; all leave when
 		// the slowest put lands.
@@ -91,28 +86,39 @@ func (t *Team) run(p *sim.Proc, api machine.API, key lockstep.Key, c collective)
 		if g.Rank == c.root {
 			puts = n
 		}
-		insts.Arrive(p, key, g, c.send, c.recv, lockstep.CopyFrom(c.root)).
-			FanOut(p, g, api, 0, puts, c.send.Bytes())
-	case kAllGatherv:
+		return t.pe.w.insts.Join(key, g, api, c.send, c.recv, lockstep.CopyFrom(c.root)).
+			FanOut(0, puts, c.send.Bytes())
+	default: // kAllGatherv
 		// Emulated with puts + barrier: each member puts its contribution
 		// into every other member's recv buffer at its displacement, then
 		// all synchronize.
 		at := func(r int) (int, int) { return c.displs[r], c.counts[r] }
-		insts.Arrive(p, key, g, c.send, c.recv, lockstep.Gather(at)).
-			FanOut(p, g, api, g.Rank+1, n-1, c.send.Bytes())
+		return t.pe.w.insts.Join(key, g, api, c.send, c.recv, lockstep.Gather(at)).
+			FanOut(g.Rank+1, n-1, c.send.Bytes())
 	}
 }
 
-// onStream issues c through the host API, as the stream op label.
+// onStream issues c through the host API, as the stream op label; the stream
+// walks it in its own steps (hostOp).
 func (t *Team) onStream(p *sim.Proc, s *gpu.Stream, label string, c collective) {
-	key := t.key(machine.APIHost, c.kind)
-	t.pe.hostEnqueue(p, s, label, func(sp *sim.Proc) { t.run(sp, machine.APIHost, key, c) })
+	o := t.pe.newHostOp(hostColl)
+	if o.call == nil {
+		o.call, o.dropFn = &hostCall{}, o.drop
+	}
+	o.call.team, o.call.key, o.call.coll = t, t.key(machine.APIHost, c.kind), c
+	t.pe.hostEnqueue(p, s, label, o)
 }
 
-// inKernel issues c from kernel code (requires CollectiveLaunch).
+// inKernel issues c from kernel code (requires CollectiveLaunch): the body
+// walks it, and its duration is observed in the kind's histogram.
 func (t *Team) inKernel(k *gpu.KernelCtx, c collective) {
 	t.pe.callCost(k.P, machine.APIDevice)
-	t.run(k.P, machine.APIDevice, t.key(machine.APIDevice, c.kind), c)
+	key := t.key(machine.APIDevice, c.kind)
+	if h := t.pe.w.mColl[machine.APIDevice][c.kind]; h != nil {
+		start := k.P.Now()
+		defer func() { h.Observe(int64(k.P.Now().Sub(start))) }()
+	}
+	t.walk(machine.APIDevice, key, c).Run(k.P)
 }
 
 // --- Device-side collectives ---

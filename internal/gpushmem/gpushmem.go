@@ -159,7 +159,8 @@ type PE struct {
 	issued    *sim.Counter
 	completed *sim.Counter
 
-	freePuts []*put // delivered puts, recycled by transfer
+	freePuts []*put    // delivered puts, recycled by transfer
+	freeOps  []*hostOp // completed host stream ops, recycled by newHostOp
 }
 
 // size reports the PE count (nvshmem_n_pes).

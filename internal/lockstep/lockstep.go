@@ -1,11 +1,12 @@
 // Package lockstep is the one skeleton under every GPUCCL and GPUSHMEM
 // collective (DESIGN.md §5.1). A collective call is an instance shared by the
-// ranks of a Group: each rank registers its views and blocks until all have
+// ranks of a Group: each rank registers its views and waits until all have
 // arrived; the last arriver computes the result functionally, once, in rank
 // order; then every rank charges virtual time by walking the same number of
 // lockstep rounds, each a rendezvous followed by at most one fabric transfer,
-// so the slowest link paces the whole group. What differs between collectives
-// and libraries is only the data function and the per-round step generator.
+// so the slowest link paces the whole group. A rank's part is a Walk, a step
+// machine. What differs between collectives and libraries is only the data
+// function and the per-round step generator.
 package lockstep
 
 import (
@@ -30,89 +31,197 @@ type Key struct {
 type Table struct {
 	cl    *gpu.Cluster
 	lib   machine.Lib
-	insts map[Key]*Instance
+	insts map[Key]*instance
+	free  []*Walk // finished walks, recycled by Join
 }
 
 // NewTable creates the instance table of one library world.
 func NewTable(cl *gpu.Cluster, lib machine.Lib) *Table {
-	return &Table{cl: cl, lib: lib, insts: map[Key]*Instance{}}
+	return &Table{cl: cl, lib: lib, insts: map[Key]*instance{}}
 }
 
-// Instance is the cross-rank state of one collective call.
-type Instance struct {
-	t            *Table
+// instance is the cross-rank state of one collective call.
+type instance struct {
 	arrived      int
 	ready        *sim.Gate       // fired by the last arriver
 	rdv          *sim.Rendezvous // paces the rounds
 	sends, recvs []gpu.View      // by group rank
 }
 
-// Arrive registers the caller's views at the instance of key and blocks until
-// every member of g has arrived. The last arriver runs data (if non-nil)
-// once, with all views registered, before anyone is released; the key is then
-// free for reuse.
-func (t *Table) Arrive(p *sim.Proc, key Key, g *Group, send, recv gpu.View, data func(sends, recvs []gpu.View)) *Instance {
-	inst := t.insts[key]
+// Walk is one member's passage through one collective call, as a step
+// machine: arrive — register the member's views and, unless it is the last
+// arriver, wait for the last, who runs the data function once, with all views
+// registered, and frees the key for reuse — then walk the call's schedule:
+// lockstep rounds (Rounds), a fan-out (FanOut), or nothing. A stream op
+// drives a walk from its own step (Step); a body that may block drives it
+// with Run. Either way each wait — the ready gate, a rendezvous, a
+// transfer's arrival — is one event of the walker's, and a finished walk is
+// recycled.
+type Walk struct {
+	t          *Table
+	key        Key
+	g          *Group
+	api        machine.API
+	send, recv gpu.View
+	data       func(sends, recvs []gpu.View)
+
+	// The schedule: rounds rounds of step, or a fan-out of bytes to count
+	// members from first; neither when a walk only arrives. sched is the
+	// phase that follows the arrival.
+	sched        walkPhase
+	rounds       int
+	step         func(round int) (peer int, bytes int64)
+	first, count int
+	bytes        int64
+
+	inst   *instance
+	phase  walkPhase
+	round  int
+	p      *sim.Proc           // Run's caller
+	stepFn func() sim.Duration // Step(p), bound once for Run
+}
+
+type walkPhase uint8
+
+const (
+	walkArrive walkPhase = iota // register, and wait for the last arriver
+	walkRound                   // the next round's rendezvous
+	walkPost                    // the round's transfer
+	walkFanOut                  // the fan-out's transfers
+	walkLeave                   // the final rendezvous
+	walkDone
+)
+
+// Join readies the caller's walk through the collective of key on group g,
+// costing its transfers with api; it does nothing until stepped. data, if
+// non-nil, is the collective's data function.
+func (t *Table) Join(key Key, g *Group, api machine.API, send, recv gpu.View, data func(sends, recvs []gpu.View)) *Walk {
+	var w *Walk
+	if n := len(t.free); n > 0 {
+		w, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		w = &Walk{t: t}
+		w.stepFn = func() sim.Duration { return w.Step(w.p) }
+	}
+	w.key, w.g, w.api, w.send, w.recv, w.data = key, g, api, send, recv, data
+	w.sched = walkDone
+	return w
+}
+
+// Rounds gives the walk rounds lockstep rounds: all members rendezvous, then
+// the member sends what step(round) names — bytes to group rank peer — and
+// waits for its arrival. A final rendezvous keeps every member in until the
+// slowest last-round transfer has landed.
+func (w *Walk) Rounds(rounds int, step func(round int) (peer int, bytes int64)) *Walk {
+	w.sched, w.rounds, w.step = walkRound, rounds, step
+	return w
+}
+
+// FanOut gives the walk the put-emulation schedule: the member posts bytes to
+// the count group ranks first, first+1, … (wrapping, itself skipped) back to
+// back, waits for the slowest delivery, and all members rendezvous.
+func (w *Walk) FanOut(first, count int, bytes int64) *Walk {
+	w.sched, w.first, w.count, w.bytes = walkFanOut, first, count, bytes
+	return w
+}
+
+// Run walks the caller p through the collective, blocking it until the walk
+// is over; p must not be running a script (sim.Proc.AdvanceFn).
+func (w *Walk) Run(p *sim.Proc) {
+	w.p = p
+	p.AdvanceFn(0, w.stepFn)
+}
+
+// Step is the walk's step machine, for a script of p's (sim.Proc.AdvanceFn):
+// it goes as far as it can in this event slot and answers what it waits for,
+// or sim.StepResume when the walk is over and recycled.
+func (w *Walk) Step(p *sim.Proc) sim.Duration {
+	for {
+		switch w.phase {
+		case walkArrive:
+			w.phase = w.sched
+			if !w.arrive(p) {
+				return sim.StepEnlisted
+			}
+		case walkRound:
+			if w.round == w.rounds {
+				w.phase = walkLeave
+				continue
+			}
+			w.phase = walkPost
+			if !w.inst.rdv.Enlist(p) {
+				return sim.StepEnlisted
+			}
+		case walkPost:
+			peer, bytes := w.step(w.round)
+			w.round++
+			w.phase = walkRound
+			if d := w.post(p, peer, bytes).Sub(p.Now()); d > 0 {
+				return d
+			}
+		case walkFanOut:
+			last := p.Now()
+			for i := 0; i < w.count; i++ {
+				last = max(last, w.post(p, (w.first+i)%w.g.Size, w.bytes))
+			}
+			w.phase = walkLeave
+			if d := last.Sub(p.Now()); d > 0 {
+				return d
+			}
+		case walkLeave:
+			w.phase = walkDone
+			if !w.inst.rdv.Enlist(p) {
+				return sim.StepEnlisted
+			}
+		case walkDone:
+			*w = Walk{t: w.t, stepFn: w.stepFn}
+			w.t.free = append(w.t.free, w)
+			return sim.StepResume
+		}
+	}
+}
+
+// arrive registers the member's views at the instance of its key and reports
+// whether it may go on: the last arriver runs data and releases the others;
+// anyone else enlists on the instance's ready gate.
+func (w *Walk) arrive(p *sim.Proc) bool {
+	t, g := w.t, w.g
+	inst := t.insts[w.key]
 	if inst == nil {
-		label := fmt.Sprintf("%v %s g%d #%d", t.lib, key.Kind, key.Group, key.Seq)
-		inst = &Instance{
-			t:     t,
+		label := fmt.Sprintf("%v %s g%d #%d", t.lib, w.key.Kind, w.key.Group, w.key.Seq)
+		inst = &instance{
 			ready: sim.NewGate(label),
 			rdv:   sim.NewRendezvous(label, g.Size),
 			sends: make([]gpu.View, g.Size),
 			recvs: make([]gpu.View, g.Size),
 		}
-		t.insts[key] = inst
+		t.insts[w.key] = inst
 	}
-	inst.sends[g.Rank], inst.recvs[g.Rank] = send, recv
+	w.inst = inst
+	inst.sends[g.Rank], inst.recvs[g.Rank] = w.send, w.recv
 	if inst.arrived++; inst.arrived < g.Size {
-		inst.ready.Wait(p)
-		return inst
+		return inst.ready.Enlist(p)
 	}
-	if data != nil {
-		data(inst.sends, inst.recvs)
+	if w.data != nil {
+		w.data(inst.sends, inst.recvs)
 	}
-	delete(t.insts, key)
+	delete(t.insts, w.key)
 	inst.ready.Fire(p.Engine())
-	return inst
+	return true
 }
 
-// post books one transfer of bytes from the caller to group rank peer
+// post books one transfer of bytes from the member to group rank peer
 // starting now and returns its arrival time. No peer (negative, out of range,
-// or the caller itself) or no payload books nothing and returns now.
-func (inst *Instance) post(p *sim.Proc, g *Group, api machine.API, peer int, bytes int64) sim.Time {
+// or the member itself) or no payload books nothing and returns now.
+func (w *Walk) post(p *sim.Proc, peer int, bytes int64) sim.Time {
+	g := w.g
 	if peer < 0 || peer >= g.Size || peer == g.Rank || bytes <= 0 {
 		return p.Now()
 	}
-	cl := inst.t.cl
+	cl := w.t.cl
 	src, dst := g.World(g.Rank), g.World(peer)
-	cost := cl.Model.Cost(inst.t.lib, api, cl.Fabric.PathBetween(src, dst), bytes)
+	cost := cl.Model.Cost(w.t.lib, w.api, cl.Fabric.PathBetween(src, dst), bytes)
 	return cl.Fabric.Transfer(p.Now(), src, dst, bytes, cost)
-}
-
-// Rounds walks the caller through rounds lockstep rounds: all members
-// rendezvous, then the caller sends what step(round) names — bytes to group
-// rank peer — and advances to its arrival. A final rendezvous keeps every
-// member in until the slowest last-round transfer has landed.
-func (inst *Instance) Rounds(p *sim.Proc, g *Group, api machine.API, rounds int, step func(round int) (peer int, bytes int64)) {
-	for r := 0; r < rounds; r++ {
-		inst.rdv.Arrive(p)
-		peer, bytes := step(r)
-		p.AdvanceTo(inst.post(p, g, api, peer, bytes))
-	}
-	inst.rdv.Arrive(p)
-}
-
-// FanOut is the put-emulation schedule: the caller posts bytes to the count
-// group ranks first, first+1, … (wrapping, itself skipped) back to back,
-// advances to the slowest delivery, and all members rendezvous.
-func (inst *Instance) FanOut(p *sim.Proc, g *Group, api machine.API, first, count int, bytes int64) {
-	last := p.Now()
-	for i := 0; i < count; i++ {
-		last = max(last, inst.post(p, g, api, (first+i)%g.Size, bytes))
-	}
-	p.AdvanceTo(last)
-	inst.rdv.Arrive(p)
 }
 
 // ReduceThenCopy is the allreduce data function: accumulate count elements

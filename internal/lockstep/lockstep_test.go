@@ -45,7 +45,7 @@ func TestArriveRunsDataOnceOnLastArriver(t *testing.T) {
 	harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
 		p.Advance(sim.Duration(100 * (n - g.Rank))) // rank 0 arrives last
 		view := gpu.AllocBuffer[int64](tbl.cl.Devices[g.Rank], 1+g.Rank).Whole()
-		tbl.Arrive(p, Key{Kind: "once"}, g, view, view, func(sends, recvs []gpu.View) {
+		tbl.Join(Key{Kind: "once"}, g, machine.APIHost, view, view, func(sends, recvs []gpu.View) {
 			runs++
 			ranAt = p.Now()
 			if g.Rank != 0 {
@@ -56,7 +56,7 @@ func TestArriveRunsDataOnceOnLastArriver(t *testing.T) {
 					t.Errorf("rank %d's views not registered when data ran", r)
 				}
 			}
-		})
+		}).Run(p)
 		left[g.Rank] = p.Now()
 	})
 	if runs != 1 {
@@ -69,20 +69,27 @@ func TestArriveRunsDataOnceOnLastArriver(t *testing.T) {
 	}
 }
 
+// TestCompletedKeyIsReusable: a key whose call has completed names a fresh
+// instance — the second call's data runs once, on its own last arriver — and
+// finished walks are recycled.
 func TestCompletedKeyIsReusable(t *testing.T) {
-	var first, second *Instance
+	var runs []int
 	harness(t, 2, func(p *sim.Proc, tbl *Table, g *Group) {
-		a := tbl.Arrive(p, Key{Seq: 7, Kind: "reuse"}, g, gpu.View{}, gpu.View{}, nil)
-		b := tbl.Arrive(p, Key{Seq: 7, Kind: "reuse"}, g, gpu.View{}, gpu.View{}, nil)
-		if g.Rank == 0 {
-			first, second = a, b
+		for call := 0; call < 2; call++ {
+			p.Advance(sim.Duration(10 * (1 + g.Rank))) // rank 1 arrives last
+			tbl.Join(Key{Seq: 7, Kind: "reuse"}, g, machine.APIHost, gpu.View{}, gpu.View{}, func(_, _ []gpu.View) {
+				runs = append(runs, g.Rank)
+			}).Run(p)
+			if len(tbl.insts) != 0 {
+				t.Errorf("completed instances left in the table: %d", len(tbl.insts))
+			}
 		}
-		if len(tbl.insts) != 0 {
-			t.Errorf("completed instances left in the table: %d", len(tbl.insts))
+		if len(tbl.free) == 0 {
+			t.Error("no finished walk was recycled")
 		}
 	})
-	if first == second {
-		t.Fatal("a completed key handed out its old instance again")
+	if !slices.Equal(runs, []int{1, 1}) {
+		t.Fatalf("data ran on ranks %v, want once per call on the last arriver [1 1]", runs)
 	}
 }
 
@@ -100,11 +107,10 @@ func TestRoundsSkipsWhatHasNothingToSend(t *testing.T) {
 		{func(rank int) int { return (rank + 1) % n }, 0},
 	}
 	transfers := harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
-		inst := tbl.Arrive(p, Key{Kind: "skip"}, g, gpu.View{}, gpu.View{}, nil)
-		inst.Rounds(p, g, machine.APIHost, len(steps), func(r int) (int, int64) {
+		tbl.Join(Key{Kind: "skip"}, g, machine.APIHost, gpu.View{}, gpu.View{}, nil).Rounds(len(steps), func(r int) (int, int64) {
 			return steps[r].peer(g.Rank), steps[r].bytes
-		})
-		inst.FanOut(p, g, machine.APIHost, 0, n, 0)
+		}).Run(p)
+		tbl.Join(Key{Kind: "skip-fan"}, g, machine.APIHost, gpu.View{}, gpu.View{}, nil).FanOut(0, n, 0).Run(p)
 		if p.Now() != 0 {
 			t.Errorf("rank %d: empty rounds advanced time to %v", g.Rank, p.Now())
 		}
@@ -127,8 +133,8 @@ func TestRoundEndsAtSlowestTransfer(t *testing.T) {
 			cost := cl.Model.Cost(tbl.lib, machine.APIHost, cl.Fabric.PathBetween(g.Rank, 0), bytes)
 			want = sim.Time(0).Add(cost.Duration(bytes) + cost.Latency)
 		}
-		inst := tbl.Arrive(p, Key{Kind: "pace"}, g, gpu.View{}, gpu.View{}, nil)
-		inst.Rounds(p, g, machine.APIHost, 1, func(int) (int, int64) { return (g.Rank + 1) % n, bytes })
+		tbl.Join(Key{Kind: "pace"}, g, machine.APIHost, gpu.View{}, gpu.View{}, nil).
+			Rounds(1, func(int) (int, int64) { return (g.Rank + 1) % n, bytes }).Run(p)
 		left[g.Rank] = p.Now()
 	})
 	if transfers != n {
@@ -145,12 +151,11 @@ func TestFanOutPostsInOrderAndSkipsSelf(t *testing.T) {
 	const n = 4
 	left := make([]sim.Time, n)
 	transfers := harness(t, n, func(p *sim.Proc, tbl *Table, g *Group) {
-		inst := tbl.Arrive(p, Key{Kind: "fan"}, g, gpu.View{}, gpu.View{}, nil)
 		puts := 0
 		if g.Rank == 2 { // a broadcast root
 			puts = n
 		}
-		inst.FanOut(p, g, machine.APIHost, 0, puts, 4096)
+		tbl.Join(Key{Kind: "fan"}, g, machine.APIHost, gpu.View{}, gpu.View{}, nil).FanOut(0, puts, 4096).Run(p)
 		left[g.Rank] = p.Now()
 	})
 	if transfers != n-1 {

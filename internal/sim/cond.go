@@ -68,11 +68,9 @@ func (g *Gate) Fire(e *Engine) {
 // Wait blocks p until the gate fires. The wait is interruptible: a pending
 // or arriving Interrupt aborts it (see interrupt.go).
 func (g *Gate) Wait(p *Proc) {
-	p.CheckInterrupt()
-	if g.fired {
+	if g.Enlist(p) {
 		return
 	}
-	g.add(p)
 	p.parkOn(g.why(), g, true)
 	p.CheckInterrupt()
 }
@@ -89,8 +87,7 @@ func (g *Gate) Enlist(p *Proc) (fired bool) {
 		return true
 	}
 	g.add(p)
-	p.waitOn, p.interruptible = g, true
-	p.parkWhy, p.parkDur = g.why(), -1
+	p.enlist(g, g.why(), true)
 	return false
 }
 
@@ -137,9 +134,19 @@ type Counter struct {
 	waiters []counterWaiter
 }
 
+// counterWaiter is one parked waiter and its condition: pred, or value >= min
+// when pred is nil (WaitGE, which so needs no closure).
 type counterWaiter struct {
 	p    *Proc
 	pred func(uint64) bool
+	min  uint64
+}
+
+func (w *counterWaiter) holds(v uint64) bool {
+	if w.pred == nil {
+		return v >= w.min
+	}
+	return w.pred(v)
 }
 
 // NewCounter returns a counter with initial value v.
@@ -161,11 +168,11 @@ func (c *Counter) Add(e *Engine, delta uint64) { c.Set(e, c.value+delta) }
 
 func (c *Counter) notify(e *Engine) {
 	kept := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.pred(c.value) {
+	for i := range c.waiters {
+		if w := &c.waiters[i]; w.holds(c.value) {
 			e.wake(w.p, e.now, c.reason)
 		} else {
-			kept = append(kept, w)
+			kept = append(kept, *w)
 		}
 	}
 	clear(c.waiters[len(kept):]) // released waiters and their predicates
@@ -175,13 +182,39 @@ func (c *Counter) notify(e *Engine) {
 // WaitUntil blocks p until pred(value) is true. If it is already true the
 // call returns immediately. The wait is interruptible.
 func (c *Counter) WaitUntil(p *Proc, pred func(uint64) bool) {
-	p.CheckInterrupt()
-	if pred(c.value) {
+	c.wait(p, counterWaiter{p: p, pred: pred})
+}
+
+// WaitGE blocks p until value >= v.
+func (c *Counter) WaitGE(p *Proc, v uint64) {
+	c.wait(p, counterWaiter{p: p, min: v})
+}
+
+func (c *Counter) wait(p *Proc, w counterWaiter) {
+	if c.enlist(p, w) {
 		return
 	}
-	c.waiters = append(c.waiters, counterWaiter{p, pred})
 	p.parkOn(c.reason, c, true)
 	p.CheckInterrupt()
+}
+
+// Enlist is WaitUntil for a script step (Proc.AdvanceFn), as Gate.Enlist is
+// Wait: it reports true when pred already holds; otherwise p is registered
+// and the step must answer StepEnlisted — the Set or Add that makes pred hold
+// runs the next step. A step that must not allocate passes a predicate bound
+// once (a method value of a recycled record).
+func (c *Counter) Enlist(p *Proc, pred func(uint64) bool) (holds bool) {
+	return c.enlist(p, counterWaiter{p: p, pred: pred})
+}
+
+func (c *Counter) enlist(p *Proc, w counterWaiter) (holds bool) {
+	p.CheckInterrupt()
+	if w.holds(c.value) {
+		return true
+	}
+	c.waiters = append(c.waiters, w)
+	p.enlist(c, c.reason, true)
+	return false
 }
 
 func (c *Counter) drop(p *Proc) {
@@ -190,14 +223,9 @@ func (c *Counter) drop(p *Proc) {
 	}
 }
 
-// WaitGE blocks p until value >= v.
-func (c *Counter) WaitGE(p *Proc, v uint64) {
-	c.WaitUntil(p, func(x uint64) bool { return x >= v })
-}
-
 // Mailbox is an unbounded FIFO queue of items passed between processes.
-// Put never blocks; Get blocks until an item is available. Items are
-// delivered in insertion order.
+// Put never blocks; a receiver takes items with Enlist from a script step.
+// Items are delivered in insertion order.
 type Mailbox[T any] struct {
 	reason  string
 	items   []T // queued items are items[head:]
@@ -222,17 +250,20 @@ func (m *Mailbox[T]) Put(e *Engine, item T) {
 	}
 }
 
-// Get dequeues the next item, blocking until one is available. The wait is
-// NOT interruptible — daemons idling on a mailbox (GPU stream executors)
-// must keep serving after a failure is declared — but a Kill still unwinds
-// it.
-func (m *Mailbox[T]) Get(p *Proc) T {
-	for m.head == len(m.items) {
+// Enlist is a script step's receive (Proc.AdvanceFn): it dequeues the next
+// item if there is one; otherwise it registers p as a receiver and the step
+// must answer StepEnlisted — the next Put's wake runs the script's next step.
+// The wait is NOT interruptible — daemons idling on a mailbox (GPU stream
+// executors) must keep serving after a failure is declared — but a Kill
+// still unwinds it.
+func (m *Mailbox[T]) Enlist(p *Proc) (item T, ok bool) {
+	if m.head == len(m.items) {
 		m.waiters = append(m.waiters, p)
-		p.parkOn(m.reason, m, false)
+		p.enlist(m, m.reason, false)
+		return item, false
 	}
 	var zero T
-	item := m.items[m.head]
+	item = m.items[m.head]
 	m.items[m.head] = zero
 	// Advance a head index instead of shifting the queue on every dequeue:
 	// a drained queue restarts its backing array, and one that never drains
@@ -245,7 +276,7 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		clear(m.items[n:])
 		m.items, m.head = m.items[:n], 0
 	}
-	return item
+	return item, true
 }
 
 func (m *Mailbox[T]) drop(p *Proc) { m.waiters = removeWaiter(m.waiters, p) }
@@ -272,6 +303,18 @@ func NewRendezvous(label string, parties int) *Rendezvous {
 // interruptible; an interrupted or killed party is deregistered, so the
 // barrier then needs the remaining parties plus one replacement arrival.
 func (r *Rendezvous) Arrive(p *Proc) {
+	if r.Enlist(p) {
+		return
+	}
+	p.parkOn(r.reason, r, true)
+	p.CheckInterrupt()
+}
+
+// Enlist is Arrive for a script step (Proc.AdvanceFn), as Gate.Enlist is
+// Wait: the last party releases the others and reports true; any other is
+// registered and the step must answer StepEnlisted — the last party's
+// arrival runs its next step.
+func (r *Rendezvous) Enlist(p *Proc) (released bool) {
 	p.CheckInterrupt()
 	if len(r.arrived)+1 == r.parties {
 		for _, w := range r.arrived {
@@ -279,11 +322,11 @@ func (r *Rendezvous) Arrive(p *Proc) {
 		}
 		clear(r.arrived)
 		r.arrived = r.arrived[:0]
-		return
+		return true
 	}
 	r.arrived = append(r.arrived, p)
-	p.parkOn(r.reason, r, true)
-	p.CheckInterrupt()
+	p.enlist(r, r.reason, true)
+	return false
 }
 
 func (r *Rendezvous) drop(p *Proc) { r.arrived = removeWaiter(r.arrived, p) }

@@ -52,7 +52,7 @@ func TestStaleWaiterSlotsAreCleared(t *testing.T) {
 				return n
 			}},
 		// Get is not interruptible: waiter 2 stays queued until a Put.
-		{"mailbox", func(p *Proc, _ int) { m.Get(p) },
+		{"mailbox", func(p *Proc, _ int) { take(p, m) },
 			func(e *Engine) { m.Put(e, 0) }, func(e *Engine) { m.Put(e, 0); m.Put(e, 0) },
 			func() int { return staleProcs(m.waiters) }},
 		// Waiters 1 and 3 plus three late arrivals make the five parties.

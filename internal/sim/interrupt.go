@@ -9,7 +9,7 @@ package sim
 //   - Interrupt(err) poisons a process: the error is raised (as an abort
 //     unwind, catchable with Protect) at the process's current or next
 //     interruptible park. Waits on Gate/Counter/Rendezvous are
-//     interruptible; Advance and Mailbox.Get (the stream-daemon idle
+//     interruptible; Advance and Mailbox.Enlist (the stream-daemon idle
 //     loop) are not, so a pending interrupt waits for a blocking
 //     synchronization point instead of tearing through timed compute.
 //   - Kill() crashes a process: it unwinds silently at its very next
@@ -154,6 +154,15 @@ func (p *Proc) parkOn(why string, on canceler, interruptible bool) {
 	p.waitOn, p.interruptible = on, interruptible
 	p.park(why)
 	p.waitOn, p.interruptible = nil, false
+}
+
+// enlist is parkOn for a script step that has just queued p on a primitive:
+// it records the canceler, whether Interrupt may cancel the wait, and the
+// reason diagnostics show; the step then answers StepEnlisted, and the wake
+// that runs the next step clears them (runStep).
+func (p *Proc) enlist(on canceler, why string, interruptible bool) {
+	p.waitOn, p.interruptible = on, interruptible
+	p.parkWhy, p.parkDur = why, -1
 }
 
 // InterruptAll poisons every live process with err, in spawn order (so

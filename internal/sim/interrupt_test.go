@@ -240,7 +240,7 @@ func TestMailboxWaitNotInterruptible(t *testing.T) {
 	mb := NewMailbox[int]("ops")
 	var gotItem int
 	daemon := eng.SpawnDaemon("stream", func(p *Proc) {
-		gotItem = mb.Get(p)
+		gotItem = take(p, mb)
 	})
 	eng.Spawn("driver", func(p *Proc) {
 		p.Advance(10)

@@ -14,10 +14,12 @@ import (
 // parkClasses are the known first words of park reasons (see cond.go and
 // the Advance park). Reasons are classified by their first word so
 // per-label reasons like "gate send 0->1 tag 5" do not explode counter
-// cardinality. Nothing parks with "yield" or "semaphore" any more; the
+// cardinality. Nothing parks with "yield" or "semaphore" any more, and a
+// "mailbox" park is left only where a GPU stream's daemon enters its script
+// with nothing to serve (at its start, and after running a kernel body); the
 // classes stay so the metrics reports keep the same counter set. Only
-// coroutine parks are counted: a script step (AdvanceFn)
-// that re-arms its timer or enlists on a gate is a sim.steps, not a park.
+// coroutine parks are counted: a script step (AdvanceFn) that re-arms its
+// timer or enlists on a primitive is a sim.steps, not a park.
 var parkClasses = []string{
 	"advance", "yield", "gate", "counter", "mailbox", "semaphore", "rendezvous",
 }

@@ -420,3 +420,110 @@ func TestScriptAllocationGuard(t *testing.T) {
 		t.Errorf("a script step allocates: %.3f allocs/step (%.0f per %d-step run, want ~0)", perStep, avg, 2*iters)
 	}
 }
+
+// enlistLog runs n processes that each advance, pass a rendezvous of all n,
+// wait until a counter reaches their rank and advance again — as coroutines
+// (Arrive, WaitGE) or as scripts (Rendezvous.Enlist, Counter.Enlist) — while
+// callbacks raise the counter and, if interrupt is set, revoke process 1 at
+// 12. It returns what the processes and the engine recorded.
+func enlistLog(t *testing.T, scripted, interrupt bool) record {
+	t.Helper()
+	const n = 4
+	e := NewEngine()
+	defer e.Close()
+	var rec record
+	e.SetTrace(func(s string) { rec.trace = append(rec.trace, s) })
+	reg := metrics.New()
+	e.SetMetrics(reg)
+	r, c := NewRendezvous("r", n), NewCounter("c", 0)
+	for at := Duration(15); at <= 30; at += 5 {
+		e.After(at, func() { c.Add(e, 1) })
+	}
+	procs := make([]*Proc, n)
+	for i := range procs {
+		name := fmt.Sprintf("p%d", i)
+		note := func(what string) { rec.log = append(rec.log, fmt.Sprintf("%s %s at %d", name, what, e.Now())) }
+		procs[i] = e.Spawn(name, func(p *Proc) {
+			err := Protect(func() {
+				if !scripted {
+					p.Advance(Duration(3 * i))
+					r.Arrive(p)
+					note("passed")
+					c.WaitGE(p, uint64(i))
+					note("counted")
+					p.Advance(2)
+					return
+				}
+				stage := 0
+				geI := func(v uint64) bool { return v >= uint64(i) }
+				p.AdvanceFn(Duration(3*i), func() Duration {
+					switch stage {
+					case 0:
+						stage++
+						if !r.Enlist(p) {
+							return StepEnlisted
+						}
+						fallthrough
+					case 1:
+						note("passed")
+						stage++
+						if !c.Enlist(p, geI) {
+							return StepEnlisted
+						}
+						fallthrough
+					case 2:
+						note("counted")
+						stage++
+						return 2
+					default:
+						return StepResume
+					}
+				})
+			})
+			note(fmt.Sprintf("done err %v", err))
+		})
+	}
+	if interrupt {
+		e.After(12, func() { procs[1].interrupt(errRevoked) })
+	}
+	if err := e.Run(); err != nil {
+		rec.err = err.Error()
+	}
+	rec.events, rec.end = reg.Counter("sim.events").Value(), e.Now()
+	return rec
+}
+
+var errRevoked = errors.New("revoked")
+
+// TestEnlistFormsEqualWaits: Rendezvous.Enlist and Counter.Enlist stand in for
+// Arrive and WaitGE slot for slot — same observations, trace and event count
+// — including an interrupt that cancels a counter wait, after which the
+// rendezvous still released everyone.
+func TestEnlistFormsEqualWaits(t *testing.T) {
+	for _, interrupt := range []bool{false, true} {
+		want, got := enlistLog(t, false, interrupt), enlistLog(t, true, interrupt)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("interrupt %v: script\n %+v\ncoroutine\n %+v", interrupt, got, want)
+		}
+		if interrupt != strings.Contains(strings.Join(want.log, ";"), "p1 done err revoked") {
+			t.Errorf("interrupt %v: log %v", interrupt, want.log)
+		}
+	}
+}
+
+// TestScriptsDoNotNest: a step that calls AdvanceFn is a bug, reported as a
+// panic naming the owner.
+func TestScriptsDoNotNest(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	e.Spawn("owner", func(p *Proc) {
+		p.AdvanceFn(5, func() Duration {
+			p.AdvanceFn(5, func() Duration { return StepResume })
+			return StepResume
+		})
+	})
+	var pe *PanicError
+	if err := e.Run(); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.value), "owner: AdvanceFn inside a script step") {
+		t.Fatalf("Run = %v, want a panic naming the nested AdvanceFn", err)
+	}
+}

@@ -518,9 +518,13 @@ const (
 // inside a step — a sim.Abort (fabric partition), an interrupt raised by
 // Enlist or CheckInterrupt, or a bug — is raised again on the owner's stack,
 // from this call, so Protect catches what it would have caught and a
-// PanicError names the owner.
+// PanicError names the owner. Scripts do not nest: a step must not call
+// AdvanceFn.
 func (p *Proc) AdvanceFn(d Duration, step func() Duration) {
 	e := p.eng
+	if p.script != nil {
+		panic(fmt.Sprintf("sim: %s: AdvanceFn inside a script step", p.name))
+	}
 	p.script = step
 	if d > 0 {
 		e.wake(p, e.now.Add(d), "advance")
@@ -539,7 +543,8 @@ func (p *Proc) AdvanceFn(d Duration, step func() Duration) {
 // primitive) and false when the coroutine is to resume here: the script
 // finished, the process was killed, or the step panicked.
 func (e *Engine) runStep(p *Proc) (waiting bool) {
-	p.wakePending = false
+	// The wake that runs the step took p off any primitive it had enlisted on.
+	p.wakePending, p.waitOn = false, nil
 	if p.crashed {
 		p.script = nil
 		return false
@@ -555,7 +560,7 @@ func (e *Engine) runStep(p *Proc) (waiting bool) {
 	}()
 	if p.interruptible {
 		// The second half of the Wait the previous step enlisted for.
-		p.waitOn, p.interruptible = nil, false
+		p.interruptible = false
 		p.CheckInterrupt()
 	}
 	d := p.script()
@@ -568,14 +573,6 @@ func (e *Engine) runStep(p *Proc) (waiting bool) {
 		return false
 	}
 	return true
-}
-
-// AdvanceTo moves the process forward to time t; if t is in the past it is a
-// no-op.
-func (p *Proc) AdvanceTo(t Time) {
-	if t > p.eng.now {
-		p.Advance(t.Sub(p.eng.now))
-	}
 }
 
 // DeadlockError is returned by Run when live processes remain but no events

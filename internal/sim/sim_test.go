@@ -15,6 +15,19 @@ func mustRun(t *testing.T, e *Engine) {
 	e.Close()
 }
 
+// take is a blocking mailbox receive written as the one-step script a
+// receiver runs (Mailbox.Enlist): it parks only while the mailbox is empty.
+func take[T any](p *Proc, m *Mailbox[T]) (item T) {
+	p.AdvanceFn(0, func() Duration {
+		var ok bool
+		if item, ok = m.Enlist(p); !ok {
+			return StepEnlisted
+		}
+		return StepResume
+	})
+	return item
+}
+
 func TestAdvanceAccumulates(t *testing.T) {
 	e := NewEngine()
 	var end Time
@@ -145,7 +158,7 @@ func TestMailboxFIFO(t *testing.T) {
 	var got []int
 	e.Spawn("recv", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			got = append(got, m.Get(p))
+			got = append(got, take(p, m))
 		}
 	})
 	e.Spawn("send", func(p *Proc) {
@@ -173,7 +186,7 @@ func TestMailboxOrderUnderBacklog(t *testing.T) {
 	next := 0
 	e.Spawn("recv", func(p *Proc) {
 		for next < total {
-			if v := m.Get(p); v != next {
+			if v := take(p, m); v != next {
 				t.Fatalf("item %d came out at position %d", v, next)
 			}
 			next++
@@ -308,7 +321,7 @@ func TestDaemonsDoNotDeadlock(t *testing.T) {
 	m := NewMailbox[int]("ops")
 	e.SpawnDaemon("stream", func(p *Proc) {
 		for {
-			m.Get(p)
+			take(p, m)
 		}
 	})
 	e.Spawn("host", func(p *Proc) {
@@ -511,7 +524,7 @@ func TestDeadlockWaitingExcludesDaemons(t *testing.T) {
 	m := NewMailbox[int]("idle")
 	e.SpawnDaemon("daemon", func(p *Proc) {
 		for {
-			m.Get(p)
+			take(p, m)
 		}
 	})
 	g := NewGate("never")
@@ -560,7 +573,7 @@ func TestCloseAfterFailedRunLeaksNoGoroutines(t *testing.T) {
 		e.SpawnDaemon("daemon", func(p *Proc) {
 			m := NewMailbox[int]("never")
 			for {
-				m.Get(p)
+				take(p, m)
 			}
 		})
 		g := NewGate("never")
@@ -603,7 +616,7 @@ func TestCloseRunsDeferredOnce(t *testing.T) {
 	}
 	e.SpawnDaemon("d", func(p *Proc) {
 		defer func() { deferred["d"]++ }()
-		NewMailbox[int]("never").Get(p)
+		take(p, NewMailbox[int]("never"))
 	})
 	if _, ok := e.Run().(*DeadlockError); !ok {
 		t.Fatal("expected deadlock")

@@ -170,6 +170,11 @@ type state struct {
 
 	rsold float64
 
+	// The host-API variants' kernels (newKernels), and the scalars bound for
+	// the next axpy and update-p launches.
+	spmv, dotPAp, dotRR, axpy, updateP *gpu.Kernel
+	alphaArg, betaArg                  float64
+
 	stream      *gpu.Stream
 	start, stop *gpu.Event
 }
@@ -206,6 +211,7 @@ func newState(cfg Config, env *core.Env) *state {
 	st.ap = alloc(env, maxRows)
 	st.pFull = alloc(env, n)
 	st.dots = core.Alloc[float64](env, 2)
+	st.newKernels()
 
 	if cfg.Compute {
 		// b = A·1 so the exact solution is the ones vector; x0 = 0,
@@ -231,18 +237,28 @@ func newState(cfg Config, env *core.Env) *state {
 }
 
 // Kernel builders: durations come from the machine model; bodies execute
-// the real arithmetic when cfg.Compute.
+// the real arithmetic when cfg.Compute. None of them communicates, so each is
+// a Compute kernel the stream runs in its own event slots, and each is built
+// once per rank (newState): a launch allocates nothing.
 
-// spmvKernel computes ap = A_local · pFull.
-func (st *state) spmvKernel() *gpu.Kernel {
+// newKernels builds the host-API variants' five kernels. axpy and update-p
+// apply the scalar the host bound last (axpyWith, updatePWith): the host
+// synchronizes the stream before it computes the next one, so the kernel has
+// run by then.
+func (st *state) newKernels() {
 	nnz := st.nnz
-	return &gpu.Kernel{
-		Name: "spmv",
-		Time: func(d *gpu.Device) sim.Duration { return d.Model().SpMVKernelTime(nnz) },
-		Body: func(kc *gpu.KernelCtx) { st.spmvBody() },
+	st.spmv = &gpu.Kernel{
+		Name:    "spmv",
+		Time:    func(d *gpu.Device) sim.Duration { return d.Model().SpMVKernelTime(nnz) },
+		Compute: st.spmvBody,
 	}
+	st.dotPAp = st.dotKernel(st.p, st.ap, 0)
+	st.dotRR = st.dotKernel(st.r, st.r, 1)
+	st.axpy = &gpu.Kernel{Name: "axpy", Time: st.vecTime(6), Compute: func() { st.axpyBody(st.alphaArg) }}
+	st.updateP = &gpu.Kernel{Name: "update-p", Time: st.vecTime(3), Compute: func() { st.updatePBody(st.betaArg) }}
 }
 
+// spmvBody computes ap = A_local · pFull.
 func (st *state) spmvBody() {
 	if !st.cfg.Compute {
 		return
@@ -250,7 +266,8 @@ func (st *state) spmvBody() {
 	st.cfg.Matrix.SpMV(st.ap.Data()[:st.myRows], st.pFull.Data(), st.lo, st.hi)
 }
 
-// vecBytes is the streaming traffic of one myRows-long vector pass.
+// vecTime is the modelled duration of streaming that many myRows-long
+// vectors.
 func (st *state) vecTime(streams int) func(d *gpu.Device) sim.Duration {
 	bytes := int64(st.myRows) * 8 * int64(streams)
 	return func(d *gpu.Device) sim.Duration { return d.Model().StencilKernelTime(bytes) }
@@ -258,11 +275,7 @@ func (st *state) vecTime(streams int) func(d *gpu.Device) sim.Duration {
 
 // dotKernel computes dots[slot] = a·b over the local block.
 func (st *state) dotKernel(a, b *core.Mem[float64], slot int) *gpu.Kernel {
-	return &gpu.Kernel{
-		Name: "dot",
-		Time: st.vecTime(2),
-		Body: func(kc *gpu.KernelCtx) { st.dotBody(a, b, slot) },
-	}
+	return &gpu.Kernel{Name: "dot", Time: st.vecTime(2), Compute: func() { st.dotBody(a, b, slot) }}
 }
 
 func (st *state) dotBody(a, b *core.Mem[float64], slot int) {
@@ -276,13 +289,11 @@ func (st *state) dotBody(a, b *core.Mem[float64], slot int) {
 	st.dots.Data()[slot] = sum
 }
 
-// axpyKernel performs x += alpha·p and r -= alpha·ap.
-func (st *state) axpyKernel(alpha func() float64) *gpu.Kernel {
-	return &gpu.Kernel{
-		Name: "axpy",
-		Time: st.vecTime(6),
-		Body: func(kc *gpu.KernelCtx) { st.axpyBody(alpha()) },
-	}
+// axpyWith binds alpha and returns the kernel performing x += alpha·p and
+// r -= alpha·ap.
+func (st *state) axpyWith(alpha float64) *gpu.Kernel {
+	st.alphaArg = alpha
+	return st.axpy
 }
 
 func (st *state) axpyBody(alpha float64) {
@@ -295,13 +306,10 @@ func (st *state) axpyBody(alpha float64) {
 	}
 }
 
-// updatePKernel performs p = r + beta·p.
-func (st *state) updatePKernel(beta func() float64) *gpu.Kernel {
-	return &gpu.Kernel{
-		Name: "update-p",
-		Time: st.vecTime(3),
-		Body: func(kc *gpu.KernelCtx) { st.updatePBody(beta()) },
-	}
+// updatePWith binds beta and returns the kernel performing p = r + beta·p.
+func (st *state) updatePWith(beta float64) *gpu.Kernel {
+	st.betaArg = beta
+	return st.updateP
 }
 
 func (st *state) updatePBody(beta float64) {

@@ -30,17 +30,17 @@ func runNativeGPUCCL(cfg Config, env *core.Env) rankResult {
 			ccl.GroupEnd(p, st.stream)
 			st.stream.MemcpyAsync(p, st.pFull.View(displs[me], st.myRows), st.p.View(0, st.myRows), st.myRows)
 		}
-		st.stream.Launch(p, st.spmvKernel(), nil)
-		st.stream.Launch(p, st.dotKernel(st.p, st.ap, 0), nil)
+		st.stream.Launch(p, st.spmv, nil)
+		st.stream.Launch(p, st.dotPAp, nil)
 		ccl.AllReduce(p, st.stream, st.dots.View(0, 1), st.dots.View(0, 1), gpu.ReduceSum)
 		st.stream.Synchronize(p)
 		alpha := st.alpha()
-		st.stream.Launch(p, st.axpyKernel(func() float64 { return alpha }), nil)
-		st.stream.Launch(p, st.dotKernel(st.r, st.r, 1), nil)
+		st.stream.Launch(p, st.axpyWith(alpha), nil)
+		st.stream.Launch(p, st.dotRR, nil)
 		ccl.AllReduce(p, st.stream, st.dots.View(1, 1), st.dots.View(1, 1), gpu.ReduceSum)
 		st.stream.Synchronize(p)
 		beta := st.betaAndRoll()
-		st.stream.Launch(p, st.updatePKernel(func() float64 { return beta }), nil)
+		st.stream.Launch(p, st.updatePWith(beta), nil)
 	}
 	st.stop.Record(st.stream)
 	st.stream.Synchronize(p)

@@ -26,17 +26,17 @@ func runNativeShmemHost(cfg Config, env *core.Env) rankResult {
 		if !cfg.DisableAllgatherv {
 			pe.AllGathervOnStream(p, st.stream, st.p.View(0, st.myRows), st.pFull.Whole(), counts, displs)
 		}
-		st.stream.Launch(p, st.spmvKernel(), nil)
-		st.stream.Launch(p, st.dotKernel(st.p, st.ap, 0), nil)
+		st.stream.Launch(p, st.spmv, nil)
+		st.stream.Launch(p, st.dotPAp, nil)
 		pe.AllReduceOnStream(p, st.stream, st.dots.View(0, 1), st.dots.View(0, 1), gpu.ReduceSum)
 		st.stream.Synchronize(p)
 		alpha := st.alpha()
-		st.stream.Launch(p, st.axpyKernel(func() float64 { return alpha }), nil)
-		st.stream.Launch(p, st.dotKernel(st.r, st.r, 1), nil)
+		st.stream.Launch(p, st.axpyWith(alpha), nil)
+		st.stream.Launch(p, st.dotRR, nil)
 		pe.AllReduceOnStream(p, st.stream, st.dots.View(1, 1), st.dots.View(1, 1), gpu.ReduceSum)
 		st.stream.Synchronize(p)
 		beta := st.betaAndRoll()
-		st.stream.Launch(p, st.updatePKernel(func() float64 { return beta }), nil)
+		st.stream.Launch(p, st.updatePWith(beta), nil)
 	}
 	st.stop.Record(st.stream)
 	st.stream.Synchronize(p)

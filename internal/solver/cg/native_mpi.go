@@ -22,17 +22,17 @@ func runNativeMPI(cfg Config, env *core.Env) rankResult {
 		if !cfg.DisableAllgatherv {
 			comm.Allgatherv(p, st.p.View(0, st.myRows), st.pFull.Whole(), counts, displs)
 		}
-		st.stream.Launch(p, st.spmvKernel(), nil)
-		st.stream.Launch(p, st.dotKernel(st.p, st.ap, 0), nil)
+		st.stream.Launch(p, st.spmv, nil)
+		st.stream.Launch(p, st.dotPAp, nil)
 		st.stream.Synchronize(p)
 		comm.Allreduce(p, st.dots.View(0, 1), st.dots.View(0, 1), gpu.ReduceSum)
 		alpha := st.alpha()
-		st.stream.Launch(p, st.axpyKernel(func() float64 { return alpha }), nil)
-		st.stream.Launch(p, st.dotKernel(st.r, st.r, 1), nil)
+		st.stream.Launch(p, st.axpyWith(alpha), nil)
+		st.stream.Launch(p, st.dotRR, nil)
 		st.stream.Synchronize(p)
 		comm.Allreduce(p, st.dots.View(1, 1), st.dots.View(1, 1), gpu.ReduceSum)
 		beta := st.betaAndRoll()
-		st.stream.Launch(p, st.updatePKernel(func() float64 { return beta }), nil)
+		st.stream.Launch(p, st.updatePWith(beta), nil)
 	}
 	st.stop.Record(st.stream)
 	st.stream.Synchronize(p)

@@ -27,17 +27,17 @@ func runUniconn(cfg Config, env *core.Env) rankResult {
 		if !cfg.DisableAllgatherv {
 			core.AllGatherv(coord, st.p.Base(), st.pFull.Base(), counts, displs, comm)
 		}
-		st.stream.Launch(p, st.spmvKernel(), nil)
-		st.stream.Launch(p, st.dotKernel(st.p, st.ap, 0), nil)
+		st.stream.Launch(p, st.spmv, nil)
+		st.stream.Launch(p, st.dotPAp, nil)
 		core.AllReduceInPlace(coord, gpu.ReduceSum, st.dots.Base(), 1, comm)
 		env.StreamSynchronize(st.stream)
 		alpha := st.alpha()
-		st.stream.Launch(p, st.axpyKernel(func() float64 { return alpha }), nil)
-		st.stream.Launch(p, st.dotKernel(st.r, st.r, 1), nil)
+		st.stream.Launch(p, st.axpyWith(alpha), nil)
+		st.stream.Launch(p, st.dotRR, nil)
 		core.AllReduceInPlace(coord, gpu.ReduceSum, st.dots.At(1), 1, comm)
 		env.StreamSynchronize(st.stream)
 		beta := st.betaAndRoll()
-		st.stream.Launch(p, st.updatePKernel(func() float64 { return beta }), nil)
+		st.stream.Launch(p, st.updatePWith(beta), nil)
 	}
 	st.stop.Record(st.stream)
 	env.StreamSynchronize(st.stream)

@@ -199,6 +199,8 @@ type state struct {
 	// rows before reading bufs[k].grid.
 	bufs [2]bufset
 	curi int
+	// sweeps[k] sweeps bufs[k] into the other set (newSweeps).
+	sweeps [2]*gpu.Kernel
 
 	sync        *core.Mem[uint64]
 	env         *core.Env
@@ -237,6 +239,7 @@ func newState(cfg Config, env *core.Env) *state {
 		}
 	}
 	st.sync = core.Alloc[uint64](env, 4)
+	st.newSweeps()
 	if cfg.Compute {
 		initGrid(st.bufs[0].grid.Data(), g, st.rank, cfg)
 		initGrid(st.bufs[1].grid.Data(), g, st.rank, cfg)

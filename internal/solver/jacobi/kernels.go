@@ -72,14 +72,18 @@ func (st *state) kernelTime() func(d *gpu.Device) sim.Duration {
 	}
 }
 
-// computeKernel is the computation-only sweep (PureHost variants).
-func (st *state) computeKernel(cur, next bufset) *gpu.Kernel {
-	return &gpu.Kernel{
-		Name: "jacobi",
-		Time: st.kernelTime(),
-		Body: func(kc *gpu.KernelCtx) { st.sweep(cur, next) },
+// newSweeps builds the computation-only sweep of each buffer parity once
+// (PureHost variants): it communicates nothing, so it is a Compute kernel the
+// stream runs in its own event slots, and a launch allocates nothing.
+func (st *state) newSweeps() {
+	for k := range st.sweeps {
+		cur, next := st.bufs[k], st.bufs[1-k]
+		st.sweeps[k] = &gpu.Kernel{Name: "jacobi", Time: st.kernelTime(), Compute: func() { st.sweep(cur, next) }}
 	}
 }
+
+// computeKernel is the sweep from the current buffers into the next.
+func (st *state) computeKernel() *gpu.Kernel { return st.sweeps[st.curi] }
 
 // timedLoop runs body for warmup+iters iterations, synchronizing after the
 // warmup (host and device, per §VI-A2) and timing the rest with events on

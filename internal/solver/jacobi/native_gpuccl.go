@@ -15,8 +15,8 @@ func runNativeGPUCCL(cfg Config, env *core.Env) rankResult {
 	nx := st.g.nx
 
 	body := func(int) {
-		cur, next := st.cur(), st.next()
-		st.stream.Launch(p, st.computeKernel(cur, next), nil)
+		next := st.next()
+		st.stream.Launch(p, st.computeKernel(), nil)
 		ccl.GroupStart()
 		if st.g.top != -1 {
 			ccl.Send(p, st.stream, next.send.View(0, nx), st.g.top)

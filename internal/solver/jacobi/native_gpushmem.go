@@ -30,8 +30,8 @@ func runNativeShmemHost(cfg Config, env *core.Env) rankResult {
 	nx := st.g.nx
 
 	body := func(iter int) {
-		cur, next := st.cur(), st.next()
-		st.stream.Launch(p, st.computeKernel(cur, next), nil)
+		next := st.next()
+		st.stream.Launch(p, st.computeKernel(), nil)
 		val := uint64(iter)
 		if st.g.top != -1 {
 			// My top row becomes the top neighbour's from-bottom halo.

@@ -22,8 +22,8 @@ func runNativeMPI(cfg Config, env *core.Env) rankResult {
 	nx := st.g.nx
 
 	body := func(int) {
-		cur, next := st.cur(), st.next()
-		st.stream.Launch(p, st.computeKernel(cur, next), nil)
+		next := st.next()
+		st.stream.Launch(p, st.computeKernel(), nil)
 		// MPI cannot see the stream: the host must drain it before
 		// touching device buffers.
 		st.stream.Synchronize(p)

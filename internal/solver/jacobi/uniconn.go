@@ -29,7 +29,7 @@ func runUniconn(cfg Config, env *core.Env) rankResult {
 		// Bind the kernel matching the active launch mode. Only the bound
 		// kernel for the coordinator's mode is launched; the others mirror
 		// the paper's side-by-side BindKernel calls (Listing 4, 20-27).
-		coord.BindKernel(core.PureHost, st.computeKernel(cur, next), nil)
+		coord.BindKernel(core.PureHost, st.computeKernel(), nil)
 		coord.BindKernel(core.PartialDevice, st.partialDeviceKernel(cur, next, dc), nil)
 		coord.BindKernel(core.PureDevice, st.pureDeviceKernel(cur, next, val, dc), nil)
 		coord.LaunchKernel()
