@@ -20,6 +20,7 @@ import (
 	"repro/internal/solver/cg"
 	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
+	"repro/internal/spec"
 )
 
 // benchSizes is the reduced sweep used inside benchmarks.
@@ -40,9 +41,10 @@ func overheadPct(x, ref sim.Duration) float64 {
 	return (float64(x) - float64(ref)) / float64(ref) * 100
 }
 
-func mustBw(b *testing.B, cfg bench.NetConfig) float64 {
+// mustSpec runs one spec cell and returns its value.
+func mustSpec(b *testing.B, s spec.Spec) float64 {
 	b.Helper()
-	v, _, err := bench.SweepNet(nil, []bench.NetCell{{NetConfig: cfg, Bandwidth: true}})
+	v, _, err := bench.SweepSpecs(nil, []spec.Spec{s})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,10 +72,12 @@ func BenchmarkFig2_NativeComparison(b *testing.B) {
 							if !lib.ok {
 								continue
 							}
-							cfg := bench.NetConfig{Model: m, Backend: lib.id, API: lib.api,
+							s := spec.Spec{Workload: spec.WorkloadNetLatency, Machine: m.Name,
+								Backend: lib.id.String(), API: lib.api.String(),
 								Native: true, Inter: inter, Bytes: size, Iters: 50, Warmup: 5}
-							mustLat(b, cfg)
-							mustBw(b, cfg)
+							mustSpec(b, s)
+							s.Workload = spec.WorkloadNetBandwidth
+							mustSpec(b, s)
 						}
 					}
 				}

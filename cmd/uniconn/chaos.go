@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -84,10 +83,12 @@ func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.L
 // chaos sweeps fault severity over the network microbenchmarks and prints
 // per-backend latency/bandwidth degradation curves. The injected plans come
 // from internal/faults: either a uniform degradation of the benchmarked path
-// (-degrade, the default) or a randomized but seed-deterministic plan of
+// (the default) or a randomized but seed-deterministic plan of
 // link faults, NIC stall windows, and slow ranks (-generate). Backends and
-// severities fan out over the deterministic parallel runner; identical flags
-// always print identical numbers at any UNICONN_WORKERS setting.
+// severities are spec cells (bench.SweepSpecs, which validates every cell
+// before any runs) fanned out over the deterministic parallel runner;
+// identical flags always print identical numbers at any UNICONN_WORKERS
+// setting. A flag the chosen mode never reads is refused.
 //
 // With -recover the tool switches to hard-fault mode: plans from
 // faults.GenerateHard additionally crash ranks (severity >= 0.5) and kill
@@ -137,6 +138,18 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 	flightDepth := fs.Int("flight", 0,
 		"retain the last N engine events per cell and dump them to stderr on faults (with -recover)")
 	if err := parse(fs, args); err != nil {
+		return err
+	}
+	var err error
+	switch {
+	case *recover:
+		err = rejectUnread(fs, "chaos -recover", "inter", "bytes", "generate", "metrics", "profile")
+	case *generate:
+		err = rejectUnread(fs, "chaos -generate", "ranks", "flight")
+	default:
+		err = rejectUnread(fs, "chaos (degrade ramp)", "ranks", "flight", "seed")
+	}
+	if err != nil {
 		return err
 	}
 	if *recover && *ranks < 2 {
@@ -191,72 +204,63 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 	if len(topologies) != 1 {
 		return fmt.Errorf("topology lists are for -recover; pick one of %q", fs.Lookup("topology").Value.String())
 	}
-	m = spec.WithTopology(m, topologies[0])
 
+	// One latency and one bandwidth spec cell per (backend, severity),
+	// backend-major: the printed row order. The latency cells always keep
+	// their span log, since the transfers column counts it; the bandwidth
+	// cells record nothing.
+	base := common.Spec()
+	base.Workload, base.Native, base.Inter, base.Bytes = spec.WorkloadNetLatency, true, *inter, *bytes
+	base.FaultMode = spec.FaultDegrade
 	mode := "degrade ramp"
 	if *generate {
+		base.FaultMode, base.Seed = spec.FaultGenerate, *seed
 		mode = fmt.Sprintf("generated plan (seed %d)", *seed)
 		bench.SetProgressLabel("chaos-generate")
 	} else {
 		bench.SetProgressLabel("chaos-degrade")
 	}
-	fmt.Fprintf(stdout, "chaos sweep on %s (%s), %d B, %s\n", m.Name, bench.Placement(*inter), *bytes, mode)
-	fmt.Fprintf(stdout, "%-10s%10s%14s%10s%14s%10s%12s\n",
-		"backend", "severity", "latency", "lat x", "bw GB/s", "bw frac", "transfers")
-
-	profiled := *showMetrics || *profilePath != ""
-	obs := bench.NewObserve(profiled)
-
-	// Each backend's severity ramp is an independent cell; the ramp itself
-	// fans out again inside ChaosSweep. Rendered blocks and the per-severity
-	// cell profiles are collected by backend index, so the output prints in
-	// the fixed backend order.
-	type backendOut struct {
-		block string
-		profs []bench.CellProfile
+	var latSpecs, bwSpecs []spec.Spec
+	for _, b := range backends {
+		for _, sev := range severities {
+			s := bench.Variant{Lib: b, Native: true}.Spec(base)
+			s.Severity = sev
+			latSpecs = append(latSpecs, s)
+			s.Workload = spec.WorkloadNetBandwidth
+			bwSpecs = append(bwSpecs, s)
+		}
 	}
-	blocks, err := bench.Sweep(len(backends), func(i int) (backendOut, error) {
-		label := backends[i].Backend.String()
-		cfg := bench.Variant{Lib: backends[i], Native: true}.NetConfig(
-			bench.NetConfig{Model: m, Inter: *inter, Bytes: *bytes})
-		var planFor func(float64) *faults.Plan
-		if *generate {
-			planFor = cfg.GeneratedPlans(*seed)
-		}
-		points, profs, err := bench.ChaosSweep(cfg, severities, planFor, obs)
-		if err != nil {
-			return backendOut{}, fmt.Errorf("%s: %w", label, err)
-		}
-		for pi := range profs {
-			profs[pi].Label = label + "/" + profs[pi].Label
-		}
-		var baseLat sim.Duration
-		var baseBW float64
-		if len(points) > 0 {
-			baseLat, baseBW = points[0].Latency, points[0].Bandwidth
-		}
-		var sb strings.Builder
-		for _, p := range points {
-			fmt.Fprintf(&sb, "%-10s%10.2f%14v%9.2fx%14.2f%10.2f%12d\n",
-				label, p.Severity, p.Latency, p.LatencyFactor(baseLat),
-				p.Bandwidth/1e9, p.BandwidthFactor(baseBW), p.Transfers)
-		}
-		return backendOut{sb.String(), profs}, nil
-	})
+	lat, profs, err := bench.SweepSpecs(bench.NewObserve(true), latSpecs)
 	if err != nil {
 		return err
 	}
-	rp := &bench.RunProfile{}
-	for _, b := range blocks {
-		fmt.Fprint(stdout, b.block)
-		rp.Cells = append(rp.Cells, b.profs...)
+	bw, _, err := bench.SweepSpecs(nil, bwSpecs)
+	if err != nil {
+		return err
 	}
-	if *showMetrics {
-		for bi, b := range blocks {
-			brp := bench.RunProfile{Cells: b.profs}
-			fmt.Fprintf(stdout, "\n%s merged metrics (%d severities):\n%s",
-				backends[bi].Backend, len(b.profs), brp.Merged().Render())
+
+	fmt.Fprintf(stdout, "chaos sweep on %s (%s), %d B, %s\n", m.Name, bench.Placement(*inter), *bytes, mode)
+	fmt.Fprintf(stdout, "%-10s%10s%14s%10s%14s%10s%12s\n",
+		"backend", "severity", "latency", "lat x", "bw GB/s", "bw frac", "transfers")
+	// A row's ratios are to its backend's first severity, the healthy
+	// baseline of a ramp from 0.
+	n := len(severities)
+	for bi, b := range backends {
+		label := b.Backend.String()
+		for j, sev := range severities {
+			i, first := bi*n+j, bi*n
+			fmt.Fprintf(stdout, "%-10s%10.2f%14v%9.2fx%14.2f%10.2f%12d\n",
+				label, sev, sim.Duration(lat[i]), lat[i]/lat[first],
+				bw[i]/1e9, bw[i]/bw[first], profs[i].Transfers())
+			profs[i].Label = fmt.Sprintf("%s/severity/%g", label, sev)
 		}
 	}
-	return writeProfile(stdout, *profilePath, rp)
+	if *showMetrics {
+		for bi, b := range backends {
+			brp := bench.RunProfile{Cells: profs[bi*n : (bi+1)*n]}
+			fmt.Fprintf(stdout, "\n%s merged metrics (%d severities):\n%s",
+				b.Backend, n, brp.Merged().Render())
+		}
+	}
+	return writeProfile(stdout, *profilePath, &bench.RunProfile{Cells: profs})
 }

@@ -14,7 +14,7 @@ import (
 // headline summary notes.
 //
 // Figure sweeps fan out over the deterministic parallel runner
-// (internal/bench.Sweep); -workers or UNICONN_WORKERS bounds the pool, and
+// (internal/bench.Runner); -workers or UNICONN_WORKERS bounds the pool, and
 // the output is bit-identical at any worker count.
 //
 // Usage:

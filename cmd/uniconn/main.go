@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/bench"
 )
@@ -68,6 +69,19 @@ func badUsage(fs *flag.FlagSet, format string, a ...any) error {
 	fmt.Fprintln(fs.Output(), err)
 	fs.Usage()
 	return usageError{err}
+}
+
+// rejectUnread refuses, as a usage error naming the flag and the mode, a
+// flag set on the command line that the chosen mode never reads, instead of
+// accepting it and silently ignoring it.
+func rejectUnread(fs *flag.FlagSet, mode string, unread ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(unread, f.Name) {
+			err = badUsage(fs, "-%s has no effect in %s", f.Name, mode)
+		}
+	})
+	return err
 }
 
 // writeFile creates path and streams write into it: the -json, -trace and

@@ -180,6 +180,27 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"chaos", "-recover", "-ranks", "0"}, 2, "-ranks 0: the recovery workload needs at least 2 ranks"},
 		{[]string{"chaos", "-recover", "-ranks", "1"}, 2, "-ranks 1: the recovery workload needs at least 2 ranks"},
 		{[]string{"sloc", "-root", "/nonexistent"}, 1, "run from the repository root"},
+		// The spec layer's admission bounds reach the net cells of every CLI.
+		{[]string{"netbench", "-min", "12"}, 1, "bytes must be a positive multiple of 8 up to 1073741824 (got 12)"},
+		{[]string{"netbench", "-max", "2147483648"}, 1, "bytes must be a positive multiple of 8 up to 1073741824 (got 2147483648)"},
+		// A flag the chosen mode never reads is refused, not ignored.
+		{[]string{"chaos", "-recover", "-inter=false"}, 2, "-inter has no effect in chaos -recover"},
+		{[]string{"chaos", "-recover", "-bytes", "64"}, 2, "-bytes has no effect in chaos -recover"},
+		{[]string{"chaos", "-recover", "-generate"}, 2, "-generate has no effect in chaos -recover"},
+		{[]string{"chaos", "-recover", "-metrics"}, 2, "-metrics has no effect in chaos -recover"},
+		{[]string{"chaos", "-recover", "-profile", "chaos.trace"}, 2, "-profile has no effect in chaos -recover"},
+		{[]string{"chaos", "-ranks", "4"}, 2, "-ranks has no effect in chaos (degrade ramp)"},
+		{[]string{"chaos", "-flight", "16"}, 2, "-flight has no effect in chaos (degrade ramp)"},
+		{[]string{"chaos", "-seed", "7"}, 2, "-seed has no effect in chaos (degrade ramp)"},
+		{[]string{"chaos", "-generate", "-ranks", "4"}, 2, "-ranks has no effect in chaos -generate"},
+		{[]string{"chaos", "-generate", "-flight", "16"}, 2, "-flight has no effect in chaos -generate"},
+		{[]string{"prof", "-ngpus", "8"}, 2, "-ngpus has no effect in prof -workload net"},
+		{[]string{"prof", "-iters", "5"}, 2, "-iters has no effect in prof -workload net"},
+		{[]string{"prof", "-workload", "jacobi", "-native"}, 2, "-native has no effect in prof -workload jacobi"},
+		{[]string{"prof", "-workload", "jacobi", "-device"}, 2, "-device has no effect in prof -workload jacobi"},
+		{[]string{"prof", "-workload", "cg", "-inter"}, 2, "-inter has no effect in prof -workload cg"},
+		{[]string{"prof", "-workload", "cg", "-min", "8"}, 2, "-min has no effect in prof -workload cg"},
+		{[]string{"prof", "-workload", "cg", "-max", "64"}, 2, "-max has no effect in prof -workload cg"},
 	} {
 		stdout, stderr, status := invoke(t, c.args...)
 		if status != c.status || !strings.Contains(stderr, c.stderr) || stdout != "" {
@@ -223,13 +244,36 @@ func TestFailingCellKeepsSerialPrefix(t *testing.T) {
 }
 
 // TestProfWorkersInvariant is the prof smoke: the small Fig-2 cell report is
-// the committed golden (internal/bench pins the same file against
-// ProfileNet) at 1 worker and byte-identical at 8.
+// the committed golden (internal/bench pins the same file against its own
+// sweep of the same spec cells) at 1 worker and byte-identical at 8.
 func TestProfWorkersInvariant(t *testing.T) {
 	w1 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8", "-workers", "1")
 	w8 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8", "-workers", "8")
 	compare(t, "prof report", w1, readGolden(t, "../../internal/bench/testdata/prof_fig2_small.golden"))
 	compare(t, "prof report at 8 workers", w8, w1)
+}
+
+// quickDigest is the SHA-256 of the full `uniconn experiments -scale quick`
+// stdout (613 lines: Tables I and II and every quick figure), captured before
+// Figs 2-4 were rewired onto spec cells.
+const quickDigest = "b06a88aadbbb8c22d684984589aa992f281d73629cd3785345a5c9ba5f6b20d6"
+
+// TestExperimentsQuickDigest pins the headline command's stdout, where the
+// goldens above pin only Fig 6 and the tables. It skips under the race
+// detector, which multiplies its several seconds; CI runs it in the no-race
+// step.
+func TestExperimentsQuickDigest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("several seconds of simulation, multiplied by race instrumentation; run without -race")
+	}
+	out := mustRun(t, "experiments", "-scale", "quick", "-root", "../..")
+	if n := strings.Count(out, "\n"); n != 613 {
+		t.Errorf("experiments -scale quick printed %d lines, want 613", n)
+	}
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != quickDigest {
+		t.Errorf("experiments -scale quick stdout digest %s, want %s", got, quickDigest)
+	}
 }
 
 // TestFig6WorkersInvariant byte-compares the CG figure at 1 and 8 sweep

@@ -13,9 +13,10 @@ import (
 // §VI-B) for one machine and prints a sweep table comparing native and
 // UNICONN implementations of every supported (library, API) pair.
 //
-// The size × column grid is a set of independent simulations; it fans out
-// over the deterministic parallel runner (bench.sweepObserved), so the table
-// is bit-identical at any UNICONN_WORKERS setting.
+// The size × column grid is a set of spec cells; it fans out over the
+// deterministic parallel runner (bench.SweepSpecs, which validates every cell
+// before any runs), so the table is bit-identical at any UNICONN_WORKERS
+// setting.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) while the sweep runs, without changing a byte of stdout;
@@ -59,17 +60,25 @@ func netbench(args []string, stdout, stderr io.Writer) error {
 
 	// One cell per (size, column); row-major so the serial order matches
 	// the printed table.
-	var cells []bench.NetCell
+	base := common.Spec()
+	base.Workload, base.Inter = spec.WorkloadNetLatency, *inter
+	if *bw {
+		base.Workload = spec.WorkloadNetBandwidth
+	}
+	var specs []spec.Spec
 	for _, size := range sizes {
+		base.Bytes = size
 		for _, c := range cols {
-			cells = append(cells, bench.NetCell{
-				NetConfig: c.NetConfig(bench.NetConfig{Model: m, Inter: *inter, Bytes: size}),
-				Bandwidth: *bw, Label: fmt.Sprintf("%s/%dB", c.CLI+c.Impl(), size)})
+			specs = append(specs, c.Spec(base))
 		}
 	}
-	vals, profs, err := bench.SweepNet(bench.NewObserve(profiled), cells)
+	vals, profs, err := bench.SweepSpecs(bench.NewObserve(profiled), specs)
 	if err != nil {
 		return err
+	}
+	for i := range profs {
+		c := cols[i%len(cols)]
+		profs[i].Label = fmt.Sprintf("%s/%dB", c.CLI+c.Impl(), sizes[i/len(cols)])
 	}
 
 	kind, unit := "one-way latency", "us"

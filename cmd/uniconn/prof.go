@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -23,7 +24,8 @@ import (
 // Every profiled cell owns a private metrics registry and span log, and the
 // cells fan out over the deterministic sweep runner, so the report — and the
 // optional metrics JSON and Chrome trace — are byte-identical at any
-// -workers setting.
+// -workers setting. The net workload's cells are spec cells
+// (bench.SweepSpecs); a flag the chosen workload never reads is refused.
 //
 // Usage:
 //
@@ -50,6 +52,17 @@ func prof(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	unread, ok := map[string][]string{
+		"net":    {"ngpus", "iters"},
+		"jacobi": {"native", "device", "inter", "min", "max"},
+		"cg":     {"native", "device", "inter", "min", "max"},
+	}[*workload]
+	if !ok {
+		return fmt.Errorf("unknown workload %q (net|jacobi|cg)", *workload)
+	}
+	if err := rejectUnread(fs, "prof -workload "+*workload, unread...); err != nil {
+		return err
+	}
 	m, err := common.Resolve()
 	if err != nil {
 		return err
@@ -57,10 +70,6 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	backend, err := spec.ParseBackend(*backendName)
 	if err != nil {
 		return err
-	}
-	api := machine.APIHost
-	if *device {
-		api = machine.APIDevice
 	}
 	closeLive, err := bench.StartLive(common.Live, "prof-"+*workload)
 	if err != nil {
@@ -71,9 +80,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	var rp *bench.RunProfile
 	switch *workload {
 	case "net":
-		rp, err = bench.ProfileNet(bench.NetConfig{
-			Model: m, Backend: backend, API: api, Native: *native, Inter: *inter,
-		}, bench.Sizes(common.MinSize, common.MaxSize))
+		rp, err = profNet(common.Spec(), backend, *device, *native, *inter, bench.Sizes(common.MinSize, common.MaxSize))
 	case "jacobi":
 		cfg := jacobi.Config{
 			Model: m, NGPUs: *ngpus, NX: 256, NY: 256, Iters: *iters, Warmup: 2,
@@ -100,8 +107,6 @@ func prof(args []string, stdout, stderr io.Writer) error {
 				res, err := cg.Run(cfg)
 				return res.PerIter, res.Total, res.End, err
 			})
-	default:
-		return fmt.Errorf("unknown workload %q (net|jacobi|cg)", *workload)
 	}
 	if err != nil {
 		return err
@@ -119,4 +124,38 @@ func prof(args []string, stdout, stderr io.Writer) error {
 		return writeFile(*tracePath, rp.WriteChromeTrace)
 	}
 	return nil
+}
+
+// profNet profiles the latency and bandwidth microbenchmarks of one
+// configuration over a size sweep: two spec cells per size (latency, then
+// bandwidth), each observed with its own collector.
+func profNet(base spec.Spec, backend core.BackendID, device, native, inter bool, sizes []int64) (*bench.RunProfile, error) {
+	api := machine.APIHost
+	if device {
+		api = machine.APIDevice
+	}
+	base.Backend, base.API, base.Native, base.Inter = backend.String(), api.String(), native, inter
+	var specs []spec.Spec
+	for _, size := range sizes {
+		base.Bytes = size
+		for _, w := range []string{spec.WorkloadNetLatency, spec.WorkloadNetBandwidth} {
+			base.Workload = w
+			specs = append(specs, base)
+		}
+	}
+	_, profs, err := bench.SweepSpecs(bench.NewObserve(true), specs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range profs {
+		profs[i].Label = fmt.Sprintf("%s/%dB", strings.TrimPrefix(specs[i].Workload, "net-"), specs[i].Bytes)
+	}
+	impl := "uniconn"
+	if native {
+		impl = "native"
+	}
+	return &bench.RunProfile{
+		Title: fmt.Sprintf("net %s %s %s %s (%d sizes)", base.Machine, backend, impl, bench.Placement(inter), len(sizes)),
+		Cells: profs,
+	}, nil
 }

@@ -83,8 +83,8 @@ type Advisor struct {
 // returns an Advisor. Calibration cost is the price of the probes — the
 // same trade the paper's related work (MCR-DL tuning suites) makes.
 //
-// The probes are canonical experiment specs evaluated as one batch
-// (bench.EvalSpecs): they fan out over the sweep runner. Specs address
+// The probes are canonical experiment specs swept as one batch
+// (bench.SweepSpecs): they fan out over the sweep runner. Specs address
 // machines by name, so m must be a registered model (machine.ByName).
 func Calibrate(m *machine.Model, sizes []int64) (*Advisor, error) {
 	if len(sizes) == 0 {
@@ -101,35 +101,24 @@ func Calibrate(m *machine.Model, sizes []int64) (*Advisor, error) {
 	for _, inter := range []bool{false, true} {
 		for _, l := range libs {
 			for _, size := range sizes {
-				sp := spec.Spec{
-					Workload: spec.WorkloadNetLatency, Machine: m.Name,
-					Backend: l.Backend.String(), API: l.API.String(),
-					Native: true, Inter: inter, Bytes: size,
+				sp := bench.Variant{Lib: l, Native: true}.Spec(spec.Spec{
+					Workload: spec.WorkloadNetLatency, Machine: m.Name, Inter: inter, Bytes: size,
 					Iters: 20, Warmup: 2, Window: 16,
-				}
+				})
 				probes = append(probes, sp)
 				sp.Workload = spec.WorkloadNetBandwidth
 				probes = append(probes, sp)
 			}
 		}
 	}
-	var values []float64
-	for _, ev := range bench.EvalSpecs(probes, nil) {
-		if ev.Err != nil {
-			return nil, fmt.Errorf("autosel: probing: %w", ev.Err)
-		}
-		res, err := bench.DecodeResult(ev.Body)
-		if err != nil {
-			return nil, fmt.Errorf("autosel: probing: %w", err)
-		}
-		values = append(values, res.Value)
+	values, _, err := bench.SweepSpecs(nil, probes)
+	if err != nil {
+		return nil, fmt.Errorf("autosel: probing: %w", err)
 	}
 	for _, inter := range []bool{false, true} {
 		for _, l := range libs {
 			tb := table{cand: Candidate{l.Backend, l.API}, probes: map[int64]probe{}}
 			for _, size := range sizes {
-				// Latency is integral nanoseconds and bandwidth round-trips
-				// exactly through the result's JSON encoding.
 				tb.probes[size] = probe{latency: sim.Duration(values[0]), bandwidth: values[1]}
 				values = values[2:]
 			}

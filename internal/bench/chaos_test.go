@@ -12,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // chaosBackends enumerates every backend on Perlmutter (the only seed
@@ -23,6 +24,16 @@ var chaosBackends = []struct {
 	{"mpi", core.MPIBackend},
 	{"gpuccl", core.GpucclBackend},
 	{"gpushmem", core.GpushmemBackend},
+}
+
+// chaosRamp is chaosConfig's degrade ramp as spec cells of one workload.
+func chaosRamp(backend core.BackendID, workload string, severities []float64) []spec.Spec {
+	out := make([]spec.Spec, len(severities))
+	for i, sev := range severities {
+		out[i] = spec.Spec{Workload: workload, Backend: backend.String(), Native: true, Inter: true,
+			Bytes: 8 << 10, Iters: 20, Warmup: 2, Window: 8, FaultMode: spec.FaultDegrade, Severity: sev}
+	}
+	return out
 }
 
 func chaosConfig(backend core.BackendID) NetConfig {
@@ -77,32 +88,32 @@ func TestChaosSeverityRampIsMonotone(t *testing.T) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	for _, b := range chaosBackends {
 		t.Run(b.name, func(t *testing.T) {
-			cfg := chaosConfig(b.backend)
-			points, _, err := ChaosSweep(cfg, severities, nil, nil)
+			lat, profs, err := SweepSpecs(NewObserve(true), chaosRamp(b.backend, spec.WorkloadNetLatency, severities))
 			if err != nil {
-				t.Fatalf("ChaosSweep: %v", err)
+				t.Fatalf("latency ramp: %v", err)
 			}
-			if len(points) != len(severities) {
-				t.Fatalf("got %d points, want %d", len(points), len(severities))
+			bw, _, err := SweepSpecs(nil, chaosRamp(b.backend, spec.WorkloadNetBandwidth, severities))
+			if err != nil {
+				t.Fatalf("bandwidth ramp: %v", err)
 			}
-			for i := 1; i < len(points); i++ {
-				if points[i].Latency < points[i-1].Latency {
+			if len(lat) != len(severities) || len(bw) != len(severities) {
+				t.Fatalf("got %d latency and %d bandwidth values, want %d of each", len(lat), len(bw), len(severities))
+			}
+			for i := 1; i < len(severities); i++ {
+				if lat[i] < lat[i-1] {
 					t.Fatalf("latency decreased with severity: %v at %g, then %v at %g",
-						points[i-1].Latency, points[i-1].Severity,
-						points[i].Latency, points[i].Severity)
+						sim.Duration(lat[i-1]), severities[i-1], sim.Duration(lat[i]), severities[i])
 				}
-				if points[i].Bandwidth > points[i-1].Bandwidth {
+				if bw[i] > bw[i-1] {
 					t.Fatalf("bandwidth rose with severity: %.3g at %g, then %.3g at %g",
-						points[i-1].Bandwidth, points[i-1].Severity,
-						points[i].Bandwidth, points[i].Severity)
+						bw[i-1], severities[i-1], bw[i], severities[i])
 				}
 			}
-			if points[len(points)-1].Latency <= points[0].Latency {
-				t.Fatalf("full-severity latency %v not above baseline %v",
-					points[len(points)-1].Latency, points[0].Latency)
+			if last := len(lat) - 1; lat[last] <= lat[0] {
+				t.Fatalf("full-severity latency %v not above baseline %v", sim.Duration(lat[last]), sim.Duration(lat[0]))
 			}
-			if points[0].Transfers == 0 || points[0].transferBytes == 0 {
-				t.Fatalf("trace recorded no transfers: %+v", points[0])
+			if profs[0].Transfers() == 0 {
+				t.Fatal("the latency cell's span log recorded no transfers")
 			}
 		})
 	}

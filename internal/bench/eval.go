@@ -20,7 +20,10 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -138,7 +141,7 @@ type Evaluation struct {
 // produce identical bytes, so the last Put is indistinguishable from the
 // first.
 func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
-	out, _ := Sweep(len(specs), func(i int) (Evaluation, error) {
+	out, _ := sweep(len(specs), func(i int) (Evaluation, error) {
 		s := specs[i]
 		body, hit, err := EvalSpec(s, EvalOptions{cache: c})
 		if err != nil {
@@ -149,71 +152,19 @@ func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
 	return out
 }
 
-// evalCold simulates the (normalized, validated) spec and assembles the
-// Result. The trace log is private to the cell per the runner's
-// observability ownership rule.
+// evalCold simulates the (normalized, validated) spec through runSpec and
+// assembles the Result. The trace log is private to the cell per the
+// runner's observability ownership rule.
 func evalCold(n spec.Spec, hash string) (Result, error) {
-	m, err := n.Model()
-	if err != nil {
-		return Result{}, err
-	}
-	backend, err := n.BackendID()
-	if err != nil {
-		return Result{}, err
-	}
-	api, err := n.APIKind()
-	if err != nil {
-		return Result{}, err
-	}
 	log := trace.New()
-	res := Result{Spec: n, Hash: hash}
-	switch n.Workload {
-	case spec.WorkloadNetLatency, spec.WorkloadNetBandwidth:
-		cfg := NetConfig{
-			Model: m, Backend: backend, API: api,
-			Native: n.Native, Inter: n.Inter, Bytes: n.Bytes,
-			Iters: n.Iters, Warmup: n.Warmup, window: n.Window,
-			trace: log,
-		}
-		cfg.faults, err = specPlan(n, cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if n.Workload == spec.WorkloadNetLatency {
-			lat, rep, err := LatencyRun(cfg)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Value, res.Unit = float64(lat), "ns"
-			res.EndNs = int64(rep.End)
-			res.Topology = rep.Topology.Describe()
-		} else {
-			bw, rep, err := bandwidthRun(cfg)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Value, res.Unit = bw, "B/s"
-			res.EndNs = int64(rep.End)
-			res.Topology = rep.Topology.Describe()
-		}
-	case spec.WorkloadAllreduce:
-		alg, err := n.AllreduceAlg()
-		if err != nil {
-			return Result{}, err
-		}
-		cfg := ScaleConfig{
-			Model: m, Ranks: n.Ranks, Bytes: n.Bytes, Alg: alg,
-			Iters: n.Iters, Warmup: n.Warmup, Trace: log,
-		}
-		per, rep, err := ScaleAllreduce(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Value, res.Unit = float64(per), "ns"
-		res.EndNs = int64(rep.End)
-		res.Topology = rep.Topology.Describe()
-	default:
-		return Result{}, fmt.Errorf("bench: unknown workload %q", n.Workload)
+	v, rep, err := runSpec(n, &Collector{Trace: log})
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Spec: n, Hash: hash, Value: v, Unit: "ns",
+		EndNs: int64(rep.End), Topology: rep.Topology.Describe()}
+	if n.Workload == spec.WorkloadNetBandwidth {
+		res.Unit = "B/s"
 	}
 	spans := log.Sorted()
 	cp := trace.CriticalPath(spans)
@@ -228,6 +179,74 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 	}
 	res.Comm = commSummary(spans)
 	return res, nil
+}
+
+// runSpec is the one door from a spec to a simulation: it runs the cell s
+// pins with col's instruments (a nil one records nothing) and returns its headline value in the workload's unit — one-way latency in ns
+// (net-latency), bytes/second (net-bandwidth), per-iteration ns (allreduce)
+// — and the run report. s must be valid (spec.Spec.Validate).
+func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
+	var rep core.Report
+	m, err := s.Model()
+	if err != nil {
+		return 0, rep, err
+	}
+	switch s.Workload {
+	case spec.WorkloadNetLatency, spec.WorkloadNetBandwidth:
+		cfg := NetConfig{Model: m, Native: s.Native, Inter: s.Inter, Bytes: s.Bytes,
+			Iters: s.Iters, Warmup: s.Warmup, window: s.Window,
+			trace: col.Trace, metrics: col.Metrics}
+		if cfg.Backend, err = s.BackendID(); err != nil {
+			return 0, rep, err
+		}
+		if cfg.API, err = s.APIKind(); err != nil {
+			return 0, rep, err
+		}
+		if cfg.faults, err = specPlan(s, cfg); err != nil {
+			return 0, rep, err
+		}
+		if s.Workload == spec.WorkloadNetBandwidth {
+			return bandwidthRun(cfg)
+		}
+		lat, rep, err := LatencyRun(cfg)
+		return float64(lat), rep, err
+	case spec.WorkloadAllreduce:
+		alg, err := s.AllreduceAlg()
+		if err != nil {
+			return 0, rep, err
+		}
+		per, rep, err := ScaleAllreduce(ScaleConfig{Model: m, Ranks: s.Ranks, Bytes: s.Bytes, Alg: alg,
+			Iters: s.Iters, Warmup: s.Warmup, Metrics: col.Metrics, Trace: col.Trace})
+		return float64(per), rep, err
+	default:
+		return 0, rep, fmt.Errorf("bench: unknown workload %q", s.Workload)
+	}
+}
+
+// SweepSpecs is the observed sweep over spec cells: it validates every spec
+// before any cell runs, runs each through runSpec with the instruments obs
+// decides on, and returns the values and the cells' frozen profiles in index
+// order (on failure, those of the cells before the first failing one). A
+// profile is labelled with its spec and noted with its value; callers
+// relabel it as their outputs name the cell.
+func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, error) {
+	for _, s := range specs {
+		if err := s.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sweepObserved(obs, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
+		s := specs[i]
+		v, rep, err := runSpec(s, col)
+		note := fmt.Sprintf("one-way latency %s", sim.Duration(v))
+		switch s.Workload {
+		case spec.WorkloadNetBandwidth:
+			note = fmt.Sprintf("bandwidth %.4f GB/s", v/1e9)
+		case spec.WorkloadAllreduce:
+			note = fmt.Sprintf("per-iteration %s", sim.Duration(v))
+		}
+		return v, col.Finish(s.String(), rep.End, note), err
+	})
 }
 
 // commSummary builds the traffic view, dropping the dense matrices above
@@ -250,18 +269,23 @@ func commSummary(spans []trace.Span) *commMatrix {
 	return cs
 }
 
-// specPlan builds the spec's fault plan for a net workload, from the same
-// sources as the chaos subcommand: degrade ramps the benchmarked path;
-// generate draws the seed-deterministic randomized plan.
-func specPlan(n spec.Spec, cfg NetConfig) (*faults.Plan, error) {
-	switch n.FaultMode {
+// specPlan builds the spec's fault plan for a net workload: degrade ramps
+// the benchmarked path (inter-node when Inter is set, intra-node otherwise);
+// generate draws the seed-deterministic randomized plan of link faults, NIC
+// stall windows and slow ranks over the run's two-rank fabric view.
+func specPlan(s spec.Spec, cfg NetConfig) (*faults.Plan, error) {
+	switch s.FaultMode {
 	case spec.FaultNone:
 		return nil, nil
 	case spec.FaultDegrade:
-		return faults.Degrade(cfg.faultedPath(), n.Severity), nil
+		path := fabric.PathIntra
+		if s.Inter {
+			path = fabric.PathInter
+		}
+		return faults.Degrade(path, s.Severity), nil
 	case spec.FaultGenerate:
-		return cfg.GeneratedPlans(n.Seed)(n.Severity), nil
+		return faults.Generate(s.Seed, s.Severity, cfg.model().FabricConfig(2), sim.Second), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown fault mode %q", n.FaultMode)
+		return nil, fmt.Errorf("bench: unknown fault mode %q", s.FaultMode)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/solver/cg"
 	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
+	"repro/internal/spec"
 )
 
 // Experiment runners regenerating every figure and table of the paper's
@@ -93,41 +94,23 @@ type netPanel struct {
 	cols  []Variant
 }
 
-// netMeas is one measured point of a panel column.
-type netMeas struct {
-	lat sim.Duration
-	bw  float64
-}
-
-// sweepNet measures every column of every panel at every size. Each (panel,
-// column, size) point is a latency and a bandwidth cell, independent
-// simulations fanned out over the sweep runner in a single sweep and
-// reassembled as results[panel][column][size].
-func sweepNet(panels []netPanel, sizes []int64) ([][][]netMeas, error) {
-	var cells []NetCell
+// panelSpecs lays out every (panel, column, size) point of Figs. 2-4 as a
+// latency and a bandwidth cell, panel-major and column-major within a panel,
+// so one SweepSpecs call fans the figure out and each column owns the next
+// 2*len(sizes) values.
+func panelSpecs(panels []netPanel, sizes []int64) []spec.Spec {
+	var specs []spec.Spec
 	for _, p := range panels {
 		for _, v := range p.cols {
 			for _, size := range sizes {
-				cfg := v.NetConfig(NetConfig{Model: p.m, Inter: p.inter, Bytes: size})
-				cells = append(cells, NetCell{NetConfig: cfg}, NetCell{NetConfig: cfg, Bandwidth: true})
+				s := v.Spec(spec.Spec{Workload: spec.WorkloadNetLatency, Machine: p.m.Name, Inter: p.inter, Bytes: size})
+				specs = append(specs, s)
+				s.Workload = spec.WorkloadNetBandwidth
+				specs = append(specs, s)
 			}
 		}
 	}
-	vals, _, err := SweepNet(nil, cells)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][]netMeas, len(panels))
-	for pi, p := range panels {
-		out[pi] = make([][]netMeas, len(p.cols))
-		for ci := range p.cols {
-			for range sizes {
-				out[pi][ci] = append(out[pi][ci], netMeas{sim.Duration(vals[0]), vals[1]})
-				vals = vals[2:]
-			}
-		}
-	}
-	return out, nil
+	return specs
 }
 
 // netFigures starts a panel's latency and bandwidth figures.
@@ -138,14 +121,14 @@ func netFigures(id, latTitle, bwTitle string, p netPanel) (lat, bw Figure) {
 	return lat, bw
 }
 
-// netSeries renders one column's points as its latency (us) and bandwidth
-// (GB/s) series.
-func netSeries(label string, sizes []int64, ms []netMeas) (lat, bw series) {
+// netSeries renders one column's values — per size, the latency (ns) then
+// the bandwidth (B/s) — as its latency (us) and bandwidth (GB/s) series.
+func netSeries(label string, sizes []int64, vals []float64) (lat, bw series) {
 	lat.label, bw.label = label, label
-	for i, r := range ms {
-		x := float64(sizes[i])
-		lat.x, lat.y = append(lat.x, x), append(lat.y, r.lat.Micros())
-		bw.x, bw.y = append(bw.x, x), append(bw.y, r.bw/1e9)
+	for i, size := range sizes {
+		x := float64(size)
+		lat.x, lat.y = append(lat.x, x), append(lat.y, sim.Duration(vals[2*i]).Micros())
+		bw.x, bw.y = append(bw.x, x), append(bw.y, vals[2*i+1]/1e9)
 	}
 	return lat, bw
 }
@@ -165,15 +148,16 @@ func RunFig2(sc Scale) ([]Figure, error) {
 		}
 		panels = append(panels, netPanel{m, false, cols}, netPanel{m, true, cols})
 	}
-	results, err := sweepNet(panels, sizes)
+	vals, _, err := SweepSpecs(nil, panelSpecs(panels, sizes))
 	if err != nil {
 		return nil, err
 	}
 	var figs []Figure
-	for pi, p := range panels {
+	for _, p := range panels {
 		lat, bw := netFigures("Fig2", "Native latency", "Native bandwidth", p) // panels a-d
-		for ci, v := range p.cols {
-			l, b := netSeries(v.net, sizes, results[pi][ci])
+		for _, v := range p.cols {
+			l, b := netSeries(v.net, sizes, vals)
+			vals = vals[2*len(sizes):]
 			lat.series, bw.series = append(lat.series, l), append(bw.series, b)
 		}
 		lat.notes = append(lat.notes, crossoverNote(lat))
@@ -215,33 +199,35 @@ func RunFig34(sc Scale, inter bool) ([]Figure, error) {
 	for _, m := range machine.All() {
 		panels = append(panels, netPanel{m, inter, Variants(Libs(m, false))})
 	}
-	results, err := sweepNet(panels, sizes)
+	vals, _, err := SweepSpecs(nil, panelSpecs(panels, sizes))
 	if err != nil {
 		return nil, err
 	}
+	n := len(sizes)
 	var figs []Figure
-	for pi, p := range panels {
+	for _, p := range panels {
 		lat, bw := netFigures(id, "Latency native vs UNICONN", "Bandwidth native vs UNICONN", p)
 		// Columns come in (native, UNICONN) pairs per library.
 		for ci := 0; ci < len(p.cols); ci += 2 {
 			lib := p.cols[ci].net
-			nat, uc := results[pi][ci], results[pi][ci+1]
+			nat, uc := vals[:2*n], vals[2*n:4*n]
+			vals = vals[4*n:]
 			natL, natB := netSeries(lib+":Native", sizes, nat)
 			ucL, ucB := netSeries(lib+":Uniconn", sizes, uc)
 			lat.series = append(lat.series, natL, ucL)
 			bw.series = append(bw.series, natB, ucB)
 			var sumLat, sumBw float64
-			for i := range nat {
-				sumLat += percentDiff(uc[i].lat, nat[i].lat)
-				sumBw += (nat[i].bw - uc[i].bw) / nat[i].bw * 100
+			for i := 0; i < 2*n; i += 2 {
+				sumLat += percentDiff(sim.Duration(uc[i]), sim.Duration(nat[i]))
+				sumBw += (nat[i+1] - uc[i+1]) / nat[i+1] * 100
 			}
 			// pct renders "n/a" when any point had a zero reference
 			// (which poisons the average with NaN/Inf) instead of a
 			// bogus "0.00%".
 			lat.notes = append(lat.notes, fmt.Sprintf("%s avg UNICONN latency overhead: %s",
-				lib, pct(sumLat/float64(len(nat)))))
+				lib, pct(sumLat/float64(n))))
 			bw.notes = append(bw.notes, fmt.Sprintf("%s avg UNICONN bandwidth loss: %s",
-				lib, pct(sumBw/float64(len(nat)))))
+				lib, pct(sumBw/float64(n))))
 		}
 		figs = append(figs, lat, bw)
 	}

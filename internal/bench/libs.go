@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/solver/cg"
 	"repro/internal/solver/jacobi"
+	"repro/internal/spec"
 )
 
 // Lib is one comparable communication configuration: a backend under one
@@ -83,9 +84,9 @@ func (v Variant) Impl() string {
 	return ":Uniconn"
 }
 
-// NetConfig returns base configured to run this column's microbenchmark.
-func (v Variant) NetConfig(base NetConfig) NetConfig {
-	base.Backend, base.API, base.Native = v.Backend, v.API, v.Native
+// Spec returns base configured to run this column's microbenchmark.
+func (v Variant) Spec(base spec.Spec) spec.Spec {
+	base.Backend, base.API, base.Native = v.Backend.String(), v.API.String(), v.Native
 	return base
 }
 

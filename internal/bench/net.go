@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -42,11 +41,6 @@ type NetConfig struct {
 
 	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
-
-	// topology overrides the inter-node network of the run (flat, fat-tree,
-	// dragonfly; see fabric.TopologyConfig). The zero value keeps the
-	// model's own topology.
-	topology fabric.TopologyConfig
 
 	// faults, when non-nil, injects a fault plan into the run (chaos
 	// benchmarking; see internal/faults).
@@ -143,7 +137,7 @@ func LatencyRun(cfg NetConfig) (sim.Duration, core.Report, error) {
 	iters, warmup, _ := cfg.counts(false)
 	var rt sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Topology: cfg.topology, Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
+		Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
 		func(env *core.Env) {
 			d := cfg.latencyRank(env, iters, warmup)
 			if env.WorldRank() == 0 {
@@ -166,7 +160,7 @@ func bandwidthRun(cfg NetConfig) (float64, core.Report, error) {
 	iters, warmup, window := cfg.counts(true)
 	var total sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Topology: cfg.topology, Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
+		Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
 		func(env *core.Env) {
 			d := cfg.bandwidthRank(env, iters, warmup, window)
 			if env.WorldRank() == 0 {

@@ -47,7 +47,7 @@ func (a answer) differs(b answer) string {
 // for every cell whose two answers differ.
 func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, error)) {
 	t.Helper()
-	diffs, err := Sweep(n, func(i int) (string, error) {
+	diffs, err := sweep(n, func(i int) (string, error) {
 		label, real, err := run(i, true)
 		if err != nil {
 			return "", fmt.Errorf("%s, real: %w", label, err)
@@ -100,19 +100,24 @@ func TestPhantomEqualsReal(t *testing.T) {
 		sizes, nx, cgScale = []int64{8, 4 << 10, 64 << 10}, 1<<9, 0.01
 	}
 
-	var cells []NetCell
+	type netCell struct {
+		cfg       NetConfig
+		bandwidth bool
+		label     string
+	}
+	var cells []netCell
 	for _, m := range machine.All() {
 		for _, inter := range []bool{false, true} {
 			for _, v := range Variants(Libs(m, false)) {
 				for _, size := range sizes {
-					cfg := v.NetConfig(NetConfig{Model: m, Inter: inter, Bytes: size})
+					cfg := NetConfig{Model: m, Backend: v.Backend, API: v.API, Native: v.Native, Inter: inter, Bytes: size}
 					if size >= largeCell {
 						cfg.Iters, cfg.Warmup = 2, 1
 					}
 					label := fmt.Sprintf("%s/%s%s/%s/%d", m.Name, v.net, v.Impl(), Placement(inter), size)
 					cells = append(cells,
-						NetCell{NetConfig: cfg, Label: "net-latency/" + label},
-						NetCell{NetConfig: cfg, Bandwidth: true, Label: "net-bandwidth/" + label})
+						netCell{cfg, false, "net-latency/" + label},
+						netCell{cfg, true, "net-bandwidth/" + label})
 				}
 			}
 		}
@@ -123,19 +128,19 @@ func TestPhantomEqualsReal(t *testing.T) {
 	// footprint is one such cell and not two per worker.
 	var large sync.Mutex
 	bothWays(t, len(cells), func(i int, real bool) (string, answer, error) {
-		cfg := cells[i].NetConfig
+		cfg := cells[i].cfg
 		cfg.functional, cfg.trace = real, trace.New()
 		if real && cfg.Bytes >= largeCell {
 			large.Lock()
 			defer large.Unlock()
 			defer runtime.GC()
 		}
-		if cells[i].Bandwidth {
+		if cells[i].bandwidth {
 			bw, rep, err := bandwidthRun(cfg)
-			return cells[i].Label, answer{bw, rep.End, cfg.trace.Sorted()}, err
+			return cells[i].label, answer{bw, rep.End, cfg.trace.Sorted()}, err
 		}
 		lat, rep, err := LatencyRun(cfg)
-		return cells[i].Label, answer{float64(lat), rep.End, cfg.trace.Sorted()}, err
+		return cells[i].label, answer{float64(lat), rep.End, cfg.trace.Sorted()}, err
 	})
 	t.Logf("%d net cells, sizes to %s", len(cells), HumanBytes(sizes[len(sizes)-1]))
 
@@ -201,7 +206,7 @@ func TestPhantomAllocationBudget(t *testing.T) {
 			t.Errorf("modelled jacobi %s%s allocated %s, budget 10MiB", v.app, v.Impl(), HumanBytes(int64(got)))
 		}
 
-		net := v.NetConfig(NetConfig{Model: m, Inter: true, Bytes: 4 << 20})
+		net := NetConfig{Model: m, Backend: v.Backend, API: v.API, Native: v.Native, Inter: true, Bytes: 4 << 20}
 		got, large := allocated(func() {
 			if _, _, err := bandwidthRun(net); err != nil {
 				t.Fatalf("net-bandwidth %s%s: %v", v.net, v.Impl(), err)

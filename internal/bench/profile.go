@@ -104,9 +104,22 @@ type CellProfile struct {
 	spans   []trace.Span
 }
 
-// RunProfile is a full profiling run: an ordered set of cell profiles.
+// Transfers counts the fabric transfers in the cell's span log (zero for a
+// cell that recorded no spans).
+func (c CellProfile) Transfers() int {
+	n := 0
+	for _, s := range c.spans {
+		if s.Kind == trace.KindTransfer {
+			n++
+		}
+	}
+	return n
+}
+
+// RunProfile is a full profiling run: a title and an ordered set of cell
+// profiles.
 type RunProfile struct {
-	title string
+	Title string
 	Cells []CellProfile
 }
 
@@ -126,7 +139,7 @@ func (rp *RunProfile) Merged() metrics.Snapshot {
 // name-sorted instruments, so the report is byte-stable.
 func (rp *RunProfile) render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "==== uniconn-prof: %s ====\n", rp.title)
+	fmt.Fprintf(&b, "==== uniconn-prof: %s ====\n", rp.Title)
 	for _, c := range rp.Cells {
 		fmt.Fprintf(&b, "\n== cell %s (end %s) ==\n", c.Label, sim.Duration(c.end))
 		for _, n := range c.notes {
@@ -175,59 +188,6 @@ func (rp *RunProfile) WriteChromeTrace(w io.Writer) error {
 	return trace.WriteChromeCells(w, cells)
 }
 
-// NetCell is one microbenchmark run of a sweep: a configuration, which of
-// the two tests to run on it, and the label of the cell's profile.
-type NetCell struct {
-	NetConfig
-	Bandwidth bool
-	Label     string
-}
-
-// SweepNet runs the cells over the observed sweep and returns, per cell, the
-// one-way latency in nanoseconds or the bandwidth in bytes/second, and the
-// cell's profile with that measurement as its note.
-func SweepNet(obs *Observe, cells []NetCell) ([]float64, []CellProfile, error) {
-	return sweepObserved(obs, len(cells), func(i int, col *Collector) (float64, CellProfile, error) {
-		c := cells[i]
-		c.metrics, c.trace = col.Metrics, col.Trace
-		if c.Bandwidth {
-			bw, rep, err := bandwidthRun(c.NetConfig)
-			return bw, col.Finish(c.Label, rep.End, fmt.Sprintf("bandwidth %.4f GB/s", bw/1e9)), err
-		}
-		lat, rep, err := LatencyRun(c.NetConfig)
-		return float64(lat), col.Finish(c.Label, rep.End, fmt.Sprintf("one-way latency %s", lat)), err
-	})
-}
-
-// ProfileNet profiles the latency and bandwidth microbenchmarks of one
-// configuration over a size sweep: two cells per size (latency, bandwidth),
-// each with its own collector, fanned out over the sweep runner.
-func ProfileNet(base NetConfig, sizes []int64) (*RunProfile, error) {
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("bench: ProfileNet needs at least one size")
-	}
-	var cells []NetCell
-	for _, size := range sizes {
-		cfg := base
-		cfg.Bytes = size
-		cells = append(cells, NetCell{cfg, false, fmt.Sprintf("latency/%dB", size)},
-			NetCell{cfg, true, fmt.Sprintf("bandwidth/%dB", size)})
-	}
-	_, profs, err := SweepNet(NewObserve(true), cells)
-	if err != nil {
-		return nil, err
-	}
-	impl := "uniconn"
-	if base.Native {
-		impl = "native"
-	}
-	return &RunProfile{
-		title: fmt.Sprintf("net %s %s %s %s (%d sizes)",
-			base.Model.Name, base.Backend, impl, Placement(base.Inter), len(sizes)),
-		Cells: profs,
-	}, nil
-}
-
 // ProfileRun profiles one application run (Jacobi, CG) as a single cell.
 // run executes it with the collector's registry and span log and reports the
 // per-iteration and total timed durations and the run's end time.
@@ -240,5 +200,5 @@ func ProfileRun(title, label string, iters int,
 	}
 	cp := col.Finish(label, end, fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
 		perIter, iters, total))
-	return &RunProfile{title: title, Cells: []CellProfile{cp}}, nil
+	return &RunProfile{Title: title, Cells: []CellProfile{cp}}, nil
 }

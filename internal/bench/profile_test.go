@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,17 +17,44 @@ import (
 	"repro/internal/trace"
 )
 
+// netProfile profiles base's latency and bandwidth cells over the sizes,
+// laid out, labelled and titled as uniconn prof -workload net does.
+func netProfile(t *testing.T, base spec.Spec, sizes []int64) *RunProfile {
+	t.Helper()
+	var specs []spec.Spec
+	for _, size := range sizes {
+		base.Bytes = size
+		base.Workload = spec.WorkloadNetLatency
+		specs = append(specs, base)
+		base.Workload = spec.WorkloadNetBandwidth
+		specs = append(specs, base)
+	}
+	_, profs, err := SweepSpecs(NewObserve(true), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range profs {
+		profs[i].Label = fmt.Sprintf("%s/%dB", strings.TrimPrefix(specs[i].Workload, "net-"), specs[i].Bytes)
+	}
+	impl := "uniconn"
+	if base.Native {
+		impl = "native"
+	}
+	n := base.Normalize()
+	return &RunProfile{
+		Title: fmt.Sprintf("net %s %s %s %s (%d sizes)", n.Machine, n.Backend, impl, Placement(n.Inter), len(sizes)),
+		Cells: profs,
+	}
+}
+
+// nativeMPI is the base spec of the native MPI net profiles.
+var nativeMPI = spec.Spec{Machine: "Perlmutter", Backend: "MPI", Native: true}
+
 // profileOutputs runs a small multi-cell net profile and returns all three
 // rendered artifacts (report, metrics JSON, Chrome trace).
 func profileOutputs(t *testing.T) (report, metricsJSON, chromeTrace string) {
 	t.Helper()
-	rp, err := ProfileNet(NetConfig{
-		Model: machine.Perlmutter(), Backend: core.MPIBackend,
-		API: machine.APIHost, Native: true,
-	}, []int64{8, 64, 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := netProfile(t, nativeMPI, []int64{8, 64, 512})
 	var rep, js, tr strings.Builder
 	if err := rp.WriteReport(&rep); err != nil {
 		t.Fatal(err)
@@ -67,13 +95,7 @@ func TestProfileDeterministicAcrossWorkers(t *testing.T) {
 // compute + intra + inter + blocked == the cell's total virtual time,
 // exactly.
 func TestProfileAttributionSums(t *testing.T) {
-	rp, err := ProfileNet(NetConfig{
-		Model: machine.Perlmutter(), Backend: core.GpucclBackend,
-		API: machine.APIHost, Native: true, Inter: true,
-	}, []int64{64, 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := netProfile(t, spec.Spec{Backend: "GPUCCL", Native: true, Inter: true}, []int64{64, 4096})
 	for _, cell := range rp.Cells {
 		rows := trace.Attribute(cell.spans, cell.end)
 		if len(rows) == 0 {
@@ -96,13 +118,7 @@ func TestProfileAttributionSums(t *testing.T) {
 // TestProfileMetricsPopulated checks the registry actually observed the run:
 // the merged snapshot counts the sends and transfers the trace saw.
 func TestProfileMetricsPopulated(t *testing.T) {
-	rp, err := ProfileNet(NetConfig{
-		Model: machine.Perlmutter(), Backend: core.MPIBackend,
-		API: machine.APIHost, Native: true,
-	}, []int64{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := netProfile(t, nativeMPI, []int64{8})
 	merged := rp.Merged()
 	for _, name := range []string{"sim.events", "mpi.sends.eager", "fabric.intra.transfers"} {
 		found := false
@@ -150,13 +166,7 @@ func TestShmemTeamCollectivesObserved(t *testing.T) {
 //
 //	go run ./cmd/uniconn prof -native -min 8 -max 8 > internal/bench/testdata/prof_fig2_small.golden
 func TestProfileGoldenReport(t *testing.T) {
-	rp, err := ProfileNet(NetConfig{
-		Model: machine.Perlmutter(), Backend: core.MPIBackend,
-		API: machine.APIHost, Native: true,
-	}, Sizes(8, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := netProfile(t, nativeMPI, Sizes(8, 8))
 	want, err := os.ReadFile(filepath.Join("testdata", "prof_fig2_small.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -167,33 +177,32 @@ func TestProfileGoldenReport(t *testing.T) {
 	}
 }
 
-// TestChaosSweepObserved checks the profiled chaos sweep matches the plain
-// one point-for-point and yields one frozen profile per severity.
-func TestChaosSweepObserved(t *testing.T) {
-	cfg := NetConfig{Model: machine.Perlmutter(), Backend: core.MPIBackend,
-		API: machine.APIHost, Native: true, Inter: true, Bytes: 8192}
+// TestChaosRampObserved checks an observed sweep of chaos cells matches the
+// unobserved one value for value and yields one frozen profile per severity.
+func TestChaosRampObserved(t *testing.T) {
 	sev := []float64{0, 0.5}
-	plain, empty, err := ChaosSweep(cfg, sev, nil, NewObserve(false))
+	specs := chaosRamp(core.MPIBackend, spec.WorkloadNetLatency, sev)
+	plain, empty, err := SweepSpecs(NewObserve(false), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cp := range empty {
-		if len(cp.spans) != 0 || !cp.metrics.Empty() {
+		if len(cp.spans) != 0 || !cp.metrics.Empty() || cp.Transfers() != 0 {
 			t.Errorf("severity %g: unobserved cell recorded a profile", sev[i])
 		}
 	}
-	points, profs, err := ChaosSweep(cfg, sev, nil, NewObserve(true))
+	vals, profs, err := SweepSpecs(NewObserve(true), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(plain) || len(profs) != len(sev) {
-		t.Fatalf("got %d points, %d profiles; want %d of each", len(points), len(profs), len(sev))
+	if len(vals) != len(plain) || len(profs) != len(sev) {
+		t.Fatalf("got %d values, %d profiles; want %d of each", len(vals), len(profs), len(sev))
 	}
 	for i := range plain {
-		if points[i] != plain[i] {
-			t.Errorf("severity %g: profiled point %+v != plain %+v", sev[i], points[i], plain[i])
+		if vals[i] != plain[i] {
+			t.Errorf("severity %g: observed value %v != unobserved %v", sev[i], vals[i], plain[i])
 		}
-		if profs[i].end == 0 || len(profs[i].spans) == 0 || profs[i].metrics.Empty() {
+		if profs[i].end == 0 || len(profs[i].spans) == 0 || profs[i].metrics.Empty() || profs[i].Transfers() == 0 {
 			t.Errorf("severity %g: profile not populated: end=%v spans=%d",
 				sev[i], profs[i].end, len(profs[i].spans))
 		}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/machine"
@@ -43,9 +42,6 @@ type recoveryConfig struct {
 	// horizon/iters before communicating (default 4 ms), which also scales
 	// the generated plan's fault windows.
 	horizon sim.Duration
-	// topology overrides the model's inter-node topology for this run
-	// (core.Config.Topology); the zero value keeps the model's own setting.
-	topology fabric.TopologyConfig
 	// metrics, when non-nil, collects the run's counters (one registry per
 	// run — the sweep ownership rule of runner.go).
 	metrics *metrics.Registry
@@ -221,7 +217,7 @@ func runRecovery(cfg recoveryConfig) (RecoveryPoint, error) {
 
 	rep, err := core.Launch(core.Config{
 		Model: cfg.model, NGPUs: cfg.nGPUs, Backend: cfg.backend, Faults: plan,
-		Topology: cfg.topology, Metrics: cfg.metrics, Flight: flight,
+		Metrics: cfg.metrics, Flight: flight,
 	}, main)
 	pt.FlightDump = flightBuf.String()
 	if err != nil {
@@ -291,7 +287,7 @@ func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severiti
 	horizon := 4 * sim.Millisecond
 	fc := m.FabricConfig(m.NodesFor(nGPUs))
 	live := progress()
-	return Sweep(len(severities), func(i int) (RecoveryPoint, error) {
+	return sweep(len(severities), func(i int) (RecoveryPoint, error) {
 		sev := severities[i]
 		plan := faults.GenerateHard(seed, sev, fc, nGPUs, horizon)
 		rc := recoveryConfig{

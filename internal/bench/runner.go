@@ -140,13 +140,13 @@ func (r *Runner) Run(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Sweep runs fn over n cells with the default runner and collects the
+// sweep runs fn over n cells with the default runner and collects the
 // results by cell index.
-func Sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+func sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return sweepWith[T](NewRunner(0), n, fn)
 }
 
-// sweepPrefix is Sweep for results that are consumed cell by cell: on failure
+// sweepPrefix is sweep for results that are consumed cell by cell: on failure
 // it returns, with the error, the results preceding the first failing cell —
 // what a serial loop would have produced before stopping. (Cells below the
 // lowest failing index always complete; see Runner.Run.)
@@ -166,7 +166,7 @@ func sweepPrefix[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, err
 }
 
-// sweepWith is Sweep with an explicit runner.
+// sweepWith is sweep with an explicit runner.
 func sweepWith[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := r.Run(n, func(i int) error {

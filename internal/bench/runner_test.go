@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/spec"
 )
 
@@ -156,62 +155,68 @@ func TestFigureSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosSweepDeterministic runs a severity ramp at workers=1 and
-// workers=8 and asserts identical points.
-func TestChaosSweepDeterministic(t *testing.T) {
-	cfg := chaosConfig(chaosBackends[0].backend)
+// TestChaosRampDeterministic runs a severity ramp's latency and bandwidth
+// cells at workers=1 and workers=8 and asserts identical values and
+// transfer counts.
+func TestChaosRampDeterministic(t *testing.T) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
-	sweep := func(workers string) []ChaosPoint {
+	specs := append(chaosRamp(chaosBackends[0].backend, spec.WorkloadNetLatency, severities),
+		chaosRamp(chaosBackends[0].backend, spec.WorkloadNetBandwidth, severities)...)
+	sweep := func(workers string) ([]float64, []CellProfile) {
 		t.Setenv(spec.WorkersEnv, workers)
-		pts, _, err := ChaosSweep(cfg, severities, nil, nil)
+		vals, profs, err := SweepSpecs(NewObserve(true), specs)
 		if err != nil {
-			t.Fatalf("ChaosSweep(workers=%s): %v", workers, err)
+			t.Fatalf("SweepSpecs(workers=%s): %v", workers, err)
 		}
-		return pts
+		return vals, profs
 	}
-	serial := sweep("1")
-	parallel := sweep("8")
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts diverged: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("point %d diverged: serial %+v, parallel %+v", i, serial[i], parallel[i])
+	serialVals, serialProfs := sweep("1")
+	parallelVals, parallelProfs := sweep("8")
+	for i := range specs {
+		if serialVals[i] != parallelVals[i] || serialProfs[i].Transfers() != parallelProfs[i].Transfers() {
+			t.Fatalf("cell %s diverged: serial %v (%d transfers), parallel %v (%d transfers)", specs[i],
+				serialVals[i], serialProfs[i].Transfers(), parallelVals[i], parallelProfs[i].Transfers())
 		}
 	}
 }
 
-// TestChaosSweepParallelErrorMatchesSerial injects a failure mid-ramp and
-// checks that the parallel sweep reports the same first error and the same
-// preceding points as the serial one.
-func TestChaosSweepParallelErrorMatchesSerial(t *testing.T) {
-	cfg := chaosConfig(chaosBackends[0].backend)
+// TestSweepObservedErrorMatchesSerial fails spec cells mid-ramp (a message
+// size the spec layer would refuse, run past it) and checks that the
+// parallel sweep reports the same first error and the same preceding values
+// as the serial one.
+func TestSweepObservedErrorMatchesSerial(t *testing.T) {
 	severities := []float64{0, 0.5, 2.5, 3}
-	planFor := func(s float64) *faults.Plan {
-		p := faults.Degrade(cfg.faultedPath(), s)
-		if s > 2 {
-			// Arm a 1ns virtual-time watchdog: the run trips it
-			// immediately, giving a deterministic mid-sweep failure.
-			p.Watchdog = 1
+	specs := chaosRamp(chaosBackends[0].backend, spec.WorkloadNetLatency, severities)
+	for i, sev := range severities {
+		if sev > 2 {
+			specs[i].Bytes = 12
 		}
-		return p
 	}
-	run := func(workers string) ([]ChaosPoint, error) {
+	run := func(workers string) ([]float64, error) {
 		t.Setenv(spec.WorkersEnv, workers)
-		pts, _, err := ChaosSweep(cfg, severities, planFor, nil)
-		return pts, err
+		vals, _, err := sweepObserved(nil, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
+			v, _, err := runSpec(specs[i], col)
+			return v, CellProfile{}, err
+		})
+		return vals, err
 	}
-	sPts, sErr := run("1")
-	pPts, pErr := run("8")
-	if (sErr == nil) != (pErr == nil) || (sErr != nil && sErr.Error() != pErr.Error()) {
-		t.Fatalf("errors diverged: serial %v, parallel %v", sErr, pErr)
+	sVals, sErr := run("1")
+	pVals, pErr := run("8")
+	if sErr == nil || pErr == nil || sErr.Error() != pErr.Error() {
+		t.Fatalf("errors diverged or missing: serial %v, parallel %v", sErr, pErr)
 	}
-	if len(sPts) != len(pPts) {
-		t.Fatalf("prefix lengths diverged: %d vs %d", len(sPts), len(pPts))
+	if len(sVals) != 2 || fmt.Sprint(sVals) != fmt.Sprint(pVals) {
+		t.Fatalf("prefixes diverged: serial %v, parallel %v; want the two healthy cells", sVals, pVals)
 	}
-	for i := range sPts {
-		if sPts[i] != pPts[i] {
-			t.Fatalf("prefix point %d diverged: %+v vs %+v", i, sPts[i], pPts[i])
-		}
+}
+
+// TestSweepSpecsValidatesFirst: an invalid spec anywhere in a sweep refuses
+// the whole sweep before any cell runs.
+func TestSweepSpecsValidatesFirst(t *testing.T) {
+	specs := chaosRamp(chaosBackends[0].backend, spec.WorkloadNetLatency, []float64{0, 1})
+	specs[1].Bytes = 2 << 30
+	vals, profs, err := SweepSpecs(NewObserve(true), specs)
+	if err == nil || !strings.Contains(err.Error(), "bytes must be") || vals != nil || profs != nil {
+		t.Fatalf("SweepSpecs = %v, %d profiles, %v; want no cell run and the size refused", vals, len(profs), err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -22,8 +23,9 @@ import (
 // ScaleConfig selects one rank-scaling cell.
 type ScaleConfig struct {
 	Model *machine.Model
-	// Topology overrides the inter-node network (zero value keeps the
-	// model's own, normally flat).
+	// Topology, when not flat, runs the cell on a clone of Model with this
+	// inter-node network; the zero value keeps the model's own (normally
+	// flat).
 	Topology fabric.TopologyConfig
 	// Ranks is the GPU count; nodes follow from Model.GPUsPerNode.
 	Ranks int
@@ -74,12 +76,15 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 	if warmup == 0 {
 		warmup = 1
 	}
+	m := cfg.Model
+	if cfg.Topology.Kind != fabric.TopoFlat {
+		m = spec.WithTopology(m, cfg.Topology)
+	}
 	elems := int(cfg.Bytes / 8)
 	var timed sim.Duration
 	rep, err := core.Launch(core.Config{
-		Model: cfg.Model, NGPUs: cfg.Ranks, Backend: core.MPIBackend,
-		Topology: cfg.Topology, Metrics: cfg.Metrics,
-		Trace: cfg.Trace,
+		Model: m, NGPUs: cfg.Ranks, Backend: core.MPIBackend,
+		Metrics: cfg.Metrics, Trace: cfg.Trace,
 	}, func(env *core.Env) {
 		comm := env.MPIComm()
 		p := env.Proc()

@@ -79,11 +79,9 @@ func TestScaleHierarchical1024Verifies(t *testing.T) {
 			want[i] += fill(r, i)
 		}
 	}
-	_, err := core.Launch(core.Config{
-		Model: machine.Perlmutter(), NGPUs: ranks,
-		Backend:  core.MPIBackend,
-		Topology: fabric.TopologyConfig{Kind: fabric.TopoFatTree},
-	}, func(env *core.Env) {
+	m := machine.Perlmutter()
+	m.Topology = fabric.TopologyConfig{Kind: fabric.TopoFatTree}
+	_, err := core.Launch(core.Config{Model: m, NGPUs: ranks, Backend: core.MPIBackend}, func(env *core.Env) {
 		send := gpu.AllocBuffer[float64](env.Device(), elems)
 		recv := gpu.AllocBuffer[float64](env.Device(), elems)
 		for i := range send.Data() {

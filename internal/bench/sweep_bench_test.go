@@ -1,7 +1,7 @@
 package bench
 
 // Wall-clock benchmarks for the parallel sweep runner. Each benchmark runs
-// a realistic (but small) grid of independent simulations through Sweep so
+// a realistic (but small) grid of independent simulations through the runner so
 // `go test -bench=Sweep` measures end-to-end sweep throughput at the
 // current UNICONN_WORKERS / GOMAXPROCS setting. CI runs these with
 // -benchtime=1x as a smoke test; locally, compare UNICONN_WORKERS=1 vs the
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/spec"
 )
 
 // BenchmarkSweepLatencyGrid sweeps a message-size × backend latency grid,
@@ -31,7 +32,7 @@ func BenchmarkSweepLatencyGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Sweep(len(cells), func(j int) (interface{}, error) {
+		_, err := sweep(len(cells), func(j int) (interface{}, error) {
 			cfg := NetConfig{
 				Model: machine.Perlmutter(), Backend: cells[j].backend,
 				API: machine.APIHost, Native: true, Inter: true,
@@ -46,18 +47,20 @@ func BenchmarkSweepLatencyGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepChaos ramps fault severity over the chaos sweep, the shape
-// of uniconn chaos.
+// BenchmarkSweepChaos ramps fault severity over spec cells, the shape of
+// uniconn chaos.
 func BenchmarkSweepChaos(b *testing.B) {
-	cfg := NetConfig{
-		Model: machine.Perlmutter(), Backend: core.MPIBackend,
-		API: machine.APIHost, Native: true, Inter: true,
-		Bytes: 8 << 10, Iters: 10, Warmup: 2, window: 4,
+	var specs []spec.Spec
+	for _, sev := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		s := spec.Spec{Workload: spec.WorkloadNetLatency, Native: true, Inter: true, Bytes: 8 << 10,
+			Iters: 10, Warmup: 2, Window: 4, FaultMode: spec.FaultDegrade, Severity: sev}
+		specs = append(specs, s)
+		s.Workload = spec.WorkloadNetBandwidth
+		specs = append(specs, s)
 	}
-	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ChaosSweep(cfg, severities, nil, nil); err != nil {
+		if _, _, err := SweepSpecs(nil, specs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,12 +86,6 @@ type Config struct {
 	// one registry per run, merged afterwards (see internal/bench/runner.go
 	// for the sweep ownership rule).
 	Metrics *metrics.Registry
-	// Topology overrides the machine model's inter-node network topology
-	// (fat-tree, dragonfly; see fabric.TopologyConfig). The zero value
-	// keeps the model's own setting (flat unless the model says
-	// otherwise). The override is applied on a cloned model, so shared
-	// machine.Model values are never mutated.
-	Topology fabric.TopologyConfig
 	// Flight, when non-nil, installs a bounded flight recorder on the
 	// engine and dumps a deterministic post-mortem to Flight.Sink when the
 	// run errors or recovered from a hard fault (see flight.go). Disabled
@@ -100,18 +94,6 @@ type Config struct {
 	Flight *FlightConfig
 	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
 	Shards int
-}
-
-// effectiveModel resolves the machine to simulate: a Topology override
-// clones the model with the requested fabric topology, leaving the shared
-// model value (and its cost profiles) untouched.
-func (cfg Config) effectiveModel() *machine.Model {
-	if cfg.Topology.Kind == fabric.TopoFlat {
-		return cfg.Model
-	}
-	m := *cfg.Model
-	m.Topology = cfg.Topology
-	return &m
 }
 
 // Validate reports whether the configuration is runnable.
@@ -195,7 +177,6 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Report{}, err
 	}
-	cfg.Model = cfg.effectiveModel()
 	eng := sim.NewEngine()
 	defer eng.Close()
 	flight := cfg.Flight.install(eng)

@@ -32,8 +32,8 @@ func TestDownLinkFailsOverWithWorseCost(t *testing.T) {
 	if f.FailoverTransfers() != 1 {
 		t.Fatalf("FailoverTransfers = %d, want 1", f.FailoverTransfers())
 	}
-	spans := tr.Filter(trace.KindTransfer)
-	if len(spans) != 1 || !strings.HasSuffix(spans[0].Track, "+failover") {
+	spans := tr.Sorted()
+	if len(spans) != 1 || spans[0].Kind != trace.KindTransfer || !strings.HasSuffix(spans[0].Track, "+failover") {
 		t.Fatalf("trace track = %q, want intra+failover", spans[0].Track)
 	}
 

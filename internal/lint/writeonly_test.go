@@ -31,19 +31,52 @@ const maxWriteOnlyAllowlist = 5
 // Exempt by rule: tagged fields (read through reflection by encoding/json)
 // and embedded fields (their promoted members and methods are their reads).
 func writeOnlyFields(m *module) ([]finding, error) {
-	names := map[token.Pos]string{}
+	u, err := scanFields(m)
+	if err != nil {
+		return nil, err
+	}
+	return u.flag(func(pos token.Pos) bool {
+		return u.code.assigned[pos] && !u.code.read[pos] && !u.tests.read[pos]
+	}, "written, never read; delete it"), nil
+}
+
+// fieldUses is how the module uses each struct field declared under
+// internal/ (keyed by the field's position): by its non-test files (code,
+// the frozen benchmark's tests included) and by its test files apart.
+type fieldUses struct {
+	names       map[token.Pos]string
+	code, tests access
+}
+
+// access records, per field, the files that assign it (an assignment target,
+// ++/--, a composite-literal key), that write it any other way (through its
+// address, positionally in an unkeyed composite literal), and that read it.
+type access struct {
+	assigned, written, read map[token.Pos]bool
+}
+
+func newAccess() access {
+	return access{assigned: map[token.Pos]bool{}, written: map[token.Pos]bool{}, read: map[token.Pos]bool{}}
+}
+
+// scanFields indexes the module's struct fields and records every access to
+// them.
+func scanFields(m *module) (*fieldUses, error) {
+	u := &fieldUses{names: map[token.Pos]string{}, code: newAccess(), tests: newAccess()}
 	for path, p := range m.pkgs {
 		if m.internal(path) {
 			for _, f := range p.files {
-				declareFields(p.types.Name(), f, names)
+				declareFields(p.types.Name(), f, u.names)
 			}
 		}
 	}
-	written, read := map[token.Pos]bool{}, map[token.Pos]bool{}
 	for _, p := range m.pkgs {
 		for _, f := range p.files {
-			test := strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go")
-			accesses(m.info, f, !test, written, read)
+			a := u.code
+			if strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go") {
+				a = u.tests
+			}
+			accesses(m.info, f, a)
 		}
 	}
 	info, errs := m.testInfo()
@@ -52,24 +85,29 @@ func writeOnlyFields(m *module) ([]finding, error) {
 	}
 	for _, p := range m.pkgs {
 		for _, f := range append(p.tests, p.xtests...) {
-			accesses(info, f, false, written, read)
+			accesses(info, f, u.tests)
 		}
 	}
-	for _, in := range []*types.Info{m.info, info} {
+	for in, a := range map[*types.Info]access{m.info: u.code, info: u.tests} {
 		for _, tv := range in.Types {
 			if mt, ok := tv.Type.(*types.Map); ok { // a map type expression
-				readAll(mt.Key(), read)
+				readAll(mt.Key(), a.read)
 			}
 		}
 	}
+	return u, nil
+}
+
+// flag reports, sorted, every indexed field that bad selects.
+func (u *fieldUses) flag(bad func(token.Pos) bool, problem string) []finding {
 	var out []finding
-	for pos, name := range names {
-		if written[pos] && !read[pos] {
-			out = append(out, finding{name, "written, never read; delete it"})
+	for pos, name := range u.names {
+		if bad(pos) {
+			out = append(out, finding{name, problem})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out, nil
+	return out
 }
 
 // declareFields indexes the untagged, named fields of every struct type f
@@ -100,39 +138,88 @@ func declareFields(pkg string, f *ast.File, names map[token.Pos]string) {
 	})
 }
 
-// accesses records the field reads in f and, when writes counts, its field
-// writes.
-func accesses(info *types.Info, f *ast.File, writes bool, written, read map[token.Pos]bool) {
+// accesses records the field accesses in f. A field an assignment, ++/-- or
+// a composite-literal key targets is assigned; every other reference reads
+// it. A field is also written, while still read, where the write goes
+// through it: its address is taken (&x.f, or x.f.M() for a pointer method
+// M), or an assignment targets something inside it (x.f.g = v, x.f[i] = v).
+// An unkeyed composite literal writes every field of its struct.
+func accesses(info *types.Info, f *ast.File, a access) {
 	target := map[*ast.Ident]bool{}
+	through := func(e ast.Expr) { // mark the fields a write passes through
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					a.written[v.Pos()] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	assign := func(lhs ast.Expr) {
+		switch x := ast.Unparen(lhs).(type) {
+		case *ast.SelectorExpr:
+			target[x.Sel] = true
+			through(x.X)
+		case *ast.IndexExpr:
+			through(x.X)
+		}
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-					target[sel.Sel] = true
-				}
+				assign(lhs)
 			}
 		case *ast.IncDecStmt:
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-				target[sel.Sel] = true
-			}
+			assign(n.X)
 		case *ast.KeyValueExpr:
 			if id, ok := n.Key.(*ast.Ident); ok {
 				target[id] = true
 			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				through(n.X)
+			}
+		case *ast.SelectorExpr:
+			if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+				_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				if _, ptrX := s.Recv().Underlying().(*types.Pointer); ptrRecv && !ptrX {
+					through(n.X) // x.f.M() takes &x.f
+				}
+			}
+		case *ast.CompositeLit:
+			if len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+				break
+			}
+			if tv, ok := info.Types[n]; ok {
+				if st, ok := tv.Type.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						a.written[st.Field(i).Pos()] = true
+					}
+				}
+			}
 		case *ast.BinaryExpr:
 			if n.Op == token.EQL || n.Op == token.NEQ {
-				readAll(info.Types[n.X].Type, read)
+				readAll(info.Types[n.X].Type, a.read)
 			}
 		case *ast.Ident:
 			v, ok := info.Uses[n].(*types.Var)
 			if !ok || !v.IsField() {
 				break
 			}
-			if !target[n] {
-				read[v.Pos()] = true
-			} else if writes {
-				written[v.Pos()] = true
+			if target[n] {
+				a.assigned[v.Pos()] = true
+			} else {
+				a.read[v.Pos()] = true
 			}
 		}
 		return true

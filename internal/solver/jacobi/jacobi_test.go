@@ -206,16 +206,19 @@ func TestTraceRecordsSpans(t *testing.T) {
 		t.Fatal("no spans recorded")
 	}
 	kernels := 0
-	for _, s := range tl.Filter(trace.KindStreamOp) {
-		if strings.HasPrefix(s.Label, "kernel ") {
+	var transfers []trace.Span
+	for _, s := range tl.Sorted() {
+		switch {
+		case s.Kind == trace.KindStreamOp && strings.HasPrefix(s.Label, "kernel "):
 			kernels++
+		case s.Kind == trace.KindTransfer:
+			transfers = append(transfers, s)
 		}
 	}
 	// 4 iterations (incl. warmup) x 2 ranks of sweep kernels at least.
 	if kernels < 8 {
 		t.Fatalf("kernel spans = %d", kernels)
 	}
-	transfers := tl.Filter(trace.KindTransfer)
 	if len(transfers) == 0 {
 		t.Fatal("no transfer spans")
 	}

@@ -37,7 +37,8 @@ type CommonFlags struct {
 	Live string
 	// MinSize and MaxSize are the -min/-max bounds (Sizes).
 	MinSize, MaxSize int64
-	// Topologies is the parsed -topology list (TopologyList).
+	// Topologies is the parsed -topology: one network, or with TopologyList
+	// the list.
 	Topologies []fabric.TopologyConfig
 }
 
@@ -90,7 +91,7 @@ func (c *CommonFlags) Sizes(fs *flag.FlagSet, defMax int64, of string) {
 
 // Resolve validates the parsed flags and returns the -machine model. A
 // single -topology is applied to it, clone-on-override, so the topology
-// reaches every workload launched on the shared model value; a list is
+// reaches every workload launched on the shared model value; either form is
 // parsed into Topologies. A doubling size sweep needs a positive start and
 // an end at or above it. A positive -workers is then published into the
 // environment variable the runner consults, the resolution rule every
@@ -108,6 +109,7 @@ func (c *CommonFlags) Resolve() (*machine.Model, error) {
 		var tc fabric.TopologyConfig // flat when -topology is not registered
 		tc, err = fabric.ParseTopology(c.topology)
 		m = WithTopology(m, tc)
+		c.Topologies = []fabric.TopologyConfig{tc}
 	}
 	if err != nil {
 		return nil, err
@@ -120,6 +122,17 @@ func (c *CommonFlags) Resolve() (*machine.Model, error) {
 	}
 	ApplyWorkersEnv(c.workers)
 	return m, nil
+}
+
+// Spec returns the base spec of the resolved flags: the -machine name and,
+// when -topology names one network, that network in canonical spelling.
+// Callers fill in the workload and the cell's own fields.
+func (c *CommonFlags) Spec() Spec {
+	s := Spec{Machine: c.machine}
+	if len(c.Topologies) == 1 {
+		s.Topology = canonicalTopology(c.Topologies[0])
+	}
+	return s
 }
 
 // ApplyWorkersEnv publishes a positive worker count into WorkersEnv (for

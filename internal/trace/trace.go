@@ -185,17 +185,6 @@ func (l *Log) Sorted() []Span {
 	return out
 }
 
-// Filter returns the spans of one kind.
-func (l *Log) Filter(k Kind) []Span {
-	var out []Span
-	for _, s := range l.spans() {
-		if s.Kind == k {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Summary aggregates busy time and counts per (kind, track).
 type Summary struct {
 	rows []summaryRow
