@@ -81,7 +81,7 @@ func jacobiCmd(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %d spans to %s (open with chrome://tracing)\n", lastTrace.Len(), *tracePath)
-		fmt.Fprintln(stdout, lastTrace.Summarize().Render())
+		fmt.Fprintln(stdout, lastTrace.Sorted().Summarize().Render())
 	}
 	return nil
 }

@@ -249,21 +249,16 @@ func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, erro
 	})
 }
 
-// commSummary builds the traffic view, dropping the dense matrices above
-// maxCommRanks.
-func commSummary(spans []trace.Span) *commMatrix {
-	cm := trace.BuildCommMatrix(spans)
-	if cm.N == 0 {
+// commSummary builds the traffic view: the totals from one pass over the
+// spans, the dense matrices only up to maxCommRanks.
+func commSummary(spans *trace.View) *commMatrix {
+	n, bytes, msgs := spans.Traffic()
+	if n == 0 {
 		return nil
 	}
-	cs := &commMatrix{Ranks: cm.N}
-	for src := range cm.Bytes {
-		for dst := range cm.Bytes[src] {
-			cs.TotalBytes += cm.Bytes[src][dst]
-			cs.Transfers += cm.Count[src][dst]
-		}
-	}
-	if cm.N <= maxCommRanks {
+	cs := &commMatrix{Ranks: n, TotalBytes: bytes, Transfers: msgs}
+	if n <= maxCommRanks {
+		cm := trace.BuildCommMatrix(spans)
 		cs.Bytes, cs.Count = cm.Bytes, cm.Count
 	}
 	return cs

@@ -2,13 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 // evalTestSpecs is a small mixed batch: both net workloads, an allreduce,
@@ -149,4 +153,101 @@ func TestEvalCommMatrixCap(t *testing.T) {
 	if res.Comm.TotalBytes <= 0 || res.Comm.Transfers <= 0 {
 		t.Errorf("traffic totals should survive the cap: %+v", res.Comm)
 	}
+}
+
+// TestCommSummaryLargeRanks: a miss on a log with more ranks than
+// maxCommRanks builds no dense matrix to drop — 4096 ranks allocate well
+// under 1 MiB, where the two matrices alone would be 256 MiB — and the
+// totals it keeps are BuildCommMatrix's, on either side of the cap.
+func TestCommSummaryLargeRanks(t *testing.T) {
+	for _, n := range []int{maxCommRanks, maxCommRanks + 1, 4096} {
+		l := trace.New()
+		labels := make([]string, n)
+		for r := range n {
+			labels[r] = fmt.Sprintf("gpu%d->gpu%d", r, (r+1)%n)
+		}
+		var bytes, msgs int64
+		for i := range 2 * n {
+			r := i % n
+			l.Add(trace.Span{Kind: trace.KindTransfer, Label: labels[r], Track: "inter", Rank: r, Src: r, Dst: (r + 1) % n,
+				Start: sim.Time(i), End: sim.Time(i + 10), Bytes: int64(8 * (i + 1))})
+			bytes, msgs = bytes+int64(8*(i+1)), msgs+1
+		}
+		spans := l.Sorted()
+		var cs *commMatrix
+		got, _ := allocated(func() { cs = commSummary(spans) })
+		if cs.Ranks != n || cs.TotalBytes != bytes || cs.Transfers != msgs {
+			t.Errorf("%d ranks: summary %d ranks, %d bytes, %d transfers; want %d, %d, %d",
+				n, cs.Ranks, cs.TotalBytes, cs.Transfers, n, bytes, msgs)
+		}
+		if dense := cs.Bytes != nil; dense != (n <= maxCommRanks) {
+			t.Errorf("%d ranks: dense matrices present = %v", n, dense)
+		}
+		if n <= maxCommRanks+1 {
+			m := trace.BuildCommMatrix(spans)
+			var mb, mc int64
+			for src := range m.Bytes {
+				for dst := range m.Bytes[src] {
+					mb, mc = mb+m.Bytes[src][dst], mc+m.Count[src][dst]
+				}
+			}
+			if m.N != cs.Ranks || mb != cs.TotalBytes || mc != cs.Transfers {
+				t.Errorf("%d ranks: BuildCommMatrix has %d ranks, %d bytes, %d transfers; summary %+v", n, m.N, mb, mc, *cs)
+			}
+		}
+		if n == 4096 && !raceEnabled && got > 1<<20 {
+			t.Errorf("commSummary at %d ranks allocated %s, budget 1MiB", n, HumanBytes(int64(got)))
+		}
+	}
+}
+
+// FuzzDecodeResult holds the encoded Result, the body a miss caches and a
+// hit returns verbatim, to a round trip: whatever DecodeResult accepts
+// encodes to bytes that decode to the same Result (an empty matrix and an
+// absent one are the same answer: Encode omits both), and one round trip
+// reaches Encode's fixed point.
+func FuzzDecodeResult(f *testing.F) {
+	for _, s := range []spec.Spec{
+		{Workload: spec.WorkloadNetLatency, Bytes: 8},
+		{Workload: spec.WorkloadNetBandwidth, Backend: "GPUSHMEM", API: "Device", Inter: true, Bytes: 4096},
+		{Workload: spec.WorkloadAllreduce, Ranks: 4, Bytes: 64, Iters: 1},
+	} {
+		body, _, err := EvalSpec(s, EvalOptions{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, b := range []string{`{}`, `null`, `{"value":-0,"comm_matrix":{"bytes":[],"count":[[]]}}`,
+		`{"spec":{"workload":"x","bytes":1e3},"Value":1e308,"critical_path":{"spans":-1}}`} {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeResult(b)
+		if err != nil {
+			return
+		}
+		enc, err := r.Encode()
+		if err != nil {
+			t.Fatalf("decoded %+v does not encode: %v", r, err)
+		}
+		back, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("encoding %q does not decode: %v", enc, err)
+		}
+		if c := r.Comm; c != nil {
+			if len(c.Bytes) == 0 {
+				c.Bytes = nil
+			}
+			if len(c.Count) == 0 {
+				c.Count = nil
+			}
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip changed the result:\n%+v\n%+v", r, back)
+		}
+		if again, err := back.Encode(); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("Encode is not a fixed point after one round trip:\n%s\n%s (%v)", enc, again, err)
+		}
+	})
 }

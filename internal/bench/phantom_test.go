@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,6 +25,9 @@ type answer struct {
 	end   sim.Time
 	spans []trace.Span
 }
+
+// spansOf lists the log's spans in their sorted order.
+func spansOf(l *trace.Log) []trace.Span { return slices.Collect(l.Sorted().Spans()) }
 
 // differs describes the first difference between a cell's real and phantom
 // answers, "" when there is none.
@@ -137,10 +141,10 @@ func TestPhantomEqualsReal(t *testing.T) {
 		}
 		if cells[i].bandwidth {
 			bw, rep, err := bandwidthRun(cfg)
-			return cells[i].label, answer{bw, rep.End, cfg.trace.Sorted()}, err
+			return cells[i].label, answer{bw, rep.End, spansOf(cfg.trace)}, err
 		}
 		lat, rep, err := LatencyRun(cfg)
-		return cells[i].label, answer{float64(lat), rep.End, cfg.trace.Sorted()}, err
+		return cells[i].label, answer{float64(lat), rep.End, spansOf(cfg.trace)}, err
 	})
 	t.Logf("%d net cells, sizes to %s", len(cells), HumanBytes(sizes[len(sizes)-1]))
 
@@ -152,10 +156,10 @@ func TestPhantomEqualsReal(t *testing.T) {
 		if i%2 == 0 {
 			r, err := jacobi.Run(v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: nx, NY: nx,
 				Iters: 60, Warmup: 10, Compute: compute, Trace: log}))
-			return "jacobi/" + v.app + v.Impl(), answer{float64(r.PerIter), r.End, log.Sorted()}, err
+			return "jacobi/" + v.app + v.Impl(), answer{float64(r.PerIter), r.End, spansOf(log)}, err
 		}
 		r, err := cg.Run(v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 30, Compute: compute, Trace: log}))
-		return "cg/" + v.app + v.Impl(), answer{float64(r.Total), r.End, log.Sorted()}, err
+		return "cg/" + v.app + v.Impl(), answer{float64(r.Total), r.End, spansOf(log)}, err
 	})
 }
 

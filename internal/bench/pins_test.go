@@ -55,7 +55,7 @@ func pinGrid() []spec.Spec {
 // reordered fabric booking shows even where the headline times survive it.
 func spanDigest(log *trace.Log) string {
 	h := sha256.New()
-	for _, s := range log.Sorted() {
+	for s := range log.Sorted().Spans() {
 		fmt.Fprintf(h, "%d|%s|%s|%d|%d|%d|%d|%d|%d\n", s.Kind, s.Label, s.Track, s.Start, s.End, s.Bytes, s.Rank, s.Src, s.Dst)
 	}
 	return fmt.Sprintf("spans=%d:%x", log.Len(), h.Sum(nil)[:8])

@@ -101,14 +101,14 @@ type CellProfile struct {
 	// per-iteration time), rendered above the analysis tables.
 	notes   []string
 	metrics metrics.Snapshot
-	spans   []trace.Span
+	spans   *trace.View
 }
 
 // Transfers counts the fabric transfers in the cell's span log (zero for a
 // cell that recorded no spans).
 func (c CellProfile) Transfers() int {
 	n := 0
-	for _, s := range c.spans {
+	for s := range c.spans.Spans() {
 		if s.Kind == trace.KindTransfer {
 			n++
 		}
@@ -145,7 +145,7 @@ func (rp *RunProfile) render() string {
 		for _, n := range c.notes {
 			fmt.Fprintf(&b, "note: %s\n", n)
 		}
-		if len(c.spans) == 0 {
+		if c.spans.Len() == 0 {
 			b.WriteString("(no spans recorded)\n")
 			continue
 		}

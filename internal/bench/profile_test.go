@@ -187,7 +187,7 @@ func TestChaosRampObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cp := range empty {
-		if len(cp.spans) != 0 || !cp.metrics.Empty() || cp.Transfers() != 0 {
+		if cp.spans.Len() != 0 || !cp.metrics.Empty() || cp.Transfers() != 0 {
 			t.Errorf("severity %g: unobserved cell recorded a profile", sev[i])
 		}
 	}
@@ -202,9 +202,9 @@ func TestChaosRampObserved(t *testing.T) {
 		if vals[i] != plain[i] {
 			t.Errorf("severity %g: observed value %v != unobserved %v", sev[i], vals[i], plain[i])
 		}
-		if profs[i].end == 0 || len(profs[i].spans) == 0 || profs[i].metrics.Empty() || profs[i].Transfers() == 0 {
+		if profs[i].end == 0 || profs[i].spans.Len() == 0 || profs[i].metrics.Empty() || profs[i].Transfers() == 0 {
 			t.Errorf("severity %g: profile not populated: end=%v spans=%d",
-				sev[i], profs[i].end, len(profs[i].spans))
+				sev[i], profs[i].end, profs[i].spans.Len())
 		}
 	}
 }

@@ -1,0 +1,121 @@
+package bench
+
+import (
+	"fmt"
+	"reflect"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// syntheticLog is a span log shaped like a traced cell: each step, every
+// rank runs a kernel on its stream and then sends to the next rank, over the
+// intra-node link within a four-rank node and the inter-node link across
+// nodes.
+func syntheticLog(spans, ranks int) *trace.Log {
+	streams, labels := make([]string, ranks), make([]string, ranks)
+	for r := range ranks {
+		streams[r] = fmt.Sprintf("gpu%d.s0", r)
+		labels[r] = fmt.Sprintf("gpu%d->gpu%d", r, (r+1)%ranks)
+	}
+	l := trace.New()
+	for i := 0; l.Len() < spans; i++ {
+		r, at := i%ranks, sim.Time(i/ranks)*1000
+		dst, track := (r+1)%ranks, "intra"
+		if r/4 != dst/4 {
+			track = "inter"
+		}
+		l.Add(trace.Span{Kind: trace.KindStreamOp, Label: "kernel", Track: streams[r],
+			Rank: r, Src: r, Dst: r, Start: at, End: at + 600})
+		l.Add(trace.Span{Kind: trace.KindTransfer, Label: labels[r], Track: track,
+			Rank: r, Src: r, Dst: dst, Start: at + 600, End: at + 900, Bytes: 4096})
+	}
+	return l
+}
+
+// analyse is what a /query miss does with its span log after the run.
+func analyse(l *trace.Log) {
+	spans := l.Sorted()
+	trace.CriticalPath(spans)
+	commSummary(spans)
+}
+
+// pointerFree reports whether values of t hold no pointers, so the garbage
+// collector never scans them and storing one needs no write barrier.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	}
+	return false
+}
+
+// TestSpanLogLayout holds the span log to its layout: the record a Log
+// stores holds no pointers and is at most 48 bytes, and the analysis of a
+// miss — sort, critical path, traffic — allocates a fixed number of objects
+// whatever the log's length, so none is per span.
+func TestSpanLogLayout(t *testing.T) {
+	chunks, ok := reflect.TypeOf(trace.Log{}).FieldByName("chunks")
+	if !ok {
+		t.Fatalf("trace.Log no longer stores its records in chunks")
+	}
+	rec := chunks.Type.Elem() // a chunk: records behind a pointer, in an array or a slice
+	for rec.Kind() != reflect.Struct {
+		rec = rec.Elem()
+	}
+	if !pointerFree(rec) || rec.Size() > 48 {
+		t.Errorf("trace.Log stores %s (%d bytes): want a pointer-free record of at most 48 bytes", rec, rec.Size())
+	}
+
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	small, large := syntheticLog(10_000, 8), syntheticLog(40_000, 8)
+	// A collection cycle allocates a little of its own; hold it off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a := testing.AllocsPerRun(10, func() { analyse(small) })
+	b := testing.AllocsPerRun(10, func() { analyse(large) })
+	t.Logf("analysis of a miss: %.0f objects at 10k spans, %.0f at 40k", a, b)
+	if a != b || b > 32 {
+		t.Errorf("analysis allocates %.0f objects at 10k spans and %.0f at 40k: want the same, at most 32", a, b)
+	}
+}
+
+// BenchmarkSpanAnalysis times a miss's analysis (sort, critical path,
+// traffic) per span, over the span logs of the 32 grid cells at 2 KiB — what
+// BenchmarkColdCell's misses analyse.
+//
+//	go test ./internal/bench -run '^$' -bench SpanAnalysis -cpu 1
+func BenchmarkSpanAnalysis(b *testing.B) {
+	var logs []*trace.Log
+	spans := 0
+	for _, s := range pinGrid() {
+		s.Bytes = 2 << 10
+		log := trace.New()
+		if _, _, err := runSpec(s.Normalize(), &Collector{Trace: log}); err != nil {
+			b.Fatal(err)
+		}
+		logs, spans = append(logs, log), spans+log.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, l := range logs {
+			analyse(l)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
+}

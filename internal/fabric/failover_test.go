@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestDownLinkFailsOverWithWorseCost(t *testing.T) {
 	if f.FailoverTransfers() != 1 {
 		t.Fatalf("FailoverTransfers = %d, want 1", f.FailoverTransfers())
 	}
-	spans := tr.Sorted()
+	spans := slices.Collect(tr.Sorted().Spans())
 	if len(spans) != 1 || spans[0].Kind != trace.KindTransfer || !strings.HasSuffix(spans[0].Track, "+failover") {
 		t.Fatalf("trace track = %q, want intra+failover", spans[0].Track)
 	}

@@ -207,7 +207,7 @@ func TestTraceRecordsSpans(t *testing.T) {
 	}
 	kernels := 0
 	var transfers []trace.Span
-	for _, s := range tl.Sorted() {
+	for s := range tl.Sorted().Spans() {
 		switch {
 		case s.Kind == trace.KindStreamOp && strings.HasPrefix(s.Label, "kernel "):
 			kernels++
@@ -229,7 +229,7 @@ func TestTraceRecordsSpans(t *testing.T) {
 	if bytes == 0 {
 		t.Fatal("transfers carried no bytes")
 	}
-	if strings.Count(tl.Summarize().Render(), "\n") < 2 { // the header and at least one row
+	if strings.Count(tl.Sorted().Summarize().Render(), "\n") < 2 { // the header and at least one row
 		t.Fatal("empty summary")
 	}
 }

@@ -1,15 +1,14 @@
 package trace
 
-// Post-hoc analysis over span logs: per-rank time attribution, the critical
-// path (longest dependency chain), and the rank-to-rank communication
-// matrix. All three work on the deterministic sorted span order, use only
-// integer virtual-time arithmetic, and never consult wall clock, so their
-// output is byte-stable across runs and sweep worker counts.
+// Post-hoc analysis over a span log's View: per-rank time attribution, the
+// critical path (longest dependency chain), and the rank-to-rank
+// communication matrix. All three use only integer virtual-time arithmetic
+// and never consult wall clock, so their output is byte-stable across runs
+// and sweep worker counts.
 
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -29,26 +28,14 @@ const (
 	numClasses
 )
 
-func (c spanClass) String() string {
-	switch c {
-	case classCompute:
-		return "compute"
-	case classIntra:
-		return "intra-node"
-	case classInter:
-		return "inter-node"
-	default:
-		return fmt.Sprintf("spanClass(%d)", int(c))
-	}
-}
-
-// classOf buckets one span: transfers by their route's track (an inter-node
-// track is "inter" or "inter+failover"), everything else as compute.
-func classOf(s Span) spanClass {
-	if s.Kind != KindTransfer {
+// classOf buckets one record: transfers by their route's track (an
+// inter-node track is "inter" or "inter+failover"), everything else as
+// compute.
+func (s *store) classOf(r *rec) spanClass {
+	if Kind(r.kind) != KindTransfer {
 		return classCompute
 	}
-	if strings.HasPrefix(s.Track, "inter") {
+	if strings.HasPrefix(s.syms[r.track], "inter") {
 		return classInter
 	}
 	return classIntra
@@ -71,14 +58,11 @@ type RankBreakdown struct {
 // of its endpoint ranks (source occupancy and destination delivery are the
 // same wait from each side); kernels and stream ops to their executing
 // rank. Ranks are inferred as 0..max rank observed.
-func Attribute(spans []Span, end sim.Time) []RankBreakdown {
+func Attribute(v *View, end sim.Time) []RankBreakdown {
 	nRanks := 0
-	for _, s := range spans {
-		for _, r := range []int{s.Rank, s.Src, s.Dst} {
-			if r+1 > nRanks {
-				nRanks = r + 1
-			}
-		}
+	for i := range v.Len() {
+		r := v.at(i)
+		nRanks = max(nRanks, int(r.rank)+1, int(r.src)+1, int(r.dst)+1)
 	}
 	if nRanks == 0 || end <= 0 {
 		return nil
@@ -92,8 +76,8 @@ func Attribute(spans []Span, end sim.Time) []RankBreakdown {
 		delta int
 	}
 	perRank := make([][]edge, nRanks)
-	addIv := func(rank int, class spanClass, start, stop sim.Time) {
-		if rank < 0 || rank >= nRanks {
+	addIv := func(rank int32, class spanClass, start, stop sim.Time) {
+		if rank < 0 || int(rank) >= nRanks {
 			return
 		}
 		if stop > end {
@@ -106,16 +90,17 @@ func Attribute(spans []Span, end sim.Time) []RankBreakdown {
 			edge{at: start, class: class, delta: 1},
 			edge{at: stop, class: class, delta: -1})
 	}
-	for _, s := range spans {
-		class := classOf(s)
-		if s.Kind == KindTransfer {
-			addIv(s.Src, class, s.Start, s.End)
-			if s.Dst != s.Src {
-				addIv(s.Dst, class, s.Start, s.End)
+	for i := range v.Len() {
+		r := v.at(i)
+		class := v.classOf(r)
+		if Kind(r.kind) == KindTransfer {
+			addIv(r.src, class, r.start, r.end)
+			if r.dst != r.src {
+				addIv(r.dst, class, r.start, r.end)
 			}
 			continue
 		}
-		addIv(s.Rank, class, s.Start, s.End)
+		addIv(r.rank, class, r.start, r.end)
 	}
 
 	out := make([]RankBreakdown, nRanks)
@@ -165,8 +150,10 @@ func RenderBreakdown(rows []RankBreakdown) string {
 
 // CritPath is the longest dependency chain through a span log.
 type CritPath struct {
-	// Chain is the path in time order.
-	Chain []Span
+	// Chain is the path in time order, as positions in the view it was
+	// found in.
+	Chain []int32
+	v     *View
 	// Len is the summed duration of the chain's spans (busy time on the
 	// path); End is when the chain finishes.
 	Len sim.Duration
@@ -188,101 +175,104 @@ type CritPath struct {
 // simulator: every producer orders its own spans, and cross-rank ordering
 // only arises through transfers.
 //
-// The chain maximizing summed span duration is computed by a sweep in start
+// The chain maximizing summed span duration is computed by a sweep in view
 // order: spans whose End precedes the current Start are committed into
-// per-track and per-rank "best chain so far" tables, so each span extends
-// the best committed predecessor it can see. Ties break toward the earlier
-// span in sorted order, keeping the result deterministic. O(n log n).
-func CriticalPath(spans []Span) CritPath {
-	srt := sortedSpans(spans)
-	n := len(srt)
+// per-track and per-rank "best chain so far" tables, indexed by track id and
+// rank, so each span extends the best committed predecessor it can see.
+// Ties break toward the earlier position, keeping the result deterministic.
+// O(n) on a producer-ordered log, O(n log n) at worst (sortNearly).
+func CriticalPath(v *View) CritPath {
+	n := v.Len()
 	if n == 0 {
 		return CritPath{}
 	}
 
+	// A table entry is the best chain value committed on its track or rank
+	// and the position holding it. A predecessor must beat 0, so an entry
+	// never raised above 0 reads as absent.
 	type best struct {
 		len sim.Duration
-		idx int // span index holding that chain value
+		pos int32
 	}
-	chain := make([]sim.Duration, n) // chain value ending at span i
-	pred := make([]int, n)           // predecessor index, -1 at chain head
-	byTrack := map[string]best{}
-	byRank := map[int]best{}
-
-	// byEnd lists the span indices by (End, index); commit walks it with a
+	// byEnd lists the positions by (End, position); commit walks it with a
 	// cursor, stopping at the first span that ends too late or has not been
 	// visited yet (one that starts and ends at the current instant but sorts
-	// after it). The index tie-break keeps commit order, and therefore table
-	// contents under equal chain values, deterministic.
-	byEnd := make([]int, n)
+	// after it). The position tie-break keeps commit order, and therefore
+	// table contents under equal chain values, deterministic.
+	byEnd := make([]int32, n)
+	lo, hi := int32(0), int32(0)
 	for i := range byEnd {
-		byEnd[i] = i
+		r := v.at(i)
+		byEnd[i] = int32(i)
+		lo, hi = min(lo, r.rank, r.dst), max(hi, r.rank, r.dst)
 	}
-	slices.SortFunc(byEnd, func(a, b int) int {
-		return cmp.Or(cmp.Compare(srt[a].End, srt[b].End), cmp.Compare(a, b))
+	sortNearly(byEnd, func(a, b int32) int {
+		if x, y := v.at(int(a)).end, v.at(int(b)).end; x != y {
+			return cmp.Compare(x, y)
+		}
+		return cmp.Compare(a, b)
 	})
-	next := 0
-	commit := func(visited int, upTo sim.Time) {
-		for ; next < n && byEnd[next] < visited && srt[byEnd[next]].End <= upTo; next++ {
-			i := byEnd[next]
-			s := srt[i]
-			if b, ok := byTrack[s.Track]; !ok || chain[i] > b.len {
-				byTrack[s.Track] = best{len: chain[i], idx: i}
-			}
-			if b, ok := byRank[s.Rank]; !ok || chain[i] > b.len {
-				byRank[s.Rank] = best{len: chain[i], idx: i}
-			}
-			if s.Kind == KindTransfer && s.Dst != s.Rank { // message edge: delivery to Dst
-				if b, ok := byRank[s.Dst]; !ok || chain[i] > b.len {
-					byRank[s.Dst] = best{len: chain[i], idx: i}
-				}
-			}
+	chain := make([]sim.Duration, n) // chain value ending at position i
+	pred := make([]int32, n)         // predecessor position, -1 at chain head
+	byTrack := make([]best, len(v.syms))
+	byRank := make([]best, hi-lo+1)
+	raise := func(b *best, i int32) {
+		if chain[i] > b.len {
+			*b = best{chain[i], i}
 		}
 	}
 
-	for i := 0; i < n; i++ {
-		s := srt[i]
-		commit(i, s.Start)
-		p, plen := -1, sim.Duration(0)
-		if b, ok := byTrack[s.Track]; ok && b.len > plen {
-			p, plen = b.idx, b.len
+	next := 0
+	for i := range n {
+		s := v.at(i)
+		for ; next < n && int(byEnd[next]) < i && v.at(int(byEnd[next])).end <= s.start; next++ {
+			j := byEnd[next]
+			r := v.at(int(j))
+			raise(&byTrack[r.track], j)
+			raise(&byRank[r.rank-lo], j)
+			if Kind(r.kind) == KindTransfer && r.dst != r.rank { // message edge: delivery to Dst
+				raise(&byRank[r.dst-lo], j)
+			}
 		}
-		if b, ok := byRank[s.Rank]; ok && b.len > plen {
-			p, plen = b.idx, b.len
+		p, plen := int32(-1), sim.Duration(0)
+		if b := byTrack[s.track]; b.len > plen {
+			p, plen = b.pos, b.len
+		}
+		if b := byRank[s.rank-lo]; b.len > plen {
+			p, plen = b.pos, b.len
 		}
 		chain[i] = plen + s.dur()
 		pred[i] = p
 	}
 
 	// The critical path ends at the maximal chain value; ties go to the
-	// earlier sorted span.
-	tail := 0
-	for i := 1; i < n; i++ {
+	// earlier position.
+	tail := int32(0)
+	for i := range chain {
 		if chain[i] > chain[tail] {
-			tail = i
+			tail = int32(i)
 		}
 	}
 
-	cp := CritPath{Len: chain[tail], End: srt[tail].End}
+	cp := CritPath{v: v, Len: chain[tail], End: v.at(int(tail)).end}
 	// Walk the predecessors twice: once to size the chain, once to fill it
 	// back to front, which leaves it in time order.
 	links := 0
 	for i := tail; i >= 0; i = pred[i] {
 		links++
 	}
-	cp.Chain = make([]Span, links)
+	cp.Chain = make([]int32, links)
 	for i := tail; i >= 0; i = pred[i] {
 		links--
-		cp.Chain[links] = srt[i]
-	}
-	for _, s := range cp.Chain {
-		switch classOf(s) {
+		cp.Chain[links] = i
+		r := v.at(int(i))
+		switch v.classOf(r) {
 		case classInter:
-			cp.Inter += s.dur()
+			cp.Inter += r.dur()
 		case classIntra:
-			cp.Intra += s.dur()
+			cp.Intra += r.dur()
 		default:
-			cp.Compute += s.dur()
+			cp.Compute += r.dur()
 		}
 	}
 	cp.Blocked = sim.Duration(cp.End) - cp.Len
@@ -299,21 +289,19 @@ func (cp CritPath) Render() string {
 	fmt.Fprintf(&b, "critical path: %s busy over %s (compute %s, intra %s, inter %s, blocked %s), %d spans\n",
 		cp.Len, sim.Duration(cp.End), cp.Compute, cp.Intra, cp.Inter, cp.Blocked, len(cp.Chain))
 	prev := sim.Time(0)
-	for i, s := range cp.Chain {
+	for i, pos := range cp.Chain {
+		s := cp.v.at(int(pos))
 		if len(cp.Chain) > 2*keep+1 && i == keep {
 			fmt.Fprintf(&b, "  ... %d spans elided ...\n", len(cp.Chain)-2*keep)
 		}
 		if len(cp.Chain) > 2*keep+1 && i >= keep && i < len(cp.Chain)-keep {
-			prev = s.End
+			prev = s.end
 			continue
 		}
-		gap := s.Start.Sub(prev)
-		if gap < 0 {
-			gap = 0
-		}
+		gap := max(s.start.Sub(prev), 0)
 		fmt.Fprintf(&b, "  %12s +%-10s wait %-10s %-10s %-20s %s\n",
-			s.Start, s.dur(), gap, s.Kind, s.Track, s.Label)
-		prev = s.End
+			s.start, s.dur(), gap, Kind(s.kind), cp.v.syms[s.track], cp.v.syms[s.label])
+		prev = s.end
 	}
 	return b.String()
 }
@@ -326,21 +314,28 @@ type CommMatrix struct {
 	Count [][]int64
 }
 
-// BuildCommMatrix accumulates the communication matrix over the spans.
-// Ranks are inferred as 0..max endpoint observed.
-func BuildCommMatrix(spans []Span) CommMatrix {
-	n := 0
-	for _, s := range spans {
-		if s.Kind != KindTransfer {
+// Traffic is the communication matrix without the matrix: the rank count
+// BuildCommMatrix infers (0..max transfer endpoint observed) and the
+// payload bytes and messages it would hold, in one pass and no allocation.
+func (v *View) Traffic() (ranks int, bytes, msgs int64) {
+	for j := range int32(v.Len()) {
+		r := v.rec(j)
+		if Kind(r.kind) != KindTransfer {
 			continue
 		}
-		if s.Src+1 > n {
-			n = s.Src + 1
-		}
-		if s.Dst+1 > n {
-			n = s.Dst + 1
+		ranks = max(ranks, int(r.src)+1, int(r.dst)+1)
+		if r.src >= 0 && r.dst >= 0 {
+			bytes += r.bytes
+			msgs++
 		}
 	}
+	return ranks, bytes, msgs
+}
+
+// BuildCommMatrix accumulates the communication matrix over the spans.
+// Ranks are inferred as 0..max endpoint observed.
+func BuildCommMatrix(v *View) CommMatrix {
+	n, _, _ := v.Traffic()
 	m := CommMatrix{N: n}
 	if n == 0 {
 		return m
@@ -351,12 +346,13 @@ func BuildCommMatrix(spans []Span) CommMatrix {
 		m.Bytes[i] = make([]int64, n)
 		m.Count[i] = make([]int64, n)
 	}
-	for _, s := range spans {
-		if s.Kind != KindTransfer || s.Src < 0 || s.Dst < 0 {
+	for j := range int32(v.Len()) {
+		r := v.rec(j)
+		if Kind(r.kind) != KindTransfer || r.src < 0 || r.dst < 0 {
 			continue
 		}
-		m.Bytes[s.Src][s.Dst] += s.Bytes
-		m.Count[s.Src][s.Dst]++
+		m.Bytes[r.src][r.dst] += r.bytes
+		m.Count[r.src][r.dst]++
 	}
 	return m
 }

@@ -8,13 +8,32 @@ import (
 	"repro/internal/sim"
 )
 
+// viewOf adds the spans to a fresh log in the order given and returns its
+// sorted view.
+func viewOf(spans ...Span) *View {
+	l := New()
+	for _, s := range spans {
+		l.Add(s)
+	}
+	return l.Sorted()
+}
+
+// labels lists the chain's span labels in order.
+func (cp CritPath) labels() string {
+	var out []string
+	for _, pos := range cp.Chain {
+		out = append(out, cp.v.span(int(pos)).Label)
+	}
+	return strings.Join(out, ",")
+}
+
 func TestCriticalPathLinearChain(t *testing.T) {
 	spans := []Span{
 		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
 		{Kind: kindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 100, End: 250},
 		{Kind: kindKernel, Label: "c", Track: "gpu0.s", Rank: 0, Start: 250, End: 300},
 	}
-	cp := CriticalPath(spans)
+	cp := CriticalPath(viewOf(spans...))
 	if cp.Len != 300 || cp.End != 300 || len(cp.Chain) != 3 {
 		t.Fatalf("chain = %v len=%v end=%v", len(cp.Chain), cp.Len, cp.End)
 	}
@@ -36,15 +55,11 @@ func TestCriticalPathMessageEdge(t *testing.T) {
 			Start: 100, End: 150, Bytes: 4096},
 		{Kind: kindKernel, Label: "k1b", Track: "gpu1.s", Rank: 1, Start: 150, End: 400},
 	}
-	cp := CriticalPath(spans)
+	cp := CriticalPath(viewOf(spans...))
 	if cp.Len != 400 { // 100 + 50 + 250, beating 80 + 250 = 330
 		t.Fatalf("len = %v, want 400", cp.Len)
 	}
-	var labels []string
-	for _, s := range cp.Chain {
-		labels = append(labels, s.Label)
-	}
-	if got := strings.Join(labels, ","); got != "k0,gpu0->gpu1,k1b" {
+	if got := cp.labels(); got != "k0,gpu0->gpu1,k1b" {
 		t.Fatalf("chain = %s", got)
 	}
 	if cp.Compute != 350 || cp.Intra != 50 || cp.Inter != 0 || cp.Blocked != 0 {
@@ -59,7 +74,7 @@ func TestCriticalPathGapIsBlocked(t *testing.T) {
 		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
 		{Kind: kindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 300, End: 500},
 	}
-	cp := CriticalPath(spans)
+	cp := CriticalPath(viewOf(spans...))
 	if cp.Len != 300 || cp.End != 500 || cp.Blocked != 200 {
 		t.Fatalf("cp = %+v", cp)
 	}
@@ -75,12 +90,14 @@ func TestCriticalPathParallelNotChained(t *testing.T) {
 		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
 		{Kind: kindKernel, Label: "b", Track: "gpu1.s", Rank: 1, Start: 0, End: 140},
 	}
-	cp := CriticalPath(spans)
-	if cp.Len != 140 || len(cp.Chain) != 1 || cp.Chain[0].Label != "b" {
+	cp := CriticalPath(viewOf(spans...))
+	if cp.Len != 140 || cp.labels() != "b" {
 		t.Fatalf("cp = %+v", cp)
 	}
 }
 
+// The analyses read one sorted view, whatever order the log was filled in
+// (FuzzSpanAnalysis checks this for every analysis on generated logs).
 func TestCriticalPathInputOrderIndependent(t *testing.T) {
 	spans := []Span{
 		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
@@ -88,12 +105,11 @@ func TestCriticalPathInputOrderIndependent(t *testing.T) {
 			Start: 100, End: 180, Bytes: 1 << 20},
 		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: 180, End: 260},
 	}
-	want := CriticalPath(spans).Render()
-	reversed := []Span{spans[2], spans[0], spans[1]}
-	if got := CriticalPath(reversed).Render(); got != want {
+	want := CriticalPath(viewOf(spans...)).Render()
+	if got := CriticalPath(viewOf(spans[2], spans[0], spans[1])).Render(); got != want {
 		t.Fatalf("order-dependent critical path:\n%s\nvs\n%s", got, want)
 	}
-	if cp := CriticalPath(spans); cp.Inter != 80 {
+	if cp := CriticalPath(viewOf(spans...)); cp.Inter != 80 {
 		t.Fatalf("inter = %v, want 80", cp.Inter)
 	}
 }
@@ -106,7 +122,7 @@ func TestAttributePartitionsExactly(t *testing.T) {
 		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Rank: 0, Src: 0, Dst: 1,
 			Start: 50, End: 150, Bytes: 4096},
 	}
-	rows := Attribute(spans, end)
+	rows := Attribute(viewOf(spans...), end)
 	if len(rows) != 2 {
 		t.Fatalf("ranks = %d", len(rows))
 	}
@@ -127,21 +143,19 @@ func TestAttributePartitionsExactly(t *testing.T) {
 
 func TestAttributeClampsToHorizon(t *testing.T) {
 	// A span running past end must be clipped, not produce negative blocked.
-	rows := Attribute([]Span{
-		{Kind: kindKernel, Track: "gpu0.s", Rank: 0, Start: 50, End: 500},
-	}, 100)
+	rows := Attribute(viewOf(Span{Kind: kindKernel, Track: "gpu0.s", Rank: 0, Start: 50, End: 500}), 100)
 	if rows[0].Compute != 50 || rows[0].Blocked != 50 {
 		t.Fatalf("rows[0] = %+v", rows[0])
 	}
 }
 
 func TestCommMatrix(t *testing.T) {
-	m := BuildCommMatrix([]Span{
-		{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 100, Start: 0, End: 1},
-		{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 50, Start: 1, End: 2},
-		{Kind: KindTransfer, Src: 2, Dst: 0, Bytes: 7, Start: 0, End: 3},
-		{Kind: kindKernel, Rank: 5, Start: 0, End: 1}, // ignored
-	})
+	m := BuildCommMatrix(viewOf(
+		Span{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 100, Start: 0, End: 1},
+		Span{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 50, Start: 1, End: 2},
+		Span{Kind: KindTransfer, Src: 2, Dst: 0, Bytes: 7, Start: 0, End: 3},
+		Span{Kind: kindKernel, Rank: 5, Start: 0, End: 1}, // ignored
+	))
 	if m.N != 3 {
 		t.Fatalf("N = %d", m.N)
 	}
@@ -155,14 +169,13 @@ func TestCommMatrix(t *testing.T) {
 }
 
 func TestZeroDurationSpansAreSafe(t *testing.T) {
-	s := Span{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 4096, Start: 100, End: 100}
-	if bw := s.bandwidth(); bw != 0 {
+	l := New()
+	l.Add(Span{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 4096, Start: 100, End: 100})
+	if bw := bandwidth(l.rec(0).bytes, l.rec(0).dur()); bw != 0 {
 		t.Fatalf("zero-duration bandwidth = %v, want 0", bw)
 	}
-	l := New()
-	l.Add(s)
-	sum := l.Summarize()
-	if bw := sum.rows[0].bandwidth(); bw != 0 {
+	sum := l.Sorted().Summarize()
+	if bw := bandwidth(sum.rows[0].bytes, sum.rows[0].busy); bw != 0 {
 		t.Fatalf("summary bandwidth = %v, want 0", bw)
 	}
 	out := sum.Render()
@@ -182,23 +195,20 @@ func TestSortSpansStable(t *testing.T) {
 	// Equal-timestamp spans order by track/kind/label, not insertion order.
 	a := Span{Kind: kindKernel, Label: "x", Track: "b", Start: 10, End: 20}
 	b := Span{Kind: kindKernel, Label: "x", Track: "a", Start: 10, End: 20}
-	s1 := []Span{a, b}
-	s2 := []Span{b, a}
-	sortSpans(s1)
-	sortSpans(s2)
-	if s1[0] != s2[0] || s1[0].Track != "a" {
+	s1, s2 := viewOf(a, b).span(0), viewOf(b, a).span(0)
+	if s1 != s2 || s1.Track != "a" {
 		t.Fatalf("sort not canonical: %+v vs %+v", s1, s2)
 	}
 }
 
 func TestWriteChromeCells(t *testing.T) {
-	cellA := ChromeCell{Name: "lat 8B", Spans: []Span{
-		{Kind: kindKernel, Label: "k", Track: "gpu0.s", Start: 0, End: 10},
-	}}
-	cellB := ChromeCell{Name: "bw 1MiB", Spans: []Span{
-		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Src: 0, Dst: 1,
+	cellA := ChromeCell{Name: "lat 8B", Spans: viewOf(
+		Span{Kind: kindKernel, Label: "k", Track: "gpu0.s", Start: 0, End: 10},
+	)}
+	cellB := ChromeCell{Name: "bw 1MiB", Spans: viewOf(
+		Span{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Src: 0, Dst: 1,
 			Start: 0, End: 10, Bytes: 1 << 20},
-	}}
+	)}
 	var buf bytes.Buffer
 	if err := WriteChromeCells(&buf, []ChromeCell{cellA, cellB}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,218 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// The fuzz alphabet: few names (shared prefixes, the empty name, the "inter"
+// prefix that classifies a transfer) and sparse ranks, so generated logs are
+// full of equal tracks, labels and endpoints.
+var (
+	fuzzTracks = []string{"", "a", "b", "gpu0.s", "gpu1.s", "intra", "inter", "inter+failover"}
+	fuzzLabels = []string{"", "a", "b", "c", "k", "k0", "k1", "k1a", "k1b", "x", "jacobi", "memcpy", "gpu0->gpu1", "gpu1->gpu0"}
+	fuzzRanks  = []int{0, 1, 2, 3, 5, 9}
+	fuzzBytes  = []int64{0, 7, 50, 100, 4096, 1 << 20}
+)
+
+// A fuzz input is a uint16 attribution horizon followed by spanBytes per
+// span: kind and flags, track, label, start and duration (uint16 each), rank,
+// src, dst, and payload. Flag 4 starts the span where the previous one ended
+// and flag 8 where it started, so equal instants and chains are one bit away.
+const spanBytes = 11
+
+func decodeSpans(data []byte) (sim.Time, []Span) {
+	if len(data) < 2 {
+		return 0, nil
+	}
+	horizon := sim.Time(binary.LittleEndian.Uint16(data))
+	var spans []Span
+	for b := data[2:]; len(b) >= spanBytes && len(spans) < 64; b = b[spanBytes:] {
+		s := Span{
+			Kind:  Kind(b[0] % 4),
+			Track: fuzzTracks[int(b[1])%len(fuzzTracks)],
+			Label: fuzzLabels[int(b[2])%len(fuzzLabels)],
+			Start: sim.Time(binary.LittleEndian.Uint16(b[3:])),
+			Rank:  fuzzRanks[int(b[7])%len(fuzzRanks)],
+			Src:   fuzzRanks[int(b[8])%len(fuzzRanks)],
+			Dst:   fuzzRanks[int(b[9])%len(fuzzRanks)],
+			Bytes: fuzzBytes[int(b[10])%len(fuzzBytes)],
+		}
+		if prev := len(spans) - 1; prev >= 0 && b[0]&4 != 0 {
+			s.Start = spans[prev].End
+		} else if prev >= 0 && b[0]&8 != 0 {
+			s.Start = spans[prev].Start
+		}
+		s.End = s.Start.Add(sim.Duration(binary.LittleEndian.Uint16(b[5:])))
+		spans = append(spans, s)
+	}
+	return horizon, spans
+}
+
+// encodeSpans is decodeSpans' inverse for spans inside the alphabet.
+func encodeSpans(t testing.TB, horizon sim.Time, spans []Span) []byte {
+	index := func(list any, v any) byte {
+		l := reflect.ValueOf(list)
+		for i := range l.Len() {
+			if l.Index(i).Interface() == v {
+				return byte(i)
+			}
+		}
+		t.Fatalf("%v is outside the fuzz alphabet", v)
+		return 0
+	}
+	out := binary.LittleEndian.AppendUint16(nil, uint16(horizon))
+	for _, s := range spans {
+		out = append(out, byte(s.Kind), index(fuzzTracks, s.Track), index(fuzzLabels, s.Label))
+		out = binary.LittleEndian.AppendUint16(out, uint16(s.Start))
+		out = binary.LittleEndian.AppendUint16(out, uint16(s.End-s.Start))
+		out = append(out, index(fuzzRanks, s.Rank), index(fuzzRanks, s.Src), index(fuzzRanks, s.Dst), index(fuzzBytes, s.Bytes))
+	}
+	return out
+}
+
+// seedCases are the spans of the package's unit tests, each with the horizon
+// its attribution is taken at.
+var seedCases = []struct {
+	horizon sim.Time
+	spans   []Span
+}{
+	{300, []Span{
+		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 100, End: 250},
+		{Kind: kindKernel, Label: "c", Track: "gpu0.s", Rank: 0, Start: 250, End: 300},
+	}},
+	{400, []Span{
+		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "k1a", Track: "gpu1.s", Rank: 1, Start: 0, End: 80},
+		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "intra", Rank: 0, Src: 0, Dst: 1, Start: 100, End: 150, Bytes: 4096},
+		{Kind: kindKernel, Label: "k1b", Track: "gpu1.s", Rank: 1, Start: 150, End: 400},
+	}},
+	{500, []Span{
+		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "b", Track: "gpu0.s", Rank: 0, Start: 300, End: 500},
+	}},
+	{140, []Span{
+		{Kind: kindKernel, Label: "a", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: kindKernel, Label: "b", Track: "gpu1.s", Rank: 1, Start: 0, End: 140},
+	}},
+	{260, []Span{
+		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: 180, End: 260},
+		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Rank: 0, Src: 0, Dst: 1, Start: 100, End: 180, Bytes: 1 << 20},
+	}},
+	{200, []Span{
+		{Kind: kindKernel, Label: "k", Track: "gpu0.s", Rank: 0, Start: 0, End: 100},
+		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Rank: 0, Src: 0, Dst: 1, Start: 50, End: 150, Bytes: 4096},
+	}},
+	{100, []Span{{Kind: kindKernel, Track: "gpu0.s", Rank: 0, Start: 50, End: 500}}},
+	{3, []Span{
+		{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 100, Start: 0, End: 1},
+		{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 50, Start: 1, End: 2},
+		{Kind: KindTransfer, Src: 2, Dst: 0, Bytes: 7, Start: 0, End: 3},
+		{Kind: kindKernel, Rank: 5, Start: 0, End: 1},
+	}},
+	{100, []Span{{Kind: KindTransfer, Src: 0, Dst: 1, Bytes: 4096, Start: 100, End: 100}}},
+	{20, []Span{
+		{Kind: kindKernel, Label: "x", Track: "b", Start: 10, End: 20},
+		{Kind: kindKernel, Label: "x", Track: "a", Start: 10, End: 20},
+	}},
+	{160, []Span{
+		{Kind: kindKernel, Label: "jacobi", Track: "gpu0.s", Start: 0, End: 100},
+		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "intra", Start: 50, End: 150, Bytes: 4096},
+		{Kind: KindTransfer, Label: "gpu1->gpu0", Track: "intra", Start: 60, End: 160, Bytes: 4096},
+		{Kind: KindStreamOp, Label: "memcpy", Track: "gpu0.s", Start: 100, End: 110},
+	}},
+}
+
+// analyses renders everything the package derives from a log: the sorted
+// spans, the critical path with its whole chain, the attribution, the
+// matrix and its totals, the summary, and both Chrome exports.
+func analyses(t *testing.T, l *Log, horizon sim.Time) []string {
+	v := l.Sorted()
+	cp := CriticalPath(v)
+	chain := make([]Span, len(cp.Chain))
+	for i, pos := range cp.Chain {
+		chain[i] = v.span(int(pos))
+	}
+	ranks, total, msgs := v.Traffic()
+	var one, cells bytes.Buffer
+	if err := l.WriteChromeTrace(&one); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeCells(&cells, []ChromeCell{{Name: "cell", Spans: v}, {Name: "empty"}}); err != nil {
+		t.Fatal(err)
+	}
+	return []string{
+		sprint(slices.Collect(v.Spans())), cp.Render(), sprint(chain),
+		RenderBreakdown(Attribute(v, horizon)), BuildCommMatrix(v).Render(), sprint([]int64{int64(ranks), total, msgs}),
+		v.Summarize().Render(), one.String(), cells.String(),
+	}
+}
+
+// referenceAnalyses is analyses by the reference implementation.
+func referenceAnalyses(t *testing.T, spans []Span, horizon sim.Time) []string {
+	cp := refCriticalPath(spans)
+	m := refBuildCommMatrix(spans)
+	var total, msgs int64
+	for src := range m.Bytes {
+		for dst := range m.Bytes[src] {
+			total += m.Bytes[src][dst]
+			msgs += m.Count[src][dst]
+		}
+	}
+	var one, cells bytes.Buffer
+	if err := refWriteChromeTrace(&one, spans); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteChromeCells(&cells, []string{"cell", "empty"}, [][]Span{spans, nil}); err != nil {
+		t.Fatal(err)
+	}
+	return []string{
+		sprint(refSorted(spans)), cp.Render(), sprint(cp.Chain),
+		RenderBreakdown(refAttribute(spans, horizon)), m.Render(), sprint([]int64{int64(m.N), total, msgs}),
+		refSummarize(spans).Render(), one.String(), cells.String(),
+	}
+}
+
+func sprint[T any](v []T) string {
+	var b bytes.Buffer
+	for _, x := range v {
+		fmt.Fprintf(&b, "%+v\n", x)
+	}
+	return b.String()
+}
+
+// FuzzSpanAnalysis is the differential oracle of the record/view log: for
+// any spans, added in the generated order and in reverse, every analysis and
+// export renders byte for byte what the reference span-slice implementation
+// renders for the same spans in the same order.
+func FuzzSpanAnalysis(f *testing.F) {
+	for _, c := range seedCases {
+		f.Add(encodeSpans(f, c.horizon, c.spans))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		horizon, spans := decodeSpans(data)
+		names := []string{"sorted spans", "critical path", "chain", "attribution", "comm matrix", "traffic", "summary", "chrome trace", "chrome cells"}
+		reversed := slices.Clone(spans)
+		slices.Reverse(reversed)
+		for _, order := range [][]Span{spans, reversed} {
+			want := referenceAnalyses(t, order, horizon)
+			l := New()
+			for _, s := range order {
+				l.Add(s)
+			}
+			for i, got := range analyses(t, l, horizon) {
+				if got != want[i] {
+					t.Fatalf("%s differs from the reference:\n--- got ---\n%s\n--- want ---\n%s", names[i], got, want[i])
+				}
+			}
+		}
+	})
+}

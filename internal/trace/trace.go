@@ -3,8 +3,10 @@
 // exported in Chrome trace-event JSON for chrome://tracing.
 //
 // The tracer is deliberately dumb and allocation-friendly: producers append
-// spans; analysis happens afterwards. A nil *Log is a valid, disabled
-// tracer, so instrumentation sites need no conditionals.
+// spans, which the log stores as pointer-free records with their names
+// interned; analysis happens afterwards, over one sorted View, and resolves
+// names only when it renders. A nil *Log is a valid, disabled tracer, so
+// instrumentation sites need no conditionals.
 package trace
 
 import (
@@ -12,10 +14,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -66,71 +68,82 @@ type Span struct {
 	Src, Dst int
 }
 
-// dur reports the span length.
-func (s Span) dur() sim.Duration { return s.End.Sub(s.Start) }
+// rec is a stored span: its Label and Track are ids into the log's symbol
+// table, so it holds no pointers (48 bytes against Span's 88). Log chunks are
+// therefore never scanned by the garbage collector, and an append or a sort
+// never pays a write barrier.
+type rec struct {
+	start, end         sim.Time
+	bytes              int64
+	kind, label, track uint32
+	rank, src, dst     int32
+}
 
-// bandwidth reports the span's payload rate in bytes per second of virtual
-// time, guarding zero-duration and zero-byte spans (0, never ±Inf/NaN).
-func (s Span) bandwidth() float64 {
-	d := s.dur()
-	if s.Bytes <= 0 || d <= 0 {
+func (r *rec) dur() sim.Duration { return r.end.Sub(r.start) }
+
+// bandwidth reports a payload rate in bytes per second of virtual time,
+// guarding zero-duration and zero-byte spans and rows (0, never ±Inf/NaN).
+func bandwidth(bytes int64, d sim.Duration) float64 {
+	if bytes <= 0 || d <= 0 {
 		return 0
 	}
-	return float64(s.Bytes) / d.Seconds()
+	return float64(bytes) / d.Seconds()
 }
 
-// compare is the deterministic span order: by start, then end, then track,
-// kind, label, and endpoints, so logs with equal-timestamp spans sort the
-// same way on every run and at every sweep worker count.
-func (s Span) compare(o Span) int {
-	switch {
-	case s.Start != o.Start:
-		return cmp.Compare(s.Start, o.Start)
-	case s.End != o.End:
-		return cmp.Compare(s.End, o.End)
-	case s.Track != o.Track:
-		return strings.Compare(s.Track, o.Track)
-	case s.Kind != o.Kind:
-		return cmp.Compare(s.Kind, o.Kind)
-	case s.Label != o.Label:
-		return strings.Compare(s.Label, o.Label)
-	}
-	return cmp.Or(cmp.Compare(s.Src, o.Src), cmp.Compare(s.Dst, o.Dst))
+// store is what a log and its views share: the records, in fixed-size
+// chunks, and the symbol table their ids index.
+type store struct {
+	chunks []*[logChunk]rec
+	syms   []string
 }
 
-// sortSpans orders spans deterministically (see Span.compare) in place, using
-// a stable sort so fully identical spans keep their insertion order.
-func sortSpans(spans []Span) { slices.SortStableFunc(spans, Span.compare) }
+// logChunk is the record capacity of one chunk (24 KiB).
+const logChunk = 512
 
-// sortedSpans returns spans in sortSpans order: the slice itself when it is
-// already ordered (what Log.Sorted hands the analyses), a sorted copy
-// otherwise, so callers stay independent of their input's order.
-func sortedSpans(spans []Span) []Span {
-	if slices.IsSortedFunc(spans, Span.compare) {
-		return spans
-	}
-	srt := slices.Clone(spans)
-	sortSpans(srt)
-	return srt
-}
+// rec returns record j in insertion order.
+func (s *store) rec(j int32) *rec { return &s.chunks[uint32(j)/logChunk][uint32(j)%logChunk] }
 
 // Log collects spans. The zero value is ready to use; a nil *Log discards
-// everything. Appends are mutex-guarded, so a log may be read from another
-// goroutine while its run appends; every consumer that needs a stable order
-// sorts (Sorted/sortSpans).
+// everything. A log is single-engine state with no lock: only its run
+// appends, and nothing reads it until that run is over (the ownership rule
+// in internal/bench/profile.go).
 type Log struct {
-	mu sync.Mutex
-	// Spans are appended into fixed-size chunks, so a growing log never
+	// Records are appended into fixed-size chunks, so a growing log never
 	// re-copies (or re-zeroes) what it already holds.
-	chunks [][]Span
-	n      int
+	store
+	n   int
+	ids map[string]uint32
+	// recent maps a name's address to its id, +1: producers pass the same
+	// few strings over and over (a memoised label, a stream's name), so
+	// most names are found here without hashing their bytes.
+	recent [16]struct {
+		name string
+		id   uint32
+	}
 }
-
-// logChunk is the span capacity of one chunk (about 50 KiB).
-const logChunk = 512
 
 // New returns an empty log.
 func New() *Log { return &Log{} }
+
+// intern returns name's symbol id, adding it on first sight.
+func (l *Log) intern(name string) uint32 {
+	addr := unsafe.StringData(name)
+	e := &l.recent[uintptr(unsafe.Pointer(addr))/16%uintptr(len(l.recent))]
+	if e.id != 0 && unsafe.StringData(e.name) == addr && len(e.name) == len(name) {
+		return e.id - 1
+	}
+	id, ok := l.ids[name]
+	if !ok {
+		if l.ids == nil {
+			l.ids = map[string]uint32{}
+		}
+		id = uint32(len(l.syms))
+		l.syms = append(l.syms, name)
+		l.ids[name] = id
+	}
+	e.name, e.id = name, id+1
+	return id
+}
 
 // Add appends one span. Safe on a nil receiver (no-op), so producers can be
 // instrumented unconditionally.
@@ -138,32 +151,15 @@ func (l *Log) Add(s Span) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == logChunk {
-		l.chunks = append(l.chunks, make([]Span, 0, logChunk))
-		last++
+	if l.n%logChunk == 0 {
+		l.chunks = append(l.chunks, new([logChunk]rec))
 	}
-	l.chunks[last] = append(l.chunks[last], s)
+	l.chunks[l.n/logChunk][l.n%logChunk] = rec{
+		start: s.Start, end: s.End, bytes: s.Bytes,
+		kind: uint32(s.Kind), label: l.intern(s.Label), track: l.intern(s.Track),
+		rank: int32(s.Rank), src: int32(s.Src), dst: int32(s.Dst),
+	}
 	l.n++
-	l.mu.Unlock()
-}
-
-// spans returns a copy of the recorded spans in insertion order.
-func (l *Log) spans() []Span {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n == 0 {
-		return nil
-	}
-	out := make([]Span, 0, l.n)
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // Len reports the span count.
@@ -171,18 +167,104 @@ func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.n
 }
 
-// Sorted returns a copy of the spans in deterministic order (sortSpans).
-// Analysis and export paths use it so output bytes do not depend on
-// producer interleaving.
-func (l *Log) Sorted() []Span {
-	out := l.spans()
-	sortSpans(out)
-	return out
+// View is a log's spans in their one deterministic order: by start, then
+// end, track, kind, label and endpoints, ties in insertion order, so logs
+// with equal-timestamp spans order the same on every run and at every sweep
+// worker count. It shares the log's records and symbols and adds a
+// permutation of them; every analysis and export reads a View.
+type View struct {
+	store
+	order []int32 // record index at each position
+}
+
+// Sorted returns the log's view. It sorts the record indices once; spans the
+// log gains afterwards are not in it.
+func (l *Log) Sorted() *View {
+	if l == nil {
+		return &View{}
+	}
+	// A symbol's rank is its place among all symbols in string order, so
+	// comparing two tracks, or two labels, compares two integers.
+	byName, rank := make([]int32, len(l.syms)), make([]int32, len(l.syms))
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(l.syms[a], l.syms[b]) })
+	for r, id := range byName {
+		rank[id] = int32(r)
+	}
+	v := &View{store: l.store, order: make([]int32, l.n)}
+	for j := range v.order {
+		v.order[j] = int32(j)
+	}
+	sortNearly(v.order, func(a, b int32) int {
+		x, y := l.rec(a), l.rec(b)
+		switch {
+		case x.start != y.start:
+			return cmp.Compare(x.start, y.start)
+		case x.end != y.end:
+			return cmp.Compare(x.end, y.end)
+		case x.track != y.track:
+			return cmp.Compare(rank[x.track], rank[y.track])
+		case x.kind != y.kind:
+			return cmp.Compare(x.kind, y.kind)
+		case x.label != y.label:
+			return cmp.Compare(rank[x.label], rank[y.label])
+		}
+		return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.dst, y.dst), cmp.Compare(a, b))
+	})
+	return v
+}
+
+// sortNearly sorts xs by cmp, a total order. Producers append spans nearly
+// in start order (a stream op when it completes, a transfer when it is
+// booked), and a span ends about when the next one starts, so an element is
+// rarely more than a step or two from its place and an insertion sort is
+// about one pass. Past four moves per element it hands the rest to
+// slices.SortFunc, so no order costs more than O(n log n).
+func sortNearly[T any](xs []T, cmp func(a, b T) int) {
+	budget := 4 * len(xs)
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && cmp(xs[j-1], xs[j]) > 0; j-- {
+			xs[j-1], xs[j] = xs[j], xs[j-1]
+			if budget--; budget < 0 {
+				slices.SortFunc(xs, cmp)
+				return
+			}
+		}
+	}
+}
+
+// Len reports the span count (0 for a nil view).
+func (v *View) Len() int {
+	if v == nil {
+		return 0
+	}
+	return len(v.order)
+}
+
+// at returns the record at position i.
+func (v *View) at(i int) *rec { return v.rec(v.order[i]) }
+
+// span resolves the span at position i.
+func (v *View) span(i int) Span {
+	r := v.at(i)
+	return Span{Kind: Kind(r.kind), Label: v.syms[r.label], Track: v.syms[r.track],
+		Start: r.start, End: r.end, Bytes: r.bytes, Rank: int(r.rank), Src: int(r.src), Dst: int(r.dst)}
+}
+
+// Spans yields the spans in order, names resolved.
+func (v *View) Spans() iter.Seq[Span] {
+	return func(yield func(Span) bool) {
+		for i := range v.Len() {
+			if !yield(v.span(i)) {
+				return
+			}
+		}
+	}
 }
 
 // Summary aggregates busy time and counts per (kind, track).
@@ -199,47 +281,26 @@ type summaryRow struct {
 	bytes int64
 }
 
-// bandwidth reports the row's aggregate payload rate in bytes per second,
-// guarding zero busy time (0, never ±Inf/NaN — a log of only instantaneous
-// transfers summarizes cleanly).
-func (r summaryRow) bandwidth() float64 {
-	if r.bytes <= 0 || r.busy <= 0 {
-		return 0
-	}
-	return float64(r.bytes) / r.busy.Seconds()
-}
-
-// Summarize aggregates the log per (kind, track), ordered by descending
-// busy time.
-func (l *Log) Summarize() Summary {
-	type key struct {
-		kind  Kind
-		track string
-	}
-	acc := map[key]*summaryRow{}
-	for _, s := range l.spans() {
-		k := key{s.Kind, s.Track}
-		r := acc[k]
-		if r == nil {
-			r = &summaryRow{kind: s.Kind, track: s.Track}
-			acc[k] = r
-		}
-		r.count++
-		r.busy += s.dur()
-		r.bytes += s.Bytes
-	}
+// Summarize aggregates the spans per (kind, track), ordered by descending
+// busy time, then track and kind.
+func (v *View) Summarize() Summary {
 	var rows []summaryRow
-	for _, r := range acc {
-		rows = append(rows, *r)
+	row := map[[2]uint32]int{}
+	for i := range v.Len() {
+		r := v.at(i)
+		k := [2]uint32{r.kind, r.track}
+		j, ok := row[k]
+		if !ok {
+			j = len(rows)
+			row[k] = j
+			rows = append(rows, summaryRow{kind: Kind(r.kind), track: v.syms[r.track]})
+		}
+		rows[j].count++
+		rows[j].busy += r.dur()
+		rows[j].bytes += r.bytes
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].busy != rows[j].busy {
-			return rows[i].busy > rows[j].busy
-		}
-		if rows[i].track != rows[j].track {
-			return rows[i].track < rows[j].track
-		}
-		return rows[i].kind < rows[j].kind
+	slices.SortFunc(rows, func(a, b summaryRow) int {
+		return cmp.Or(cmp.Compare(b.busy, a.busy), strings.Compare(a.track, b.track), cmp.Compare(a.kind, b.kind))
 	})
 	return Summary{rows: rows}
 }
@@ -252,7 +313,7 @@ func (s Summary) Render() string {
 		"kind", "track", "count", "busy", "bytes", "GB/s")
 	for _, r := range s.rows {
 		fmt.Fprintf(&b, "%-10s %-24s %8d %14s %12d %10.2f\n",
-			r.kind, r.track, r.count, r.busy, r.bytes, r.bandwidth()/1e9)
+			r.kind, r.track, r.count, r.busy, r.bytes, bandwidth(r.bytes, r.busy)/1e9)
 	}
 	return b.String()
 }
@@ -273,7 +334,7 @@ type chromeEvent struct {
 // (open with chrome://tracing or Perfetto). Spans are emitted in
 // deterministic sorted order.
 func (l *Log) WriteChromeTrace(w io.Writer) error {
-	return writeChromeEvents(w, appendChromeEvents(nil, l.Sorted(), 1))
+	return json.NewEncoder(w).Encode(appendChromeEvents(nil, l.Sorted(), 1))
 }
 
 // ChromeCell is one process group of a multi-cell Chrome export: the spans
@@ -281,14 +342,14 @@ func (l *Log) WriteChromeTrace(w io.Writer) error {
 // which cell a row belongs to.
 type ChromeCell struct {
 	Name  string
-	Spans []Span
+	Spans *View
 }
 
 // WriteChromeCells exports several cells into one Chrome trace, giving cell
-// i process id i+1 plus a process_name metadata record. Span order within a
-// cell is deterministic (sortSpans), so the export is byte-stable. The
-// caller keeps cells in index order; see internal/bench/runner.go for the
-// collector ownership rule.
+// i process id i+1 plus a process_name metadata record. Each view is in its
+// deterministic order, so the export is byte-stable. The caller keeps cells
+// in index order; see internal/bench/runner.go for the collector ownership
+// rule.
 func WriteChromeCells(w io.Writer, cells []ChromeCell) error {
 	var events []chromeEvent
 	for i, c := range cells {
@@ -297,39 +358,33 @@ func WriteChromeCells(w io.Writer, cells []ChromeCell) error {
 			Name: "process_name", Ph: "M", PID: pid,
 			Args: map[string]any{"name": c.Name},
 		})
-		spans := append([]Span(nil), c.Spans...)
-		sortSpans(spans)
-		events = appendChromeEvents(events, spans, pid)
+		events = appendChromeEvents(events, c.Spans, pid)
 	}
-	return writeChromeEvents(w, events)
+	return json.NewEncoder(w).Encode(events)
 }
 
-// appendChromeEvents converts sorted spans to complete events under one pid.
+// appendChromeEvents converts a view to complete events under one pid.
 // Bandwidth args are guarded against zero-duration spans (omitted rather
 // than ±Inf, which would poison the JSON).
-func appendChromeEvents(events []chromeEvent, spans []Span, pid int) []chromeEvent {
-	for _, s := range spans {
+func appendChromeEvents(events []chromeEvent, v *View, pid int) []chromeEvent {
+	for i := range v.Len() {
+		r := v.at(i)
 		ev := chromeEvent{
-			Name: s.Label,
-			Cat:  s.Kind.String(),
+			Name: v.syms[r.label],
+			Cat:  Kind(r.kind).String(),
 			Ph:   "X",
-			TS:   sim.Duration(s.Start).Micros(),
-			Dur:  s.dur().Micros(),
+			TS:   sim.Duration(r.start).Micros(),
+			Dur:  r.dur().Micros(),
 			PID:  pid,
-			TID:  s.Track,
+			TID:  v.syms[r.track],
 		}
-		if s.Bytes > 0 {
-			ev.Args = map[string]any{"bytes": s.Bytes}
-			if bw := s.bandwidth(); bw > 0 {
+		if r.bytes > 0 {
+			ev.Args = map[string]any{"bytes": r.bytes}
+			if bw := bandwidth(r.bytes, r.dur()); bw > 0 {
 				ev.Args["gbps"] = bw / 1e9
 			}
 		}
 		events = append(events, ev)
 	}
 	return events
-}
-
-func writeChromeEvents(w io.Writer, events []chromeEvent) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
 }

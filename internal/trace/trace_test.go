@@ -21,20 +21,20 @@ func sampleLog() *Log {
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Add(Span{Kind: kindKernel})
-	if l.Len() != 0 || l.spans() != nil {
+	if l.Len() != 0 || l.Sorted().Len() != 0 {
 		t.Fatal("nil log not inert")
 	}
-	if got := l.Summarize(); len(got.rows) != 0 {
+	if got := l.Sorted().Summarize(); len(got.rows) != 0 {
 		t.Fatal("nil log summary not empty")
 	}
 }
 
-// TestFilterAndDur reads the transfer spans back out of the log, in the
-// order they were recorded, and their durations.
+// TestFilterAndDur reads the transfer spans back out of the log's view, in
+// start order, and their durations.
 func TestFilterAndDur(t *testing.T) {
 	l := sampleLog()
 	var tr []Span
-	for _, s := range l.spans() {
+	for s := range l.Sorted().Spans() {
 		if s.Kind == KindTransfer {
 			tr = append(tr, s)
 		}
@@ -42,14 +42,14 @@ func TestFilterAndDur(t *testing.T) {
 	if len(tr) != 2 {
 		t.Fatalf("transfers = %d", len(tr))
 	}
-	if tr[0].dur() != 100 {
-		t.Fatalf("dur = %v", tr[0].dur())
+	if d := tr[0].End.Sub(tr[0].Start); d != 100 || tr[0].Label != "gpu0->gpu1" {
+		t.Fatalf("first transfer = %+v, dur %v", tr[0], d)
 	}
 }
 
 func TestSummarize(t *testing.T) {
 	l := sampleLog()
-	s := l.Summarize()
+	s := l.Sorted().Summarize()
 	if len(s.rows) != 3 {
 		t.Fatalf("rows = %d", len(s.rows))
 	}
