@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/bench"
 	"repro/internal/sim"
@@ -54,7 +55,10 @@ func jacobiCmd(args []string, stdout, stderr io.Writer) error {
 		lastTrace = trace.New()
 		cells[len(cells)-1].Trace = lastTrace
 	}
-	results, err := bench.SweepJacobi(cells)
+	results, _, err := bench.Sweep(nil, len(cells), func(i int, _ *bench.Collector) (jacobi.Result, bench.CellProfile, error) {
+		res, err := jacobi.Run(cells[i])
+		return res, bench.CellProfile{}, err
+	})
 
 	// On failure the table stops at the failing cell, as a serial run would.
 	fmt.Fprintf(stdout, "Jacobi 2D %dx%d on %s, %d iterations (+%d warm-up), per-iteration time (us)\n",
@@ -108,6 +112,9 @@ func cgCmd(args []string, stdout, stderr io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return badUsage(fs, "-scale %g: the matrix scale factor must be positive and finite", *scale)
+	}
 	m, err := common.Resolve()
 	if err != nil {
 		return err
@@ -130,7 +137,10 @@ func cgCmd(args []string, stdout, stderr io.Writer) error {
 		cells[i] = v.CGConfig(cg.Config{Model: m, NGPUs: *gpus, Matrix: mat, Iters: *iters,
 			DisableAllgatherv: *noAg})
 	}
-	results, err := bench.SweepCG(cells)
+	results, _, err := bench.Sweep(nil, len(cells), func(i int, _ *bench.Collector) (cg.Result, bench.CellProfile, error) {
+		res, err := cg.Run(cells[i])
+		return res, bench.CellProfile{}, err
+	})
 	// On failure the table stops at the failing row, as a serial run would.
 	fmt.Fprintf(stdout, "CG on %s: %d rows, %d nnz, %d GPUs, %d iterations (no-allgatherv=%v)\n",
 		m.Name, mat.Rows, mat.NNZ(), *gpus, *iters, *noAg)

@@ -36,25 +36,28 @@ func parseSeverities(s string) ([]float64, error) {
 // With -flight > 0 each faulted cell's flight-recorder post-mortem lands on
 // stderr.
 func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.Lib, severities []float64, ranks int, seed uint64, topologies []fabric.TopologyConfig, flightDepth int) error {
+	// The sweep's generated plans and launched runs must agree on the
+	// topology. Resolve auto-sized parameters up front so a section header
+	// names the actual fabric (fattree(k=4), not k=0), and a topology too
+	// small for the job is refused before the title.
+	resolved := make([]fabric.TopologyConfig, len(topologies))
+	for i, tc := range topologies {
+		var err error
+		if resolved[i], err = fabric.ResolveTopology(tc, m.NodesFor(ranks)); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(stdout, "recovery sweep on %s, %d ranks, seed %d (crashes from severity 0.5, link/switch faults from 0.5-0.75)\n",
 		m.Name, ranks, seed)
-	for _, tc := range topologies {
-		// The sweep's generated plans and launched runs must agree on the
-		// topology. Resolve auto-sized parameters up front so the section
-		// header names the actual fabric (fattree(k=4), not k=0).
+	for i, tc := range topologies {
 		mt := spec.WithTopology(m, tc)
-		resolved := fabric.ResolveTopology(tc, m.NodesFor(ranks))
-		fmt.Fprintf(stdout, "\ntopology %s\n", resolved.Describe())
+		fmt.Fprintf(stdout, "\ntopology %s\n", resolved[i].Describe())
 		fmt.Fprintf(stdout, "%-10s%10s%9s%11s%11s%12s%11s%13s%14s%12s\n",
 			"backend", "severity", "crashes", "survivors", "completed", "recoveries", "failovers", "detect lat", "recovery lat", "end")
 		for _, b := range backends {
 			label := b.Backend.String()
-			bench.SetProgressLabel("chaos-recover " + resolved.Describe() + " " + label)
-			points, err := bench.RecoverySweep(mt, b.Backend, ranks, severities, seed, flightDepth)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", tc.Describe(), label, err)
-			}
-			for _, p := range points {
+			bench.SetProgressLabel("chaos-recover " + resolved[i].Describe() + " " + label)
+			for _, p := range bench.RecoverySweep(mt, b.Backend, ranks, severities, seed, flightDepth) {
 				done := "no"
 				if p.Completed {
 					done = "yes"
@@ -72,7 +75,7 @@ func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.L
 				// in deterministic point order.
 				if p.FlightDump != "" {
 					fmt.Fprintf(stderr, "post-mortem %s/%s severity %.2f:\n%s",
-						resolved.Describe(), label, p.Severity, p.FlightDump)
+						resolved[i].Describe(), label, p.Severity, p.FlightDump)
 				}
 			}
 		}
@@ -86,9 +89,9 @@ func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.L
 // (the default) or a randomized but seed-deterministic plan of
 // link faults, NIC stall windows, and slow ranks (-generate). Backends and
 // severities are spec cells (bench.SweepSpecs, which validates every cell
-// before any runs) fanned out over the deterministic parallel runner;
-// identical flags always print identical numbers at any UNICONN_WORKERS
-// setting. A flag the chosen mode never reads is refused.
+// before any runs) fanned out as one sweep; identical flags always print
+// identical numbers at any GOMAXPROCS. A flag the chosen mode never reads is
+// refused.
 //
 // With -recover the tool switches to hard-fault mode: plans from
 // faults.GenerateHard additionally crash ranks (severity >= 0.5) and kill

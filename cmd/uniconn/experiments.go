@@ -6,15 +6,13 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/sloc"
-	"repro/internal/spec"
 )
 
 // experiments regenerates every table and figure of the paper's evaluation
 // section on the simulated clusters and prints them as text tables with the
 // headline summary notes.
 //
-// Figure sweeps fan out over the deterministic parallel runner
-// (internal/bench.Runner); -workers or UNICONN_WORKERS bounds the pool, and
+// Figure sweeps fan out over GOMAXPROCS workers (internal/bench.Sweep), and
 // the output is bit-identical at any worker count.
 //
 // Usage:
@@ -23,15 +21,13 @@ import (
 //	uniconn experiments -fig 5           # only Figure 5
 //	uniconn experiments -table 2         # only Table II
 //	uniconn experiments -scale paper     # publication sizing (slow)
-//	uniconn experiments -workers 1       # serial sweeps (debugging)
+//	GOMAXPROCS=1 uniconn experiments     # serial sweeps (debugging)
 func experiments(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("experiments", stderr)
 	fig := fs.Int("fig", 0, "regenerate only this figure (2..6); 0 = all")
 	table := fs.Int("table", 0, "regenerate only this table (1..2); 0 = all")
 	scaleName := fs.String("scale", "quick", "quick|paper experiment sizing")
 	root := fs.String("root", ".", "repository root (for Table II SLOC counts)")
-	var workers int
-	spec.WorkersFlag(fs, &workers)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -47,7 +43,6 @@ func experiments(args []string, stdout, stderr io.Writer) error {
 	} else if *scaleName != "quick" {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
-	spec.ApplyWorkersEnv(workers)
 
 	figs := *fig != 0 || *table == 0
 	tables := *table != 0 || *fig == 0

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,12 +69,9 @@ var fileCases = []struct {
 		[]string{"jacobi.trace"}},
 }
 
-// invoke runs one subcommand in-process. -workers publishes an environment
-// variable, so it is pinned to the test first (t.Setenv restores it; empty
-// reads as unset).
+// invoke runs one subcommand in-process.
 func invoke(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
-	t.Setenv(spec.WorkersEnv, os.Getenv(spec.WorkersEnv))
 	var out, errb bytes.Buffer
 	status = run(args, &out, &errb)
 	return out.String(), errb.String(), status
@@ -86,6 +85,13 @@ func mustRun(t *testing.T, args ...string) string {
 		t.Fatalf("uniconn %s: exit %d\n%s", strings.Join(args, " "), status, stderr)
 	}
 	return stdout
+}
+
+// setProcs sets GOMAXPROCS, the width of every sweep, for the rest of the
+// test.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func readGolden(t *testing.T, path string) string {
@@ -174,6 +180,17 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"jacobi", "-machine", "Summit"}, 1, `unknown machine "Summit"`},
 		{[]string{"cg", "-matrix", "dense"}, 1, `unknown matrix "dense"`},
 		{[]string{"scale", "-max-ranks", "8"}, 1, "need -max-ranks >= 64"},
+		{[]string{"scale", "-bytes", "12"}, 1, "-bytes 12: the vector size must be a positive multiple of 8"},
+		{[]string{"cg", "-scale", "-1"}, 2, "-scale -1: the matrix scale factor must be positive and finite"},
+		{[]string{"cg", "-scale", "NaN"}, 2, "-scale NaN: the matrix scale factor must be positive and finite"},
+		// A network no cluster can build, or too small for the largest cell,
+		// is refused before any output, never by a panic mid-sweep.
+		{[]string{"scale", "-topology", "fattree:3"}, 1, "fat-tree arity 3 must be even and in [2, 32]"},
+		{[]string{"scale", "-topology", "fattree:1000000"}, 1, "fat-tree arity 1000000 must be even and in [2, 32]"},
+		{[]string{"scale", "-topology", "fattree:2"}, 1, "2-ary fat-tree holds 2 nodes, cluster has 1024"},
+		{[]string{"scale", "-topology", "dragonfly:1,1,0"}, 1, "dragonfly p=1 a=1 h=0: each must be in [1, 32]"},
+		{[]string{"netbench", "-topology", "fattree:3"}, 1, "fat-tree arity 3 must be even and in [2, 32]"},
+		{[]string{"chaos", "-recover", "-topology", "fattree:2"}, 1, "2-ary fat-tree holds 2 nodes, cluster has 8"},
 		{[]string{"chaos", "-topology", "flat,fattree"}, 1, "topology lists are for -recover"},
 		{[]string{"chaos", "-severities", "NaN,1"}, 1, "severity must be finite and >= 0 (got NaN)"},
 		{[]string{"chaos", "-severities", "0,+Inf"}, 1, "severity must be finite and >= 0 (got +Inf)"},
@@ -201,6 +218,13 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"prof", "-workload", "cg", "-inter"}, 2, "-inter has no effect in prof -workload cg"},
 		{[]string{"prof", "-workload", "cg", "-min", "8"}, 2, "-min has no effect in prof -workload cg"},
 		{[]string{"prof", "-workload", "cg", "-max", "64"}, 2, "-max has no effect in prof -workload cg"},
+		// GOMAXPROCS alone sets a sweep's width.
+		{[]string{"netbench", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"chaos", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"scale", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"prof", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"experiments", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"serve", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
 	} {
 		stdout, stderr, status := invoke(t, c.args...)
 		if status != c.status || !strings.Contains(stderr, c.stderr) || stdout != "" {
@@ -245,10 +269,12 @@ func TestFailingCellKeepsSerialPrefix(t *testing.T) {
 
 // TestProfWorkersInvariant is the prof smoke: the small Fig-2 cell report is
 // the committed golden (internal/bench pins the same file against its own
-// sweep of the same spec cells) at 1 worker and byte-identical at 8.
+// sweep of the same spec cells) at GOMAXPROCS 1 and byte-identical at 8.
 func TestProfWorkersInvariant(t *testing.T) {
-	w1 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8", "-workers", "1")
-	w8 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8", "-workers", "8")
+	setProcs(t, 1)
+	w1 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8")
+	setProcs(t, 8)
+	w8 := mustRun(t, "prof", "-native", "-min", "8", "-max", "8")
 	compare(t, "prof report", w1, readGolden(t, "../../internal/bench/testdata/prof_fig2_small.golden"))
 	compare(t, "prof report at 8 workers", w8, w1)
 }
@@ -276,23 +302,25 @@ func TestExperimentsQuickDigest(t *testing.T) {
 	}
 }
 
-// TestFig6WorkersInvariant byte-compares the CG figure at 1 and 8 sweep
-// workers (its bytes are pinned by the experiments-fig6 golden).
+// TestFig6WorkersInvariant byte-compares the CG figure at GOMAXPROCS 1 and 8
+// (its bytes are pinned by the experiments-fig6 golden).
 func TestFig6WorkersInvariant(t *testing.T) {
-	w1 := mustRun(t, "experiments", "-scale", "quick", "-fig", "6", "-workers", "1")
-	w8 := mustRun(t, "experiments", "-scale", "quick", "-fig", "6", "-workers", "8")
+	setProcs(t, 1)
+	w1 := mustRun(t, "experiments", "-scale", "quick", "-fig", "6")
+	setProcs(t, 8)
+	w8 := mustRun(t, "experiments", "-scale", "quick", "-fig", "6")
 	compare(t, "Fig 6 at 8 workers", w8, w1)
 }
 
-// TestScaleWorkersInvariant: scale runs its cells over the sweep runner, so
-// -workers is honoured (it used to be accepted and ignored), and because a
-// row is printed only once every row above it is, the table is the scale-64
-// golden's at 1 worker and with every cell in flight at once.
+// TestScaleWorkersInvariant: scale runs its cells as one sweep, and because
+// a row is printed only once every row above it is, the table is the
+// scale-64 golden's at GOMAXPROCS 1 and with every cell in flight at once.
 func TestScaleWorkersInvariant(t *testing.T) {
 	want := readGolden(t, filepath.Join("testdata", "scale-64.golden"))
-	for _, workers := range []string{"1", "8"} {
-		got := mustRun(t, "scale", "-max-ranks", "64", "-ring-max-ranks", "64", "-workers", workers)
-		compare(t, "scale at "+workers+" workers", maskWall(got), want)
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
+		got := mustRun(t, "scale", "-max-ranks", "64", "-ring-max-ranks", "64")
+		compare(t, fmt.Sprintf("scale at GOMAXPROCS %d", procs), maskWall(got), want)
 	}
 }
 

@@ -13,10 +13,9 @@ import (
 // §VI-B) for one machine and prints a sweep table comparing native and
 // UNICONN implementations of every supported (library, API) pair.
 //
-// The size × column grid is a set of spec cells; it fans out over the
-// deterministic parallel runner (bench.SweepSpecs, which validates every cell
-// before any runs), so the table is bit-identical at any UNICONN_WORKERS
-// setting.
+// The size × column grid is a set of spec cells; it fans out as one sweep
+// (bench.SweepSpecs, which validates every cell before any runs), so the
+// table is bit-identical at any GOMAXPROCS.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) while the sweep runs, without changing a byte of stdout;

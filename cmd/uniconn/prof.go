@@ -22,10 +22,10 @@ import (
 // of every subsystem (scheduler, fabric, MPI protocol, collectives, faults).
 //
 // Every profiled cell owns a private metrics registry and span log, and the
-// cells fan out over the deterministic sweep runner, so the report — and the
-// optional metrics JSON and Chrome trace — are byte-identical at any
-// -workers setting. The net workload's cells are spec cells
-// (bench.SweepSpecs); a flag the chosen workload never reads is refused.
+// cells are one bench.Sweep, so the report — and the optional metrics JSON
+// and Chrome trace — are byte-identical at any GOMAXPROCS. The net
+// workload's cells are spec cells (bench.SweepSpecs); a flag the chosen
+// workload never reads is refused.
 //
 // Usage:
 //
@@ -86,7 +86,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 			Model: m, NGPUs: *ngpus, NX: 256, NY: 256, Iters: *iters, Warmup: 2,
 			Variant: jacobi.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
-		rp, err = bench.ProfileRun(
+		rp, err = profApp(
 			fmt.Sprintf("jacobi %s %s %dx%d on %d GPUs", m.Name, cfg.Variant, cfg.NX, cfg.NY, cfg.NGPUs),
 			fmt.Sprintf("jacobi/%dgpu", cfg.NGPUs), cfg.Iters,
 			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
@@ -99,7 +99,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Generate(0.01), Iters: *iters,
 			Variant: cg.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
-		rp, err = bench.ProfileRun(
+		rp, err = profApp(
 			fmt.Sprintf("cg %s %s %d rows on %d GPUs", m.Name, cfg.Variant, cfg.Matrix.Rows, cfg.NGPUs),
 			fmt.Sprintf("cg/%dgpu", cfg.NGPUs), cfg.Iters,
 			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
@@ -124,6 +124,25 @@ func prof(args []string, stdout, stderr io.Writer) error {
 		return writeFile(*tracePath, rp.WriteChromeTrace)
 	}
 	return nil
+}
+
+// profApp profiles one application run (Jacobi, CG) as the one cell of an
+// observed sweep. run executes it with the cell's registry and span log and
+// reports the per-iteration and total timed durations and the run's end time.
+func profApp(title, label string, iters int,
+	run func(col *bench.Collector) (perIter, total sim.Duration, end sim.Time, err error)) (*bench.RunProfile, error) {
+	_, profs, err := bench.Sweep(bench.NewObserve(true), 1, func(_ int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
+		perIter, total, end, err := run(col)
+		if err != nil {
+			return struct{}{}, bench.CellProfile{}, err
+		}
+		return struct{}{}, col.Finish(label, end, fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
+			perIter, iters, total)), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &bench.RunProfile{Title: title, Cells: profs}, nil
 }
 
 // profNet profiles the latency and bandwidth microbenchmarks of one

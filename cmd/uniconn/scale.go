@@ -24,7 +24,7 @@ import (
 // total messages at 4096 ranks, while its virtual-time trend is already
 // decided by 1024.
 //
-// The cells run over the sweep runner, -workers at a time (a modelled cell's
+// The cells are one bench.Sweep, GOMAXPROCS at a time (a modelled cell's
 // vectors are phantom, so even a 4096-rank one is small), and rows print in
 // table order as they complete.
 //
@@ -56,6 +56,9 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("need -max-ranks >= 64, -ring-max-ranks >= 64 and -iters >= 1 (got %d, %d, %d)",
 			*maxRanks, *ringMax, *iters)
 	}
+	if *bytes < 8 || *bytes%8 != 0 {
+		return fmt.Errorf("-bytes %d: the vector size must be a positive multiple of 8", *bytes)
+	}
 	m, err := common.Resolve()
 	if err != nil {
 		return err
@@ -64,6 +67,13 @@ func scale(args []string, stdout, stderr io.Writer) error {
 	var ranks []int
 	for r := 64; r <= *maxRanks; r *= 4 {
 		ranks = append(ranks, r)
+	}
+	// Every topology must hold the largest cell's nodes: refused here, before
+	// the title, not by the cell that first outgrows it.
+	for _, tc := range common.Topologies {
+		if _, err := fabric.ResolveTopology(tc, m.NodesFor(ranks[len(ranks)-1])); err != nil {
+			return err
+		}
 	}
 
 	// Hierarchical curves for every selected topology, then ring curves for
@@ -97,29 +107,27 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeLive()
-	obs := bench.NewObserve(false)
 
 	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters\n",
 		m.Name, bench.HumanBytes(*bytes), *iters)
 	fmt.Fprintf(stdout, "%-11s%-14s%8s%8s%14s%12s\n", "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
-	// The cells run over the sweep runner (-workers). The big ones take
-	// minutes, so a row is printed as soon as it and every row above it are
-	// done: stdout grows as a serial run's would and ends up the same at any
-	// worker count, the wall-clock column aside.
+	// The big cells take minutes, so a row is printed as soon as it and
+	// every row above it are done: stdout grows as a serial run's would and
+	// ends up the same at any GOMAXPROCS, the wall-clock column aside.
 	var (
 		mu   sync.Mutex
 		rows = make([]string, len(cells))
 		next int
 	)
-	return bench.NewRunner(0).Run(len(cells), func(i int) error {
-		cfg, col := cells[i], obs.Cell()
+	_, _, err = bench.Sweep(bench.NewObserve(false), len(cells), func(i int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
+		cfg := cells[i]
 		cfg.Metrics = col.Metrics
 		start := time.Now()
 		d, run, err := bench.ScaleAllreduce(cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", labels[i], err)
+			return struct{}{}, bench.CellProfile{}, fmt.Errorf("%s: %w", labels[i], err)
 		}
-		col.Finish(labels[i], run.End)
+		cp := col.Finish(labels[i], run.End)
 		mu.Lock()
 		defer mu.Unlock()
 		rows[i] = fmt.Sprintf("%-11s%-14s%8d%8d%14s%12.1f\n",
@@ -127,6 +135,7 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		for ; next < len(rows) && rows[next] != ""; next++ {
 			io.WriteString(stdout, rows[next])
 		}
-		return nil
+		return struct{}{}, cp, nil
 	})
+	return err
 }

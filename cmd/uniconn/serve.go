@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/serve"
-	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
 
@@ -49,12 +48,9 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 	cacheBytes := fs.Int64("cache-bytes", 0, "in-memory cache byte cap (0 = default)")
 	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "batch slots; a miss runs at once while one is free")
 	queueCap := fs.Int("queue-cap", serve.DefaultQueueCap, "specs queued while every slot is busy, before 503")
-	workers := fs.Int("workers", 0,
-		"sweep worker count per batch; 0 = UNICONN_WORKERS env or GOMAXPROCS")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	spec.ApplyWorkersEnv(*workers)
 
 	tracker := telemetry.NewTracker()
 	tsrv := telemetry.NewServer(tracker)

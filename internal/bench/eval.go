@@ -5,13 +5,13 @@ package bench
 // the workload implementations in this package. EvalSpec answers the
 // what-if question one spec poses — predicted time, critical path, traffic
 // matrix — as a canonically encoded JSON document; EvalSpecs fans a batch
-// out over the sweep runner.
+// out as one Sweep.
 //
 // Caching contract: the cache stores the *encoded bytes* under the spec's
 // content hash, and a hit returns those bytes verbatim, so a cached answer
 // is byte-identical to a fresh one by construction (the simulator is
 // bit-deterministic per spec; eval_test.go pins this under -race at
-// workers 1 vs 8). Everything inside a Result is virtual-time data —
+// GOMAXPROCS 1 vs 8). Everything inside a Result is virtual-time data —
 // no wall clock, no host facts — which is what makes the bytes a pure
 // function of the spec.
 
@@ -135,26 +135,25 @@ type Evaluation struct {
 	Err  error
 }
 
-// EvalSpecs evaluates a batch over the sweep runner: cells fan out with the
-// usual determinism contract (index-ordered results), cache hits
-// short-circuit. Duplicate specs within a batch may race to simulate; both
-// produce identical bytes, so the last Put is indistinguishable from the
-// first.
+// EvalSpecs evaluates a batch as one Sweep: cells fan out with the usual
+// determinism contract (index-ordered results), cache hits short-circuit.
+// Duplicate specs within a batch may race to simulate; both produce
+// identical bytes, so the last Put is indistinguishable from the first.
 func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
-	out, _ := sweep(len(specs), func(i int) (Evaluation, error) {
+	out, _, _ := Sweep(nil, len(specs), func(i int, _ *Collector) (Evaluation, CellProfile, error) {
 		s := specs[i]
 		body, hit, err := EvalSpec(s, EvalOptions{cache: c})
 		if err != nil {
-			return Evaluation{Err: fmt.Errorf("spec %s: %w", s, err)}, nil
+			return Evaluation{Err: fmt.Errorf("spec %s: %w", s, err)}, CellProfile{}, nil
 		}
-		return Evaluation{Body: body, Hit: hit}, nil
+		return Evaluation{Body: body, Hit: hit}, CellProfile{}, nil
 	})
 	return out
 }
 
 // evalCold simulates the (normalized, validated) spec through runSpec and
-// assembles the Result. The trace log is private to the cell per the
-// runner's observability ownership rule.
+// assembles the Result. The trace log is private to the cell per Sweep's
+// observability ownership rule.
 func evalCold(n spec.Spec, hash string) (Result, error) {
 	log := trace.New()
 	v, rep, err := runSpec(n, &Collector{Trace: log})
@@ -235,7 +234,7 @@ func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, erro
 			return nil, nil, err
 		}
 	}
-	return sweepObserved(obs, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
+	return Sweep(obs, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
 		s := specs[i]
 		v, rep, err := runSpec(s, col)
 		note := fmt.Sprintf("one-way latency %s", sim.Duration(v))

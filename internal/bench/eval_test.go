@@ -3,9 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -29,18 +27,10 @@ func evalTestSpecs() []spec.Spec {
 	}
 }
 
-// evalAll evaluates the batch at a fixed worker count and returns the bodies.
-func evalAll(t *testing.T, specs []spec.Spec, c *cache.Cache, workers int) [][]byte {
+// evalAll evaluates the batch at a fixed GOMAXPROCS and returns the bodies.
+func evalAll(t *testing.T, specs []spec.Spec, c *cache.Cache, procs int) [][]byte {
 	t.Helper()
-	old, had := os.LookupEnv(spec.WorkersEnv)
-	os.Setenv(spec.WorkersEnv, strconv.Itoa(workers))
-	defer func() {
-		if had {
-			os.Setenv(spec.WorkersEnv, old)
-		} else {
-			os.Unsetenv(spec.WorkersEnv)
-		}
-	}()
+	setProcs(t, procs)
 	evals := EvalSpecs(specs, c)
 	bodies := make([][]byte, len(evals))
 	for i, ev := range evals {
@@ -53,7 +43,7 @@ func evalAll(t *testing.T, specs []spec.Spec, c *cache.Cache, workers int) [][]b
 }
 
 // TestEvalCacheHitByteIdentical is the load-bearing determinism test: the
-// same batch evaluated cache-cold at workers=1, cache-cold at workers=8, and
+// same batch evaluated cache-cold at GOMAXPROCS 1, cache-cold at 8, and
 // cache-warm must produce byte-identical documents per spec. Run under -race
 // in CI.
 func TestEvalCacheHitByteIdentical(t *testing.T) {
@@ -67,7 +57,7 @@ func TestEvalCacheHitByteIdentical(t *testing.T) {
 
 	for i := range specs {
 		if !bytes.Equal(cold1[i], cold8[i]) {
-			t.Errorf("spec %d: workers=1 and workers=8 cold runs differ:\n%s\n%s",
+			t.Errorf("spec %d: GOMAXPROCS 1 and 8 cold runs differ:\n%s\n%s",
 				i, cold1[i], cold8[i])
 		}
 		if !bytes.Equal(cold8[i], warm8[i]) {

@@ -248,19 +248,6 @@ func JacobiCells(base jacobi.Config, counts []int, cols []Variant) []jacobi.Conf
 	return cells
 }
 
-// SweepJacobi runs the cells over the sweep runner, results by cell index
-// (on failure, those before the failing cell: sweepPrefix).
-func SweepJacobi(cells []jacobi.Config) ([]jacobi.Result, error) {
-	return sweepPrefix(len(cells), func(i int) (jacobi.Result, error) { return jacobi.Run(cells[i]) })
-}
-
-// SweepCG runs the cells over the sweep runner, results by cell index (on
-// failure, those before the failing cell). Cells may share one matrix:
-// cg.Run only reads it.
-func SweepCG(cells []cg.Config) ([]cg.Result, error) {
-	return sweepPrefix(len(cells), func(i int) (cg.Result, error) { return cg.Run(cells[i]) })
-}
-
 // RunFig5 reproduces the Jacobi scaling study (Fig. 5): per-iteration time
 // for 4..64 GPUs on all three machines, native vs UNICONN per backend.
 func RunFig5(sc Scale) ([]Figure, error) {
@@ -283,7 +270,10 @@ func RunFig5(sc Scale) ([]Figure, error) {
 		base := jacobi.Config{Model: m, NX: ny, NY: ny, Iters: iters, Warmup: warmup}
 		cells = append(cells, JacobiCells(base, gpuCounts, perMachine[mi])...)
 	}
-	results, err := SweepJacobi(cells)
+	results, _, err := Sweep(nil, len(cells), func(i int, _ *Collector) (jacobi.Result, CellProfile, error) {
+		res, err := jacobi.Run(cells[i])
+		return res, CellProfile{}, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +365,10 @@ func RunFig6(sc Scale) ([]Figure, error) {
 			}
 		}
 	}
-	runs, err := SweepCG(cells)
+	runs, _, err := Sweep(nil, len(cells), func(i int, _ *Collector) (cg.Result, CellProfile, error) {
+		res, err := cg.Run(cells[i])
+		return res, CellProfile{}, err
+	})
 	if err != nil {
 		return nil, err
 	}

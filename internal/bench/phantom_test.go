@@ -46,24 +46,24 @@ func (a answer) differs(b answer) string {
 	return ""
 }
 
-// bothWays runs n cells over the sweep runner, each with real and then with
+// bothWays runs n cells as one Sweep, each with real and then with
 // phantom payloads (run names the cell and answers for it), and fails the test
 // for every cell whose two answers differ.
 func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, error)) {
 	t.Helper()
-	diffs, err := sweep(n, func(i int) (string, error) {
+	diffs, _, err := Sweep(nil, n, func(i int, _ *Collector) (string, CellProfile, error) {
 		label, real, err := run(i, true)
 		if err != nil {
-			return "", fmt.Errorf("%s, real: %w", label, err)
+			return "", CellProfile{}, fmt.Errorf("%s, real: %w", label, err)
 		}
 		_, phantom, err := run(i, false)
 		if err != nil {
-			return "", fmt.Errorf("%s, phantom: %w", label, err)
+			return "", CellProfile{}, fmt.Errorf("%s, phantom: %w", label, err)
 		}
 		if d := real.differs(phantom); d != "" {
-			return label + ": " + d, nil
+			return label + ": " + d, CellProfile{}, nil
 		}
-		return "", nil
+		return "", CellProfile{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

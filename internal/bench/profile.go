@@ -7,11 +7,11 @@ package bench
 // sweep worker count.
 //
 // Ownership rule (see also runner.go): a metrics.Registry and a trace.Log
-// are single-engine state. Every cell must allocate its own Collector inside
-// its cell function — never share one across cells, and never write to a
-// collector from outside its cell. The runner only guarantees determinism
-// for results keyed by cell index; per-cell collectors merged in index order
-// inherit that guarantee.
+// are single-engine state. Every cell records only into the Collector Sweep
+// hands it — never share one across cells, and never write to a collector
+// from outside its cell. Sweep only guarantees determinism for results
+// keyed by cell index; per-cell collectors merged in index order inherit
+// that guarantee.
 
 import (
 	"fmt"
@@ -65,9 +65,9 @@ func NewObserve(profile bool) *Observe {
 	return &Observe{profile: profile, live: progress()}
 }
 
-// Cell allocates the instruments of one cell. Call it inside the cell
-// function — the ownership rule above.
-func (o *Observe) Cell() *Collector {
+// cell allocates the instruments of one cell; Sweep calls it per cell —
+// the ownership rule above.
+func (o *Observe) cell() *Collector {
 	switch {
 	case o != nil && o.profile:
 		return &Collector{Metrics: metrics.New(), Trace: trace.New(), live: o.live}
@@ -76,20 +76,6 @@ func (o *Observe) Cell() *Collector {
 	default:
 		return &Collector{}
 	}
-}
-
-// sweepObserved is the observed sweep every profiling tool shares: it runs n
-// cells over the sweep runner, hands each the instruments o decides on, and
-// collects the cells' values and frozen profiles by cell index, so whatever
-// is rendered from them is byte-identical at any worker count. On failure it
-// returns those of the cells preceding the first failing one (sweepPrefix).
-func sweepObserved[T any](o *Observe, n int, fn func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
-	profs := make([]CellProfile, n)
-	vals, err := sweepPrefix(n, func(i int) (v T, err error) {
-		v, profs[i], err = fn(i, o.Cell())
-		return v, err
-	})
-	return vals, profs[:len(vals)], err
 }
 
 // CellProfile is one cell's frozen observability record.
@@ -186,19 +172,4 @@ func (rp *RunProfile) WriteChromeTrace(w io.Writer) error {
 		cells[i] = trace.ChromeCell{Name: c.Label, Spans: c.spans}
 	}
 	return trace.WriteChromeCells(w, cells)
-}
-
-// ProfileRun profiles one application run (Jacobi, CG) as a single cell.
-// run executes it with the collector's registry and span log and reports the
-// per-iteration and total timed durations and the run's end time.
-func ProfileRun(title, label string, iters int,
-	run func(col *Collector) (perIter, total sim.Duration, end sim.Time, err error)) (*RunProfile, error) {
-	col := NewObserve(true).Cell()
-	perIter, total, end, err := run(col)
-	if err != nil {
-		return nil, err
-	}
-	cp := col.Finish(label, end, fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
-		perIter, iters, total))
-	return &RunProfile{Title: title, Cells: []CellProfile{cp}}, nil
 }

@@ -69,13 +69,13 @@ func profileOutputs(t *testing.T) (report, metricsJSON, chromeTrace string) {
 }
 
 // TestProfileDeterministicAcrossWorkers is the uniconn prof acceptance test:
-// every artifact is byte-identical at 1 and 8 sweep workers. Run under -race
-// it also proves the per-cell collector ownership rule holds (no shared
+// every artifact is byte-identical at GOMAXPROCS 1 and 8. Run under -race it
+// also proves the per-cell collector ownership rule holds (no shared
 // observability state between worker goroutines).
 func TestProfileDeterministicAcrossWorkers(t *testing.T) {
-	t.Setenv(spec.WorkersEnv, "1")
+	setProcs(t, 1)
 	rep1, js1, tr1 := profileOutputs(t)
-	t.Setenv(spec.WorkersEnv, "8")
+	setProcs(t, 8)
 	rep8, js8, tr8 := profileOutputs(t)
 	if rep1 != rep8 {
 		t.Errorf("report differs between 1 and 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s", rep1, rep8)

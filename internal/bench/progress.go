@@ -1,9 +1,9 @@
 package bench
 
 // Live progress plumbing: the sweep subcommands install a telemetry.Tracker here
-// (once, before any sweep) and every Runner.Run reports run/cell progress to
-// it. Disabled by default — with no tracker installed the runner pays one
-// RLock per sweep and nothing per cell. Progress reporting never touches
+// (once, before any sweep) and every Sweep reports run/cell progress to it.
+// Disabled by default — with no tracker installed a sweep pays one RLock and
+// nothing per cell. Progress reporting never touches
 // cell results or stdout, so sweep output is byte-identical with tracking on
 // or off (the read-only-sampling rule of internal/telemetry).
 
@@ -23,7 +23,7 @@ var (
 
 // setProgress installs (or, with nil, removes) the process-wide live
 // progress tracker. Call it from the CLI before running sweeps; mid-sweep
-// changes affect only subsequent Runner.Run calls.
+// changes affect only subsequent sweeps.
 func setProgress(t *telemetry.Tracker) {
 	progMu.Lock()
 	progTr = t

@@ -48,17 +48,11 @@ func TestRecoverySweepObservability(t *testing.T) {
 	sevs := []float64{0, 0.75} // 0.75 generates a crash and a dead link
 	const seed = 7
 
-	plain, err := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 0)
 	tr := telemetry.NewTracker()
 	setProgress(tr)
 	defer setProgress(nil)
-	live, err := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := RecoverySweep(m, core.MPIBackend, 8, sevs, seed, 64)
 
 	if len(live) != len(plain) {
 		t.Fatalf("point counts differ: %d vs %d", len(live), len(plain))

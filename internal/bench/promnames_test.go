@@ -71,12 +71,8 @@ func TestPrometheusNamesInjective(t *testing.T) {
 	// A recovery run under a crash plan registers the fault-path
 	// instruments (core.crashes, detector latency, fabric failover).
 	r = metrics.New()
-	pt, err := runRecovery(recoveryConfig{
-		model: m, backend: core.MPIBackend, plan: crashPlan(), metrics: r,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := runRecovery(recoveryConfig{model: m, backend: core.MPIBackend, plan: crashPlan()},
+		&Collector{Metrics: r}, "")
 	if !pt.Completed {
 		t.Fatalf("recovery cell broke: %+v", pt)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -42,18 +41,10 @@ type recoveryConfig struct {
 	// horizon/iters before communicating (default 4 ms), which also scales
 	// the generated plan's fault windows.
 	horizon sim.Duration
-	// metrics, when non-nil, collects the run's counters (one registry per
-	// run — the sweep ownership rule of runner.go).
-	metrics *metrics.Registry
 	// flightDepth, when positive, installs a flight recorder of that depth
 	// on the engine and captures the post-mortem dump (written on abort,
 	// watchdog timeout, or a hard fault) into RecoveryPoint.FlightDump.
 	flightDepth int
-	// flightAttach, when non-nil, receives the run's recorder as it
-	// launches (core.FlightConfig.Attach) — live telemetry's /debug/flight
-	// hook. On its own it does not populate FlightDump, so enabling live
-	// observation never changes the sweep's recorded results.
-	flightAttach func(fr *sim.FlightRecorder)
 }
 
 // RecoveryPoint is one measurement of a recovery sweep.
@@ -104,11 +95,13 @@ type recoveryRank struct {
 	err        error
 }
 
-// runRecovery executes one recovery chaos run and reports what happened.
-// Run-level failures are reported in the point's Err field, not the error
-// (so sweeps record broken cells instead of aborting); the error is reserved
-// for configuration mistakes.
-func runRecovery(cfg recoveryConfig) (RecoveryPoint, error) {
+// runRecovery executes one recovery chaos run with col's instruments and
+// reports what happened. Run-level failures are reported in the point's Err
+// field, so sweeps record broken cells instead of aborting. With live
+// telemetry on, the run's recorder is attached to the tracker's flight board
+// under label; that alone does not populate FlightDump, so live observation
+// never changes the sweep's recorded results.
+func runRecovery(cfg recoveryConfig, col *Collector, label string) RecoveryPoint {
 	if cfg.nGPUs <= 0 {
 		cfg.nGPUs = 8
 	}
@@ -205,24 +198,24 @@ func runRecovery(cfg recoveryConfig) (RecoveryPoint, error) {
 	}
 
 	// Flight recording: an explicit flightDepth captures the post-mortem
-	// into the point; a live Attach hook alone observes without recording,
-	// so -live never changes the sweep's results.
+	// into the point; a live Attach hook alone observes without recording.
 	var flightBuf bytes.Buffer
 	var flight *core.FlightConfig
+	attach := col.live.Flight().Attacher(label) // nil without live telemetry
 	if cfg.flightDepth > 0 {
-		flight = &core.FlightConfig{Depth: cfg.flightDepth, Sink: &flightBuf, Attach: cfg.flightAttach}
-	} else if cfg.flightAttach != nil {
-		flight = &core.FlightConfig{Attach: cfg.flightAttach}
+		flight = &core.FlightConfig{Depth: cfg.flightDepth, Sink: &flightBuf, Attach: attach}
+	} else if attach != nil {
+		flight = &core.FlightConfig{Attach: attach}
 	}
 
 	rep, err := core.Launch(core.Config{
 		Model: cfg.model, NGPUs: cfg.nGPUs, Backend: cfg.backend, Faults: plan,
-		Metrics: cfg.metrics, Flight: flight,
+		Metrics: col.Metrics, Flight: flight,
 	}, main)
 	pt.FlightDump = flightBuf.String()
 	if err != nil {
 		pt.Err = err.Error()
-		return pt, nil
+		return pt
 	}
 	pt.End = rep.End
 
@@ -264,7 +257,7 @@ func runRecovery(cfg recoveryConfig) (RecoveryPoint, error) {
 			break
 		}
 	}
-	return pt, nil
+	return pt
 }
 
 // RecoverySweep measures one backend's recovery behaviour across a severity
@@ -272,41 +265,27 @@ func runRecovery(cfg recoveryConfig) (RecoveryPoint, error) {
 // (crashes appear from severity 0.5, a dead link from 0.75; on a switched
 // topology — carried by m.Topology — also a crashed aggregation switch or
 // dead global channel for adaptive routing to steer around) and runs
-// runRecovery. Cells fan out over the deterministic sweep runner; results
-// are bit-identical at any worker count. Broken cells are reported in their
-// point's Err field rather than aborting the sweep.
+// runRecovery. Cells are one Sweep; results are bit-identical at any
+// GOMAXPROCS. Broken cells are reported in their point's Err field rather
+// than aborting the sweep.
 //
 // Observability never changes a point except for FlightDump: a positive
 // flightDepth enables per-cell flight recording, and a cell's post-mortem
-// lands there; with live telemetry on (StartLive) each cell's recorders are
-// attached to the tracker's flight board and its metrics snapshot — from a
-// private registry, the sweep ownership rule — is fed into the live
-// aggregate, which merges order-insensitively, so /metrics content is
-// worker-count-independent.
-func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) ([]RecoveryPoint, error) {
+// lands there; with live telemetry on (StartLive) each cell's recorder is
+// attached to the tracker's flight board and its collector feeds its
+// metrics into the live aggregate, like every other observed cell.
+func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) []RecoveryPoint {
 	horizon := 4 * sim.Millisecond
 	fc := m.FabricConfig(m.NodesFor(nGPUs))
-	live := progress()
-	return sweep(len(severities), func(i int) (RecoveryPoint, error) {
+	pts, _, _ := Sweep(NewObserve(false), len(severities), func(i int, col *Collector) (RecoveryPoint, CellProfile, error) {
 		sev := severities[i]
-		plan := faults.GenerateHard(seed, sev, fc, nGPUs, horizon)
-		rc := recoveryConfig{
-			model: m, backend: backend, nGPUs: nGPUs, plan: plan, horizon: horizon,
-			flightDepth: flightDepth,
-		}
-		if live != nil {
-			rc.flightAttach = live.Flight().Attacher(
-				fmt.Sprintf("%s sev=%.2f", backend, sev))
-			rc.metrics = metrics.New()
-		}
-		pt, err := runRecovery(rc)
-		if live != nil {
-			live.AddSnapshot(rc.metrics.Snapshot())
-		}
-		if err != nil {
-			return pt, err
-		}
+		label := fmt.Sprintf("%s sev=%.2f", backend, sev)
+		pt := runRecovery(recoveryConfig{
+			model: m, backend: backend, nGPUs: nGPUs, horizon: horizon, flightDepth: flightDepth,
+			plan: faults.GenerateHard(seed, sev, fc, nGPUs, horizon),
+		}, col, label)
 		pt.Severity = sev
-		return pt, nil
+		return pt, col.Finish(label, pt.End), nil
 	})
+	return pts
 }

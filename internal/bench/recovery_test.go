@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 // crashPlan kills rank 3 of 8 one millisecond in, mid-allreduce, with a
@@ -29,12 +27,9 @@ func TestRecoveryCrashMidAllreduce(t *testing.T) {
 	m := machine.Perlmutter()
 	for _, backend := range []core.BackendID{core.MPIBackend, core.GpucclBackend, core.GpushmemBackend} {
 		t.Run(backend.String(), func(t *testing.T) {
-			pt, err := runRecovery(recoveryConfig{
+			pt := runRecovery(recoveryConfig{
 				model: m, backend: backend, nGPUs: 8, plan: crashPlan(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, &Collector{}, "")
 			if pt.Err != "" {
 				t.Fatalf("run failed: %s", pt.Err)
 			}
@@ -59,30 +54,16 @@ func TestRecoveryCrashMidAllreduce(t *testing.T) {
 }
 
 // TestRecoverySweepDeterministicAcrossWorkers runs the same recovery sweep
-// serially and with eight workers; every field of every point must match
-// bit for bit.
+// at GOMAXPROCS 1 and 8; every field of every point must match bit for bit.
 func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 	m := machine.Perlmutter()
 	severities := []float64{0, 0.5, 0.75, 1}
-	run := func(workers string) []RecoveryPoint {
-		t.Helper()
-		old, had := os.LookupEnv(spec.WorkersEnv)
-		os.Setenv(spec.WorkersEnv, workers)
-		defer func() {
-			if had {
-				os.Setenv(spec.WorkersEnv, old)
-			} else {
-				os.Unsetenv(spec.WorkersEnv)
-			}
-		}()
-		pts, err := RecoverySweep(m, core.GpucclBackend, 8, severities, 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
+	run := func(procs int) []RecoveryPoint {
+		setProcs(t, procs)
+		return RecoverySweep(m, core.GpucclBackend, 8, severities, 7, 0)
 	}
-	serial := run("1")
-	parallel := run("8")
+	serial := run(1)
+	parallel := run(8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("sweep differs across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
@@ -122,11 +103,7 @@ func TestRecoverySweepPartialNodes(t *testing.T) {
 				}
 			}
 		}
-		pts, err := RecoverySweep(m, core.MPIBackend, n, severities, 42, 0)
-		if err != nil {
-			t.Fatalf("%d ranks: %v", n, err)
-		}
-		for _, pt := range pts {
+		for _, pt := range RecoverySweep(m, core.MPIBackend, n, severities, 42, 0) {
 			if pt.Err != "" || !pt.Completed || pt.Crashes == 0 {
 				t.Errorf("%d ranks, severity %g: %+v; want a completed run with crashes", n, pt.Severity, pt)
 			}
@@ -137,12 +114,9 @@ func TestRecoverySweepPartialNodes(t *testing.T) {
 // TestRecoveryHealthyRunUntouched checks severity-0 behaviour: no crashes,
 // no recoveries, full completion.
 func TestRecoveryHealthyRunUntouched(t *testing.T) {
-	pt, err := runRecovery(recoveryConfig{
+	pt := runRecovery(recoveryConfig{
 		model: machine.Perlmutter(), backend: core.MPIBackend, nGPUs: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, &Collector{}, "")
 	if !pt.Completed || pt.Recoveries != 0 || pt.Crashes != 0 {
 		t.Fatalf("healthy run misbehaved: %+v", pt)
 	}

@@ -42,12 +42,9 @@ func TestShrinkDuringHierarchicalAllreduce(t *testing.T) {
 	}
 	for _, backend := range []core.BackendID{core.MPIBackend, core.GpucclBackend, core.GpushmemBackend} {
 		t.Run(backend.String(), func(t *testing.T) {
-			pt, err := runRecovery(recoveryConfig{
+			pt := runRecovery(recoveryConfig{
 				model: m, backend: backend, nGPUs: nGPUs, plan: plan, count: elems,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, &Collector{}, "")
 			if pt.Err != "" || !pt.Completed {
 				t.Fatalf("run did not complete: %+v", pt)
 			}
@@ -80,12 +77,9 @@ func TestRecoverySwitchedTopologies(t *testing.T) {
 			mt := *machine.Perlmutter()
 			mt.Topology = tc
 			plan := faults.GenerateHard(11, 1, mt.FabricConfig(mt.NodesFor(nGPUs)), nGPUs, horizon)
-			pt, err := runRecovery(recoveryConfig{
+			pt := runRecovery(recoveryConfig{
 				model: &mt, backend: core.MPIBackend, nGPUs: nGPUs, plan: plan, horizon: horizon,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, &Collector{}, "")
 			if pt.Err != "" || !pt.Completed {
 				t.Fatalf("%s did not complete: %+v", tc.Describe(), pt)
 			}

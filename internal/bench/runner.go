@@ -1,28 +1,27 @@
 package bench
 
-// The deterministic parallel sweep runner. The paper's evaluation is a grid
-// of *independent* simulations (message-size sweeps, GPU-count scaling,
+// The deterministic parallel sweep. The paper's evaluation is a grid of
+// *independent* simulations (message-size sweeps, GPU-count scaling,
 // severity ramps); each cell builds its own sim.Engine inside core.Launch,
 // so cells share no mutable state and can execute on any OS thread without
-// changing their virtual-time results. The runner fans cells out over a
-// bounded worker pool while keeping the observable output bit-identical to
-// serial execution:
+// changing their virtual-time results. Sweep fans cells out over GOMAXPROCS
+// workers while keeping the observable output bit-identical to serial
+// execution:
 //
 //   - cells are claimed off an atomic counter in increasing index order;
-//   - every result lands in a caller-owned slot keyed by cell index, never
-//     in arrival order;
+//   - every result lands in a slot keyed by cell index, never in arrival
+//     order;
 //   - on failure the error returned is the one at the lowest failing index,
 //     which is exactly the error serial execution would have hit first
 //     (cells below the first serial failure succeed deterministically, so
-//     they can never pre-empt it);
-//   - UNICONN_WORKERS=1 (or NewRunner(1)) degrades to a plain loop on the
-//     calling goroutine, the escape hatch for debugging.
+//     they can never pre-empt it), with the results of the cells before it;
+//   - GOMAXPROCS=1 degrades to a plain loop on the calling goroutine, the
+//     escape hatch for debugging.
 //
 // Observability ownership rule: trace logs and metrics registries are
-// single-engine state with no internal locking. A cell that records spans or
-// counters must allocate its own trace.Log / metrics.Registry (one Collector,
-// see profile.go) inside its cell function, write results only to its own
-// index, and freeze them (Snapshot / Sorted) before returning. Collected
+// single-engine state with no internal locking. A cell records only into
+// the Collector Sweep hands it (see profile.go), writes results only to its
+// own index, and freezes them (Collector.Finish) before returning. Collected
 // cells are then merged in index order by the caller, which keeps profiling
 // output bit-identical to serial execution. Sharing a log or registry across
 // cells is a data race AND a determinism bug — never do it.
@@ -31,36 +30,46 @@ package bench
 // observability layer built on this rule.
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/spec"
 )
 
-// defaultWorkers resolves the default sweep worker count: UNICONN_WORKERS when it
-// is set to a positive integer, otherwise GOMAXPROCS.
-func defaultWorkers() int {
-	if s := os.Getenv(spec.WorkersEnv); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
+// Sweep is the one fan-out of independent cells: it runs cell(i, c) for
+// every i in [0, n), each with the instruments o decides on (Observe),
+// and collects the cells' values and frozen profiles by index, so whatever
+// is rendered from them is byte-identical at any GOMAXPROCS. On failure it
+// returns, with the lowest-index error, those of the cells preceding the
+// first failing one — what a serial loop would have produced before
+// stopping.
+func Sweep[T any](o *Observe, n int, cell func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
+	vals := make([]T, n)
+	profs := make([]CellProfile, n)
+	done := make([]bool, n)
+	err := NewRunner(0).Run(n, func(i int) (err error) {
+		vals[i], profs[i], err = cell(i, o.cell())
+		done[i] = err == nil
+		return err
+	})
+	for i := 0; err != nil && i < n; i++ {
+		if !done[i] {
+			return vals[:i], profs[:i], err
 		}
 	}
-	return runtime.GOMAXPROCS(0)
+	return vals, profs, err
 }
 
-// Runner executes independent sweep cells over a fixed-size worker pool.
+// Runner executes independent cells over a fixed-size worker pool: Sweep's
+// engine.
 type Runner struct {
 	workers int
 }
 
 // NewRunner returns a runner with the given worker count; workers <= 0
-// selects the environment default (Workers()).
+// selects GOMAXPROCS.
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{workers: workers}
 }
@@ -138,47 +147,4 @@ func (r *Runner) Run(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// sweep runs fn over n cells with the default runner and collects the
-// results by cell index.
-func sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return sweepWith[T](NewRunner(0), n, fn)
-}
-
-// sweepPrefix is sweep for results that are consumed cell by cell: on failure
-// it returns, with the error, the results preceding the first failing cell —
-// what a serial loop would have produced before stopping. (Cells below the
-// lowest failing index always complete; see Runner.Run.)
-func sweepPrefix[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	done := make([]bool, n)
-	err := NewRunner(0).Run(n, func(i int) error {
-		v, err := fn(i)
-		out[i], done[i] = v, err == nil
-		return err
-	})
-	for i := 0; err != nil && i < n; i++ {
-		if !done[i] {
-			return out[:i], err
-		}
-	}
-	return out, err
-}
-
-// sweepWith is sweep with an explicit runner.
-func sweepWith[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := r.Run(n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,13 +1,14 @@
 package bench
 
-// Tests for the deterministic parallel sweep runner: unit tests for the
-// pool mechanics (index ordering, lowest-index error, env resolution), and
-// end-to-end determinism tests asserting that a full figure sweep and a
-// chaos severity sweep render byte-identically at workers=1 and workers=8.
+// Tests for the deterministic parallel sweep: unit tests for the pool
+// mechanics (index ordering, lowest-index error), and end-to-end determinism
+// tests asserting that a full figure sweep and a chaos severity sweep render
+// byte-identically at GOMAXPROCS 1 and 8.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,13 @@ import (
 
 	"repro/internal/spec"
 )
+
+// setProcs sets GOMAXPROCS, the width of every Sweep, for the rest of the
+// test.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func TestRunnerSerialOrder(t *testing.T) {
 	r := NewRunner(1)
@@ -97,28 +105,13 @@ func TestRunnerEmptySweep(t *testing.T) {
 	}
 }
 
-func TestWorkersEnvResolution(t *testing.T) {
-	t.Setenv(spec.WorkersEnv, "3")
-	if got := defaultWorkers(); got != 3 {
-		t.Fatalf("Workers() with %s=3: %d", spec.WorkersEnv, got)
-	}
-	if got := NewRunner(0).workers; got != 3 {
-		t.Fatalf("NewRunner(0) with %s=3: %d workers", spec.WorkersEnv, got)
-	}
-	for _, bad := range []string{"0", "-2", "many"} {
-		t.Setenv(spec.WorkersEnv, bad)
-		if got := defaultWorkers(); got < 1 {
-			t.Fatalf("Workers() with %s=%q: %d, want GOMAXPROCS fallback", spec.WorkersEnv, bad, got)
-		}
-	}
-}
-
 func TestSweepCollectsByIndex(t *testing.T) {
-	got, err := sweepWith(NewRunner(8), 50, func(i int) (int, error) {
-		return i * i, nil
+	setProcs(t, 8)
+	got, _, err := Sweep(nil, 50, func(i int, _ *Collector) (int, CellProfile, error) {
+		return i * i, CellProfile{}, nil
 	})
 	if err != nil {
-		t.Fatalf("sweepWith: %v", err)
+		t.Fatalf("Sweep: %v", err)
 	}
 	for i, v := range got {
 		if v != i*i {
@@ -127,19 +120,19 @@ func TestSweepCollectsByIndex(t *testing.T) {
 	}
 }
 
-// TestFigureSweepDeterministic renders a full paper figure at workers=1 and
-// workers=8 and asserts the outputs are byte-identical. Fig 6 (CG solver
+// TestFigureSweepDeterministic renders a full paper figure at GOMAXPROCS 1
+// and 8 and asserts the outputs are byte-identical. Fig 6 (CG solver
 // scaling) is the cheapest figure that still exercises machine models,
 // backends, and the sparse solver end to end.
 func TestFigureSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second figure sweep")
 	}
-	render := func(workers string) string {
-		t.Setenv(spec.WorkersEnv, workers)
+	render := func(procs int) string {
+		setProcs(t, procs)
 		figs, err := RunFig6(Quick)
 		if err != nil {
-			t.Fatalf("RunFig6(workers=%s): %v", workers, err)
+			t.Fatalf("RunFig6(GOMAXPROCS=%d): %v", procs, err)
 		}
 		var sb strings.Builder
 		for _, f := range figs {
@@ -148,30 +141,30 @@ func TestFigureSweepDeterministic(t *testing.T) {
 		}
 		return sb.String()
 	}
-	serial := render("1")
-	parallel := render("8")
+	serial := render(1)
+	parallel := render(8)
 	if serial != parallel {
-		t.Fatalf("figure output diverged between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+		t.Fatalf("figure output diverged between GOMAXPROCS 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
 
 // TestChaosRampDeterministic runs a severity ramp's latency and bandwidth
-// cells at workers=1 and workers=8 and asserts identical values and
-// transfer counts.
+// cells at GOMAXPROCS 1 and 8 and asserts identical values and transfer
+// counts.
 func TestChaosRampDeterministic(t *testing.T) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	specs := append(chaosRamp(chaosBackends[0].backend, spec.WorkloadNetLatency, severities),
 		chaosRamp(chaosBackends[0].backend, spec.WorkloadNetBandwidth, severities)...)
-	sweep := func(workers string) ([]float64, []CellProfile) {
-		t.Setenv(spec.WorkersEnv, workers)
+	sweep := func(procs int) ([]float64, []CellProfile) {
+		setProcs(t, procs)
 		vals, profs, err := SweepSpecs(NewObserve(true), specs)
 		if err != nil {
-			t.Fatalf("SweepSpecs(workers=%s): %v", workers, err)
+			t.Fatalf("SweepSpecs(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return vals, profs
 	}
-	serialVals, serialProfs := sweep("1")
-	parallelVals, parallelProfs := sweep("8")
+	serialVals, serialProfs := sweep(1)
+	parallelVals, parallelProfs := sweep(8)
 	for i := range specs {
 		if serialVals[i] != parallelVals[i] || serialProfs[i].Transfers() != parallelProfs[i].Transfers() {
 			t.Fatalf("cell %s diverged: serial %v (%d transfers), parallel %v (%d transfers)", specs[i],
@@ -192,16 +185,16 @@ func TestSweepObservedErrorMatchesSerial(t *testing.T) {
 			specs[i].Bytes = 12
 		}
 	}
-	run := func(workers string) ([]float64, error) {
-		t.Setenv(spec.WorkersEnv, workers)
-		vals, _, err := sweepObserved(nil, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
+	run := func(procs int) ([]float64, error) {
+		setProcs(t, procs)
+		vals, _, err := Sweep(nil, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
 			v, _, err := runSpec(specs[i], col)
 			return v, CellProfile{}, err
 		})
 		return vals, err
 	}
-	sVals, sErr := run("1")
-	pVals, pErr := run("8")
+	sVals, sErr := run(1)
+	pVals, pErr := run(8)
 	if sErr == nil || pErr == nil || sErr.Error() != pErr.Error() {
 		t.Fatalf("errors diverged or missing: serial %v, parallel %v", sErr, pErr)
 	}

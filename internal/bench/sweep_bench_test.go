@@ -1,17 +1,16 @@
 package bench
 
-// Wall-clock benchmarks for the parallel sweep runner. Each benchmark runs
-// a realistic (but small) grid of independent simulations through the runner so
-// `go test -bench=Sweep` measures end-to-end sweep throughput at the
-// current UNICONN_WORKERS / GOMAXPROCS setting. CI runs these with
-// -benchtime=1x as a smoke test; locally, compare UNICONN_WORKERS=1 vs the
-// default to see the parallel speedup.
+// Wall-clock benchmarks for the parallel sweep. Each benchmark runs a
+// realistic (but small) grid of independent simulations through Sweep so
+// `go test -bench=Sweep` measures end-to-end sweep throughput at the current
+// GOMAXPROCS; compare `-cpu 1` with the default to see the parallel speedup.
 
 import (
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -32,14 +31,14 @@ func BenchmarkSweepLatencyGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sweep(len(cells), func(j int) (interface{}, error) {
+		_, _, err := Sweep(nil, len(cells), func(j int, _ *Collector) (sim.Duration, CellProfile, error) {
 			cfg := NetConfig{
 				Model: machine.Perlmutter(), Backend: cells[j].backend,
 				API: machine.APIHost, Native: true, Inter: true,
 				Bytes: cells[j].bytes, Iters: 10, Warmup: 2,
 			}
 			lat, _, err := LatencyRun(cfg)
-			return lat, err
+			return lat, CellProfile{}, err
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -96,7 +96,8 @@ type Config struct {
 	Shards int
 }
 
-// Validate reports whether the configuration is runnable.
+// Validate reports whether the configuration is runnable; a model whose
+// topology cannot hold the job's nodes is not.
 func (cfg Config) Validate() error {
 	if cfg.Model == nil {
 		return fmt.Errorf("core: nil machine model")
@@ -107,7 +108,8 @@ func (cfg Config) Validate() error {
 	if cfg.Backend == GpushmemBackend && !cfg.Model.HasGPUSHMEM {
 		return fmt.Errorf("core: %s has no GPUSHMEM implementation", cfg.Model.Name)
 	}
-	return nil
+	_, err := fabric.ResolveTopology(cfg.Model.Topology, cfg.Model.NodesFor(cfg.NGPUs))
+	return err
 }
 
 // job is the shared state of one run.

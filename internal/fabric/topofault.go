@@ -114,24 +114,48 @@ func (f *Fabric) DownInterLink(a, b int, at sim.Time) {
 }
 
 // ResolveTopology resolves the auto-sized parameters of a topology config
-// for a cluster of the given node count without building any port state: the
-// same arithmetic New applies, exposed so fault generators (internal/faults)
-// can target concrete switch ids before the fabric exists.
-func ResolveTopology(tc TopologyConfig, nodes int) TopologyConfig {
+// for a cluster of the given node count without building any port state:
+// the sizing New applies, exposed so fault generators (internal/faults) can
+// target concrete switch ids before the fabric exists, and so admission
+// (core.Config.Validate, spec.Spec.Validate) can refuse a network too small
+// for its cluster. Auto-sizing picks the smallest even fat-tree arity whose
+// k^3/4 nodes cover the cluster, or the smallest balanced (a=2p, h=p)
+// dragonfly whose a*h+1 groups do.
+func ResolveTopology(tc TopologyConfig, nodes int) (TopologyConfig, error) {
+	if err := tc.check(); err != nil {
+		return tc, err
+	}
 	switch tc.Kind {
 	case TopoFatTree:
-		if tc.hopLatency <= 0 {
-			tc.hopLatency = defaultHopLatency
+		k := tc.FatTreeArity
+		if k == 0 {
+			for k = 2; k*k*k/4 < nodes; k += 2 {
+			}
 		}
-		tc.FatTreeArity = fatTreeArity(nodes, tc.FatTreeArity)
+		if k*k*k/4 < nodes {
+			return tc, fmt.Errorf("fabric: %d-ary fat-tree holds %d nodes, cluster has %d (raise the arity or auto-size with 0)",
+				k, k*k*k/4, nodes)
+		}
+		tc.FatTreeArity = k
 	case TopoDragonfly:
-		if tc.hopLatency <= 0 {
-			tc.hopLatency = defaultHopLatency
+		p, a, h := tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal
+		if p == 0 {
+			for p = 1; (2*p*p+1)*2*p*p < nodes; p++ {
+			}
+			a, h = 2*p, p
 		}
-		tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal, _ =
-			dragonflySize(nodes, tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal)
+		if dragonflyGroups(nodes, p, a) > a*h+1 {
+			return tc, fmt.Errorf("fabric: dragonfly p=%d a=%d h=%d holds at most %d nodes (%d groups), cluster has %d",
+				p, a, h, (a*h+1)*a*p, a*h+1, nodes)
+		}
+		tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal = p, a, h
+	default:
+		return tc, nil
 	}
-	return tc
+	if tc.hopLatency <= 0 {
+		tc.hopLatency = defaultHopLatency
+	}
+	return tc, nil
 }
 
 // FatTreeAggSwitch returns the global switch id of the aggregation switch at

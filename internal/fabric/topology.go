@@ -92,8 +92,17 @@ func (tc TopologyConfig) Describe() string {
 	}
 }
 
+// maxTopologyParam bounds every explicit topology parameter. The largest
+// admitted cell (4096 ranks, 1024 nodes at 4 GPUs per node) auto-sizes to a
+// fat-tree k=16 or a dragonfly p=4,a=8,h=4; 32 still admits an explicit
+// fat-tree of 8192 nodes, and a k=32 fat-tree's 32k port timelines cost
+// about 3 MiB to build (TestLargestTopologyCost; k=64 costs 25 MiB).
+const maxTopologyParam = 32
+
 // ParseTopology parses a CLI topology spec: "flat", "fattree" or
-// "fattree:<k>", "dragonfly" or "dragonfly:<p>,<a>,<h>".
+// "fattree:<k>", "dragonfly" or "dragonfly:<p>,<a>,<h>". It refuses
+// parameters no cluster can build (check); whether a valid network holds a
+// given cluster is ResolveTopology's question.
 func ParseTopology(s string) (TopologyConfig, error) {
 	var tc TopologyConfig
 	name, arg, hasArg := strings.Cut(s, ":")
@@ -131,7 +140,29 @@ func ParseTopology(s string) (TopologyConfig, error) {
 	default:
 		return tc, fmt.Errorf("fabric: unknown topology %q (flat|fattree[:k]|dragonfly[:p,a,h])", s)
 	}
-	return tc, nil
+	return tc, tc.check()
+}
+
+// check refuses parameters no cluster can build: a fat-tree arity that is
+// odd or outside [2, maxTopologyParam], dragonfly parameters outside
+// [1, maxTopologyParam]. All-zero parameters auto-size.
+func (tc TopologyConfig) check() error {
+	in := func(v int) bool { return v >= 1 && v <= maxTopologyParam }
+	switch tc.Kind {
+	case TopoFlat:
+	case TopoFatTree:
+		if k := tc.FatTreeArity; k != 0 && (!in(k) || k%2 != 0) {
+			return fmt.Errorf("fabric: fat-tree arity %d must be even and in [2, %d]", k, maxTopologyParam)
+		}
+	case TopoDragonfly:
+		p, a, h := tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal
+		if (p != 0 || a != 0 || h != 0) && !(in(p) && in(a) && in(h)) {
+			return fmt.Errorf("fabric: dragonfly p=%d a=%d h=%d: each must be in [1, %d]", p, a, h, maxTopologyParam)
+		}
+	default:
+		return fmt.Errorf("fabric: unknown topology kind %d", int(tc.Kind))
+	}
+	return nil
 }
 
 // topology is the internal switch-fabric abstraction behind Config.Topology.
@@ -159,29 +190,23 @@ type topology interface {
 }
 
 // buildTopology instantiates cfg.Topology for a cluster, resolving
-// auto-sized parameters back into the config. Flat returns nil: the fabric
-// hot path keeps its two-port fast route.
+// auto-sized parameters back into the config. A network that cannot hold
+// the cluster panics: callers reach New through core.Config.Validate, which
+// refuses it with ResolveTopology's error. Flat returns nil: the fabric hot
+// path keeps its two-port fast route.
 func buildTopology(cfg *Config) topology {
-	tc := &cfg.Topology
+	tc, err := ResolveTopology(cfg.Topology, cfg.Nodes)
+	if err != nil {
+		panic(err.Error())
+	}
+	cfg.Topology = tc
 	switch tc.Kind {
-	case TopoFlat:
-		return nil
 	case TopoFatTree:
-		if tc.hopLatency <= 0 {
-			tc.hopLatency = defaultHopLatency
-		}
-		t := newFatTree(cfg.Nodes, tc.FatTreeArity, tc.hopLatency)
-		tc.FatTreeArity = t.k
-		return t
+		return newFatTree(tc.FatTreeArity, tc.hopLatency)
 	case TopoDragonfly:
-		if tc.hopLatency <= 0 {
-			tc.hopLatency = defaultHopLatency
-		}
-		t := newDragonfly(cfg.Nodes, tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal, tc.hopLatency)
-		tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal = t.p, t.a, t.h
-		return t
+		return newDragonfly(cfg.Nodes, tc.DragonflyHosts, tc.DragonflyRouters, tc.DragonflyGlobal, tc.hopLatency)
 	default:
-		panic(fmt.Sprintf("fabric: unknown topology kind %d", int(tc.Kind)))
+		return nil
 	}
 }
 
@@ -235,28 +260,8 @@ type fatTree struct {
 	deadLink                    map[[2]int]sim.Time // normalized (lo, hi) global switch-id pair
 }
 
-// fatTreeArity resolves the fat-tree arity for a cluster: 0 auto-sizes the
-// smallest even k whose k^3/4 capacity covers the node count; explicit
-// arities are validated. Shared by New and ResolveTopology so fault
-// generators see the same sizing the fabric will build.
-func fatTreeArity(nodes, arity int) int {
-	k := arity
-	if k == 0 {
-		for k = 2; k*k*k/4 < nodes; k += 2 {
-		}
-	}
-	if k < 2 || k%2 != 0 {
-		panic(fmt.Sprintf("fabric: fat-tree arity %d must be even and >= 2", k))
-	}
-	if k*k*k/4 < nodes {
-		panic(fmt.Sprintf("fabric: %d-ary fat-tree holds %d nodes, cluster has %d (raise the arity or auto-size with 0)",
-			k, k*k*k/4, nodes))
-	}
-	return k
-}
-
-func newFatTree(nodes, arity int, hop sim.Duration) *fatTree {
-	k := fatTreeArity(nodes, arity)
+// newFatTree builds the port state of a k-ary fat-tree (k resolved).
+func newFatTree(k int, hop sim.Duration) *fatTree {
 	half := k / 2
 	t := &fatTree{k: k, half: half, hop: hop}
 	for e := 0; e < k*half; e++ {
@@ -419,37 +424,14 @@ type dragonfly struct {
 	deadGlobal map[[2]int]sim.Time // normalized group pair (the global channel)
 }
 
-// dragonflySize resolves the dragonfly parameters and group count for a
-// cluster: all-zero auto-sizes a balanced a=2p, h=p configuration; explicit
-// parameters are validated. Shared by New and ResolveTopology so fault
-// generators see the same sizing the fabric will build.
-func dragonflySize(nodes, p, a, h int) (int, int, int, int) {
-	if p == 0 && a == 0 && h == 0 {
-		// Balanced sizing (a = 2p, h = p): smallest p whose maximal group
-		// count a*h+1 covers the cluster.
-		for p = 1; ; p++ {
-			a, h = 2*p, p
-			if (a*h+1)*a*p >= nodes {
-				break
-			}
-		}
-	}
-	if p < 1 || a < 1 || h < 1 {
-		panic(fmt.Sprintf("fabric: dragonfly p=%d a=%d h=%d: all parameters must be >= 1", p, a, h))
-	}
-	groups := (nodes + a*p - 1) / (a * p)
-	if groups < 1 {
-		groups = 1
-	}
-	if groups > a*h+1 {
-		panic(fmt.Sprintf("fabric: dragonfly p=%d a=%d h=%d holds at most %d nodes (%d groups), cluster has %d",
-			p, a, h, (a*h+1)*a*p, a*h+1, nodes))
-	}
-	return p, a, h, groups
-}
+// dragonflyGroups is the group count a dragonfly of a*p nodes per group
+// needs for a cluster (at least one).
+func dragonflyGroups(nodes, p, a int) int { return max(1, (nodes+a*p-1)/(a*p)) }
 
+// newDragonfly builds the port state of a dragonfly (p, a, h resolved) for
+// a cluster.
 func newDragonfly(nodes, p, a, h int, hop sim.Duration) *dragonfly {
-	p, a, h, groups := dragonflySize(nodes, p, a, h)
+	groups := dragonflyGroups(nodes, p, a)
 	t := &dragonfly{p: p, a: a, h: h, groups: groups, hop: hop}
 	for r := 0; r < groups*a; r++ {
 		lo := make([]*sim.Timeline, a)

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -19,10 +21,22 @@ func TestParseTopology(t *testing.T) {
 		{in: "fat-tree:8", want: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 8}},
 		{in: "dragonfly", want: TopologyConfig{Kind: TopoDragonfly}},
 		{in: "dragonfly:4, 8, 4", want: TopologyConfig{Kind: TopoDragonfly, DragonflyHosts: 4, DragonflyRouters: 8, DragonflyGlobal: 4}},
+		{in: "fattree:0", want: TopologyConfig{Kind: TopoFatTree}},
+		{in: "fattree:32", want: TopologyConfig{Kind: TopoFatTree, FatTreeArity: 32}},
 		{in: "flat:3", err: true},
 		{in: "fattree:x", err: true},
 		{in: "dragonfly:4,8", err: true},
 		{in: "torus", err: true},
+		// Parameters no cluster can build, and explicit ones past the bound.
+		{in: "fattree:3", err: true},
+		{in: "fattree:1", err: true},
+		{in: "fattree:-4", err: true},
+		{in: "fattree:34", err: true},
+		{in: "fattree:1000000", err: true},
+		{in: "dragonfly:-1,2,2", err: true},
+		{in: "dragonfly:1,1,0", err: true},
+		{in: "dragonfly:0,2,2", err: true},
+		{in: "dragonfly:33,1,1", err: true},
 	}
 	for _, tc := range cases {
 		got, err := ParseTopology(tc.in)
@@ -38,6 +52,42 @@ func TestParseTopology(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("ParseTopology(%q) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestLargestTopologyCost pins what the largest explicit network a spec may
+// name costs to build: a maxTopologyParam-ary fat-tree (its k^3 port
+// timelines exist whatever the cluster size) and a maxTopologyParam-wide
+// dragonfly with one host per router on 1024 nodes (4096 ranks at 4 GPUs per
+// node, the largest admitted cell).
+func TestLargestTopologyCost(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates shadow state")
+			}
+		}
+	}
+	cases := []struct {
+		nodes int
+		tc    TopologyConfig
+	}{
+		{2, TopologyConfig{Kind: TopoFatTree, FatTreeArity: maxTopologyParam}},
+		{1024, TopologyConfig{Kind: TopoDragonfly, DragonflyHosts: 1,
+			DragonflyRouters: maxTopologyParam, DragonflyGlobal: maxTopologyParam}},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		New(Config{Nodes: c.nodes, GPUsPerNode: 1, NICsPerNode: 1, Topology: c.tc})
+		runtime.ReadMemStats(&after)
+		bytes, objs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("%s on %d nodes: %.1f MiB, %d objects", c.tc.Describe(), c.nodes, float64(bytes)/(1<<20), objs)
+		if bytes > 8<<20 || objs > 250_000 {
+			t.Errorf("%s on %d nodes costs %d bytes in %d objects, want <= 8 MiB and 250k",
+				c.tc.Describe(), c.nodes, bytes, objs)
 		}
 	}
 }
@@ -115,7 +165,7 @@ func ftLevel(tl *sim.Timeline) int {
 // monotonically (edge->agg[->core]) and then only descends — no
 // down-then-up transition, so the channel dependency graph stays acyclic.
 func TestFatTreeUpDownRouting(t *testing.T) {
-	ft := newFatTree(16, 4, 100)
+	ft := newFatTree(4, 100)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			if src == dst {
@@ -158,7 +208,7 @@ func TestFatTreeUpDownRouting(t *testing.T) {
 // concurrent inter-pod flows from the same edge switch take different
 // aggregation switches once the first up-link is busy.
 func TestFatTreeAdaptiveSpraying(t *testing.T) {
-	ft := newFatTree(16, 4, 100)
+	ft := newFatTree(4, 100)
 	ports1, _, _, _ := ft.route(nil, 0, 0, 8)
 	for _, tl := range ports1 {
 		sim.ReserveMulti(0, 1000, tl)

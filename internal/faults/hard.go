@@ -164,7 +164,10 @@ func GenerateHard(seed uint64, severity float64, cfg fabric.Config, ranks int, h
 // partition it — injected chaos must exercise rerouting and recovery, not
 // undefined unreachable-pair behavior.
 func generateTopologyFaults(p *Plan, seed uint64, severity float64, cfg fabric.Config, horizon sim.Duration) {
-	tc := fabric.ResolveTopology(cfg.Topology, cfg.Nodes)
+	tc, err := fabric.ResolveTopology(cfg.Topology, cfg.Nodes)
+	if err != nil {
+		return // a network too small for the job: its launch refuses it
+	}
 	switch tc.Kind {
 	case fabric.TopoFatTree:
 		k := tc.FatTreeArity

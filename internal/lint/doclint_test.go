@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/constant"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -25,6 +27,16 @@ var (
 	symRef      = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
 	placeholder = regexp.MustCompile(`<\w+>`)
 	braces      = regexp.MustCompile(`\{([^{}]*)\}`)
+	// cmdRef is a `uniconn <sub> ...` invocation up to any shell operator or
+	// comment; flagRef a -flag in it or at the start of a span.
+	cmdRef  = regexp.MustCompile(`(?:^|[\s/])uniconn ([a-z]\w*)([^|;&#>]*)`)
+	flagRef = regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	// creditOn and creditSep join a flag span to the subcommand spans a
+	// sentence credits it to: "`-flag` on `uniconn a`, `uniconn b` and `c`".
+	creditOn  = regexp.MustCompile(`^\s+(?:flags?\s+)?on\s+$`)
+	creditSep = regexp.MustCompile(`^(?:/|,\s+|,?\s+(?:and|or)\s+)$`)
+	// registers matches the flag.FlagSet methods that define a flag.
+	registers = regexp.MustCompile(`^(?:Bool|Duration|Float64|Int|Int64|String|Text|Uint|Uint64)?(?:Var|Func)?$`)
 )
 
 // docProblems lints the code spans of one document against the module: every
@@ -54,6 +66,168 @@ func docProblems(m *module, doc string, text string) []string {
 				}
 			}
 		}
+	}
+	return append(out, flagProblems(subcommandFlags(m), doc, text)...)
+}
+
+// flagProblems lints the command lines of one document: the subcommand and
+// every -flag of a `uniconn <sub> ...` code span or fenced shell line, and
+// every `-flag` span a sentence credits to subcommands ("`-flag` on
+// `uniconn a`/`b`"), must be a subcommand and a flag it defines.
+func flagProblems(flags map[string]map[string]bool, doc, text string) []string {
+	var out []string
+	check := func(at int, sub, flag string) {
+		set, ok := flags[sub]
+		line := fmt.Sprintf("%s:%d", doc, 1+strings.Count(text[:at], "\n"))
+		switch {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s: no subcommand uniconn %s", line, sub))
+		case flag != "" && flag != "h" && flag != "help" && !set[flag]:
+			out = append(out, fmt.Sprintf("%s: uniconn %s has no flag -%s", line, sub, flag))
+		}
+	}
+	// The spans: code spans in prose, whole lines in fenced blocks (inline
+	// marks fenced lines false: only inline spans credit flags).
+	type span struct {
+		start, end int
+		inline     bool
+	}
+	var spans []span
+	fenced := false
+	for off := 0; off < len(text); {
+		end := strings.IndexByte(text[off:], '\n')
+		if end < 0 {
+			end = len(text) - off
+		}
+		line := text[off : off+end]
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			spans = append(spans, span{off, off + end, false})
+		default:
+			for _, m := range codeSpan.FindAllStringSubmatchIndex(line, -1) {
+				spans = append(spans, span{off + m[2], off + m[3], true})
+			}
+		}
+		off += end + 1
+	}
+	// between is the prose from span i's closing backtick to span i+1's
+	// opening one, or "" when either is not an inline span.
+	between := func(i int) string {
+		if i+1 >= len(spans) || !spans[i].inline || !spans[i+1].inline {
+			return ""
+		}
+		return text[spans[i].end+1 : spans[i+1].start-1]
+	}
+	for i, s := range spans {
+		body := text[s.start:s.end]
+		if m := cmdRef.FindStringSubmatch(body); m != nil {
+			check(s.start, m[1], "")
+			for _, f := range flagRef.FindAllStringSubmatch(m[2], -1) {
+				check(s.start, m[1], f[1])
+			}
+			continue
+		}
+		f := flagRef.FindStringSubmatch(body)
+		if f == nil || body[0] != '-' || !creditOn.MatchString(between(i)) {
+			continue
+		}
+		for j := i + 1; j < len(spans); j++ {
+			sub := strings.TrimPrefix(text[spans[j].start:spans[j].end], "uniconn ")
+			if flags[sub] == nil {
+				break
+			}
+			check(spans[j].start, sub, f[1])
+			if !creditSep.MatchString(between(j)) {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// subcommandFlags maps each uniconn subcommand (the cmd/uniconn subcommands
+// table) to the flags its function defines on its flag set, directly or
+// through a module function it hands the flag set to (spec.Common,
+// spec.CommonFlags.Sizes, ...).
+func subcommandFlags(m *module) map[string]map[string]bool {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	var table *ast.CompositeLit
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if fn, ok := m.info.Defs[d.Name].(*types.Func); ok && d.Body != nil {
+						decls[fn] = d
+					}
+				case *ast.GenDecl:
+					for _, sp := range d.Specs {
+						if vs, ok := sp.(*ast.ValueSpec); ok && p.path == m.path+"/cmd/uniconn" && vs.Names[0].Name == "subcommands" {
+							table = vs.Values[0].(*ast.CompositeLit)
+						}
+					}
+				}
+			}
+		}
+	}
+	isFlagSet := func(t types.Type) bool { return types.TypeString(t, nil) == "*flag.FlagSet" }
+	memo := map[*types.Func]map[string]bool{}
+	var flagsOf func(fn *types.Func) map[string]bool
+	flagsOf = func(fn *types.Func) map[string]bool {
+		if set, ok := memo[fn]; ok {
+			return set
+		}
+		set := map[string]bool{}
+		memo[fn] = set
+		ast.Inspect(decls[fn].Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var id *ast.Ident
+			switch f := ast.Unparen(call.Fun).(type) {
+			case *ast.Ident:
+				id = f
+			case *ast.SelectorExpr:
+				id = f.Sel
+			}
+			callee, _ := m.info.Uses[id].(*types.Func)
+			if callee == nil {
+				return true
+			}
+			if recv := callee.Type().(*types.Signature).Recv(); recv != nil && isFlagSet(recv.Type()) {
+				if registers.MatchString(callee.Name()) {
+					for _, arg := range call.Args {
+						if v := m.info.Types[arg].Value; v != nil && v.Kind() == constant.String {
+							set[constant.StringVal(v)] = true
+							break
+						}
+					}
+				}
+				return true
+			}
+			if decls[callee.Origin()] == nil {
+				return true
+			}
+			for _, arg := range call.Args {
+				if isFlagSet(m.info.Types[arg].Type) {
+					for f := range flagsOf(callee.Origin()) {
+						set[f] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+		return set
+	}
+	out := map[string]map[string]bool{}
+	for _, e := range table.Elts {
+		row := e.(*ast.CompositeLit)
+		name := constant.StringVal(m.info.Types[row.Elts[0]].Value)
+		out[name] = flagsOf(m.info.Uses[row.Elts[1].(*ast.Ident)].(*types.Func))
 	}
 	return out
 }
@@ -103,8 +277,8 @@ func resolve(pkg *types.Package, name, member string) error {
 	return nil
 }
 
-// TestDocLint checks the paths and symbols README.md, DESIGN.md and
-// EXPERIMENTS.md cite in code spans.
+// TestDocLint checks the paths, symbols and uniconn command lines README.md,
+// DESIGN.md and EXPERIMENTS.md cite in code spans.
 func TestDocLint(t *testing.T) {
 	m := repo(t)
 	for _, doc := range docs {
@@ -120,8 +294,10 @@ func TestDocLint(t *testing.T) {
 
 // TestDocLintFixture pins each rule on a synthetic document: a live path, a
 // path with a placeholder and with alternatives, a package-qualified name,
-// and a member all resolve; a missing path, a missing name and a missing
-// member are each reported.
+// a member, a command line and a credited flag all resolve; a missing path,
+// a missing name, a missing member, a missing subcommand and a flag the
+// subcommand does not define, in a span, a credit or a fenced line, are
+// each reported.
 func TestDocLintFixture(t *testing.T) {
 	m := repo(t)
 	text := strings.Join([]string{
@@ -129,12 +305,22 @@ func TestDocLintFixture(t *testing.T) {
 		"`cmd/uniconn/testdata/recover-{flat,fattree}.golden` `internal/sim.NewEngine`",
 		"`sim.Engine.Run` `mpi.Comm.Send(p, buf, dst, tag)` and `sim.events`, a metric",
 		"`internal/perfmodel` `mpi.WinCreate` `sim.Engine.Yield` `cmd/uniconn/testdata/recover-{flat,mesh}.golden`",
+		"`go run ./cmd/uniconn netbench -inter -topology fattree:8` and the `-topology` flag on `uniconn netbench`,",
+		"`uniconn chaos` and `scale`; `uniconn <subcommand> -h` lists them",
+		"`-compute` on `uniconn jacobi`/`cg`, `uniconn experiments -workers 1`, `uniconn frobnicate`",
+		"```sh",
+		"go run ./cmd/uniconn chaos -recover -live 127.0.0.1:9187 -flight 256 -shards 2 &",
+		"```",
 	}, "\n")
 	want := []string{
 		"doc:4: no path internal/perfmodel",
 		"doc:4: mpi.WinCreate does not resolve",
 		"doc:4: sim.Engine.Yield does not resolve",
 		"doc:4: no path cmd/uniconn/testdata/recover-{flat,mesh}.golden",
+		"doc:7: uniconn cg has no flag -compute",
+		"doc:7: uniconn experiments has no flag -workers",
+		"doc:7: no subcommand uniconn frobnicate",
+		"doc:9: uniconn chaos has no flag -shards",
 	}
 	if got := docProblems(m, "doc", text); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("problems = %q\nwant %q", got, want)

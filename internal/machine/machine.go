@@ -231,7 +231,11 @@ func (m *Model) FabricConfig(nodes int) fabric.Config {
 
 // NodesFor returns how many nodes are needed for n GPUs (GPUs are packed).
 func (m *Model) NodesFor(nGPUs int) int {
-	return (nGPUs + m.GPUsPerNode - 1) / m.GPUsPerNode
+	return nodesFor(m.GPUsPerNode, nGPUs)
+}
+
+func nodesFor(gpusPerNode, nGPUs int) int {
+	return (nGPUs + gpusPerNode - 1) / gpusPerNode
 }
 
 // StencilKernelTime models a memory-bound stencil update touching the given

@@ -155,11 +155,14 @@ func TestByName(t *testing.T) {
 	if known, _ := Lookup("Frontier"); known {
 		t.Fatal("Lookup knows an unknown machine")
 	}
+	if n := NodesFor("Frontier", 8); n != 0 {
+		t.Fatalf("NodesFor of an unknown machine = %d, want 0", n)
+	}
 }
 
-// TestCatalogMatchesModels pins the catalog's name and GPUSHMEM flag
-// against the model each entry builds: Lookup answers from the catalog
-// without building one, so the two must never disagree.
+// TestCatalogMatchesModels pins the catalog's name, GPUSHMEM flag and node
+// count against the model each entry builds: Lookup and NodesFor answer from
+// the catalog without building one, so the two must never disagree.
 func TestCatalogMatchesModels(t *testing.T) {
 	if len(catalog) != len(All()) {
 		t.Fatalf("catalog has %d machines, All %d", len(catalog), len(All()))
@@ -168,6 +171,11 @@ func TestCatalogMatchesModels(t *testing.T) {
 		known, shmem := Lookup(m.Name)
 		if !known || shmem != m.HasGPUSHMEM {
 			t.Errorf("Lookup(%q) = %v, %v; the model has HasGPUSHMEM %v", m.Name, known, shmem, m.HasGPUSHMEM)
+		}
+		for _, g := range []int{1, 2, 5, 8, 9, 4096} {
+			if got, want := NodesFor(m.Name, g), m.NodesFor(g); got != want {
+				t.Errorf("NodesFor(%q, %d) = %d; the model needs %d nodes", m.Name, g, got, want)
+			}
 		}
 		if b := ByName(m.Name); b == nil || b.Name != m.Name {
 			t.Errorf("ByName(%q) built %v", m.Name, b)

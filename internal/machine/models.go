@@ -173,12 +173,14 @@ func All() []*Model {
 	return []*Model{Perlmutter(), LUMI(), MareNostrum5()}
 }
 
-// catalog maps each machine's name to its constructor and whether it has
-// GPUSHMEM, so checking a name builds no model (TestCatalogMatchesModels).
+// catalog maps each machine's name to its constructor, whether it has
+// GPUSHMEM and its GPUs per node, so checking a name builds no model
+// (TestCatalogMatchesModels).
 var catalog = map[string]struct {
 	build func() *Model
 	shmem bool
-}{"Perlmutter": {Perlmutter, true}, "LUMI": {LUMI, false}, "MareNostrum5": {MareNostrum5, true}}
+	gpus  int
+}{"Perlmutter": {Perlmutter, true, 4}, "LUMI": {LUMI, false, 8}, "MareNostrum5": {MareNostrum5, true, 4}}
 
 // ByName builds the named machine (case-sensitive); it returns nil if unknown.
 func ByName(name string) *Model {
@@ -193,4 +195,14 @@ func ByName(name string) *Model {
 func Lookup(name string) (known, hasGPUSHMEM bool) {
 	c, ok := catalog[name]
 	return ok, c.shmem
+}
+
+// NodesFor is Model.NodesFor of the named machine, answered from the
+// catalog without building a model; 0 for an unknown name.
+func NodesFor(name string, nGPUs int) int {
+	c, ok := catalog[name]
+	if !ok {
+		return 0
+	}
+	return nodesFor(c.gpus, nGPUs)
 }

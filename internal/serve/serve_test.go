@@ -288,6 +288,17 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	if resp, msg := post(`{"workload":"allreduce","ranks":100000000,"bytes":8}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("10^8-rank allreduce status = %d (%s), want 400", resp.StatusCode, msg)
 	}
+	// A network no cluster can build, or one too small for the cell, is
+	// refused at admission; it used to panic a batch goroutine and take the
+	// process down. The same service then answers a valid query.
+	for _, topo := range []string{"fattree:3", "fattree:2", "dragonfly:1,1,0"} {
+		if resp, msg := post(`{"workload":"allreduce","ranks":16,"bytes":64,"topology":"` + topo + `"}`); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("topology %s status = %d (%s), want 400", topo, resp.StatusCode, msg)
+		}
+	}
+	if resp, msg := post(`{"workload":"allreduce","ranks":16,"bytes":64,"topology":"fattree:4"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid query after the refused topologies: status = %d (%s), want 200", resp.StatusCode, msg)
+	}
 	// Unknown fields are refused, the removed engine selector "shards" like
 	// any other: not silently run on the one engine there is.
 	for _, field := range []string{`"typo":1`, `"shards":4`} {

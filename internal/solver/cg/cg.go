@@ -105,8 +105,13 @@ func (cfg Config) backendOf() core.BackendID {
 
 // Run executes the configured variant.
 func Run(cfg Config) (Result, error) {
-	if cfg.Matrix == nil || cfg.NGPUs < 1 || cfg.Matrix.Rows < cfg.NGPUs {
-		return Result{}, fmt.Errorf("cg: invalid config")
+	switch {
+	case cfg.Matrix == nil:
+		return Result{}, fmt.Errorf("cg: no Matrix")
+	case cfg.NGPUs < 1:
+		return Result{}, fmt.Errorf("cg: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
+	case cfg.Matrix.Rows < cfg.NGPUs:
+		return Result{}, fmt.Errorf("cg: Matrix.Rows %d: need at least one row per GPU (%d GPUs)", cfg.Matrix.Rows, cfg.NGPUs)
 	}
 	if cfg.Iters < 1 {
 		return Result{}, fmt.Errorf("cg: iters %d: need iters >= 1", cfg.Iters)

@@ -131,8 +131,13 @@ func (g rankGrid) interiorBytes() int64 { return int64(g.chunk) * int64(g.nx) * 
 // Run executes the configured variant and returns its timing (and checksum
 // for functional runs).
 func Run(cfg Config) (Result, error) {
-	if cfg.NGPUs < 1 || cfg.NX < 3 || cfg.NY < cfg.NGPUs {
-		return Result{}, fmt.Errorf("jacobi: invalid config %+v", cfg)
+	switch {
+	case cfg.NGPUs < 1:
+		return Result{}, fmt.Errorf("jacobi: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
+	case cfg.NX < 3:
+		return Result{}, fmt.Errorf("jacobi: NX %d: need a grid at least 3 wide", cfg.NX)
+	case cfg.NY < cfg.NGPUs:
+		return Result{}, fmt.Errorf("jacobi: NY %d: need at least one row per GPU (%d GPUs)", cfg.NY, cfg.NGPUs)
 	}
 	if cfg.Iters < 1 || cfg.Warmup < 0 {
 		return Result{}, fmt.Errorf("jacobi: iters %d and warmup %d: need iters >= 1 and warmup >= 0", cfg.Iters, cfg.Warmup)

@@ -152,20 +152,28 @@ func TestScalingReducesPerIterTime(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigs pins the error of every rejected configuration: it
+// names the failing field and its value, and never prints the config itself
+// (whose pointers made the message differ from run to run).
 func TestInvalidConfigs(t *testing.T) {
-	if _, err := Run(Config{Model: machine.Perlmutter(), NGPUs: 0, NX: 8, NY: 8, Iters: 1}); err == nil {
-		t.Error("zero GPUs accepted")
-	}
-	if _, err := Run(Config{
-		Model: machine.Perlmutter(), NGPUs: 2, NX: 8, NY: 8, Iters: 1, Warmup: 0,
-		Variant: Uniconn, Backend: core.MPIBackend, Mode: core.PureDevice,
-	}); err == nil {
-		t.Error("PureDevice on MPI accepted")
-	}
-	for _, c := range []struct{ iters, warmup int }{{0, 0}, {-3, 0}, {1, -1}} {
-		_, err := Run(Config{Model: machine.Perlmutter(), NGPUs: 2, NX: 8, NY: 8, Iters: c.iters, Warmup: c.warmup})
-		if err == nil || !strings.Contains(err.Error(), "iters") {
-			t.Errorf("iters %d warmup %d: err = %v, want the iteration counts rejected", c.iters, c.warmup, err)
+	m := machine.Perlmutter()
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Model: m, NGPUs: 0, NX: 8, NY: 8, Iters: 1}, "jacobi: NGPUs 0: need at least 1 GPU"},
+		{Config{Model: m, NGPUs: 2, NX: 2, NY: 8, Iters: 1}, "jacobi: NX 2: need a grid at least 3 wide"},
+		{Config{Model: m, NGPUs: 4, NX: 8, NY: 3, Iters: 1}, "jacobi: NY 3: need at least one row per GPU (4 GPUs)"},
+		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 0}, "jacobi: iters 0 and warmup 0: need iters >= 1 and warmup >= 0"},
+		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: -3}, "jacobi: iters -3 and warmup 0: need iters >= 1 and warmup >= 0"},
+		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 1, Warmup: -1}, "jacobi: iters 1 and warmup -1: need iters >= 1 and warmup >= 0"},
+		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 1, Variant: Uniconn, Backend: core.MPIBackend, Mode: core.PureDevice},
+			"jacobi: " + core.PureDevice.String() + " requires the GPUSHMEM backend"},
+	} {
+		_, err := Run(c.cfg)
+		if err == nil || err.Error() != c.want || strings.Contains(err.Error(), "0x") {
+			t.Errorf("Run(NGPUs %d, NX %d, NY %d, iters %d, warmup %d) = %v, want %q",
+				c.cfg.NGPUs, c.cfg.NX, c.cfg.NY, c.cfg.Iters, c.cfg.Warmup, err, c.want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package spec
 
 // Shared CLI flag plumbing. The subcommands of cmd/uniconn used to be ten
-// programs that each registered their own copies of -machine, -workers,
-// -live, -topology and -min/-max, with hand-rolled parsing and — inevitably —
+// programs that each registered their own copies of -machine, -live,
+// -topology and -min/-max, with hand-rolled parsing and — inevitably —
 // drifting defaults and checks (one tool accepted -min 0 and crashed in the
 // size sweep). The helpers here are the single source of those flags: one
 // usage string, one default, one resolution and validation rule, everywhere.
@@ -10,17 +10,11 @@ package spec
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/fabric"
 	"repro/internal/machine"
 )
-
-// WorkersEnv is the environment variable overriding the sweep worker count
-// (bench.WorkersEnv aliases it; unset or invalid falls back to GOMAXPROCS).
-const WorkersEnv = "UNICONN_WORKERS"
 
 // topologyUsage is the shared -topology usage string.
 const topologyUsage = "inter-node network: flat|fattree[:k]|dragonfly[:p,a,h] " +
@@ -30,7 +24,6 @@ const topologyUsage = "inter-node network: flat|fattree[:k]|dragonfly[:p,a,h] " 
 // they select. Only -machine is always registered.
 type CommonFlags struct {
 	machine, topology   string
-	workers             int
 	topologyList, sized bool
 
 	// Live is the -live value.
@@ -50,21 +43,14 @@ func MachineOnly(fs *flag.FlagSet) *CommonFlags {
 	return c
 }
 
-// Common registers -machine, -workers, and -live on the flag set with the
-// canonical defaults and usage strings. Call before Parse.
+// Common registers -machine and -live on the flag set with the canonical
+// defaults and usage strings. Call before Parse.
 func Common(fs *flag.FlagSet) *CommonFlags {
 	c := MachineOnly(fs)
-	WorkersFlag(fs, &c.workers)
 	fs.StringVar(&c.Live, "live", "",
 		"serve live telemetry HTTP on this address (host:port, :0 picks a port): "+
 			"/metrics /healthz /debug/runs /debug/flight; stdout stays byte-identical")
 	return c
-}
-
-// WorkersFlag registers -workers (on its own for experiments, which sweeps
-// but takes none of the other common flags).
-func WorkersFlag(fs *flag.FlagSet, n *int) {
-	fs.IntVar(n, "workers", 0, "sweep worker count; 0 = UNICONN_WORKERS env or GOMAXPROCS")
 }
 
 // Topology registers the single-topology -topology flag; Resolve applies it
@@ -93,10 +79,7 @@ func (c *CommonFlags) Sizes(fs *flag.FlagSet, defMax int64, of string) {
 // single -topology is applied to it, clone-on-override, so the topology
 // reaches every workload launched on the shared model value; either form is
 // parsed into Topologies. A doubling size sweep needs a positive start and
-// an end at or above it. A positive -workers is then published into the
-// environment variable the runner consults, the resolution rule every
-// subcommand shares: an explicit flag wins, otherwise the environment,
-// otherwise GOMAXPROCS workers.
+// an end at or above it.
 func (c *CommonFlags) Resolve() (*machine.Model, error) {
 	m := machine.ByName(c.machine)
 	if m == nil {
@@ -120,7 +103,6 @@ func (c *CommonFlags) Resolve() (*machine.Model, error) {
 	if c.sized && c.MaxSize < c.MinSize {
 		return nil, fmt.Errorf("-max %d is smaller than -min %d", c.MaxSize, c.MinSize)
 	}
-	ApplyWorkersEnv(c.workers)
 	return m, nil
 }
 
@@ -133,15 +115,6 @@ func (c *CommonFlags) Spec() Spec {
 		s.Topology = canonicalTopology(c.Topologies[0])
 	}
 	return s
-}
-
-// ApplyWorkersEnv publishes a positive worker count into WorkersEnv (for
-// subcommands that register -workers without the full common set);
-// non-positive counts keep the environment as-is.
-func ApplyWorkersEnv(n int) {
-	if n > 0 {
-		os.Setenv(WorkersEnv, strconv.Itoa(n))
-	}
 }
 
 // parseTopologyList splits a comma-separated topology list, keeping numeric

@@ -107,12 +107,13 @@ type Spec struct {
 // {"machine":"Perlmutter"} address the same cell. Numeric zero values stay
 // zero — they mean "workload default" and are canonical as-is.
 func (s Spec) Normalize() Spec {
-	n, _ := s.normalize()
+	n, _, _ := s.normalize()
 	return n
 }
 
-// normalize is Normalize plus the topology's parse error, for Validate.
-func (s Spec) normalize() (Spec, error) {
+// normalize is Normalize plus the parsed topology and its parse error, for
+// Validate.
+func (s Spec) normalize() (Spec, fabric.TopologyConfig, error) {
 	if s.Machine == "" {
 		s.Machine = "Perlmutter"
 	}
@@ -134,7 +135,7 @@ func (s Spec) normalize() (Spec, error) {
 	if err == nil {
 		s.Topology = canonicalTopology(tc)
 	}
-	return s, err
+	return s, tc, err
 }
 
 // canonicalTopology renders a TopologyConfig in the canonical unresolved
@@ -178,10 +179,11 @@ const (
 
 // Validate reports whether the spec describes a runnable cell. It validates
 // only what the spec layer owns (names parse, sizes are legal and bounded, the
-// machine supports the backend); the workload's own Validate runs at launch.
-// It normalises once and builds no machine model.
+// machine supports the backend, the topology holds the allreduce's nodes);
+// the workload's own Validate runs at launch. It normalises once and builds
+// no machine model.
 func (s Spec) Validate() error {
-	n, topoErr := s.normalize()
+	n, tc, topoErr := s.normalize()
 	switch n.Workload {
 	case WorkloadNetLatency, WorkloadNetBandwidth:
 		if n.Ranks != 0 {
@@ -212,6 +214,13 @@ func (s Spec) Validate() error {
 	}
 	if topoErr != nil {
 		return topoErr
+	}
+	// Every valid network holds a net cell's two nodes; an allreduce may
+	// outgrow an explicit one.
+	if n.Workload == WorkloadAllreduce {
+		if _, err := fabric.ResolveTopology(tc, machine.NodesFor(n.Machine, n.Ranks)); err != nil {
+			return fmt.Errorf("spec: topology %s: %w", n.Topology, err)
+		}
 	}
 	backend, err := n.BackendID()
 	if err != nil {

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/fabric"
 )
 
 // TestHashInjectivityGrid sweeps every registered workload against the
@@ -176,6 +178,8 @@ func TestValidate(t *testing.T) {
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 1.5},
 		{Workload: WorkloadAllreduce, Ranks: 4096, Bytes: 1 << 30, Iters: 99_999, Warmup: 1},
 		{Workload: WorkloadNetBandwidth, Bytes: 8, Window: 1024},
+		{Workload: WorkloadNetLatency, Bytes: 8, Inter: true, Topology: "fattree:2"},
+		{Workload: WorkloadAllreduce, Ranks: 16, Bytes: 64, Topology: "fattree:4"},
 	}
 	for _, s := range ok {
 		if err := s.Validate(); err != nil {
@@ -208,6 +212,12 @@ func TestValidate(t *testing.T) {
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Iters: math.MaxInt, Warmup: math.MaxInt}, "iters+warmup must be <= 100000"},
 		{Spec{Workload: WorkloadNetBandwidth, Bytes: 8, Window: 1025}, "window <= 1024"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Topology: "torus"}, "fabric"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 16, Bytes: 64, Topology: "fattree:3"}, "fat-tree arity 3 must be even"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Topology: "dragonfly:1,1,0"}, "each must be in [1, 32]"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 16, Bytes: 64, Topology: "fattree:2"},
+			"topology fattree:2: fabric: 2-ary fat-tree holds 2 nodes, cluster has 4"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 32, Bytes: 64, Machine: "LUMI", Topology: "dragonfly:1,1,1"},
+			"holds at most 2 nodes (2 groups), cluster has 4"},
 	}
 	for _, c := range bad {
 		err := c.spec.Validate()
@@ -341,6 +351,37 @@ func FuzzSpecHash(f *testing.F) {
 		}
 		if s2.Hash() != h {
 			t.Fatalf("JSON round trip changed the hash: %s -> %s", data, back)
+		}
+	})
+}
+
+// FuzzTopology holds the topology parser and the fit check to their
+// contracts: any string either fails to parse, or parses to a config whose
+// canonical spelling re-parses to the same config; and for an accepted
+// config and a node count in [1, 1024] that fabric.ResolveTopology accepts,
+// building the fabric does not panic. Seeds: every spelling the tests and
+// goldens use, and the inputs that used to crash a process.
+func FuzzTopology(f *testing.F) {
+	for _, s := range []string{"", "flat", "fattree", "fat-tree", "fattree:2", "fattree:4", "fat-tree:4",
+		"fattree:8", "fat-tree:8", "dragonfly", "dragonfly:1,1,1", "dragonfly:1,2,2", "dragonfly:2,4,2",
+		"dragonfly:4, 8, 4", "dragonfly:4,8", "flat:3", "fattree:x", "torus",
+		"fattree:3", "fattree:1", "fattree:-4", "fattree:1000000", "dragonfly:-1,2,2", "dragonfly:1,1,0"} {
+		for _, nodes := range []int{1, 2, 3, 16, 17, 1024} {
+			f.Add(s, nodes)
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string, nodes int) {
+		tc, err := fabric.ParseTopology(s)
+		if err != nil {
+			return
+		}
+		canon := canonicalTopology(tc)
+		if back, err := fabric.ParseTopology(canon); err != nil || back != tc {
+			t.Fatalf("%q parses to %+v, its canonical spelling %q to %+v (%v)", s, tc, canon, back, err)
+		}
+		nodes = 1 + (nodes%1024+1024)%1024
+		if _, err := fabric.ResolveTopology(tc, nodes); err == nil {
+			fabric.New(fabric.Config{Nodes: nodes, GPUsPerNode: 1, NICsPerNode: 1, Topology: tc})
 		}
 	})
 }
