@@ -255,6 +255,15 @@ func TestNonPositiveItersRejected(t *testing.T) {
 	}
 }
 
+// TestChaosGenerateIntraNode: a generated plan between two GPUs of one node
+// is drawn over that node's fabric. It used to be drawn over two nodes and
+// panic stalling a NIC the cluster does not have.
+func TestChaosGenerateIntraNode(t *testing.T) {
+	if out := mustRun(t, "chaos", "-generate", "-inter=false", "-severities", "0,0.5,1"); !strings.Contains(out, "intra-node") {
+		t.Errorf("chaos -generate -inter=false printed no intra-node sweep:\n%s", out)
+	}
+}
+
 // TestFailingCellKeepsSerialPrefix pins what a table printed cell by cell
 // shows when a cell fails (three GPUs cannot split the GPUSHMEM heap evenly):
 // everything up to the failing cell, as the serial loop the sweep replaced

@@ -266,7 +266,8 @@ func commSummary(spans *trace.View) *commMatrix {
 // specPlan builds the spec's fault plan for a net workload: degrade ramps
 // the benchmarked path (inter-node when Inter is set, intra-node otherwise);
 // generate draws the seed-deterministic randomized plan of link faults, NIC
-// stall windows and slow ranks over the run's two-rank fabric view.
+// stall windows and slow ranks over the fabric the run's two ranks span: one
+// node intra-node, two inter-node.
 func specPlan(s spec.Spec, cfg NetConfig) (*faults.Plan, error) {
 	switch s.FaultMode {
 	case spec.FaultNone:
@@ -278,7 +279,8 @@ func specPlan(s spec.Spec, cfg NetConfig) (*faults.Plan, error) {
 		}
 		return faults.Degrade(path, s.Severity), nil
 	case spec.FaultGenerate:
-		return faults.Generate(s.Seed, s.Severity, cfg.model().FabricConfig(2), sim.Second), nil
+		m := cfg.model()
+		return faults.Generate(s.Seed, s.Severity, m.FabricConfig(m.NodesFor(2)), sim.Second), nil
 	default:
 		return nil, fmt.Errorf("bench: unknown fault mode %q", s.FaultMode)
 	}

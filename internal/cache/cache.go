@@ -13,13 +13,16 @@
 //
 // The in-memory tier is a strict LRU bounded by both entry count and total
 // value bytes. The optional disk tier (Options.Dir) writes each entry to
-// <dir>/<hash> with an atomic rename and reads it back on a memory miss;
-// hashes are hex SHA-256, so keys are filename-safe by construction and a
-// corrupt or truncated file is indistinguishable from a miss at worst.
+// <dir>/<hash> with an atomic rename, the value followed by its SHA-256, and
+// reads it back on a memory miss; hashes are hex SHA-256, so keys are
+// filename-safe by construction. A file whose trailer does not match its
+// value (truncated, corrupted, or written before entries carried one) reads
+// as a miss and is removed, and the next Put writes the entry afresh.
 package cache
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"sync"
@@ -123,7 +126,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	}
 	c.mu.Unlock()
 	if c.opts.Dir != "" {
-		if val, err := os.ReadFile(c.diskPath(key)); err == nil && len(val) > 0 {
+		if val, ok := c.readDisk(key); ok {
 			c.mu.Lock()
 			c.insert(key, val)
 			c.hits++
@@ -204,9 +207,27 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.opts.Dir, key)
 }
 
-// persist writes the value with a temp-file + rename so readers never see a
-// partial entry. Persistence is best-effort: a full disk degrades the cache
-// to memory-only, it never fails the simulation that produced the result.
+// readDisk returns the value persisted under key when its file is a
+// non-empty value followed by that value's SHA-256. Any other file is
+// removed. A Put racing the removal may lose its fresh file to it, which
+// costs a later miss, never a wrong hit.
+func (c *Cache) readDisk(key string) ([]byte, bool) {
+	path := c.diskPath(key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	if n := len(data) - sha256.Size; n > 0 && sha256.Sum256(data[:n]) == [sha256.Size]byte(data[n:]) {
+		return data[:n:n], true
+	}
+	os.Remove(path)
+	return nil, false
+}
+
+// persist writes the value and its SHA-256 with a temp-file + rename so
+// readers never see a partial entry. Persistence is best-effort: a full disk
+// degrades the cache to memory-only, it never fails the simulation that
+// produced the result.
 func (c *Cache) persist(key string, val []byte) {
 	if err := os.MkdirAll(c.opts.Dir, 0o755); err != nil {
 		return
@@ -216,7 +237,12 @@ func (c *Cache) persist(key string, val []byte) {
 		return
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(val); err != nil {
+	sum := sha256.Sum256(val)
+	_, err = tmp.Write(val)
+	if err == nil {
+		_, err = tmp.Write(sum[:])
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return

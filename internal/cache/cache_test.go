@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -148,6 +149,71 @@ func TestDiskCorruptionIsAMiss(t *testing.T) {
 	if _, ok := c.Get("absent"); ok {
 		t.Error("a missing file must read as a miss")
 	}
+}
+
+// TestDiskCorruptEntryIsAMiss: a persisted entry truncated, overwritten with
+// a partial document or with one byte flipped reads as a miss, its file is
+// removed, and the next Put writes it afresh.
+func TestDiskCorruptEntryIsAMiss(t *testing.T) {
+	const key, val = "deadbeef", `{"value":42}`
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"truncated":            func(b []byte) []byte { return b[:len(b)-1] },
+		"truncated into value": func(b []byte) []byte { return b[:6] },
+		"partial document":     func([]byte) []byte { return []byte(`{"valu`) },
+		"one byte flipped":     func(b []byte) []byte { b[3] ^= 1; return b },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, key)
+			New(Options{Dir: dir}).Put(key, []byte(val))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, corrupt(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := New(Options{Dir: dir})
+			if got, ok := c.Get(key); ok {
+				t.Fatalf("corrupt entry served as a hit: %q", got)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("corrupt entry left on disk (stat: %v)", err)
+			}
+			c.Put(key, []byte(val))
+			if got, ok := New(Options{Dir: dir}).Get(key); !ok || string(got) != val {
+				t.Errorf("after the rewrite: %q, %v; want %s, true", got, ok, val)
+			}
+		})
+	}
+}
+
+// FuzzDiskEntry writes arbitrary bytes as a persisted entry, sealed with
+// their SHA-256 or not: Get never panics, hits exactly when the file is a
+// non-empty value followed by its SHA-256, and then returns that value.
+func FuzzDiskEntry(f *testing.F) {
+	f.Add([]byte(`{"value":42}`), true)
+	f.Add([]byte(`{"valu`), false)
+	f.Add([]byte{}, true)
+	f.Add(make([]byte, sha256.Size+1), false)
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal {
+			sum := sha256.Sum256(data)
+			data = append(data, sum[:]...)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "k"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, hit := New(Options{Dir: dir}).Get("k")
+		n := len(data) - sha256.Size
+		if valid := n > 0 && sha256.Sum256(data[:n]) == [sha256.Size]byte(data[n:]); hit != valid {
+			t.Fatalf("%q: hit %v, want %v", data, hit, valid)
+		}
+		if hit && !bytes.Equal(got, data[:n]) {
+			t.Fatalf("%q: Get returned %q, want the value before the trailer", data, got)
+		}
+	})
 }
 
 func TestMetricsCounters(t *testing.T) {

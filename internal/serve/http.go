@@ -6,8 +6,8 @@ package serve
 //	               Response headers: X-Uniconn-Spec-Hash (the content
 //	               address) and X-Uniconn-Cache (hit|miss|coalesced).
 //	               400 on malformed/unrunnable specs or bytes after the
-//	               document, 413 past maxQueryBytes, 503 under load shed or
-//	               shutdown, 500 on evaluation failure.
+//	               document, 413 on any body past maxQueryBytes, 503 under
+//	               load shed or shutdown, 500 on evaluation failure.
 //	GET  /stats    the service's operational snapshot (Stats).
 //
 // Everything else falls through to the telemetry plane's handler when one
@@ -15,19 +15,25 @@ package serve
 // /debug/flight — the same endpoints every sweep CLI serves under -live.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"sync"
 
 	"repro/internal/spec"
 )
 
 // maxQueryBytes caps a /query request body. A spec document is a few hundred
-// bytes; the cap only keeps a hostile client from making the decoder buffer
-// an unbounded body.
+// bytes; a body past the cap is refused whatever it holds.
 const maxQueryBytes = 1 << 20
+
+// bodies recycles the buffers /query bodies are read into. A buffer grown
+// past maxPooledBody by an oversized body is dropped rather than pooled.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
 
 // NewHandler routes the service's endpoints, with every unclaimed path
 // served by fallback (pass the telemetry server's Handler; nil serves 404).
@@ -48,20 +54,7 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "POST a spec JSON document", http.StatusMethodNotAllowed)
 		return
 	}
-	// Unknown fields are rejected rather than ignored: a misspelled field
-	// would silently address a different cell than the client meant. The
-	// body must be exactly one document: a second value is rejected too.
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxQueryBytes))
-	dec.DisallowUnknownFields()
-	var s spec.Spec
-	err := dec.Decode(&s)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = errors.New("trailing data after the spec document")
-		}
-	}
+	s, err := readSpec(w, req)
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -85,10 +78,32 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Uniconn-Spec-Hash", h)
-	w.Header().Set("X-Uniconn-Cache", source)
+	// The keys are canonical already, so they are stored directly rather
+	// than through Header.Set; the three values share one allocation.
+	vals := [...]string{"application/json", h, source}
+	hdr := w.Header()
+	hdr["Content-Type"] = vals[0:1:1]
+	hdr["X-Uniconn-Spec-Hash"] = vals[1:2:2]
+	hdr["X-Uniconn-Cache"] = vals[2:3:3]
 	w.Write(body) //nolint:errcheck // client went away
+}
+
+// readSpec reads the whole body, up to maxQueryBytes, into a pooled buffer
+// and decodes it with spec.Decode. Unknown fields are refused rather than
+// ignored: a misspelled field would silently address a different cell than
+// the client meant. So is anything but whitespace after the one document.
+func readSpec(w http.ResponseWriter, req *http.Request) (spec.Spec, error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, maxQueryBytes)); err != nil {
+		return spec.Spec{}, err
+	}
+	return spec.Decode(buf.Bytes())
 }
 
 // handleStats serves the operational snapshot.

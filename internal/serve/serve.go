@@ -25,6 +25,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/bench"
@@ -191,7 +192,7 @@ func (sv *Service) runSlot(batch []*call) {
 		for i, c := range batch {
 			specs[i] = c.spec
 		}
-		evals := sv.eval(specs, sv.opts.Cache)
+		evals := sv.evalBatch(specs)
 		sv.mBatches.Inc()
 		sv.mBatched.Add(int64(len(batch)))
 		sv.mu.Lock()
@@ -210,6 +211,22 @@ func (sv *Service) runSlot(batch []*call) {
 		}
 		batch = next
 	}
+}
+
+// evalBatch runs one batch through eval. A panic there fails every call of
+// the batch with an error naming it, which its waiters answer with a 500,
+// rather than ending the process; the slot then serves the queue as usual.
+func (sv *Service) evalBatch(specs []spec.Spec) (evals []bench.Evaluation) {
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("serve: evaluation panicked: %v", r)
+			evals = make([]bench.Evaluation, len(specs))
+			for i := range evals {
+				evals[i].Err = err
+			}
+		}
+	}()
+	return sv.eval(specs, sv.opts.Cache)
 }
 
 // Close drains the service: new queries are shed with errClosed, everything

@@ -240,6 +240,27 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
+// TestPanickingEvalIs500: a panic in a batch's evaluation fails that batch's
+// query with a 500 naming it, and the service goes on answering.
+func TestPanickingEvalIs500(t *testing.T) {
+	sv := New(Options{})
+	defer sv.Close()
+	h := NewHandler(sv, nil)
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"workload":"net-latency","bytes":4096}`)))
+		return w
+	}
+	sv.eval = func([]spec.Spec, *cache.Cache) []bench.Evaluation { panic("injected fault") }
+	if w := post(); w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "injected fault") {
+		t.Fatalf("panicking eval: %d %q, want a 500 naming the panic", w.Code, w.Body.String())
+	}
+	sv.eval = bench.EvalSpecs
+	if w := post(); w.Code != http.StatusOK || w.Header().Get("X-Uniconn-Cache") != "miss" {
+		t.Fatalf("query after the panic: %d %q, want a 200 miss", w.Code, w.Body.String())
+	}
+}
+
 // TestHTTPQueryEndpoint drives the full HTTP surface: miss then hit with
 // byte-identical bodies and the cache header, 400s for bad specs and
 // trailing bytes, 413 for an oversized body, 405 for GET, and a working
@@ -260,6 +281,18 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 		buf.ReadFrom(resp.Body) //nolint:errcheck
 		resp.Body.Close()
 		return resp, buf.String()
+	}
+
+	// An intra-node generated fault plan used to be drawn over two nodes and
+	// panic the batch goroutine, ending the process. It is answered, and so
+	// is the next query.
+	for _, q := range []string{
+		`{"workload":"net-latency","bytes":8,"fault_mode":"generate","severity":0.5}`,
+		`{"workload":"net-latency","bytes":16}`,
+	} {
+		if resp, msg := post(q); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status = %d (%s), want 200", q, resp.StatusCode, msg)
+		}
 	}
 
 	resp1, body1 := post(`{"workload":"net-latency","bytes":4096}`)
@@ -380,13 +413,15 @@ func raceEnabled() bool {
 
 // TestWarmHitAllocs bounds the objects a cache hit allocates through the
 // handler, driven with one reused in-memory request and response (no
-// network, no per-query harness allocation): decode, one validate that
-// builds no machine model, one hash into a stack buffer, one cache get.
+// network, no per-query harness allocation): the body read into a pooled
+// buffer, a decode that returns the enum values as constants, one validate
+// that builds no machine model, one hash, one cache get and the three header
+// values in one array. Four objects today; the budget leaves two spare.
 func TestWarmHitAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector allocates shadow state")
 	}
-	const budget = 18
+	const budget = 6
 	sv := New(Options{})
 	defer sv.Close()
 	h := NewHandler(sv, nil)

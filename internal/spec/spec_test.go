@@ -282,8 +282,9 @@ func refPayload(s Spec) string {
 	return b.String()
 }
 
-// decodeQuery decodes one spec document exactly as the serve /query handler
-// does: unknown fields rejected, nothing after the one document.
+// decodeQuery decodes one spec document as the serve /query handler did
+// before Decode: unknown fields rejected, nothing after the one document.
+// It is the reference FuzzSpecDecode holds Decode to.
 func decodeQuery(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -323,7 +324,7 @@ func FuzzSpecHash(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeQuery(data)
+		s, err := Decode(data)
 		if err != nil {
 			return
 		}
@@ -345,7 +346,7 @@ func FuzzSpecHash(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %+v: %v", s, err)
 		}
-		s2, err := decodeQuery(back)
+		s2, err := Decode(back)
 		if err != nil {
 			t.Fatalf("re-decode %s: %v", back, err)
 		}
