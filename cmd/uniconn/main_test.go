@@ -181,6 +181,8 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"cg", "-matrix", "dense"}, 1, `unknown matrix "dense"`},
 		{[]string{"scale", "-max-ranks", "8"}, 1, "need -max-ranks >= 64"},
 		{[]string{"scale", "-bytes", "12"}, 1, "-bytes 12: the vector size must be a positive multiple of 8"},
+		{[]string{"scale", "-max-ranks", "16384"}, 2, "allreduce needs 2 <= ranks <= 4096 (got 16384)"},
+		{[]string{"scale", "-ring-max-ranks", "5000"}, 2, "allreduce needs 2 <= ranks <= 4096 (got 5000)"},
 		{[]string{"cg", "-scale", "-1"}, 2, "-scale -1: the matrix scale factor must be positive and finite"},
 		{[]string{"cg", "-scale", "NaN"}, 2, "-scale NaN: the matrix scale factor must be positive and finite"},
 		// A network no cluster can build, or too small for the largest cell,
@@ -406,10 +408,11 @@ func TestNoShardsKnob(t *testing.T) {
 	}
 }
 
-// TestNoBatchWindowKnob: a serve miss runs as soon as a batch slot is free,
-// so there is no batch window or batch cap left to tune.
+// TestNoBatchWindowKnob: a serve miss runs as soon as one of GOMAXPROCS
+// slots is free, so there is no batch window, batch cap or slot count left
+// to tune.
 func TestNoBatchWindowKnob(t *testing.T) {
-	for _, args := range [][]string{{"serve", "-batch-window", "1ms"}, {"serve", "-max-batch", "4"}} {
+	for _, args := range [][]string{{"serve", "-batch-window", "1ms"}, {"serve", "-max-batch", "4"}, {"serve", "-inflight", "2"}} {
 		_, stderr, status := invoke(t, args...)
 		if status != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[1]) {
 			t.Errorf("uniconn %s: exit %d, stderr %q; want the undefined-flag rejection", strings.Join(args, " "), status, stderr)

@@ -59,6 +59,11 @@ func scale(args []string, stdout, stderr io.Writer) error {
 	if *bytes < 8 || *bytes%8 != 0 {
 		return fmt.Errorf("-bytes %d: the vector size must be a positive multiple of 8", *bytes)
 	}
+	// The largest cell must be one the spec layer admits.
+	largest := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: max(*maxRanks, *ringMax), Bytes: *bytes}
+	if err := largest.Validate(); err != nil {
+		return badUsage(fs, "-max-ranks %d, -ring-max-ranks %d: %v", *maxRanks, *ringMax, err)
+	}
 	m, err := common.Resolve()
 	if err != nil {
 		return err

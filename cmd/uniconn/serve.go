@@ -21,15 +21,14 @@ import (
 // backend → predicted time, critical path, comm matrix". Every answer is
 // content-addressed by its spec hash (internal/spec) and cached
 // (internal/cache), so repeated questions are O(1) and byte-identical;
-// identical misses coalesce, a miss runs at once while one of -inflight
-// batch slots is free, and the misses that queue while all are busy run as
-// the next deterministic sweep (internal/serve). The telemetry plane's
+// identical misses coalesce, and distinct ones simulate on their request
+// goroutines, GOMAXPROCS at a time (internal/serve). The telemetry plane's
 // endpoints (/metrics /healthz /debug/runs /debug/flight) are mounted
 // alongside /query and /stats, with the service's serve.* and cache.*
 // counters on /metrics.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops, in-flight
-// requests and queued batches drain, then the subcommand returns.
+// requests and the misses they wait on drain, then the subcommand returns.
 //
 // The service's wall-clock record is the benchmark's serve-warm and
 // serve-churn workloads (benchmark/README.md).
@@ -46,8 +45,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "persist cached results to this directory (survives restarts)")
 	cacheEntries := fs.Int("cache-entries", 0, "in-memory cache entry cap (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "in-memory cache byte cap (0 = default)")
-	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "batch slots; a miss runs at once while one is free")
-	queueCap := fs.Int("queue-cap", serve.DefaultQueueCap, "specs queued while every slot is busy, before 503")
+	queueCap := fs.Int("queue-cap", serve.DefaultQueueCap, "misses waiting while every slot is busy, before 503")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -58,9 +56,8 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 		Cache: cache.New(cache.Options{
 			MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, Dir: *cacheDir,
 		}),
-		Registry:    tracker.Registry(),
-		MaxInflight: *inflight,
-		QueueCap:    *queueCap,
+		Registry: tracker.Registry(),
+		QueueCap: *queueCap,
 	})
 	handler := serve.NewHandler(svc, tsrv.Handler())
 
@@ -77,7 +74,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		fmt.Fprintln(stderr, "shutting down: draining in-flight requests and queued batches")
+		fmt.Fprintln(stderr, "shutting down: draining in-flight requests")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {

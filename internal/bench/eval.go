@@ -4,8 +4,8 @@ package bench
 // (internal/spec), the content-addressed result cache (internal/cache), and
 // the workload implementations in this package. EvalSpec answers the
 // what-if question one spec poses — predicted time, critical path, traffic
-// matrix — as a canonically encoded JSON document; EvalSpecs fans a batch
-// out as one Sweep.
+// matrix — as a canonically encoded JSON document; Eval is the same answer
+// for a spec its caller has already validated and hashed.
 //
 // Caching contract: the cache stores the *encoded bytes* under the spec's
 // content hash, and a hit returns those bytes verbatim, so a cached answer
@@ -103,15 +103,19 @@ type EvalOptions struct {
 }
 
 // EvalSpec evaluates one spec, returning the canonical encoded Result and
-// whether it came from the cache. A hit returns the stored bytes verbatim
-// (byte-identical to a fresh evaluation); a miss simulates the cell with a
-// private trace log, encodes, stores, and returns.
+// whether it came from the cache: Validate, Hash, then Eval.
 func EvalSpec(s spec.Spec, opt EvalOptions) ([]byte, bool, error) {
 	if err := s.Validate(); err != nil {
 		return nil, false, err
 	}
-	h := s.Hash()
-	if body, ok := opt.cache.Get(h); ok {
+	return Eval(s, s.Hash(), opt.cache)
+}
+
+// Eval evaluates a validated spec whose hash h the caller holds: a hit in c
+// returns the stored bytes verbatim, a miss simulates the cell with a private
+// trace log, encodes and stores (a nil c always simulates).
+func Eval(s spec.Spec, h string, c *cache.Cache) ([]byte, bool, error) {
+	if body, ok := c.Get(h); ok {
 		return body, true, nil
 	}
 	res, err := evalCold(s.Normalize(), h)
@@ -122,33 +126,8 @@ func EvalSpec(s spec.Spec, opt EvalOptions) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	opt.cache.Put(h, body)
+	c.Put(h, body)
 	return body, false, nil
-}
-
-// Evaluation is one EvalSpecs outcome. Err is per-item: a failing spec
-// reports here without aborting its batch-mates (the what-if service must
-// answer the healthy queries of a batch even when one is unrunnable).
-type Evaluation struct {
-	Body []byte
-	Hit  bool
-	Err  error
-}
-
-// EvalSpecs evaluates a batch as one Sweep: cells fan out with the usual
-// determinism contract (index-ordered results), cache hits short-circuit.
-// Duplicate specs within a batch may race to simulate; both produce
-// identical bytes, so the last Put is indistinguishable from the first.
-func EvalSpecs(specs []spec.Spec, c *cache.Cache) []Evaluation {
-	out, _, _ := Sweep(nil, len(specs), func(i int, _ *Collector) (Evaluation, CellProfile, error) {
-		s := specs[i]
-		body, hit, err := EvalSpec(s, EvalOptions{cache: c})
-		if err != nil {
-			return Evaluation{Err: fmt.Errorf("spec %s: %w", s, err)}, CellProfile{}, nil
-		}
-		return Evaluation{Body: body, Hit: hit}, CellProfile{}, nil
-	})
-	return out
 }
 
 // evalCold simulates the (normalized, validated) spec through runSpec and

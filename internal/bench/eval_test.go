@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -27,17 +26,17 @@ func evalTestSpecs() []spec.Spec {
 	}
 }
 
-// evalAll evaluates the batch at a fixed GOMAXPROCS and returns the bodies.
+// evalAll evaluates the batch as one Sweep of EvalSpec cells at a fixed
+// GOMAXPROCS and returns the bodies.
 func evalAll(t *testing.T, specs []spec.Spec, c *cache.Cache, procs int) [][]byte {
 	t.Helper()
 	setProcs(t, procs)
-	evals := EvalSpecs(specs, c)
-	bodies := make([][]byte, len(evals))
-	for i, ev := range evals {
-		if ev.Err != nil {
-			t.Fatalf("spec %d: %v", i, ev.Err)
-		}
-		bodies[i] = ev.Body
+	bodies, _, err := Sweep(nil, len(specs), func(i int, _ *Collector) ([]byte, CellProfile, error) {
+		body, _, err := EvalSpec(specs[i], EvalOptions{cache: c})
+		return body, CellProfile{}, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bodies
 }
@@ -100,25 +99,6 @@ func TestEvalSpecReportsHitFlag(t *testing.T) {
 	sum := res.Critical.ComputeNs + res.Critical.IntraNs + res.Critical.InterNs + res.Critical.BlockedNs
 	if sum != res.Critical.EndNs {
 		t.Errorf("critical-path attribution %d != end %d", sum, res.Critical.EndNs)
-	}
-}
-
-// TestEvalSpecsPerItemErrors: one broken spec must not poison its batch.
-func TestEvalSpecsPerItemErrors(t *testing.T) {
-	specs := []spec.Spec{
-		{Workload: spec.WorkloadNetLatency, Bytes: 4096},
-		{Workload: "nope", Bytes: 8},
-		{Workload: spec.WorkloadNetLatency, Bytes: 8192},
-	}
-	evals := EvalSpecs(specs, nil)
-	if evals[0].Err != nil || evals[2].Err != nil {
-		t.Fatalf("healthy specs errored: %v / %v", evals[0].Err, evals[2].Err)
-	}
-	if evals[1].Err == nil || !strings.Contains(evals[1].Err.Error(), "unknown workload") {
-		t.Fatalf("broken spec error = %v, want unknown workload", evals[1].Err)
-	}
-	if evals[0].Body == nil || evals[2].Body == nil {
-		t.Fatal("healthy specs returned no body")
 	}
 }
 

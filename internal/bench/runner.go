@@ -15,6 +15,8 @@ package bench
 //     which is exactly the error serial execution would have hit first
 //     (cells below the first serial failure succeed deterministically, so
 //     they can never pre-empt it), with the results of the cells before it;
+//   - a panicking cell fails like an erroring one, and when it is the lowest
+//     failure its panic is re-raised on the calling goroutine (*cellPanic);
 //   - GOMAXPROCS=1 degrades to a plain loop on the calling goroutine, the
 //     escape hatch for debugging.
 //
@@ -30,7 +32,9 @@ package bench
 // observability layer built on this rule.
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -74,38 +78,44 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers}
 }
 
+// cellPanic is a cell's panic as Run re-raises it on the calling goroutine,
+// with the index of the cell and the stack it panicked on.
+type cellPanic struct {
+	cell  int
+	value any
+	stack []byte
+}
+
+func (p *cellPanic) Error() string {
+	return fmt.Sprintf("bench: sweep cell %d panicked: %v\n\n%s", p.cell, p.value, p.stack)
+}
+
+// runCell runs fn(i), returning a panic as a *cellPanic error.
+func runCell(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &cellPanic{cell: i, value: v, stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
+}
+
 // Run executes fn(i) for every i in [0, n). Cells must be independent: each
 // owns its private engine, trace log, and fault plan, and writes results
 // only to its own index. With one worker, cells run in increasing index
-// order on the calling goroutine. The returned error is the error of the
-// lowest failing index (the same error serial execution returns); once any
-// cell fails, unclaimed cells are skipped.
+// order on the calling goroutine. The lowest failing index decides the
+// outcome, as serially: its error is returned or its panic re-raised as a
+// *cellPanic; once any cell fails, unclaimed cells are skipped.
 func (r *Runner) Run(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	w := r.workers
-	if w > n {
-		w = n
-	}
+	w := min(r.workers, n)
 	// Live progress (nil handle when no tracker is installed): reporting is
 	// read-only off the sweep — it never touches cell results or stdout, so
 	// output stays byte-identical with tracking on or off.
 	lr := progressRun(n, w)
 	defer lr.End()
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if lr != nil {
-				lr.CellStart(0, i, cellLabel(i))
-			}
-			err := fn(i)
-			lr.CellDone(0, i)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
@@ -113,35 +123,43 @@ func (r *Runner) Run(n int, fn func(i int) error) error {
 		wg     sync.WaitGroup
 	)
 	next.Store(-1)
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		k := k
+	// Worker k claims cells in index order until none is left or one failed;
+	// worker 0 is the calling goroutine, so one worker is a serial loop.
+	worker := func(k int) {
+		for {
+			i := int(next.Add(1))
+			if i >= n || failed.Load() {
+				return
+			}
+			if lr != nil {
+				lr.CellStart(k, i, cellLabel(i))
+			}
+			err := runCell(fn, i)
+			lr.CellDone(k, i)
+			if err != nil {
+				errs[i] = err
+				failed.Store(true)
+			}
+		}
+	}
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n || failed.Load() {
-					return
-				}
-				if lr != nil {
-					lr.CellStart(k, i, cellLabel(i))
-				}
-				err := fn(i)
-				lr.CellDone(k, i)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
+			worker(k)
 		}()
 	}
+	worker(0)
 	wg.Wait()
 	// Lowest failing index wins: cells are claimed in increasing order, so
 	// by the time any cell fails, every lower-index cell has already been
 	// claimed and will complete. Since cells are deterministic, the cells
-	// preceding the first serial failure always succeed, and the error
-	// reported here equals the serial one.
+	// preceding the first serial failure always succeed, and the failure
+	// returned or re-raised here is the serial one.
 	for _, err := range errs {
+		if p, ok := err.(*cellPanic); ok {
+			panic(p)
+		}
 		if err != nil {
 			return err
 		}

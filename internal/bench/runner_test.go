@@ -120,6 +120,39 @@ func TestSweepCollectsByIndex(t *testing.T) {
 	}
 }
 
+// TestSweepPanicReachesCaller: a panicking cell reaches Sweep's caller as a
+// *cellPanic at any GOMAXPROCS, the lowest-index failure winning as it would
+// serially, with the cell's own stack; on a worker goroutine it used to end
+// the process.
+func TestSweepPanicReachesCaller(t *testing.T) {
+	sweep := func(procs int) (p *cellPanic) {
+		setProcs(t, procs)
+		defer func() {
+			r := recover()
+			var ok bool
+			if p, ok = r.(*cellPanic); !ok {
+				t.Fatalf("GOMAXPROCS %d: recovered %#v, want a *cellPanic", procs, r)
+			}
+		}()
+		Sweep(nil, 16, func(i int, _ *Collector) (int, CellProfile, error) {
+			if i >= 3 && i%2 == 1 {
+				panic(fmt.Sprintf("cell %d", i))
+			}
+			if i == 12 {
+				return 0, CellProfile{}, errors.New("cell 12")
+			}
+			return i, CellProfile{}, nil
+		})
+		t.Fatalf("GOMAXPROCS %d: Sweep returned", procs)
+		return nil
+	}
+	for _, procs := range []int{1, 4} {
+		if p := sweep(procs); p.cell != 3 || p.value != "cell 3" || !strings.Contains(string(p.stack), "TestSweepPanicReachesCaller") {
+			t.Errorf("GOMAXPROCS %d: recovered cell %d, value %v, stack:\n%s\nwant cell 3's panic on its own stack", procs, p.cell, p.value, p.stack)
+		}
+	}
+}
+
 // TestFigureSweepDeterministic renders a full paper figure at GOMAXPROCS 1
 // and 8 and asserts the outputs are byte-identical. Fig 6 (CG solver
 // scaling) is the cheapest figure that still exercises machine models,

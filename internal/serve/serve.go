@@ -8,24 +8,23 @@
 // cache key, and a hit returns the stored bytes verbatim — byte-identical
 // to a fresh simulation, at O(1) cost.
 //
-// Second, concurrent misses coalesce and batch by group commit. Identical
-// specs join the same pending call (one simulation, many waiters). A miss
-// that finds one of MaxInflight execution slots free starts a batch at
-// once; misses arriving while every slot is busy queue, and the next slot
-// to free takes the whole queue as one bench.EvalSpecs sweep — the same
-// deterministic fan-out the CLIs use — until the queue is empty. Nothing
-// waits on a clock. A queue cap sheds load (errOverloaded → 503) rather
-// than accepting unbounded work.
+// Second, concurrent misses coalesce: identical specs join one pending call
+// (one simulation, many waiters). Each distinct miss takes one of GOMAXPROCS
+// slots, the service's only width setting, and simulates on its own request
+// goroutine through bench.Eval; misses that find every slot busy wait, up to
+// a cap that sheds load (errOverloaded → 503). A panic in an evaluation
+// fails only its own call and the queries coalesced onto it.
 //
-// Determinism note: coalescing and batching change *when* and *how often* a
-// cell is simulated, never *what* it returns — cell results are a pure
-// function of the spec, and the cache stores encoded bytes. The service can
-// therefore never serve two different answers for one spec.
+// Determinism note: coalescing changes *how often* a cell is simulated,
+// never *what* it returns — cell results are a pure function of the spec,
+// and the cache stores encoded bytes. The service can therefore never serve
+// two different answers for one spec.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/bench"
@@ -34,14 +33,10 @@ import (
 	"repro/internal/spec"
 )
 
-// Defaults for Options zero values.
-const (
-	DefaultMaxInflight = 2
-	DefaultQueueCap    = 1024
-)
+// DefaultQueueCap is the QueueCap a zero Options value selects.
+const DefaultQueueCap = 1024
 
-// errOverloaded reports a query rejected because the pending queue is full;
-// the HTTP layer maps it to 503.
+// errOverloaded rejects a miss beyond QueueCap waiting ones; mapped to 503.
 var errOverloaded = errors.New("serve: pending queue full")
 
 // errClosed reports a query arriving after Close began; mapped to 503.
@@ -55,42 +50,39 @@ type Options struct {
 	// counters — pass the telemetry tracker's registry so they surface on
 	// /metrics. A private registry is used when nil (Stats still works).
 	Registry *metrics.Registry
-	// MaxInflight caps concurrently executing batches (0 = DefaultMaxInflight).
-	MaxInflight int
-	// QueueCap caps the specs queued while every slot is busy; beyond it
-	// queries are shed with errOverloaded (0 = DefaultQueueCap).
+	// QueueCap caps the misses waiting for a slot; beyond it queries are
+	// shed with errOverloaded (0 = DefaultQueueCap).
 	QueueCap int
 }
 
-// Service coalesces and batches spec queries over the result cache.
+// Service coalesces spec queries over the result cache.
 type Service struct {
-	opts Options
-	eval func([]spec.Spec, *cache.Cache) []bench.Evaluation // bench.EvalSpecs
+	opts  Options
+	eval  func(spec.Spec, string, *cache.Cache) ([]byte, bool, error) // bench.Eval
+	slots chan struct{}                                               // a token per evaluating miss
 
+	// Only a pending call holds a slot, and only under mu is one returned,
+	// so under mu len(pending) - len(slots) misses wait for a slot.
 	mu      sync.Mutex
-	pending map[string]*call // spec hash → running or queued call
-	queue   []*call          // calls waiting for a slot, in arrival order
-	running int              // busy execution slots, at most MaxInflight
+	pending map[string]*call // spec hash → evaluating or waiting call
 	closed  bool
-	wg      sync.WaitGroup // one per busy slot
+	wg      sync.WaitGroup // one per pending call
 
 	mQueries, mFast, mCoalesced *metrics.Counter
 	mBatches, mBatched          *metrics.Counter
 	mRejected, mErrors          *metrics.Counter
 }
 
-// call is one pending simulation: the first requester of a spec creates it,
-// identical requests join it, and the executing batch resolves it.
+// call is one pending simulation: the first requester of a spec creates and
+// evaluates it, identical requests join it.
 type call struct {
-	spec spec.Spec
-	hash string
 	done chan struct{} // closed once body/hit/err are set
 	body []byte
 	hit  bool
 	err  error
 }
 
-// New returns a service over the options.
+// New returns a service over the options, GOMAXPROCS slots wide.
 func New(opts Options) *Service {
 	if opts.Cache == nil {
 		opts.Cache = cache.New(cache.Options{})
@@ -98,15 +90,13 @@ func New(opts Options) *Service {
 	if opts.Registry == nil {
 		opts.Registry = metrics.New()
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = DefaultMaxInflight
-	}
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = DefaultQueueCap
 	}
 	sv := &Service{
 		opts:    opts,
-		eval:    bench.EvalSpecs,
+		eval:    bench.Eval,
+		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		pending: make(map[string]*call),
 	}
 	opts.Cache.SetMetrics(opts.Registry)
@@ -121,16 +111,18 @@ func New(opts Options) *Service {
 	return sv
 }
 
-// Query answers one validated spec. The source return value reports how:
-// "hit" (served from the cache, fast path or filled while queued), "miss"
-// (this call's batch simulated it), or "coalesced" (joined another query's
-// pending call). Blocks until the answer is ready; under overload or
-// shutdown it fails fast with errOverloaded / errClosed.
+// Query answers one spec, refusing an invalid one. The source says how: "hit"
+// (from the cache), "miss" (this call simulated it) or "coalesced" (joined
+// another query's pending call). Blocks until the answer is ready; under
+// overload or shutdown it fails fast with errOverloaded / errClosed.
 func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
+	if err := s.Validate(); err != nil {
+		return nil, "", err
+	}
 	return sv.query(s, s.Hash())
 }
 
-// query is Query for a spec whose hash h the caller already holds.
+// query is Query for a validated spec whose hash h the caller already holds.
 func (sv *Service) query(s spec.Spec, h string) (body []byte, source string, err error) {
 	sv.mQueries.Inc()
 	if body, ok := sv.opts.Cache.Get(h); ok {
@@ -152,85 +144,59 @@ func (sv *Service) query(s spec.Spec, h string) (body []byte, source string, err
 		}
 		return c.body, "coalesced", nil
 	}
-	free := sv.running < sv.opts.MaxInflight
-	if !free && len(sv.queue) >= sv.opts.QueueCap {
-		sv.mu.Unlock()
-		sv.mRejected.Inc()
-		return nil, "", errOverloaded
+	wait := false
+	select {
+	case sv.slots <- struct{}{}:
+	default:
+		if len(sv.pending)-len(sv.slots) >= sv.opts.QueueCap {
+			sv.mu.Unlock()
+			sv.mRejected.Inc()
+			return nil, "", errOverloaded
+		}
+		wait = true
 	}
-	c := &call{spec: s, hash: h, done: make(chan struct{})}
+	c := &call{done: make(chan struct{})}
 	sv.pending[h] = c
-	if free {
-		sv.running++
-		sv.wg.Add(1)
-		go sv.runSlot([]*call{c})
-	} else {
-		sv.queue = append(sv.queue, c)
-	}
+	sv.wg.Add(1)
 	sv.mu.Unlock()
-	<-c.done
+	if wait {
+		sv.slots <- struct{}{}
+	}
+	sv.evaluate(c, s, h)
+	sv.mBatches.Inc()
+	sv.mBatched.Inc()
+	sv.mu.Lock()
+	delete(sv.pending, h)
+	<-sv.slots
+	sv.mu.Unlock()
+	close(c.done)
+	sv.wg.Done()
 	if c.err != nil {
 		sv.mErrors.Inc()
 		return nil, "", c.err
 	}
-	source = "miss"
 	if c.hit {
-		source = "hit"
+		return c.body, "hit", nil
 	}
-	return c.body, source, nil
+	return c.body, "miss", nil
 }
 
-// runSlot is one busy execution slot: it runs batch as a single
-// deterministic sweep, resolves its calls, then takes whatever queued
-// meanwhile as the next batch, and frees the slot when the queue is empty.
-// Pending-map entries survive until resolution so late identical queries
-// keep coalescing onto the executing call.
-func (sv *Service) runSlot(batch []*call) {
-	defer sv.wg.Done()
-	for len(batch) > 0 {
-		specs := make([]spec.Spec, len(batch))
-		for i, c := range batch {
-			specs[i] = c.spec
-		}
-		evals := sv.evalBatch(specs)
-		sv.mBatches.Inc()
-		sv.mBatched.Add(int64(len(batch)))
-		sv.mu.Lock()
-		for i, c := range batch {
-			c.body, c.hit, c.err = evals[i].Body, evals[i].Hit, evals[i].Err
-			delete(sv.pending, c.hash)
-		}
-		next := sv.queue
-		sv.queue = nil
-		if len(next) == 0 {
-			sv.running--
-		}
-		sv.mu.Unlock()
-		for _, c := range batch {
-			close(c.done)
-		}
-		batch = next
-	}
-}
-
-// evalBatch runs one batch through eval. A panic there fails every call of
-// the batch with an error naming it, which its waiters answer with a 500,
-// rather than ending the process; the slot then serves the queue as usual.
-func (sv *Service) evalBatch(specs []spec.Spec) (evals []bench.Evaluation) {
+// evaluate resolves c by running its miss through eval. A panic there fails
+// c, and so every query coalesced onto it, with an error naming it, which
+// the handler answers with a 500, rather than ending the process.
+func (sv *Service) evaluate(c *call, s spec.Spec, h string) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("serve: evaluation panicked: %v", r)
-			evals = make([]bench.Evaluation, len(specs))
-			for i := range evals {
-				evals[i].Err = err
-			}
+			c.err = fmt.Errorf("serve: evaluation panicked: %v", r)
 		}
 	}()
-	return sv.eval(specs, sv.opts.Cache)
+	if c.body, c.hit, c.err = sv.eval(s, h, sv.opts.Cache); c.err != nil {
+		c.err = fmt.Errorf("spec %s: %w", s, c.err)
+	}
 }
 
-// Close drains the service: new queries are shed with errClosed, everything
-// already queued executes, and Close returns once no slot is busy.
+// Close drains the service: new queries are shed with errClosed, every
+// pending call still evaluates, and Close returns once none is left.
 func (sv *Service) Close() {
 	sv.mu.Lock()
 	sv.closed = true
@@ -246,14 +212,14 @@ type Stats struct {
 	Queries   int64 `json:"queries"`
 	FastHits  int64 `json:"fast_hits"`
 	Coalesced int64 `json:"coalesced"`
-	// Batches counts executed sweeps; BatchedSpecs their summed sizes.
+	// Batches and BatchedSpecs both count evaluated misses.
 	Batches      int64 `json:"batches"`
 	BatchedSpecs int64 `json:"batched_specs"`
 	// Rejected counts load-shed and shutdown-shed queries; Errors failed
 	// evaluations.
 	Rejected int64 `json:"rejected"`
 	Errors   int64 `json:"errors"`
-	// Pending is the current running + queued call count.
+	// Pending is the current evaluating + waiting call count.
 	Pending int `json:"pending"`
 }
 

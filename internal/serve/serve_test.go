@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -41,29 +42,44 @@ func TestQueryHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("hit body differs from cold body:\n%s\n%s", cold, warm)
 	}
+	// An unrunnable spec is refused before it is counted, hashed or run.
+	if _, _, err := sv.Query(spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 100000000, Bytes: 8}); err == nil {
+		t.Error("a 10^8-rank allreduce was answered, want a validation error")
+	}
+	if st := sv.Stats(); st.Queries != 2 || st.Batches != 1 {
+		t.Errorf("stats = %+v, want the two valid queries and one evaluation", st)
+	}
 }
 
-// gate holds every batch at the eval seam: each batch's specs arrive on
-// batches as the batch reaches eval, and it runs only when the test sends on
-// release. No test depends on a wall-clock window. At cleanup the gate opens
+// gate holds every evaluation at the eval seam: each miss's spec arrives on
+// entered as it reaches eval, and it runs only when the test sends on
+// release, through then (bench.Eval unless the test replaces it before any
+// query). No test depends on a wall-clock window. At cleanup the gate opens
 // and the service closes, so a failed test does not leave a slot blocked.
 type gate struct {
-	batches chan []spec.Spec
+	entered chan spec.Spec
 	release chan struct{}
+	then    func(spec.Spec, string, *cache.Cache) ([]byte, bool, error)
 }
 
 func gated(t *testing.T, sv *Service) *gate {
-	g := &gate{batches: make(chan []spec.Spec, 16), release: make(chan struct{})}
-	sv.eval = func(specs []spec.Spec, c *cache.Cache) []bench.Evaluation {
-		g.batches <- specs
+	g := &gate{entered: make(chan spec.Spec, 16), release: make(chan struct{}), then: bench.Eval}
+	sv.eval = func(s spec.Spec, h string, c *cache.Cache) ([]byte, bool, error) {
+		g.entered <- s
 		<-g.release
-		return bench.EvalSpecs(specs, c)
+		return g.then(s, h, c)
 	}
 	t.Cleanup(func() {
 		close(g.release)
 		sv.Close()
 	})
 	return g
+}
+
+// withProcs builds a service at GOMAXPROCS procs, which sizes its slot pool.
+func withProcs(procs int, opts Options) *Service {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return New(opts)
 }
 
 // query runs one Query on its own goroutine; the result arrives on the
@@ -83,27 +99,27 @@ type result struct {
 	err  error
 }
 
-// awaitPending yields until the service holds n running or queued calls.
+// awaitPending yields until the service holds n evaluating or waiting calls.
 func awaitPending(sv *Service, n int) {
 	for sv.Stats().Pending != n {
 		runtime.Gosched()
 	}
 }
 
-// TestLoneMissRunsAtOnce: with a slot free, a miss is handed to eval as a
-// batch of one without passing through the queue; nothing waits on a timer.
+// TestLoneMissRunsAtOnce: with a slot free, a miss reaches eval at once,
+// holding one slot; nothing waits on a timer.
 func TestLoneMissRunsAtOnce(t *testing.T) {
 	sv := New(Options{})
 	g := gated(t, sv)
 	res := query(sv, latencySpec(4096))
-	if batch := <-g.batches; len(batch) != 1 || batch[0] != latencySpec(4096) {
-		t.Fatalf("eval got %v, want the lone miss", batch)
+	if s := <-g.entered; s != latencySpec(4096) {
+		t.Fatalf("eval got %v, want the lone miss", s)
 	}
 	sv.mu.Lock()
-	queued, running := len(sv.queue), sv.running
+	pending, busy := len(sv.pending), len(sv.slots)
 	sv.mu.Unlock()
-	if queued != 0 || running != 1 {
-		t.Errorf("while the miss runs: %d queued, %d slots busy; want 0 and 1", queued, running)
+	if pending != 1 || busy != 1 {
+		t.Errorf("while the miss runs: %d pending, %d slots busy; want 1 and 1", pending, busy)
 	}
 	g.release <- struct{}{}
 	if r := <-res; r.err != nil || r.src != "miss" || len(r.body) == 0 {
@@ -119,7 +135,7 @@ func TestCoalescingSingleSimulation(t *testing.T) {
 	g := gated(t, sv)
 	const clients = 8
 	results := []<-chan result{query(sv, latencySpec(8192))}
-	<-g.batches
+	<-g.entered
 	for i := 1; i < clients; i++ {
 		results = append(results, query(sv, latencySpec(8192)))
 	}
@@ -140,45 +156,52 @@ func TestCoalescingSingleSimulation(t *testing.T) {
 		}
 	}
 	if st := sv.Stats(); st.Batches != 1 || st.BatchedSpecs != 1 {
-		t.Errorf("stats = %+v, want one batch of one spec (coalesced clients must not re-simulate)", st)
+		t.Errorf("stats = %+v, want one evaluated miss (coalesced clients must not re-simulate)", st)
 	}
 }
 
-// TestBatchingDistinctSpecs: with the only slot busy, four distinct misses
-// queue and run as the next single batch (one EvalSpecs sweep).
-func TestBatchingDistinctSpecs(t *testing.T) {
-	sv := New(Options{MaxInflight: 1})
+// TestSlotPoolWidth: at GOMAXPROCS 4, of eight distinct misses exactly four
+// reach eval at once; the fifth reaches it only when one of them finishes.
+func TestSlotPoolWidth(t *testing.T) {
+	sv := withProcs(4, Options{})
 	g := gated(t, sv)
-	results := []<-chan result{query(sv, latencySpec(512))}
-	<-g.batches
-	sizes := []int64{1024, 2048, 4096, 8192}
-	for _, b := range sizes {
-		results = append(results, query(sv, latencySpec(b)))
+	const misses = 8
+	var results []<-chan result
+	for i := range misses {
+		results = append(results, query(sv, latencySpec(int64(512<<i))))
 	}
-	awaitPending(sv, 1+len(sizes))
-	g.release <- struct{}{}
-	if batch := <-g.batches; len(batch) != len(sizes) {
-		t.Fatalf("next batch has %d specs, want the %d queued", len(batch), len(sizes))
+	for range 4 {
+		<-g.entered
+	}
+	awaitPending(sv, misses)
+	select {
+	case s := <-g.entered:
+		t.Fatalf("a fifth miss (%v) reached eval with four slots busy", s)
+	default:
 	}
 	g.release <- struct{}{}
+	<-g.entered
+	for range misses - 1 {
+		g.release <- struct{}{}
+	}
 	for i, res := range results {
 		if r := <-res; r.err != nil || r.src != "miss" {
 			t.Errorf("query %d: source %q, err %v; want a miss", i, r.src, r.err)
 		}
 	}
-	if st := sv.Stats(); st.Batches != 2 || st.BatchedSpecs != 5 {
-		t.Errorf("stats = %+v, want a batch of 1 then a batch of 4", st)
+	if st := sv.Stats(); st.Batches != misses || st.BatchedSpecs != misses {
+		t.Errorf("stats = %+v, want %d evaluated misses", st, misses)
 	}
 }
 
-// TestOverloadSheds: with the only slot busy and the queue at its cap, a
-// further miss is rejected with errOverloaded.
+// TestOverloadSheds: with the only slot busy and the waiting misses at the
+// cap, a further miss is rejected with errOverloaded.
 func TestOverloadSheds(t *testing.T) {
-	sv := New(Options{MaxInflight: 1, QueueCap: 1})
+	sv := withProcs(1, Options{QueueCap: 1})
 	g := gated(t, sv)
 	running := query(sv, latencySpec(1024))
-	<-g.batches
-	queued := query(sv, latencySpec(2048))
+	<-g.entered
+	waiting := query(sv, latencySpec(2048))
 	awaitPending(sv, 2)
 	if _, _, err := sv.Query(latencySpec(4096)); err != errOverloaded {
 		t.Fatalf("over-cap query error = %v, want errOverloaded", err)
@@ -187,23 +210,23 @@ func TestOverloadSheds(t *testing.T) {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
 	}
 	g.release <- struct{}{}
-	<-g.batches
+	<-g.entered
 	g.release <- struct{}{}
-	for _, res := range []<-chan result{running, queued} {
+	for _, res := range []<-chan result{running, waiting} {
 		if r := <-res; r.err != nil {
 			t.Errorf("admitted query failed: %v", r.err)
 		}
 	}
 }
 
-// TestCloseDrains: Close stops intake at once, still runs what is queued, and
-// returns only when no slot is busy.
+// TestCloseDrains: Close stops intake at once, still evaluates a miss that
+// waits for a slot, and returns only when no call is pending.
 func TestCloseDrains(t *testing.T) {
-	sv := New(Options{MaxInflight: 1})
+	sv := withProcs(1, Options{})
 	g := gated(t, sv)
 	running := query(sv, latencySpec(4096))
-	<-g.batches
-	queued := query(sv, latencySpec(8192))
+	<-g.entered
+	waiting := query(sv, latencySpec(8192))
 	awaitPending(sv, 2)
 	closed := make(chan struct{})
 	go func() {
@@ -223,40 +246,66 @@ func TestCloseDrains(t *testing.T) {
 		t.Fatalf("query after Close began: error = %v, want errClosed", err)
 	}
 	g.release <- struct{}{}
-	if batch := <-g.batches; len(batch) != 1 || batch[0] != latencySpec(8192) {
-		t.Fatalf("after Close began, eval got %v; want the queued call", batch)
+	if s := <-g.entered; s != latencySpec(8192) {
+		t.Fatalf("after Close began, eval got %v; want the waiting miss", s)
 	}
 	select {
 	case <-closed:
-		t.Fatal("Close returned while a slot was busy")
+		t.Fatal("Close returned while a call was pending")
 	default:
 	}
 	g.release <- struct{}{}
 	<-closed
-	for _, res := range []<-chan result{running, queued} {
+	for _, res := range []<-chan result{running, waiting} {
 		if r := <-res; r.err != nil || len(r.body) == 0 {
 			t.Fatalf("admitted query should resolve on Close: %d bytes, err %v", len(r.body), r.err)
 		}
 	}
 }
 
-// TestPanickingEvalIs500: a panic in a batch's evaluation fails that batch's
-// query with a 500 naming it, and the service goes on answering.
+// TestPanickingEvalIs500: a panic in a miss's evaluation fails that query,
+// and every query coalesced onto it, with a 500 naming it; a distinct miss
+// evaluating beside it gets its 200, and the service goes on answering.
 func TestPanickingEvalIs500(t *testing.T) {
-	sv := New(Options{})
-	defer sv.Close()
-	h := NewHandler(sv, nil)
-	post := func() *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"workload":"net-latency","bytes":4096}`)))
-		return w
+	sv := withProcs(2, Options{})
+	g := gated(t, sv)
+	g.then = func(s spec.Spec, h string, c *cache.Cache) ([]byte, bool, error) {
+		if s.Bytes == 4096 {
+			panic("injected fault")
+		}
+		return bench.Eval(s, h, c)
 	}
-	sv.eval = func([]spec.Spec, *cache.Cache) []bench.Evaluation { panic("injected fault") }
-	if w := post(); w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "injected fault") {
-		t.Fatalf("panicking eval: %d %q, want a 500 naming the panic", w.Code, w.Body.String())
+	handler := NewHandler(sv, nil)
+	post := func(bytes int) <-chan *httptest.ResponseRecorder {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			w := httptest.NewRecorder()
+			handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query",
+				strings.NewReader(fmt.Sprintf(`{"workload":"net-latency","bytes":%d}`, bytes))))
+			out <- w
+		}()
+		return out
 	}
-	sv.eval = bench.EvalSpecs
-	if w := post(); w.Code != http.StatusOK || w.Header().Get("X-Uniconn-Cache") != "miss" {
+	panicking := post(4096)
+	<-g.entered
+	beside := post(8192)
+	<-g.entered
+	joined := post(4096)
+	for sv.Stats().Coalesced != 1 {
+		runtime.Gosched()
+	}
+	g.release <- struct{}{}
+	g.release <- struct{}{}
+	for name, res := range map[string]<-chan *httptest.ResponseRecorder{"panicking": panicking, "coalesced": joined} {
+		if w := <-res; w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "injected fault") {
+			t.Errorf("%s query: %d %q, want a 500 naming the panic", name, w.Code, w.Body.String())
+		}
+	}
+	if w := <-beside; w.Code != http.StatusOK || w.Header().Get("X-Uniconn-Cache") != "miss" {
+		t.Errorf("miss beside the panic: %d %q, want a 200 miss", w.Code, w.Body.String())
+	}
+	sv.eval = bench.Eval
+	if w := <-post(4096); w.Code != http.StatusOK || w.Header().Get("X-Uniconn-Cache") != "miss" {
 		t.Fatalf("query after the panic: %d %q, want a 200 miss", w.Code, w.Body.String())
 	}
 }

@@ -168,7 +168,7 @@ func CheckSeverity(v float64) error {
 }
 
 // Admission bounds, each above every value a CLI, test, autosel probe or
-// benchmark spec uses: one spec may not pin a batch slot for hours or
+// benchmark spec uses: one spec may not pin a serve slot for hours or
 // overflow virtual time.
 const (
 	maxRanks  = 4096    // the largest cell uniconn scale runs

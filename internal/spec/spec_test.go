@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -383,6 +384,33 @@ func FuzzTopology(f *testing.F) {
 		nodes = 1 + (nodes%1024+1024)%1024
 		if _, err := fabric.ResolveTopology(tc, nodes); err == nil {
 			fabric.New(fabric.Config{Nodes: nodes, GPUsPerNode: 1, NICsPerNode: 1, Topology: tc})
+		}
+	})
+}
+
+// FuzzTopologyList holds the -topology list splitter to its contract: any
+// list either fails to parse, or the canonical spellings of its entries,
+// joined with ",", re-parse to the same list. Seeds: every list the tests,
+// goldens, docs and CI spell, and the refused spellings beside them.
+func FuzzTopologyList(f *testing.F) {
+	for _, s := range []string{"", ",", "flat", "fattree", "fattree:2", "fattree:3", "fattree:4", "fattree:8",
+		"fattree:1000000", "dragonfly", "dragonfly:1,1,0", "dragonfly:1,2,2", "dragonfly:4,8,4", "dragonfly:4, 8, 4",
+		"flat,fattree", "flat,fattree,dragonfly", "flat,fattree:4,dragonfly:1,2,2", "flat,fattree,dragonfly:1,2,2",
+		"flat,torus", "fat-tree:4,dragonfly:2,4,2,flat", "dragonfly:1,2,2,3", "4,flat", "flat, fattree:8 ,dragonfly"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tcs, err := parseTopologyList(s)
+		if err != nil {
+			return
+		}
+		canon := make([]string, len(tcs))
+		for i, tc := range tcs {
+			canon[i] = canonicalTopology(tc)
+		}
+		joined := strings.Join(canon, ",")
+		if back, err := parseTopologyList(joined); err != nil || !slices.Equal(back, tcs) {
+			t.Fatalf("%q parses to %+v, its canonical spelling %q to %+v (%v)", s, tcs, joined, back, err)
 		}
 	})
 }

@@ -53,7 +53,7 @@ func (t *Tracker) Flight() *FlightBoard {
 }
 
 // Registry exposes the tracker's self-metrics registry so embedding servers
-// (the what-if service's cache and batcher counters) surface on the same
+// (the what-if service's cache and serve counters) surface on the same
 // /metrics endpoint as the telemetry.* instruments. Nil on a nil tracker.
 func (t *Tracker) Registry() *metrics.Registry {
 	if t == nil {
