@@ -34,8 +34,9 @@ func parseSeverities(s string) ([]float64, error) {
 // virtual-time quantities only, so its bytes are identical with -live on or
 // off (the golden test pins them).
 // With -flight > 0 each faulted cell's flight-recorder post-mortem lands on
-// stderr.
-func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.Lib, severities []float64, ranks int, seed uint64, topologies []fabric.TopologyConfig, flightDepth int) error {
+// stderr. Each (topology, backend) sweep reports to live's tracker, if any,
+// under its own label.
+func recoveryMode(stdout, stderr io.Writer, live *bench.Observe, m *machine.Model, backends []bench.Lib, severities []float64, ranks int, seed uint64, topologies []fabric.TopologyConfig, flightDepth int) error {
 	// The sweep's generated plans and launched runs must agree on the
 	// topology. Resolve auto-sized parameters up front so a section header
 	// names the actual fabric (fattree(k=4), not k=0), and a topology too
@@ -56,8 +57,8 @@ func recoveryMode(stdout, stderr io.Writer, m *machine.Model, backends []bench.L
 			"backend", "severity", "crashes", "survivors", "completed", "recoveries", "failovers", "detect lat", "recovery lat", "end")
 		for _, b := range backends {
 			label := b.Backend.String()
-			bench.SetProgressLabel("chaos-recover " + resolved[i].Describe() + " " + label)
-			for _, p := range bench.RecoverySweep(mt, b.Backend, ranks, severities, seed, flightDepth) {
+			obs := live.Named("chaos-recover " + resolved[i].Describe() + " " + label)
+			for _, p := range bench.RecoverySweep(obs, mt, b.Backend, ranks, severities, seed, flightDepth) {
 				done := "no"
 				if p.Completed {
 					done = "yes"
@@ -168,7 +169,12 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	closeLive, err := bench.StartLive(common.Live, "chaos")
+	// Sweeps report under their mode's label; a recovery sweep names its own.
+	liveLabel := "chaos-degrade"
+	if *generate {
+		liveLabel = "chaos-generate"
+	}
+	live, closeLive, err := bench.StartLive(common.Live, liveLabel)
 	if err != nil {
 		return err
 	}
@@ -202,7 +208,7 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 			// and four dragonfly:1,2,2 groups with a Valiant escape.
 			*ranks = 32
 		}
-		return recoveryMode(stdout, stderr, m, backends, severities, *ranks, *seed, topologies, *flightDepth)
+		return recoveryMode(stdout, stderr, live, m, backends, severities, *ranks, *seed, topologies, *flightDepth)
 	}
 	if len(topologies) != 1 {
 		return fmt.Errorf("topology lists are for -recover; pick one of %q", fs.Lookup("topology").Value.String())
@@ -211,7 +217,7 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 	// One latency and one bandwidth spec cell per (backend, severity),
 	// backend-major: the printed row order. The latency cells always keep
 	// their span log, since the transfers column counts it; the bandwidth
-	// cells record nothing.
+	// cells record only what -live asks for.
 	base := common.Spec()
 	base.Workload, base.Native, base.Inter, base.Bytes = spec.WorkloadNetLatency, true, *inter, *bytes
 	base.FaultMode = spec.FaultDegrade
@@ -219,9 +225,6 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 	if *generate {
 		base.FaultMode, base.Seed = spec.FaultGenerate, *seed
 		mode = fmt.Sprintf("generated plan (seed %d)", *seed)
-		bench.SetProgressLabel("chaos-generate")
-	} else {
-		bench.SetProgressLabel("chaos-degrade")
 	}
 	var latSpecs, bwSpecs []spec.Spec
 	for _, b := range backends {
@@ -233,11 +236,11 @@ func chaos(args []string, stdout, stderr io.Writer) error {
 			bwSpecs = append(bwSpecs, s)
 		}
 	}
-	lat, profs, err := bench.SweepSpecs(bench.NewObserve(true), latSpecs)
+	lat, profs, err := bench.SweepSpecs(bench.NewObserve(live, true), latSpecs)
 	if err != nil {
 		return err
 	}
-	bw, _, err := bench.SweepSpecs(nil, bwSpecs)
+	bw, _, err := bench.SweepSpecs(live, bwSpecs)
 	if err != nil {
 		return err
 	}

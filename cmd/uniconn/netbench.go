@@ -47,7 +47,7 @@ func netbench(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	closeLive, err := bench.StartLive(common.Live, "netbench")
+	live, closeLive, err := bench.StartLive(common.Live, "netbench")
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func netbench(args []string, stdout, stderr io.Writer) error {
 			specs = append(specs, c.Spec(base))
 		}
 	}
-	vals, profs, err := bench.SweepSpecs(bench.NewObserve(profiled), specs)
+	vals, profs, err := bench.SweepSpecs(bench.NewObserve(live, profiled), specs)
 	if err != nil {
 		return err
 	}

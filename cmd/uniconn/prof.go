@@ -71,7 +71,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	closeLive, err := bench.StartLive(common.Live, "prof-"+*workload)
+	live, closeLive, err := bench.StartLive(common.Live, "prof-"+*workload)
 	if err != nil {
 		return err
 	}
@@ -80,13 +80,13 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	var rp *bench.RunProfile
 	switch *workload {
 	case "net":
-		rp, err = profNet(common.Spec(), backend, *device, *native, *inter, bench.Sizes(common.MinSize, common.MaxSize))
+		rp, err = profNet(live, common.Spec(), backend, *device, *native, *inter, bench.Sizes(common.MinSize, common.MaxSize))
 	case "jacobi":
 		cfg := jacobi.Config{
 			Model: m, NGPUs: *ngpus, NX: 256, NY: 256, Iters: *iters, Warmup: 2,
 			Variant: jacobi.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
-		rp, err = profApp(
+		rp, err = profApp(live,
 			fmt.Sprintf("jacobi %s %s %dx%d on %d GPUs", m.Name, cfg.Variant, cfg.NX, cfg.NY, cfg.NGPUs),
 			fmt.Sprintf("jacobi/%dgpu", cfg.NGPUs), cfg.Iters,
 			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
@@ -99,7 +99,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Generate(0.01), Iters: *iters,
 			Variant: cg.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
-		rp, err = profApp(
+		rp, err = profApp(live,
 			fmt.Sprintf("cg %s %s %d rows on %d GPUs", m.Name, cfg.Variant, cfg.Matrix.Rows, cfg.NGPUs),
 			fmt.Sprintf("cg/%dgpu", cfg.NGPUs), cfg.Iters,
 			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
@@ -127,11 +127,12 @@ func prof(args []string, stdout, stderr io.Writer) error {
 }
 
 // profApp profiles one application run (Jacobi, CG) as the one cell of an
-// observed sweep. run executes it with the cell's registry and span log and
-// reports the per-iteration and total timed durations and the run's end time.
-func profApp(title, label string, iters int,
+// observed sweep, reporting to live's tracker, if any. run executes it with
+// the cell's registry and span log and reports the per-iteration and total
+// timed durations and the run's end time.
+func profApp(live *bench.Observe, title, label string, iters int,
 	run func(col *bench.Collector) (perIter, total sim.Duration, end sim.Time, err error)) (*bench.RunProfile, error) {
-	_, profs, err := bench.Sweep(bench.NewObserve(true), 1, func(_ int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
+	_, profs, err := bench.Sweep(bench.NewObserve(live, true), 1, func(_ int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
 		perIter, total, end, err := run(col)
 		if err != nil {
 			return struct{}{}, bench.CellProfile{}, err
@@ -147,8 +148,9 @@ func profApp(title, label string, iters int,
 
 // profNet profiles the latency and bandwidth microbenchmarks of one
 // configuration over a size sweep: two spec cells per size (latency, then
-// bandwidth), each observed with its own collector.
-func profNet(base spec.Spec, backend core.BackendID, device, native, inter bool, sizes []int64) (*bench.RunProfile, error) {
+// bandwidth), each observed with its own collector and reported to live's
+// tracker, if any.
+func profNet(live *bench.Observe, base spec.Spec, backend core.BackendID, device, native, inter bool, sizes []int64) (*bench.RunProfile, error) {
 	api := machine.APIHost
 	if device {
 		api = machine.APIDevice
@@ -162,7 +164,7 @@ func profNet(base spec.Spec, backend core.BackendID, device, native, inter bool,
 			specs = append(specs, base)
 		}
 	}
-	_, profs, err := bench.SweepSpecs(bench.NewObserve(true), specs)
+	_, profs, err := bench.SweepSpecs(bench.NewObserve(live, true), specs)
 	if err != nil {
 		return nil, err
 	}

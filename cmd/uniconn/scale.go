@@ -107,7 +107,7 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	closeLive, err := bench.StartLive(common.Live, "scale")
+	live, closeLive, err := bench.StartLive(common.Live, "scale")
 	if err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		rows = make([]string, len(cells))
 		next int
 	)
-	_, _, err = bench.Sweep(bench.NewObserve(false), len(cells), func(i int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
+	_, _, err = bench.Sweep(live, len(cells), func(i int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
 		cfg := cells[i]
 		cfg.Metrics = col.Metrics
 		start := time.Now()

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"flag"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func TestSizesRejectsNonPositiveMin(t *testing.T) {
@@ -35,6 +38,45 @@ func TestSizesStopsAtOverflow(t *testing.T) {
 	if len(s) != 1 || s[0] != 1<<62 {
 		t.Fatalf("overflowing sweep = %v", s)
 	}
+}
+
+// FuzzSizeSweep parses -min A -max B the way netbench and prof do
+// (spec.Common, Sizes, Resolve): either the flags or Resolve refuse them, or
+// bench.Sizes returns, without panicking, a non-empty doubling ladder that
+// starts at -min and stays within [-min, -max]. Seeds: every bound the
+// goldens, README and CI use, plus the edges.
+func FuzzSizeSweep(f *testing.F) {
+	for _, b := range [][2]string{
+		{"8", "4194304"}, {"8", "4096"}, {"8", "65536"}, {"8", "64"}, {"8", "8"},
+		{"8", "16777216"}, {"8", "67108864"}, {"8", "2147483648"}, {"0", "4096"},
+		{"12", "4194304"}, {"64", "8"}, {"-1", "8"}, {"8", "-1"}, {"0", "0"},
+		{"4611686018427387904", "9223372036854775807"}, {"1", "9223372036854775807"},
+		{"9223372036854775807", "9223372036854775807"}, {"3", "4611686018427387904"},
+	} {
+		f.Add(b[0], b[1])
+	}
+	f.Fuzz(func(t *testing.T, minArg, maxArg string) {
+		fs := flag.NewFlagSet("sizes", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		common := spec.Common(fs)
+		common.Sizes(fs, 4<<20, "")
+		if fs.Parse([]string{"-min", minArg, "-max", maxArg}) != nil {
+			return
+		}
+		if _, err := common.Resolve(); err != nil {
+			return
+		}
+		lo, hi := common.MinSize, common.MaxSize
+		sizes := Sizes(lo, hi)
+		if len(sizes) == 0 || sizes[0] != lo {
+			t.Fatalf("Sizes(%d, %d) = %v: want a sweep starting at -min", lo, hi, sizes)
+		}
+		for i, s := range sizes {
+			if s < lo || s > hi || (i > 0 && s != 2*sizes[i-1]) {
+				t.Fatalf("Sizes(%d, %d) = %v: step %d leaves the doubling ladder in [-min, -max]", lo, hi, sizes, i)
+			}
+		}
+	})
 }
 
 func TestPercentDiff(t *testing.T) {
@@ -276,13 +318,38 @@ func TestTable2CountsThisRepo(t *testing.T) {
 }
 
 func TestFigureRender(t *testing.T) {
+	long := "GPUSHMEM-Device:Uniconn" // 23 characters: wider than a column
 	f := Figure{id: "FigX", title: "demo", xLabel: "bytes", yLabel: "us",
-		series: []series{{label: "a", x: []float64{1, 2}, y: []float64{3, 4}}},
-		notes:  []string{"hello"}}
+		series: []series{
+			{label: "a", x: []float64{1, 2}, y: []float64{3, 4}},
+			{label: long, x: []float64{1, 2}, y: []float64{5}},
+			{label: "GPUSHMEM-Host:Uniconn", x: []float64{1, 2}, y: []float64{7, 8}},
+		},
+		notes: []string{"hello"}}
 	out := f.Render()
 	for _, want := range []string{"FigX", "demo", "bytes", "hello", "3", "4"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	// A label never fuses with its neighbour, and every value ends in the
+	// column of its label; a column whose label fits is 22 wide.
+	lines := strings.Split(out, "\n")
+	header, row1, row2 := lines[1], lines[2], lines[3]
+	if got := strings.Fields(header); strings.Join(got, " ") != "bytes a "+long+" GPUSHMEM-Host:Uniconn" {
+		t.Fatalf("header fields = %q:\n%s", got, out)
+	}
+	ends := []int{12 + 22, 12 + 22 + len(long) + 1, 12 + 22 + len(long) + 1 + 22}
+	for _, l := range []string{header, row1, row2} {
+		if len(l) != ends[2] {
+			t.Fatalf("line %q is %d wide, want %d:\n%s", l, len(l), ends[2], out)
+		}
+	}
+	for k, want := range [][3]string{{"a", "3", "4"}, {long, "5", "-"}, {"GPUSHMEM-Host:Uniconn", "7", "8"}} {
+		for j, l := range []string{header, row1, row2} {
+			if !strings.HasSuffix(l[:ends[k]], " "+want[j]) {
+				t.Errorf("column %d of %q does not end in %q:\n%s", k, l, want[j], out)
+			}
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestChaosSeverityRampIsMonotone(t *testing.T) {
 	severities := []float64{0, 0.25, 0.5, 0.75, 1}
 	for _, b := range chaosBackends {
 		t.Run(b.name, func(t *testing.T) {
-			lat, profs, err := SweepSpecs(NewObserve(true), chaosRamp(b.backend, spec.WorkloadNetLatency, severities))
+			lat, profs, err := SweepSpecs(NewObserve(nil, true), chaosRamp(b.backend, spec.WorkloadNetLatency, severities))
 			if err != nil {
 				t.Fatalf("latency ramp: %v", err)
 			}

@@ -54,18 +54,21 @@ func (f Figure) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", f.id, f.title)
 	if len(f.series) > 0 {
+		// A column is 22 wide, or wider by what its label needs to keep
+		// one space from its left neighbour.
+		width := func(s series) int { return max(22, len(s.label)+1) }
 		fmt.Fprintf(&b, "%-12s", f.xLabel)
 		for _, s := range f.series {
-			fmt.Fprintf(&b, "%22s", s.label)
+			fmt.Fprintf(&b, "%*s", width(s), s.label)
 		}
 		b.WriteString("\n")
 		for i := range f.series[0].x {
 			fmt.Fprintf(&b, "%-12g", f.series[0].x[i])
 			for _, s := range f.series {
 				if i < len(s.y) {
-					fmt.Fprintf(&b, "%22.4g", s.y[i])
+					fmt.Fprintf(&b, "%*.4g", width(s), s.y[i])
 				} else {
-					fmt.Fprintf(&b, "%22s", "-")
+					fmt.Fprintf(&b, "%*s", width(s), "-")
 				}
 			}
 			b.WriteString("\n")

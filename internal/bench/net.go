@@ -39,7 +39,7 @@ type NetConfig struct {
 	// (default 64, as in the paper).
 	window int
 
-	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 19).
 	Shards int
 
 	// faults, when non-nil, injects a fault plan into the run (chaos

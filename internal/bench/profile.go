@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"repro/internal/metrics"
@@ -48,21 +49,63 @@ func (c *Collector) Finish(label string, end sim.Time, notes ...string) CellProf
 	return cp
 }
 
-// Observe is the one decision of what a sweep's cells record, taken once
-// per sweep from the shared observability flags: with profile set (-metrics,
+// Observe is the one carrier of a sweep's observation: the live tracker and
+// label its run reports to, and what its cells record, decided once per
+// sweep from the shared observability flags: with profile set (-metrics,
 // -profile, -json, -trace, the prof subcommand) every cell owns a registry
 // and a span log; otherwise, with live telemetry on (-live), a bare registry
 // — /metrics wants per-cell counters but nobody asked for spans; otherwise
-// nothing. A nil *Observe records nothing.
+// nothing. A nil *Observe records and reports nothing.
 type Observe struct {
 	profile bool
 	live    *telemetry.Tracker
+	label   string
 }
 
-// NewObserve decides for a sweep. The live tracker is the one StartLive
-// installed, if any.
-func NewObserve(profile bool) *Observe {
-	return &Observe{profile: profile, live: progress()}
+// NewObserve decides for a sweep: profile as above, reporting to live's
+// tracker under live's label (live is StartLive's Observe, nil without
+// -live).
+func NewObserve(live *Observe, profile bool) *Observe {
+	o := &Observe{profile: profile}
+	if live != nil {
+		o.live, o.label = live.live, live.label
+	}
+	return o
+}
+
+// Named returns a copy of o whose sweeps report under label; nil stays nil.
+func (o *Observe) Named(label string) *Observe {
+	if o == nil {
+		return nil
+	}
+	c := *o
+	c.label = label
+	return &c
+}
+
+// StartLive is the sweep subcommands' one-call -live wiring: it starts the
+// telemetry HTTP server on addr, arms a SIGINT/SIGTERM handler that prints
+// the sweep progress and merged metrics to stderr before exiting 130, and
+// returns the Observe carrying the tracker and label to the command's sweeps
+// and a close func, for the caller's defer, that disarms and stops both.
+// An empty addr (-live unset) yields a nil Observe and a no-op close.
+func StartLive(addr, label string) (*Observe, func(), error) {
+	if addr == "" {
+		return nil, func() {}, nil
+	}
+	tracker, srv, err := telemetry.StartLive(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	disarm := telemetry.OnInterrupt(func() {
+		fmt.Fprintln(os.Stderr, "interrupted mid-sweep")
+		tracker.WriteProgress(os.Stderr)
+		fmt.Fprint(os.Stderr, tracker.MetricsSnapshot().Render())
+	})
+	return &Observe{live: tracker, label: label}, func() {
+		disarm()
+		srv.Close()
+	}, nil
 }
 
 // cell allocates the instruments of one cell; Sweep calls it per cell —

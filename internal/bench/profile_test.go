@@ -29,7 +29,7 @@ func netProfile(t *testing.T, base spec.Spec, sizes []int64) *RunProfile {
 		base.Workload = spec.WorkloadNetBandwidth
 		specs = append(specs, base)
 	}
-	_, profs, err := SweepSpecs(NewObserve(true), specs)
+	_, profs, err := SweepSpecs(NewObserve(nil, true), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestProfileGoldenReport(t *testing.T) {
 func TestChaosRampObserved(t *testing.T) {
 	sev := []float64{0, 0.5}
 	specs := chaosRamp(core.MPIBackend, spec.WorkloadNetLatency, sev)
-	plain, empty, err := SweepSpecs(NewObserve(false), specs)
+	plain, empty, err := SweepSpecs(NewObserve(nil, false), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestChaosRampObserved(t *testing.T) {
 			t.Errorf("severity %g: unobserved cell recorded a profile", sev[i])
 		}
 	}
-	vals, profs, err := SweepSpecs(NewObserve(true), specs)
+	vals, profs, err := SweepSpecs(NewObserve(nil, true), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

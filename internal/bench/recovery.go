@@ -271,13 +271,14 @@ func runRecovery(cfg recoveryConfig, col *Collector, label string) RecoveryPoint
 //
 // Observability never changes a point except for FlightDump: a positive
 // flightDepth enables per-cell flight recording, and a cell's post-mortem
-// lands there; with live telemetry on (StartLive) each cell's recorder is
-// attached to the tracker's flight board and its collector feeds its
-// metrics into the live aggregate, like every other observed cell.
-func RecoverySweep(m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) []RecoveryPoint {
+// lands there; with a live tracker on obs (StartLive) the sweep reports to
+// it under obs's label, each cell's recorder is attached to the tracker's
+// flight board and its collector feeds its metrics into the live aggregate,
+// like every other observed cell.
+func RecoverySweep(obs *Observe, m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) []RecoveryPoint {
 	horizon := 4 * sim.Millisecond
 	fc := m.FabricConfig(m.NodesFor(nGPUs))
-	pts, _, _ := Sweep(NewObserve(false), len(severities), func(i int, col *Collector) (RecoveryPoint, CellProfile, error) {
+	pts, _, _ := Sweep(obs, len(severities), func(i int, col *Collector) (RecoveryPoint, CellProfile, error) {
 		sev := severities[i]
 		label := fmt.Sprintf("%s sev=%.2f", backend, sev)
 		pt := runRecovery(recoveryConfig{

@@ -60,7 +60,7 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 	severities := []float64{0, 0.5, 0.75, 1}
 	run := func(procs int) []RecoveryPoint {
 		setProcs(t, procs)
-		return RecoverySweep(m, core.GpucclBackend, 8, severities, 7, 0)
+		return RecoverySweep(nil, m, core.GpucclBackend, 8, severities, 7, 0)
 	}
 	serial := run(1)
 	parallel := run(8)
@@ -103,7 +103,7 @@ func TestRecoverySweepPartialNodes(t *testing.T) {
 				}
 			}
 		}
-		for _, pt := range RecoverySweep(m, core.MPIBackend, n, severities, 42, 0) {
+		for _, pt := range RecoverySweep(nil, m, core.MPIBackend, n, severities, 42, 0) {
 			if pt.Err != "" || !pt.Completed || pt.Crashes == 0 {
 				t.Errorf("%d ranks, severity %g: %+v; want a completed run with crashes", n, pt.Severity, pt)
 			}

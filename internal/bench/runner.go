@@ -37,12 +37,15 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // Sweep is the one fan-out of independent cells: it runs cell(i, c) for
 // every i in [0, n), each with the instruments o decides on (Observe),
 // and collects the cells' values and frozen profiles by index, so whatever
-// is rendered from them is byte-identical at any GOMAXPROCS. On failure it
+// is rendered from them is byte-identical at any GOMAXPROCS. It reports its
+// run and cells to o's live tracker, if o carries one. On failure it
 // returns, with the lowest-index error, those of the cells preceding the
 // first failing one — what a serial loop would have produced before
 // stopping.
@@ -50,7 +53,7 @@ func Sweep[T any](o *Observe, n int, cell func(i int, c *Collector) (T, CellProf
 	vals := make([]T, n)
 	profs := make([]CellProfile, n)
 	done := make([]bool, n)
-	err := NewRunner(0).Run(n, func(i int) (err error) {
+	err := NewRunner(0).run(n, o, func(i int) (err error) {
 		vals[i], profs[i], err = cell(i, o.cell())
 		done[i] = err == nil
 		return err
@@ -105,16 +108,21 @@ func runCell(fn func(i int) error, i int) (err error) {
 // only to its own index. With one worker, cells run in increasing index
 // order on the calling goroutine. The lowest failing index decides the
 // outcome, as serially: its error is returned or its panic re-raised as a
-// *cellPanic; once any cell fails, unclaimed cells are skipped.
-func (r *Runner) Run(n int, fn func(i int) error) error {
+// *cellPanic; once any cell fails, unclaimed cells are skipped. Run reports
+// progress to no tracker; Sweep does, through its Observe.
+func (r *Runner) Run(n int, fn func(i int) error) error { return r.run(n, nil, fn) }
+
+// run is Run reporting its run and cells to o's live tracker, if any. That
+// is read-only off the sweep: it never touches cell results or stdout.
+func (r *Runner) run(n int, o *Observe, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	w := min(r.workers, n)
-	// Live progress (nil handle when no tracker is installed): reporting is
-	// read-only off the sweep — it never touches cell results or stdout, so
-	// output stays byte-identical with tracking on or off.
-	lr := progressRun(n, w)
+	var lr *telemetry.LiveRun // nil: a no-op handle
+	if o != nil {
+		lr = o.live.StartRun(o.label, n, w)
+	}
 	defer lr.End()
 	var (
 		next   atomic.Int64
@@ -132,7 +140,7 @@ func (r *Runner) Run(n int, fn func(i int) error) error {
 				return
 			}
 			if lr != nil {
-				lr.CellStart(k, i, cellLabel(i))
+				lr.CellStart(k, i, fmt.Sprintf("cell[%d]", i))
 			}
 			err := runCell(fn, i)
 			lr.CellDone(k, i)

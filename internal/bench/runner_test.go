@@ -190,7 +190,7 @@ func TestChaosRampDeterministic(t *testing.T) {
 		chaosRamp(chaosBackends[0].backend, spec.WorkloadNetBandwidth, severities)...)
 	sweep := func(procs int) ([]float64, []CellProfile) {
 		setProcs(t, procs)
-		vals, profs, err := SweepSpecs(NewObserve(true), specs)
+		vals, profs, err := SweepSpecs(NewObserve(nil, true), specs)
 		if err != nil {
 			t.Fatalf("SweepSpecs(GOMAXPROCS=%d): %v", procs, err)
 		}
@@ -241,7 +241,7 @@ func TestSweepObservedErrorMatchesSerial(t *testing.T) {
 func TestSweepSpecsValidatesFirst(t *testing.T) {
 	specs := chaosRamp(chaosBackends[0].backend, spec.WorkloadNetLatency, []float64{0, 1})
 	specs[1].Bytes = 2 << 30
-	vals, profs, err := SweepSpecs(NewObserve(true), specs)
+	vals, profs, err := SweepSpecs(NewObserve(nil, true), specs)
 	if err == nil || !strings.Contains(err.Error(), "bytes must be") || vals != nil || profs != nil {
 		t.Fatalf("SweepSpecs = %v, %d profiles, %v; want no cell run and the size refused", vals, len(profs), err)
 	}

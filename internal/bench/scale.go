@@ -35,7 +35,7 @@ type ScaleConfig struct {
 	Alg mpi.AllreduceAlg
 	// Iters timed iterations after Warmup untimed ones (defaults 4 and 1).
 	Iters, Warmup int
-	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 19).
 	Shards int
 	// Compute additionally initializes the vectors with known values and
 	// verifies the reduction result on every rank. Off, the cell is a pure

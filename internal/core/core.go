@@ -92,7 +92,7 @@ type Config struct {
 	// (nil) by default; recording is zero-allocation, so enabling it does
 	// not perturb the zero-alloc hot-path gates.
 	Flight *FlightConfig
-	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 19).
 	Shards int
 }
 

@@ -26,7 +26,7 @@ var allowlist = map[string]string{
 	"sim.FlightRecorder.Total":    "test instrument: core's TestFlightQuietOnCleanRun checks the attached recorder saw the run",
 	"sparse.CSR.Validate":         "test oracle: sparse's TestLaplace3DStructure and TestSyntheticSpecsValidateAndScale check CSR invariants",
 	"telemetry.FlightBoard.Dump":  "test instrument: bench's TestRecoverySweepObservability reads the flight board",
-	"telemetry.Tracker.Runs":      "test instrument: bench's TestRunnerReportsProgress checks the tracked runs",
+	"telemetry.Tracker.Runs":      "test instrument: bench's TestSweepReportsToItsTracker checks the tracked runs",
 	"trace.RankBreakdown.Blocked": "test instrument: bench's TestProfileAttributionSums checks each rank's parts sum to the cell end",
 	"trace.RankBreakdown.Compute": "test instrument: bench's TestProfileAttributionSums, as Blocked",
 	"trace.RankBreakdown.Inter":   "test instrument: bench's TestProfileAttributionSums, as Blocked",

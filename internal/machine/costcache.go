@@ -4,7 +4,7 @@ import "repro/internal/fabric"
 
 // CostCache is a shim, not a cache: Model.Cost is a table read, cheaper than
 // the memoized lookup this type once was. It stays only because the frozen
-// benchmark/ module still calls NewCostCache and Cost (ROADMAP 9d).
+// benchmark/ module still calls NewCostCache and Cost (ROADMAP 19).
 type CostCache struct{ m *Model }
 
 // NewCostCache wraps the model.

@@ -387,61 +387,6 @@ func mergeBuckets(a, b []histBucket) []histBucket {
 	return out
 }
 
-// Delta returns the change from prev to s, turning two cumulative snapshots
-// of the same registry into one interval reading — the streaming primitive
-// behind the telemetry plane's rate views. Counters subtract; a counter is
-// included only when its interval delta is nonzero. Histograms subtract
-// count, sum, and bucket occupancy the same way; Min and Max carry the
-// cumulative extrema from s, since an extremum cannot be un-observed.
-// Gauges are levels, not accumulators, so they pass through at their
-// current value. An instrument that went backwards (the registry was
-// replaced between snapshots) is treated as freshly started: its current
-// cumulative value is the delta.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	prevCounters := make(map[string]int64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		prevCounters[c.Name] = c.Value
-	}
-	prevHists := make(map[string]histValue, len(prev.Histograms))
-	for _, h := range prev.Histograms {
-		prevHists[h.Name] = h
-	}
-	var out Snapshot
-	for _, c := range s.Counters {
-		d := c.Value - prevCounters[c.Name]
-		if d < 0 {
-			d = c.Value
-		}
-		if d != 0 {
-			out.Counters = append(out.Counters, CounterValue{Name: c.Name, Value: d})
-		}
-	}
-	out.Gauges = append(out.Gauges, s.Gauges...)
-	for _, h := range s.Histograms {
-		p, ok := prevHists[h.Name]
-		if !ok || h.Count < p.Count {
-			out.Histograms = append(out.Histograms, h)
-			continue
-		}
-		if h.Count == p.Count {
-			continue
-		}
-		d := histValue{Name: h.Name, Count: h.Count - p.Count, Sum: h.Sum - p.Sum,
-			Min: h.Min, Max: h.Max}
-		prevBuckets := make(map[int]int64, len(p.Buckets))
-		for _, bk := range p.Buckets {
-			prevBuckets[bk.Exp] = bk.Count
-		}
-		for _, bk := range h.Buckets {
-			if n := bk.Count - prevBuckets[bk.Exp]; n > 0 {
-				d.Buckets = append(d.Buckets, histBucket{Exp: bk.Exp, Count: n})
-			}
-		}
-		out.Histograms = append(out.Histograms, d)
-	}
-	return out
-}
-
 // Empty reports whether the snapshot holds no instruments.
 func (s Snapshot) Empty() bool {
 	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0

@@ -184,64 +184,6 @@ func TestWriteJSONNonFiniteGauge(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	r := New()
-	c := r.Counter("c")
-	c.Add(10)
-	r.Counter("stale").Add(3)
-	g := r.Gauge("g")
-	g.Set(2)
-	h := r.Histogram("h")
-	h.Observe(1)
-	h.Observe(1000)
-	prev := r.Snapshot()
-
-	c.Add(5)
-	g.Set(7)
-	h.Observe(1)
-	h.Observe(4)
-	d := r.Snapshot().Delta(prev)
-
-	if len(d.Counters) != 1 || d.Counters[0].Name != "c" || d.Counters[0].Value != 5 {
-		t.Fatalf("counter delta wrong (stale counters must be omitted): %+v", d.Counters)
-	}
-	if len(d.Gauges) != 1 || d.Gauges[0].Value != 7 {
-		t.Fatalf("gauges must pass through at current level: %+v", d.Gauges)
-	}
-	if len(d.Histograms) != 1 {
-		t.Fatalf("histogram delta missing: %+v", d.Histograms)
-	}
-	hd := d.Histograms[0]
-	if hd.Count != 2 || hd.Sum != 5 {
-		t.Fatalf("hist delta count/sum = %d/%d, want 2/5", hd.Count, hd.Sum)
-	}
-	if hd.Min != 1 || hd.Max != 1000 {
-		t.Fatalf("hist delta must carry cumulative extrema, got min/max %d/%d", hd.Min, hd.Max)
-	}
-	var total int64
-	for _, bk := range hd.Buckets {
-		total += bk.Count
-	}
-	if total != 2 {
-		t.Fatalf("delta buckets sum to %d, want 2", total)
-	}
-
-	// An idle interval deltas to nothing but the gauge levels.
-	cur := r.Snapshot()
-	idle := cur.Delta(cur)
-	if len(idle.Counters) != 0 || len(idle.Histograms) != 0 {
-		t.Fatalf("idle delta must be empty: %+v", idle)
-	}
-
-	// A registry swap (counter went backwards) restarts the accumulation.
-	fresh := New()
-	fresh.Counter("c").Add(2)
-	restart := fresh.Snapshot().Delta(prev)
-	if len(restart.Counters) != 1 || restart.Counters[0].Value != 2 {
-		t.Fatalf("restart delta wrong: %+v", restart.Counters)
-	}
-}
-
 // TestRegistryConcurrentAccess is the -race stress test for live telemetry:
 // writers resolve instruments by name and update them while a reader takes
 // mid-flight snapshots. Every snapshot must be internally consistent — each

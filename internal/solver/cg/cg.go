@@ -70,7 +70,7 @@ type Config struct {
 	Backend core.BackendID
 	Mode    core.LaunchMode
 
-	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 9d).
+	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 19).
 	Shards int
 
 	// Trace, when non-nil, records the run's execution spans.

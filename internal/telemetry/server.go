@@ -2,9 +2,8 @@ package telemetry
 
 // The live HTTP plane. Endpoints:
 //
-//	/metrics       Prometheus text exposition of the tracker's merged
-//	               snapshot (?format=json for the JSON form; ?delta=1 for
-//	               the interval delta since the previous delta scrape)
+//	/metrics       Prometheus text exposition of the tracker's merged,
+//	               cumulative snapshot (?format=json for the JSON form)
 //	/healthz       liveness JSON: status, uptime, run counts
 //	/debug/runs    sweep progress JSON: cells done/total, per-worker
 //	               current cell, ETA from completed-cell wall times
@@ -23,8 +22,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // ReadHeaderTimeout is how long a connection may take to deliver its request
@@ -39,14 +36,13 @@ type Server struct {
 	headerTimeout time.Duration // ReadHeaderTimeout; tests shorten it before start
 
 	mu      sync.Mutex
-	prev    map[string]metrics.Snapshot // per-client-key delta baselines
 	httpSrv *http.Server
 }
 
 // NewServer returns a server for t (which may be nil: the endpoints then
 // serve empty progress and metrics, still useful as a liveness check).
 func NewServer(t *Tracker) *Server {
-	s := &Server{t: t, prev: map[string]metrics.Snapshot{}, headerTimeout: ReadHeaderTimeout}
+	s := &Server{t: t, headerTimeout: ReadHeaderTimeout}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -86,23 +82,10 @@ func (s *Server) Close() error {
 	return srv.Close()
 }
 
-// handleMetrics serves the merged snapshot: Prometheus text by default,
-// ?format=json for the registry JSON, ?delta=1 for the interval since the
-// previous ?delta=1 scrape (per remote address, so one scraper's cadence
-// does not disturb another's).
+// handleMetrics serves the merged cumulative snapshot, the form Prometheus'
+// rate() expects: Prometheus text by default, ?format=json for the JSON.
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	snap := s.t.MetricsSnapshot()
-	if req.URL.Query().Get("delta") == "1" {
-		key := req.RemoteAddr
-		if host, _, err := net.SplitHostPort(req.RemoteAddr); err == nil {
-			key = host
-		}
-		s.mu.Lock()
-		prev := s.prev[key]
-		s.prev[key] = snap
-		s.mu.Unlock()
-		snap = snap.Delta(prev)
-	}
 	if req.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		snap.WriteJSON(w) //nolint:errcheck // client went away

@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -86,9 +88,10 @@ func TestRunsEndpointTracksProgress(t *testing.T) {
 	}
 }
 
-func TestMetricsEndpointFormatsAndDelta(t *testing.T) {
+func TestMetricsEndpointFormatsCumulative(t *testing.T) {
 	tr := NewTracker()
-	srv := httptest.NewServer(NewServer(tr).Handler())
+	s := NewServer(tr)
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	r := metrics.New()
@@ -116,18 +119,19 @@ func TestMetricsEndpointFormatsAndDelta(t *testing.T) {
 		t.Fatalf("invalid /metrics?format=json: %v\n%s", err, js)
 	}
 
-	// First delta scrape sees everything; a second with no activity between
-	// sees no counters.
-	get(t, srv, "/metrics?delta=1")
-	_, d2 := get(t, srv, "/metrics?delta=1")
-	if strings.Contains(d2, "sim_events") {
-		t.Errorf("idle delta still reports counters:\n%s", d2)
-	}
-	r.Counter("sim.events").Add(3)
-	tr.AddSnapshot(metrics.Snapshot{Counters: []metrics.CounterValue{{Name: "sim.events", Value: 3}}})
-	_, d3 := get(t, srv, "/metrics?delta=1")
-	if !strings.Contains(d3, "sim_events 3\n") {
-		t.Errorf("delta after +3 wrong:\n%s", d3)
+	// A delta query is not a mode: every client, from any address and
+	// however often it scrapes, reads the same cumulative body as /metrics.
+	delta := "/metrics?" + url.Values{"delta": {"1"}}.Encode()
+	for i := range 100 {
+		for _, path := range []string{"/metrics", delta, delta} {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			req.RemoteAddr = fmt.Sprintf("10.0.0.%d:%d", i%50, 40000+i)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if got := rec.Body.String(); got != prom {
+				t.Fatalf("%s from %s differs from /metrics:\n%s\nwant\n%s", path, req.RemoteAddr, got, prom)
+			}
+		}
 	}
 }
 
