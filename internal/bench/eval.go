@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -139,6 +140,12 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return newResult(n, hash, v, rep, log), nil
+}
+
+// newResult assembles the Result of the cell n that answered v and rep and
+// recorded log.
+func newResult(n spec.Spec, hash string, v float64, rep core.Report, log *trace.Log) Result {
 	res := Result{Spec: n, Hash: hash, Value: v, Unit: "ns",
 		EndNs: int64(rep.End), Topology: rep.Topology.Describe()}
 	if n.Workload == spec.WorkloadNetBandwidth {
@@ -156,7 +163,7 @@ func evalCold(n spec.Spec, hash string) (Result, error) {
 		BlockedNs: int64(cp.Blocked),
 	}
 	res.Comm = commSummary(spans)
-	return res, nil
+	return res
 }
 
 // runSpec is the one door from a spec to a simulation: it runs the cell s
@@ -171,16 +178,8 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 	}
 	switch s.Workload {
 	case spec.WorkloadNetLatency, spec.WorkloadNetBandwidth:
-		cfg := NetConfig{Model: m, Native: s.Native, Inter: s.Inter, Bytes: s.Bytes,
-			Iters: s.Iters, Warmup: s.Warmup, window: s.Window,
-			trace: col.Trace, metrics: col.Metrics}
-		if cfg.Backend, err = s.BackendID(); err != nil {
-			return 0, rep, err
-		}
-		if cfg.API, err = s.APIKind(); err != nil {
-			return 0, rep, err
-		}
-		if cfg.faults, err = specPlan(s, cfg); err != nil {
+		cfg, err := netConfig(s, m, col)
+		if err != nil {
 			return 0, rep, err
 		}
 		if s.Workload == spec.WorkloadNetBandwidth {
@@ -199,6 +198,23 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 	default:
 		return 0, rep, fmt.Errorf("bench: unknown workload %q", s.Workload)
 	}
+}
+
+// netConfig is the net cell s pins on the machine m, recording into col's
+// instruments.
+func netConfig(s spec.Spec, m *machine.Model, col *Collector) (NetConfig, error) {
+	cfg := NetConfig{Model: m, Native: s.Native, Inter: s.Inter, Bytes: s.Bytes,
+		Iters: s.Iters, Warmup: s.Warmup, window: s.Window,
+		trace: col.Trace, metrics: col.Metrics}
+	var err error
+	if cfg.Backend, err = s.BackendID(); err != nil {
+		return cfg, err
+	}
+	if cfg.API, err = s.APIKind(); err != nil {
+		return cfg, err
+	}
+	cfg.faults, err = specPlan(s, cfg)
+	return cfg, err
 }
 
 // SweepSpecs is the observed sweep over spec cells: it validates every spec

@@ -56,6 +56,11 @@ type NetConfig struct {
 	// package's tests sets it: TestPhantomEqualsReal runs every cell both
 	// ways and demands the same answer.
 	functional bool
+	// full turns fast-forward off, for the tests that compare a
+	// fast-forwarded run with the full one; ff is the run's controller (set
+	// by run; nil when the cell runs every iteration).
+	full bool
+	ff   *fastForward
 }
 
 // payload is the cell's message-vector allocator (see payload).
@@ -78,10 +83,12 @@ func (cfg NetConfig) validate() error {
 	return nil
 }
 
-// counts resolves iteration counts: the paper uses 100K/10K below 8 KiB and
-// 10K/1K above for latency (1000/100 and 200/20 for bandwidth); the
-// simulator is deterministic, so the defaults are scaled down 100× and can
-// be raised with Iters/Warmup for paper-exact counts.
+// counts resolves iteration counts. The paper uses 100K/10K below 8 KiB and
+// 10K/1K above for latency, and 1000/100 and 200/20 windows for bandwidth.
+// The simulator is deterministic, so the defaults are smaller: latency's
+// 1000/100 and 100/10 are the paper's divided by 100, bandwidth's 100/10 and
+// 20/2 the paper's divided by 10. Iters/Warmup raise them to paper-exact
+// counts.
 func (cfg NetConfig) counts(bandwidth bool) (iters, warmup, window int) {
 	iters, warmup = cfg.Iters, cfg.Warmup
 	if iters == 0 {
@@ -130,48 +137,53 @@ func Placement(inter bool) string {
 // and the run report (the profiler needs the run's end time as its
 // attribution horizon).
 func LatencyRun(cfg NetConfig) (sim.Duration, core.Report, error) {
-	var rep core.Report
-	if err := cfg.validate(); err != nil {
-		return 0, rep, err
-	}
-	iters, warmup, _ := cfg.counts(false)
-	var rt sim.Duration
-	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
-		func(env *core.Env) {
-			d := cfg.latencyRank(env, iters, warmup)
-			if env.WorldRank() == 0 {
-				rt = d
-			}
-		})
-	if err != nil {
-		return 0, rep, err
-	}
-	return rt / sim.Duration(2*iters), rep, nil
+	lat, rep, _, err := cfg.run(false)
+	return sim.Duration(lat), rep, err
 }
 
 // bandwidthRun runs the windowed one-way benchmark and returns bytes/second
 // and the run report.
 func bandwidthRun(cfg NetConfig) (float64, core.Report, error) {
-	var rep core.Report
+	bw, rep, _, err := cfg.run(true)
+	return bw, rep, err
+}
+
+// run launches the two ranks of the latency or bandwidth benchmark and
+// returns its headline value (one-way latency in ns, or bytes/second), the
+// run report and the cell's fast-forward controller (nil when the cell ran
+// in full).
+func (cfg NetConfig) run(bandwidth bool) (float64, core.Report, *fastForward, error) {
 	if err := cfg.validate(); err != nil {
-		return 0, rep, err
+		return 0, core.Report{}, nil, err
 	}
-	iters, warmup, window := cfg.counts(true)
-	var total sim.Duration
+	iters, warmup, window := cfg.counts(bandwidth)
+	log := cfg.trace
+	if cfg.ff = cfg.newFastForward(warmup); cfg.ff != nil {
+		log = cfg.ff.log
+	}
+	var rt sim.Duration
 	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics},
+		Faults: cfg.faults, Trace: log, Metrics: cfg.metrics},
 		func(env *core.Env) {
-			d := cfg.bandwidthRank(env, iters, warmup, window)
+			cfg.ff.bind(env)
+			var d sim.Duration
+			if bandwidth {
+				d = cfg.bandwidthRank(env, iters, warmup, window)
+			} else {
+				d = cfg.latencyRank(env, iters, warmup)
+			}
 			if env.WorldRank() == 0 {
-				total = d
+				rt = d
 			}
 		})
-	if err != nil {
-		return 0, rep, err
+	switch {
+	case err != nil:
+		return 0, rep, cfg.ff, err
+	case bandwidth:
+		return float64(iters) * float64(window) * float64(cfg.Bytes) / rt.Seconds(), rep, cfg.ff, nil
+	default:
+		return float64(rt / sim.Duration(2*iters)), rep, cfg.ff, nil
 	}
-	bytes := float64(iters) * float64(window) * float64(cfg.Bytes)
-	return bytes / total.Seconds(), rep, nil
 }
 
 // latencyRank dispatches to the per-variant rank body and returns the timed

@@ -82,6 +82,9 @@ func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, e
 // The net cells are every column of every machine at both placements over the
 // quick size ladder, latency and bandwidth (Fig 2's cells are a subset of
 // Figs 3 and 4's), each run once with NetConfig.functional and once without.
+// A functional cell runs every iteration and a phantom one fast-forwards its
+// steady state (fastforward.go), so each pair also holds fast-forward to the
+// full run.
 // Cells of 512 KiB and more run 2 + 1 iterations instead of the default
 // 20 + 2 or 100 + 10 — the real side moves every byte of every repetition,
 // which is what made the figures slow, and the repetitions of a deterministic

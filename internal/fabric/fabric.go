@@ -10,6 +10,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -361,4 +362,32 @@ func (f *Fabric) StallNIC(node, nic int, start, end sim.Time) {
 	idx := node*f.cfg.NICsPerNode + nic
 	f.nicOut[idx].AddStall(start, end)
 	f.nicIn[idx].AddStall(start, end)
+}
+
+// AppendState appends the fabric's state relative to now for a fast-forward
+// digest (sim.Engine.AppendState): how long each port stays busy. It reports
+// false when transfers would depend on absolute time or on more than the
+// ports' horizons: injected faults (a fault plan installs LinkFault with its
+// stall windows), dead routes, or a switched topology (adaptive routing
+// reads every candidate port's load and hashes the booking time).
+func (f *Fabric) AppendState(b []byte, now sim.Time) ([]byte, bool) {
+	if f.topo != nil || f.LinkFault != nil || len(f.downs) > 0 {
+		return b, false
+	}
+	for _, ports := range [...][]*sim.Timeline{f.egress, f.ingress, f.nicOut, f.nicIn} {
+		for _, tl := range ports {
+			b = binary.AppendVarint(b, int64(max(tl.BusyUntil().Sub(now), 0)))
+		}
+	}
+	return b, true
+}
+
+// Shift moves every port's busy horizon d later, with the engine's clock
+// (sim.Engine.Shift).
+func (f *Fabric) Shift(d sim.Duration) {
+	for _, ports := range [...][]*sim.Timeline{f.egress, f.ingress, f.nicOut, f.nicIn} {
+		for _, tl := range ports {
+			tl.Shift(d)
+		}
+	}
 }

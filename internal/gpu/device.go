@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
@@ -339,6 +340,43 @@ func (s *Stream) put(op streamOp) {
 
 // Pending reports the number of enqueued-but-incomplete operations.
 func (s *Stream) Pending() uint64 { return s.enqueued - s.completed.Value() }
+
+// StreamOf returns the device's stream whose daemon is p, or nil.
+func (d *Device) StreamOf(p *sim.Proc) *Stream {
+	for _, s := range d.streams {
+		if s.proc == p {
+			return s
+		}
+	}
+	return nil
+}
+
+// AppendState appends the stream's state relative to now for a fast-forward
+// digest (sim.Engine.AppendState): its incomplete operations and, for the one
+// in service, its label and how long ago it started. It reports false when a
+// stream has recorded an abort, which no digest accounts for.
+func (s *Stream) AppendState(b []byte, now sim.Time) ([]byte, bool) {
+	b = binary.AppendUvarint(b, s.Pending())
+	if s.busy() {
+		b = append(b, s.cur.label...)
+		b = binary.AppendVarint(b, int64(now.Sub(s.start)))
+	}
+	return append(b, 0), s.aborted == nil
+}
+
+// Shift moves the start of the operation in service d later, for a fast
+// forward that moved the engine's clock (sim.Engine.Shift).
+func (s *Stream) Shift(d sim.Duration) {
+	if s.busy() {
+		s.start = s.start.Add(d)
+	}
+}
+
+// busy reports whether an operation is in service.
+func (s *Stream) busy() bool { return s.cur.step != nil || s.cur.run != nil }
+
+// Streams returns the device's streams in creation order.
+func (d *Device) Streams() []*Stream { return d.streams }
 
 // Synchronize blocks the host process until all work enqueued so far has
 // completed, mirroring cudaStreamSynchronize.

@@ -1,6 +1,11 @@
 package gpuccl
 
 import (
+	"cmp"
+	"encoding/binary"
+	"maps"
+	"slices"
+
 	"repro/internal/gpu"
 	"repro/internal/lockstep"
 	"repro/internal/machine"
@@ -285,4 +290,37 @@ func (c *Comm) Recv(p *sim.Proc, s *gpu.Stream, buf gpu.View, peer int) {
 	f.nextRecv++
 	c.submit(p, s, op{label: c.w.recvLabels.For(peer), hist: c.w.mColl["recv"],
 		f: f, seq: f.nextRecv, view: buf})
+}
+
+// AppendPending appends the world's unfinished point-to-point messages for a
+// fast-forward digest (sim.Engine.AppendState): per (communicator, source,
+// destination) stream in key order, how far sends lead receives and, for
+// each message still held, which sides have started and whether a callback
+// holds it. Group state (an open GroupStart) is per rank and reported too.
+func (c *Comm) AppendPending(b []byte) []byte {
+	w := c.w
+	keys := slices.SortedFunc(maps.Keys(w.shared.pairs), func(x, y pairKey) int {
+		return cmp.Or(cmp.Compare(x.comm, y.comm), cmp.Compare(x.src, y.src), cmp.Compare(x.dst, y.dst))
+	})
+	for _, k := range keys {
+		f := w.shared.pairs[k]
+		b = binary.AppendVarint(b, int64(f.nextSend-f.nextRecv))
+		for _, seq := range slices.Sorted(maps.Keys(f.msgs)) {
+			m := f.msgs[seq]
+			b = binary.AppendVarint(b, int64(seq)-int64(f.nextRecv))
+			var sides byte
+			for i, v := range [...]bool{m.send.started, m.recv.started, m.inFlight} {
+				if v {
+					sides |= 1 << i
+				}
+			}
+			b = append(b, sides)
+		}
+		b = append(b, 0xff)
+	}
+	for _, g := range w.groups {
+		b = binary.AppendUvarint(b, uint64(g.depth))
+		b = binary.AppendUvarint(b, uint64(len(g.pending)))
+	}
+	return b
 }

@@ -10,6 +10,7 @@
 package gpushmem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/gpu"
@@ -282,4 +283,10 @@ func (sr SigRef) apply(eng *sim.Engine, rank int, op SignalOp, val uint64) {
 	default:
 		panic("gpushmem: unknown signal op")
 	}
+}
+
+// AppendState appends the PE's outstanding non-blocking operations (issued,
+// not yet completed) for a fast-forward digest (sim.Engine.AppendState).
+func (pe *PE) AppendState(b []byte) []byte {
+	return binary.AppendUvarint(b, pe.issued.Value()-pe.completed.Value())
 }

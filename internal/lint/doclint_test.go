@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -323,6 +325,153 @@ func TestDocLintFixture(t *testing.T) {
 		"doc:9: uniconn chaos has no flag -shards",
 	}
 	if got := docProblems(m, "doc", text); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("problems = %q\nwant %q", got, want)
+	}
+}
+
+var (
+	// openItem heads an open ROADMAP item ("12. **Title"), subItem a lettered
+	// part of one ("- **(a) Title"), parkedItem a parked one ("- **8b. Title").
+	openItem   = regexp.MustCompile(`(?m)^(\d+)\. \*\*`)
+	subItem    = regexp.MustCompile(`\*\*\(([a-z])\)`)
+	parkedItem = regexp.MustCompile(`(?m)^- \*\*(\d+)([a-z])\.`)
+	// In the closed-items paragraphs, an item is any number or number-letter,
+	// "7a–7c" naming a run of parts; asides in parentheses, PR numbers and
+	// quoted citations are not items.
+	closedNoise = regexp.MustCompile(`\([^)]*\)|PRs? [\d–-]+|"ROADMAP [^"]*"`)
+	closedItem  = regexp.MustCompile(`\b(\d+)([a-z])?(?:–(?:\d+)?([a-z]))?\b`)
+	// citation is a reference to an item by number.
+	citation = regexp.MustCompile(`ROADMAP (\d+[a-z]?)\b`)
+)
+
+// roadmapItems returns the ids ("12", "13a") of every item ROADMAP.md lists,
+// open, parked or closed.
+func roadmapItems(roadmap string) map[string]bool {
+	items := map[string]bool{}
+	heads := openItem.FindAllStringSubmatchIndex(roadmap, -1)
+	for i, h := range heads {
+		n, end := roadmap[h[2]:h[3]], len(roadmap)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		if j := strings.Index(roadmap[h[0]:end], "\n#"); j >= 0 {
+			end = h[0] + j
+		}
+		items[n] = true
+		for _, s := range subItem.FindAllStringSubmatch(roadmap[h[0]:end], -1) {
+			items[n+s[1]] = true
+		}
+	}
+	for _, p := range parkedItem.FindAllStringSubmatch(roadmap, -1) {
+		items[p[1]], items[p[1]+p[2]] = true, true
+	}
+	if _, closed, ok := strings.Cut(roadmap, "Closed items"); ok {
+		if h := openItem.FindStringIndex(closed); h != nil {
+			closed = closed[:h[0]]
+		}
+		for _, c := range closedItem.FindAllStringSubmatch(closedNoise.ReplaceAllString(closed, ""), -1) {
+			items[c[1]] = true
+			if c[2] == "" {
+				continue
+			}
+			last := c[2][0]
+			if c[3] != "" {
+				last = c[3][0]
+			}
+			for x := c[2][0]; x <= last; x++ {
+				items[c[1]+string(x)] = true
+			}
+		}
+	}
+	return items
+}
+
+// citationProblems reports every "ROADMAP <n>[letter]" in text, whose first
+// line is line first of doc, that names no item of items.
+func citationProblems(items map[string]bool, doc string, first int, text string) []string {
+	var out []string
+	for i, line := range strings.Split(text, "\n") {
+		for _, c := range citation.FindAllStringSubmatch(line, -1) {
+			if !items[c[1]] {
+				out = append(out, fmt.Sprintf("%s:%d: ROADMAP %s is no item of ROADMAP.md", doc, first+i, c[1]))
+			}
+		}
+	}
+	return out
+}
+
+// TestRoadmapCitations checks that every item README.md, DESIGN.md,
+// EXPERIMENTS.md and the comments of the Go sources cite as "ROADMAP <n>" or
+// "ROADMAP <n><letter>" is one ROADMAP.md lists, open, parked or closed:
+// renumbering an item must carry its citations along.
+func TestRoadmapCitations(t *testing.T) {
+	m := repo(t)
+	roadmap, err := os.ReadFile(filepath.Join(m.root, "ROADMAP.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := roadmapItems(string(roadmap))
+	for _, doc := range docs {
+		text, err := os.ReadFile(filepath.Join(m.root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range citationProblems(items, doc, 1, string(text)) {
+			t.Error(p)
+		}
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(m.root, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != m.root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(m.root, path)
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				for _, p := range citationProblems(items, rel, fset.Position(c.Pos()).Line, c.Text) {
+					t.Error(p)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoadmapCitationsFixture pins the item rules on a synthetic ROADMAP: open
+// items and their lettered parts, a parked item, closed items with a run of
+// parts, and a quoted stale citation, which lists nothing.
+func TestRoadmapCitationsFixture(t *testing.T) {
+	roadmap := strings.Join([]string{
+		"Closed items are not repeated here:",
+		"- 1, 7a–7c and 16 (PRs 12–31).",
+		`- **5c** (PR 28). DESIGN.md cites "ROADMAP 9d".`,
+		"",
+		"9. **Ledger.**",
+		"   - **(a) ab.**",
+		"12. **Fast-forward.**",
+		"### Parked",
+		"- **8b. Skeletons.**",
+	}, "\n")
+	text := "ROADMAP 1, ROADMAP 7b, ROADMAP 5c, ROADMAP 9a, ROADMAP 12, ROADMAP 8b\nROADMAP 9d ROADMAP 31 ROADMAP 7d ROADMAP 12a"
+	want := []string{
+		"doc:2: ROADMAP 9d is no item of ROADMAP.md",
+		"doc:2: ROADMAP 31 is no item of ROADMAP.md",
+		"doc:2: ROADMAP 7d is no item of ROADMAP.md",
+		"doc:2: ROADMAP 12a is no item of ROADMAP.md",
+	}
+	if got := citationProblems(roadmapItems(roadmap), "doc", 1, text); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("problems = %q\nwant %q", got, want)
 	}
 }

@@ -10,6 +10,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -595,3 +596,35 @@ const (
 	rendezvousBackoffBase = sim.Microsecond
 	rendezvousBackoffMax  = 100 * sim.Microsecond
 )
+
+// AppendQueues appends the shapes of the rank's matching queues for a
+// fast-forward digest (sim.Engine.AppendState): each posted receive and each
+// unexpected message as its source, tag and length, in queue order, and the
+// count of messages held back for ordering. A reserved tag of this handle's
+// collectives is encoded relative to the handle's collective sequence, which
+// every collective advances.
+func (c *Comm) AppendQueues(b []byte) []byte {
+	ep := c.ep
+	entry := func(src, ctx, tag, count int) {
+		if ctx == c.ctx && tag >= maxUserTag {
+			tag = tag - maxUserTag - int(c.coll%collWindow)<<collRoundBits
+		}
+		b = binary.AppendVarint(b, int64(src))
+		b = binary.AppendVarint(b, int64(ctx))
+		b = binary.AppendVarint(b, int64(tag))
+		b = binary.AppendVarint(b, int64(count))
+	}
+	b = binary.AppendUvarint(b, uint64(len(ep.posted)))
+	for _, pr := range ep.posted {
+		entry(pr.src, pr.ctx, pr.tag, pr.count)
+	}
+	b = binary.AppendUvarint(b, uint64(len(ep.unexpected)))
+	for _, h := range ep.unexpected {
+		entry(h.src, h.ctx, h.tag, h.count)
+	}
+	held := 0
+	for _, ps := range ep.pairs {
+		held += len(ps.held)
+	}
+	return binary.AppendUvarint(b, uint64(held))
+}

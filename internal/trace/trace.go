@@ -11,6 +11,7 @@ package trace
 
 import (
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -151,15 +152,57 @@ func (l *Log) Add(s Span) {
 	if l == nil {
 		return
 	}
-	if l.n%logChunk == 0 {
-		l.chunks = append(l.chunks, new([logChunk]rec))
-	}
-	l.chunks[l.n/logChunk][l.n%logChunk] = rec{
+	l.push(rec{
 		start: s.Start, end: s.End, bytes: s.Bytes,
 		kind: uint32(s.Kind), label: l.intern(s.Label), track: l.intern(s.Track),
 		rank: int32(s.Rank), src: int32(s.Src), dst: int32(s.Dst),
+	})
+}
+
+// push appends one record.
+func (l *Log) push(r rec) {
+	if l.n%logChunk == 0 {
+		l.chunks = append(l.chunks, new([logChunk]rec))
 	}
+	l.chunks[l.n/logChunk][l.n%logChunk] = r
 	l.n++
+}
+
+// AppendSince appends records from, from+1, ... (insertion order) relative
+// to base, for a fast-forward digest: two stretches of a periodic run encode
+// equal when each is the other shifted by the distance of their bases.
+func (l *Log) AppendSince(b []byte, from int, base sim.Time) []byte {
+	if l == nil {
+		return b
+	}
+	for j := from; j < l.n; j++ {
+		r := l.rec(int32(j))
+		for _, v := range [...]int64{int64(r.start - base), int64(r.end - base), r.bytes} {
+			b = binary.AppendVarint(b, v)
+		}
+		for _, v := range [...]uint32{r.kind, r.label, r.track, uint32(r.rank), uint32(r.src), uint32(r.dst)} {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	return b
+}
+
+// Repeat appends m copies of records [from, to), the k-th (k = 1..m) shifted
+// by k*d, each copy in insertion order: what m more periods of a periodic run
+// would have recorded.
+func (l *Log) Repeat(from, to, m int, d sim.Duration) {
+	if l == nil {
+		return
+	}
+	for k := 1; k <= m; k++ {
+		shift := sim.Time(k) * sim.Time(d)
+		for j := from; j < to; j++ {
+			r := *l.rec(int32(j))
+			r.start += shift
+			r.end += shift
+			l.push(r)
+		}
+	}
 }
 
 // Len reports the span count.
