@@ -55,14 +55,11 @@ func ffRun(s spec.Spec, full bool) (ffAnswer, error) {
 		return ffAnswer{}, err
 	}
 	cfg.full = full
-	v, rep, ff, err := cfg.run(n.Workload == spec.WorkloadNetBandwidth)
+	v, rep, simulated, err := cfg.run(n.Workload == spec.WorkloadNetBandwidth)
 	if err != nil {
 		return ffAnswer{}, fmt.Errorf("%s: %w", n, err)
 	}
-	a := ffAnswer{spans: spansOf(log), simulated: -1}
-	if ff != nil {
-		a.simulated = ff.simulated
-	}
+	a := ffAnswer{spans: spansOf(log), simulated: simulated}
 	a.body, err = newResult(n, n.Hash(), v, rep, log).Encode()
 	return a, err
 }
@@ -150,22 +147,17 @@ func TestFastForwardEligibility(t *testing.T) {
 	} {
 		cfg := base
 		set(&cfg)
-		if _, _, ff, err := cfg.run(false); err != nil || ff != nil {
-			t.Errorf("%s: controller %v, err %v; want a full run", name, ff != nil, err)
+		if _, _, simulated, err := cfg.run(false); err != nil || simulated >= 0 {
+			t.Errorf("%s: simulated %d, err %v; want a full run without a controller", name, simulated, err)
 		}
 	}
 
-	cfg := base
-	cfg.ff = cfg.newFastForward(warmup)
-	_, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend, Trace: cfg.ff.log,
-		Flight: &core.FlightConfig{Depth: 16}}, func(env *core.Env) {
-		cfg.ff.bind(env)
-		cfg.latencyRank(env, iters, warmup)
-	})
+	lc := core.Config{Model: base.model(), NGPUs: 2, Backend: base.Backend, Flight: &core.FlightConfig{Depth: 16}}
+	_, got, err := core.LaunchLoops(lc, warmup, false, func(env *core.Env) { base.latencyRank(env, iters, warmup) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.ff.simulated; got != iters+warmup {
+	if got != iters+warmup {
 		t.Errorf("flight recorder: rank 0 simulated %d of %d iterations", got, iters+warmup)
 	}
 

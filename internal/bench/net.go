@@ -57,10 +57,8 @@ type NetConfig struct {
 	// ways and demands the same answer.
 	functional bool
 	// full turns fast-forward off, for the tests that compare a
-	// fast-forwarded run with the full one; ff is the run's controller (set
-	// by run; nil when the cell runs every iteration).
+	// fast-forwarded run with the full one.
 	full bool
-	ff   *fastForward
 }
 
 // payload is the cell's message-vector allocator (see payload).
@@ -150,39 +148,34 @@ func bandwidthRun(cfg NetConfig) (float64, core.Report, error) {
 
 // run launches the two ranks of the latency or bandwidth benchmark and
 // returns its headline value (one-way latency in ns, or bytes/second), the
-// run report and the cell's fast-forward controller (nil when the cell ran
-// in full).
-func (cfg NetConfig) run(bandwidth bool) (float64, core.Report, *fastForward, error) {
+// run report and how many iterations rank 0 simulated (-1 when the cell ran
+// without a fast-forward controller).
+func (cfg NetConfig) run(bandwidth bool) (float64, core.Report, int, error) {
 	if err := cfg.validate(); err != nil {
-		return 0, core.Report{}, nil, err
+		return 0, core.Report{}, -1, err
 	}
 	iters, warmup, window := cfg.counts(bandwidth)
-	log := cfg.trace
-	if cfg.ff = cfg.newFastForward(warmup); cfg.ff != nil {
-		log = cfg.ff.log
-	}
+	lc := core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
+		Faults: cfg.faults, Trace: cfg.trace, Metrics: cfg.metrics}
 	var rt sim.Duration
-	rep, err := core.Launch(core.Config{Model: cfg.model(), NGPUs: 2, Backend: cfg.Backend,
-		Faults: cfg.faults, Trace: log, Metrics: cfg.metrics},
-		func(env *core.Env) {
-			cfg.ff.bind(env)
-			var d sim.Duration
-			if bandwidth {
-				d = cfg.bandwidthRank(env, iters, warmup, window)
-			} else {
-				d = cfg.latencyRank(env, iters, warmup)
-			}
-			if env.WorldRank() == 0 {
-				rt = d
-			}
-		})
+	rep, simulated, err := core.LaunchLoops(lc, warmup, cfg.full || cfg.functional, func(env *core.Env) {
+		var d sim.Duration
+		if bandwidth {
+			d = cfg.bandwidthRank(env, iters, warmup, window)
+		} else {
+			d = cfg.latencyRank(env, iters, warmup)
+		}
+		if env.WorldRank() == 0 {
+			rt = d
+		}
+	})
 	switch {
 	case err != nil:
-		return 0, rep, cfg.ff, err
+		return 0, rep, simulated, err
 	case bandwidth:
-		return float64(iters) * float64(window) * float64(cfg.Bytes) / rt.Seconds(), rep, cfg.ff, nil
+		return float64(iters) * float64(window) * float64(cfg.Bytes) / rt.Seconds(), rep, simulated, nil
 	default:
-		return float64(rt / sim.Duration(2*iters)), rep, cfg.ff, nil
+		return float64(rt / sim.Duration(2*iters)), rep, simulated, nil
 	}
 }
 

@@ -20,7 +20,7 @@ func latencyNativeCCL(cfg NetConfig, env *core.Env, iters, warmup int) sim.Durat
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 0, warmup+iters) {
+	for it := range env.Loop(p, 0, warmup+iters) {
 		if it == warmup {
 			s.Synchronize(p)
 			env.MPIComm().Barrier(p)
@@ -50,7 +50,7 @@ func bandwidthNativeCCL(cfg NetConfig, env *core.Env, iters, warmup, window int)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 0, warmup+iters) {
+	for it := range env.Loop(p, 0, warmup+iters) {
 		if it == warmup {
 			s.Synchronize(p)
 			env.MPIComm().Barrier(p)

@@ -22,7 +22,7 @@ func latencyNativeShmemHost(cfg NetConfig, env *core.Env, iters, warmup int) sim
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 1, warmup+iters+1) {
+	for it := range env.Loop(p, 1, warmup+iters+1) {
 		if it == warmup+1 {
 			s.Synchronize(p)
 			env.MPIComm().Barrier(p)
@@ -52,7 +52,7 @@ func bandwidthNativeShmemHost(cfg NetConfig, env *core.Env, iters, warmup, windo
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 0, warmup+iters) {
+	for it := range env.Loop(p, 0, warmup+iters) {
 		if it == warmup {
 			s.Synchronize(p)
 			env.MPIComm().Barrier(p)
@@ -82,7 +82,7 @@ func latencyNativeShmemDevice(cfg NetConfig, env *core.Env, iters, warmup int) s
 	var elapsed sim.Duration
 	k := &gpu.Kernel{Name: "pingpong", Body: func(kc *gpu.KernelCtx) {
 		var start sim.Time
-		for it := range cfg.loop(kc.P, 1, warmup+iters+1) {
+		for it := range env.Loop(kc.P, 1, warmup+iters+1) {
 			if it == warmup+1 {
 				pe.DevBarrierAll(kc)
 				start = kc.P.Now()
@@ -116,7 +116,7 @@ func bandwidthNativeShmemDevice(cfg NetConfig, env *core.Env, iters, warmup, win
 	var elapsed sim.Duration
 	k := &gpu.Kernel{Name: "bw", Body: func(kc *gpu.KernelCtx) {
 		var start sim.Time
-		for it := range cfg.loop(kc.P, 0, warmup+iters) {
+		for it := range env.Loop(kc.P, 0, warmup+iters) {
 			if it == warmup {
 				pe.DevBarrierAll(kc)
 				start = kc.P.Now()

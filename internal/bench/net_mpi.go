@@ -19,7 +19,7 @@ func latencyNativeMPI(cfg NetConfig, env *core.Env, iters, warmup int) sim.Durat
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 0, warmup+iters) {
+	for it := range env.Loop(p, 0, warmup+iters) {
 		if it == warmup {
 			comm.Barrier(p)
 			start = p.Now()
@@ -46,7 +46,7 @@ func bandwidthNativeMPI(cfg NetConfig, env *core.Env, iters, warmup, window int)
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 0, warmup+iters) {
+	for it := range env.Loop(p, 0, warmup+iters) {
 		if it == warmup {
 			comm.Barrier(p)
 			start = p.Now()

@@ -22,7 +22,7 @@ func latencyUniconnHost(cfg NetConfig, env *core.Env, iters, warmup int) sim.Dur
 	me, peer := env.WorldRank(), 1-env.WorldRank()
 
 	var start sim.Time
-	for it := range cfg.loop(p, 1, warmup+iters+1) {
+	for it := range env.Loop(p, 1, warmup+iters+1) {
 		if it == warmup+1 {
 			env.StreamSynchronize(s)
 			comm.HostBarrier()
@@ -53,7 +53,7 @@ func bandwidthUniconnHost(cfg NetConfig, env *core.Env, iters, warmup, window in
 
 	var start sim.Time
 	val := uint64(0)
-	for it := range cfg.loop(p, 0, warmup+iters) {
+	for it := range env.Loop(p, 0, warmup+iters) {
 		if it == warmup {
 			env.StreamSynchronize(s)
 			comm.HostBarrier()
@@ -88,7 +88,7 @@ func latencyUniconnDevice(cfg NetConfig, env *core.Env, iters, warmup int) sim.D
 	var elapsed sim.Duration
 	k := &gpu.Kernel{Name: "uniconn-pingpong", Body: func(kc *gpu.KernelCtx) {
 		var start sim.Time
-		for it := range cfg.loop(kc.P, 1, warmup+iters+1) {
+		for it := range env.Loop(kc.P, 1, warmup+iters+1) {
 			if it == warmup+1 {
 				core.DevBarrier(kc, dc)
 				start = kc.P.Now()
@@ -123,7 +123,7 @@ func bandwidthUniconnDevice(cfg NetConfig, env *core.Env, iters, warmup, window 
 	val := uint64(0)
 	k := &gpu.Kernel{Name: "uniconn-bw", Body: func(kc *gpu.KernelCtx) {
 		var start sim.Time
-		for it := range cfg.loop(kc.P, 0, warmup+iters) {
+		for it := range env.Loop(kc.P, 0, warmup+iters) {
 			if it == warmup {
 				core.DevBarrier(kc, dc)
 				start = kc.P.Now()

@@ -83,8 +83,8 @@ func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, e
 // quick size ladder, latency and bandwidth (Fig 2's cells are a subset of
 // Figs 3 and 4's), each run once with NetConfig.functional and once without.
 // A functional cell runs every iteration and a phantom one fast-forwards its
-// steady state (fastforward.go), so each pair also holds fast-forward to the
-// full run.
+// steady state (core/fastforward.go), so each pair also holds fast-forward to
+// the full run.
 // Cells of 512 KiB and more run 2 + 1 iterations instead of the default
 // 20 + 2 or 100 + 10 — the real side moves every byte of every repetition,
 // which is what made the figures slow, and the repetitions of a deterministic
@@ -95,7 +95,10 @@ func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, e
 // shapes, functional (real vectors, every element computed) against modelled
 // (phantom vectors); that a modelled run with real-but-unread vectors — the
 // code before the switch — answers the same too is again what the pins,
-// captured from it, replay.
+// captured from it, replay. A modelled solver run fast-forwards its steady
+// state and a functional one computes every iteration, so these pairs are
+// also the solvers' fast-forward-against-full differential (the synchronous
+// columns skip; the columns whose host runs ahead run in full).
 //
 // Under -short or the race detector the ladder is 8 B, 4 KiB and 64 KiB and
 // the Jacobi grid is 512 x 512 and the CG matrix a fifth the size; CI runs

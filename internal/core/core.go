@@ -127,6 +127,10 @@ type job struct {
 	// every failure-state query is answered from.
 	rankProcs []*sim.Proc
 	sched     *failureSchedule
+
+	// ff is the ranks' loop controller (Env.Loop), nil when every loop
+	// runs every iteration.
+	ff *fastForward
 }
 
 // FaultSummary summarises the hard faults of a completed run, so chaos CLIs
@@ -175,7 +179,10 @@ func (j *job) faultSummary() FaultSummary {
 // Launch runs main once per rank, each in its own simulated process, and
 // drives the simulation to completion. It is the moral equivalent of
 // mpirun/srun for the simulated cluster.
-func Launch(cfg Config, main func(env *Env)) (Report, error) {
+func Launch(cfg Config, main func(env *Env)) (Report, error) { return launch(cfg, nil, main) }
+
+// launch is Launch with ff as the ranks' loop controller.
+func launch(cfg Config, ff *fastForward, main func(env *Env)) (Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Report{}, err
 	}
@@ -183,7 +190,7 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	defer eng.Close()
 	flight := cfg.Flight.install(eng)
 	cluster := gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)
-	j := &job{cfg: cfg, eng: eng, cluster: cluster}
+	j := &job{cfg: cfg, eng: eng, cluster: cluster, ff: ff}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)
 	}
@@ -212,7 +219,13 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	}
 	for r := range cluster.Devices {
 		j.rankProcs = append(j.rankProcs, eng.Spawn(
-			fmt.Sprintf("rank%d", r), func(p *sim.Proc) { main(newEnv(j, r, p)) }))
+			fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+				env := newEnv(j, r, p)
+				if ff != nil {
+					ff.envs[r] = env
+				}
+				main(env)
+			}))
 	}
 	if f := cfg.Faults; f != nil && len(f.Crashes) > 0 {
 		j.sched = newFailureSchedule(f, cfg.NGPUs)

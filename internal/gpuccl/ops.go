@@ -302,10 +302,13 @@ func (c *Comm) AppendPending(b []byte) []byte {
 	keys := slices.SortedFunc(maps.Keys(w.shared.pairs), func(x, y pairKey) int {
 		return cmp.Or(cmp.Compare(x.comm, y.comm), cmp.Compare(x.src, y.src), cmp.Compare(x.dst, y.dst))
 	})
+	var seqs []uint64
 	for _, k := range keys {
 		f := w.shared.pairs[k]
 		b = binary.AppendVarint(b, int64(f.nextSend-f.nextRecv))
-		for _, seq := range slices.Sorted(maps.Keys(f.msgs)) {
+		seqs = slices.AppendSeq(seqs[:0], maps.Keys(f.msgs))
+		slices.Sort(seqs)
+		for _, seq := range seqs {
 			m := f.msgs[seq]
 			b = binary.AppendVarint(b, int64(seq)-int64(f.nextRecv))
 			var sides byte

@@ -235,17 +235,43 @@ func (m *module) testInfo() (*types.Info, []string) {
 				own, _ = conf.Check(path, m.fset, slices.Concat(p.files, p.tests), m.test)
 			}
 			if len(p.xtests) > 0 {
-				conf.Importer = importerFunc(func(imp string) (*types.Package, error) {
-					if imp == path {
-						return own, nil
+				// As the go command builds them: the package under test is
+				// its test variant, and so is every module package the
+				// external tests import that imports it in turn.
+				variants := map[string]*types.Package{path: own}
+				var variant importerFunc
+				variant = func(imp string) (*types.Package, error) {
+					if v, ok := variants[imp]; ok {
+						return v, nil
 					}
-					return m.Import(imp)
-				})
+					q := m.pkgs[imp]
+					if q == nil || own == p.types || !m.reaches(q, path) {
+						return m.Import(imp)
+					}
+					vconf := types.Config{Importer: variant, Error: conf.Error}
+					variants[imp], _ = vconf.Check(imp, m.fset, q.files, nil)
+					return variants[imp], nil
+				}
+				conf.Importer = variant
 				conf.Check(path+"_test", m.fset, p.xtests, m.test)
 			}
 		}
 	})
 	return m.test, m.testErrs
+}
+
+// reaches reports whether p's non-test files import the package at path,
+// directly or through other module packages.
+func (m *module) reaches(p *pkg, path string) bool {
+	for _, f := range p.files {
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			if ip == path || m.pkgs[ip] != nil && m.reaches(m.pkgs[ip], path) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -4,7 +4,7 @@ package sim
 // engine's state relative to now at each of its loop boundaries; once the
 // state repeats, the same future follows each repetition shifted by the
 // period, and its driver moves that future forward by whole periods instead
-// of simulating them (internal/bench, DESIGN.md §17).
+// of simulating them (internal/core, DESIGN.md §17).
 
 import (
 	"cmp"

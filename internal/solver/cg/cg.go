@@ -78,6 +78,10 @@ type Config struct {
 	// Metrics, when non-nil, collects the run's counters (see
 	// internal/metrics; one registry per run, never shared across cells).
 	Metrics *metrics.Registry
+
+	// full turns fast-forward off, for the tests that compare a
+	// fast-forwarded run with the full one.
+	full bool
 }
 
 // Result reports one run.
@@ -105,25 +109,32 @@ func (cfg Config) backendOf() core.BackendID {
 
 // Run executes the configured variant.
 func Run(cfg Config) (Result, error) {
+	res, _, err := cfg.run()
+	return res, err
+}
+
+// run is Run, and reports how many iterations rank 0 simulated (-1 when the
+// run had no fast-forward controller: a functional run computes every one).
+func (cfg Config) run() (Result, int, error) {
 	switch {
 	case cfg.Matrix == nil:
-		return Result{}, fmt.Errorf("cg: no Matrix")
+		return Result{}, -1, fmt.Errorf("cg: no Matrix")
 	case cfg.NGPUs < 1:
-		return Result{}, fmt.Errorf("cg: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
+		return Result{}, -1, fmt.Errorf("cg: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
 	case cfg.Matrix.Rows < cfg.NGPUs:
-		return Result{}, fmt.Errorf("cg: Matrix.Rows %d: need at least one row per GPU (%d GPUs)", cfg.Matrix.Rows, cfg.NGPUs)
+		return Result{}, -1, fmt.Errorf("cg: Matrix.Rows %d: need at least one row per GPU (%d GPUs)", cfg.Matrix.Rows, cfg.NGPUs)
 	}
 	if cfg.Iters < 1 {
-		return Result{}, fmt.Errorf("cg: iters %d: need iters >= 1", cfg.Iters)
+		return Result{}, -1, fmt.Errorf("cg: iters %d: need iters >= 1", cfg.Iters)
 	}
 	if cfg.DisableAllgatherv && cfg.Compute {
-		return Result{}, fmt.Errorf("cg: the no-allgatherv ablation is timing-only (set Compute=false)")
+		return Result{}, -1, fmt.Errorf("cg: the no-allgatherv ablation is timing-only (set Compute=false)")
 	}
 	perRank := make([]rankResult, cfg.NGPUs)
-	rep, err := core.Launch(core.Config{
+	rep, simulated, err := core.LaunchLoops(core.Config{
 		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.backendOf(), Trace: cfg.Trace,
 		Metrics: cfg.Metrics,
-	}, func(env *core.Env) {
+	}, 0, cfg.Compute || cfg.full, func(env *core.Env) {
 		var rr rankResult
 		switch cfg.Variant {
 		case NativeMPI:
@@ -140,7 +151,7 @@ func Run(cfg Config) (Result, error) {
 		perRank[env.WorldRank()] = rr
 	})
 	if err != nil {
-		return Result{}, err
+		return Result{}, simulated, err
 	}
 	res := Result{End: rep.End}
 	for _, rr := range perRank {
@@ -150,7 +161,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.PerIter = res.Total / sim.Duration(cfg.Iters)
 	res.residual = perRank[0].residual
-	return res, nil
+	return res, simulated, nil
 }
 
 type rankResult struct {

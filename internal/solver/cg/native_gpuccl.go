@@ -17,7 +17,7 @@ func runNativeGPUCCL(cfg Config, env *core.Env) rankResult {
 	me, n := st.rank, cfg.NGPUs
 
 	st.start.Record(st.stream)
-	for it := 0; it < cfg.Iters; it++ {
+	for range env.Loop(p, 0, cfg.Iters) {
 		if !cfg.DisableAllgatherv {
 			ccl.GroupStart()
 			for r := 0; r < n; r++ {

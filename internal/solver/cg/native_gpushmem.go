@@ -22,7 +22,7 @@ func runNativeShmemHost(cfg Config, env *core.Env) rankResult {
 	counts, displs := st.part.Counts(), st.part.Displs()
 
 	st.start.Record(st.stream)
-	for it := 0; it < cfg.Iters; it++ {
+	for range env.Loop(p, 0, cfg.Iters) {
 		if !cfg.DisableAllgatherv {
 			pe.AllGathervOnStream(p, st.stream, st.p.View(0, st.myRows), st.pFull.Whole(), counts, displs)
 		}
@@ -51,7 +51,7 @@ func runNativeShmemDevice(cfg Config, env *core.Env) rankResult {
 	counts, displs := st.part.Counts(), st.part.Displs()
 
 	st.start.Record(st.stream)
-	for it := 0; it < cfg.Iters; it++ {
+	for range env.Loop(p, 0, cfg.Iters) {
 		k := &gpu.Kernel{Name: "cg-dev", Body: func(kc *gpu.KernelCtx) {
 			if !cfg.DisableAllgatherv {
 				pe.DevAllGatherv(kc, st.p.View(0, st.myRows), st.pFull.Whole(), counts, displs)

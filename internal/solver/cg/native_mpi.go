@@ -16,7 +16,7 @@ func runNativeMPI(cfg Config, env *core.Env) rankResult {
 	counts, displs := st.part.Counts(), st.part.Displs()
 
 	st.start.Record(st.stream)
-	for it := 0; it < cfg.Iters; it++ {
+	for range env.Loop(p, 0, cfg.Iters) {
 		// Assemble the SpMV input vector.
 		st.stream.Synchronize(p)
 		if !cfg.DisableAllgatherv {

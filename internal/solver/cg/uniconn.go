@@ -23,7 +23,7 @@ func runUniconn(cfg Config, env *core.Env) rankResult {
 	}
 
 	st.start.Record(st.stream)
-	for it := 0; it < cfg.Iters; it++ {
+	for range env.Loop(p, 0, cfg.Iters) {
 		if !cfg.DisableAllgatherv {
 			core.AllGatherv(coord, st.p.Base(), st.pFull.Base(), counts, displs, comm)
 		}
@@ -52,7 +52,7 @@ func runUniconnDevice(cfg Config, env *core.Env, st *state, coord *core.Coordina
 
 	dc := comm.ToDevice()
 	st.start.Record(st.stream)
-	for it := 0; it < cfg.Iters; it++ {
+	for range env.Loop(env.Proc(), 0, cfg.Iters) {
 		k := &gpu.Kernel{Name: "cg-uniconn-dev", Body: func(kc *gpu.KernelCtx) {
 			if !cfg.DisableAllgatherv {
 				core.DevAllGatherv(kc, st.p.Base(), st.pFull.Base(), counts, displs, dc)

@@ -74,6 +74,10 @@ type Config struct {
 	// Metrics, when non-nil, collects the run's counters (see
 	// internal/metrics; one registry per run, never shared across cells).
 	Metrics *metrics.Registry
+
+	// full turns fast-forward off, for the tests that compare a
+	// fast-forwarded run with the full one.
+	full bool
 }
 
 // Result reports one run.
@@ -131,25 +135,32 @@ func (g rankGrid) interiorBytes() int64 { return int64(g.chunk) * int64(g.nx) * 
 // Run executes the configured variant and returns its timing (and checksum
 // for functional runs).
 func Run(cfg Config) (Result, error) {
+	res, _, err := cfg.run()
+	return res, err
+}
+
+// run is Run, and reports how many iterations rank 0 simulated (-1 when the
+// run had no fast-forward controller: a functional run computes every one).
+func (cfg Config) run() (Result, int, error) {
 	switch {
 	case cfg.NGPUs < 1:
-		return Result{}, fmt.Errorf("jacobi: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
+		return Result{}, -1, fmt.Errorf("jacobi: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
 	case cfg.NX < 3:
-		return Result{}, fmt.Errorf("jacobi: NX %d: need a grid at least 3 wide", cfg.NX)
+		return Result{}, -1, fmt.Errorf("jacobi: NX %d: need a grid at least 3 wide", cfg.NX)
 	case cfg.NY < cfg.NGPUs:
-		return Result{}, fmt.Errorf("jacobi: NY %d: need at least one row per GPU (%d GPUs)", cfg.NY, cfg.NGPUs)
+		return Result{}, -1, fmt.Errorf("jacobi: NY %d: need at least one row per GPU (%d GPUs)", cfg.NY, cfg.NGPUs)
 	}
 	if cfg.Iters < 1 || cfg.Warmup < 0 {
-		return Result{}, fmt.Errorf("jacobi: iters %d and warmup %d: need iters >= 1 and warmup >= 0", cfg.Iters, cfg.Warmup)
+		return Result{}, -1, fmt.Errorf("jacobi: iters %d and warmup %d: need iters >= 1 and warmup >= 0", cfg.Iters, cfg.Warmup)
 	}
 	if cfg.Mode != core.PureHost && cfg.Variant == Uniconn && cfg.Backend != core.GpushmemBackend {
-		return Result{}, fmt.Errorf("jacobi: %v requires the GPUSHMEM backend", cfg.Mode)
+		return Result{}, -1, fmt.Errorf("jacobi: %v requires the GPUSHMEM backend", cfg.Mode)
 	}
 	perRank := make([]rankResult, cfg.NGPUs)
-	rep, err := core.Launch(core.Config{
+	rep, simulated, err := core.LaunchLoops(core.Config{
 		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.backendOf(), Trace: cfg.Trace,
 		Metrics: cfg.Metrics,
-	}, func(env *core.Env) {
+	}, cfg.Warmup, cfg.Compute || cfg.full, func(env *core.Env) {
 		var rr rankResult
 		switch cfg.Variant {
 		case NativeMPI:
@@ -166,7 +177,7 @@ func Run(cfg Config) (Result, error) {
 		perRank[env.WorldRank()] = rr
 	})
 	if err != nil {
-		return Result{}, err
+		return Result{}, simulated, err
 	}
 	res := Result{End: rep.End}
 	for _, rr := range perRank {
@@ -176,7 +187,7 @@ func Run(cfg Config) (Result, error) {
 		res.checksum += rr.checksum
 	}
 	res.PerIter = res.Total / sim.Duration(cfg.Iters)
-	return res, nil
+	return res, simulated, nil
 }
 
 type rankResult struct {

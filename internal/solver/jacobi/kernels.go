@@ -85,18 +85,17 @@ func (st *state) newSweeps() {
 // computeKernel is the sweep from the current buffers into the next.
 func (st *state) computeKernel() *gpu.Kernel { return st.sweeps[st.curi] }
 
-// timedLoop runs body for warmup+iters iterations, synchronizing after the
-// warmup (host and device, per §VI-A2) and timing the rest with events on
+// timedLoop runs body for iterations 1..warmup+iters, synchronizing after
+// the warmup (host and device, per §VI-A2) and timing the rest with events on
 // the solver stream.
 func (st *state) timedLoop(barrier func(), body func(iter int)) sim.Duration {
 	cfg := st.cfg
-	for it := 1; it <= cfg.Warmup; it++ {
-		body(it)
-	}
-	barrier()
-	st.env.StreamSynchronize(st.stream)
-	st.start.Record(st.stream)
-	for it := cfg.Warmup + 1; it <= cfg.Warmup+cfg.Iters; it++ {
+	for it := range st.env.Loop(st.env.Proc(), 1, cfg.Warmup+cfg.Iters+1) {
+		if it == cfg.Warmup+1 {
+			barrier()
+			st.env.StreamSynchronize(st.stream)
+			st.start.Record(st.stream)
+		}
 		body(it)
 	}
 	st.stop.Record(st.stream)
