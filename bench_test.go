@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
@@ -158,13 +159,13 @@ func BenchmarkFig5_JacobiScaling(b *testing.B) {
 						Iters: 30, Warmup: 5, Compute: false,
 					}
 					natCfg := base
-					natCfg.Variant = jacobi.NativeGPUCCL
+					natCfg.Variant = solver.NativeGPUCCL
 					nat, err := jacobi.Run(natCfg)
 					if err != nil {
 						b.Fatal(err)
 					}
 					ucCfg := base
-					ucCfg.Variant, ucCfg.Backend, ucCfg.Mode = jacobi.Uniconn, core.GpucclBackend, core.PureHost
+					ucCfg.Variant, ucCfg.Backend, ucCfg.Mode = solver.Uniconn, core.GpucclBackend, core.PureHost
 					uc, err := jacobi.Run(ucCfg)
 					if err != nil {
 						b.Fatal(err)
@@ -192,7 +193,7 @@ func BenchmarkFig6_CG(b *testing.B) {
 				var ucDiff, mpiRatio float64
 				for i := 0; i < b.N; i++ {
 					base := cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 20, Compute: false}
-					run := func(v cg.Variant, bk core.BackendID, mode core.LaunchMode) sim.Duration {
+					run := func(v solver.Variant, bk core.BackendID, mode core.LaunchMode) sim.Duration {
 						c := base
 						c.Variant, c.Backend, c.Mode = v, bk, mode
 						r, err := cg.Run(c)
@@ -201,9 +202,9 @@ func BenchmarkFig6_CG(b *testing.B) {
 						}
 						return r.Total
 					}
-					natCCL := run(cg.NativeGPUCCL, 0, 0)
-					ucCCL := run(cg.Uniconn, core.GpucclBackend, core.PureHost)
-					natMPI := run(cg.NativeMPI, 0, 0)
+					natCCL := run(solver.NativeGPUCCL, 0, 0)
+					ucCCL := run(solver.Uniconn, core.GpucclBackend, core.PureHost)
+					natMPI := run(solver.NativeMPI, 0, 0)
 					ucDiff = overheadPct(ucCCL, natCCL)
 					mpiRatio = float64(natMPI) / float64(natCCL)
 				}
@@ -287,7 +288,7 @@ func BenchmarkAblation_A2_LaunchModes(b *testing.B) {
 				res, err := jacobi.Run(jacobi.Config{
 					Model: machine.Perlmutter(), NGPUs: 8, NX: 1 << 12, NY: 1 << 12,
 					Iters: 30, Warmup: 5, Compute: false,
-					Variant: jacobi.Uniconn, Backend: core.GpushmemBackend, Mode: mode,
+					Variant: solver.Uniconn, Backend: core.GpushmemBackend, Mode: mode,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
@@ -84,7 +85,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	case "jacobi":
 		cfg := jacobi.Config{
 			Model: m, NGPUs: *ngpus, NX: 256, NY: 256, Iters: *iters, Warmup: 2,
-			Variant: jacobi.Uniconn, Backend: backend, Mode: core.PureHost,
+			Variant: solver.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
 		rp, err = profApp(live,
 			fmt.Sprintf("jacobi %s %s %dx%d on %d GPUs", m.Name, cfg.Variant, cfg.NX, cfg.NY, cfg.NGPUs),
@@ -97,7 +98,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	case "cg":
 		cfg := cg.Config{
 			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Generate(0.01), Iters: *iters,
-			Variant: cg.Uniconn, Backend: backend, Mode: core.PureHost,
+			Variant: solver.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
 		rp, err = profApp(live,
 			fmt.Sprintf("cg %s %s %d rows on %d GPUs", m.Name, cfg.Variant, cfg.Matrix.Rows, cfg.NGPUs),

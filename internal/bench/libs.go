@@ -8,6 +8,7 @@ package bench
 import (
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/solver/jacobi"
 	"repro/internal/spec"
@@ -25,17 +26,16 @@ type Lib struct {
 	// (GPUSHMEM-D), the network figures spell the API out (GPUSHMEM-Device).
 	CLI, app, net string
 
-	// The native implementations the row's UNICONN column is compared with.
-	jacobi jacobi.Variant
-	cg     cg.Variant
+	// The native implementation the row's UNICONN column is compared with.
+	native solver.Variant
 }
 
 var libTable = []Lib{
-	{core.MPIBackend, machine.APIHost, core.PureHost, "MPI", "MPI", "MPI", jacobi.NativeMPI, cg.NativeMPI},
-	{core.GpucclBackend, machine.APIHost, core.PureHost, "GPUCCL", "GPUCCL", "GPUCCL", jacobi.NativeGPUCCL, cg.NativeGPUCCL},
-	{core.GpushmemBackend, machine.APIHost, core.PureHost, "SHMEM-H", "GPUSHMEM-H", "GPUSHMEM-Host", jacobi.NativeGPUSHMEMHost, cg.NativeGPUSHMEMHost},
-	{core.GpushmemBackend, machine.APIHost, core.PartialDevice, "SHMEM-P", "", "", jacobi.Uniconn, cg.Uniconn},
-	{core.GpushmemBackend, machine.APIDevice, core.PureDevice, "SHMEM-D", "GPUSHMEM-D", "GPUSHMEM-Device", jacobi.NativeGPUSHMEMDevice, cg.NativeGPUSHMEMDevice},
+	{core.MPIBackend, machine.APIHost, core.PureHost, "MPI", "MPI", "MPI", solver.NativeMPI},
+	{core.GpucclBackend, machine.APIHost, core.PureHost, "GPUCCL", "GPUCCL", "GPUCCL", solver.NativeGPUCCL},
+	{core.GpushmemBackend, machine.APIHost, core.PureHost, "SHMEM-H", "GPUSHMEM-H", "GPUSHMEM-Host", solver.NativeGPUSHMEMHost},
+	{core.GpushmemBackend, machine.APIHost, core.PartialDevice, "SHMEM-P", "", "", solver.Uniconn},
+	{core.GpushmemBackend, machine.APIDevice, core.PureDevice, "SHMEM-D", "GPUSHMEM-D", "GPUSHMEM-Device", solver.NativeGPUSHMEMDevice},
 }
 
 // Libs returns the rows available on the machine, in the paper's plotting
@@ -93,18 +93,21 @@ func (v Variant) Spec(base spec.Spec) spec.Spec {
 // jacobiConfig returns base configured to run this column's Jacobi
 // implementation.
 func (v Variant) jacobiConfig(base jacobi.Config) jacobi.Config {
-	base.Variant = v.jacobi
-	if !v.Native {
-		base.Variant, base.Backend, base.Mode = jacobi.Uniconn, v.Backend, v.mode
-	}
+	base.Variant, base.Backend, base.Mode = v.impl(), v.Backend, v.mode
 	return base
 }
 
 // CGConfig returns base configured to run this column's CG implementation.
 func (v Variant) CGConfig(base cg.Config) cg.Config {
-	base.Variant = v.cg
-	if !v.Native {
-		base.Variant, base.Backend, base.Mode = cg.Uniconn, v.Backend, v.mode
-	}
+	base.Variant, base.Backend, base.Mode = v.impl(), v.Backend, v.mode
 	return base
+}
+
+// impl is the column's implementation: the row's native variant, or UNICONN
+// on the row's backend and launch mode (which a native variant ignores).
+func (v Variant) impl() solver.Variant {
+	if v.Native {
+		return v.native
+	}
+	return solver.Uniconn
 }

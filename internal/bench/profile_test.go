@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/sparse"
 	"repro/internal/spec"
@@ -139,8 +140,8 @@ func TestProfileMetricsPopulated(t *testing.T) {
 // same collectives, so both must land in the same gpushmem.coll.h-*
 // histograms, the same number of times.
 func TestShmemTeamCollectivesObserved(t *testing.T) {
-	counts := map[cg.Variant]int64{}
-	for _, v := range []cg.Variant{cg.NativeGPUSHMEMHost, cg.Uniconn} {
+	counts := map[solver.Variant]int64{}
+	for _, v := range []solver.Variant{solver.NativeGPUSHMEMHost, solver.Uniconn} {
 		reg := metrics.New()
 		_, err := cg.Run(cg.Config{
 			Model: machine.Perlmutter(), NGPUs: 4, Matrix: sparse.Laplace3D(6, 6, 4), Iters: 5,
@@ -155,7 +156,7 @@ func TestShmemTeamCollectivesObserved(t *testing.T) {
 			}
 		}
 	}
-	if n := counts[cg.Uniconn]; n == 0 || n != counts[cg.NativeGPUSHMEMHost] {
+	if n := counts[solver.Uniconn]; n == 0 || n != counts[solver.NativeGPUSHMEMHost] {
 		t.Fatalf("gpushmem.coll.h-allreduce observations: %v, want equal and non-zero", counts)
 	}
 }

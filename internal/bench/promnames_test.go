@@ -8,6 +8,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/sparse"
 )
@@ -48,7 +49,7 @@ func TestPrometheusNamesInjective(t *testing.T) {
 		r = metrics.New()
 		cfg.metrics = r
 		if _, err := cg.Run(cg.Config{Model: m, NGPUs: 8, Matrix: sparse.Laplace3D(8, 8, 8), Iters: 2,
-			Variant: cg.Uniconn, Backend: b, Mode: core.PureHost, Metrics: r}); err != nil {
+			Variant: solver.Uniconn, Backend: b, Mode: core.PureHost, Metrics: r}); err != nil {
 			t.Fatalf("%s allreduce cell: %v", b, err)
 		}
 		collect(r)

@@ -18,38 +18,14 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
-// Variant selects one implementation.
-type Variant int
-
-// The implementation variants (Table II rows).
-const (
-	NativeMPI Variant = iota
-	NativeGPUCCL
-	NativeGPUSHMEMHost
-	NativeGPUSHMEMDevice
-	Uniconn
-)
-
-func (v Variant) String() string {
-	switch v {
-	case NativeMPI:
-		return "MPI-Native"
-	case NativeGPUCCL:
-		return "GPUCCL-Native"
-	case NativeGPUSHMEMHost:
-		return "GPUSHMEM-Host-Native"
-	case NativeGPUSHMEMDevice:
-		return "GPUSHMEM-Device-Native"
-	case Uniconn:
-		return "Uniconn"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
+// Variant aliases the solver package's; it stays only because the frozen
+// benchmark/ names it (ROADMAP 19).
+type Variant = solver.Variant
 
 // Config describes one CG run.
 type Config struct {
@@ -66,7 +42,9 @@ type Config struct {
 	// §VI-D ablation that isolated MPI's Allgatherv as the bottleneck.
 	DisableAllgatherv bool
 
-	Variant Variant
+	Variant solver.Variant
+	// Backend and Mode configure the Uniconn variant (ignored otherwise),
+	// which runs PureHost or PureDevice.
 	Backend core.BackendID
 	Mode    core.LaunchMode
 
@@ -94,19 +72,6 @@ type Result struct {
 	End sim.Time
 }
 
-func (cfg Config) backendOf() core.BackendID {
-	switch cfg.Variant {
-	case NativeMPI:
-		return core.MPIBackend
-	case NativeGPUCCL:
-		return core.GpucclBackend
-	case NativeGPUSHMEMHost, NativeGPUSHMEMDevice:
-		return core.GpushmemBackend
-	default:
-		return cfg.Backend
-	}
-}
-
 // Run executes the configured variant.
 func Run(cfg Config) (Result, error) {
 	res, _, err := cfg.run()
@@ -119,8 +84,6 @@ func (cfg Config) run() (Result, int, error) {
 	switch {
 	case cfg.Matrix == nil:
 		return Result{}, -1, fmt.Errorf("cg: no Matrix")
-	case cfg.NGPUs < 1:
-		return Result{}, -1, fmt.Errorf("cg: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
 	case cfg.Matrix.Rows < cfg.NGPUs:
 		return Result{}, -1, fmt.Errorf("cg: Matrix.Rows %d: need at least one row per GPU (%d GPUs)", cfg.Matrix.Rows, cfg.NGPUs)
 	}
@@ -130,44 +93,28 @@ func (cfg Config) run() (Result, int, error) {
 	if cfg.DisableAllgatherv && cfg.Compute {
 		return Result{}, -1, fmt.Errorf("cg: the no-allgatherv ablation is timing-only (set Compute=false)")
 	}
-	perRank := make([]rankResult, cfg.NGPUs)
-	rep, simulated, err := core.LaunchLoops(core.Config{
-		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.backendOf(), Trace: cfg.Trace,
-		Metrics: cfg.Metrics,
-	}, 0, cfg.Compute || cfg.full, func(env *core.Env) {
-		var rr rankResult
-		switch cfg.Variant {
-		case NativeMPI:
-			rr = runNativeMPI(cfg, env)
-		case NativeGPUCCL:
-			rr = runNativeGPUCCL(cfg, env)
-		case NativeGPUSHMEMHost:
-			rr = runNativeShmemHost(cfg, env)
-		case NativeGPUSHMEMDevice:
-			rr = runNativeShmemDevice(cfg, env)
-		default:
-			rr = runUniconn(cfg, env)
-		}
-		perRank[env.WorldRank()] = rr
-	})
+	if cfg.Variant == solver.Uniconn && cfg.Mode == core.PartialDevice {
+		return Result{}, -1, fmt.Errorf("cg: %v: the Uniconn CG runs PureHost or PureDevice", cfg.Mode)
+	}
+	perRank, total, end, simulated, err := solver.Launch("cg", cfg, cfg.Variant, core.Config{
+		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.Backend, Trace: cfg.Trace, Metrics: cfg.Metrics,
+	}, cfg.Mode, 0, cfg.Compute || cfg.full, &bodies)
 	if err != nil {
 		return Result{}, simulated, err
 	}
-	res := Result{End: rep.End}
-	for _, rr := range perRank {
-		if rr.elapsed > res.Total {
-			res.Total = rr.elapsed
-		}
-	}
-	res.PerIter = res.Total / sim.Duration(cfg.Iters)
-	res.residual = perRank[0].residual
-	return res, simulated, nil
+	return Result{Total: total, PerIter: total / sim.Duration(cfg.Iters), residual: perRank[0].residual, End: end}, simulated, nil
 }
+
+// bodies is each variant's rank body, in solver.Variant order.
+var bodies = solver.Bodies[Config, rankResult]{runNativeMPI, runNativeGPUCCL, runNativeShmemHost, runNativeShmemDevice, runUniconn}
 
 type rankResult struct {
 	elapsed  sim.Duration
 	residual float64
 }
+
+// Elapsed is the rank's timed-section duration.
+func (rr rankResult) Elapsed() sim.Duration { return rr.elapsed }
 
 // state is the per-rank CG storage: the local matrix block, the
 // distributed vectors, and the scalar staging buffers.

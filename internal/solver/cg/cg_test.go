@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -19,30 +20,30 @@ const testIters = 5
 
 func variantsFor(m *machine.Model) []Config {
 	base := Config{Model: m, Matrix: testMatrix(), Iters: testIters, Compute: true}
-	mk := func(v Variant, b core.BackendID, mode core.LaunchMode) Config {
+	mk := func(v solver.Variant, b core.BackendID, mode core.LaunchMode) Config {
 		c := base
 		c.Variant, c.Backend, c.Mode = v, b, mode
 		return c
 	}
 	cfgs := []Config{
-		mk(NativeMPI, 0, 0),
-		mk(NativeGPUCCL, 0, 0),
-		mk(Uniconn, core.MPIBackend, core.PureHost),
-		mk(Uniconn, core.GpucclBackend, core.PureHost),
+		mk(solver.NativeMPI, 0, 0),
+		mk(solver.NativeGPUCCL, 0, 0),
+		mk(solver.Uniconn, core.MPIBackend, core.PureHost),
+		mk(solver.Uniconn, core.GpucclBackend, core.PureHost),
 	}
 	if m.HasGPUSHMEM {
 		cfgs = append(cfgs,
-			mk(NativeGPUSHMEMHost, 0, 0),
-			mk(NativeGPUSHMEMDevice, 0, 0),
-			mk(Uniconn, core.GpushmemBackend, core.PureHost),
-			mk(Uniconn, core.GpushmemBackend, core.PureDevice),
+			mk(solver.NativeGPUSHMEMHost, 0, 0),
+			mk(solver.NativeGPUSHMEMDevice, 0, 0),
+			mk(solver.Uniconn, core.GpushmemBackend, core.PureHost),
+			mk(solver.Uniconn, core.GpushmemBackend, core.PureDevice),
 		)
 	}
 	return cfgs
 }
 
 func name(c Config) string {
-	if c.Variant == Uniconn {
+	if c.Variant == solver.Uniconn {
 		return fmt.Sprintf("Uniconn-%v-%v", c.Backend, c.Mode)
 	}
 	return c.Variant.String()
@@ -83,7 +84,7 @@ func TestCGActuallyConverges(t *testing.T) {
 	}
 	cfg := Config{
 		Model: machine.Perlmutter(), NGPUs: 4, Matrix: m, Iters: 40, Compute: true,
-		Variant: Uniconn, Backend: core.GpucclBackend, Mode: core.PureHost,
+		Variant: solver.Uniconn, Backend: core.GpucclBackend, Mode: core.PureHost,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -98,16 +99,16 @@ func TestUniconnOverheadUnderTwoPercent(t *testing.T) {
 	// Headline §VI-D claim: UNICONN CG within ~2% of native.
 	mat := sparse.Serena().Generate(0.01) // ~14k rows, modeled timing
 	base := Config{Model: machine.Perlmutter(), NGPUs: 8, Matrix: mat, Iters: 30, Compute: false}
-	mk := func(v Variant, b core.BackendID, mode core.LaunchMode) Config {
+	mk := func(v solver.Variant, b core.BackendID, mode core.LaunchMode) Config {
 		c := base
 		c.Variant, c.Backend, c.Mode = v, b, mode
 		return c
 	}
 	pairs := [][2]Config{
-		{mk(NativeMPI, 0, 0), mk(Uniconn, core.MPIBackend, core.PureHost)},
-		{mk(NativeGPUCCL, 0, 0), mk(Uniconn, core.GpucclBackend, core.PureHost)},
-		{mk(NativeGPUSHMEMHost, 0, 0), mk(Uniconn, core.GpushmemBackend, core.PureHost)},
-		{mk(NativeGPUSHMEMDevice, 0, 0), mk(Uniconn, core.GpushmemBackend, core.PureDevice)},
+		{mk(solver.NativeMPI, 0, 0), mk(solver.Uniconn, core.MPIBackend, core.PureHost)},
+		{mk(solver.NativeGPUCCL, 0, 0), mk(solver.Uniconn, core.GpucclBackend, core.PureHost)},
+		{mk(solver.NativeGPUSHMEMHost, 0, 0), mk(solver.Uniconn, core.GpushmemBackend, core.PureHost)},
+		{mk(solver.NativeGPUSHMEMDevice, 0, 0), mk(solver.Uniconn, core.GpushmemBackend, core.PureDevice)},
 	}
 	for _, pr := range pairs {
 		pr := pr
@@ -135,7 +136,7 @@ func TestMPIAllgathervBottleneckAblation(t *testing.T) {
 	// the staging cost to dominate the fixed launch overheads.
 	mat := sparse.Serena().Generate(0.2)
 	base := Config{Model: machine.Perlmutter(), NGPUs: 8, Matrix: mat, Iters: 10, Compute: false}
-	run := func(v Variant, disable bool) Result {
+	run := func(v solver.Variant, disable bool) Result {
 		c := base
 		c.Variant = v
 		c.DisableAllgatherv = disable
@@ -145,13 +146,13 @@ func TestMPIAllgathervBottleneckAblation(t *testing.T) {
 		}
 		return r
 	}
-	mpiFull := run(NativeMPI, false)
-	cclFull := run(NativeGPUCCL, false)
+	mpiFull := run(solver.NativeMPI, false)
+	cclFull := run(solver.NativeGPUCCL, false)
 	if float64(mpiFull.Total) < 1.2*float64(cclFull.Total) {
 		t.Fatalf("expected MPI CG (%v) well above GPUCCL CG (%v)", mpiFull.Total, cclFull.Total)
 	}
-	mpiNoAg := run(NativeMPI, true)
-	cclNoAg := run(NativeGPUCCL, true)
+	mpiNoAg := run(solver.NativeMPI, true)
+	cclNoAg := run(solver.NativeGPUCCL, true)
 	ratio := float64(mpiNoAg.Total) / float64(cclNoAg.Total)
 	if ratio > 1.5 || ratio < 0.5 {
 		t.Fatalf("without allgatherv MPI %v vs GPUCCL %v (ratio %.2f), expected similar",
@@ -175,6 +176,11 @@ func TestInvalidConfig(t *testing.T) {
 		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: -3}, "cg: iters -3: need iters >= 1"},
 		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: 1, Compute: true, DisableAllgatherv: true},
 			"cg: the no-allgatherv ablation is timing-only (set Compute=false)"},
+		{Config{Model: m, NGPUs: 4, Matrix: mat, Iters: 5, Variant: solver.Uniconn, Backend: core.GpushmemBackend, Mode: core.PartialDevice},
+			"cg: PartialDevice: the Uniconn CG runs PureHost or PureDevice"},
+		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: 1, Variant: solver.Uniconn, Backend: core.MPIBackend, Mode: core.PureDevice},
+			"cg: PureDevice requires the GPUSHMEM backend"},
+		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: 1, Variant: 9}, "cg: unknown implementation Variant(9)"},
 	} {
 		_, err := Run(c.cfg)
 		if err == nil || err.Error() != c.want || strings.Contains(err.Error(), "0x") {

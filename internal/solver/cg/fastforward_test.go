@@ -2,12 +2,14 @@ package cg_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/sparse"
 	"repro/internal/trace"
@@ -107,7 +109,7 @@ func TestSolverFastForwardEqualsFull(t *testing.T) {
 // 100-iteration cells above compare them.)
 func TestSolverFastForwardPaperCounts(t *testing.T) {
 	cfg := cg.Config{Model: machine.Perlmutter(), NGPUs: 8, Matrix: sparse.Serena().Generate(0.01),
-		Iters: 10000, Variant: cg.NativeMPI}
+		Iters: 10000, Variant: solver.NativeMPI}
 	fast, simulated, err := cg.RunFastForward(cfg, false)
 	if err != nil {
 		t.Fatal(err)
@@ -125,4 +127,30 @@ func TestSolverFastForwardPaperCounts(t *testing.T) {
 	if fast != full {
 		t.Errorf("fast-forwarded %+v, full %+v", fast, full)
 	}
+}
+
+// FuzzSolverFastForward draws a CG cell — machine, Fig 6 column, 2 to 16
+// GPUs, a small 3D Laplacian and 1 to 60 iterations — and holds its
+// fast-forwarded run to its full run: equal Result, equal sorted spans. The
+// GPUCCL columns, whose steady state repeats only every seven iterations,
+// are drawn like any other.
+func FuzzSolverFastForward(f *testing.F) {
+	for i := range 16 {
+		f.Add(uint64(i) * 0x9E3779B97F4A7C15)
+	}
+	machines := []*machine.Model{machine.Perlmutter(), machine.LUMI(), machine.MareNostrum5()}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rand.New(rand.NewPCG(seed, 0))
+		m := machines[r.IntN(len(machines))]
+		cols := bench.Variants(bench.Libs(m, false))
+		col := cols[r.IntN(len(cols))]
+		n := 2 + r.IntN(15)
+		// At least 2·2·4 = 16 rows: one per GPU.
+		mat := sparse.Laplace3D(2+r.IntN(7), 2+r.IntN(7), 4+r.IntN(5))
+		cfg := col.CGConfig(cg.Config{Model: m, NGPUs: n, Matrix: mat, Iters: 1 + r.IntN(60)})
+		if _, d, err := ffCompare(cfg); err != nil || d != "" {
+			t.Errorf("%s/%s%s %d GPUs %d rows, %d iterations: %s%v", m.Name, col.CLI, col.Impl(),
+				n, mat.Rows, cfg.Iters, d, err)
+		}
+	})
 }

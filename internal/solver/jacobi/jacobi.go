@@ -18,37 +18,23 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
-// Variant selects one implementation.
-type Variant int
+// Variant selects one implementation. It and its constants alias the
+// solver package's; they stay only because the frozen benchmark/ names them
+// (ROADMAP 19).
+type Variant = solver.Variant
 
-// The implementation variants (Table II rows).
+// The implementation variants, as benchmark/ spells them.
 const (
-	NativeMPI Variant = iota
-	NativeGPUCCL
-	NativeGPUSHMEMHost
-	NativeGPUSHMEMDevice
-	Uniconn
+	NativeMPI            = solver.NativeMPI
+	NativeGPUCCL         = solver.NativeGPUCCL
+	NativeGPUSHMEMHost   = solver.NativeGPUSHMEMHost
+	NativeGPUSHMEMDevice = solver.NativeGPUSHMEMDevice
+	Uniconn              = solver.Uniconn
 )
-
-func (v Variant) String() string {
-	switch v {
-	case NativeMPI:
-		return "MPI-Native"
-	case NativeGPUCCL:
-		return "GPUCCL-Native"
-	case NativeGPUSHMEMHost:
-		return "GPUSHMEM-Host-Native"
-	case NativeGPUSHMEMDevice:
-		return "GPUSHMEM-Device-Native"
-	case Uniconn:
-		return "Uniconn"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
 
 // Config describes one Jacobi run.
 type Config struct {
@@ -64,7 +50,7 @@ type Config struct {
 	// paper-scale grids).
 	Compute bool
 
-	Variant Variant
+	Variant solver.Variant
 	// Backend and Mode configure the Uniconn variant (ignored otherwise).
 	Backend core.BackendID
 	Mode    core.LaunchMode
@@ -92,20 +78,6 @@ type Result struct {
 	// checksum sums the final interior values (functional runs only);
 	// used by tests to compare variants and the serial reference.
 	checksum float64
-}
-
-// backendOf maps a native variant to the backend its Environment boots.
-func (cfg Config) backendOf() core.BackendID {
-	switch cfg.Variant {
-	case NativeMPI:
-		return core.MPIBackend
-	case NativeGPUCCL:
-		return core.GpucclBackend
-	case NativeGPUSHMEMHost, NativeGPUSHMEMDevice:
-		return core.GpushmemBackend
-	default:
-		return cfg.Backend
-	}
 }
 
 // rankGrid is the per-rank decomposition.
@@ -143,8 +115,6 @@ func Run(cfg Config) (Result, error) {
 // run had no fast-forward controller: a functional run computes every one).
 func (cfg Config) run() (Result, int, error) {
 	switch {
-	case cfg.NGPUs < 1:
-		return Result{}, -1, fmt.Errorf("jacobi: NGPUs %d: need at least 1 GPU", cfg.NGPUs)
 	case cfg.NX < 3:
 		return Result{}, -1, fmt.Errorf("jacobi: NX %d: need a grid at least 3 wide", cfg.NX)
 	case cfg.NY < cfg.NGPUs:
@@ -153,47 +123,29 @@ func (cfg Config) run() (Result, int, error) {
 	if cfg.Iters < 1 || cfg.Warmup < 0 {
 		return Result{}, -1, fmt.Errorf("jacobi: iters %d and warmup %d: need iters >= 1 and warmup >= 0", cfg.Iters, cfg.Warmup)
 	}
-	if cfg.Mode != core.PureHost && cfg.Variant == Uniconn && cfg.Backend != core.GpushmemBackend {
-		return Result{}, -1, fmt.Errorf("jacobi: %v requires the GPUSHMEM backend", cfg.Mode)
-	}
-	perRank := make([]rankResult, cfg.NGPUs)
-	rep, simulated, err := core.LaunchLoops(core.Config{
-		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.backendOf(), Trace: cfg.Trace,
-		Metrics: cfg.Metrics,
-	}, cfg.Warmup, cfg.Compute || cfg.full, func(env *core.Env) {
-		var rr rankResult
-		switch cfg.Variant {
-		case NativeMPI:
-			rr = runNativeMPI(cfg, env)
-		case NativeGPUCCL:
-			rr = runNativeGPUCCL(cfg, env)
-		case NativeGPUSHMEMHost:
-			rr = runNativeShmemHost(cfg, env)
-		case NativeGPUSHMEMDevice:
-			rr = runNativeShmemDevice(cfg, env)
-		default:
-			rr = runUniconn(cfg, env)
-		}
-		perRank[env.WorldRank()] = rr
-	})
+	perRank, total, end, simulated, err := solver.Launch("jacobi", cfg, cfg.Variant, core.Config{
+		Model: cfg.Model, NGPUs: cfg.NGPUs, Backend: cfg.Backend, Trace: cfg.Trace, Metrics: cfg.Metrics,
+	}, cfg.Mode, cfg.Warmup, cfg.Compute || cfg.full, &bodies)
 	if err != nil {
 		return Result{}, simulated, err
 	}
-	res := Result{End: rep.End}
+	res := Result{PerIter: total / sim.Duration(cfg.Iters), Total: total, End: end}
 	for _, rr := range perRank {
-		if rr.elapsed > res.Total {
-			res.Total = rr.elapsed
-		}
 		res.checksum += rr.checksum
 	}
-	res.PerIter = res.Total / sim.Duration(cfg.Iters)
 	return res, simulated, nil
 }
+
+// bodies is each variant's rank body, in solver.Variant order.
+var bodies = solver.Bodies[Config, rankResult]{runNativeMPI, runNativeGPUCCL, runNativeShmemHost, runNativeShmemDevice, runUniconn}
 
 type rankResult struct {
 	elapsed  sim.Duration
 	checksum float64
 }
+
+// Elapsed is the rank's timed-section duration.
+func (rr rankResult) Elapsed() sim.Duration { return rr.elapsed }
 
 // state is the per-rank solver storage shared by all variants: the two grid
 // arrays with halo rows, and the staging buffers for boundary exchange.

@@ -8,36 +8,37 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
 func variantsFor(m *machine.Model) []Config {
 	base := Config{Model: m, NX: 64, NY: 48, Iters: 20, Warmup: 5, Compute: true}
-	mk := func(v Variant, b core.BackendID, mode core.LaunchMode) Config {
+	mk := func(v solver.Variant, b core.BackendID, mode core.LaunchMode) Config {
 		c := base
 		c.Variant, c.Backend, c.Mode = v, b, mode
 		return c
 	}
 	cfgs := []Config{
-		mk(NativeMPI, 0, 0),
-		mk(NativeGPUCCL, 0, 0),
-		mk(Uniconn, core.MPIBackend, core.PureHost),
-		mk(Uniconn, core.GpucclBackend, core.PureHost),
+		mk(solver.NativeMPI, 0, 0),
+		mk(solver.NativeGPUCCL, 0, 0),
+		mk(solver.Uniconn, core.MPIBackend, core.PureHost),
+		mk(solver.Uniconn, core.GpucclBackend, core.PureHost),
 	}
 	if m.HasGPUSHMEM {
 		cfgs = append(cfgs,
-			mk(NativeGPUSHMEMHost, 0, 0),
-			mk(NativeGPUSHMEMDevice, 0, 0),
-			mk(Uniconn, core.GpushmemBackend, core.PureHost),
-			mk(Uniconn, core.GpushmemBackend, core.PartialDevice),
-			mk(Uniconn, core.GpushmemBackend, core.PureDevice),
+			mk(solver.NativeGPUSHMEMHost, 0, 0),
+			mk(solver.NativeGPUSHMEMDevice, 0, 0),
+			mk(solver.Uniconn, core.GpushmemBackend, core.PureHost),
+			mk(solver.Uniconn, core.GpushmemBackend, core.PartialDevice),
+			mk(solver.Uniconn, core.GpushmemBackend, core.PureDevice),
 		)
 	}
 	return cfgs
 }
 
 func name(c Config) string {
-	if c.Variant == Uniconn {
+	if c.Variant == solver.Uniconn {
 		return fmt.Sprintf("Uniconn-%v-%v", c.Backend, c.Mode)
 	}
 	return c.Variant.String()
@@ -72,7 +73,7 @@ func TestModeledRunsMatchFunctionalTiming(t *testing.T) {
 	// executes (the cost model, not the Go work, drives the clock).
 	cfg := Config{
 		Model: machine.Perlmutter(), NGPUs: 4, NX: 256, NY: 256,
-		Iters: 10, Warmup: 2, Variant: NativeGPUCCL,
+		Iters: 10, Warmup: 2, Variant: solver.NativeGPUCCL,
 	}
 	cfg.Compute = true
 	a, err := Run(cfg)
@@ -100,16 +101,16 @@ func TestUniconnOverheadSmall(t *testing.T) {
 		Model: machine.Perlmutter(), NGPUs: 8, NX: 4096, NY: 4096,
 		Iters: 50, Warmup: 10, Compute: false,
 	}
-	mk := func(v Variant, b core.BackendID, mode core.LaunchMode) Config {
+	mk := func(v solver.Variant, b core.BackendID, mode core.LaunchMode) Config {
 		c := base
 		c.Variant, c.Backend, c.Mode = v, b, mode
 		return c
 	}
 	pairs := []pair{
-		{mk(NativeMPI, 0, 0), mk(Uniconn, core.MPIBackend, core.PureHost)},
-		{mk(NativeGPUCCL, 0, 0), mk(Uniconn, core.GpucclBackend, core.PureHost)},
-		{mk(NativeGPUSHMEMHost, 0, 0), mk(Uniconn, core.GpushmemBackend, core.PureHost)},
-		{mk(NativeGPUSHMEMDevice, 0, 0), mk(Uniconn, core.GpushmemBackend, core.PureDevice)},
+		{mk(solver.NativeMPI, 0, 0), mk(solver.Uniconn, core.MPIBackend, core.PureHost)},
+		{mk(solver.NativeGPUCCL, 0, 0), mk(solver.Uniconn, core.GpucclBackend, core.PureHost)},
+		{mk(solver.NativeGPUSHMEMHost, 0, 0), mk(solver.Uniconn, core.GpushmemBackend, core.PureHost)},
+		{mk(solver.NativeGPUSHMEMDevice, 0, 0), mk(solver.Uniconn, core.GpushmemBackend, core.PureDevice)},
 	}
 	for _, pr := range pairs {
 		pr := pr
@@ -135,7 +136,7 @@ func TestScalingReducesPerIterTime(t *testing.T) {
 	base := Config{
 		Model: machine.Perlmutter(), NX: 1 << 12, NY: 1 << 12,
 		Iters: 20, Warmup: 5, Compute: false,
-		Variant: Uniconn, Backend: core.GpucclBackend, Mode: core.PureHost,
+		Variant: solver.Uniconn, Backend: core.GpucclBackend, Mode: core.PureHost,
 	}
 	var prev Result
 	for i, n := range []int{4, 16, 64} {
@@ -167,8 +168,9 @@ func TestInvalidConfigs(t *testing.T) {
 		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 0}, "jacobi: iters 0 and warmup 0: need iters >= 1 and warmup >= 0"},
 		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: -3}, "jacobi: iters -3 and warmup 0: need iters >= 1 and warmup >= 0"},
 		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 1, Warmup: -1}, "jacobi: iters 1 and warmup -1: need iters >= 1 and warmup >= 0"},
-		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 1, Variant: Uniconn, Backend: core.MPIBackend, Mode: core.PureDevice},
+		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 1, Variant: solver.Uniconn, Backend: core.MPIBackend, Mode: core.PureDevice},
 			"jacobi: " + core.PureDevice.String() + " requires the GPUSHMEM backend"},
+		{Config{Model: m, NGPUs: 2, NX: 8, NY: 8, Iters: 1, Variant: 9}, "jacobi: unknown implementation Variant(9)"},
 	} {
 		_, err := Run(c.cfg)
 		if err == nil || err.Error() != c.want || strings.Contains(err.Error(), "0x") {
@@ -204,7 +206,7 @@ func TestTraceRecordsSpans(t *testing.T) {
 	_, err := Run(Config{
 		Model: machine.Perlmutter(), NGPUs: 2, NX: 64, NY: 64,
 		Iters: 3, Warmup: 1, Compute: false,
-		Variant: Uniconn, Backend: core.GpucclBackend, Mode: core.PureHost,
+		Variant: solver.Uniconn, Backend: core.GpucclBackend, Mode: core.PureHost,
 		Trace: tl,
 	})
 	if err != nil {
