@@ -154,7 +154,7 @@ func newResult(n spec.Spec, hash string, v float64, rep core.Report, log *trace.
 	spans := log.Sorted()
 	cp := trace.CriticalPath(spans)
 	res.Critical = critSummary{
-		Spans:     len(cp.Chain),
+		Spans:     cp.Count(),
 		LenNs:     int64(cp.Len),
 		EndNs:     int64(cp.End),
 		ComputeNs: int64(cp.Compute),

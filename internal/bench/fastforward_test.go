@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -33,12 +36,24 @@ func p2pGrid() []spec.Spec {
 }
 
 // ffAnswer is what a net spec's evaluation shows: its encoded Result, its
-// sorted spans, and how many iterations rank 0 simulated (-1 when the cell
-// ran without a controller).
+// sorted spans, every analysis of them, and how many iterations rank 0
+// simulated (-1 when the cell ran without a controller).
 type ffAnswer struct {
 	body      []byte
 	spans     []trace.Span
+	analyses  string
 	simulated int
+}
+
+// spanAnalyses renders every analysis of a span log: the critical path with
+// its class breakdown, length and ends, the attribution up to end, the
+// traffic totals, the comm matrix and the summary. A fast-forwarded cell's
+// log folds its skipped periods; a full run's stores every span.
+func spanAnalyses(log *trace.Log, end sim.Time) string {
+	v := log.Sorted()
+	ranks, bytes, msgs := v.Traffic()
+	return fmt.Sprintf("%s%s%d ranks, %d B in %d messages\n%s%s", trace.CriticalPath(v).Render(),
+		trace.RenderBreakdown(trace.Attribute(v, end)), ranks, bytes, msgs, trace.BuildCommMatrix(v).Render(), v.Summarize().Render())
 }
 
 // ffRun evaluates the valid net spec s with fast-forward on, or off when full
@@ -59,7 +74,7 @@ func ffRun(s spec.Spec, full bool) (ffAnswer, error) {
 	if err != nil {
 		return ffAnswer{}, fmt.Errorf("%s: %w", n, err)
 	}
-	a := ffAnswer{spans: spansOf(log), simulated: simulated}
+	a := ffAnswer{spans: spansOf(log), analyses: spanAnalyses(log, rep.End), simulated: simulated}
 	a.body, err = newResult(n, n.Hash(), v, rep, log).Encode()
 	return a, err
 }
@@ -86,13 +101,17 @@ func ffCompare(s spec.Spec) (ffAnswer, string, error) {
 			return fast, fmt.Sprintf("span %d: fast %+v, full %+v", i, fast.spans[i], full.spans[i]), nil
 		}
 	}
+	if fast.analyses != full.analyses {
+		return fast, fmt.Sprintf("span analyses\nfast %s\nfull %s", fast.analyses, full.analyses), nil
+	}
 	return fast, "", nil
 }
 
 // TestFastForwardEqualsFull holds fast-forward to the full run on every cell
 // of the serve benchmarks' grid — the 32 serve-churn cells at three of its
-// sizes and the 64 serve-warm specs (256 B and 16 KiB): equal Result bytes
-// and equal sorted spans. Below 8 KiB the cells run their default counts
+// sizes and the 64 serve-warm specs (256 B and 16 KiB): equal Result bytes,
+// equal sorted spans, and every analysis of the folded log equal to the
+// same analysis of the full run's. Below 8 KiB the cells run their default counts
 // (1000 + 100 ping-pongs, 100 + 10 windows), and rank 0 must simulate at most
 // a tenth of them.
 func TestFastForwardEqualsFull(t *testing.T) {
@@ -194,10 +213,42 @@ func TestFastForwardPaperCounts(t *testing.T) {
 	}
 }
 
+// TestFoldedPaperCountLog: the 8 B native GPUCCL latency cell at the
+// paper's counts (90 000 + 10 000 ping-pongs, 600 002 spans) stores at most
+// 10 000 span records, and its run and newResult allocate at most 2 MB: the
+// skipped periods are one run record, and the analysis folds them.
+func TestFoldedPaperCountLog(t *testing.T) {
+	s := spec.Spec{Workload: spec.WorkloadNetLatency, Backend: "GPUCCL", API: "Host", Native: true,
+		Bytes: 8, Iters: 90000, Warmup: 10000}.Normalize()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	log := trace.New()
+	v, rep, err := runSpec(s, &Collector{Trace: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := newResult(s, s.Hash(), v, rep, log)
+	runtime.ReadMemStats(&after)
+	stored := reflect.ValueOf(log).Elem().FieldByName("stored").Int()
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("%d spans, %d records stored, %d on the critical path; run and analysis allocated %.2f MB", log.Len(), stored, res.Critical.Spans, mb)
+	if log.Len() != 600002 || stored > 10000 {
+		t.Errorf("%d spans in %d records: want 600002 in at most 10000", log.Len(), stored)
+	}
+	if !raceEnabled && mb > 2 {
+		t.Errorf("run and analysis allocated %.2f MB: want at most 2", mb)
+	}
+}
+
 // FuzzFastForward draws a net cell — workload, machine, backend and API,
 // native or UNICONN, placement, size, and small iteration, warm-up and window
 // counts — and holds its fast-forwarded run to its full run: equal Result
-// bytes, equal sorted spans.
+// bytes, equal sorted spans, and equal critical path, attribution, traffic,
+// comm matrix and summary.
 func FuzzFastForward(f *testing.F) {
 	for i := range 32 {
 		f.Add(uint64(i) * 0x9E3779B97F4A7C15)

@@ -93,8 +93,14 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 		if cfg.Compute {
 			// Integer-valued floats: the sum over ranks is exact, so the
 			// verification below is an equality check, not a tolerance.
-			for i := range send.Data() {
-				send.Data()[i] = float64(env.WorldRank() + i%17)
+			// Element i is rank + i%17: the first 17, then doubling copies
+			// (a multiple of 17 long, so the pattern carries on).
+			data := send.Data()
+			for i := range min(17, len(data)) {
+				data[i] = float64(env.WorldRank() + i)
+			}
+			for k := 17; k < len(data); k *= 2 {
+				copy(data[k:], data[:k])
 			}
 		}
 		for w := 0; w < warmup; w++ {
@@ -112,11 +118,17 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 		}
 		if cfg.Compute {
 			n := float64(cfg.Ranks)
-			for i, got := range recv.Data() {
-				want := n*(n-1)/2 + n*float64(i%17)
-				if got != want {
-					panic(fmt.Sprintf("bench: scale allreduce rank %d elem %d = %v, want %v",
-						env.WorldRank(), i, got, want))
+			var want [17]float64 // element i's sum is want[i%17]
+			for j := range want {
+				want[j] = n*(n-1)/2 + n*float64(j)
+			}
+			data := recv.Data()
+			for base := 0; base < len(data); base += len(want) {
+				for j, got := range data[base:min(base+len(want), len(data))] {
+					if got != want[j] {
+						panic(fmt.Sprintf("bench: scale allreduce rank %d elem %d = %v, want %v",
+							env.WorldRank(), base+j, got, want[j]))
+					}
 				}
 			}
 		}

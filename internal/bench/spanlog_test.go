@@ -63,34 +63,54 @@ func pointerFree(t reflect.Type) bool {
 	return false
 }
 
+// periodicLog is syntheticLog with its last step repeated copies times.
+func periodicLog(copies int) *trace.Log {
+	l := syntheticLog(64, 8)
+	l.Repeat(l.Len()-16, l.Len(), copies, 1000)
+	return l
+}
+
 // TestSpanLogLayout holds the span log to its layout: the record a Log
-// stores holds no pointers and is at most 48 bytes, and the analysis of a
-// miss — sort, critical path, traffic — allocates a fixed number of objects
-// whatever the log's length, so none is per span.
+// stores, and the run record a Repeat stores, hold no pointers and are at
+// most 48 bytes each, and the analysis of a miss — sort, critical path,
+// traffic — allocates a fixed number of objects whatever the log's length,
+// so none is per span, and none per copy of a repeated period.
 func TestSpanLogLayout(t *testing.T) {
-	chunks, ok := reflect.TypeOf(trace.Log{}).FieldByName("chunks")
-	if !ok {
-		t.Fatalf("trace.Log no longer stores its records in chunks")
-	}
-	rec := chunks.Type.Elem() // a chunk: records behind a pointer, in an array or a slice
-	for rec.Kind() != reflect.Struct {
-		rec = rec.Elem()
-	}
-	if !pointerFree(rec) || rec.Size() > 48 {
-		t.Errorf("trace.Log stores %s (%d bytes): want a pointer-free record of at most 48 bytes", rec, rec.Size())
+	for _, field := range []string{"chunks", "runs"} {
+		f, ok := reflect.TypeOf(trace.Log{}).FieldByName(field)
+		if !ok {
+			t.Fatalf("trace.Log no longer stores its records in %s", field)
+		}
+		rec := f.Type.Elem() // records behind a pointer, in an array or a slice
+		for rec.Kind() != reflect.Struct {
+			rec = rec.Elem()
+		}
+		if !pointerFree(rec) || rec.Size() > 48 {
+			t.Errorf("trace.Log stores %s (%d bytes) in %s: want a pointer-free record of at most 48 bytes", rec, rec.Size(), field)
+		}
 	}
 
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	small, large := syntheticLog(10_000, 8), syntheticLog(40_000, 8)
 	// A collection cycle allocates a little of its own; hold it off.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	a := testing.AllocsPerRun(10, func() { analyse(small) })
-	b := testing.AllocsPerRun(10, func() { analyse(large) })
-	t.Logf("analysis of a miss: %.0f objects at 10k spans, %.0f at 40k", a, b)
-	if a != b || b > 32 {
-		t.Errorf("analysis allocates %.0f objects at 10k spans and %.0f at 40k: want the same, at most 32", a, b)
+	// A folded log's analysis sorts a period and walks copies until they
+	// repeat: more objects than a plain log's, as many at any copy count.
+	for _, c := range []struct {
+		what         string
+		small, large *trace.Log
+		most         float64
+	}{
+		{"spans", syntheticLog(10_000, 8), syntheticLog(40_000, 8), 32},
+		{"spans with a repeated step", periodicLog(1_000), periodicLog(100_000), 80},
+	} {
+		a := testing.AllocsPerRun(10, func() { analyse(c.small) })
+		b := testing.AllocsPerRun(10, func() { analyse(c.large) })
+		t.Logf("analysis of a miss: %.0f objects at %d %s, %.0f at %d", a, c.small.Len(), c.what, b, c.large.Len())
+		if a != b || b > c.most {
+			t.Errorf("analysis allocates %.0f objects at %d %s and %.0f at %d: want the same, at most %.0f", a, c.small.Len(), c.what, b, c.large.Len(), c.most)
+		}
 	}
 }
 

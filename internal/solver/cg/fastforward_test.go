@@ -9,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/sparse"
@@ -17,7 +18,8 @@ import (
 
 // ffCompare runs cfg fast-forwarded and in full, and returns how many
 // iterations rank 0 simulated fast-forwarded and the first difference
-// between the two runs' Results and sorted spans, "" when there is none.
+// between the two runs' Results, sorted spans and span analyses, "" when
+// there is none.
 func ffCompare(cfg cg.Config) (int, string, error) {
 	fastLog, fullLog := trace.New(), trace.New()
 	cfg.Trace = fastLog
@@ -42,7 +44,21 @@ func ffCompare(cfg cg.Config) (int, string, error) {
 			return simulated, fmt.Sprintf("span %d: fast %+v, full %+v", i, fs[i], gs[i]), nil
 		}
 	}
+	if a, b := spanAnalyses(fastLog, fast.End), spanAnalyses(fullLog, full.End); a != b {
+		return simulated, fmt.Sprintf("span analyses\nfast %s\nfull %s", a, b), nil
+	}
 	return simulated, "", nil
+}
+
+// spanAnalyses renders every analysis of a span log: the critical path with
+// its class breakdown, length and ends, the attribution up to end, the
+// traffic totals, the comm matrix and the summary. A fast-forwarded run's
+// log folds its skipped periods; a full run's stores every span.
+func spanAnalyses(log *trace.Log, end sim.Time) string {
+	v := log.Sorted()
+	ranks, bytes, msgs := v.Traffic()
+	return fmt.Sprintf("%s%s%d ranks, %d B in %d messages\n%s%s", trace.CriticalPath(v).Render(),
+		trace.RenderBreakdown(trace.Attribute(v, end)), ranks, bytes, msgs, trace.BuildCommMatrix(v).Render(), v.Summarize().Render())
 }
 
 // TestSolverFastForwardEqualsFull holds every Fig 6 column on every machine,
@@ -104,28 +120,32 @@ func TestSolverFastForwardEqualsFull(t *testing.T) {
 
 // TestSolverFastForwardPaperCounts runs the apps-backends MPI column of
 // Fig 6 at the paper's own count (§VI-D: 10 000 iterations): rank 0
-// simulates at most 1 % of them, and the Result is the full run's. (The
-// spans of 10 000 iterations would hold most of a GiB twice over; the
-// 100-iteration cells above compare them.)
+// simulates at most 1 % of them, and the Result, the sorted spans and every
+// span analysis are the full run's. The fast-forwarded log stores a few
+// periods and folds the rest; the full run's, which stores every span, is
+// skipped with the full run in short mode and under the race detector.
 func TestSolverFastForwardPaperCounts(t *testing.T) {
 	cfg := cg.Config{Model: machine.Perlmutter(), NGPUs: 8, Matrix: sparse.Serena().Generate(0.01),
 		Iters: 10000, Variant: solver.NativeMPI}
-	fast, simulated, err := cg.RunFastForward(cfg, false)
+	if testing.Short() || raceEnabled {
+		fast, simulated, err := cg.RunFastForward(cfg, false)
+		if err != nil || simulated*100 > cfg.Iters {
+			t.Errorf("rank 0 simulated %d of %d iterations (err %v)", simulated, cfg.Iters, err)
+		}
+		if fast.PerIter <= 0 {
+			t.Errorf("fast-forwarded %+v", fast)
+		}
+		return
+	}
+	simulated, d, err := ffCompare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if simulated*100 > cfg.Iters {
 		t.Errorf("rank 0 simulated %d of %d iterations", simulated, cfg.Iters)
 	}
-	if testing.Short() || raceEnabled {
-		return
-	}
-	full, _, err := cg.RunFastForward(cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast != full {
-		t.Errorf("fast-forwarded %+v, full %+v", fast, full)
+	if d != "" {
+		t.Errorf("fast-forward differs from the full run: %.2000s", d)
 	}
 }
 
@@ -153,4 +173,29 @@ func FuzzSolverFastForward(f *testing.F) {
 				n, mat.Rows, cfg.Iters, d, err)
 		}
 	})
+}
+
+// TestLUMIQueenGPUCCLSchedules is the first probe of Fig 6's LUMI/Queen
+// GPUCCL gap (ROADMAP item 20): at the quick scale both GPUCCL columns
+// settle into a steady schedule, and the test logs each one's cycle, period
+// and one period's critical chain.
+func TestLUMIQueenGPUCCLSchedules(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("two full 100-iteration runs")
+	}
+	mat := sparse.Queen4147().Generate(0.05)
+	for _, v := range bench.Variants(bench.Libs(machine.LUMI(), false)) {
+		if v.Backend != core.GpucclBackend {
+			continue
+		}
+		cfg := v.CGConfig(cg.Config{Model: machine.LUMI(), NGPUs: 8, Matrix: mat, Iters: 100})
+		k, period, chain, err := cg.SteadyState(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			t.Errorf("%s%s: no steady cycle of at most 8 iterations", v.CLI, v.Impl())
+		}
+		t.Logf("%s%s: k = %d, Δ = %s (%s per iteration)\n%s", v.CLI, v.Impl(), k, period, period/sim.Duration(max(k, 1)), chain)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/solver/jacobi"
 	"repro/internal/trace"
 )
@@ -19,7 +20,8 @@ var machines = []*machine.Model{machine.Perlmutter(), machine.LUMI(), machine.Ma
 
 // ffCompare runs cfg fast-forwarded and in full, and returns how many
 // iterations rank 0 simulated fast-forwarded and the first difference
-// between the two runs' Results and sorted spans, "" when there is none.
+// between the two runs' Results, sorted spans and span analyses, "" when
+// there is none.
 func ffCompare(cfg jacobi.Config) (int, string, error) {
 	fastLog, fullLog := trace.New(), trace.New()
 	cfg.Trace = fastLog
@@ -44,7 +46,21 @@ func ffCompare(cfg jacobi.Config) (int, string, error) {
 			return simulated, fmt.Sprintf("span %d: fast %+v, full %+v", i, fs[i], gs[i]), nil
 		}
 	}
+	if a, b := spanAnalyses(fastLog, fast.End), spanAnalyses(fullLog, full.End); a != b {
+		return simulated, fmt.Sprintf("span analyses\nfast %s\nfull %s", a, b), nil
+	}
 	return simulated, "", nil
+}
+
+// spanAnalyses renders every analysis of a span log: the critical path with
+// its class breakdown, length and ends, the attribution up to end, the
+// traffic totals, the comm matrix and the summary. A fast-forwarded run's
+// log folds its skipped periods; a full run's stores every span.
+func spanAnalyses(log *trace.Log, end sim.Time) string {
+	v := log.Sorted()
+	ranks, bytes, msgs := v.Traffic()
+	return fmt.Sprintf("%s%s%d ranks, %d B in %d messages\n%s%s", trace.CriticalPath(v).Render(),
+		trace.RenderBreakdown(trace.Attribute(v, end)), ranks, bytes, msgs, trace.BuildCommMatrix(v).Render(), v.Summarize().Render())
 }
 
 // TestSolverFastForwardEqualsFull holds every Fig 5 column on every machine,

@@ -21,8 +21,8 @@ func viewOf(spans ...Span) *View {
 // labels lists the chain's span labels in order.
 func (cp CritPath) labels() string {
 	var out []string
-	for _, pos := range cp.Chain {
-		out = append(out, cp.v.span(int(pos)).Label)
+	for i := range cp.Count() {
+		out = append(out, cp.v.span(cp.pos(i)).Label)
 	}
 	return strings.Join(out, ",")
 }
@@ -34,8 +34,8 @@ func TestCriticalPathLinearChain(t *testing.T) {
 		{Kind: kindKernel, Label: "c", Track: "gpu0.s", Rank: 0, Start: 250, End: 300},
 	}
 	cp := CriticalPath(viewOf(spans...))
-	if cp.Len != 300 || cp.End != 300 || len(cp.Chain) != 3 {
-		t.Fatalf("chain = %v len=%v end=%v", len(cp.Chain), cp.Len, cp.End)
+	if cp.Len != 300 || cp.End != 300 || cp.Count() != 3 {
+		t.Fatalf("chain = %v len=%v end=%v", cp.Count(), cp.Len, cp.End)
 	}
 	if cp.Compute != 300 || cp.Blocked != 0 {
 		t.Fatalf("breakdown = %+v", cp)

@@ -22,18 +22,48 @@ var (
 )
 
 // A fuzz input is a uint16 attribution horizon followed by spanBytes per
-// span: kind and flags, track, label, start and duration (uint16 each), rank,
-// src, dst, and payload. Flag 4 starts the span where the previous one ended
-// and flag 8 where it started, so equal instants and chains are one bit away.
+// op. An op is a span: kind and flags, track, label, start and duration
+// (uint16 each), rank, src, dst, and payload. Flag 4 starts the span where
+// the previous one ended and flag 8 where it started, so equal instants and
+// chains are one bit away. Flag 16 makes the op a Repeat of the last 1..8
+// spans, 1..64 times, shifted by the uint16 at the start field's place —
+// or, with flag 32, by the period's extent plus that modulo 64, so that its
+// copies follow one another and fold.
 const spanBytes = 11
 
-func decodeSpans(data []byte) (sim.Time, []Span) {
+// op is a span to add, or a Repeat of the last period spans, copies times.
+type op struct {
+	Span
+	period, copies int
+	d              sim.Duration
+}
+
+// maxExpanded bounds a decoded log's spans, copies included.
+const maxExpanded = 1024
+
+func decodeSpans(data []byte) (sim.Time, []op) {
 	if len(data) < 2 {
 		return 0, nil
 	}
 	horizon := sim.Time(binary.LittleEndian.Uint16(data))
-	var spans []Span
-	for b := data[2:]; len(b) >= spanBytes && len(spans) < 64; b = b[spanBytes:] {
+	var ops []op
+	var spans []Span // the log's spans, copies included
+	for b := data[2:]; len(b) >= spanBytes && len(ops) < 64; b = b[spanBytes:] {
+		if b[0]&16 != 0 {
+			o := op{period: 1 + int(b[1])%8, copies: 1 + int(b[2])%64, d: sim.Duration(binary.LittleEndian.Uint16(b[3:]))}
+			if o.period > len(spans) || len(spans)+o.period*o.copies > maxExpanded {
+				continue
+			}
+			if b[0]&32 != 0 {
+				lo, hi := spans[len(spans)-o.period].Start, spans[len(spans)-o.period].End
+				for _, s := range spans[len(spans)-o.period:] {
+					lo, hi = min(lo, s.Start), max(hi, s.End)
+				}
+				o.d = hi.Sub(lo) + o.d%64
+			}
+			ops, spans = append(ops, o), expand(spans, o)
+			continue
+		}
 		s := Span{
 			Kind:  Kind(b[0] % 4),
 			Track: fuzzTracks[int(b[1])%len(fuzzTracks)],
@@ -50,13 +80,49 @@ func decodeSpans(data []byte) (sim.Time, []Span) {
 			s.Start = spans[prev].Start
 		}
 		s.End = s.Start.Add(sim.Duration(binary.LittleEndian.Uint16(b[5:])))
-		spans = append(spans, s)
+		ops, spans = append(ops, op{Span: s}), append(spans, s)
 	}
-	return horizon, spans
+	return horizon, ops
 }
 
-// encodeSpans is decodeSpans' inverse for spans inside the alphabet.
-func encodeSpans(t testing.TB, horizon sim.Time, spans []Span) []byte {
+// expand appends to spans what the op adds to a log.
+func expand(spans []Span, o op) []Span {
+	if o.copies == 0 {
+		return append(spans, o.Span)
+	}
+	period := spans[len(spans)-o.period:]
+	for k := 1; k <= o.copies; k++ {
+		for _, s := range period {
+			s.Start, s.End = s.Start.Add(sim.Duration(k)*o.d), s.End.Add(sim.Duration(k)*o.d)
+			spans = append(spans, s)
+		}
+	}
+	return spans
+}
+
+// replay adds the ops to a fresh log and returns it with the spans it
+// holds, copies included, in insertion order. A Repeat of more spans than
+// the log holds is left out.
+func replay(ops []op) (*Log, []Span) {
+	l := New()
+	var spans []Span
+	for _, o := range ops {
+		switch {
+		case o.copies == 0:
+			l.Add(o.Span)
+		case o.period <= l.Len():
+			l.Repeat(l.Len()-o.period, l.Len(), o.copies, o.d)
+		default:
+			continue
+		}
+		spans = expand(spans, o)
+	}
+	return l, spans
+}
+
+// encodeSpans is decodeSpans' inverse for ops inside the alphabet; a Repeat
+// is encoded with its shift.
+func encodeSpans(t testing.TB, horizon sim.Time, ops []op) []byte {
 	index := func(list any, v any) byte {
 		l := reflect.ValueOf(list)
 		for i := range l.Len() {
@@ -68,13 +134,48 @@ func encodeSpans(t testing.TB, horizon sim.Time, spans []Span) []byte {
 		return 0
 	}
 	out := binary.LittleEndian.AppendUint16(nil, uint16(horizon))
-	for _, s := range spans {
+	for _, o := range ops {
+		if o.copies > 0 {
+			out = append(out, 16, byte(o.period-1), byte(o.copies-1))
+			out = binary.LittleEndian.AppendUint16(out, uint16(o.d))
+			out = append(out, make([]byte, spanBytes-5)...)
+			continue
+		}
+		s := o.Span
 		out = append(out, byte(s.Kind), index(fuzzTracks, s.Track), index(fuzzLabels, s.Label))
 		out = binary.LittleEndian.AppendUint16(out, uint16(s.Start))
 		out = binary.LittleEndian.AppendUint16(out, uint16(s.End-s.Start))
 		out = append(out, index(fuzzRanks, s.Rank), index(fuzzRanks, s.Src), index(fuzzRanks, s.Dst), index(fuzzBytes, s.Bytes))
 	}
 	return out
+}
+
+// spanOps is the ops that add the spans.
+func spanOps(spans []Span) []op {
+	ops := make([]op, len(spans))
+	for i, s := range spans {
+		ops[i] = op{Span: s}
+	}
+	return ops
+}
+
+// periodicOps is a two-rank ping-pong, warmed up and then repeated: each
+// period a kernel on each rank and a transfer each way, the last two
+// periods' spans copied copies times one period later each.
+func periodicOps(copies int, d sim.Duration, track string) []op {
+	var ops []op
+	for it := range 3 {
+		at := sim.Time(it) * sim.Time(d)
+		ops = append(ops, spanOps([]Span{
+			{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: at, End: at + 10},
+			{Kind: KindTransfer, Label: "gpu0->gpu1", Track: track, Rank: 0, Src: 0, Dst: 1, Start: at + 10, End: at + 40, Bytes: 4096},
+			{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: at + 40, End: at + 50},
+			{Kind: KindTransfer, Label: "gpu1->gpu0", Track: track, Rank: 1, Src: 1, Dst: 0, Start: at + 50, End: at + 80, Bytes: 4096},
+		})...)
+	}
+	ops = append(ops, op{period: 4, copies: copies, d: d})
+	at := sim.Time(copies+3) * sim.Time(d)
+	return append(ops, op{Span: Span{Kind: kindKernel, Label: "x", Track: "gpu0.s", Rank: 0, Start: at, End: at + 5}})
 }
 
 // seedCases are the spans of the package's unit tests, each with the horizon
@@ -137,9 +238,9 @@ var seedCases = []struct {
 func analyses(t *testing.T, l *Log, horizon sim.Time) []string {
 	v := l.Sorted()
 	cp := CriticalPath(v)
-	chain := make([]Span, len(cp.Chain))
-	for i, pos := range cp.Chain {
-		chain[i] = v.span(int(pos))
+	chain := make([]Span, cp.Count())
+	for i := range chain {
+		chain[i] = v.span(cp.pos(i))
 	}
 	ranks, total, msgs := v.Traffic()
 	var one, cells bytes.Buffer
@@ -190,29 +291,48 @@ func sprint[T any](v []T) string {
 }
 
 // FuzzSpanAnalysis is the differential oracle of the record/view log: for
-// any spans, added in the generated order and in reverse, every analysis and
-// export renders byte for byte what the reference span-slice implementation
-// renders for the same spans in the same order.
+// any spans and Repeats of them, added in the generated order and in
+// reverse, every analysis and export renders byte for byte what the
+// reference span-slice implementation renders for the same spans, copies
+// included, in the same order, and so does the same log expanded.
 func FuzzSpanAnalysis(f *testing.F) {
 	for _, c := range seedCases {
-		f.Add(encodeSpans(f, c.horizon, c.spans))
+		f.Add(encodeSpans(f, c.horizon, spanOps(c.spans)))
+	}
+	for _, copies := range []int{1, 2, 5, 63} {
+		f.Add(encodeSpans(f, sim.Time(copies+4)*100, periodicOps(copies, 100, "inter")))
+		f.Add(encodeSpans(f, sim.Time(copies)*60, periodicOps(copies, 60, "intra")))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		horizon, spans := decodeSpans(data)
+		horizon, ops := decodeSpans(data)
 		names := []string{"sorted spans", "critical path", "chain", "attribution", "comm matrix", "traffic", "summary", "chrome trace", "chrome cells"}
-		reversed := slices.Clone(spans)
+		reversed := slices.Clone(ops)
 		slices.Reverse(reversed)
-		for _, order := range [][]Span{spans, reversed} {
-			want := referenceAnalyses(t, order, horizon)
-			l := New()
-			for _, s := range order {
-				l.Add(s)
-			}
-			for i, got := range analyses(t, l, horizon) {
-				if got != want[i] {
-					t.Fatalf("%s differs from the reference:\n--- got ---\n%s\n--- want ---\n%s", names[i], got, want[i])
+		for _, order := range [][]op{ops, reversed} {
+			l, spans := replay(order)
+			want := referenceAnalyses(t, spans, horizon)
+			for _, log := range []*Log{l, l.Sorted().expand()} {
+				for i, got := range analyses(t, log, horizon) {
+					if got != want[i] {
+						t.Fatalf("%s differs from the reference:\n--- got ---\n%s\n--- want ---\n%s", names[i], got, want[i])
+					}
 				}
 			}
 		}
 	})
+}
+
+// Expand returns the view with its runs expanded: the view of a log holding
+// the same spans, copies included, one record each.
+func (v *View) Expand() *View { return v.expand().Sorted() }
+
+// expand returns a log holding the view's spans one record each, in
+// insertion order.
+func (v *View) expand() *Log {
+	l := &Log{}
+	l.syms = v.syms
+	for j := range v.n {
+		l.push(v.record(j))
+	}
+	return l
 }

@@ -103,3 +103,33 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatFolds: a ping-pong repeated 3 000 times stores its period once,
+// sorts it as one band, and its critical path walks a period once and
+// repeats it; every analysis renders what it renders over the expanded log,
+// and at 100 copies what the reference renders over the expanded spans.
+func TestRepeatFolds(t *testing.T) {
+	for _, track := range []string{"inter", "intra"} {
+		for _, copies := range []int{100, 3000} {
+			l, spans := replay(periodicOps(copies, 100, track))
+			v := l.Sorted()
+			if l.stored > 16 || len(v.bands) != 1 || v.bands[0].count < copies-10 || len(v.order) > 32 {
+				t.Errorf("%s: %d records stored, %d explicit spans, bands %+v: want the copies folded", track, l.stored, len(v.order), v.bands)
+			}
+			cp := CriticalPath(v)
+			if len(cp.chain) > 64 {
+				t.Errorf("%s: critical path holds %d positions for %d spans: want the repeating stretch once", track, len(cp.chain), cp.Count())
+			}
+			horizon := spans[len(spans)-1].End
+			want := analyses(t, v.expand(), horizon)
+			if copies < 1000 {
+				want = referenceAnalyses(t, spans, horizon)
+			}
+			for i, got := range analyses(t, l, horizon) {
+				if got != want[i] {
+					t.Errorf("%s: analysis %d differs:\n--- got ---\n%.2000s\n--- want ---\n%.2000s", track, i, got, want[i])
+				}
+			}
+		}
+	}
+}
