@@ -188,7 +188,7 @@ func BenchmarkFig5_JacobiScaling(b *testing.B) {
 func BenchmarkFig6_CG(b *testing.B) {
 	for _, m := range []*machine.Model{machine.Perlmutter(), machine.LUMI()} {
 		for _, spec := range []sparse.SyntheticSPDSpec{sparse.Serena(), sparse.Queen4147()} {
-			mat := spec.Generate(0.02)
+			mat := spec.Phantom(0.02)
 			b.Run(m.Name+"/"+spec.Name, func(b *testing.B) {
 				var ucDiff, mpiRatio float64
 				for i := 0; i < b.N; i++ {

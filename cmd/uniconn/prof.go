@@ -97,7 +97,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 			})
 	case "cg":
 		cfg := cg.Config{
-			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Generate(0.01), Iters: *iters,
+			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Phantom(0.01), Iters: *iters,
 			Variant: solver.Uniconn, Backend: backend, Mode: core.PureHost,
 		}
 		rp, err = profApp(live,

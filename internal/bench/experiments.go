@@ -311,6 +311,14 @@ func RunFig5(sc Scale) ([]Figure, error) {
 	return figs, nil
 }
 
+// fig6Sizing is Fig. 6's matrix scale and iteration count.
+func fig6Sizing(sc Scale) (scale float64, iters int) {
+	if sc == Paper {
+		return 1.0, 10000
+	}
+	return 0.05, 30
+}
+
 // fig6Col is one bar of Fig. 6.
 type fig6Col struct {
 	label string
@@ -342,19 +350,14 @@ func fig6Cols(base cg.Config) []fig6Col {
 // nodes on Perlmutter and LUMI for the Serena-like and Queen-like matrices,
 // plus the no-Allgatherv ablation isolating the MPI collective bottleneck.
 func RunFig6(sc Scale) ([]Figure, error) {
-	scale := 0.05
-	iters := 30
-	if sc == Paper {
-		scale = 1.0
-		iters = 10000
-	}
+	scale, iters := fig6Sizing(sc)
 	specs := []sparse.SyntheticSPDSpec{sparse.Serena(), sparse.Queen4147()}
-	// Matrices are generated once per spec and shared read-only across
-	// machines and variants (cg.Run only reads them), so parallel cells
-	// need no per-cell copies.
+	// Every cell is modelled, so it reads only row counts: the matrices are
+	// phantoms (DESIGN.md §11), built once per spec and shared read-only
+	// across machines and variants.
 	mats := make([]*sparse.CSR, len(specs))
 	for i, spec := range specs {
-		mats[i] = spec.Generate(scale)
+		mats[i] = spec.Phantom(scale)
 	}
 	machines := []*machine.Model{machine.Perlmutter(), machine.LUMI()}
 	var panels [][]fig6Col

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -233,7 +232,7 @@ func TestFoldedPaperCountLog(t *testing.T) {
 	}
 	res := newResult(s, s.Hash(), v, rep, log)
 	runtime.ReadMemStats(&after)
-	stored := reflect.ValueOf(log).Elem().FieldByName("stored").Int()
+	stored := storedRecords(log)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 	t.Logf("%d spans, %d records stored, %d on the critical path; run and analysis allocated %.2f MB", log.Len(), stored, res.Critical.Spans, mb)
 	if log.Len() != 600002 || stored > 10000 {

@@ -229,3 +229,44 @@ func TestPhantomAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestFig6PhantomMatrix is the oracle of the phantom matrix: every column of
+// every quick Fig 6 panel answers the same — total (and so per-iteration)
+// time, end of run, every span — on Generate's CSR as on the phantom that
+// RunFig6 hands it, which holds the same row offsets and no entries. Under
+// -short or the race detector the matrices are a fifth the size.
+func TestFig6PhantomMatrix(t *testing.T) {
+	scale, iters := fig6Sizing(Quick)
+	if testing.Short() || raceEnabled {
+		scale /= 5
+	}
+	specs := []sparse.SyntheticSPDSpec{sparse.Serena(), sparse.Queen4147()}
+	csr, phantom := make([]*sparse.CSR, len(specs)), make([]*sparse.CSR, len(specs))
+	for i, s := range specs {
+		csr[i], phantom[i] = s.Generate(scale), s.Phantom(scale)
+	}
+	type cell struct {
+		label string
+		col   fig6Col
+		mat   int
+	}
+	var cells []cell
+	for _, m := range []*machine.Model{machine.Perlmutter(), machine.LUMI()} {
+		for i, s := range specs {
+			for _, c := range fig6Cols(cg.Config{Model: m, NGPUs: 8, Iters: iters}) {
+				cells = append(cells, cell{m.Name + "/" + s.Name + "/" + c.label, c, i})
+			}
+		}
+	}
+	bothWays(t, len(cells), func(i int, real bool) (string, answer, error) {
+		c, log := cells[i], trace.New()
+		cfg := c.col.cfg
+		cfg.Matrix, cfg.Trace = phantom[c.mat], log
+		if real {
+			cfg.Matrix = csr[c.mat]
+		}
+		r, err := cg.Run(cfg)
+		return c.label, answer{float64(r.Total), r.End, spansOf(log)}, err
+	})
+	t.Logf("%d Fig 6 columns at scale %g", len(cells), scale)
+}

@@ -178,3 +178,46 @@ func TestScaleMemoryBudget(t *testing.T) {
 			HumanBytes(hwm), HumanBytes(budget))
 	}
 }
+
+// TestFig6PaperScaleMemory runs Fig 6 at the paper's sizing — Serena-like
+// (1.39 M rows, 62.6 M nnz) and Queen_4147-like (4.15 M rows, 327 M nnz),
+// 10 000 iterations — and fails if the process's peak RSS exceeds 1 GiB. The
+// cells are modelled, so the matrices are phantoms: row offsets only, 44 MB
+// for the two, where the CSRs are over 4 GB. It peaks near 285 MiB, most of
+// it the simulation's own garbage. It runs in a child for the reason
+// TestScaleMemoryBudget does.
+func TestFig6PaperScaleMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation multiplies RSS; run without -race")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("VmHWM is linux-only")
+	}
+	if testing.Short() {
+		t.Skip("paper-scale Fig 6 skipped in -short mode")
+	}
+	const budget = 1 << 30
+	const childEnv = "UNICONN_FIG6_PAPER_CHILD"
+	if os.Getenv(childEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFig6PaperScaleMemory$", "-test.v")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("child:\n%s", out)
+		if err != nil {
+			t.Fatalf("paper-scale Fig 6 in a child process: %v", err)
+		}
+		return
+	}
+	figs, err := RunFig6(Paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(figs) != 4 {
+		t.Fatalf("%d Fig 6 panels, want 4", len(figs))
+	}
+	hwm := vmHWMBytes(t)
+	t.Logf("peak RSS %s of a %s budget", HumanBytes(hwm), HumanBytes(budget))
+	if hwm > budget {
+		t.Fatalf("peak RSS %s exceeds the %s budget for paper-scale Fig 6", HumanBytes(hwm), HumanBytes(budget))
+	}
+}

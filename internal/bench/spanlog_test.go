@@ -115,20 +115,22 @@ func TestSpanLogLayout(t *testing.T) {
 }
 
 // BenchmarkSpanAnalysis times a miss's analysis (sort, critical path,
-// traffic) per span, over the span logs of the 32 grid cells at 2 KiB — what
-// BenchmarkColdCell's misses analyse.
+// traffic) over the span logs of the 32 grid cells at 2 KiB — what
+// BenchmarkColdCell's misses analyse. It reports ns per stored record, what
+// the analysis walks (a fast-forward's Repeat is one run record however many
+// copies it folds), and ns per span, copies included.
 //
 //	go test ./internal/bench -run '^$' -bench SpanAnalysis -cpu 1
 func BenchmarkSpanAnalysis(b *testing.B) {
 	var logs []*trace.Log
-	spans := 0
+	spans, records := 0, 0
 	for _, s := range pinGrid() {
 		s.Bytes = 2 << 10
 		log := trace.New()
 		if _, _, err := runSpec(s.Normalize(), &Collector{Trace: log}); err != nil {
 			b.Fatal(err)
 		}
-		logs, spans = append(logs, log), spans+log.Len()
+		logs, spans, records = append(logs, log), spans+log.Len(), records+storedRecords(log)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -137,5 +139,14 @@ func BenchmarkSpanAnalysis(b *testing.B) {
 			analyse(l)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
+	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perOp/float64(records), "ns/record")
+	b.ReportMetric(perOp/float64(spans), "ns/span")
+}
+
+// storedRecords is the log's record count: its spans with each Repeat's
+// copies folded into one run record. The trace package exports no such
+// count, so the tests read its field.
+func storedRecords(l *trace.Log) int {
+	return int(reflect.ValueOf(l).Elem().FieldByName("stored").Int())
 }

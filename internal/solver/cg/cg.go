@@ -29,8 +29,11 @@ type Variant = solver.Variant
 
 // Config describes one CG run.
 type Config struct {
-	Model  *machine.Model
-	NGPUs  int
+	Model *machine.Model
+	NGPUs int
+	// Matrix is the system. A modelled run reads only its row offsets, so a
+	// phantom (sparse.SyntheticSPDSpec.Phantom) serves; Compute needs one
+	// with entries.
 	Matrix *sparse.CSR
 	// Iters is the fixed iteration count (the paper runs 10K iterations
 	// with no warm-up and reports total runtime).
@@ -89,6 +92,9 @@ func (cfg Config) run() (Result, int, error) {
 	}
 	if cfg.Iters < 1 {
 		return Result{}, -1, fmt.Errorf("cg: iters %d: need iters >= 1", cfg.Iters)
+	}
+	if cfg.Compute && cfg.Matrix.Phantom() {
+		return Result{}, -1, fmt.Errorf("cg: the %d-row Matrix is a phantom (row counts, no entries): a functional run (Compute=true) needs Generate's", cfg.Matrix.Rows)
 	}
 	if cfg.DisableAllgatherv && cfg.Compute {
 		return Result{}, -1, fmt.Errorf("cg: the no-allgatherv ablation is timing-only (set Compute=false)")

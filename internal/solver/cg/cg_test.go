@@ -174,6 +174,8 @@ func TestInvalidConfig(t *testing.T) {
 			fmt.Sprintf("cg: Matrix.Rows %d: need at least one row per GPU (%d GPUs)", mat.Rows, mat.Rows+1)},
 		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: 0}, "cg: iters 0: need iters >= 1"},
 		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: -3}, "cg: iters -3: need iters >= 1"},
+		{Config{Model: m, NGPUs: 2, Matrix: sparse.Serena().Phantom(0.001), Iters: 1, Compute: true},
+			"cg: the 1391-row Matrix is a phantom (row counts, no entries): a functional run (Compute=true) needs Generate's"},
 		{Config{Model: m, NGPUs: 2, Matrix: mat, Iters: 1, Compute: true, DisableAllgatherv: true},
 			"cg: the no-allgatherv ablation is timing-only (set Compute=false)"},
 		{Config{Model: m, NGPUs: 4, Matrix: mat, Iters: 5, Variant: solver.Uniconn, Backend: core.GpushmemBackend, Mode: core.PartialDevice},

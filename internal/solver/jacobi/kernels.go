@@ -44,8 +44,14 @@ func (st *state) sweepRows(cur, next bufset, lo, hi int) {
 	nx := st.g.nx
 	a, anew := cur.grid.Data(), next.grid.Data()
 	for r := lo; r <= hi; r++ {
-		for c := 1; c < nx-1; c++ {
-			anew[r*nx+c] = 0.25 * (a[(r-1)*nx+c] + a[(r+1)*nx+c] + a[r*nx+c-1] + a[r*nx+c+1])
+		// The row's interior and its four neighbours as sub-slices of one
+		// length, so the loop carries no bounds check. The sum keeps its
+		// order: up, down, left, right.
+		out := anew[r*nx+1 : (r+1)*nx-1]
+		up, down := a[(r-1)*nx+1:][:len(out)], a[(r+1)*nx+1:][:len(out)]
+		left, right := a[r*nx:][:len(out)], a[r*nx+2:][:len(out)]
+		for c := range out {
+			out[c] = 0.25 * (up[c] + down[c] + left[c] + right[c])
 		}
 	}
 }

@@ -10,28 +10,44 @@ import (
 	"math/rand"
 )
 
-// CSR is a compressed-sparse-row matrix.
+// CSR is a compressed-sparse-row matrix. A phantom CSR
+// (SyntheticSPDSpec.Phantom) holds the row offsets and no entries: what a
+// modelled CG cell reads (Rows, NNZRange) and nothing it could multiply.
 type CSR struct {
 	Rows, cols int
 	rowPtr     []int64
-	colIdx     []int32
+	colIdx     []int32 // nil in a phantom
 	vals       []float64
+	name       string // the generator's, for a phantom's panic
 }
 
-// NNZ reports the number of stored entries.
-func (m *CSR) NNZ() int64 { return int64(len(m.colIdx)) }
+// NNZ reports the number of stored entries (a phantom's would-be count).
+func (m *CSR) NNZ() int64 { return m.rowPtr[m.Rows] }
 
 // NNZRange reports the stored entries in rows [lo, hi).
 func (m *CSR) NNZRange(lo, hi int) int64 { return m.rowPtr[hi] - m.rowPtr[lo] }
 
-// SpMV computes y = A x for the rows [lo, hi) (y indexed from lo).
+// Phantom reports whether the matrix holds counts only.
+func (m *CSR) Phantom() bool { return m.colIdx == nil }
+
+// SpMV computes y = A x for the rows [lo, hi) (y indexed from lo). It
+// panics on a phantom matrix, which has no entries to multiply.
 func (m *CSR) SpMV(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	if m.Phantom() {
+		panic(fmt.Sprintf("sparse: SpMV on phantom %s (%d rows, %d nnz): a phantom matrix holds counts, no entries", m.name, m.Rows, m.NNZ()))
+	}
+	y = y[:hi-lo]
+	rowPtr := m.rowPtr[lo : hi+1]
+	for i := range y {
+		// The row's entries as sub-slices of one length: no bounds check
+		// per entry but x's. The sum keeps its order.
+		cols, vals := m.colIdx[rowPtr[i]:rowPtr[i+1]], m.vals[rowPtr[i]:rowPtr[i+1]]
+		vals = vals[:len(cols)]
 		sum := 0.0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			sum += m.vals[k] * x[m.colIdx[k]]
+		for k, c := range cols {
+			sum += vals[k] * x[c]
 		}
-		y[i-lo] = sum
+		y[i] = sum
 	}
 }
 
@@ -139,58 +155,106 @@ func (s SyntheticSPDSpec) rows(scale float64) int {
 	return r
 }
 
-// Generate materializes the matrix at the given scale: a diagonally
-// dominant symmetric pattern with s.nnzPerRow entries per row.
-func (s SyntheticSPDSpec) Generate(scale float64) *CSR {
-	n := s.rows(scale)
+// partners replays the generator's draws for an n-row matrix: row by row
+// in ascending order, up to halves draws each, it calls emit(i, j) for
+// every lower-triangle partner j < i it accepts, in draw order. A partner
+// may repeat. Generate and Phantom both run it, so their row offsets agree
+// by construction.
+func (s SyntheticSPDSpec) partners(n int, emit func(i, j int)) {
 	rng := rand.New(rand.NewSource(s.seed))
 	band := int(float64(n) * s.bandWidth)
 	if band < 2 {
 		band = 2
 	}
-	perRowOff := s.nnzPerRow - 1
-	if perRowOff < 2 {
-		perRowOff = 2
-	}
-	// Generate symmetric structure: pick lower-triangle partners for each
-	// row, mirror them. To keep generation O(nnz) we emit strictly
-	// banded+scattered lower entries and mirror into an adjacency list.
-	lower := make([][]int32, n)
-	halves := perRowOff / 2
+	halves := s.halves()
 	for i := 0; i < n; i++ {
-		for k := 0; k < halves; k++ {
+		for range halves {
 			var j int
 			if rng.Float64() < s.bandFraction {
 				j = i - 1 - rng.Intn(band)
 			} else {
 				j = rng.Intn(i + 1)
 			}
-			if j < 0 || j >= i {
-				continue
+			if j >= 0 && j < i {
+				emit(i, j)
 			}
-			lower[i] = append(lower[i], int32(j))
 		}
 	}
-	upper := make([][]int32, n)
+}
+
+// halves is the lower-triangle draws per row.
+func (s SyntheticSPDSpec) halves() int { return max(s.nnzPerRow-1, 2) / 2 }
+
+// countDegree counts partner j of row i into both rows' off-diagonal
+// degrees, at rowPtr[i+1] and rowPtr[j+1], for rowOffsets.
+func countDegree(rowPtr []int64, i, j int) {
+	rowPtr[i+1]++
+	rowPtr[j+1]++
+}
+
+// rowOffsets turns the off-diagonal degrees at rowPtr[i+1] into CSR row
+// offsets, with one diagonal entry per row.
+func rowOffsets(rowPtr []int64) {
+	for i := 1; i < len(rowPtr); i++ {
+		rowPtr[i] += rowPtr[i-1] + 1
+	}
+}
+
+// Phantom is Generate's matrix without its entries: the row count and row
+// offsets, from a pass that replays the draws and counts degrees. It holds
+// (rows+1) int64s however dense the matrix: Queen_4147 at scale 1.0 is
+// 33 MB instead of the CSR's 4 GB. A modelled CG cell reads nothing more.
+func (s SyntheticSPDSpec) Phantom(scale float64) *CSR {
+	n := s.rows(scale)
+	rowPtr := make([]int64, n+1)
+	s.partners(n, func(i, j int) { countDegree(rowPtr, i, j) })
+	rowOffsets(rowPtr)
+	return &CSR{Rows: n, cols: n, rowPtr: rowPtr, name: s.Name}
+}
+
+// Generate materializes the matrix at the given scale: a diagonally
+// dominant symmetric pattern with s.nnzPerRow entries per row. Row i holds
+// its lower partners in draw order, the diagonal, then the rows that drew
+// it in ascending order, each off-diagonal entry -1.
+//
+// The draws fill one flat array of lower partners, row after row, with a
+// count per row; rows are then written straight into the presized CSR
+// arrays, the upper half by a counting-sort transpose (next[j] is row j's
+// next free upper slot, filled as i ascends).
+func (s SyntheticSPDSpec) Generate(scale float64) *CSR {
+	n := s.rows(scale)
+	rowPtr := make([]int64, n+1)
+	lower := make([]int32, n*s.halves())
+	nLower := make([]int32, n)
+	drawn := 0
+	s.partners(n, func(i, j int) {
+		lower[drawn] = int32(j)
+		drawn++
+		nLower[i]++
+		countDegree(rowPtr, i, j)
+	})
+	rowOffsets(rowPtr)
+	m := &CSR{Rows: n, cols: n, rowPtr: rowPtr, name: s.Name,
+		colIdx: make([]int32, rowPtr[n]), vals: make([]float64, rowPtr[n])}
+	next := make([]int64, n)
 	for i := 0; i < n; i++ {
-		for _, j := range lower[i] {
-			upper[j] = append(upper[j], int32(i))
+		base, own := rowPtr[i], lower[:nLower[i]]
+		lower = lower[len(own):]
+		copy(m.colIdx[base:], own)
+		diag := base + int64(len(own))
+		m.colIdx[diag] = int32(i)
+		next[i] = diag + 1
+		for _, j := range own {
+			m.colIdx[next[j]] = int32(i)
+			next[j]++
 		}
+		vals := m.vals[base:rowPtr[i+1]]
+		for c := range vals {
+			vals[c] = -1
+		}
+		vals[len(own)] = float64(len(vals)-1) + 1.5 // strict diagonal dominance: SPD
 	}
-	b := newBuilder(n, n, int64(n)*int64(perRowOff+1))
-	offVal := -1.0
-	for i := 0; i < n; i++ {
-		deg := len(lower[i]) + len(upper[i])
-		for _, j := range lower[i] {
-			b.add(int(j), offVal)
-		}
-		b.add(i, float64(deg)+1.5) // strict diagonal dominance: SPD
-		for _, j := range upper[i] {
-			b.add(int(j), offVal)
-		}
-		b.endRow()
-	}
-	return b.m
+	return m
 }
 
 // Partition assigns contiguous row blocks to ranks.
@@ -228,13 +292,14 @@ func (p Partition) Displs() []int {
 	return append([]int{}, p.starts[:len(p.starts)-1]...)
 }
 
-// Validate checks CSR invariants (sorted rowPtr, in-range columns).
+// Validate checks CSR invariants (sorted rowPtr, in-range columns; a
+// phantom's offsets only).
 func (m *CSR) Validate() error {
 	if len(m.rowPtr) != m.Rows+1 {
 		return fmt.Errorf("sparse: RowPtr length %d for %d rows", len(m.rowPtr), m.Rows)
 	}
-	if m.rowPtr[0] != 0 || m.rowPtr[m.Rows] != m.NNZ() {
-		return fmt.Errorf("sparse: RowPtr endpoints %d..%d, nnz %d", m.rowPtr[0], m.rowPtr[m.Rows], m.NNZ())
+	if m.rowPtr[0] != 0 || !m.Phantom() && m.rowPtr[m.Rows] != int64(len(m.colIdx)) {
+		return fmt.Errorf("sparse: RowPtr endpoints %d..%d, %d entries", m.rowPtr[0], m.rowPtr[m.Rows], len(m.colIdx))
 	}
 	for i := 0; i < m.Rows; i++ {
 		if m.rowPtr[i] > m.rowPtr[i+1] {

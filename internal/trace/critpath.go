@@ -329,9 +329,11 @@ func (cp CritPath) pos(i int) int {
 // A band is swept copy by copy until the tables its spans read and the
 // pending spans are, after a copy, those after the copy before shifted one
 // period later: every entry and pending span a band position one period on,
-// its chain value longer by the same Δ. From there every copy repeats the
-// last one shifted, so the copies left are accounted, not swept, and the
-// walk back from the tail folds the stretch of the chain that repeats.
+// its chain value longer by the same Δ, with no span before the band
+// raising a table during that copy or pending to commit during a later one.
+// From there every copy repeats the last one shifted, so the copies left are
+// accounted, not swept, and the walk back from the tail folds the stretch
+// of the chain that repeats.
 // Otherwise the whole band is swept.
 func CriticalPath(v *View) CritPath {
 	if v.Len() == 0 {
@@ -412,6 +414,10 @@ type cpSweep struct {
 	tail    int32
 	tailLen sim.Duration
 	delta   sim.Duration // Δ of the band being folded
+	// bandAt is the band being swept's first position, and raisedBefore
+	// whether a span before it raised a table entry since the last copy.
+	bandAt       int32
+	raisedBefore bool
 }
 
 // node is a visited position's chain value and predecessor (-1 at a chain
@@ -432,22 +438,26 @@ type folded struct {
 	delta                  sim.Duration
 }
 
-// raise commits chain value e.len at e.pos into b.
-func raise(b *best, e *pending) {
+// raise commits chain value e.len at e.pos into b, and reports whether it
+// changed b.
+func raise(b *best, e *pending) bool {
 	if e.len > b.len {
 		*b = best{e.len, e.pos}
+		return true
 	}
+	return false
 }
 
 // span visits position pos.
 func (s *cpSweep) span(pos int, r *rec) {
 	for len(s.pending.live()) > 0 && s.pending.live()[0].end <= r.start {
 		e := s.pending.pop()
-		raise(&s.byTrack[e.track], &e)
-		raise(&s.byRank[e.rank-s.lo], &e)
+		raised := raise(&s.byTrack[e.track], &e)
+		raised = raise(&s.byRank[e.rank-s.lo], &e) || raised
 		if e.dst != e.rank {
-			raise(&s.byRank[e.dst-s.lo], &e)
+			raised = raise(&s.byRank[e.dst-s.lo], &e) || raised
 		}
+		s.raisedBefore = s.raisedBefore || raised && e.pos < s.bandAt
 	}
 	p, plen := int32(-1), sim.Duration(0)
 	if b := s.byTrack[r.track]; b.len > plen {
@@ -474,10 +484,12 @@ func (s *cpSweep) span(pos int, r *rec) {
 }
 
 // cpState is what decides the chain values of a band's next copy: the
-// entries its spans read, and the spans pending.
+// entries its spans read, and the spans pending. It decides them alone
+// when settled: no span before the band is pending that a copy commits.
 type cpState struct {
 	entries []best
 	pending []pending
+	settled bool
 }
 
 // band visits band b, folding it once its copies repeat.
@@ -502,29 +514,34 @@ func (s *cpSweep) band(b *band) {
 	}
 	horizon := v.bandRec(b, b.count-1, L-1).start // no span of the band starts later
 	var was, is cpState
+	s.bandAt = int32(b.at)
 	b.fold(func(c int) {
 		for o := range L {
 			r := v.bandRec(b, c, o)
 			s.span(b.at+c*L+o, &r)
 		}
 	}, func(c int) bool {
-		was, is = is, cpState{was.entries[:0], was.pending[:0]}
+		was, is = is, cpState{was.entries[:0], was.pending[:0], true}
 		for _, t := range tracks {
 			is.entries = append(is.entries, s.byTrack[t])
 		}
 		for _, r := range ranks {
 			is.entries = append(is.entries, s.byRank[r-s.lo])
 		}
-		settled := true
 		for _, e := range s.pending.live() {
 			switch {
 			case int(e.pos) >= b.at:
 				is.pending = append(is.pending, e)
 			case e.end <= horizon: // a span before the band that a copy commits
-				settled = false
+				is.settled = false
 			}
 		}
-		return c > 0 && settled && s.repeats(&was, &is, b.at, L, b.d)
+		// Copy c took was to is by the band's spans alone only if no span
+		// before the band raised an entry during it: that raises the values
+		// of one copy, not of every copy.
+		quiet := !s.raisedBefore
+		s.raisedBefore = false
+		return c > 0 && (was.settled || quiet) && is.settled && s.repeats(&was, &is, b.at, L, b.d)
 	}, func(c, k int) {
 		for _, t := range tracks {
 			s.byTrack[t].shift(k, L, s.delta)

@@ -303,6 +303,16 @@ func FuzzSpanAnalysis(f *testing.F) {
 		f.Add(encodeSpans(f, sim.Time(copies+4)*100, periodicOps(copies, 100, "inter")))
 		f.Add(encodeSpans(f, sim.Time(copies)*60, periodicOps(copies, 60, "intra")))
 	}
+	// A long span before a band, committed during the band's third copy: the
+	// second and third copies differ by the same Δ everywhere, but only
+	// because of it, so the copies after them do not repeat that Δ.
+	f.Add(encodeSpans(f, 600, append(spanOps([]Span{
+		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 0, Start: 140, End: 397},
+		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 200, End: 210},
+		{Kind: KindTransfer, Label: "gpu0->gpu1", Track: "inter", Rank: 0, Src: 0, Dst: 1, Start: 210, End: 240, Bytes: 4096},
+		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: 240, End: 250},
+		{Kind: KindTransfer, Label: "gpu1->gpu0", Track: "inter", Rank: 1, Src: 1, Dst: 0, Start: 250, End: 280, Bytes: 4096},
+	}), op{period: 4, copies: 3, d: 100})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		horizon, ops := decodeSpans(data)
 		names := []string{"sorted spans", "critical path", "chain", "attribution", "comm matrix", "traffic", "summary", "chrome trace", "chrome cells"}

@@ -207,8 +207,9 @@ func refCriticalPath(spans []Span) refCritPath {
 	}
 	cp := refCritPath{Len: chain[tail], End: srt[tail].End}
 	for i := tail; i >= 0; i = pred[i] {
-		cp.Chain = append([]Span{srt[i]}, cp.Chain...)
+		cp.Chain = append(cp.Chain, srt[i])
 	}
+	slices.Reverse(cp.Chain)
 	for _, s := range cp.Chain {
 		switch refClassOf(s) {
 		case classInter:
