@@ -26,7 +26,10 @@ var (
 	pathRef = regexp.MustCompile(`^(?:internal|cmd|examples)/[\w./*{},<>-]*`)
 	// symRef is pkg.Name or pkg.Type.Member anywhere in a code span, not
 	// preceded by a path or another selector.
-	symRef      = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	symRef = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	// identRef is a code span that is one CamelCase identifier (an upper-case
+	// initial and a lower-case letter, so GOMAXPROCS is none) or Type.Member.
+	identRef    = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.([A-Za-z_]\w*))?$`)
 	placeholder = regexp.MustCompile(`<\w+>`)
 	braces      = regexp.MustCompile(`\{([^{}]*)\}`)
 	// cmdRef is a `uniconn <sub> ...` invocation up to any shell operator or
@@ -70,6 +73,67 @@ func docProblems(m *module, doc string, text string) []string {
 		}
 	}
 	return append(out, flagProblems(subcommandFlags(m), doc, text)...)
+}
+
+// identAllowlist names the bare identifiers the documents may cite that the
+// module declares nowhere, each with the reason. It may only shrink:
+// maxIdentAllowlist is its length when the rule landed.
+var identAllowlist = map[string]string{}
+
+const maxIdentAllowlist = 0
+
+// declaredNames maps every name the module declares, at any scope and in its
+// test files too, to the objects it names. A package of test files alone,
+// as this one is, is not indexed.
+func declaredNames(m *module) (map[string][]types.Object, error) {
+	test, errs := m.testInfo()
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("test files do not type-check:\n\t%s", strings.Join(errs, "\n\t"))
+	}
+	names := map[string][]types.Object{}
+	for _, info := range []*types.Info{m.info, test} {
+		for id, obj := range info.Defs {
+			if obj != nil {
+				names[id.Name] = append(names[id.Name], obj)
+			}
+		}
+	}
+	return names, nil
+}
+
+// identProblems lints the code spans of one document that are a bare
+// CamelCase identifier or Type.Member: names must declare the identifier,
+// and the member must be a field or method of a type so named. Each finding
+// is named by its span, the allowlist's key.
+func identProblems(names map[string][]types.Object, doc, text string) []finding {
+	declares := func(name, member string) bool {
+		for _, obj := range names[name] {
+			if member == "" {
+				return true
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			t := tn.Type()
+			if !types.IsInterface(t) {
+				t = types.NewPointer(t)
+			}
+			if found, _, _ := types.LookupFieldOrMethod(t, true, tn.Pkg(), member); found != nil {
+				return true
+			}
+		}
+		return false
+	}
+	var out []finding
+	for i, line := range strings.Split(text, "\n") {
+		for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+			if ref := identRef.FindStringSubmatch(span[1]); ref != nil && !declares(ref[1], ref[2]) {
+				out = append(out, finding{span[1], fmt.Sprintf("%s:%d: the module declares no such identifier", doc, i+1)})
+			}
+		}
+	}
+	return out
 }
 
 // flagProblems lints the command lines of one document: the subcommand and
@@ -279,10 +343,15 @@ func resolve(pkg *types.Package, name, member string) error {
 	return nil
 }
 
-// TestDocLint checks the paths, symbols and uniconn command lines README.md,
-// DESIGN.md and EXPERIMENTS.md cite in code spans.
+// TestDocLint checks the paths, symbols, bare identifiers and uniconn
+// command lines README.md, DESIGN.md and EXPERIMENTS.md cite in code spans.
 func TestDocLint(t *testing.T) {
 	m := repo(t)
+	names, err := declaredNames(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idents []finding
 	for _, doc := range docs {
 		text, err := os.ReadFile(filepath.Join(m.root, doc))
 		if err != nil {
@@ -291,7 +360,9 @@ func TestDocLint(t *testing.T) {
 		for _, p := range docProblems(m, doc, string(text)) {
 			t.Error(p)
 		}
+		idents = append(idents, identProblems(names, doc, string(text))...)
 	}
+	ratchet(t, idents, identAllowlist, maxIdentAllowlist)
 }
 
 // TestDocLintFixture pins each rule on a synthetic document: a live path, a
@@ -326,6 +397,30 @@ func TestDocLintFixture(t *testing.T) {
 	}
 	if got := docProblems(m, "doc", text); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("problems = %q\nwant %q", got, want)
+	}
+}
+
+// TestDocIdentFixture pins the bare-identifier rule on a synthetic document:
+// a type, an exported and an unexported method, a field and a test function
+// all resolve, and neither an all-caps word nor a package-qualified name is
+// read as one; a name declared nowhere (SerenaLike) and a member its type
+// does not have are each reported.
+func TestDocIdentFixture(t *testing.T) {
+	m := repo(t)
+	names, err := declaredNames(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Join([]string{
+		"`SyntheticSPDSpec` `SerenaLike` `View.walk` `Log.Sorted` `Config.Metrics`",
+		"`TestRepeatFolds` `GOMAXPROCS` `json.Decoder` `View.Frobnicate`",
+	}, "\n")
+	want := []finding{
+		{"SerenaLike", "doc:1: the module declares no such identifier"},
+		{"View.Frobnicate", "doc:2: the module declares no such identifier"},
+	}
+	if got := identProblems(names, "doc", text); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("problems = %s\nwant %s", got, want)
 	}
 }
 

@@ -221,12 +221,12 @@ func (m *module) check(p *pkg) *types.Package {
 
 // testInfo type-checks every package's test files, once: the package again
 // with its own test files, then its external test package against that. It
-// records uses and expression types only, for rules that count what tests
-// read; a non-test file's objects keep their declaring positions across the
-// two checks.
+// records definitions, uses and expression types, for rules that count what
+// tests declare and read; a non-test file's objects keep their declaring
+// positions across the two checks.
 func (m *module) testInfo() (*types.Info, []string) {
 	m.testOnce.Do(func() {
-		m.test = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		m.test = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		for _, path := range m.sorted() {
 			p := m.pkgs[path]
 			conf := types.Config{Importer: m, Error: func(err error) { m.testErrs = append(m.testErrs, err.Error()) }}

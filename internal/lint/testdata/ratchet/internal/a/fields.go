@@ -25,6 +25,9 @@ func (c *counter) inc() { c.n++ }
 // pair is written positionally.
 type pair struct{ x, y int }
 
+// mark is written only positionally, and its tag is never read.
+type mark struct{ at, tag int }
+
 // key is a map key and cmp is compared: either reads every field.
 type key struct{ k int }
 
@@ -40,6 +43,6 @@ func fields(m map[key]int) (int, bool) {
 	m[key{k: 1}] = r.deep
 	set(&r.byAddr)
 	r.hits.inc()
-	p := pair{1, 2}
-	return r.read + r.never + r.byAddr + r.byTest + r.hits.n + p.x + p.y, cmp{c: 1} == cmp{c: 2}
+	p, mk := pair{1, 2}, mark{3, 4}
+	return r.read + r.never + r.byAddr + r.byTest + r.hits.n + p.x + p.y + mk.at, cmp{c: 1} == cmp{c: 2}
 }

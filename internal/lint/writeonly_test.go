@@ -24,8 +24,9 @@ var writeOnlyAllowlist = map[string]string{
 const maxWriteOnlyAllowlist = 5
 
 // writeOnlyFields reports the struct fields declared under internal/ that
-// non-test code writes — as an assignment target, with ++/--, or as a
-// composite-literal key — and that no file reads, test files included. A
+// non-test code writes — as an assignment target, with ++/--, as a
+// composite-literal key or positionally in an unkeyed composite literal —
+// and that no file reads, test files included. A
 // field is read by any other reference, and every field of a struct type
 // compared with == or != or used as a map key is read by the comparison.
 // Exempt by rule: tagged fields (read through reflection by encoding/json)
@@ -49,8 +50,9 @@ type fieldUses struct {
 }
 
 // access records, per field, the files that assign it (an assignment target,
-// ++/--, a composite-literal key), that write it any other way (through its
-// address, positionally in an unkeyed composite literal), and that read it.
+// ++/--, a composite-literal key, a positional element of an unkeyed
+// composite literal), that write it any other way (through its address),
+// and that read it.
 type access struct {
 	assigned, written, read map[token.Pos]bool
 }
@@ -139,11 +141,11 @@ func declareFields(pkg string, f *ast.File, names map[token.Pos]string) {
 }
 
 // accesses records the field accesses in f. A field an assignment, ++/-- or
-// a composite-literal key targets is assigned; every other reference reads
+// a composite-literal key targets is assigned, and an unkeyed composite
+// literal assigns every field of its struct; every other reference reads
 // it. A field is also written, while still read, where the write goes
 // through it: its address is taken (&x.f, or x.f.M() for a pointer method
 // M), or an assignment targets something inside it (x.f.g = v, x.f[i] = v).
-// An unkeyed composite literal writes every field of its struct.
 func accesses(info *types.Info, f *ast.File, a access) {
 	target := map[*ast.Ident]bool{}
 	through := func(e ast.Expr) { // mark the fields a write passes through
@@ -203,7 +205,7 @@ func accesses(info *types.Info, f *ast.File, a access) {
 			if tv, ok := info.Types[n]; ok {
 				if st, ok := tv.Type.Underlying().(*types.Struct); ok {
 					for i := 0; i < st.NumFields(); i++ {
-						a.written[st.Field(i).Pos()] = true
+						a.assigned[st.Field(i).Pos()] = true
 					}
 				}
 			}
@@ -255,7 +257,9 @@ func TestWriteOnlyFields(t *testing.T) {
 // TestWriteOnlyFixture runs the rule over testdata/ratchet, whose rec has a
 // field written and never read, one written and read, a tagged one, one read
 // only by a test file, one written only by a test file and an embedded one,
-// beside a map-key and a compared struct: exactly the first is flagged.
+// beside a map-key and a compared struct, and whose mark is written only
+// positionally with one field never read: exactly rec's first field and
+// that one are flagged.
 func TestWriteOnlyFixture(t *testing.T) {
 	m, err := load("testdata/ratchet", "fixture")
 	if err != nil {
@@ -265,7 +269,7 @@ func TestWriteOnlyFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "[a.rec.written: written, never read; delete it]"; fmt.Sprint(got) != want {
+	if want := "[a.mark.tag: written, never read; delete it a.rec.written: written, never read; delete it]"; fmt.Sprint(got) != want {
 		t.Errorf("findings = %s, want %s", got, want)
 	}
 }

@@ -61,9 +61,9 @@ type RankBreakdown struct {
 //
 // Each rank's lane sweeps its intervals in view order, closing those that
 // end by the next start; the time between two instants goes to the highest
-// class active over it. A band is swept copy by copy until its lanes come
-// back, one period later, to the state the copy before left them in; the
-// copies left then add that copy's coverage each (band.fold).
+// class active over it. A band is swept in full, copy by copy: the only
+// views attributed come from a Collector with a metrics registry, which
+// turns fast-forward off, so they hold no band outside tests.
 func Attribute(v *View, end sim.Time) []RankBreakdown {
 	nRanks := 0
 	for r := range v.each() {
@@ -73,70 +73,31 @@ func Attribute(v *View, end sim.Time) []RankBreakdown {
 		return nil
 	}
 	lanes := make([]lane, nRanks)
-	add := func(rank int32, pos int, r *rec) {
+	add := func(rank int32, r *rec) {
 		if rank < 0 {
 			return
 		}
 		if stop := min(r.end, end); r.start < stop {
-			lanes[rank].open(r.start, stop, v.classOf(r), int32(pos))
+			lanes[rank].open(r.start, stop, v.classOf(r))
 		}
 	}
-	span := func(pos int, r *rec) {
+	span := func(_ int, r *rec) {
 		if Kind(r.kind) == KindTransfer {
-			add(r.src, pos, r)
+			add(r.src, r)
 			if r.dst != r.src {
-				add(r.dst, pos, r)
+				add(r.dst, r)
 			}
 			return
 		}
-		add(r.rank, pos, r)
+		add(r.rank, r)
 	}
 	v.walk(span, func(b *band) {
-		// The lanes the band opens intervals on; a band reaching past the
-		// horizon is clipped, not periodic, and is swept in full.
-		var touched []int32
-		periodic := true
-		for _, h := range b.period {
-			r := v.rec(h)
-			if r.start >= r.end {
-				continue
-			}
-			periodic = periodic && r.end.Add(sim.Duration(b.first+b.count-1)*b.d) <= end
-			ends := [2]int32{r.rank, r.rank}
-			if Kind(r.kind) == KindTransfer {
-				ends = [2]int32{r.src, r.dst}
-			}
-			for _, rank := range ends {
-				if rank >= 0 && !slices.Contains(touched, rank) {
-					touched = append(touched, rank)
-				}
-			}
-		}
-		horizon := v.bandRec(b, b.count-1, len(b.period)-1).start // no span of the band starts later
-		var was, is []laneState
-		b.fold(func(c int) {
+		for c := range b.count {
 			for o := range b.period {
 				r := v.bandRec(b, c, o)
 				span(b.at+c*len(b.period)+o, &r)
 			}
-		}, func(c int) bool {
-			if !periodic {
-				return false
-			}
-			shift := sim.Time(b.first+c) * sim.Time(b.d)
-			was, is = is, was[:0]
-			ok := true
-			for _, rank := range touched {
-				st, settled := lanes[rank].state(shift, b.at, horizon)
-				is = append(is, st)
-				ok = ok && settled
-			}
-			return ok && len(was) == len(is) && slices.EqualFunc(was, is, laneState.equal)
-		}, func(c, k int) {
-			for i, rank := range touched {
-				lanes[rank].skip(k, b.d, b.at, &was[i], &is[i])
-			}
-		})
+		}
 	})
 
 	out := make([]RankBreakdown, nRanks)
@@ -163,12 +124,10 @@ type lane struct {
 	closes  queue[closing, byClose]
 }
 
-// closing is the end of an open interval: when, its class, and the position
-// of its span.
+// closing is the end of an open interval: when, and its class.
 type closing struct {
 	at    sim.Time
 	class spanClass
-	pos   int32
 }
 
 // byClose orders closings by (at, class).
@@ -177,10 +136,10 @@ type byClose struct{}
 func (byClose) less(a, b closing) bool { return a.at < b.at || a.at == b.at && a.class < b.class }
 
 // open opens an interval [start, stop) of class c.
-func (l *lane) open(start, stop sim.Time, c spanClass, pos int32) {
+func (l *lane) open(start, stop sim.Time, c spanClass) {
 	l.advance(start)
 	l.active[c]++
-	l.closes.push(closing{stop, c, pos})
+	l.closes.push(closing{stop, c})
 }
 
 // advance moves the lane to t, closing every interval that ends by then.
@@ -205,56 +164,6 @@ func (l *lane) reach(t sim.Time) {
 		}
 	}
 	l.now = t
-}
-
-// laneState is a lane relative to a band copy's shift: what decides the
-// coverage of the copies to come, and the coverage so far.
-type laneState struct {
-	now     sim.Duration
-	active  [numClasses]int
-	closes  []closing // the band's open intervals, relative, in order
-	covered [numClasses]sim.Duration
-}
-
-// equal reports whether two states evolve alike; coverage is not compared.
-func (a laneState) equal(b laneState) bool {
-	return a.now == b.now && a.active == b.active &&
-		slices.EqualFunc(a.closes, b.closes, func(x, y closing) bool { return x.at == y.at && x.class == y.class })
-}
-
-// state returns the lane relative to shift, and whether it can be periodic:
-// every interval open on it that a span before the band at opened ends
-// after horizon, so that it closes in no copy.
-func (l *lane) state(shift sim.Time, at int, horizon sim.Time) (laneState, bool) {
-	st := laneState{now: l.now.Sub(shift), active: l.active, covered: l.covered}
-	for _, e := range l.closes.live() {
-		if int(e.pos) < at {
-			if e.at <= horizon {
-				return st, false
-			}
-			continue
-		}
-		st.closes = append(st.closes, closing{at: e.at - shift, class: e.class})
-	}
-	return st, true
-}
-
-// skip accounts for k copies of a band past the one that left the lane in
-// state is, whose copy before left it in was: each adds is's coverage less
-// was's, and the band's open intervals move k periods later.
-func (l *lane) skip(k int, d sim.Duration, at int, was, is *laneState) {
-	shift := sim.Duration(k) * d
-	for c := range l.covered {
-		l.covered[c] += sim.Duration(k) * (is.covered[c] - was.covered[c])
-	}
-	l.now = l.now.Add(shift)
-	live := l.closes.live()
-	for i := range live {
-		if int(live[i].pos) >= at {
-			live[i].at = live[i].at.Add(shift)
-		}
-	}
-	l.closes.sort()
 }
 
 // RenderBreakdown formats per-rank attribution as a text table.

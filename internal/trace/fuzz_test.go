@@ -313,6 +313,14 @@ func FuzzSpanAnalysis(f *testing.F) {
 		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 1, Start: 240, End: 250},
 		{Kind: KindTransfer, Label: "gpu1->gpu0", Track: "inter", Rank: 1, Src: 1, Dst: 0, Start: 250, End: 280, Bytes: 4096},
 	}), op{period: 4, copies: 3, d: 100})))
+	// A long span before a band, still pending when the band's second and
+	// third copies first match, that commits during its fifth copy and
+	// raises rank 0's entry above the band's: the copies from then on extend
+	// it, so the match two copies earlier did not decide them.
+	f.Add(encodeSpans(f, 1000, append(spanOps([]Span{
+		{Kind: kindKernel, Label: "k1", Track: "gpu1.s", Rank: 0, Start: 100, End: 550},
+		{Kind: kindKernel, Label: "k0", Track: "gpu0.s", Rank: 0, Start: 200, End: 210},
+	}), op{period: 1, copies: 7, d: 100})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		horizon, ops := decodeSpans(data)
 		names := []string{"sorted spans", "critical path", "chain", "attribution", "comm matrix", "traffic", "summary", "chrome trace", "chrome cells"}
