@@ -7,11 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/sim"
-	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
-	"repro/internal/sparse"
 	"repro/internal/spec"
-	"repro/internal/trace"
 )
 
 // jacobiCmd runs the paper's Jacobi 2D scaling experiment (§VI-C) for one
@@ -47,18 +43,22 @@ func jacobiCmd(args []string, stdout, stderr io.Writer) error {
 		counts = []int{4, 8, 16, 32, 64}
 	}
 	cols := bench.Variants(bench.Libs(m, true))
-	cells := bench.JacobiCells(jacobi.Config{
-		Model: m, NX: *nx, NY: *ny, Iters: *iters, Warmup: *warmup, Compute: *compute,
-	}, counts, cols)
-	var lastTrace *trace.Log
+	base := common.Spec()
+	base.Workload, base.NX, base.NY, base.Iters, base.Warmup, base.Compute =
+		spec.WorkloadJacobi, *nx, *ny, *iters, *warmup, *compute
+	cells := bench.Cells(base, counts, cols)
+	// With -trace the last cell runs on its own, recording its spans.
+	traced := len(cells)
 	if *tracePath != "" {
-		lastTrace = trace.New()
-		cells[len(cells)-1].Trace = lastTrace
+		traced--
 	}
-	results, _, err := bench.Sweep(nil, len(cells), func(i int, _ *bench.Collector) (jacobi.Result, bench.CellProfile, error) {
-		res, err := jacobi.Run(cells[i])
-		return res, bench.CellProfile{}, err
-	})
+	totals, _, err := bench.SweepSpecs(nil, cells[:traced])
+	var last []bench.CellProfile
+	if err == nil && traced < len(cells) {
+		var total []float64
+		total, last, err = bench.SweepSpecs(bench.NewObserve(nil, true), cells[traced:])
+		totals = append(totals, total...)
+	}
 
 	// On failure the table stops at the failing cell, as a serial run would.
 	fmt.Fprintf(stdout, "Jacobi 2D %dx%d on %s, %d iterations (+%d warm-up), per-iteration time (us)\n",
@@ -68,11 +68,11 @@ func jacobiCmd(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "%18s", v.CLI+v.Impl())
 	}
 	fmt.Fprintln(stdout)
-	for i, res := range results {
+	for i, total := range totals {
 		if i%len(cols) == 0 {
 			fmt.Fprintf(stdout, "%-6d", counts[i/len(cols)])
 		}
-		fmt.Fprintf(stdout, "%18.2f", res.PerIter.Micros())
+		fmt.Fprintf(stdout, "%18.2f", (sim.Duration(total) / sim.Duration(*iters)).Micros())
 		if i%len(cols) == len(cols)-1 {
 			fmt.Fprintln(stdout)
 		}
@@ -80,12 +80,13 @@ func jacobiCmd(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if lastTrace != nil {
-		if err := writeFile(*tracePath, lastTrace.WriteChromeTrace); err != nil {
+	if len(last) > 0 {
+		spans := last[0].Spans()
+		if err := writeFile(*tracePath, spans.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote %d spans to %s (open with chrome://tracing)\n", lastTrace.Len(), *tracePath)
-		fmt.Fprintln(stdout, lastTrace.Sorted().Summarize().Render())
+		fmt.Fprintf(stdout, "wrote %d spans to %s (open with chrome://tracing)\n", spans.Len(), *tracePath)
+		fmt.Fprintln(stdout, spans.Summarize().Render())
 	}
 	return nil
 }
@@ -119,35 +120,27 @@ func cgCmd(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var mat *sparse.CSR
-	switch *matrixName {
-	case "serena":
-		mat = sparse.Serena().Phantom(*scale)
-	case "queen":
-		mat = sparse.Queen4147().Phantom(*scale)
-	case "laplace":
-		mat = sparse.Laplace3D(64, 64, 64)
-	default:
-		return fmt.Errorf("unknown matrix %q", *matrixName)
+	base := common.Spec()
+	base.Workload, base.Ranks, base.Matrix, base.Iters, base.NoAllgatherv =
+		spec.WorkloadCG, *gpus, *matrixName, *iters, *noAg
+	if *matrixName != spec.MatrixLaplace {
+		base.Scale = *scale
+	}
+	mat, err := bench.Matrix(base)
+	if err != nil {
+		return err
 	}
 
 	cols := bench.Variants(bench.Libs(m, false))
-	cells := make([]cg.Config, len(cols))
-	for i, v := range cols {
-		cells[i] = v.CGConfig(cg.Config{Model: m, NGPUs: *gpus, Matrix: mat, Iters: *iters,
-			DisableAllgatherv: *noAg})
-	}
-	results, _, err := bench.Sweep(nil, len(cells), func(i int, _ *bench.Collector) (cg.Result, bench.CellProfile, error) {
-		res, err := cg.Run(cells[i])
-		return res, bench.CellProfile{}, err
-	})
+	totals, _, err := bench.SweepSpecs(nil, bench.Cells(base, []int{*gpus}, cols))
 	// On failure the table stops at the failing row, as a serial run would.
 	fmt.Fprintf(stdout, "CG on %s: %d rows, %d nnz, %d GPUs, %d iterations (no-allgatherv=%v)\n",
 		m.Name, mat.Rows, mat.NNZ(), *gpus, *iters, *noAg)
 	fmt.Fprintf(stdout, "%-18s %14s %14s\n", "variant", "total (ms)", "per-iter (us)")
-	for i, res := range results {
+	for i, total := range totals {
+		d := sim.Duration(total)
 		fmt.Fprintf(stdout, "%-18s %14.3f %14.2f\n", cols[i].CLI+cols[i].Impl(),
-			float64(res.Total)/float64(sim.Millisecond), res.PerIter.Micros())
+			float64(d)/float64(sim.Millisecond), (d / sim.Duration(*iters)).Micros())
 	}
 	return err
 }

@@ -8,11 +8,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/sim"
-	"repro/internal/solver"
-	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
-	"repro/internal/sparse"
 	"repro/internal/spec"
 )
 
@@ -22,11 +17,10 @@ import (
 // breakdown, the rank-to-rank communication matrix, and the merged metrics
 // of every subsystem (scheduler, fabric, MPI protocol, collectives, faults).
 //
-// Every profiled cell owns a private metrics registry and span log, and the
-// cells are one bench.Sweep, so the report — and the optional metrics JSON
-// and Chrome trace — are byte-identical at any GOMAXPROCS. The net
-// workload's cells are spec cells (bench.SweepSpecs); a flag the chosen
-// workload never reads is refused.
+// Every profiled cell is a spec cell that owns a private metrics registry and
+// span log, and the cells are one bench.SweepSpecs, so the report — and the
+// optional metrics JSON and Chrome trace — are byte-identical at any
+// GOMAXPROCS. A flag the chosen workload never reads is refused.
 //
 // Usage:
 //
@@ -64,8 +58,7 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	if err := rejectUnread(fs, "prof -workload "+*workload, unread...); err != nil {
 		return err
 	}
-	m, err := common.Resolve()
-	if err != nil {
+	if _, err := common.Resolve(); err != nil {
 		return err
 	}
 	backend, err := spec.ParseBackend(*backendName)
@@ -79,38 +72,33 @@ func prof(args []string, stdout, stderr io.Writer) error {
 	defer closeLive()
 
 	var rp *bench.RunProfile
-	switch *workload {
-	case "net":
-		rp, err = profNet(live, common.Spec(), backend, *device, *native, *inter, bench.Sizes(common.MinSize, common.MaxSize))
-	case "jacobi":
-		cfg := jacobi.Config{
-			Model: m, NGPUs: *ngpus, NX: 256, NY: 256, Iters: *iters, Warmup: 2,
-			Variant: solver.Uniconn, Backend: backend, Mode: core.PureHost,
+	if *workload == "net" {
+		if rp, err = profNet(live, common.Spec(), backend, *device, *native, *inter, bench.Sizes(common.MinSize, common.MaxSize)); err != nil {
+			return err
 		}
-		rp, err = profApp(live,
-			fmt.Sprintf("jacobi %s %s %dx%d on %d GPUs", m.Name, cfg.Variant, cfg.NX, cfg.NY, cfg.NGPUs),
-			fmt.Sprintf("jacobi/%dgpu", cfg.NGPUs), cfg.Iters,
-			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
-				cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
-				res, err := jacobi.Run(cfg)
-				return res.PerIter, res.Total, res.End, err
-			})
-	case "cg":
-		cfg := cg.Config{
-			Model: m, NGPUs: *ngpus, Matrix: sparse.Serena().Phantom(0.01), Iters: *iters,
-			Variant: solver.Uniconn, Backend: backend, Mode: core.PureHost,
+	} else {
+		// One UNICONN cell of the application on the backend: Jacobi on a
+		// 256 x 256 grid, CG on the Serena-like matrix at scale 0.01.
+		s := common.Spec()
+		s.Workload, s.Backend, s.Ranks, s.Iters = *workload, *backendName, *ngpus, *iters
+		impl, _ := s.Implementation()
+		title := fmt.Sprintf("jacobi %s %s 256x256 on %d GPUs", s.Machine, impl, *ngpus)
+		if *workload == spec.WorkloadJacobi {
+			s.NX, s.NY, s.Warmup = 256, 256, 2
+		} else {
+			s.Matrix, s.Scale = spec.MatrixSerena, 0.01
+			mat, err := bench.Matrix(s)
+			if err != nil {
+				return err
+			}
+			title = fmt.Sprintf("cg %s %s %d rows on %d GPUs", s.Machine, impl, mat.Rows, *ngpus)
 		}
-		rp, err = profApp(live,
-			fmt.Sprintf("cg %s %s %d rows on %d GPUs", m.Name, cfg.Variant, cfg.Matrix.Rows, cfg.NGPUs),
-			fmt.Sprintf("cg/%dgpu", cfg.NGPUs), cfg.Iters,
-			func(col *bench.Collector) (sim.Duration, sim.Duration, sim.Time, error) {
-				cfg.Metrics, cfg.Trace = col.Metrics, col.Trace
-				res, err := cg.Run(cfg)
-				return res.PerIter, res.Total, res.End, err
-			})
-	}
-	if err != nil {
-		return err
+		_, profs, err := bench.SweepSpecs(bench.NewObserve(live, true), []spec.Spec{s})
+		if err != nil {
+			return err
+		}
+		profs[0].Label = fmt.Sprintf("%s/%dgpu", *workload, *ngpus)
+		rp = &bench.RunProfile{Title: title, Cells: profs}
 	}
 
 	if err := rp.WriteReport(stdout); err != nil {
@@ -125,26 +113,6 @@ func prof(args []string, stdout, stderr io.Writer) error {
 		return writeFile(*tracePath, rp.WriteChromeTrace)
 	}
 	return nil
-}
-
-// profApp profiles one application run (Jacobi, CG) as the one cell of an
-// observed sweep, reporting to live's tracker, if any. run executes it with
-// the cell's registry and span log and reports the per-iteration and total
-// timed durations and the run's end time.
-func profApp(live *bench.Observe, title, label string, iters int,
-	run func(col *bench.Collector) (perIter, total sim.Duration, end sim.Time, err error)) (*bench.RunProfile, error) {
-	_, profs, err := bench.Sweep(bench.NewObserve(live, true), 1, func(_ int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
-		perIter, total, end, err := run(col)
-		if err != nil {
-			return struct{}{}, bench.CellProfile{}, err
-		}
-		return struct{}{}, col.Finish(label, end, fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
-			perIter, iters, total)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &bench.RunProfile{Title: title, Cells: profs}, nil
 }
 
 // profNet profiles the latency and bandwidth microbenchmarks of one

@@ -29,10 +29,10 @@ import (
 // table order as they complete.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
-// /debug/flight) — useful because the big cells take minutes of wall clock
-// and /debug/runs carries an ETA; with it a SIGINT prints the sweep progress
-// and accumulated metrics to stderr before exiting (every finished curve
-// point is already on stdout).
+// /debug/flight) — useful because the 4096-rank cells take seconds of wall
+// clock each and /debug/runs carries an ETA; with it a SIGINT prints the
+// sweep progress and accumulated metrics to stderr before exiting (every
+// finished curve point is already on stdout).
 //
 // Usage:
 //
@@ -87,6 +87,9 @@ func scale(args []string, stdout, stderr io.Writer) error {
 	// reproduces the classic five-curve sweep.
 	var cells []bench.ScaleConfig
 	var labels []string
+	// The topology column is 11 wide, or as wide as the longest resolved
+	// network it prints plus one space.
+	topoWidth := 11
 	curve := func(tc fabric.TopologyConfig, alg mpi.AllreduceAlg, cap int) {
 		for _, r := range ranks {
 			if r <= cap {
@@ -95,6 +98,8 @@ func scale(args []string, stdout, stderr io.Writer) error {
 					Alg: alg, Iters: *iters, Warmup: 1,
 				})
 				labels = append(labels, fmt.Sprintf("%s/%s/%d", tc.Kind, alg, r))
+				resolved, _ := fabric.ResolveTopology(tc, m.NodesFor(r)) // checked above for the largest cell
+				topoWidth = max(topoWidth, len(resolved.Describe())+1)
 			}
 		}
 	}
@@ -115,10 +120,10 @@ func scale(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters\n",
 		m.Name, bench.HumanBytes(*bytes), *iters)
-	fmt.Fprintf(stdout, "%-11s%-14s%8s%8s%14s%12s\n", "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
-	// The big cells take minutes, so a row is printed as soon as it and
-	// every row above it are done: stdout grows as a serial run's would and
-	// ends up the same at any GOMAXPROCS, the wall-clock column aside.
+	fmt.Fprintf(stdout, "%-*s%-14s%8s%8s%14s%12s\n", topoWidth, "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
+	// A row is printed as soon as it and every row above it are done: stdout
+	// grows as a serial run's would and ends up the same at any GOMAXPROCS,
+	// the wall-clock column aside.
 	var (
 		mu   sync.Mutex
 		rows = make([]string, len(cells))
@@ -135,8 +140,8 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		cp := col.Finish(labels[i], run.End)
 		mu.Lock()
 		defer mu.Unlock()
-		rows[i] = fmt.Sprintf("%-11s%-14s%8d%8d%14s%12.1f\n",
-			run.Topology.Describe(), cfg.Alg, cfg.Ranks, m.NodesFor(cfg.Ranks), d.String(), time.Since(start).Seconds())
+		rows[i] = fmt.Sprintf("%-*s%-14s%8d%8d%14s%12.1f\n",
+			topoWidth, run.Topology.Describe(), cfg.Alg, cfg.Ranks, m.NodesFor(cfg.Ranks), d.String(), time.Since(start).Seconds())
 		for ; next < len(rows) && rows[next] != ""; next++ {
 			io.WriteString(stdout, rows[next])
 		}

@@ -18,6 +18,8 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -25,6 +27,9 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/solver/cg"
+	"repro/internal/solver/jacobi"
+	"repro/internal/sparse"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -65,8 +70,9 @@ type Result struct {
 	Spec spec.Spec `json:"spec"`
 	Hash string    `json:"hash"`
 	// Value is the workload's headline number in Unit: one-way latency in
-	// "ns" (net-latency), "B/s" (net-bandwidth), or per-iteration virtual
-	// time in "ns" (allreduce).
+	// "ns" (net-latency), "B/s" (net-bandwidth), per-iteration virtual
+	// time in "ns" (allreduce), or the timed section's total in "ns"
+	// (jacobi, cg).
 	Value float64 `json:"value"`
 	Unit  string  `json:"unit"`
 	// EndNs is the virtual end time of the whole run; Topology the resolved
@@ -136,7 +142,7 @@ func Eval(s spec.Spec, h string, c *cache.Cache) ([]byte, bool, error) {
 // observability ownership rule.
 func evalCold(n spec.Spec, hash string) (Result, error) {
 	log := trace.New()
-	v, rep, err := runSpec(n, &Collector{Trace: log})
+	v, rep, err := runSpec(n, &Collector{log: log})
 	if err != nil {
 		return Result{}, err
 	}
@@ -167,9 +173,11 @@ func newResult(n spec.Spec, hash string, v float64, rep core.Report, log *trace.
 }
 
 // runSpec is the one door from a spec to a simulation: it runs the cell s
-// pins with col's instruments (a nil one records nothing) and returns its headline value in the workload's unit — one-way latency in ns
-// (net-latency), bytes/second (net-bandwidth), per-iteration ns (allreduce)
-// — and the run report. s must be valid (spec.Spec.Validate).
+// pins with col's instruments and returns its headline value in the
+// workload's unit — one-way latency in ns (net-latency), bytes/second
+// (net-bandwidth), per-iteration ns (allreduce), the timed section's total
+// in ns (jacobi, cg) — and the run report (an application's carries its end
+// only). s must be valid (spec.Spec.Validate).
 func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 	var rep core.Report
 	m, err := s.Model()
@@ -193,11 +201,94 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 			return 0, rep, err
 		}
 		per, rep, err := ScaleAllreduce(ScaleConfig{Model: m, Ranks: s.Ranks, Bytes: s.Bytes, Alg: alg,
-			Iters: s.Iters, Warmup: s.Warmup, Metrics: col.Metrics, Trace: col.Trace})
+			Iters: s.Iters, Warmup: s.Warmup, Metrics: col.Metrics, Trace: col.log})
 		return float64(per), rep, err
+	case spec.WorkloadJacobi, spec.WorkloadCG:
+		backend, err := s.BackendID()
+		if err != nil {
+			return 0, rep, err
+		}
+		impl, mode := s.Implementation()
+		if s.Workload == spec.WorkloadJacobi {
+			res, err := jacobi.Run(jacobi.Config{Model: m, NGPUs: s.Ranks, NX: s.NX, NY: s.NY,
+				Iters: s.Iters, Warmup: s.Warmup, Compute: s.Compute, Variant: impl, Backend: backend, Mode: mode,
+				Trace: col.log, Metrics: col.Metrics})
+			return float64(res.Total), core.Report{End: res.End}, err
+		}
+		mat, err := Matrix(s)
+		if err != nil {
+			return 0, rep, err
+		}
+		res, err := cg.Run(cg.Config{Model: m, NGPUs: s.Ranks, Matrix: mat, Iters: s.Iters,
+			DisableAllgatherv: s.NoAllgatherv, Variant: impl, Backend: backend, Mode: mode,
+			Trace: col.log, Metrics: col.Metrics})
+		return float64(res.Total), core.Report{End: res.End}, err
 	default:
 		return 0, rep, fmt.Errorf("bench: unknown workload %q", s.Workload)
 	}
+}
+
+// cgGenerators are the synthetic look-alikes a cg spec's serena and queen
+// matrices name.
+var cgGenerators = map[string]sparse.SyntheticSPDSpec{
+	spec.MatrixSerena: sparse.Serena(),
+	spec.MatrixQueen:  sparse.Queen4147(),
+}
+
+// maxMatrices bounds the CG systems Matrix keeps: the two of a Fig. 6 run.
+// A paper-scale phantom holds up to 33 MB of row offsets.
+const maxMatrices = 2
+
+// matrices holds the systems Matrix built last, least recently used first.
+var matrices struct {
+	sync.Mutex
+	recent []*builtMatrix
+	builds int // how many systems Matrix has built
+}
+
+// builtMatrix is one (matrix, scale) system, built once by whichever cell
+// asks first while the others wait.
+type builtMatrix struct {
+	name  string
+	scale float64
+	once  sync.Once
+	csr   *sparse.CSR
+}
+
+// Matrix returns the system the cg spec s names: the Serena- or
+// Queen_4147-like phantom at s.Scale (a modelled cell reads only row
+// offsets; DESIGN.md §11) or the 64x64x64 Laplacian. A run builds each
+// (matrix, scale) once — the cells of a sweep and the renderer that titles
+// them share it — while it stays among the maxMatrices last asked for.
+func Matrix(s spec.Spec) (*sparse.CSR, error) {
+	if err := spec.CheckMatrix(s.Matrix, s.Scale); err != nil {
+		return nil, err
+	}
+	matrices.Lock()
+	i := slices.IndexFunc(matrices.recent, func(b *builtMatrix) bool { return b.name == s.Matrix && b.scale == s.Scale })
+	var b *builtMatrix
+	if i >= 0 {
+		b = matrices.recent[i]
+		matrices.recent = slices.Delete(matrices.recent, i, i+1)
+	} else {
+		b = &builtMatrix{name: s.Matrix, scale: s.Scale}
+		if len(matrices.recent) == maxMatrices {
+			matrices.recent = slices.Delete(matrices.recent, 0, 1)
+		}
+	}
+	matrices.recent = append(matrices.recent, b)
+	matrices.Unlock()
+	b.once.Do(func() {
+		if gen, ok := cgGenerators[b.name]; ok {
+			b.csr = gen.Phantom(b.scale)
+		} else {
+			b.csr = sparse.Laplace3D(64, 64, 64)
+		}
+		matrices.Lock()
+		matrices.builds++
+		matrices.Unlock()
+	})
+	return b.csr, nil
 }
 
 // netConfig is the net cell s pins on the machine m, recording into col's
@@ -205,7 +296,7 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 func netConfig(s spec.Spec, m *machine.Model, col *Collector) (NetConfig, error) {
 	cfg := NetConfig{Model: m, Native: s.Native, Inter: s.Inter, Bytes: s.Bytes,
 		Iters: s.Iters, Warmup: s.Warmup, window: s.Window,
-		trace: col.Trace, metrics: col.Metrics}
+		trace: col.log, metrics: col.Metrics}
 	var err error
 	if cfg.Backend, err = s.BackendID(); err != nil {
 		return cfg, err
@@ -238,6 +329,10 @@ func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, erro
 			note = fmt.Sprintf("bandwidth %.4f GB/s", v/1e9)
 		case spec.WorkloadAllreduce:
 			note = fmt.Sprintf("per-iteration %s", sim.Duration(v))
+		case spec.WorkloadJacobi, spec.WorkloadCG:
+			total := sim.Duration(v)
+			note = fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
+				total/sim.Duration(s.Iters), s.Iters, total)
 		}
 		return v, col.Finish(s.String(), rep.End, note), err
 	})

@@ -9,9 +9,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/sloc"
-	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
-	"repro/internal/sparse"
 	"repro/internal/spec"
 )
 
@@ -237,20 +234,6 @@ func RunFig34(sc Scale, inter bool) ([]Figure, error) {
 	return figs, nil
 }
 
-// JacobiCells lays out one Jacobi run of base per (GPU count, column),
-// count-major: the row-major order of the tables printed from the results.
-func JacobiCells(base jacobi.Config, counts []int, cols []Variant) []jacobi.Config {
-	cells := make([]jacobi.Config, 0, len(counts)*len(cols))
-	for _, n := range counts {
-		for _, v := range cols {
-			c := v.jacobiConfig(base)
-			c.NGPUs = n
-			cells = append(cells, c)
-		}
-	}
-	return cells
-}
-
 // RunFig5 reproduces the Jacobi scaling study (Fig. 5): per-iteration time
 // for 4..64 GPUs on all three machines, native vs UNICONN per backend.
 func RunFig5(sc Scale) ([]Figure, error) {
@@ -267,21 +250,17 @@ func RunFig5(sc Scale) ([]Figure, error) {
 	}
 	machines := machine.All()
 	perMachine := make([][]Variant, len(machines))
-	var cells []jacobi.Config
+	var cells []spec.Spec
 	for mi, m := range machines {
 		perMachine[mi] = Variants(Libs(m, false))
-		base := jacobi.Config{Model: m, NX: ny, NY: ny, Iters: iters, Warmup: warmup}
-		cells = append(cells, JacobiCells(base, gpuCounts, perMachine[mi])...)
+		base := spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, NX: ny, NY: ny, Iters: iters, Warmup: warmup}
+		cells = append(cells, Cells(base, gpuCounts, perMachine[mi])...)
 	}
-	results, _, err := Sweep(nil, len(cells), func(i int, _ *Collector) (jacobi.Result, CellProfile, error) {
-		res, err := jacobi.Run(cells[i])
-		return res, CellProfile{}, err
-	})
+	totals, _, err := SweepSpecs(nil, cells)
 	if err != nil {
 		return nil, err
 	}
 	var figs []Figure
-	idx := 0
 	for mi, m := range machines {
 		fig := Figure{id: "Fig5", title: fmt.Sprintf("Jacobi 2D, %s (grid %d x %d)", m.Name, ny, ny),
 			xLabel: "GPUs", yLabel: "time per iteration (us)"}
@@ -289,8 +268,8 @@ func RunFig5(sc Scale) ([]Figure, error) {
 		ys := make([][]float64, len(cols))
 		for range gpuCounts {
 			for vi := range cols {
-				ys[vi] = append(ys[vi], results[idx].PerIter.Micros())
-				idx++
+				ys[vi] = append(ys[vi], (sim.Duration(totals[0]) / sim.Duration(iters)).Micros())
+				totals = totals[1:]
 			}
 		}
 		for vi, v := range cols {
@@ -319,28 +298,29 @@ func fig6Sizing(sc Scale) (scale float64, iters int) {
 	return 0.05, 30
 }
 
-// fig6Col is one bar of Fig. 6.
-type fig6Col struct {
+// fig6Bar is one bar of Fig. 6: its label and its cell.
+type fig6Bar struct {
 	label string
-	cfg   cg.Config
+	spec  spec.Spec
 }
 
-// fig6Cols lists the bars of one Fig. 6 panel: every column of the backend
-// table, with the §VI-D no-Allgatherv ablation of the host libraries' native
-// versions between the host-library and the GPUSHMEM bars.
-func fig6Cols(base cg.Config) []fig6Col {
-	var host, ablation, shmem []fig6Col
-	for _, v := range Variants(Libs(base.Model, false)) {
-		c := fig6Col{v.app + v.Impl(), v.CGConfig(base)}
+// fig6Bars lists the bars of one Fig. 6 panel, the cell base on machine m:
+// every column of the backend table, with the §VI-D no-Allgatherv ablation
+// of the host libraries' native versions between the host-library and the
+// GPUSHMEM bars.
+func fig6Bars(m *machine.Model, base spec.Spec) []fig6Bar {
+	var host, ablation, shmem []fig6Bar
+	for _, v := range Variants(Libs(m, false)) {
+		b := fig6Bar{v.app + v.Impl(), v.Spec(base)}
 		if v.Backend == core.GpushmemBackend {
-			shmem = append(shmem, c)
+			shmem = append(shmem, b)
 			continue
 		}
-		host = append(host, c)
+		host = append(host, b)
 		if v.Native {
-			c.label += ":no-allgatherv"
-			c.cfg.DisableAllgatherv = true
-			ablation = append(ablation, c)
+			b.label += ":no-allgatherv"
+			b.spec.NoAllgatherv = true
+			ablation = append(ablation, b)
 		}
 	}
 	return append(append(host, ablation...), shmem...)
@@ -349,68 +329,61 @@ func fig6Cols(base cg.Config) []fig6Col {
 // RunFig6 reproduces the CG study (Fig. 6): total runtime on 8 GPUs / 2
 // nodes on Perlmutter and LUMI for the Serena-like and Queen-like matrices,
 // plus the no-Allgatherv ablation isolating the MPI collective bottleneck.
+// Every cell is modelled, so the matrices are phantoms (Matrix), built once
+// each and shared read-only across machines and variants.
 func RunFig6(sc Scale) ([]Figure, error) {
 	scale, iters := fig6Sizing(sc)
-	specs := []sparse.SyntheticSPDSpec{sparse.Serena(), sparse.Queen4147()}
-	// Every cell is modelled, so it reads only row counts: the matrices are
-	// phantoms (DESIGN.md §11), built once per spec and shared read-only
-	// across machines and variants.
-	mats := make([]*sparse.CSR, len(specs))
-	for i, spec := range specs {
-		mats[i] = spec.Phantom(scale)
-	}
 	machines := []*machine.Model{machine.Perlmutter(), machine.LUMI()}
-	var panels [][]fig6Col
-	var cells []cg.Config
+	systems := []string{spec.MatrixSerena, spec.MatrixQueen}
+	var panels [][]fig6Bar
+	var cells []spec.Spec
 	for _, m := range machines {
-		for _, mat := range mats {
-			cols := fig6Cols(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: iters})
-			panels = append(panels, cols)
-			for _, c := range cols {
-				cells = append(cells, c.cfg)
+		for _, mat := range systems {
+			bars := fig6Bars(m, spec.Spec{Workload: spec.WorkloadCG, Machine: m.Name, Ranks: 8,
+				Matrix: mat, Scale: scale, Iters: iters})
+			panels = append(panels, bars)
+			for _, b := range bars {
+				cells = append(cells, b.spec)
 			}
 		}
 	}
-	runs, _, err := Sweep(nil, len(cells), func(i int, _ *Collector) (cg.Result, CellProfile, error) {
-		res, err := cg.Run(cells[i])
-		return res, CellProfile{}, err
-	})
+	totals, _, err := SweepSpecs(nil, cells)
 	if err != nil {
 		return nil, err
 	}
 	var figs []Figure
-	idx, panel := 0, 0
-	for _, m := range machines {
-		for si, spec := range specs {
-			mat := mats[si]
-			fig := Figure{
-				id: "Fig6",
-				title: fmt.Sprintf("CG on 8 GPUs, %s, %s (%d rows, %d nnz)",
-					m.Name, spec.Name, mat.Rows, mat.NNZ()),
-				xLabel: "variant", yLabel: "total time (ms)",
-			}
-			results := map[string]sim.Duration{}
-			for i, c := range panels[panel] {
-				total := runs[idx].Total
-				idx++
-				results[c.label] = total
-				fig.series = append(fig.series, series{
-					label: c.label, x: []float64{float64(i)},
-					y: []float64{float64(total) / float64(sim.Millisecond)},
-				})
-			}
-			panel++
-			// Headline notes: UNICONN-vs-native diffs and the MPI anomaly.
-			for _, l := range Libs(m, false) {
-				fig.notes = append(fig.notes, fmt.Sprintf("%s UNICONN diff: %s",
-					l.app, pct(percentDiff(results[l.app+":Uniconn"], results[l.app+":Native"]))))
-			}
-			fig.notes = append(fig.notes, fmt.Sprintf(
-				"MPI/GPUCCL runtime ratio: %.2fx with Allgatherv, %.2fx without",
-				float64(results["MPI:Native"])/float64(results["GPUCCL:Native"]),
-				float64(results["MPI:Native:no-allgatherv"])/float64(results["GPUCCL:Native:no-allgatherv"])))
-			figs = append(figs, fig)
+	for pi, bars := range panels {
+		m, s := machines[pi/len(systems)], bars[0].spec
+		mat, err := Matrix(s)
+		if err != nil {
+			return nil, err
 		}
+		fig := Figure{
+			id: "Fig6",
+			title: fmt.Sprintf("CG on 8 GPUs, %s, %s (%d rows, %d nnz)",
+				m.Name, cgGenerators[s.Matrix].Name, mat.Rows, mat.NNZ()),
+			xLabel: "variant", yLabel: "total time (ms)",
+		}
+		results := map[string]sim.Duration{}
+		for i, b := range bars {
+			total := sim.Duration(totals[0])
+			totals = totals[1:]
+			results[b.label] = total
+			fig.series = append(fig.series, series{
+				label: b.label, x: []float64{float64(i)},
+				y: []float64{float64(total) / float64(sim.Millisecond)},
+			})
+		}
+		// Headline notes: UNICONN-vs-native diffs and the MPI anomaly.
+		for _, l := range Libs(m, false) {
+			fig.notes = append(fig.notes, fmt.Sprintf("%s UNICONN diff: %s",
+				l.app, pct(percentDiff(results[l.app+":Uniconn"], results[l.app+":Native"]))))
+		}
+		fig.notes = append(fig.notes, fmt.Sprintf(
+			"MPI/GPUCCL runtime ratio: %.2fx with Allgatherv, %.2fx without",
+			float64(results["MPI:Native"])/float64(results["GPUCCL:Native"]),
+			float64(results["MPI:Native:no-allgatherv"])/float64(results["GPUCCL:Native:no-allgatherv"])))
+		figs = append(figs, fig)
 	}
 	return figs, nil
 }

@@ -64,7 +64,7 @@ func ffRun(s spec.Spec, full bool) (ffAnswer, error) {
 		return ffAnswer{}, err
 	}
 	log := trace.New()
-	cfg, err := netConfig(n, m, &Collector{Trace: log})
+	cfg, err := netConfig(n, m, &Collector{log: log})
 	if err != nil {
 		return ffAnswer{}, err
 	}
@@ -226,7 +226,7 @@ func TestFoldedPaperCountLog(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	log := trace.New()
-	v, rep, err := runSpec(s, &Collector{Trace: log})
+	v, rep, err := runSpec(s, &Collector{log: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,6 @@ package bench
 import (
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/solver"
-	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
 	"repro/internal/spec"
 )
 
@@ -25,17 +22,14 @@ type Lib struct {
 	// abbreviate (SHMEM-D), the application figures keep the library name
 	// (GPUSHMEM-D), the network figures spell the API out (GPUSHMEM-Device).
 	CLI, app, net string
-
-	// The native implementation the row's UNICONN column is compared with.
-	native solver.Variant
 }
 
 var libTable = []Lib{
-	{core.MPIBackend, machine.APIHost, core.PureHost, "MPI", "MPI", "MPI", solver.NativeMPI},
-	{core.GpucclBackend, machine.APIHost, core.PureHost, "GPUCCL", "GPUCCL", "GPUCCL", solver.NativeGPUCCL},
-	{core.GpushmemBackend, machine.APIHost, core.PureHost, "SHMEM-H", "GPUSHMEM-H", "GPUSHMEM-Host", solver.NativeGPUSHMEMHost},
-	{core.GpushmemBackend, machine.APIHost, core.PartialDevice, "SHMEM-P", "", "", solver.Uniconn},
-	{core.GpushmemBackend, machine.APIDevice, core.PureDevice, "SHMEM-D", "GPUSHMEM-D", "GPUSHMEM-Device", solver.NativeGPUSHMEMDevice},
+	{core.MPIBackend, machine.APIHost, core.PureHost, "MPI", "MPI", "MPI"},
+	{core.GpucclBackend, machine.APIHost, core.PureHost, "GPUCCL", "GPUCCL", "GPUCCL"},
+	{core.GpushmemBackend, machine.APIHost, core.PureHost, "SHMEM-H", "GPUSHMEM-H", "GPUSHMEM-Host"},
+	{core.GpushmemBackend, machine.APIHost, core.PartialDevice, "SHMEM-P", "", ""},
+	{core.GpushmemBackend, machine.APIDevice, core.PureDevice, "SHMEM-D", "GPUSHMEM-D", "GPUSHMEM-Device"},
 }
 
 // Libs returns the rows available on the machine, in the paper's plotting
@@ -84,30 +78,25 @@ func (v Variant) Impl() string {
 	return ":Uniconn"
 }
 
-// Spec returns base configured to run this column's microbenchmark.
+// Spec returns base configured to run this column: its backend, API and
+// implementation, the partial-device launch as spec.APIPartial.
 func (v Variant) Spec(base spec.Spec) spec.Spec {
 	base.Backend, base.API, base.Native = v.Backend.String(), v.API.String(), v.Native
-	return base
-}
-
-// jacobiConfig returns base configured to run this column's Jacobi
-// implementation.
-func (v Variant) jacobiConfig(base jacobi.Config) jacobi.Config {
-	base.Variant, base.Backend, base.Mode = v.impl(), v.Backend, v.mode
-	return base
-}
-
-// CGConfig returns base configured to run this column's CG implementation.
-func (v Variant) CGConfig(base cg.Config) cg.Config {
-	base.Variant, base.Backend, base.Mode = v.impl(), v.Backend, v.mode
-	return base
-}
-
-// impl is the column's implementation: the row's native variant, or UNICONN
-// on the row's backend and launch mode (which a native variant ignores).
-func (v Variant) impl() solver.Variant {
-	if v.Native {
-		return v.native
+	if v.mode == core.PartialDevice {
+		base.API = spec.APIPartial
 	}
-	return solver.Uniconn
+	return base
+}
+
+// Cells lays out one cell of base per (rank count, column), count-major: the
+// row-major order of the tables printed from the results.
+func Cells(base spec.Spec, ranks []int, cols []Variant) []spec.Spec {
+	cells := make([]spec.Spec, 0, len(ranks)*len(cols))
+	for _, n := range ranks {
+		base.Ranks = n
+		for _, v := range cols {
+			cells = append(cells, v.Spec(base))
+		}
+	}
+	return cells
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -160,13 +160,31 @@ func TestPhantomEqualsReal(t *testing.T) {
 	bothWays(t, 2*len(cols), func(i int, compute bool) (string, answer, error) {
 		v, log := cols[i/2], trace.New()
 		if i%2 == 0 {
-			r, err := jacobi.Run(v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: nx, NY: nx,
-				Iters: 60, Warmup: 10, Compute: compute, Trace: log}))
-			return "jacobi/" + v.app + v.Impl(), answer{float64(r.PerIter), r.End, spansOf(log)}, err
+			s := v.Spec(spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, Ranks: 64, NX: nx, NY: nx,
+				Iters: 60, Warmup: 10, Compute: compute})
+			total, rep, err := runSpec(s, &Collector{log: log})
+			return "jacobi/" + v.app + v.Impl(), answer{total, rep.End, spansOf(log)}, err
 		}
-		r, err := cg.Run(v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 30, Compute: compute, Trace: log}))
+		s := v.Spec(spec.Spec{Workload: spec.WorkloadCG, Machine: m.Name, Ranks: 8, Iters: 30})
+		r, err := cgRun(s, mat, compute, log)
 		return "cg/" + v.app + v.Impl(), answer{float64(r.Total), r.End, spansOf(log)}, err
 	})
+}
+
+// cgRun runs the cg spec s as runSpec does, but on the matrix mat, which
+// may hold entries, functionally when compute is set, recording into log.
+func cgRun(s spec.Spec, mat *sparse.CSR, compute bool, log *trace.Log) (cg.Result, error) {
+	m, err := s.Model()
+	if err != nil {
+		return cg.Result{}, err
+	}
+	backend, err := s.BackendID()
+	if err != nil {
+		return cg.Result{}, err
+	}
+	impl, mode := s.Implementation()
+	return cg.Run(cg.Config{Model: m, NGPUs: s.Ranks, Matrix: mat, Iters: s.Iters, Compute: compute,
+		DisableAllgatherv: s.NoAllgatherv, Variant: impl, Backend: backend, Mode: mode, Trace: log})
 }
 
 // allocated reports the bytes the heap handed out while fn ran (everything
@@ -205,9 +223,10 @@ func TestPhantomAllocationBudget(t *testing.T) {
 	}
 	m := machine.Perlmutter()
 	for _, v := range Variants(Libs(m, false)) {
-		cfg := v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 64, NX: 4096, NY: 4096, Iters: 60, Warmup: 10})
+		s := v.Spec(spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, Ranks: 64, NX: 4096, NY: 4096,
+			Iters: 60, Warmup: 10})
 		got, _ := allocated(func() {
-			if _, err := jacobi.Run(cfg); err != nil {
+			if _, _, err := runSpec(s, &Collector{}); err != nil {
 				t.Fatalf("jacobi %s%s: %v", v.app, v.Impl(), err)
 			}
 		})
@@ -230,43 +249,39 @@ func TestPhantomAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestFig6PhantomMatrix is the oracle of the phantom matrix: every column of
+// TestFig6PhantomMatrix is the oracle of the phantom matrix: every bar of
 // every quick Fig 6 panel answers the same — total (and so per-iteration)
-// time, end of run, every span — on Generate's CSR as on the phantom that
-// RunFig6 hands it, which holds the same row offsets and no entries. Under
-// -short or the race detector the matrices are a fifth the size.
+// time, end of run, every span — on Generate's CSR as through the door
+// RunFig6 takes (runSpec), which hands the cell the phantom: the same row
+// offsets and no entries. Under -short or the race detector the matrices are
+// a fifth the size.
 func TestFig6PhantomMatrix(t *testing.T) {
 	scale, iters := fig6Sizing(Quick)
 	if testing.Short() || raceEnabled {
 		scale /= 5
 	}
-	specs := []sparse.SyntheticSPDSpec{sparse.Serena(), sparse.Queen4147()}
-	csr, phantom := make([]*sparse.CSR, len(specs)), make([]*sparse.CSR, len(specs))
-	for i, s := range specs {
-		csr[i], phantom[i] = s.Generate(scale), s.Phantom(scale)
+	csr := map[string]*sparse.CSR{}
+	for name, gen := range cgGenerators {
+		csr[name] = gen.Generate(scale)
 	}
-	type cell struct {
-		label string
-		col   fig6Col
-		mat   int
-	}
-	var cells []cell
+	var bars []fig6Bar
 	for _, m := range []*machine.Model{machine.Perlmutter(), machine.LUMI()} {
-		for i, s := range specs {
-			for _, c := range fig6Cols(cg.Config{Model: m, NGPUs: 8, Iters: iters}) {
-				cells = append(cells, cell{m.Name + "/" + s.Name + "/" + c.label, c, i})
+		for _, mat := range []string{spec.MatrixSerena, spec.MatrixQueen} {
+			for _, b := range fig6Bars(m, spec.Spec{Workload: spec.WorkloadCG, Machine: m.Name, Ranks: 8,
+				Matrix: mat, Scale: scale, Iters: iters}) {
+				b.label = m.Name + "/" + mat + "/" + b.label
+				bars = append(bars, b)
 			}
 		}
 	}
-	bothWays(t, len(cells), func(i int, real bool) (string, answer, error) {
-		c, log := cells[i], trace.New()
-		cfg := c.col.cfg
-		cfg.Matrix, cfg.Trace = phantom[c.mat], log
+	bothWays(t, len(bars), func(i int, real bool) (string, answer, error) {
+		b, log := bars[i], trace.New()
 		if real {
-			cfg.Matrix = csr[c.mat]
+			r, err := cgRun(b.spec, csr[b.spec.Matrix], false, log)
+			return b.label, answer{float64(r.Total), r.End, spansOf(log)}, err
 		}
-		r, err := cg.Run(cfg)
-		return c.label, answer{float64(r.Total), r.End, spansOf(log)}, err
+		total, rep, err := runSpec(b.spec, &Collector{log: log})
+		return b.label, answer{total, rep.End, spansOf(log)}, err
 	})
-	t.Logf("%d Fig 6 columns at scale %g", len(cells), scale)
+	t.Logf("%d Fig 6 bars at scale %g", len(bars), scale)
 }

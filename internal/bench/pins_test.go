@@ -16,8 +16,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/solver/cg"
-	"repro/internal/solver/jacobi"
 	"repro/internal/sparse"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -123,18 +121,21 @@ func pinnedAnswers(t *testing.T) []string {
 	}
 	m := machine.Perlmutter()
 	mat := sparse.Serena().Generate(0.002)
+	const jacobiIters, cgIters = 4, 5
 	for _, v := range Variants(Libs(m, false)) {
 		jl, cl := trace.New(), trace.New()
-		jr, err := jacobi.Run(v.jacobiConfig(jacobi.Config{Model: m, NGPUs: 8, NX: 256, NY: 256, Iters: 4, Warmup: 1, Trace: jl}))
+		total, rep, err := runSpec(v.Spec(spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, Ranks: 8,
+			NX: 256, NY: 256, Iters: jacobiIters, Warmup: 1}), &Collector{log: jl})
 		if err != nil {
 			t.Fatalf("jacobi %s%s: %v", v.net, v.Impl(), err)
 		}
-		lines = append(lines, fmt.Sprintf("jacobi/%s%s per_iter=%d total=%d end=%d %s", v.net, v.Impl(), jr.PerIter, jr.Total, jr.End, spanDigest(jl)))
-		cr, err := cg.Run(v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 5, Trace: cl}))
+		jt := sim.Duration(total)
+		lines = append(lines, fmt.Sprintf("jacobi/%s%s per_iter=%d total=%d end=%d %s", v.net, v.Impl(), jt/jacobiIters, jt, rep.End, spanDigest(jl)))
+		cr, err := cgRun(v.Spec(spec.Spec{Workload: spec.WorkloadCG, Machine: m.Name, Ranks: 8, Iters: cgIters}), mat, false, cl)
 		if err != nil {
 			t.Fatalf("cg %s%s: %v", v.net, v.Impl(), err)
 		}
-		lines = append(lines, fmt.Sprintf("cg/%s%s per_iter=%d total=%d end=%d %s", v.net, v.Impl(), cr.PerIter, cr.Total, cr.End, spanDigest(cl)))
+		lines = append(lines, fmt.Sprintf("cg/%s%s per_iter=%d total=%d end=%d %s", v.net, v.Impl(), cr.Total/cgIters, cr.Total, cr.End, spanDigest(cl)))
 	}
 	return append(lines, "gpuccl-mixed-group "+pinMixedGroup(t))
 }

@@ -29,7 +29,7 @@ import (
 // span log to hand to that cell's run configuration. Either may be nil.
 type Collector struct {
 	Metrics *metrics.Registry
-	Trace   *trace.Log
+	log     *trace.Log
 
 	live *telemetry.Tracker
 }
@@ -43,8 +43,8 @@ func (c *Collector) Finish(label string, end sim.Time, notes ...string) CellProf
 		cp.metrics = c.Metrics.Snapshot()
 		c.live.AddSnapshot(cp.metrics) // nil-safe
 	}
-	if c.Trace != nil {
-		cp.spans = c.Trace.Sorted()
+	if c.log != nil {
+		cp.spans = c.log.Sorted()
 	}
 	return cp
 }
@@ -113,7 +113,7 @@ func StartLive(addr, label string) (*Observe, func(), error) {
 func (o *Observe) cell() *Collector {
 	switch {
 	case o != nil && o.profile:
-		return &Collector{Metrics: metrics.New(), Trace: trace.New(), live: o.live}
+		return &Collector{Metrics: metrics.New(), log: trace.New(), live: o.live}
 	case o != nil && o.live != nil:
 		return &Collector{Metrics: metrics.New(), live: o.live}
 	default:
@@ -132,6 +132,9 @@ type CellProfile struct {
 	metrics metrics.Snapshot
 	spans   *trace.View
 }
+
+// Spans is the cell's span log (empty for a cell that recorded none).
+func (c CellProfile) Spans() *trace.View { return c.spans }
 
 // Transfers counts the fabric transfers in the cell's span log (zero for a
 // cell that recorded no spans).

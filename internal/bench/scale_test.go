@@ -181,11 +181,11 @@ func TestScaleMemoryBudget(t *testing.T) {
 
 // TestFig6PaperScaleMemory runs Fig 6 at the paper's sizing — Serena-like
 // (1.39 M rows, 62.6 M nnz) and Queen_4147-like (4.15 M rows, 327 M nnz),
-// 10 000 iterations — and fails if the process's peak RSS exceeds 1 GiB. The
-// cells are modelled, so the matrices are phantoms: row offsets only, 44 MB
-// for the two, where the CSRs are over 4 GB. It peaks near 285 MiB, most of
-// it the simulation's own garbage. It runs in a child for the reason
-// TestScaleMemoryBudget does.
+// 10 000 iterations — and fails if the process's peak RSS exceeds 1 GiB, or
+// if the run builds either matrix more than once. The cells are modelled, so
+// the matrices are phantoms: row offsets only, 44 MB for the two, where the
+// CSRs are over 4 GB. It peaks near 285 MiB, most of it the simulation's own
+// garbage. It runs in a child for the reason TestScaleMemoryBudget does.
 func TestFig6PaperScaleMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies RSS; run without -race")
@@ -214,6 +214,12 @@ func TestFig6PaperScaleMemory(t *testing.T) {
 	}
 	if len(figs) != 4 {
 		t.Fatalf("%d Fig 6 panels, want 4", len(figs))
+	}
+	matrices.Lock()
+	builds := matrices.builds
+	matrices.Unlock()
+	if builds != 2 {
+		t.Errorf("paper-scale Fig 6 built %d matrices, want Serena and Queen once each", builds)
 	}
 	hwm := vmHWMBytes(t)
 	t.Logf("peak RSS %s of a %s budget", HumanBytes(hwm), HumanBytes(budget))

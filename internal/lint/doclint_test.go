@@ -83,8 +83,7 @@ var identAllowlist = map[string]string{}
 const maxIdentAllowlist = 0
 
 // declaredNames maps every name the module declares, at any scope and in its
-// test files too, to the objects it names. A package of test files alone,
-// as this one is, is not indexed.
+// test files too, to the objects it names.
 func declaredNames(m *module) (map[string][]types.Object, error) {
 	test, errs := m.testInfo()
 	if len(errs) > 0 {
@@ -402,9 +401,10 @@ func TestDocLintFixture(t *testing.T) {
 
 // TestDocIdentFixture pins the bare-identifier rule on a synthetic document:
 // a type, an exported and an unexported method, a field and a test function
-// all resolve, and neither an all-caps word nor a package-qualified name is
-// read as one; a name declared nowhere (SerenaLike) and a member its type
-// does not have are each reported.
+// all resolve — one declared in a package of test files alone, as this one
+// is — and neither an all-caps word nor a package-qualified name is read as
+// one; a name declared nowhere (SerenaLike) and a member its type does not
+// have are each reported.
 func TestDocIdentFixture(t *testing.T) {
 	m := repo(t)
 	names, err := declaredNames(m)
@@ -414,6 +414,7 @@ func TestDocIdentFixture(t *testing.T) {
 	text := strings.Join([]string{
 		"`SyntheticSPDSpec` `SerenaLike` `View.walk` `Log.Sorted` `Config.Metrics`",
 		"`TestRepeatFolds` `GOMAXPROCS` `json.Decoder` `View.Frobnicate`",
+		"`TestDocLint` `TestStdout`",
 	}, "\n")
 	want := []finding{
 		{"SerenaLike", "doc:1: the module declares no such identifier"},

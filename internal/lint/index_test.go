@@ -156,7 +156,9 @@ func (m *module) parseDir(dir string) error {
 			m.file[m.fset.File(f.Pos())] = p
 		}
 	}
-	if len(p.files) > 0 {
+	// A package of test files alone, as this one is, is indexed too: its
+	// declarations are among the names the documents may cite.
+	if len(p.files)+len(p.tests)+len(p.xtests) > 0 {
 		m.pkgs[path] = p
 	}
 	return nil

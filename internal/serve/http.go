@@ -5,9 +5,10 @@ package serve
 //	POST /query    one spec as JSON → the canonical result document.
 //	               Response headers: X-Uniconn-Spec-Hash (the content
 //	               address) and X-Uniconn-Cache (hit|miss|coalesced).
-//	               400 on malformed/unrunnable specs or bytes after the
-//	               document, 413 on any body past maxQueryBytes, 503 under
-//	               load shed or shutdown, 500 on evaluation failure.
+//	               400 on malformed/unrunnable specs, application (jacobi,
+//	               cg) specs or bytes after the document, 413 on any body
+//	               past maxQueryBytes, 503 under load shed or shutdown, 500
+//	               on evaluation failure.
 //	GET  /stats    the service's operational snapshot (Stats).
 //
 // Everything else falls through to the telemetry plane's handler when one
@@ -64,7 +65,7 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("bad spec JSON: %v", err), code)
 		return
 	}
-	if err := s.Validate(); err != nil {
+	if err := admit(s); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -111,15 +111,30 @@ func New(opts Options) *Service {
 	return sv
 }
 
-// Query answers one spec, refusing an invalid one. The source says how: "hit"
-// (from the cache), "miss" (this call simulated it) or "coalesced" (joined
-// another query's pending call). Blocks until the answer is ready; under
-// overload or shutdown it fails fast with errOverloaded / errClosed.
+// Query answers one spec, refusing one admit refuses. The source says how:
+// "hit" (from the cache), "miss" (this call simulated it) or "coalesced"
+// (joined another query's pending call). Blocks until the answer is ready;
+// under overload or shutdown it fails fast with errOverloaded / errClosed.
 func (sv *Service) Query(s spec.Spec) (body []byte, source string, err error) {
-	if err := s.Validate(); err != nil {
+	if err := admit(s); err != nil {
 		return nil, "", err
 	}
 	return sv.query(s, s.Hash())
+}
+
+// admit refuses, before the cache is consulted, a spec that is invalid or
+// that names an application cell. One application cell can hold a slot for
+// long and a lot of memory (a 64-GPU Jacobi cell of 10 000 iterations takes
+// 35 s and 2.75 GiB), and the admission bounds cannot tell such a cell from
+// a small one until they estimate its cost (ROADMAP 5d).
+func admit(s spec.Spec) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if s.Workload == spec.WorkloadJacobi || s.Workload == spec.WorkloadCG {
+		return fmt.Errorf("serve: %s cells are not served until admission estimates a cell's cost (ROADMAP 5d)", s.Workload)
+	}
+	return nil
 }
 
 // query is Query for a validated spec whose hash h the caller already holds.

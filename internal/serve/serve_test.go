@@ -51,6 +51,44 @@ func TestQueryHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAppSpecsRefused: a jacobi or a cg spec, valid as a spec, gets a 400
+// naming the admission item that lifts the refusal, from the handler and
+// from Query alike. It is refused before the cache is consulted — a body
+// stored under its address is not served — and nothing is counted or
+// simulated.
+func TestAppSpecsRefused(t *testing.T) {
+	c := cache.New(cache.Options{})
+	sv := New(Options{Cache: c})
+	defer sv.Close()
+	evals := 0
+	sv.eval = func(spec.Spec, string, *cache.Cache) ([]byte, bool, error) {
+		evals++
+		return nil, false, fmt.Errorf("simulated")
+	}
+	h := NewHandler(sv, nil)
+	for _, doc := range []string{
+		`{"workload":"jacobi","ranks":64,"nx":4096,"ny":4096,"iters":10000}`,
+		`{"workload":"cg","ranks":8,"matrix":"serena","scale":0.05,"iters":30}`,
+	} {
+		s, err := spec.Decode([]byte(doc))
+		if err != nil || s.Validate() != nil {
+			t.Fatalf("%s: decode %v, validate %v; want a valid spec", doc, err, s.Validate())
+		}
+		c.Put(s.Hash(), []byte("stored\n"))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(doc)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "ROADMAP 5d") {
+			t.Errorf("%s: status %d, body %q; want 400 naming ROADMAP 5d", doc, rec.Code, rec.Body)
+		}
+		if body, _, err := sv.Query(s); err == nil || body != nil {
+			t.Errorf("%s: Query answered %q, %v; want a refusal", doc, body, err)
+		}
+	}
+	if st := sv.Stats(); evals != 0 || st.Queries != 0 || st.Batches != 0 {
+		t.Errorf("%d evaluations, stats %+v; want nothing counted or simulated", evals, st)
+	}
+}
+
 // gate holds every evaluation at the eval seam: each miss's spec arrives on
 // entered as it reaches eval, and it runs only when the test sends on
 // release, through then (bench.Eval unless the test replaces it before any

@@ -67,8 +67,9 @@ type Config struct {
 
 // Result reports one run.
 type Result struct {
+	// Total is the timed-section duration; a figure per iteration is Total
+	// over Iters.
 	Total    sim.Duration
-	PerIter  sim.Duration
 	residual float64 // final squared residual norm (functional runs)
 	// End is the virtual time at which the whole run finished — the
 	// profiler's attribution horizon.
@@ -108,7 +109,7 @@ func (cfg Config) run() (Result, int, error) {
 	if err != nil {
 		return Result{}, simulated, err
 	}
-	return Result{Total: total, PerIter: total / sim.Duration(cfg.Iters), residual: perRank[0].residual, End: end}, simulated, nil
+	return Result{Total: total, residual: perRank[0].residual, End: end}, simulated, nil
 }
 
 // bodies is each variant's rank body, in solver.Variant order.

@@ -64,7 +64,7 @@ func TestAllVariantsMatchSerialResidual(t *testing.T) {
 					if rel := math.Abs(res.residual-want) / (math.Abs(want) + 1e-30); rel > 1e-9 {
 						t.Fatalf("residual %v, want %v (rel %v)", res.residual, want, rel)
 					}
-					if res.PerIter <= 0 {
+					if res.Total <= 0 {
 						t.Fatal("no time elapsed")
 					}
 				})

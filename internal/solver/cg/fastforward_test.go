@@ -13,8 +13,17 @@ import (
 	"repro/internal/solver"
 	"repro/internal/solver/cg"
 	"repro/internal/sparse"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
+
+// column is base configured as the column v runs it: the implementation
+// and launch mode its spec names, as the harness's runSpec configures them.
+func column(base cg.Config, v bench.Variant) cg.Config {
+	base.Backend = v.Backend
+	base.Variant, base.Mode = v.Spec(spec.Spec{}).Implementation()
+	return base
+}
 
 // ffCompare runs cfg fast-forwarded and in full, and returns how many
 // iterations rank 0 simulated fast-forwarded and the first difference
@@ -82,7 +91,7 @@ func TestSolverFastForwardEqualsFull(t *testing.T) {
 			continue // the race detector's tenfold cost: the apps-backends cells only
 		}
 		for _, v := range bench.Variants(bench.Libs(m, false)) {
-			c := v.CGConfig(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 100})
+			c := column(cg.Config{Model: m, NGPUs: 8, Matrix: mat, Iters: 100}, v)
 			cells = append(cells, cell{c, v, fmt.Sprintf("%s/%s%s", m.Name, v.CLI, v.Impl())})
 		}
 	}
@@ -132,7 +141,7 @@ func TestSolverFastForwardPaperCounts(t *testing.T) {
 		if err != nil || simulated*100 > cfg.Iters {
 			t.Errorf("rank 0 simulated %d of %d iterations (err %v)", simulated, cfg.Iters, err)
 		}
-		if fast.PerIter <= 0 {
+		if fast.Total <= 0 {
 			t.Errorf("fast-forwarded %+v", fast)
 		}
 		return
@@ -167,7 +176,7 @@ func FuzzSolverFastForward(f *testing.F) {
 		n := 2 + r.IntN(15)
 		// At least 2·2·4 = 16 rows: one per GPU.
 		mat := sparse.Laplace3D(2+r.IntN(7), 2+r.IntN(7), 4+r.IntN(5))
-		cfg := col.CGConfig(cg.Config{Model: m, NGPUs: n, Matrix: mat, Iters: 1 + r.IntN(60)})
+		cfg := column(cg.Config{Model: m, NGPUs: n, Matrix: mat, Iters: 1 + r.IntN(60)}, col)
 		if _, d, err := ffCompare(cfg); err != nil || d != "" {
 			t.Errorf("%s/%s%s %d GPUs %d rows, %d iterations: %s%v", m.Name, col.CLI, col.Impl(),
 				n, mat.Rows, cfg.Iters, d, err)
@@ -188,7 +197,7 @@ func TestLUMIQueenGPUCCLSchedules(t *testing.T) {
 		if v.Backend != core.GpucclBackend {
 			continue
 		}
-		cfg := v.CGConfig(cg.Config{Model: machine.LUMI(), NGPUs: 8, Matrix: mat, Iters: 100})
+		cfg := column(cg.Config{Model: machine.LUMI(), NGPUs: 8, Matrix: mat, Iters: 100}, v)
 		k, period, chain, err := cg.SteadyState(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -13,10 +13,19 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/solver/jacobi"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
 var machines = []*machine.Model{machine.Perlmutter(), machine.LUMI(), machine.MareNostrum5()}
+
+// column is base configured as the column v runs it: the implementation
+// and launch mode its spec names, as the harness's runSpec configures them.
+func column(base jacobi.Config, v bench.Variant) jacobi.Config {
+	base.Backend = v.Backend
+	base.Variant, base.Mode = v.Spec(spec.Spec{}).Implementation()
+	return base
+}
 
 // ffCompare runs cfg fast-forwarded and in full, and returns how many
 // iterations rank 0 simulated fast-forwarded and the first difference
@@ -90,10 +99,10 @@ func TestSolverFastForwardEqualsFull(t *testing.T) {
 			if shape.paper && raceEnabled && m.Name != "Perlmutter" {
 				continue // the race detector's tenfold cost: the apps-backends cells only
 			}
-			for i, c := range bench.JacobiCells(shape.cfg, []int{shape.cfg.NGPUs}, cols) {
-				label := fmt.Sprintf("%s/%d GPUs/%s%s", m.Name, c.NGPUs, cols[i].CLI, cols[i].Impl())
-				mpi := cols[i].Backend == core.MPIBackend
-				cells = append(cells, cell{c, label, mpi, shape.paper && m.Name == "Perlmutter"})
+			for _, v := range cols {
+				label := fmt.Sprintf("%s/%d GPUs/%s%s", m.Name, shape.cfg.NGPUs, v.CLI, v.Impl())
+				mpi := v.Backend == core.MPIBackend
+				cells = append(cells, cell{column(shape.cfg, v), label, mpi, shape.paper && m.Name == "Perlmutter"})
 			}
 		}
 	}
@@ -163,9 +172,8 @@ func FuzzSolverFastForward(f *testing.F) {
 		col := cols[r.IntN(len(cols))]
 		n := 2 + r.IntN(15)
 		// Symmetric allocations need every rank's chunk the same height.
-		base := jacobi.Config{Model: m, NX: 3 + r.IntN(1<<r.IntN(13)), NY: n * (1 + r.IntN(64)),
-			Iters: 1 + r.IntN(80), Warmup: r.IntN(12)}
-		cfg := bench.JacobiCells(base, []int{n}, []bench.Variant{col})[0]
+		cfg := column(jacobi.Config{Model: m, NGPUs: n, NX: 3 + r.IntN(1<<r.IntN(13)), NY: n * (1 + r.IntN(64)),
+			Iters: 1 + r.IntN(80), Warmup: r.IntN(12)}, col)
 		if _, d, err := ffCompare(cfg); err != nil || d != "" {
 			t.Errorf("%s/%s%s %d GPUs %dx%d, %d+%d iterations: %s%v", m.Name, col.CLI, col.Impl(),
 				n, cfg.NX, cfg.NY, cfg.Warmup, cfg.Iters, d, err)

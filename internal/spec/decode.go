@@ -133,7 +133,8 @@ func (d *decoder) object(s *Spec) error {
 
 // fieldNames are the Spec fields' JSON names.
 var fieldNames = [...]string{"workload", "machine", "backend", "api", "native", "inter", "ranks",
-	"bytes", "iters", "warmup", "window", "alg", "topology", "seed", "fault_mode", "severity"}
+	"bytes", "iters", "warmup", "window", "alg", "topology", "seed", "fault_mode", "severity",
+	"nx", "ny", "compute", "matrix", "scale", "no_allgatherv"}
 
 // fieldName returns the name of the field key selects.
 func fieldName(key []byte) (string, bool) {
@@ -197,10 +198,19 @@ func (d *decoder) field(s *Spec, at int, key []byte) error {
 	case "fault_mode":
 		s.FaultMode, err = text(typ, lit)
 	case "severity":
-		err = errType
-		if typ == '0' {
-			s.Severity, err = strconv.ParseFloat(string(lit), 64)
-		}
+		s.Severity, err = float(typ, lit)
+	case "nx":
+		s.NX, err = integer(typ, lit)
+	case "ny":
+		s.NY, err = integer(typ, lit)
+	case "compute":
+		s.Compute, err = boolean(typ)
+	case "matrix":
+		s.Matrix, err = text(typ, lit)
+	case "scale":
+		s.Scale, err = float(typ, lit)
+	case "no_allgatherv":
+		s.NoAllgatherv, err = boolean(typ)
 	}
 	switch {
 	case err == errType:
@@ -232,6 +242,7 @@ var enumValues = [...]string{
 	"auto", "rd", "ring", "hierarchical",
 	"flat", "fattree", "dragonfly",
 	FaultDegrade, FaultGenerate,
+	WorkloadJacobi, WorkloadCG, APIPartial, MatrixSerena, MatrixQueen, MatrixLaplace,
 }
 
 func text(typ byte, lit []byte) (string, error) {
@@ -251,6 +262,13 @@ func boolean(typ byte) (bool, error) {
 		return false, errType
 	}
 	return typ == 't', nil
+}
+
+func float(typ byte, lit []byte) (float64, error) {
+	if typ != '0' {
+		return 0, errType
+	}
+	return strconv.ParseFloat(string(lit), 64)
 }
 
 func integer(typ byte, lit []byte) (int, error) {

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// sameSpec is Spec equality with severity compared bit for bit: a decoded
-// -0 is not 0 (the two hash differently).
+// sameSpec is Spec equality with severity and scale compared bit for bit: a
+// decoded -0 is not 0 (the two hash differently).
 func sameSpec(a, b Spec) bool {
-	return a == b && math.Float64bits(a.Severity) == math.Float64bits(b.Severity)
+	return a == b && math.Float64bits(a.Severity) == math.Float64bits(b.Severity) &&
+		math.Float64bits(a.Scale) == math.Float64bits(b.Scale)
 }
 
 // decodeRules holds one document per rule of Decode's contract. An accepted
@@ -27,6 +28,8 @@ var decodeRules = []struct {
 	{rule: "every field", doc: `{"workload":"allreduce","machine":"LUMI","backend":"GPUCCL","api":"Host","native":true,"inter":true,"ranks":16,"bytes":64,"iters":3,"warmup":1,"window":2,"alg":"ring","topology":"fattree:4","seed":9,"fault_mode":"generate","severity":0.5}`,
 		want: Spec{Workload: WorkloadAllreduce, Machine: "LUMI", Backend: "GPUCCL", API: "Host", Native: true, Inter: true, Ranks: 16,
 			Bytes: 64, Iters: 3, Warmup: 1, Window: 2, Alg: "ring", Topology: "fattree:4", Seed: 9, FaultMode: FaultGenerate, Severity: 0.5}},
+	{rule: "the application fields", doc: `{"workload":"cg","api":"Partial","nx":4,"ny":8,"compute":true,"matrix":"queen","scale":0.5,"no_allgatherv":true}`,
+		want: Spec{Workload: WorkloadCG, API: APIPartial, NX: 4, NY: 8, Compute: true, Matrix: MatrixQueen, Scale: 0.5, NoAllgatherv: true}},
 	{rule: "an empty object is the zero spec", doc: `{}`},
 	{rule: "a top-level null is the zero spec", doc: `null`},
 	{rule: "the four whitespace bytes go anywhere between tokens", doc: " \t\r\n{ \"bytes\" :\t8 ,\"inter\"\n:\rtrue } \n", want: Spec{Bytes: 8, Inter: true}},
@@ -64,6 +67,10 @@ var decodeRules = []struct {
 	{rule: "severity takes a fraction and an exponent", doc: `{"severity":2.5E-1}`, want: Spec{Severity: 0.25}},
 	{rule: "severity keeps the sign of -0", doc: `{"severity":-0.0}`, want: Spec{Severity: math.Copysign(0, -1)}},
 	{rule: "severity refuses an overflow", doc: `{"severity":1e400}`, reject: true},
+	{rule: "scale keeps the sign of -0", doc: `{"scale":-0}`, want: Spec{Scale: math.Copysign(0, -1)}},
+	{rule: "scale refuses a string", doc: `{"scale":"0.5"}`, reject: true},
+	{rule: "nx refuses a fraction", doc: `{"nx":64.5}`, reject: true},
+	{rule: "compute refuses a number", doc: `{"compute":1}`, reject: true},
 	{rule: "an unknown field", doc: `{"workload":"net-latency","typo":1}`, reject: true},
 	{rule: "the removed engine selector is an unknown field", doc: `{"shards":4}`, reject: true},
 	{rule: "an unknown field set to null", doc: `{"typo":null}`, reject: true},
@@ -184,6 +191,10 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"workload":"net-latency","bytes":4096} 1`,
 		`{"workload":"net-latency","bytes":4096} ]`,
 		`{"workload":"allreduce","ranks":16,"bytes":65536}`,
+		`{"workload":"jacobi","ranks":64,"nx":4096,"ny":4096,"iters":60,"warmup":10}`,
+		`{"workload":"jacobi","backend":"GPUSHMEM","api":"Partial","ranks":8,"nx":256,"ny":256,"iters":4,"compute":true}`,
+		`{"workload":"cg","ranks":8,"matrix":"serena","scale":0.05,"iters":30,"no_allgatherv":true}`,
+		`{"workload":"cg","ranks":8,"matrix":"laplace","iters":100}`,
 	} {
 		f.Add([]byte(doc))
 	}

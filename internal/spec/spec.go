@@ -1,8 +1,8 @@
 // Package spec defines the canonical, serializable experiment specification
 // shared by every CLI and by the what-if service (uniconn serve): one
 // value that pins a simulation cell completely — workload, machine, backend,
-// API flavour, topology, message size, seed, and fault plan —
-// together with a stable content hash.
+// API flavour, topology, message size or application shape, seed, and fault
+// plan — together with a stable content hash.
 //
 // The hash is the content address of the cell's result: two specs with the
 // same hash always describe the same deterministic simulation (the engine is
@@ -27,6 +27,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/solver"
 )
 
 // The registered workloads. workloads(), not iota constants, is the source
@@ -42,12 +43,38 @@ const (
 	// (bench.ScaleAllreduce); Value is the per-iteration virtual time in
 	// nanoseconds.
 	WorkloadAllreduce = "allreduce"
+	// WorkloadJacobi is the Jacobi 2D stencil of Fig. 5 (solver/jacobi);
+	// Value is the timed section's total virtual time in nanoseconds.
+	WorkloadJacobi = "jacobi"
+	// WorkloadCG is the Conjugate Gradient solve of Fig. 6 (solver/cg); Value
+	// is the timed section's total virtual time in nanoseconds.
+	WorkloadCG = "cg"
 )
 
 // workloads lists every registered workload name.
 func workloads() []string {
-	return []string{WorkloadNetLatency, WorkloadNetBandwidth, WorkloadAllreduce}
+	return []string{WorkloadNetLatency, WorkloadNetBandwidth, WorkloadAllreduce, WorkloadJacobi, WorkloadCG}
 }
+
+// app reports whether the workload is one of the two applications, whose
+// iteration counts are literal and which read no message size.
+func app(workload string) bool { return workload == WorkloadJacobi || workload == WorkloadCG }
+
+// The matrices a cg spec can name.
+const (
+	// MatrixSerena is the Serena-like synthetic SPD matrix at Scale.
+	MatrixSerena = "serena"
+	// MatrixQueen is the Queen_4147-like synthetic SPD matrix at Scale.
+	MatrixQueen = "queen"
+	// MatrixLaplace is the 64x64x64 7-point Laplacian; it takes no Scale.
+	MatrixLaplace = "laplace"
+)
+
+// APIPartial is the API value of UNICONN's partial-device launch on
+// GPUSHMEM: halo payloads sent from inside the kernel, synchronised from the
+// host (core.PartialDevice). Only the Jacobi kernel implements it (the
+// SHMEM-P column).
+const APIPartial = "Partial"
 
 // The fault-plan modes a spec can request (net workloads only).
 const (
@@ -74,17 +101,23 @@ type Spec struct {
 	Machine string `json:"machine,omitempty"`
 	// Backend is the communication library: MPI | GPUCCL | GPUSHMEM.
 	Backend string `json:"backend,omitempty"`
-	// API selects host- or device-initiated communication: Host | Device.
+	// API selects host- or device-initiated communication: Host | Device,
+	// or APIPartial for UNICONN Jacobi.
 	API string `json:"api,omitempty"`
-	// Native selects the library's own API instead of UNICONN (net only).
+	// Native selects the library's own API instead of UNICONN (net and the
+	// applications).
 	Native bool `json:"native,omitempty"`
 	// Inter places the two net ranks on different nodes (net only).
 	Inter bool `json:"inter,omitempty"`
-	// Ranks is the GPU count of the allreduce workload (>= 2).
+	// Ranks is the GPU count of the allreduce (>= 2) and of the applications
+	// (>= 1).
 	Ranks int `json:"ranks,omitempty"`
-	// Bytes is the message / per-rank vector size (positive multiple of 8).
+	// Bytes is the message / per-rank vector size (positive multiple of 8;
+	// the applications read none).
 	Bytes int64 `json:"bytes"`
-	// Iters/Warmup override the workload's iteration defaults; 0 keeps them.
+	// Iters/Warmup override the net and allreduce workloads' iteration
+	// defaults, where 0 keeps them. The applications take them as given:
+	// iters >= 1, and cg takes no warm-up.
 	Iters  int `json:"iters,omitempty"`
 	Warmup int `json:"warmup,omitempty"`
 	// Window is the bandwidth test's in-flight message count (0 = 64).
@@ -100,6 +133,19 @@ type Spec struct {
 	FaultMode string `json:"fault_mode,omitempty"`
 	// Severity is the fault severity (>= 0; meaningful with FaultMode).
 	Severity float64 `json:"severity,omitempty"`
+	// NX and NY are the Jacobi grid's row width and global row count.
+	NX int `json:"nx,omitempty"`
+	NY int `json:"ny,omitempty"`
+	// Compute runs Jacobi's functional payload (real arithmetic, verifiable)
+	// instead of modelling its kernels.
+	Compute bool `json:"compute,omitempty"`
+	// Matrix is the CG system: serena | queen | laplace.
+	Matrix string `json:"matrix,omitempty"`
+	// Scale sizes the serena and queen matrices, in (0, 1]; 1 is the paper's
+	// size.
+	Scale float64 `json:"scale,omitempty"`
+	// NoAllgatherv skips CG's SpMV exchange: the §VI-D ablation.
+	NoAllgatherv bool `json:"no_allgatherv,omitempty"`
 }
 
 // Normalize fills the canonical defaults into the string-valued fields so
@@ -179,34 +225,32 @@ const (
 
 // Validate reports whether the spec describes a runnable cell. It validates
 // only what the spec layer owns (names parse, sizes are legal and bounded, the
-// machine supports the backend, the topology holds the allreduce's nodes);
-// the workload's own Validate runs at launch. It normalises once and builds
-// no machine model.
+// machine supports the backend, the topology holds the cell's nodes, and no
+// field is set that the workload never reads); the workload's own Validate
+// runs at launch. It normalises once and builds no machine model.
 func (s Spec) Validate() error {
 	n, tc, topoErr := s.normalize()
 	switch n.Workload {
 	case WorkloadNetLatency, WorkloadNetBandwidth:
-		if n.Ranks != 0 {
-			return fmt.Errorf("spec: %s: ranks is not a net-workload field (always 2)", n.Workload)
-		}
-		if n.Alg != "auto" {
-			return fmt.Errorf("spec: alg %q is an allreduce field", n.Alg)
-		}
 	case WorkloadAllreduce:
 		if n.Ranks < 2 || n.Ranks > maxRanks {
 			return fmt.Errorf("spec: allreduce needs 2 <= ranks <= %d (got %d)", maxRanks, n.Ranks)
 		}
-		if n.Native || n.Inter {
-			return fmt.Errorf("spec: native/inter are net-workload fields")
+	case WorkloadJacobi, WorkloadCG:
+		if n.Ranks < 1 || n.Ranks > maxRanks {
+			return fmt.Errorf("spec: %s needs 1 <= ranks <= %d (got %d)", n.Workload, maxRanks, n.Ranks)
 		}
-		if n.Window != 0 {
-			return fmt.Errorf("spec: window is a net-bandwidth field")
-		}
-		if n.FaultMode != FaultNone {
-			return fmt.Errorf("spec: fault modes apply to net workloads only (got %q)", n.FaultMode)
+		// The counts are literal: 0 timed iterations is no run, not the
+		// default.
+		if n.Iters < 1 || n.Warmup < 0 {
+			return fmt.Errorf("spec: %s: iters %d and warmup %d: need iters >= 1 and warmup >= 0",
+				n.Workload, n.Iters, n.Warmup)
 		}
 	default:
 		return fmt.Errorf("spec: unknown workload %q (%s)", n.Workload, strings.Join(workloads(), "|"))
+	}
+	if f := n.unread(); f != "" {
+		return fmt.Errorf("spec: the %s workload does not read %s", n.Workload, f)
 	}
 	known, hasShmem := machine.Lookup(n.Machine)
 	if !known {
@@ -215,18 +259,19 @@ func (s Spec) Validate() error {
 	if topoErr != nil {
 		return topoErr
 	}
-	// Every valid network holds a net cell's two nodes; an allreduce may
-	// outgrow an explicit one.
-	if n.Workload == WorkloadAllreduce {
+	// Every valid network holds a net cell's two nodes; an allreduce or an
+	// application may outgrow an explicit one.
+	if n.Ranks != 0 {
 		if _, err := fabric.ResolveTopology(tc, machine.NodesFor(n.Machine, n.Ranks)); err != nil {
 			return fmt.Errorf("spec: topology %s: %w", n.Topology, err)
 		}
 	}
-	backend, err := n.BackendID()
+	// n is normalized: its names parse without normalizing again.
+	backend, err := ParseBackend(n.Backend)
 	if err != nil {
 		return err
 	}
-	api, err := n.APIKind()
+	api, err := parseAPI(n.API)
 	if err != nil {
 		return err
 	}
@@ -236,10 +281,13 @@ func (s Spec) Validate() error {
 	if api == machine.APIDevice && backend != core.GpushmemBackend {
 		return fmt.Errorf("spec: the device API requires the GPUSHMEM backend")
 	}
-	if _, err := n.AllreduceAlg(); err != nil {
+	if n.API == APIPartial && (n.Workload != WorkloadJacobi || backend != core.GpushmemBackend || n.Native) {
+		return fmt.Errorf("spec: api %s is UNICONN Jacobi's partial-device launch on GPUSHMEM only", APIPartial)
+	}
+	if _, err := parseAlg(n.Alg); err != nil {
 		return err
 	}
-	if n.Bytes < 8 || n.Bytes%8 != 0 || n.Bytes > maxBytes {
+	if !app(n.Workload) && (n.Bytes < 8 || n.Bytes%8 != 0 || n.Bytes > maxBytes) {
 		return fmt.Errorf("spec: bytes must be a positive multiple of 8 up to %d (got %d)", maxBytes, n.Bytes)
 	}
 	if n.Iters < 0 || n.Warmup < 0 || n.Window < 0 {
@@ -247,6 +295,11 @@ func (s Spec) Validate() error {
 	}
 	if n.Iters > maxIters || n.Warmup > maxIters-n.Iters || n.Window > maxWindow {
 		return fmt.Errorf("spec: iters+warmup must be <= %d and window <= %d", maxIters, maxWindow)
+	}
+	if n.Workload == WorkloadCG {
+		if err := CheckMatrix(n.Matrix, n.Scale); err != nil {
+			return err
+		}
 	}
 	switch n.FaultMode {
 	case FaultNone, FaultDegrade, FaultGenerate:
@@ -262,9 +315,62 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// hashVersion tags the canonical encoding. Bump it whenever a field is
-// added or the encoding changes, so old cached results are never served for
-// a spec the new code would run differently.
+// unread names the first field the normalized spec sets that its workload
+// never reads, "" if there is none. A net cell always runs two ranks.
+func (n Spec) unread() string {
+	net := n.Workload == WorkloadNetLatency || n.Workload == WorkloadNetBandwidth
+	all, jac, cg := n.Workload == WorkloadAllreduce, n.Workload == WorkloadJacobi, n.Workload == WorkloadCG
+	for _, f := range [...]struct {
+		name      string
+		set, read bool
+	}{
+		{"ranks", n.Ranks != 0, !net},
+		{"native", n.Native, !all},
+		{"inter", n.Inter, net},
+		{"bytes", n.Bytes != 0, net || all},
+		{"window", n.Window != 0, net},
+		{"alg", n.Alg != "auto", all},
+		{"seed", n.Seed != 0, net || all},
+		{"fault_mode", n.FaultMode != FaultNone, net},
+		{"severity", math.Float64bits(n.Severity) != 0, net || all},
+		{"warmup", n.Warmup != 0, !cg},
+		{"nx", n.NX != 0, jac},
+		{"ny", n.NY != 0, jac},
+		{"compute", n.Compute, jac},
+		{"matrix", n.Matrix != "", cg},
+		{"scale", math.Float64bits(n.Scale) != 0, cg},
+		{"no_allgatherv", n.NoAllgatherv, cg},
+	} {
+		if f.set && !f.read {
+			return f.name
+		}
+	}
+	return ""
+}
+
+// CheckMatrix is Validate's rule for a cg spec's system: a known matrix,
+// with a scale in (0, 1] for the synthetic ones and none for the Laplacian.
+func CheckMatrix(name string, scale float64) error {
+	switch name {
+	case MatrixSerena, MatrixQueen:
+		if !(scale > 0 && scale <= 1) {
+			return fmt.Errorf("spec: matrix %s needs a scale in (0, 1] (got %g)", name, scale)
+		}
+	case MatrixLaplace:
+		if math.Float64bits(scale) != 0 {
+			return fmt.Errorf("spec: matrix %s takes no scale (got %g)", name, scale)
+		}
+	default:
+		return fmt.Errorf("spec: unknown matrix %q (%s|%s|%s)", name, MatrixSerena, MatrixQueen, MatrixLaplace)
+	}
+	return nil
+}
+
+// hashVersion tags the canonical encoding. Bump it whenever the encoding of
+// an existing spec changes, so old cached results are never served for a
+// spec the new code would run differently. A field that adds no line while
+// it is zero, as the application fields (appLines), leaves every existing
+// address as it was.
 const hashVersion = "uniconn-spec/v1"
 
 // legacyWindowed is the value of v1's "windowed" line, which recorded whether
@@ -299,7 +405,24 @@ func (s Spec) appendPayload(b []byte) []byte {
 	b = append(field(b, "fault_mode"), n.FaultMode...)
 	// Hex float formatting is exact: every distinct float64 has a distinct
 	// encoding, and the encoding never depends on locale or printf rounding.
-	return strconv.AppendFloat(field(b, "severity"), n.Severity, 'x', -1, 64)
+	b = strconv.AppendFloat(field(b, "severity"), n.Severity, 'x', -1, 64)
+	if !n.appLines() {
+		return b // every net and allreduce address is what it was before the applications
+	}
+	b = strconv.AppendInt(field(b, "nx"), int64(n.NX), 10)
+	b = strconv.AppendInt(field(b, "ny"), int64(n.NY), 10)
+	b = strconv.AppendBool(field(b, "compute"), n.Compute)
+	b = append(field(b, "matrix"), n.Matrix...)
+	b = strconv.AppendFloat(field(b, "scale"), n.Scale, 'x', -1, 64)
+	return strconv.AppendBool(field(b, "no_allgatherv"), n.NoAllgatherv)
+}
+
+// appLines reports whether the pre-image carries the application fields:
+// always for an application, and for any other spec that sets one, so two
+// distinct specs never share a pre-image, valid or not.
+func (n Spec) appLines() bool {
+	return app(n.Workload) || n.NX != 0 || n.NY != 0 || n.Compute || n.Matrix != "" ||
+		math.Float64bits(n.Scale) != 0 || n.NoAllgatherv
 }
 
 // Hash returns the spec's content address: the hex SHA-256 of the canonical
@@ -332,21 +455,55 @@ func (s Spec) BackendID() (core.BackendID, error) {
 	return ParseBackend(s.Normalize().Backend)
 }
 
-// APIKind parses the API flavour.
-func (s Spec) APIKind() (machine.API, error) {
-	switch s.Normalize().API {
-	case "Host", "host":
+// APIKind parses the API flavour. The partial-device launch is
+// host-initiated on the API axis: its synchronisation is the host's.
+func (s Spec) APIKind() (machine.API, error) { return parseAPI(s.Normalize().API) }
+
+// parseAPI is APIKind of a normalized spec's API value.
+func parseAPI(name string) (machine.API, error) {
+	switch name {
+	case "Host", "host", APIPartial:
 		return machine.APIHost, nil
 	case "Device", "device":
 		return machine.APIDevice, nil
 	default:
-		return 0, fmt.Errorf("spec: unknown API %q (Host|Device)", s.API)
+		return 0, fmt.Errorf("spec: unknown API %q (Host|Device|%s)", name, APIPartial)
+	}
+}
+
+// Implementation is the solver implementation an application spec runs and
+// its launch mode: UNICONN, or with Native the backend's own library (by its
+// device API for Device on GPUSHMEM); PureDevice for the device API,
+// PartialDevice for APIPartial, PureHost otherwise. s must be valid.
+func (s Spec) Implementation() (solver.Variant, core.LaunchMode) {
+	n := s.Normalize()
+	mode := core.PureHost
+	switch n.API {
+	case "Device", "device":
+		mode = core.PureDevice
+	case APIPartial:
+		mode = core.PartialDevice
+	}
+	switch {
+	case !n.Native:
+		return solver.Uniconn, mode
+	case n.Backend == "GPUCCL":
+		return solver.NativeGPUCCL, mode
+	case n.Backend == "GPUSHMEM" && mode == core.PureDevice:
+		return solver.NativeGPUSHMEMDevice, mode
+	case n.Backend == "GPUSHMEM":
+		return solver.NativeGPUSHMEMHost, mode
+	default:
+		return solver.NativeMPI, mode
 	}
 }
 
 // AllreduceAlg parses the allreduce algorithm name.
-func (s Spec) AllreduceAlg() (mpi.AllreduceAlg, error) {
-	switch s.Normalize().Alg {
+func (s Spec) AllreduceAlg() (mpi.AllreduceAlg, error) { return parseAlg(s.Normalize().Alg) }
+
+// parseAlg is AllreduceAlg of a normalized spec's algorithm name.
+func parseAlg(name string) (mpi.AllreduceAlg, error) {
+	switch name {
 	case "auto":
 		return mpi.AlgAuto, nil
 	case "rd":
@@ -356,7 +513,7 @@ func (s Spec) AllreduceAlg() (mpi.AllreduceAlg, error) {
 	case "hierarchical":
 		return mpi.AlgHierarchical, nil
 	default:
-		return 0, fmt.Errorf("spec: unknown allreduce alg %q (auto|rd|ring|hierarchical)", s.Alg)
+		return 0, fmt.Errorf("spec: unknown allreduce alg %q (auto|rd|ring|hierarchical)", name)
 	}
 }
 
@@ -379,10 +536,17 @@ func (s Spec) String() string {
 	n := s.Normalize()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s/%s", n.Workload, n.Machine, n.Backend)
-	if n.Workload == WorkloadAllreduce {
+	if n.Workload == WorkloadAllreduce || app(n.Workload) {
 		fmt.Fprintf(&b, "/r%d", n.Ranks)
 	}
-	fmt.Fprintf(&b, "/%dB", n.Bytes)
+	switch n.Workload {
+	case WorkloadJacobi:
+		fmt.Fprintf(&b, "/%dx%d", n.NX, n.NY)
+	case WorkloadCG:
+		fmt.Fprintf(&b, "/%s", n.Matrix)
+	default:
+		fmt.Fprintf(&b, "/%dB", n.Bytes)
+	}
 	if n.Topology != "flat" {
 		fmt.Fprintf(&b, "/%s", n.Topology)
 	}

@@ -111,6 +111,10 @@ func TestHashGolden(t *testing.T) {
 			"97ac85df0419ac2f25dc07931a2debadc49ce7ef3e86fd000941b8ccd7df6f5f"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8192, FaultMode: FaultGenerate, Severity: 0.75, Seed: 42},
 			"8fcf72d4921e91e7dbed9db6d31a5b131d1561a94cf9f7c257e4b0af0a4a9e86"},
+		{Spec{Workload: WorkloadJacobi, Backend: "GPUSHMEM", API: APIPartial, Ranks: 64, NX: 4096, NY: 4096, Iters: 60, Warmup: 10},
+			"bf6815e0a25d83fbd0f8f46e0a69207dfba023cde59fe945ee85d853859e6a10"},
+		{Spec{Workload: WorkloadCG, Machine: "LUMI", Native: true, Ranks: 8, Matrix: MatrixQueen, Scale: 0.05, Iters: 30, NoAllgatherv: true},
+			"172ab333080dd2531e0a6db60d14965be14aefe690571780653b8163403b3982"},
 	}
 	for _, c := range cases {
 		if got := c.spec.Hash(); got != c.want {
@@ -142,6 +146,13 @@ func randSpec(r *rand.Rand) Spec {
 	}
 	if s.FaultMode != FaultNone {
 		s.Severity = float64(r.Intn(100)) / 64 // exact in binary
+	}
+	if r.Intn(2) == 0 {
+		s.NX, s.NY, s.Compute = r.Intn(1<<14), r.Intn(1<<14), r.Intn(2) == 0
+		s.Matrix = pick("", MatrixSerena, MatrixQueen, MatrixLaplace, "dense")
+		s.Scale = float64(r.Intn(80)) / 64
+		s.NoAllgatherv = r.Intn(2) == 0
+		s.API = pick(s.API, APIPartial)
 	}
 	return s
 }
@@ -181,6 +192,12 @@ func TestValidate(t *testing.T) {
 		{Workload: WorkloadNetBandwidth, Bytes: 8, Window: 1024},
 		{Workload: WorkloadNetLatency, Bytes: 8, Inter: true, Topology: "fattree:2"},
 		{Workload: WorkloadAllreduce, Ranks: 16, Bytes: 64, Topology: "fattree:4"},
+		// The applications' counts are literal: a Jacobi cell may take no
+		// warm-up at all.
+		{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1},
+		{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1, Backend: "GPUSHMEM", API: APIPartial},
+		{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixSerena, Scale: 1, Iters: 10_000, Native: true, Backend: "GPUSHMEM", API: "Device"},
+		{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixLaplace, Iters: 1, NoAllgatherv: true, Topology: "fattree:4"},
 	}
 	for _, s := range ok {
 		if err := s.Validate(); err != nil {
@@ -198,12 +215,12 @@ func TestValidate(t *testing.T) {
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Backend: "UCX"}, "unknown backend"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Machine: "LUMI", Backend: "GPUSHMEM"}, "no GPUSHMEM"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, API: "Device"}, "requires the GPUSHMEM"},
-		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Ranks: 4}, "not a net-workload field"},
-		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Alg: "ring"}, "allreduce field"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Ranks: 4}, "the net-latency workload does not read ranks"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Alg: "ring"}, "the net-latency workload does not read alg"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 1, Bytes: 8}, "2 <= ranks <= 4096"},
-		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Inter: true}, "net-workload fields"},
-		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Window: 8}, "net-bandwidth field"},
-		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, FaultMode: FaultDegrade, Severity: 0.5}, "net workloads only"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Inter: true}, "the allreduce workload does not read inter"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Window: 8}, "the allreduce workload does not read window"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, FaultMode: FaultDegrade, Severity: 0.5}, "the allreduce workload does not read fault_mode"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, FaultMode: "meteor"}, "unknown fault mode"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Severity: 0.5}, "without a fault mode"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Iters: -1}, ">= 0"},
@@ -219,6 +236,33 @@ func TestValidate(t *testing.T) {
 			"topology fattree:2: fabric: 2-ary fat-tree holds 2 nodes, cluster has 4"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 32, Bytes: 64, Machine: "LUMI", Topology: "dragonfly:1,1,1"},
 			"holds at most 2 nodes (2 groups), cluster has 4"},
+		// A field foreign to the workload, each way round.
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, NX: 64}, "the net-latency workload does not read nx"},
+		{Spec{Workload: WorkloadAllreduce, Ranks: 4, Bytes: 8, Matrix: MatrixSerena}, "the allreduce workload does not read matrix"},
+		{Spec{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1, Bytes: 8}, "the jacobi workload does not read bytes"},
+		{Spec{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1, Scale: 0.5}, "the jacobi workload does not read scale"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixSerena, Scale: 0.05, Iters: 1, Warmup: 1}, "the cg workload does not read warmup"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixSerena, Scale: 0.05, Iters: 1, NX: 64}, "the cg workload does not read nx"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixSerena, Scale: 0.05, Iters: 1, FaultMode: FaultDegrade, Severity: 1}, "the cg workload does not read fault_mode"},
+		// Zero timed iterations is no run, not the default.
+		{Spec{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64}, "need iters >= 1"},
+		{Spec{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1, Warmup: -1}, "need iters >= 1 and warmup >= 0"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixSerena, Scale: 0.05}, "need iters >= 1"},
+		{Spec{Workload: WorkloadJacobi, NX: 64, NY: 64, Iters: 1}, "jacobi needs 1 <= ranks <= 4096 (got 0)"},
+		// The partial-device launch is UNICONN Jacobi's, on GPUSHMEM.
+		{Spec{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1, API: APIPartial}, "partial-device launch on GPUSHMEM only"},
+		{Spec{Workload: WorkloadJacobi, Ranks: 4, NX: 64, NY: 64, Iters: 1, Backend: "GPUSHMEM", API: APIPartial, Native: true},
+			"partial-device launch on GPUSHMEM only"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixSerena, Scale: 0.05, Iters: 1, Backend: "GPUSHMEM", API: APIPartial},
+			"partial-device launch on GPUSHMEM only"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Backend: "GPUSHMEM", API: APIPartial}, "partial-device launch on GPUSHMEM only"},
+		// A matrix the harness does not build, or at a size it cannot.
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: "dense", Iters: 1}, `unknown matrix "dense"`},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Iters: 1}, `unknown matrix ""`},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixQueen, Scale: 2, Iters: 1}, "needs a scale in (0, 1] (got 2)"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixQueen, Scale: math.NaN(), Iters: 1}, "needs a scale in (0, 1]"},
+		{Spec{Workload: WorkloadCG, Ranks: 8, Matrix: MatrixLaplace, Scale: 0.5, Iters: 1}, "takes no scale"},
+		{Spec{Workload: WorkloadCG, Ranks: 64, Matrix: MatrixLaplace, Iters: 1, Topology: "fattree:2"}, "2-ary fat-tree holds 2 nodes"},
 	}
 	for _, c := range bad {
 		err := c.spec.Validate()
@@ -280,6 +324,17 @@ func refPayload(s Spec) string {
 	field("seed", strconv.FormatUint(n.Seed, 10))
 	field("fault_mode", n.FaultMode)
 	field("severity", strconv.FormatFloat(n.Severity, 'x', -1, 64))
+	// The application lines follow for an application, or a spec that sets
+	// any of their fields (a -0 scale included).
+	setsApp := n.NX != 0 || n.NY != 0 || n.Compute || n.Matrix != "" || math.Signbit(n.Scale) || n.Scale != 0 || n.NoAllgatherv
+	if n.Workload == WorkloadJacobi || n.Workload == WorkloadCG || setsApp {
+		field("nx", strconv.Itoa(n.NX))
+		field("ny", strconv.Itoa(n.NY))
+		field("compute", strconv.FormatBool(n.Compute))
+		field("matrix", n.Matrix)
+		field("scale", strconv.FormatFloat(n.Scale, 'x', -1, 64))
+		field("no_allgatherv", strconv.FormatBool(n.NoAllgatherv))
+	}
 	return b.String()
 }
 

@@ -183,7 +183,7 @@ func TestZeroDurationSpansAreSafe(t *testing.T) {
 		t.Fatalf("summary render leaked Inf/NaN:\n%s", out)
 	}
 	var buf bytes.Buffer
-	if err := l.WriteChromeTrace(&buf); err != nil {
+	if err := l.Sorted().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "Inf") || strings.Contains(buf.String(), "null") {

@@ -244,7 +244,7 @@ func analyses(t *testing.T, l *Log, horizon sim.Time) []string {
 	}
 	ranks, total, msgs := v.Traffic()
 	var one, cells bytes.Buffer
-	if err := l.WriteChromeTrace(&one); err != nil {
+	if err := l.Sorted().WriteChromeTrace(&one); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteChromeCells(&cells, []ChromeCell{{Name: "cell", Spans: v}, {Name: "empty"}}); err != nil {

@@ -655,11 +655,10 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace exports the log as a Chrome trace-event JSON array
-// (open with chrome://tracing or Perfetto). Spans are emitted in
-// deterministic sorted order.
-func (l *Log) WriteChromeTrace(w io.Writer) error {
-	return json.NewEncoder(w).Encode(appendChromeEvents(nil, l.Sorted(), 1))
+// WriteChromeTrace exports the view as a Chrome trace-event JSON array
+// (open with chrome://tracing or Perfetto), in its deterministic order.
+func (v *View) WriteChromeTrace(w io.Writer) error {
+	return json.NewEncoder(w).Encode(appendChromeEvents(nil, v, 1))
 }
 
 // ChromeCell is one process group of a multi-cell Chrome export: the spans

@@ -70,7 +70,7 @@ func TestSummarize(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	l := sampleLog()
 	var buf bytes.Buffer
-	if err := l.WriteChromeTrace(&buf); err != nil {
+	if err := l.Sorted().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
