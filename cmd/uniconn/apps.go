@@ -113,6 +113,11 @@ func cgCmd(args []string, stdout, stderr io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if *matrixName == spec.MatrixLaplace {
+		if err := rejectUnread(fs, "cg -matrix laplace", "scale"); err != nil {
+			return err
+		}
+	}
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		return badUsage(fs, "-scale %g: the matrix scale factor must be positive and finite", *scale)
 	}

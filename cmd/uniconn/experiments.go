@@ -12,8 +12,8 @@ import (
 // section on the simulated clusters and prints them as text tables with the
 // headline summary notes.
 //
-// Figure sweeps fan out over GOMAXPROCS workers (internal/bench.Sweep), and
-// the output is bit-identical at any worker count.
+// Every figure's cells are specs run by one bench.SweepSpecs, GOMAXPROCS at
+// a time, and the output is bit-identical at any worker count.
 //
 // Usage:
 //

@@ -22,8 +22,6 @@ import (
 // refresh one after an intended change, from this directory:
 //
 //	go run . <args...> > testdata/<name>.golden
-//
-// (scale-64 additionally needs its wall-clock column masked as maskWall does.)
 var goldenCases = []struct {
 	name string
 	args []string
@@ -110,26 +108,10 @@ func compare(t *testing.T, what, got, want string) {
 	}
 }
 
-// maskWall blanks scale's "wall s" column, the one non-deterministic field
-// any subcommand prints: the last 12 characters of every row below the two
-// header lines.
-func maskWall(s string) string {
-	lines := strings.SplitAfter(s, "\n")
-	for i := 2; i < len(lines); i++ {
-		lines[i] = wallColumn.ReplaceAllString(lines[i], "         *.*\n")
-	}
-	return strings.Join(lines, "")
-}
-
-var wallColumn = regexp.MustCompile(`.{12}\n$`)
-
 func TestGoldenStdout(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			got := mustRun(t, c.args...)
-			if c.args[0] == "scale" {
-				got = maskWall(got)
-			}
 			compare(t, "stdout", got, readGolden(t, filepath.Join("testdata", c.name+".golden")))
 		})
 	}
@@ -183,6 +165,7 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"scale", "-bytes", "12"}, 1, "-bytes 12: the vector size must be a positive multiple of 8"},
 		{[]string{"scale", "-max-ranks", "16384"}, 2, "allreduce needs 2 <= ranks <= 4096 (got 16384)"},
 		{[]string{"scale", "-ring-max-ranks", "5000"}, 2, "allreduce needs 2 <= ranks <= 4096 (got 5000)"},
+		{[]string{"scale", "-iters", "100001"}, 2, "iters+warmup must be <= 100000"},
 		{[]string{"cg", "-scale", "-1"}, 2, "-scale -1: the matrix scale factor must be positive and finite"},
 		{[]string{"cg", "-scale", "NaN"}, 2, "-scale NaN: the matrix scale factor must be positive and finite"},
 		// A network no cluster can build, or too small for the largest cell,
@@ -220,6 +203,7 @@ func TestRejectedInvocations(t *testing.T) {
 		{[]string{"prof", "-workload", "cg", "-inter"}, 2, "-inter has no effect in prof -workload cg"},
 		{[]string{"prof", "-workload", "cg", "-min", "8"}, 2, "-min has no effect in prof -workload cg"},
 		{[]string{"prof", "-workload", "cg", "-max", "64"}, 2, "-max has no effect in prof -workload cg"},
+		{[]string{"cg", "-matrix", "laplace", "-scale", "0.5"}, 2, "-scale has no effect in cg -matrix laplace"},
 		// GOMAXPROCS alone sets a sweep's width.
 		{[]string{"netbench", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
 		{[]string{"chaos", "-workers", "1"}, 2, "flag provided but not defined: -workers"},
@@ -324,15 +308,15 @@ func TestFig6WorkersInvariant(t *testing.T) {
 	compare(t, "Fig 6 at 8 workers", w8, w1)
 }
 
-// TestScaleWorkersInvariant: scale runs its cells as one sweep, and because
-// a row is printed only once every row above it is, the table is the
-// scale-64 golden's at GOMAXPROCS 1 and with every cell in flight at once.
+// TestScaleWorkersInvariant: scale runs its cells as one sweep and prints the
+// table from its index-ordered values, so the table is the scale-64 golden's
+// at GOMAXPROCS 1 and with every cell in flight at once.
 func TestScaleWorkersInvariant(t *testing.T) {
 	want := readGolden(t, filepath.Join("testdata", "scale-64.golden"))
 	for _, procs := range []int{1, 8} {
 		setProcs(t, procs)
 		got := mustRun(t, "scale", "-max-ranks", "64", "-ring-max-ranks", "64")
-		compare(t, fmt.Sprintf("scale at GOMAXPROCS %d", procs), maskWall(got), want)
+		compare(t, fmt.Sprintf("scale at GOMAXPROCS %d", procs), got, want)
 	}
 }
 
@@ -369,7 +353,7 @@ func TestOneAnswer(t *testing.T) {
 		}
 		return map[string]string{
 			"EvalSpec":       string(body),
-			"scale":          maskWall(mustRun(t, "scale", "-max-ranks", "64", "-topology", "flat")),
+			"scale":          mustRun(t, "scale", "-max-ranks", "64", "-topology", "flat"),
 			"chaos -recover": mustRun(t, "chaos", "-recover", "-topology", "flat", "-severities", "0,1"),
 		}
 	}

@@ -3,12 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -16,23 +15,23 @@ import (
 // algorithm, rank count), timed in virtual time, comparing the flat
 // single-hop network against fat-tree and dragonfly switch fabrics and the
 // flat-ring allreduce against the hierarchical (SMP-aware) algorithm. The
-// wall-clock column is informational; the wall-clock record of these cells
-// is the benchmark's coll-ring-256r workload (benchmark/README.md).
+// wall-clock record of these cells is the benchmark's coll-ring-256r
+// workload (benchmark/README.md).
 //
 // The flat-ring curve is capped separately (-ring-max-ranks, default 1024):
 // the ring's 2(n-1) serialized steps make its wall-clock cost quadratic in
 // total messages at 4096 ranks, while its virtual-time trend is already
 // decided by 1024.
 //
-// The cells are one bench.Sweep, GOMAXPROCS at a time (a modelled cell's
-// vectors are phantom, so even a 4096-rank one is small), and rows print in
-// table order as they complete.
+// Every cell is an allreduce spec, and the grid is one bench.SweepSpecs,
+// GOMAXPROCS at a time (a modelled cell's vectors are phantom, so even a
+// 4096-rank one is small); the table prints when the sweep returns.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
 // /debug/flight) — useful because the 4096-rank cells take seconds of wall
-// clock each and /debug/runs carries an ETA; with it a SIGINT prints the
-// sweep progress and accumulated metrics to stderr before exiting (every
-// finished curve point is already on stdout).
+// clock each and /debug/runs carries per-cell progress and an ETA; with it a
+// SIGINT prints the sweep progress and accumulated metrics to stderr before
+// exiting.
 //
 // Usage:
 //
@@ -59,8 +58,10 @@ func scale(args []string, stdout, stderr io.Writer) error {
 	if *bytes < 8 || *bytes%8 != 0 {
 		return fmt.Errorf("-bytes %d: the vector size must be a positive multiple of 8", *bytes)
 	}
-	// The largest cell must be one the spec layer admits.
-	largest := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: max(*maxRanks, *ringMax), Bytes: *bytes}
+	// The largest cell must be one the spec layer admits; with the topology
+	// check below, that admits every cell before any runs.
+	largest := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: max(*maxRanks, *ringMax),
+		Bytes: *bytes, Iters: *iters}
 	if err := largest.Validate(); err != nil {
 		return badUsage(fs, "-max-ranks %d, -ring-max-ranks %d: %v", *maxRanks, *ringMax, err)
 	}
@@ -74,7 +75,7 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		ranks = append(ranks, r)
 	}
 	// Every topology must hold the largest cell's nodes: refused here, before
-	// the title, not by the cell that first outgrows it.
+	// any cell, not by the cell that first outgrows it.
 	for _, tc := range common.Topologies {
 		if _, err := fabric.ResolveTopology(tc, m.NodesFor(ranks[len(ranks)-1])); err != nil {
 			return err
@@ -85,21 +86,23 @@ func scale(args []string, stdout, stderr io.Writer) error {
 	// the flat/fat-tree ones (the ring maps poorly onto dragonfly groups and
 	// its trend is already fixed by the cheaper fabrics). The default list
 	// reproduces the classic five-curve sweep.
-	var cells []bench.ScaleConfig
-	var labels []string
+	base := common.Spec()
+	base.Workload, base.Bytes, base.Iters = spec.WorkloadAllreduce, *bytes, *iters
+	var specs []spec.Spec
+	var nets []string // each cell's resolved network, as its row prints it
 	// The topology column is 11 wide, or as wide as the longest resolved
 	// network it prints plus one space.
 	topoWidth := 11
 	curve := func(tc fabric.TopologyConfig, alg mpi.AllreduceAlg, cap int) {
 		for _, r := range ranks {
 			if r <= cap {
-				cells = append(cells, bench.ScaleConfig{
-					Model: m, Topology: tc, Ranks: r, Bytes: *bytes,
-					Alg: alg, Iters: *iters, Warmup: 1,
-				})
-				labels = append(labels, fmt.Sprintf("%s/%s/%d", tc.Kind, alg, r))
+				s := base
+				s.Ranks, s.Alg, s.Topology = r, alg.String(), spec.CanonicalTopology(tc)
+				specs = append(specs, s)
 				resolved, _ := fabric.ResolveTopology(tc, m.NodesFor(r)) // checked above for the largest cell
-				topoWidth = max(topoWidth, len(resolved.Describe())+1)
+				net := resolved.Describe()
+				nets = append(nets, net)
+				topoWidth = max(topoWidth, len(net)+1)
 			}
 		}
 	}
@@ -117,35 +120,15 @@ func scale(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeLive()
+	per, _, err := bench.SweepSpecs(live, specs)
 
+	// On failure the table stops at the failing cell, as a serial run would.
 	fmt.Fprintf(stdout, "allreduce scaling on %s, %s per rank, %d iters\n",
 		m.Name, bench.HumanBytes(*bytes), *iters)
-	fmt.Fprintf(stdout, "%-*s%-14s%8s%8s%14s%12s\n", topoWidth, "topology", "alg", "ranks", "nodes", "per-iter", "wall s")
-	// A row is printed as soon as it and every row above it are done: stdout
-	// grows as a serial run's would and ends up the same at any GOMAXPROCS,
-	// the wall-clock column aside.
-	var (
-		mu   sync.Mutex
-		rows = make([]string, len(cells))
-		next int
-	)
-	_, _, err = bench.Sweep(live, len(cells), func(i int, col *bench.Collector) (struct{}, bench.CellProfile, error) {
-		cfg := cells[i]
-		cfg.Metrics = col.Metrics
-		start := time.Now()
-		d, run, err := bench.ScaleAllreduce(cfg)
-		if err != nil {
-			return struct{}{}, bench.CellProfile{}, fmt.Errorf("%s: %w", labels[i], err)
-		}
-		cp := col.Finish(labels[i], run.End)
-		mu.Lock()
-		defer mu.Unlock()
-		rows[i] = fmt.Sprintf("%-*s%-14s%8d%8d%14s%12.1f\n",
-			topoWidth, run.Topology.Describe(), cfg.Alg, cfg.Ranks, m.NodesFor(cfg.Ranks), d.String(), time.Since(start).Seconds())
-		for ; next < len(rows) && rows[next] != ""; next++ {
-			io.WriteString(stdout, rows[next])
-		}
-		return struct{}{}, cp, nil
-	})
+	fmt.Fprintf(stdout, "%-*s%-14s%8s%8s%14s\n", topoWidth, "topology", "alg", "ranks", "nodes", "per-iter")
+	for i, v := range per {
+		s := specs[i]
+		fmt.Fprintf(stdout, "%-*s%-14s%8d%8d%14s\n", topoWidth, nets[i], s.Alg, s.Ranks, m.NodesFor(s.Ranks), sim.Duration(v))
+	}
 	return err
 }

@@ -138,11 +138,11 @@ func Eval(s spec.Spec, h string, c *cache.Cache) ([]byte, bool, error) {
 }
 
 // evalCold simulates the (normalized, validated) spec through runSpec and
-// assembles the Result. The trace log is private to the cell per Sweep's
+// assembles the Result. The trace log is private to the cell per sweep's
 // observability ownership rule.
 func evalCold(n spec.Spec, hash string) (Result, error) {
 	log := trace.New()
-	v, rep, err := runSpec(n, &Collector{log: log})
+	v, rep, err := runSpec(n, &collector{log: log})
 	if err != nil {
 		return Result{}, err
 	}
@@ -178,7 +178,7 @@ func newResult(n spec.Spec, hash string, v float64, rep core.Report, log *trace.
 // (net-bandwidth), per-iteration ns (allreduce), the timed section's total
 // in ns (jacobi, cg) — and the run report (an application's carries its end
 // only). s must be valid (spec.Spec.Validate).
-func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
+func runSpec(s spec.Spec, col *collector) (float64, core.Report, error) {
 	var rep core.Report
 	m, err := s.Model()
 	if err != nil {
@@ -201,7 +201,7 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 			return 0, rep, err
 		}
 		per, rep, err := ScaleAllreduce(ScaleConfig{Model: m, Ranks: s.Ranks, Bytes: s.Bytes, Alg: alg,
-			Iters: s.Iters, Warmup: s.Warmup, Metrics: col.Metrics, Trace: col.log})
+			Iters: s.Iters, Warmup: s.Warmup, Metrics: col.metrics, Trace: col.log})
 		return float64(per), rep, err
 	case spec.WorkloadJacobi, spec.WorkloadCG:
 		backend, err := s.BackendID()
@@ -212,7 +212,7 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 		if s.Workload == spec.WorkloadJacobi {
 			res, err := jacobi.Run(jacobi.Config{Model: m, NGPUs: s.Ranks, NX: s.NX, NY: s.NY,
 				Iters: s.Iters, Warmup: s.Warmup, Compute: s.Compute, Variant: impl, Backend: backend, Mode: mode,
-				Trace: col.log, Metrics: col.Metrics})
+				Trace: col.log, Metrics: col.metrics})
 			return float64(res.Total), core.Report{End: res.End}, err
 		}
 		mat, err := Matrix(s)
@@ -221,7 +221,7 @@ func runSpec(s spec.Spec, col *Collector) (float64, core.Report, error) {
 		}
 		res, err := cg.Run(cg.Config{Model: m, NGPUs: s.Ranks, Matrix: mat, Iters: s.Iters,
 			DisableAllgatherv: s.NoAllgatherv, Variant: impl, Backend: backend, Mode: mode,
-			Trace: col.log, Metrics: col.Metrics})
+			Trace: col.log, Metrics: col.metrics})
 		return float64(res.Total), core.Report{End: res.End}, err
 	default:
 		return 0, rep, fmt.Errorf("bench: unknown workload %q", s.Workload)
@@ -293,10 +293,10 @@ func Matrix(s spec.Spec) (*sparse.CSR, error) {
 
 // netConfig is the net cell s pins on the machine m, recording into col's
 // instruments.
-func netConfig(s spec.Spec, m *machine.Model, col *Collector) (NetConfig, error) {
+func netConfig(s spec.Spec, m *machine.Model, col *collector) (NetConfig, error) {
 	cfg := NetConfig{Model: m, Native: s.Native, Inter: s.Inter, Bytes: s.Bytes,
 		Iters: s.Iters, Warmup: s.Warmup, window: s.Window,
-		trace: col.log, metrics: col.Metrics}
+		trace: col.log, metrics: col.metrics}
 	var err error
 	if cfg.Backend, err = s.BackendID(); err != nil {
 		return cfg, err
@@ -320,7 +320,7 @@ func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, erro
 			return nil, nil, err
 		}
 	}
-	return Sweep(obs, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
+	return sweep(obs, len(specs), func(i int, col *collector) (float64, CellProfile, error) {
 		s := specs[i]
 		v, rep, err := runSpec(s, col)
 		note := fmt.Sprintf("one-way latency %s", sim.Duration(v))
@@ -334,7 +334,7 @@ func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, erro
 			note = fmt.Sprintf("per-iteration %s over %d iterations (total %s)",
 				total/sim.Duration(s.Iters), s.Iters, total)
 		}
-		return v, col.Finish(s.String(), rep.End, note), err
+		return v, col.finish(s.String(), rep.End, note), err
 	})
 }
 

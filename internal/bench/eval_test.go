@@ -26,12 +26,12 @@ func evalTestSpecs() []spec.Spec {
 	}
 }
 
-// evalAll evaluates the batch as one Sweep of EvalSpec cells at a fixed
+// evalAll evaluates the batch as one sweep of EvalSpec cells at a fixed
 // GOMAXPROCS and returns the bodies.
 func evalAll(t *testing.T, specs []spec.Spec, c *cache.Cache, procs int) [][]byte {
 	t.Helper()
 	setProcs(t, procs)
-	bodies, _, err := Sweep(nil, len(specs), func(i int, _ *Collector) ([]byte, CellProfile, error) {
+	bodies, _, err := sweep(nil, len(specs), func(i int, _ *collector) ([]byte, CellProfile, error) {
 		body, _, err := EvalSpec(specs[i], EvalOptions{cache: c})
 		return body, CellProfile{}, err
 	})

@@ -64,7 +64,7 @@ func ffRun(s spec.Spec, full bool) (ffAnswer, error) {
 		return ffAnswer{}, err
 	}
 	log := trace.New()
-	cfg, err := netConfig(n, m, &Collector{log: log})
+	cfg, err := netConfig(n, m, &collector{log: log})
 	if err != nil {
 		return ffAnswer{}, err
 	}
@@ -121,7 +121,7 @@ func TestFastForwardEqualsFull(t *testing.T) {
 			specs = append(specs, s)
 		}
 	}
-	msgs, _, err := Sweep(nil, len(specs), func(i int, _ *Collector) (string, CellProfile, error) {
+	msgs, _, err := sweep(nil, len(specs), func(i int, _ *collector) (string, CellProfile, error) {
 		s := specs[i]
 		fast, d, err := ffCompare(s)
 		switch {
@@ -226,7 +226,7 @@ func TestFoldedPaperCountLog(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	log := trace.New()
-	v, rep, err := runSpec(s, &Collector{log: log})
+	v, rep, err := runSpec(s, &collector{log: log})
 	if err != nil {
 		t.Fatal(err)
 	}

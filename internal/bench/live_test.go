@@ -35,16 +35,16 @@ func TestSweepReportsToItsTracker(t *testing.T) {
 	trA, trB := telemetry.NewTracker(), telemetry.NewTracker()
 	a := NewObserve(&Observe{live: trA, label: "a"}, false)
 	b := NewObserve(&Observe{live: trB, label: "b"}, true)
-	cell := func(i int, c *Collector) (int, CellProfile, error) { return i, c.Finish("", 0), nil }
+	cell := func(i int, c *collector) (int, CellProfile, error) { return i, c.finish("", 0), nil }
 	for _, procs := range []int{1, 4} {
 		setProcs(t, procs)
 		var wg sync.WaitGroup
 		for _, sweeps := range []func(){
-			func() { Sweep(a, 6, cell); Sweep(a.Named("a-named"), 2, cell) },
-			func() { Sweep(b, 5, cell) },
+			func() { sweep(a, 6, cell); sweep(a.Named("a-named"), 2, cell) },
+			func() { sweep(b, 5, cell) },
 			func() {
-				Sweep(nil, 3, cell)
-				Sweep(NewObserve(nil, true), 3, cell)
+				sweep(nil, 3, cell)
+				sweep(NewObserve(nil, true), 3, cell)
 				NewRunner(0).Run(3, func(int) error { return nil })
 			},
 		} {
@@ -79,7 +79,7 @@ func TestStartLivePairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Sweep(live, 3, func(i int, c *Collector) (int, CellProfile, error) { return i, c.Finish("", 0), nil })
+		sweep(live, 3, func(i int, c *collector) (int, CellProfile, error) { return i, c.finish("", 0), nil })
 		closeLive()
 		trackers = append(trackers, live.live)
 	}

@@ -46,12 +46,12 @@ func (a answer) differs(b answer) string {
 	return ""
 }
 
-// bothWays runs n cells as one Sweep, each with real and then with
+// bothWays runs n cells as one sweep, each with real and then with
 // phantom payloads (run names the cell and answers for it), and fails the test
 // for every cell whose two answers differ.
 func bothWays(t *testing.T, n int, run func(i int, real bool) (string, answer, error)) {
 	t.Helper()
-	diffs, _, err := Sweep(nil, n, func(i int, _ *Collector) (string, CellProfile, error) {
+	diffs, _, err := sweep(nil, n, func(i int, _ *collector) (string, CellProfile, error) {
 		label, real, err := run(i, true)
 		if err != nil {
 			return "", CellProfile{}, fmt.Errorf("%s, real: %w", label, err)
@@ -162,7 +162,7 @@ func TestPhantomEqualsReal(t *testing.T) {
 		if i%2 == 0 {
 			s := v.Spec(spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, Ranks: 64, NX: nx, NY: nx,
 				Iters: 60, Warmup: 10, Compute: compute})
-			total, rep, err := runSpec(s, &Collector{log: log})
+			total, rep, err := runSpec(s, &collector{log: log})
 			return "jacobi/" + v.app + v.Impl(), answer{total, rep.End, spansOf(log)}, err
 		}
 		s := v.Spec(spec.Spec{Workload: spec.WorkloadCG, Machine: m.Name, Ranks: 8, Iters: 30})
@@ -226,7 +226,7 @@ func TestPhantomAllocationBudget(t *testing.T) {
 		s := v.Spec(spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, Ranks: 64, NX: 4096, NY: 4096,
 			Iters: 60, Warmup: 10})
 		got, _ := allocated(func() {
-			if _, _, err := runSpec(s, &Collector{}); err != nil {
+			if _, _, err := runSpec(s, &collector{}); err != nil {
 				t.Fatalf("jacobi %s%s: %v", v.app, v.Impl(), err)
 			}
 		})
@@ -280,7 +280,7 @@ func TestFig6PhantomMatrix(t *testing.T) {
 			r, err := cgRun(b.spec, csr[b.spec.Matrix], false, log)
 			return b.label, answer{float64(r.Total), r.End, spansOf(log)}, err
 		}
-		total, rep, err := runSpec(b.spec, &Collector{log: log})
+		total, rep, err := runSpec(b.spec, &collector{log: log})
 		return b.label, answer{total, rep.End, spansOf(log)}, err
 	})
 	t.Logf("%d Fig 6 bars at scale %g", len(bars), scale)

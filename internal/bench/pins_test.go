@@ -125,7 +125,7 @@ func pinnedAnswers(t *testing.T) []string {
 	for _, v := range Variants(Libs(m, false)) {
 		jl, cl := trace.New(), trace.New()
 		total, rep, err := runSpec(v.Spec(spec.Spec{Workload: spec.WorkloadJacobi, Machine: m.Name, Ranks: 8,
-			NX: 256, NY: 256, Iters: jacobiIters, Warmup: 1}), &Collector{log: jl})
+			NX: 256, NY: 256, Iters: jacobiIters, Warmup: 1}), &collector{log: jl})
 		if err != nil {
 			t.Fatalf("jacobi %s%s: %v", v.net, v.Impl(), err)
 		}

@@ -1,15 +1,15 @@
 package bench
 
 // The profiling harness behind uniconn prof and the -metrics/-profile/-live
-// flags of the sweep subcommands: one Collector per sweep cell, frozen into
+// flags of the sweep subcommands: one collector per sweep cell, frozen into
 // CellProfiles, reassembled in cell-index order into a RunProfile whose
 // rendered report, metrics JSON, and Chrome trace are byte-identical at any
 // sweep worker count.
 //
 // Ownership rule (see also runner.go): a metrics.Registry and a trace.Log
-// are single-engine state. Every cell records only into the Collector Sweep
+// are single-engine state. Every cell records only into the collector sweep
 // hands it — never share one across cells, and never write to a collector
-// from outside its cell. Sweep only guarantees determinism for results
+// from outside its cell. The sweep only guarantees determinism for results
 // keyed by cell index; per-cell collectors merged in index order inherit
 // that guarantee.
 
@@ -25,22 +25,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Collector holds one cell's instruments: a private metrics registry and
+// collector holds one cell's instruments: a private metrics registry and
 // span log to hand to that cell's run configuration. Either may be nil.
-type Collector struct {
-	Metrics *metrics.Registry
+type collector struct {
+	metrics *metrics.Registry
 	log     *trace.Log
 
 	live *telemetry.Tracker
 }
 
-// Finish freezes the collector into an immutable cell profile (empty for a
+// finish freezes the collector into an immutable cell profile (empty for a
 // cell that recorded nothing) and feeds the cell's metrics to the live
 // tracker, if any.
-func (c *Collector) Finish(label string, end sim.Time, notes ...string) CellProfile {
+func (c *collector) finish(label string, end sim.Time, notes ...string) CellProfile {
 	cp := CellProfile{Label: label, end: end, notes: notes}
-	if c.Metrics != nil {
-		cp.metrics = c.Metrics.Snapshot()
+	if c.metrics != nil {
+		cp.metrics = c.metrics.Snapshot()
 		c.live.AddSnapshot(cp.metrics) // nil-safe
 	}
 	if c.log != nil {
@@ -108,16 +108,16 @@ func StartLive(addr, label string) (*Observe, func(), error) {
 	}, nil
 }
 
-// cell allocates the instruments of one cell; Sweep calls it per cell —
+// cell allocates the instruments of one cell; sweep calls it per cell —
 // the ownership rule above.
-func (o *Observe) cell() *Collector {
+func (o *Observe) cell() *collector {
 	switch {
 	case o != nil && o.profile:
-		return &Collector{Metrics: metrics.New(), log: trace.New(), live: o.live}
+		return &collector{metrics: metrics.New(), log: trace.New(), live: o.live}
 	case o != nil && o.live != nil:
-		return &Collector{Metrics: metrics.New(), live: o.live}
+		return &collector{metrics: metrics.New(), live: o.live}
 	default:
-		return &Collector{}
+		return &collector{}
 	}
 }
 

@@ -73,7 +73,7 @@ func TestPrometheusNamesInjective(t *testing.T) {
 	// instruments (core.crashes, detector latency, fabric failover).
 	r = metrics.New()
 	pt := runRecovery(recoveryConfig{model: m, backend: core.MPIBackend, plan: crashPlan()},
-		&Collector{Metrics: r}, "")
+		&collector{metrics: r}, "")
 	if !pt.Completed {
 		t.Fatalf("recovery cell broke: %+v", pt)
 	}

@@ -101,7 +101,7 @@ type recoveryRank struct {
 // telemetry on, the run's recorder is attached to the tracker's flight board
 // under label; that alone does not populate FlightDump, so live observation
 // never changes the sweep's recorded results.
-func runRecovery(cfg recoveryConfig, col *Collector, label string) RecoveryPoint {
+func runRecovery(cfg recoveryConfig, col *collector, label string) RecoveryPoint {
 	if cfg.nGPUs <= 0 {
 		cfg.nGPUs = 8
 	}
@@ -210,7 +210,7 @@ func runRecovery(cfg recoveryConfig, col *Collector, label string) RecoveryPoint
 
 	rep, err := core.Launch(core.Config{
 		Model: cfg.model, NGPUs: cfg.nGPUs, Backend: cfg.backend, Faults: plan,
-		Metrics: col.Metrics, Flight: flight,
+		Metrics: col.metrics, Flight: flight,
 	}, main)
 	pt.FlightDump = flightBuf.String()
 	if err != nil {
@@ -265,7 +265,7 @@ func runRecovery(cfg recoveryConfig, col *Collector, label string) RecoveryPoint
 // (crashes appear from severity 0.5, a dead link from 0.75; on a switched
 // topology — carried by m.Topology — also a crashed aggregation switch or
 // dead global channel for adaptive routing to steer around) and runs
-// runRecovery. Cells are one Sweep; results are bit-identical at any
+// runRecovery. Cells are one sweep; results are bit-identical at any
 // GOMAXPROCS. Broken cells are reported in their point's Err field rather
 // than aborting the sweep.
 //
@@ -278,7 +278,7 @@ func runRecovery(cfg recoveryConfig, col *Collector, label string) RecoveryPoint
 func RecoverySweep(obs *Observe, m *machine.Model, backend core.BackendID, nGPUs int, severities []float64, seed uint64, flightDepth int) []RecoveryPoint {
 	horizon := 4 * sim.Millisecond
 	fc := m.FabricConfig(m.NodesFor(nGPUs))
-	pts, _, _ := Sweep(obs, len(severities), func(i int, col *Collector) (RecoveryPoint, CellProfile, error) {
+	pts, _, _ := sweep(obs, len(severities), func(i int, col *collector) (RecoveryPoint, CellProfile, error) {
 		sev := severities[i]
 		label := fmt.Sprintf("%s sev=%.2f", backend, sev)
 		pt := runRecovery(recoveryConfig{
@@ -286,7 +286,7 @@ func RecoverySweep(obs *Observe, m *machine.Model, backend core.BackendID, nGPUs
 			plan: faults.GenerateHard(seed, sev, fc, nGPUs, horizon),
 		}, col, label)
 		pt.Severity = sev
-		return pt, col.Finish(label, pt.End), nil
+		return pt, col.finish(label, pt.End), nil
 	})
 	return pts
 }

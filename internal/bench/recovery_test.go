@@ -29,7 +29,7 @@ func TestRecoveryCrashMidAllreduce(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			pt := runRecovery(recoveryConfig{
 				model: m, backend: backend, nGPUs: 8, plan: crashPlan(),
-			}, &Collector{}, "")
+			}, &collector{}, "")
 			if pt.Err != "" {
 				t.Fatalf("run failed: %s", pt.Err)
 			}
@@ -116,7 +116,7 @@ func TestRecoverySweepPartialNodes(t *testing.T) {
 func TestRecoveryHealthyRunUntouched(t *testing.T) {
 	pt := runRecovery(recoveryConfig{
 		model: machine.Perlmutter(), backend: core.MPIBackend, nGPUs: 4,
-	}, &Collector{}, "")
+	}, &collector{}, "")
 	if !pt.Completed || pt.Recoveries != 0 || pt.Crashes != 0 {
 		t.Fatalf("healthy run misbehaved: %+v", pt)
 	}

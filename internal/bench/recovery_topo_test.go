@@ -44,7 +44,7 @@ func TestShrinkDuringHierarchicalAllreduce(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			pt := runRecovery(recoveryConfig{
 				model: m, backend: backend, nGPUs: nGPUs, plan: plan, count: elems,
-			}, &Collector{}, "")
+			}, &collector{}, "")
 			if pt.Err != "" || !pt.Completed {
 				t.Fatalf("run did not complete: %+v", pt)
 			}
@@ -79,7 +79,7 @@ func TestRecoverySwitchedTopologies(t *testing.T) {
 			plan := faults.GenerateHard(11, 1, mt.FabricConfig(mt.NodesFor(nGPUs)), nGPUs, horizon)
 			pt := runRecovery(recoveryConfig{
 				model: &mt, backend: core.MPIBackend, nGPUs: nGPUs, plan: plan, horizon: horizon,
-			}, &Collector{}, "")
+			}, &collector{}, "")
 			if pt.Err != "" || !pt.Completed {
 				t.Fatalf("%s did not complete: %+v", tc.Describe(), pt)
 			}

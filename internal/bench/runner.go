@@ -4,9 +4,9 @@ package bench
 // *independent* simulations (message-size sweeps, GPU-count scaling,
 // severity ramps); each cell builds its own sim.Engine inside core.Launch,
 // so cells share no mutable state and can execute on any OS thread without
-// changing their virtual-time results. Sweep fans cells out over GOMAXPROCS
-// workers while keeping the observable output bit-identical to serial
-// execution:
+// changing their virtual-time results. sweep, the engine under SweepSpecs and
+// RecoverySweep, fans cells out over GOMAXPROCS workers while keeping the
+// observable output bit-identical to serial execution:
 //
 //   - cells are claimed off an atomic counter in increasing index order;
 //   - every result lands in a slot keyed by cell index, never in arrival
@@ -22,8 +22,8 @@ package bench
 //
 // Observability ownership rule: trace logs and metrics registries are
 // single-engine state with no internal locking. A cell records only into
-// the Collector Sweep hands it (see profile.go), writes results only to its
-// own index, and freezes them (Collector.Finish) before returning. Collected
+// the collector sweep hands it (see profile.go), writes results only to its
+// own index, and freezes them (collector.finish) before returning. Collected
 // cells are then merged in index order by the caller, which keeps profiling
 // output bit-identical to serial execution. Sharing a log or registry across
 // cells is a data race AND a determinism bug — never do it.
@@ -41,7 +41,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Sweep is the one fan-out of independent cells: it runs cell(i, c) for
+// sweep is the one fan-out of independent cells: it runs cell(i, c) for
 // every i in [0, n), each with the instruments o decides on (Observe),
 // and collects the cells' values and frozen profiles by index, so whatever
 // is rendered from them is byte-identical at any GOMAXPROCS. It reports its
@@ -49,7 +49,7 @@ import (
 // returns, with the lowest-index error, those of the cells preceding the
 // first failing one — what a serial loop would have produced before
 // stopping.
-func Sweep[T any](o *Observe, n int, cell func(i int, c *Collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
+func sweep[T any](o *Observe, n int, cell func(i int, c *collector) (T, CellProfile, error)) ([]T, []CellProfile, error) {
 	vals := make([]T, n)
 	profs := make([]CellProfile, n)
 	done := make([]bool, n)
@@ -66,7 +66,7 @@ func Sweep[T any](o *Observe, n int, cell func(i int, c *Collector) (T, CellProf
 	return vals, profs, err
 }
 
-// Runner executes independent cells over a fixed-size worker pool: Sweep's
+// Runner executes independent cells over a fixed-size worker pool: sweep's
 // engine.
 type Runner struct {
 	workers int
@@ -109,7 +109,7 @@ func runCell(fn func(i int) error, i int) (err error) {
 // order on the calling goroutine. The lowest failing index decides the
 // outcome, as serially: its error is returned or its panic re-raised as a
 // *cellPanic; once any cell fails, unclaimed cells are skipped. Run reports
-// progress to no tracker; Sweep does, through its Observe.
+// progress to no tracker; sweep does, through its Observe.
 func (r *Runner) Run(n int, fn func(i int) error) error { return r.run(n, nil, fn) }
 
 // run is Run reporting its run and cells to o's live tracker, if any. That

@@ -17,7 +17,7 @@ import (
 	"repro/internal/spec"
 )
 
-// setProcs sets GOMAXPROCS, the width of every Sweep, for the rest of the
+// setProcs sets GOMAXPROCS, the width of every sweep, for the rest of the
 // test.
 func setProcs(t *testing.T, n int) {
 	old := runtime.GOMAXPROCS(n)
@@ -107,11 +107,11 @@ func TestRunnerEmptySweep(t *testing.T) {
 
 func TestSweepCollectsByIndex(t *testing.T) {
 	setProcs(t, 8)
-	got, _, err := Sweep(nil, 50, func(i int, _ *Collector) (int, CellProfile, error) {
+	got, _, err := sweep(nil, 50, func(i int, _ *collector) (int, CellProfile, error) {
 		return i * i, CellProfile{}, nil
 	})
 	if err != nil {
-		t.Fatalf("Sweep: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
 	for i, v := range got {
 		if v != i*i {
@@ -120,7 +120,7 @@ func TestSweepCollectsByIndex(t *testing.T) {
 	}
 }
 
-// TestSweepPanicReachesCaller: a panicking cell reaches Sweep's caller as a
+// TestSweepPanicReachesCaller: a panicking cell reaches sweep's caller as a
 // *cellPanic at any GOMAXPROCS, the lowest-index failure winning as it would
 // serially, with the cell's own stack; on a worker goroutine it used to end
 // the process.
@@ -134,7 +134,7 @@ func TestSweepPanicReachesCaller(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: recovered %#v, want a *cellPanic", procs, r)
 			}
 		}()
-		Sweep(nil, 16, func(i int, _ *Collector) (int, CellProfile, error) {
+		sweep(nil, 16, func(i int, _ *collector) (int, CellProfile, error) {
 			if i >= 3 && i%2 == 1 {
 				panic(fmt.Sprintf("cell %d", i))
 			}
@@ -143,7 +143,7 @@ func TestSweepPanicReachesCaller(t *testing.T) {
 			}
 			return i, CellProfile{}, nil
 		})
-		t.Fatalf("GOMAXPROCS %d: Sweep returned", procs)
+		t.Fatalf("GOMAXPROCS %d: sweep returned", procs)
 		return nil
 	}
 	for _, procs := range []int{1, 4} {
@@ -220,7 +220,7 @@ func TestSweepObservedErrorMatchesSerial(t *testing.T) {
 	}
 	run := func(procs int) ([]float64, error) {
 		setProcs(t, procs)
-		vals, _, err := Sweep(nil, len(specs), func(i int, col *Collector) (float64, CellProfile, error) {
+		vals, _, err := sweep(nil, len(specs), func(i int, col *collector) (float64, CellProfile, error) {
 			v, _, err := runSpec(specs[i], col)
 			return v, CellProfile{}, err
 		})

@@ -127,7 +127,7 @@ func BenchmarkSpanAnalysis(b *testing.B) {
 	for _, s := range pinGrid() {
 		s.Bytes = 2 << 10
 		log := trace.New()
-		if _, _, err := runSpec(s.Normalize(), &Collector{log: log}); err != nil {
+		if _, _, err := runSpec(s.Normalize(), &collector{log: log}); err != nil {
 			b.Fatal(err)
 		}
 		logs, spans, records = append(logs, log), spans+log.Len(), records+storedRecords(log)

@@ -1,7 +1,7 @@
 package bench
 
 // Wall-clock benchmarks for the parallel sweep. Each benchmark runs a
-// realistic (but small) grid of independent simulations through Sweep so
+// realistic (but small) grid of independent simulations through sweep so
 // `go test -bench=Sweep` measures end-to-end sweep throughput at the current
 // GOMAXPROCS; compare `-cpu 1` with the default to see the parallel speedup.
 
@@ -31,7 +31,7 @@ func BenchmarkSweepLatencyGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := Sweep(nil, len(cells), func(j int, _ *Collector) (sim.Duration, CellProfile, error) {
+		_, _, err := sweep(nil, len(cells), func(j int, _ *collector) (sim.Duration, CellProfile, error) {
 			cfg := NetConfig{
 				Model: machine.Perlmutter(), Backend: cells[j].backend,
 				API: machine.APIHost, Native: true, Inter: true,

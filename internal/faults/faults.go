@@ -240,7 +240,7 @@ func Degrade(path fabric.Path, severity float64) *Plan {
 	if severity <= 0 {
 		return &Plan{}
 	}
-	k := 1 + 4*severity
+	k := 1 + float64(4*severity) // exact, but rounded as Generate's factors are
 	return &Plan{
 		Links: []LinkFault{{
 			Src: Any, Dst: Any, Path: path, Window: always,
@@ -266,14 +266,15 @@ func Generate(seed uint64, severity float64, cfg fabric.Config, horizon sim.Dura
 	}
 
 	// Link degradation: one fault per path kind, factors scaled by severity
-	// with a site-keyed jitter.
+	// with a site-keyed jitter. Each float64(...) rounds a product, so no CPU
+	// fuses it into the sum and a plan is the same on every architecture.
 	for _, path := range []fabric.Path{fabric.PathIntra, fabric.PathInter} {
 		r := newRand(seed, "link/"+path.String())
-		k := 1 + 3*severity*r.between(0.5, 1)
+		k := 1 + float64(3*severity*r.between(0.5, 1))
 		p.Links = append(p.Links, LinkFault{
 			Src: Any, Dst: Any, Path: path, Window: always,
 			LatencyFactor:   k,
-			BandwidthFactor: 1 / (1 + 4*severity*r.between(0.5, 1)),
+			BandwidthFactor: 1 / (1 + float64(4*severity*r.between(0.5, 1))),
 		})
 	}
 
@@ -299,7 +300,7 @@ func Generate(seed uint64, severity float64, cfg fabric.Config, horizon sim.Dura
 	r := newRand(seed, "slowrank/v2")
 	p.SlowRanks = append(p.SlowRanks, SlowRank{
 		Rank:   r.intn(nGPUs),
-		Factor: 1 + 2*severity*r.between(0.5, 1),
+		Factor: 1 + float64(2*severity*r.between(0.5, 1)),
 		Window: always,
 	})
 	return p

@@ -72,7 +72,8 @@ func (r *rand) intn(n int) int {
 	return int(hi)
 }
 
-// between draws uniformly from [lo, hi).
+// between draws uniformly from [lo, hi). The conversion rounds the product,
+// so no CPU fuses it into the sum.
 func (r *rand) between(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.unit()
+	return lo + float64((hi-lo)*r.unit())
 }

@@ -95,35 +95,29 @@ func TestSolverFastForwardEqualsFull(t *testing.T) {
 			cells = append(cells, cell{c, v, fmt.Sprintf("%s/%s%s", m.Name, v.CLI, v.Impl())})
 		}
 	}
-	msgs, _, err := bench.Sweep(nil, len(cells), func(i int, _ *bench.Collector) (string, bench.CellProfile, error) {
-		c := cells[i]
-		simulated, d, err := ffCompare(c.cfg)
-		total := c.cfg.Iters
-		switch {
-		case err != nil:
-			return "", bench.CellProfile{}, fmt.Errorf("%s: %w", c.label, err)
-		case d != "":
-			return fmt.Sprintf("%s: %s", c.label, d), bench.CellProfile{}, nil
-		case c.col.API == machine.APIDevice && simulated != total:
-			return fmt.Sprintf("%s: rank 0 simulated %d of %d iterations of a loop that runs ahead", c.label, simulated, total), bench.CellProfile{}, nil
-		case c.cfg.Model.Name != "Perlmutter" || c.col.API == machine.APIDevice:
-			// No fraction bound off the apps-backends machine, and a device
-			// column's is the one above.
-		case c.col.Backend == core.GpucclBackend && simulated*10 > total*4:
-			return fmt.Sprintf("%s: rank 0 simulated %d of %d iterations, want at most 40 %%", c.label, simulated, total), bench.CellProfile{}, nil
-		case c.col.Backend != core.GpucclBackend && simulated*10 > total:
-			return fmt.Sprintf("%s: rank 0 simulated %d of %d iterations, want at most 10 %%", c.label, simulated, total), bench.CellProfile{}, nil
-		}
-		t.Logf("%s: rank 0 simulated %d of %d iterations (%.0f %%)", c.label, simulated, total, 100*float64(simulated)/float64(total))
-		return "", bench.CellProfile{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		if m != "" {
-			t.Error(m)
-		}
+	for _, c := range cells {
+		t.Run(c.label, func(t *testing.T) {
+			t.Parallel()
+			simulated, d, err := ffCompare(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := c.cfg.Iters
+			t.Logf("rank 0 simulated %d of %d iterations (%.0f %%)", simulated, total, 100*float64(simulated)/float64(total))
+			switch {
+			case d != "":
+				t.Error(d)
+			case c.col.API == machine.APIDevice && simulated != total:
+				t.Errorf("rank 0 simulated %d of %d iterations of a loop that runs ahead", simulated, total)
+			case c.cfg.Model.Name != "Perlmutter" || c.col.API == machine.APIDevice:
+				// No fraction bound off the apps-backends machine, and a device
+				// column's is the one above.
+			case c.col.Backend == core.GpucclBackend && simulated*10 > total*4:
+				t.Errorf("rank 0 simulated %d of %d iterations, want at most 40 %%", simulated, total)
+			case c.col.Backend != core.GpucclBackend && simulated*10 > total:
+				t.Errorf("rank 0 simulated %d of %d iterations, want at most 10 %%", simulated, total)
+			}
+		})
 	}
 }
 

@@ -238,7 +238,7 @@ var enumValues = [...]string{
 	WorkloadNetLatency, WorkloadNetBandwidth, WorkloadAllreduce,
 	"Perlmutter", "LUMI", "MareNostrum5",
 	"MPI", "GPUCCL", "GPUSHMEM",
-	"Host", "Device", "host", "device",
+	"Host", "Device",
 	"auto", "rd", "ring", "hierarchical",
 	"flat", "fattree", "dragonfly",
 	FaultDegrade, FaultGenerate,

@@ -112,7 +112,7 @@ func (c *CommonFlags) Resolve() (*machine.Model, error) {
 func (c *CommonFlags) Spec() Spec {
 	s := Spec{Machine: c.machine}
 	if len(c.Topologies) == 1 {
-		s.Topology = canonicalTopology(c.Topologies[0])
+		s.Topology = CanonicalTopology(c.Topologies[0])
 	}
 	return s
 }

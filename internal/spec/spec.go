@@ -179,15 +179,17 @@ func (s Spec) normalize() (Spec, fabric.TopologyConfig, error) {
 	// parses; Validate reports the error otherwise.
 	tc, err := fabric.ParseTopology(s.Topology)
 	if err == nil {
-		s.Topology = canonicalTopology(tc)
+		s.Topology = CanonicalTopology(tc)
 	}
 	return s, tc, err
 }
 
-// canonicalTopology renders a TopologyConfig in the canonical unresolved
-// spec syntax (auto-sized parameters stay 0, since resolution depends on the
-// node count): "flat", "fattree:4", "fattree", "dragonfly:1,2,2".
-func canonicalTopology(tc fabric.TopologyConfig) string {
+// CanonicalTopology renders a TopologyConfig as a normalized spec's Topology
+// spells it, in the unresolved syntax (auto-sized parameters stay 0, since
+// resolution depends on the node count): "flat", "fattree:4", "fattree",
+// "dragonfly:1,2,2". A CLI that sweeps a -topology list names each cell's
+// network with it.
+func CanonicalTopology(tc fabric.TopologyConfig) string {
 	switch tc.Kind {
 	case fabric.TopoFatTree:
 		if tc.FatTreeArity == 0 {
@@ -462,9 +464,9 @@ func (s Spec) APIKind() (machine.API, error) { return parseAPI(s.Normalize().API
 // parseAPI is APIKind of a normalized spec's API value.
 func parseAPI(name string) (machine.API, error) {
 	switch name {
-	case "Host", "host", APIPartial:
+	case "Host", APIPartial:
 		return machine.APIHost, nil
-	case "Device", "device":
+	case "Device":
 		return machine.APIDevice, nil
 	default:
 		return 0, fmt.Errorf("spec: unknown API %q (Host|Device|%s)", name, APIPartial)
@@ -479,7 +481,7 @@ func (s Spec) Implementation() (solver.Variant, core.LaunchMode) {
 	n := s.Normalize()
 	mode := core.PureHost
 	switch n.API {
-	case "Device", "device":
+	case "Device":
 		mode = core.PureDevice
 	case APIPartial:
 		mode = core.PartialDevice

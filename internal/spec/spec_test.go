@@ -215,6 +215,8 @@ func TestValidate(t *testing.T) {
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Backend: "UCX"}, "unknown backend"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Machine: "LUMI", Backend: "GPUSHMEM"}, "no GPUSHMEM"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, API: "Device"}, "requires the GPUSHMEM"},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, API: "host"}, `unknown API "host"`},
+		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Backend: "GPUSHMEM", API: "device"}, `unknown API "device"`},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Ranks: 4}, "the net-latency workload does not read ranks"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8, Alg: "ring"}, "the net-latency workload does not read alg"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 1, Bytes: 8}, "2 <= ranks <= 4096"},
@@ -286,7 +288,7 @@ func TestParseTopologyList(t *testing.T) {
 	if len(tcs) != 3 {
 		t.Fatalf("got %d topologies, want 3 (dragonfly params must stay attached)", len(tcs))
 	}
-	if got := canonicalTopology(tcs[2]); got != "dragonfly:1,2,2" {
+	if got := CanonicalTopology(tcs[2]); got != "dragonfly:1,2,2" {
 		t.Errorf("third entry = %s, want dragonfly:1,2,2", got)
 	}
 	if _, err := parseTopologyList("flat,torus"); err == nil {
@@ -432,7 +434,7 @@ func FuzzTopology(f *testing.F) {
 		if err != nil {
 			return
 		}
-		canon := canonicalTopology(tc)
+		canon := CanonicalTopology(tc)
 		if back, err := fabric.ParseTopology(canon); err != nil || back != tc {
 			t.Fatalf("%q parses to %+v, its canonical spelling %q to %+v (%v)", s, tc, canon, back, err)
 		}
@@ -461,7 +463,7 @@ func FuzzTopologyList(f *testing.F) {
 		}
 		canon := make([]string, len(tcs))
 		for i, tc := range tcs {
-			canon[i] = canonicalTopology(tc)
+			canon[i] = CanonicalTopology(tc)
 		}
 		joined := strings.Join(canon, ",")
 		if back, err := parseTopologyList(joined); err != nil || !slices.Equal(back, tcs) {

@@ -62,7 +62,7 @@ type RankBreakdown struct {
 // Each rank's lane sweeps its intervals in view order, closing those that
 // end by the next start; the time between two instants goes to the highest
 // class active over it. A band is swept in full, copy by copy: the only
-// views attributed come from a Collector with a metrics registry, which
+// views attributed come from a bench collector with a metrics registry, which
 // turns fast-forward off, so they hold no band outside tests.
 func Attribute(v *View, end sim.Time) []RankBreakdown {
 	nRanks := 0
