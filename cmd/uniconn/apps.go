@@ -78,6 +78,9 @@ func jacobiCmd(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if err != nil {
+		if len(totals)%len(cols) != 0 {
+			fmt.Fprintln(stdout) // end the partial row
+		}
 		return err
 	}
 	if len(last) > 0 {

@@ -256,8 +256,9 @@ func TestChaosGenerateIntraNode(t *testing.T) {
 // printed, then a non-zero exit.
 func TestFailingCellKeepsSerialPrefix(t *testing.T) {
 	stdout, stderr, status := invoke(t, "jacobi", "-gpus", "3", "-nx", "100", "-ny", "100")
-	if status != 1 || !strings.Contains(stderr, "mismatched collective Malloc") {
-		t.Errorf("exit %d, stderr %q; want exit 1 and the GPUSHMEM allocation error", status, stderr)
+	if status != 1 || !strings.Contains(stderr, "jacobi/Perlmutter/GPUSHMEM-Host:Native/r3/100x100: ") ||
+		!strings.Contains(stderr, "mismatched collective Malloc") {
+		t.Errorf("exit %d, stderr %q; want exit 1 and the GPUSHMEM allocation error, named by its cell", status, stderr)
 	}
 	compare(t, "stdout", stdout, readGolden(t, "testdata/jacobi-fails-midrow.golden"))
 }

@@ -311,7 +311,8 @@ func netConfig(s spec.Spec, m *machine.Model, col *collector) (NetConfig, error)
 // SweepSpecs is the observed sweep over spec cells: it validates every spec
 // before any cell runs, runs each through runSpec with the instruments obs
 // decides on, and returns the values and the cells' frozen profiles in index
-// order (on failure, those of the cells before the first failing one). A
+// order (on failure, those of the cells before the first failing one, and
+// the failing cell's error prefixed with its spec's label). A
 // profile is labelled with its spec and noted with its value; callers
 // relabel it as their outputs name the cell.
 func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, error) {
@@ -323,6 +324,9 @@ func SweepSpecs(obs *Observe, specs []spec.Spec) ([]float64, []CellProfile, erro
 	return sweep(obs, len(specs), func(i int, col *collector) (float64, CellProfile, error) {
 		s := specs[i]
 		v, rep, err := runSpec(s, col)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", s, err)
+		}
 		note := fmt.Sprintf("one-way latency %s", sim.Duration(v))
 		switch s.Workload {
 		case spec.WorkloadNetBandwidth:

@@ -35,12 +35,14 @@ func p2pGrid() []spec.Spec {
 }
 
 // ffAnswer is what a net spec's evaluation shows: its encoded Result, its
-// sorted spans, every analysis of them, and how many iterations rank 0
-// simulated (-1 when the cell ran without a controller).
+// sorted spans, every analysis of them, its metrics snapshot as JSON, and how
+// many iterations rank 0 simulated (-1 when the cell ran without a
+// controller).
 type ffAnswer struct {
 	body      []byte
 	spans     []trace.Span
 	analyses  string
+	metrics   []byte
 	simulated int
 }
 
@@ -55,16 +57,16 @@ func spanAnalyses(log *trace.Log, end sim.Time) string {
 		trace.RenderBreakdown(trace.Attribute(v, end)), ranks, bytes, msgs, trace.BuildCommMatrix(v).Render(), v.Summarize().Render())
 }
 
-// ffRun evaluates the valid net spec s with fast-forward on, or off when full
-// is set.
+// ffRun evaluates the valid net spec s, with a fresh metrics registry, with
+// fast-forward on, or off when full is set.
 func ffRun(s spec.Spec, full bool) (ffAnswer, error) {
 	n := s.Normalize()
 	m, err := n.Model()
 	if err != nil {
 		return ffAnswer{}, err
 	}
-	log := trace.New()
-	cfg, err := netConfig(n, m, &collector{log: log})
+	log, reg := trace.New(), metrics.New()
+	cfg, err := netConfig(n, m, &collector{log: log, metrics: reg})
 	if err != nil {
 		return ffAnswer{}, err
 	}
@@ -74,6 +76,11 @@ func ffRun(s spec.Spec, full bool) (ffAnswer, error) {
 		return ffAnswer{}, fmt.Errorf("%s: %w", n, err)
 	}
 	a := ffAnswer{spans: spansOf(log), analyses: spanAnalyses(log, rep.End), simulated: simulated}
+	var snap bytes.Buffer
+	if err := reg.Snapshot().WriteJSON(&snap); err != nil {
+		return a, err
+	}
+	a.metrics = snap.Bytes()
 	a.body, err = newResult(n, n.Hash(), v, rep, log).Encode()
 	return a, err
 }
@@ -103,16 +110,19 @@ func ffCompare(s spec.Spec) (ffAnswer, string, error) {
 	if fast.analyses != full.analyses {
 		return fast, fmt.Sprintf("span analyses\nfast %s\nfull %s", fast.analyses, full.analyses), nil
 	}
+	if !bytes.Equal(fast.metrics, full.metrics) {
+		return fast, fmt.Sprintf("metrics\nfast %s\nfull %s", fast.metrics, full.metrics), nil
+	}
 	return fast, "", nil
 }
 
 // TestFastForwardEqualsFull holds fast-forward to the full run on every cell
 // of the serve benchmarks' grid — the 32 serve-churn cells at three of its
 // sizes and the 64 serve-warm specs (256 B and 16 KiB): equal Result bytes,
-// equal sorted spans, and every analysis of the folded log equal to the
-// same analysis of the full run's. Below 8 KiB the cells run their default counts
-// (1000 + 100 ping-pongs, 100 + 10 windows), and rank 0 must simulate at most
-// a tenth of them.
+// equal sorted spans, every analysis of the folded log equal to the same
+// analysis of the full run's, and equal metrics snapshots. Below 8 KiB the
+// cells run their default counts (1000 + 100 ping-pongs, 100 + 10 windows),
+// and rank 0 must simulate at most a tenth of them.
 func TestFastForwardEqualsFull(t *testing.T) {
 	var specs []spec.Spec
 	for _, size := range []int64{8, 256, 1032, 3080, 16 << 10} {
@@ -152,15 +162,15 @@ func TestFastForwardEqualsFull(t *testing.T) {
 }
 
 // TestFastForwardEligibility: a cell whose answer depends on more than
-// lengths and shifted time simulates every iteration — with a fault plan, a
-// metrics registry or functional payloads it runs without a controller, and
-// under a flight recorder the engine refuses every loop head.
+// lengths and shifted time simulates every iteration — with a fault plan or
+// functional payloads it runs without a controller, and under a flight
+// recorder the engine refuses every loop head — while a metrics registry
+// rides through the skip.
 func TestFastForwardEligibility(t *testing.T) {
 	base := NetConfig{Model: machine.Perlmutter(), Backend: core.MPIBackend, API: machine.APIHost, Bytes: 8}
 	iters, warmup, _ := base.counts(false)
 	for name, set := range map[string]func(*NetConfig){
 		"faults":     func(c *NetConfig) { c.faults = faults.Degrade(fabric.PathIntra, 0.5) },
-		"metrics":    func(c *NetConfig) { c.metrics = metrics.New() },
 		"functional": func(c *NetConfig) { c.functional = true },
 	} {
 		cfg := base
@@ -180,8 +190,8 @@ func TestFastForwardEligibility(t *testing.T) {
 	}
 
 	fast, err := ffRun(spec.Spec{Workload: spec.WorkloadNetLatency, Backend: "MPI", API: "Host", Bytes: 8}, false)
-	if err != nil || fast.simulated*10 > iters+warmup {
-		t.Errorf("eligible cell: rank 0 simulated %d of %d iterations (err %v)", fast.simulated, iters+warmup, err)
+	if err != nil || fast.simulated < 0 || fast.simulated*10 > iters+warmup {
+		t.Errorf("eligible cell with a registry: rank 0 simulated %d of %d iterations (err %v)", fast.simulated, iters+warmup, err)
 	}
 }
 
@@ -246,8 +256,8 @@ func TestFoldedPaperCountLog(t *testing.T) {
 // FuzzFastForward draws a net cell — workload, machine, backend and API,
 // native or UNICONN, placement, size, and small iteration, warm-up and window
 // counts — and holds its fast-forwarded run to its full run: equal Result
-// bytes, equal sorted spans, and equal critical path, attribution, traffic,
-// comm matrix and summary.
+// bytes, equal sorted spans, equal critical path, attribution, traffic,
+// comm matrix and summary, and equal metrics snapshots.
 func FuzzFastForward(f *testing.F) {
 	for i := range 32 {
 		f.Add(uint64(i) * 0x9E3779B97F4A7C15)

@@ -196,9 +196,7 @@ func launch(cfg Config, ff *fastForward, main func(env *Env)) (Report, error) {
 	}
 	// Metrics must be installed before the backend worlds are built: worlds
 	// resolve their instruments from cluster.Metrics at construction.
-	if cfg.Metrics != nil {
-		cluster.SetMetrics(cfg.Metrics)
-	}
+	cluster.SetMetrics(cfg.Metrics)
 	if f := cfg.Faults; f != nil {
 		cluster.Fabric.LinkFault = f.LinkCostAt
 		f.ApplyStalls(cluster.Fabric)
@@ -239,9 +237,7 @@ func launch(cfg Config, ff *fastForward, main func(env *Env)) (Report, error) {
 	if len(rep.Faults.CrashedRanks) > 0 {
 		flight.dump("recovered from hard fault")
 	}
-	if cfg.Metrics != nil {
-		cluster.Fabric.PublishOccupancy(cfg.Metrics, rep.End)
-	}
+	cluster.Fabric.PublishOccupancy(cfg.Metrics, rep.End) // nil-safe
 	return rep, nil
 }
 

@@ -10,10 +10,11 @@ package core
 // skips the middle of the phase: the clock, every pending event, port
 // horizon and in-service stream operation move a whole number of cycles
 // later, the trace gains that many shifted copies of the last cycle's
-// records, and every rank's loop will jump the skipped iterations when it
-// reaches the phase's end. What the launch reports — its values, its end,
-// every span — is bit for bit what the full run reports; the differential
-// tests in internal/bench and internal/solver hold it to that.
+// records, the registry and the ports' busy times that many times the last
+// cycle's gain, and every rank's loop will jump the skipped iterations when
+// it reaches the phase's end. What the launch reports — its values, its end,
+// every span and metric — is bit for bit what the full run reports; the
+// differential tests in internal/bench and internal/solver hold it to that.
 
 import (
 	"bytes"
@@ -21,7 +22,6 @@ import (
 	"iter"
 	"slices"
 
-	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -77,6 +77,7 @@ type ffHead struct {
 	at      sim.Time
 	mark    int
 	backlog uint64
+	obs     []int64 // with a registry: the ports' busy times, then the registry's mark
 }
 
 // ffLoop is one rank's loop.
@@ -89,15 +90,15 @@ type ffLoop struct {
 
 // LaunchLoops is Launch for ranks that run periodic loops (Env.Loop) whose
 // first phase is warmup iterations long: a controller fast-forwards their
-// steady state, unless full is set or the launch's answer depends on more
-// than lengths and shifted time — a fault plan, a metrics registry, a
-// switched topology whose adaptive routing reads absolute time. It also
-// reports how many iterations rank 0 simulated, or -1 when the launch ran
-// without a controller. A launch whose payloads are real must set full: a
-// skipped iteration computes nothing.
+// steady state, unless full is set or a fault plan is: a plan's slow-rank
+// factors (ComputeFault) are encoded nowhere, where the encoders refuse at
+// every head what else reads absolute time. It also reports how many
+// iterations rank 0 simulated, or -1 when the launch ran without a
+// controller. A launch whose payloads are real must set full: a skipped
+// iteration computes nothing.
 func LaunchLoops(cfg Config, warmup int, full bool, main func(env *Env)) (Report, int, error) {
-	if full || cfg.Model == nil || cfg.Faults != nil || cfg.Metrics != nil || cfg.Model.Topology.Kind != fabric.TopoFlat {
-		rep, err := Launch(cfg, main) // which reports a nil model
+	if full || cfg.Faults != nil {
+		rep, err := Launch(cfg, main)
 		return rep, -1, err
 	}
 	// The pseudo-head at time 0 stands before the first one.
@@ -187,8 +188,9 @@ func (f *fastForward) head(lo, hi, it int) {
 	}
 	// The new head reuses the buffer of the one that falls out of the window.
 	var buf []byte
+	var obs []int64
 	if len(f.heads) == ffMaxCycle+2 {
-		buf = f.heads[0].state[:0]
+		buf, obs = f.heads[0].state[:0], f.heads[0].obs[:0]
 		f.heads = append(f.heads[:0], f.heads[1:]...)
 	}
 	q := f.backlog()
@@ -203,7 +205,10 @@ func (f *fastForward) head(lo, hi, it int) {
 	} else {
 		state = nil
 	}
-	f.heads = append(f.heads, ffHead{state: state, at: now, mark: f.log.Len(), backlog: q})
+	if cl := f.envs[0].Device().Cluster(); cl.Metrics != nil {
+		obs = cl.Metrics.AppendMark(cl.Fabric.AppendBusy(obs))
+	}
+	f.heads = append(f.heads, ffHead{state: state, at: now, mark: f.log.Len(), backlog: q, obs: obs})
 	cycle := 0
 	for k := 1; k <= ffMaxCycle; k++ {
 		if f.matches(k) {
@@ -244,6 +249,9 @@ func (f *fastForward) head(lo, hi, it int) {
 	}
 	if !f.private {
 		f.log.Repeat(f.heads[n-cycle].mark, f.heads[n].mark, cycles, period)
+	}
+	if cl := f.envs[0].Device().Cluster(); cl.Metrics != nil {
+		cl.Metrics.Repeat(cl.Fabric.RepeatBusy(f.heads[n-cycle].obs, int64(cycles)), int64(cycles))
 	}
 	f.heads = append(f.heads[:0], ffHead{at: eng.Now(), mark: f.log.Len(), backlog: f.backlog()})
 	f.runs, f.highs = [ffMaxCycle + 1]int{}, 0

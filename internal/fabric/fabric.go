@@ -374,20 +374,36 @@ func (f *Fabric) AppendState(b []byte, now sim.Time) ([]byte, bool) {
 	if f.topo != nil || f.LinkFault != nil || len(f.downs) > 0 {
 		return b, false
 	}
+	f.flatPorts(func(tl *sim.Timeline) { b = binary.AppendVarint(b, int64(max(tl.BusyUntil().Sub(now), 0))) })
+	return b, true
+}
+
+// flatPorts calls fn on every GPU and NIC port, in a fixed order.
+func (f *Fabric) flatPorts(fn func(tl *sim.Timeline)) {
 	for _, ports := range [...][]*sim.Timeline{f.egress, f.ingress, f.nicOut, f.nicIn} {
 		for _, tl := range ports {
-			b = binary.AppendVarint(b, int64(max(tl.BusyUntil().Sub(now), 0)))
+			fn(tl)
 		}
 	}
-	return b, true
 }
 
 // Shift moves every port's busy horizon d later, with the engine's clock
 // (sim.Engine.Shift).
-func (f *Fabric) Shift(d sim.Duration) {
-	for _, ports := range [...][]*sim.Timeline{f.egress, f.ingress, f.nicOut, f.nicIn} {
-		for _, tl := range ports {
-			tl.Shift(d)
-		}
-	}
+func (f *Fabric) Shift(d sim.Duration) { f.flatPorts(func(tl *sim.Timeline) { tl.Shift(d) }) }
+
+// AppendBusy appends every port's busy time (PublishOccupancy's) to b, a
+// mark for RepeatBusy.
+func (f *Fabric) AppendBusy(b []int64) []int64 {
+	f.flatPorts(func(tl *sim.Timeline) { b = append(b, int64(tl.BusySum())) })
+	return b
+}
+
+// RepeatBusy adds to every port's busy time n times its gain since mark
+// (AppendBusy), for a skip of n cycles, and returns the rest of mark.
+func (f *Fabric) RepeatBusy(mark []int64, n int64) []int64 {
+	f.flatPorts(func(tl *sim.Timeline) {
+		tl.RepeatBusy(sim.Duration(mark[0]), n)
+		mark = mark[1:]
+	})
+	return mark
 }

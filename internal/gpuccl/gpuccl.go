@@ -227,7 +227,7 @@ type kernel struct {
 	aborted error    // first failure of an op
 
 	// A lone collective runs in the kernel's own steps: its walk, and when
-	// it started.
+	// it started on the skip-free clock (sim.Engine.SkipFreeNow).
 	walk  *lockstep.Walk
 	start sim.Time
 
@@ -296,7 +296,7 @@ func (k *kernel) step(sp *sim.Proc) sim.Duration {
 			}
 		case kernelStart:
 			if o := &k.ops[0]; len(k.ops) == 1 && o.coll != nil {
-				k.phase, k.walk, k.start = kernelLone, o.coll(), sp.Now()
+				k.phase, k.walk, k.start = kernelLone, o.coll(), sp.Engine().SkipFreeNow()
 				continue
 			}
 			eng := sp.Engine()
@@ -319,7 +319,7 @@ func (k *kernel) step(sp *sim.Proc) sim.Duration {
 			if d := k.walk.Step(sp); d != sim.StepResume {
 				return d
 			}
-			k.ops[0].hist.Observe(int64(sp.Now().Sub(k.start)))
+			k.ops[0].hist.Observe(int64(sp.Engine().SkipFreeNow().Sub(k.start)))
 			k.phase = kernelJoin
 		case kernelJoin:
 			if k.aborted != nil {
@@ -344,9 +344,9 @@ func (k *kernel) drop() {
 
 // exec walks a fused collective op to completion on its sub-process p.
 func (o *op) exec(p *sim.Proc) {
-	start := p.Now()
+	start := p.Engine().SkipFreeNow()
 	o.coll().Run(p)
-	o.hist.Observe(int64(p.Now().Sub(start)))
+	o.hist.Observe(int64(p.Engine().SkipFreeNow().Sub(start)))
 }
 
 // opKey draws the cross-rank key of the rank's next collective call. All

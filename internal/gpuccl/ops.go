@@ -132,13 +132,13 @@ type p2pSide struct {
 	k       *kernel // the kernel to notify; nil once notified or revoked
 	view    gpu.View
 	hist    *metrics.Histogram
-	at      sim.Time // when the op started, for hist
+	at      sim.Time // when the op started on the skip-free clock (sim.Engine.SkipFreeNow), for hist
 }
 
 // done completes the side's op, if its kernel still waits for it.
 func (sd *p2pSide) done(eng *sim.Engine) {
 	if sd.k != nil {
-		sd.hist.Observe(int64(eng.Now().Sub(sd.at)))
+		sd.hist.Observe(int64(eng.SkipFreeNow().Sub(sd.at)))
 		sd.k.opDone(eng, nil)
 		sd.k = nil
 	}
@@ -199,7 +199,7 @@ func (m *p2pMsg) release() {
 // start begins o, one side of a point-to-point message, inside kernel k.
 func (o *op) start(eng *sim.Engine, k *kernel) {
 	m := o.f.msg(o.seq)
-	side := p2pSide{started: true, k: k, view: o.view, hist: o.hist, at: eng.Now()}
+	side := p2pSide{started: true, k: k, view: o.view, hist: o.hist, at: eng.SkipFreeNow()}
 	if o.send {
 		m.send = side
 		if m.recv.started {

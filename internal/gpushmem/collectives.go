@@ -115,8 +115,8 @@ func (t *Team) inKernel(k *gpu.KernelCtx, c collective) {
 	t.pe.callCost(k.P, machine.APIDevice)
 	key := t.key(machine.APIDevice, c.kind)
 	if h := t.pe.w.mColl[machine.APIDevice][c.kind]; h != nil {
-		start := k.P.Now()
-		defer func() { h.Observe(int64(k.P.Now().Sub(start))) }()
+		start := k.P.Engine().SkipFreeNow()
+		defer func() { h.Observe(int64(k.P.Engine().SkipFreeNow().Sub(start))) }()
 	}
 	t.walk(machine.APIDevice, key, c).Run(k.P)
 }

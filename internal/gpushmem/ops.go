@@ -194,7 +194,7 @@ type hostCall struct {
 	key   lockstep.Key
 	coll  collective
 	walk  *lockstep.Walk
-	start sim.Time
+	start sim.Time // on the skip-free clock (sim.Engine.SkipFreeNow)
 }
 
 type hostKind uint8
@@ -267,14 +267,14 @@ func (o *hostOp) step(sp *sim.Proc) sim.Duration {
 			}
 		case hostColl:
 			c := o.call
-			c.walk, c.start = c.team.walk(machine.APIHost, c.key, c.coll), sp.Now()
+			c.walk, c.start = c.team.walk(machine.APIHost, c.key, c.coll), sp.Engine().SkipFreeNow()
 		}
 	}
 	if o.kind == hostColl {
 		if d := o.call.walk.Step(sp); d != sim.StepResume {
 			return d
 		}
-		o.call.observe(sp.Now())
+		o.call.observe(sp.Engine().SkipFreeNow())
 	}
 	o.release()
 	return sim.StepResume
@@ -284,7 +284,7 @@ func (o *hostOp) step(sp *sim.Proc) sim.Duration {
 // ran.
 func (o *hostOp) drop() {
 	if o.kind == hostColl && o.call.walk != nil {
-		o.call.observe(o.pe.w.cluster.Eng.Now())
+		o.call.observe(o.pe.w.cluster.Eng.SkipFreeNow())
 	}
 }
 

@@ -149,10 +149,12 @@ func (h *Histogram) Observe(v int64) {
 // thread-safe, and hot paths resolve their handles once at setup, so the
 // lock is never taken on the simulation hot path.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu          sync.RWMutex
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	hists       map[string]*Histogram
+	counterList []*Counter   // in creation order, a mark's (AppendMark)
+	histList    []*Histogram // likewise
 }
 
 // New returns an enabled, empty registry.
@@ -181,6 +183,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c = r.counters[name]; c == nil {
 		c = &Counter{}
 		r.counters[name] = c
+		r.counterList = append(r.counterList, c)
 	}
 	return c
 }
@@ -221,8 +224,58 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h = r.hists[name]; h == nil {
 		h = &Histogram{}
 		r.hists[name] = h
+		r.histList = append(r.histList, h)
 	}
 	return h
+}
+
+// AppendMark appends a mark of the registry to b for Repeat: the number of
+// counters, their values, then each histogram's count, sum and buckets.
+func (r *Registry) AppendMark(b []int64) []int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	b = append(b, int64(len(r.counterList)))
+	for _, c := range r.counterList {
+		b = append(b, c.Value())
+	}
+	for _, h := range r.histList {
+		h.mu.Lock()
+		b = append(append(b, h.count, h.sum), h.buckets[:]...)
+		h.mu.Unlock()
+	}
+	return b
+}
+
+// Repeat adds n times what every counter and histogram (count, sum, each
+// bucket) gained since mark (AppendMark), as if that stretch ran n more
+// times: a fast-forward's skip of n cycles. Gauges are not repeated: they
+// hold extrema (a Max) and end-of-run values, which a repeated stretch does
+// not move, as it does not a histogram's min and max.
+func (r *Registry) Repeat(mark []int64, n int64) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	nc := int(mark[0])
+	for i, c := range r.counterList {
+		var was int64
+		if i < nc {
+			was = mark[1+i]
+		}
+		c.Add(n * (c.Value() - was))
+	}
+	var zero [2 + histBuckets]int64
+	for i, h := range r.histList {
+		was := zero[:]
+		if off := 1 + nc + i*len(zero); off < len(mark) {
+			was = mark[off : off+len(zero)]
+		}
+		h.mu.Lock()
+		h.count += n * (h.count - was[0])
+		h.sum += n * (h.sum - was[1])
+		for j := range h.buckets {
+			h.buckets[j] += n * (h.buckets[j] - was[2+j])
+		}
+		h.mu.Unlock()
+	}
 }
 
 // CounterValue is one counter in a snapshot.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -273,5 +274,45 @@ func TestRenderListsEveryKind(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRepeat: repeating the stretch since a mark n times reads as running it
+// n more times — counters and a histogram's count, sum and buckets scale,
+// instruments the stretch created included — while a histogram's min and
+// max and every gauge stay as the stretch left them.
+func TestRepeat(t *testing.T) {
+	before := func(r *Registry) {
+		r.Counter("a").Add(5)
+		r.Histogram("h").Observe(1)
+		r.Histogram("h").Observe(100)
+		r.Gauge("depth").Max(9)
+	}
+	stretch := func(r *Registry) {
+		r.Counter("a").Add(3)
+		r.Counter("b").Add(2)
+		r.Histogram("h").Observe(100)
+		r.Histogram("h").Observe(7)
+		r.Histogram("new").Observe(4)
+		r.Gauge("depth").Max(2)
+		r.Gauge("occ").Set(0.5)
+	}
+	fast, full := New(), New()
+	before(fast)
+	before(full)
+	mark := fast.AppendMark(nil)
+	stretch(fast)
+	fast.Repeat(mark, 3)
+	for range 4 {
+		stretch(full)
+	}
+	got := fast.Snapshot()
+	if want := full.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeated\n%s\nwant\n%s", got.Render(), want.Render())
+	}
+	h := got.Histograms[0]
+	if got.Counters[0].Value != 17 || got.Counters[1].Value != 8 || h.Count != 10 || h.Sum != 529 || h.Min != 1 || h.Max != 100 ||
+		!reflect.DeepEqual(h.Buckets, []histBucket{{1, 1}, {3, 4}, {7, 5}}) || got.Gauges[0].Value != 9 || got.Gauges[1].Value != 0.5 {
+		t.Errorf("repeated\n%s", got.Render())
 	}
 }

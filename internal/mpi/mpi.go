@@ -63,15 +63,15 @@ type World struct {
 	}
 }
 
-// timeColl starts timing one collective call; invoke the returned func at
-// exit (via defer). Disabled metrics return a shared no-op, so the
+// timeColl starts timing one collective call on the skip-free clock
+// (sim.Engine.SkipFreeNow); invoke the returned func at exit (via defer). Disabled metrics return a shared no-op, so the
 // instrumented call sites cost one nil check and an empty defer.
 func timeColl(p *sim.Proc, h *metrics.Histogram) func() {
 	if h == nil {
 		return nopEnd
 	}
-	start := p.Now()
-	return func() { h.Observe(int64(p.Now().Sub(start))) }
+	start := p.Engine().SkipFreeNow()
+	return func() { h.Observe(int64(p.Engine().SkipFreeNow().Sub(start))) }
 }
 
 var nopEnd = func() {}

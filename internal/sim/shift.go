@@ -21,10 +21,10 @@ import (
 // any "#n" instance number, which a loop carries forward like its index. Equal
 // encodings at two instants mean that, as far as the engine can see, it does
 // the same things after each, shifted by their distance. ok is false when an
-// instrument records absolute time (metrics, flight recorder, watchdog,
-// scheduler trace).
+// instrument records absolute time (flight recorder, watchdog, scheduler
+// trace).
 func (e *Engine) AppendState(b []byte) (_ []byte, ok bool) {
-	if e.m != nil || e.fr != nil || e.deadline != 0 || e.trace != nil {
+	if e.fr != nil || e.deadline != 0 || e.trace != nil {
 		return b, false
 	}
 	evs := make([]*event, 0, e.q.len())
@@ -79,6 +79,7 @@ func (e *Engine) Shift(d Duration) {
 		panic("sim: Shift into the past")
 	}
 	e.now = e.now.Add(d)
+	e.shifted += d
 	for _, ev := range e.q.heap {
 		ev.at = ev.at.Add(d)
 	}
@@ -87,7 +88,18 @@ func (e *Engine) Shift(d Duration) {
 	}
 }
 
+// SkipFreeNow is the clock less every Shift: the time the engine simulated.
+// A duration whose start is stored across events reads it at both ends, so
+// an operation in flight at a skip does not measure the skipped time.
+func (e *Engine) SkipFreeNow() Time { return e.now.Add(-e.shifted) }
+
 // Shift moves the timeline's busy horizon d later, with the engine's clock
 // (Engine.Shift). A horizon already in the past stays in the past, where it
 // books exactly as now does.
 func (t *Timeline) Shift(d Duration) { t.busyUntil = t.busyUntil.Add(d) }
+
+// RepeatBusy adds n times the busy time reserved since BusySum was since,
+// for a fast-forward's skip (Shift moves the horizon, not the sum).
+func (t *Timeline) RepeatBusy(since Duration, n int64) {
+	t.busySum += Duration(n) * (t.busySum - since)
+}

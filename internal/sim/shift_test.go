@@ -43,3 +43,31 @@ func TestShift(t *testing.T) {
 		t.Error("AppendState under a watchdog reported ok")
 	}
 }
+
+// TestSkipFreeNow: Shift moves Now but not the skip-free clock, and a
+// timeline's busy time repeats what it gained since a mark, while Shift
+// moves only its horizon.
+func TestSkipFreeNow(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	tl := NewTimeline("port")
+	e.Spawn("shifter", func(p *Proc) {
+		p.Advance(5)
+		ReserveMulti(p.Now(), 10, tl)
+		mark := tl.BusySum()
+		ReserveMulti(p.Now(), 4, tl)
+		e.Shift(100)
+		tl.Shift(100)
+		tl.RepeatBusy(mark, 3)
+		p.Advance(2)
+		if e.Now() != 107 || e.SkipFreeNow() != 7 {
+			t.Errorf("now %d, skip-free %d; want 107, 7", e.Now(), e.SkipFreeNow())
+		}
+		if tl.BusyUntil() != 119 || tl.BusySum() != 26 {
+			t.Errorf("port busy until %d for %d; want 119 for 26", tl.BusyUntil(), tl.BusySum())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

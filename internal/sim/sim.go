@@ -112,6 +112,7 @@ type Engine struct {
 	deadline Time            // virtual-time watchdog; 0 disables
 	m        *engineMetrics  // nil when metrics are disabled (see metrics.go)
 	fr       *FlightRecorder // nil when flight recording is disabled (see flight.go)
+	shifted  Duration        // the sum of every Shift (SkipFreeNow)
 }
 
 // NewEngine returns an engine with the clock at zero.

@@ -1,14 +1,17 @@
 package cg_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/solver/cg"
@@ -25,18 +28,19 @@ func column(base cg.Config, v bench.Variant) cg.Config {
 	return base
 }
 
-// ffCompare runs cfg fast-forwarded and in full, and returns how many
-// iterations rank 0 simulated fast-forwarded and the first difference
-// between the two runs' Results, sorted spans and span analyses, "" when
-// there is none.
+// ffCompare runs cfg fast-forwarded and in full, each with a fresh metrics
+// registry, and returns how many iterations rank 0 simulated fast-forwarded
+// and the first difference between the two runs' Results, sorted spans, span
+// analyses and metrics snapshots, "" when there is none.
 func ffCompare(cfg cg.Config) (int, string, error) {
 	fastLog, fullLog := trace.New(), trace.New()
-	cfg.Trace = fastLog
+	fastReg, fullReg := metrics.New(), metrics.New()
+	cfg.Trace, cfg.Metrics = fastLog, fastReg
 	fast, simulated, err := cg.RunFastForward(cfg, false)
 	if err != nil {
 		return 0, "", err
 	}
-	cfg.Trace = fullLog
+	cfg.Trace, cfg.Metrics = fullLog, fullReg
 	full, _, err := cg.RunFastForward(cfg, true)
 	if err != nil {
 		return 0, "", err
@@ -56,6 +60,13 @@ func ffCompare(cfg cg.Config) (int, string, error) {
 	if a, b := spanAnalyses(fastLog, fast.End), spanAnalyses(fullLog, full.End); a != b {
 		return simulated, fmt.Sprintf("span analyses\nfast %s\nfull %s", a, b), nil
 	}
+	var a, b strings.Builder
+	if err := errors.Join(fastReg.Snapshot().WriteJSON(&a), fullReg.Snapshot().WriteJSON(&b)); err != nil {
+		return simulated, "", err
+	}
+	if a.String() != b.String() {
+		return simulated, fmt.Sprintf("metrics\nfast %s\nfull %s", a.String(), b.String()), nil
+	}
 	return simulated, "", nil
 }
 
@@ -72,7 +83,7 @@ func spanAnalyses(log *trace.Log, end sim.Time) string {
 
 // TestSolverFastForwardEqualsFull holds every Fig 6 column on every machine,
 // at the apps-backends shape (8 GPUs, 100 iterations), to its full run:
-// equal Result, equal sorted spans. In the apps-backends cells (Perlmutter)
+// equal Result, equal sorted spans, equal metrics. In the apps-backends cells (Perlmutter)
 // the MPI and GPUSHMEM-host columns, whose host waits for every dot product,
 // simulate at most 10 % of their iterations, and the GPUCCL columns, which
 // repeat only every seven iterations, at most 40 % (on LUMI the MPI columns'
@@ -152,9 +163,22 @@ func TestSolverFastForwardPaperCounts(t *testing.T) {
 	}
 }
 
+// TestSolverFastForwardObserved: the cell `uniconn prof -workload cg -iters
+// 10000` observes — the UNICONN MPI column on 4 GPUs, the Serena-like matrix
+// at scale 0.01, 10 000 iterations — keeps its controller with a metrics
+// registry attached, and rank 0 simulates at most 50 iterations.
+func TestSolverFastForwardObserved(t *testing.T) {
+	cfg := cg.Config{Model: machine.Perlmutter(), NGPUs: 4, Backend: core.MPIBackend, Matrix: sparse.Serena().Phantom(0.01),
+		Iters: 10000, Variant: solver.Uniconn, Metrics: metrics.New()}
+	if _, simulated, err := cg.RunFastForward(cfg, false); err != nil || simulated < 0 || simulated > 50 {
+		t.Errorf("rank 0 simulated %d of %d iterations (err %v); want at most 50", simulated, cfg.Iters, err)
+	}
+}
+
 // FuzzSolverFastForward draws a CG cell — machine, Fig 6 column, 2 to 16
 // GPUs, a small 3D Laplacian and 1 to 60 iterations — and holds its
-// fast-forwarded run to its full run: equal Result, equal sorted spans. The
+// fast-forwarded run to its full run: equal Result, equal sorted spans,
+// equal metrics. The
 // GPUCCL columns, whose steady state repeats only every seven iterations,
 // are drawn like any other.
 func FuzzSolverFastForward(f *testing.F) {

@@ -1,9 +1,11 @@
 package jacobi_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -27,18 +29,19 @@ func column(base jacobi.Config, v bench.Variant) jacobi.Config {
 	return base
 }
 
-// ffCompare runs cfg fast-forwarded and in full, and returns how many
-// iterations rank 0 simulated fast-forwarded and the first difference
-// between the two runs' Results, sorted spans and span analyses, "" when
-// there is none.
+// ffCompare runs cfg fast-forwarded and in full, each with a fresh metrics
+// registry, and returns how many iterations rank 0 simulated fast-forwarded
+// and the first difference between the two runs' Results, sorted spans, span
+// analyses and metrics snapshots, "" when there is none.
 func ffCompare(cfg jacobi.Config) (int, string, error) {
 	fastLog, fullLog := trace.New(), trace.New()
-	cfg.Trace = fastLog
+	fastReg, fullReg := metrics.New(), metrics.New()
+	cfg.Trace, cfg.Metrics = fastLog, fastReg
 	fast, simulated, err := jacobi.RunFastForward(cfg, false)
 	if err != nil {
 		return 0, "", err
 	}
-	cfg.Trace = fullLog
+	cfg.Trace, cfg.Metrics = fullLog, fullReg
 	full, _, err := jacobi.RunFastForward(cfg, true)
 	if err != nil {
 		return 0, "", err
@@ -58,6 +61,13 @@ func ffCompare(cfg jacobi.Config) (int, string, error) {
 	if a, b := spanAnalyses(fastLog, fast.End), spanAnalyses(fullLog, full.End); a != b {
 		return simulated, fmt.Sprintf("span analyses\nfast %s\nfull %s", a, b), nil
 	}
+	var a, b strings.Builder
+	if err := errors.Join(fastReg.Snapshot().WriteJSON(&a), fullReg.Snapshot().WriteJSON(&b)); err != nil {
+		return simulated, "", err
+	}
+	if a.String() != b.String() {
+		return simulated, fmt.Sprintf("metrics\nfast %s\nfull %s", a.String(), b.String()), nil
+	}
 	return simulated, "", nil
 }
 
@@ -75,7 +85,7 @@ func spanAnalyses(log *trace.Log, end sim.Time) string {
 // TestSolverFastForwardEqualsFull holds every Fig 5 column on every machine,
 // at the apps-backends shape (64 GPUs, 4096², 60 timed + 10 warm-up
 // iterations) and at an odd one, to its full run: equal Result, equal sorted
-// spans. In the apps-backends cells (Perlmutter) the two MPI columns, whose
+// spans, equal metrics. In the apps-backends cells (Perlmutter) the two MPI columns, whose
 // host waits for every halo, simulate at most 40 % of their iterations (on
 // LUMI their transient outlasts 70 iterations); every other column's host
 // runs ahead of its device, its loop never repeats, and it simulates all of
@@ -129,32 +139,36 @@ func TestSolverFastForwardEqualsFull(t *testing.T) {
 
 // TestSolverFastForwardEligibility: a run whose answer depends on more than
 // lengths and shifted time computes every iteration — functional payloads
-// (a skipped sweep computes nothing), a metrics registry, a switched
-// topology — and an eligible one does not.
+// (a skipped sweep computes nothing) run without a controller, and on a
+// switched topology the fabric refuses every loop head — while an eligible
+// run does not, with or without a metrics registry.
 func TestSolverFastForwardEligibility(t *testing.T) {
 	base := jacobi.Config{Model: machine.Perlmutter(), NGPUs: 4, NX: 64, NY: 64, Iters: 40, Warmup: 2}
+	total := base.Iters + base.Warmup
 	fatTree := *base.Model
 	fatTree.Topology = fabric.TopologyConfig{Kind: fabric.TopoFatTree}
-	for name, set := range map[string]func(*jacobi.Config){
-		"compute":  func(c *jacobi.Config) { c.Compute = true },
-		"metrics":  func(c *jacobi.Config) { c.Metrics = metrics.New() },
-		"topology": func(c *jacobi.Config) { c.Model = &fatTree },
+	for name, c := range map[string]struct {
+		set      func(*jacobi.Config)
+		min, max int // the iterations rank 0 may simulate
+	}{
+		"compute":  {func(c *jacobi.Config) { c.Compute = true }, -1, -1},
+		"topology": {func(c *jacobi.Config) { c.Model = &fatTree }, total, total},
+		"metrics":  {func(c *jacobi.Config) { c.Metrics = metrics.New() }, 0, base.Iters - 1},
+		"eligible": {func(*jacobi.Config) {}, 0, base.Iters - 1},
 	} {
 		cfg := base
-		set(&cfg)
-		if _, simulated, err := jacobi.RunFastForward(cfg, false); err != nil || simulated >= 0 {
-			t.Errorf("%s: simulated %d, err %v; want a full run without a controller", name, simulated, err)
+		c.set(&cfg)
+		if _, simulated, err := jacobi.RunFastForward(cfg, false); err != nil || simulated < c.min || simulated > c.max {
+			t.Errorf("%s: rank 0 simulated %d of %d iterations, err %v; want %d to %d (-1: no controller)",
+				name, simulated, total, err, c.min, c.max)
 		}
-	}
-	if _, simulated, err := jacobi.RunFastForward(base, false); err != nil || simulated >= base.Iters {
-		t.Errorf("eligible run: rank 0 simulated %d of %d iterations (err %v)", simulated, base.Iters+base.Warmup, err)
 	}
 }
 
 // FuzzSolverFastForward draws a Jacobi cell — machine, column (the partial-
 // device one included), 2 to 16 GPUs, grid width and height, and small
 // iteration and warm-up counts — and holds its fast-forwarded run to its full
-// run: equal Result, equal sorted spans.
+// run: equal Result, equal sorted spans, equal metrics.
 func FuzzSolverFastForward(f *testing.F) {
 	for i := range 16 {
 		f.Add(uint64(i) * 0x9E3779B97F4A7C15)

@@ -533,11 +533,17 @@ func ParseBackend(name string) (core.BackendID, error) {
 	}
 }
 
-// String renders a short human label for progress displays and logs.
+// String renders a short human label for progress displays, logs and a
+// failing cell's error: it names the backend, the API and native or UNICONN,
+// so two columns of one backend never share a label.
 func (s Spec) String() string {
 	n := s.Normalize()
+	impl := "UNICONN"
+	if n.Native {
+		impl = "Native"
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s/%s", n.Workload, n.Machine, n.Backend)
+	fmt.Fprintf(&b, "%s/%s/%s-%s:%s", n.Workload, n.Machine, n.Backend, n.API, impl)
 	if n.Workload == WorkloadAllreduce || app(n.Workload) {
 		fmt.Fprintf(&b, "/r%d", n.Ranks)
 	}

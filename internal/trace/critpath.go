@@ -61,9 +61,10 @@ type RankBreakdown struct {
 //
 // Each rank's lane sweeps its intervals in view order, closing those that
 // end by the next start; the time between two instants goes to the highest
-// class active over it. A band is swept in full, copy by copy: the only
-// views attributed come from a bench collector with a metrics registry, which
-// turns fast-forward off, so they hold no band outside tests.
+// class active over it. A band is swept in full, copy by copy: a profiled
+// cell fast-forwards, so bands reach it, but the sweep is cheap — all of
+// `uniconn prof -workload cg -iters 10000`, its 10 000-iteration band
+// included, takes 23–36 ms on a 2-vCPU host.
 func Attribute(v *View, end sim.Time) []RankBreakdown {
 	nRanks := 0
 	for r := range v.each() {
