@@ -21,16 +21,13 @@
 //
 // Each gpu.Cluster owns its pools, so parallel sweep cells never share one
 // (the same ownership rule as trace logs and metrics registries, see
-// internal/bench/runner.go). Get/Put are mutex-guarded so Stats can be
-// sampled from another goroutine while a cell runs. Pooling is invisible to
-// virtual time and to numerics — storage identity never influences
-// simulation results.
+// internal/bench/runner.go). Within a cell only the process holding the
+// engine's ball runs, so a pool needs no lock: Get, Put and Stats run inside
+// the engine or after the cell. Pooling is invisible to virtual time and to
+// numerics — storage identity never influences simulation results.
 package buf
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 const (
 	// minClassLen is the element count of the smallest size class; smaller
@@ -71,10 +68,9 @@ type Stats struct {
 }
 
 // Pool is a size-classed free list of []T slices. The zero value is ready
-// to use. One pool belongs to one simulation cell; a mutex lets Stats be
-// sampled beside it.
+// to use. One pool belongs to one simulation cell and is not safe for
+// concurrent use.
 type Pool[T any] struct {
-	mu    sync.Mutex
 	free  [numClasses][][]T
 	stats Stats
 }
@@ -82,8 +78,6 @@ type Pool[T any] struct {
 // Get returns a slice of length n whose capacity is n's size class.
 // Contents are unspecified: the caller must overwrite all n elements.
 func (p *Pool[T]) Get(n int) []T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.stats.Gets++
 	c := classFor(n)
 	if c < 0 {
@@ -104,8 +98,6 @@ func (p *Pool[T]) Get(n int) []T {
 // capacity is not an exact class size (oversize requests, foreign slices)
 // and slices landing in a full class are dropped for the garbage collector.
 func (p *Pool[T]) Put(s []T) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	c := classFor(cap(s))
 	if c < 0 || cap(s) != minClassLen<<c || len(p.free[c]) >= perClassCap {
 		p.stats.Drops++
@@ -118,7 +110,5 @@ func (p *Pool[T]) Put(s []T) {
 
 // Stats returns a snapshot of the pool's traffic counters.
 func (p *Pool[T]) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"repro/internal/buf"
 	"repro/internal/fabric"
@@ -46,21 +45,18 @@ type Cluster struct {
 	// pools holds the cluster's staging arenas, one buf.Pool[T] per element
 	// type (keyed by reflect.Type, resolved through poolFor). Like the trace
 	// log and metrics registry, pools belong to one cell: parallel sweep
-	// cells each build their own cluster and so never share an arena. The
-	// mutex keeps poolFor and PoolStats callable from outside the engine's
-	// goroutine; the pools themselves are internally synchronized.
-	poolsMu sync.Mutex
-	pools   map[reflect.Type]any
+	// cells each build their own cluster and so never share an arena.
+	// Neither the map nor the pools are locked: within a cell only the
+	// ball holder touches them, and PoolStats runs inside the engine or
+	// after the cell.
+	pools map[reflect.Type]any
 }
 
 // poolFor returns the cluster's staging arena for element type T, creating
-// it on first use. It takes the cluster mutex and probes a type-keyed map,
-// so the data path resolves it once per buffer (Buffer.scratch) rather than
-// per clone and release.
+// it on first use. It probes a type-keyed map, so the data path resolves it
+// once per buffer (Buffer.scratch) rather than per clone and release.
 func poolFor[T Elem](c *Cluster) *buf.Pool[T] {
 	t := reflect.TypeFor[T]()
-	c.poolsMu.Lock()
-	defer c.poolsMu.Unlock()
 	if p, ok := c.pools[t]; ok {
 		return p.(*buf.Pool[T])
 	}

@@ -27,9 +27,8 @@ func (e *Engine) AppendState(b []byte) (_ []byte, ok bool) {
 	if e.fr != nil || e.deadline != 0 || e.trace != nil {
 		return b, false
 	}
-	evs := make([]*event, 0, e.q.len())
-	evs = append(append(evs, e.q.heap...), e.q.nowQ[e.q.head:]...)
-	slices.SortFunc(evs, func(x, y *event) int { return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.seq, y.seq)) })
+	evs := e.q.appendTo(e.stateEvs[:0])
+	slices.SortFunc(evs, eventOrder)
 	b = binary.AppendUvarint(b, uint64(len(evs)))
 	for _, ev := range evs {
 		b = binary.AppendVarint(b, int64(ev.at-e.now))
@@ -42,11 +41,11 @@ func (e *Engine) AppendState(b []byte) (_ []byte, ok bool) {
 		}
 		b = appendFlags(b, ev.canceled)
 	}
-	procs := make([]*Proc, 0, len(e.alive))
+	procs := e.stateProcs[:0]
 	for p := range e.alive {
 		procs = append(procs, p)
 	}
-	slices.SortFunc(procs, func(x, y *Proc) int { return cmp.Compare(x.id, y.id) })
+	slices.SortFunc(procs, procOrder)
 	b = binary.AppendUvarint(b, uint64(len(procs)))
 	for _, p := range procs {
 		b = binary.AppendUvarint(b, p.id)
@@ -56,8 +55,17 @@ func (e *Engine) AppendState(b []byte) (_ []byte, ok bool) {
 		b = appendFlags(b, p.parked, p.wakePending, p.script != nil, p.interruptible,
 			p.pendingErr != nil, p.crashed)
 	}
+	clear(evs)
+	clear(procs)
+	e.stateEvs, e.stateProcs = evs[:0], procs[:0]
 	return b, true
 }
+
+// eventOrder and procOrder are AppendState's sort orders: pop order, and
+// spawn order.
+func eventOrder(x, y *event) int { return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.seq, y.seq)) }
+
+func procOrder(x, y *Proc) int { return cmp.Compare(x.id, y.id) }
 
 // appendFlags appends up to eight flags as one byte.
 func appendFlags(b []byte, flags ...bool) []byte {
@@ -80,12 +88,7 @@ func (e *Engine) Shift(d Duration) {
 	}
 	e.now = e.now.Add(d)
 	e.shifted += d
-	for _, ev := range e.q.heap {
-		ev.at = ev.at.Add(d)
-	}
-	for _, ev := range e.q.nowQ[e.q.head:] {
-		ev.at = ev.at.Add(d)
-	}
+	e.q.shift(d)
 }
 
 // SkipFreeNow is the clock less every Shift: the time the engine simulated.

@@ -71,3 +71,24 @@ func TestSkipFreeNow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendStateAllocs pins a digest of a warm engine at zero allocations:
+// a fast-forwarded loop takes one at every loop head.
+func TestAppendStateAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	for i := range 8 {
+		e.Spawn("sleeper", func(p *Proc) { p.Advance(Duration(10 + i%3)) })
+	}
+	e.Spawn("digest", func(p *Proc) {
+		p.Advance(1)
+		e.After(5, func() {})
+		b, _ := e.AppendState(nil)
+		if n := testing.AllocsPerRun(100, func() { b, _ = e.AppendState(b[:0]) }); n != 0 {
+			t.Errorf("AppendState allocated %v times a call on a warm engine", n)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

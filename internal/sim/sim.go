@@ -113,6 +113,10 @@ type Engine struct {
 	m        *engineMetrics  // nil when metrics are disabled (see metrics.go)
 	fr       *FlightRecorder // nil when flight recording is disabled (see flight.go)
 	shifted  Duration        // the sum of every Shift (SkipFreeNow)
+
+	// AppendState's sort scratch, kept so a digest does not allocate.
+	stateEvs   []*event
+	stateProcs []*Proc
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -283,7 +287,8 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 // schedule enqueues an event. Exactly one of proc/fn must be non-nil.
 // Events come from the engine's free list when possible, so steady-state
 // scheduling does not allocate; same-instant events take the FIFO ring
-// instead of the heap.
+// instead of the heap, and a future event at the instant of the one pushed
+// before it joins that one's run.
 func (e *Engine) schedule(t Time, p *Proc, fn func(), why string) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v (%s)", t, e.now, why))
@@ -303,7 +308,7 @@ func (e *Engine) schedule(t Time, p *Proc, fn func(), why string) {
 	}
 	if t == e.now {
 		e.q.pushNow(ev)
-	} else {
+	} else if !e.q.chain(ev) {
 		e.q.pushHeap(ev)
 	}
 }
