@@ -41,11 +41,14 @@ var ErrRevoked = errors.New("core: communicator revoked")
 // interrupt (they were computing, not parked) still fail fast instead of
 // blocking against a dead rank.
 func (c *Communicator) check() {
-	j := c.env.job
-	now := c.env.p.Now()
-	if j.epochAt(now) != c.epoch {
-		if ferr := j.lastFailureAt(now); ferr != nil {
-			sim.Abort(ferr)
+	// Without a fault schedule the epoch never changes, and the clock is
+	// left unread so the dispatch charge before it stays deferred.
+	if j := c.env.job; j.sched != nil {
+		now := c.env.p.Now()
+		if j.epochAt(now) != c.epoch {
+			if ferr := j.lastFailureAt(now); ferr != nil {
+				sim.Abort(ferr)
+			}
 		}
 	}
 	if c.revoked {

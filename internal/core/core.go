@@ -328,5 +328,7 @@ func (e *Env) ShmemPE() *gpushmem.PE { return e.job.shmemWorld.PE(e.rank) }
 // uniconn returns the layer's own overhead model.
 func (e *Env) uniconn() machine.UniconnCosts { return e.job.cfg.Model.Uniconn }
 
-// dispatch charges UNICONN's per-operation decision logic.
-func (e *Env) dispatch() { e.p.Advance(e.uniconn().Dispatch) }
+// dispatch charges UNICONN's per-operation decision logic, deferred
+// (sim.Proc.Charge): every caller touches only its rank's own state before
+// its next interaction with the simulation.
+func (e *Env) dispatch() { e.p.Charge(e.uniconn().Dispatch) }

@@ -329,9 +329,12 @@ func (s *Stream) Enqueue(label string, run func(p *sim.Proc)) {
 	s.put(streamOp{label: label, run: run})
 }
 
+// put counts the op as enqueued only once the mailbox has settled the
+// host's deferred charges (sim.Proc.Charge): until then the op is not yet
+// the stream's.
 func (s *Stream) put(op streamOp) {
-	s.enqueued++
 	s.ops.Put(s.dev.cluster.Eng, op)
+	s.enqueued++
 }
 
 // Pending reports the number of enqueued-but-incomplete operations.
@@ -571,7 +574,7 @@ func (s *Stream) Launch(host *sim.Proc, k *Kernel, args any) {
 		panic(fmt.Sprintf("gpu: kernel %s sets both Body and Compute", k.Name))
 	}
 	s.dev.cluster.mKernels.Inc()
-	host.Advance(s.dev.Model().GPU.KernelLaunch)
+	host.Charge(s.dev.Model().GPU.KernelLaunch) // paid at the stream's mailbox
 	label := s.dev.cluster.kernelLabel(k.Name)
 	o := s.newOp(opKernel)
 	o.k = k

@@ -202,7 +202,7 @@ func (c *Comm) GroupEnd(p *sim.Proc, s *gpu.Stream) {
 // submit runs one op immediately (implicit group of one) or defers it to
 // GroupEnd.
 func (c *Comm) submit(p *sim.Proc, s *gpu.Stream, o op) {
-	p.Advance(c.profile().CallOverhead)
+	p.Charge(c.profile().CallOverhead) // paid at the stream's mailbox, or later
 	o.stream = s
 	if g := c.group(); g.depth > 0 {
 		g.pending = append(g.pending, o)

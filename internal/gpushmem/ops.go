@@ -151,7 +151,7 @@ func (pe *PE) QuietOnStream(p *sim.Proc, s *gpu.Stream) {
 // starts it.
 func (pe *PE) hostEnqueue(p *sim.Proc, s *gpu.Stream, label string, o *hostOp) {
 	prof := pe.model().Profile(machine.LibGPUSHMEM, machine.APIHost)
-	p.Advance(prof.CallOverhead)
+	p.Charge(prof.CallOverhead) // paid at the stream's mailbox
 	o.launch = prof.LaunchOverhead
 	s.EnqueueStep(label, o.stepFn, o.dropFn)
 }

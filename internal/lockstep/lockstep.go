@@ -33,19 +33,68 @@ type Table struct {
 	lib   machine.Lib
 	insts map[Key]*instance
 	free  []*Walk // finished walks, recycled by Join
+
+	// spare holds finished instances by call site, kind and group, whose
+	// calls reuse them: the diagnostic labels of their gate and rendezvous
+	// are formatted once per call site, not once per call.
+	spare map[site][]*instance
+}
+
+// site is what an instance's labels name: a kind of call on one group.
+type site struct {
+	kind  string
+	group uint64
 }
 
 // NewTable creates the instance table of one library world.
 func NewTable(cl *gpu.Cluster, lib machine.Lib) *Table {
-	return &Table{cl: cl, lib: lib, insts: map[Key]*instance{}}
+	return &Table{cl: cl, lib: lib, insts: map[Key]*instance{}, spare: map[site][]*instance{}}
 }
 
 // instance is the cross-rank state of one collective call.
 type instance struct {
+	site         site
+	reason       string // the ready gate's diagnostic label
 	arrived      int
-	ready        *sim.Gate       // fired by the last arriver
+	left         int             // members whose walk is over
+	ready        sim.Gate        // fired by the last arriver
 	rdv          *sim.Rendezvous // paces the rounds
 	sends, recvs []gpu.View      // by group rank
+}
+
+// instance returns a clean instance for a call of key on a group of size
+// members: a spare one of its site, or a new one.
+func (t *Table) instance(key Key, size int) *instance {
+	at := site{key.Kind, key.Group}
+	var inst *instance
+	if spares := t.spare[at]; len(spares) > 0 {
+		inst, t.spare[at] = spares[len(spares)-1], spares[:len(spares)-1]
+	}
+	if inst == nil || len(inst.sends) != size {
+		label := fmt.Sprintf("%v %s g%d", t.lib, key.Kind, key.Group)
+		inst = &instance{
+			site:   at,
+			reason: "gate " + label,
+			rdv:    sim.NewRendezvous(label, size),
+			sends:  make([]gpu.View, size),
+			recvs:  make([]gpu.View, size),
+		}
+	}
+	inst.ready = sim.Gate{}
+	inst.ready.SetLabel(inst.reason)
+	return inst
+}
+
+// leave counts one member's walk over; after the last, no walk refers to
+// the instance and its site's next call reuses it.
+func (t *Table) leave(inst *instance) {
+	if inst.left++; inst.left < len(inst.sends) {
+		return
+	}
+	clear(inst.sends)
+	clear(inst.recvs)
+	inst.arrived, inst.left = 0, 0
+	t.spare[inst.site] = append(t.spare[inst.site], inst)
 }
 
 // Walk is one member's passage through one collective call, as a step
@@ -174,6 +223,7 @@ func (w *Walk) Step(p *sim.Proc) sim.Duration {
 				return sim.StepEnlisted
 			}
 		case walkDone:
+			w.t.leave(w.inst)
 			*w = Walk{t: w.t, stepFn: w.stepFn}
 			w.t.free = append(w.t.free, w)
 			return sim.StepResume
@@ -188,13 +238,7 @@ func (w *Walk) arrive(p *sim.Proc) bool {
 	t, g := w.t, w.g
 	inst := t.insts[w.key]
 	if inst == nil {
-		label := fmt.Sprintf("%v %s g%d #%d", t.lib, w.key.Kind, w.key.Group, w.key.Seq)
-		inst = &instance{
-			ready: sim.NewGate(label),
-			rdv:   sim.NewRendezvous(label, g.Size),
-			sends: make([]gpu.View, g.Size),
-			recvs: make([]gpu.View, g.Size),
-		}
+		inst = t.instance(w.key, g.Size)
 		t.insts[w.key] = inst
 	}
 	w.inst = inst

@@ -71,10 +71,13 @@ func TestArriveRunsDataOnceOnLastArriver(t *testing.T) {
 
 // TestCompletedKeyIsReusable: a key whose call has completed names a fresh
 // instance — the second call's data runs once, on its own last arriver — and
-// finished walks are recycled.
+// finished walks are recycled, and so is the finished instance: the second
+// call takes the first's, so one is left over.
 func TestCompletedKeyIsReusable(t *testing.T) {
 	var runs []int
+	var table *Table
 	harness(t, 2, func(p *sim.Proc, tbl *Table, g *Group) {
+		table = tbl
 		for call := 0; call < 2; call++ {
 			p.Advance(sim.Duration(10 * (1 + g.Rank))) // rank 1 arrives last
 			tbl.Join(Key{Seq: 7, Kind: "reuse"}, g, machine.APIHost, gpu.View{}, gpu.View{}, func(_, _ []gpu.View) {
@@ -90,6 +93,9 @@ func TestCompletedKeyIsReusable(t *testing.T) {
 	})
 	if !slices.Equal(runs, []int{1, 1}) {
 		t.Fatalf("data ran on ranks %v, want once per call on the last arriver [1 1]", runs)
+	}
+	if n := len(table.spare[site{"reuse", 0}]); n != 1 {
+		t.Errorf("%d finished instances kept for the call site, want the one both calls shared", n)
 	}
 }
 

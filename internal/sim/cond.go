@@ -51,6 +51,7 @@ func (g *Gate) Fired() bool { return g.fired }
 // is a no-op. Must be called while holding the ball (from a process or an
 // engine callback).
 func (g *Gate) Fire(e *Engine) {
+	e.settle()
 	if g.fired {
 		return
 	}
@@ -159,12 +160,17 @@ func (c *Counter) Value() uint64 { return c.value }
 
 // Set assigns the value and releases any waiter whose predicate now holds.
 func (c *Counter) Set(e *Engine, v uint64) {
+	e.settle()
 	c.value = v
 	c.notify(e)
 }
 
 // Add increments the value and releases satisfied waiters.
-func (c *Counter) Add(e *Engine, delta uint64) { c.Set(e, c.value+delta) }
+func (c *Counter) Add(e *Engine, delta uint64) {
+	e.settle()
+	c.value += delta
+	c.notify(e)
+}
 
 func (c *Counter) notify(e *Engine) {
 	kept := c.waiters[:0]
@@ -240,6 +246,7 @@ func NewMailbox[T any](label string) *Mailbox[T] {
 
 // Put enqueues an item, waking the longest-waiting receiver if any.
 func (m *Mailbox[T]) Put(e *Engine, item T) {
+	e.settle()
 	m.items = append(m.items, item)
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]

@@ -86,6 +86,7 @@ func (p *Proc) interrupt(err error) {
 	if err == nil {
 		panic("sim: Interrupt with nil error")
 	}
+	p.eng.settle()
 	if p.crashed || !p.eng.alive[p] || p.pendingErr != nil {
 		return
 	}
@@ -110,6 +111,7 @@ func (p *Proc) interrupt(err error) {
 // Killing a finished or already-crashed process is a no-op. Must be called
 // while holding the ball.
 func (p *Proc) Kill() {
+	p.eng.settle()
 	if p.crashed || !p.eng.alive[p] {
 		return
 	}
@@ -132,7 +134,10 @@ func (p *Proc) Kill() {
 // ClearInterrupt discards a pending interrupt. Recovery paths call it after
 // consuming the failure (e.g. before rebuilding a communicator) so a poison
 // delivered while the process was busy does not abort post-recovery work.
-func (p *Proc) ClearInterrupt() { p.pendingErr = nil }
+func (p *Proc) ClearInterrupt() {
+	p.eng.settle()
+	p.pendingErr = nil
+}
 
 // CheckInterrupt raises a pending interrupt as an abort unwind. Called by
 // the interruptible primitives at wait entry and after resuming, and by
@@ -140,6 +145,7 @@ func (p *Proc) ClearInterrupt() { p.pendingErr = nil }
 // anything (a script step whose send needs no gate) and must still be a
 // delivery point.
 func (p *Proc) CheckInterrupt() {
+	p.eng.settle()
 	if p.pendingErr != nil {
 		err := p.pendingErr
 		p.pendingErr = nil
@@ -169,6 +175,7 @@ func (p *Proc) enlist(on canceler, why string, interruptible bool) {
 // delivery order is deterministic). The failure detector uses it to revoke
 // all in-flight operations when a rank is declared failed.
 func (e *Engine) InterruptAll(err error) {
+	e.settle()
 	procs := make([]*Proc, 0, len(e.alive))
 	for p := range e.alive {
 		procs = append(procs, p)

@@ -24,6 +24,7 @@ import (
 // instrument records absolute time (flight recorder, watchdog, scheduler
 // trace).
 func (e *Engine) AppendState(b []byte) (_ []byte, ok bool) {
+	e.settle()
 	if e.fr != nil || e.deadline != 0 || e.trace != nil {
 		return b, false
 	}
@@ -54,6 +55,10 @@ func (e *Engine) AppendState(b []byte) (_ []byte, ok bool) {
 		b = binary.AppendVarint(b, int64(p.parkDur))
 		b = appendFlags(b, p.parked, p.wakePending, p.script != nil, p.interruptible,
 			p.pendingErr != nil, p.crashed)
+		b = binary.AppendUvarint(b, uint64(len(p.charges)-p.chargeAt))
+		for _, d := range p.charges[p.chargeAt:] {
+			b = binary.AppendVarint(b, int64(d))
+		}
 	}
 	clear(evs)
 	clear(procs)
@@ -86,6 +91,7 @@ func (e *Engine) Shift(d Duration) {
 	if d < 0 {
 		panic("sim: Shift into the past")
 	}
+	e.settle()
 	e.now = e.now.Add(d)
 	e.shifted += d
 	e.q.shift(d)
@@ -94,7 +100,7 @@ func (e *Engine) Shift(d Duration) {
 // SkipFreeNow is the clock less every Shift: the time the engine simulated.
 // A duration whose start is stored across events reads it at both ends, so
 // an operation in flight at a skip does not measure the skipped time.
-func (e *Engine) SkipFreeNow() Time { return e.now.Add(-e.shifted) }
+func (e *Engine) SkipFreeNow() Time { return e.Now().Add(-e.shifted) }
 
 // Shift moves the timeline's busy horizon d later, with the engine's clock
 // (Engine.Shift). A horizon already in the past stays in the past, where it

@@ -114,6 +114,11 @@ type Engine struct {
 	fr       *FlightRecorder // nil when flight recording is disabled (see flight.go)
 	shifted  Duration        // the sum of every Shift (SkipFreeNow)
 
+	// debtor is the running process while it owes deferred host charges
+	// (Proc.Charge), nil otherwise. Every interaction with shared state
+	// checks it and settles the charges first (settle).
+	debtor *Proc
+
 	// AppendState's sort scratch, kept so a digest does not allocate.
 	stateEvs   []*event
 	stateProcs []*Proc
@@ -143,8 +148,12 @@ func (e *Engine) Close() {
 	clear(e.alive)
 }
 
-// Now reports the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+// Now reports the current virtual time. Reading the clock settles the
+// running process's deferred charges (Proc.Charge).
+func (e *Engine) Now() Time {
+	e.settle()
+	return e.now
+}
 
 // SetWatchdog arms the virtual-time watchdog: when the clock would advance
 // past deadline, Run stops and returns a *TimeoutError carrying the same
@@ -210,6 +219,13 @@ type Proc struct {
 	// stepPanic carries a panic raised inside a step to the owner's stack.
 	script    func() Duration
 	stepPanic any
+
+	// charges are the process's deferred host charges (Charge): unspent
+	// while it is the engine's debtor, then the chain its settling park
+	// still waits out, chargeAt (> 0 during the chain) indexing the next.
+	charges  []Duration
+	chargeAt int
+	chargeFn func() Duration // chargeStep, bound once
 }
 
 // Name reports the name given at spawn time.
@@ -218,20 +234,21 @@ func (p *Proc) Name() string { return p.name }
 // Engine reports the owning engine.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
+// Now reports the current virtual time, settling the process's deferred
+// charges (Charge) first.
+func (p *Proc) Now() Time { return p.eng.Now() }
 
 // Spawn creates a process that will start running at the current virtual
 // time, after currently runnable processes with earlier sequence numbers.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(e.now, name, fn, false)
+	return e.spawnAt(e.Now(), name, fn, false)
 }
 
 // SpawnDaemon creates a background process (e.g. a GPU stream executor or a
 // NIC progress engine). Daemons do not count toward completion: a simulation
 // finishes cleanly even while daemons are parked, and Close terminates them.
 func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(e.now, name, fn, true)
+	return e.spawnAt(e.Now(), name, fn, true)
 }
 
 // killed is the sentinel panic value that unwinds a process parked when
@@ -279,6 +296,7 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 			panic(crashedProc{})
 		}
 		fn(p)
+		e.settle() // a process finishes once it has paid its charges
 	})
 	e.schedule(t, p, nil, "spawn")
 	return p
@@ -289,6 +307,10 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 // scheduling does not allocate; same-instant events take the FIFO ring
 // instead of the heap, and a future event at the instant of the one pushed
 // before it joins that one's run.
+//
+// Every way in has settled the running process's charges (Proc.Charge)
+// already — After and Spawn read the clock through Now, and wake's callers
+// settle at their entry — so the hot path carries no check of its own.
 func (e *Engine) schedule(t Time, p *Proc, fn func(), why string) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v (%s)", t, e.now, why))
@@ -325,7 +347,7 @@ func (e *Engine) release(ev *event) {
 // safe to call from engine callbacks and from process goroutines while they
 // hold the ball.
 func (e *Engine) After(d Duration, fn func()) {
-	e.schedule(e.now.Add(d), nil, fn, "after")
+	e.schedule(e.Now().Add(d), nil, fn, "after")
 }
 
 // wake schedules p to resume at time t. It panics if a wakeup is already
@@ -400,9 +422,15 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			e.fr.record(e.now, flightEvent, p.name, "", -1)
 		}
 		if p.script != nil && e.runStep(p) {
-			// The step took the slot and left the process waiting again.
+			// The step took the slot and left the process waiting again. A
+			// step of a settling chain (Proc.Charge) stands for the Advance
+			// park it replaces.
 			if e.m != nil {
-				e.m.steps.Inc()
+				if p.chargeAt > 0 {
+					e.m.countPark("advance")
+				} else {
+					e.m.steps.Inc()
+				}
 			}
 			if e.fr != nil {
 				e.fr.record(e.now, flightPark, p.name, p.parkWhy, p.parkDur)
@@ -434,6 +462,9 @@ func (e *Engine) procExit(p *Proc, panicked any, aborted error) {
 		e.live--
 	}
 	delete(e.alive, p)
+	if e.debtor == p { // it panicked or aborted before paying its charges
+		e.debtor = nil
+	}
 	if p.pendingEv != nil {
 		// Lazy cancellation: the wake outlives the process; flag it and let
 		// dispatch discard it when it surfaces.
@@ -468,6 +499,8 @@ func (p *Proc) park(why string) { p.parkFor(why, -1) }
 // which switches to the process dispatch named.
 func (p *Proc) parkFor(why string, d Duration) {
 	e := p.eng
+	// Every way in has settled the process's charges (Charge) already: the
+	// waits through their Enlist, Advance and AdvanceFn at their entry.
 	p.parked = true
 	p.parkWhy = why
 	p.parkDur = d
@@ -488,14 +521,83 @@ func (p *Proc) parkFor(why string, d Duration) {
 }
 
 // Advance moves the process forward by d in virtual time. Negative durations
-// are clamped to zero.
+// are clamped to zero. Owing charges (Charge), the process waits out d as
+// the last link of their chain.
 func (p *Proc) Advance(d Duration) {
 	if d <= 0 {
 		return
 	}
 	e := p.eng
+	if e.debtor != nil {
+		p.Charge(d)
+		p.settle()
+		return
+	}
 	e.wake(p, e.now.Add(d), "advance")
 	p.parkFor("advance", d)
+}
+
+// Charge is a deferred Advance(d): a pure host-CPU charge that the process
+// pays at its next interaction with shared state — reading the clock,
+// scheduling, parking, waiting or enlisting, firing a gate, setting a counter,
+// putting to a mailbox. There the run of charges since the last one is
+// settled as a single park (settle), and the coroutine switches once instead
+// of once per charge. Each charge keeps its own event, scheduled in the slot
+// Advance would have scheduled it in, so virtual times, event order and
+// counters are those of Advance. Until its next sim call the process must
+// touch only its own state. Charge must be called from the process's own
+// body, never from a script step. Negative durations are clamped to zero.
+func (p *Proc) Charge(d Duration) {
+	if d <= 0 {
+		return
+	}
+	if p.script != nil {
+		panic(fmt.Sprintf("sim: %s: Charge inside a script step", p.name))
+	}
+	if p.charges == nil {
+		p.charges = make([]Duration, 0, 4) // a run is short
+	}
+	p.charges = append(p.charges, d)
+	p.eng.debtor = p
+}
+
+// settle pays the running process's deferred charges, if any, before it
+// touches shared state.
+func (e *Engine) settle() {
+	if e.debtor != nil {
+		e.debtor.settle()
+	}
+}
+
+// settle waits out p's charges as one park (AdvanceFn): the first is its
+// timed wake, and a script step re-arms each later one in the slot of the
+// wake before it — where Advance would have scheduled it. A lone charge is
+// just that Advance.
+func (p *Proc) settle() {
+	p.eng.debtor = nil
+	if len(p.charges) == 1 {
+		d := p.charges[0]
+		p.charges = p.charges[:0]
+		p.Advance(d)
+		return
+	}
+	if p.chargeFn == nil {
+		p.chargeFn = p.chargeStep
+	}
+	p.chargeAt = 1
+	p.AdvanceFn(p.charges[0], p.chargeFn)
+	p.charges, p.chargeAt = p.charges[:0], 0
+}
+
+// chargeStep is the settling chain's script step: the next charge, or
+// StepResume once the last has been waited out.
+func (p *Proc) chargeStep() Duration {
+	if p.chargeAt == len(p.charges) {
+		return StepResume
+	}
+	d := p.charges[p.chargeAt]
+	p.chargeAt++
+	return d
 }
 
 // Answers of a script step (AdvanceFn) other than "advance d more" (d > 0).
@@ -528,6 +630,7 @@ const (
 // AdvanceFn.
 func (p *Proc) AdvanceFn(d Duration, step func() Duration) {
 	e := p.eng
+	e.settle()
 	if p.script != nil {
 		panic(fmt.Sprintf("sim: %s: AdvanceFn inside a script step", p.name))
 	}

@@ -131,3 +131,38 @@ func BenchmarkGatePingPong(b *testing.B) {
 	b.StopTimer()
 	e.Close()
 }
+
+// BenchmarkChargeChain models UNICONN's host overheads on a many-rank cell:
+// 64 processes each pay three host charges before every interaction (a clock
+// read), so each charge is a park. Charged, a run of them settles as one
+// coroutine switch; advanced, each charge switches. ns/op is per charge.
+func BenchmarkChargeChain(b *testing.B) {
+	for _, form := range []string{"charge", "advance"} {
+		b.Run(form, func(b *testing.B) {
+			b.ReportAllocs()
+			const procs, run = 64, 3
+			e := NewEngine()
+			chains := b.N/(procs*run) + 1
+			for k := 0; k < procs; k++ {
+				e.Spawn("p", func(p *Proc) {
+					for i := 0; i < chains; i++ {
+						for range run {
+							if form == "charge" {
+								p.Charge(Nanosecond)
+							} else {
+								p.Advance(Nanosecond)
+							}
+						}
+						p.Now()
+					}
+				})
+			}
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			e.Close()
+		})
+	}
+}
