@@ -196,12 +196,11 @@ func runSpec(s spec.Spec, col *collector) (float64, core.Report, error) {
 		lat, rep, err := LatencyRun(cfg)
 		return float64(lat), rep, err
 	case spec.WorkloadAllreduce:
-		alg, err := s.AllreduceAlg()
+		cfg, err := scaleConfig(s, m, col)
 		if err != nil {
 			return 0, rep, err
 		}
-		per, rep, err := ScaleAllreduce(ScaleConfig{Model: m, Ranks: s.Ranks, Bytes: s.Bytes, Alg: alg,
-			Iters: s.Iters, Warmup: s.Warmup, Metrics: col.metrics, Trace: col.log})
+		per, rep, err := ScaleAllreduce(cfg)
 		return float64(per), rep, err
 	case spec.WorkloadJacobi, spec.WorkloadCG:
 		backend, err := s.BackendID()
@@ -289,6 +288,14 @@ func Matrix(s spec.Spec) (*sparse.CSR, error) {
 		matrices.Unlock()
 	})
 	return b.csr, nil
+}
+
+// scaleConfig is the allreduce cell s pins on the machine m, recording into
+// col's instruments.
+func scaleConfig(s spec.Spec, m *machine.Model, col *collector) (ScaleConfig, error) {
+	alg, err := s.AllreduceAlg()
+	return ScaleConfig{Model: m, Ranks: s.Ranks, Bytes: s.Bytes, Alg: alg,
+		Iters: s.Iters, Warmup: s.Warmup, Metrics: col.metrics, Trace: col.log}, err
 }
 
 // netConfig is the net cell s pins on the machine m, recording into col's

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -40,12 +41,22 @@ type ScaleConfig struct {
 	// Compute additionally initializes the vectors with known values and
 	// verifies the reduction result on every rank. Off, the cell is a pure
 	// timing model — the mode the 4096-rank memory-budget check runs in.
+	// Either way the calls fast-forward: each rewrites recv from send alone
+	// and none writes send, so the last simulated call leaves the recv a
+	// full run leaves.
 	Compute bool
 	// Metrics, when non-nil, collects the run's counters.
 	Metrics *metrics.Registry
 	// Trace, when non-nil, records the run's spans (critical-path and
 	// comm-matrix extraction; see internal/trace).
 	Trace *trace.Log
+
+	// full turns fast-forward off, for the tests that compare a
+	// fast-forwarded run with the full one.
+	full bool
+	// recvs, when non-nil, receives every rank's final recv vector (Compute
+	// only), for the same tests.
+	recvs [][]float64
 }
 
 // validate reports configuration errors.
@@ -65,9 +76,15 @@ func (cfg ScaleConfig) validate() error {
 // ScaleAllreduce runs the cell and returns the mean per-iteration virtual
 // time plus the run report.
 func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
-	var rep core.Report
+	d, rep, _, err := cfg.run()
+	return d, rep, err
+}
+
+// run runs the cell and also returns how many calls rank 0 simulated (-1
+// when the cell ran without a fast-forward controller).
+func (cfg ScaleConfig) run() (sim.Duration, core.Report, int, error) {
 	if err := cfg.validate(); err != nil {
-		return 0, rep, err
+		return 0, core.Report{}, -1, err
 	}
 	iters, warmup := cfg.Iters, cfg.Warmup
 	if iters == 0 {
@@ -82,10 +99,10 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 	}
 	elems := int(cfg.Bytes / 8)
 	var timed sim.Duration
-	rep, err := core.Launch(core.Config{
+	rep, simulated, err := core.LaunchLoops(core.Config{
 		Model: m, NGPUs: cfg.Ranks, Backend: core.MPIBackend,
 		Metrics: cfg.Metrics, Trace: cfg.Trace,
-	}, func(env *core.Env) {
+	}, warmup, cfg.full, func(env *core.Env) {
 		comm := env.MPIComm()
 		p := env.Proc()
 		send := payload{cfg.Compute}.device(env, elems)
@@ -103,14 +120,14 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 				copy(data[k:], data[:k])
 			}
 		}
-		for w := 0; w < warmup; w++ {
-			comm.AllreduceAlg(p, send.Whole(), recv.Whole(), gpu.ReduceSum, cfg.Alg)
-		}
-		// A barrier aligns every rank in virtual time so the timed window
-		// measures the collective, not warmup skew.
-		comm.Barrier(p)
-		start := p.Now()
-		for it := 0; it < iters; it++ {
+		var start sim.Time
+		for it := range env.Loop(p, 0, warmup+iters) {
+			if it == warmup {
+				// A barrier aligns every rank in virtual time so the timed
+				// window measures the collective, not warmup skew.
+				comm.Barrier(p)
+				start = p.Now()
+			}
 			comm.AllreduceAlg(p, send.Whole(), recv.Whole(), gpu.ReduceSum, cfg.Alg)
 		}
 		if env.WorldRank() == 0 {
@@ -123,6 +140,9 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 				want[j] = n*(n-1)/2 + n*float64(j)
 			}
 			data := recv.Data()
+			if cfg.recvs != nil {
+				cfg.recvs[env.WorldRank()] = slices.Clone(data)
+			}
 			for base := 0; base < len(data); base += len(want) {
 				for j, got := range data[base:min(base+len(want), len(data))] {
 					if got != want[j] {
@@ -134,7 +154,7 @@ func ScaleAllreduce(cfg ScaleConfig) (sim.Duration, core.Report, error) {
 		}
 	})
 	if err != nil {
-		return 0, rep, err
+		return 0, rep, simulated, err
 	}
-	return timed / sim.Duration(iters), rep, nil
+	return timed / sim.Duration(iters), rep, simulated, nil
 }

@@ -94,8 +94,10 @@ type ffLoop struct {
 // factors (ComputeFault) are encoded nowhere, where the encoders refuse at
 // every head what else reads absolute time. It also reports how many
 // iterations rank 0 simulated, or -1 when the launch ran without a
-// controller. A launch whose payloads are real must set full: a skipped
-// iteration computes nothing.
+// controller. A skipped iteration computes nothing, so a launch whose
+// payloads are real must set full unless each iteration rewrites its outputs
+// from inputs that no iteration writes: then the last simulated iteration
+// leaves the outputs a full run leaves.
 func LaunchLoops(cfg Config, warmup int, full bool, main func(env *Env)) (Report, int, error) {
 	if full || cfg.Faults != nil {
 		rep, err := Launch(cfg, main)
@@ -178,6 +180,13 @@ func (f *fastForward) enter(p *sim.Proc) (int, *ffLoop) {
 func (f *fastForward) head(lo, hi, it int) {
 	f.simulated++
 	if f.off {
+		return
+	}
+	// A skip needs ffRepeats heads of its phase before it and a cycle left
+	// after it, so no phase shorter than ffRepeats+2 holds one: with none
+	// longer, stop before the log records the launch.
+	if f.simulated == 1 && max(f.warmup, hi-lo-f.warmup) < ffRepeats+2 {
+		f.stop()
 		return
 	}
 	eng := f.envs[0].Device().Engine()

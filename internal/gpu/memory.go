@@ -182,31 +182,8 @@ func (b *Buffer[T]) reduceFrom(src mem, dstOff, srcOff, n int, op ReduceOp) {
 	if !ok {
 		panic(fmt.Sprintf("gpu: reduce between mismatched buffers (%v vs %v)", b, src))
 	}
-	d, v := b.data[dstOff:dstOff+n], s.data[srcOff:srcOff+n]
-	switch op {
-	case ReduceSum:
-		for i := range d {
-			d[i] += v[i]
-		}
-	case ReduceProd:
-		for i := range d {
-			d[i] *= v[i]
-		}
-	case ReduceMin:
-		for i := range d {
-			if v[i] < d[i] {
-				d[i] = v[i]
-			}
-		}
-	case ReduceMax:
-		for i := range d {
-			if v[i] > d[i] {
-				d[i] = v[i]
-			}
-		}
-	default:
-		panic("gpu: unknown reduce op")
-	}
+	d := b.data[dstOff : dstOff+n]
+	combine(d, d, s.data[srcOff:srcOff+n], op)
 }
 
 func (b *Buffer[T]) combineFrom(a, v mem, dstOff, aOff, vOff, n int, op ReduceOp) {
@@ -215,36 +192,74 @@ func (b *Buffer[T]) combineFrom(a, v mem, dstOff, aOff, vOff, n int, op ReduceOp
 	if !aok || !vok {
 		panic(fmt.Sprintf("gpu: combine between mismatched buffers (%v, %v, %v)", b, a, v))
 	}
-	d := b.data[dstOff : dstOff+n]
-	x, y := ab.data[aOff:aOff+n], vb.data[vOff:vOff+n]
+	combine(b.data[dstOff:dstOff+n], ab.data[aOff:aOff+n], vb.data[vOff:vOff+n], op)
+}
+
+// combine sets d[i] = x[i] op y[i] for each i in turn (x may be d: a
+// reduction in place), four elements a step; x and y are as long as d.
+func combine[T Elem](d, x, y []T, op ReduceOp) {
+	x, y = x[:len(d)], y[:len(d)]
+	i := 0
 	switch op {
 	case ReduceSum:
-		for i := range d {
+		for ; i+4 <= len(d); i += 4 {
+			d[i] = x[i] + y[i]
+			d[i+1] = x[i+1] + y[i+1]
+			d[i+2] = x[i+2] + y[i+2]
+			d[i+3] = x[i+3] + y[i+3]
+		}
+		for ; i < len(d); i++ {
 			d[i] = x[i] + y[i]
 		}
 	case ReduceProd:
-		for i := range d {
+		for ; i+4 <= len(d); i += 4 {
+			d[i] = x[i] * y[i]
+			d[i+1] = x[i+1] * y[i+1]
+			d[i+2] = x[i+2] * y[i+2]
+			d[i+3] = x[i+3] * y[i+3]
+		}
+		for ; i < len(d); i++ {
 			d[i] = x[i] * y[i]
 		}
 	case ReduceMin:
-		for i := range d {
-			if y[i] < x[i] {
-				d[i] = y[i]
-			} else {
-				d[i] = x[i]
-			}
+		for ; i+4 <= len(d); i += 4 {
+			d[i] = lesser(x[i], y[i])
+			d[i+1] = lesser(x[i+1], y[i+1])
+			d[i+2] = lesser(x[i+2], y[i+2])
+			d[i+3] = lesser(x[i+3], y[i+3])
+		}
+		for ; i < len(d); i++ {
+			d[i] = lesser(x[i], y[i])
 		}
 	case ReduceMax:
-		for i := range d {
-			if y[i] > x[i] {
-				d[i] = y[i]
-			} else {
-				d[i] = x[i]
-			}
+		for ; i+4 <= len(d); i += 4 {
+			d[i] = greater(x[i], y[i])
+			d[i+1] = greater(x[i+1], y[i+1])
+			d[i+2] = greater(x[i+2], y[i+2])
+			d[i+3] = greater(x[i+3], y[i+3])
+		}
+		for ; i < len(d); i++ {
+			d[i] = greater(x[i], y[i])
 		}
 	default:
 		panic("gpu: unknown reduce op")
 	}
+}
+
+// lesser is y if y < x, else x: a tie or an unordered pair keeps x.
+func lesser[T Elem](x, y T) T {
+	if y < x {
+		return y
+	}
+	return x
+}
+
+// greater is y if y > x, else x.
+func greater[T Elem](x, y T) T {
+	if y > x {
+		return y
+	}
+	return x
 }
 
 // sizeOf reports the byte size of an element (covers named types with
