@@ -96,6 +96,12 @@ func BenchmarkCellLargeRing(b *testing.B) {
 // closure per collective — and the hierarchical cell of BenchmarkCellLargeRing at most
 // 16 k (22 861). A blocking exchange that allocates per message again fails
 // here before it shows in the benchmark's rt.allocs_per_op.
+//
+// It also bounds the bytes of a warm, untraced coll-small-64r-shaped cell
+// (bench.ScaleAllreduce, 64 ranks x 2.5 KiB x 20, Compute, fast-forwarded)
+// at 1.25 MiB: 2.21 MB while the controller's private span log kept every
+// record and each head's state buffer grew from nil, and while each launch
+// filled a new staging arena; 1.09 MB since.
 func TestCollectiveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates shadow state")
@@ -114,6 +120,22 @@ func TestCollectiveAllocBudget(t *testing.T) {
 		} else {
 			t.Logf("%s: %.0f objects per cell (budget %.0f)", c.name, got, c.budget)
 		}
+	}
+	cfg := ScaleConfig{Model: machine.Perlmutter(), Ranks: 64, Bytes: 2560, Iters: 20, Warmup: 1, Compute: true}
+	var err error
+	for range 2 { // the second cell is warm
+		if _, _, err = ScaleAllreduce(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := allocated(func() { _, _, err = ScaleAllreduce(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 1280<<10 {
+		t.Errorf("allreduce 64 ranks x 2.5 KiB x 20: %s per cell, budget 1.25MiB", HumanBytes(int64(got)))
+	} else {
+		t.Logf("allreduce 64 ranks x 2.5 KiB x 20: %s per cell (budget 1.25MiB)", HumanBytes(int64(got)))
 	}
 }
 

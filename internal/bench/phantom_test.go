@@ -27,7 +27,10 @@ type answer struct {
 }
 
 // spansOf lists the log's spans in their sorted order.
-func spansOf(l *trace.Log) []trace.Span { return slices.Collect(l.Sorted().Spans()) }
+func spansOf(l *trace.Log) []trace.Span {
+	v := l.Sorted()
+	return slices.AppendSeq(make([]trace.Span, 0, v.Len()), v.Spans())
+}
 
 // differs describes the first difference between a cell's real and phantom
 // answers, "" when there is none.
@@ -115,19 +118,23 @@ func TestPhantomEqualsReal(t *testing.T) {
 		bandwidth bool
 		label     string
 	}
+	// A real cell carves its vectors from its worker's arena (gpu.Uninit),
+	// which keeps the slabs the cell before it carved: bandwidth cells come
+	// first and sizes largest first, so each real cell fits the slabs the
+	// one before it left instead of allocating and zeroing its own.
 	var cells []netCell
-	for _, m := range machine.All() {
-		for _, inter := range []bool{false, true} {
-			for _, v := range Variants(Libs(m, false)) {
-				for _, size := range sizes {
-					cfg := NetConfig{Model: m, Backend: v.Backend, API: v.API, Native: v.Native, Inter: inter, Bytes: size}
-					if size >= largeCell {
-						cfg.Iters, cfg.Warmup = 2, 1
+	for _, kind := range []string{"bandwidth", "latency"} {
+		for _, size := range slices.Backward(sizes) {
+			for _, m := range machine.All() {
+				for _, inter := range []bool{false, true} {
+					for _, v := range Variants(Libs(m, false)) {
+						cfg := NetConfig{Model: m, Backend: v.Backend, API: v.API, Native: v.Native, Inter: inter, Bytes: size}
+						if size >= largeCell {
+							cfg.Iters, cfg.Warmup = 2, 1
+						}
+						label := fmt.Sprintf("net-%s/%s/%s%s/%s/%d", kind, m.Name, v.net, v.Impl(), Placement(inter), size)
+						cells = append(cells, netCell{cfg, kind == "bandwidth", label})
 					}
-					label := fmt.Sprintf("%s/%s%s/%s/%d", m.Name, v.net, v.Impl(), Placement(inter), size)
-					cells = append(cells,
-						netCell{cfg, false, "net-latency/" + label},
-						netCell{cfg, true, "net-bandwidth/" + label})
 				}
 			}
 		}
@@ -135,7 +142,8 @@ func TestPhantomEqualsReal(t *testing.T) {
 	// A real bandwidth cell at 4 MiB holds 512 MiB of message buffers: the
 	// sweep's workers take turns at the real side of the large cells, and
 	// collect each one's garbage before the next starts, so the test's
-	// footprint is one such cell and not two per worker.
+	// footprint is one such cell (and the arena they pass between them, whose
+	// slabs hold its vectors) and not two per worker.
 	var large sync.Mutex
 	bothWays(t, len(cells), func(i int, real bool) (string, answer, error) {
 		cfg := cells[i].cfg

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -38,12 +40,14 @@ type ScaleConfig struct {
 	Iters, Warmup int
 	// Shards is ignored; it stays only until benchmark/ stops setting it (ROADMAP 19).
 	Shards int
-	// Compute additionally initializes the vectors with known values and
-	// verifies the reduction result on every rank. Off, the cell is a pure
-	// timing model — the mode the 4096-rank memory-budget check runs in.
-	// Either way the calls fast-forward: each rewrites recv from send alone
-	// and none writes send, so the last simulated call leaves the recv a
-	// full run leaves.
+	// Compute gives the cell real vectors, drawn unzeroed from the launch's
+	// arena (gpu.Uninit): send is written with known values before the first
+	// call, every call writes all of recv, and each rank's recv is checked
+	// against one expected vector built once per cell. Off, the vectors are
+	// phantom and the cell is a pure timing model — the mode the 4096-rank
+	// memory-budget check runs in. Either way the calls fast-forward: each
+	// rewrites recv from send alone and none writes send, so the last
+	// simulated call leaves the recv a full run leaves.
 	Compute bool
 	// Metrics, when non-nil, collects the run's counters.
 	Metrics *metrics.Registry
@@ -98,6 +102,10 @@ func (cfg ScaleConfig) run() (sim.Duration, core.Report, int, error) {
 		m = spec.WithTopology(m, cfg.Topology)
 	}
 	elems := int(cfg.Bytes / 8)
+	var want []byte // every rank's expected recv, as float bits
+	if cfg.Compute {
+		want = expectedSum(cfg.Ranks, elems)
+	}
 	var timed sim.Duration
 	rep, simulated, err := core.LaunchLoops(core.Config{
 		Model: m, NGPUs: cfg.Ranks, Backend: core.MPIBackend,
@@ -108,17 +116,10 @@ func (cfg ScaleConfig) run() (sim.Duration, core.Report, int, error) {
 		send := payload{cfg.Compute}.device(env, elems)
 		recv := payload{cfg.Compute}.device(env, elems)
 		if cfg.Compute {
-			// Integer-valued floats: the sum over ranks is exact, so the
-			// verification below is an equality check, not a tolerance.
-			// Element i is rank + i%17: the first 17, then doubling copies
-			// (a multiple of 17 long, so the pattern carries on).
-			data := send.Data()
-			for i := range min(17, len(data)) {
-				data[i] = float64(env.WorldRank() + i)
-			}
-			for k := 17; k < len(data); k *= 2 {
-				copy(data[k:], data[:k])
-			}
+			// Element i is rank + i%17: integer-valued floats, so the sum
+			// over ranks is exact and the verification below is an
+			// equality check, not a tolerance.
+			pattern(send.Data(), float64(env.WorldRank()), 1)
 		}
 		var start sim.Time
 		for it := range env.Loop(p, 0, warmup+iters) {
@@ -134,20 +135,16 @@ func (cfg ScaleConfig) run() (sim.Duration, core.Report, int, error) {
 			timed = p.Now().Sub(start)
 		}
 		if cfg.Compute {
-			n := float64(cfg.Ranks)
-			var want [17]float64 // element i's sum is want[i%17]
-			for j := range want {
-				want[j] = n*(n-1)/2 + n*float64(j)
-			}
 			data := recv.Data()
 			if cfg.recvs != nil {
 				cfg.recvs[env.WorldRank()] = slices.Clone(data)
 			}
-			for base := 0; base < len(data); base += len(want) {
-				for j, got := range data[base:min(base+len(want), len(data))] {
-					if got != want[j] {
+			if !bytes.Equal(floatBits(data), want) {
+				n := float64(cfg.Ranks)
+				for i, got := range data {
+					if w := n*(n-1)/2 + n*float64(i%17); got != w {
 						panic(fmt.Sprintf("bench: scale allreduce rank %d elem %d = %v, want %v",
-							env.WorldRank(), base+j, got, want[j]))
+							env.WorldRank(), i, got, w))
 					}
 				}
 			}
@@ -157,4 +154,30 @@ func (cfg ScaleConfig) run() (sim.Duration, core.Report, int, error) {
 		return 0, rep, simulated, err
 	}
 	return timed / sim.Duration(iters), rep, simulated, nil
+}
+
+// pattern sets data[i] = base + step*(i%17): the first 17, then doubling
+// copies (a multiple of 17 long, so the pattern carries on).
+func pattern(data []float64, base, step float64) {
+	for i := range min(17, len(data)) {
+		data[i] = base + step*float64(i)
+	}
+	for k := 17; k < len(data); k *= 2 {
+		copy(data[k:], data[:k])
+	}
+}
+
+// expectedSum is the float bits of every rank's recv after an allreduce sum
+// of ranks send vectors of elems elements, rank r's being pattern(r, 1).
+// Every value is a positive integer, so bit equality with it is ==.
+func expectedSum(ranks, elems int) []byte {
+	want := make([]float64, elems)
+	n := float64(ranks)
+	pattern(want, n*(n-1)/2, n)
+	return floatBits(want)
+}
+
+// floatBits views a float64 slice as its bytes.
+func floatBits(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }

@@ -74,3 +74,48 @@ func TestGetSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Errorf("steady-state Get/Put allocates %.2f allocs/run, want 0", avg)
 	}
 }
+
+func TestTakeCarvesSlabsAndTrimKeepsOneFootprint(t *testing.T) {
+	var p Pool[float64]
+	p.Reset()
+	a := p.Take(100) // no slab yet: one of 125
+	b := p.Take(25)
+	if len(a) != 100 || cap(a) != 100 || len(b) != 25 || len(p.slabs) != 1 || cap(p.slabs[0]) != 125 {
+		t.Fatalf("Take: len %d cap %d, len %d, %d slabs", len(a), cap(a), len(b), len(p.slabs))
+	}
+	if &a[0] != &p.slabs[0][0] || &b[0] != &p.slabs[0][100] {
+		t.Fatal("the second Take was not carved right after the first")
+	}
+	c := p.Take(8) // the slab is full: a second one, of all 133 taken and a quarter
+	if len(p.slabs) != 2 || cap(p.slabs[1]) != 133+133/4 || &c[0] != &p.slabs[1][0] {
+		t.Fatalf("after the first slab filled: %d slabs", len(p.slabs))
+	}
+	p.Trim()
+	p.Reset()
+	// The next launch carves the smallest slab with room, and a window of
+	// small vectors from the room a long one left.
+	if again := p.Take(50); &again[0] != &a[0] {
+		t.Fatal("Take(50) did not carve the 125-element slab")
+	}
+	if again := p.Take(75); &again[0] != &a[50] {
+		t.Fatal("Take(75) was not carved right after Take(50)")
+	}
+	if again := p.Take(10); &again[0] != &c[0] {
+		t.Fatal("Take(10) did not carve the second slab")
+	}
+	// A launch that draws on one slab only keeps that one; one that takes
+	// less than a quarter of what the pool holds keeps nothing.
+	p.Trim()
+	p.Reset()
+	p.Take(100)
+	p.Trim()
+	if len(p.slabs) != 1 || cap(p.slabs[0]) != 125 {
+		t.Fatalf("after a launch that drew on one slab the pool holds %d", len(p.slabs))
+	}
+	p.Reset()
+	p.Take(31)
+	p.Trim()
+	if len(p.slabs) != 0 {
+		t.Fatalf("a launch taking under a quarter left %d slabs", len(p.slabs))
+	}
+}

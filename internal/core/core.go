@@ -187,9 +187,15 @@ func launch(cfg Config, ff *fastForward, main func(env *Env)) (Report, error) {
 		return Report{}, err
 	}
 	eng := sim.NewEngine()
-	defer eng.Close()
+	var cluster *gpu.Cluster
+	defer func() {
+		eng.Close()
+		if cluster != nil {
+			cluster.Release() // once every rank has unwound
+		}
+	}()
 	flight := cfg.Flight.install(eng)
-	cluster := gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)
+	cluster = gpu.NewCluster(eng, cfg.Model, cfg.NGPUs)
 	j := &job{cfg: cfg, eng: eng, cluster: cluster, ff: ff}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)

@@ -195,12 +195,15 @@ func (f *fastForward) head(lo, hi, it int) {
 	if it >= end {
 		end, phase = hi, 1
 	}
-	// The new head reuses the buffer of the one that falls out of the window.
+	// The new head reuses the buffer of the one that falls out of the window,
+	// or starts at the capacity of the head before it.
 	var buf []byte
 	var obs []int64
 	if len(f.heads) == ffMaxCycle+2 {
 		buf, obs = f.heads[0].state[:0], f.heads[0].obs[:0]
 		f.heads = append(f.heads[:0], f.heads[1:]...)
+	} else if c := cap(f.heads[len(f.heads)-1].state); c > 0 {
+		buf = make([]byte, 0, c)
 	}
 	q := f.backlog()
 	if f.runsAhead(q) {
@@ -217,7 +220,7 @@ func (f *fastForward) head(lo, hi, it int) {
 	if cl := f.envs[0].Device().Cluster(); cl.Metrics != nil {
 		obs = cl.Metrics.AppendMark(cl.Fabric.AppendBusy(obs))
 	}
-	f.heads = append(f.heads, ffHead{state: state, at: now, mark: f.log.Len(), backlog: q, obs: obs})
+	f.heads = append(f.heads, ffHead{state: state, at: now, mark: f.mark(), backlog: q, obs: obs})
 	cycle := 0
 	for k := 1; k <= ffMaxCycle; k++ {
 		if f.matches(k) {
@@ -262,11 +265,21 @@ func (f *fastForward) head(lo, hi, it int) {
 	if cl := f.envs[0].Device().Cluster(); cl.Metrics != nil {
 		cl.Metrics.Repeat(cl.Fabric.RepeatBusy(f.heads[n-cycle].obs, int64(cycles)), int64(cycles))
 	}
-	f.heads = append(f.heads[:0], ffHead{at: eng.Now(), mark: f.log.Len(), backlog: f.backlog()})
+	f.heads = append(f.heads[:0], ffHead{at: eng.Now(), mark: f.mark(), backlog: f.backlog()})
 	f.runs, f.highs = [ffMaxCycle + 1]int{}, 0
 	for _, l := range f.loops {
 		l.from, l.to = end-m, end
 	}
+}
+
+// mark returns the log length the next head digests from. A private log is
+// read by nothing but the next head, so it drops what this one digested
+// instead, and holds one head's spans at a time.
+func (f *fastForward) mark() int {
+	if f.private {
+		f.log.Clear()
+	}
+	return f.log.Len()
 }
 
 // runsAhead reports whether rank 0's host has run ahead of its device: its

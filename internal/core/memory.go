@@ -24,25 +24,21 @@ type Mem[T gpu.Elem] struct {
 // Alloc allocates n elements through the backend. On GPUSHMEM it is a
 // collective call: every rank must allocate in the same order (the
 // symmetric-heap contract). It mirrors Memory<Backend>::Alloc<T>(n).
-func Alloc[T gpu.Elem](env *Env, n int) *Mem[T] { return alloc[T](env, n, false) }
+func Alloc[T gpu.Elem](env *Env, n int) *Mem[T] { return AllocAs[T](env, n, gpu.Zeroed) }
 
-// AllocPhantom is Alloc of phantom memory (gpu.AllocPhantom): the payload
+// AllocAs is Alloc of storage s (gpu.Storage): gpu.Phantom for the payload
 // vector of a modelled cell, which communication moves by length alone and
-// whose Data panics. The call costs the same virtual time as Alloc. Signal
-// arrays and values read back for control flow must come from Alloc.
-func AllocPhantom[T gpu.Elem](env *Env, n int) *Mem[T] { return alloc[T](env, n, true) }
-
-func alloc[T gpu.Elem](env *Env, n int, phantom bool) *Mem[T] {
+// whose Data panics; gpu.Uninit for a payload the rank writes before it
+// reads, which lives until the launch ends. The call costs the same virtual
+// time whatever s is. Signal arrays and values read back for control flow
+// must come from Alloc.
+func AllocAs[T gpu.Elem](env *Env, n int, s gpu.Storage) *Mem[T] {
 	env.dispatch()
-	symmetric, device := gpushmem.Malloc[T], gpu.AllocBuffer[T]
-	if phantom {
-		symmetric, device = gpushmem.MallocPhantom[T], gpu.AllocPhantom[T]
-	}
 	if env.Backend() == GpushmemBackend {
-		s := symmetric(env.job.shmemWorld.PE(env.rank), n)
-		return &Mem[T]{env: env, buf: s.Local(env.rank), sym: s}
+		sym := gpushmem.MallocAs[T](env.job.shmemWorld.PE(env.rank), n, s)
+		return &Mem[T]{env: env, buf: sym.Local(env.rank), sym: sym}
 	}
-	return &Mem[T]{env: env, buf: device(env.dev, n)}
+	return &Mem[T]{env: env, buf: gpu.Alloc[T](env.dev, n, s)}
 }
 
 // Free releases the allocation (Memory<Backend>::Free). The simulation's

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -152,10 +153,15 @@ func TestScratchIsArenaStorageWithoutTheCopy(t *testing.T) {
 	if st := PoolStats[float64](c); st.Gets != 2 || st.Hits != 1 {
 		t.Fatalf("scratch did not reuse the released clone's storage: %+v", st)
 	}
-	// The recycled storage still holds what the clone left there: nothing
-	// copied the source over it.
-	if got := s.m.(*Buffer[float64]).data[0]; got != -1 {
-		t.Fatalf("scratch[0] = %v: Scratch touched its storage", got)
+	// The recycled storage still holds what the clone left there, or in the
+	// race build the arena's NaN poison: nothing copied the source over it.
+	got := s.m.(*Buffer[float64]).data[0]
+	want, ok := "the clone's -1", got == -1
+	if raceEnabled {
+		want, ok = "the race build's NaN poison", math.IsNaN(got)
+	}
+	if !ok {
+		t.Fatalf("scratch[0] = %v, want %s: Scratch touched its storage", got, want)
 	}
 	s.Release()
 	if st := PoolStats[float64](c); st.Puts != 2 || st.Gets != st.Puts+st.Drops {
@@ -189,4 +195,24 @@ func TestBufferResolvesItsPoolOnce(t *testing.T) {
 	// A buffer outside any cluster still clones, through the heap.
 	loose := AllocBuffer[float64](nil, 4)
 	loose.Whole().Clone().Release()
+}
+
+// TestUninitStaysOutOfStaging pins why an Uninit buffer is marked lent: it
+// is a piece of the arena's payload slab, and a clone of it resolves its
+// pool, yet Release must not file the piece under a staging class (here
+// 64 elements, exactly one), where a later Get would hand out slab memory
+// that the next launch carves for a payload vector too.
+func TestUninitStaysOutOfStaging(t *testing.T) {
+	c, _ := newTestCluster(t, 1)
+	b := Alloc[float64](c.Devices[0], 64, Uninit)
+	clear(b.Data())
+	b.Whole().Clone().Release()
+	p := poolFor[float64](c)
+	c.Release()
+	if b.data != nil {
+		t.Fatal("Release left the Uninit buffer's data in place")
+	}
+	if st := p.Stats(); st.Puts != 1 || st.Pooled != 1 {
+		t.Fatalf("after Release the staging classes hold %d slices from %d Puts, want the clone's one", st.Pooled, st.Puts)
+	}
 }

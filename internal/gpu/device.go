@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 
 	"repro/internal/buf"
 	"repro/internal/fabric"
@@ -42,33 +44,126 @@ type Cluster struct {
 
 	kernelLabels map[string]string // kernel name -> stream-op label (kernelLabel)
 
-	// pools holds the cluster's staging arenas, one buf.Pool[T] per element
-	// type (keyed by reflect.Type, resolved through poolFor). Like the trace
-	// log and metrics registry, pools belong to one cell: parallel sweep
-	// cells each build their own cluster and so never share an arena.
-	// Neither the map nor the pools are locked: within a cell only the
-	// ball holder touches them, and PoolStats runs inside the engine or
-	// after the cell.
-	pools map[reflect.Type]any
+	// arena is the launch's staging and payload memory, borrowed from
+	// arenas at its first use (poolFor) and handed back by Release. A
+	// launch that stages and carves nothing (most modelled cells) never
+	// borrows one.
+	arena    *arena
+	released bool
+}
+
+// arena is the memory one launch borrows: a buf.Pool[T] per element type
+// (keyed by reflect.Type, resolved through poolFor; an arenaPool wraps each)
+// and the Uninit buffers drawn from them. Like the trace log and metrics
+// registry, an arena belongs to one cell at a time: parallel sweep cells
+// each borrow their own. Neither the map nor the pools are locked: within a
+// cell only the ball holder touches them, and PoolStats runs inside the
+// engine or after the cell.
+type arena struct {
+	pools map[reflect.Type]arenaPool
+	lent  []mem // Uninit buffers, returned and poisoned by Release
+}
+
+// arenaPool is a buf.Pool[T] of any element type (a *typedPool[T]).
+type arenaPool interface {
+	reset()
+	trim()
+}
+
+type typedPool[T Elem] struct{ p buf.Pool[T] }
+
+func (t *typedPool[T]) reset() { t.p.Reset() }
+func (t *typedPool[T]) trim()  { t.p.Trim() }
+
+// arenas holds the arenas no launch is using, at most one per P: a launch
+// that follows another on the same sweep worker finds the last one's staging
+// classes and payload slabs there instead of allocating (and zeroing) them
+// again, and the last arena handed back is the first lent out. A sync.Pool
+// would lose them: another P cannot take what sits in a P's private slot,
+// and two collections empty it, so a worker of a sweep whose cells each
+// allocate hundreds of MiB would find a new arena about half the time. What
+// an idle arena holds is bounded by Pool.Trim: about its last launch.
+var arenas struct {
+	sync.Mutex
+	idle []*arena
+}
+
+// borrowArena lends out an idle arena, or a new one.
+func borrowArena() *arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	n := len(arenas.idle)
+	if n == 0 {
+		return &arena{pools: map[reflect.Type]arenaPool{}}
+	}
+	a := arenas.idle[n-1]
+	arenas.idle[n-1] = nil
+	arenas.idle = arenas.idle[:n-1]
+	return a
+}
+
+// returnArena makes a idle, unless GOMAXPROCS arenas already are.
+func returnArena(a *arena) {
+	arenas.Lock()
+	defer arenas.Unlock()
+	if len(arenas.idle) < runtime.GOMAXPROCS(0) {
+		arenas.idle = append(arenas.idle, a)
+	}
 }
 
 // poolFor returns the cluster's staging arena for element type T, creating
-// it on first use. It probes a type-keyed map, so the data path resolves it
-// once per buffer (Buffer.scratch) rather than per clone and release.
+// it on first use, or nil once the cluster has released its arena. The
+// cluster's first call borrows the arena. It probes a type-keyed map, so
+// the data path resolves it once per buffer (Buffer.scratch) rather than
+// per clone and release.
 func poolFor[T Elem](c *Cluster) *buf.Pool[T] {
-	t := reflect.TypeFor[T]()
-	if p, ok := c.pools[t]; ok {
-		return p.(*buf.Pool[T])
+	if c == nil || c.released {
+		return nil
 	}
-	p := &buf.Pool[T]{}
-	c.pools[t] = p
-	return p
+	if c.arena == nil {
+		c.arena = borrowArena()
+		for _, p := range c.arena.pools {
+			p.reset()
+		}
+	}
+	t := reflect.TypeFor[T]()
+	if p, ok := c.arena.pools[t]; ok {
+		return &p.(*typedPool[T]).p
+	}
+	p := &typedPool[T]{}
+	c.arena.pools[t] = p
+	return &p.p
 }
 
 // PoolStats reports the staging arena's traffic counters for element type T
-// (tests pin the zero-allocation steady state with these).
+// since the cluster borrowed it (tests pin the zero-allocation steady state
+// with these).
 func PoolStats[T Elem](c *Cluster) buf.Stats {
-	return poolFor[T](c).Stats()
+	if p := poolFor[T](c); p != nil {
+		return p.Stats()
+	}
+	return buf.Stats{}
+}
+
+// Release ends the cluster's launch: every Uninit buffer goes back to the
+// arena and is poisoned (Data panics on it), each pool trims what it keeps
+// to about this launch's footprint, and the arena waits for the next
+// launch. Call it once the engine is closed; the cluster runs no more.
+func (c *Cluster) Release() {
+	a := c.arena
+	c.arena, c.released = nil, true
+	if a == nil {
+		return
+	}
+	for _, m := range a.lent {
+		m.recycle()
+	}
+	clear(a.lent)
+	a.lent = a.lent[:0]
+	for _, p := range a.pools {
+		p.trim()
+	}
+	returnArena(a)
 }
 
 // computeScale resolves the compute-time multiplier for a device now.
@@ -106,7 +201,6 @@ func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 	fab := fabric.New(model.FabricConfig(nodes))
 	c := &Cluster{
 		Eng: eng, Model: model, Fabric: fab,
-		pools:        make(map[reflect.Type]any),
 		kernelLabels: map[string]string{},
 	}
 	for i := 0; i < nGPUs; i++ {

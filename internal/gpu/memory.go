@@ -69,22 +69,59 @@ type Buffer[T Elem] struct {
 	// it, so the steady-state data path never revisits the cluster's
 	// type-keyed pool table. Nil for a buffer with no cluster.
 	pool *buf.Pool[T]
-	// ph, when non-nil, makes this a phantom allocation (AllocPhantom): data
+	// ph, when non-nil, makes this a phantom allocation (Alloc of Phantom): data
 	// stays nil and every view of the buffer is a view of ph.
 	ph *phantom
+	// lent marks an Uninit allocation: its data is a piece of one of pool's
+	// payload slabs, which go back whole when the launch ends
+	// (Cluster.Release), so recycle must not hand it to a staging class even
+	// after a clone of the buffer has resolved pool.
+	lent bool
 }
 
-// AllocBuffer allocates n elements on the device.
+// Storage is how an allocation is backed.
+type Storage uint8
+
+const (
+	// Zeroed storage is zeroed when allocated and owned by the garbage
+	// collector, so it lives as long as something holds it (AllocBuffer).
+	Zeroed Storage = iota
+	// Uninit storage is drawn unzeroed from the launch's arena, as
+	// cudaMalloc's is, and lives until the launch ends (Cluster.Release):
+	// then it goes back to the arena and Data on the buffer panics. Its
+	// first reader must be something that wrote it. On a device with no
+	// cluster, or one whose cluster has been released, it is Zeroed.
+	Uninit
+	// Phantom storage is a length and no bytes (see phantom).
+	Phantom
+)
+
+// Alloc allocates n elements on the device, backed as s says.
+func Alloc[T Elem](dev *Device, n int, s Storage) *Buffer[T] {
+	switch s {
+	case Phantom:
+		return allocPhantom[T](dev, n)
+	case Uninit:
+		if p := poolFor[T](dev.cluster); p != nil {
+			b := &Buffer[T]{dev: dev, data: p.Take(n), pool: p, lent: true}
+			dev.cluster.arena.lent = append(dev.cluster.arena.lent, b)
+			return b
+		}
+	}
+	return AllocBuffer[T](dev, n)
+}
+
+// AllocBuffer allocates n zeroed elements on the device.
 func AllocBuffer[T Elem](dev *Device, n int) *Buffer[T] {
 	return &Buffer[T]{dev: dev, data: make([]T, n)}
 }
 
 // Data exposes the underlying storage (host-mapped view; in the simulation
-// host and device share an address space). A phantom has none: asking for it
-// panics.
+// host and device share an address space). A phantom has none, and neither
+// has an Uninit buffer after its launch ended: asking for it panics.
 func (b *Buffer[T]) Data() []T {
-	if b.ph != nil {
-		panic(noData{b.ph})
+	if b.data == nil {
+		panic(noData{b})
 	}
 	return b.data
 }
@@ -151,7 +188,7 @@ func (b *Buffer[T]) copyFrom(src mem, dstOff, srcOff, n int) {
 // unzeroed storage, so the caller must overwrite all n elements before
 // reading any.
 func (b *Buffer[T]) scratch(n int) mem {
-	if b.pool == nil && b.dev != nil && b.dev.cluster != nil {
+	if b.pool == nil && b.dev != nil {
 		b.pool = poolFor[T](b.dev.cluster)
 	}
 	if b.pool == nil {
@@ -168,10 +205,12 @@ func (b *Buffer[T]) clone(off, n int) mem {
 }
 
 // recycle returns the buffer's storage to the arena it was drawn from and
-// poisons the buffer. Only scratch buffers and clones are recycled (via
-// View.Release); the nil data acts as a use-after-release trap.
+// poisons the buffer. Scratch buffers and clones are recycled via
+// View.Release, Uninit allocations when their launch ends (their slabs go
+// back whole, so only the poison applies); the nil data acts as a
+// use-after-release trap.
 func (b *Buffer[T]) recycle() {
-	if b.pool != nil && b.data != nil {
+	if b.pool != nil && b.data != nil && !b.lent {
 		b.pool.Put(b.data)
 	}
 	b.data = nil

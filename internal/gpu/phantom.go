@@ -21,28 +21,26 @@ type phantom struct {
 	elem reflect.Type
 }
 
-// AllocPhantom allocates n elements on the device without backing them:
-// nothing is made, zeroed or, later, copied. The result is used like any
-// Buffer except that Data panics and its views combine only with views of
-// other phantoms of the same element type.
-func AllocPhantom[T Elem](dev *Device, n int) *Buffer[T] {
+// allocPhantom allocates n elements on the device without backing them
+// (Alloc of Phantom storage): nothing is made, zeroed or, later, copied.
+// The result is used like any Buffer except that Data panics and its views
+// combine only with views of other phantoms of the same element type.
+func allocPhantom[T Elem](dev *Device, n int) *Buffer[T] {
 	return &Buffer[T]{dev: dev, ph: &phantom{dev: dev, n: n, elem: reflect.TypeFor[T]()}}
 }
-
-// Phantom reports whether the buffer is a phantom allocation.
-func (b *Buffer[T]) Phantom() bool { return b.ph != nil }
 
 func (p *phantom) String() string {
 	return fmt.Sprintf("phantom %v[%d] on gpu%d", p.elem, p.n, p.deviceID())
 }
 
-// noData is the panic value of Buffer.Data on a phantom. It is an error
+// noData is the panic value of Buffer.Data on a buffer with no storage: a
+// phantom, or an Uninit allocation whose launch has ended. It is an error
 // value, formatted only when someone prints it, so that Data stays within
 // the inliner's budget for the functional solvers' element loops.
-type noData struct{ p *phantom }
+type noData struct{ b fmt.Stringer }
 
 func (e noData) Error() string {
-	return fmt.Sprintf("gpu: Data() of %v: a phantom allocation has no elements to read or write", e.p)
+	return fmt.Sprintf("gpu: Data() of %v: a phantom allocation, or an Uninit one whose launch has ended, has no elements to read or write", e.b)
 }
 
 func (p *phantom) elemSize() int { return int(p.elem.Size()) }

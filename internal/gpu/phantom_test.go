@@ -15,9 +15,9 @@ import (
 func other[T Elem](dev *Device, n int) View {
 	var z T
 	if _, ok := any(z).(float64); ok {
-		return AllocPhantom[float32](dev, n).Whole()
+		return allocPhantom[float32](dev, n).Whole()
 	}
-	return AllocPhantom[float64](dev, n).Whole()
+	return allocPhantom[float64](dev, n).Whole()
 }
 
 func phantomTraps[T Elem](t *testing.T) {
@@ -25,7 +25,7 @@ func phantomTraps[T Elem](t *testing.T) {
 	elem := fmt.Sprintf("%T", z)
 	c, _ := newTestCluster(t, 2)
 	dev := c.Devices[1]
-	ph := AllocPhantom[T](dev, 8)
+	ph := allocPhantom[T](dev, 8)
 	real := AllocBuffer[T](dev, 8)
 	name := fmt.Sprintf("phantom %s[8] on gpu1", elem)
 
@@ -79,9 +79,9 @@ func phantomMovesNothing[T Elem](t *testing.T) {
 	c, _ := newTestCluster(t, 2)
 	dev := c.Devices[1]
 	const n = 1 << 40 // terabytes nobody backs
-	a, b, d := AllocPhantom[T](dev, n), AllocPhantom[T](dev, n), AllocPhantom[T](dev, n)
-	if !a.Phantom() || a.Len() != n || a.dev != dev {
-		t.Fatalf("phantom reports Phantom=%v Len=%d Device=%v", a.Phantom(), a.Len(), a.dev)
+	a, b, d := allocPhantom[T](dev, n), allocPhantom[T](dev, n), allocPhantom[T](dev, n)
+	if a.ph == nil || a.Len() != n || a.dev != dev {
+		t.Fatalf("phantom reports ph=%v Len=%d Device=%v", a.ph, a.Len(), a.dev)
 	}
 	w := a.Whole()
 	var z T
@@ -126,7 +126,7 @@ func TestPhantomAllocatesNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		big := AllocPhantom[float64](c.Devices[0], 1<<30)
+		big := allocPhantom[float64](c.Devices[0], 1<<30)
 		big.Whole().Clone().Release()
 	}
 	runtime.ReadMemStats(&after)

@@ -172,9 +172,10 @@ func (pe *PE) model() *machine.Model { return pe.w.cluster.Model }
 // allocRec is one symmetric allocation: the same logical object on every
 // PE's heap.
 type allocRec struct {
-	bufs  []gpu.View // per PE, whole-buffer views
-	sigs  [][]*sim.Counter
-	typed any // the *Sym[T] that owns the storage
+	bufs    []gpu.View // per PE, whole-buffer views
+	sigs    [][]*sim.Counter
+	typed   any // the *Sym[T] that owns the storage
+	storage gpu.Storage
 }
 
 // Sym is a typed symmetric allocation handle.
@@ -187,40 +188,35 @@ type Sym[T gpu.Elem] struct {
 // is a collective: every PE must call it in the same order, and the
 // allocation ids are matched by call sequence. The caller's handle is
 // shared: the first PE to call creates the storage for all PEs.
-func Malloc[T gpu.Elem](pe *PE, n int) *Sym[T] { return malloc[T](pe, n, false) }
+func Malloc[T gpu.Elem](pe *PE, n int) *Sym[T] { return MallocAs[T](pe, n, gpu.Zeroed) }
 
-// MallocPhantom is Malloc of phantom memory (gpu.AllocPhantom): a symmetric
-// payload that modelled cells put and get by length alone. Signal words and
+// MallocAs is Malloc of storage s (gpu.Storage): a symmetric payload that
+// modelled cells put and get by length alone is gpu.Phantom, one a
+// functional cell writes before it reads may be gpu.Uninit. Signal words and
 // anything else that is read back must come from Malloc.
-func MallocPhantom[T gpu.Elem](pe *PE, n int) *Sym[T] { return malloc[T](pe, n, true) }
-
-func malloc[T gpu.Elem](pe *PE, n int, phantom bool) *Sym[T] {
+func MallocAs[T gpu.Elem](pe *PE, n int, s gpu.Storage) *Sym[T] {
 	pe.allocSeq++
 	id := pe.allocSeq
 	rec := pe.w.allocs[id]
 	if rec == nil {
-		alloc := gpu.AllocBuffer[T]
-		if phantom {
-			alloc = gpu.AllocPhantom[T]
-		}
 		npes := pe.size()
-		s := &Sym[T]{bufs: make([]*gpu.Buffer[T], npes)}
-		rec = &allocRec{bufs: make([]gpu.View, npes)}
+		sym := &Sym[T]{bufs: make([]*gpu.Buffer[T], npes)}
+		rec = &allocRec{bufs: make([]gpu.View, npes), storage: s}
 		for r := 0; r < npes; r++ {
-			s.bufs[r] = alloc(pe.w.cluster.Devices[r], n)
-			rec.bufs[r] = s.bufs[r].Whole()
+			sym.bufs[r] = gpu.Alloc[T](pe.w.cluster.Devices[r], n, s)
+			rec.bufs[r] = sym.bufs[r].Whole()
 		}
 		rec.sigs = make([][]*sim.Counter, npes)
-		s.rec = rec
-		rec.typed = s
+		sym.rec = rec
+		rec.typed = sym
 		pe.w.allocs[id] = rec
-		return s
+		return sym
 	}
-	s, ok := rec.typed.(*Sym[T])
-	if !ok || s.bufs[0].Len() != n || s.bufs[0].Phantom() != phantom {
+	sym, ok := rec.typed.(*Sym[T])
+	if !ok || sym.bufs[0].Len() != n || rec.storage != s {
 		panic("gpushmem: mismatched collective Malloc across PEs")
 	}
-	return s
+	return sym
 }
 
 // Local returns the PE-local buffer of the symmetric allocation.

@@ -55,7 +55,7 @@ type pinStep struct {
 	run  func(p *sim.Proc, c *Comm, elems int)
 }
 
-func pinVec(c *Comm, n int) gpu.View { return gpu.AllocPhantom[float64](c.ep.dev, n).Whole() }
+func pinVec(c *Comm, n int) gpu.View { return gpu.Alloc[float64](c.ep.dev, n, gpu.Phantom).Whole() }
 
 func pinAllreduce(alg AllreduceAlg) func(p *sim.Proc, c *Comm, elems int) {
 	return func(p *sim.Proc, c *Comm, elems int) {

@@ -171,15 +171,15 @@ func newState(cfg Config, env *core.Env) *state {
 	// A modelled run never touches a vector element, so its vectors are
 	// phantom; dots holds the two scalars the host reads for control flow
 	// and stays real.
-	alloc := core.AllocPhantom[float64]
+	storage := gpu.Phantom
 	if cfg.Compute {
-		alloc = core.Alloc[float64]
+		storage = gpu.Zeroed
 	}
-	st.x = alloc(env, maxRows)
-	st.r = alloc(env, maxRows)
-	st.p = alloc(env, maxRows)
-	st.ap = alloc(env, maxRows)
-	st.pFull = alloc(env, n)
+	st.x = core.AllocAs[float64](env, maxRows, storage)
+	st.r = core.AllocAs[float64](env, maxRows, storage)
+	st.p = core.AllocAs[float64](env, maxRows, storage)
+	st.ap = core.AllocAs[float64](env, maxRows, storage)
+	st.pFull = core.AllocAs[float64](env, n, storage)
 	st.dots = core.Alloc[float64](env, 2)
 	st.newKernels()
 

@@ -195,15 +195,15 @@ func newState(cfg Config, env *core.Env) *state {
 		start:  gpu.NewEvent("start"), stop: gpu.NewEvent("stop"),
 	}
 	rows := g.chunk + 2
-	alloc := core.AllocPhantom[float32]
+	storage := gpu.Phantom
 	if cfg.Compute {
-		alloc = core.Alloc[float32]
+		storage = gpu.Zeroed
 	}
 	for k := range st.bufs {
 		st.bufs[k] = bufset{
-			grid: alloc(env, rows*g.nx),
-			send: alloc(env, 2*g.nx),
-			recv: alloc(env, 2*g.nx),
+			grid: core.AllocAs[float32](env, rows*g.nx, storage),
+			send: core.AllocAs[float32](env, 2*g.nx, storage),
+			recv: core.AllocAs[float32](env, 2*g.nx, storage),
 		}
 	}
 	st.sync = core.Alloc[uint64](env, 4)

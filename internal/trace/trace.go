@@ -207,14 +207,23 @@ func (l *Log) Add(s Span) {
 	})
 }
 
-// push appends one record.
+// push appends one record, into a chunk the log already holds if it can.
 func (l *Log) push(r rec) {
-	if l.stored%logChunk == 0 {
+	if l.stored == len(l.chunks)*logChunk {
 		l.chunks = append(l.chunks, new([logChunk]rec))
 	}
 	l.chunks[l.stored/logChunk][l.stored%logChunk] = r
 	l.stored++
 	l.n++
+}
+
+// Clear drops every span. The log keeps its chunks for the spans added
+// next, and its symbol table, so a name keeps its id and a digest of the
+// spans added after Clear (AppendSince) reads as it would without it. A View
+// of the log must not be read after it.
+func (l *Log) Clear() {
+	l.n, l.stored = 0, 0
+	l.runs = l.runs[:0]
 }
 
 // AppendSince appends spans from, from+1, ... (insertion order) relative
