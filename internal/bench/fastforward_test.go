@@ -2,11 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -68,19 +72,33 @@ func spanAnalyses(log *trace.Log, end sim.Time) string {
 // answer carries every rank's final recv vector.
 func ffRun(s spec.Spec, full, compute bool) (ffAnswer, error) {
 	n := s.Normalize()
+	log, reg := trace.New(), metrics.New()
+	v, rep, a, err := ffLaunch(n, &collector{log: log, metrics: reg}, full, compute)
+	if err != nil {
+		return a, err
+	}
+	a.spans, a.analyses = spansOf(log), spanAnalyses(log, rep.End)
+	var snap bytes.Buffer
+	if err := reg.Snapshot().WriteJSON(&snap); err != nil {
+		return a, err
+	}
+	a.metrics = snap.Bytes()
+	a.body, err = newResult(n, n.Hash(), v, rep, log).Encode()
+	return a, err
+}
+
+// ffLaunch runs the normalized spec n recording into col, as ffRun does,
+// and returns its value and report, and an answer that holds only how many
+// iterations rank 0 simulated and, with compute, the final recv vectors.
+func ffLaunch(n spec.Spec, col *collector, full, compute bool) (v float64, rep core.Report, a ffAnswer, err error) {
 	m, err := n.Model()
 	if err != nil {
-		return ffAnswer{}, err
+		return
 	}
-	log, reg := trace.New(), metrics.New()
-	col := &collector{log: log, metrics: reg}
-	var a ffAnswer
-	var v float64
-	var rep core.Report
 	if n.Workload == spec.WorkloadAllreduce {
 		var cfg ScaleConfig
 		if cfg, err = scaleConfig(n, m, col); err != nil {
-			return a, err
+			return
 		}
 		cfg.full, cfg.Compute = full, compute
 		if compute {
@@ -92,22 +110,15 @@ func ffRun(s spec.Spec, full, compute bool) (ffAnswer, error) {
 	} else {
 		var cfg NetConfig
 		if cfg, err = netConfig(n, m, col); err != nil {
-			return a, err
+			return
 		}
 		cfg.full = full
 		v, rep, a.simulated, err = cfg.run(n.Workload == spec.WorkloadNetBandwidth)
 	}
 	if err != nil {
-		return a, fmt.Errorf("%s: %w", n, err)
+		err = fmt.Errorf("%s: %w", n, err)
 	}
-	a.spans, a.analyses = spansOf(log), spanAnalyses(log, rep.End)
-	var snap bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&snap); err != nil {
-		return a, err
-	}
-	a.metrics = snap.Bytes()
-	a.body, err = newResult(n, n.Hash(), v, rep, log).Encode()
-	return a, err
+	return
 }
 
 // ffCompare runs s fast-forwarded and in full (an allreduce cell on real
@@ -190,7 +201,10 @@ func allreduceGrid() (specs []spec.Spec, compute []bool) {
 // the folded log equal to the same analysis of the full run's, equal metrics
 // snapshots and, on real payloads, equal final recv vectors. Below 8 KiB the
 // net cells run their default counts (1000 + 100 ping-pongs, 100 + 10
-// windows), and rank 0 must simulate at most a tenth of them.
+// windows), and rank 0 must simulate at most a tenth of them. How many
+// iterations rank 0 simulates in each cell is replayed from
+// testdata/ff_decisions.golden, so a change that makes the controller skip
+// later, or not at all, shows even where every answer survives it.
 func TestFastForwardEqualsFull(t *testing.T) {
 	var specs []spec.Spec
 	for _, size := range []int64{8, 256, 1032, 3080, 16 << 10} {
@@ -202,9 +216,11 @@ func TestFastForwardEqualsFull(t *testing.T) {
 	all, compute := allreduceGrid()
 	compute = append(make([]bool, len(specs)), compute...)
 	specs = append(specs, all...)
+	simulated := make([]int, len(specs))
 	msgs, _, err := sweep(nil, len(specs), func(i int, _ *collector) (string, CellProfile, error) {
 		s := specs[i]
 		fast, d, err := ffCompare(s, compute[i])
+		simulated[i] = fast.simulated
 		switch {
 		case err != nil:
 			return "", CellProfile{}, err
@@ -219,6 +235,94 @@ func TestFastForwardEqualsFull(t *testing.T) {
 		}
 		if fast.simulated < 0 || fast.simulated*10 > total {
 			return fmt.Sprintf("%s: rank 0 simulated %d of %d iterations", s, fast.simulated, total), CellProfile{}, nil
+		}
+		return "", CellProfile{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		if m != "" {
+			t.Error(m)
+		}
+	}
+	lines := make([]string, len(specs))
+	for i, s := range specs {
+		lines[i] = fmt.Sprintf("%s %d", ffCellName(s), simulated[i])
+	}
+	checkDecisions(t, lines)
+}
+
+// updateFFDecisions rewrites testdata/ff_decisions.golden from the current
+// code:
+//
+//	go test ./internal/bench -run TestFastForwardEqualsFull -args -update-ff-decisions
+//
+// A change may do that when it makes cells simulate fewer iterations, with
+// every moved line listed; a change meant to leave the controller alone
+// must replay the file byte for byte.
+var updateFFDecisions = flag.Bool("update-ff-decisions", false, "rewrite testdata/ff_decisions.golden")
+
+// ffCellName names a TestFastForwardEqualsFull cell uniquely: its spec
+// string, then the allreduce algorithm or the net cell's placement.
+func ffCellName(s spec.Spec) string {
+	if s.Workload == spec.WorkloadAllreduce {
+		return fmt.Sprintf("%s/%s", s, s.Normalize().Alg)
+	}
+	return fmt.Sprintf("%s/%s", s, Placement(s.Inter))
+}
+
+// checkDecisions compares "<cell> <simulated>" lines with
+// testdata/ff_decisions.golden, or rewrites it under -update-ff-decisions.
+func checkDecisions(t *testing.T, lines []string) {
+	path := filepath.Join("testdata", "ff_decisions.golden")
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateFFDecisions {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wl) != len(lines) {
+		t.Fatalf("%d decisions, want %d", len(lines), len(wl))
+	}
+	for i := range lines {
+		if lines[i] != wl[i] {
+			t.Errorf("decision moved:\n got  %s\n want %s", lines[i], wl[i])
+		}
+	}
+}
+
+// TestFastForwardIgnoresInstruments: the controller decides on the state
+// alone, so every allreduceGrid cell and the p2p grid at 8 B simulate as many
+// iterations with a span log and a metrics registry attached as with
+// neither.
+func TestFastForwardIgnoresInstruments(t *testing.T) {
+	var specs []spec.Spec
+	for _, s := range p2pGrid() {
+		s.Bytes = 8
+		specs = append(specs, s)
+	}
+	all, compute := allreduceGrid()
+	compute = append(make([]bool, len(specs)), compute...)
+	specs = append(specs, all...)
+	msgs, _, err := sweep(nil, len(specs), func(i int, _ *collector) (string, CellProfile, error) {
+		n := specs[i].Normalize()
+		_, _, bare, err := ffLaunch(n, &collector{}, false, compute[i])
+		if err != nil {
+			return "", CellProfile{}, err
+		}
+		_, _, traced, err := ffLaunch(n, &collector{log: trace.New(), metrics: metrics.New()}, false, compute[i])
+		if err != nil {
+			return "", CellProfile{}, err
+		}
+		if bare.simulated != traced.simulated {
+			return fmt.Sprintf("%s: rank 0 simulated %d iterations bare, %d traced", ffCellName(n), bare.simulated, traced.simulated), CellProfile{}, nil
 		}
 		return "", CellProfile{}, nil
 	})

@@ -1,20 +1,22 @@
 package core
 
-// Fast-forward of a periodic loop's steady state (DESIGN.md §17). A loop in
-// a fault-free launch — a ping-pong, a windowed stream, a solver iteration —
+// Fast-forward of a periodic loop's steady state (DESIGN.md §17). A loop in a
+// fault-free launch — a ping-pong, a windowed stream, a solver iteration —
 // often repeats itself: from some iteration on, the state at every loop head
 // is the state k heads earlier shifted by a constant period. Every rank runs
 // its loop as `for it := range env.Loop(p, lo, hi)`; at each loop head of
-// rank 0 the controller encodes the whole simulation's state relative to
-// now, and once the last cycle of k heads has repeated ffRepeats times it
-// skips the middle of the phase: the clock, every pending event, port
-// horizon and in-service stream operation move a whole number of cycles
-// later, the trace gains that many shifted copies of the last cycle's
-// records, the registry and the ports' busy times that many times the last
-// cycle's gain, and every rank's loop will jump the skipped iterations when
-// it reaches the phase's end. What the launch reports — its values, its end,
-// every span and metric — is bit for bit what the full run reports; the
-// differential tests in internal/bench and internal/solver hold it to that.
+// rank 0 the controller encodes the whole simulation's state relative to now
+// — that and nothing else: it digests no span history, so a traced launch
+// decides as an untraced one — and once the last cycle of k heads has
+// repeated ffRepeats times it skips the middle of the phase: the clock, every
+// pending event, port horizon and in-service stream operation move a whole
+// number of cycles later, the trace gains that many shifted copies of the
+// last cycle's records, the registry and the ports' busy times that many
+// times the last cycle's gain, and every rank's loop will jump the skipped
+// iterations when it reaches the phase's end. What the launch reports — its
+// values, its end, every span and metric — is bit for bit what the full run
+// reports; the differential tests in internal/bench and internal/solver hold
+// it to that.
 
 import (
 	"bytes"
@@ -42,13 +44,12 @@ const (
 // the one engine goroutine, so it needs no lock.
 type fastForward struct {
 	warmup int // iterations in the first phase
-	// log is the launch's span log, whose records the state includes: the
-	// caller's, or a private one (private set), so that whether the caller
-	// records spans never changes what the controller decides.
-	log     *trace.Log
-	private bool
-	envs    []*Env    // by rank, bound by launch
-	loops   []*ffLoop // by rank
+	// log is the caller's span log, nil when it records none: a skip
+	// repeats its last cycle's records. The state never reads it, so
+	// whether the caller records spans never changes a decision.
+	log   *trace.Log
+	envs  []*Env    // by rank, bound by launch
+	loops []*ffLoop // by rank
 	// loopStreams are the streams whose daemons run a rank's loop (a device
 	// kernel that started before the loop and is the loop itself: neither
 	// its start nor its being in service is periodic).
@@ -71,7 +72,8 @@ type fastForward struct {
 }
 
 // ffHead is one of rank 0's loop heads: the state there (nil when it was not
-// comparable), its time, the trace's length and rank 0's backlog.
+// comparable), its time, the caller's span count (0 without a log) and rank
+// 0's backlog.
 type ffHead struct {
 	state   []byte
 	at      sim.Time
@@ -94,10 +96,11 @@ type ffLoop struct {
 // factors (ComputeFault) are encoded nowhere, where the encoders refuse at
 // every head what else reads absolute time. It also reports how many
 // iterations rank 0 simulated, or -1 when the launch ran without a
-// controller. A skipped iteration computes nothing, so a launch whose
-// payloads are real must set full unless each iteration rewrites its outputs
-// from inputs that no iteration writes: then the last simulated iteration
-// leaves the outputs a full run leaves.
+// controller. Whether cfg records spans or metrics changes no decision; a
+// launch without a span log gets none. A skipped iteration computes nothing,
+// so a launch whose payloads are real must set full unless each iteration
+// rewrites its outputs from inputs that no iteration writes: then the last
+// simulated iteration leaves the outputs a full run leaves.
 func LaunchLoops(cfg Config, warmup int, full bool, main func(env *Env)) (Report, int, error) {
 	if full || cfg.Faults != nil {
 		rep, err := Launch(cfg, main)
@@ -106,10 +109,6 @@ func LaunchLoops(cfg Config, warmup int, full bool, main func(env *Env)) (Report
 	// The pseudo-head at time 0 stands before the first one.
 	f := &fastForward{warmup: warmup, log: cfg.Trace, heads: []ffHead{{}},
 		envs: make([]*Env, cfg.NGPUs), loops: make([]*ffLoop, cfg.NGPUs)}
-	if f.log == nil {
-		f.log, f.private = trace.New(), true
-		cfg.Trace = f.log
-	}
 	rep, err := launch(cfg, f, main)
 	return rep, f.simulated, err
 }
@@ -184,9 +183,9 @@ func (f *fastForward) head(lo, hi, it int) {
 	}
 	// A skip needs ffRepeats heads of its phase before it and a cycle left
 	// after it, so no phase shorter than ffRepeats+2 holds one: with none
-	// longer, stop before the log records the launch.
+	// longer, stop before encoding a state.
 	if f.simulated == 1 && max(f.warmup, hi-lo-f.warmup) < ffRepeats+2 {
-		f.stop()
+		f.off = true
 		return
 	}
 	eng := f.envs[0].Device().Engine()
@@ -207,20 +206,17 @@ func (f *fastForward) head(lo, hi, it int) {
 	}
 	q := f.backlog()
 	if f.runsAhead(q) {
-		f.stop()
+		f.off = true
 		return
 	}
-	prev := f.heads[len(f.heads)-1]
 	state, ok := f.appendState(buf, now, it, lo+f.warmup)
-	if ok {
-		state = f.log.AppendSince(state, prev.mark, prev.at)
-	} else {
+	if !ok {
 		state = nil
 	}
 	if cl := f.envs[0].Device().Cluster(); cl.Metrics != nil {
 		obs = cl.Metrics.AppendMark(cl.Fabric.AppendBusy(obs))
 	}
-	f.heads = append(f.heads, ffHead{state: state, at: now, mark: f.mark(), backlog: q, obs: obs})
+	f.heads = append(f.heads, ffHead{state: state, at: now, mark: f.log.Len(), backlog: q, obs: obs})
 	cycle := 0
 	for k := 1; k <= ffMaxCycle; k++ {
 		if f.matches(k) {
@@ -259,27 +255,15 @@ func (f *fastForward) head(lo, hi, it int) {
 			}
 		}
 	}
-	if !f.private {
-		f.log.Repeat(f.heads[n-cycle].mark, f.heads[n].mark, cycles, period)
-	}
+	f.log.Repeat(f.heads[n-cycle].mark, f.heads[n].mark, cycles, period)
 	if cl := f.envs[0].Device().Cluster(); cl.Metrics != nil {
 		cl.Metrics.Repeat(cl.Fabric.RepeatBusy(f.heads[n-cycle].obs, int64(cycles)), int64(cycles))
 	}
-	f.heads = append(f.heads[:0], ffHead{at: eng.Now(), mark: f.mark(), backlog: f.backlog()})
+	f.heads = append(f.heads[:0], ffHead{at: eng.Now(), mark: f.log.Len(), backlog: f.backlog()})
 	f.runs, f.highs = [ffMaxCycle + 1]int{}, 0
 	for _, l := range f.loops {
 		l.from, l.to = end-m, end
 	}
-}
-
-// mark returns the log length the next head digests from. A private log is
-// read by nothing but the next head, so it drops what this one digested
-// instead, and holds one head's spans at a time.
-func (f *fastForward) mark() int {
-	if f.private {
-		f.log.Clear()
-	}
-	return f.log.Len()
 }
 
 // runsAhead reports whether rank 0's host has run ahead of its device: its
@@ -309,15 +293,6 @@ func (f *fastForward) backlog() uint64 {
 		}
 	}
 	return q
-}
-
-// stop turns the controller off for the rest of the launch, and stops a
-// private log recording what no one will read.
-func (f *fastForward) stop() {
-	f.off = true
-	if f.private {
-		f.envs[0].Device().Cluster().SetTrace(nil)
-	}
 }
 
 // matches reports whether the newest head repeats the head k before it: an
@@ -369,7 +344,7 @@ func (f *fastForward) appendState(b []byte, now sim.Time, it, split int) ([]byte
 		b, ok = env0.Device().Cluster().Fabric.AppendState(b, now)
 	}
 	if !ok {
-		f.stop()
+		f.off = true
 		return b, false
 	}
 	if b, ok = f.appendLoops(b, it, split); !ok {

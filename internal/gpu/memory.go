@@ -183,10 +183,10 @@ func (b *Buffer[T]) copyFrom(src mem, dstOff, srcOff, n int) {
 // scratch returns a detached buffer of n elements on b's device with
 // unspecified contents. The storage comes from the owning cluster's staging
 // arena when one is available: staging buffers (eager sends, rendezvous
-// snapshots, exchange scratch) are throwaways, and drawing them from a pool
-// keeps the steady-state data path allocation-free. The pool returns
-// unzeroed storage, so the caller must overwrite all n elements before
-// reading any.
+// snapshots, exchange scratch) are throwaways, so their storage is pooled.
+// Their Buffer header is not: each call allocates one, the bulk of the
+// objects a small-message collective allocates. The pool returns unzeroed
+// storage, so the caller must overwrite all n elements before reading any.
 func (b *Buffer[T]) scratch(n int) mem {
 	if b.pool == nil && b.dev != nil {
 		b.pool = poolFor[T](b.dev.cluster)

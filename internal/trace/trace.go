@@ -11,7 +11,6 @@ package trace
 
 import (
 	"cmp"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -215,34 +214,6 @@ func (l *Log) push(r rec) {
 	l.chunks[l.stored/logChunk][l.stored%logChunk] = r
 	l.stored++
 	l.n++
-}
-
-// Clear drops every span. The log keeps its chunks for the spans added
-// next, and its symbol table, so a name keeps its id and a digest of the
-// spans added after Clear (AppendSince) reads as it would without it. A View
-// of the log must not be read after it.
-func (l *Log) Clear() {
-	l.n, l.stored = 0, 0
-	l.runs = l.runs[:0]
-}
-
-// AppendSince appends spans from, from+1, ... (insertion order) relative
-// to base, for a fast-forward digest: two stretches of a periodic run encode
-// equal when each is the other shifted by the distance of their bases.
-func (l *Log) AppendSince(b []byte, from int, base sim.Time) []byte {
-	if l == nil {
-		return b
-	}
-	for j := from; j < l.n; j++ {
-		r := l.record(j)
-		for _, v := range [...]int64{int64(r.start - base), int64(r.end - base), r.bytes} {
-			b = binary.AppendVarint(b, v)
-		}
-		for _, v := range [...]uint32{r.kind, r.label, r.track, uint32(r.rank), uint32(r.src), uint32(r.dst)} {
-			b = binary.AppendUvarint(b, uint64(v))
-		}
-	}
-	return b
 }
 
 // Repeat appends m copies of spans [from, to), the k-th (k = 1..m) shifted
